@@ -23,9 +23,8 @@ use gfd_graph::intersect::intersect_in_place;
 use gfd_graph::{Graph, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
-    count_matches, count_matches_planned, count_matches_with, dual_simulation,
-    for_each_match_planned, CacheStats, ClassRegistry, IncrementalSpace, MatchOptions,
-    MatchScratch, SimFilter,
+    count_matches, count_matches_with, dual_simulation, for_each_match_with, CacheStats,
+    ClassRegistry, ComponentSearch, IncrementalSpace, MatchOptions, MatchScratch, SearchScratch,
 };
 use gfd_parallel::unitexec::{execute_unit, MultiQueryIndex, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, feasible_pivots, plan_rules, WorkloadOptions};
@@ -204,13 +203,13 @@ fn main() {
         // The same count through caller-owned scratch: search pools,
         // tables and join arenas persist across calls, so the
         // `allocs_per_iter` column isolates what the per-call path
-        // still allocates (the simulation filter, when Auto turns on).
+        // still allocates (the simulation filter, when its rule fires).
         let count_opts = MatchOptions::unrestricted();
         let mut count_scratch = MatchScratch::default();
         bench(
             "match/count_matches_with(warm scratch)",
             &mut samples,
-            || count_matches_with(&gfd.pattern, &g, &count_opts, &mut count_scratch),
+            || count_matches_with(&gfd.pattern, &g, &count_opts, None, &mut count_scratch),
         );
         bench("sim/dual_simulation(mined rule 0)", &mut samples, || {
             dual_simulation(&gfd.pattern, &g, None).total_size()
@@ -402,15 +401,17 @@ fn main() {
     // workload (the shape of Example 2's dense layers): a complete
     // bipartite a→b layer of 160×160 `e1` edges, per-index b→c / c→d
     // chains, and only 8 cycle-closing edges back into the `a` layer.
-    // The unfiltered backtracker (SimFilter::Never) must enumerate all
-    // 25 600 (x, y) edge pairs per call before discovering that almost
-    // none close; the planned path draws its pools from the registry's
-    // warm candidate space — where simulation has already collapsed
-    // every layer to the 8 closure indices — and solves each bag by
-    // multiway intersection of the space's adjacency runs. The
-    // `sim percall` samples pay one dual-simulation fixpoint per call
-    // (SimFilter::Always, no registry) — the cost the class-keyed
-    // cache amortizes away. Spaces, plans and scratch are caller-owned
+    // The enumerator in raw mode (`backtrack`: the engine type with
+    // no space attached) must enumerate all 25 600 (x, y) edge pairs
+    // per call before discovering that almost none close; the planned
+    // path draws its pools from the registry's warm candidate space —
+    // where simulation has already collapsed every layer to the 8
+    // closure indices — by multiway intersection of the space's
+    // adjacency runs, in the plan's bag order. The `sim percall`
+    // samples go through the default entry point, whose filter rule
+    // fires here (cyclic, 160-node pools): one dual-simulation
+    // fixpoint and one plan per call — the cost the class-keyed cache
+    // amortizes away. Spaces, plans and scratch are caller-owned
     // and warm: the plan samples must report 0 allocs_per_iter (also
     // asserted by tests/alloc_probe.rs).
     {
@@ -464,12 +465,11 @@ fn main() {
         let mut count_planned = |h, q: &Pattern, reg: &ClassRegistry| {
             let (cs, plan) = reg.space_and_plan(h, &gs);
             let mut n = 0usize;
-            for_each_match_planned(
+            for_each_match_with(
                 q,
                 &gs,
                 &planned_opts,
-                &cs,
-                &plan,
+                Some((&cs, &plan)),
                 &mut planned_scratch,
                 &mut |_| {
                     n += 1;
@@ -482,26 +482,26 @@ fn main() {
         // pin down the match counts both engines must agree on.
         let tri_n = count_planned(tri_h, &tri, &reg);
         let cyc4_n = count_planned(cyc4_h, &cyc4, &reg);
-        let back_opts = MatchOptions::unrestricted().with_sim_filter(SimFilter::Never);
-        let mut back_scratch = MatchScratch::default();
-        let sim_opts = MatchOptions::unrestricted().with_sim_filter(SimFilter::Always);
+        let mut back_scratch = SearchScratch::default();
+        let mut count_raw = |q: &Pattern| {
+            let mut search =
+                ComponentSearch::new(q, &gs).with_scratch(std::mem::take(&mut back_scratch));
+            let mut n = 0usize;
+            search.for_each(&mut |_| {
+                n += 1;
+                Flow::Continue
+            });
+            back_scratch = search.into_scratch();
+            n
+        };
+        let sim_opts = MatchOptions::unrestricted();
         let mut sim_scratch = MatchScratch::default();
-        assert_eq!(
-            tri_n,
-            count_matches_with(&tri, &gs, &back_opts, &mut back_scratch)
-        );
-        assert_eq!(
-            cyc4_n,
-            count_matches_with(&cyc4, &gs, &back_opts, &mut back_scratch)
-        );
-        assert_eq!(
-            tri_n,
-            count_matches_with(&tri, &gs, &sim_opts, &mut sim_scratch)
-        );
-        assert_eq!(
-            cyc4_n,
-            count_matches_with(&cyc4, &gs, &sim_opts, &mut sim_scratch)
-        );
+        let mut count_percall =
+            |q: &Pattern| count_matches_with(q, &gs, &sim_opts, None, &mut sim_scratch);
+        assert_eq!(tri_n, count_raw(&tri));
+        assert_eq!(cyc4_n, count_raw(&cyc4));
+        assert_eq!(tri_n, count_percall(&tri));
+        assert_eq!(cyc4_n, count_percall(&cyc4));
 
         bench("match/wcoj_triangle(plan)", &mut samples, || {
             count_planned(tri_h, &tri, &reg)
@@ -510,16 +510,70 @@ fn main() {
             count_planned(cyc4_h, &cyc4, &reg)
         });
         bench("match/wcoj_triangle(backtrack)", &mut samples, || {
-            count_matches_with(&tri, &gs, &back_opts, &mut back_scratch)
+            count_raw(&tri)
         });
         bench("match/wcoj_4cycle(backtrack)", &mut samples, || {
-            count_matches_with(&cyc4, &gs, &back_opts, &mut back_scratch)
+            count_raw(&cyc4)
         });
         bench("match/wcoj_triangle(sim percall)", &mut samples, || {
-            count_matches_with(&tri, &gs, &sim_opts, &mut sim_scratch)
+            count_percall(&tri)
         });
         bench("match/wcoj_4cycle(sim percall)", &mut samples, || {
-            count_matches_with(&cyc4, &gs, &sim_opts, &mut sim_scratch)
+            count_percall(&cyc4)
+        });
+    }
+
+    // Pinned enumeration of a four-cycle inside a warm registry space,
+    // per pin — what `IncrementalDetector::apply_diff` runs per
+    // (affected node, variable). The graph and the rule shape are the
+    // lifecycle benchmark's `social-cycles` workload (Pokec-shape at
+    // scale 0.5, wildcard nodes, a cycle of the undirected pattern);
+    // the pins cycle over 16 evenly spaced candidates of each
+    // variable. The search starts at the pin, so the cost tracks the
+    // pin's neighborhood, not the variables' simulation sets.
+    {
+        let gp = reallife_graph(&RealLifeConfig {
+            scale: 0.5,
+            seed: 0xBEEF,
+            ..RealLifeConfig::new(RealLifeKind::Pokec)
+        });
+        let mut pb = PatternBuilder::new(gp.vocab().clone());
+        let v: Vec<VarId> = (0..4).map(|i| pb.wildcard_node(&format!("c{i}"))).collect();
+        pb.edge(v[0], v[1], "pk_rel0");
+        pb.edge(v[1], v[2], "pk_rel1");
+        pb.edge(v[3], v[2], "pk_rel2");
+        pb.wildcard_edge(v[0], v[3]);
+        let cyc4 = pb.build();
+        let reg = ClassRegistry::new();
+        let (cs, plan) = reg.space_and_plan(reg.register(&cyc4), &gp);
+        let pins: Vec<(VarId, NodeId)> = cyc4
+            .vars()
+            .flat_map(|var| {
+                let set = cs.of(var);
+                let stride = (set.len() / 16).max(1);
+                set.iter().step_by(stride).take(16).map(move |&u| (var, u))
+            })
+            .collect();
+        assert!(!pins.is_empty(), "premise: the four-cycle has candidates");
+        let mut opts = MatchOptions::unrestricted().pin(pins[0].0, pins[0].1);
+        let mut scratch = MatchScratch::default();
+        let mut next = 0usize;
+        bench("match/pinned_4cycle(space)", &mut samples, || {
+            opts.pins[0] = pins[next];
+            next = (next + 1) % pins.len();
+            let mut n = 0usize;
+            for_each_match_with(
+                &cyc4,
+                &gp,
+                &opts,
+                Some((&cs, &plan)),
+                &mut scratch,
+                &mut |_| {
+                    n += 1;
+                    Flow::Continue
+                },
+            );
+            n
         });
     }
 
@@ -564,19 +618,26 @@ fn main() {
         let (cs, plan) = reg.space_and_plan(h, &gs);
         let expected = n * n * n;
         assert_eq!(
-            count_matches_planned(&path, &gs, &opts, &cs, &plan, &mut fact_scratch),
+            count_matches_with(&path, &gs, &opts, Some((&cs, &plan)), &mut fact_scratch),
             expected,
             "the factorized count must be exact here"
         );
         bench("factor/count_skewed(factorized)", &mut samples, || {
-            count_matches_planned(&path, &gs, &opts, &cs, &plan, &mut fact_scratch)
+            count_matches_with(&path, &gs, &opts, Some((&cs, &plan)), &mut fact_scratch)
         });
         let mut count_materialized = || {
             let mut c = 0usize;
-            for_each_match_planned(&path, &gs, &opts, &cs, &plan, &mut mat_scratch, &mut |_| {
-                c += 1;
-                Flow::Continue
-            });
+            for_each_match_with(
+                &path,
+                &gs,
+                &opts,
+                Some((&cs, &plan)),
+                &mut mat_scratch,
+                &mut |_| {
+                    c += 1;
+                    Flow::Continue
+                },
+            );
             c
         };
         assert_eq!(count_materialized(), expected);

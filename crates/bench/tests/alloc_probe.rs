@@ -12,8 +12,7 @@ use gfd_core::{Dependency, Gfd, GfdSet, Literal};
 use gfd_graph::{Graph, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
-    count_matches_planned, count_matches_with, for_each_match_planned, CacheStats, ClassRegistry,
-    MatchOptions, MatchScratch,
+    count_matches_with, for_each_match_with, CacheStats, ClassRegistry, MatchOptions, MatchScratch,
 };
 use gfd_parallel::unitexec::{execute_unit, MultiQueryIndex, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
@@ -22,6 +21,17 @@ use gfd_util::alloc::{allocation_count, min_allocation_delta, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// The allocation counter is process-global and `cargo test` runs this
+/// file's tests on parallel threads: each test holds this lock so a
+/// neighbor's warm-up never lands inside its measured rounds.
+static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    // A failed neighbor poisons the lock; the unit value cannot be
+    // left half-updated, so keep measuring.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A clean flight fleet (distinct ids → no violations): the
 /// steady-state detection shape, where units stream through the warm
@@ -69,6 +79,7 @@ fn same_id_same_dest(vocab: Arc<Vocab>) -> Gfd {
 
 #[test]
 fn warm_execute_unit_allocates_nothing() {
+    let _serial = serial();
     let g = clean_flights(8);
     let sigma = GfdSet::new(vec![same_id_same_dest(g.vocab().clone())]);
     let plans = plan_rules(&sigma);
@@ -130,6 +141,7 @@ fn warm_execute_unit_allocates_nothing() {
 /// every table it reads was enumerated (and paid for) by worker A.
 #[test]
 fn warm_cross_worker_registry_hit_allocates_nothing() {
+    let _serial = serial();
     let g = clean_flights(8);
     let sigma = GfdSet::new(vec![same_id_same_dest(g.vocab().clone())]);
     let plans = plan_rules(&sigma);
@@ -198,8 +210,9 @@ fn warm_cross_worker_registry_hit_allocates_nothing() {
 /// scratch arenas without enumerating a single match.
 #[test]
 fn warm_counting_allocates_nothing() {
+    let _serial = serial();
     // Materialized: a star pattern (fewer edges than nodes) keeps the
-    // Auto filter off, so this is the pure backtracking count.
+    // per-call filter off, so this is the pure raw-mode count.
     let g = clean_flights(8);
     let mut pb = PatternBuilder::new(g.vocab().clone());
     let f = pb.node("f", "flight");
@@ -210,10 +223,13 @@ fn warm_counting_allocates_nothing() {
     let star = pb.build();
     let opts = MatchOptions::unrestricted();
     let mut scratch = MatchScratch::default();
-    let expected = count_matches_with(&star, &g, &opts, &mut scratch);
+    let expected = count_matches_with(&star, &g, &opts, None, &mut scratch);
     assert_eq!(expected, 8, "premise: one star per flight");
     let delta = min_allocation_delta(5, || {
-        assert_eq!(count_matches_with(&star, &g, &opts, &mut scratch), expected);
+        assert_eq!(
+            count_matches_with(&star, &g, &opts, None, &mut scratch),
+            expected
+        );
     });
     assert_eq!(
         delta, 0,
@@ -247,7 +263,7 @@ fn warm_counting_allocates_nothing() {
     let reg = ClassRegistry::new();
     let h = reg.register(&path);
     let (cs, plan) = reg.space_and_plan(h, &g2);
-    let warm = count_matches_planned(&path, &g2, &opts, &cs, &plan, &mut scratch);
+    let warm = count_matches_with(&path, &g2, &opts, Some((&cs, &plan)), &mut scratch);
     assert_eq!(warm, per_layer * per_layer);
     assert_eq!(
         scratch.last_factorization().count(),
@@ -256,7 +272,7 @@ fn warm_counting_allocates_nothing() {
     );
     let delta = min_allocation_delta(5, || {
         assert_eq!(
-            count_matches_planned(&path, &g2, &opts, &cs, &plan, &mut scratch),
+            count_matches_with(&path, &g2, &opts, Some((&cs, &plan)), &mut scratch),
             warm
         );
     });
@@ -266,13 +282,14 @@ fn warm_counting_allocates_nothing() {
     );
 }
 
-/// The worst-case-optimal plan executor's steady state: with the
-/// candidate space and decomposition plan warm in the registry and
-/// scratch at its high-water mark, a full cyclic-pattern enumeration
-/// — pools, intersections, bag recursion, match emission — must not
-/// touch the heap.
+/// The enumerator's space-mode steady state under a plan order: with
+/// the candidate space and decomposition plan warm in the registry
+/// and scratch at its high-water mark, a full cyclic-pattern
+/// enumeration — pools, multiway intersections, recursion, match
+/// emission — must not touch the heap.
 #[test]
 fn warm_plan_execution_allocates_nothing() {
+    let _serial = serial();
     // A skewed cyclic workload: a dense a→b layer, per-index b→c
     // edges, and a handful of c→a closures — triangles exist but are
     // rare relative to the frontier.
@@ -310,9 +327,12 @@ fn warm_plan_execution_allocates_nothing() {
     let mut scratch = MatchScratch::default();
     let count = |scratch: &mut MatchScratch| {
         let (cs, plan) = reg.space_and_plan(h, &g);
-        assert!(plan.is_cyclic(), "premise: the triangle routes to WCOJ");
+        assert!(
+            plan.is_cyclic(),
+            "premise: the triangle takes the plan order"
+        );
         let mut n = 0usize;
-        for_each_match_planned(&tri, &g, &opts, &cs, &plan, scratch, &mut |_| {
+        for_each_match_with(&tri, &g, &opts, Some((&cs, &plan)), scratch, &mut |_| {
             n += 1;
             Flow::Continue
         });

@@ -40,9 +40,11 @@ use std::sync::Arc;
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_match::types::Flow;
 use gfd_match::{
-    for_each_match, for_each_match_in_space, ClassRegistry, Match, MatchOptions, SpaceHandle,
+    for_each_match_with, CandidateSpace, ClassRegistry, Match, MatchOptions, MatchScratch,
+    QueryPlan, SpaceHandle,
 };
 use gfd_pattern::signature::decompose;
+use gfd_pattern::VarId;
 
 use crate::gfd::GfdSet;
 use crate::validate::{
@@ -80,6 +82,24 @@ struct RuleState {
     violations: HashSet<Match>,
 }
 
+/// A rule's repaired class space, plus the class's cached plan when
+/// the pattern is connected — the `(space, plan)` pair the enumerator
+/// takes. Disconnected patterns only screen pins against the space
+/// (their components are filtered per call), so no plan is built.
+fn rule_space(
+    registry: &ClassRegistry,
+    handle: SpaceHandle,
+    connected: bool,
+    g: &Graph,
+) -> (Arc<CandidateSpace>, Option<Arc<QueryPlan>>) {
+    if connected {
+        let (cs, plan) = registry.space_and_plan(handle, g);
+        (cs, Some(plan))
+    } else {
+        (registry.space(handle, g), None)
+    }
+}
+
 /// Maintains `Vio(Σ, G)` across graph edits; see the module docs.
 ///
 /// The maintained set is always identical to what
@@ -96,6 +116,8 @@ pub struct IncrementalDetector {
     /// The registry repair epoch this detector is synchronized with.
     version: u64,
     rules: Vec<RuleState>,
+    /// Enumeration buffers, reused by every pinned re-enumeration.
+    scratch: MatchScratch,
 }
 
 impl IncrementalDetector {
@@ -110,6 +132,7 @@ impl IncrementalDetector {
     /// several detectors over one `ClassRegistry` share simulations,
     /// plans and repairs across tenants.
     pub fn with_registry(sigma: &GfdSet, g: &Graph, registry: Arc<ClassRegistry>) -> Self {
+        let mut scratch = MatchScratch::default();
         let rules = sigma
             .iter()
             .map(|gfd| {
@@ -117,7 +140,7 @@ impl IncrementalDetector {
                 let connected = decompose(&gfd.pattern).len() == 1;
                 let mut violations = HashSet::new();
                 if !gfd.dep.y.is_empty() {
-                    let cs = registry.space(handle, g);
+                    let (cs, plan) = rule_space(&registry, handle, connected, g);
                     if !cs.is_empty_anywhere() {
                         // Factorized fast path for the initial full
                         // pass: an all-constant-`Y` rule whose
@@ -131,12 +154,20 @@ impl IncrementalDetector {
                             && const_y_satisfied_everywhere(&gfd.dep, g, &cs, &registry, handle);
                         if !skip {
                             let opts = MatchOptions::unrestricted();
-                            for_each_match_in_space(&gfd.pattern, g, &opts, &cs, &mut |m| {
-                                if !match_satisfies(&gfd.dep, g, m) {
-                                    violations.insert(Match(m.to_vec()));
-                                }
-                                Flow::Continue
-                            });
+                            let space = plan.as_deref().map(|plan| (&*cs, plan));
+                            for_each_match_with(
+                                &gfd.pattern,
+                                g,
+                                &opts,
+                                space,
+                                &mut scratch,
+                                &mut |m| {
+                                    if !match_satisfies(&gfd.dep, g, m) {
+                                        violations.insert(Match(m.to_vec()));
+                                    }
+                                    Flow::Continue
+                                },
+                            );
                         }
                     }
                 }
@@ -153,6 +184,7 @@ impl IncrementalDetector {
             registry,
             version,
             rules,
+            scratch,
         }
     }
 
@@ -230,6 +262,7 @@ impl IncrementalDetector {
             registry,
             version,
             rules,
+            scratch: MatchScratch::default(),
         }
     }
 
@@ -308,8 +341,11 @@ impl IncrementalDetector {
             ref registry,
             ref mut rules,
             version,
+            ref mut scratch,
         } = *self;
         registry.advance(g, &d, version);
+        // One options value for every pinned call: only the pin moves.
+        let mut opts = MatchOptions::unrestricted().pin(VarId(0), NodeId(0));
 
         for (rule, state) in rules.iter_mut().enumerate() {
             let gfd = sigma.get(rule);
@@ -336,18 +372,20 @@ impl IncrementalDetector {
 
             // 2. New violations contain an affected node: enumerate
             //    matches pinned there (per variable whose candidate
-            //    set admits the node), via the repaired class space.
-            let cs = registry.space(state.handle, g);
+            //    set admits the node), via the repaired class space and
+            //    the class's cached plan — fetched once per rule.
+            let (cs, plan) = rule_space(registry, state.handle, state.connected, g);
             if cs.is_empty_anywhere() {
                 debug_assert!(state.violations.is_empty());
                 continue;
             }
+            let space = plan.as_deref().map(|plan| (&*cs, plan));
             for &u in &affected {
                 for v in gfd.pattern.vars() {
                     if cs.sets[v.index()].binary_search(&u).is_err() {
                         continue;
                     }
-                    let opts = MatchOptions::unrestricted().pin(v, u);
+                    opts.pins[0] = (v, u);
                     let enumerate = &mut |m: &[NodeId]| {
                         if !match_satisfies(&gfd.dep, g, m)
                             && state.violations.insert(Match(m.to_vec()))
@@ -361,11 +399,7 @@ impl IncrementalDetector {
                         }
                         Flow::Continue
                     };
-                    if state.connected {
-                        for_each_match_in_space(&gfd.pattern, g, &opts, &cs, enumerate);
-                    } else {
-                        for_each_match(&gfd.pattern, g, &opts, enumerate);
-                    }
+                    for_each_match_with(&gfd.pattern, g, &opts, space, scratch, enumerate);
                 }
             }
         }

@@ -21,8 +21,8 @@ use gfd_graph::{Graph, NodeId};
 use gfd_match::component::ComponentSearch;
 use gfd_match::table::MatchTable;
 use gfd_match::{
-    for_each_match, for_each_match_planned, for_each_match_with, types::Flow, CandidateSpace,
-    ClassRegistry, Match, MatchOptions, MatchScratch, SearchBudget, SpaceHandle,
+    for_each_match, for_each_match_with, types::Flow, CandidateSpace, ClassRegistry, Match,
+    MatchOptions, MatchScratch, SearchBudget, SpaceHandle,
 };
 use gfd_pattern::analysis::connected_components;
 use gfd_pattern::signature::decompose;
@@ -102,7 +102,7 @@ pub fn detect_violations(sigma: &GfdSet, g: &Graph) -> Vec<Violation> {
 /// enumerates through the class's candidate space — simulated once,
 /// transported to the twins — instead of re-deriving its own filter.
 /// Singleton classes and disconnected patterns keep the per-call
-/// [`for_each_match`] path (with its size-gated filter policy), so
+/// [`for_each_match`] path (with its size-gated per-call filter), so
 /// sharing costs at most one simulation per multi-member class,
 /// amortized over that class's rules; unqueried classes cost only
 /// their canonical form.
@@ -129,8 +129,8 @@ pub struct DetScratch {
 /// [`detect_violations_shared`] with caller-owned scratch. Shared
 /// connected rules additionally pull the class's cached
 /// decomposition plan from the registry
-/// ([`ClassRegistry::space_and_plan`]), so cyclic patterns run the
-/// worst-case-optimal executor without rebuilding the plan per call.
+/// ([`ClassRegistry::space_and_plan`]), so cyclic patterns enumerate
+/// in worst-case-optimal order without rebuilding the plan per call.
 pub fn detect_violations_with(
     sigma: &GfdSet,
     g: &Graph,
@@ -175,28 +175,32 @@ pub fn detect_violations_with(
             }
             Flow::Continue
         };
-        if shared {
-            let (cs, plan) = registry.space_and_plan(scratch.handles[i], g);
+        // Shared rules enumerate through the class's cached space and
+        // plan; the rest leave the filter to the per-call rule.
+        let class_space;
+        let space = if shared {
+            class_space = registry.space_and_plan(scratch.handles[i], g);
+            let (cs, plan) = &class_space;
             // FAQ-style skip for all-constant-`Y` rules: if, per the
             // class's factorized marginals, every *represented*
             // binding already satisfies `Y`, no match violates `ϕ` —
             // the represented set is a superset of the match set.
             // Variable elimination in place of enumeration.
-            if const_y_satisfied_everywhere(&gfd.dep, g, &cs, registry, scratch.handles[i]) {
+            if const_y_satisfied_everywhere(&gfd.dep, g, cs, registry, scratch.handles[i]) {
                 continue;
             }
-            for_each_match_planned(
-                &gfd.pattern,
-                g,
-                &opts,
-                &cs,
-                &plan,
-                &mut scratch.matching,
-                &mut visit,
-            );
+            Some((&**cs, &**plan))
         } else {
-            for_each_match_with(&gfd.pattern, g, &opts, &mut scratch.matching, &mut visit);
-        }
+            None
+        };
+        for_each_match_with(
+            &gfd.pattern,
+            g,
+            &opts,
+            space,
+            &mut scratch.matching,
+            &mut visit,
+        );
     }
     out
 }

@@ -37,7 +37,7 @@ pub fn extend_keys<T>(out: &mut Vec<NodeId>, src: &[T], key: impl Fn(&T) -> Node
 /// the galloping paths (binary search over non-sorted keys). Callers
 /// must pass single-label subranges (`neighbors_labeled`) or
 /// pre-deduplicated id lists; wildcard runs are sorted/deduped before
-/// they reach a kernel (see `ComponentSearch::fill_candidates`).
+/// they reach a kernel (see `ComponentSearch::fill_raw_pool`).
 #[inline]
 fn debug_assert_ascending<T>(side: &str, items: &[T], key: &impl Fn(&T) -> NodeId) {
     if cfg!(debug_assertions) {

@@ -1,20 +1,27 @@
 //! Top-level matching API over full (possibly disconnected) patterns.
 //!
-//! Enumeration is filter-and-refine: each connected component may
-//! first be *filtered* through [`dual_simulation`] (per the
-//! [`SimFilter`] policy), which either proves the component matchless
-//! or hands the refiner a pruned [`CandidateSpace`] to *refine*.
+//! Enumeration is filter-and-refine, and every connected component is
+//! enumerated by the one recursion in [`crate::component`]. The two
+//! full-form entry points, [`for_each_match_with`] (streaming) and
+//! [`count_matches_with`] (counting), only decide that recursion's
+//! inputs:
+//!
+//! * the **pool source** — a caller-supplied [`CandidateSpace`] (the
+//!   registry's, maintained across edits) selects space mode; without
+//!   one, the size-gated rule below decides per component whether to
+//!   compute the filter via [`dual_simulation`] (which either proves
+//!   the component matchless or hands the refiner its pruned space) or
+//!   to search the raw CSR;
+//! * the **variable order** — pins first, then greedy; a
+//!   [`QueryPlan`] next to the space orders unpinned cyclic
+//!   components along its bags.
+//!
 //! Connected patterns stream their matches straight to the callback;
 //! only genuinely disconnected patterns buffer per-component matches
-//! for the disjointness join.
-//!
-//! Refinement itself picks between two engines per component: cyclic
-//! filtered components run a decomposition-based [`QueryPlan`] whose
-//! bags are solved by worst-case-optimal multiway intersection
-//! ([`crate::plan::execute_plan`]); everything else backtracks
-//! ([`ComponentSearch`]). All entry points have `*_with` variants
-//! taking a caller-owned [`MatchScratch`] so repeated detection calls
-//! run allocation-free in steady state.
+//! for the disjointness join. [`for_each_match`], [`count_matches`],
+//! [`find_matches`] and [`has_match`] are one-line wrappers; a
+//! caller-owned [`MatchScratch`] makes repeated calls allocation-free
+//! in steady state.
 
 use gfd_graph::{Graph, NodeId};
 use gfd_pattern::{signature::decompose, PatLabel, Pattern, VarId};
@@ -22,20 +29,19 @@ use gfd_pattern::{signature::decompose, PatLabel, Pattern, VarId};
 use crate::component::{ComponentSearch, SearchScratch, StopReason};
 use crate::factorize::{FactorScratch, Factorization};
 use crate::join::{join_tables, ComponentTable, JoinScratch};
-use crate::plan::{execute_plan, PlanScratch, QueryPlan};
+use crate::plan::QueryPlan;
 use crate::simulation::{dual_simulation, CandidateSpace};
 use crate::table::MatchTable;
-use crate::types::{Flow, Match, MatchOptions, SimFilter};
+use crate::types::{Flow, Match, MatchOptions};
 
 /// Caller-owned reusable buffers for the matching API: the
-/// backtracker's [`SearchScratch`], the plan executor's
-/// [`PlanScratch`], and the disconnected-pattern join state. A fresh
-/// default is always valid; keeping one alive across calls removes
-/// the per-call heap traffic of `for_each_match`/`count_matches`.
+/// enumerator's [`SearchScratch`], the disconnected-pattern join
+/// state, and the factorized counter's arenas. A fresh default is
+/// always valid; keeping one alive across calls removes the per-call
+/// heap traffic of `for_each_match`/`count_matches`.
 #[derive(Default)]
 pub struct MatchScratch {
     search: SearchScratch,
-    plan: PlanScratch,
     join: JoinScratch,
     tables: Vec<MatchTable>,
     factor: FactorScratch,
@@ -59,27 +65,27 @@ pub enum EnumOutcome {
     Stopped(StopReason),
 }
 
-/// Smallest seed pool at which [`SimFilter::Auto`] turns simulation
-/// on: below this, a raw backtracking scan is cheaper than computing
-/// the filter.
+/// Smallest seed pool at which the per-call filter turns simulation
+/// on: below this, a raw scan is cheaper than computing the filter.
 ///
-/// Re-measured after pools moved to `CandidateSpace` (see
-/// `crates/bench/tests/gate_measure.rs`, runnable with `--ignored`):
-/// on the mined-rule corpus the filter's payoff is proving components
+/// Measured on the mined-rule corpus after pools moved to
+/// `CandidateSpace`: the filter's payoff is proving components
 /// *matchless* before enumeration — on matchable cyclic components it
 /// is overhead at every pool size, so the corpus-level winner is flat
-/// for thresholds 128–1024 (Auto ≈ Never within noise, Auto ahead
-/// when empty components occur) and distinctly worse at 32 (~25%
-/// slower on 3-node rules). 128 is the start of that plateau; keep it.
+/// for thresholds 128–1024 (filtered ≈ unfiltered within noise,
+/// filtered ahead when empty components occur) and distinctly worse at
+/// 32 (~25% slower on 3-node rules). 128 is the start of that plateau;
+/// keep it.
 const SIM_AUTO_MIN_POOL: usize = 128;
 
-/// The `Auto` heuristic: filter when the component is *cyclic* (edges
-/// ≥ nodes — includes parallel-edge multi-constraints) and its
+/// The per-call filter rule: filter when the component is *cyclic*
+/// (edges ≥ nodes — includes parallel-edge multi-constraints) and its
 /// cheapest entry pool is large enough for the filter to pay for
-/// itself. On trees the refined backtracker already expands only
-/// adjacency intersections, and measured mined-rule workloads run
-/// faster unfiltered; cycles are where simulation prunes what
-/// backtracking discovers late.
+/// itself. On trees the raw search already expands only adjacency
+/// intersections, and measured mined-rule workloads run faster
+/// unfiltered; cycles are where simulation prunes what backtracking
+/// discovers late. A caller who wants the filter regardless passes a
+/// space.
 fn auto_simulate(cq: &Pattern, g: &Graph, opts: &MatchOptions) -> bool {
     if cq.edge_count() < cq.node_count() {
         return false;
@@ -94,15 +100,19 @@ fn auto_simulate(cq: &Pattern, g: &Graph, opts: &MatchOptions) -> bool {
     cq.vars().map(pool).min().unwrap_or(0) >= SIM_AUTO_MIN_POOL
 }
 
-/// Computes the component's candidate space per the filter policy;
-/// `None` means "search unfiltered".
-fn filter_component(cq: &Pattern, g: &Graph, opts: &MatchOptions) -> Option<CandidateSpace> {
-    let simulate = match opts.sim {
-        SimFilter::Always => true,
-        SimFilter::Never => false,
-        SimFilter::Auto => auto_simulate(cq, g, opts),
-    };
-    simulate.then(|| dual_simulation(cq, g, opts.restriction.as_ref()))
+/// Computes a connected component's own candidate space and plan when
+/// [`auto_simulate`] asks for the filter; `None` means "search raw".
+fn filter_component(
+    cq: &Pattern,
+    g: &Graph,
+    opts: &MatchOptions,
+) -> Option<(CandidateSpace, QueryPlan)> {
+    auto_simulate(cq, g, opts).then(|| {
+        (
+            dual_simulation(cq, g, opts.restriction.as_ref()),
+            QueryPlan::new(cq),
+        )
+    })
 }
 
 /// Enumerates matches of `q` in `g`, calling `f` for each match
@@ -114,16 +124,22 @@ pub fn for_each_match(
     opts: &MatchOptions,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> EnumOutcome {
-    for_each_match_with(q, g, opts, &mut MatchScratch::default(), f)
+    for_each_match_with(q, g, opts, None, &mut MatchScratch::default(), f)
 }
 
-/// [`for_each_match`] with caller-owned scratch buffers — repeated
-/// calls (detection loops, benchmarks) reuse every pool, table and
-/// join arena instead of reallocating them per call.
+/// The full form of [`for_each_match`]: caller-owned scratch buffers —
+/// repeated calls (detection loops, benchmarks) reuse every pool,
+/// table and join arena — and, optionally, a candidate space with its
+/// decomposition plan for a *connected* `q` (what
+/// `ClassRegistry::space_and_plan` hands out, maintained across graph
+/// edits) instead of the per-call filter. Disconnected patterns ignore
+/// `space`: it indexes full-pattern variables, which the per-component
+/// searches cannot consume.
 pub fn for_each_match_with(
     q: &Pattern,
     g: &Graph,
     opts: &MatchOptions,
+    space: Option<(&CandidateSpace, &QueryPlan)>,
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> EnumOutcome {
@@ -131,29 +147,70 @@ pub fn for_each_match_with(
         std::sync::Arc::ptr_eq(q.vocab(), g.vocab()),
         "pattern and graph must share a vocabulary"
     );
-    if q.node_count() == 0 {
-        return EnumOutcome::Complete; // the empty pattern has no matches
+    // The match cap, applied in this one place for every path below.
+    let cap = opts.budget.max_matches.unwrap_or(usize::MAX);
+    if cap == 0 {
+        return EnumOutcome::Stopped(StopReason::BudgetExhausted);
     }
+    let mut emitted = 0usize;
+    let mut capped = false;
+    let reason = enumerate(q, g, opts, space, scratch, &mut |m| {
+        emitted += 1;
+        if f(m) == Flow::Break {
+            return Flow::Break;
+        }
+        if emitted >= cap {
+            capped = true;
+            return Flow::Break;
+        }
+        Flow::Continue
+    });
+    match reason {
+        StopReason::Exhausted => EnumOutcome::Complete,
+        StopReason::CallbackBreak if capped => EnumOutcome::Stopped(StopReason::BudgetExhausted),
+        reason => EnumOutcome::Stopped(reason),
+    }
+}
+
+/// [`for_each_match_with`] below the match cap: restriction, pins and
+/// the step budget are honored here.
+fn enumerate(
+    q: &Pattern,
+    g: &Graph,
+    opts: &MatchOptions,
+    space: Option<(&CandidateSpace, &QueryPlan)>,
+    scratch: &mut MatchScratch,
+    f: &mut dyn FnMut(&[NodeId]) -> Flow,
+) -> StopReason {
+    if q.node_count() == 0 {
+        return StopReason::Exhausted; // the empty pattern has no matches
+    }
+    let step_cap = opts.budget.max_steps.unwrap_or(u64::MAX);
 
     // A connected pattern streams matches straight from the component
     // search — no buffering, no join, and (unlike `decompose`) no
     // pattern clone to check.
     if q.is_connected() {
-        let cs = filter_component(q, g, opts);
-        return stream_single_component(q, g, opts, cs.as_ref(), scratch, f);
+        let own = match space {
+            Some(_) => None,
+            None => filter_component(q, g, opts),
+        };
+        let space = space.or(own.as_ref().map(|(cs, plan)| (cs, plan)));
+        let mut search =
+            component_search(q, g, opts, &opts.pins, space, step_cap, &mut scratch.search);
+        let reason = search.for_each(f);
+        scratch.search = search.into_scratch();
+        return reason;
     }
-
-    let parts = decompose(q);
-    let step_cap = opts.budget.max_steps.unwrap_or(u64::MAX);
-    let mut steps_left = step_cap;
-    let cap = opts.budget.max_matches.unwrap_or(usize::MAX);
 
     // Disconnected: enumerate matches per component (mapping pins into
     // local vars) into flat tables, then join under global injectivity
     // — the buffer is one scratch arena per component, not one `Vec`
     // per match.
+    let parts = decompose(q);
+    let mut steps_left = step_cap;
     let MatchScratch {
-        search: search_scratch,
+        search,
         join,
         tables,
         ..
@@ -161,266 +218,67 @@ pub fn for_each_match_with(
     if tables.len() < parts.len() {
         tables.resize_with(parts.len(), MatchTable::default);
     }
-    let mut vars_per_part: Vec<&[VarId]> = Vec::with_capacity(parts.len());
+    let mut local_pins: Vec<(VarId, NodeId)> = Vec::new();
     for ((cq, orig_vars), table) in parts.iter().zip(tables.iter_mut()) {
-        let cs = filter_component(cq, g, opts);
-        if cs.as_ref().is_some_and(CandidateSpace::is_empty_anywhere) {
-            return EnumOutcome::Complete; // no match of this component → none of Q
-        }
-        let mut search = ComponentSearch::new(cq, g)
-            .with_scratch(std::mem::take(search_scratch))
-            .max_steps(steps_left);
-        if let Some(r) = &opts.restriction {
-            search = search.restrict(r);
-        }
-        if let Some(cs) = &cs {
-            search = search.candidate_space(cs);
-        }
-        for &(var, node) in &opts.pins {
-            if let Some(local) = orig_vars.iter().position(|&v| v == var) {
-                search = search.pin(VarId(local as u32), node);
-            }
-        }
+        let own = filter_component(cq, g, opts);
+        local_pins.clear();
+        local_pins.extend(opts.pins.iter().filter_map(|&(var, node)| {
+            let local = orig_vars.iter().position(|&v| v == var)?;
+            Some((VarId(local as u32), node))
+        }));
         table.reset(cq.node_count());
-        let reason = search.collect_into(table);
-        steps_left = steps_left.saturating_sub(search.steps());
-        *search_scratch = search.into_scratch();
+        let space = own.as_ref().map(|(cs, plan)| (cs, plan));
+        let mut part = component_search(cq, g, opts, &local_pins, space, steps_left, search);
+        let reason = part.collect_into(table);
+        steps_left = steps_left.saturating_sub(part.steps());
+        *search = part.into_scratch();
         if reason == StopReason::BudgetExhausted {
-            return EnumOutcome::Stopped(StopReason::BudgetExhausted);
+            return reason;
         }
         if table.is_empty() {
-            return EnumOutcome::Complete; // no match of this component → none of Q
+            return StopReason::Exhausted; // no match of this component → none of Q
         }
-        vars_per_part.push(orig_vars.as_slice());
     }
-
-    // Join with global injectivity, honoring the match cap.
-    let inputs: Vec<ComponentTable> = vars_per_part
+    let inputs: Vec<ComponentTable> = parts
         .iter()
         .zip(tables.iter())
-        .map(|(vars, table)| ComponentTable {
+        .map(|((_, vars), table)| ComponentTable {
             vars,
             table,
             perm: None,
         })
         .collect();
-    let mut emitted = 0usize;
-    let mut capped = false;
-    let complete = join_tables(inputs.as_slice(), q.node_count(), join, &mut |assignment| {
-        let flow = f(assignment);
-        emitted += 1;
-        if flow == Flow::Break {
-            return Flow::Break;
-        }
-        if emitted >= cap {
-            capped = true;
-            return Flow::Break;
-        }
-        Flow::Continue
-    });
-    if complete {
-        EnumOutcome::Complete
-    } else if capped {
-        EnumOutcome::Stopped(StopReason::BudgetExhausted)
+    if join_tables(inputs.as_slice(), q.node_count(), join, f) {
+        StopReason::Exhausted
     } else {
-        EnumOutcome::Stopped(StopReason::CallbackBreak)
+        StopReason::CallbackBreak
     }
 }
 
-/// Enumerates matches of a *connected* `q` drawing pools from a
-/// caller-provided [`CandidateSpace`] instead of computing the filter
-/// per call — the entry point for incremental consumers that maintain
-/// a space across graph edits (see
-/// [`crate::incremental::IncrementalSpace`]). Disconnected patterns
-/// fall back to [`for_each_match`] (the space indexes full-pattern
-/// variables, which the per-component searches cannot consume).
-pub fn for_each_match_in_space(
-    q: &Pattern,
-    g: &Graph,
-    opts: &MatchOptions,
-    cs: &CandidateSpace,
-    f: &mut dyn FnMut(&[NodeId]) -> Flow,
-) -> EnumOutcome {
-    if q.node_count() == 0 {
-        return EnumOutcome::Complete;
-    }
-    if !q.is_connected() {
-        return for_each_match(q, g, opts, f);
-    }
-    stream_single_component(q, g, opts, Some(cs), &mut MatchScratch::default(), f)
-}
-
-/// [`for_each_match_in_space`] for callers that additionally hold a
-/// precomputed [`QueryPlan`] and reusable scratch — the entry point
-/// for [`crate::registry::ClassRegistry`] consumers
-/// (`ClassRegistry::space_and_plan` hands out both). Cyclic plans run
-/// the worst-case-optimal executor; acyclic ones fall back to the
-/// refined backtracker. Disconnected patterns fall back to
-/// [`for_each_match_with`] (spaces and plans index full-pattern
-/// variables, which per-component searches cannot consume).
-pub fn for_each_match_planned(
-    q: &Pattern,
-    g: &Graph,
-    opts: &MatchOptions,
-    cs: &CandidateSpace,
-    plan: &QueryPlan,
-    scratch: &mut MatchScratch,
-    f: &mut dyn FnMut(&[NodeId]) -> Flow,
-) -> EnumOutcome {
-    if q.node_count() == 0 {
-        return EnumOutcome::Complete;
-    }
-    if !q.is_connected() {
-        return for_each_match_with(q, g, opts, scratch, f);
-    }
-    if cs.is_empty_anywhere() {
-        return EnumOutcome::Complete;
-    }
-    if plan.is_cyclic() {
-        return stream_component_plan(q, g, opts, cs, plan, &mut scratch.plan, f);
-    }
-    stream_component_backtrack(q, g, opts, Some(cs), &mut scratch.search, f)
-}
-
-/// Streams the matches of one connected component straight to the
-/// callback, honoring restriction, pins and budget — the shared
-/// backend of [`for_each_match`]'s connected path (per-call filter)
-/// and [`for_each_match_in_space`] (caller-maintained filter).
-/// Filtered cyclic components route to the plan executor; everything
-/// else backtracks.
-fn stream_single_component(
-    cq: &Pattern,
-    g: &Graph,
-    opts: &MatchOptions,
-    cs: Option<&CandidateSpace>,
-    scratch: &mut MatchScratch,
-    f: &mut dyn FnMut(&[NodeId]) -> Flow,
-) -> EnumOutcome {
-    if cs.is_some_and(CandidateSpace::is_empty_anywhere) {
-        return EnumOutcome::Complete;
-    }
-    if let Some(cs) = cs {
-        // The filter policies only attach a space to components worth
-        // filtering, so the plan build (pure pattern structure, tiny
-        // next to the enumeration) is not gated further. Registry
-        // callers avoid even this via `for_each_match_planned`.
-        let plan = QueryPlan::new(cq);
-        if plan.is_cyclic() {
-            return stream_component_plan(cq, g, opts, cs, &plan, &mut scratch.plan, f);
-        }
-    }
-    stream_component_backtrack(cq, g, opts, cs, &mut scratch.search, f)
-}
-
-/// The worst-case-optimal path: executes a decomposition plan inside
-/// the candidate space, wrapping the callback with the match cap.
-#[allow(clippy::too_many_arguments)]
-fn stream_component_plan(
-    cq: &Pattern,
-    g: &Graph,
-    opts: &MatchOptions,
-    cs: &CandidateSpace,
-    plan: &QueryPlan,
-    scratch: &mut PlanScratch,
-    f: &mut dyn FnMut(&[NodeId]) -> Flow,
-) -> EnumOutcome {
-    let step_cap = opts.budget.max_steps.unwrap_or(u64::MAX);
-    let cap = opts.budget.max_matches.unwrap_or(usize::MAX);
-    // Out-of-range pins are ignored, matching the component mapping
-    // that drops them for disconnected patterns (the common case
-    // passes every pin through without buffering).
-    let pins_buf: Vec<(VarId, NodeId)>;
-    let pins: &[(VarId, NodeId)] = if opts.pins.iter().all(|&(v, _)| v.index() < cq.node_count()) {
-        &opts.pins
-    } else {
-        pins_buf = opts
-            .pins
-            .iter()
-            .copied()
-            .filter(|&(v, _)| v.index() < cq.node_count())
-            .collect();
-        &pins_buf
-    };
-    let mut emitted = 0usize;
-    let mut capped = false;
-    let reason = execute_plan(
-        cq,
-        g,
-        cs,
-        plan,
-        opts.restriction.as_ref(),
-        pins,
-        step_cap,
-        scratch,
-        &mut |m| {
-            let flow = f(m);
-            emitted += 1;
-            if flow == Flow::Break {
-                return Flow::Break;
-            }
-            if emitted >= cap {
-                capped = true;
-                return Flow::Break;
-            }
-            Flow::Continue
-        },
-    );
-    match reason {
-        StopReason::Exhausted => EnumOutcome::Complete,
-        StopReason::BudgetExhausted => EnumOutcome::Stopped(StopReason::BudgetExhausted),
-        StopReason::CallbackBreak if capped => EnumOutcome::Stopped(StopReason::BudgetExhausted),
-        StopReason::CallbackBreak => EnumOutcome::Stopped(StopReason::CallbackBreak),
-    }
-}
-
-/// The backtracking path, with the same cap semantics.
-fn stream_component_backtrack(
-    cq: &Pattern,
-    g: &Graph,
-    opts: &MatchOptions,
-    cs: Option<&CandidateSpace>,
+/// Configures the one enumerator for a connected component with the
+/// inputs the caller resolved: pins in the component's own variable
+/// ids, the pool source and order (`space`), and the step budget. The
+/// scratch is adopted; recover it with `into_scratch`.
+fn component_search<'a>(
+    cq: &'a Pattern,
+    g: &'a Graph,
+    opts: &'a MatchOptions,
+    pins: &'a [(VarId, NodeId)],
+    space: Option<(&'a CandidateSpace, &'a QueryPlan)>,
+    max_steps: u64,
     scratch: &mut SearchScratch,
-    f: &mut dyn FnMut(&[NodeId]) -> Flow,
-) -> EnumOutcome {
-    let step_cap = opts.budget.max_steps.unwrap_or(u64::MAX);
-    let cap = opts.budget.max_matches.unwrap_or(usize::MAX);
+) -> ComponentSearch<'a> {
     let mut search = ComponentSearch::new(cq, g)
         .with_scratch(std::mem::take(scratch))
-        .max_steps(step_cap);
+        .pins(pins)
+        .max_steps(max_steps);
     if let Some(r) = &opts.restriction {
         search = search.restrict(r);
     }
-    if let Some(cs) = cs {
-        search = search.candidate_space(cs);
+    if let Some((cs, plan)) = space {
+        search = search.candidate_space(cs).plan_order(plan);
     }
-    for &(var, node) in &opts.pins {
-        // Out-of-range pins are ignored, matching the component
-        // mapping that drops them for disconnected patterns.
-        if var.index() < cq.node_count() {
-            search = search.pin(var, node);
-        }
-    }
-    let mut emitted = 0usize;
-    let mut capped = false;
-    let reason = search.for_each(&mut |m| {
-        let flow = f(m);
-        emitted += 1;
-        if flow == Flow::Break {
-            return Flow::Break;
-        }
-        if emitted >= cap {
-            capped = true;
-            return Flow::Break;
-        }
-        Flow::Continue
-    });
-    *scratch = search.into_scratch();
-    match reason {
-        StopReason::Exhausted => EnumOutcome::Complete,
-        StopReason::BudgetExhausted => EnumOutcome::Stopped(StopReason::BudgetExhausted),
-        StopReason::CallbackBreak if capped => EnumOutcome::Stopped(StopReason::BudgetExhausted),
-        StopReason::CallbackBreak => EnumOutcome::Stopped(StopReason::CallbackBreak),
-    }
+    search
 }
 
 /// Collects all matches (subject to `opts.budget`).
@@ -435,94 +293,55 @@ pub fn find_matches(q: &Pattern, g: &Graph, opts: &MatchOptions) -> Vec<Match> {
 
 /// Counts matches (subject to `opts.budget`).
 pub fn count_matches(q: &Pattern, g: &Graph, opts: &MatchOptions) -> usize {
-    count_matches_with(q, g, opts, &mut MatchScratch::default())
+    count_matches_with(q, g, opts, None, &mut MatchScratch::default())
 }
 
-/// True when a count request is eligible for factorized (FAQ-style)
-/// evaluation: uncapped (a budget changes the *observable* count, so
-/// capped counts must enumerate) and with every pin addressable.
-fn countable_without_enumeration(q: &Pattern, opts: &MatchOptions) -> bool {
-    q.node_count() > 0
-        && opts.budget.max_matches.is_none()
-        && opts.budget.max_steps.is_none()
-        && opts.pins.iter().all(|&(v, _)| v.index() < q.node_count())
-}
-
-/// [`count_matches`] with caller-owned scratch — the allocation-free
-/// form for counting loops.
+/// The full form of [`count_matches`] — same `space` and `scratch`
+/// contract as [`for_each_match_with`].
 ///
-/// Connected patterns whose filter policy attaches a candidate space
-/// are counted **without enumeration** when possible: the component's
-/// match set is factorized over the plan's bag tree
-/// ([`crate::factorize`]) and the count read off the root fold —
-/// width-polynomial time even when the flat match set explodes. The
-/// factorizer declines (and this falls back to streaming) when
-/// cross-bag injectivity could make the folded count inexact.
+/// A connected pattern with a candidate space (supplied, or computed
+/// by the per-call filter) is counted **without enumeration** when
+/// possible: the component's match set is factorized over the plan's
+/// bag tree ([`crate::factorize`]) into the caller's scratch arenas
+/// and the count read off the root fold — width-polynomial time even
+/// when the flat match set explodes, and zero steady-state heap
+/// allocation for registry consumers. Falls back to streaming when
+/// the request is capped (a budget changes the *observable* count),
+/// a pin is not addressable, the factorizer declines, or cross-bag
+/// injectivity could make the folded count inexact.
 pub fn count_matches_with(
     q: &Pattern,
     g: &Graph,
     opts: &MatchOptions,
+    space: Option<(&CandidateSpace, &QueryPlan)>,
     scratch: &mut MatchScratch,
 ) -> usize {
-    if q.is_connected() && countable_without_enumeration(q, opts) {
-        if let Some(cs) = filter_component(q, g, opts) {
+    let connected = q.node_count() > 0 && q.is_connected();
+    let own = match space {
+        None if connected => filter_component(q, g, opts),
+        _ => None,
+    };
+    let space = space.or(own.as_ref().map(|(cs, plan)| (cs, plan)));
+    if let Some((cs, plan)) = space {
+        let countable = connected
+            && opts.budget.max_matches.is_none()
+            && opts.budget.max_steps.is_none()
+            && opts.pins.iter().all(|&(v, _)| v.index() < q.node_count());
+        if countable {
             if cs.is_empty_anywhere() {
                 return 0;
             }
-            let plan = QueryPlan::new(q);
             if let Some(n) =
                 scratch
                     .factor
-                    .count(q, g, &cs, &plan, opts.restriction.as_ref(), &opts.pins)
+                    .count(q, g, cs, plan, opts.restriction.as_ref(), &opts.pins)
             {
                 return n.min(usize::MAX as u64) as usize;
             }
-            // Inexact or unfactorizable: enumerate inside the space
-            // already computed.
-            let mut n = 0usize;
-            stream_single_component(q, g, opts, Some(&cs), scratch, &mut |_| {
-                n += 1;
-                Flow::Continue
-            });
-            return n;
         }
     }
     let mut n = 0usize;
-    for_each_match_with(q, g, opts, scratch, &mut |_| {
-        n += 1;
-        Flow::Continue
-    });
-    n
-}
-
-/// [`count_matches_with`] for registry consumers holding a cached
-/// space and plan (`ClassRegistry::space_and_plan`): the factorization
-/// is rebuilt into the caller's scratch arenas, so a warm counting
-/// loop runs with **zero** steady-state heap allocation — no
-/// simulation, no plan build, no enumeration. Falls back to
-/// [`for_each_match_planned`] streaming when the factorizer declines
-/// or the folded count would be inexact.
-pub fn count_matches_planned(
-    q: &Pattern,
-    g: &Graph,
-    opts: &MatchOptions,
-    cs: &CandidateSpace,
-    plan: &QueryPlan,
-    scratch: &mut MatchScratch,
-) -> usize {
-    if q.is_connected() && countable_without_enumeration(q, opts) {
-        if cs.is_empty_anywhere() {
-            return 0;
-        }
-        if let Some(n) = scratch
-            .factor
-            .count(q, g, cs, plan, opts.restriction.as_ref(), &opts.pins)
-        {
-            return n.min(usize::MAX as u64) as usize;
-        }
-    }
-    let mut n = 0usize;
-    for_each_match_planned(q, g, opts, cs, plan, scratch, &mut |_| {
+    for_each_match_with(q, g, opts, space, scratch, &mut |_| {
         n += 1;
         Flow::Continue
     });
@@ -706,6 +525,25 @@ mod tests {
         let opts = MatchOptions::unrestricted().with_budget(crate::types::SearchBudget::matches(3));
         let ms = find_matches(&q, &g, &opts);
         assert_eq!(ms.len(), 3);
+    }
+
+    /// A cap of 0 admits no match: the callback must never run, on
+    /// the connected (streaming) and the disconnected (join) path.
+    #[test]
+    fn match_cap_zero_emits_nothing() {
+        let (g, _) = flights();
+        let mut b = PatternBuilder::new(g.vocab().clone());
+        b.node("x", "city");
+        let connected = b.build();
+        let opts = MatchOptions::unrestricted().with_budget(crate::types::SearchBudget::matches(0));
+        for q in [connected, q1(g.vocab().clone())] {
+            assert!(has_match(&q, &g, &MatchOptions::unrestricted()));
+            assert_eq!(count_matches(&q, &g, &opts), 0);
+            let outcome = for_each_match(&q, &g, &opts, &mut |_| {
+                panic!("callback invoked under a match cap of 0")
+            });
+            assert_eq!(outcome, EnumOutcome::Stopped(StopReason::BudgetExhausted));
+        }
     }
 
     #[test]

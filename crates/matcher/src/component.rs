@@ -1,4 +1,4 @@
-//! Backtracking search for matches of one *connected* pattern
+//! The one recursive enumerator for matches of a *connected* pattern
 //! component in a data graph.
 //!
 //! The search is candidate-driven: after the first variable, every
@@ -7,25 +7,32 @@
 //! anchored — this is what makes pivoted work-unit processing local
 //! (§5.2: matches are enumerated "by only accessing `G_z̄`").
 //!
-//! Refinement happens in two layers:
+//! One recursion serves every caller; its two real decisions are data:
 //!
-//! * **pools are intersections** — a variable's candidate pool is the
-//!   sorted-slice intersection of the CSR runs of *all* assigned
-//!   pattern neighbors (merge or galloping via
-//!   [`gfd_graph::intersect`]), not just the single smallest list;
-//! * **pools are simulation-pruned** — when a [`CandidateSpace`] from
-//!   [`crate::simulation::dual_simulation`] is attached, pools draw
-//!   from its per-edge candidate adjacency, so every candidate already
-//!   survives dual simulation (filter-and-refine).
+//! * the **pool source** — a variable's candidate pool is always the
+//!   sorted-slice intersection of the runs of *all* assigned pattern
+//!   neighbors (merge or galloping via [`gfd_graph::intersect`]), not
+//!   just the single smallest list. In *space mode* the runs are the
+//!   per-edge candidate adjacency of a [`CandidateSpace`] from
+//!   [`crate::simulation::dual_simulation`] — every candidate already
+//!   survives dual simulation and every constraining edge is enforced
+//!   by the intersection itself (filter-and-refine, worst-case
+//!   optimal per step), so candidates only need a light check. In
+//!   *raw mode* the runs are the graph's labeled CSR runs and each
+//!   candidate passes the full `compatible` check;
+//! * the **variable order** — pins first, then greedily the most
+//!   constrained variable; unpinned searches of cyclic patterns take
+//!   a [`QueryPlan`]'s flattened bag order instead.
 //!
 //! All pools are written into per-depth scratch buffers owned by the
 //! search and reused across the whole enumeration — steady-state
 //! candidate generation performs no heap allocation.
 
-use gfd_graph::intersect::intersect_in_place;
+use gfd_graph::intersect::{intersect_in_place, intersect_k};
 use gfd_graph::{Adj, Graph, NodeId, NodeSet};
 use gfd_pattern::{distinct_neighbors, PatLabel, Pattern, VarId};
 
+use crate::plan::QueryPlan;
 use crate::simulation::CandidateSpace;
 use crate::table::MatchTable;
 use crate::types::Flow;
@@ -97,85 +104,163 @@ pub(crate) fn search_order_into(
     }
 }
 
-/// A sorted, duplicate-free candidate source to intersect.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    /// A plain id list (simulation set, candidate-adjacency run,
-    /// restriction slice).
-    Ids(&'a [NodeId]),
-    /// A single-label CSR run (sorted by node within the label).
-    Run(&'a [Adj]),
-}
+/// Constraining runs are gathered into a stack batch of this size
+/// before intersecting — no variable of a mined rule has anywhere near
+/// 16 constraining edges, and [`push_run`] flushes correctly if one
+/// does. Keeping the batch on the stack (instead of a heap `Vec`) is
+/// what makes a warm enumeration loop genuinely allocation-free.
+const MAX_RUNS: usize = 16;
 
-impl Source<'_> {
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            Source::Ids(s) => s.len(),
-            Source::Run(r) => r.len(),
-        }
-    }
-}
-
-/// Sources are gathered into a stack batch of this size before
-/// intersecting — no variable of a mined rule has anywhere near 16
-/// constraining edges, and the fold below flushes correctly if one
-/// does. Keeping the batch on the stack (instead of a heap `Vec`)
-/// is what makes a warm counting loop genuinely allocation-free.
-const MAX_SOURCES: usize = 16;
-
+/// Appends a run to the stack batch, folding the batch into the pool
+/// first when it is full.
 #[inline]
-fn seed_pool(pool: &mut Vec<NodeId>, s: Source) {
-    match s {
-        Source::Ids(ids) => pool.extend_from_slice(ids),
-        Source::Run(run) => pool.extend(run.iter().map(|a| a.node)),
-    }
-}
-
-#[inline]
-fn refine_pool(pool: &mut Vec<NodeId>, s: Source) {
-    match s {
-        Source::Ids(ids) => intersect_in_place(pool, ids, |&x| x),
-        Source::Run(run) => intersect_in_place(pool, run, |a| a.node),
-    }
-}
-
-/// Appends a source to the stack batch, flushing (intersecting into
-/// the pool) when the batch is full.
-#[inline]
-fn push_source<'a>(
+fn push_run<'a, T>(
     pool: &mut Vec<NodeId>,
-    srcs: &mut [Source<'a>; MAX_SOURCES],
+    runs: &mut [&'a [T]; MAX_RUNS],
     n: &mut usize,
     seeded: &mut bool,
-    s: Source<'a>,
+    run: &'a [T],
+    fold: fn(&mut Vec<NodeId>, &mut [&[T]], bool),
 ) {
-    if *n == MAX_SOURCES {
-        fold_sources(pool, &mut srcs[..], *seeded);
+    if *n == MAX_RUNS {
+        fold(pool, &mut runs[..], *seeded);
         *seeded = true;
         *n = 0;
     }
-    srcs[*n] = s;
+    runs[*n] = run;
     *n += 1;
 }
 
-/// Intersects one batch of sources into the pool, ascending by size:
-/// the first batch seeds from its smallest source, later batches (only
-/// under pathological fan-in) refine pairwise.
-fn fold_sources(pool: &mut Vec<NodeId>, srcs: &mut [Source], seeded: bool) {
-    srcs.sort_unstable_by_key(Source::len);
-    let rest = if seeded {
-        &srcs[..]
+/// Folds a batch of candidate-adjacency runs into the pool: the first
+/// batch seeds via smallest-first k-way intersection, later batches
+/// (only under pathological fan-in) refine pairwise.
+fn fold_space_runs(pool: &mut Vec<NodeId>, runs: &mut [&[NodeId]], seeded: bool) {
+    if !seeded {
+        intersect_k(pool, runs);
     } else {
-        seed_pool(pool, srcs[0]);
-        &srcs[1..]
+        for run in runs.iter() {
+            if pool.is_empty() {
+                return;
+            }
+            intersect_in_place(pool, run, |&x| x);
+        }
+    }
+}
+
+/// [`fold_space_runs`] for single-label CSR runs (sorted by node
+/// within the label).
+fn fold_csr_runs(pool: &mut Vec<NodeId>, runs: &mut [&[Adj]], seeded: bool) {
+    runs.sort_unstable_by_key(|r| r.len());
+    let rest = if seeded {
+        &runs[..]
+    } else {
+        pool.extend(runs[0].iter().map(|a| a.node));
+        &runs[1..]
     };
-    for &s in rest {
+    for run in rest {
         if pool.is_empty() {
             return;
         }
-        refine_pool(pool, s);
+        intersect_in_place(pool, run, |a| a.node);
     }
+}
+
+/// The pin on `sv`, if any.
+#[inline]
+fn pin_of(pins: &[(VarId, NodeId)], sv: VarId) -> Option<NodeId> {
+    pins.iter().find(|&&(pv, _)| pv == sv).map(|&(_, n)| n)
+}
+
+/// The **space-mode** pool source: fills `pool` with the
+/// worst-case-optimal candidate pool for `sv` — the k-way intersection
+/// of the candidate-adjacency runs of *every* already-assigned pattern
+/// neighbor (every constraining edge at once), so the work at each
+/// level is bounded by the smallest constraining run. An unconstrained
+/// variable seeds from its simulation set, narrowed by the
+/// restriction. A pinned variable never builds a pool: the pin is
+/// probed in each run by binary search and survives or not — a pinned
+/// enumeration stays local to the pin's neighborhood.
+///
+/// Shared between the enumerator below and the factorization builder
+/// ([`crate::factorize`], whose `assigned` holds only the bag-visible
+/// bindings) — both must draw pools from the exact same candidate
+/// adjacency for the oracle equivalences to hold.
+pub(crate) fn fill_space_pool(
+    q: &Pattern,
+    cs: &CandidateSpace,
+    restriction: Option<&NodeSet>,
+    pins: &[(VarId, NodeId)],
+    sv: VarId,
+    assigned: &[NodeId],
+    pool: &mut Vec<NodeId>,
+) {
+    pool.clear();
+    let pin = pin_of(pins, sv);
+    let mut runs: [&[NodeId]; MAX_RUNS] = [&[]; MAX_RUNS];
+    let mut n = 0usize;
+    let mut seeded = false;
+    for (ei, e) in q.edges().iter().enumerate() {
+        // Self-loops are checked per candidate.
+        let (other, adj) = if e.src == sv && e.dst != sv {
+            (e.dst, &cs.reverse[ei])
+        } else if e.dst == sv && e.src != sv {
+            (e.src, &cs.forward[ei])
+        } else {
+            continue;
+        };
+        let image = assigned[other.index()];
+        if image.0 == u32::MAX {
+            continue;
+        }
+        let Ok(i) = cs.sets[other.index()].binary_search(&image) else {
+            // Assigned images always come from the space's own sets
+            // (pins are screened up front), so this is unreachable —
+            // but an empty pool is the sound answer.
+            debug_assert!(false, "assigned image outside its simulation set");
+            pool.clear();
+            return;
+        };
+        let run = adj.run(i);
+        match pin {
+            Some(p) if run.binary_search(&p).is_err() => return,
+            Some(_) => {}
+            None => push_run(pool, &mut runs, &mut n, &mut seeded, run, fold_space_runs),
+        }
+    }
+    if let Some(p) = pin {
+        if cs.of(sv).binary_search(&p).is_ok() {
+            pool.push(p);
+        }
+        return;
+    }
+    if n > 0 {
+        fold_space_runs(pool, &mut runs[..n], seeded);
+    } else {
+        // No constraining edge yet (component start): the simulation
+        // set, narrowed by the restriction when one is present.
+        pool.extend_from_slice(cs.of(sv));
+        if let Some(r) = restriction {
+            intersect_in_place(pool, r.as_slice(), |&x| x);
+        }
+    }
+}
+
+/// The space-mode per-candidate check — what the runs cannot express:
+/// restriction membership, injectivity against the partial assignment,
+/// and self-loop edges. Shared with [`crate::factorize`].
+pub(crate) fn space_candidate_ok(
+    q: &Pattern,
+    g: &Graph,
+    restriction: Option<&NodeSet>,
+    sv: VarId,
+    gv: NodeId,
+    assigned: &[NodeId],
+) -> bool {
+    restriction.is_none_or(|r| r.contains(gv))
+        && !assigned.contains(&gv)
+        && q.out(sv)
+            .iter()
+            .all(|&(t, l)| t != sv || edge_ok(g, gv, gv, l))
 }
 
 /// Caller-owned reusable buffers for [`ComponentSearch`]: per-depth
@@ -195,23 +280,28 @@ pub struct SearchScratch {
     order: Vec<VarId>,
     visited: Vec<bool>,
     pinned: Vec<VarId>,
-    /// Per-variable lower bounds on a viable image's out-/in-degree:
-    /// the number of *distinct* out-/in-neighbor variables. Distinct
-    /// neighbor variables map to distinct nodes (injectivity), so each
-    /// needs its own graph edge — but several pattern edges to the
-    /// *same* neighbor (e.g. a labeled and a wildcard edge) can share
-    /// one graph edge, so counting edges would over-prune.
+    /// Raw mode only — per-variable lower bounds on a viable image's
+    /// out-/in-degree: the number of *distinct* out-/in-neighbor
+    /// variables. Distinct neighbor variables map to distinct nodes
+    /// (injectivity), so each needs its own graph edge — but several
+    /// pattern edges to the *same* neighbor (e.g. a labeled and a
+    /// wildcard edge) can share one graph edge, so counting edges
+    /// would over-prune.
     min_out: Vec<usize>,
     min_in: Vec<usize>,
 }
 
-/// Single-component matcher.
+/// Single-component matcher: one recursion whose two real decisions
+/// are data — the pool source ([`ComponentSearch::candidate_space`]
+/// attached or not) and the variable order (pins, then greedy; or a
+/// supplied [`ComponentSearch::plan_order`]).
 pub struct ComponentSearch<'a> {
     q: &'a Pattern,
     g: &'a Graph,
     restriction: Option<&'a NodeSet>,
     cand: Option<&'a CandidateSpace>,
-    pins: Vec<(VarId, NodeId)>,
+    plan: Option<&'a QueryPlan>,
+    pins: &'a [(VarId, NodeId)],
     max_steps: u64,
     steps: u64,
     /// Reusable buffers, possibly adopted from a previous search.
@@ -237,7 +327,8 @@ impl<'a> ComponentSearch<'a> {
             g,
             restriction: None,
             cand: None,
-            pins: Vec::new(),
+            plan: None,
+            pins: &[],
             max_steps: u64::MAX,
             steps: 0,
             scratch: SearchScratch::default(),
@@ -263,17 +354,33 @@ impl<'a> ComponentSearch<'a> {
         self
     }
 
-    /// Attaches a precomputed simulation candidate space: pools then
-    /// draw from its pruned per-edge adjacency, and any pin outside its
-    /// sets short-circuits to an empty enumeration.
+    /// Selects the **space-mode** pool source: pools are multiway
+    /// intersections of the simulation's pruned per-edge adjacency
+    /// ([`fill_space_pool`]) under the light per-candidate check, and
+    /// any pin outside its sets short-circuits to an empty
+    /// enumeration. Without a space the search runs in **raw mode**:
+    /// labeled CSR runs under the full `compatible` check.
     pub fn candidate_space(mut self, cs: &'a CandidateSpace) -> Self {
         self.cand = Some(cs);
         self
     }
 
-    /// Pins `h(var) = node`.
-    pub fn pin(mut self, var: VarId, node: NodeId) -> Self {
-        self.pins.push((var, node));
+    /// Supplies a decomposition plan whose flattened bag order
+    /// replaces the greedy variable order for *unpinned* searches of
+    /// cyclic patterns: measured on the skewed-closure bench graph,
+    /// greedy order ties it on the triangle but trails it 4.5× on the
+    /// four-cycle (`match/wcoj_4cycle(plan)`). Pinned searches always
+    /// start at their pins.
+    pub fn plan_order(mut self, plan: &'a QueryPlan) -> Self {
+        self.plan = Some(plan);
+        self
+    }
+
+    /// Pins `h(var) = node` for every listed pair. Pins on variables
+    /// the component does not have are ignored (the component mapping
+    /// of a disconnected pattern drops them the same way).
+    pub fn pins(mut self, pins: &'a [(VarId, NodeId)]) -> Self {
+        self.pins = pins;
         self
     }
 
@@ -288,7 +395,8 @@ impl<'a> ComponentSearch<'a> {
         self.restriction.is_none_or(|r| r.contains(node))
     }
 
-    /// Is `gv` a viable image for `sv`, given partial `assigned`?
+    /// Raw mode's full check: is `gv` a viable image for `sv`, given
+    /// partial `assigned`?
     fn compatible(&self, assigned: &[NodeId], sv: VarId, gv: NodeId) -> bool {
         if !self.q.label(sv).admits(self.g.label(gv)) || !self.allowed(gv) {
             return false;
@@ -326,152 +434,83 @@ impl<'a> ComponentSearch<'a> {
         true
     }
 
-    /// Fills `pool` with the candidate pool for `sv`: the intersection
-    /// of every assigned pattern neighbor's sorted adjacency (plus the
-    /// simulation set when attached), falling back to label extent /
-    /// restriction / all nodes at a component start. `pool` comes out
-    /// sorted and duplicate-free.
-    fn fill_candidates(&self, assigned: &[NodeId], sv: VarId, pool: &mut Vec<NodeId>) {
+    /// The **raw-mode** pool source: the intersection of every
+    /// assigned pattern neighbor's labeled CSR run, falling back to
+    /// label extent / restriction / all nodes at a component start. A
+    /// pinned variable's pool is its pin. `pool` comes out sorted and
+    /// duplicate-free; `compatible` decides membership.
+    fn fill_raw_pool(&self, assigned: &[NodeId], sv: VarId, pool: &mut Vec<NodeId>) {
         pool.clear();
+        if let Some(p) = pin_of(self.pins, sv) {
+            pool.push(p);
+            return;
+        }
         let g = self.g;
-        // Source descriptors live in a stack batch: a warm enumeration
-        // loop must not allocate.
-        let mut srcs: [Source<'a>; MAX_SOURCES] = [Source::Ids(&[]); MAX_SOURCES];
+        let mut runs: [&'a [Adj]; MAX_RUNS] = [&[]; MAX_RUNS];
         let mut n = 0usize;
         let mut seeded = false;
-
-        if let Some(cs) = self.cand {
-            // Pools come from the simulation's per-edge candidate
-            // adjacency: every entry already survives dual simulation.
-            for (ei, e) in self.q.edges().iter().enumerate() {
-                if e.src == sv && e.dst != sv {
-                    let ta = assigned[e.dst.index()];
-                    if ta.0 != u32::MAX {
-                        match cs.sets[e.dst.index()].binary_search(&ta) {
-                            Ok(i) => push_source(
-                                pool,
-                                &mut srcs,
-                                &mut n,
-                                &mut seeded,
-                                Source::Ids(cs.reverse[ei].run(i)),
-                            ),
-                            Err(_) => {
-                                // Assigned image outside the simulation
-                                // set: nothing can extend it.
-                                pool.clear();
-                                return;
-                            }
-                        }
-                    }
-                }
-                if e.dst == sv && e.src != sv {
-                    let sa = assigned[e.src.index()];
-                    if sa.0 != u32::MAX {
-                        match cs.sets[e.src.index()].binary_search(&sa) {
-                            Ok(i) => push_source(
-                                pool,
-                                &mut srcs,
-                                &mut n,
-                                &mut seeded,
-                                Source::Ids(cs.forward[ei].run(i)),
-                            ),
-                            Err(_) => {
-                                pool.clear();
-                                return;
-                            }
-                        }
-                    }
-                }
+        // Wildcard-edge runs span labels (unsorted by node), so they
+        // only serve as a last-resort pool; `compatible` enforces
+        // those edges regardless.
+        let mut wildcard: Option<&[Adj]> = None;
+        let consider_wildcard = |run: &'a [Adj], cur: &mut Option<&'a [Adj]>| {
+            if cur.is_none_or(|c| run.len() < c.len()) {
+                *cur = Some(run);
             }
-            if n == 0 && !seeded {
-                // Component start: the simulation set, narrowed by the
-                // restriction when one is present.
-                push_source(pool, &mut srcs, &mut n, &mut seeded, Source::Ids(cs.of(sv)));
-                if let Some(r) = self.restriction {
-                    push_source(
-                        pool,
-                        &mut srcs,
-                        &mut n,
-                        &mut seeded,
-                        Source::Ids(r.as_slice()),
-                    );
-                }
-            }
-        } else {
-            // No simulation attached: intersect the labeled CSR runs of
-            // all assigned neighbors. Wildcard-edge runs span labels
-            // (unsorted by node), so they only serve as a last-resort
-            // pool; `compatible` enforces those edges regardless.
-            let mut wildcard: Option<&[Adj]> = None;
-            let consider_wildcard = |run: &'a [Adj], cur: &mut Option<&'a [Adj]>| {
-                if cur.is_none_or(|c| run.len() < c.len()) {
-                    *cur = Some(run);
-                }
-            };
-            for &(t, l) in self.q.out(sv) {
-                let ta = assigned[t.index()];
-                if t != sv && ta.0 != u32::MAX {
-                    match l {
-                        PatLabel::Sym(el) => push_source(
-                            pool,
-                            &mut srcs,
-                            &mut n,
-                            &mut seeded,
-                            Source::Run(g.in_neighbors_labeled(ta, el)),
-                        ),
-                        PatLabel::Wildcard => consider_wildcard(g.in_slice(ta), &mut wildcard),
+        };
+        for &(t, l) in self.q.out(sv) {
+            let ta = assigned[t.index()];
+            if t != sv && ta.0 != u32::MAX {
+                match l {
+                    PatLabel::Sym(el) => {
+                        let run = g.in_neighbors_labeled(ta, el);
+                        push_run(pool, &mut runs, &mut n, &mut seeded, run, fold_csr_runs);
                     }
+                    PatLabel::Wildcard => consider_wildcard(g.in_slice(ta), &mut wildcard),
                 }
-            }
-            for &(s, l) in self.q.inn(sv) {
-                let sa = assigned[s.index()];
-                if s != sv && sa.0 != u32::MAX {
-                    match l {
-                        PatLabel::Sym(el) => push_source(
-                            pool,
-                            &mut srcs,
-                            &mut n,
-                            &mut seeded,
-                            Source::Run(g.neighbors_labeled(sa, el)),
-                        ),
-                        PatLabel::Wildcard => consider_wildcard(g.out_slice(sa), &mut wildcard),
-                    }
-                }
-            }
-            if n == 0 && !seeded {
-                if let Some(run) = wildcard {
-                    pool.extend(run.iter().map(|a| a.node));
-                    pool.sort_unstable();
-                    pool.dedup();
-                    return;
-                }
-                // Component start: label extent / restriction / all.
-                match self.q.label(sv) {
-                    PatLabel::Sym(s) => {
-                        let extent = g.extent(s);
-                        match self.restriction {
-                            Some(r) if r.len() < extent.len() => {
-                                pool.extend(r.iter().filter(|&u| g.label(u) == s));
-                            }
-                            _ => pool.extend_from_slice(extent),
-                        }
-                    }
-                    PatLabel::Wildcard => match self.restriction {
-                        Some(r) => pool.extend(r.iter()),
-                        None => pool.extend(g.nodes()),
-                    },
-                }
-                return;
             }
         }
-
-        // Intersect ascending by size: seed from the smallest source,
-        // then refine in place (merge or gallop per size ratio).
+        for &(s, l) in self.q.inn(sv) {
+            let sa = assigned[s.index()];
+            if s != sv && sa.0 != u32::MAX {
+                match l {
+                    PatLabel::Sym(el) => {
+                        let run = g.neighbors_labeled(sa, el);
+                        push_run(pool, &mut runs, &mut n, &mut seeded, run, fold_csr_runs);
+                    }
+                    PatLabel::Wildcard => consider_wildcard(g.out_slice(sa), &mut wildcard),
+                }
+            }
+        }
         if n > 0 {
-            fold_sources(pool, &mut srcs[..n], seeded);
+            fold_csr_runs(pool, &mut runs[..n], seeded);
+        } else if let Some(run) = wildcard {
+            pool.extend(run.iter().map(|a| a.node));
+            pool.sort_unstable();
+            pool.dedup();
+        } else {
+            // Component start: label extent / restriction / all.
+            match self.q.label(sv) {
+                PatLabel::Sym(s) => {
+                    let extent = g.extent(s);
+                    match self.restriction {
+                        Some(r) if r.len() < extent.len() => {
+                            pool.extend(r.iter().filter(|&u| g.label(u) == s));
+                        }
+                        _ => pool.extend_from_slice(extent),
+                    }
+                }
+                PatLabel::Wildcard => match self.restriction {
+                    Some(r) => pool.extend(r.iter()),
+                    None => pool.extend(g.nodes()),
+                },
+            }
         }
     }
 
+    /// The one recursion: places `order[depth]`, drawing its pool from
+    /// the selected source and vetting each candidate with that
+    /// source's check.
     fn run(
         &mut self,
         order: &[VarId],
@@ -486,20 +525,19 @@ impl<'a> ComponentSearch<'a> {
             };
         }
         let sv = order[depth];
-        if assigned[sv.index()].0 != u32::MAX {
-            // Pinned: validate in place (pin target must also satisfy
-            // injectivity against other pins, checked by caller).
-            let gv = assigned[sv.index()];
-            let saved = std::mem::replace(&mut assigned[sv.index()], NodeId(u32::MAX));
-            let ok = self.compatible(assigned, sv, gv);
-            assigned[sv.index()] = saved;
-            if ok {
-                return self.run(order, depth + 1, assigned, f);
-            }
-            return Ok(());
-        }
         let mut pool = std::mem::take(&mut self.scratch.pools[depth]);
-        self.fill_candidates(assigned, sv, &mut pool);
+        match self.cand {
+            Some(cs) => fill_space_pool(
+                self.q,
+                cs,
+                self.restriction,
+                self.pins,
+                sv,
+                assigned,
+                &mut pool,
+            ),
+            None => self.fill_raw_pool(assigned, sv, &mut pool),
+        }
         let mut result = Ok(());
         for &gv in &pool {
             self.steps += 1;
@@ -507,7 +545,11 @@ impl<'a> ComponentSearch<'a> {
                 result = Err(StopReason::BudgetExhausted);
                 break;
             }
-            if !self.compatible(assigned, sv, gv) {
+            let ok = match self.cand {
+                Some(_) => space_candidate_ok(self.q, self.g, self.restriction, sv, gv, assigned),
+                None => self.compatible(assigned, sv, gv),
+            };
+            if !ok {
                 continue;
             }
             assigned[sv.index()] = gv;
@@ -527,61 +569,64 @@ impl<'a> ComponentSearch<'a> {
     /// Enumerates matches, invoking `f` per match (images indexed by
     /// this component's variable ids). Returns how the search ended.
     pub fn for_each(&mut self, f: &mut dyn FnMut(&[NodeId]) -> Flow) -> StopReason {
-        let n = self.q.node_count();
-        // Reject pin pairs that collide (injectivity between pins).
-        for (i, &(v1, n1)) in self.pins.iter().enumerate() {
-            for &(v2, n2) in &self.pins[i + 1..] {
-                if v1 != v2 && n1 == n2 {
-                    return StopReason::Exhausted;
-                }
+        let q = self.q;
+        let n = q.node_count();
+        let pins = self.pins;
+        let in_range = move || pins.iter().copied().filter(move |&(v, _)| v.index() < n);
+        // Contradictory pins anchor nothing: two variables on one node
+        // (injectivity) or one variable on two nodes.
+        for (i, (v1, n1)) in in_range().enumerate() {
+            if in_range()
+                .skip(i + 1)
+                .any(|(v2, n2)| (v1 == v2) != (n1 == n2))
+            {
+                return StopReason::Exhausted;
             }
         }
         if let Some(cs) = self.cand {
-            // A pin outside the simulation relation cannot anchor any
-            // match (sim contains every match).
-            for &(v, node) in &self.pins {
-                if cs.sets[v.index()].binary_search(&node).is_err() {
-                    return StopReason::Exhausted;
-                }
+            // An empty simulation set proves the component matchless,
+            // and a pin outside the relation cannot anchor any match
+            // (sim contains every match).
+            if cs.is_empty_anywhere()
+                || in_range().any(|(v, node)| cs.of(v).binary_search(&node).is_err())
+            {
+                return StopReason::Exhausted;
             }
         }
         // Refill the per-pattern caches inside the (possibly adopted)
-        // scratch: degree lower bounds, candidate counts, search order.
-        {
-            let q = self.q;
-            let s = &mut self.scratch;
+        // scratch, then fix the variable order.
+        let s = &mut self.scratch;
+        if self.cand.is_none() {
             s.min_out.clear();
             s.min_out
                 .extend(q.vars().map(|v| distinct_neighbors(q.out(v))));
             s.min_in.clear();
             s.min_in
                 .extend(q.vars().map(|v| distinct_neighbors(q.inn(v))));
-            s.counts.clear();
-            match self.cand {
-                Some(cs) => s.counts.extend(cs.sets.iter().map(Vec::len)),
-                None => s.counts.resize(n, usize::MAX),
+        }
+        s.pinned.clear();
+        s.pinned.extend(in_range().map(|(v, _)| v));
+        let mut order = std::mem::take(&mut s.order);
+        match self.plan {
+            Some(plan) if s.pinned.is_empty() && plan.is_cyclic() => {
+                debug_assert_eq!(plan.n_vars, n, "plan built for another pattern");
+                order.clear();
+                order.extend_from_slice(&plan.order);
             }
-            s.pinned.clear();
-            s.pinned.extend(self.pins.iter().map(|&(v, _)| v));
+            _ => {
+                s.counts.clear();
+                match self.cand {
+                    Some(cs) => s.counts.extend(cs.sets.iter().map(Vec::len)),
+                    None => s.counts.resize(n, usize::MAX),
+                }
+                search_order_into(q, &s.pinned, &s.counts, &mut s.visited, &mut order);
+            }
         }
-        let mut order = std::mem::take(&mut self.scratch.order);
-        {
-            let SearchScratch {
-                counts,
-                visited,
-                pinned,
-                ..
-            } = &mut self.scratch;
-            search_order_into(self.q, pinned, counts, visited, &mut order);
-        }
-        let mut assigned = std::mem::take(&mut self.scratch.assigned);
+        let mut assigned = std::mem::take(&mut s.assigned);
         assigned.clear();
         assigned.resize(n, NodeId(u32::MAX));
-        for &(v, node) in &self.pins {
-            assigned[v.index()] = node;
-        }
-        if self.scratch.pools.len() < n {
-            self.scratch.pools.resize_with(n, Vec::new);
+        if s.pools.len() < n {
+            s.pools.resize_with(n, Vec::new);
         }
         let result = self.run(&order, 0, &mut assigned, f);
         self.scratch.order = order;
@@ -671,10 +716,14 @@ mod tests {
         let y = b.node("y", "blog");
         b.edge(x, y, "post");
         let q = b.build();
-        let matches = ComponentSearch::new(&q, &g).pin(x, ns[1]).collect_all();
+        let matches = ComponentSearch::new(&q, &g)
+            .pins(&[(x, ns[1])])
+            .collect_all();
         assert_eq!(matches, vec![vec![ns[1], ns[5]]]);
         // Pin to a non-account node: no matches.
-        let matches = ComponentSearch::new(&q, &g).pin(x, ns[2]).collect_all();
+        let matches = ComponentSearch::new(&q, &g)
+            .pins(&[(x, ns[2])])
+            .collect_all();
         assert!(matches.is_empty());
     }
 
@@ -858,7 +907,7 @@ mod tests {
         // ns[2] is a blog that nobody posts: not in sim(x).
         let matches = ComponentSearch::new(&q, &g)
             .candidate_space(&cs)
-            .pin(x, ns[2])
+            .pins(&[(x, ns[2])])
             .collect_all();
         assert!(matches.is_empty());
     }

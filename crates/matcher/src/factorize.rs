@@ -26,7 +26,7 @@
 //! ## Exactness
 //!
 //! A bag-local evaluation enforces injectivity only among variables
-//! that co-occur in some bag; the fused executor enforces it globally.
+//! that co-occur in some bag; the enumerator enforces it globally.
 //! The factorized counts are therefore an **upper bound**
 //! ([`Factorization::raw_count`]) that is *exact* precisely when every
 //! variable pair sharing no bag has disjoint candidate sets — a cheap
@@ -50,7 +50,8 @@ use gfd_graph::{Graph, NodeId, NodeSet};
 use gfd_pattern::{Pattern, VarId};
 use gfd_util::FxHashMap;
 
-use crate::plan::{bag_candidate_ok, fill_bag_pool, QueryPlan};
+use crate::component::{fill_space_pool, space_candidate_ok};
+use crate::plan::QueryPlan;
 use crate::simulation::CandidateSpace;
 use crate::table::MatchTable;
 use crate::types::Flow;
@@ -392,7 +393,7 @@ impl FactorScratch {
 
     /// Builds the factorization of `q`'s match set in `g` under `cs`
     /// into this scratch, honoring restriction and pins exactly like
-    /// [`crate::plan::execute_plan`]. Returns `false` (leaving the
+    /// [`crate::component::ComponentSearch`]. Returns `false` (leaving the
     /// scratch untouched for counting purposes) when the plan has no
     /// bag, more than one root (disconnected pattern), or a separator
     /// wider than the memo key — callers then fall back to
@@ -412,7 +413,7 @@ impl FactorScratch {
             "plan built for another pattern"
         );
         let n = q.node_count();
-        if plan.bags.is_empty()
+        if plan.bag_orders.is_empty()
             || plan.td.bags.iter().filter(|b| b.parent.is_none()).count() != 1
             || plan.td.max_separator() > MAX_SEP
         {
@@ -451,7 +452,7 @@ impl FactorScratch {
         } else {
             false
         };
-        // Pin screening, mirroring `execute_plan`: colliding pins (or
+        // Pin screening, mirroring `ComponentSearch`: colliding pins (or
         // pins outside the simulation relation) anchor nothing.
         for (i, &(v1, n1)) in pins.iter().enumerate() {
             for &(v2, n2) in &pins[i + 1..] {
@@ -512,7 +513,6 @@ impl FactorScratch {
     /// One-shot exact count: builds into the scratch and reads the
     /// root fold. `None` when the plan was declined or the exactness
     /// precondition fails — the caller falls back to enumeration.
-    #[allow(clippy::too_many_arguments)]
     pub fn count(
         &mut self,
         q: &Pattern,
@@ -583,24 +583,25 @@ impl Builder<'_> {
     /// `gdepth` is the number of variables bound along the current
     /// root-to-here path (indexes the per-depth scratch buffers).
     fn trie(&mut self, bi: usize, d: usize, gdepth: usize) -> u32 {
-        let bag = &self.plan.bags[bi];
+        let order = &self.plan.bag_orders[bi];
         let mut d = d;
-        // Separator variables are already bound — skip them, exactly
-        // like the fused executor skips variables earlier bags bound.
-        while d < bag.order.len() && self.assigned[bag.order[d].index()].0 != u32::MAX {
+        // Separator variables are already bound — skip them. Only
+        // bag-visible bindings are ever assigned here (see
+        // `solve_child`), so the shared pool filler's "every assigned
+        // neighbor" is exactly "every assigned bag neighbor".
+        while d < order.len() && self.assigned[order[d].index()].0 != u32::MAX {
             d += 1;
         }
-        if d == bag.order.len() {
+        if d == order.len() {
             return self.product(bi, gdepth);
         }
-        let sv = bag.order[d];
+        let sv = order[d];
         let mut pool = std::mem::take(&mut self.pools[gdepth]);
-        fill_bag_pool(
+        fill_space_pool(
             self.q,
             self.cs,
             self.restriction,
             self.pins,
-            bag,
             sv,
             self.assigned,
             &mut pool,
@@ -609,7 +610,7 @@ impl Builder<'_> {
         alts.clear();
         let mut total = 0u64;
         for &gv in &pool {
-            if !bag_candidate_ok(self.q, self.g, self.restriction, bag, sv, gv, self.assigned) {
+            if !space_candidate_ok(self.q, self.g, self.restriction, sv, gv, self.assigned) {
                 continue;
             }
             self.assigned[sv.index()] = gv;
@@ -886,7 +887,10 @@ mod tests {
         // And each pinned enumeration agrees with its marginal.
         for n in g.nodes() {
             let x = q.var_by_name("x").unwrap();
-            let pinned = ComponentSearch::new(&q, &g).pin(x, n).collect_all().len();
+            let pinned = ComponentSearch::new(&q, &g)
+                .pins(&[(x, n)])
+                .collect_all()
+                .len();
             assert_eq!(f.marginal(x, n), Some(pinned as u64));
         }
     }
@@ -903,10 +907,7 @@ mod tests {
         for m in &all {
             let pins = [(x, m[x.index()])];
             let got = scratch.count(&q, &g, &cs, &plan, None, &pins);
-            let want = ComponentSearch::new(&q, &g)
-                .pin(x, m[x.index()])
-                .collect_all()
-                .len() as u64;
+            let want = ComponentSearch::new(&q, &g).pins(&pins).collect_all().len() as u64;
             assert_eq!(got, Some(want));
         }
         // Colliding pins are empty; restriction to one match's nodes
@@ -982,7 +983,7 @@ mod tests {
         let mx = member.var_by_name("x").unwrap();
         for n in g.nodes() {
             let pinned = ComponentSearch::new(&member, &g)
-                .pin(mx, n)
+                .pins(&[(mx, n)])
                 .collect_all()
                 .len() as u64;
             assert_eq!(fact.marginal(mx, n), Some(pinned));

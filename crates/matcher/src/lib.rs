@@ -22,25 +22,30 @@
 //!   over-approximation `disVal` uses to estimate partial-match sizes
 //!   before shipping them (§6.2), computed as a worklist fixpoint and
 //!   reused as the *filter* stage of filter-and-refine enumeration:
-//!   the resulting [`simulation::CandidateSpace`] prunes the exact
-//!   backtracker's candidate pools.
-
+//!   the resulting [`simulation::CandidateSpace`] is the exact
+//!   enumerator's pool source.
 //!
-//! On top of filter-and-refine sits a **planner layer** (module
-//! [`plan`]): cyclic components get a tree-decomposition-based
-//! [`plan::QueryPlan`] whose bags are solved by worst-case-optimal
-//! multiway intersection and joined along the tree, cached once per
-//! canonical class in the [`registry::ClassRegistry`] — the bounded,
-//! internally synchronized serving tier that also holds candidate
-//! spaces, pinned match tables, and factorizations for every consumer
-//! of one Σ.
+//! Every connected component is enumerated by **one recursion**
+//! ([`component::ComponentSearch`]) whose two decisions are data: the
+//! pool source (a candidate space — multiway intersection of every
+//! placed neighbor's candidate-adjacency run — or the raw CSR) and the
+//! variable order (pins first, then greedy). On top of it sits a
+//! **planner layer** (module [`plan`]): cyclic components get a
+//! tree-decomposition-based [`plan::QueryPlan`] whose flattened bag
+//! order makes the unpinned enumeration worst-case optimal, cached
+//! once per canonical class in the [`registry::ClassRegistry`] — the
+//! bounded, internally synchronized serving tier that also holds
+//! candidate spaces, pinned match tables, and factorizations for
+//! every consumer of one Σ. The two full-form entry points,
+//! [`for_each_match_with`] and [`count_matches_with`], take that
+//! `(space, plan)` pair optionally; everything else is a wrapper.
 //!
 //! Over the same bag tree sits the **factorized layer** (module
 //! [`factorize`]): a [`factorize::Factorization`] is a d-representation
 //! of a component's match set whose size tracks per-bag work while the
 //! represented set multiplies across bags, so counting is a bottom-up
 //! fold, per-binding marginals are one root-to-node pass, and tuple
-//! consumers expand lazily — aggregate consumers (`count_matches_*`,
+//! consumers expand lazily — aggregate consumers (`count_matches_with`,
 //! the validators' constant-consequent fast path, workload costing)
 //! never materialize the match set.
 
@@ -56,14 +61,14 @@ pub mod table;
 pub mod types;
 
 pub use api::{
-    count_matches, count_matches_planned, count_matches_with, find_matches, for_each_match,
-    for_each_match_in_space, for_each_match_planned, for_each_match_with, has_match, MatchScratch,
+    count_matches, count_matches_with, find_matches, for_each_match, for_each_match_with,
+    has_match, MatchScratch,
 };
 pub use component::{ComponentSearch, SearchScratch, StopReason};
 pub use factorize::{factorize, FactorScratch, Factorization};
 pub use incremental::{IncrementalSpace, RepairReport};
-pub use plan::{execute_plan, PlanScratch, QueryPlan};
+pub use plan::QueryPlan;
 pub use registry::{CacheStats, ClassRegistry, SpaceHandle, DEFAULT_REGISTRY_BUDGET_BYTES};
 pub use simulation::{dual_simulation, CandidateSpace};
 pub use table::{MatchTable, TableView};
-pub use types::{Match, MatchOptions, SearchBudget, SimFilter};
+pub use types::{Match, MatchOptions, SearchBudget};

@@ -1,83 +1,56 @@
-//! Decomposition-plan execution: worst-case-optimal multiway matching
-//! for cyclic pattern components.
+//! Decomposition plans: the variable order that makes the one
+//! enumerator ([`crate::component`]) worst-case optimal on cyclic
+//! pattern components.
 //!
-//! The edge-at-a-time backtracker ([`crate::component`]) can pay the
-//! worst intermediate-result blowup of a bad branch order on cyclic
-//! patterns — a skewed triangle enumerates every `(x, y)` edge pair
-//! before discovering that almost none close the cycle. A
-//! [`QueryPlan`] instead executes along a tree decomposition of the
-//! pattern ([`gfd_pattern::decomp`]):
+//! An edge-at-a-time search can pay the worst intermediate-result
+//! blowup of a bad branch order on cyclic patterns — a skewed triangle
+//! enumerates every `(x, y)` edge pair before discovering that almost
+//! none close the cycle. A [`QueryPlan`] instead orders the variables
+//! along a tree decomposition of the pattern ([`gfd_pattern::decomp`]):
 //!
-//! * each **bag** is solved by a *worst-case-optimal multiway step* —
-//!   at every variable, ALL pattern-edge-constrained sorted runs from
-//!   the [`CandidateSpace`] adjacency are intersected at once
-//!   ([`gfd_graph::intersect::intersect_k`], leapfrog-style
-//!   smallest-first seeding), so the work at each level is bounded by
-//!   the *smallest* constraining run rather than the enumeration
-//!   frontier of one edge;
-//! * bags are **fused** along the tree: one recursion solves them in
-//!   parent-before-child order, a variable bound by an earlier bag
-//!   stays fixed, and only each bag's fresh variables are placed —
-//!   every parent binding constrains the child's multiway steps
-//!   directly. (Materializing bag tables and equi-joining them was
-//!   measured strictly worse: a child bag enumerated *independently*
-//!   pays its full unconstrained frontier, which on cyclic benches
-//!   costs more than all per-binding residual solves combined.)
-//! * acyclic components never get here: plans of width ≤ 1 are routed
-//!   to the existing backtracker by the gate in [`crate::api`], which
-//!   is already worst-case optimal on forests.
-//!
-//! All state lives in a caller-owned [`PlanScratch`] (same discipline
-//! as [`crate::join::JoinScratch`]): a warm caller executes plans with
-//! zero steady-state heap allocation.
+//! * bags are visited in parent-before-child order and each bag places
+//!   only its *fresh* variables, so a variable bound by an earlier bag
+//!   stays fixed and every parent binding constrains the child's
+//!   pools directly — the plan's `order` is that sequence flattened;
+//! * by the running-intersection property every pattern edge from a
+//!   fresh variable to an already-placed one lies inside the current
+//!   bag, so the enumerator's space-mode pool — the multiway
+//!   intersection of *all* placed neighbors' candidate-adjacency runs
+//!   — is exactly the bag's worst-case-optimal multiway step.
+//!   (Materializing bag tables and equi-joining them was measured
+//!   strictly worse: a child bag enumerated *independently* pays its
+//!   full unconstrained frontier, which on cyclic benches costs more
+//!   than all per-binding residual solves combined.)
+//! * the order only replaces the enumerator's greedy one for unpinned
+//!   searches of cyclic components (width ≥ 2); forests and pinned
+//!   searches are already well served by pins-first greedy order. The
+//!   bag tree itself also drives [`crate::factorize`].
 //!
 //! Plans are a pure function of the pattern — no graph statistics —
 //! and therefore isomorphism-invariant: the registry computes one plan
 //! per canonical class and [`QueryPlan::transport`]s it to members
 //! along their witnesses, exactly like candidate spaces.
 
-use gfd_graph::intersect::{intersect_in_place, intersect_k};
-use gfd_graph::{Graph, NodeId, NodeSet};
 use gfd_pattern::{tree_decomposition, Pattern, TreeDecomposition, VarId};
-
-use crate::component::{edge_ok, StopReason};
-use crate::simulation::CandidateSpace;
-use crate::types::Flow;
-
-/// Constraining runs are intersected in stack batches of this size —
-/// no variable of a mined rule has anywhere near 16 constraining
-/// edges, but the fold below stays correct if one does.
-const MAX_RUNS: usize = 16;
-
-/// Execution info for one bag: the variable placement order and the
-/// pattern edges the bag enforces.
-#[derive(Clone, Debug)]
-pub(crate) struct BagPlan {
-    /// Bag variables in placement order: greedy most-constrained-first
-    /// (most already-placed bag neighbors, then highest bag-internal
-    /// degree, then smallest id — fully deterministic).
-    pub(crate) order: Vec<VarId>,
-    /// Indices into `Pattern::edges()` of every edge with both
-    /// endpoints in this bag. An edge shared by several bags is
-    /// enforced in each of them — redundant but sound, and it keeps
-    /// every bag's frontier as tight as the simulation allows.
-    pub(crate) edges: Vec<u32>,
-}
 
 /// A decomposition-based execution plan for one connected pattern.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     pub(crate) td: TreeDecomposition,
-    pub(crate) bags: Vec<BagPlan>,
-    /// Bag indices in parent-before-child (DFS) order — the fused
-    /// execution sequence. With the running-intersection property this
-    /// guarantees that at the first-processed bag containing both
-    /// endpoints of an edge, at least one endpoint is still fresh, so
-    /// every edge is enforced exactly where it first becomes local.
+    /// Per bag, its variables in placement order: greedy
+    /// most-constrained-first (most already-placed bag neighbors, then
+    /// highest bag-internal degree, then smallest id — fully
+    /// deterministic).
+    pub(crate) bag_orders: Vec<Vec<VarId>>,
+    /// Bag indices in parent-before-child (DFS) order. With the
+    /// running-intersection property this guarantees that at the
+    /// first-visited bag containing both endpoints of an edge, at
+    /// least one endpoint is still fresh, so every edge is enforced
+    /// exactly where it first becomes local.
     pub(crate) seq: Vec<u32>,
-    /// Per-`seq`-position offset into the shared pool array (bags use
-    /// disjoint pool slots so nested fills never collide).
-    pub(crate) pool_base: Vec<u32>,
+    /// The enumerator's variable order: the bag orders concatenated
+    /// along `seq`, each variable at its first occurrence.
+    pub(crate) order: Vec<VarId>,
     pub(crate) n_vars: usize,
 }
 
@@ -89,43 +62,30 @@ impl QueryPlan {
 
     /// Plans `q` along a precomputed decomposition.
     pub fn from_decomposition(q: &Pattern, td: TreeDecomposition) -> QueryPlan {
-        let bags = td
-            .bags
-            .iter()
-            .map(|bag| {
-                let edges: Vec<u32> = q
-                    .edges()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| bag.vars.contains(&e.src) && bag.vars.contains(&e.dst))
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                BagPlan {
-                    order: bag_order(q, &bag.vars, &edges),
-                    edges,
-                }
-            })
-            .collect();
+        let bag_orders: Vec<Vec<VarId>> =
+            td.bags.iter().map(|bag| bag_order(q, &bag.vars)).collect();
         let seq = dfs_order(&td);
-        let mut pool_base = Vec::with_capacity(seq.len());
-        let mut base = 0u32;
+        let mut order = Vec::with_capacity(q.node_count());
         for &bi in &seq {
-            pool_base.push(base);
-            base += td.bags[bi as usize].vars.len() as u32;
+            for &v in &bag_orders[bi as usize] {
+                if !order.contains(&v) {
+                    order.push(v);
+                }
+            }
         }
         QueryPlan {
             td,
-            bags,
+            bag_orders,
             seq,
-            pool_base,
+            order,
             n_vars: q.node_count(),
         }
     }
 
     /// The decomposition's width — the planner's cost signal: width ≤ 1
-    /// means the component is a forest and the plain backtracker is
-    /// the right executor; width ≥ 2 marks a cyclic component whose
-    /// bags are worth the multiway step.
+    /// means the component is a forest and the greedy variable order
+    /// is the right one; width ≥ 2 marks a cyclic component worth
+    /// ordering along its bags.
     pub fn width(&self) -> usize {
         self.td.width()
     }
@@ -137,7 +97,7 @@ impl QueryPlan {
 
     /// Number of bags.
     pub fn bag_count(&self) -> usize {
-        self.bags.len()
+        self.bag_orders.len()
     }
 
     /// The underlying tree decomposition.
@@ -192,16 +152,19 @@ fn dfs_order(td: &TreeDecomposition) -> Vec<u32> {
     order
 }
 
-/// Deterministic placement order for one bag's variables.
-fn bag_order(q: &Pattern, vars: &[VarId], edges: &[u32]) -> Vec<VarId> {
+/// Deterministic placement order for one bag's variables, judged by
+/// the pattern edges with both endpoints in the bag.
+fn bag_order(q: &Pattern, vars: &[VarId]) -> Vec<VarId> {
+    let edges: Vec<_> = q
+        .edges()
+        .iter()
+        .filter(|e| vars.contains(&e.src) && vars.contains(&e.dst))
+        .collect();
     let mut order: Vec<VarId> = Vec::with_capacity(vars.len());
     let internal_degree = |v: VarId| {
         edges
             .iter()
-            .filter(|&&ei| {
-                let e = &q.edges()[ei as usize];
-                (e.src == v || e.dst == v) && e.src != e.dst
-            })
+            .filter(|e| (e.src == v || e.dst == v) && e.src != e.dst)
             .count()
     };
     while order.len() < vars.len() {
@@ -212,8 +175,7 @@ fn bag_order(q: &Pattern, vars: &[VarId], edges: &[u32]) -> Vec<VarId> {
             .max_by_key(|&v| {
                 let constrained = edges
                     .iter()
-                    .filter(|&&ei| {
-                        let e = &q.edges()[ei as usize];
+                    .filter(|e| {
                         (e.src == v && order.contains(&e.dst))
                             || (e.dst == v && order.contains(&e.src))
                     })
@@ -226,316 +188,13 @@ fn bag_order(q: &Pattern, vars: &[VarId], edges: &[u32]) -> Vec<VarId> {
     order
 }
 
-/// Caller-owned scratch for [`execute_plan`]: per-bag-and-depth
-/// candidate pools and the assignment array. A warm caller re-executes
-/// plans with zero heap allocation.
-#[derive(Debug, Default)]
-pub struct PlanScratch {
-    pools: Vec<Vec<NodeId>>,
-    assigned: Vec<NodeId>,
-}
-
-impl PlanScratch {
-    /// Fresh, empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Folds a batch of constraining runs into the pool: the first
-/// batch seeds via smallest-first k-way intersection, later
-/// batches (only under pathological fan-in) refine pairwise.
-fn fold_batch(pool: &mut Vec<NodeId>, runs: &mut [&[NodeId]], seeded: bool) {
-    if !seeded {
-        intersect_k(pool, runs);
-    } else {
-        for run in runs.iter() {
-            if pool.is_empty() {
-                return;
-            }
-            intersect_in_place(pool, run, |&x| x);
-        }
-    }
-}
-
-/// Fills `pool` with the worst-case-optimal candidate pool for `sv`:
-/// the k-way intersection of the candidate-adjacency runs of every
-/// already-assigned bag neighbor (every constraining edge at once). An
-/// unconstrained variable seeds from its simulation set, narrowed by
-/// the restriction. A pinned variable's pool collapses to the pin if
-/// it survives the intersection.
-///
-/// Shared between the fused executor below and the factorization
-/// builder ([`crate::factorize`]) — both must draw bag pools from the
-/// exact same candidate adjacency for the oracle equivalences to hold.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fill_bag_pool(
-    q: &Pattern,
-    cs: &CandidateSpace,
-    restriction: Option<&NodeSet>,
-    pins: &[(VarId, NodeId)],
-    bag: &BagPlan,
-    sv: VarId,
-    assigned: &[NodeId],
-    pool: &mut Vec<NodeId>,
-) {
-    pool.clear();
-    let mut runs: [&[NodeId]; MAX_RUNS] = [&[]; MAX_RUNS];
-    let mut nruns = 0usize;
-    let mut seeded = false;
-    for &ei in &bag.edges {
-        let e = &q.edges()[ei as usize];
-        if e.src == e.dst {
-            continue; // self-loops are checked per candidate
-        }
-        let run = if e.src == sv {
-            let ta = assigned[e.dst.index()];
-            if ta.0 == u32::MAX {
-                continue;
-            }
-            match cs.sets[e.dst.index()].binary_search(&ta) {
-                Ok(i) => cs.reverse[ei as usize].run(i),
-                Err(_) => {
-                    // Assigned images always come from the space's
-                    // own sets, so this is unreachable — but an
-                    // empty pool is the sound answer.
-                    debug_assert!(false, "assigned image outside its simulation set");
-                    pool.clear();
-                    return;
-                }
-            }
-        } else if e.dst == sv {
-            let sa = assigned[e.src.index()];
-            if sa.0 == u32::MAX {
-                continue;
-            }
-            match cs.sets[e.src.index()].binary_search(&sa) {
-                Ok(i) => cs.forward[ei as usize].run(i),
-                Err(_) => {
-                    debug_assert!(false, "assigned image outside its simulation set");
-                    pool.clear();
-                    return;
-                }
-            }
-        } else {
-            continue;
-        };
-        if nruns == MAX_RUNS {
-            fold_batch(pool, &mut runs[..nruns], seeded);
-            seeded = true;
-            nruns = 0;
-            if pool.is_empty() {
-                return;
-            }
-        }
-        runs[nruns] = run;
-        nruns += 1;
-    }
-    if nruns > 0 {
-        fold_batch(pool, &mut runs[..nruns], seeded);
-        seeded = true;
-    }
-    if !seeded {
-        // No constraining edge yet (bag start, or a bag member tied
-        // to the rest only through fill edges): the simulation set,
-        // narrowed by the restriction when one is present.
-        pool.extend_from_slice(cs.of(sv));
-        if let Some(r) = restriction {
-            intersect_in_place(pool, r.as_slice(), |&x| x);
-        }
-    }
-    if let Some(&(_, pn)) = pins.iter().find(|&&(pv, _)| pv == sv) {
-        let keep = pool.binary_search(&pn).is_ok();
-        pool.clear();
-        if keep {
-            pool.push(pn);
-        }
-    }
-}
-
-/// Per-candidate checks the runs cannot express: restriction
-/// membership, injectivity against the partial assignment, and
-/// self-loop edges. Shared with [`crate::factorize`], where `assigned`
-/// holds only the bag-visible bindings.
-pub(crate) fn bag_candidate_ok(
-    q: &Pattern,
-    g: &Graph,
-    restriction: Option<&NodeSet>,
-    bag: &BagPlan,
-    sv: VarId,
-    gv: NodeId,
-    assigned: &[NodeId],
-) -> bool {
-    if restriction.is_some_and(|r| !r.contains(gv)) {
-        return false;
-    }
-    if assigned.contains(&gv) {
-        return false;
-    }
-    for &ei in &bag.edges {
-        let e = &q.edges()[ei as usize];
-        if e.src == sv && e.dst == sv && !edge_ok(g, gv, gv, e.label) {
-            return false;
-        }
-    }
-    true
-}
-
-struct Exec<'a> {
-    q: &'a Pattern,
-    g: &'a Graph,
-    cs: &'a CandidateSpace,
-    restriction: Option<&'a NodeSet>,
-    pins: &'a [(VarId, NodeId)],
-    max_steps: u64,
-    steps: u64,
-}
-
-impl Exec<'_> {
-    #[inline]
-    fn fill_pool(&self, bag: &BagPlan, sv: VarId, assigned: &[NodeId], pool: &mut Vec<NodeId>) {
-        fill_bag_pool(
-            self.q,
-            self.cs,
-            self.restriction,
-            self.pins,
-            bag,
-            sv,
-            assigned,
-            pool,
-        );
-    }
-
-    #[inline]
-    fn candidate_ok(&self, bag: &BagPlan, sv: VarId, gv: NodeId, assigned: &[NodeId]) -> bool {
-        bag_candidate_ok(self.q, self.g, self.restriction, bag, sv, gv, assigned)
-    }
-
-    /// The fused multiway recursion: bag `plan.seq[si]` at placement
-    /// `depth`. A variable an earlier bag bound is skipped — every
-    /// pattern edge between two bound variables was already enforced
-    /// at the first bag that contained both (see [`QueryPlan::seq`]) —
-    /// so each bag solves only its residual variables under the
-    /// parent's bindings. When the last bag completes, `assigned` is a
-    /// full match.
-    fn solve_bags(
-        &mut self,
-        plan: &QueryPlan,
-        si: usize,
-        depth: usize,
-        assigned: &mut Vec<NodeId>,
-        pools: &mut [Vec<NodeId>],
-        f: &mut dyn FnMut(&[NodeId]) -> Flow,
-    ) -> Result<(), StopReason> {
-        let Some(&bi) = plan.seq.get(si) else {
-            return match f(assigned) {
-                Flow::Continue => Ok(()),
-                Flow::Break => Err(StopReason::CallbackBreak),
-            };
-        };
-        let bag = &plan.bags[bi as usize];
-        if depth == bag.order.len() {
-            return self.solve_bags(plan, si + 1, 0, assigned, pools, f);
-        }
-        let sv = bag.order[depth];
-        if assigned[sv.index()].0 != u32::MAX {
-            return self.solve_bags(plan, si, depth + 1, assigned, pools, f);
-        }
-        let mut pool = std::mem::take(&mut pools[plan.pool_base[si] as usize + depth]);
-        self.fill_pool(bag, sv, assigned, &mut pool);
-        let mut result = Ok(());
-        for &gv in &pool {
-            self.steps += 1;
-            if self.steps > self.max_steps {
-                result = Err(StopReason::BudgetExhausted);
-                break;
-            }
-            if !self.candidate_ok(bag, sv, gv, assigned) {
-                continue;
-            }
-            assigned[sv.index()] = gv;
-            let r = self.solve_bags(plan, si, depth + 1, assigned, pools, f);
-            assigned[sv.index()] = NodeId(u32::MAX);
-            if r.is_err() {
-                result = r;
-                break;
-            }
-        }
-        pools[plan.pool_base[si] as usize + depth] = pool;
-        result
-    }
-}
-
-/// Executes a plan: enumerates every match of the (connected) pattern
-/// `q` in `g` within the candidate space `cs`, honoring the
-/// restriction, pins and step budget exactly like
-/// [`crate::component::ComponentSearch`]; `f` receives images indexed
-/// by variable id. Matches stream straight out of the fused multiway
-/// recursion — nothing is materialized, regardless of bag count.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan(
-    q: &Pattern,
-    g: &Graph,
-    cs: &CandidateSpace,
-    plan: &QueryPlan,
-    restriction: Option<&NodeSet>,
-    pins: &[(VarId, NodeId)],
-    max_steps: u64,
-    scratch: &mut PlanScratch,
-    f: &mut dyn FnMut(&[NodeId]) -> Flow,
-) -> StopReason {
-    debug_assert_eq!(
-        plan.n_vars,
-        q.node_count(),
-        "plan built for another pattern"
-    );
-    // Pin screening, mirroring `ComponentSearch::for_each`: colliding
-    // pins and pins outside the simulation relation anchor nothing.
-    for (i, &(v1, n1)) in pins.iter().enumerate() {
-        for &(v2, n2) in &pins[i + 1..] {
-            if v1 != v2 && n1 == n2 {
-                return StopReason::Exhausted;
-            }
-        }
-    }
-    for &(v, node) in pins {
-        if cs.sets[v.index()].binary_search(&node).is_err() {
-            return StopReason::Exhausted;
-        }
-    }
-    let n = q.node_count();
-    let pool_slots = plan.pool_base.last().map_or(0, |&b| b as usize)
-        + plan
-            .seq
-            .last()
-            .map_or(0, |&bi| plan.bags[bi as usize].order.len());
-    let PlanScratch { pools, assigned } = scratch;
-    if pools.len() < pool_slots {
-        pools.resize_with(pool_slots, Vec::new);
-    }
-    assigned.clear();
-    assigned.resize(n, NodeId(u32::MAX));
-    let mut ex = Exec {
-        q,
-        g,
-        cs,
-        restriction,
-        pins,
-        max_steps,
-        steps: 0,
-    };
-    match ex.solve_bags(plan, 0, 0, assigned, pools, f) {
-        Ok(()) => StopReason::Exhausted,
-        Err(reason) => reason,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::ComponentSearch;
+    use crate::component::{ComponentSearch, SearchScratch, StopReason};
     use crate::simulation::dual_simulation;
-    use gfd_graph::GraphBuilder;
+    use crate::types::Flow;
+    use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
     use gfd_pattern::PatternBuilder;
 
     fn triangle_pattern(vocab: &std::sync::Arc<gfd_graph::Vocab>) -> Pattern {
@@ -570,36 +229,27 @@ mod tests {
         b.freeze()
     }
 
+    /// The enumerator in space mode under the plan's order.
     fn run_plan(q: &Pattern, g: &Graph, pins: &[(VarId, NodeId)]) -> Vec<Vec<NodeId>> {
         let cs = dual_simulation(q, g, None);
         let plan = QueryPlan::new(q);
-        let mut scratch = PlanScratch::new();
+        let mut search = ComponentSearch::new(q, g)
+            .candidate_space(&cs)
+            .plan_order(&plan)
+            .pins(pins);
         let mut out = Vec::new();
-        let reason = execute_plan(
-            q,
-            g,
-            &cs,
-            &plan,
-            None,
-            pins,
-            u64::MAX,
-            &mut scratch,
-            &mut |m| {
-                out.push(m.to_vec());
-                Flow::Continue
-            },
-        );
+        let reason = search.for_each(&mut |m| {
+            out.push(m.to_vec());
+            Flow::Continue
+        });
         assert_eq!(reason, StopReason::Exhausted);
         out.sort();
         out
     }
 
+    /// The enumerator in raw mode under greedy order.
     fn run_oracle(q: &Pattern, g: &Graph, pins: &[(VarId, NodeId)]) -> Vec<Vec<NodeId>> {
-        let mut s = ComponentSearch::new(q, g);
-        for &(v, n) in pins {
-            s = s.pin(v, n);
-        }
-        let mut out = s.collect_all();
+        let mut out = ComponentSearch::new(q, g).pins(pins).collect_all();
         out.sort();
         out
     }
@@ -663,22 +313,11 @@ mod tests {
         let full = run_plan(&q, &g, &[]);
         // Restrict to the nodes of the first match only.
         let block = NodeSet::from_vec(full[0].clone());
-        let mut scratch = PlanScratch::new();
-        let mut out = Vec::new();
-        execute_plan(
-            &q,
-            &g,
-            &cs,
-            &plan,
-            Some(&block),
-            &[],
-            u64::MAX,
-            &mut scratch,
-            &mut |m| {
-                out.push(m.to_vec());
-                Flow::Continue
-            },
-        );
+        let out = ComponentSearch::new(&q, &g)
+            .candidate_space(&cs)
+            .plan_order(&plan)
+            .restrict(&block)
+            .collect_all();
         assert_eq!(out, vec![full[0].clone()]);
     }
 
@@ -688,26 +327,18 @@ mod tests {
         let q = triangle_pattern(g.vocab());
         let cs = dual_simulation(&q, &g, None);
         let plan = QueryPlan::new(&q);
-        let mut scratch = PlanScratch::new();
-        let reason = execute_plan(&q, &g, &cs, &plan, None, &[], 2, &mut scratch, &mut |_| {
-            Flow::Continue
-        });
+        let search = || {
+            ComponentSearch::new(&q, &g)
+                .candidate_space(&cs)
+                .plan_order(&plan)
+        };
+        let reason = search().max_steps(2).for_each(&mut |_| Flow::Continue);
         assert_eq!(reason, StopReason::BudgetExhausted);
         let mut n = 0;
-        let reason = execute_plan(
-            &q,
-            &g,
-            &cs,
-            &plan,
-            None,
-            &[],
-            u64::MAX,
-            &mut scratch,
-            &mut |_| {
-                n += 1;
-                Flow::Break
-            },
-        );
+        let reason = search().for_each(&mut |_| {
+            n += 1;
+            Flow::Break
+        });
         assert_eq!(reason, StopReason::CallbackBreak);
         assert_eq!(n, 1);
     }
@@ -751,22 +382,10 @@ mod tests {
         let inv = w.inverse();
         let plan = rep_plan.transport(&member, |v| inv.map(v));
         let cs = dual_simulation(&member, &g, None);
-        let mut scratch = PlanScratch::new();
-        let mut out = Vec::new();
-        execute_plan(
-            &member,
-            &g,
-            &cs,
-            &plan,
-            None,
-            &[],
-            u64::MAX,
-            &mut scratch,
-            &mut |m| {
-                out.push(m.to_vec());
-                Flow::Continue
-            },
-        );
+        let mut out = ComponentSearch::new(&member, &g)
+            .candidate_space(&cs)
+            .plan_order(&plan)
+            .collect_all();
         out.sort();
         assert_eq!(out, run_oracle(&member, &g, &[]));
         assert!(!out.is_empty());
@@ -791,25 +410,16 @@ mod tests {
         pb.edge(a1, b1, "e1");
         pb.edge(a0, b1, "e1");
         let square = pb.build();
-        let mut scratch = PlanScratch::new();
+        let mut scratch = SearchScratch::default();
         for q in [&tri, &square, &tri] {
             let cs = dual_simulation(q, &g, None);
             let plan = QueryPlan::new(q);
-            let mut out = Vec::new();
-            execute_plan(
-                q,
-                &g,
-                &cs,
-                &plan,
-                None,
-                &[],
-                u64::MAX,
-                &mut scratch,
-                &mut |m| {
-                    out.push(m.to_vec());
-                    Flow::Continue
-                },
-            );
+            let mut search = ComponentSearch::new(q, &g)
+                .with_scratch(scratch)
+                .candidate_space(&cs)
+                .plan_order(&plan);
+            let mut out = search.collect_all();
+            scratch = search.into_scratch();
             out.sort();
             assert_eq!(out, run_oracle(q, &g, &[]));
         }

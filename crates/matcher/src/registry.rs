@@ -484,7 +484,7 @@ impl ClassRegistry {
         let arity = q.node_count();
         let mut table = MatchTable::new(arity);
         ComponentSearch::new(&q, g)
-            .pin(pin, pivot)
+            .pins(&[(pin, pivot)])
             .restrict(block)
             .collect_into(&mut table);
         let stored = match &perm {
@@ -1274,8 +1274,6 @@ mod tests {
     #[test]
     fn transported_plan_enumerates_the_member_exactly() {
         use crate::component::ComponentSearch;
-        use crate::plan::{execute_plan, PlanScratch};
-        use crate::types::Flow;
 
         let g = triangle_graph();
         let members = [
@@ -1284,28 +1282,16 @@ mod tests {
         ];
         let reg = ClassRegistry::new();
         let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
-        let mut scratch = PlanScratch::default();
         for (q, &h) in members.iter().zip(&handles) {
             let (cs, plan) = reg.space_and_plan(h, &g);
-            let mut got = Vec::new();
-            execute_plan(
-                q,
-                &g,
-                &cs,
-                &plan,
-                None,
-                &[],
-                u64::MAX,
-                &mut scratch,
-                &mut |m| {
-                    got.push(m.to_vec());
-                    Flow::Continue
-                },
-            );
+            let mut got = ComponentSearch::new(q, &g)
+                .candidate_space(&cs)
+                .plan_order(&plan)
+                .collect_all();
             let mut want = ComponentSearch::new(q, &g).collect_all();
             got.sort();
             want.sort();
-            assert_eq!(got, want, "plan output must equal backtracking");
+            assert_eq!(got, want, "plan-ordered space mode must equal raw mode");
             assert_eq!(got.len(), 2, "two triangles in the graph");
         }
         assert_eq!(reg.plans_built(), 1);
@@ -1492,7 +1478,10 @@ mod tests {
             // member's own variable numbering.
             let x = q.var_by_name("x").unwrap();
             for n in g.nodes() {
-                let pinned = ComponentSearch::new(q, &g).pin(x, n).collect_all().len();
+                let pinned = ComponentSearch::new(q, &g)
+                    .pins(&[(x, n)])
+                    .collect_all()
+                    .len();
                 assert_eq!(f.marginal(x, n), Some(pinned as u64));
             }
         }

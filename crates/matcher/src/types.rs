@@ -54,25 +54,6 @@ impl Default for SearchBudget {
     }
 }
 
-/// When to run the dual-simulation *filter* stage before the exact
-/// backtracking *refine* stage of an enumeration.
-///
-/// Simulation costs one pass over the pattern's label extents and
-/// their adjacency, and pays off when the search would otherwise scan
-/// large candidate pools; [`SimFilter::Auto`] applies a cheap size
-/// heuristic per component.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SimFilter {
-    /// Simulate when the component's smallest seed pool is large
-    /// enough for filtering to pay for itself.
-    #[default]
-    Auto,
-    /// Always simulate (useful for tests and adversarial patterns).
-    Always,
-    /// Never simulate (raw backtracking, the pre-filter behavior).
-    Never,
-}
-
 /// Options steering a match enumeration.
 #[derive(Clone, Debug, Default)]
 pub struct MatchOptions {
@@ -83,8 +64,6 @@ pub struct MatchOptions {
     pub pins: Vec<(VarId, NodeId)>,
     /// Effort cap.
     pub budget: SearchBudget,
-    /// Simulation filtering policy.
-    pub sim: SimFilter,
 }
 
 impl MatchOptions {
@@ -110,12 +89,6 @@ impl MatchOptions {
     /// Sets the budget.
     pub fn with_budget(mut self, budget: SearchBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the simulation-filter policy.
-    pub fn with_sim_filter(mut self, sim: SimFilter) -> Self {
-        self.sim = sim;
         self
     }
 }

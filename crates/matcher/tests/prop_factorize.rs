@@ -228,7 +228,11 @@ fn factorized_count_equals_brute_force_on_cyclic_patterns() {
             Ok(())
         },
     );
-    assert!(exact_seen > 30, "exact path starved: {exact_seen} cases");
+    // A fifth of the seed budget (30 of 150; 3 of the smoke run's 18).
+    assert!(
+        u64::from(exact_seen) > cases(150) / 5,
+        "exact path starved: {exact_seen} cases"
+    );
 }
 
 /// Marginals: `Σ_v marginal(x, v) = raw_count` for every variable

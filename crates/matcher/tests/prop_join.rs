@@ -116,11 +116,9 @@ fn enumerate_both(
     g: &Graph,
     pin: Option<(VarId, NodeId)>,
 ) -> (Vec<Vec<NodeId>>, MatchTable, Vec<u32>) {
-    let mut search = ComponentSearch::new(q, g);
-    if let Some((v, n)) = pin {
-        search = search.pin(v, n);
-    }
-    let logical = search.collect_all();
+    let logical = ComponentSearch::new(q, g)
+        .pins(pin.as_slice())
+        .collect_all();
     let arity = q.node_count();
     // Random witness: logical column j is stored at physical perm[j].
     let mut perm: Vec<u32> = (0..arity as u32).collect();

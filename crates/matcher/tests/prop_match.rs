@@ -4,8 +4,10 @@
 //!
 //! * a **brute-force matcher** — every injective variable assignment
 //!   over a random graph, checked edge by edge — must produce exactly
-//!   the match set of [`find_matches`], with simulation filtering
-//!   forced on, forced off, and on auto;
+//!   the match set of the enumerator with no space supplied (the
+//!   per-call filter rule decides), with a caller-supplied space
+//!   (filter forced on, greedy order), and with a caller-supplied
+//!   space and plan through the full-form entry point;
 //! * a **naive fixpoint dual simulation** — the dense
 //!   `rounds × vars × nodes` re-scan the worklist algorithm replaced —
 //!   must compute exactly the same relation.
@@ -16,7 +18,8 @@
 
 use gfd_graph::{Graph, GraphBuilder, NodeId};
 use gfd_match::simulation::dual_simulation;
-use gfd_match::{find_matches, MatchOptions, SimFilter};
+use gfd_match::types::Flow;
+use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, QueryPlan};
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
 
@@ -173,9 +176,57 @@ fn oracle_dual_simulation(q: &Pattern, g: &Graph) -> Vec<Vec<NodeId>> {
         .collect()
 }
 
-fn engine_matches(q: &Pattern, g: &Graph, sim: SimFilter) -> Vec<Vec<NodeId>> {
-    let opts = MatchOptions::unrestricted().with_sim_filter(sim);
-    let mut ms: Vec<Vec<NodeId>> = find_matches(q, g, &opts).into_iter().map(|m| m.0).collect();
+/// How the enumerator gets its pool source: filter-off, filter-on,
+/// and filter-on under a plan must all agree with brute force.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// No space supplied: the per-call rule decides (raw mode on
+    /// graphs this small).
+    NoSpace,
+    /// A caller-supplied space attached to the engine type directly:
+    /// space mode under the greedy order.
+    Space,
+    /// A caller-supplied space and plan through the full-form entry
+    /// point: space mode, plan order when cyclic and unpinned.
+    SpacePlan,
+}
+
+const SOURCES: [Source; 3] = [Source::NoSpace, Source::Space, Source::SpacePlan];
+
+/// Sorted matches of `q` under `opts` via `source`. A supplied space
+/// only applies to connected patterns (the documented contract), so
+/// disconnected ones take the per-component path in every mode.
+fn engine_matches(q: &Pattern, g: &Graph, opts: &MatchOptions, source: Source) -> Vec<Vec<NodeId>> {
+    let mut ms: Vec<Vec<NodeId>> = Vec::new();
+    let mut push = |m: &[NodeId]| {
+        ms.push(m.to_vec());
+        Flow::Continue
+    };
+    let mut scratch = MatchScratch::default();
+    match source {
+        Source::Space if q.is_connected() => {
+            // The per-call filter's own shape: simulate inside the
+            // restriction.
+            let cs = dual_simulation(q, g, opts.restriction.as_ref());
+            let mut search = ComponentSearch::new(q, g)
+                .candidate_space(&cs)
+                .pins(&opts.pins);
+            if let Some(r) = &opts.restriction {
+                search = search.restrict(r);
+            }
+            search.for_each(&mut push);
+        }
+        Source::SpacePlan => {
+            // The registry's shape: an unrestricted space, narrowed by
+            // the restriction per candidate.
+            let cs = dual_simulation(q, g, None);
+            let plan = QueryPlan::new(q);
+            for_each_match_with(q, g, opts, Some((&cs, &plan)), &mut scratch, &mut push);
+        }
+        _ => {
+            for_each_match_with(q, g, opts, None, &mut scratch, &mut push);
+        }
+    }
     ms.sort();
     ms
 }
@@ -186,11 +237,11 @@ fn matcher_equals_brute_force_oracle() {
         let g = random_graph(rng, 10);
         let q = random_pattern(rng, &g);
         let expected = oracle_matches(&q, &g);
-        for sim in [SimFilter::Never, SimFilter::Always, SimFilter::Auto] {
-            let got = engine_matches(&q, &g, sim);
+        for source in SOURCES {
+            let got = engine_matches(&q, &g, &MatchOptions::unrestricted(), source);
             prop_assert!(
                 got == expected,
-                "{sim:?}: got {} matches, oracle {} for {q:?}",
+                "{source:?}: got {} matches, oracle {} for {q:?}",
                 got.len(),
                 expected.len()
             );
@@ -224,7 +275,7 @@ fn simulation_contains_every_match() {
         let g = random_graph(rng, 10);
         let q = random_pattern(rng, &g);
         let cs = dual_simulation(&q, &g, None);
-        for m in engine_matches(&q, &g, SimFilter::Never) {
+        for m in engine_matches(&q, &g, &MatchOptions::unrestricted(), Source::NoSpace) {
             for v in q.vars() {
                 prop_assert!(
                     cs.of(v).binary_search(&m[v.index()]).is_ok(),
@@ -252,18 +303,12 @@ fn restricted_and_pinned_enumeration_agree_with_oracle() {
             .filter(|m| m.iter().all(|&u| scope.contains(u)))
             .filter(|m| m[pin_var.index()] == pin_node)
             .collect();
-        for sim in [SimFilter::Never, SimFilter::Always] {
-            let opts = MatchOptions::within(scope.clone())
-                .pin(pin_var, pin_node)
-                .with_sim_filter(sim);
-            let mut got: Vec<Vec<NodeId>> = find_matches(&q, &g, &opts)
-                .into_iter()
-                .map(|m| m.0)
-                .collect();
-            got.sort();
+        let opts = MatchOptions::within(scope.clone()).pin(pin_var, pin_node);
+        for source in SOURCES {
+            let got = engine_matches(&q, &g, &opts, source);
             prop_assert!(
                 got == expected,
-                "{sim:?}: {} vs oracle {} for {q:?}",
+                "{source:?}: {} vs oracle {} for {q:?}",
                 got.len(),
                 expected.len()
             );

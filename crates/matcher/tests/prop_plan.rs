@@ -1,17 +1,22 @@
 //! Property-based tests for the decomposition planner and the
-//! worst-case-optimal plan executor.
+//! enumerator's plan-driven space mode.
 //!
 //! The oracle is the same brute-force matcher that guards
 //! `prop_match.rs`: every injective assignment over a random graph,
 //! checked edge by edge. Against it we drive random **cyclic**
 //! patterns (a random spanning tree plus closing edges) through
-//! [`execute_plan`] — plain, pinned, transported onto
-//! permuted-declaration twins via the [`ClassRegistry`], and across
-//! random edit scripts with incrementally repaired spaces.
+//! [`for_each_match_with`] with a `(space, plan)` pair — plain,
+//! pinned, transported onto permuted-declaration twins via the
+//! [`ClassRegistry`], across random edit scripts with incrementally
+//! repaired spaces, and pinned under a neighborhood-sized step budget.
 
-use gfd_graph::{Graph, GraphBuilder, NodeId};
+use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
+use gfd_match::api::EnumOutcome;
 use gfd_match::types::Flow;
-use gfd_match::{dual_simulation, execute_plan, ClassRegistry, PlanScratch, QueryPlan};
+use gfd_match::{
+    dual_simulation, for_each_match_with, ClassRegistry, MatchOptions, MatchScratch, QueryPlan,
+    SearchBudget,
+};
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
 
@@ -149,27 +154,42 @@ fn oracle_matches(q: &Pattern, g: &Graph) -> Vec<Vec<NodeId>> {
     out
 }
 
-/// Runs the plan executor to completion and returns sorted matches.
+/// Runs the enumerator inside `(cs, plan)` through the public entry
+/// point and returns how it ended plus the sorted matches.
+fn plan_matches_with(
+    q: &Pattern,
+    g: &Graph,
+    cs: &gfd_match::CandidateSpace,
+    plan: &QueryPlan,
+    opts: &MatchOptions,
+    scratch: &mut MatchScratch,
+) -> (EnumOutcome, Vec<Vec<NodeId>>) {
+    let mut out = Vec::new();
+    let outcome = for_each_match_with(q, g, opts, Some((cs, plan)), scratch, &mut |m| {
+        out.push(m.to_vec());
+        Flow::Continue
+    });
+    out.sort();
+    (outcome, out)
+}
+
+/// [`plan_matches_with`] to completion under pins only.
 fn plan_matches(
     q: &Pattern,
     g: &Graph,
     cs: &gfd_match::CandidateSpace,
     plan: &QueryPlan,
     pins: &[(VarId, NodeId)],
-    scratch: &mut PlanScratch,
+    scratch: &mut MatchScratch,
 ) -> Vec<Vec<NodeId>> {
-    let mut out = Vec::new();
-    execute_plan(q, g, cs, plan, None, pins, u64::MAX, scratch, &mut |m| {
-        out.push(m.to_vec());
-        Flow::Continue
-    });
-    out.sort();
-    out
+    let mut opts = MatchOptions::unrestricted();
+    opts.pins.extend_from_slice(pins);
+    plan_matches_with(q, g, cs, plan, &opts, scratch).1
 }
 
 #[test]
 fn plan_executor_equals_brute_force_on_cyclic_patterns() {
-    let mut scratch = PlanScratch::default();
+    let mut scratch = MatchScratch::default();
     check("plan ≡ brute force (cyclic)", 150, |rng| {
         let g = random_graph(rng, 9);
         let spec = random_cyclic_spec(rng);
@@ -192,7 +212,7 @@ fn plan_executor_equals_brute_force_on_cyclic_patterns() {
 
 #[test]
 fn pinned_plan_execution_equals_filtered_oracle() {
-    let mut scratch = PlanScratch::default();
+    let mut scratch = MatchScratch::default();
     check("pinned plan ≡ filtered oracle", 120, |rng| {
         let g = random_graph(rng, 8);
         let spec = random_cyclic_spec(rng);
@@ -224,7 +244,7 @@ fn pinned_plan_execution_equals_filtered_oracle() {
 /// *current* graph.
 #[test]
 fn transported_plans_survive_edit_scripts() {
-    let mut scratch = PlanScratch::default();
+    let mut scratch = MatchScratch::default();
     check("registry plans ≡ oracle under edits", 60, |rng| {
         let mut g = random_graph(rng, 8);
         let spec = random_cyclic_spec(rng);
@@ -270,6 +290,91 @@ fn transported_plans_survive_edit_scripts() {
             g = g2;
         }
         prop_assert!(reg.plans_built() == 1, "one decomposition per class");
+        Ok(())
+    });
+}
+
+/// Pinned locality: a pinned enumeration must stay inside the pin's
+/// neighborhood. The graph is a small dense blob (`d` nodes per label,
+/// consecutive labels completely wired into `k`-cycles) plus a far
+/// region of many disjoint `k`-cycles that all survive simulation.
+/// Pinning any variable at a blob node under a step budget of
+/// `2 · deg²` — far less than the far region's size — must still run
+/// to completion and equal the brute-force pinned, restricted match
+/// set: the search starts at the pin, never at a simulation set.
+#[test]
+fn pinned_enumeration_is_neighborhood_bounded() {
+    let mut scratch = MatchScratch::default();
+    check("pinned × restricted × cyclic stays local", 24, |rng| {
+        let k = rng.gen_range(3..5);
+        let d = rng.gen_range(1..if k == 3 { 4 } else { 3 });
+        let deg = 2 * d;
+        let budget = 2 * (deg * deg) as u64;
+        let far = budget as usize + rng.gen_range(4..12);
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let mut layer = |count: usize| -> Vec<Vec<NodeId>> {
+            (0..k)
+                .map(|i| {
+                    (0..count)
+                        .map(|_| b.add_node_labeled(&format!("l{i}")))
+                        .collect()
+                })
+                .collect()
+        };
+        let blob = layer(d);
+        let cycles = layer(far);
+        for i in 0..k {
+            for &s in &blob[i] {
+                for &t in &blob[(i + 1) % k] {
+                    b.add_edge_labeled(s, t, "e0");
+                }
+            }
+            for (&s, &t) in cycles[i].iter().zip(&cycles[(i + 1) % k]) {
+                b.add_edge_labeled(s, t, "e0");
+            }
+        }
+        let g = b.freeze();
+        let spec = PatternSpec {
+            labels: (0..k).map(Some).collect(),
+            edges: (0..k).map(|i| (i, (i + 1) % k, 0)).collect(),
+        };
+        let order: Vec<usize> = (0..k).collect();
+        let q = build_pattern(&spec, &order, &g);
+        let cs = dual_simulation(&q, &g, None);
+        let plan = QueryPlan::new(&q);
+        prop_assert!(plan.width() == 2, "a {k}-cycle has width 2");
+        prop_assert!(
+            cs.of(VarId(0)).len() == far + d,
+            "premise: the far region survives simulation"
+        );
+        // Everything but a random handful of nodes.
+        let scope = NodeSet::from_vec(g.nodes().filter(|_| rng.gen_range(0..12) != 0).collect());
+        let all = oracle_matches(&q, &g);
+        for (j, nodes) in blob.iter().enumerate() {
+            let (pin_var, pin_node) = (VarId(j as u32), nodes[0]);
+            let expected: Vec<Vec<NodeId>> = all
+                .iter()
+                .filter(|m| m[j] == pin_node && m.iter().all(|&u| scope.contains(u)))
+                .cloned()
+                .collect();
+            let opts = MatchOptions::within(scope.clone())
+                .pin(pin_var, pin_node)
+                .with_budget(SearchBudget {
+                    max_matches: None,
+                    max_steps: Some(budget),
+                });
+            let (outcome, got) = plan_matches_with(&q, &g, &cs, &plan, &opts, &mut scratch);
+            prop_assert!(
+                outcome == EnumOutcome::Complete,
+                "pin {pin_var:?}: {outcome:?} within {budget} steps (far region {far})"
+            );
+            prop_assert!(
+                got == expected,
+                "pin {pin_var:?}: {} vs oracle {}",
+                got.len(),
+                expected.len()
+            );
+        }
         Ok(())
     });
 }

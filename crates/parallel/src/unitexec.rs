@@ -135,7 +135,7 @@ fn component_matches(
     }
     let mut table = MatchTable::new(plan.pattern.node_count());
     ComponentSearch::new(&plan.pattern, g)
-        .pin(plan.local_pivot, pivot)
+        .pins(&[(plan.local_pivot, pivot)])
         .restrict(block)
         .collect_into(&mut table);
     TableView::identity(Arc::new(table))

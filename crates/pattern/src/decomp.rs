@@ -55,9 +55,9 @@ pub struct TreeDecomposition {
 
 impl TreeDecomposition {
     /// The width: largest bag size minus one. Width ≤ 1 means the
-    /// pattern is a forest and the plain backtracker is already
-    /// worst-case optimal; width ≥ 2 marks a cyclic pattern whose bags
-    /// are worth a multiway intersection step.
+    /// pattern is a forest and a greedy variable order is already
+    /// worst-case optimal; width ≥ 2 marks a cyclic pattern worth
+    /// ordering along its bags.
     pub fn width(&self) -> usize {
         self.width
     }
