@@ -1,4 +1,4 @@
-//! The GCFD baseline [23]: CFDs over conjunctive path patterns.
+//! The GCFD baseline \[23\]: CFDs over conjunctive path patterns.
 //!
 //! GCFDs specify value dependencies along *paths* — they "do not allow
 //! general graph patterns" (§7 appendix). Concretely, a GFD is

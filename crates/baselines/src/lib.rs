@@ -3,14 +3,14 @@
 //! The appendix of *Functional Dependencies for Graphs* (Fan, Wu & Xu,
 //! SIGMOD 2016) compares GFD-based error detection against
 //!
-//! * **GCFDs** [23] — CFDs on RDF with *conjunctive path* patterns
+//! * **GCFDs** \[23\] — CFDs on RDF with *conjunctive path* patterns
 //!   only: no cycles, no branching joins, no cross-path value tests.
 //!   Module [`gcfd`] re-implements that expressiveness restriction:
 //!   a GFD is expressible as a GCFD only when its pattern is a single
 //!   directed chain; validation runs through the same engine, so the
 //!   measured difference is purely the expressiveness gap (lower
 //!   recall, Fig. 9's 0.57 vs 0.91);
-//! * **BigDansing** [28] — a relational data-cleansing system where
+//! * **BigDansing** \[28\] — a relational data-cleansing system where
 //!   GFDs must be hand-coded as join-based user-defined functions
 //!   over node/edge tables. Module [`relational`] implements that
 //!   evaluation strategy faithfully: per-pattern-edge hash joins over

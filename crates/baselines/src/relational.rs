@@ -1,4 +1,4 @@
-//! The BigDansing-style baseline [28]: GFDs as relational joins.
+//! The BigDansing-style baseline \[28\]: GFDs as relational joins.
 //!
 //! BigDansing cleans *relations*; to run GFDs it must "represent
 //! graphs as tables and encode isomorphic functions beyond relational

@@ -1,5 +1,5 @@
 //! Fig. 9 (appendix table): accuracy and cost of error detection —
-//! GFDs vs GCFDs [23] vs a BigDansing-style relational validator [28]
+//! GFDs vs GCFDs \[23\] vs a BigDansing-style relational validator \[28\]
 //! on a YAGO2-shaped graph with injected noise.
 //!
 //! Protocol (mirroring the appendix): sample entities; build Σ with

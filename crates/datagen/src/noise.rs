@@ -1,7 +1,7 @@
 //! Error injection (appendix, "Compared with Other Approaches").
 //!
 //! Following the paper (which follows the DBpedia quality study
-//! [50]), noise is injected into sampled entities with a given
+//! \[50\]), noise is injected into sampled entities with a given
 //! probability, in three kinds:
 //!
 //! * **attribute inconsistency** — change the value of some `x.A`;

@@ -503,6 +503,7 @@ impl GraphDelta {
     ///
     /// [`check_ids`]: GraphDelta::check_ids
     /// [`normalize`]: GraphDelta::normalize
+    /// [`merge`]: GraphDelta::merge
     pub fn decode(bytes: &[u8], sym_limit: u32) -> Result<GraphDelta, DeltaError> {
         let mut r = wire::Reader::new(bytes);
         let delta = GraphDelta::decode_body(&mut r, sym_limit)?;

@@ -187,7 +187,8 @@ impl GraphBuilder {
     ///
     /// # Panics
     /// Panics if `src` or `dst` is not a node of this builder — here,
-    /// at the insertion site, rather than deep inside [`freeze`].
+    /// at the insertion site, rather than deep inside
+    /// [`freeze`](GraphBuilder::freeze).
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, label: Sym) -> bool {
         assert!(
             src.index() < self.labels.len(),

@@ -302,7 +302,7 @@ pub fn count_matches(q: &Pattern, g: &Graph, opts: &MatchOptions) -> usize {
 /// A connected pattern with a candidate space (supplied, or computed
 /// by the per-call filter) is counted **without enumeration** when
 /// possible: the component's match set is factorized over the plan's
-/// bag tree ([`crate::factorize`]) into the caller's scratch arenas
+/// bag tree ([`mod@crate::factorize`]) into the caller's scratch arenas
 /// and the count read off the root fold — width-polynomial time even
 /// when the flat match set explodes, and zero steady-state heap
 /// allocation for registry consumers. Falls back to streaming when

@@ -97,8 +97,9 @@ struct MemoKey {
 
 /// A factorized d-representation of one connected pattern's match set.
 /// Built by [`factorize`] / [`FactorScratch::build`]; immutable
-/// afterwards (marginals attach via [`compute_marginals`]
-/// (Factorization::compute_marginals) before the value is shared).
+/// afterwards (marginals attach via
+/// [`compute_marginals`](Factorization::compute_marginals) before the
+/// value is shared).
 #[derive(Clone, Debug, Default)]
 pub struct Factorization {
     nodes: Vec<FNode>,
@@ -128,9 +129,9 @@ pub struct Factorization {
 
 impl Factorization {
     /// Number of represented assignments (saturating). An upper bound
-    /// on the match count; equal to it iff [`is_exact`]
-    /// (Factorization::is_exact). A zero here is *always* conclusive:
-    /// the represented set contains every match.
+    /// on the match count; equal to it iff
+    /// [`is_exact`](Factorization::is_exact). A zero here is *always*
+    /// conclusive: the represented set contains every match.
     pub fn raw_count(&self) -> u64 {
         if self.root == NO_NODE {
             0
@@ -236,9 +237,9 @@ impl Factorization {
     }
 
     /// The marginal count of `h(var) = node` over represented
-    /// assignments — exact match marginals iff [`is_exact`]
-    /// (Factorization::is_exact), an upper bound otherwise (a zero is
-    /// always conclusive). `None` until
+    /// assignments — exact match marginals iff
+    /// [`is_exact`](Factorization::is_exact), an upper bound otherwise
+    /// (a zero is always conclusive). `None` until
     /// [`compute_marginals`](Factorization::compute_marginals) ran.
     pub fn marginal(&self, var: VarId, node: NodeId) -> Option<u64> {
         self.marginals
@@ -384,9 +385,9 @@ impl FactorScratch {
         Self::default()
     }
 
-    /// The factorization of the last successful [`build`]
-    /// (FactorScratch::build) — borrow it for counting; clone it (or
-    /// use [`factorize`]) for an owned copy to share.
+    /// The factorization of the last successful
+    /// [`build`](FactorScratch::build) — borrow it for counting; clone
+    /// it (or use [`factorize`]) for an owned copy to share.
     pub fn fact(&self) -> &Factorization {
         &self.fact
     }

@@ -41,7 +41,7 @@
 //! `(space, plan)` pair optionally; everything else is a wrapper.
 //!
 //! Over the same bag tree sits the **factorized layer** (module
-//! [`factorize`]): a [`factorize::Factorization`] is a d-representation
+//! [`mod@factorize`]): a [`factorize::Factorization`] is a d-representation
 //! of a component's match set whose size tracks per-bag work while the
 //! represented set multiplies across bags, so counting is a bottom-up
 //! fold, per-binding marginals are one root-to-node pass, and tuple

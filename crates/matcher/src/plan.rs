@@ -24,7 +24,7 @@
 //! * the order only replaces the enumerator's greedy one for unpinned
 //!   searches of cyclic components (width ≥ 2); forests and pinned
 //!   searches are already well served by pins-first greedy order. The
-//!   bag tree itself also drives [`crate::factorize`].
+//!   bag tree itself also drives [`mod@crate::factorize`].
 //!
 //! Plans are a pure function of the pattern — no graph statistics —
 //! and therefore isomorphism-invariant: the registry computes one plan

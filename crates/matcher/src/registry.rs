@@ -25,10 +25,13 @@
 //!   keyed by `(class, representative pin variable, pivot node)` — an
 //!   isomorphic twin reads a hit through a column-permutation
 //!   [`TableView`], never a row copy;
-//! * under graph edits, [`ClassRegistry::apply_normalized`] repairs
-//!   **one** representative per class, keeps the plans, and drops
-//!   exactly the transported spaces and match tables of classes whose
-//!   relation (or per-edge adjacency) changed.
+//! * under graph edits, [`ClassRegistry::advance`] repairs **one**
+//!   representative per class, keeps the plans, and drops exactly the
+//!   transported spaces, match tables and factorizations of classes
+//!   whose relation (or per-edge adjacency) changed. Repair maintains
+//!   what a standing query reads — the candidate spaces behind
+//!   `Vio(Σ, G)` — and reports nothing: workloads are estimated from
+//!   the repaired spaces, never maintained alongside them.
 //!
 //! One registry is shared across a whole rule set Σ — workload
 //! estimation (`gfd-parallel`), violation detection (`gfd-core`),
@@ -66,10 +69,10 @@
 //! next insertion — or an explicit [`ClassRegistry::sweep`] — drains
 //! them and the gauge returns to zero. A whole class (its incremental
 //! space plus member transports) is reclaimable once unpinned; a later
-//! query re-simulates against the then-current snapshot, and
-//! intervening [`ClassRegistry::apply_normalized`] calls report the
-//! class as conservatively changed so no consumer trusts stale pivot
-//! feasibility.
+//! query re-simulates against the then-current snapshot, and every
+//! intervening [`ClassRegistry::advance`] drops whatever tables the
+//! evicted class still holds, because without the incremental state
+//! nobody can certify them unchanged.
 //!
 //! Lock discipline: simulation, transport, and plan construction run
 //! under the registry lock (that is what guarantees "one simulation
@@ -77,7 +80,7 @@
 //! enumeration — the expensive, per-pivot work — runs *outside* the
 //! lock, with racing duplicate builds tolerated (first insert wins).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use gfd_graph::{Graph, GraphDelta, NodeId, NodeSet};
@@ -88,7 +91,7 @@ use crate::component::ComponentSearch;
 use crate::factorize::{factorize, Factorization};
 use crate::incremental::IncrementalSpace;
 use crate::plan::QueryPlan;
-use crate::simulation::{dual_simulation, CandidateSpace};
+use crate::simulation::CandidateSpace;
 use crate::table::{MatchTable, TableView};
 
 /// Handle to a pattern registered in a [`ClassRegistry`].
@@ -100,11 +103,6 @@ pub struct SpaceHandle(usize);
 /// long-lived multi-tenant service stays bounded (64 MiB of spaces and
 /// match rows for the whole Σ, shared — not per worker).
 pub const DEFAULT_REGISTRY_BUDGET_BYTES: usize = 64 << 20;
-
-/// How many epochs of per-class change flags [`ClassRegistry::advance`]
-/// keeps for replay to lagging tenants; beyond the window the replay
-/// is conservatively all-changed.
-const FLAG_HISTORY: usize = 64;
 
 /// Hit/miss/eviction counters of the registry's match-table cache.
 ///
@@ -154,7 +152,7 @@ struct ClassState {
     form: CanonicalForm,
     /// `None` until some member's space is first queried, and again
     /// after the class is evicted; repaired in place by
-    /// [`ClassRegistry::apply_normalized`] while present.
+    /// [`ClassRegistry::advance`] while present.
     inc: Option<IncrementalSpace>,
     /// Accounted bytes of `inc` (the space estimate).
     inc_bytes: usize,
@@ -164,17 +162,12 @@ struct ClassState {
     plan: Option<Arc<QueryPlan>>,
     /// Member indices of this class, for invalidation and eviction.
     member_ids: Vec<usize>,
-    /// True once the class has ever been simulated. An evicted class
-    /// (`ever_simulated && inc.is_none()`) reports conservative
-    /// all-changed flags from `apply`, because without the incremental
-    /// state nobody can certify "unchanged".
-    ever_simulated: bool,
     last_used: u64,
     /// Cached pinned enumerations, keyed by `(rep pin var, pivot)`.
     tables: FxHashMap<(VarId, NodeId), TableEntry>,
     /// Factorized match-set representation of the representative over
     /// the current snapshot, marginals included
-    /// ([`crate::factorize`]). A derivation of the space: a graph
+    /// ([`mod@crate::factorize`]). A derivation of the space: a graph
     /// delta that refreshes the class drops it (plans survive, facts
     /// do not), and eviction reclaims it like any other artifact.
     fact: Option<Arc<Factorization>>,
@@ -243,10 +236,6 @@ struct RegistryInner {
     tick: u64,
     /// Repair epoch — bumped once per non-empty applied delta.
     version: u64,
-    /// Per-class change flags of versions `base_version+1..=version`,
-    /// for replay to lagging tenants.
-    history: VecDeque<Vec<bool>>,
-    base_version: u64,
 }
 
 /// The shared, bounded, per-Σ cache of candidate spaces, query plans,
@@ -307,7 +296,6 @@ impl ClassRegistry {
                     inc_bytes: 0,
                     plan: None,
                     member_ids: Vec::new(),
-                    ever_simulated: false,
                     last_used: 0,
                     tables: FxHashMap::default(),
                     fact: None,
@@ -349,7 +337,7 @@ impl ClassRegistry {
     /// The member's candidate space over `g`: simulated once per class
     /// (on first query), transported — and cached — for every further
     /// member. `g` must be the snapshot the registry is synchronized
-    /// with (the one passed to the last [`apply`](Self::apply), or the
+    /// with (the one passed to the last [`advance`](Self::advance), or the
     /// initial graph). The returned `Arc` stays valid across repairs
     /// and evictions (see the pinning contract in the module docs).
     pub fn space(&self, h: SpaceHandle, g: &Graph) -> Arc<CandidateSpace> {
@@ -384,13 +372,8 @@ impl ClassRegistry {
         (space, plan)
     }
 
-    /// True if `u` currently simulates `v` in the member's space.
-    pub fn contains(&self, h: SpaceHandle, g: &Graph, v: VarId, u: NodeId) -> bool {
-        self.space(h, g).sets[v.index()].binary_search(&u).is_ok()
-    }
-
     /// The member's factorized match-set representation over `g`
-    /// ([`crate::factorize`]), with marginals computed: factorized
+    /// ([`mod@crate::factorize`]), with marginals computed: factorized
     /// once per class and relabeled — the structure is
     /// permutation-invariant — for every further member. `None` when
     /// the class's plan shape is unfactorizable. Like spaces, a graph
@@ -515,75 +498,32 @@ impl ClassRegistry {
         }
     }
 
-    /// Sampled repair-invariant check: recomputes the member's
-    /// candidate space from scratch (a fresh [`dual_simulation`] of
-    /// the member pattern over `g`, no incremental state, no
-    /// transport) and compares it with what the registry serves.
-    /// `true` means the incremental repair chain is still exact for
-    /// this member. This is the self-check a long-running service runs
-    /// on a random member per epoch.
-    pub fn verify_member(&self, h: SpaceHandle, g: &Graph) -> bool {
-        let served = self.space(h, g);
-        let q = self.lock().members[h.0].q.clone();
-        let scratch = dual_simulation(&q, g, None);
-        *served == scratch
-    }
-
-    /// Repairs the registry against one edit step: **one**
-    /// [`IncrementalSpace`] repair per simulated class (classes never
-    /// queried are skipped — a later first query simulates against the
-    /// then-current snapshot), then drops the transported caches and
-    /// match tables of every class whose relation or per-edge
-    /// adjacency changed. Returns per-class flags that are true when
-    /// the class's *candidate sets* (may have) changed — the signal
-    /// workload maintenance keys on. An evicted class reports `true`
-    /// conservatively; a never-simulated one reports `false`.
-    pub fn apply(&self, g: &Graph, delta: &GraphDelta) -> Vec<bool> {
-        self.apply_normalized(g, &delta.clone().normalize())
-    }
-
-    /// [`apply`](Self::apply) for an already-normalized delta. Empty
-    /// deltas are no-ops and do **not** advance the repair epoch.
-    pub fn apply_normalized(&self, g: &Graph, d: &GraphDelta) -> Vec<bool> {
-        let mut inner = self.lock();
-        if d.is_empty() {
-            return vec![false; inner.classes.len()];
-        }
-        let flags = inner.apply_impl(g, d);
-        inner.version += 1;
-        inner.push_history(flags.clone());
-        inner.enforce_budget();
-        flags
-    }
-
-    /// Multi-tenant repair: applies the delta only if this tenant is
-    /// the *first* to reach epoch `target` (`target == version() + 1`);
-    /// tenants arriving later at an epoch the registry already passed
-    /// get the recorded per-class change flags replayed instead (or
-    /// conservative all-changed flags once the epoch has left the
-    /// bounded history window). Tenants must ingest the same delta
+    /// Multi-tenant repair against one edit step: the *first* tenant to
+    /// reach epoch `target` (`target == version() + 1`) applies the
+    /// delta; a tenant arriving later at an epoch the registry already
+    /// passed finds the work done and returns at once. Applying means
+    /// **one** [`IncrementalSpace`] repair per simulated class (classes
+    /// never queried are skipped — a later first query simulates
+    /// against the then-current snapshot), then dropping the
+    /// transported spaces, match tables and factorizations of every
+    /// class whose relation or per-edge adjacency changed.
+    ///
+    /// `d` must be normalized. Tenants must ingest the same delta
     /// stream and bump their cursor once per *non-empty* normalized
     /// delta — normalization is deterministic, so every tenant skips
-    /// exactly the same empties.
-    pub fn advance(&self, g: &Graph, d: &GraphDelta, target: u64) -> Vec<bool> {
+    /// exactly the same empties (an empty delta is a no-op here and
+    /// does **not** advance the repair epoch).
+    pub fn advance(&self, g: &Graph, d: &GraphDelta, target: u64) {
+        self.lock().advance(g, d, target);
+    }
+
+    /// Single-tenant convenience: normalizes `delta` and
+    /// [`advance`](Self::advance)s to the next epoch.
+    pub fn apply(&self, g: &Graph, delta: &GraphDelta) {
+        let d = delta.clone().normalize();
         let mut inner = self.lock();
-        let n = inner.classes.len();
-        if d.is_empty() {
-            return vec![false; n];
-        }
-        if target <= inner.version {
-            return inner.history_flags(target, n);
-        }
-        debug_assert_eq!(
-            target,
-            inner.version + 1,
-            "tenant cursors must advance the shared registry in lockstep"
-        );
-        let flags = inner.apply_impl(g, d);
-        inner.version = target;
-        inner.push_history(flags.clone());
-        inner.enforce_budget();
-        flags
+        let target = inner.version + 1;
+        inner.advance(g, &d, target);
     }
 
     /// The repair epoch: how many non-empty deltas have been applied.
@@ -593,10 +533,9 @@ impl ClassRegistry {
     }
 
     /// Drops every cached artifact — incremental spaces, transported
-    /// member spaces, match tables — and clears the replay history, so
-    /// every later query rebuilds against the then-current snapshot
-    /// and every lagging tenant replays conservative flags. Sound at
-    /// any point (the caches are pure derivations); used by detectors
+    /// member spaces, match tables, factorizations — so every later
+    /// query rebuilds against the then-current snapshot. Sound at any
+    /// point (the caches are pure derivations); used by detectors
     /// re-seeding after a degraded epoch, where a mid-repair panic may
     /// have torn the incremental state.
     pub fn invalidate_all(&self) {
@@ -625,8 +564,6 @@ impl ClassRegistry {
                 m.fact_bytes = 0;
             }
         }
-        inner.history.clear();
-        inner.base_version = inner.version;
         inner.deferred_pending = 0;
     }
 
@@ -653,15 +590,6 @@ impl ClassRegistry {
         let inner = self.lock();
         let m = &inner.members[h.0];
         (m.class, m.perm.clone())
-    }
-
-    /// Number of structurally distinct members registered into a class
-    /// (identical re-registrations collapse onto one handle, so this
-    /// is *not* a per-rule count — callers gating on "how many rules
-    /// of my Σ share this class" should count class occurrences over
-    /// the handles of their own registration pass instead).
-    pub fn class_members(&self, class: usize) -> usize {
-        self.lock().classes[class].member_ids.len()
     }
 
     /// Number of distinct isomorphism classes registered.
@@ -727,7 +655,6 @@ impl RegistryInner {
             let cls = &mut self.classes[class];
             cls.inc = Some(inc);
             cls.inc_bytes = b;
-            cls.ever_simulated = true;
             self.bytes += b;
             self.simulations += 1;
         }
@@ -871,81 +798,65 @@ impl RegistryInner {
         table
     }
 
-    /// One repair pass over every class (no version bookkeeping).
-    fn apply_impl(&mut self, g: &Graph, d: &GraphDelta) -> Vec<bool> {
-        let n = self.classes.len();
-        let mut sets_changed = vec![false; n];
-        // Caches must also refresh on adjacency-only changes (a new
-        // graph edge between surviving candidates moves the per-edge
-        // runs without moving any set).
-        let mut refresh = vec![false; n];
-        let mut freed = 0usize;
-        let mut grown = 0usize;
-        for (c, cls) in self.classes.iter_mut().enumerate() {
-            match cls.inc.as_mut() {
+    /// [`ClassRegistry::advance`] under the lock: a no-op for an empty
+    /// delta or an epoch already passed, one repair pass over every
+    /// class otherwise.
+    fn advance(&mut self, g: &Graph, d: &GraphDelta, target: u64) {
+        if d.is_empty() || target <= self.version {
+            return;
+        }
+        debug_assert_eq!(
+            target,
+            self.version + 1,
+            "tenant cursors must advance the shared registry in lockstep"
+        );
+        let RegistryInner {
+            classes,
+            members,
+            bytes,
+            ..
+        } = self;
+        for cls in classes.iter_mut() {
+            // Caches refresh on set changes and on adjacency-only
+            // changes (a new graph edge between surviving candidates
+            // moves the per-edge runs without moving any set).
+            let refresh = match cls.inc.as_mut() {
                 Some(inc) => {
                     let report = inc.apply_normalized(g, d);
-                    sets_changed[c] = !report.is_unchanged();
-                    refresh[c] = sets_changed[c] || report.adjacency_changed;
                     let nb = inc.space().approx_bytes();
-                    freed += cls.inc_bytes;
-                    grown += nb;
+                    *bytes = *bytes + nb - cls.inc_bytes;
                     cls.inc_bytes = nb;
+                    !report.is_unchanged() || report.adjacency_changed
                 }
-                None => {
-                    // Without the incremental state nobody can certify
-                    // "unchanged": an evicted class is conservatively
-                    // changed, and any tables it still holds (tables
-                    // don't require a simulated class) must go.
-                    sets_changed[c] = cls.ever_simulated;
-                    refresh[c] = true;
-                }
+                // Without the incremental state nobody can certify
+                // "unchanged": any tables the class still holds (tables
+                // don't require a simulated class) must go.
+                None => true,
+            };
+            if !refresh {
+                continue;
             }
-            if refresh[c] {
-                for (_, e) in cls.tables.drain() {
-                    freed += e.bytes;
-                }
-                if cls.fact.take().is_some() {
-                    freed += cls.fact_bytes;
-                    cls.fact_bytes = 0;
-                }
+            for (_, e) in cls.tables.drain() {
+                *bytes -= e.bytes;
             }
-        }
-        self.bytes = self.bytes + grown - freed;
-        for m in &mut self.members {
-            if refresh[m.class] {
+            if cls.fact.take().is_some() {
+                *bytes -= cls.fact_bytes;
+                cls.fact_bytes = 0;
+            }
+            for &mi in &cls.member_ids {
+                let m = &mut members[mi];
                 if m.cached.take().is_some() {
-                    self.bytes -= m.cached_bytes;
+                    *bytes -= m.cached_bytes;
                     m.cached_bytes = 0;
                 }
                 if m.fact.take().is_some() {
-                    self.bytes -= m.fact_bytes;
+                    *bytes -= m.fact_bytes;
                     m.fact_bytes = 0;
                 }
             }
         }
-        sets_changed
-    }
-
-    fn push_history(&mut self, flags: Vec<bool>) {
-        self.history.push_back(flags);
-        if self.history.len() > FLAG_HISTORY {
-            self.history.pop_front();
-            self.base_version += 1;
-        }
-    }
-
-    /// Recorded flags of epoch `v`, padded with `true` for classes
-    /// registered after that epoch; conservative all-changed once the
-    /// epoch left the history window.
-    fn history_flags(&self, v: u64, n: usize) -> Vec<bool> {
-        if v > self.base_version && v <= self.version {
-            let mut flags = self.history[(v - self.base_version - 1) as usize].clone();
-            flags.resize(n, true);
-            flags
-        } else {
-            vec![true; n]
-        }
+        self.version = target;
+        self.enforce_budget();
     }
 
     /// Evicts least-recently-used unpinned entries until the budget
@@ -1084,6 +995,7 @@ mod tests {
     use crate::simulation::dual_simulation;
     use gfd_graph::GraphBuilder;
     use gfd_pattern::PatternBuilder;
+    use gfd_util::Rng;
 
     fn chain_graph() -> Graph {
         let mut b = GraphBuilder::with_fresh_vocab();
@@ -1115,6 +1027,12 @@ mod tests {
 
     fn full_block(g: &Graph) -> Arc<NodeSet> {
         Arc::new(NodeSet::from_vec(g.nodes().collect()))
+    }
+
+    /// The served space — sets and per-edge adjacency — must equal a
+    /// from-scratch simulation of the member's own pattern over `g`.
+    fn assert_matches_scratch(reg: &ClassRegistry, h: SpaceHandle, q: &Pattern, g: &Graph) {
+        assert_eq!(*reg.space(h, g), dual_simulation(q, g, None));
     }
 
     #[test]
@@ -1154,7 +1072,7 @@ mod tests {
         let h2 = reg.register(&b.build());
         assert_ne!(reg.class_of(h1), reg.class_of(h2));
         assert_eq!(reg.class_count(), 2);
-        assert_eq!(reg.class_members(reg.class_of(h1)), 1);
+        assert_eq!(reg.member_count(), 2);
     }
 
     #[test]
@@ -1172,11 +1090,11 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        let changed = reg.apply(&g2, &delta);
-        assert_eq!(changed, vec![true]);
+        reg.apply(&g2, &delta);
+        assert_eq!(reg.version(), 1);
         for (q, &h) in members.iter().zip(&handles) {
-            let want = dual_simulation(q, &g2, None);
-            assert_eq!(reg.space(h, &g2).sets, want.sets);
+            assert_matches_scratch(&reg, h, q, &g2);
+            assert!(reg.space(h, &g2).is_empty_anywhere());
         }
         assert_eq!(reg.simulations(), 1, "repair must not re-simulate");
     }
@@ -1207,7 +1125,7 @@ mod tests {
         let h3 = reg.register(&chain_pattern(&g, [2, 0, 1]));
         assert_ne!(h3, h1);
         assert_eq!(reg.member_count(), 2);
-        assert_eq!(reg.class_members(reg.class_of(h1)), 2);
+        assert_eq!(reg.class_of(h3), reg.class_of(h1));
         // …and ten rounds of re-registration grow nothing.
         for _ in 0..10 {
             reg.register(&q);
@@ -1308,8 +1226,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        let changed = reg.apply(&g2, &delta);
-        assert_eq!(changed, vec![false]);
+        reg.apply(&g2, &delta);
         assert_eq!(reg.simulations(), 0);
         // …and the first query simulates against the edited snapshot.
         assert_eq!(reg.space(h, &g2).sets, dual_simulation(&q, &g2, None).sets);
@@ -1540,8 +1457,8 @@ mod tests {
         assert!(reg.bytes() <= reg.budget_bytes());
     }
 
-    /// A whole evicted class reports conservative change flags from
-    /// `apply` and re-simulates against the current snapshot on the
+    /// A whole evicted class is skipped by `apply` (there is nothing to
+    /// repair) and re-simulates against the current snapshot on the
     /// next query.
     #[test]
     fn evicted_class_is_conservative_and_resimulates() {
@@ -1557,76 +1474,91 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        let changed = reg.apply(&g2, &delta);
-        assert_eq!(
-            changed,
-            vec![true],
-            "an evicted, previously-simulated class must report changed"
-        );
-        assert_eq!(reg.space(h, &g2).sets, dual_simulation(&q, &g2, None).sets);
+        reg.apply(&g2, &delta);
+        assert_eq!(reg.simulations(), 1, "nothing to repair, nothing simulated");
+        assert_matches_scratch(&reg, h, &q, &g2);
         assert_eq!(reg.simulations(), 2, "re-query re-simulates");
     }
 
-    /// Multi-tenant `advance`: the first tenant at an epoch repairs,
-    /// laggards replay the recorded flags; epochs beyond the bounded
-    /// history replay conservatively.
+    /// Multi-tenant `advance`: two tenants ingest one random edit
+    /// script at their own pace. Whoever reaches an epoch first
+    /// repairs; the other's `advance` at that epoch — with the stale
+    /// snapshot and delta of an epoch the registry has since left
+    /// behind — changes nothing.
     #[test]
-    fn advance_replays_flags_to_lagging_tenants() {
-        let g = chain_graph();
-        let q = chain_pattern(&g, [0, 1, 2]);
+    fn advance_applies_each_epoch_once() {
+        let g0 = chain_graph();
+        let members = [
+            chain_pattern(&g0, [0, 1, 2]),
+            chain_pattern(&g0, [2, 1, 0]),
+            triangle_pattern(&g0, [0, 1, 2]),
+        ];
         let reg = ClassRegistry::new();
-        let h = reg.register(&q);
-        reg.space(h, &g);
-        assert_eq!(reg.version(), 0);
+        let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
+        let check = |g: &Graph| {
+            for (q, &h) in members.iter().zip(&handles) {
+                assert_matches_scratch(&reg, h, q, g);
+            }
+        };
+        check(&g0);
+        assert_eq!(reg.simulations(), 2, "two classes");
 
-        let (g2, d1) = g.edit_with_delta(|b| {
-            b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
-        });
-        let d1 = d1.normalize();
-        let first = reg.advance(&g2, &d1, 1);
-        assert_eq!(first, vec![true]);
-        assert_eq!(reg.version(), 1);
-        assert_eq!(reg.simulations(), 1);
-
-        // A second tenant reaches epoch 1 later: same flags, no second
-        // repair (the space is already at epoch 1).
-        let replay = reg.advance(&g2, &d1, 1);
-        assert_eq!(replay, first);
-        assert_eq!(reg.version(), 1);
-        assert_eq!(reg.space(h, &g2).sets, dual_simulation(&q, &g2, None).sets);
-
-        // An empty delta advances nobody.
-        let (g3, d_empty) = g2.edit_with_delta(|_| {});
-        assert_eq!(reg.advance(&g3, &d_empty.normalize(), 2), vec![false]);
-        assert_eq!(reg.version(), 1);
-
-        // Age epoch 1 out of the bounded history window: flip the
-        // a1→b1 edge back and forth, one non-empty delta per epoch.
-        let mut cur = g2;
-        let mut present = true; // a1→b1 survived epoch 1; toggle it
-        for v in 2..(2 + FLAG_HISTORY as u64 + 4) {
-            let (next, d) = cur.edit_with_delta(|b| {
-                if present {
-                    b.remove_edge_labeled(NodeId(0), NodeId(1), "e");
+        // The shared stream: every step toggles one `e` edge, so every
+        // normalized delta is non-empty and epoch = step index + 1.
+        let e = g0.vocab().intern("e");
+        let mut rng = Rng::seed_from_u64(0x5eed);
+        let mut script: Vec<(Graph, GraphDelta)> = Vec::new();
+        for _ in 0..24 {
+            let g = script.last().map_or(&g0, |(g, _)| g);
+            let (src, dst) = loop {
+                let s = NodeId(rng.gen_range(0..g.node_count()) as u32);
+                let d = NodeId(rng.gen_range(0..g.node_count()) as u32);
+                if s != d {
+                    break (s, d);
+                }
+            };
+            let (next, delta) = g.edit_with_delta(|b| {
+                if g.has_edge(src, dst, e) {
+                    b.remove_edge_labeled(src, dst, "e");
                 } else {
-                    b.add_edge_labeled(NodeId(0), NodeId(1), "e");
+                    b.add_edge_labeled(src, dst, "e");
                 }
             });
-            present = !present;
-            reg.advance(&next, &d.normalize(), v);
-            cur = next;
+            let delta = delta.normalize();
+            assert!(!delta.is_empty());
+            script.push((next, delta));
         }
-        assert!(reg.version() > FLAG_HISTORY as u64);
-        assert_eq!(
-            reg.advance(&cur, &d1, 1),
-            vec![true],
-            "evicted history replays conservatively"
-        );
+
+        // An empty delta advances nobody.
+        let (same, d_empty) = script[0].0.edit_with_delta(|_| {});
+        reg.advance(&same, &d_empty.normalize(), 1);
+        assert_eq!(reg.version(), 0);
+
+        let mut cursors = [0usize; 2];
+        let mut lagging_calls = 0;
+        while cursors.iter().any(|&c| c < script.len()) {
+            let t = rng.gen_range(0..2);
+            if cursors[t] == script.len() {
+                continue;
+            }
+            let (snapshot, delta) = &script[cursors[t]];
+            cursors[t] += 1;
+            let (version, sims) = (reg.version(), reg.simulations());
+            reg.advance(snapshot, delta, cursors[t] as u64);
+            let head = *cursors.iter().max().unwrap();
+            assert_eq!(reg.version(), head as u64);
+            if cursors[t] as u64 <= version {
+                lagging_calls += 1;
+                assert_eq!(reg.version(), version, "a passed epoch is a no-op");
+            }
+            assert_eq!(reg.simulations(), sims, "repair never re-simulates");
+            check(&script[head - 1].0);
+        }
+        assert!(lagging_calls >= 8, "premise: the laggard path ran");
     }
 
     /// `invalidate_all` drops every derived artifact; later queries
-    /// rebuild against the current snapshot and later applies are
-    /// conservative.
+    /// rebuild against the current snapshot.
     #[test]
     fn invalidate_all_rebuilds_from_current_snapshot() {
         let g = chain_graph();
@@ -1643,8 +1575,8 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        assert_eq!(reg.apply(&g2, &delta), vec![true], "conservative");
-        assert_eq!(reg.space(h, &g2).sets, dual_simulation(&q, &g2, None).sets);
+        reg.apply(&g2, &delta);
+        assert_matches_scratch(&reg, h, &q, &g2);
         assert_eq!(reg.simulations(), 2);
     }
 

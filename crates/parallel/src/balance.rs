@@ -52,7 +52,7 @@ pub fn assign(strategy: Assignment, costs: &[u64], n: usize) -> Vec<usize> {
 /// Grouped LPT: units sharing a group key are assigned to the same
 /// worker (groups are LPT-scheduled by total cost). This is the
 /// *sub-pattern scheduling* side of the multi-query optimization
-/// ([31]; appendix): units anchored at the same pivot share cached
+/// (\[31\]; appendix): units anchored at the same pivot share cached
 /// component enumerations, so co-locating them preserves cache
 /// locality while keeping the makespan 2-approximate at group
 /// granularity.

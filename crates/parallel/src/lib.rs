@@ -54,12 +54,18 @@
 //! full recompute, and a sampled per-epoch repair-invariant oracle —
 //! is exercised by the deterministic fault-injection harness (module
 //! [`fault`]) and the 10k-edit soak test.
+//!
+//! Under the edit stream the service maintains exactly what its
+//! standing query reads — the shared registry's candidate spaces and
+//! `Vio(Σ, G)`. The workload `W(Σ, G)` is *estimated* (module
+//! [`workload`]) once per validation run, as in the paper, and again
+//! from scratch by a degraded epoch's full recompute; nothing keeps it
+//! fresh between runs.
 
 pub mod balance;
 pub mod cluster;
 pub mod disval;
 pub mod fault;
-pub mod incremental;
 pub mod metrics;
 pub mod opt;
 pub mod repval;
@@ -73,7 +79,6 @@ pub use cluster::CostModel;
 pub use disval::{dis_val, DisValConfig};
 pub use fault::{CrashKind, FaultPlan};
 pub use gfd_match::ClassRegistry;
-pub use incremental::IncrementalWorkload;
 pub use metrics::ParallelReport;
 pub use repval::{rep_val, RepValConfig};
 pub use service::{

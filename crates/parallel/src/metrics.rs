@@ -45,15 +45,6 @@ pub struct ParallelReport {
     /// Eviction candidates skipped because a worker still held their
     /// table (refcount-aware deferral); they drain once pins drop.
     pub cache_evictions_deferred: u64,
-    /// Worker panics caught by the panic-isolated executor (0 for the
-    /// simulated-cluster algorithms and clean threaded runs).
-    pub unit_panics: u64,
-    /// Units that completed only after at least one panicked attempt.
-    pub units_retried: u64,
-    /// Units abandoned after exhausting retries. Always *reported*,
-    /// never silently dropped: callers recover them sequentially (the
-    /// standing-violation service) or treat the run as failed.
-    pub quarantined_units: u64,
 }
 
 impl ParallelReport {
@@ -87,9 +78,6 @@ impl ParallelReport {
             cache_misses: cache.misses,
             cache_evicted_cold: cache.evicted_cold,
             cache_evictions_deferred: cache.eviction_deferred_pinned,
-            unit_panics: 0,
-            units_retried: 0,
-            quarantined_units: 0,
         }
     }
 

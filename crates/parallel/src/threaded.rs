@@ -82,21 +82,6 @@ pub struct ThreadedReport {
     pub cache: CacheStats,
 }
 
-impl ThreadedReport {
-    /// Folds the failure counters into a [`ParallelReport`]
-    /// (`crate::ParallelReport`), which carries them to the figures
-    /// and service dashboards.
-    pub fn fold_into(&self, report: &mut crate::ParallelReport) {
-        report.unit_panics += self.unit_panics;
-        report.units_retried += self.units_retried;
-        report.quarantined_units += self.quarantined.len() as u64;
-        report.cache_hits += self.cache.hits;
-        report.cache_misses += self.cache.misses;
-        report.cache_evicted_cold += self.cache.evicted_cold;
-        report.cache_evictions_deferred += self.cache.eviction_deferred_pinned;
-    }
-}
-
 /// Executes all units (descriptors over the `slots` arena) across
 /// `threads` OS threads sharing one `Arc<Graph>`, returning the
 /// canonical (sorted) violation list.

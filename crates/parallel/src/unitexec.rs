@@ -9,7 +9,7 @@
 //! pivot orientations are checked here, so the deduplication never
 //! loses violations.
 //!
-//! The *multi-query* optimization (appendix, following [31]) reads
+//! The *multi-query* optimization (appendix, following \[31\]) reads
 //! per-(component-isomorphism-class, pivot) match **tables** from the
 //! shared [`ClassRegistry`] serving tier: rules mined from shared
 //! frequent features share components, and the registry lets all of

@@ -121,30 +121,16 @@ impl WorkUnit {
 /// Knobs for workload estimation.
 #[derive(Clone, Debug)]
 pub struct WorkloadOptions {
-    /// Hard cap on generated units (safety valve; `None` = unlimited).
-    pub max_units: Option<usize>,
     /// Prune pivot candidates outside the component's dual-simulation
     /// relation (one worklist simulation per component instead of a
     /// backtracking probe per candidate).
     pub prune_empty_pivots: bool,
-    /// Estimate unit costs from the class's cached factorization
-    /// instead of the `|block| × width` proxy: a pivot's cost becomes
-    /// its **marginal** — the number of represented assignments
-    /// anchored at it — and zero-marginal pivots (provably matchless,
-    /// by the superset argument) are pruned outright. Requires
-    /// `prune_empty_pivots` (the factorization lives on the class's
-    /// candidate space); components the factorizer declines keep the
-    /// proxy. Off by default: the proxy is the paper's `t(·)` estimate
-    /// and the baseline the partitioning tests pin.
-    pub factorized_costs: bool,
 }
 
 impl Default for WorkloadOptions {
     fn default() -> Self {
         WorkloadOptions {
-            max_units: None,
             prune_empty_pivots: true,
-            factorized_costs: false,
         }
     }
 }
@@ -163,17 +149,11 @@ pub struct Workload {
     pub estimation_seconds: f64,
     /// Units pruned by the emptiness probe.
     pub pruned: usize,
-    /// True if `max_units` truncated the workload.
-    pub truncated: bool,
-    /// Worklist simulations attributable to this workload — for
-    /// [`estimate_workload`] the count run *during the call* (with the
-    /// shared [`ClassRegistry`], at most one per component isomorphism
-    /// class of Σ; 0 when pruning is off or the borrowed registry
-    /// already held the classes warm), and for
-    /// [`IncrementalWorkload::workload`](crate::IncrementalWorkload::workload)
-    /// the maintainer's registry total (one per class simulated over
-    /// its lifetime). The probe behind the "simulate once per class"
-    /// guarantee.
+    /// Worklist simulations run *during the estimating call* — with
+    /// the shared [`ClassRegistry`], at most one per component
+    /// isomorphism class of Σ; 0 when pruning is off or the borrowed
+    /// registry already held the classes warm. The probe behind the
+    /// "simulate once per class" guarantee.
     pub simulations: usize,
 }
 
@@ -249,11 +229,7 @@ fn pivot_universe(g: &Graph, plan: &ComponentPlan) -> usize {
 /// simulation set, or nothing when the component is provably matchless.
 /// Returns the sorted candidate list and how many raw candidates the
 /// filter pruned.
-pub fn pivots_from_space(
-    g: &Graph,
-    plan: &ComponentPlan,
-    cs: &CandidateSpace,
-) -> (Vec<NodeId>, usize) {
+fn pivots_from_space(g: &Graph, plan: &ComponentPlan, cs: &CandidateSpace) -> (Vec<NodeId>, usize) {
     let universe = pivot_universe(g, plan);
     if cs.is_empty_anywhere() {
         return (Vec::new(), universe);
@@ -311,19 +287,6 @@ impl BlockCache {
         self.block_and_size(g, pivot, radius).0
     }
 
-    /// Drops every cached block that contains one of `touched` (sorted
-    /// node ids). A `c`-hop block can only change when an inserted or
-    /// deleted edge has an endpoint *inside* it (BFS from the pivot
-    /// never crosses an edge whose endpoints are both outside), so
-    /// after invalidating these, the surviving entries are exact for
-    /// the edited graph. Returns how many entries were dropped.
-    pub fn invalidate_touching(&mut self, touched: &[NodeId]) -> usize {
-        let before = self.cache.len();
-        self.cache
-            .retain(|_, (block, _)| !touched.iter().any(|&u| block.contains(u)));
-        before - self.cache.len()
-    }
-
     /// The block together with its `|G_z̄|` size measure (Example 11),
     /// both computed once per `(pivot, radius)`.
     pub fn block_and_size(
@@ -370,43 +333,24 @@ pub fn estimate_workload_in(
     let mut cache = BlockCache::new();
     let mut wl = Workload::default();
 
-    'rules: for rule in &rules {
+    for rule in &rules {
         // Per-component feasible candidates with their blocks. One
         // simulation per component *class* prunes infeasible pivots up
         // front; blocks are shared `Arc`s sized once in the cache.
         let mut per_component: Vec<Vec<(NodeId, Arc<NodeSet>, u64)>> = Vec::new();
         for plan in &rule.components {
-            let (cands, pruned, fact) = if opts.prune_empty_pivots {
+            let (cands, pruned) = if opts.prune_empty_pivots {
                 let h = registry.register(&plan.pattern);
-                let (cands, pruned) = pivots_from_space(g, plan, &registry.space(h, g));
-                // The FAQ-grade cost source: per-pivot marginals of
-                // the class's factorization. Saturated counts are
-                // useless even as estimates; declines keep the proxy.
-                let fact = (opts.factorized_costs && !cands.is_empty())
-                    .then(|| registry.factorization(h, g))
-                    .flatten()
-                    .filter(|f| !f.overflowed() && f.has_marginals());
-                (cands, pruned, fact)
+                pivots_from_space(g, plan, &registry.space(h, g))
             } else {
-                let (cands, pruned) = feasible_pivots(g, plan, false);
-                (cands, pruned, None)
+                feasible_pivots(g, plan, false)
             };
             wl.pruned += pruned;
             let width = plan.width.max(1) as u64;
             let mut feasible = Vec::with_capacity(cands.len());
             for cand in cands {
-                let marginal = fact
-                    .as_ref()
-                    .and_then(|f| f.marginal(plan.local_pivot, cand));
-                if marginal == Some(0) {
-                    // Conclusive (the represented set contains every
-                    // match): nothing anchors at this pivot, so no
-                    // unit — or block — needs to exist for it.
-                    wl.pruned += 1;
-                    continue;
-                }
                 let (block, size) = cache.block_and_size(g, cand, plan.radius);
-                feasible.push((cand, block, marginal.unwrap_or(size * width)));
+                feasible.push((cand, block, size * width));
             }
             per_component.push(feasible);
         }
@@ -414,38 +358,31 @@ pub fn estimate_workload_in(
         // supported via recursion). Reserving the tuple-count upper
         // bound up front keeps the units vector from re-growing while
         // thousands of units stream in.
-        let upper: usize = per_component
+        let expected = per_component
             .iter()
             .map(Vec::len)
             .try_fold(1usize, |a, b| a.checked_mul(b))
-            .unwrap_or(usize::MAX);
-        let cap_left = opts
-            .max_units
-            .map_or(upper, |c| c.saturating_sub(wl.units.len()));
-        let expected = upper.min(cap_left).min(1 << 20);
+            .unwrap_or(usize::MAX)
+            .min(1 << 20);
         wl.units.reserve(expected);
         wl.slots
             .reserve(expected.saturating_mul(rule.components.len()));
         let mut tuple = Vec::new();
-        if !assemble(rule, &per_component, 0, &mut tuple, &mut wl, opts.max_units) {
-            wl.truncated = true;
-            break 'rules;
-        }
+        assemble(rule, &per_component, 0, &mut tuple, &mut wl);
     }
     wl.estimation_seconds = start.elapsed().as_secs_f64();
     wl.simulations = registry.simulations() - sims_before;
     wl
 }
 
-/// Recursively builds pivot tuples; returns `false` when the cap hit.
-pub(crate) fn assemble(
+/// Recursively builds pivot tuples.
+fn assemble(
     rule: &PivotedRule,
     per_component: &[Vec<(NodeId, Arc<NodeSet>, u64)>],
     depth: usize,
     tuple: &mut Vec<usize>,
     wl: &mut Workload,
-    cap: Option<usize>,
-) -> bool {
+) {
     if depth == per_component.len() {
         // Injectivity first (component pivots must be distinct nodes)
         // so rejected tuples never allocate.
@@ -456,7 +393,7 @@ pub(crate) fn assemble(
                 .enumerate()
                 .any(|(c2, &i2)| per_component[c2][i2].0 == a)
             {
-                return true;
+                return;
             }
         }
         let mut cost = 0u64;
@@ -464,8 +401,8 @@ pub(crate) fn assemble(
         assert!(offset <= u32::MAX as usize, "slot arena exceeds u32 range");
         for (c, &i) in tuple.iter().enumerate() {
             // The tuple's third element is the candidate's unit-cost
-            // contribution, precomputed by the producer (`|block| ×
-            // width` proxy, or a factorized marginal).
+            // contribution (`|block| × width`), precomputed once per
+            // candidate instead of once per tuple.
             let (pivot, ref block, cost_c) = per_component[c][i];
             cost += cost_c;
             wl.slots.push(UnitSlot {
@@ -480,12 +417,7 @@ pub(crate) fn assemble(
             check_both_orientations: rule.symmetric_pair,
             cost,
         });
-        if let Some(cap) = cap {
-            if wl.units.len() >= cap {
-                return false;
-            }
-        }
-        return true;
+        return;
     }
     let start = if rule.symmetric_pair && depth == 1 {
         // Unordered pairs: second index strictly above the first
@@ -496,13 +428,9 @@ pub(crate) fn assemble(
     };
     for i in start..per_component[depth].len() {
         tuple.push(i);
-        let go_on = assemble(rule, per_component, depth + 1, tuple, wl, cap);
+        assemble(rule, per_component, depth + 1, tuple, wl);
         tuple.pop();
-        if !go_on {
-            return false;
-        }
     }
-    true
 }
 
 #[cfg(test)]
@@ -601,22 +529,6 @@ mod tests {
         assert!(wl.pruned >= 2, "pruned once per component");
     }
 
-    #[test]
-    fn cap_truncates() {
-        let g = nine_flights();
-        let sigma = GfdSet::new(vec![flight_pair_gfd(g.vocab().clone())]);
-        let wl = estimate_workload(
-            &sigma,
-            &g,
-            &WorkloadOptions {
-                max_units: Some(10),
-                ..Default::default()
-            },
-        );
-        assert_eq!(wl.units.len(), 10);
-        assert!(wl.truncated);
-    }
-
     /// The PR's acceptance probe: on a mined Σ whose rules share
     /// isomorphic component classes, `estimate_workload` runs exactly
     /// one worklist simulation per class — never one per component.
@@ -713,13 +625,14 @@ mod tests {
         assert!(wl.units.iter().all(|u| u.cost == 12));
     }
 
-    /// Factorized unit costs: per-pivot marginals replace the
-    /// `|block| × width` proxy, and provably matchless pivots vanish.
-    /// A 4-cycle fools dual simulation (its checks are degree-local,
-    /// blind to cycle length) but not the factorization's bag-level
-    /// edge checks, so its pivots carry zero marginal mass.
+    /// Estimation prices and prunes by dual simulation alone: a 4-cycle
+    /// fools it (its checks are degree-local, blind to cycle length),
+    /// so the 4-cycle's pivots become units at the ordinary
+    /// `|block| × width` cost. Screening such provably matchless
+    /// pivots is the executor's job (`execute_unit`'s
+    /// cached-factorization probe), not the estimator's.
     #[test]
-    fn factorized_costs_weight_by_marginal_and_prune_dead_pivots() {
+    fn simulation_admitted_pivots_all_become_units_at_proxy_cost() {
         let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
         let tri: Vec<_> = (0..3).map(|_| b.add_node_labeled("person")).collect();
         for k in 0..3 {
@@ -743,26 +656,15 @@ mod tests {
             pb.build(),
             Dependency::always(vec![Literal::var_eq(x, val, y, val)]),
         );
-        let sigma = GfdSet::new(vec![gfd]);
-
-        // The proxy path keeps every simulation-admitted pivot.
-        let proxy = estimate_workload(&sigma, &g, &WorkloadOptions::default());
-        assert_eq!(proxy.units.len(), 7, "dual simulation admits the 4-cycle");
-
-        let wl = estimate_workload(
-            &sigma,
-            &g,
-            &WorkloadOptions {
-                factorized_costs: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(wl.units.len(), 3, "zero-marginal 4-cycle pivots pruned");
-        assert!(
-            wl.units.iter().all(|u| u.cost == 1),
-            "cost = marginal = one anchored rotation per triangle node"
-        );
-        assert!(wl.pruned >= 4, "each dead pivot counted as pruned");
+        let wl = estimate_workload(&GfdSet::new(vec![gfd]), &g, &WorkloadOptions::default());
+        assert_eq!(wl.units.len(), 7, "dual simulation admits the 4-cycle");
+        assert_eq!(wl.pruned, 0);
+        // Radius-1 blocks: the whole triangle (3 nodes + 3 edges), or
+        // a 4-cycle node with its two neighbours (3 nodes + 2 edges);
+        // both weighted ×2 by the triangle pattern's width.
+        let mut costs: Vec<u64> = wl.units.iter().map(|u| u.cost).collect();
+        costs.sort_unstable();
+        assert_eq!(costs, [10, 10, 10, 10, 12, 12, 12]);
     }
 
     #[test]

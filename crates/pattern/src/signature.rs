@@ -1,7 +1,7 @@
 //! Isomorphism-invariant component signatures.
 //!
 //! The multi-query optimization of the appendix ("extracting common
-//! sub-patterns", following [31]) needs to group the connected
+//! sub-patterns", following \[31\]) needs to group the connected
 //! components of many GFD patterns into isomorphism classes so that
 //! per-component match enumeration is done once per class. A full
 //! pairwise isomorphism test over `‖Σ‖` patterns is wasteful, so we
