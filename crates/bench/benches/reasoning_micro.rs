@@ -246,15 +246,18 @@ fn main() {
 
         // Shared-space reuse across one isomorphism class of k = 8
         // members (Example 10 at rule-set scale): the registry runs
-        // one worklist fixpoint and transports the other 7 spaces,
-        // versus one simulation per component.
+        // one worklist fixpoint and hands all 8 members the same
+        // space, versus one simulation per component.
         let members: Vec<Pattern> = std::iter::once(q.clone())
             .chain((0..7).map(|t| isomorphic_twin(q, t)))
             .collect();
         bench("sim/shared_space_reuse(registry k8)", &mut samples, || {
             let reg = ClassRegistry::new();
             let handles: Vec<_> = members.iter().map(|m| reg.register(m)).collect();
-            let total: usize = handles.iter().map(|&h| reg.space(h, &g).total_size()).sum();
+            let total: usize = handles
+                .iter()
+                .map(|&h| reg.space(h, &g).space.total_size())
+                .sum();
             assert_eq!(reg.simulations(), 1);
             total
         });
@@ -463,13 +466,13 @@ fn main() {
         let planned_opts = MatchOptions::unrestricted();
         let mut planned_scratch = MatchScratch::default();
         let mut count_planned = |h, q: &Pattern, reg: &ClassRegistry| {
-            let (cs, plan) = reg.space_and_plan(h, &gs);
+            let view = reg.space_and_plan(h, &gs);
             let mut n = 0usize;
             for_each_match_with(
                 q,
                 &gs,
                 &planned_opts,
-                Some((&cs, &plan)),
+                view.plan.as_deref().map(|plan| (&*view.space, plan)),
                 &mut planned_scratch,
                 &mut |_| {
                     n += 1;
@@ -545,7 +548,8 @@ fn main() {
         pb.wildcard_edge(v[0], v[3]);
         let cyc4 = pb.build();
         let reg = ClassRegistry::new();
-        let (cs, plan) = reg.space_and_plan(reg.register(&cyc4), &gp);
+        let view = reg.space_and_plan(reg.register(&cyc4), &gp);
+        let (cs, plan) = (&*view.space, view.plan.as_deref().expect("asked for"));
         let pins: Vec<(VarId, NodeId)> = cyc4
             .vars()
             .flat_map(|var| {
@@ -566,7 +570,7 @@ fn main() {
                 &cyc4,
                 &gp,
                 &opts,
-                Some((&cs, &plan)),
+                Some((cs, plan)),
                 &mut scratch,
                 &mut |_| {
                     n += 1;
@@ -615,15 +619,16 @@ fn main() {
         let opts = MatchOptions::unrestricted();
         let mut fact_scratch = MatchScratch::default();
         let mut mat_scratch = MatchScratch::default();
-        let (cs, plan) = reg.space_and_plan(h, &gs);
+        let view = reg.space_and_plan(h, &gs);
+        let (cs, plan) = (&*view.space, view.plan.as_deref().expect("asked for"));
         let expected = n * n * n;
         assert_eq!(
-            count_matches_with(&path, &gs, &opts, Some((&cs, &plan)), &mut fact_scratch),
+            count_matches_with(&path, &gs, &opts, Some((cs, plan)), &mut fact_scratch),
             expected,
             "the factorized count must be exact here"
         );
         bench("factor/count_skewed(factorized)", &mut samples, || {
-            count_matches_with(&path, &gs, &opts, Some((&cs, &plan)), &mut fact_scratch)
+            count_matches_with(&path, &gs, &opts, Some((cs, plan)), &mut fact_scratch)
         });
         let mut count_materialized = || {
             let mut c = 0usize;
@@ -631,7 +636,7 @@ fn main() {
                 &path,
                 &gs,
                 &opts,
-                Some((&cs, &plan)),
+                Some((cs, plan)),
                 &mut mat_scratch,
                 &mut |_| {
                     c += 1;

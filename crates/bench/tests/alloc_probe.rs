@@ -12,7 +12,7 @@ use gfd_core::{Dependency, Gfd, GfdSet, Literal};
 use gfd_graph::{Graph, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
-    count_matches_with, for_each_match_with, CacheStats, ClassRegistry, MatchOptions, MatchScratch,
+    count_matches_with, for_each_match_in, CacheStats, ClassRegistry, MatchOptions, MatchScratch,
 };
 use gfd_parallel::unitexec::{execute_unit, MultiQueryIndex, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
@@ -262,8 +262,9 @@ fn warm_counting_allocates_nothing() {
 
     let reg = ClassRegistry::new();
     let h = reg.register(&path);
-    let (cs, plan) = reg.space_and_plan(h, &g2);
-    let warm = count_matches_with(&path, &g2, &opts, Some((&cs, &plan)), &mut scratch);
+    let view = reg.space_and_plan(h, &g2);
+    let space = view.plan.as_deref().map(|plan| (&*view.space, plan));
+    let warm = count_matches_with(&path, &g2, &opts, space, &mut scratch);
     assert_eq!(warm, per_layer * per_layer);
     assert_eq!(
         scratch.last_factorization().count(),
@@ -272,7 +273,7 @@ fn warm_counting_allocates_nothing() {
     );
     let delta = min_allocation_delta(5, || {
         assert_eq!(
-            count_matches_with(&path, &g2, &opts, Some((&cs, &plan)), &mut scratch),
+            count_matches_with(&path, &g2, &opts, space, &mut scratch),
             warm
         );
     });
@@ -286,7 +287,8 @@ fn warm_counting_allocates_nothing() {
 /// the candidate space and decomposition plan warm in the registry
 /// and scratch at its high-water mark, a full cyclic-pattern
 /// enumeration — pools, multiway intersections, recursion, match
-/// emission — must not touch the heap.
+/// emission — must not touch the heap, for the class representative
+/// and for a twin reading through its permutation alike.
 #[test]
 fn warm_plan_execution_allocates_nothing() {
     let _serial = serial();
@@ -320,29 +322,45 @@ fn warm_plan_execution_allocates_nothing() {
     pb.edge(y, z, "e2");
     pb.edge(z, x, "e3");
     let tri = pb.build();
+    // The same triangle declared z, x, y: a non-identity twin.
+    let mut pb = PatternBuilder::new(g.vocab().clone());
+    let z = pb.node("z", "c");
+    let x = pb.node("x", "a");
+    let y = pb.node("y", "b");
+    pb.edge(x, y, "e1");
+    pb.edge(y, z, "e2");
+    pb.edge(z, x, "e3");
+    let twin = pb.build();
 
     let reg = ClassRegistry::new();
-    let h = reg.register(&tri);
+    let handles = [reg.register(&tri), reg.register(&twin)];
+    assert_eq!((reg.class_count(), reg.member_count()), (1, 2));
     let opts = MatchOptions::unrestricted();
     let mut scratch = MatchScratch::default();
     let count = |scratch: &mut MatchScratch| {
-        let (cs, plan) = reg.space_and_plan(h, &g);
-        assert!(
-            plan.is_cyclic(),
-            "premise: the triangle takes the plan order"
-        );
         let mut n = 0usize;
-        for_each_match_with(&tri, &g, &opts, Some((&cs, &plan)), scratch, &mut |_| {
-            n += 1;
-            Flow::Continue
-        });
+        for h in handles {
+            let view = reg.space_and_plan(h, &g);
+            assert!(
+                view.plan.as_ref().is_some_and(|p| p.is_cyclic()),
+                "premise: the triangle takes the plan order"
+            );
+            for_each_match_in(&view, &g, &opts, scratch, &mut |_| {
+                n += 1;
+                Flow::Continue
+            });
+        }
         n
     };
 
     // Warm-up: builds the space and the decomposition plan (both
     // allocate) and sizes the pool hierarchy in the scratch.
     let expected = count(&mut scratch);
-    assert_eq!(expected, closures, "premise: one triangle per closure");
+    assert_eq!(
+        expected,
+        2 * closures,
+        "premise: one triangle per closure, per member"
+    );
     assert!(allocation_count() > 0);
 
     // Steady state: warm space, cached plan, high-water scratch — the

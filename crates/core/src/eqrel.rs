@@ -69,11 +69,6 @@ impl EqRel {
         t
     }
 
-    /// Looks up a constant term without creating it.
-    pub fn try_const_term(&self, value: &Value) -> Option<TermId> {
-        self.const_terms.get(value).copied()
-    }
-
     fn find(&mut self, t: TermId) -> TermId {
         let mut root = t.0;
         while self.parent[root as usize] != root {

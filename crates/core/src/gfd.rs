@@ -1,6 +1,6 @@
 //! GFDs and GFD sets (§3).
 
-use gfd_pattern::{analysis, Pattern, VarId};
+use gfd_pattern::{Pattern, VarId};
 
 use crate::literal::{Dependency, Literal};
 
@@ -57,12 +57,6 @@ impl Gfd {
     /// satisfiability, Corollary 4).
     pub fn has_empty_lhs(&self) -> bool {
         self.dep.x.is_empty()
-    }
-
-    /// True if the pattern is a tree (tractable cases, Corollaries 4
-    /// and 8).
-    pub fn has_tree_pattern(&self) -> bool {
-        analysis::is_tree(&self.pattern)
     }
 
     /// Normal form (§4.2): one GFD per consequent literal, dropping

@@ -11,11 +11,13 @@
 //!   isomorphism class, each class's dual-simulation candidate space
 //!   is computed once and *repaired* (not recomputed) against each
 //!   [`GraphDelta`] at its representative, and the twin rules read
-//!   transported copies. The registry is `Arc`-shared and versioned:
-//!   several detectors (and the threaded executor) can serve off one
-//!   registry, and a detector lagging behind the registry's repair
-//!   epoch replays the recorded per-class change flags instead of
-//!   repairing twice;
+//!   the same space through their permutation ([`ClassView`]: pin
+//!   screens look up the representative variable, enumeration runs on
+//!   the representative and rows come back in the rule's own order).
+//!   The registry is `Arc`-shared and versioned: several detectors
+//!   (and the threaded executor) can serve off one registry; the
+//!   first detector to reach an epoch repairs, and a later `advance`
+//!   at an epoch the registry already passed is a no-op;
 //! * the current violating matches of each rule.
 //!
 //! On a delta, a rule is re-examined only around the *affected nodes*
@@ -40,8 +42,7 @@ use std::sync::Arc;
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_match::types::Flow;
 use gfd_match::{
-    for_each_match_with, CandidateSpace, ClassRegistry, Match, MatchOptions, MatchScratch,
-    QueryPlan, SpaceHandle,
+    for_each_match_in, ClassRegistry, ClassView, Match, MatchOptions, MatchScratch, SpaceHandle,
 };
 use gfd_pattern::signature::decompose;
 use gfd_pattern::VarId;
@@ -82,21 +83,20 @@ struct RuleState {
     violations: HashSet<Match>,
 }
 
-/// A rule's repaired class space, plus the class's cached plan when
-/// the pattern is connected — the `(space, plan)` pair the enumerator
-/// takes. Disconnected patterns only screen pins against the space
-/// (their components are filtered per call), so no plan is built.
+/// A rule's view of its repaired class space, with the class's cached
+/// plan when the pattern is connected. Disconnected patterns only
+/// screen pins against the space — a plan-less view enumerates under
+/// the per-call filter, component by component — so no plan is built.
 fn rule_space(
     registry: &ClassRegistry,
     handle: SpaceHandle,
     connected: bool,
     g: &Graph,
-) -> (Arc<CandidateSpace>, Option<Arc<QueryPlan>>) {
+) -> ClassView {
     if connected {
-        let (cs, plan) = registry.space_and_plan(handle, g);
-        (cs, Some(plan))
+        registry.space_and_plan(handle, g)
     } else {
-        (registry.space(handle, g), None)
+        registry.space(handle, g)
     }
 }
 
@@ -140,8 +140,8 @@ impl IncrementalDetector {
                 let connected = decompose(&gfd.pattern).len() == 1;
                 let mut violations = HashSet::new();
                 if !gfd.dep.y.is_empty() {
-                    let (cs, plan) = rule_space(&registry, handle, connected, g);
-                    if !cs.is_empty_anywhere() {
+                    let view = rule_space(&registry, handle, connected, g);
+                    if !view.space.is_empty_anywhere() {
                         // Factorized fast path for the initial full
                         // pass: an all-constant-`Y` rule whose
                         // per-variable marginal aggregates show every
@@ -151,23 +151,15 @@ impl IncrementalDetector {
                         // shared route. Later deltas re-examine only
                         // affected pins either way.
                         let skip = connected
-                            && const_y_satisfied_everywhere(&gfd.dep, g, &cs, &registry, handle);
+                            && const_y_satisfied_everywhere(&gfd.dep, g, &view, &registry, handle);
                         if !skip {
                             let opts = MatchOptions::unrestricted();
-                            let space = plan.as_deref().map(|plan| (&*cs, plan));
-                            for_each_match_with(
-                                &gfd.pattern,
-                                g,
-                                &opts,
-                                space,
-                                &mut scratch,
-                                &mut |m| {
-                                    if !match_satisfies(&gfd.dep, g, m) {
-                                        violations.insert(Match(m.to_vec()));
-                                    }
-                                    Flow::Continue
-                                },
-                            );
+                            for_each_match_in(&view, g, &opts, &mut scratch, &mut |m| {
+                                if !match_satisfies(&gfd.dep, g, m) {
+                                    violations.insert(Match(m.to_vec()));
+                                }
+                                Flow::Continue
+                            });
                         }
                     }
                 }
@@ -186,11 +178,6 @@ impl IncrementalDetector {
             rules,
             scratch,
         }
-    }
-
-    /// The shared registry this detector repairs through.
-    pub fn registry(&self) -> &Arc<ClassRegistry> {
-        &self.registry
     }
 
     /// The current violation set, in rule order (match order within a
@@ -266,11 +253,6 @@ impl IncrementalDetector {
         }
     }
 
-    /// The stored violating matches of one rule (unordered).
-    pub fn rule_violations(&self, rule: usize) -> impl Iterator<Item = &Match> + '_ {
-        self.rules[rule].violations.iter()
-    }
-
     /// Sampled repair-invariant check for one rule: re-derives the
     /// rule's violation set from scratch — a fresh enumeration that
     /// shares none of the detector's incremental state — and compares
@@ -333,8 +315,7 @@ impl IncrementalDetector {
         // isomorphism class, shared by every rule of the class; pinned
         // re-enumeration below draws pools from the repaired spaces.
         // `advance` is epoch-aware: if another tenant of the shared
-        // registry already repaired this step, the flags replay from
-        // history instead of repairing twice.
+        // registry already repaired this step, the call is a no-op.
         self.version += 1;
         let Self {
             ref sigma,
@@ -374,15 +355,14 @@ impl IncrementalDetector {
             //    matches pinned there (per variable whose candidate
             //    set admits the node), via the repaired class space and
             //    the class's cached plan — fetched once per rule.
-            let (cs, plan) = rule_space(registry, state.handle, state.connected, g);
-            if cs.is_empty_anywhere() {
+            let view = rule_space(registry, state.handle, state.connected, g);
+            if view.space.is_empty_anywhere() {
                 debug_assert!(state.violations.is_empty());
                 continue;
             }
-            let space = plan.as_deref().map(|plan| (&*cs, plan));
             for &u in &affected {
                 for v in gfd.pattern.vars() {
-                    if cs.sets[v.index()].binary_search(&u).is_err() {
+                    if view.of(v).binary_search(&u).is_err() {
                         continue;
                     }
                     opts.pins[0] = (v, u);
@@ -399,7 +379,7 @@ impl IncrementalDetector {
                         }
                         Flow::Continue
                     };
-                    for_each_match_with(&gfd.pattern, g, &opts, space, scratch, enumerate);
+                    for_each_match_in(&view, g, &opts, scratch, enumerate);
                 }
             }
         }

@@ -21,8 +21,8 @@ use gfd_graph::{Graph, NodeId};
 use gfd_match::component::ComponentSearch;
 use gfd_match::table::MatchTable;
 use gfd_match::{
-    for_each_match, for_each_match_with, types::Flow, CandidateSpace, ClassRegistry, Match,
-    MatchOptions, MatchScratch, SearchBudget, SpaceHandle,
+    for_each_match, for_each_match_in, for_each_match_with, types::Flow, ClassRegistry, ClassView,
+    Match, MatchOptions, MatchScratch, SearchBudget, SpaceHandle,
 };
 use gfd_pattern::analysis::connected_components;
 use gfd_pattern::signature::decompose;
@@ -100,7 +100,8 @@ pub fn detect_violations(sigma: &GfdSet, g: &Graph) -> Vec<Violation> {
 /// occurrences are counted over this call's own registrations, so a
 /// warm registry carried across calls never distorts the gate)
 /// enumerates through the class's candidate space — simulated once,
-/// transported to the twins — instead of re-deriving its own filter.
+/// read by every twin through its permutation — instead of re-deriving
+/// its own filter.
 /// Singleton classes and disconnected patterns keep the per-call
 /// [`for_each_match`] path (with its size-gated per-call filter), so
 /// sharing costs at most one simulation per multi-member class,
@@ -177,30 +178,26 @@ pub fn detect_violations_with(
         };
         // Shared rules enumerate through the class's cached space and
         // plan; the rest leave the filter to the per-call rule.
-        let class_space;
-        let space = if shared {
-            class_space = registry.space_and_plan(scratch.handles[i], g);
-            let (cs, plan) = &class_space;
+        if shared {
+            let view = registry.space_and_plan(scratch.handles[i], g);
             // FAQ-style skip for all-constant-`Y` rules: if, per the
             // class's factorized marginals, every *represented*
             // binding already satisfies `Y`, no match violates `ϕ` —
             // the represented set is a superset of the match set.
             // Variable elimination in place of enumeration.
-            if const_y_satisfied_everywhere(&gfd.dep, g, cs, registry, scratch.handles[i]) {
-                continue;
+            if !const_y_satisfied_everywhere(&gfd.dep, g, &view, registry, scratch.handles[i]) {
+                for_each_match_in(&view, g, &opts, &mut scratch.matching, &mut visit);
             }
-            Some((&**cs, &**plan))
         } else {
-            None
-        };
-        for_each_match_with(
-            &gfd.pattern,
-            g,
-            &opts,
-            space,
-            &mut scratch.matching,
-            &mut visit,
-        );
+            for_each_match_with(
+                &gfd.pattern,
+                g,
+                &opts,
+                None,
+                &mut scratch.matching,
+                &mut visit,
+            );
+        }
     }
     out
 }
@@ -217,11 +214,13 @@ pub fn detect_violations_with(
 /// inexact: over-counting preserves `Σ_n marginal(v, n) = raw_count`,
 /// which is all the comparison uses. Declines (returns `false`) when
 /// the factorizer declined the pattern, marginals are absent, or
-/// counting saturated — saturation breaks the sum identity.
+/// counting saturated — saturation breaks the sum identity. The space
+/// and the factorization are the class's, so each literal's variable
+/// is read at its representative variable.
 pub(crate) fn const_y_satisfied_everywhere(
     dep: &Dependency,
     g: &Graph,
-    cs: &CandidateSpace,
+    view: &ClassView,
     registry: &ClassRegistry,
     h: SpaceHandle,
 ) -> bool {
@@ -239,10 +238,11 @@ pub(crate) fn const_y_satisfied_everywhere(
         let Literal::Const { var, attr, value } = l else {
             return false;
         };
+        let var = view.rep_var(*var);
         let mut sat = 0u64;
-        for &node in cs.of(*var) {
+        for &node in view.space.of(var) {
             if g.attr(node, *attr) == Some(value) {
-                sat += fact.marginal(*var, node).unwrap_or(0);
+                sat += fact.marginal(var, node).unwrap_or(0);
             }
         }
         sat == total

@@ -221,15 +221,6 @@ impl GraphDelta {
             && self.attr_ops.is_empty()
     }
 
-    /// True if the delta changes the edge set or the node set — the
-    /// part CSR adjacency and simulation candidates depend on.
-    pub fn touches_topology(&self) -> bool {
-        !(self.added_nodes.is_empty()
-            && self.added_edges.is_empty()
-            && self.removed_edges.is_empty()
-            && self.label_changes.is_empty())
-    }
-
     /// Every node the delta mentions (edge endpoints, relabeled and
     /// attribute-touched nodes, added nodes), sorted and deduplicated.
     /// This is the "affected neighborhood" seed consumers re-check.

@@ -142,11 +142,6 @@ pub fn khop_nodes_scratch(g: &Graph, seeds: &[NodeId], k: usize, visited: &mut [
     NodeSet::from_vec(reached)
 }
 
-/// The `c`-neighbor data block of a single pivot candidate.
-pub fn data_block(g: &Graph, pivot: NodeId, radius: usize) -> NodeSet {
-    khop_nodes(g, &[pivot], radius)
-}
-
 /// Materializes the subgraph of `g` induced by `nodes`.
 ///
 /// Returns the new graph and the mapping from original node ids to ids

@@ -21,7 +21,10 @@
 //! for the disjointness join. [`for_each_match`], [`count_matches`],
 //! [`find_matches`] and [`has_match`] are one-line wrappers; a
 //! caller-owned [`MatchScratch`] makes repeated calls allocation-free
-//! in steady state.
+//! in steady state. [`for_each_match_in`] is the streaming form for a
+//! [`ClassRegistry`](crate::registry::ClassRegistry) member: it
+//! enumerates the class representative and translates pins and rows
+//! through the member's permutation.
 
 use gfd_graph::{Graph, NodeId};
 use gfd_pattern::{signature::decompose, PatLabel, Pattern, VarId};
@@ -30,13 +33,15 @@ use crate::component::{ComponentSearch, SearchScratch, StopReason};
 use crate::factorize::{FactorScratch, Factorization};
 use crate::join::{join_tables, ComponentTable, JoinScratch};
 use crate::plan::QueryPlan;
+use crate::registry::{rep_var, ClassView};
 use crate::simulation::{dual_simulation, CandidateSpace};
 use crate::table::MatchTable;
 use crate::types::{Flow, Match, MatchOptions};
 
 /// Caller-owned reusable buffers for the matching API: the
 /// enumerator's [`SearchScratch`], the disconnected-pattern join
-/// state, and the factorized counter's arenas. A fresh default is
+/// state, the factorized counter's arenas, and the pin and row buffers
+/// of [`for_each_match_in`]'s variable translation. A fresh default is
 /// always valid; keeping one alive across calls removes the per-call
 /// heap traffic of `for_each_match`/`count_matches`.
 #[derive(Default)]
@@ -45,6 +50,8 @@ pub struct MatchScratch {
     join: JoinScratch,
     tables: Vec<MatchTable>,
     factor: FactorScratch,
+    rep_pins: Vec<(VarId, NodeId)>,
+    member_row: Vec<NodeId>,
 }
 
 impl MatchScratch {
@@ -131,8 +138,9 @@ pub fn for_each_match(
 /// repeated calls (detection loops, benchmarks) reuse every pool,
 /// table and join arena — and, optionally, a candidate space with its
 /// decomposition plan for a *connected* `q` (what
-/// `ClassRegistry::space_and_plan` hands out, maintained across graph
-/// edits) instead of the per-call filter. Disconnected patterns ignore
+/// `ClassRegistry::space_and_plan` hands out for its class
+/// representative, maintained across graph edits) instead of the
+/// per-call filter. Disconnected patterns ignore
 /// `space`: it indexes full-pattern variables, which the per-component
 /// searches cannot consume.
 pub fn for_each_match_with(
@@ -143,18 +151,69 @@ pub fn for_each_match_with(
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> EnumOutcome {
+    enumerate_capped(q, g, opts, &opts.pins, space, scratch, f)
+}
+
+/// [`for_each_match_with`] for a registry member: enumerates the
+/// class **representative** with the class's `(space, plan)` — the
+/// one translation point between member and representative variable
+/// numbering. The caller's pins (member variables) are mapped through
+/// the view's permutation, and each row reaches `f` permuted back into
+/// member order through one buffer kept in `scratch`. An identity
+/// member calls straight through. A view without a plan
+/// ([`ClassRegistry::space`](crate::registry::ClassRegistry::space))
+/// leaves the filter to the per-call rule.
+pub fn for_each_match_in(
+    view: &ClassView,
+    g: &Graph,
+    opts: &MatchOptions,
+    scratch: &mut MatchScratch,
+    f: &mut dyn FnMut(&[NodeId]) -> Flow,
+) -> EnumOutcome {
+    let space = view.plan.as_deref().map(|plan| (&*view.space, plan));
+    let Some(perm) = view.perm.as_deref() else {
+        return for_each_match_with(&view.rep, g, opts, space, scratch, f);
+    };
+    let mut pins = std::mem::take(&mut scratch.rep_pins);
+    pins.clear();
+    pins.extend(opts.pins.iter().map(|&(v, n)| (rep_var(Some(perm), v), n)));
+    let mut row = std::mem::take(&mut scratch.member_row);
+    row.clear();
+    row.resize(perm.len(), NodeId(0));
+    let outcome = enumerate_capped(&view.rep, g, opts, &pins, space, scratch, &mut |m| {
+        for (image, &p) in row.iter_mut().zip(perm) {
+            *image = m[p as usize];
+        }
+        f(&row)
+    });
+    scratch.rep_pins = pins;
+    scratch.member_row = row;
+    outcome
+}
+
+/// [`for_each_match_with`] with the pins passed beside `opts` (whose
+/// own are ignored): the match cap, applied in this one place for
+/// every path below.
+fn enumerate_capped(
+    q: &Pattern,
+    g: &Graph,
+    opts: &MatchOptions,
+    pins: &[(VarId, NodeId)],
+    space: Option<(&CandidateSpace, &QueryPlan)>,
+    scratch: &mut MatchScratch,
+    f: &mut dyn FnMut(&[NodeId]) -> Flow,
+) -> EnumOutcome {
     debug_assert!(
         std::sync::Arc::ptr_eq(q.vocab(), g.vocab()),
         "pattern and graph must share a vocabulary"
     );
-    // The match cap, applied in this one place for every path below.
     let cap = opts.budget.max_matches.unwrap_or(usize::MAX);
     if cap == 0 {
         return EnumOutcome::Stopped(StopReason::BudgetExhausted);
     }
     let mut emitted = 0usize;
     let mut capped = false;
-    let reason = enumerate(q, g, opts, space, scratch, &mut |m| {
+    let reason = enumerate(q, g, opts, pins, space, scratch, &mut |m| {
         emitted += 1;
         if f(m) == Flow::Break {
             return Flow::Break;
@@ -172,12 +231,13 @@ pub fn for_each_match_with(
     }
 }
 
-/// [`for_each_match_with`] below the match cap: restriction, pins and
-/// the step budget are honored here.
+/// [`enumerate_capped`] below the match cap: restriction, pins and the step
+/// budget are honored here.
 fn enumerate(
     q: &Pattern,
     g: &Graph,
     opts: &MatchOptions,
+    pins: &[(VarId, NodeId)],
     space: Option<(&CandidateSpace, &QueryPlan)>,
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
@@ -196,8 +256,7 @@ fn enumerate(
             None => filter_component(q, g, opts),
         };
         let space = space.or(own.as_ref().map(|(cs, plan)| (cs, plan)));
-        let mut search =
-            component_search(q, g, opts, &opts.pins, space, step_cap, &mut scratch.search);
+        let mut search = component_search(q, g, opts, pins, space, step_cap, &mut scratch.search);
         let reason = search.for_each(f);
         scratch.search = search.into_scratch();
         return reason;
@@ -222,7 +281,7 @@ fn enumerate(
     for ((cq, orig_vars), table) in parts.iter().zip(tables.iter_mut()) {
         let own = filter_component(cq, g, opts);
         local_pins.clear();
-        local_pins.extend(opts.pins.iter().filter_map(|&(var, node)| {
+        local_pins.extend(pins.iter().filter_map(|&(var, node)| {
             let local = orig_vars.iter().position(|&v| v == var)?;
             Some((VarId(local as u32), node))
         }));

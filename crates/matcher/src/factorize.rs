@@ -53,7 +53,6 @@ use gfd_util::FxHashMap;
 use crate::component::{fill_space_pool, space_candidate_ok};
 use crate::plan::QueryPlan;
 use crate::simulation::CandidateSpace;
-use crate::table::MatchTable;
 use crate::types::Flow;
 
 /// Largest separator the memo key holds inline; plans whose
@@ -266,15 +265,6 @@ impl Factorization {
         self.walk(self.root, &mut pending, &mut assigned, f).is_ok()
     }
 
-    /// Expands every match into `table` (stride = pattern arity).
-    pub fn expand_into(&self, table: &mut MatchTable) {
-        debug_assert_eq!(table.arity(), self.n_vars);
-        self.for_each_expanded(&mut |m| {
-            table.push_row(m);
-            Flow::Continue
-        });
-    }
-
     fn walk(
         &self,
         idx: u32,
@@ -320,45 +310,6 @@ impl Factorization {
                 }
                 r
             }
-        }
-    }
-
-    /// Transports a factorization computed for a class representative
-    /// onto an isomorphic member: `map` sends representative variables
-    /// to member variables (an `IsoWitness` inverse). The
-    /// union/product structure, counts and exactness are
-    /// label-invariant; only the variable ids on union nodes (and
-    /// marginal keys) are rewritten.
-    pub fn relabel(&self, map: impl Fn(VarId) -> VarId) -> Factorization {
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| FNode {
-                // Empty unions (dead-child markers) carry the same
-                // `u32::MAX` sentinel as leaves — not a variable.
-                var: if n.kind == Kind::Union && n.var != u32::MAX {
-                    map(VarId(n.var)).0
-                } else {
-                    n.var
-                },
-                ..*n
-            })
-            .collect();
-        let marginals = self.marginals.as_ref().map(|m| {
-            m.iter()
-                .map(|(&(v, n), &c)| ((map(VarId(v)).0, n), c))
-                .collect()
-        });
-        Factorization {
-            nodes,
-            counts: self.counts.clone(),
-            edges: self.edges.clone(),
-            parts: self.parts.clone(),
-            root: self.root,
-            n_vars: self.n_vars,
-            exact: self.exact,
-            overflow: self.overflow,
-            marginals,
         }
     }
 }
@@ -961,34 +912,6 @@ mod tests {
         });
         got.sort();
         assert_eq!(got, oracle(&q, &g));
-    }
-
-    #[test]
-    fn relabel_transports_counts_and_marginals() {
-        use gfd_pattern::iso_witness;
-        let g = skewed_graph(6, 3);
-        let rep = triangle_pattern(g.vocab());
-        let mut pb = PatternBuilder::new(g.vocab().clone());
-        let z = pb.node("z", "c");
-        let x = pb.node("x", "a");
-        let y = pb.node("y", "b");
-        pb.edge(x, y, "e1");
-        pb.edge(y, z, "e2");
-        pb.edge(z, x, "e3");
-        let member = pb.build();
-        let w = iso_witness(&member, &rep).expect("isomorphic");
-        let rep_fact = build(&rep, &g);
-        let inv = w.inverse();
-        let fact = rep_fact.relabel(|v| inv.map(v));
-        assert_eq!(fact.count(), Some(oracle(&member, &g).len() as u64));
-        let mx = member.var_by_name("x").unwrap();
-        for n in g.nodes() {
-            let pinned = ComponentSearch::new(&member, &g)
-                .pins(&[(mx, n)])
-                .collect_all()
-                .len() as u64;
-            assert_eq!(fact.marginal(mx, n), Some(pinned));
-        }
     }
 
     #[test]

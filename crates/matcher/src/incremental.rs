@@ -51,9 +51,9 @@ pub struct RepairReport {
     /// True when some per-pattern-edge candidate adjacency was rebuilt
     /// — its runs may differ even when no pair entered or left the
     /// relation (e.g. a new graph edge between two surviving
-    /// candidates). Consumers that mirror the *full* space (the
-    /// transported caches of `gfd_match::ClassRegistry`) must refresh
-    /// on this; consumers that only read candidate sets (pivot
+    /// candidates). Consumers that derive from the *full* space (the
+    /// tables and factorizations of `gfd_match::ClassRegistry`) must
+    /// refresh on this; consumers that only read candidate sets (pivot
     /// feasibility) can key off [`is_unchanged`](Self::is_unchanged).
     pub adjacency_changed: bool,
 }

@@ -36,9 +36,13 @@
 //! once per canonical class in the [`registry::ClassRegistry`] — the
 //! bounded, internally synchronized serving tier that also holds
 //! candidate spaces, pinned match tables, and factorizations for
-//! every consumer of one Σ. The two full-form entry points,
+//! every consumer of one Σ, all in the class representative's
+//! variable numbering. The two full-form entry points,
 //! [`for_each_match_with`] and [`count_matches_with`], take that
-//! `(space, plan)` pair optionally; everything else is a wrapper.
+//! `(space, plan)` pair optionally; [`for_each_match_in`] takes a
+//! registry member's [`ClassView`] and translates between the
+//! member's variables and the representative's; everything else is a
+//! wrapper.
 //!
 //! Over the same bag tree sits the **factorized layer** (module
 //! [`mod@factorize`]): a [`factorize::Factorization`] is a d-representation
@@ -61,14 +65,16 @@ pub mod table;
 pub mod types;
 
 pub use api::{
-    count_matches, count_matches_with, find_matches, for_each_match, for_each_match_with,
-    has_match, MatchScratch,
+    count_matches, count_matches_with, find_matches, for_each_match, for_each_match_in,
+    for_each_match_with, has_match, MatchScratch,
 };
 pub use component::{ComponentSearch, SearchScratch, StopReason};
 pub use factorize::{factorize, FactorScratch, Factorization};
 pub use incremental::{IncrementalSpace, RepairReport};
 pub use plan::QueryPlan;
-pub use registry::{CacheStats, ClassRegistry, SpaceHandle, DEFAULT_REGISTRY_BUDGET_BYTES};
+pub use registry::{
+    CacheStats, ClassRegistry, ClassView, SpaceHandle, DEFAULT_REGISTRY_BUDGET_BYTES,
+};
 pub use simulation::{dual_simulation, CandidateSpace};
 pub use table::{MatchTable, TableView};
 pub use types::{Match, MatchOptions, SearchBudget};

@@ -28,8 +28,9 @@
 //!
 //! Plans are a pure function of the pattern — no graph statistics —
 //! and therefore isomorphism-invariant: the registry computes one plan
-//! per canonical class and [`QueryPlan::transport`]s it to members
-//! along their witnesses, exactly like candidate spaces.
+//! per canonical class, on the representative, and every member
+//! enumerates through it in representative variable numbering,
+//! exactly like candidate spaces.
 
 use gfd_pattern::{tree_decomposition, Pattern, TreeDecomposition, VarId};
 
@@ -57,11 +58,7 @@ pub struct QueryPlan {
 impl QueryPlan {
     /// Plans `q` from scratch (tree decomposition + per-bag orders).
     pub fn new(q: &Pattern) -> QueryPlan {
-        Self::from_decomposition(q, tree_decomposition(q))
-    }
-
-    /// Plans `q` along a precomputed decomposition.
-    pub fn from_decomposition(q: &Pattern, td: TreeDecomposition) -> QueryPlan {
+        let td = tree_decomposition(q);
         let bag_orders: Vec<Vec<VarId>> =
             td.bags.iter().map(|bag| bag_order(q, &bag.vars)).collect();
         let seq = dfs_order(&td);
@@ -103,16 +100,6 @@ impl QueryPlan {
     /// The underlying tree decomposition.
     pub fn decomposition(&self) -> &TreeDecomposition {
         &self.td
-    }
-
-    /// Transports a plan computed for a class representative onto the
-    /// isomorphic pattern `member`; `map` sends representative
-    /// variables to member variables (an [`gfd_pattern::IsoWitness`]
-    /// `inverse`). The bag structure and width carry over unchanged;
-    /// placement orders and edge lists are rebuilt against the
-    /// member's own numbering.
-    pub fn transport(&self, member: &Pattern, map: impl Fn(VarId) -> VarId) -> QueryPlan {
-        Self::from_decomposition(member, self.td.relabel(map))
     }
 }
 
@@ -361,34 +348,6 @@ mod tests {
         let q = pb.build();
         assert_eq!(run_plan(&q, &g, &[]), run_oracle(&q, &g, &[]));
         assert_eq!(run_plan(&q, &g, &[]).len(), 1);
-    }
-
-    #[test]
-    fn transported_plan_executes_on_member() {
-        use gfd_pattern::iso_witness;
-        let g = skewed_graph(6, 3);
-        // Member declares its variables in a different order.
-        let mut pb = PatternBuilder::new(g.vocab().clone());
-        let z = pb.node("z", "c");
-        let x = pb.node("x", "a");
-        let y = pb.node("y", "b");
-        pb.edge(x, y, "e1");
-        pb.edge(y, z, "e2");
-        pb.edge(z, x, "e3");
-        let member = pb.build();
-        let rep = triangle_pattern(g.vocab());
-        let w = iso_witness(&member, &rep).expect("isomorphic");
-        let rep_plan = QueryPlan::new(&rep);
-        let inv = w.inverse();
-        let plan = rep_plan.transport(&member, |v| inv.map(v));
-        let cs = dual_simulation(&member, &g, None);
-        let mut out = ComponentSearch::new(&member, &g)
-            .candidate_space(&cs)
-            .plan_order(&plan)
-            .collect_all();
-        out.sort();
-        assert_eq!(out, run_oracle(&member, &g, &[]));
-        assert!(!out.is_empty());
     }
 
     /// The scratch is genuinely reusable: repeated executions agree

@@ -8,30 +8,37 @@
 //! simulations for a class with `k` members. [`ClassRegistry`] keys
 //! every per-class artifact by **canonical isomorphism class**
 //! ([`gfd_pattern::canonical_form`], complete — no hash-collision
-//! exposure) and computes each class once:
+//! exposure), computes each class once, and keeps every artifact in
+//! **representative variable numbering**:
 //!
 //! * the first registered member of a class becomes the
 //!   *representative*; its space is computed by the worklist fixpoint
 //!   (lazily — classes that are never queried cost nothing beyond the
 //!   canonical form) and kept repairable as an [`IncrementalSpace`];
-//! * every further member stores only the [`IsoWitness`] onto the
-//!   representative, and its space is
-//!   [`CandidateSpace::transport`]ed — a permutation of the computed
-//!   relation, no graph access;
-//! * decomposition-based [`QueryPlan`]s are built once per class and
-//!   transported per member (pure pattern structure — graph edits
-//!   never invalidate them, and they are exempt from eviction);
+//! * a member is a **permutation** and nothing else: its class plus
+//!   the [`IsoWitness`] onto the representative as `perm` (member var
+//!   `j` ↦ rep var `perm[j]`, `None` = identity), immutable from
+//!   [`ClassRegistry::register`] on. Every member of a class is handed
+//!   the *same* `Arc`s — space, [`QueryPlan`], factorization — in a
+//!   [`ClassView`] next to its own `perm`, and translates variables at
+//!   the edge: a candidate set or marginal of member var `v` is read
+//!   at `perm[v]` ([`ClassView::rep_var`]), enumeration runs on the
+//!   representative and rows come back permuted
+//!   ([`for_each_match_in`](crate::api::for_each_match_in));
+//! * decomposition-based [`QueryPlan`]s are built once per class (pure
+//!   pattern structure — graph edits never invalidate them, and they
+//!   are exempt from eviction);
 //! * pinned component enumerations are cached as flat [`MatchTable`]s
-//!   keyed by `(class, representative pin variable, pivot node)` — an
-//!   isomorphic twin reads a hit through a column-permutation
-//!   [`TableView`], never a row copy;
+//!   keyed by `(class, representative pin variable, pivot node)` —
+//!   enumerated on the representative, read by every member through a
+//!   column-permutation [`TableView`], never a row copy;
 //! * under graph edits, [`ClassRegistry::advance`] repairs **one**
 //!   representative per class, keeps the plans, and drops exactly the
-//!   transported spaces, match tables and factorizations of classes
-//!   whose relation (or per-edge adjacency) changed. Repair maintains
-//!   what a standing query reads — the candidate spaces behind
-//!   `Vio(Σ, G)` — and reports nothing: workloads are estimated from
-//!   the repaired spaces, never maintained alongside them.
+//!   match tables and factorizations of classes whose relation (or
+//!   per-edge adjacency) changed. Repair maintains what a standing
+//!   query reads — the candidate spaces behind `Vio(Σ, G)` — and
+//!   reports nothing: workloads are estimated from the repaired
+//!   spaces, never maintained alongside them.
 //!
 //! One registry is shared across a whole rule set Σ — workload
 //! estimation (`gfd-parallel`), violation detection (`gfd-core`),
@@ -47,14 +54,14 @@
 //!
 //! The registry is **byte-budgeted**
 //! ([`ClassRegistry::with_budget_bytes`]; default
-//! [`DEFAULT_REGISTRY_BUDGET_BYTES`]). Accounted artifacts are match
-//! tables ([`MatchTable::data_bytes`]), transported member spaces,
-//! per-class incremental spaces (both via
-//! [`CandidateSpace::approx_bytes`] — the simulation core's worklist
+//! [`DEFAULT_REGISTRY_BUDGET_BYTES`]). All evictable state is per
+//! class; the accounted artifacts are match tables
+//! ([`MatchTable::data_bytes`]), per-class incremental spaces
+//! ([`CandidateSpace::approx_bytes`] — the simulation core's worklist
 //! state rides along uncounted, a documented estimate), and per-class
-//! factorized match representations with their member relabelings
-//! ([`Factorization::approx_bytes`]). Plans and canonical forms are
-//! tiny and exempt.
+//! factorized match representations
+//! ([`Factorization::approx_bytes`]). Plans, canonical forms and
+//! member permutations are tiny and exempt.
 //!
 //! When the budget is exceeded, entries are evicted **least recently
 //! used first** (every hit touches its entry), with one hard rule: *an
@@ -67,18 +74,19 @@
 //! [`CacheStats::eviction_deferred_pinned`] and surface as the
 //! [`ClassRegistry::deferred_pending`] gauge; once the pins drop, the
 //! next insertion — or an explicit [`ClassRegistry::sweep`] — drains
-//! them and the gauge returns to zero. A whole class (its incremental
-//! space plus member transports) is reclaimable once unpinned; a later
-//! query re-simulates against the then-current snapshot, and every
-//! intervening [`ClassRegistry::advance`] drops whatever tables the
-//! evicted class still holds, because without the incremental state
-//! nobody can certify them unchanged.
+//! them and the gauge returns to zero. A class's incremental space is
+//! reclaimable once unpinned; a later query re-simulates against the
+//! then-current snapshot, and every intervening
+//! [`ClassRegistry::advance`] drops whatever tables the evicted class
+//! still holds, because without the incremental state nobody can
+//! certify them unchanged.
 //!
-//! Lock discipline: simulation, transport, and plan construction run
-//! under the registry lock (that is what guarantees "one simulation
-//! per class" even under concurrent first queries); match-table
-//! enumeration — the expensive, per-pivot work — runs *outside* the
-//! lock, with racing duplicate builds tolerated (first insert wins).
+//! Lock discipline: simulation, factorization, and plan construction
+//! run under the registry lock (that is what guarantees "one
+//! simulation per class" even under concurrent first queries);
+//! match-table enumeration — the expensive, per-pivot work — runs
+//! *outside* the lock, with racing duplicate builds tolerated (first
+//! insert wins).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -148,7 +156,7 @@ struct TableEntry {
 /// One isomorphism class: the representative pattern and every cached
 /// artifact that hangs off it.
 struct ClassState {
-    rep: Pattern,
+    rep: Arc<Pattern>,
     form: CanonicalForm,
     /// `None` until some member's space is first queried, and again
     /// after the class is evicted; repaired in place by
@@ -160,8 +168,6 @@ struct ClassState {
     /// representative. Pure pattern structure: never invalidated,
     /// never evicted.
     plan: Option<Arc<QueryPlan>>,
-    /// Member indices of this class, for invalidation and eviction.
-    member_ids: Vec<usize>,
     last_used: u64,
     /// Cached pinned enumerations, keyed by `(rep pin var, pivot)`.
     tables: FxHashMap<(VarId, NodeId), TableEntry>,
@@ -175,38 +181,63 @@ struct ClassState {
 }
 
 /// One registered pattern: its class and the witness onto the class
-/// representative.
+/// representative. Immutable once [`ClassRegistry::register`] returns.
 struct MemberState {
-    q: Pattern,
     class: usize,
-    witness: IsoWitness,
-    /// Identity witnesses alias the representative's space directly.
-    identity: bool,
-    /// The witness as a table-column permutation (member var `j` ↦ rep
-    /// var `perm[j]`), shared with every [`TableView`] handed out for
-    /// this member. `None` for identity members.
+    /// The witness as a permutation (member var `j` ↦ rep var
+    /// `perm[j]`), shared with every [`ClassView`] and [`TableView`]
+    /// handed out for this member. `None` for identity members.
     perm: Option<Arc<[u32]>>,
-    /// Transported space, dropped whenever the representative changes
-    /// (or evicted when cold).
-    cached: Option<Arc<CandidateSpace>>,
-    cached_bytes: usize,
-    last_used: u64,
-    /// Plan transported from the representative's (never invalidated —
-    /// plans depend only on pattern structure).
-    plan: Option<Arc<QueryPlan>>,
-    /// Factorization transported (relabeled) from the class's, dropped
-    /// with it on refresh or eviction.
-    fact: Option<Arc<Factorization>>,
-    fact_bytes: usize,
+}
+
+/// What a member reads: its class's shared artifacts — all in
+/// **representative** variable numbering, the same `Arc`s for every
+/// member of the class — plus the member's own permutation.
+/// [`for_each_match_in`](crate::api::for_each_match_in) enumerates
+/// through a view; everything else translates with
+/// [`rep_var`](ClassView::rep_var).
+#[derive(Clone, Debug)]
+pub struct ClassView {
+    /// The class representative, the pattern `space` and `plan` index.
+    pub rep: Arc<Pattern>,
+    /// The class's candidate space over the queried snapshot. Stays
+    /// valid across repairs and evictions (see the pinning contract in
+    /// the module docs).
+    pub space: Arc<CandidateSpace>,
+    /// The class's decomposition plan; `None` from
+    /// [`ClassRegistry::space`], which never builds one.
+    pub plan: Option<Arc<QueryPlan>>,
+    /// Member var `j` ↦ rep var `perm[j]`; `None` = the member is in
+    /// representative order.
+    pub perm: Option<Arc<[u32]>>,
+}
+
+impl ClassView {
+    /// The representative variable that member variable `v` reads
+    /// (variables outside the pattern map to themselves).
+    #[inline]
+    pub fn rep_var(&self, v: VarId) -> VarId {
+        rep_var(self.perm.as_deref(), v)
+    }
+
+    /// Candidate set of *member* variable `v`.
+    pub fn of(&self, v: VarId) -> &[NodeId] {
+        self.space.of(self.rep_var(v))
+    }
+}
+
+/// `v` through an optional member permutation; variables outside it
+/// map to themselves.
+#[inline]
+pub(crate) fn rep_var(perm: Option<&[u32]>, v: VarId) -> VarId {
+    perm.and_then(|p| p.get(v.index())).map_or(v, |&r| VarId(r))
 }
 
 /// What the budget enforcer picked to drop.
 enum Victim {
     Table(usize, (VarId, NodeId)),
-    Transport(usize),
     Class(usize),
     ClassFact(usize),
-    MemberFact(usize),
 }
 
 #[derive(Default)]
@@ -216,7 +247,7 @@ struct RegistryInner {
     by_code: HashMap<Vec<u64>, usize>,
     /// Dedup of member registrations: a witness determines the member
     /// pattern up to variable names (member = rep relabeled along the
-    /// inverse), so `(class, witness)` identifies a transported space
+    /// inverse), so `(class, witness)` identifies a member
     /// — re-registering returns the existing handle instead of growing
     /// state, which keeps long-lived shared registries bounded across
     /// repeated `estimate_workload_in`/`detect_violations_shared`
@@ -226,7 +257,7 @@ struct RegistryInner {
     plans_built: usize,
     factorizations_built: usize,
     stats: CacheStats,
-    /// Accounted bytes over tables, transports, and class spaces.
+    /// Accounted bytes over tables, class spaces, and class facts.
     bytes: usize,
     budget: usize,
     /// Pinned entries the latest enforcement pass had to skip while
@@ -290,12 +321,11 @@ impl ClassRegistry {
                 inner.by_code.insert(form.code().to_vec(), c);
                 let witness = IsoWitness::identity(q.node_count());
                 inner.classes.push(ClassState {
-                    rep: q.clone(),
+                    rep: Arc::new(q.clone()),
                     form,
                     inc: None,
                     inc_bytes: 0,
                     plan: None,
-                    member_ids: Vec::new(),
                     last_used: 0,
                     tables: FxHashMap::default(),
                     fact: None,
@@ -312,73 +342,47 @@ impl ClassRegistry {
         if let Some(&existing) = inner.member_by_witness.get(&key) {
             return SpaceHandle(existing);
         }
-        let identity = witness.is_identity();
         let perm: Option<Arc<[u32]>> =
-            (!identity).then(|| witness.as_slice().iter().map(|v| v.0).collect());
+            (!witness.is_identity()).then(|| witness.as_slice().iter().map(|v| v.0).collect());
         let id = inner.members.len();
-        inner.classes[class].member_ids.push(id);
-        inner.members.push(MemberState {
-            q: q.clone(),
-            class,
-            witness,
-            identity,
-            perm,
-            cached: None,
-            cached_bytes: 0,
-            last_used: 0,
-            plan: None,
-            fact: None,
-            fact_bytes: 0,
-        });
+        inner.members.push(MemberState { class, perm });
         inner.member_by_witness.insert(key, id);
         SpaceHandle(id)
     }
 
-    /// The member's candidate space over `g`: simulated once per class
-    /// (on first query), transported — and cached — for every further
-    /// member. `g` must be the snapshot the registry is synchronized
-    /// with (the one passed to the last [`advance`](Self::advance), or the
-    /// initial graph). The returned `Arc` stays valid across repairs
-    /// and evictions (see the pinning contract in the module docs).
-    pub fn space(&self, h: SpaceHandle, g: &Graph) -> Arc<CandidateSpace> {
+    /// The member's view of its class's candidate space over `g`:
+    /// simulated once per class (on first query), the same `Arc` for
+    /// every member. `g` must be the snapshot the registry is
+    /// synchronized with (the one passed to the last
+    /// [`advance`](Self::advance), or the initial graph). The view
+    /// carries no plan; see [`space_and_plan`](Self::space_and_plan).
+    pub fn space(&self, h: SpaceHandle, g: &Graph) -> ClassView {
         let mut inner = self.lock();
-        let out = inner.space(h, g);
+        let out = inner.class_view(h, g, false);
         inner.enforce_budget();
         out
     }
 
-    /// The member's decomposition-based query plan: tree-decomposed
-    /// once per class (on the representative, on first query) and
-    /// transported — via relabeling along the inverse witness — for
-    /// every further member. Plans are pure pattern structure, so
-    /// graph edits never invalidate them and eviction never drops
-    /// them.
-    pub fn plan(&self, h: SpaceHandle) -> Arc<QueryPlan> {
-        self.lock().plan(h)
-    }
-
-    /// Both the member's candidate space and its query plan under one
-    /// lock acquisition — the call detection hot paths use to set up
-    /// plan execution.
-    pub fn space_and_plan(
-        &self,
-        h: SpaceHandle,
-        g: &Graph,
-    ) -> (Arc<CandidateSpace>, Arc<QueryPlan>) {
+    /// [`space`](Self::space) plus the class's decomposition-based
+    /// query plan — tree-decomposed once per class, on first query —
+    /// under one lock acquisition: the call detection hot paths use to
+    /// set up enumeration. Plans are pure pattern structure, so graph
+    /// edits never invalidate them and eviction never drops them.
+    pub fn space_and_plan(&self, h: SpaceHandle, g: &Graph) -> ClassView {
         let mut inner = self.lock();
-        let space = inner.space(h, g);
-        let plan = inner.plan(h);
+        let out = inner.class_view(h, g, true);
         inner.enforce_budget();
-        (space, plan)
+        out
     }
 
-    /// The member's factorized match-set representation over `g`
-    /// ([`mod@crate::factorize`]), with marginals computed: factorized
-    /// once per class and relabeled — the structure is
-    /// permutation-invariant — for every further member. `None` when
-    /// the class's plan shape is unfactorizable. Like spaces, a graph
-    /// delta that touches the class invalidates the factorization;
-    /// like tables, a held `Arc` defers its eviction.
+    /// The factorized match-set representation of the member's
+    /// **class** over `g` ([`mod@crate::factorize`]), with marginals
+    /// computed: factorized once per class, in representative variable
+    /// numbering — read member variable `v` at
+    /// [`ClassView::rep_var`]`(v)`. `None` when the class's plan shape
+    /// is unfactorizable. Like spaces, a graph delta that touches the
+    /// class invalidates the factorization; like tables, a held `Arc`
+    /// defers its eviction.
     pub fn factorization(&self, h: SpaceHandle, g: &Graph) -> Option<Arc<Factorization>> {
         let mut inner = self.lock();
         let out = inner.factorization(h, g);
@@ -387,38 +391,29 @@ impl ClassRegistry {
     }
 
     /// Probe-only variant of [`factorization`](Self::factorization):
-    /// serves the member's cached factorization if (and only if) it is
-    /// already resident — never simulates, factorizes, or transports.
-    /// The entry point for hot paths (the unit executor's dead-pivot
-    /// screen) that want marginals when they are free but must not pay
-    /// a build.
+    /// serves the class's factorization if (and only if) it is already
+    /// resident — never simulates or factorizes. The entry point for
+    /// hot paths (the unit executor's dead-pivot screen) that want
+    /// marginals when they are free but must not pay a build.
     pub fn cached_factorization(&self, h: SpaceHandle) -> Option<Arc<Factorization>> {
         let mut inner = self.lock();
         let inner = &mut *inner;
-        let m = &inner.members[h.0];
-        let class = m.class;
-        let identity = m.identity;
-        let f = if identity {
-            inner.classes[class].fact.as_ref()
-        } else {
-            m.fact.as_ref()
-        };
-        let f = Arc::clone(f?);
+        let cls = &mut inner.classes[inner.members[h.0].class];
+        let f = Arc::clone(cls.fact.as_ref()?);
         inner.tick += 1;
-        let tick = inner.tick;
-        inner.classes[class].last_used = tick;
-        inner.members[h.0].last_used = tick;
+        cls.last_used = inner.tick;
         Some(f)
     }
 
     /// The enumeration of the member's pattern pinned at `pin = pivot`
     /// and restricted to `block`, served from the per-class table
     /// cache: isomorphic members pinned at corresponding variables and
-    /// the same pivot share one flat table (stored in representative
-    /// variable order; non-identity members read it through their
-    /// witness permutation — an `O(arity)` view header, never a row
-    /// copy). Hits require the *same* shared block `Arc` — a rebuilt
-    /// block is a miss, and the stale entry is replaced.
+    /// the same pivot share one flat table (enumerated on the
+    /// representative, in its variable order; non-identity members
+    /// read it through their witness permutation — an `O(arity)` view
+    /// header, never a row copy). Hits require the *same* shared block
+    /// `Arc` — a rebuilt block is a miss, and the stale entry is
+    /// replaced.
     ///
     /// Probes and misses are recorded both in the registry-global
     /// [`stats`](Self::stats) and in the caller's `stats` (the
@@ -434,15 +429,12 @@ impl ClassRegistry {
         block: &Arc<NodeSet>,
         stats: &mut CacheStats,
     ) -> TableView {
-        let (class, rep_pin, perm, q) = {
+        let (class, rep_pin, perm, rep) = {
             let mut inner = self.lock();
             let inner = &mut *inner;
             let m = &inner.members[h.0];
             let class = m.class;
-            let rep_pin = match &m.perm {
-                Some(p) => VarId(p[pin.index()]),
-                None => pin,
-            };
+            let rep_pin = rep_var(m.perm.as_deref(), pin);
             let perm = m.perm.clone();
             inner.tick += 1;
             let tick = inner.tick;
@@ -453,45 +445,29 @@ impl ClassRegistry {
                     inner.stats.hits += 1;
                     stats.hits += 1;
                     let table = Arc::clone(&e.table);
-                    return Self::view(table, perm);
+                    return Self::table_view(table, perm);
                 }
             }
             inner.stats.misses += 1;
             stats.misses += 1;
-            (class, rep_pin, perm, m.q.clone())
+            (class, rep_pin, perm, Arc::clone(&inner.classes[class].rep))
         };
 
-        // Miss: enumerate the member's own pattern (outside the lock),
-        // then permute rows into representative order at store time so
-        // every class member can read the table through its own view.
-        let arity = q.node_count();
-        let mut table = MatchTable::new(arity);
-        ComponentSearch::new(&q, g)
-            .pins(&[(pin, pivot)])
+        // Miss: enumerate the representative (outside the lock); every
+        // class member reads the stored table through its own view.
+        let mut table = MatchTable::new(rep.node_count());
+        ComponentSearch::new(&rep, g)
+            .pins(&[(rep_pin, pivot)])
             .restrict(block)
             .collect_into(&mut table);
-        let stored = match &perm {
-            None => table,
-            Some(p) => {
-                let mut t = MatchTable::with_capacity(arity, table.len());
-                let mut buf = vec![NodeId(0); arity];
-                for row in table.iter() {
-                    for (j, &x) in row.iter().enumerate() {
-                        buf[p[j] as usize] = x;
-                    }
-                    t.push_row(&buf);
-                }
-                t
-            }
-        };
 
         let mut inner = self.lock();
-        let table = inner.insert_table(class, (rep_pin, pivot), block, Arc::new(stored));
+        let table = inner.insert_table(class, (rep_pin, pivot), block, Arc::new(table));
         inner.enforce_budget();
-        Self::view(table, perm)
+        Self::table_view(table, perm)
     }
 
-    fn view(table: Arc<MatchTable>, perm: Option<Arc<[u32]>>) -> TableView {
+    fn table_view(table: Arc<MatchTable>, perm: Option<Arc<[u32]>>) -> TableView {
         match perm {
             Some(p) => TableView::permuted(table, p),
             None => TableView::identity(table),
@@ -504,9 +480,9 @@ impl ClassRegistry {
     /// passed finds the work done and returns at once. Applying means
     /// **one** [`IncrementalSpace`] repair per simulated class (classes
     /// never queried are skipped — a later first query simulates
-    /// against the then-current snapshot), then dropping the
-    /// transported spaces, match tables and factorizations of every
-    /// class whose relation or per-edge adjacency changed.
+    /// against the then-current snapshot), then dropping the match
+    /// tables and factorizations of every class whose relation or
+    /// per-edge adjacency changed.
     ///
     /// `d` must be normalized. Tenants must ingest the same delta
     /// stream and bump their cursor once per *non-empty* normalized
@@ -532,12 +508,12 @@ impl ClassRegistry {
         self.lock().version
     }
 
-    /// Drops every cached artifact — incremental spaces, transported
-    /// member spaces, match tables, factorizations — so every later
-    /// query rebuilds against the then-current snapshot. Sound at any
-    /// point (the caches are pure derivations); used by detectors
-    /// re-seeding after a degraded epoch, where a mid-repair panic may
-    /// have torn the incremental state.
+    /// Drops every cached artifact — incremental spaces, match tables,
+    /// factorizations — so every later query rebuilds against the
+    /// then-current snapshot. Sound at any point (the caches are pure
+    /// derivations); used by detectors re-seeding after a degraded
+    /// epoch, where a mid-repair panic may have torn the incremental
+    /// state.
     pub fn invalidate_all(&self) {
         let mut inner = self.lock();
         let inner = &mut *inner;
@@ -552,16 +528,6 @@ impl ClassRegistry {
             if cls.fact.take().is_some() {
                 inner.bytes -= cls.fact_bytes;
                 cls.fact_bytes = 0;
-            }
-        }
-        for m in &mut inner.members {
-            if m.cached.take().is_some() {
-                inner.bytes -= m.cached_bytes;
-                m.cached_bytes = 0;
-            }
-            if m.fact.take().is_some() {
-                inner.bytes -= m.fact_bytes;
-                m.fact_bytes = 0;
             }
         }
         inner.deferred_pending = 0;
@@ -610,14 +576,13 @@ impl ClassRegistry {
     }
 
     /// From-scratch tree decompositions run so far — the "one plan per
-    /// isomorphism class" probe (transports are not counted).
+    /// isomorphism class" probe.
     pub fn plans_built(&self) -> usize {
         self.lock().plans_built
     }
 
     /// From-scratch factorizations built so far — the "one
-    /// d-representation per isomorphism class per epoch" probe
-    /// (relabeled member transports are not counted).
+    /// d-representation per isomorphism class per epoch" probe.
     pub fn factorizations_built(&self) -> usize {
         self.lock().factorizations_built
     }
@@ -628,8 +593,8 @@ impl ClassRegistry {
         self.lock().stats
     }
 
-    /// Accounted bytes currently held (tables + transported spaces +
-    /// class spaces).
+    /// Accounted bytes currently held (tables + class spaces + class
+    /// factorizations).
     pub fn bytes(&self) -> usize {
         self.lock().bytes
     }
@@ -660,33 +625,23 @@ impl RegistryInner {
         }
     }
 
-    fn space(&mut self, h: SpaceHandle, g: &Graph) -> Arc<CandidateSpace> {
+    /// The member's view of its class: simulates the class on first
+    /// query, and builds its plan on first `with_plan` query.
+    fn class_view(&mut self, h: SpaceHandle, g: &Graph, with_plan: bool) -> ClassView {
         let class = self.members[h.0].class;
         self.tick += 1;
-        let tick = self.tick;
-        self.classes[class].last_used = tick;
+        self.classes[class].last_used = self.tick;
         self.ensure_space(class, g);
-        if self.members[h.0].identity {
-            return self.classes[class]
-                .inc
-                .as_ref()
-                .expect("simulated above")
-                .space_arc();
+        if with_plan {
+            self.ensure_class_plan(class);
         }
-        if self.members[h.0].cached.is_none() {
-            let cls = &self.classes[class];
-            let rep_space = cls.inc.as_ref().expect("simulated above").space();
-            let m = &self.members[h.0];
-            let transported = rep_space.transport(&cls.rep, &m.q, &m.witness);
-            let b = transported.approx_bytes();
-            let m = &mut self.members[h.0];
-            m.cached = Some(Arc::new(transported));
-            m.cached_bytes = b;
-            self.bytes += b;
+        let cls = &self.classes[class];
+        ClassView {
+            rep: Arc::clone(&cls.rep),
+            space: cls.inc.as_ref().expect("simulated above").space_arc(),
+            plan: if with_plan { cls.plan.clone() } else { None },
+            perm: self.members[h.0].perm.clone(),
         }
-        let m = &mut self.members[h.0];
-        m.last_used = tick;
-        Arc::clone(m.cached.as_ref().expect("filled above"))
     }
 
     fn ensure_class_plan(&mut self, class: usize) {
@@ -697,36 +652,14 @@ impl RegistryInner {
         }
     }
 
-    fn plan(&mut self, h: SpaceHandle) -> Arc<QueryPlan> {
-        let class = self.members[h.0].class;
-        self.ensure_class_plan(class);
-        if self.members[h.0].identity {
-            return Arc::clone(self.classes[class].plan.as_ref().expect("built above"));
-        }
-        if self.members[h.0].plan.is_none() {
-            let rep_plan = self.classes[class].plan.as_ref().expect("built above");
-            let m = &self.members[h.0];
-            // The witness maps member vars onto rep vars; transport
-            // relabels the rep's decomposition back through the
-            // inverse.
-            let inv = m.witness.inverse();
-            let transported = rep_plan.transport(&m.q, |v| inv.map(v));
-            self.members[h.0].plan = Some(Arc::new(transported));
-        }
-        Arc::clone(self.members[h.0].plan.as_ref().expect("filled above"))
-    }
-
-    /// Builds (or serves) the member's factorization: factorized once
-    /// per class on the representative's space and plan, relabeled
-    /// along the inverse witness for every further member. `None` when
-    /// the class's plan shape is unfactorizable (disconnected pattern
-    /// or an oversized separator) — cheap to re-answer, so declines
-    /// are not cached.
+    /// Builds (or serves) the class's factorization, on the
+    /// representative's space and plan. `None` when the class's plan
+    /// shape is unfactorizable (disconnected pattern or an oversized
+    /// separator) — cheap to re-answer, so declines are not cached.
     fn factorization(&mut self, h: SpaceHandle, g: &Graph) -> Option<Arc<Factorization>> {
         let class = self.members[h.0].class;
         self.tick += 1;
-        let tick = self.tick;
-        self.classes[class].last_used = tick;
+        self.classes[class].last_used = self.tick;
         self.ensure_space(class, g);
         self.ensure_class_plan(class);
         if self.classes[class].fact.is_none() {
@@ -741,28 +674,7 @@ impl RegistryInner {
             self.bytes += b;
             self.factorizations_built += 1;
         }
-        if self.members[h.0].identity {
-            return Some(Arc::clone(
-                self.classes[class].fact.as_ref().expect("filled above"),
-            ));
-        }
-        if self.members[h.0].fact.is_none() {
-            let m = &self.members[h.0];
-            let inv = m.witness.inverse();
-            let transported = self.classes[class]
-                .fact
-                .as_ref()
-                .expect("filled above")
-                .relabel(|v| inv.map(v));
-            let b = transported.approx_bytes();
-            let m = &mut self.members[h.0];
-            m.fact = Some(Arc::new(transported));
-            m.fact_bytes = b;
-            self.bytes += b;
-        }
-        let m = &mut self.members[h.0];
-        m.last_used = tick;
-        Some(Arc::clone(m.fact.as_ref().expect("filled above")))
+        self.classes[class].fact.clone()
     }
 
     /// Inserts a freshly built table; a racing build that lost keeps
@@ -810,12 +722,7 @@ impl RegistryInner {
             self.version + 1,
             "tenant cursors must advance the shared registry in lockstep"
         );
-        let RegistryInner {
-            classes,
-            members,
-            bytes,
-            ..
-        } = self;
+        let RegistryInner { classes, bytes, .. } = self;
         for cls in classes.iter_mut() {
             // Caches refresh on set changes and on adjacency-only
             // changes (a new graph edge between surviving candidates
@@ -842,17 +749,6 @@ impl RegistryInner {
             if cls.fact.take().is_some() {
                 *bytes -= cls.fact_bytes;
                 cls.fact_bytes = 0;
-            }
-            for &mi in &cls.member_ids {
-                let m = &mut members[mi];
-                if m.cached.take().is_some() {
-                    *bytes -= m.cached_bytes;
-                    m.cached_bytes = 0;
-                }
-                if m.fact.take().is_some() {
-                    *bytes -= m.fact_bytes;
-                    m.fact_bytes = 0;
-                }
             }
         }
         self.version = target;
@@ -901,34 +797,8 @@ impl RegistryInner {
                     if cls.last_used == self.tick {
                         continue;
                     }
-                    let space_free = Arc::strong_count(inc.space_arc_ref()) == 1;
-                    let transports_free = cls.member_ids.iter().all(|&mi| {
-                        self.members[mi]
-                            .cached
-                            .as_ref()
-                            .is_none_or(|cs| Arc::strong_count(cs) == 1)
-                    });
-                    if space_free && transports_free {
+                    if Arc::strong_count(inc.space_arc_ref()) == 1 {
                         consider(cls.last_used, Victim::Class(c), &mut victim);
-                    } else {
-                        pinned += 1;
-                    }
-                }
-            }
-            for (mi, m) in self.members.iter().enumerate() {
-                if m.last_used == self.tick {
-                    continue;
-                }
-                if let Some(cs) = &m.cached {
-                    if Arc::strong_count(cs) == 1 {
-                        consider(m.last_used, Victim::Transport(mi), &mut victim);
-                    } else {
-                        pinned += 1;
-                    }
-                }
-                if let Some(f) = &m.fact {
-                    if Arc::strong_count(f) == 1 {
-                        consider(m.last_used, Victim::MemberFact(mi), &mut victim);
                     } else {
                         pinned += 1;
                     }
@@ -940,37 +810,13 @@ impl RegistryInner {
                     self.bytes -= e.bytes;
                     self.stats.evicted_cold += 1;
                 }
-                Some((_, Victim::Transport(mi))) => {
-                    let m = &mut self.members[mi];
-                    m.cached = None;
-                    self.bytes -= m.cached_bytes;
-                    m.cached_bytes = 0;
-                    self.stats.evicted_cold += 1;
-                }
                 Some((_, Victim::ClassFact(c))) => {
                     self.classes[c].fact = None;
                     self.bytes -= self.classes[c].fact_bytes;
                     self.classes[c].fact_bytes = 0;
                     self.stats.evicted_cold += 1;
                 }
-                Some((_, Victim::MemberFact(mi))) => {
-                    let m = &mut self.members[mi];
-                    m.fact = None;
-                    self.bytes -= m.fact_bytes;
-                    m.fact_bytes = 0;
-                    self.stats.evicted_cold += 1;
-                }
                 Some((_, Victim::Class(c))) => {
-                    let member_ids = std::mem::take(&mut self.classes[c].member_ids);
-                    for &mi in &member_ids {
-                        let m = &mut self.members[mi];
-                        if m.cached.take().is_some() {
-                            self.bytes -= m.cached_bytes;
-                            m.cached_bytes = 0;
-                            self.stats.evicted_cold += 1;
-                        }
-                    }
-                    self.classes[c].member_ids = member_ids;
                     self.classes[c].inc = None;
                     self.bytes -= self.classes[c].inc_bytes;
                     self.classes[c].inc_bytes = 0;
@@ -1029,10 +875,26 @@ mod tests {
         Arc::new(NodeSet::from_vec(g.nodes().collect()))
     }
 
-    /// The served space — sets and per-edge adjacency — must equal a
-    /// from-scratch simulation of the member's own pattern over `g`.
+    /// The served view — sets and per-edge adjacency, read through the
+    /// member's permutation — must equal a from-scratch simulation of
+    /// the member's own pattern over `g`.
     fn assert_matches_scratch(reg: &ClassRegistry, h: SpaceHandle, q: &Pattern, g: &Graph) {
-        assert_eq!(*reg.space(h, g), dual_simulation(q, g, None));
+        let view = reg.space(h, g);
+        let want = dual_simulation(q, g, None);
+        for v in q.vars() {
+            assert_eq!(view.of(v), want.of(v), "candidate set of {v:?}");
+        }
+        for (ei, e) in q.edges().iter().enumerate() {
+            let (rs, rd) = (view.rep_var(e.src), view.rep_var(e.dst));
+            let ri = view
+                .rep
+                .edges()
+                .iter()
+                .position(|re| re.src == rs && re.dst == rd && re.label == e.label)
+                .expect("the permutation maps every member edge onto a rep edge");
+            assert_eq!(view.space.forward[ri], want.forward[ei]);
+            assert_eq!(view.space.reverse[ri], want.reverse[ei]);
+        }
     }
 
     #[test]
@@ -1049,17 +911,14 @@ mod tests {
         assert_eq!(reg.member_count(), 3);
         assert_eq!(reg.simulations(), 0, "registration alone never simulates");
         for (q, &h) in members.iter().zip(&handles) {
-            let got = reg.space(h, &g);
-            let want = dual_simulation(q, &g, None);
-            assert_eq!(got.sets, want.sets);
-            for ei in 0..q.edge_count() {
-                assert_eq!(got.forward[ei].offsets, want.forward[ei].offsets);
-                assert_eq!(got.forward[ei].targets, want.forward[ei].targets);
-                assert_eq!(got.reverse[ei].offsets, want.reverse[ei].offsets);
-                assert_eq!(got.reverse[ei].targets, want.reverse[ei].targets);
-            }
+            assert_matches_scratch(&reg, h, q, &g);
         }
         assert_eq!(reg.simulations(), 1, "one fixpoint for three members");
+        let spaces: Vec<_> = handles.iter().map(|&h| reg.space(h, &g).space).collect();
+        assert!(
+            spaces.iter().all(|cs| Arc::ptr_eq(cs, &spaces[0])),
+            "every member reads the class's one space"
+        );
     }
 
     #[test]
@@ -1094,7 +953,7 @@ mod tests {
         assert_eq!(reg.version(), 1);
         for (q, &h) in members.iter().zip(&handles) {
             assert_matches_scratch(&reg, h, q, &g2);
-            assert!(reg.space(h, &g2).is_empty_anywhere());
+            assert!(reg.space(h, &g2).space.is_empty_anywhere());
         }
         assert_eq!(reg.simulations(), 1, "repair must not re-simulate");
     }
@@ -1180,18 +1039,27 @@ mod tests {
         let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
         assert_eq!(reg.class_count(), 1);
         assert_eq!(reg.plans_built(), 0, "registration alone never plans");
-        for (q, &h) in members.iter().zip(&handles) {
-            let plan = reg.plan(h);
+        assert!(
+            reg.space(handles[0], &g).plan.is_none(),
+            "space() never plans"
+        );
+        assert_eq!(reg.plans_built(), 0);
+        for &h in &handles {
+            let plan = reg.space_and_plan(h, &g).plan.expect("asked for");
             assert_eq!(plan.width(), 2, "a triangle decomposes into one 3-var bag");
             assert_eq!(plan.decomposition().bag_count(), 1);
-            assert_eq!(q.node_count(), 3);
         }
         assert_eq!(reg.plans_built(), 1, "one decomposition for three members");
     }
 
+    /// Enumerating through the view — the representative under the
+    /// class's space and plan, rows permuted back — must equal raw
+    /// enumeration of the member's own pattern, plain and pinned at a
+    /// member variable.
     #[test]
     fn transported_plan_enumerates_the_member_exactly() {
-        use crate::component::ComponentSearch;
+        use crate::api::{for_each_match_in, MatchScratch};
+        use crate::types::{Flow, MatchOptions};
 
         let g = triangle_graph();
         let members = [
@@ -1200,17 +1068,29 @@ mod tests {
         ];
         let reg = ClassRegistry::new();
         let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
+        let mut scratch = MatchScratch::default();
         for (q, &h) in members.iter().zip(&handles) {
-            let (cs, plan) = reg.space_and_plan(h, &g);
-            let mut got = ComponentSearch::new(q, &g)
-                .candidate_space(&cs)
-                .plan_order(&plan)
-                .collect_all();
-            let mut want = ComponentSearch::new(q, &g).collect_all();
-            got.sort();
-            want.sort();
-            assert_eq!(got, want, "plan-ordered space mode must equal raw mode");
-            assert_eq!(got.len(), 2, "two triangles in the graph");
+            let view = reg.space_and_plan(h, &g);
+            let y = q.var_by_name("y").unwrap();
+            for opts in [
+                MatchOptions::unrestricted(),
+                MatchOptions::unrestricted().pin(y, NodeId(1)),
+            ] {
+                let mut got = Vec::new();
+                for_each_match_in(&view, &g, &opts, &mut scratch, &mut |m| {
+                    got.push(m.to_vec());
+                    Flow::Continue
+                });
+                let mut want = ComponentSearch::new(q, &g).pins(&opts.pins).collect_all();
+                got.sort();
+                want.sort();
+                assert_eq!(got, want, "view enumeration must equal raw mode");
+                assert_eq!(
+                    got.len(),
+                    2 - opts.pins.len(),
+                    "two triangles, one through b1"
+                );
+            }
         }
         assert_eq!(reg.plans_built(), 1);
         assert_eq!(reg.simulations(), 1);
@@ -1229,7 +1109,7 @@ mod tests {
         reg.apply(&g2, &delta);
         assert_eq!(reg.simulations(), 0);
         // …and the first query simulates against the edited snapshot.
-        assert_eq!(reg.space(h, &g2).sets, dual_simulation(&q, &g2, None).sets);
+        assert_matches_scratch(&reg, h, &q, &g2);
         assert_eq!(reg.simulations(), 1);
     }
 
@@ -1370,10 +1250,10 @@ mod tests {
     }
 
     /// One factorization serves the whole class: isomorphic members
-    /// get relabeled copies of one build, counts agree with
-    /// enumeration, and a graph delta that touches the class drops the
-    /// cached factorization (epoch invalidation — like spaces, never
-    /// plans).
+    /// read the one build at their representative variables, counts
+    /// agree with enumeration, and a graph delta that touches the class
+    /// drops the cached factorization (epoch invalidation — like
+    /// spaces, never plans).
     #[test]
     fn factorizations_are_shared_and_invalidated_per_epoch() {
         let g = triangle_graph();
@@ -1391,15 +1271,16 @@ mod tests {
             let f = reg.factorization(h, &g).expect("triangles factorize");
             assert_eq!(f.count(), Some(2), "two triangles in the graph");
             assert!(f.has_marginals());
-            // Marginals agree with per-pivot enumeration on the
-            // member's own variable numbering.
+            // Marginals read at the representative variable agree with
+            // per-pivot enumeration of the member's own pattern.
             let x = q.var_by_name("x").unwrap();
+            let rep_x = reg.space(h, &g).rep_var(x);
             for n in g.nodes() {
                 let pinned = ComponentSearch::new(q, &g)
                     .pins(&[(x, n)])
                     .collect_all()
                     .len();
-                assert_eq!(f.marginal(x, n), Some(pinned as u64));
+                assert_eq!(f.marginal(rep_x, n), Some(pinned as u64));
             }
         }
         assert_eq!(reg.simulations(), 1);
@@ -1420,6 +1301,46 @@ mod tests {
         // …and the rebuild counts against the new snapshot.
         let f = reg.factorization(handles[0], &g2).unwrap();
         assert_eq!(f.count(), Some(1), "one triangle left");
+    }
+
+    /// Twins cost no bytes: whatever `k` declaration-order twins of one
+    /// class query — spaces, plans, factorizations — the registry holds
+    /// what it held after the first.
+    #[test]
+    fn twins_share_the_class_artifacts_byte_for_byte() {
+        let g = triangle_graph();
+        let members = [
+            triangle_pattern(&g, [0, 1, 2]),
+            triangle_pattern(&g, [2, 0, 1]),
+            triangle_pattern(&g, [1, 2, 0]),
+            triangle_pattern(&g, [2, 1, 0]),
+        ];
+        let reg = ClassRegistry::new();
+        let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
+        assert_eq!((reg.class_count(), reg.member_count()), (1, 4));
+        let first_space = reg.space_and_plan(handles[0], &g).space;
+        let first_fact = reg
+            .factorization(handles[0], &g)
+            .expect("triangles factorize");
+        let after_one = reg.bytes();
+        assert!(after_one > 0);
+        for &h in &handles[1..] {
+            assert!(Arc::ptr_eq(&reg.space_and_plan(h, &g).space, &first_space));
+            assert!(Arc::ptr_eq(&reg.factorization(h, &g).unwrap(), &first_fact));
+        }
+        assert_eq!(
+            reg.bytes(),
+            after_one,
+            "a twin is a permutation, not a copy"
+        );
+        assert_eq!(
+            (
+                reg.simulations(),
+                reg.plans_built(),
+                reg.factorizations_built()
+            ),
+            (1, 1, 1)
+        );
     }
 
     /// The satellite-2 contract: factorization bytes count against the
@@ -1588,7 +1509,7 @@ mod tests {
         let q = chain_pattern(&g, [0, 1, 2]);
         let reg = ClassRegistry::new();
         let h = reg.register(&q);
-        let before = reg.space(h, &g);
+        let before = reg.space(h, &g).space;
         let sets_before = before.sets.clone();
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
@@ -1596,7 +1517,7 @@ mod tests {
         reg.apply(&g2, &delta);
         assert_eq!(before.sets, sets_before, "held snapshot is immutable");
         assert!(
-            reg.space(h, &g2).is_empty_anywhere(),
+            reg.space(h, &g2).space.is_empty_anywhere(),
             "fresh queries see the repair"
         );
     }

@@ -27,7 +27,7 @@
 use std::collections::VecDeque;
 
 use gfd_graph::{Graph, NodeId, NodeSet};
-use gfd_pattern::{IsoWitness, PatLabel, Pattern, VarId};
+use gfd_pattern::{PatLabel, Pattern, VarId};
 
 /// Per-pattern-edge candidate adjacency: for every candidate of the
 /// edge's source variable (by its index in the source candidate set),
@@ -99,45 +99,6 @@ impl CandidateSpace {
             .map(|e| e.offsets.len() * std::mem::size_of::<u32>() + e.targets.len() * node)
             .sum();
         sets + adj
-    }
-
-    /// Transports a space computed for `rep` onto the exact-label
-    /// isomorphic pattern `member` along `w` (mapping member variables
-    /// onto rep variables): candidate sets are permuted and the
-    /// per-edge adjacency is re-indexed into member edge order. The
-    /// result is *identical* to `dual_simulation(member, …)` on the
-    /// same graph and scope — simulation commutes with variable
-    /// renaming — without touching the graph at all (oracle-tested in
-    /// `crates/matcher/tests/prop_registry.rs`). This is the paper's
-    /// Example 10 move (work done for one component re-used for its
-    /// isomorphic twin), lifted from match enumeration to the filter
-    /// stage.
-    pub fn transport(&self, rep: &Pattern, member: &Pattern, w: &IsoWitness) -> CandidateSpace {
-        debug_assert!(
-            w.verify(member, rep),
-            "transport witness is not an exact-label isomorphism"
-        );
-        let sets = member
-            .vars()
-            .map(|v| self.sets[w.map(v).index()].clone())
-            .collect();
-        let mut forward = Vec::with_capacity(member.edge_count());
-        let mut reverse = Vec::with_capacity(member.edge_count());
-        for e in member.edges() {
-            let (rs, rd) = (w.map(e.src), w.map(e.dst));
-            let ri = rep
-                .edges()
-                .iter()
-                .position(|re| re.src == rs && re.dst == rd && re.label == e.label)
-                .expect("witness maps every member edge onto a rep edge");
-            forward.push(self.forward[ri].clone());
-            reverse.push(self.reverse[ri].clone());
-        }
-        CandidateSpace {
-            sets,
-            forward,
-            reverse,
-        }
     }
 }
 

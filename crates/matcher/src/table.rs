@@ -101,22 +101,6 @@ impl MatchTable {
         (0..self.rows).map(move |i| self.row(i))
     }
 
-    /// Appends one match given as an iterator of images (must yield
-    /// exactly `arity` nodes) — lets producers whose row lives
-    /// scattered in an assignment array push without staging a
-    /// contiguous buffer.
-    #[inline]
-    pub fn push_row_from(&mut self, row: impl IntoIterator<Item = NodeId>) {
-        let before = self.data.len();
-        self.data.extend(row);
-        debug_assert_eq!(
-            self.data.len() - before,
-            self.arity,
-            "row width must equal the stride"
-        );
-        self.rows += 1;
-    }
-
     /// Drops all rows, keeping the arena's capacity.
     pub fn clear(&mut self) {
         self.rows = 0;

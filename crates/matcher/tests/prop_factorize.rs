@@ -357,21 +357,37 @@ fn lazy_expansion_equals_oracle_and_collect_into_rows() {
     });
 }
 
-/// Witness-transported class facts across 50-step edit scripts: the
-/// registry factorizes once per class per epoch, relabels the fact for
-/// permuted-declaration twins, and invalidates it on every delta.
-/// After every edit the transported facts must still bound (and, when
-/// exact, equal) brute force on the *current* graph, and the marginal
-/// fold identity must hold; expansion is re-checked on a sample of
-/// epochs.
+/// Class facts read by permuted-declaration twins across 50-step edit
+/// scripts: the registry factorizes once per class per epoch, in
+/// representative numbering, and invalidates the fact on every delta.
+/// After every edit, what each member reads through its permutation
+/// must still bound (and, when exact, equal) brute force on the
+/// member's own pattern over the *current* graph — counts, marginals
+/// at the representative variable, expansion permuted back — and the
+/// marginal fold identity must hold; the brute-force checks run on a
+/// sample of epochs.
 #[test]
 fn transported_factorizations_survive_edit_scripts() {
+    // Non-identity members whose exact marginals were checked against
+    // a non-empty oracle.
+    let mut permuted_marginals_checked = 0u32;
     check(
         "registry factorizations ≡ oracle under edits",
         cases(6),
         |rng| {
-            let mut g = random_graph(rng, 7);
             let spec = random_cyclic_spec(rng);
+            // One planted copy of the pattern keeps the oracle
+            // non-empty until an edit happens to cut it.
+            let mut g = random_graph(rng, 7).edit(|b| {
+                let nodes: Vec<NodeId> = spec
+                    .labels
+                    .iter()
+                    .map(|l| b.add_node_labeled(&format!("l{}", l.unwrap_or(0))))
+                    .collect();
+                for &(s, d, l) in &spec.edges {
+                    b.add_edge_labeled(nodes[s], nodes[d], &format!("e{l}"));
+                }
+            });
             let k = spec.labels.len();
             let identity: Vec<usize> = (0..k).collect();
             let members = [
@@ -396,9 +412,10 @@ fn transported_factorizations_survive_edit_scripts() {
                         continue; // declined shape: decline must be stable, checked below
                     };
                     prop_assert!(fact.has_marginals(), "registry facts must ship marginals");
+                    let view = reg.space(h, &g);
                     if !fact.overflowed() {
-                        let total: u64 =
-                            g.nodes().map(|v| fact.marginal(VarId(0), v).unwrap()).sum();
+                        let rep_v = view.rep_var(VarId(0));
+                        let total: u64 = g.nodes().map(|n| fact.marginal(rep_v, n).unwrap()).sum();
                         prop_assert!(
                             total == fact.raw_count(),
                             "step {step}: Σ marginal {total} vs raw {}",
@@ -418,8 +435,27 @@ fn transported_factorizations_survive_edit_scripts() {
                                 "step {step}: exact {c} vs oracle {} for {q:?}",
                                 oracle.len()
                             );
+                            if view.perm.is_some() && !oracle.is_empty() {
+                                permuted_marginals_checked += 1;
+                            }
+                            for v in q.vars() {
+                                for n in g.nodes() {
+                                    let want = oracle.iter().filter(|m| m[v.index()] == n).count();
+                                    let got = fact.marginal(view.rep_var(v), n);
+                                    prop_assert!(
+                                        got == Some(want as u64),
+                                        "step {step}: marginal of {v:?}={n:?} {got:?} vs \
+                                         oracle {want} for {q:?}"
+                                    );
+                                }
+                            }
                         }
-                        let rows = expanded(&fact);
+                        // Expansion yields representative-order rows.
+                        let mut rows: Vec<Vec<NodeId>> = expanded(&fact)
+                            .iter()
+                            .map(|r| q.vars().map(|v| r[view.rep_var(v).index()]).collect())
+                            .collect();
+                        rows.sort();
                         prop_assert!(
                             rows == *oracle,
                             "step {step}: expansion {} vs oracle {} for {q:?}",
@@ -450,5 +486,9 @@ fn transported_factorizations_survive_edit_scripts() {
             );
             Ok(())
         },
+    );
+    assert!(
+        permuted_marginals_checked > 0,
+        "premise: no twin read a non-trivial marginal through its permutation"
     );
 }

@@ -6,16 +6,17 @@
 //! checked edge by edge. Against it we drive random **cyclic**
 //! patterns (a random spanning tree plus closing edges) through
 //! [`for_each_match_with`] with a `(space, plan)` pair — plain,
-//! pinned, transported onto permuted-declaration twins via the
-//! [`ClassRegistry`], across random edit scripts with incrementally
-//! repaired spaces, and pinned under a neighborhood-sized step budget.
+//! pinned, and pinned under a neighborhood-sized step budget — and
+//! permuted-declaration twins through their [`ClassRegistry`] views
+//! ([`for_each_match_in`]), plain and pinned, across random edit
+//! scripts with incrementally repaired spaces.
 
 use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
 use gfd_match::api::EnumOutcome;
 use gfd_match::types::Flow;
 use gfd_match::{
-    dual_simulation, for_each_match_with, ClassRegistry, MatchOptions, MatchScratch, QueryPlan,
-    SearchBudget,
+    dual_simulation, for_each_match_in, for_each_match_with, ClassRegistry, MatchOptions,
+    MatchScratch, QueryPlan, SearchBudget,
 };
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
@@ -237,11 +238,12 @@ fn pinned_plan_execution_equals_filtered_oracle() {
     });
 }
 
-/// Transported plans on permuted-declaration twins, across a random
-/// edit script: the registry repairs the class's space incrementally
-/// and transports one cached plan per class; after every edit, each
-/// member's plan execution must still equal brute force on the
-/// *current* graph.
+/// Permuted-declaration twins across a random edit script: the
+/// registry repairs the class's space incrementally and keeps one
+/// plan per class, both in representative numbering; after every
+/// edit, each member's enumeration through its view — plain, and
+/// pinned at a random variable of the member — must still equal brute
+/// force on the member's own pattern over the *current* graph.
 #[test]
 fn transported_plans_survive_edit_scripts() {
     let mut scratch = MatchScratch::default();
@@ -263,15 +265,29 @@ fn transported_plans_survive_edit_scripts() {
         );
         for step in 0..3 {
             for (q, &h) in members.iter().zip(&handles) {
-                let expected = oracle_matches(q, &g);
-                let (cs, plan) = reg.space_and_plan(h, &g);
-                let got = plan_matches(q, &g, &cs, &plan, &[], &mut scratch);
-                prop_assert!(
-                    got == expected,
-                    "step {step}: {} vs oracle {} for {q:?}",
-                    got.len(),
-                    expected.len()
-                );
+                let view = reg.space_and_plan(h, &g);
+                let pin_var = VarId(rng.gen_range(0..k) as u32);
+                let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
+                for opts in [
+                    MatchOptions::unrestricted(),
+                    MatchOptions::unrestricted().pin(pin_var, pin_node),
+                ] {
+                    let mut expected = oracle_matches(q, &g);
+                    expected.retain(|m| opts.pins.iter().all(|&(v, n)| m[v.index()] == n));
+                    let mut got = Vec::new();
+                    for_each_match_in(&view, &g, &opts, &mut scratch, &mut |m| {
+                        got.push(m.to_vec());
+                        Flow::Continue
+                    });
+                    got.sort();
+                    prop_assert!(
+                        got == expected,
+                        "step {step}, pins {:?}: {} vs oracle {} for {q:?}",
+                        opts.pins,
+                        got.len(),
+                        expected.len()
+                    );
+                }
             }
             // One random edit: add or remove a labeled edge.
             let n = g.node_count();

@@ -1,13 +1,17 @@
-//! The transport oracle: for random patterns and random variable
-//! relabelings, a [`ClassRegistry`]-transported space must be
-//! *identical* — candidate sets and per-edge candidate adjacency — to
-//! a from-scratch `dual_simulation` of the member pattern, including
-//! after random 50-step edit scripts repaired through the class
-//! representative's `IncrementalSpace`.
+//! The permutation oracle: for random patterns and random
+//! declaration-order twins, what a member reads through its
+//! [`ClassRegistry`] view must be *identical* to what its own pattern
+//! yields from scratch — candidate sets and per-edge candidate
+//! adjacency against `dual_simulation` of the member, and enumeration
+//! through the view (plain, and pinned at a member variable) against
+//! brute force on the member — including after random 50-step edit
+//! scripts repaired through the class representative's
+//! `IncrementalSpace`.
 
 use gfd_graph::{Graph, GraphBuilder, NodeId};
 use gfd_match::simulation::dual_simulation;
-use gfd_match::{CandidateSpace, ClassRegistry, SpaceHandle};
+use gfd_match::types::Flow;
+use gfd_match::{for_each_match_in, ClassRegistry, ClassView, MatchOptions, MatchScratch};
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, Rng};
 
@@ -67,7 +71,7 @@ fn random_pattern(rng: &mut Rng, g: &Graph) -> Pattern {
 /// Rebuilds `q` with its variables declared in a random order under
 /// fresh names — an exact-label isomorphic twin the registry must map
 /// into `q`'s class.
-fn relabel(rng: &mut Rng, q: &Pattern, tag: usize) -> Pattern {
+fn declaration_twin(rng: &mut Rng, q: &Pattern, tag: usize) -> Pattern {
     let n = q.node_count();
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
@@ -99,23 +103,108 @@ fn relabel(rng: &mut Rng, q: &Pattern, tag: usize) -> Pattern {
     b.build()
 }
 
-fn spaces_equal(got: &CandidateSpace, want: &CandidateSpace, what: &str) -> Result<(), String> {
-    if got.sets != want.sets {
-        return Err(format!(
-            "{what}: sets diverged: {:?} vs {:?}",
-            got.sets, want.sets
-        ));
+/// The view, read through the member's permutation, against a
+/// from-scratch simulation of the member's own pattern.
+fn view_equals_scratch(view: &ClassView, q: &Pattern, g: &Graph, what: &str) -> Result<(), String> {
+    let want = dual_simulation(q, g, None);
+    for v in q.vars() {
+        if view.of(v) != want.of(v) {
+            return Err(format!(
+                "{what}: set of {v:?} diverged: {:?} vs {:?}",
+                view.of(v),
+                want.of(v)
+            ));
+        }
     }
-    for ei in 0..got.forward.len() {
-        if got.forward[ei].offsets != want.forward[ei].offsets
-            || got.forward[ei].targets != want.forward[ei].targets
-        {
+    for (ei, e) in q.edges().iter().enumerate() {
+        let (rs, rd) = (view.rep_var(e.src), view.rep_var(e.dst));
+        let ri = view
+            .rep
+            .edges()
+            .iter()
+            .position(|re| re.src == rs && re.dst == rd && re.label == e.label)
+            .ok_or_else(|| format!("{what}: member edge {ei} has no representative edge"))?;
+        if view.space.forward[ri] != want.forward[ei] {
             return Err(format!("{what}: forward adjacency of edge {ei} diverged"));
         }
-        if got.reverse[ei].offsets != want.reverse[ei].offsets
-            || got.reverse[ei].targets != want.reverse[ei].targets
-        {
+        if view.space.reverse[ri] != want.reverse[ei] {
             return Err(format!("{what}: reverse adjacency of edge {ei} diverged"));
+        }
+    }
+    Ok(())
+}
+
+/// Brute force on the member's own pattern: every injective
+/// assignment honoring `pins`, checked label by label and edge by
+/// edge. Sorted.
+fn oracle_matches(q: &Pattern, g: &Graph, pins: &[(VarId, NodeId)]) -> Vec<Vec<NodeId>> {
+    fn rec(
+        q: &Pattern,
+        g: &Graph,
+        pins: &[(VarId, NodeId)],
+        assign: &mut Vec<NodeId>,
+        out: &mut Vec<Vec<NodeId>>,
+    ) {
+        let v = VarId(assign.len() as u32);
+        if assign.len() == q.node_count() {
+            let edge_ok = |e: &gfd_pattern::PatternEdge| {
+                let (s, d) = (assign[e.src.index()], assign[e.dst.index()]);
+                match e.label {
+                    PatLabel::Sym(l) => g.has_edge(s, d, l),
+                    PatLabel::Wildcard => g.has_edge_any(s, d),
+                }
+            };
+            if q.edges().iter().all(edge_ok) {
+                out.push(assign.clone());
+            }
+            return;
+        }
+        for u in g.nodes() {
+            let pinned_elsewhere = pins.iter().any(|&(pv, pn)| pv == v && pn != u);
+            if pinned_elsewhere || !q.label(v).admits(g.label(u)) || assign.contains(&u) {
+                continue;
+            }
+            assign.push(u);
+            rec(q, g, pins, assign, out);
+            assign.pop();
+        }
+    }
+    let mut out = Vec::new();
+    rec(q, g, pins, &mut Vec::new(), &mut out);
+    out.sort();
+    out
+}
+
+/// Enumeration through the view — unpinned, and pinned at a random
+/// variable of the member — against [`oracle_matches`].
+fn view_enumerates_the_member(
+    rng: &mut Rng,
+    view: &ClassView,
+    q: &Pattern,
+    g: &Graph,
+    scratch: &mut MatchScratch,
+    what: &str,
+) -> Result<(), String> {
+    let pin_var = VarId(rng.gen_range(0..q.node_count()) as u32);
+    let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
+    for opts in [
+        MatchOptions::unrestricted(),
+        MatchOptions::unrestricted().pin(pin_var, pin_node),
+    ] {
+        let mut got = Vec::new();
+        for_each_match_in(view, g, &opts, scratch, &mut |m| {
+            got.push(m.to_vec());
+            Flow::Continue
+        });
+        got.sort();
+        let want = oracle_matches(q, g, &opts.pins);
+        if got != want {
+            return Err(format!(
+                "{what}, pins {:?}: {} matches vs oracle {}",
+                opts.pins,
+                got.len(),
+                want.len()
+            ));
         }
     }
     Ok(())
@@ -177,20 +266,22 @@ fn random_edit(rng: &mut Rng, g: &Graph) -> (Graph, gfd_graph::GraphDelta) {
 #[test]
 fn transported_spaces_equal_scratch_simulation() {
     check(
-        "ClassRegistry transport ≡ dual_simulation",
+        "ClassRegistry view ≡ dual_simulation + brute force on the member",
         case_budget(40),
         |rng| {
             let g = random_graph(rng, 12);
             let base = random_pattern(rng, &g);
             let members: Vec<Pattern> = std::iter::once(base.clone())
-                .chain((0..rng.gen_range(1..4)).map(|t| relabel(rng, &base, t)))
+                .chain((0..rng.gen_range(1..4)).map(|t| declaration_twin(rng, &base, t)))
                 .collect();
             let reg = ClassRegistry::new();
-            let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
-            for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
-                let want = dual_simulation(q, &g, None);
-                let got = reg.space(h, &g);
-                spaces_equal(&got, &want, &format!("member {m}"))
+            let mut scratch = MatchScratch::default();
+            for (m, q) in members.iter().enumerate() {
+                let view = reg.space_and_plan(reg.register(q), &g);
+                view_equals_scratch(&view, q, &g, &format!("member {m}"))
+                    .and_then(|()| {
+                        view_enumerates_the_member(rng, &view, q, &g, &mut scratch, "enumeration")
+                    })
                     .map_err(|e| format!("{e}; base {base:?}; member {q:?}"))?;
             }
             if reg.simulations() != 1 {
@@ -208,26 +299,30 @@ fn transported_spaces_equal_scratch_simulation() {
 #[test]
 fn repaired_representative_retransports_over_edit_scripts() {
     check(
-        "ClassRegistry repair+transport ≡ dual_simulation over 50-step scripts",
+        "ClassRegistry repair + view ≡ scratch over 50-step scripts",
         case_budget(16),
         |rng| {
             let mut g = random_graph(rng, 10);
             let base = random_pattern(rng, &g);
             let members: Vec<Pattern> = std::iter::once(base.clone())
-                .chain((0..2).map(|t| relabel(rng, &base, t)))
+                .chain((0..2).map(|t| declaration_twin(rng, &base, t)))
                 .collect();
             let reg = ClassRegistry::new();
-            let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
+            let handles: Vec<_> = members.iter().map(|q| reg.register(q)).collect();
             for &h in &handles {
                 reg.space(h, &g);
             }
+            let mut scratch = MatchScratch::default();
             for step in 0..SCRIPT_STEPS {
                 let (g2, delta) = random_edit(rng, &g);
                 reg.apply(&g2, &delta);
                 for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
-                    let want = dual_simulation(q, &g2, None);
-                    let got = reg.space(h, &g2);
-                    spaces_equal(&got, &want, &format!("step {step}, member {m}"))
+                    let view = reg.space_and_plan(h, &g2);
+                    let what = format!("step {step}, member {m}");
+                    view_equals_scratch(&view, q, &g2, &what)
+                        .and_then(|()| {
+                            view_enumerates_the_member(rng, &view, q, &g2, &mut scratch, &what)
+                        })
                         .map_err(|e| format!("{e}; delta {delta:?}; member {q:?}"))?;
                 }
                 g = g2;

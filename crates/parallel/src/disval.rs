@@ -37,9 +37,9 @@ use gfd_match::dual_simulation;
 use crate::balance::random_assign;
 use crate::cluster::{CostModel, SimClocks};
 use crate::metrics::ParallelReport;
-use crate::opt::{reduce_workload, split_large_units, SplitUnit};
+use crate::opt::{reduce_workload, split_large_units, SplitUnit, REDUCTION_CAP};
 use crate::unitexec::{execute_unit, sort_violations, CacheStats, MultiQueryIndex, UnitScratch};
-use crate::workload::{estimate_workload, plan_rules, PivotedRule, UnitSlot, WorkloadOptions};
+use crate::workload::{estimate_workload, PivotedRule, UnitSlot, WorkloadOptions};
 use crate::Assignment;
 use gfd_match::ClassRegistry;
 
@@ -109,8 +109,6 @@ impl DisValConfig {
         self
     }
 }
-
-const REDUCTION_CAP: usize = 64;
 
 /// Bytes a worker must fetch to own a unit: the wire size of block
 /// nodes it neither owns nor has cached.
@@ -215,8 +213,8 @@ pub fn dis_val(
     // directly from the whole graph; the estimation work is charged as
     // parallel (÷ n), and the partial-unit messages (one per unit and
     // fragment touched) are charged to communication.
-    let plans = plan_rules(&sigma_red);
     let wl = estimate_workload(&sigma_red, g, &cfg.workload);
+    let plans = &wl.plans;
     let estimation_seconds = wl.estimation_seconds / cfg.n as f64;
     let split = split_large_units(&wl.units, cfg.split_threshold);
     let slots = &wl.slots;
@@ -360,7 +358,7 @@ pub fn dis_val(
     let registry = ClassRegistry::new();
     let mqi = cfg
         .multi_query
-        .then(|| MultiQueryIndex::build(&plans, &registry));
+        .then(|| MultiQueryIndex::build(plans, &registry));
     let mut violations = Vec::new();
     let mut cache_stats = CacheStats::default();
     let mut scratch = UnitScratch::new();
@@ -390,7 +388,7 @@ pub fn dis_val(
             } else if cfg.scheme_choice {
                 // Scheme selection: prefetch vs partial-match shipping.
                 let pre = prefetch_bytes(g, su.unit.slots(slots), worker, frag, Some(&node_cache));
-                let part = partial_match_bytes(g, &plans, slots, su);
+                let part = partial_match_bytes(g, plans, slots, su);
                 if part < pre {
                     partial_bytes += part;
                 } else {
@@ -420,7 +418,7 @@ pub fn dis_val(
                 execute_unit(
                     g,
                     &sigma_red,
-                    &plans,
+                    plans,
                     slots,
                     &su.unit,
                     mqi.as_ref(),
@@ -463,6 +461,7 @@ pub fn dis_val(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::plan_rules;
     use gfd_core::validate::detect_violations;
     use gfd_core::{Dependency, Gfd, Literal};
     use gfd_graph::{PartitionStrategy, Value, Vocab};

@@ -14,6 +14,10 @@ use gfd_core::GfdSet;
 
 use crate::workload::WorkUnit;
 
+/// Size cap `repVal` and `disVal` pass to [`reduce_workload`]
+/// (reasoning on larger rule sets would eat into detection time).
+pub const REDUCTION_CAP: usize = 64;
+
 /// Applies implication-based workload reduction when `‖Σ‖` is within
 /// `cap` (the analysis is NP-complete; the cap keeps the coordinator
 /// cost negligible, as in the paper's heuristic use). Returns the

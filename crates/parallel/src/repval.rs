@@ -18,9 +18,9 @@ use gfd_graph::Graph;
 use crate::balance::assign;
 use crate::cluster::{CostModel, SimClocks};
 use crate::metrics::ParallelReport;
-use crate::opt::{reduce_workload, split_large_units};
+use crate::opt::{reduce_workload, split_large_units, REDUCTION_CAP};
 use crate::unitexec::{execute_unit, sort_violations, CacheStats, MultiQueryIndex, UnitScratch};
-use crate::workload::{estimate_workload, plan_rules, WorkloadOptions};
+use crate::workload::{estimate_workload, WorkloadOptions};
 use crate::Assignment;
 use gfd_match::ClassRegistry;
 
@@ -86,10 +86,6 @@ impl RepValConfig {
     }
 }
 
-/// Size cap for the implication-based reduction (reasoning on larger
-/// rule sets would eat into detection time).
-const REDUCTION_CAP: usize = 64;
-
 /// Runs `repVal` and reports violations plus simulated timings.
 ///
 /// The graph is "replicated at every processor" in the paper's model;
@@ -112,8 +108,8 @@ pub fn rep_val(sigma: &GfdSet, g: &Arc<Graph>, cfg: &RepValConfig) -> ParallelRe
     };
 
     // (1) bPar: estimate W(Σ, G) — parallelized, so charge /n.
-    let plans = plan_rules(&sigma_red);
     let wl = estimate_workload(&sigma_red, g, &cfg.workload);
+    let plans = &wl.plans;
     let estimation_seconds = wl.estimation_seconds / cfg.n as f64;
 
     // (1b) Skew handling. Units are arena descriptors, so splitting
@@ -149,7 +145,7 @@ pub fn rep_val(sigma: &GfdSet, g: &Arc<Graph>, cfg: &RepValConfig) -> ParallelRe
     let registry = ClassRegistry::new();
     let mqi = cfg
         .multi_query
-        .then(|| MultiQueryIndex::build(&plans, &registry));
+        .then(|| MultiQueryIndex::build(plans, &registry));
     let mut violations = Vec::new();
     let mut cache_stats = CacheStats::default();
     // Reused across workers: per-unit execution scratch (each worker
@@ -184,7 +180,7 @@ pub fn rep_val(sigma: &GfdSet, g: &Arc<Graph>, cfg: &RepValConfig) -> ParallelRe
                 execute_unit(
                     g,
                     &sigma_red,
-                    &plans,
+                    plans,
                     slots,
                     &su.unit,
                     mqi.as_ref(),

@@ -69,7 +69,7 @@ use crate::fault::FaultPlan;
 use crate::threaded::run_units_threaded_report;
 use crate::unitexec::sort_violations;
 use crate::wal::{self, RecoveryReport, SyncPolicy, WalError, WalWriter};
-use crate::workload::{estimate_workload_in, plan_rules, WorkloadOptions};
+use crate::workload::{estimate_workload_in, WorkloadOptions};
 
 /// A reader's pinned epoch: the epoch number and the frozen snapshot
 /// it refers to. Holding one keeps the snapshot alive (it is an
@@ -334,8 +334,9 @@ impl ViolationService {
     /// workload maintainers) can serve off one registry — simulations,
     /// plans and pinned match tables are paid once across all of them,
     /// under the registry's single byte budget. Tenants sharing a
-    /// registry must ingest the same edit stream (the registry repairs
-    /// once per epoch and replays recorded change flags to laggards).
+    /// registry must ingest the same edit stream (the first tenant to
+    /// reach an epoch repairs the registry; a later `advance` at an
+    /// epoch already passed is a no-op).
     pub fn with_registry(
         sigma: GfdSet,
         g: Arc<Graph>,
@@ -733,7 +734,6 @@ impl ViolationService {
         // from the recovered snapshot. Sound for co-tenants too (the
         // caches are pure derivations; they re-simulate lazily).
         self.registry.invalidate_all();
-        let plans = plan_rules(&self.sigma);
         let wl = estimate_workload_in(
             &self.sigma,
             next,
@@ -743,7 +743,7 @@ impl ViolationService {
         let report = run_units_threaded_report(
             next,
             &self.sigma,
-            &plans,
+            &wl.plans,
             &wl.units,
             &wl.slots,
             &self.registry,

@@ -14,16 +14,21 @@
 //! shared [`ClassRegistry`] serving tier: rules mined from shared
 //! frequent features share components, and the registry lets all of
 //! them — across *all workers and tenants*, not per worker — reuse one
-//! enumeration. Cached enumerations are flat [`MatchTable`]s shared
-//! behind `Arc`; an isomorphic twin reads a hit through a precomputed
-//! column-permutation [`TableView`] — an `O(arity)` header rewrite,
-//! never a row copy — and the disjointness join streams straight over
-//! the shared rows. Eviction is the registry's LRU + refcount-aware
-//! pass: a view held by an in-flight unit is never invalidated under
-//! it. Together with the per-worker [`UnitScratch`], a warm
-//! [`execute_unit`] call performs **zero heap allocations** (asserted
-//! by the `alloc_probe` test and the `alloc/unit_exec_steady_state`
-//! bench sample).
+//! enumeration. Everything the registry holds for a class is in the
+//! class *representative's* variable numbering, and a component is a
+//! permutation onto it: a miss enumerates the representative pinned
+//! at the component pivot's representative variable
+//! (`MqiEntry::rep_pin`) into a flat [`MatchTable`] shared behind
+//! `Arc`; every member — the one that missed included — reads it
+//! through a precomputed column-permutation [`TableView`] — an
+//! `O(arity)` header rewrite, never a row copy — and the disjointness
+//! join streams straight over the shared rows. The dead-pivot screen
+//! reads the class's factorization at the same `rep_pin`. Eviction is
+//! the registry's LRU + refcount-aware pass: a view held by an
+//! in-flight unit is never invalidated under it. Together with the
+//! per-worker [`UnitScratch`], a warm [`execute_unit`] call performs
+//! **zero heap allocations** (asserted by the `alloc_probe` test and
+//! the `alloc/unit_exec_steady_state` bench sample).
 
 use std::sync::Arc;
 
@@ -146,17 +151,14 @@ fn component_matches(
 /// there anywhere in the graph — the represented set is a superset of
 /// the match set, and the unit's block restriction only shrinks it
 /// further — so the orientation can be dropped before any table work.
-/// Overflowed counts prove nothing and are ignored. Never builds:
-/// warm [`execute_unit`] stays allocation-free.
-fn pivot_provably_dead(
-    registry: &ClassRegistry,
-    entry: &MqiEntry,
-    pivot_var: VarId,
-    pivot: NodeId,
-) -> bool {
+/// Overflowed counts prove nothing and are ignored. The factorization
+/// is the class's, so the marginal is read at the component pivot's
+/// representative variable. Never builds: warm [`execute_unit`] stays
+/// allocation-free.
+fn pivot_provably_dead(registry: &ClassRegistry, entry: &MqiEntry, pivot: NodeId) -> bool {
     registry
         .cached_factorization(entry.handle)
-        .is_some_and(|f| !f.overflowed() && f.marginal(pivot_var, pivot) == Some(0))
+        .is_some_and(|f| !f.overflowed() && f.marginal(entry.rep_pin, pivot) == Some(0))
 }
 
 /// Per-worker reusable execution state: the per-component table views
@@ -258,8 +260,8 @@ pub fn execute_unit(
                 let (s0, s1) = (&unit_slots[0], &unit_slots[1]);
                 // Both orientations pin both pivots, so either pivot
                 // being provably dead kills the whole unit.
-                if pivot_provably_dead(registry, e0, rule.components[0].local_pivot, s0.pivot)
-                    || pivot_provably_dead(registry, e1, rule.components[1].local_pivot, s1.pivot)
+                if pivot_provably_dead(registry, e0, s0.pivot)
+                    || pivot_provably_dead(registry, e1, s1.pivot)
                 {
                     return;
                 }
@@ -327,7 +329,7 @@ pub fn execute_unit(
             let s = &unit_slots[slot];
             if let Some(mqi) = mqi {
                 let entry = &mqi.entries[unit.rule()][i];
-                if pivot_provably_dead(registry, entry, rule.components[i].local_pivot, s.pivot) {
+                if pivot_provably_dead(registry, entry, s.pivot) {
                     dead = true;
                     break;
                 }

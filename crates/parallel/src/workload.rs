@@ -138,6 +138,10 @@ impl Default for WorkloadOptions {
 /// The estimated workload `W(Σ, G)` plus estimation bookkeeping.
 #[derive(Debug, Default)]
 pub struct Workload {
+    /// The pivoted rules the units were assembled from
+    /// ([`plan_rules`] of the estimated Σ) — what executing the units
+    /// takes, so callers plan once per run.
+    pub plans: Vec<PivotedRule>,
     /// All work units — descriptors into [`Workload::slots`].
     pub units: Vec<WorkUnit>,
     /// The flat slot arena all units index into (the ROADMAP's
@@ -161,12 +165,6 @@ impl Workload {
     /// Total load `t(|Σ|, W)` — the sum of unit costs.
     pub fn total_cost(&self) -> u64 {
         self.units.iter().map(|u| u.cost).sum()
-    }
-
-    /// A unit's slots, resolved against this workload's arena.
-    #[inline]
-    pub fn slots_of(&self, unit: &WorkUnit) -> &[UnitSlot] {
-        unit.slots(&self.slots)
     }
 }
 
@@ -225,16 +223,22 @@ fn pivot_universe(g: &Graph, plan: &ComponentPlan) -> usize {
 }
 
 /// Extracts a component's feasible pivot candidates from an
-/// already-computed (whole-graph) candidate space: the pivot variable's
-/// simulation set, or nothing when the component is provably matchless.
+/// already-computed (whole-graph) candidate space: the simulation set
+/// of `pivot` — the component's pivot in the space's own variable
+/// numbering — or nothing when the component is provably matchless.
 /// Returns the sorted candidate list and how many raw candidates the
 /// filter pruned.
-fn pivots_from_space(g: &Graph, plan: &ComponentPlan, cs: &CandidateSpace) -> (Vec<NodeId>, usize) {
+fn pivots_from_space(
+    g: &Graph,
+    plan: &ComponentPlan,
+    cs: &CandidateSpace,
+    pivot: VarId,
+) -> (Vec<NodeId>, usize) {
     let universe = pivot_universe(g, plan);
     if cs.is_empty_anywhere() {
         return (Vec::new(), universe);
     }
-    let cands = cs.of(plan.local_pivot).to_vec();
+    let cands = cs.of(pivot).to_vec();
     let pruned = universe - cands.len();
     (cands, pruned)
 }
@@ -262,7 +266,8 @@ pub fn feasible_pivots(g: &Graph, plan: &ComponentPlan, prune: bool) -> (Vec<Nod
         };
         return (all, 0);
     }
-    pivots_from_space(g, plan, &dual_simulation(&plan.pattern, g, None))
+    let cs = dual_simulation(&plan.pattern, g, None);
+    pivots_from_space(g, plan, &cs, plan.local_pivot)
 }
 
 /// A cache of `c`-hop data blocks keyed by `(node, radius)` — blocks
@@ -318,7 +323,8 @@ pub fn estimate_workload(sigma: &GfdSet, g: &Graph, opts: &WorkloadOptions) -> W
 /// every component of every rule registers into it and pivot
 /// feasibility reads the **per-isomorphism-class** candidate spaces —
 /// one simulation per class instead of one per component (Example 10's
-/// transport, applied to the whole Σ). Callers that validate
+/// reuse, applied to the whole Σ; each component reads its pivot's set
+/// at the class representative's variable). Callers that validate
 /// repeatedly (or also run detection) pass the same registry so the
 /// classes stay warm across calls.
 pub fn estimate_workload_in(
@@ -340,8 +346,8 @@ pub fn estimate_workload_in(
         let mut per_component: Vec<Vec<(NodeId, Arc<NodeSet>, u64)>> = Vec::new();
         for plan in &rule.components {
             let (cands, pruned) = if opts.prune_empty_pivots {
-                let h = registry.register(&plan.pattern);
-                pivots_from_space(g, plan, &registry.space(h, g))
+                let view = registry.space(registry.register(&plan.pattern), g);
+                pivots_from_space(g, plan, &view.space, view.rep_var(plan.local_pivot))
             } else {
                 feasible_pivots(g, plan, false)
             };
@@ -370,6 +376,7 @@ pub fn estimate_workload_in(
         let mut tuple = Vec::new();
         assemble(rule, &per_component, 0, &mut tuple, &mut wl);
     }
+    wl.plans = rules;
     wl.estimation_seconds = start.elapsed().as_secs_f64();
     wl.simulations = registry.simulations() - sims_before;
     wl

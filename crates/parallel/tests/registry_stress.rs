@@ -11,10 +11,11 @@
 //!   maintained shadow graph.
 //! - The `simulations()` probe never exceeds the class count at any
 //!   epoch boundary: each isomorphism class runs its worklist fixpoint
-//!   exactly once for the whole run — transported to co-members,
-//!   repaired (never re-simulated) across epochs, and never duplicated
-//!   by a racing tenant (the version-cursor `advance` makes the first
-//!   arrival apply the repair and the laggard replay recorded flags).
+//!   exactly once for the whole run — read by co-members through
+//!   their permutations, repaired (never re-simulated) across epochs,
+//!   and never duplicated by a racing tenant (the version-cursor
+//!   `advance` makes the first arrival apply the repair; the
+//!   laggard's call at an epoch already passed is a no-op).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -189,7 +190,7 @@ fn shared_registry_serves_racing_tenants_and_executor() {
         registry.simulations(),
         registry.class_count(),
         "seeding both tenants must simulate each class exactly once \
-         (the second tenant's spaces are transported, not recomputed)"
+         (the second tenant reads the first's spaces, it recomputes nothing)"
     );
 
     let mut rng = Rng::seed_from_u64(0x5EED);
@@ -201,8 +202,8 @@ fn shared_registry_serves_racing_tenants_and_executor() {
         shadow = next;
 
         // Both tenants race the same epoch: whichever thread reaches
-        // `advance` first applies the per-class repair, the laggard
-        // replays the recorded flags.
+        // `advance` first applies the per-class repair; the laggard's
+        // call at the epoch already passed is a no-op.
         let (ea, eb) = {
             let (ra, rb) = (&mut svc_a, &mut svc_b);
             let (batch_a, batch_b) = (&batch, &batch);
@@ -235,7 +236,7 @@ fn shared_registry_serves_racing_tenants_and_executor() {
             "threaded executor diverged from the tenants at epoch {ea}"
         );
 
-        // The probe: repairs are incremental and transported — no
+        // The probe: repairs are incremental and shared — no
         // class ever runs its simulation fixpoint a second time, no
         // matter how many tenants or workers raced this epoch (the
         // executor's per-epoch registrations all land in existing

@@ -8,16 +8,16 @@
 //! patterns over one vocabulary have equal [`CanonicalForm::code`]s
 //! **iff** they are isomorphic under exact label equality, and the
 //! canonical variable order turns code equality into an explicit
-//! [`IsoWitness`] bijection — the mapping along which the candidate-
-//! space registry (`gfd-match`) transports simulation results between
-//! isomorphic pattern components instead of re-simulating (the paper's
-//! Example 10 observation, generalized from symmetric pairs to whole
-//! rule sets).
+//! [`IsoWitness`] bijection — the permutation through which the
+//! candidate-space registry (`gfd-match`) lets every isomorphic
+//! pattern component read its class representative's simulation
+//! result instead of re-simulating (the paper's Example 10
+//! observation, generalized from symmetric pairs to whole rule sets).
 //!
 //! Exact label equality — not the directional `refines` of
 //! [`crate::embed`] — is deliberate: a wildcard variable and a labeled
-//! variable have different match sets, so transporting a candidate
-//! space between them would be unsound even where an embedding exists.
+//! variable have different match sets, so sharing a candidate space
+//! between them would be unsound even where an embedding exists.
 //!
 //! ## Algorithm
 //!
@@ -63,11 +63,6 @@ impl IsoWitness {
     /// The full mapping, indexed by source variable.
     pub fn as_slice(&self) -> &[VarId] {
         &self.map
-    }
-
-    /// Consumes the witness into its mapping vector.
-    pub fn into_map(self) -> Vec<VarId> {
-        self.map
     }
 
     /// True if the witness is the identity mapping.
@@ -297,7 +292,7 @@ pub fn canonical_form(q: &Pattern) -> CanonicalForm {
 
 /// Finds an exact-label isomorphism from `a` onto `b`, if one exists —
 /// the structural check that is immune to signature collisions, and
-/// the witness the candidate-space registry transports along.
+/// the witness the candidate-space registry's members read through.
 pub fn iso_witness(a: &Pattern, b: &Pattern) -> Option<IsoWitness> {
     if a.node_count() != b.node_count() || a.edge_count() != b.edge_count() {
         return None;

@@ -123,29 +123,6 @@ impl TreeDecomposition {
         }
         true
     }
-
-    /// Transports the decomposition along a variable bijection —
-    /// plans are isomorphism-invariant, so a decomposition computed
-    /// once on a canonical class representative serves every member
-    /// after mapping each bag through the member's witness.
-    pub fn relabel(&self, map: impl Fn(VarId) -> VarId) -> TreeDecomposition {
-        let bags = self
-            .bags
-            .iter()
-            .map(|b| {
-                let mut vars: Vec<VarId> = b.vars.iter().map(|&v| map(v)).collect();
-                vars.sort_unstable();
-                Bag {
-                    vars,
-                    parent: b.parent,
-                }
-            })
-            .collect();
-        TreeDecomposition {
-            bags,
-            width: self.width,
-        }
-    }
 }
 
 /// Undirected adjacency bitmasks of the pattern (self-loops dropped —
@@ -589,16 +566,6 @@ mod tests {
         let a = tree_decomposition(&q);
         let b = tree_decomposition(&q);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn relabel_transports_bags() {
-        let q = cycle(3);
-        let td = tree_decomposition(&q);
-        // Reverse the variable numbering.
-        let mapped = td.relabel(|v| VarId(2 - v.0));
-        assert_eq!(mapped.width(), 2);
-        assert_eq!(mapped.bags[0].vars, vec![VarId(0), VarId(1), VarId(2)]);
     }
 
     #[test]

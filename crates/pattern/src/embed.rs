@@ -11,9 +11,9 @@
 //! a `Q'` node labeled `τ` may only map to a `Q` node labeled `τ`
 //! (never to a wildcard node, whose matches can have any label), while
 //! a wildcard `Q'` node may map anywhere. The same applies to edges.
-//! This is exactly [`PatLabel::refines`].
+//! This is exactly [`PatLabel::refines`](crate::pattern::PatLabel::refines).
 
-use crate::pattern::{distinct_neighbors, PatLabel, Pattern, VarId};
+use crate::pattern::{distinct_neighbors, Pattern, VarId};
 
 /// An embedding, represented as `map[sub_var] = sup_var`.
 pub type Embedding = Vec<VarId>;
@@ -219,18 +219,6 @@ pub fn isomorphic(a: &Pattern, b: &Pattern) -> bool {
         && a.edge_count() == b.edge_count()
         && is_embeddable(a, b)
         && is_embeddable(b, a)
-}
-
-/// Number of wildcard labels in a pattern (nodes + edges); a cheap
-/// specificity measure used by heuristics.
-pub fn wildcard_count(q: &Pattern) -> usize {
-    q.vars()
-        .filter(|&v| q.label(v) == PatLabel::Wildcard)
-        .count()
-        + q.edges()
-            .iter()
-            .filter(|e| e.label == PatLabel::Wildcard)
-            .count()
 }
 
 #[cfg(test)]

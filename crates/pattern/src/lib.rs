@@ -22,7 +22,7 @@
 //!   — module [`signature`];
 //! * complete **canonical forms** with explicit [`IsoWitness`]
 //!   bijections — the exact-isomorphism layer the candidate-space
-//!   registry keys on and transports along — module [`canon`];
+//!   registry keys on and its members read through — module [`canon`];
 //! * **tree decompositions** with exact width for the small components
 //!   mined rules produce — the planner layer's structure analysis for
 //!   worst-case-optimal multiway matching of cyclic patterns — module

@@ -172,3 +172,169 @@ fn clean_twin_consistency_rule_fires_only_after_corruption() {
     let violations = detect_violations(&sigma, &g);
     assert_eq!(violations.len(), 2, "both orientations of the twin pair");
 }
+
+/// Two cyclic rules that are non-identity twins of each other (one
+/// triangle, declared `x, y, z` and `z, x, y`) share one registry
+/// class, so the second reads the class's space, plan, factorization
+/// and tables through a permutation. Every path that serves it —
+/// `detVio` (private and shared registry), the incremental detector
+/// across a 20-step edit script, `repVal` and the threaded executor —
+/// must agree with brute force over the rules' own patterns.
+#[test]
+fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
+    use gfd::core::validate::{detect_violations_shared, match_satisfies};
+    use gfd::core::{Dependency, Gfd, GfdSet, IncrementalDetector, Literal};
+    use gfd::graph::{Graph, GraphBuilder, NodeId, Value};
+    use gfd::matcher::{ClassRegistry, Match};
+    use gfd::pattern::{PatLabel, PatternBuilder};
+    use gfd_util::Rng;
+    use std::sync::Arc;
+
+    let mut rng = Rng::seed_from_u64(14);
+    let mut gb = GraphBuilder::with_fresh_vocab();
+    let vocab = gb.vocab().clone();
+    let layers: Vec<Vec<NodeId>> = ["a", "b", "c"]
+        .iter()
+        .map(|l| (0..4).map(|_| gb.add_node_labeled(l)).collect())
+        .collect();
+    for (i, layer) in layers.iter().enumerate() {
+        for &u in layer {
+            // Every `b` carries 1, for good: read at the wrong variable,
+            // the twin's consequent would look satisfied everywhere.
+            let value = if i == 1 { 1 } else { rng.gen_range(0..2) };
+            gb.set_attr_named(u, "val", Value::Int(value as i64));
+            for &v in &layers[(i + 1) % 3] {
+                if rng.gen_bool(0.6) {
+                    gb.add_edge_labeled(u, v, "e");
+                }
+            }
+        }
+    }
+    let mut g = Arc::new(gb.freeze());
+    let val = vocab.intern("val");
+
+    // The triangle a → b → c → a, declared in `order`.
+    let triangle = |order: [usize; 3]| {
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let mut vars = [gfd::pattern::VarId(0); 3];
+        for i in order {
+            vars[i] = pb.node(["x", "y", "z"][i], ["a", "b", "c"][i]);
+        }
+        for i in 0..3 {
+            pb.edge(vars[i], vars[(i + 1) % 3], "e");
+        }
+        (pb.build(), vars)
+    };
+    let (q1, [x1, y1, _]) = triangle([0, 1, 2]);
+    let (q2, [x2, y2, _]) = triangle([2, 0, 1]);
+    let sigma = GfdSet::new(vec![
+        Gfd::new(
+            "rep",
+            q1,
+            Dependency::always(vec![Literal::var_eq(x1, val, y1, val)]),
+        ),
+        // All-constant `Y`: also takes the factorized marginal skip.
+        Gfd::new(
+            "twin",
+            q2,
+            Dependency::new(
+                vec![Literal::const_eq(y2, val, Value::Int(1))],
+                vec![Literal::const_eq(x2, val, Value::Int(1))],
+            ),
+        ),
+    ]);
+
+    let registry = Arc::new(ClassRegistry::new());
+    let mut det = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
+    assert_eq!(
+        (registry.class_count(), registry.member_count()),
+        (1, 2),
+        "premise: one class, and the twin is a second, permuted member"
+    );
+
+    // Every injective assignment of each rule's own pattern.
+    let brute_force = |g: &Graph| {
+        let mut out = Vec::new();
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        for (rule, gfd) in sigma.iter().enumerate() {
+            let q = &gfd.pattern;
+            for &a in &nodes {
+                for &b in &nodes {
+                    for &c in &nodes {
+                        let m = [a, b, c];
+                        let ok = a != b
+                            && b != c
+                            && a != c
+                            && q.vars().all(|v| q.label(v).admits(g.label(m[v.index()])))
+                            && q.edges().iter().all(|e| match e.label {
+                                PatLabel::Sym(l) => {
+                                    g.has_edge(m[e.src.index()], m[e.dst.index()], l)
+                                }
+                                PatLabel::Wildcard => unreachable!("no wildcard edges here"),
+                            });
+                        if ok && !match_satisfies(&gfd.dep, g, &m) {
+                            out.push(Violation {
+                                rule,
+                                mapping: Match(m.to_vec()),
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        canonical(out)
+    };
+
+    let mut seen_twin_violation = false;
+    for step in 0..=20 {
+        let expected = brute_force(&g);
+        seen_twin_violation |= expected.iter().any(|v| v.rule == 1);
+        assert_eq!(
+            canonical(det.violations()),
+            expected,
+            "incremental, step {step}"
+        );
+        assert_eq!(
+            canonical(detect_violations_shared(&sigma, &g, &registry)),
+            expected,
+            "detVio over the repaired shared registry, step {step}"
+        );
+        if step % 10 == 0 {
+            assert_eq!(canonical(detect_violations(&sigma, &g)), expected, "detVio");
+            let rep = rep_val(&sigma, &g, &RepValConfig::val(2));
+            assert_eq!(rep.violations, expected, "repVal, step {step}");
+            let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
+            let thr = threaded::run_units_threaded(&g, &sigma, &wl.plans, &wl.units, &wl.slots, 2);
+            assert_eq!(thr, expected, "threaded, step {step}");
+            // Over the shared registry the class factorization is
+            // resident (detVio's marginal skip built it), so the
+            // executor's dead-pivot screen reads it too.
+            let warm = threaded::run_units_threaded_report(
+                &g, &sigma, &wl.plans, &wl.units, &wl.slots, &registry, 2, None, 0,
+            );
+            assert_eq!(
+                canonical(warm.violations),
+                expected,
+                "threaded over the warm registry, step {step}"
+            );
+        }
+        // One edit: toggle an `e` edge along the cycle, or set the
+        // value of an `a` or a `c`.
+        let layer = rng.gen_range(0..3);
+        let u = layers[layer][rng.gen_range(0..4)];
+        let v = layers[(layer + 1) % 3][rng.gen_range(0..4)];
+        let new_val = Value::Int(rng.gen_range(0..2) as i64);
+        let (next, delta) = g.edit_with_delta(|b| {
+            if layer != 1 && rng.gen_bool(0.5) {
+                b.set_attr(u, val, new_val);
+            } else if g.has_edge(u, v, vocab.intern("e")) {
+                b.remove_edge_labeled(u, v, "e");
+            } else {
+                b.add_edge_labeled(u, v, "e");
+            }
+        });
+        g = Arc::new(next);
+        det.apply(&g, &delta);
+    }
+    assert!(seen_twin_violation, "premise: the permuted rule fired");
+}
