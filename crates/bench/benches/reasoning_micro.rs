@@ -17,10 +17,11 @@ use gfd_core::sat::check_satisfiability;
 use gfd_core::validate::{detect_violations, detect_violations_with, DetScratch};
 use gfd_core::{implies, Dependency, Gfd, GfdSet, Literal};
 use gfd_datagen::{
-    isomorphic_twin, mine_gfds, reallife_graph, RealLifeConfig, RealLifeKind, RuleGenConfig,
+    isomorphic_twin, mine_gfds, reallife_graph, synthetic_graph, RealLifeConfig, RealLifeKind,
+    RuleGenConfig, SynthConfig,
 };
 use gfd_graph::intersect::intersect_in_place;
-use gfd_graph::{Graph, NodeId, Value, Vocab};
+use gfd_graph::{AttrOp, Edge, Graph, GraphDelta, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
     count_matches, count_matches_with, dual_simulation, for_each_match_with, CacheStats,
@@ -174,6 +175,79 @@ fn bench_graph_primitives(g: &Graph, samples: &mut Vec<Sample>) {
     });
 }
 
+/// The write side of the snapshot: what a successor costs when the
+/// delta is small and the graph is not, and what the paged layout
+/// costs to build from scratch.
+fn bench_graph_writes(samples: &mut Vec<Sample>) {
+    let g = synthetic_graph(&SynthConfig::sized(100_000, 0x9A6E));
+    let n = g.node_count();
+    let label = g.edges().next().expect("the graph has edges").label;
+
+    // Past the Zipf hubs at the low ids: an ordinary page.
+    let mut one_edge = GraphDelta::new(n);
+    one_edge.added_edges.extend(
+        (n / 2..n)
+            .map(|s| Edge {
+                src: NodeId(s as u32),
+                dst: NodeId((n - 1 - s / 2) as u32),
+                label,
+            })
+            .find(|e| !g.has_edge(e.src, e.dst, e.label)),
+    );
+    assert_eq!(one_edge.added_edges.len(), 1, "an absent edge exists");
+    bench("graph/apply_delta(1 edge, 1e5 nodes)", samples, || {
+        g.apply_delta(&one_edge).edge_count()
+    });
+
+    let stamp = g.vocab().intern("stamp");
+    let mut writes = GraphDelta::new(n);
+    writes.attr_ops.extend((0..16).map(|i| AttrOp {
+        node: NodeId((n / 2 + 997 * i) as u32),
+        attr: stamp,
+        value: Some(Value::Int(i as i64)),
+    }));
+    bench(
+        "graph/apply_delta(16 attr writes, 1e5 nodes)",
+        samples,
+        || g.apply_delta(&writes).node_count(),
+    );
+
+    // `freeze` consumes its builder, so each timed call gets a fresh
+    // thaw made outside the clock.
+    let rounds = if smoke() { 1 } else { 5 };
+    let (mut best, mut best_allocs) = (f64::INFINITY, u64::MAX);
+    for _ in 0..rounds {
+        let builder = g.thaw();
+        let a0 = allocation_count();
+        let t = Instant::now();
+        let frozen = black_box(builder.freeze());
+        best = best.min(t.elapsed().as_secs_f64() * 1e9);
+        best_allocs = best_allocs.min(allocation_count() - a0);
+        drop(frozen);
+    }
+    let (name, allocs_per_iter) = ("graph/freeze(1e5 nodes)", best_allocs as f64);
+    println!("{name:<44} {best:>14.1} ns/iter  {allocs_per_iter:>10.1} allocs  (x{rounds})");
+    samples.push(Sample {
+        name,
+        ns_per_iter: best,
+        iters: rounds,
+        allocs_per_iter,
+    });
+}
+
+/// `ns_per_iter` of every sample in a previously written
+/// `BENCH_graph.json` (one sample per line, as [`main`] writes them).
+fn previous_ns(json: &str) -> std::collections::HashMap<&str, &str> {
+    json.lines()
+        .filter_map(|line| {
+            let (_, rest) = line.split_once("\"name\": \"")?;
+            let (name, rest) = rest.split_once("\", \"ns_per_iter\": ")?;
+            let (ns, _) = rest.split_once(',')?;
+            Some((name, ns))
+        })
+        .collect()
+}
+
 fn main() {
     let mut samples = Vec::new();
     println!("== gfd microbenches (best of 3, adaptive iters) ==");
@@ -185,6 +259,7 @@ fn main() {
     });
     println!("# graph: |V|={} |E|={}", g.node_count(), g.edge_count());
     bench_graph_primitives(&g, &mut samples);
+    bench_graph_writes(&mut samples);
 
     // Matching.
     let sigma = mine_gfds(
@@ -1022,19 +1097,6 @@ fn main() {
 
     // Emit the perf-trajectory artifact (hand-rolled JSON: the
     // workspace is dependency-free by necessity).
-    let mut json = String::from("{\n  \"bench\": \"reasoning_micro\",\n  \"samples\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}, \"allocs_per_iter\": {:.2}}}{}",
-            s.name,
-            s.ns_per_iter,
-            s.iters,
-            s.allocs_per_iter,
-            if i + 1 < samples.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
     // Cargo runs benches with CWD = the package dir; anchor the
     // artifact at the workspace root so the trajectory lives in one
     // place across PRs.
@@ -1044,6 +1106,27 @@ fn main() {
             std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into())
         )
     });
+    // The file being replaced is the previous PR's run: keep its
+    // timing beside the new one.
+    let replaced = std::fs::read_to_string(&path).unwrap_or_default();
+    let previous = previous_ns(&replaced);
+    let mut json = String::from("{\n  \"bench\": \"reasoning_micro\",\n  \"samples\": [\n");
+    for (i, s) in samples.iter().enumerate() {
+        let prev = match previous.get(s.name) {
+            Some(ns) => format!("\"prev_ns_per_iter\": {ns}, "),
+            None => String::new(),
+        };
+        let _ = writeln!(
+            json,
+            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, {prev}\"iters\": {}, \"allocs_per_iter\": {:.2}}}{}",
+            s.name,
+            s.ns_per_iter,
+            s.iters,
+            s.allocs_per_iter,
+            if i + 1 < samples.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ]\n}\n");
     match std::fs::write(&path, &json) {
         Ok(()) => println!("# wrote {path}"),
         Err(e) => eprintln!("# could not write {path}: {e}"),

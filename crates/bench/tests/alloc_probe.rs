@@ -5,11 +5,16 @@
 //! [`UnitScratch`], and nothing in the per-unit loop grows a buffer.
 //! Runs in CI under `BENCH_SMOKE` so a regression that re-introduces
 //! per-unit allocation fails the build.
+//!
+//! The write side has its own gate: [`Graph::apply_delta`] must
+//! request allocator bytes in proportion to the delta's pages, not to
+//! the graph.
 
 use std::sync::Arc;
 
 use gfd_core::{Dependency, Gfd, GfdSet, Literal};
-use gfd_graph::{Graph, NodeId, Value, Vocab};
+use gfd_datagen::{synthetic_graph, SynthConfig};
+use gfd_graph::{AttrOp, Edge, Graph, GraphDelta, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
     count_matches_with, for_each_match_in, CacheStats, ClassRegistry, MatchOptions, MatchScratch,
@@ -17,7 +22,7 @@ use gfd_match::{
 use gfd_parallel::unitexec::{execute_unit, MultiQueryIndex, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
 use gfd_pattern::PatternBuilder;
-use gfd_util::alloc::{allocation_count, min_allocation_delta, CountingAlloc};
+use gfd_util::alloc::{allocated_bytes, allocation_count, min_allocation_delta, CountingAlloc};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -372,5 +377,89 @@ fn warm_plan_execution_allocates_nothing() {
         delta, 0,
         "warm plan execution must perform zero heap allocations \
          ({delta} allocations per enumeration)"
+    );
+}
+
+/// What `f` returns and the bytes the allocator was asked for while
+/// it ran.
+fn bytes_requested<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = allocated_bytes();
+    let result = f();
+    (result, allocated_bytes() - before)
+}
+
+/// The O(delta) snapshot gate: a successor snapshot shares every page
+/// its delta leaves alone, so a small delta must cost a small fraction
+/// of a rebuild, and a run of pinned epochs must cost the pages that
+/// changed, not one graph per pin. Byte counts repeat exactly, so the
+/// limits are hard asserts; a whole-array clone anywhere in
+/// `apply_delta` overshoots them several times over.
+#[test]
+fn apply_delta_allocates_by_the_delta_not_the_graph() {
+    let _serial = serial();
+    let g = synthetic_graph(&SynthConfig::sized(20_000, 7));
+    let n = g.node_count();
+    let builder = g.thaw();
+    let (_, freeze_bytes) = bytes_requested(|| builder.freeze());
+    let (_, rebuild_bytes) = bytes_requested(|| g.thaw().freeze());
+
+    // Edits land in the upper half of the id range, away from the
+    // Zipf hubs whose pages are as large as their in-runs.
+    let label = g.edges().next().expect("the graph has edges").label;
+    let edge_at = |i: usize| {
+        (n / 2 + 131 * i..n)
+            .map(|s| Edge {
+                src: NodeId(s as u32),
+                dst: NodeId((n - 1 - s / 2) as u32),
+                label,
+            })
+            .find(|e| !g.has_edge(e.src, e.dst, e.label))
+            .expect("an absent edge exists")
+    };
+    let write_at = |i: usize| AttrOp {
+        node: NodeId((n / 2 + 97 * i) as u32),
+        attr: g.vocab().intern("stamp"),
+        value: Some(Value::Int(i as i64)),
+    };
+
+    let mut one_edge = GraphDelta::new(n);
+    one_edge.added_edges.push(edge_at(0));
+    let (patched, edge_bytes) = bytes_requested(|| g.apply_delta(&one_edge));
+    assert_eq!(patched.edge_count(), g.edge_count() + 1);
+    assert!(
+        edge_bytes * 20 < rebuild_bytes,
+        "a one-edge apply_delta requested {edge_bytes} B, a rebuild {rebuild_bytes} B"
+    );
+
+    let mut writes = GraphDelta::new(n);
+    writes.attr_ops.extend((0..16).map(write_at));
+    let (patched, write_bytes) = bytes_requested(|| g.apply_delta(&writes));
+    assert_eq!(
+        patched.attr(write_at(15).node, write_at(15).attr),
+        Some(&Value::Int(15))
+    );
+    assert!(
+        write_bytes * 20 < rebuild_bytes,
+        "a 16-write apply_delta requested {write_bytes} B, a rebuild {rebuild_bytes} B"
+    );
+
+    // 32 epochs of one edit each, every snapshot kept pinned.
+    let (pins, pinned_bytes) = bytes_requested(|| {
+        let mut pins: Vec<Graph> = Vec::with_capacity(32);
+        for i in 0..32 {
+            let mut delta = GraphDelta::new(n);
+            match i % 2 {
+                0 => delta.added_edges.push(edge_at(i)),
+                _ => delta.attr_ops.push(write_at(i)),
+            }
+            let next = pins.last().unwrap_or(&g).apply_delta(&delta);
+            pins.push(next);
+        }
+        pins
+    });
+    assert_eq!(pins.len(), 32);
+    assert!(
+        pinned_bytes < 2 * freeze_bytes,
+        "32 pinned epochs requested {pinned_bytes} B, one freeze {freeze_bytes} B"
     );
 }

@@ -25,6 +25,7 @@
 //!   `added_nodes` instead;
 //! * attribute ops keep only the last write per `(node, attribute)`.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 use crate::graph::{Edge, Graph, NodeId};
@@ -36,7 +37,7 @@ use crate::vocab::Sym;
 /// A delta that arrives over a wire (the standing-violation service's
 /// edit stream) is hostile input: it may reference node ids past the
 /// snapshot, claim to add edges that already exist, or remove edges
-/// that do not. Applying such a delta would corrupt the CSR patch, so
+/// that do not. Applying such a delta would corrupt the page patch, so
 /// ingest validates first and leaves the epoch untouched on rejection.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DeltaError {
@@ -253,8 +254,7 @@ impl GraphDelta {
         // the builder), so net = adds - removes ∈ {-1, 0, +1}.
         if !self.added_edges.is_empty() || !self.removed_edges.is_empty() {
             let key = |e: &Edge| (e.src, e.label, e.dst);
-            let mut net: std::collections::HashMap<(NodeId, Sym, NodeId), i32> =
-                std::collections::HashMap::new();
+            let mut net: HashMap<(NodeId, Sym, NodeId), i32> = HashMap::new();
             for e in &self.added_edges {
                 *net.entry(key(e)).or_insert(0) += 1;
             }
@@ -273,15 +273,19 @@ impl GraphDelta {
         // session-added nodes update the added_nodes record instead.
         if !self.label_changes.is_empty() {
             let mut coalesced: Vec<LabelChange> = Vec::with_capacity(self.label_changes.len());
+            let mut slot_of: HashMap<NodeId, usize> = HashMap::new();
             for c in self.label_changes.drain(..) {
                 if c.node.index() >= self.base_nodes {
                     let slot = c.node.index() - self.base_nodes;
                     self.added_nodes[slot].1 = c.new;
                     continue;
                 }
-                match coalesced.iter_mut().find(|p| p.node == c.node) {
-                    Some(prev) => prev.new = c.new,
-                    None => coalesced.push(c),
+                match slot_of.entry(c.node) {
+                    Entry::Occupied(slot) => coalesced[*slot.get()].new = c.new,
+                    Entry::Vacant(slot) => {
+                        slot.insert(coalesced.len());
+                        coalesced.push(c);
+                    }
                 }
             }
             coalesced.retain(|c| c.old != c.new);
@@ -290,16 +294,18 @@ impl GraphDelta {
         }
 
         // Attributes: last write per (node, attr) wins, kept in first-
-        // occurrence order (application order is then irrelevant).
-        if !self.attr_ops.is_empty() {
+        // occurrence order (application order is then irrelevant). A
+        // single write has nothing to coalesce with.
+        if self.attr_ops.len() > 1 {
             let mut kept: Vec<AttrOp> = Vec::with_capacity(self.attr_ops.len());
+            let mut slot_of: HashMap<(NodeId, Sym), usize> = HashMap::new();
             for op in self.attr_ops.drain(..) {
-                match kept
-                    .iter_mut()
-                    .find(|p| p.node == op.node && p.attr == op.attr)
-                {
-                    Some(prev) => prev.value = op.value,
-                    None => kept.push(op),
+                match slot_of.entry((op.node, op.attr)) {
+                    Entry::Occupied(slot) => kept[*slot.get()].value = op.value,
+                    Entry::Vacant(slot) => {
+                        slot.insert(kept.len());
+                        kept.push(op);
+                    }
                 }
             }
             self.attr_ops = kept;
@@ -311,32 +317,58 @@ impl GraphDelta {
     /// `B₁`, `later` takes `B₁` to `B₂`; the merged delta takes `B₀`
     /// directly to `B₂`. Opposing operations across the two deltas
     /// cancel (an edge added by `self` and removed by `later` leaves
-    /// no trace; an attribute written twice keeps the last value) —
-    /// this is the batch-compaction primitive of the edit-stream
-    /// engine: a batch of per-edit deltas folds into one normalized
-    /// delta, so one CSR patch and one state repair serve the whole
-    /// batch, and re-enumerations pinned at nodes touched by several
-    /// edits run once.
+    /// no trace; an attribute written twice keeps the last value).
+    /// To fold more than two deltas use [`GraphDelta::compact`], which
+    /// normalizes once instead of once per step.
     ///
     /// `later` must be based on `self`'s result (its `base_nodes`
     /// equals `self.base_nodes + self.added_nodes.len()`) — deltas
     /// recorded by consecutive [`Graph::edit_with_delta`] sessions
     /// satisfy this by construction.
     pub fn merge(mut self, later: GraphDelta) -> GraphDelta {
+        self.append(&later);
+        self.normalize()
+    }
+
+    /// Folds a chain of deltas (each based on its predecessor's
+    /// result, as for [`merge`](GraphDelta::merge)) into the one
+    /// normalized delta that takes the first delta's base directly to
+    /// the last delta's result; `None` for an empty chain. This is the
+    /// batch-compaction primitive of the edit-stream engine: one page
+    /// patch and one state repair serve the whole batch, and
+    /// re-enumerations pinned at nodes touched by several edits run
+    /// once. The chain is concatenated once and normalized once, so
+    /// the cost is linear in its total size.
+    ///
+    /// # Panics
+    ///
+    /// If a delta is not based on its predecessor's result;
+    /// [`check_ids`](GraphDelta::check_ids) against the running node
+    /// count rules that out for deltas from outside.
+    pub fn compact<'a>(chain: impl IntoIterator<Item = &'a GraphDelta>) -> Option<GraphDelta> {
+        let mut chain = chain.into_iter().peekable();
+        let mut net = GraphDelta::new(chain.peek()?.base_nodes);
+        for delta in chain {
+            net.append(delta);
+        }
+        Some(net.normalize())
+    }
+
+    /// Concatenates `later`'s recorded operations after this delta's.
+    /// Concatenation preserves application order, so a following
+    /// [`normalize`](GraphDelta::normalize) computes exactly the net
+    /// effect of running both sessions.
+    fn append(&mut self, later: &GraphDelta) {
         assert_eq!(
             later.base_nodes,
             self.base_nodes + self.added_nodes.len(),
-            "merge: later delta is not based on this delta's result snapshot"
+            "later delta is not based on this delta's result snapshot"
         );
-        self.added_nodes.extend(later.added_nodes);
-        self.added_edges.extend(later.added_edges);
-        self.removed_edges.extend(later.removed_edges);
-        self.label_changes.extend(later.label_changes);
-        self.attr_ops.extend(later.attr_ops);
-        // Concatenation preserves application order, so `normalize`'s
-        // cancellation/coalescing rules compute exactly the net effect
-        // of running both sessions.
-        self.normalize()
+        self.added_nodes.extend_from_slice(&later.added_nodes);
+        self.added_edges.extend_from_slice(&later.added_edges);
+        self.removed_edges.extend_from_slice(&later.removed_edges);
+        self.label_changes.extend_from_slice(&later.label_changes);
+        self.attr_ops.extend_from_slice(&later.attr_ops);
     }
 
     /// Structural validation of a (possibly hostile) **raw** delta:

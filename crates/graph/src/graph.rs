@@ -1,5 +1,5 @@
 //! The property graph `G = (V, E, L, F_A)` of §2, split into a mutable
-//! [`GraphBuilder`] and an immutable CSR snapshot [`Graph`].
+//! [`GraphBuilder`] and an immutable, paged CSR snapshot [`Graph`].
 //!
 //! ## Why two types
 //!
@@ -15,19 +15,30 @@
 //! * [`GraphBuilder`] — append/update API (`add_node`, `add_edge`,
 //!   `set_attr`, `set_label`, …). Per-node adjacency is kept sorted by
 //!   `(label, dst)` so duplicate-edge rejection stays a binary search.
-//! * [`Graph`] — produced by [`GraphBuilder::freeze`]: flat
-//!   offset/adjacency arrays (CSR) for both directions, each node's
-//!   edge run sorted by `(label, dst)`, plus label extents stored as
-//!   contiguous ranges over a node permutation. `has_edge` is a binary
-//!   search over one contiguous slice; per-label neighbor lists
-//!   ([`Graph::neighbors_labeled`]) and label extents
-//!   ([`Graph::extent`]) are zero-allocation subslices.
+//! * [`Graph`] — produced by [`GraphBuilder::freeze`]: nodes are cut
+//!   into fixed-size pages of consecutive ids, each page a small CSR
+//!   (offsets + one contiguous adjacency array) per direction plus the
+//!   page's attribute tuples, every page behind its own `Arc`. Each
+//!   node's edge run is contiguous and sorted by `(label, dst)`, and
+//!   label extents are contiguous ranges over a node permutation.
+//!   `has_edge` is a binary search over one contiguous slice;
+//!   per-label neighbor lists ([`Graph::neighbors_labeled`]) and label
+//!   extents ([`Graph::extent`]) are zero-allocation subslices.
 //!
 //! A frozen snapshot is immutable, `Send + Sync`, and shared across
 //! workers behind an `Arc` — no per-worker copies. Repair/noise
 //! workflows go back through [`Graph::thaw`] (or the [`Graph::edit`]
 //! convenience) and re-freeze; node ids are stable across the round
 //! trip.
+//!
+//! ## Why pages
+//!
+//! A successor snapshot ([`Graph::apply_delta`]) shares every page its
+//! delta does not touch with its predecessor: an epoch of the edit
+//! stream, a replayed log frame and a reader's pinned snapshot each
+//! cost the pages that changed, not a copy of the graph. Pages are cut
+//! by node count, so the page holding a high-degree hub is as large as
+//! the hub's run.
 //!
 //! Edge semantics are unchanged from §2: edges are directed, labeled,
 //! and unique per `(src, dst, label)` triple (parallel edges with
@@ -348,79 +359,84 @@ impl GraphBuilder {
             .unwrap_or(&[])
     }
 
-    /// Flattens the builder into an immutable CSR snapshot. Node ids
+    /// Cuts the builder into an immutable paged CSR snapshot. Node ids
     /// are preserved verbatim.
     pub fn freeze(self) -> Graph {
         let n = self.labels.len();
-        let m = self.edge_count;
 
-        // Out-CSR: the builder keeps each run sorted by (label, dst).
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_adj = Vec::with_capacity(m);
-        out_offsets.push(0u32);
-        for run in &self.out {
-            out_adj.extend_from_slice(run);
-            out_offsets.push(out_adj.len() as u32);
-        }
+        // Out pages: the builder keeps each run sorted by (label, dst).
+        let out = self
+            .out
+            .chunks(PAGE_NODES)
+            .map(|runs| {
+                let mut page = PageBuilder::with_capacity(runs.iter().map(Vec::len).sum());
+                for run in runs {
+                    page.adj.extend_from_slice(run);
+                    page.end_run();
+                }
+                page.finish()
+            })
+            .collect();
 
-        // In-CSR: counting sort by destination, then order each run.
-        let mut in_degree = vec![0u32; n];
+        // In pages: counting sort by destination, then order each run.
+        // `pending[v]` counts the slots of `v`'s run still to fill.
+        let mut pending = vec![0u32; n];
         for run in &self.out {
             for a in run {
-                in_degree[a.node.index()] += 1;
+                pending[a.node.index()] += 1;
             }
         }
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        in_offsets.push(0u32);
-        for d in &in_degree {
-            in_offsets.push(in_offsets.last().unwrap() + d);
-        }
-        let mut in_adj = vec![
-            Adj {
-                label: Sym(0),
-                node: NodeId(0)
-            };
-            m
-        ];
-        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
+        let mut inn: Vec<AdjPage> = pending
+            .chunks(PAGE_NODES)
+            .map(|degrees| {
+                let mut offsets = [0u32; PAGE_NODES + 1];
+                for slot in 0..PAGE_NODES {
+                    offsets[slot + 1] = offsets[slot] + degrees.get(slot).copied().unwrap_or(0);
+                }
+                let filler = Adj {
+                    label: Sym(0),
+                    node: NodeId(0),
+                };
+                AdjPage {
+                    offsets,
+                    adj: vec![filler; offsets[PAGE_NODES] as usize].into_boxed_slice(),
+                }
+            })
+            .collect();
         for (src, run) in self.out.iter().enumerate() {
             for a in run {
-                let slot = &mut cursor[a.node.index()];
-                in_adj[*slot as usize] = Adj {
+                let dst = a.node.index();
+                let page = &mut inn[dst >> PAGE_SHIFT];
+                let at = page.offsets[(dst & PAGE_MASK) + 1] - pending[dst];
+                pending[dst] -= 1;
+                page.adj[at as usize] = Adj {
                     label: a.label,
                     node: NodeId(src as u32),
                 };
-                *slot += 1;
             }
         }
-        for u in 0..n {
-            in_adj[in_offsets[u] as usize..in_offsets[u + 1] as usize].sort_unstable();
-        }
-
-        // Label extents: a node permutation sorted by (label, id) with
-        // one contiguous range per label.
-        let mut extent_perm: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        extent_perm.sort_unstable_by_key(|&u| (self.labels[u.index()], u));
-        let mut extent_ranges: Vec<(Sym, u32, u32)> = Vec::new();
-        for (i, &u) in extent_perm.iter().enumerate() {
-            let label = self.labels[u.index()];
-            match extent_ranges.last_mut() {
-                Some((l, _, hi)) if *l == label => *hi = (i + 1) as u32,
-                _ => extent_ranges.push((label, i as u32, (i + 1) as u32)),
+        for page in &mut inn {
+            for slot in 0..PAGE_NODES {
+                let (lo, hi) = (page.offsets[slot], page.offsets[slot + 1]);
+                page.adj[lo as usize..hi as usize].sort_unstable();
             }
         }
 
+        let mut maps = self.attrs.into_iter();
+        let attrs = (0..page_count(n))
+            .map(|_| Arc::new(std::array::from_fn(|_| maps.next().unwrap_or_default())))
+            .collect();
+
+        let (extent_perm, extent_ranges) = build_extents(&self.labels);
         Graph {
             vocab: self.vocab,
-            labels: self.labels,
-            attrs: self.attrs,
-            out_offsets,
-            out_adj,
-            in_offsets,
-            in_adj,
+            labels: self.labels.into(),
+            attrs,
+            out,
+            inn: inn.into_iter().map(Arc::new).collect(),
             extent_perm,
             extent_ranges,
-            edge_count: m,
+            edge_count: self.edge_count,
         }
     }
 }
@@ -435,28 +451,120 @@ impl fmt::Debug for GraphBuilder {
 }
 
 // ---------------------------------------------------------------------
-// Graph (frozen CSR snapshot)
+// Graph (frozen paged CSR snapshot)
 
-/// An immutable CSR snapshot of a property graph.
+/// Nodes per page, a power of two: node `u` lives in page
+/// `u >> PAGE_SHIFT` at slot `u & PAGE_MASK`.
+const PAGE_SHIFT: u32 = 6;
+const PAGE_NODES: usize = 1 << PAGE_SHIFT;
+const PAGE_MASK: usize = PAGE_NODES - 1;
+
+/// Pages needed for `n` nodes.
+fn page_count(n: usize) -> usize {
+    n.div_ceil(PAGE_NODES)
+}
+
+/// The attribute tuples of one page's nodes. Slots past the last node
+/// hold empty maps, so adding nodes into a page's free slots changes
+/// nothing.
+type AttrPage = [AttrMap; PAGE_NODES];
+
+/// One direction's adjacency of one page's nodes, as a small CSR.
+/// Slots past the last node have empty runs.
+struct AdjPage {
+    /// `adj[offsets[slot]..offsets[slot + 1]]` is the slot's run.
+    offsets: [u32; PAGE_NODES + 1],
+    adj: Box<[Adj]>,
+}
+
+impl AdjPage {
+    fn empty() -> Self {
+        AdjPage {
+            offsets: [0; PAGE_NODES + 1],
+            adj: Box::default(),
+        }
+    }
+
+    #[inline]
+    fn run(&self, slot: usize) -> &[Adj] {
+        &self.adj[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+
+    #[inline]
+    fn degree(&self, slot: usize) -> usize {
+        (self.offsets[slot + 1] - self.offsets[slot]) as usize
+    }
+}
+
+/// Fills an [`AdjPage`] slot by slot: push a slot's run onto `adj`,
+/// then [`end_run`](PageBuilder::end_run).
+struct PageBuilder {
+    offsets: [u32; PAGE_NODES + 1],
+    adj: Vec<Adj>,
+    slots: usize,
+}
+
+impl PageBuilder {
+    fn with_capacity(entries: usize) -> Self {
+        PageBuilder {
+            offsets: [0; PAGE_NODES + 1],
+            adj: Vec::with_capacity(entries),
+            slots: 0,
+        }
+    }
+
+    fn end_run(&mut self) {
+        self.slots += 1;
+        self.offsets[self.slots] = self.adj.len() as u32;
+    }
+
+    fn finish(mut self) -> Arc<AdjPage> {
+        let end = self.adj.len() as u32;
+        self.offsets[self.slots..].fill(end);
+        Arc::new(AdjPage {
+            offsets: self.offsets,
+            adj: self.adj.into_boxed_slice(),
+        })
+    }
+}
+
+/// Label extents: the node permutation sorted by `(label, id)` and one
+/// contiguous `(label, lo, hi)` range per label.
+type Extents = (Arc<[NodeId]>, Arc<[(Sym, u32, u32)]>);
+
+fn build_extents(labels: &[Sym]) -> Extents {
+    let mut perm: Arc<[NodeId]> = (0..labels.len() as u32).map(NodeId).collect();
+    let sorted = Arc::get_mut(&mut perm).expect("just built, not yet shared");
+    sorted.sort_unstable_by_key(|&u| (labels[u.index()], u));
+    let mut ranges: Vec<(Sym, u32, u32)> = Vec::new();
+    for (i, &u) in perm.iter().enumerate() {
+        let label = labels[u.index()];
+        match ranges.last_mut() {
+            Some((l, _, hi)) if *l == label => *hi = (i + 1) as u32,
+            _ => ranges.push((label, i as u32, (i + 1) as u32)),
+        }
+    }
+    (perm, ranges.into())
+}
+
+/// An immutable paged CSR snapshot of a property graph.
 ///
 /// Produced by [`GraphBuilder::freeze`]; see the module docs for the
 /// layout. All read methods are allocation-free; the snapshot is
 /// `Send + Sync` and meant to be shared across workers via `Arc`.
 pub struct Graph {
     vocab: Arc<Vocab>,
-    labels: Vec<Sym>,
-    attrs: Vec<AttrMap>,
-    /// `out_adj[out_offsets[u]..out_offsets[u+1]]` is `u`'s out-run,
-    /// sorted by `(label, dst)`.
-    out_offsets: Vec<u32>,
-    out_adj: Vec<Adj>,
-    /// Same layout for incoming edges (`node` is the source).
-    in_offsets: Vec<u32>,
-    in_adj: Vec<Adj>,
+    labels: Arc<[Sym]>,
+    /// One page per `PAGE_NODES` consecutive node ids.
+    attrs: Vec<Arc<AttrPage>>,
+    /// Out-runs, sorted by `(label, dst)`.
+    out: Vec<Arc<AdjPage>>,
+    /// In-runs (`node` is the source), sorted by `(label, src)`.
+    inn: Vec<Arc<AdjPage>>,
     /// All nodes sorted by `(label, id)`; extents are subranges.
-    extent_perm: Vec<NodeId>,
+    extent_perm: Arc<[NodeId]>,
     /// Per label: `(label, lo, hi)` into `extent_perm`, sorted by label.
-    extent_ranges: Vec<(Sym, u32, u32)>,
+    extent_ranges: Arc<[(Sym, u32, u32)]>,
     edge_count: usize,
 }
 
@@ -493,41 +601,44 @@ impl Graph {
     }
 
     /// The attribute tuple `F_A(node)`.
+    #[inline]
     pub fn attrs(&self, node: NodeId) -> &AttrMap {
-        &self.attrs[node.index()]
+        let i = node.index();
+        &self.attrs[i >> PAGE_SHIFT][i & PAGE_MASK]
     }
 
     /// The value of `node.attr`, if present.
+    #[inline]
     pub fn attr(&self, node: NodeId, attr: Sym) -> Option<&Value> {
-        self.attrs[node.index()].get(attr)
+        self.attrs(node).get(attr)
     }
 
     /// The outgoing edge run of `node`, sorted by `(label, dst)`.
     #[inline]
     pub fn out_slice(&self, node: NodeId) -> &[Adj] {
         let i = node.index();
-        &self.out_adj[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
+        self.out[i >> PAGE_SHIFT].run(i & PAGE_MASK)
     }
 
     /// The incoming edge run of `node`, sorted by `(label, src)`.
     #[inline]
     pub fn in_slice(&self, node: NodeId) -> &[Adj] {
         let i = node.index();
-        &self.in_adj[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
+        self.inn[i >> PAGE_SHIFT].run(i & PAGE_MASK)
     }
 
     /// Out-degree of `node`.
     #[inline]
     pub fn out_degree(&self, node: NodeId) -> usize {
         let i = node.index();
-        (self.out_offsets[i + 1] - self.out_offsets[i]) as usize
+        self.out[i >> PAGE_SHIFT].degree(i & PAGE_MASK)
     }
 
     /// In-degree of `node`.
     #[inline]
     pub fn in_degree(&self, node: NodeId) -> usize {
         let i = node.index();
-        (self.in_offsets[i + 1] - self.in_offsets[i]) as usize
+        self.inn[i >> PAGE_SHIFT].degree(i & PAGE_MASK)
     }
 
     /// Total degree (in + out) of `node`.
@@ -561,10 +672,11 @@ impl Graph {
     /// for entry points that accept externally supplied ids.
     #[inline]
     fn out_run_or_empty(&self, src: NodeId) -> &[Adj] {
-        if src.index() >= self.labels.len() {
-            return &[];
+        let i = src.index();
+        match self.out.get(i >> PAGE_SHIFT) {
+            Some(page) => page.run(i & PAGE_MASK),
+            None => &[],
         }
-        self.out_slice(src)
     }
 
     /// True if the edge `(src, dst, label)` exists — one binary search
@@ -656,7 +768,7 @@ impl Graph {
     /// Approximate serialized size of a node (label + attributes + its
     /// incident edge slots), used by the communication cost model.
     pub fn node_wire_size(&self, node: NodeId) -> usize {
-        8 + self.attrs[node.index()].wire_size() + 12 * self.out_degree(node)
+        8 + self.attrs(node).wire_size() + 12 * self.out_degree(node)
     }
 
     /// Reconstructs a [`GraphBuilder`] with identical contents and node
@@ -672,8 +784,11 @@ impl Graph {
         }
         GraphBuilder {
             vocab: self.vocab.clone(),
-            labels: self.labels.clone(),
-            attrs: self.attrs.clone(),
+            labels: self.labels.to_vec(),
+            attrs: (self.attrs.iter().flat_map(|page| page.iter()))
+                .take(self.node_count())
+                .cloned()
+                .collect(),
             out: self.nodes().map(|u| self.out_slice(u).to_vec()).collect(),
             label_index,
             edge_count: self.edge_count,
@@ -703,11 +818,12 @@ impl Graph {
     }
 
     /// Builds the successor snapshot by patching this one with a
-    /// *normalized* delta — a handful of merge passes over the flat
-    /// CSR arrays instead of `freeze`'s per-node runs, counting sort
-    /// and extent re-sort. Unchanged sections (adjacency when the
-    /// delta has no edge ops, extents when it has no label ops) are
-    /// plain memcpys of this snapshot's arrays.
+    /// *normalized* delta, sharing every page the delta does not touch:
+    /// the page spines are cloned (one refcount bump per page), an
+    /// attribute page is copied on the first write into it, and an
+    /// adjacency page is rebuilt only if one of its nodes gains or
+    /// loses an edge. Labels and extents are shared unless the delta
+    /// adds or relabels nodes, in which case both are rebuilt whole.
     ///
     /// The delta must be consistent with this snapshot: based at its
     /// node count, added edges absent, removed edges present (the
@@ -720,103 +836,75 @@ impl Graph {
             delta.base_nodes, old_n,
             "apply_delta: delta based on a different snapshot"
         );
-        let new_n = old_n + delta.added_nodes.len();
+        let pages = page_count(old_n + delta.added_nodes.len());
 
-        let mut labels = self.labels.clone();
-        labels.reserve(delta.added_nodes.len());
-        for &(id, label) in &delta.added_nodes {
-            debug_assert_eq!(id.index(), labels.len(), "added node ids are dense");
-            labels.push(label);
-        }
-        for c in &delta.label_changes {
-            debug_assert_eq!(labels[c.node.index()], c.old, "stale label change");
-            labels[c.node.index()] = c.new;
-        }
+        let (labels, (extent_perm, extent_ranges)) =
+            if delta.added_nodes.is_empty() && delta.label_changes.is_empty() {
+                let extents = (self.extent_perm.clone(), self.extent_ranges.clone());
+                (self.labels.clone(), extents)
+            } else {
+                let added = delta
+                    .added_nodes
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(id, label))| {
+                        debug_assert_eq!(id.index(), old_n + k, "added node ids are dense");
+                        label
+                    });
+                let mut labels: Arc<[Sym]> = self.labels.iter().copied().chain(added).collect();
+                let relabeled = Arc::get_mut(&mut labels).expect("just built, not yet shared");
+                for c in &delta.label_changes {
+                    debug_assert_eq!(relabeled[c.node.index()], c.old, "stale label change");
+                    relabeled[c.node.index()] = c.new;
+                }
+                let extents = build_extents(&labels);
+                (labels, extents)
+            };
 
         let mut attrs = self.attrs.clone();
-        attrs.resize(new_n, AttrMap::new());
+        grow(&mut attrs, pages, || {
+            std::array::from_fn(|_| AttrMap::new())
+        });
         for op in &delta.attr_ops {
+            let i = op.node.index();
+            let map = &mut Arc::make_mut(&mut attrs[i >> PAGE_SHIFT])[i & PAGE_MASK];
             match &op.value {
-                Some(v) => attrs[op.node.index()].set(op.attr, v.clone()),
+                Some(v) => map.set(op.attr, v.clone()),
                 None => {
-                    attrs[op.node.index()].remove(op.attr);
+                    map.remove(op.attr);
                 }
             }
         }
 
-        let (out_offsets, out_adj, in_offsets, in_adj) =
-            if delta.added_edges.is_empty() && delta.removed_edges.is_empty() {
-                let mut out_offsets = self.out_offsets.clone();
-                let mut in_offsets = self.in_offsets.clone();
-                out_offsets.resize(new_n + 1, *out_offsets.last().unwrap());
-                in_offsets.resize(new_n + 1, *in_offsets.last().unwrap());
-                (
-                    out_offsets,
-                    self.out_adj.clone(),
-                    in_offsets,
-                    self.in_adj.clone(),
-                )
-            } else {
-                let key_out = |e: &Edge| {
-                    (
-                        e.src,
-                        Adj {
-                            label: e.label,
-                            node: e.dst,
-                        },
-                    )
-                };
-                let key_in = |e: &Edge| {
-                    (
-                        e.dst,
-                        Adj {
-                            label: e.label,
-                            node: e.src,
-                        },
-                    )
-                };
-                let (oo, oa) = patch_csr(
-                    new_n,
-                    &self.out_offsets,
-                    &self.out_adj,
-                    delta.added_edges.iter().map(key_out).collect(),
-                    delta.removed_edges.iter().map(key_out).collect(),
-                );
-                let (io, ia) = patch_csr(
-                    new_n,
-                    &self.in_offsets,
-                    &self.in_adj,
-                    delta.added_edges.iter().map(key_in).collect(),
-                    delta.removed_edges.iter().map(key_in).collect(),
-                );
-                (oo, oa, io, ia)
-            };
-
-        let (extent_perm, extent_ranges) =
-            if delta.added_nodes.is_empty() && delta.label_changes.is_empty() {
-                (self.extent_perm.clone(), self.extent_ranges.clone())
-            } else {
-                let mut perm: Vec<NodeId> = (0..new_n as u32).map(NodeId).collect();
-                perm.sort_unstable_by_key(|&u| (labels[u.index()], u));
-                let mut ranges: Vec<(Sym, u32, u32)> = Vec::new();
-                for (i, &u) in perm.iter().enumerate() {
-                    let label = labels[u.index()];
-                    match ranges.last_mut() {
-                        Some((l, _, hi)) if *l == label => *hi = (i + 1) as u32,
-                        _ => ranges.push((label, i as u32, (i + 1) as u32)),
-                    }
-                }
-                (perm, ranges)
-            };
+        let mut out = self.out.clone();
+        let mut inn = self.inn.clone();
+        grow(&mut out, pages, AdjPage::empty);
+        grow(&mut inn, pages, AdjPage::empty);
+        let out_key = |e: &Edge| {
+            let (label, node) = (e.label, e.dst);
+            (e.src, Adj { label, node })
+        };
+        let in_key = |e: &Edge| {
+            let (label, node) = (e.label, e.src);
+            (e.dst, Adj { label, node })
+        };
+        patch_pages(
+            &mut out,
+            delta.added_edges.iter().map(out_key).collect(),
+            delta.removed_edges.iter().map(out_key).collect(),
+        );
+        patch_pages(
+            &mut inn,
+            delta.added_edges.iter().map(in_key).collect(),
+            delta.removed_edges.iter().map(in_key).collect(),
+        );
 
         Graph {
             vocab: self.vocab.clone(),
             labels,
             attrs,
-            out_offsets,
-            out_adj,
-            in_offsets,
-            in_adj,
+            out,
+            inn,
             extent_perm,
             extent_ranges,
             edge_count: self.edge_count + delta.added_edges.len() - delta.removed_edges.len(),
@@ -824,62 +912,73 @@ impl Graph {
     }
 }
 
-/// One merge pass producing a patched CSR: per node, the old run with
-/// `removes` dropped and `adds` spliced in at their sort position.
-/// Runs of nodes beyond the old snapshot start empty. `O(V + E + d)`
-/// after sorting the `d` patch entries.
-fn patch_csr(
-    new_n: usize,
-    old_offsets: &[u32],
-    old_adj: &[Adj],
+/// Extends a page spine to `pages` entries, all sharing one empty page.
+fn grow<T>(spine: &mut Vec<Arc<T>>, pages: usize, empty: impl FnOnce() -> T) {
+    if spine.len() < pages {
+        spine.resize(pages, Arc::new(empty()));
+    }
+}
+
+/// Rebuilds the pages of `spine` that hold a node of `adds` or
+/// `removes`: per node, the old run with its `removes` dropped and its
+/// `adds` spliced in at their sort position. Every other page is left
+/// as it is. `O(d log d)` plus the size of the touched pages, for `d`
+/// patch entries.
+fn patch_pages(
+    spine: &mut [Arc<AdjPage>],
     mut adds: Vec<(NodeId, Adj)>,
     mut removes: Vec<(NodeId, Adj)>,
-) -> (Vec<u32>, Vec<Adj>) {
+) {
     adds.sort_unstable();
     removes.sort_unstable();
-    let old_n = old_offsets.len() - 1;
-    let mut offsets = Vec::with_capacity(new_n + 1);
-    let mut adj = Vec::with_capacity(old_adj.len() + adds.len() - removes.len());
-    offsets.push(0u32);
+    let page_of = |entry: Option<&(NodeId, Adj)>| entry.map(|(u, _)| u.index() >> PAGE_SHIFT);
     let (mut ap, mut rp) = (0usize, 0usize);
-    for u in 0..new_n {
-        let node = NodeId(u as u32);
-        let run: &[Adj] = if u < old_n {
-            &old_adj[old_offsets[u] as usize..old_offsets[u + 1] as usize]
-        } else {
-            &[]
+    loop {
+        let p = match (page_of(adds.get(ap)), page_of(removes.get(rp))) {
+            (Some(a), Some(r)) => a.min(r),
+            (Some(p), None) | (None, Some(p)) => p,
+            (None, None) => return,
         };
-        let a_lo = ap;
-        while ap < adds.len() && adds[ap].0 == node {
-            ap += 1;
-        }
-        let a_run = &adds[a_lo..ap];
-        let r_lo = rp;
-        while rp < removes.len() && removes[rp].0 == node {
-            rp += 1;
-        }
-        let r_run = &removes[r_lo..rp];
-
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        while i < run.len() || j < a_run.len() {
-            if j < a_run.len() && (i >= run.len() || a_run[j].1 < run[i]) {
-                adj.push(a_run[j].1);
-                j += 1;
-            } else {
-                let e = run[i];
-                i += 1;
-                if k < r_run.len() && r_run[k].1 == e {
-                    k += 1;
-                    continue;
-                }
-                adj.push(e);
+        let old = &spine[p];
+        let a_end = ap + adds[ap..].partition_point(|(u, _)| u.index() >> PAGE_SHIFT == p);
+        let r_end = rp + removes[rp..].partition_point(|(u, _)| u.index() >> PAGE_SHIFT == p);
+        let entries = (old.adj.len() + (a_end - ap)).saturating_sub(r_end - rp);
+        let mut page = PageBuilder::with_capacity(entries);
+        for slot in 0..PAGE_NODES {
+            let node = NodeId(((p << PAGE_SHIFT) | slot) as u32);
+            let run = old.run(slot);
+            let a_lo = ap;
+            while ap < a_end && adds[ap].0 == node {
+                ap += 1;
             }
+            let a_run = &adds[a_lo..ap];
+            let r_lo = rp;
+            while rp < r_end && removes[rp].0 == node {
+                rp += 1;
+            }
+            let r_run = &removes[r_lo..rp];
+
+            let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+            while i < run.len() || j < a_run.len() {
+                if j < a_run.len() && (i >= run.len() || a_run[j].1 < run[i]) {
+                    page.adj.push(a_run[j].1);
+                    j += 1;
+                } else {
+                    let e = run[i];
+                    i += 1;
+                    if k < r_run.len() && r_run[k].1 == e {
+                        k += 1;
+                        continue;
+                    }
+                    page.adj.push(e);
+                }
+            }
+            debug_assert_eq!(k, r_run.len(), "removed edge missing from {node:?}'s run");
+            page.end_run();
         }
-        debug_assert_eq!(k, r_run.len(), "removed edge missing from {node:?}'s run");
-        offsets.push(adj.len() as u32);
+        debug_assert!(ap == a_end && rp == r_end, "patch entries sorted by node");
+        spine[p] = page.finish();
     }
-    debug_assert_eq!(ap, adds.len(), "added edge with out-of-range endpoint");
-    (offsets, adj)
 }
 
 impl fmt::Debug for Graph {
@@ -1121,6 +1220,131 @@ mod tests {
             assert_eq!(patched.out_slice(u), frozen.out_slice(u));
             assert_eq!(patched.in_slice(u), frozen.in_slice(u));
         }
+    }
+
+    /// Four full pages plus five nodes on a ring, `val` on every node.
+    fn ring() -> Graph {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let n = 4 * PAGE_NODES + 5;
+        let ids: Vec<NodeId> = (0..n)
+            .map(|i| b.add_node_labeled(["a", "b"][i % 2]))
+            .collect();
+        for (i, &u) in ids.iter().enumerate() {
+            b.add_edge_labeled(u, ids[(i + 1) % n], "next");
+            b.set_attr_named(u, "val", Value::Int(i as i64));
+        }
+        b.freeze()
+    }
+
+    /// The pages at which two spines do not share their `Arc`.
+    fn unshared<T>(a: &[Arc<T>], b: &[Arc<T>]) -> Vec<usize> {
+        assert_eq!(a.len(), b.len());
+        (0..a.len())
+            .filter(|&p| !Arc::ptr_eq(&a[p], &b[p]))
+            .collect()
+    }
+
+    fn shares_labels_and_extents(a: &Graph, b: &Graph) -> bool {
+        Arc::ptr_eq(&a.labels, &b.labels)
+            && Arc::ptr_eq(&a.extent_perm, &b.extent_perm)
+            && Arc::ptr_eq(&a.extent_ranges, &b.extent_ranges)
+    }
+
+    #[test]
+    fn page_size_matches_the_boundary_oracles() {
+        // tests/prop_graph.rs and tests/prop_delta.rs aim their edit
+        // scripts at multiples of this; change them together.
+        assert_eq!(PAGE_NODES, 64);
+    }
+
+    #[test]
+    fn one_edge_delta_rebuilds_one_page_per_direction() {
+        let g = ring();
+        let next = g.vocab().lookup("next").unwrap();
+        let (src, dst) = (NodeId(3), NodeId(3 * PAGE_NODES as u32 + 1));
+        let (g2, delta) = g.edit_with_delta(|b| {
+            b.add_edge(src, dst, next);
+        });
+        assert_eq!(delta.added_edges.len(), 1);
+        assert!(g2.has_edge(src, dst, next));
+        assert_eq!(unshared(&g.out, &g2.out), vec![0]);
+        assert_eq!(unshared(&g.inn, &g2.inn), vec![3]);
+        assert_eq!(unshared(&g.attrs, &g2.attrs), Vec::<usize>::new());
+        assert!(shares_labels_and_extents(&g, &g2));
+    }
+
+    #[test]
+    fn attribute_delta_copies_only_the_written_pages() {
+        let g = ring();
+        let val = g.vocab().lookup("val").unwrap();
+        let last = NodeId(g.node_count() as u32 - 1);
+        let g2 = g.edit(|b| {
+            b.set_attr(NodeId(PAGE_NODES as u32), val, Value::Int(-1));
+            b.set_attr(NodeId(PAGE_NODES as u32 + 1), val, Value::Int(-2));
+            b.remove_attr(last, val);
+        });
+        assert_eq!(
+            g2.attr(NodeId(PAGE_NODES as u32), val),
+            Some(&Value::Int(-1))
+        );
+        assert_eq!(g2.attr(last, val), None);
+        assert_eq!(unshared(&g.attrs, &g2.attrs), vec![1, 4]);
+        assert_eq!(unshared(&g.out, &g2.out), Vec::<usize>::new());
+        assert_eq!(unshared(&g.inn, &g2.inn), Vec::<usize>::new());
+        assert!(shares_labels_and_extents(&g, &g2));
+    }
+
+    #[test]
+    fn empty_delta_shares_everything() {
+        let g = ring();
+        let g2 = g.apply_delta(&GraphDelta::new(g.node_count()));
+        assert_eq!(unshared(&g.attrs, &g2.attrs), Vec::<usize>::new());
+        assert_eq!(unshared(&g.out, &g2.out), Vec::<usize>::new());
+        assert_eq!(unshared(&g.inn, &g2.inn), Vec::<usize>::new());
+        assert!(shares_labels_and_extents(&g, &g2));
+    }
+
+    #[test]
+    fn relabel_rebuilds_labels_and_extents_only() {
+        let g = ring();
+        let (a, b) = (g.label(NodeId(0)), g.label(NodeId(1)));
+        let moved = NodeId(PAGE_NODES as u32 + 6);
+        assert_eq!(g.label(moved), a);
+        let g2 = g.edit(|builder| {
+            builder.set_label(moved, b);
+        });
+        assert_eq!(g2.label(moved), b);
+        assert!(g2.extent(b).contains(&moved) && !g2.extent(a).contains(&moved));
+        assert!(!Arc::ptr_eq(&g.labels, &g2.labels));
+        assert!(!Arc::ptr_eq(&g.extent_perm, &g2.extent_perm));
+        assert_eq!(unshared(&g.attrs, &g2.attrs), Vec::<usize>::new());
+        assert_eq!(unshared(&g.out, &g2.out), Vec::<usize>::new());
+        assert_eq!(unshared(&g.inn, &g2.inn), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn added_nodes_fill_free_slots_then_share_one_empty_page() {
+        let g = ring();
+        let free = PAGE_NODES - g.node_count() % PAGE_NODES;
+        let g2 = g.edit(|b| {
+            for _ in 0..free + 2 * PAGE_NODES {
+                b.add_node_labeled("a");
+            }
+        });
+        // The old pages — the partly filled last one included — are
+        // shared; the two appended pages are one empty page, twice.
+        assert_eq!(g2.out.len(), g.out.len() + 2);
+        assert_eq!(
+            unshared(&g.out, &g2.out[..g.out.len()]),
+            Vec::<usize>::new()
+        );
+        assert_eq!(
+            unshared(&g.attrs, &g2.attrs[..g.attrs.len()]),
+            Vec::<usize>::new()
+        );
+        assert!(Arc::ptr_eq(&g2.inn[g.inn.len()], &g2.inn[g.inn.len() + 1]));
+        let newest = NodeId(g2.node_count() as u32 - 1);
+        assert!(g2.out_slice(newest).is_empty() && g2.attrs(newest).is_empty());
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //! * attribute values ([`Value`]) and per-node attribute maps ([`AttrMap`]);
 //! * the graph itself, split into a mutable [`GraphBuilder`] and an
 //!   immutable CSR snapshot [`Graph`] produced by
-//!   [`GraphBuilder::freeze`] — flat offset/adjacency arrays in both
-//!   directions with edge runs sorted by `(label, dst)`, and label
-//!   extents as contiguous ranges over a node permutation (see
-//!   [`graph`] module docs for the layout rationale);
+//!   [`GraphBuilder::freeze`] — fixed-size node pages behind `Arc`s,
+//!   each a small CSR per direction with edge runs sorted by
+//!   `(label, dst)`, and label extents as contiguous ranges over a
+//!   node permutation (see [`graph`] module docs for the layout
+//!   rationale);
 //! * recorded edit deltas ([`GraphDelta`], module [`delta`]): every
-//!   thaw/edit session captures its mutations, refreezing patches the
-//!   CSR ([`graph::Graph::apply_delta`]) instead of rebuilding, and
+//!   thaw/edit session captures its mutations, refreezing rebuilds
+//!   only the pages the delta touches
+//!   ([`graph::Graph::apply_delta`]) and shares the rest, and
 //!   the delta feeds the incremental maintenance subsystems in
 //!   `gfd-match`/`gfd-core`/`gfd-parallel`;
 //! * `k`-hop neighborhoods and induced subgraphs — the data blocks

@@ -4,18 +4,28 @@
 //!
 //! The central oracle: a random 50-step edit script, recorded as one
 //! delta per step, applied two ways — step by step (the raw sequence)
-//! versus folded into a single compacted delta with `merge` and
-//! applied once. Both must produce identical snapshots, even when the
-//! script is deliberately biased toward opposing operations (add then
-//! remove the same edge, set then unset the same attribute) so the
-//! cancellation rules are exercised, not just the happy path.
+//! versus folded into a single compacted delta with `compact` (and,
+//! pairwise, `merge`) and applied once. Both must produce identical
+//! snapshots, even when the script is deliberately biased toward
+//! opposing operations (add then remove the same edge, set then unset
+//! the same attribute) so the cancellation rules are exercised, not
+//! just the happy path.
 
 use gfd_graph::{DeltaError, Edge, Graph, GraphBuilder, GraphDelta, NodeId, Value};
 use gfd_util::{prop::check, prop_assert, Rng};
 
-/// A small random base graph over a fixed label/attr vocabulary.
+/// The snapshot's page size (the private `PAGE_NODES` of `graph.rs`,
+/// pinned there by `page_size_matches_the_boundary_oracles`).
+const PAGE: usize = 64;
+
+/// A random base graph over a fixed label/attr vocabulary: small, or
+/// one case in three wider than three pages, so the toggled slots of
+/// [`random_step`] straddle a page boundary.
 fn base_graph(rng: &mut Rng) -> Graph {
-    let n = rng.gen_range(3..10);
+    let n = match rng.gen_range(0..3) {
+        0 => 3 * PAGE + rng.gen_range(0..PAGE),
+        _ => rng.gen_range(3..10),
+    };
     let mut b = GraphBuilder::with_fresh_vocab();
     let ids: Vec<NodeId> = (0..n)
         .map(|i| b.add_node_labeled(&format!("l{}", i % 3)))
@@ -35,9 +45,11 @@ fn random_step(rng: &mut Rng, g: &Graph) -> (Graph, GraphDelta) {
     let n = g.node_count();
     // A deliberately tiny coordinate pool: repeated steps hit the same
     // (src, dst, label) and (node, attr) slots, producing add/remove
-    // and set/unset chains for merge to cancel.
-    let s = NodeId(rng.gen_range(0..n.min(4)) as u32);
-    let d = NodeId(rng.gen_range(0..n.min(4)) as u32);
+    // and set/unset chains for merge to cancel. On a wide graph the
+    // pool is the two slots either side of the first page boundary.
+    let lo = if n > PAGE + 2 { PAGE - 2 } else { 0 };
+    let s = NodeId((lo + rng.gen_range(0..n.min(4))) as u32);
+    let d = NodeId((lo + rng.gen_range(0..n.min(4))) as u32);
     let kind = rng.gen_range(0..7);
     g.edit_with_delta(|b| match kind {
         0 => {
@@ -127,16 +139,19 @@ fn compacted_batch_equals_raw_sequence() {
             // Snapshots are Arc-shared, not Clone; a no-op edit forks
             // an identical successor to walk the raw sequence on.
             let mut raw = base.edit(|_| {});
-            let mut compacted: Option<GraphDelta> = None;
+            let mut steps = Vec::new();
             for _ in 0..50 {
                 let (next, delta) = random_step(rng, &raw);
                 raw = next;
-                compacted = Some(match compacted.take() {
-                    None => delta,
-                    Some(prev) => prev.merge(delta),
-                });
+                steps.push(delta);
             }
-            let compacted = compacted.expect("50 steps recorded");
+            let compacted = GraphDelta::compact(&steps).expect("50 steps recorded");
+            // The single-pass fold is the pairwise fold.
+            let folded = steps.iter().cloned().reduce(|a, b| a.merge(b));
+            prop_assert!(
+                folded.as_ref() == Some(&compacted),
+                "compact {compacted:?} vs merge fold {folded:?}"
+            );
             // The compacted delta must validate against the base and
             // reproduce the raw sequence's final snapshot in ONE patch.
             if let Err(e) = compacted.check_against(&base) {

@@ -320,6 +320,133 @@ fn edit_delta_round_trip_equals_freeze() {
     });
 }
 
+/// The snapshot's page size: mirrors the private `PAGE_NODES` of
+/// `graph.rs`, whose unit test `page_size_matches_the_boundary_oracles`
+/// fails if the two drift apart.
+const PAGE: usize = 64;
+
+/// A graph wider than three pages with one hub whose in-run is longer
+/// than a page — or, one case in four, the empty graph.
+fn wide_graph(rng: &mut Rng) -> Graph {
+    let mut b = GraphBuilder::with_fresh_vocab();
+    if rng.gen_range(0..4) == 0 {
+        return b.freeze();
+    }
+    let n = 3 * PAGE + rng.gen_range(0..PAGE);
+    let ids: Vec<NodeId> = (0..n)
+        .map(|i| b.add_node_labeled(&format!("l{}", i % 4)))
+        .collect();
+    let hub = ids[rng.gen_range(0..n)];
+    for &src in &ids[..PAGE + 8] {
+        b.add_edge_labeled(src, hub, &format!("e{}", src.0 % 2));
+    }
+    for _ in 0..2 * n {
+        let (s, d) = (ids[rng.gen_range(0..n)], ids[rng.gen_range(0..n)]);
+        b.add_edge_labeled(s, d, &format!("e{}", rng.gen_range(0..3)));
+    }
+    for &u in ids.iter().step_by(3) {
+        b.set_attr_named(u, "a0", gfd_graph::Value::Int(u.0 as i64));
+    }
+    b.freeze()
+}
+
+/// A node next to a page boundary (last slot of a page, first and
+/// second slot of the next), or the last node.
+fn boundary_node(rng: &mut Rng, n: usize) -> NodeId {
+    let page = rng.gen_range(1..n / PAGE + 2) * PAGE;
+    let id = [page - 1, page, page + 1][rng.gen_range(0..3)];
+    NodeId(id.min(n - 1) as u32)
+}
+
+/// One step of a page-boundary edit script on the shadow builder.
+fn boundary_step(rng: &mut Rng, b: &mut GraphBuilder) -> String {
+    let n = b.node_count();
+    let free = (PAGE - n % PAGE) % PAGE;
+    let add_nodes = |b: &mut GraphBuilder, count: usize| {
+        for _ in 0..count {
+            b.add_node_labeled("l1");
+        }
+        format!("add {count} nodes at n={n}")
+    };
+    if n == 0 {
+        return add_nodes(b, 1 + rng.gen_range(0..2 * PAGE + 2));
+    }
+    let (s, d) = (boundary_node(rng, n), boundary_node(rng, n));
+    match rng.gen_range(0..10) {
+        // Fill the last page exactly (a whole page if it is full).
+        0 => add_nodes(b, if free == 0 { PAGE } else { free }),
+        // Overflow it by one node.
+        1 => add_nodes(b, free + 1),
+        // More than one whole page in one delta, wired to old nodes.
+        2 => {
+            let what = add_nodes(b, PAGE + 1 + rng.gen_range(0..PAGE));
+            let newest = NodeId(b.node_count() as u32 - 1);
+            b.add_edge_labeled(s, newest, "e0");
+            b.add_edge_labeled(NodeId(n as u32), d, "e1");
+            what
+        }
+        // A relabel plus edge ops in one delta.
+        3 => {
+            let l = b.vocab().intern(&format!("l{}", rng.gen_range(0..4)));
+            b.set_label(s, l);
+            b.add_edge_labeled(s, d, "e0");
+            b.remove_edge_labeled(d, s, "e1");
+            format!("relabel {s:?} + edge ops")
+        }
+        // Adds and removes that cancel inside one page, around one
+        // net op.
+        4 => {
+            if b.add_edge_labeled(s, d, "e2") {
+                b.remove_edge_labeled(s, d, "e2");
+            } else {
+                b.remove_edge_labeled(s, d, "e2");
+                b.add_edge_labeled(s, d, "e2");
+            }
+            b.add_edge_labeled(d, s, "e2");
+            format!("cancelling toggles {s:?}<->{d:?}")
+        }
+        5 | 6 => {
+            let e = format!("e{}", rng.gen_range(0..3));
+            if !b.add_edge_labeled(s, d, &e) {
+                b.remove_edge_labeled(s, d, &e);
+            }
+            format!("toggle {s:?}->{d:?} {e}")
+        }
+        7 => {
+            let a = b.vocab().intern("a0");
+            b.set_attr(s, a, gfd_graph::Value::Int(rng.gen_range(0..5) as i64));
+            b.remove_attr(d, a);
+            format!("attr writes {s:?} {d:?}")
+        }
+        _ => random_mutation(rng, b),
+    }
+}
+
+#[test]
+fn paged_edit_scripts_equal_freeze() {
+    // The apply_delta ≡ freeze oracle on graphs wider than a page,
+    // with scripts aimed at the page boundaries: after every step the
+    // patched snapshot must equal a from-scratch freeze of the shadow
+    // builder, and thaw → freeze must round-trip it.
+    check("paged apply_delta ≡ freeze, 50-step scripts", 40, |rng| {
+        let mut g = wide_graph(rng);
+        let mut shadow = g.thaw();
+        let mut script = Vec::new();
+        for _ in 0..50 {
+            script.push(boundary_step(rng, &mut shadow));
+            let delta = shadow.take_delta().expect("thaw records").normalize();
+            let next = g.apply_delta(&delta);
+            let verdict = graphs_equal(&next, &shadow.clone().freeze())
+                .and_then(|()| graphs_equal(&next.thaw().freeze(), &next));
+            if let Err(msg) = verdict {
+                return Err(format!("{msg}; script: {script:?}"));
+            }
+            g = next;
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn empty_delta_patch_is_identity() {
     check("apply_delta(∅) ≡ id", 40, |rng| {

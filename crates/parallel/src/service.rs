@@ -11,7 +11,7 @@
 //! built robust by construction:
 //!
 //! * **Batch compaction** — a batch of per-edit [`GraphDelta`]s folds
-//!   into one normalized delta ([`GraphDelta::merge`]): opposing ops
+//!   into one normalized delta ([`GraphDelta::compact`]): opposing ops
 //!   cancel before any repair work happens, and re-enumerations
 //!   pinned at nodes touched by several edits of the batch run once
 //!   (the detector sees each affected node once per epoch).
@@ -75,7 +75,9 @@ use crate::workload::{estimate_workload_in, WorkloadOptions};
 /// it refers to. Holding one keeps the snapshot alive (it is an
 /// `Arc`); the service never mutates committed snapshots, so a pin
 /// stays valid and consistent forever — and doubles as a replay base
-/// for [`EditLog::replay_onto`].
+/// for [`EditLog::replay_onto`]. Successive snapshots share every
+/// page no edit touched ([`Graph::apply_delta`]), so a pin costs the
+/// pages rewritten since its epoch, not a copy of the graph.
 #[derive(Clone, Debug)]
 pub struct PinnedEpoch {
     /// The pinned epoch number (0 = the service's initial snapshot).
@@ -136,7 +138,7 @@ impl EditLog {
     }
 
     /// The net delta from `epoch` to the log head, folded into one
-    /// normalized delta ([`GraphDelta::merge`]); `None` if the log
+    /// normalized delta ([`GraphDelta::compact`]); `None` if the log
     /// has no entries past `epoch`.
     ///
     /// # Panics
@@ -150,11 +152,8 @@ impl EditLog {
             "replay from epoch {epoch} impossible: the log is compacted to {}",
             self.compacted_to
         );
-        self.entries
-            .iter()
-            .filter(|e| e.epoch > epoch)
-            .map(|e| e.delta.clone())
-            .reduce(|a, b| a.merge(b))
+        let suffix = self.entries.iter().filter(|e| e.epoch > epoch);
+        GraphDelta::compact(suffix.map(|e| &e.delta))
     }
 
     /// Replays the log suffix onto a pinned epoch, reconstructing the
@@ -551,28 +550,24 @@ impl ViolationService {
     /// Ingests one batch of edit deltas (delta `i+1` based on the
     /// result of delta `i`, the chain [`Graph::edit_with_delta`]
     /// sessions produce). On success the batch commits as one epoch:
-    /// compaction → CSR patch → repair (or degradation) → log append
+    /// compaction → page patch → repair (or degradation) → log append
     /// → subscriber updates; returns the committed epoch. On
     /// rejection **nothing** changed.
     pub fn ingest(&mut self, batch: &[GraphDelta]) -> Result<u64, IngestError> {
         // 1. Validate structurally + fold the batch into one delta.
-        //    Hostile ids must be caught BEFORE normalize/merge (their
+        //    Hostile ids must be caught BEFORE compaction (normalize's
         //    added-node folding indexes by id), so each delta's id
         //    ranges are checked against the running node count first.
         let mut expected_base = self.current.node_count();
-        let mut compacted: Option<GraphDelta> = None;
         for (index, delta) in batch.iter().enumerate() {
             if let Err(error) = delta.check_ids(expected_base) {
                 self.stats.batches_rejected += 1;
                 return Err(IngestError::MalformedDelta { index, error });
             }
             expected_base += delta.added_nodes.len();
-            compacted = Some(match compacted.take() {
-                None => delta.clone().normalize(),
-                Some(prev) => prev.merge(delta.clone()),
-            });
         }
-        let compacted = compacted.unwrap_or_else(|| GraphDelta::new(self.current.node_count()));
+        let compacted = GraphDelta::compact(batch)
+            .unwrap_or_else(|| GraphDelta::new(self.current.node_count()));
 
         // 2. Semantic validation of the net delta against the pinned
         //    current snapshot; rejection leaves the epoch untouched.
@@ -581,9 +576,10 @@ impl ViolationService {
             return Err(IngestError::MalformedBatch { error });
         }
 
-        // 3. Build the successor snapshot. Readers holding the old
-        //    Arc keep serving it — commit is a pointer swap at the
-        //    end, never an in-place mutation.
+        // 3. Build the successor snapshot: it shares every page the
+        //    net delta does not touch with the current one. Readers
+        //    holding the old Arc keep serving it — commit is a pointer
+        //    swap at the end, never an in-place mutation.
         let next_epoch = self.epoch + 1;
         let next = if compacted.is_empty() {
             Arc::clone(&self.current)

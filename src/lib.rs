@@ -24,7 +24,7 @@
 //! [`graph::GraphBuilder`] (`add_node`, `add_edge`, `set_attr`, …),
 //! then [`graph::GraphBuilder::freeze`] into an immutable CSR
 //! [`graph::Graph`] that every validator reads. The snapshot stores
-//! flat offset/adjacency arrays sorted by `(label, dst)` — `has_edge`
+//! pages of per-node edge runs sorted by `(label, dst)` — `has_edge`
 //! is one binary search, per-label neighbor lists and label extents
 //! are zero-allocation slices — and is shared across workers behind an
 //! `Arc`, never cloned. Repairs go back through
