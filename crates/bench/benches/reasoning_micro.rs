@@ -27,7 +27,7 @@ use gfd_match::{
     count_matches, count_matches_with, dual_simulation, for_each_match_with, CacheStats,
     ClassRegistry, ComponentSearch, IncrementalSpace, MatchOptions, MatchScratch, SearchScratch,
 };
-use gfd_parallel::unitexec::{execute_unit, MultiQueryIndex, UnitScratch};
+use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, feasible_pivots, plan_rules, WorkloadOptions};
 use gfd_parallel::{rep_val, wal, RepValConfig, ServiceConfig, SyncPolicy, ViolationService};
 use gfd_pattern::{Pattern, PatternBuilder, VarId};
@@ -769,41 +769,19 @@ fn main() {
         let plans = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         let registry = ClassRegistry::new();
-        let mqi = MultiQueryIndex::build(&plans, &registry);
+        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
         let mut stats = CacheStats::default();
         let mut scratch = UnitScratch::new();
         let mut out = Vec::new();
         for u in &wl.units {
-            execute_unit(
-                &g,
-                &sigma,
-                &plans,
-                &wl.slots,
-                u,
-                Some(&mqi),
-                &registry,
-                &mut stats,
-                &mut scratch,
-                &mut out,
-            );
+            exec.run(u, &mut stats, &mut scratch, &mut out);
         }
         assert!(out.is_empty(), "the probe fleet must be violation-free");
         let mut i = 0usize;
         bench("alloc/unit_exec_steady_state", &mut samples, || {
             let u = &wl.units[i % wl.units.len()];
             i += 1;
-            execute_unit(
-                &g,
-                &sigma,
-                &plans,
-                &wl.slots,
-                u,
-                Some(&mqi),
-                &registry,
-                &mut stats,
-                &mut scratch,
-                &mut out,
-            );
+            exec.run(u, &mut stats, &mut scratch, &mut out);
             out.len()
         });
 
@@ -817,18 +795,7 @@ fn main() {
         let mut w2_scratch = UnitScratch::new();
         let run_w2 = |stats: &mut CacheStats, scratch: &mut UnitScratch, out: &mut Vec<_>| {
             for u in &wl.units {
-                execute_unit(
-                    &g,
-                    &sigma,
-                    &plans,
-                    &wl.slots,
-                    u,
-                    Some(&mqi),
-                    &registry,
-                    stats,
-                    scratch,
-                    out,
-                );
+                exec.run(u, stats, scratch, out);
             }
         };
         run_w2(&mut w2_stats, &mut w2_scratch, &mut out); // size worker 2's scratch
@@ -851,23 +818,12 @@ fn main() {
         // neighbor. Times the worst-case serving-tier path (miss +
         // insert + LRU sweep) that a budget-starved deployment pays.
         let tiny = ClassRegistry::with_budget_bytes(32);
-        let tiny_mqi = MultiQueryIndex::build(&plans, &tiny);
+        let tiny_exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &tiny, true);
         let mut tiny_stats = CacheStats::default();
         let mut tiny_scratch = UnitScratch::new();
         let run_tiny = |stats: &mut CacheStats, scratch: &mut UnitScratch, out: &mut Vec<_>| {
             for u in &wl.units {
-                execute_unit(
-                    &g,
-                    &sigma,
-                    &plans,
-                    &wl.slots,
-                    u,
-                    Some(&tiny_mqi),
-                    &tiny,
-                    stats,
-                    scratch,
-                    out,
-                );
+                tiny_exec.run(u, stats, scratch, out);
             }
         };
         run_tiny(&mut tiny_stats, &mut tiny_scratch, &mut out);

@@ -1,5 +1,5 @@
 //! The allocation-free hot-path guarantee, asserted: after warm-up,
-//! [`execute_unit`] performs **zero heap allocations** per call — the
+//! [`UnitExecutor::run`] performs **zero heap allocations** per call — the
 //! cached flat match tables are reused through `Arc` views served by
 //! the shared [`ClassRegistry`], the join backtracks inside
 //! [`UnitScratch`], and nothing in the per-unit loop grows a buffer.
@@ -19,7 +19,7 @@ use gfd_match::types::Flow;
 use gfd_match::{
     count_matches_with, for_each_match_in, CacheStats, ClassRegistry, MatchOptions, MatchScratch,
 };
-use gfd_parallel::unitexec::{execute_unit, MultiQueryIndex, UnitScratch};
+use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
 use gfd_pattern::PatternBuilder;
 use gfd_util::alloc::{allocated_bytes, allocation_count, min_allocation_delta, CountingAlloc};
@@ -59,15 +59,27 @@ fn clean_flights(n: usize) -> Graph {
 /// both-orientations path, the multi-query cache, and the disjoint
 /// join — the full unit-execution machinery.
 fn same_id_same_dest(vocab: Arc<Vocab>) -> Gfd {
+    same_id_same_dest_declared(vocab, false)
+}
+
+/// [`same_id_same_dest`]; with `leaves_first` the second star declares
+/// its leaves before its hub, so it reads the first star's cached
+/// tables through a non-identity column permutation.
+fn same_id_same_dest_declared(vocab: Arc<Vocab>, leaves_first: bool) -> Gfd {
     let mut b = PatternBuilder::new(vocab.clone());
     let x = b.node("x", "flight");
     let x1 = b.node("x1", "id");
     let x2 = b.node("x2", "city");
     b.edge(x, x1, "number");
     b.edge(x, x2, "to");
-    let y = b.node("y", "flight");
-    let y1 = b.node("y1", "id");
-    let y2 = b.node("y2", "city");
+    let (y, y1, y2) = if leaves_first {
+        let y2 = b.node("y2", "city");
+        let y1 = b.node("y1", "id");
+        (b.node("y", "flight"), y1, y2)
+    } else {
+        let y = b.node("y", "flight");
+        (y, b.node("y1", "id"), b.node("y2", "city"))
+    };
     b.edge(y, y1, "number");
     b.edge(y, y2, "to");
     let q = b.build();
@@ -86,30 +98,25 @@ fn same_id_same_dest(vocab: Arc<Vocab>) -> Gfd {
 fn warm_execute_unit_allocates_nothing() {
     let _serial = serial();
     let g = clean_flights(8);
-    let sigma = GfdSet::new(vec![same_id_same_dest(g.vocab().clone())]);
+    // An identity twin and a non-identity twin: the second rule's
+    // second star is a permuted member of the one star class.
+    let sigma = GfdSet::new(vec![
+        same_id_same_dest(g.vocab().clone()),
+        same_id_same_dest_declared(g.vocab().clone(), true),
+    ]);
     let plans = plan_rules(&sigma);
+    assert!(plans.iter().all(|p| p.symmetric_pair));
     let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
-    assert!(wl.units.len() >= 20, "premise: a non-trivial workload");
+    assert!(wl.units.len() >= 40, "premise: a non-trivial workload");
     let registry = ClassRegistry::new();
-    let mqi = MultiQueryIndex::build(&plans, &registry);
+    let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
     let mut stats = CacheStats::default();
     let mut scratch = UnitScratch::new();
     let mut out = Vec::new();
 
     let run_all = |stats: &mut CacheStats, scratch: &mut UnitScratch, out: &mut Vec<_>| {
         for u in &wl.units {
-            execute_unit(
-                &g,
-                &sigma,
-                &plans,
-                &wl.slots,
-                u,
-                Some(&mqi),
-                &registry,
-                stats,
-                scratch,
-                out,
-            );
+            exec.run(u, stats, scratch, out);
         }
     };
 
@@ -127,7 +134,7 @@ fn warm_execute_unit_allocates_nothing() {
     assert_eq!(
         delta,
         0,
-        "warm execute_unit must perform zero heap allocations \
+        "warm unit execution must perform zero heap allocations \
          ({delta} allocations across {} units)",
         wl.units.len()
     );
@@ -152,25 +159,14 @@ fn warm_cross_worker_registry_hit_allocates_nothing() {
     let plans = plan_rules(&sigma);
     let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
     let registry = ClassRegistry::new();
-    let mqi = MultiQueryIndex::build(&plans, &registry);
+    let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
     let mut out = Vec::new();
 
     // Worker A: pays every enumeration.
     let mut stats_a = CacheStats::default();
     let mut scratch_a = UnitScratch::new();
     for u in &wl.units {
-        execute_unit(
-            &g,
-            &sigma,
-            &plans,
-            &wl.slots,
-            u,
-            Some(&mqi),
-            &registry,
-            &mut stats_a,
-            &mut scratch_a,
-            &mut out,
-        );
+        exec.run(u, &mut stats_a, &mut scratch_a, &mut out);
     }
     assert!(stats_a.misses > 0);
 
@@ -180,18 +176,7 @@ fn warm_cross_worker_registry_hit_allocates_nothing() {
     let mut scratch_b = UnitScratch::new();
     let run_b = |stats_b: &mut CacheStats, scratch_b: &mut UnitScratch, out: &mut Vec<_>| {
         for u in &wl.units {
-            execute_unit(
-                &g,
-                &sigma,
-                &plans,
-                &wl.slots,
-                u,
-                Some(&mqi),
-                &registry,
-                stats_b,
-                scratch_b,
-                out,
-            );
+            exec.run(u, stats_b, scratch_b, out);
         }
     };
     run_b(&mut stats_b, &mut scratch_b, &mut out);

@@ -8,8 +8,9 @@
 //! along undirected paths.
 //!
 //! Data blocks are represented as [`NodeSet`]s (sorted node-id sets)
-//! instead of copied graphs: the matcher restricts its search to the
-//! set, which avoids materializing a subgraph per work unit. An
+//! instead of copied graphs. A search pinned at the pivot cannot leave
+//! the block, so the matcher never consults it: a block is what a work
+//! unit *costs* (its size, the bytes shipped for it). An
 //! explicit [`induced_subgraph`] is provided for when a standalone
 //! graph is needed (tests, shipping blocks between fragments).
 

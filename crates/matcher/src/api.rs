@@ -93,38 +93,26 @@ const SIM_AUTO_MIN_POOL: usize = 128;
 /// unfiltered; cycles are where simulation prunes what backtracking
 /// discovers late. A caller who wants the filter regardless passes a
 /// space.
-fn auto_simulate(cq: &Pattern, g: &Graph, opts: &MatchOptions) -> bool {
+fn auto_simulate(cq: &Pattern, g: &Graph) -> bool {
     if cq.edge_count() < cq.node_count() {
         return false;
     }
     let pool = |v| match cq.label(v) {
         PatLabel::Sym(s) => g.extent(s).len(),
-        PatLabel::Wildcard => opts
-            .restriction
-            .as_ref()
-            .map_or(g.node_count(), |r| r.len()),
+        PatLabel::Wildcard => g.node_count(),
     };
     cq.vars().map(pool).min().unwrap_or(0) >= SIM_AUTO_MIN_POOL
 }
 
 /// Computes a connected component's own candidate space and plan when
 /// [`auto_simulate`] asks for the filter; `None` means "search raw".
-fn filter_component(
-    cq: &Pattern,
-    g: &Graph,
-    opts: &MatchOptions,
-) -> Option<(CandidateSpace, QueryPlan)> {
-    auto_simulate(cq, g, opts).then(|| {
-        (
-            dual_simulation(cq, g, opts.restriction.as_ref()),
-            QueryPlan::new(cq),
-        )
-    })
+fn filter_component(cq: &Pattern, g: &Graph) -> Option<(CandidateSpace, QueryPlan)> {
+    auto_simulate(cq, g).then(|| (dual_simulation(cq, g, None), QueryPlan::new(cq)))
 }
 
 /// Enumerates matches of `q` in `g`, calling `f` for each match
-/// `h(x̄)` (node images indexed by variable id). Respects restriction,
-/// pins and budget from `opts`.
+/// `h(x̄)` (node images indexed by variable id). Respects pins and
+/// budget from `opts`.
 pub fn for_each_match(
     q: &Pattern,
     g: &Graph,
@@ -231,8 +219,8 @@ fn enumerate_capped(
     }
 }
 
-/// [`enumerate_capped`] below the match cap: restriction, pins and the step
-/// budget are honored here.
+/// [`enumerate_capped`] below the match cap: pins and the step budget
+/// are honored here.
 fn enumerate(
     q: &Pattern,
     g: &Graph,
@@ -253,10 +241,10 @@ fn enumerate(
     if q.is_connected() {
         let own = match space {
             Some(_) => None,
-            None => filter_component(q, g, opts),
+            None => filter_component(q, g),
         };
         let space = space.or(own.as_ref().map(|(cs, plan)| (cs, plan)));
-        let mut search = component_search(q, g, opts, pins, space, step_cap, &mut scratch.search);
+        let mut search = component_search(q, g, pins, space, step_cap, &mut scratch.search);
         let reason = search.for_each(f);
         scratch.search = search.into_scratch();
         return reason;
@@ -279,7 +267,7 @@ fn enumerate(
     }
     let mut local_pins: Vec<(VarId, NodeId)> = Vec::new();
     for ((cq, orig_vars), table) in parts.iter().zip(tables.iter_mut()) {
-        let own = filter_component(cq, g, opts);
+        let own = filter_component(cq, g);
         local_pins.clear();
         local_pins.extend(pins.iter().filter_map(|&(var, node)| {
             let local = orig_vars.iter().position(|&v| v == var)?;
@@ -287,7 +275,7 @@ fn enumerate(
         }));
         table.reset(cq.node_count());
         let space = own.as_ref().map(|(cs, plan)| (cs, plan));
-        let mut part = component_search(cq, g, opts, &local_pins, space, steps_left, search);
+        let mut part = component_search(cq, g, &local_pins, space, steps_left, search);
         let reason = part.collect_into(table);
         steps_left = steps_left.saturating_sub(part.steps());
         *search = part.into_scratch();
@@ -321,7 +309,6 @@ fn enumerate(
 fn component_search<'a>(
     cq: &'a Pattern,
     g: &'a Graph,
-    opts: &'a MatchOptions,
     pins: &'a [(VarId, NodeId)],
     space: Option<(&'a CandidateSpace, &'a QueryPlan)>,
     max_steps: u64,
@@ -331,9 +318,6 @@ fn component_search<'a>(
         .with_scratch(std::mem::take(scratch))
         .pins(pins)
         .max_steps(max_steps);
-    if let Some(r) = &opts.restriction {
-        search = search.restrict(r);
-    }
     if let Some((cs, plan)) = space {
         search = search.candidate_space(cs).plan_order(plan);
     }
@@ -377,7 +361,7 @@ pub fn count_matches_with(
 ) -> usize {
     let connected = q.node_count() > 0 && q.is_connected();
     let own = match space {
-        None if connected => filter_component(q, g, opts),
+        None if connected => filter_component(q, g),
         _ => None,
     };
     let space = space.or(own.as_ref().map(|(cs, plan)| (cs, plan)));
@@ -390,11 +374,7 @@ pub fn count_matches_with(
             if cs.is_empty_anywhere() {
                 return 0;
             }
-            if let Some(n) =
-                scratch
-                    .factor
-                    .count(q, g, cs, plan, opts.restriction.as_ref(), &opts.pins)
-            {
+            if let Some(n) = scratch.factor.count(q, g, cs, plan, &opts.pins) {
                 return n.min(usize::MAX as u64) as usize;
             }
         }
@@ -489,8 +469,8 @@ mod tests {
         b.add_edge_labeled(*big.last().unwrap(), big[0], "e");
         let small = b.add_node_labeled("small");
         b.add_edge_labeled(small, big[0], "e");
+        b.add_edge_labeled(big[0], small, "e");
         let g = b.freeze();
-        let opts = MatchOptions::unrestricted();
 
         let cyclic = |labels: [&str; 2]| {
             let mut pb = PatternBuilder::new(g.vocab().clone());
@@ -501,9 +481,9 @@ mod tests {
             pb.build()
         };
         // Cyclic + every pool at the threshold: filter on.
-        assert!(auto_simulate(&cyclic(["big", "big"]), &g, &opts));
+        assert!(auto_simulate(&cyclic(["big", "big"]), &g));
         // Cyclic, but the cheapest pool (1 < threshold): filter off.
-        assert!(!auto_simulate(&cyclic(["big", "small"]), &g, &opts));
+        assert!(!auto_simulate(&cyclic(["big", "small"]), &g));
 
         // Acyclic (tree) with huge pools: filter off.
         let mut pb = PatternBuilder::new(g.vocab().clone());
@@ -511,19 +491,20 @@ mod tests {
         let y = pb.node("y", "big");
         pb.edge(x, y, "e");
         let tree = pb.build();
-        assert!(!auto_simulate(&tree, &g, &opts));
+        assert!(!auto_simulate(&tree, &g));
 
-        // A restriction shrinks wildcard pools below the threshold.
+        // Wildcard pools are the whole graph, and pins do not shrink
+        // them: a pinned search still runs behind the filter and finds
+        // the one two-cycle through `small`.
         let mut pb = PatternBuilder::new(g.vocab().clone());
         let x = pb.wildcard_node("x");
         let y = pb.wildcard_node("y");
         pb.wildcard_edge(x, y);
         pb.wildcard_edge(y, x);
         let wild = pb.build();
-        assert!(auto_simulate(&wild, &g, &opts));
-        let restricted =
-            MatchOptions::within(gfd_graph::NodeSet::from_vec(vec![big[0], big[1], small]));
-        assert!(!auto_simulate(&wild, &g, &restricted));
+        assert!(auto_simulate(&wild, &g));
+        let pinned = find_matches(&wild, &g, &MatchOptions::unrestricted().pin(x, small));
+        assert_eq!(pinned, vec![Match(vec![small, big[0]])]);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! candidate generation performs no heap allocation.
 
 use gfd_graph::intersect::{intersect_in_place, intersect_k};
-use gfd_graph::{Adj, Graph, NodeId, NodeSet};
+use gfd_graph::{Adj, Graph, NodeId};
 use gfd_pattern::{distinct_neighbors, PatLabel, Pattern, VarId};
 
 use crate::plan::QueryPlan;
@@ -176,10 +176,10 @@ fn pin_of(pins: &[(VarId, NodeId)], sv: VarId) -> Option<NodeId> {
 /// of the candidate-adjacency runs of *every* already-assigned pattern
 /// neighbor (every constraining edge at once), so the work at each
 /// level is bounded by the smallest constraining run. An unconstrained
-/// variable seeds from its simulation set, narrowed by the
-/// restriction. A pinned variable never builds a pool: the pin is
-/// probed in each run by binary search and survives or not — a pinned
-/// enumeration stays local to the pin's neighborhood.
+/// variable seeds from its simulation set. A pinned variable never
+/// builds a pool: the pin is probed in each run by binary search and
+/// survives or not — a pinned enumeration stays local to the pin's
+/// neighborhood.
 ///
 /// Shared between the enumerator below and the factorization builder
 /// ([`crate::factorize`], whose `assigned` holds only the bag-visible
@@ -188,7 +188,6 @@ fn pin_of(pins: &[(VarId, NodeId)], sv: VarId) -> Option<NodeId> {
 pub(crate) fn fill_space_pool(
     q: &Pattern,
     cs: &CandidateSpace,
-    restriction: Option<&NodeSet>,
     pins: &[(VarId, NodeId)],
     sv: VarId,
     assigned: &[NodeId],
@@ -236,28 +235,22 @@ pub(crate) fn fill_space_pool(
     if n > 0 {
         fold_space_runs(pool, &mut runs[..n], seeded);
     } else {
-        // No constraining edge yet (component start): the simulation
-        // set, narrowed by the restriction when one is present.
+        // No constraining edge yet (component start): the simulation set.
         pool.extend_from_slice(cs.of(sv));
-        if let Some(r) = restriction {
-            intersect_in_place(pool, r.as_slice(), |&x| x);
-        }
     }
 }
 
 /// The space-mode per-candidate check — what the runs cannot express:
-/// restriction membership, injectivity against the partial assignment,
-/// and self-loop edges. Shared with [`crate::factorize`].
+/// injectivity against the partial assignment and self-loop edges.
+/// Shared with [`crate::factorize`].
 pub(crate) fn space_candidate_ok(
     q: &Pattern,
     g: &Graph,
-    restriction: Option<&NodeSet>,
     sv: VarId,
     gv: NodeId,
     assigned: &[NodeId],
 ) -> bool {
-    restriction.is_none_or(|r| r.contains(gv))
-        && !assigned.contains(&gv)
+    !assigned.contains(&gv)
         && q.out(sv)
             .iter()
             .all(|&(t, l)| t != sv || edge_ok(g, gv, gv, l))
@@ -298,7 +291,6 @@ pub struct SearchScratch {
 pub struct ComponentSearch<'a> {
     q: &'a Pattern,
     g: &'a Graph,
-    restriction: Option<&'a NodeSet>,
     cand: Option<&'a CandidateSpace>,
     plan: Option<&'a QueryPlan>,
     pins: &'a [(VarId, NodeId)],
@@ -325,7 +317,6 @@ impl<'a> ComponentSearch<'a> {
         ComponentSearch {
             q,
             g,
-            restriction: None,
             cand: None,
             plan: None,
             pins: &[],
@@ -346,12 +337,6 @@ impl<'a> ComponentSearch<'a> {
     /// search.
     pub fn into_scratch(self) -> SearchScratch {
         self.scratch
-    }
-
-    /// Restricts images to a node set (a data block).
-    pub fn restrict(mut self, set: &'a NodeSet) -> Self {
-        self.restriction = Some(set);
-        self
     }
 
     /// Selects the **space-mode** pool source: pools are multiway
@@ -390,15 +375,10 @@ impl<'a> ComponentSearch<'a> {
         self
     }
 
-    #[inline]
-    fn allowed(&self, node: NodeId) -> bool {
-        self.restriction.is_none_or(|r| r.contains(node))
-    }
-
     /// Raw mode's full check: is `gv` a viable image for `sv`, given
     /// partial `assigned`?
     fn compatible(&self, assigned: &[NodeId], sv: VarId, gv: NodeId) -> bool {
-        if !self.q.label(sv).admits(self.g.label(gv)) || !self.allowed(gv) {
+        if !self.q.label(sv).admits(self.g.label(gv)) {
             return false;
         }
         if self.scratch.min_out[sv.index()] > self.g.out_degree(gv)
@@ -436,8 +416,8 @@ impl<'a> ComponentSearch<'a> {
 
     /// The **raw-mode** pool source: the intersection of every
     /// assigned pattern neighbor's labeled CSR run, falling back to
-    /// label extent / restriction / all nodes at a component start. A
-    /// pinned variable's pool is its pin. `pool` comes out sorted and
+    /// label extent / all nodes at a component start. A pinned
+    /// variable's pool is its pin. `pool` comes out sorted and
     /// duplicate-free; `compatible` decides membership.
     fn fill_raw_pool(&self, assigned: &[NodeId], sv: VarId, pool: &mut Vec<NodeId>) {
         pool.clear();
@@ -489,21 +469,10 @@ impl<'a> ComponentSearch<'a> {
             pool.sort_unstable();
             pool.dedup();
         } else {
-            // Component start: label extent / restriction / all.
+            // Component start: label extent / all.
             match self.q.label(sv) {
-                PatLabel::Sym(s) => {
-                    let extent = g.extent(s);
-                    match self.restriction {
-                        Some(r) if r.len() < extent.len() => {
-                            pool.extend(r.iter().filter(|&u| g.label(u) == s));
-                        }
-                        _ => pool.extend_from_slice(extent),
-                    }
-                }
-                PatLabel::Wildcard => match self.restriction {
-                    Some(r) => pool.extend(r.iter()),
-                    None => pool.extend(g.nodes()),
-                },
+                PatLabel::Sym(s) => pool.extend_from_slice(g.extent(s)),
+                PatLabel::Wildcard => pool.extend(g.nodes()),
             }
         }
     }
@@ -527,15 +496,7 @@ impl<'a> ComponentSearch<'a> {
         let sv = order[depth];
         let mut pool = std::mem::take(&mut self.scratch.pools[depth]);
         match self.cand {
-            Some(cs) => fill_space_pool(
-                self.q,
-                cs,
-                self.restriction,
-                self.pins,
-                sv,
-                assigned,
-                &mut pool,
-            ),
+            Some(cs) => fill_space_pool(self.q, cs, self.pins, sv, assigned, &mut pool),
             None => self.fill_raw_pool(assigned, sv, &mut pool),
         }
         let mut result = Ok(());
@@ -546,7 +507,7 @@ impl<'a> ComponentSearch<'a> {
                 break;
             }
             let ok = match self.cand {
-                Some(_) => space_candidate_ok(self.q, self.g, self.restriction, sv, gv, assigned),
+                Some(_) => space_candidate_ok(self.q, self.g, sv, gv, assigned),
                 None => self.compatible(assigned, sv, gv),
             };
             if !ok {
@@ -746,17 +707,25 @@ mod tests {
         }
     }
 
+    /// Pinning every variable at one match's nodes admits exactly that
+    /// match; a fully pinned non-match admits nothing.
     #[test]
-    fn restriction_excludes_outside_nodes() {
+    fn pins_exclude_outside_nodes() {
         let (g, ns) = social();
         let mut b = PatternBuilder::new(g.vocab().clone());
         let x = b.node("x", "account");
         let y = b.node("y", "blog");
         b.edge(x, y, "post");
         let q = b.build();
-        let block = NodeSet::from_vec(vec![ns[0], ns[4]]);
-        let matches = ComponentSearch::new(&q, &g).restrict(&block).collect_all();
+        let matches = ComponentSearch::new(&q, &g)
+            .pins(&[(x, ns[0]), (y, ns[4])])
+            .collect_all();
         assert_eq!(matches, vec![vec![ns[0], ns[4]]]);
+        // acct1 did not post p6.
+        let matches = ComponentSearch::new(&q, &g)
+            .pins(&[(x, ns[0]), (y, ns[5])])
+            .collect_all();
+        assert!(matches.is_empty());
     }
 
     #[test]

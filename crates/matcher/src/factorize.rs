@@ -46,7 +46,7 @@
 //! even when the counts are inexact — the oracle suite pins expansion
 //! against [`crate::component::ComponentSearch::collect_into`].
 
-use gfd_graph::{Graph, NodeId, NodeSet};
+use gfd_graph::{Graph, NodeId};
 use gfd_pattern::{Pattern, VarId};
 use gfd_util::FxHashMap;
 
@@ -344,7 +344,7 @@ impl FactorScratch {
     }
 
     /// Builds the factorization of `q`'s match set in `g` under `cs`
-    /// into this scratch, honoring restriction and pins exactly like
+    /// into this scratch, honoring pins exactly like
     /// [`crate::component::ComponentSearch`]. Returns `false` (leaving the
     /// scratch untouched for counting purposes) when the plan has no
     /// bag, more than one root (disconnected pattern), or a separator
@@ -356,7 +356,6 @@ impl FactorScratch {
         g: &Graph,
         cs: &CandidateSpace,
         plan: &QueryPlan,
-        restriction: Option<&NodeSet>,
         pins: &[(VarId, NodeId)],
     ) -> bool {
         debug_assert_eq!(
@@ -442,7 +441,6 @@ impl FactorScratch {
             q,
             g,
             cs,
-            restriction,
             pins,
             plan,
             fact: &mut self.fact,
@@ -471,18 +469,17 @@ impl FactorScratch {
         g: &Graph,
         cs: &CandidateSpace,
         plan: &QueryPlan,
-        restriction: Option<&NodeSet>,
         pins: &[(VarId, NodeId)],
     ) -> Option<u64> {
-        if !self.build(q, g, cs, plan, restriction, pins) {
+        if !self.build(q, g, cs, plan, pins) {
             return None;
         }
         self.fact.count()
     }
 }
 
-/// Builds an owned [`Factorization`] of `q`'s unrestricted, unpinned
-/// match set — the registry's per-class artifact (marginals included).
+/// Builds an owned [`Factorization`] of `q`'s unpinned match set — the
+/// registry's per-class artifact (marginals included).
 /// `None` when the plan shape is declined (see [`FactorScratch::build`]).
 pub fn factorize(
     q: &Pattern,
@@ -491,7 +488,7 @@ pub fn factorize(
     plan: &QueryPlan,
 ) -> Option<Factorization> {
     let mut scratch = FactorScratch::new();
-    if !scratch.build(q, g, cs, plan, None, &[]) {
+    if !scratch.build(q, g, cs, plan, &[]) {
         return None;
     }
     let mut fact = scratch.fact;
@@ -516,7 +513,6 @@ struct Builder<'a> {
     q: &'a Pattern,
     g: &'a Graph,
     cs: &'a CandidateSpace,
-    restriction: Option<&'a NodeSet>,
     pins: &'a [(VarId, NodeId)],
     plan: &'a QueryPlan,
     fact: &'a mut Factorization,
@@ -549,20 +545,12 @@ impl Builder<'_> {
         }
         let sv = order[d];
         let mut pool = std::mem::take(&mut self.pools[gdepth]);
-        fill_space_pool(
-            self.q,
-            self.cs,
-            self.restriction,
-            self.pins,
-            sv,
-            self.assigned,
-            &mut pool,
-        );
+        fill_space_pool(self.q, self.cs, self.pins, sv, self.assigned, &mut pool);
         let mut alts = std::mem::take(&mut self.alts[gdepth]);
         alts.clear();
         let mut total = 0u64;
         for &gv in &pool {
-            if !space_candidate_ok(self.q, self.g, self.restriction, sv, gv, self.assigned) {
+            if !space_candidate_ok(self.q, self.g, sv, gv, self.assigned) {
                 continue;
             }
             self.assigned[sv.index()] = gv;
@@ -848,7 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn pins_and_restriction_flow_through_build() {
+    fn pins_flow_through_build() {
         let g = skewed_graph(8, 3);
         let q = triangle_pattern(g.vocab());
         let cs = dual_simulation(&q, &g, None);
@@ -858,23 +846,20 @@ mod tests {
         let mut scratch = FactorScratch::new();
         for m in &all {
             let pins = [(x, m[x.index()])];
-            let got = scratch.count(&q, &g, &cs, &plan, None, &pins);
+            let got = scratch.count(&q, &g, &cs, &plan, &pins);
             let want = ComponentSearch::new(&q, &g).pins(&pins).collect_all().len() as u64;
             assert_eq!(got, Some(want));
         }
-        // Colliding pins are empty; restriction to one match's nodes
-        // counts exactly that match.
+        // Colliding pins are empty; pinning every variable at one
+        // match's nodes counts exactly that match.
         let y = q.var_by_name("y").unwrap();
         let node = all[0][x.index()];
         assert_eq!(
-            scratch.count(&q, &g, &cs, &plan, None, &[(x, node), (y, node)]),
+            scratch.count(&q, &g, &cs, &plan, &[(x, node), (y, node)]),
             Some(0)
         );
-        let block = NodeSet::from_vec(all[0].clone());
-        assert_eq!(
-            scratch.count(&q, &g, &cs, &plan, Some(&block), &[]),
-            Some(1)
-        );
+        let full: Vec<(VarId, NodeId)> = q.vars().map(|v| (v, all[0][v.index()])).collect();
+        assert_eq!(scratch.count(&q, &g, &cs, &plan, &full), Some(1));
     }
 
     #[test]

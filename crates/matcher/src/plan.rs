@@ -181,7 +181,7 @@ mod tests {
     use crate::component::{ComponentSearch, SearchScratch, StopReason};
     use crate::simulation::dual_simulation;
     use crate::types::Flow;
-    use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
+    use gfd_graph::{Graph, GraphBuilder, NodeId};
     use gfd_pattern::PatternBuilder;
 
     fn triangle_pattern(vocab: &std::sync::Arc<gfd_graph::Vocab>) -> Pattern {
@@ -292,18 +292,18 @@ mod tests {
     }
 
     #[test]
-    fn restriction_respected() {
+    fn full_pins_respected() {
         let g = skewed_graph(6, 6);
         let q = triangle_pattern(g.vocab());
         let cs = dual_simulation(&q, &g, None);
         let plan = QueryPlan::new(&q);
         let full = run_plan(&q, &g, &[]);
-        // Restrict to the nodes of the first match only.
-        let block = NodeSet::from_vec(full[0].clone());
+        // Pin every variable at the nodes of the first match only.
+        let pins: Vec<(VarId, NodeId)> = q.vars().map(|v| (v, full[0][v.index()])).collect();
         let out = ComponentSearch::new(&q, &g)
             .candidate_space(&cs)
             .plan_order(&plan)
-            .restrict(&block)
+            .pins(&pins)
             .collect_all();
         assert_eq!(out, vec![full[0].clone()]);
     }

@@ -91,7 +91,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use gfd_graph::{Graph, GraphDelta, NodeId, NodeSet};
+use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_pattern::{canonical_form, CanonicalForm, IsoWitness, Pattern, VarId};
 use gfd_util::FxHashMap;
 
@@ -141,14 +141,10 @@ impl std::ops::AddAssign for CacheStats {
 }
 
 /// One cached pinned enumeration: rows stored in *representative*
-/// variable order, valid for the block it was enumerated under.
+/// variable order, valid for the snapshot the registry is synchronized
+/// with — [`ClassRegistry::advance`] drops it when the class changes.
 struct TableEntry {
     table: Arc<MatchTable>,
-    /// The data block the enumeration was restricted to. Hits require
-    /// pointer equality — blocks are shared `Arc`s from the workload's
-    /// block cache, so an edited (rebuilt) block never serves a stale
-    /// table.
-    block: Arc<NodeSet>,
     last_used: u64,
     bytes: usize,
 }
@@ -405,15 +401,17 @@ impl ClassRegistry {
         Some(f)
     }
 
-    /// The enumeration of the member's pattern pinned at `pin = pivot`
-    /// and restricted to `block`, served from the per-class table
-    /// cache: isomorphic members pinned at corresponding variables and
-    /// the same pivot share one flat table (enumerated on the
-    /// representative, in its variable order; non-identity members
-    /// read it through their witness permutation — an `O(arity)` view
-    /// header, never a row copy). Hits require the *same* shared block
-    /// `Arc` — a rebuilt block is a miss, and the stale entry is
-    /// replaced.
+    /// The enumeration of the member's pattern over `g` pinned at
+    /// `pin = pivot`, served from the per-class table cache: isomorphic
+    /// members pinned at corresponding variables and the same pivot
+    /// share one flat table (enumerated on the representative, in its
+    /// variable order; non-identity members read it through their
+    /// witness permutation — an `O(arity)` view header, never a row
+    /// copy). Like [`space`](Self::space), `g` must be the snapshot the
+    /// registry is synchronized with: a cached table is keyed by
+    /// `(class, rep_pin, pivot)` alone, and staleness is
+    /// [`advance`](Self::advance)'s and
+    /// [`invalidate_all`](Self::invalidate_all)'s job.
     ///
     /// Probes and misses are recorded both in the registry-global
     /// [`stats`](Self::stats) and in the caller's `stats` (the
@@ -426,7 +424,6 @@ impl ClassRegistry {
         g: &Graph,
         pin: VarId,
         pivot: NodeId,
-        block: &Arc<NodeSet>,
         stats: &mut CacheStats,
     ) -> TableView {
         let (class, rep_pin, perm, rep) = {
@@ -440,13 +437,11 @@ impl ClassRegistry {
             let tick = inner.tick;
             inner.classes[class].last_used = tick;
             if let Some(e) = inner.classes[class].tables.get_mut(&(rep_pin, pivot)) {
-                if Arc::ptr_eq(&e.block, block) {
-                    e.last_used = tick;
-                    inner.stats.hits += 1;
-                    stats.hits += 1;
-                    let table = Arc::clone(&e.table);
-                    return Self::table_view(table, perm);
-                }
+                e.last_used = tick;
+                inner.stats.hits += 1;
+                stats.hits += 1;
+                let table = Arc::clone(&e.table);
+                return Self::table_view(table, perm);
             }
             inner.stats.misses += 1;
             stats.misses += 1;
@@ -458,11 +453,10 @@ impl ClassRegistry {
         let mut table = MatchTable::new(rep.node_count());
         ComponentSearch::new(&rep, g)
             .pins(&[(rep_pin, pivot)])
-            .restrict(block)
             .collect_into(&mut table);
 
         let mut inner = self.lock();
-        let table = inner.insert_table(class, (rep_pin, pivot), block, Arc::new(table));
+        let table = inner.insert_table(class, (rep_pin, pivot), Arc::new(table));
         inner.enforce_budget();
         Self::table_view(table, perm)
     }
@@ -678,23 +672,18 @@ impl RegistryInner {
     }
 
     /// Inserts a freshly built table; a racing build that lost keeps
-    /// the existing entry (so `Arc::ptr_eq` sharing holds), and a
-    /// stale-block entry under the same key is replaced.
+    /// the existing entry (so `Arc::ptr_eq` sharing holds).
     fn insert_table(
         &mut self,
         class: usize,
         key: (VarId, NodeId),
-        block: &Arc<NodeSet>,
         table: Arc<MatchTable>,
     ) -> Arc<MatchTable> {
         self.tick += 1;
         let tick = self.tick;
         if let Some(e) = self.classes[class].tables.get_mut(&key) {
-            if Arc::ptr_eq(&e.block, block) {
-                e.last_used = tick;
-                return Arc::clone(&e.table);
-            }
-            self.bytes -= e.bytes;
+            e.last_used = tick;
+            return Arc::clone(&e.table);
         }
         let bytes = table.data_bytes();
         self.bytes += bytes;
@@ -702,7 +691,6 @@ impl RegistryInner {
             key,
             TableEntry {
                 table: Arc::clone(&table),
-                block: Arc::clone(block),
                 last_used: tick,
                 bytes,
             },
@@ -869,10 +857,6 @@ mod tests {
         b.edge(vars[0], vars[1], "e");
         b.edge(vars[1], vars[2], "e");
         b.build()
-    }
-
-    fn full_block(g: &Graph) -> Arc<NodeSet> {
-        Arc::new(NodeSet::from_vec(g.nodes().collect()))
     }
 
     /// The served view — sets and per-edge adjacency, read through the
@@ -1124,27 +1108,12 @@ mod tests {
         let reg = ClassRegistry::new();
         let h_fwd = reg.register(&fwd);
         let h_rev = reg.register(&rev);
-        let block = full_block(&g);
         let mut s1 = CacheStats::default();
         let mut s2 = CacheStats::default();
         // Pin both members at their own "y" variable and the same
         // pivot: corresponding pins map to one rep pin.
-        let v1 = reg.pinned_table(
-            h_fwd,
-            &g,
-            fwd.var_by_name("y").unwrap(),
-            NodeId(1),
-            &block,
-            &mut s1,
-        );
-        let v2 = reg.pinned_table(
-            h_rev,
-            &g,
-            rev.var_by_name("y").unwrap(),
-            NodeId(1),
-            &block,
-            &mut s2,
-        );
+        let v1 = reg.pinned_table(h_fwd, &g, fwd.var_by_name("y").unwrap(), NodeId(1), &mut s1);
+        let v2 = reg.pinned_table(h_rev, &g, rev.var_by_name("y").unwrap(), NodeId(1), &mut s2);
         assert_eq!((s1.hits, s1.misses), (0, 1));
         assert_eq!((s2.hits, s2.misses), (1, 0));
         assert!(
@@ -1162,26 +1131,78 @@ mod tests {
         assert_eq!((global.hits, global.misses), (1, 1));
     }
 
-    /// A rebuilt block (new `Arc`, same pivot) must not serve the old
-    /// enumeration: the probe misses and the entry is replaced.
+    /// Table staleness is `advance`'s job. Toggling a graph edge between
+    /// two *surviving* candidates moves no candidate set — only the
+    /// per-edge adjacency — yet changes the pinned enumeration, so the
+    /// repair must drop the class's tables; a delta that touches no
+    /// candidate must leave them cached.
     #[test]
-    fn rebuilt_block_invalidates_the_table() {
-        let g = chain_graph();
+    fn advance_drops_tables_on_adjacency_only_change() {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let a1 = b.add_node_labeled("a");
+        let b1 = b.add_node_labeled("b");
+        let c1 = b.add_node_labeled("c");
+        let a2 = b.add_node_labeled("a");
+        let b2 = b.add_node_labeled("b");
+        let c2 = b.add_node_labeled("c");
+        let d1 = b.add_node_labeled("d");
+        let d2 = b.add_node_labeled("d");
+        for (x, y, z) in [(a1, b1, c1), (a2, b2, c2)] {
+            b.add_edge_labeled(x, y, "e");
+            b.add_edge_labeled(y, z, "e");
+        }
+        let g = b.freeze();
         let q = chain_pattern(&g, [0, 1, 2]);
+        let e = g.vocab().intern("e");
+        // Every chain x → y → z through `x = a1`, by exhaustive search.
+        let brute_force = |g: &Graph| {
+            let mut rows = Vec::new();
+            for y in g.nodes().filter(|&y| g.label(y) == g.label(b1)) {
+                for z in g.nodes().filter(|&z| g.label(z) == g.label(c1)) {
+                    if g.has_edge(a1, y, e) && g.has_edge(y, z, e) {
+                        rows.push(vec![a1, y, z]);
+                    }
+                }
+            }
+            rows
+        };
         let reg = ClassRegistry::new();
         let h = reg.register(&q);
-        let pin = q.var_by_name("y").unwrap();
+        let sets = reg.space(h, &g).space.sets.clone();
+        let pin = q.var_by_name("x").unwrap();
         let mut stats = CacheStats::default();
-        let b1 = full_block(&g);
-        reg.pinned_table(h, &g, pin, NodeId(1), &b1, &mut stats);
-        reg.pinned_table(h, &g, pin, NodeId(1), &b1, &mut stats);
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        let b2 = full_block(&g); // same contents, different Arc
-        let v = reg.pinned_table(h, &g, pin, NodeId(1), &b2, &mut stats);
-        assert_eq!((stats.hits, stats.misses), (1, 2), "new block ⇒ miss");
-        assert_eq!(v.len(), 1);
-        reg.pinned_table(h, &g, pin, NodeId(1), &b2, &mut stats);
-        assert_eq!((stats.hits, stats.misses), (2, 2), "replacement serves");
+        let rows = |v: &TableView| -> Vec<Vec<NodeId>> {
+            (0..v.len())
+                .map(|r| (0..3).map(|c| v.get(r, c)).collect())
+                .collect()
+        };
+        let v = reg.pinned_table(h, &g, pin, a1, &mut stats);
+        assert_eq!(rows(&v), brute_force(&g));
+        assert_eq!(rows(&v), vec![vec![a1, b1, c1]]);
+        drop(v);
+
+        // No candidate touched: the cached table keeps serving.
+        let (g1, delta) = g.edit_with_delta(|b| {
+            b.add_edge_labeled(d1, d2, "e");
+        });
+        reg.apply(&g1, &delta);
+        reg.pinned_table(h, &g1, pin, a1, &mut stats);
+        assert_eq!((stats.hits, stats.misses), (1, 1), "untouched class ⇒ hit");
+
+        // a1 → b2 joins two surviving candidates: same sets, new match.
+        let (g2, delta) = g1.edit_with_delta(|b| {
+            b.add_edge_labeled(a1, b2, "e");
+        });
+        reg.apply(&g2, &delta);
+        assert_eq!(reg.space(h, &g2).space.sets, sets, "premise: no set moved");
+        let v = reg.pinned_table(h, &g2, pin, a1, &mut stats);
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (1, 2),
+            "adjacency change ⇒ miss"
+        );
+        assert_eq!(rows(&v), brute_force(&g2));
+        assert_eq!(rows(&v), vec![vec![a1, b1, c1], vec![a1, b2, c2]]);
     }
 
     /// LRU eviction: over budget, the *least recently touched*
@@ -1194,22 +1215,21 @@ mod tests {
         // bytes; a 24-byte budget holds two.
         let reg = ClassRegistry::with_budget_bytes(24);
         let h = reg.register(&q);
-        let block = full_block(&g);
         let mut stats = CacheStats::default();
         let x = q.var_by_name("x").unwrap();
         let y = q.var_by_name("y").unwrap();
         let z = q.var_by_name("z").unwrap();
-        reg.pinned_table(h, &g, x, NodeId(0), &block, &mut stats);
-        reg.pinned_table(h, &g, y, NodeId(1), &block, &mut stats);
+        reg.pinned_table(h, &g, x, NodeId(0), &mut stats);
+        reg.pinned_table(h, &g, y, NodeId(1), &mut stats);
         // Touch the x-table so the y-table becomes the LRU victim.
-        reg.pinned_table(h, &g, x, NodeId(0), &block, &mut stats);
+        reg.pinned_table(h, &g, x, NodeId(0), &mut stats);
         assert_eq!((stats.hits, stats.misses), (1, 2));
-        reg.pinned_table(h, &g, z, NodeId(2), &block, &mut stats);
+        reg.pinned_table(h, &g, z, NodeId(2), &mut stats);
         assert!(reg.bytes() <= 24, "budget must hold after insertion");
         assert_eq!(reg.stats().evicted_cold, 1);
-        reg.pinned_table(h, &g, x, NodeId(0), &block, &mut stats);
+        reg.pinned_table(h, &g, x, NodeId(0), &mut stats);
         assert_eq!(stats.hits, 2, "the touched table survived");
-        reg.pinned_table(h, &g, y, NodeId(1), &block, &mut stats);
+        reg.pinned_table(h, &g, y, NodeId(1), &mut stats);
         assert_eq!(stats.misses, 4, "the cold table was evicted");
     }
 
@@ -1222,18 +1242,17 @@ mod tests {
         let q = chain_pattern(&g, [0, 1, 2]);
         let reg = ClassRegistry::with_budget_bytes(12);
         let h = reg.register(&q);
-        let block = full_block(&g);
         let mut stats = CacheStats::default();
         let x = q.var_by_name("x").unwrap();
         let y = q.var_by_name("y").unwrap();
         let z = q.var_by_name("z").unwrap();
-        let held = reg.pinned_table(h, &g, x, NodeId(0), &block, &mut stats);
+        let held = reg.pinned_table(h, &g, x, NodeId(0), &mut stats);
         // Storm: new tables keep arriving while `held` pins the first;
         // each insertion evicts its cold predecessor but can never
         // reach the budget because of the pin.
         for _ in 0..3 {
             for (var, node) in [(y, NodeId(1)), (z, NodeId(2))] {
-                reg.pinned_table(h, &g, var, node, &block, &mut stats);
+                reg.pinned_table(h, &g, var, node, &mut stats);
             }
         }
         assert!(reg.stats().evicted_cold > 0, "the storm did evict");
@@ -1362,11 +1381,10 @@ mod tests {
         let reg = ClassRegistry::with_budget_bytes(fact_bytes / 2);
         let h = reg.register(&q);
         let held = reg.factorization(h, &g).expect("factorizes");
-        let block = full_block(&g);
         let mut stats = CacheStats::default();
         for var in [VarId(0), VarId(1), VarId(2)] {
             for n in g.nodes() {
-                reg.pinned_table(h, &g, var, n, &block, &mut stats);
+                reg.pinned_table(h, &g, var, n, &mut stats);
             }
         }
         reg.sweep();
@@ -1488,8 +1506,7 @@ mod tests {
         let h = reg.register(&q);
         reg.space(h, &g);
         let mut stats = CacheStats::default();
-        let block = full_block(&g);
-        reg.pinned_table(h, &g, VarId(0), NodeId(0), &block, &mut stats);
+        reg.pinned_table(h, &g, VarId(0), NodeId(0), &mut stats);
         assert!(reg.bytes() > 0);
         reg.invalidate_all();
         assert_eq!(reg.bytes(), 0);

@@ -5,8 +5,8 @@
 //! single `Vec<NodeId>` arena with stride = component arity — one heap
 //! allocation (amortized) for the *whole* enumeration instead of one
 //! `Vec` per match. Consumers iterate rows as `&[NodeId]` slices; the
-//! detection hot path (`execute_unit` in `gfd-parallel`) caches tables
-//! behind `Arc` and joins them without ever copying a row.
+//! detection hot path (`UnitExecutor::run` in `gfd-parallel`) caches
+//! tables behind `Arc` and joins them without ever copying a row.
 //!
 //! # The column-permutation view contract
 //!
@@ -145,12 +145,17 @@ impl TableView {
         debug_assert_eq!(perm.len(), table.arity());
         debug_assert!(
             {
-                let mut seen = vec![false; perm.len()];
-                perm.iter().all(|&p| {
-                    let fresh = !seen[p as usize];
-                    seen[p as usize] = true;
-                    fresh
-                })
+                // A bitmask, not a `Vec`: views are built on the warm
+                // unit-execution path, which must not allocate in
+                // debug builds either (wider tables go unchecked).
+                let mut seen = 0u128;
+                perm.len() > 128
+                    || perm.iter().all(|&p| {
+                        let bit = 1u128.checked_shl(p).unwrap_or(0);
+                        let fresh = (p as usize) < perm.len() && seen & bit == 0;
+                        seen |= bit;
+                        fresh
+                    })
             },
             "perm must be a bijection on 0..arity"
         );

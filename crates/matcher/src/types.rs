@@ -1,6 +1,6 @@
 //! Match representation and search options.
 
-use gfd_graph::{NodeId, NodeSet};
+use gfd_graph::NodeId;
 use gfd_pattern::VarId;
 
 /// A match `h(x̄)`: one data node per pattern variable, indexed by
@@ -57,9 +57,6 @@ impl Default for SearchBudget {
 /// Options steering a match enumeration.
 #[derive(Clone, Debug, Default)]
 pub struct MatchOptions {
-    /// If set, `h` may only use nodes inside this set (data-block /
-    /// fragment-local search).
-    pub restriction: Option<NodeSet>,
     /// Pre-pinned assignments `h(var) = node` (pivot anchoring).
     pub pins: Vec<(VarId, NodeId)>,
     /// Effort cap.
@@ -67,17 +64,9 @@ pub struct MatchOptions {
 }
 
 impl MatchOptions {
-    /// Unrestricted, unpinned, unlimited enumeration.
+    /// Unpinned, unlimited enumeration over the whole graph.
     pub fn unrestricted() -> Self {
         Self::default()
-    }
-
-    /// Search restricted to a data block.
-    pub fn within(set: NodeSet) -> Self {
-        MatchOptions {
-            restriction: Some(set),
-            ..Self::default()
-        }
     }
 
     /// Adds a pin `h(var) = node`.
@@ -121,6 +110,5 @@ mod tests {
             .with_budget(SearchBudget::matches(10));
         assert_eq!(opts.pins, vec![(VarId(0), NodeId(3))]);
         assert_eq!(opts.budget.max_matches, Some(10));
-        assert!(opts.restriction.is_none());
     }
 }

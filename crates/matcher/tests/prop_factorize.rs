@@ -180,7 +180,7 @@ fn build_fact<'a>(
     let cs = dual_simulation(q, g, None);
     let plan = QueryPlan::new(q);
     scratch
-        .build(q, g, &cs, &plan, None, pins)
+        .build(q, g, &cs, &plan, pins)
         .then(|| scratch.fact())
 }
 

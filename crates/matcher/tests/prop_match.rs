@@ -12,14 +12,21 @@
 //!   `rounds × vars × nodes` re-scan the worklist algorithm replaced —
 //!   must compute exactly the same relation.
 //!
+//! On top of them sits the **locality lemma** of §5.2 as a property:
+//! a component's matches pinned at its pivot lie inside the pivot
+//! image's radius-hop neighborhood — the reason the unit executor needs
+//! no data block to search in.
+//!
 //! (The offline toolchain has no `proptest`; the in-repo harness
 //! `gfd_util::prop` runs each property over a seed range and reports
 //! the failing seed.)
 
+use gfd_graph::neighborhood::khop_nodes;
 use gfd_graph::{Graph, GraphBuilder, NodeId};
 use gfd_match::simulation::dual_simulation;
 use gfd_match::types::Flow;
 use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, QueryPlan};
+use gfd_pattern::analysis::pivot_vector;
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
 
@@ -205,20 +212,13 @@ fn engine_matches(q: &Pattern, g: &Graph, opts: &MatchOptions, source: Source) -
     let mut scratch = MatchScratch::default();
     match source {
         Source::Space if q.is_connected() => {
-            // The per-call filter's own shape: simulate inside the
-            // restriction.
-            let cs = dual_simulation(q, g, opts.restriction.as_ref());
-            let mut search = ComponentSearch::new(q, g)
+            let cs = dual_simulation(q, g, None);
+            ComponentSearch::new(q, g)
                 .candidate_space(&cs)
-                .pins(&opts.pins);
-            if let Some(r) = &opts.restriction {
-                search = search.restrict(r);
-            }
-            search.for_each(&mut push);
+                .pins(&opts.pins)
+                .for_each(&mut push);
         }
         Source::SpacePlan => {
-            // The registry's shape: an unrestricted space, narrowed by
-            // the restriction per candidate.
             let cs = dual_simulation(q, g, None);
             let plan = QueryPlan::new(q);
             for_each_match_with(q, g, opts, Some((&cs, &plan)), &mut scratch, &mut push);
@@ -289,21 +289,17 @@ fn simulation_contains_every_match() {
 }
 
 #[test]
-fn restricted_and_pinned_enumeration_agree_with_oracle() {
-    check("restriction/pin ≡ filtered oracle", 100, |rng| {
+fn pinned_enumeration_agrees_with_oracle() {
+    check("pin ≡ filtered oracle", 100, |rng| {
         let g = random_graph(rng, 10);
         let q = random_pattern(rng, &g);
-        // A random restriction of about half the nodes.
-        let scope: Vec<NodeId> = g.nodes().filter(|_| rng.gen_range(0..2) == 0).collect();
-        let scope = gfd_graph::NodeSet::from_vec(scope);
         let pin_var = VarId(rng.gen_range(0..q.node_count()) as u32);
         let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
         let expected: Vec<Vec<NodeId>> = oracle_matches(&q, &g)
             .into_iter()
-            .filter(|m| m.iter().all(|&u| scope.contains(u)))
             .filter(|m| m[pin_var.index()] == pin_node)
             .collect();
-        let opts = MatchOptions::within(scope.clone()).pin(pin_var, pin_node);
+        let opts = MatchOptions::unrestricted().pin(pin_var, pin_node);
         for source in SOURCES {
             let got = engine_matches(&q, &g, &opts, source);
             prop_assert!(
@@ -315,4 +311,60 @@ fn restricted_and_pinned_enumeration_agree_with_oracle() {
         }
         Ok(())
     });
+}
+
+/// The locality of subgraph isomorphism (§5.2), which lets the unit
+/// executor search the whole graph pinned at the pivot instead of a
+/// data block: for every component of `Q` with pivot `z` of radius
+/// `c`, every match pinned at `z ↦ v` — by brute force, in raw mode and
+/// in space mode alike — lies inside `v`'s `c`-hop neighborhood. Some
+/// generated match must sit at distance exactly `c`, so the property
+/// fails for a radius that is off by one.
+#[test]
+fn pivot_pinned_matches_stay_within_the_pivot_radius() {
+    let mut reached_radius = false;
+    check("pinned at pivot ⊆ radius-hop block", 150, |rng| {
+        let g = random_graph(rng, 10);
+        let q = random_pattern(rng, &g);
+        for c in &pivot_vector(&q).components {
+            let (cq, orig_vars) = q.restrict(&c.vars);
+            let z = orig_vars
+                .iter()
+                .position(|&v| v == c.pivot)
+                .expect("the pivot is in its component");
+            let all = oracle_matches(&cq, &g);
+            let cs = dual_simulation(&cq, &g, None);
+            for v in g.nodes() {
+                let pins = [(VarId(z as u32), v)];
+                let expected: Vec<Vec<NodeId>> =
+                    all.iter().filter(|m| m[z] == v).cloned().collect();
+                let mut raw = ComponentSearch::new(&cq, &g).pins(&pins).collect_all();
+                raw.sort();
+                let mut space = ComponentSearch::new(&cq, &g)
+                    .candidate_space(&cs)
+                    .pins(&pins)
+                    .collect_all();
+                space.sort();
+                prop_assert!(raw == expected, "raw mode pinned at {v:?} for {cq:?}");
+                prop_assert!(space == expected, "space mode pinned at {v:?} for {cq:?}");
+                let block = khop_nodes(&g, &[v], c.radius);
+                let inner = c.radius.checked_sub(1).map(|r| khop_nodes(&g, &[v], r));
+                for m in &expected {
+                    prop_assert!(
+                        m.iter().all(|&u| block.contains(u)),
+                        "match {m:?} pinned at {v:?} leaves the {}-hop block for {cq:?}",
+                        c.radius
+                    );
+                    if let Some(inner) = &inner {
+                        reached_radius |= m.iter().any(|&u| !inner.contains(u));
+                    }
+                }
+            }
+        }
+        Ok(())
+    });
+    assert!(
+        reached_radius,
+        "premise: some match reaches distance exactly the radius"
+    );
 }

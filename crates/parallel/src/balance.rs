@@ -26,19 +26,12 @@ pub fn lpt_assign(costs: &[u64], n: usize) -> Vec<usize> {
     assignment
 }
 
-/// Uniform random assignment (the `repran`/`disran` baseline). A tiny
-/// splitmix64 keeps this crate free of an RNG dependency.
+/// Uniform random assignment (the `repran`/`disran` baseline),
+/// deterministic in `seed`.
 pub fn random_assign(count: usize, n: usize, seed: u64) -> Vec<usize> {
     assert!(n > 0, "random_assign: cannot assign over zero workers");
-    let mut state = seed.wrapping_add(0x9E3779B97F4A7C15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    };
-    (0..count).map(|_| (next() % n as u64) as usize).collect()
+    let mut rng = gfd_util::Rng::seed_from_u64(seed);
+    (0..count).map(|_| rng.gen_range(0..n)).collect()
 }
 
 /// Dispatches on the [`Assignment`] strategy.

@@ -38,7 +38,7 @@ use crate::balance::random_assign;
 use crate::cluster::{CostModel, SimClocks};
 use crate::metrics::ParallelReport;
 use crate::opt::{reduce_workload, split_large_units, SplitUnit, REDUCTION_CAP};
-use crate::unitexec::{execute_unit, sort_violations, CacheStats, MultiQueryIndex, UnitScratch};
+use crate::unitexec::{sort_violations, CacheStats, UnitExecutor, UnitScratch};
 use crate::workload::{estimate_workload, PivotedRule, UnitSlot, WorkloadOptions};
 use crate::Assignment;
 use gfd_match::ClassRegistry;
@@ -356,9 +356,7 @@ pub fn dis_val(
     // (3) dlocalVio at each worker, with per-worker node caches and
     // one shared match-table registry for the whole run.
     let registry = ClassRegistry::new();
-    let mqi = cfg
-        .multi_query
-        .then(|| MultiQueryIndex::build(plans, &registry));
+    let exec = UnitExecutor::new(g, &sigma_red, plans, slots, &registry, cfg.multi_query);
     let mut violations = Vec::new();
     let mut cache_stats = CacheStats::default();
     let mut scratch = UnitScratch::new();
@@ -415,18 +413,7 @@ pub fn dis_val(
             if su.share == 0 {
                 let before = violations.len();
                 let start = std::time::Instant::now();
-                execute_unit(
-                    g,
-                    &sigma_red,
-                    plans,
-                    slots,
-                    &su.unit,
-                    mqi.as_ref(),
-                    &registry,
-                    &mut worker_stats,
-                    &mut scratch,
-                    &mut violations,
-                );
+                exec.run(&su.unit, &mut worker_stats, &mut scratch, &mut violations);
                 unit_elapsed[su.unit_index] = start.elapsed().as_secs_f64();
                 let found = (violations.len() - before) as u64;
                 violation_bytes += found * 8 * su.unit.k().max(1) as u64;

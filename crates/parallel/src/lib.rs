@@ -87,7 +87,7 @@ pub use service::{
 pub use threaded::{
     run_units_threaded, run_units_threaded_report, ThreadedReport, MAX_UNIT_ATTEMPTS,
 };
-pub use unitexec::{CacheStats, MultiQueryIndex, UnitScratch};
+pub use unitexec::{CacheStats, MultiQueryIndex, UnitExecutor, UnitScratch};
 pub use wal::{FrameFault, RecoveryReport, SyncPolicy, WalError, WalWriter};
 pub use workload::{
     estimate_workload, estimate_workload_in, UnitSlot, WorkUnit, Workload, WorkloadOptions,

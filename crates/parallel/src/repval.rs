@@ -19,7 +19,7 @@ use crate::balance::assign;
 use crate::cluster::{CostModel, SimClocks};
 use crate::metrics::ParallelReport;
 use crate::opt::{reduce_workload, split_large_units, REDUCTION_CAP};
-use crate::unitexec::{execute_unit, sort_violations, CacheStats, MultiQueryIndex, UnitScratch};
+use crate::unitexec::{sort_violations, CacheStats, UnitExecutor, UnitScratch};
 use crate::workload::{estimate_workload, WorkloadOptions};
 use crate::Assignment;
 use gfd_match::ClassRegistry;
@@ -143,9 +143,7 @@ pub fn rep_val(sigma: &GfdSet, g: &Arc<Graph>, cfg: &RepValConfig) -> ParallelRe
     // enumeration paid by any worker is a hit for all of them.
     let mut clocks = SimClocks::new(cfg.n);
     let registry = ClassRegistry::new();
-    let mqi = cfg
-        .multi_query
-        .then(|| MultiQueryIndex::build(plans, &registry));
+    let exec = UnitExecutor::new(g, &sigma_red, plans, slots, &registry, cfg.multi_query);
     let mut violations = Vec::new();
     let mut cache_stats = CacheStats::default();
     // Reused across workers: per-unit execution scratch (each worker
@@ -177,18 +175,7 @@ pub fn rep_val(sigma: &GfdSet, g: &Arc<Graph>, cfg: &RepValConfig) -> ParallelRe
             descriptor_bytes += 16 + 8 * su.unit.k() as u64;
             if su.share == 0 {
                 let before = violations.len();
-                execute_unit(
-                    g,
-                    &sigma_red,
-                    plans,
-                    slots,
-                    &su.unit,
-                    mqi.as_ref(),
-                    &registry,
-                    &mut worker_stats,
-                    &mut scratch,
-                    &mut violations,
-                );
+                exec.run(&su.unit, &mut worker_stats, &mut scratch, &mut violations);
                 let now = std::time::Instant::now();
                 unit_elapsed[su.unit_index] = (now - mark).as_secs_f64();
                 mark = now;

@@ -46,7 +46,7 @@ use gfd_core::{GfdSet, Violation};
 use gfd_graph::Graph;
 
 use crate::fault::FaultPlan;
-use crate::unitexec::{execute_unit, sort_violations, CacheStats, MultiQueryIndex, UnitScratch};
+use crate::unitexec::{sort_violations, CacheStats, UnitExecutor, UnitScratch};
 use crate::workload::{PivotedRule, UnitSlot, WorkUnit};
 use gfd_match::ClassRegistry;
 
@@ -131,7 +131,7 @@ pub fn run_units_threaded_report(
     faults: Option<&FaultPlan>,
     epoch: u64,
 ) -> ThreadedReport {
-    let mqi = MultiQueryIndex::build(plans, registry);
+    let exec = UnitExecutor::new(g, sigma, plans, slots, registry, true);
     // (unit index, attempt) queue; requeued entries go to the back so
     // healthy units drain first. Lock holders never panic (pop/push
     // only), so the mutex cannot poison.
@@ -145,11 +145,10 @@ pub fn run_units_threaded_report(
     let per_worker: Vec<(Vec<Violation>, CacheStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.max(1))
             .map(|_| {
-                let g = Arc::clone(g);
                 let (queue, outstanding) = (&queue, &outstanding);
                 let (unit_panics, units_retried, quarantined) =
                     (&unit_panics, &units_retried, &quarantined);
-                let mqi = &mqi;
+                let exec = &exec;
                 scope.spawn(move || {
                     let mut stats = CacheStats::default();
                     let mut scratch = UnitScratch::new();
@@ -191,18 +190,7 @@ pub fn run_units_threaded_report(
                                     panic!("injected worker fault (unit {i}, attempt {attempt})");
                                 }
                             }
-                            execute_unit(
-                                &g,
-                                sigma,
-                                plans,
-                                slots,
-                                unit,
-                                Some(mqi),
-                                registry,
-                                &mut stats,
-                                &mut scratch,
-                                &mut out,
-                            );
+                            exec.run(unit, &mut stats, &mut scratch, &mut out);
                         }));
                         match result {
                             Ok(()) => {
@@ -434,21 +422,11 @@ mod tests {
         let mut surviving = Vec::new();
         let mut scratch = UnitScratch::new();
         let registry = ClassRegistry::new();
+        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, false);
         let mut stats = CacheStats::default();
         for (i, unit) in wl.units.iter().enumerate() {
             if !expected_quarantine.contains(&i) {
-                execute_unit(
-                    &g,
-                    &sigma,
-                    &plans,
-                    &wl.slots,
-                    unit,
-                    None,
-                    &registry,
-                    &mut stats,
-                    &mut scratch,
-                    &mut surviving,
-                );
+                exec.run(unit, &mut stats, &mut scratch, &mut surviving);
             }
         }
         sort_violations(&mut surviving);
@@ -490,24 +468,13 @@ mod tests {
         // Sequential replay of exactly the units that completed, on a
         // fresh registry: the probe volume must match the faulty run.
         let registry = ClassRegistry::new();
-        let mqi = MultiQueryIndex::build(&plans, &registry);
+        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
         let mut stats = CacheStats::default();
         let mut scratch = UnitScratch::new();
         let mut sink = Vec::new();
         for (i, unit) in wl.units.iter().enumerate() {
             if !report.quarantined.contains(&i) {
-                execute_unit(
-                    &g,
-                    &sigma,
-                    &plans,
-                    &wl.slots,
-                    unit,
-                    Some(&mqi),
-                    &registry,
-                    &mut stats,
-                    &mut scratch,
-                    &mut sink,
-                );
+                exec.run(unit, &mut stats, &mut scratch, &mut sink);
             }
         }
         assert_eq!(

@@ -1,9 +1,12 @@
 //! Executing a work unit: local error detection (`localVio`, §6.1).
 //!
 //! For a unit `⟨v̄_z, G_z̄⟩` of rule `ϕ`, enumerate matches `h(x̄)` of
-//! `ϕ`'s pattern that include `v̄_z` — pinned per component at the
-//! pivot candidate and restricted to the candidate's data block — and
-//! record every match with `h ⊨ X`, `h ⊭ Y`.
+//! `ϕ`'s pattern that include `v̄_z` — each component pinned at its
+//! pivot candidate — and record every match with `h ⊨ X`, `h ⊭ Y`. By
+//! the locality of subgraph isomorphism a search pinned at the pivot
+//! cannot leave the pivot's `c^i_Q`-hop block, so execution reads only
+//! the pivots of a unit: its blocks are cost inputs (the load estimate,
+//! `disVal`'s byte model), never search inputs.
 //!
 //! When a unit stems from the symmetric-pair dedup (Example 10), both
 //! pivot orientations are checked here, so the deduplication never
@@ -26,9 +29,9 @@
 //! reads the class's factorization at the same `rep_pin`. Eviction is
 //! the registry's LRU + refcount-aware pass: a view held by an
 //! in-flight unit is never invalidated under it. Together with the
-//! per-worker [`UnitScratch`], a warm [`execute_unit`] call performs
-//! **zero heap allocations** (asserted by the `alloc_probe` test and
-//! the `alloc/unit_exec_steady_state` bench sample).
+//! per-worker [`UnitScratch`], a warm [`UnitExecutor::run`] call
+//! performs **zero heap allocations** (asserted by the `alloc_probe`
+//! test and the `alloc/unit_exec_steady_state` bench sample).
 
 use std::sync::Arc;
 
@@ -115,56 +118,10 @@ impl MultiQueryIndex {
     }
 }
 
-/// Enumerates the matches of one component pinned at `pivot` inside
-/// `block`, via the shared registry when an index is supplied. The
-/// returned view shares the cached table (column-permuted for
-/// non-representative members) — no rows are copied on either hits or
-/// misses, and the registry's refcount-aware eviction keeps the view
-/// valid for as long as it is held.
-#[allow(clippy::too_many_arguments)]
-fn component_matches(
-    g: &Graph,
-    plans: &[PivotedRule],
-    rule: usize,
-    comp: usize,
-    pivot: NodeId,
-    block: &Arc<gfd_graph::NodeSet>,
-    mqi: Option<&MultiQueryIndex>,
-    registry: &ClassRegistry,
-    stats: &mut CacheStats,
-) -> TableView {
-    let plan = &plans[rule].components[comp];
-    if let Some(mqi) = mqi {
-        let entry = &mqi.entries[rule][comp];
-        return registry.pinned_table(entry.handle, g, plan.local_pivot, pivot, block, stats);
-    }
-    let mut table = MatchTable::new(plan.pattern.node_count());
-    ComponentSearch::new(&plan.pattern, g)
-        .pins(&[(plan.local_pivot, pivot)])
-        .restrict(block)
-        .collect_into(&mut table);
-    TableView::identity(Arc::new(table))
-}
-
-/// Probe-only dead-pivot screen: a *resident* factorization whose
-/// pivot marginal is zero proves the component has no match pinned
-/// there anywhere in the graph — the represented set is a superset of
-/// the match set, and the unit's block restriction only shrinks it
-/// further — so the orientation can be dropped before any table work.
-/// Overflowed counts prove nothing and are ignored. The factorization
-/// is the class's, so the marginal is read at the component pivot's
-/// representative variable. Never builds: warm [`execute_unit`] stays
-/// allocation-free.
-fn pivot_provably_dead(registry: &ClassRegistry, entry: &MqiEntry, pivot: NodeId) -> bool {
-    registry
-        .cached_factorization(entry.handle)
-        .is_some_and(|f| !f.overflowed() && f.marginal(entry.rep_pin, pivot) == Some(0))
-}
-
 /// Per-worker reusable execution state: the per-component table views
 /// of the unit in flight, the join's backtracking scratch, and the
 /// orientation buffer. One instance per worker makes warm
-/// [`execute_unit`] calls allocation-free.
+/// [`UnitExecutor::run`] calls allocation-free.
 #[derive(Default)]
 pub struct UnitScratch {
     views: Vec<TableView>,
@@ -202,161 +159,207 @@ impl JoinInputs for UnitJoin<'_> {
     }
 }
 
-/// Executes one work unit (whose slots live in `slots` — the owning
-/// workload's arena), appending violations to `out`. Table probes go
-/// through the shared `registry`; `stats` receives this caller's share
-/// of the hit/miss counters.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_unit(
-    g: &Graph,
-    sigma: &GfdSet,
-    plans: &[PivotedRule],
-    slots: &[UnitSlot],
-    unit: &WorkUnit,
-    mqi: Option<&MultiQueryIndex>,
-    registry: &ClassRegistry,
-    stats: &mut CacheStats,
-    scratch: &mut UnitScratch,
-    out: &mut Vec<Violation>,
-) {
-    let rule = &plans[unit.rule()];
-    let gfd = sigma.get(unit.rule());
-    let k = rule.components.len();
-    debug_assert_eq!(k, unit.k(), "one slot per component");
-    let unit_slots = unit.slots(slots);
-    let nvars = gfd.pattern.node_count();
-    let UnitScratch {
-        views,
-        join,
-        orient_buf,
-    } = scratch;
+/// Everything one validation run's units execute against, fixed for
+/// the run: the snapshot, `Σ`, its pivoted plans, the workload's slot
+/// arena, the shared registry and — with the multi-query optimization
+/// on — the index of `Σ`'s components in it. Built once per run and
+/// shared by every worker; the per-worker state is the
+/// [`CacheStats`], [`UnitScratch`] and output passed to
+/// [`run`](Self::run).
+pub struct UnitExecutor<'a> {
+    g: &'a Graph,
+    sigma: &'a GfdSet,
+    plans: &'a [PivotedRule],
+    slots: &'a [UnitSlot],
+    registry: &'a ClassRegistry,
+    mqi: Option<MultiQueryIndex>,
+}
 
-    let emit = |views: &[TableView], join: &mut JoinScratch, out: &mut Vec<Violation>| {
-        let inputs = UnitJoin {
-            comps: &rule.components,
-            views,
-        };
-        join_tables(&inputs, nvars, join, &mut |assignment| {
-            if !match_satisfies(&gfd.dep, g, assignment) {
-                out.push(Violation {
-                    rule: unit.rule(),
-                    mapping: Match(assignment.to_vec()),
-                });
-            }
-            Flow::Continue
-        });
-    };
-
-    // Symmetric-pair fast path: both components are in one isomorphism
-    // class with one rep pin, so orientation 2's cached tables are
-    // exactly orientation 1's *swapped* — swap the shared tables and
-    // re-wrap them in each component's own column permutation instead
-    // of paying two more cache probes and view builds.
-    if unit.check_both_orientations && k == 2 {
-        if let Some(mqi) = mqi {
-            let e0 = &mqi.entries[unit.rule()][0];
-            let e1 = &mqi.entries[unit.rule()][1];
-            if e0.class == e1.class && e0.rep_pin == e1.rep_pin {
-                let (s0, s1) = (&unit_slots[0], &unit_slots[1]);
-                // Both orientations pin both pivots, so either pivot
-                // being provably dead kills the whole unit.
-                if pivot_provably_dead(registry, e0, s0.pivot)
-                    || pivot_provably_dead(registry, e1, s1.pivot)
-                {
-                    return;
-                }
-                let v0 = component_matches(
-                    g,
-                    plans,
-                    unit.rule(),
-                    0,
-                    s0.pivot,
-                    &s0.block,
-                    Some(mqi),
-                    registry,
-                    stats,
-                );
-                let v1 = component_matches(
-                    g,
-                    plans,
-                    unit.rule(),
-                    1,
-                    s1.pivot,
-                    &s1.block,
-                    Some(mqi),
-                    registry,
-                    stats,
-                );
-                let rewrap = |t: &Arc<MatchTable>, perm: &Option<Arc<[u32]>>| match perm {
-                    Some(p) => TableView::permuted(t.clone(), p.clone()),
-                    None => TableView::identity(t.clone()),
-                };
-                if !v0.is_empty() && !v1.is_empty() {
-                    views.clear();
-                    views.push(v0.clone());
-                    views.push(v1.clone());
-                    emit(views, join, out);
-                    // Orientation (1, 0): component 0 reads the table
-                    // cached at pivot 1 and vice versa.
-                    views.clear();
-                    views.push(rewrap(v1.table(), &e0.perm));
-                    views.push(rewrap(v0.table(), &e1.perm));
-                    emit(views, join, out);
-                }
-                views.clear();
-                return;
-            }
+impl<'a> UnitExecutor<'a> {
+    /// The context for running units of `plans` (= `plan_rules(sigma)`)
+    /// over `g`, their slots resolved against `slots`. `multi_query`
+    /// registers every component in `registry` and serves pinned
+    /// enumerations from its shared table cache; without it every
+    /// enumeration runs privately.
+    pub fn new(
+        g: &'a Graph,
+        sigma: &'a GfdSet,
+        plans: &'a [PivotedRule],
+        slots: &'a [UnitSlot],
+        registry: &'a ClassRegistry,
+        multi_query: bool,
+    ) -> Self {
+        UnitExecutor {
+            g,
+            sigma,
+            plans,
+            slots,
+            registry,
+            mqi: multi_query.then(|| MultiQueryIndex::build(plans, registry)),
         }
     }
 
-    // Pivot orientations to check within this unit.
-    const BOTH: [&[usize]; 2] = [&[0, 1], &[1, 0]];
-    orient_buf.clear();
-    orient_buf.extend(0..k);
-    let identity = [orient_buf.as_slice()];
-    let orientations: &[&[usize]] = if unit.check_both_orientations && k == 2 {
-        &BOTH
-    } else {
-        &identity
-    };
+    /// Enumerates the matches of one component pinned at `pivot`, via
+    /// the shared registry when the multi-query index is on. The
+    /// returned view shares the cached table (column-permuted for
+    /// non-representative members) — no rows are copied on either hits
+    /// or misses, and the registry's refcount-aware eviction keeps the
+    /// view valid for as long as it is held.
+    fn pinned_matches(
+        &self,
+        rule: usize,
+        comp: usize,
+        pivot: NodeId,
+        stats: &mut CacheStats,
+    ) -> TableView {
+        let plan = &self.plans[rule].components[comp];
+        if let Some(mqi) = &self.mqi {
+            let entry = &mqi.entries[rule][comp];
+            return self.registry.pinned_table(
+                entry.handle,
+                self.g,
+                plan.local_pivot,
+                pivot,
+                stats,
+            );
+        }
+        let mut table = MatchTable::new(plan.pattern.node_count());
+        ComponentSearch::new(&plan.pattern, self.g)
+            .pins(&[(plan.local_pivot, pivot)])
+            .collect_into(&mut table);
+        TableView::identity(Arc::new(table))
+    }
 
-    for &orient in orientations {
-        // Component i is pinned at pivot orient[i] and searched in that
-        // pivot's block.
-        views.clear();
-        let mut dead = false;
-        for (i, &slot) in orient.iter().enumerate() {
-            let s = &unit_slots[slot];
-            if let Some(mqi) = mqi {
-                let entry = &mqi.entries[unit.rule()][i];
-                if pivot_provably_dead(registry, entry, s.pivot) {
+    /// Probe-only dead-pivot screen: a *resident* factorization whose
+    /// pivot marginal is zero proves the component has no match pinned
+    /// there — the represented set is a superset of the match set — so
+    /// the orientation can be dropped before any table work.
+    /// Overflowed counts prove nothing and are ignored. The
+    /// factorization is the class's, so the marginal is read at the
+    /// component pivot's representative variable. Never builds: a warm
+    /// [`run`](Self::run) stays allocation-free.
+    fn pivot_provably_dead(&self, entry: &MqiEntry, pivot: NodeId) -> bool {
+        self.registry
+            .cached_factorization(entry.handle)
+            .is_some_and(|f| !f.overflowed() && f.marginal(entry.rep_pin, pivot) == Some(0))
+    }
+
+    /// Executes one work unit, appending its violations to `out`.
+    /// Table probes go through the shared registry; `stats` receives
+    /// this caller's share of the hit/miss counters.
+    pub fn run(
+        &self,
+        unit: &WorkUnit,
+        stats: &mut CacheStats,
+        scratch: &mut UnitScratch,
+        out: &mut Vec<Violation>,
+    ) {
+        let g = self.g;
+        let rule = &self.plans[unit.rule()];
+        let gfd = self.sigma.get(unit.rule());
+        let k = rule.components.len();
+        debug_assert_eq!(k, unit.k(), "one slot per component");
+        let unit_slots = unit.slots(self.slots);
+        let nvars = gfd.pattern.node_count();
+        let UnitScratch {
+            views,
+            join,
+            orient_buf,
+        } = scratch;
+
+        let emit = |views: &[TableView], join: &mut JoinScratch, out: &mut Vec<Violation>| {
+            let inputs = UnitJoin {
+                comps: &rule.components,
+                views,
+            };
+            join_tables(&inputs, nvars, join, &mut |assignment| {
+                if !match_satisfies(&gfd.dep, g, assignment) {
+                    out.push(Violation {
+                        rule: unit.rule(),
+                        mapping: Match(assignment.to_vec()),
+                    });
+                }
+                Flow::Continue
+            });
+        };
+
+        // Symmetric-pair fast path: both components are in one isomorphism
+        // class with one rep pin, so orientation 2's cached tables are
+        // exactly orientation 1's *swapped* — swap the shared tables and
+        // re-wrap them in each component's own column permutation instead
+        // of paying two more cache probes and view builds.
+        if unit.check_both_orientations && k == 2 {
+            if let Some(mqi) = &self.mqi {
+                let e0 = &mqi.entries[unit.rule()][0];
+                let e1 = &mqi.entries[unit.rule()][1];
+                if e0.class == e1.class && e0.rep_pin == e1.rep_pin {
+                    let (p0, p1) = (unit_slots[0].pivot, unit_slots[1].pivot);
+                    // Both orientations pin both pivots, so either pivot
+                    // being provably dead kills the whole unit.
+                    if self.pivot_provably_dead(e0, p0) || self.pivot_provably_dead(e1, p1) {
+                        return;
+                    }
+                    let v0 = self.pinned_matches(unit.rule(), 0, p0, stats);
+                    let v1 = self.pinned_matches(unit.rule(), 1, p1, stats);
+                    let rewrap = |t: &Arc<MatchTable>, perm: &Option<Arc<[u32]>>| match perm {
+                        Some(p) => TableView::permuted(t.clone(), p.clone()),
+                        None => TableView::identity(t.clone()),
+                    };
+                    if !v0.is_empty() && !v1.is_empty() {
+                        views.clear();
+                        views.push(v0.clone());
+                        views.push(v1.clone());
+                        emit(views, join, out);
+                        // Orientation (1, 0): component 0 reads the table
+                        // cached at pivot 1 and vice versa.
+                        views.clear();
+                        views.push(rewrap(v1.table(), &e0.perm));
+                        views.push(rewrap(v0.table(), &e1.perm));
+                        emit(views, join, out);
+                    }
+                    views.clear();
+                    return;
+                }
+            }
+        }
+
+        // Pivot orientations to check within this unit.
+        const BOTH: [&[usize]; 2] = [&[0, 1], &[1, 0]];
+        orient_buf.clear();
+        orient_buf.extend(0..k);
+        let identity = [orient_buf.as_slice()];
+        let orientations: &[&[usize]] = if unit.check_both_orientations && k == 2 {
+            &BOTH
+        } else {
+            &identity
+        };
+
+        for &orient in orientations {
+            // Component i is pinned at pivot orient[i].
+            views.clear();
+            let mut dead = false;
+            for (i, &slot) in orient.iter().enumerate() {
+                let pivot = unit_slots[slot].pivot;
+                if let Some(mqi) = &self.mqi {
+                    if self.pivot_provably_dead(&mqi.entries[unit.rule()][i], pivot) {
+                        dead = true;
+                        break;
+                    }
+                }
+                let view = self.pinned_matches(unit.rule(), i, pivot, stats);
+                if view.is_empty() {
                     dead = true;
                     break;
                 }
+                views.push(view);
             }
-            let view = component_matches(
-                g,
-                plans,
-                unit.rule(),
-                i,
-                s.pivot,
-                &s.block,
-                mqi,
-                registry,
-                stats,
-            );
-            if view.is_empty() {
-                dead = true;
-                break;
+            if dead {
+                continue;
             }
-            views.push(view);
+            emit(views, join, out);
         }
-        if dead {
-            continue;
-        }
-        emit(views, join, out);
+        views.clear();
     }
-    views.clear();
 }
 
 /// Canonical ordering for violation sets, so different schedules can
@@ -376,7 +379,7 @@ mod tests {
     use crate::workload::{estimate_workload, plan_rules, WorkloadOptions};
     use gfd_core::validate::detect_violations;
     use gfd_core::{Dependency, Gfd, Literal};
-    use gfd_graph::{NodeSet, Value, Vocab};
+    use gfd_graph::{Value, Vocab};
     use gfd_pattern::PatternBuilder;
     use std::sync::Arc;
 
@@ -430,25 +433,13 @@ mod tests {
         mq: bool,
         registry: &ClassRegistry,
     ) -> (Vec<Violation>, CacheStats) {
-        let plans = plan_rules(sigma);
         let wl = estimate_workload(sigma, g, &WorkloadOptions::default());
-        let mqi = mq.then(|| MultiQueryIndex::build(&plans, registry));
+        let exec = UnitExecutor::new(g, sigma, &wl.plans, &wl.slots, registry, mq);
         let mut scratch = UnitScratch::new();
         let mut stats = CacheStats::default();
         let mut out = Vec::new();
         for u in &wl.units {
-            execute_unit(
-                g,
-                sigma,
-                &plans,
-                &wl.slots,
-                u,
-                mqi.as_ref(),
-                registry,
-                &mut stats,
-                &mut scratch,
-                &mut out,
-            );
+            exec.run(u, &mut stats, &mut scratch, &mut out);
         }
         (out, stats)
     }
@@ -564,33 +555,12 @@ mod tests {
         // Every star table is 1 row × 3 cols × 4 bytes = 12 bytes; a
         // 12-byte budget forces an eviction on every further pivot.
         let registry = ClassRegistry::with_budget_bytes(12);
-        let mqi = MultiQueryIndex::build(&plans, &registry);
-        let block = Arc::new(NodeSet::from_vec(g.nodes().collect()));
+        let exec = UnitExecutor::new(&g, &sigma, &plans, &[], &registry, true);
         let mut stats = CacheStats::default();
         // Flights are nodes 0, 3, 6, …: each adds (flight, id, city).
-        let held = component_matches(
-            &g,
-            &plans,
-            0,
-            0,
-            NodeId(0),
-            &block,
-            Some(&mqi),
-            &registry,
-            &mut stats,
-        );
+        let held = exec.pinned_matches(0, 0, NodeId(0), &mut stats);
         for f in [1u32, 2, 3, 4, 5] {
-            component_matches(
-                &g,
-                &plans,
-                0,
-                0,
-                NodeId(3 * f),
-                &block,
-                Some(&mqi),
-                &registry,
-                &mut stats,
-            );
+            exec.pinned_matches(0, 0, NodeId(3 * f), &mut stats);
         }
         assert!(registry.stats().evicted_cold > 0, "the storm did evict");
         assert!(registry.deferred_pending() > 0, "the held view defers");
@@ -640,7 +610,7 @@ mod tests {
         assert_eq!(wl.units.len(), 7, "dual simulation admits the 4-cycle");
 
         let registry = ClassRegistry::new();
-        let mqi = MultiQueryIndex::build(&plans, &registry);
+        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
         // Warm the class factorization, as a planner or validator
         // sharing the registry would have.
         let h = registry.register(&plans[0].components[0].pattern);
@@ -650,18 +620,7 @@ mod tests {
         let mut stats = CacheStats::default();
         let mut out = Vec::new();
         for u in &wl.units {
-            execute_unit(
-                &g,
-                &sigma,
-                &plans,
-                &wl.slots,
-                u,
-                Some(&mqi),
-                &registry,
-                &mut stats,
-                &mut scratch,
-                &mut out,
-            );
+            exec.run(u, &mut stats, &mut scratch, &mut out);
         }
         let mut expected = detect_violations(&sigma, &g);
         sort_violations(&mut expected);
@@ -725,7 +684,8 @@ mod tests {
         let sigma = GfdSet::new(vec![mk("fwd", path_fwd), mk("rev", path_rev)]);
         let plans = plan_rules(&sigma);
         let registry = ClassRegistry::new();
-        let mqi = MultiQueryIndex::build(&plans, &registry);
+        let exec = UnitExecutor::new(&g, &sigma, &plans, &[], &registry, true);
+        let mqi = exec.mqi.as_ref().expect("multi-query is on");
         assert_eq!(mqi.class_count(), 1, "twins must share a class");
         assert!(
             mqi.entries[1][0].perm.is_some(),
@@ -733,29 +693,8 @@ mod tests {
         );
 
         let mut stats = CacheStats::default();
-        let block = Arc::new(NodeSet::from_vec(g.nodes().collect()));
-        let v1 = component_matches(
-            &g,
-            &plans,
-            0,
-            0,
-            m,
-            &block,
-            Some(&mqi),
-            &registry,
-            &mut stats,
-        );
-        let v2 = component_matches(
-            &g,
-            &plans,
-            1,
-            0,
-            m,
-            &block,
-            Some(&mqi),
-            &registry,
-            &mut stats,
-        );
+        let v1 = exec.pinned_matches(0, 0, m, &mut stats);
+        let v2 = exec.pinned_matches(1, 0, m, &mut stats);
         assert_eq!(stats.hits, 1, "second call must hit");
         assert!(
             Arc::ptr_eq(v1.table(), v2.table()),

@@ -4,8 +4,11 @@
 //! (z_k, c^k_Q))`, a *work unit* is `w = ⟨v̄_z, G_z̄⟩`: a pivot
 //! candidate per connected component together with the candidates'
 //! `c^i_Q`-hop data blocks. By the locality of subgraph isomorphism,
-//! validating `ϕ` reduces to enumerating matches inside the data
-//! blocks of its work units (each pivot tuple checked exactly once).
+//! a match pinned at a pivot candidate cannot leave that candidate's
+//! block, so validating `ϕ` reduces to enumerating matches pinned at
+//! the pivots of its work units (each pivot tuple checked exactly
+//! once). The block itself is what a unit *costs* — the load estimate
+//! here, the bytes `disVal` ships — and never an input of the search.
 //!
 //! Following Example 10, symmetric pivot tuples of *isomorphic*
 //! components are deduplicated (the unit then checks both pivot
@@ -19,7 +22,7 @@ use gfd_graph::{neighborhood, Graph, NodeId, NodeSet};
 use gfd_match::simulation::{dual_simulation, CandidateSpace};
 use gfd_match::ClassRegistry;
 use gfd_pattern::{
-    analysis::pivot_vector, isomorphic, tree_decomposition, PatLabel, Pattern, VarId,
+    analysis::pivot_vector, iso_witness, tree_decomposition, PatLabel, Pattern, VarId,
 };
 use gfd_util::FxHashMap;
 
@@ -31,7 +34,9 @@ pub struct PivotedRule {
     /// Component patterns (renumbered) with their original variables.
     pub components: Vec<ComponentPlan>,
     /// True if the rule has exactly two components and they are
-    /// isomorphic (Example 10's dedup applies).
+    /// isomorphic (Example 10's dedup applies). Component 1's pivot is
+    /// then the isomorphic image of component 0's, so both components
+    /// draw their pivot candidates from one list.
     pub symmetric_pair: bool,
 }
 
@@ -59,10 +64,13 @@ pub struct ComponentPlan {
 /// data block.
 #[derive(Clone, Debug)]
 pub struct UnitSlot {
-    /// The pivot candidate `v_z` of this component.
+    /// The pivot candidate `v_z` of this component — all that
+    /// executing the unit reads.
     pub pivot: NodeId,
     /// Its `c^i_Q`-hop data block, shared with the [`BlockCache`] —
-    /// cloning a slot never deep-copies a block.
+    /// cloning a slot never deep-copies a block. A cost input only:
+    /// the size term of the unit's load estimate and the byte model of
+    /// `disVal`'s shipment; execution never searches inside it.
     pub block: Arc<NodeSet>,
 }
 
@@ -176,7 +184,7 @@ pub fn plan_rules(sigma: &GfdSet) -> Vec<PivotedRule> {
         .enumerate()
         .map(|(rule, gfd)| {
             let pv = pivot_vector(&gfd.pattern);
-            let components: Vec<ComponentPlan> = pv
+            let mut components: Vec<ComponentPlan> = pv
                 .components
                 .iter()
                 .map(|c| {
@@ -202,8 +210,23 @@ pub fn plan_rules(sigma: &GfdSet) -> Vec<PivotedRule> {
                     }
                 })
                 .collect();
-            let symmetric_pair =
-                components.len() == 2 && isomorphic(&components[0].pattern, &components[1].pattern);
+            // Example 10's dedup pairs *indices* of the two components'
+            // candidate lists, which are one list only if the pivots
+            // correspond: take component 1's pivot to be the isomorphic
+            // image of component 0's (the radius is
+            // isomorphism-invariant, so it is still a minimum-radius
+            // pivot) rather than whatever the tie-break on declaration
+            // order picked.
+            let witness = match &components[..] {
+                [c0, c1] => iso_witness(&c0.pattern, &c1.pattern),
+                _ => None,
+            };
+            if let Some(w) = &witness {
+                let image = w.map(components[0].local_pivot);
+                components[1].local_pivot = image;
+                components[1].pivot_label = components[1].pattern.label(image);
+            }
+            let symmetric_pair = witness.is_some();
             PivotedRule {
                 rule,
                 components,
@@ -249,10 +272,8 @@ fn pivots_from_space(
 ///
 /// Replaces the per-candidate backtracking probe: a pivot candidate
 /// outside `sim(z)` cannot anchor any match (the simulation contains
-/// every match), and by the locality of subgraph isomorphism a match
-/// pinned at the pivot lies inside the pivot's `c^i_Q`-hop block, so
-/// the unscoped check is valid for the block-restricted search the
-/// unit will actually run.
+/// every match) — the unscoped check is exactly the whole-graph,
+/// pivot-pinned search the unit will run.
 ///
 /// This is the standalone (one component, own simulation) entry point;
 /// [`estimate_workload`] draws the same information from a
@@ -636,7 +657,7 @@ mod tests {
     /// fools it (its checks are degree-local, blind to cycle length),
     /// so the 4-cycle's pivots become units at the ordinary
     /// `|block| × width` cost. Screening such provably matchless
-    /// pivots is the executor's job (`execute_unit`'s
+    /// pivots is the executor's job (`UnitExecutor::run`'s
     /// cached-factorization probe), not the estimator's.
     #[test]
     fn simulation_admitted_pivots_all_become_units_at_proxy_cost() {

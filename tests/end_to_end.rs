@@ -338,3 +338,171 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
     }
     assert!(seen_twin_violation, "premise: the permuted rule fired");
 }
+
+/// Every unit-based path over `sigma`: the threaded executor,
+/// `repVal` with and without the multi-query cache, and `disVal`.
+fn unit_paths(
+    sigma: &gfd::core::GfdSet,
+    g: &std::sync::Arc<gfd::graph::Graph>,
+) -> Vec<(&'static str, Vec<Violation>)> {
+    let wl = estimate_workload(sigma, g, &WorkloadOptions::default());
+    let frag = Fragmentation::partition(g, 2, PartitionStrategy::Hash);
+    vec![
+        (
+            "threaded",
+            threaded::run_units_threaded(g, sigma, &wl.plans, &wl.units, &wl.slots, 2),
+        ),
+        (
+            "repVal",
+            rep_val(sigma, g, &RepValConfig::val(2)).violations,
+        ),
+        (
+            "repnop",
+            rep_val(sigma, g, &RepValConfig::nop(2)).violations,
+        ),
+        (
+            "disVal",
+            dis_val(sigma, g, &frag, &DisValConfig::val(2)).violations,
+        ),
+    ]
+}
+
+/// Example 10's dedup pairs the two components' candidate lists by
+/// index, so the components' pivots must correspond under the
+/// isomorphism. Here the default pivots do not — eccentricity ties are
+/// broken by declaration order, which picks the `a` end of the first
+/// edge and the `b` end of the second — and the dedup used to drop
+/// every pair it never looked at (9 of 18 violations).
+#[test]
+fn symmetric_pair_dedup_survives_non_corresponding_pivots() {
+    use gfd::core::{Dependency, Gfd, GfdSet, Literal};
+    use gfd::graph::{GraphBuilder, Value};
+    use gfd::pattern::PatternBuilder;
+
+    let mut gb = GraphBuilder::with_fresh_vocab();
+    let vocab = gb.vocab().clone();
+    for i in 0..6 {
+        let a = gb.add_node_labeled("a");
+        let b = gb.add_node_labeled("b");
+        gb.add_edge_labeled(a, b, "e");
+        gb.set_attr_named(a, "val", Value::str(&format!("v{}", i % 2)));
+    }
+    let g = std::sync::Arc::new(gb.freeze());
+
+    let mut pb = PatternBuilder::new(vocab.clone());
+    let x = pb.node("x", "a");
+    let y = pb.node("y", "b");
+    pb.edge(x, y, "e");
+    let y2 = pb.node("y2", "b");
+    let x2 = pb.node("x2", "a");
+    pb.edge(x2, y2, "e");
+    let val = vocab.intern("val");
+    let sigma = GfdSet::new(vec![Gfd::new(
+        "same-val",
+        pb.build(),
+        Dependency::always(vec![Literal::var_eq(x, val, x2, val)]),
+    )]);
+
+    let expected = canonical(detect_violations(&sigma, &g));
+    assert_eq!(expected.len(), 18, "3 × 3 mixed pairs, both orders");
+    for (path, got) in unit_paths(&sigma, &g) {
+        assert_eq!(got, expected, "{path}");
+    }
+}
+
+/// Random twin components with permuted declaration order: a rule
+/// whose two components are isomorphic, the second declared in a
+/// random order, so pivot ties break differently in the two halves.
+/// Every unit path must agree with `detVio`.
+#[test]
+fn permuted_twin_components_agree_with_detvio_on_every_unit_path() {
+    use gfd::core::{Dependency, Gfd, GfdSet, Literal};
+    use gfd::graph::{GraphBuilder, NodeId, Value};
+    use gfd::pattern::{PatternBuilder, VarId};
+    use gfd_util::prop::check;
+
+    let mut seen_violation = false;
+    check("twin components: unit paths ≡ detVio", 40, |rng| {
+        let mut gb = GraphBuilder::with_fresh_vocab();
+        let vocab = gb.vocab().clone();
+        let n = rng.gen_range(4..11);
+        let nodes: Vec<NodeId> = (0..n)
+            .map(|_| {
+                let u = gb.add_node_labeled(&format!("l{}", rng.gen_range(0..2)));
+                gb.set_attr_named(u, "val", Value::Int(rng.gen_range(0..2) as i64));
+                u
+            })
+            .collect();
+        for _ in 0..rng.gen_range(n..3 * n) {
+            let (s, d) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if s != d {
+                gb.add_edge_labeled(nodes[s], nodes[d], "e");
+            }
+        }
+        let g = std::sync::Arc::new(gb.freeze());
+
+        // One connected component shape: a random tree over k
+        // variables plus, sometimes, one extra edge.
+        let k = rng.gen_range(2..4);
+        let labels: Vec<String> = (0..k)
+            .map(|_| format!("l{}", rng.gen_range(0..2)))
+            .collect();
+        let mut edges: Vec<(usize, usize)> = (1..k)
+            .map(|i| {
+                let j = rng.gen_range(0..i);
+                if rng.gen_bool(0.5) {
+                    (i, j)
+                } else {
+                    (j, i)
+                }
+            })
+            .collect();
+        if rng.gen_bool(0.3) {
+            let (s, d) = (rng.gen_range(0..k), rng.gen_range(0..k));
+            if s != d {
+                edges.push((s, d));
+            }
+        }
+        // Declared twice: in order, then in a random order.
+        let mut order: Vec<usize> = (0..k).collect();
+        for i in (1..k).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let mut halves = [vec![VarId(0); k], vec![VarId(0); k]];
+        for (half, declared) in [(0..k).collect::<Vec<_>>(), order].iter().enumerate() {
+            for &i in declared {
+                halves[half][i] = pb.node(&format!("v{half}_{i}"), &labels[i]);
+            }
+            for &(s, d) in &edges {
+                pb.edge(halves[half][s], halves[half][d], "e");
+            }
+        }
+        let val = vocab.intern("val");
+        let at = rng.gen_range(0..k);
+        let sigma = GfdSet::new(vec![Gfd::new(
+            "twin-halves-agree",
+            pb.build(),
+            Dependency::always(vec![Literal::var_eq(
+                halves[0][at],
+                val,
+                halves[1][at],
+                val,
+            )]),
+        )]);
+
+        let expected = canonical(detect_violations(&sigma, &g));
+        seen_violation |= !expected.is_empty();
+        for (path, got) in unit_paths(&sigma, &g) {
+            if got != expected {
+                return Err(format!(
+                    "{path}: {} violations, detVio {}",
+                    got.len(),
+                    expected.len()
+                ));
+            }
+        }
+        Ok(())
+    });
+    assert!(seen_violation, "premise: some generated rule is violated");
+}
