@@ -654,6 +654,35 @@ fn main() {
             );
             n
         });
+
+        // Space repair vs recompute at the same scale: one `pk_rel0`
+        // edge between two surviving candidates removed and
+        // re-inserted per iteration — what one `social-cycles` epoch
+        // asks of every class (the seed-scale pair above cannot show
+        // a cost that grows with the candidate sets).
+        let rel0 = cyc4
+            .edges()
+            .iter()
+            .position(|e| e.src == v[0] && e.dst == v[1])
+            .expect("declared above");
+        let (src, run) = cs.forward[rel0].runs().next().expect("candidates");
+        let (src, dst, label) = (src, run[0], gp.vocab().intern("pk_rel0"));
+        let (g_minus, d_rm) = gp.edit_with_delta(|b| {
+            b.remove_edge(src, dst, label);
+        });
+        let (_, d_add) = g_minus.edit_with_delta(|b| {
+            b.add_edge(src, dst, label);
+        });
+        let mut inc = IncrementalSpace::new(&cyc4, &gp, None);
+        bench("sim/repair_pokec(1 edge)", &mut samples, || {
+            inc.apply_normalized(&g_minus, &d_rm);
+            inc.apply_normalized(&gp, &d_add);
+            inc.space().total_size()
+        });
+        bench("sim/repair_pokec(scratch)", &mut samples, || {
+            dual_simulation(&cyc4, &g_minus, None).total_size()
+                + dual_simulation(&cyc4, &gp, None).total_size()
+        });
     }
 
     // Factorized counting vs materialized enumeration on a skewed

@@ -6,18 +6,20 @@
 //! Runs in CI under `BENCH_SMOKE` so a regression that re-introduces
 //! per-unit allocation fails the build.
 //!
-//! The write side has its own gate: [`Graph::apply_delta`] must
+//! The write side has its own gates: [`Graph::apply_delta`] must
 //! request allocator bytes in proportion to the delta's pages, not to
-//! the graph.
+//! the graph, and a warm [`IncrementalSpace`] repair in proportion to
+//! the runs the delta moved — nothing at all when no set moves.
 
 use std::sync::Arc;
 
 use gfd_core::{Dependency, Gfd, GfdSet, Literal};
-use gfd_datagen::{synthetic_graph, SynthConfig};
+use gfd_datagen::{reallife_graph, synthetic_graph, RealLifeConfig, RealLifeKind, SynthConfig};
 use gfd_graph::{AttrOp, Edge, Graph, GraphDelta, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
-    count_matches_with, for_each_match_in, CacheStats, ClassRegistry, MatchOptions, MatchScratch,
+    count_matches_with, for_each_match_in, CacheStats, ClassRegistry, IncrementalSpace,
+    MatchOptions, MatchScratch,
 };
 use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
@@ -446,5 +448,87 @@ fn apply_delta_allocates_by_the_delta_not_the_graph() {
     assert!(
         pinned_bytes < 2 * freeze_bytes,
         "32 pinned epochs requested {pinned_bytes} B, one freeze {freeze_bytes} B"
+    );
+}
+
+/// The O(delta) space-repair gate, on the `social-cycles` shape (a
+/// Pokec-shape graph, a triangle of wildcard nodes with one wildcard
+/// edge — every graph edge is admitted somewhere). A repair edits the
+/// runs a delta moves in place, out of scratch it keeps between calls:
+/// toggling an edge between two surviving candidates requests nothing
+/// once the touched pages have grown, and a repair that moves a set
+/// costs a small fraction of the from-scratch build. A rebuild of the
+/// affected pattern edges' adjacency — every candidate's run —
+/// overshoots both limits by orders of magnitude.
+#[test]
+fn warm_space_repair_allocates_by_the_delta() {
+    let _serial = serial();
+    let g = reallife_graph(&RealLifeConfig {
+        scale: 0.2,
+        ..RealLifeConfig::new(RealLifeKind::Pokec)
+    });
+    let mut pb = PatternBuilder::new(g.vocab().clone());
+    let v: Vec<_> = (0..3).map(|i| pb.wildcard_node(&format!("c{i}"))).collect();
+    pb.edge(v[0], v[1], "pk_rel0");
+    pb.edge(v[1], v[2], "pk_rel1");
+    pb.wildcard_edge(v[0], v[2]);
+    let tri = pb.build();
+    let edge_index = |src, dst| {
+        let at = |e: &gfd_pattern::PatternEdge| e.src == src && e.dst == dst;
+        tri.edges().iter().position(at).expect("a pattern edge")
+    };
+    let (rel0, wild) = (edge_index(v[0], v[1]), edge_index(v[0], v[2]));
+    let (mut inc, build_bytes) = bytes_requested(|| IncrementalSpace::new(&tri, &g, None));
+
+    // An absent edge between a candidate of c0 and a candidate of c2,
+    // under a relation only the wildcard pattern edge admits: both
+    // ends are members already, so the toggle moves runs and no set.
+    let label = g.vocab().intern("pk_rel5");
+    let (src, dst) = (inc.space().of(v[0]), inc.space().of(v[2]));
+    let quiet = src
+        .iter()
+        .flat_map(|&s| dst.iter().rev().map(move |&d| (s, d)))
+        .find(|&(s, d)| s != d && !g.has_edge_any(s, d))
+        .map(|(src, dst)| Edge { src, dst, label })
+        .expect("two candidates without an edge");
+    let mut add = GraphDelta::new(g.node_count());
+    add.added_edges.push(quiet);
+    let mut remove = GraphDelta::new(g.node_count());
+    remove.removed_edges.push(quiet);
+    let with_edge = g.apply_delta(&add);
+    let toggle = |inc: &mut IncrementalSpace| {
+        let on = inc.apply_normalized(&with_edge, &add);
+        assert!(on.is_unchanged() && on.adjacency_changed);
+        assert!(inc.space().forward[wild]
+            .run(quiet.src)
+            .contains(&quiet.dst));
+        let off = inc.apply_normalized(&g, &remove);
+        assert!(off.is_unchanged() && off.adjacency_changed);
+    };
+    toggle(&mut inc); // warm-up: the two touched pages grow once
+    let ((), warm_bytes) = bytes_requested(|| toggle(&mut inc));
+    assert_eq!(
+        warm_bytes, 0,
+        "a warm toggle between surviving candidates requested {warm_bytes} B"
+    );
+
+    // Removing the only `pk_rel0` edge into a candidate of c1 moves a
+    // set (and whatever the loss cascades to).
+    let (only_src, leaf) = inc.space().reverse[rel0]
+        .runs()
+        .find_map(|(u, run)| (run.len() == 1).then(|| (run[0], u)))
+        .expect("a candidate of c1 with one supporting edge");
+    let mut cut = GraphDelta::new(g.node_count());
+    cut.removed_edges.push(Edge {
+        src: only_src,
+        dst: leaf,
+        label: g.vocab().intern("pk_rel0"),
+    });
+    let without = g.apply_delta(&cut);
+    let (report, move_bytes) = bytes_requested(|| inc.apply_normalized(&without, &cut));
+    assert!(report.removed.contains(&(v[1], leaf)));
+    assert!(
+        move_bytes * 20 < build_bytes,
+        "a set-moving repair requested {move_bytes} B, the from-scratch build {build_bytes} B"
     );
 }

@@ -211,15 +211,11 @@ pub(crate) fn fill_space_pool(
         if image.0 == u32::MAX {
             continue;
         }
-        let Ok(i) = cs.sets[other.index()].binary_search(&image) else {
-            // Assigned images always come from the space's own sets
-            // (pins are screened up front), so this is unreachable —
-            // but an empty pool is the sound answer.
-            debug_assert!(false, "assigned image outside its simulation set");
-            pool.clear();
-            return;
-        };
-        let run = adj.run(i);
+        // Runs are keyed by node id: no rank lookup in the other set.
+        // Assigned images always come from the space's own sets (pins
+        // are screened up front); an image outside them has the empty
+        // run, and an empty pool is the sound answer.
+        let run = adj.run(image);
         match pin {
             Some(p) if run.binary_search(&p).is_err() => return,
             Some(_) => {}

@@ -22,23 +22,44 @@
 //!   lets the same worklist prune the over-approximation back to the
 //!   maximal fixpoint.
 //!
-//! The repaired relation is *identical* to `dual_simulation` on the
-//! edited graph (the oracle property test in
-//! `crates/matcher/tests/prop_incremental.rs` replays random 50-step
-//! edit scripts against the from-scratch result), but the work done is
-//! proportional to the affected neighborhood — the update-time
-//! discipline of Berkholz et al.'s FO-query maintenance under updates,
-//! made addressable here by CSR label extents and the counters.
+//! With the relation settled, the packaged [`CandidateSpace`] is
+//! *patched*, never rebuilt: the sorted candidate sets are merged in
+//! place, and the candidate adjacency — runs keyed by node id in
+//! 64-node pages, see [`crate::simulation`] — receives one run edit per
+//! thing the repair already knows changed. An added or removed graph
+//! edge between two members inserts or removes one target in one
+//! forward and one reverse run (under a wildcard pattern edge a
+//! parallel edge with another label keeps the target); a pair that
+//! entered or left the relation gains or loses its own run on every
+//! pattern edge at its variable, and its node enters or leaves the
+//! runs of its member neighbors. Each edit writes the one page it
+//! touches — in place when the page's cells have no other holder, in a
+//! private copy of that page otherwise — and the working storage lives
+//! in a scratch struct the space keeps between calls, so a repair costs
+//! the runs the delta moved (nothing from the allocator once the
+//! touched pages have grown), and a reader holding the pre-repair
+//! `Arc<CandidateSpace>` forces a copy of the sets, the page
+//! directories and the edited pages, not of the space.
+//!
+//! The repaired space is *identical* to `dual_simulation` on the
+//! edited graph (the oracle property tests in
+//! `crates/matcher/tests/prop_incremental.rs` replay random 50-step
+//! edit scripts against the from-scratch result, on one-page graphs
+//! and on graphs that cross pages), but the work done is proportional
+//! to the affected neighborhood — the update-time discipline of
+//! Berkholz et al.'s FO-query maintenance under updates, made
+//! addressable here by CSR label extents, the counters and id-keyed
+//! run pages.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use gfd_graph::{Graph, GraphDelta, NodeId, NodeSet};
-use gfd_pattern::{Pattern, VarId};
+use gfd_graph::{Edge, Graph, GraphDelta, NodeId, NodeSet};
+use gfd_pattern::{PatLabel, Pattern, VarId};
 
 use crate::simulation::{
-    admitted_in, admitted_out, edge_adjacency, harvest_space, simulate_core, CandidateSpace,
-    Direction, SimCore,
+    admitted_in, admitted_out, harvest_space, simulate_core, surviving_targets, CandidateSpace,
+    Direction, EdgeCandidates, SimCore,
 };
 
 /// What one [`IncrementalSpace::apply`] changed in the relation.
@@ -48,9 +69,9 @@ pub struct RepairReport {
     pub added: Vec<(VarId, NodeId)>,
     /// Pairs `(var, node)` that left the relation.
     pub removed: Vec<(VarId, NodeId)>,
-    /// True when some per-pattern-edge candidate adjacency was rebuilt
-    /// — its runs may differ even when no pair entered or left the
-    /// relation (e.g. a new graph edge between two surviving
+    /// True when some run of the per-pattern-edge candidate adjacency
+    /// was edited — runs can move even when no pair entered or left
+    /// the relation (e.g. a new graph edge between two surviving
     /// candidates). Consumers that derive from the *full* space (the
     /// tables and factorizations of `gfd_match::ClassRegistry`) must
     /// refresh on this; consumers that only read candidate sets (pivot
@@ -102,33 +123,123 @@ pub struct IncrementalSpace {
     /// The space behind an `Arc`, so registry consumers can hold the
     /// current snapshot across later repairs: a repair goes through
     /// [`Arc::make_mut`], which repairs in place when nobody else
-    /// holds the `Arc` and copies-on-write when someone does — a held
-    /// snapshot never mutates under its reader.
+    /// holds the `Arc`; when someone does it copies the candidate sets
+    /// and the page directories, and then only the run pages it edits
+    /// — a held snapshot never mutates under its reader.
     space: Arc<CandidateSpace>,
+    scratch: RepairScratch,
 }
 
-/// Admits `(v, u)` into the tentative frontier if it is a
-/// seed-admissible non-member not yet enqueued.
-#[allow(clippy::too_many_arguments)]
-fn consider(
-    q: &Pattern,
-    g: &Graph,
-    scope: Option<&NodeSet>,
-    member: &[Vec<bool>],
-    tent: &mut HashSet<(u32, u32)>,
-    tqueue: &mut VecDeque<(VarId, NodeId)>,
-    v: VarId,
-    u: NodeId,
-) {
-    if member[v.index()][u.index()]
-        || !q.label(v).admits(g.label(u))
-        || scope.is_some_and(|r| !r.contains(u))
-    {
-        return;
+/// The working storage of one repair, kept across calls (cleared, not
+/// reallocated): a warm repair that moves no set requests no memory.
+#[derive(Default)]
+struct RepairScratch {
+    /// The re-admission frontier as a set, for `is_tent` probes.
+    tent: HashSet<(u32, u32)>,
+    tqueue: VecDeque<(VarId, NodeId)>,
+    /// The frontier in BFS order.
+    tentative: Vec<(VarId, NodeId)>,
+    /// Members a relabeling no longer seeds.
+    forced: Vec<(VarId, NodeId)>,
+    /// Members whose support a deletion zeroed.
+    pending: Vec<(VarId, NodeId)>,
+    removed_pairs: Vec<(VarId, NodeId)>,
+    /// Per variable: nodes that entered its set, and whether any left.
+    added_by_var: Vec<Vec<NodeId>>,
+    lost_any: Vec<bool>,
+    /// One freshly built run.
+    run: Vec<NodeId>,
+}
+
+impl RepairScratch {
+    fn clear(&mut self, nvars: usize) {
+        self.tent.clear();
+        self.tqueue.clear();
+        self.tentative.clear();
+        self.forced.clear();
+        self.pending.clear();
+        self.removed_pairs.clear();
+        self.added_by_var.resize_with(nvars, Vec::new);
+        self.added_by_var.iter_mut().for_each(Vec::clear);
+        self.lost_any.clear();
+        self.lost_any.resize(nvars, false);
     }
-    if tent.insert((v.0, u.0)) {
-        tqueue.push_back((v, u));
+
+    /// Admits `(v, u)` into the tentative frontier if it is a
+    /// seed-admissible non-member not yet enqueued.
+    fn consider(
+        &mut self,
+        q: &Pattern,
+        g: &Graph,
+        scope: Option<&NodeSet>,
+        member: &[Vec<bool>],
+        v: VarId,
+        u: NodeId,
+    ) {
+        if member[v.index()][u.index()]
+            || !q.label(v).admits(g.label(u))
+            || scope.is_some_and(|r| !r.contains(u))
+        {
+            return;
+        }
+        if self.tent.insert((v.0, u.0)) {
+            self.tqueue.push_back((v, u));
+        }
     }
+
+    fn is_tent(&self, v: VarId, u: NodeId) -> bool {
+        self.tent.contains(&(v.0, u.0))
+    }
+}
+
+/// Drops from the ascending `set` what `keep` rejects and merges the
+/// ascending `adds` in, in place.
+fn merge_set(set: &mut Vec<NodeId>, adds: &[NodeId], keep: impl Fn(NodeId) -> bool) {
+    set.retain(|&u| keep(u));
+    let mut i = set.len();
+    let mut j = adds.len();
+    set.resize(i + j, NodeId(0));
+    // Back to front: the write position never overtakes the unread
+    // part of the old set.
+    for w in (0..i + j).rev() {
+        if j == 0 {
+            break; // the rest of the old set is already in place
+        }
+        if i == 0 || adds[j - 1] > set[i - 1] {
+            j -= 1;
+            set[w] = adds[j];
+        } else {
+            i -= 1;
+            set[w] = set[i];
+        }
+    }
+}
+
+/// Drops the run of `u` from `own` and `u` from the runs of `mirror`
+/// (the same pattern edge read the other way) that list it — exactly
+/// the owners of the targets of `u`'s run.
+fn drop_run(own: &mut EdgeCandidates, mirror: &mut EdgeCandidates, u: NodeId) {
+    for &w in own.run(u) {
+        mirror.remove_target(w, u);
+    }
+    own.remove_run(u);
+}
+
+/// Gives `u` the run `run` in `own` and lists `u` in the mirrored run
+/// of every target that has one.
+fn add_run(own: &mut EdgeCandidates, mirror: &mut EdgeCandidates, u: NodeId, run: &[NodeId]) {
+    own.insert_run(u, run);
+    for &w in run {
+        mirror.insert_target(w, u);
+    }
+}
+
+/// True if the removed graph edge `e` no longer supports pattern label
+/// `label` between its endpoints in the new snapshot `g`: always for a
+/// labeled pattern edge, and for a wildcard one unless a parallel edge
+/// under another label remains.
+fn edge_gone(g: &Graph, e: &Edge, label: PatLabel) -> bool {
+    !(matches!(label, PatLabel::Wildcard) && g.has_edge_any(e.src, e.dst))
 }
 
 impl IncrementalSpace {
@@ -143,6 +254,7 @@ impl IncrementalSpace {
             scope: scope.cloned(),
             core,
             space: Arc::new(space),
+            scratch: RepairScratch::default(),
         }
     }
 
@@ -200,13 +312,16 @@ impl IncrementalSpace {
             ref scope,
             ref mut core,
             space: ref mut space_arc,
+            scratch: ref mut sc,
         } = *self;
         // In-place repair when nobody shares the space; copy-on-write
-        // when a consumer still holds the pre-repair snapshot.
+        // (sets, directories, then only the edited pages) when a
+        // consumer still holds the pre-repair snapshot.
         let space = Arc::make_mut(space_arc);
         let scope = scope.as_ref();
         let nnodes = g.node_count();
         let nvars = q.node_count();
+        sc.clear(nvars);
 
         // Phase 0 — make room for nodes added at the end of the id
         // space (ids are stable across refreeze).
@@ -216,17 +331,17 @@ impl IncrementalSpace {
         for row in core.fwd.iter_mut().chain(core.bwd.iter_mut()) {
             row.resize(nnodes, 0);
         }
+        for adj in space.forward.iter_mut().chain(space.reverse.iter_mut()) {
+            adj.grow(nnodes);
+        }
 
         // Phase 1 — optimistic re-admission frontier: every pair that
         // can newly enter the (monotone-growing) relation is product-
         // reachable from an insertion site, so BFS from those sites
         // over seed-admissible non-members.
-        let mut tent: HashSet<(u32, u32)> = HashSet::new();
-        let mut tqueue: VecDeque<(VarId, NodeId)> = VecDeque::new();
-        let mut forced: Vec<(VarId, NodeId)> = Vec::new();
         for &(u, _) in &d.added_nodes {
             for v in q.vars() {
-                consider(q, g, scope, &core.member, &mut tent, &mut tqueue, v, u);
+                sc.consider(q, g, scope, &core.member, v, u);
             }
         }
         for c in &d.label_changes {
@@ -234,69 +349,32 @@ impl IncrementalSpace {
                 if core.member[v.index()][c.node.index()] {
                     if !q.label(v).admits(c.new) {
                         // The relabeled node no longer seeds v.
-                        forced.push((v, c.node));
+                        sc.forced.push((v, c.node));
                     }
                 } else {
-                    consider(q, g, scope, &core.member, &mut tent, &mut tqueue, v, c.node);
+                    sc.consider(q, g, scope, &core.member, v, c.node);
                 }
             }
         }
         for e in &d.added_edges {
             for pe in q.edges() {
                 if pe.label.admits(e.label) {
-                    consider(
-                        q,
-                        g,
-                        scope,
-                        &core.member,
-                        &mut tent,
-                        &mut tqueue,
-                        pe.src,
-                        e.src,
-                    );
-                    consider(
-                        q,
-                        g,
-                        scope,
-                        &core.member,
-                        &mut tent,
-                        &mut tqueue,
-                        pe.dst,
-                        e.dst,
-                    );
+                    sc.consider(q, g, scope, &core.member, pe.src, e.src);
+                    sc.consider(q, g, scope, &core.member, pe.dst, e.dst);
                 }
             }
         }
-        let mut tentative: Vec<(VarId, NodeId)> = Vec::new();
-        while let Some((v, u)) = tqueue.pop_front() {
-            tentative.push((v, u));
+        while let Some((v, u)) = sc.tqueue.pop_front() {
+            sc.tentative.push((v, u));
             for pe in q.edges() {
                 if pe.dst == v {
                     for a in admitted_in(g, u, pe.label) {
-                        consider(
-                            q,
-                            g,
-                            scope,
-                            &core.member,
-                            &mut tent,
-                            &mut tqueue,
-                            pe.src,
-                            a.node,
-                        );
+                        sc.consider(q, g, scope, &core.member, pe.src, a.node);
                     }
                 }
                 if pe.src == v {
                     for a in admitted_out(g, u, pe.label) {
-                        consider(
-                            q,
-                            g,
-                            scope,
-                            &core.member,
-                            &mut tent,
-                            &mut tqueue,
-                            pe.dst,
-                            a.node,
-                        );
+                        sc.consider(q, g, scope, &core.member, pe.dst, a.node);
                     }
                 }
             }
@@ -306,7 +384,6 @@ impl IncrementalSpace {
         // pre-commit) members on both sides of each removed edge.
         // Removals are only *collected* here; flags flip after every
         // counter is settled, so later drain decrements stay exact.
-        let mut pending: Vec<(VarId, NodeId)> = Vec::new();
         for e in &d.removed_edges {
             for (ei, pe) in q.edges().iter().enumerate() {
                 if pe.label.admits(e.label)
@@ -317,13 +394,13 @@ impl IncrementalSpace {
                     debug_assert!(*c > 0, "deleted edge was not counted (fwd)");
                     *c -= 1;
                     if *c == 0 {
-                        pending.push((pe.src, e.src));
+                        sc.pending.push((pe.src, e.src));
                     }
                     let c = &mut core.bwd[ei][e.dst.index()];
                     debug_assert!(*c > 0, "deleted edge was not counted (bwd)");
                     *c -= 1;
                     if *c == 0 {
-                        pending.push((pe.dst, e.dst));
+                        sc.pending.push((pe.dst, e.dst));
                     }
                 }
             }
@@ -334,10 +411,10 @@ impl IncrementalSpace {
         // fresh counts over the edited graph; surviving old members
         // adjacent to the frontier (or to an inserted edge) gain the
         // new support units.
-        for &(v, u) in &tentative {
+        for &(v, u) in &sc.tentative {
             core.member[v.index()][u.index()] = true;
         }
-        for &(v, u) in &tentative {
+        for &(v, u) in &sc.tentative {
             for (ei, pe) in q.edges().iter().enumerate() {
                 if pe.src == v {
                     core.fwd[ei][u.index()] = admitted_out(g, u, pe.label)
@@ -353,26 +430,25 @@ impl IncrementalSpace {
                 }
             }
         }
-        let is_tent = |v: VarId, u: NodeId| tent.contains(&(v.0, u.0));
         for e in &d.added_edges {
             for (ei, pe) in q.edges().iter().enumerate() {
                 if pe.label.admits(e.label)
                     && core.member[pe.src.index()][e.src.index()]
-                    && !is_tent(pe.src, e.src)
+                    && !sc.is_tent(pe.src, e.src)
                     && core.member[pe.dst.index()][e.dst.index()]
-                    && !is_tent(pe.dst, e.dst)
+                    && !sc.is_tent(pe.dst, e.dst)
                 {
                     core.fwd[ei][e.src.index()] += 1;
                     core.bwd[ei][e.dst.index()] += 1;
                 }
             }
         }
-        for &(v, u) in &tentative {
+        for &(v, u) in &sc.tentative {
             for (ei, pe) in q.edges().iter().enumerate() {
                 if pe.dst == v {
                     for a in admitted_in(g, u, pe.label) {
                         let t = a.node;
-                        if core.member[pe.src.index()][t.index()] && !is_tent(pe.src, t) {
+                        if core.member[pe.src.index()][t.index()] && !sc.is_tent(pe.src, t) {
                             core.fwd[ei][t.index()] += 1;
                         }
                     }
@@ -380,7 +456,7 @@ impl IncrementalSpace {
                 if pe.src == v {
                     for a in admitted_out(g, u, pe.label) {
                         let w = a.node;
-                        if core.member[pe.dst.index()][w.index()] && !is_tent(pe.dst, w) {
+                        if core.member[pe.dst.index()][w.index()] && !sc.is_tent(pe.dst, w) {
                             core.bwd[ei][w.index()] += 1;
                         }
                     }
@@ -390,7 +466,7 @@ impl IncrementalSpace {
 
         // Phase 4 — schedule every removal (flags flip here, after all
         // counters are consistent) and drain the worklist to fixpoint.
-        for (v, u) in forced {
+        for &(v, u) in &sc.forced {
             core.remove(v, u);
         }
         // Pending pairs zeroed by a deletion may have been *restored*
@@ -398,7 +474,7 @@ impl IncrementalSpace {
         // remove a node's only support edge, add a replacement), so
         // they — like the frontier — are removed only if some incident
         // edge still has no support against the settled counters.
-        for (v, u) in pending.into_iter().chain(tentative.iter().copied()) {
+        for &(v, u) in sc.pending.iter().chain(&sc.tentative) {
             for (ei, pe) in q.edges().iter().enumerate() {
                 if (pe.src == v && core.fwd[ei][u.index()] == 0)
                     || (pe.dst == v && core.bwd[ei][u.index()] == 0)
@@ -408,84 +484,99 @@ impl IncrementalSpace {
                 }
             }
         }
-        let mut removed_pairs = Vec::new();
-        core.drain(q, g, Some(&mut removed_pairs));
+        core.drain(q, g, Some(&mut sc.removed_pairs));
 
-        // Phase 5 — repair the sorted candidate sets and rebuild the
-        // per-edge candidate adjacency of affected pattern edges only.
-        let mut added_by_var: Vec<Vec<NodeId>> = vec![Vec::new(); nvars];
+        // Phase 5 — repair the sorted candidate sets in place.
         let mut report = RepairReport::default();
-        for &(v, u) in &tentative {
+        for &(v, u) in &sc.tentative {
             if core.member[v.index()][u.index()] {
-                added_by_var[v.index()].push(u);
+                sc.added_by_var[v.index()].push(u);
                 report.added.push((v, u));
             }
         }
-        let mut dirty = vec![false; nvars];
-        for &(v, u) in &removed_pairs {
-            dirty[v.index()] = true;
-            if !is_tent(v, u) {
+        for &(v, u) in &sc.removed_pairs {
+            if !sc.is_tent(v, u) {
                 // Frontier pairs that failed the fixpoint were never
                 // visible; only old members count as removed.
+                sc.lost_any[v.index()] = true;
                 report.removed.push((v, u));
             }
         }
-        for (v, adds) in added_by_var.iter_mut().enumerate() {
-            if !adds.is_empty() {
-                dirty[v] = true;
+        for v in 0..nvars {
+            let adds = &mut sc.added_by_var[v];
+            if sc.lost_any[v] || !adds.is_empty() {
                 adds.sort_unstable();
+                merge_set(&mut space.sets[v], adds, |u| core.member[v][u.index()]);
             }
         }
-        for v in 0..nvars {
-            if !dirty[v] {
-                continue;
-            }
-            let old = &space.sets[v];
-            let adds = &added_by_var[v];
-            let mut merged = Vec::with_capacity(old.len() + adds.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < old.len() || j < adds.len() {
-                let take_add = j < adds.len() && (i >= old.len() || adds[j] < old[i]);
-                if take_add {
-                    merged.push(adds[j]);
-                    j += 1;
-                } else {
-                    let u = old[i];
-                    i += 1;
-                    if core.member[v][u.index()] {
-                        merged.push(u);
-                    }
+
+        // Phase 6 — edit the candidate adjacency run by run. A run
+        // lists exactly the neighbors whose mirrored run lists its
+        // owner, every edit is a no-op when already in effect or when
+        // the run it names does not exist (yet, or any more), and runs
+        // of entering pairs are read off the new snapshot under the
+        // new membership — so the edits below commute.
+        let mut changed = false;
+        // A pair that left: its own run goes on every pattern edge at
+        // the variable, and its node leaves the mirrored runs.
+        for &(v, u) in &report.removed {
+            for (ei, pe) in q.edges().iter().enumerate() {
+                let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
+                if pe.src == v {
+                    drop_run(fwd, rev, u);
+                    changed = true;
+                }
+                if pe.dst == v {
+                    drop_run(rev, fwd, u);
+                    changed = true;
                 }
             }
-            space.sets[v] = merged;
         }
-        for (ei, pe) in q.edges().iter().enumerate() {
-            let affected = dirty[pe.src.index()]
-                || dirty[pe.dst.index()]
-                || d.added_edges.iter().chain(&d.removed_edges).any(|e| {
-                    pe.label.admits(e.label)
-                        && core.member[pe.src.index()][e.src.index()]
-                        && core.member[pe.dst.index()][e.dst.index()]
-                });
-            if !affected {
-                continue;
+        // A removed graph edge between two members leaves one forward
+        // and one reverse run.
+        for e in &d.removed_edges {
+            for (ei, pe) in q.edges().iter().enumerate() {
+                if pe.label.admits(e.label) && edge_gone(g, e, pe.label) {
+                    changed |= space.forward[ei].remove_target(e.src, e.dst);
+                    space.reverse[ei].remove_target(e.dst, e.src);
+                }
             }
-            report.adjacency_changed = true;
-            space.forward[ei] = edge_adjacency(
-                g,
-                &space.sets[pe.src.index()],
-                &core.member[pe.dst.index()],
-                pe.label,
-                Direction::Out,
-            );
-            space.reverse[ei] = edge_adjacency(
-                g,
-                &space.sets[pe.dst.index()],
-                &core.member[pe.src.index()],
-                pe.label,
-                Direction::In,
-            );
         }
+        // A pair that entered: its own run on every pattern edge at
+        // the variable, and its node enters the mirrored runs.
+        for &(v, u) in &report.added {
+            for (ei, pe) in q.edges().iter().enumerate() {
+                let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
+                if pe.src == v {
+                    sc.run.clear();
+                    let targets = &core.member[pe.dst.index()];
+                    surviving_targets(g, u, targets, pe.label, Direction::Out, &mut sc.run);
+                    add_run(fwd, rev, u, &sc.run);
+                    changed = true;
+                }
+                if pe.dst == v {
+                    sc.run.clear();
+                    let sources = &core.member[pe.src.index()];
+                    surviving_targets(g, u, sources, pe.label, Direction::In, &mut sc.run);
+                    add_run(rev, fwd, u, &sc.run);
+                    changed = true;
+                }
+            }
+        }
+        // An added graph edge between two members enters one forward
+        // and one reverse run.
+        for e in &d.added_edges {
+            for (ei, pe) in q.edges().iter().enumerate() {
+                if pe.label.admits(e.label)
+                    && core.member[pe.src.index()][e.src.index()]
+                    && core.member[pe.dst.index()][e.dst.index()]
+                {
+                    changed |= space.forward[ei].insert_target(e.src, e.dst);
+                    space.reverse[ei].insert_target(e.dst, e.src);
+                }
+            }
+        }
+        report.adjacency_changed = changed;
         report
     }
 }
@@ -527,24 +618,14 @@ mod tests {
         assert_eq!(inc.space().sets, scratch.sets, "candidate sets diverged");
         for ei in 0..inc.pattern().edge_count() {
             assert_eq!(
-                inc.space().forward[ei].offsets,
-                scratch.forward[ei].offsets,
-                "forward offsets of edge {ei}"
+                inc.space().forward[ei],
+                scratch.forward[ei],
+                "forward runs of edge {ei}"
             );
             assert_eq!(
-                inc.space().forward[ei].targets,
-                scratch.forward[ei].targets,
-                "forward targets of edge {ei}"
-            );
-            assert_eq!(
-                inc.space().reverse[ei].offsets,
-                scratch.reverse[ei].offsets,
-                "reverse offsets of edge {ei}"
-            );
-            assert_eq!(
-                inc.space().reverse[ei].targets,
-                scratch.reverse[ei].targets,
-                "reverse targets of edge {ei}"
+                inc.space().reverse[ei],
+                scratch.reverse[ei],
+                "reverse runs of edge {ei}"
             );
         }
     }

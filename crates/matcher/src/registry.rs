@@ -718,10 +718,14 @@ impl RegistryInner {
             let refresh = match cls.inc.as_mut() {
                 Some(inc) => {
                     let report = inc.apply_normalized(g, d);
-                    let nb = inc.space().approx_bytes();
-                    *bytes = *bytes + nb - cls.inc_bytes;
-                    cls.inc_bytes = nb;
-                    !report.is_unchanged() || report.adjacency_changed
+                    let moved = !report.is_unchanged() || report.adjacency_changed;
+                    if moved {
+                        // The recount walks every page of the space.
+                        let nb = inc.space().approx_bytes();
+                        *bytes = *bytes + nb - cls.inc_bytes;
+                        cls.inc_bytes = nb;
+                    }
+                    moved
                 }
                 // Without the incremental state nobody can certify
                 // "unchanged": any tables the class still holds (tables
@@ -1494,6 +1498,56 @@ mod tests {
             check(&script[head - 1].0);
         }
         assert!(lagging_calls >= 8, "premise: the laggard path ran");
+    }
+
+    /// `advance` recounts a class's bytes only when its repair moved
+    /// something; the running total must still equal a from-scratch
+    /// recount after every epoch — edits that move sets, edits that
+    /// move only runs, and edits no class admits (`f` edges).
+    #[test]
+    fn accounted_bytes_equal_a_recount_over_random_epochs() {
+        let mut g = triangle_graph();
+        let members = [
+            chain_pattern(&g, [0, 1, 2]),
+            triangle_pattern(&g, [0, 1, 2]),
+        ];
+        let reg = ClassRegistry::new();
+        let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
+        for &h in &handles {
+            reg.space(h, &g);
+        }
+        let mut rng = Rng::seed_from_u64(0xb17e5);
+        let (mut moved, mut runs_only) = (0, 0);
+        for epoch in 0..50 {
+            // Node `i` has label `i % 3`; toggle an edge into the next
+            // label, the direction both patterns admit.
+            let s = rng.gen_range(0..6);
+            let d = (s % 3 + 1) % 3 + 3 * rng.gen_range(0..2);
+            let (s, d) = (NodeId(s as u32), NodeId(d as u32));
+            let label = if rng.gen_range(0..4) == 0 { "f" } else { "e" };
+            let (next, delta) = g.edit_with_delta(|b| {
+                if !b.remove_edge_labeled(s, d, label) {
+                    b.add_edge_labeled(s, d, label);
+                }
+            });
+            let before = reg.bytes();
+            let sizes = |g: &Graph| -> usize {
+                let spaces = members.iter().map(|q| dual_simulation(q, g, None));
+                spaces.map(|cs| cs.total_size()).sum()
+            };
+            let sets_before = sizes(&g);
+            reg.apply(&next, &delta);
+            g = next;
+            let recount: usize = members
+                .iter()
+                .map(|q| dual_simulation(q, &g, None).approx_bytes())
+                .sum();
+            assert_eq!(reg.bytes(), recount, "epoch {epoch}");
+            moved += usize::from(recount != before);
+            runs_only += usize::from(recount != before && sizes(&g) == sets_before);
+        }
+        assert!(moved >= 5, "premise: some epochs moved the byte count");
+        assert!(runs_only >= 1, "premise: some epoch moved runs but no set");
     }
 
     /// `invalidate_all` drops every derived artifact; later queries

@@ -23,29 +23,395 @@
 //! a worklist, and each removal only touches the removed node's own
 //! adjacency — `O(affected)` per removal, `O(Σ_e Σ_{u∈cand} deg_l(u))`
 //! in total rather than `rounds × vars × |V|`.
+//!
+//! ## Layout
+//!
+//! The relation is packaged as sorted candidate sets plus, per pattern
+//! edge and direction, an [`EdgeCandidates`]: one run of surviving
+//! neighbors per source candidate, keyed by the candidate's **node
+//! id** and stored in pages of 64 consecutive ids behind `Arc`s. Ids
+//! are stable where ranks in a candidate set are not, so a graph edit
+//! is a handful of run edits on the pages it touches
+//! ([`crate::incremental`]) and everything else is shared with the
+//! previous snapshot; a reader finds the run of an assigned image
+//! without searching the image's set. `harvest_space` builds the
+//! pages from scratch, those of one edge direction laid into one
+//! allocation of exactly their size; a page moves into an allocation
+//! of its own when a repair first writes it.
 
 use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::Arc;
 
 use gfd_graph::{Graph, NodeId, NodeSet};
 use gfd_pattern::{PatLabel, Pattern, VarId};
 
+/// Run pages cover the same 64 consecutive node ids as the graph's own
+/// pages, so an edit local to one graph page is local to one run page.
+const PAGE_SHIFT: u32 = 6;
+const PAGE_MASK: usize = (1 << PAGE_SHIFT) - 1;
+
+/// The single-bit mask of position `i` within its 64-bit word.
+#[inline]
+fn bit_of(i: usize) -> u64 {
+    1u64 << (i & 63)
+}
+
+/// Number of set bits of `mask` below `bit` — the dense index of
+/// `bit`'s entry among the present ones (the FST/SuRF rank step).
+#[inline]
+fn rank(mask: u64, bit: u64) -> usize {
+    (mask & (bit - 1)).count_ones() as usize
+}
+
+/// The positions of the set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
+}
+
+/// Sorts `v[start..]` and drops repeats — a wildcard run spans labels,
+/// and parallel edges under distinct labels repeat their endpoint.
+fn sort_dedup_tail(v: &mut Vec<NodeId>, start: usize) {
+    v[start..].sort_unstable();
+    let mut w = start;
+    for i in start..v.len() {
+        if w == start || v[i] != v[w - 1] {
+            v[w] = v[i];
+            w += 1;
+        }
+    }
+    v.truncate(w);
+}
+
+/// The runs of the (up to 64) source candidates sharing one page of
+/// node ids. Compact: only present slots pay for an offset, and a
+/// page's cells are one range of one allocation behind an [`Arc`].
+/// The from-scratch builder lays every page of an edge direction into
+/// one shared slab; a page moves into an allocation of its own on its
+/// first write. Either way the `Arc` is what consecutive snapshots
+/// share and a repair copies (this page's cells only) before writing.
+#[derive(Clone, Debug, Default)]
+struct RunPage {
+    /// Bit `s` is set iff node `page << 6 | s` has a run here.
+    present: u64,
+    /// `cells[start..][..len]` are this page's cells; what follows them
+    /// is spare capacity only while the page is the `Arc`'s one holder.
+    start: u32,
+    len: u32,
+    /// The first `present.count_ones()` cells are the runs' **end
+    /// offsets** into the rest (held in a `NodeId`'s `u32`, so the page
+    /// stays one slice), in slot order; then the runs' targets,
+    /// concatenated in slot order, each run ascending.
+    cells: Arc<[NodeId]>,
+}
+
+/// Pages are equal iff they hold the same runs, wherever their cells
+/// live.
+impl PartialEq for RunPage {
+    fn eq(&self, other: &RunPage) -> bool {
+        self.present == other.present && self.used() == other.used()
+    }
+}
+
+impl Eq for RunPage {}
+
+/// Shifts the end offsets in `ends` by `by`.
+fn shift_ends(ends: &mut [NodeId], by: i64) {
+    for end in ends {
+        end.0 = (i64::from(end.0) + by) as u32;
+    }
+}
+
+impl RunPage {
+    #[inline]
+    fn used(&self) -> &[NodeId] {
+        &self.cells[self.start as usize..][..self.len as usize]
+    }
+
+    #[inline]
+    fn run_count(&self) -> usize {
+        self.present.count_ones() as usize
+    }
+
+    /// Range within [`used`](Self::used) of the run with rank `r`
+    /// among the present slots.
+    #[inline]
+    fn span(&self, r: usize) -> Range<usize> {
+        let cells = self.used();
+        let start = if r == 0 { 0 } else { cells[r - 1].index() };
+        let k = self.run_count();
+        k + start..k + cells[r].index()
+    }
+
+    /// The run of `slot`, if it has one.
+    #[inline]
+    fn run(&self, slot: usize) -> Option<&[NodeId]> {
+        let bit = bit_of(slot);
+        (self.present & bit != 0).then(|| &self.used()[self.span(rank(self.present, bit))])
+    }
+
+    /// Where `w` sits in the run of `slot` (`Ok`) or would be inserted
+    /// (`Err`), as an index into [`used`](Self::used); `None` when
+    /// `slot` has no run.
+    fn position(&self, slot: usize, w: NodeId) -> Option<Result<usize, usize>> {
+        let bit = bit_of(slot);
+        (self.present & bit != 0).then(|| {
+            let span = self.span(rank(self.present, bit));
+            let base = span.start;
+            match self.used()[span].binary_search(&w) {
+                Ok(i) => Ok(base + i),
+                Err(i) => Err(base + i),
+            }
+        })
+    }
+
+    /// Sets the number of cells in use to `new_len` and returns the
+    /// page's cells for writing (the old ones kept, at least `new_len`
+    /// long): in place when this page is the `Arc`'s only holder and
+    /// has the room, otherwise in a fresh allocation of its own —
+    /// twice the old length when growing.
+    fn resize(&mut self, new_len: usize) -> &mut [NodeId] {
+        let (start, len) = (self.start as usize, self.len as usize);
+        let in_place =
+            Arc::get_mut(&mut self.cells).is_some_and(|cells| start + new_len <= cells.len());
+        if !in_place {
+            let capacity = if new_len > len {
+                new_len.max(2 * len)
+            } else {
+                len
+            };
+            let spare = std::iter::repeat_n(NodeId(0), capacity - len);
+            self.cells = self.used().iter().copied().chain(spare).collect();
+            self.start = 0;
+        }
+        self.len = new_len as u32;
+        let cells = Arc::get_mut(&mut self.cells).expect("sole holder: checked or just copied");
+        &mut cells[self.start as usize..]
+    }
+
+    /// Opens a gap of `n` cells at `at`.
+    fn open(&mut self, at: usize, n: usize) -> &mut [NodeId] {
+        let len = self.len as usize;
+        let cells = self.resize(len + n);
+        cells.copy_within(at..len, at + n);
+        cells
+    }
+
+    /// Closes the `n` cells at `at`.
+    fn close(&mut self, at: usize, n: usize) -> &mut [NodeId] {
+        let len = self.len as usize;
+        let cells = self.resize(len - n);
+        cells.copy_within(at + n..len, at);
+        cells
+    }
+
+    /// Inserts target `w` at cell `at` (from [`position`](Self::position)).
+    fn insert_target_at(&mut self, slot: usize, at: usize, w: NodeId) {
+        let (r, k) = (rank(self.present, bit_of(slot)), self.run_count());
+        let cells = self.open(at, 1);
+        cells[at] = w;
+        shift_ends(&mut cells[r..k], 1);
+    }
+
+    /// Removes the target at cell `at`.
+    fn remove_target_at(&mut self, slot: usize, at: usize) {
+        let (r, k) = (rank(self.present, bit_of(slot)), self.run_count());
+        let cells = self.close(at, 1);
+        shift_ends(&mut cells[r..k], -1);
+    }
+
+    /// Gives `slot` (which has none) the run `targets`.
+    fn insert_run(&mut self, slot: usize, targets: &[NodeId]) {
+        let bit = bit_of(slot);
+        debug_assert!(self.present & bit == 0, "slot {slot} already has a run");
+        let (r, k, m) = (rank(self.present, bit), self.run_count(), targets.len());
+        let start = if r == 0 {
+            0
+        } else {
+            self.used()[r - 1].index()
+        };
+        self.open(k + start, m)[k + start..][..m].copy_from_slice(targets);
+        let cells = self.open(r, 1);
+        cells[r] = NodeId((start + m) as u32);
+        shift_ends(&mut cells[r + 1..k + 1], m as i64);
+        self.present |= bit;
+    }
+
+    /// Drops the run of `slot` (which has one).
+    fn remove_run(&mut self, slot: usize) {
+        let bit = bit_of(slot);
+        let (r, k) = (rank(self.present, bit), self.run_count());
+        let span = self.span(r);
+        self.close(span.start, span.len());
+        let cells = self.close(r, 1);
+        shift_ends(&mut cells[r..k - 1], -(span.len() as i64));
+        self.present &= !bit;
+    }
+}
+
+/// One word of the page directory: which of 64 consecutive pages exist,
+/// and how many pages precede them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct DirWord {
+    mask: u64,
+    rank: u32,
+}
+
 /// Per-pattern-edge candidate adjacency: for every candidate of the
-/// edge's source variable (by its index in the source candidate set),
-/// the admitted neighbors that survive in the target candidate set.
+/// edge's source variable, the admitted neighbors that survive in the
+/// target candidate set.
+///
+/// Runs are keyed by the source candidate's **node id** (a candidate's
+/// rank in its set shifts whenever the set changes; its id never does)
+/// and stored in 64-node pages behind [`Arc`]s. Only pages holding a
+/// run exist; a two-level bitmap directory (presence mask + popcount
+/// rank, once over pages and once over the slots of a page) finds a
+/// run in a handful of loads. A repair writes the touched pages — in
+/// place when no reader holds them, in a copy of that page alone when
+/// one still holds the previous snapshot — and every other page is
+/// shared between consecutive snapshots. Two values are equal iff they
+/// hold the same runs: a page without runs is never kept.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EdgeCandidates {
-    /// `targets[offsets[i]..offsets[i+1]]` is the run of candidate
-    /// `i` of the source variable; runs are ascending by node id.
-    pub offsets: Vec<u32>,
-    /// Flattened runs of admitted, simulation-surviving neighbors.
-    pub targets: Vec<NodeId>,
+    /// One word per 64 pages of the graph's node-id space.
+    dir: Vec<DirWord>,
+    /// The existing pages, ascending by page number.
+    pages: Vec<RunPage>,
 }
 
 impl EdgeCandidates {
-    /// The admitted target run of source-candidate index `i`.
+    /// Index into `pages` of the page covering `u`, if it exists.
     #[inline]
-    pub fn run(&self, i: usize) -> &[NodeId] {
-        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    fn page_index(&self, u: NodeId) -> Option<usize> {
+        let p = u.index() >> PAGE_SHIFT;
+        let d = self.dir.get(p >> 6)?;
+        let bit = bit_of(p);
+        (d.mask & bit != 0).then(|| d.rank as usize + rank(d.mask, bit))
+    }
+
+    /// The admitted target run of source candidate `u`, ascending by
+    /// node id; empty when `u` is not a candidate.
+    #[inline]
+    pub fn run(&self, u: NodeId) -> &[NodeId] {
+        self.page_index(u)
+            .and_then(|i| self.pages[i].run(u.index() & PAGE_MASK))
+            .unwrap_or(&[])
+    }
+
+    /// Every `(source candidate, run)`, ascending by candidate.
+    pub fn runs(&self) -> impl Iterator<Item = (NodeId, &[NodeId])> + '_ {
+        let page_numbers = self
+            .dir
+            .iter()
+            .enumerate()
+            .flat_map(|(w, d)| bits(d.mask).map(move |b| w << 6 | b));
+        page_numbers.zip(&self.pages).flat_map(|(p, page)| {
+            bits(page.present).enumerate().map(move |(r, slot)| {
+                let u = NodeId((p << PAGE_SHIFT | slot) as u32);
+                (u, &page.used()[page.span(r)])
+            })
+        })
+    }
+
+    /// True if `self` and `other` hold the page covering `u` as the
+    /// same allocation — what consecutive snapshots of a repaired space
+    /// do for every page the repair did not edit.
+    pub fn shares_page(&self, other: &EdgeCandidates, u: NodeId) -> bool {
+        match (self.page_index(u), other.page_index(u)) {
+            (Some(i), Some(j)) => {
+                let (a, b) = (&self.pages[i], &other.pages[j]);
+                Arc::ptr_eq(&a.cells, &b.cells) && a.start == b.start
+            }
+            _ => false,
+        }
+    }
+
+    /// Payload cells held: one per run plus one per target.
+    fn cells(&self) -> usize {
+        self.pages.iter().map(|p| p.len as usize).sum()
+    }
+
+    /// Extends the directory to a graph of `nnodes` nodes (node ids are
+    /// stable, so existing pages keep their numbers).
+    pub(crate) fn grow(&mut self, nnodes: usize) {
+        let words = nnodes.div_ceil(1 << PAGE_SHIFT).div_ceil(64);
+        let rank = self.pages.len() as u32;
+        self.dir.resize(words, DirWord { mask: 0, rank });
+    }
+
+    /// The page index of `u`'s run and where `w` sits in it (see
+    /// [`RunPage::position`]); `None` when `u` has no run.
+    fn locate(&self, u: NodeId, w: NodeId) -> Option<(usize, Result<usize, usize>)> {
+        let i = self.page_index(u)?;
+        Some((i, self.pages[i].position(u.index() & PAGE_MASK, w)?))
+    }
+
+    /// Adds `w` to the run of `u`. No-op (returning false) when `u` has
+    /// no run or the run already holds `w`.
+    pub(crate) fn insert_target(&mut self, u: NodeId, w: NodeId) -> bool {
+        let Some((i, Err(at))) = self.locate(u, w) else {
+            return false;
+        };
+        self.pages[i].insert_target_at(u.index() & PAGE_MASK, at, w);
+        true
+    }
+
+    /// Drops `w` from the run of `u`. No-op (returning false) when `u`
+    /// has no run or the run does not hold `w`.
+    pub(crate) fn remove_target(&mut self, u: NodeId, w: NodeId) -> bool {
+        let Some((i, Ok(at))) = self.locate(u, w) else {
+            return false;
+        };
+        self.pages[i].remove_target_at(u.index() & PAGE_MASK, at);
+        true
+    }
+
+    /// Recomputes every directory word's rank from the masks.
+    fn renumber(&mut self) {
+        let mut rank = 0u32;
+        for d in &mut self.dir {
+            d.rank = rank;
+            rank += d.mask.count_ones();
+        }
+    }
+
+    /// Gives `u`, which has no run yet, the run `targets` (ascending),
+    /// creating its page if need be.
+    pub(crate) fn insert_run(&mut self, u: NodeId, targets: &[NodeId]) {
+        let p = u.index() >> PAGE_SHIFT;
+        let bit = bit_of(p);
+        let d = &mut self.dir[p >> 6];
+        let i = d.rank as usize + rank(d.mask, bit);
+        if d.mask & bit == 0 {
+            d.mask |= bit;
+            self.pages.insert(i, RunPage::default());
+            self.renumber();
+        }
+        self.pages[i].insert_run(u.index() & PAGE_MASK, targets);
+    }
+
+    /// Drops the run of `u` (no-op when it has none), and its page with
+    /// the page's last run.
+    pub(crate) fn remove_run(&mut self, u: NodeId) {
+        let slot = u.index() & PAGE_MASK;
+        let Some(i) = self.page_index(u) else {
+            return;
+        };
+        let present = self.pages[i].present;
+        if present == bit_of(slot) {
+            let p = u.index() >> PAGE_SHIFT;
+            self.pages.remove(i);
+            self.dir[p >> 6].mask &= !bit_of(p);
+            self.renumber();
+        } else if present & bit_of(slot) != 0 {
+            self.pages[i].remove_run(slot);
+        }
     }
 }
 
@@ -86,17 +452,20 @@ impl CandidateSpace {
     }
 
     /// Approximate heap bytes held by the relation — candidate sets
-    /// plus both per-edge adjacency CSRs. The byte-budget size key of
-    /// [`crate::registry::ClassRegistry`]; an estimate (`Vec` headers
-    /// and spare capacity are ignored), which is all eviction needs.
+    /// plus, per edge direction, its payload counted as a flat CSR
+    /// would hold it (one offset per run and a closing one, one cell
+    /// per target). The byte-budget size key of
+    /// [`crate::registry::ClassRegistry`]; an estimate (page headers,
+    /// the directory and spare capacity are ignored), which is all
+    /// eviction needs. Walks every page.
     pub fn approx_bytes(&self) -> usize {
-        let node = std::mem::size_of::<NodeId>();
-        let sets: usize = self.sets.iter().map(|s| s.len() * node).sum();
+        let cell = std::mem::size_of::<NodeId>();
+        let sets: usize = self.sets.iter().map(|s| s.len() * cell).sum();
         let adj: usize = self
             .forward
             .iter()
             .chain(&self.reverse)
-            .map(|e| e.offsets.len() * std::mem::size_of::<u32>() + e.targets.len() * node)
+            .map(|e| (e.cells() + 1) * cell)
             .sum();
         sets + adj
     }
@@ -301,7 +670,8 @@ pub(crate) fn simulate_core(
 }
 
 /// Builds the per-edge candidate adjacency (both directions) over the
-/// final sets and packages the [`CandidateSpace`].
+/// final sets and packages the [`CandidateSpace`] — the from-scratch
+/// builder; a repair edits runs instead (see [`crate::incremental`]).
 pub(crate) fn harvest_space(
     q: &Pattern,
     g: &Graph,
@@ -311,20 +681,25 @@ pub(crate) fn harvest_space(
     let nedges = q.edge_count();
     let mut forward = Vec::with_capacity(nedges);
     let mut reverse = Vec::with_capacity(nedges);
-    for e in q.edges() {
+    let mut cells = Vec::new();
+    for (ei, e) in q.edges().iter().enumerate() {
         forward.push(edge_adjacency(
             g,
             &sets[e.src.index()],
             &core.member[e.dst.index()],
+            &core.fwd[ei],
             e.label,
             Direction::Out,
+            &mut cells,
         ));
         reverse.push(edge_adjacency(
             g,
             &sets[e.dst.index()],
             &core.member[e.src.index()],
+            &core.bwd[ei],
             e.label,
             Direction::In,
+            &mut cells,
         ));
     }
     CandidateSpace {
@@ -342,51 +717,89 @@ pub fn dual_simulation(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Candi
     harvest_space(q, g, &core, sets)
 }
 
+#[derive(Clone, Copy)]
 pub(crate) enum Direction {
     Out,
     In,
 }
 
-/// Builds one CSR of admitted, surviving neighbors per source
-/// candidate. Labeled runs arrive sorted by node; wildcard runs span
-/// labels and are re-sorted per run.
-pub(crate) fn edge_adjacency(
+/// Appends to `out` the admitted neighbors of `u` that survive in the
+/// target set, ascending. Labeled runs arrive sorted by node; wildcard
+/// runs span labels and are re-sorted and deduplicated.
+pub(crate) fn surviving_targets(
     g: &Graph,
-    sources: &[NodeId],
+    u: NodeId,
     target_member: &[bool],
     label: PatLabel,
     dir: Direction,
-) -> EdgeCandidates {
-    let mut offsets = Vec::with_capacity(sources.len() + 1);
-    let mut targets = Vec::new();
-    offsets.push(0u32);
-    for &u in sources {
-        let run = match dir {
-            Direction::Out => admitted_out(g, u, label),
-            Direction::In => admitted_in(g, u, label),
-        };
-        let start = targets.len();
-        targets.extend(
-            run.iter()
-                .map(|a| a.node)
-                .filter(|w| target_member[w.index()]),
-        );
-        if matches!(label, PatLabel::Wildcard) && targets.len() > start + 1 {
-            // Wildcard runs span labels: re-sort by node and drop the
-            // repeats that parallel edges under distinct labels leave.
-            targets[start..].sort_unstable();
-            let mut w = start + 1;
-            for i in start + 1..targets.len() {
-                if targets[i] != targets[w - 1] {
-                    targets[w] = targets[i];
-                    w += 1;
-                }
-            }
-            targets.truncate(w);
-        }
-        offsets.push(targets.len() as u32);
+    out: &mut Vec<NodeId>,
+) {
+    let run = match dir {
+        Direction::Out => admitted_out(g, u, label),
+        Direction::In => admitted_in(g, u, label),
+    };
+    let start = out.len();
+    out.extend(
+        run.iter()
+            .map(|a| a.node)
+            .filter(|w| target_member[w.index()]),
+    );
+    if matches!(label, PatLabel::Wildcard) {
+        sort_dedup_tail(out, start);
     }
-    EdgeCandidates { offsets, targets }
+}
+
+/// Builds the run pages of one edge direction: one run of admitted,
+/// surviving neighbors per source candidate. The pages are assembled
+/// back to back in the reused buffer `cells` — reserved up front from
+/// `support[u]`, the worklist's support counter of `u` on this edge:
+/// its run length, an upper bound where a wildcard run drops parallel
+/// edges — and then share one allocation of exactly their size.
+fn edge_adjacency(
+    g: &Graph,
+    sources: &[NodeId],
+    target_member: &[bool],
+    support: &[u32],
+    label: PatLabel,
+    dir: Direction,
+    cells: &mut Vec<NodeId>,
+) -> EdgeCandidates {
+    let page_of = |u: &NodeId| u.index() >> PAGE_SHIFT;
+    let mut adj = EdgeCandidates::default();
+    adj.grow(g.node_count());
+    if sources.is_empty() {
+        return adj;
+    }
+    let npages = sources.chunk_by(|a, b| page_of(a) == page_of(b)).count();
+    adj.pages.reserve_exact(npages);
+    let targets: usize = sources.iter().map(|u| support[u.index()] as usize).sum();
+    cells.clear();
+    cells.reserve_exact(sources.len() + targets);
+    for group in sources.chunk_by(|a, b| page_of(a) == page_of(b)) {
+        let (start, k) = (cells.len(), group.len());
+        let mut present = 0u64;
+        cells.resize(start + k, NodeId(0));
+        for (r, &u) in group.iter().enumerate() {
+            present |= bit_of(u.index());
+            surviving_targets(g, u, target_member, label, dir, cells);
+            cells[start + r] = NodeId((cells.len() - start - k) as u32);
+        }
+        let p = page_of(&group[0]);
+        adj.dir[p >> 6].mask |= bit_of(p);
+        adj.pages.push(RunPage {
+            present,
+            start: start as u32,
+            len: (cells.len() - start) as u32,
+            cells: Arc::default(),
+        });
+    }
+    assert!(u32::try_from(cells.len()).is_ok(), "page offsets are u32");
+    let slab: Arc<[NodeId]> = Arc::from(&cells[..]);
+    for page in &mut adj.pages {
+        page.cells = Arc::clone(&slab);
+    }
+    adj.renumber();
+    adj
 }
 
 #[cfg(test)]
@@ -439,9 +852,11 @@ mod tests {
         let q = chain_pattern(&g);
         let sim = dual_simulation(&q, &g, None);
         // Edge 0 is x -> y: candidate a1 reaches exactly b1.
-        assert_eq!(sim.forward[0].run(0), &[NodeId(1)]);
+        assert_eq!(sim.forward[0].run(NodeId(0)), &[NodeId(1)]);
         // Reverse of edge 1 (y -> z): candidate c1 is reached from b1.
-        assert_eq!(sim.reverse[1].run(0), &[NodeId(1)]);
+        assert_eq!(sim.reverse[1].run(NodeId(2)), &[NodeId(1)]);
+        // A node outside the source set has no run.
+        assert!(sim.forward[0].run(NodeId(3)).is_empty());
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //! (which must be invisible to simulation). CI runs this under
 //! `BENCH_SMOKE=1` with a reduced case budget as a fast PR gate; the
 //! full budget runs in the regular test job.
+//!
+//! The small graphs above fit one run page; the `paged` scripts run
+//! the same oracle on graphs of ≥ 200 nodes (see `common`), where a
+//! repair edits some pages and must share the rest with the snapshot a
+//! reader still holds.
+
+mod common;
 
 use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
-use gfd_match::simulation::dual_simulation;
-use gfd_match::IncrementalSpace;
+use gfd_match::simulation::{dual_simulation, EdgeCandidates};
+use gfd_match::{CandidateSpace, IncrementalSpace};
 use gfd_pattern::{Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
 
@@ -139,9 +146,17 @@ fn random_edit(rng: &mut Rng, g: &Graph) -> (Graph, gfd_graph::GraphDelta) {
     })
 }
 
+/// Same runs: as values (which also rejects a kept empty page), one
+/// run per source candidate in order, and by lookup of every source.
+fn adjacency_equal(a: &EdgeCandidates, b: &EdgeCandidates, sources: &[NodeId]) -> bool {
+    a == b
+        && a.runs().map(|(u, _)| u).eq(sources.iter().copied())
+        && sources.iter().all(|&u| a.run(u) == b.run(u))
+}
+
 fn spaces_equal(
     inc: &IncrementalSpace,
-    scratch: &gfd_match::CandidateSpace,
+    scratch: &CandidateSpace,
     step: usize,
 ) -> Result<(), String> {
     if inc.space().sets != scratch.sets {
@@ -151,13 +166,13 @@ fn spaces_equal(
             scratch.sets
         ));
     }
-    for ei in 0..inc.pattern().edge_count() {
+    for (ei, e) in inc.pattern().edges().iter().enumerate() {
         let (f1, f2) = (&inc.space().forward[ei], &scratch.forward[ei]);
-        if f1.offsets != f2.offsets || f1.targets != f2.targets {
+        if !adjacency_equal(f1, f2, scratch.of(e.src)) {
             return Err(format!("forward adjacency of edge {ei} diverged at {step}"));
         }
         let (r1, r2) = (&inc.space().reverse[ei], &scratch.reverse[ei]);
-        if r1.offsets != r2.offsets || r1.targets != r2.targets {
+        if !adjacency_equal(r1, r2, scratch.of(e.dst)) {
             return Err(format!("reverse adjacency of edge {ei} diverged at {step}"));
         }
     }
@@ -224,6 +239,92 @@ fn scoped_incremental_repair_equals_scratch() {
                     .map_err(|m| format!("scoped: {m}; delta {delta:?}; pattern {q:?}"))?;
                 g = g2;
             }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn paged_repair_equals_scratch_over_edit_scripts() {
+    check(
+        "IncrementalSpace ≡ dual_simulation across run pages",
+        case_budget(12),
+        |rng| {
+            let mut g = common::paged_graph(rng);
+            let q = common::paged_pattern(rng, &g);
+            let mut inc = IncrementalSpace::new(&q, &g, None);
+            for step in 0..SCRIPT_STEPS {
+                let (g2, delta) = common::paged_edit(rng, &g);
+                inc.apply(&g2, &delta);
+                let scratch = dual_simulation(&q, &g2, None);
+                spaces_equal(&inc, &scratch, step)
+                    .map_err(|m| format!("{m}; delta {delta:?}; pattern {q:?}"))?;
+                g = g2;
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The runs of the page of node ids starting at `first`, by lookup.
+/// (A member's run is never empty — it has support on every incident
+/// pattern edge — so an empty answer means "no run".)
+fn page_runs(a: &EdgeCandidates, first: usize) -> Vec<&[NodeId]> {
+    (first..first + common::PAGE_NODES)
+        .map(|i| a.run(NodeId(i as u32)))
+        .collect()
+}
+
+#[test]
+fn held_snapshot_survives_repairs_and_shares_untouched_pages() {
+    check(
+        "copy-on-write: held snapshots stay at their epoch, untouched pages are shared",
+        case_budget(12),
+        |rng| {
+            let mut g = common::paged_graph(rng);
+            let q = common::paged_pattern(rng, &g);
+            let mut inc = IncrementalSpace::new(&q, &g, None);
+            // One reader pins the first snapshot across the whole
+            // script; another re-pins before every repair.
+            let first = inc.space_arc();
+            let scratch_at_0 = dual_simulation(&q, &g, None);
+            let (mut shared, mut copied) = (0usize, 0usize);
+            for step in 0..SCRIPT_STEPS {
+                let before = inc.space_arc();
+                let (g2, delta) = common::paged_edit(rng, &g);
+                inc.apply(&g2, &delta);
+                prop_assert!(
+                    *before == dual_simulation(&q, &g, None),
+                    "step {step}: the snapshot held across the repair moved; delta {delta:?}"
+                );
+                let after = inc.space();
+                let pairs = (before.forward.iter().zip(&after.forward))
+                    .chain(before.reverse.iter().zip(&after.reverse));
+                for (old, new) in pairs {
+                    for page in (0..g.node_count()).step_by(common::PAGE_NODES) {
+                        let runs = page_runs(old, page);
+                        if runs != page_runs(new, page) {
+                            copied += 1;
+                        } else if runs.iter().any(|r| !r.is_empty()) {
+                            prop_assert!(
+                                old.shares_page(new, NodeId(page as u32)),
+                                "step {step}: untouched page {page} was copied; delta {delta:?}; pattern {q:?}"
+                            );
+                            shared += 1;
+                        }
+                    }
+                }
+                g = g2;
+            }
+            prop_assert!(
+                *first == scratch_at_0,
+                "the snapshot pinned at epoch 0 moved"
+            );
+            spaces_equal(&inc, &dual_simulation(&q, &g, None), SCRIPT_STEPS)?;
+            prop_assert!(
+                copied == 0 || shared > copied,
+                "repairs copied {copied} pages and shared {shared}"
+            );
             Ok(())
         },
     );

@@ -6,7 +6,11 @@
 //! through the view (plain, and pinned at a member variable) against
 //! brute force on the member — including after random 50-step edit
 //! scripts repaired through the class representative's
-//! `IncrementalSpace`.
+//! `IncrementalSpace`. The `paged` script repeats the set and run
+//! comparison on graphs of ≥ 200 nodes (see `common`), with a reader
+//! holding the previous view across every repair.
+
+mod common;
 
 use gfd_graph::{Graph, GraphBuilder, NodeId};
 use gfd_match::simulation::dual_simulation;
@@ -325,6 +329,43 @@ fn repaired_representative_retransports_over_edit_scripts() {
                         })
                         .map_err(|e| format!("{e}; delta {delta:?}; member {q:?}"))?;
                 }
+                g = g2;
+            }
+            if reg.simulations() != 1 {
+                return Err(format!(
+                    "repairs re-simulated: {} fixpoints",
+                    reg.simulations()
+                ));
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn repaired_views_equal_scratch_across_pages() {
+    check(
+        "ClassRegistry repair + view ≡ scratch across run pages",
+        case_budget(8),
+        |rng| {
+            let mut g = common::paged_graph(rng);
+            let base = common::paged_pattern(rng, &g);
+            let members = [base.clone(), declaration_twin(rng, &base, 0)];
+            let reg = ClassRegistry::new();
+            let handles: Vec<_> = members.iter().map(|q| reg.register(q)).collect();
+            // A reader pins each epoch's view across the next repair,
+            // so every repair copies on write.
+            let mut held = reg.space(handles[0], &g);
+            for step in 0..SCRIPT_STEPS {
+                let (g2, delta) = common::paged_edit(rng, &g);
+                reg.apply(&g2, &delta);
+                view_equals_scratch(&held, &members[0], &g, &format!("held at step {step}"))?;
+                for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
+                    let view = reg.space(h, &g2);
+                    view_equals_scratch(&view, q, &g2, &format!("step {step}, member {m}"))
+                        .map_err(|e| format!("{e}; delta {delta:?}; member {q:?}"))?;
+                }
+                held = reg.space(handles[0], &g2);
                 g = g2;
             }
             if reg.simulations() != 1 {
