@@ -2,64 +2,76 @@
 //!
 //! `Graph::thaw`/`edit` used to invalidate every simulation result:
 //! each edit recomputed dual simulation from scratch even when it
-//! touched one edge. The worklist fixpoint's per-edge support counters
-//! (see [`crate::simulation::SimCore`]) are exactly the bookkeeping an
-//! incremental algorithm needs, so [`IncrementalSpace`] keeps them
-//! alive across edits and *repairs* the relation against a recorded
-//! [`GraphDelta`] instead:
+//! touched one edge. An [`IncrementalSpace`] *repairs* the relation
+//! against a recorded [`GraphDelta`] instead, and the relation has one
+//! representation: the [`CandidateSpace`] itself. Runs are keyed by
+//! node id and editable in place (see [`crate::simulation`]), so the
+//! space answers what a worklist needs to know — `u` simulates `v`
+//! exactly when `u` has a run on a pattern edge at `v`, and `u` has
+//! support on a pattern edge exactly while its run there is non-empty
+//! — and nothing sized by the graph is kept next to it. A repair has
+//! five stages:
 //!
-//! * **deletions** drive the existing worklist — each removed graph
-//!   edge decrements the support counters of its (pattern-edge,
-//!   endpoint) pairs, and a counter hitting zero cascades through
-//!   [`SimCore::drain`] in `O(affected)`, exactly like a from-scratch
-//!   removal;
-//! * **insertions** (and relabelings/new nodes) can only *grow* the
-//!   relation — dual simulation is monotone in the edge set. Every
-//!   pair that can newly enter the relation is product-reachable from
-//!   a delta site, so the repair re-admits an optimistic *frontier*
-//!   (a BFS over seed-admissible non-members starting at the touched
-//!   label extents), recomputes support only for the frontier, and
-//!   lets the same worklist prune the over-approximation back to the
-//!   maximal fixpoint.
+//! 1. **Edge ops between current members become run edits.** An added
+//!    graph edge between two members enters one forward and one
+//!    reverse run; a removed one leaves them (under a wildcard pattern
+//!    edge a parallel edge with another label keeps the target).
+//!    Members a relabeling no longer seeds, and members whose run an
+//!    edit emptied, are queued to leave.
+//! 2. **The deletion cascade runs on the live structure.** A queued
+//!    member loses its own run on every pattern edge at its variable
+//!    and its node leaves the mirrored runs; a mirrored run that
+//!    empties queues its owner. What is left is the greatest
+//!    simulation on the edited graph *inside the old relation*.
+//! 3. **Re-admission frontier.** Dual simulation is monotone in the
+//!    edge set, so the final relation contains the one stage 2 left,
+//!    and every pair of the difference is product-reachable from an
+//!    insertion site (an added or relabeled node, an endpoint of an
+//!    added edge) through pairs of the difference: a group of such
+//!    pairs touching no site had the same support before the delta,
+//!    so it was in the old relation and stage 2 would have kept it.
+//!    The frontier is the BFS closure of the sites over
+//!    seed-admissible non-members.
+//! 4. **The frontier is pruned to its greatest fixpoint in scratch**:
+//!    support counters for frontier pairs only, counted against
+//!    members ∪ live frontier. Members cannot lose support here, so
+//!    nothing outside the frontier is touched and a frontier pair
+//!    that fails never writes a page.
+//! 5. **Survivors are written** — their own run on every pattern edge
+//!    at the variable, their node into the mirrored runs — and the
+//!    sorted sets are merged in place. The report is netted: a member
+//!    that lost its only support in stage 2 and is rescued by a
+//!    frontier pair left and re-entered, and appears in neither list;
+//!    one rescued by an added edge to another *member* never left,
+//!    because stage 1 applies additions before stage 2 cascades.
 //!
-//! With the relation settled, the packaged [`CandidateSpace`] is
-//! *patched*, never rebuilt: the sorted candidate sets are merged in
-//! place, and the candidate adjacency — runs keyed by node id in
-//! 64-node pages, see [`crate::simulation`] — receives one run edit per
-//! thing the repair already knows changed. An added or removed graph
-//! edge between two members inserts or removes one target in one
-//! forward and one reverse run (under a wildcard pattern edge a
-//! parallel edge with another label keeps the target); a pair that
-//! entered or left the relation gains or loses its own run on every
-//! pattern edge at its variable, and its node enters or leaves the
-//! runs of its member neighbors. Each edit writes the one page it
-//! touches — in place when the page's cells have no other holder, in a
-//! private copy of that page otherwise — and the working storage lives
-//! in a scratch struct the space keeps between calls, so a repair costs
-//! the runs the delta moved (nothing from the allocator once the
-//! touched pages have grown), and a reader holding the pre-repair
-//! `Arc<CandidateSpace>` forces a copy of the sets, the page
-//! directories and the edited pages, not of the space.
+//! Each run edit writes the one page it touches — in place when the
+//! page's cells have no other holder, in a private copy of that page
+//! otherwise — and the working storage lives in a scratch struct the
+//! space keeps between calls, so a repair costs the runs the delta
+//! moved (nothing from the allocator once the touched pages have
+//! grown), and a reader holding the pre-repair `Arc<CandidateSpace>`
+//! forces a copy of the sets, the page directories and the edited
+//! pages, not of the space.
 //!
 //! The repaired space is *identical* to `dual_simulation` on the
 //! edited graph (the oracle property tests in
 //! `crates/matcher/tests/prop_incremental.rs` replay random 50-step
 //! edit scripts against the from-scratch result, on one-page graphs
 //! and on graphs that cross pages), but the work done is proportional
-//! to the affected neighborhood — the update-time discipline of
-//! Berkholz et al.'s FO-query maintenance under updates, made
-//! addressable here by CSR label extents, the counters and id-keyed
-//! run pages.
+//! to the affected neighborhood and the state kept to the answer —
+//! the update-time discipline of Berkholz et al.'s FO-query
+//! maintenance under updates, made addressable here by CSR label
+//! extents and id-keyed run pages.
 
-use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use gfd_graph::{Edge, Graph, GraphDelta, NodeId, NodeSet};
 use gfd_pattern::{PatLabel, Pattern, VarId};
+use gfd_util::FxHashMap;
 
 use crate::simulation::{
-    admitted_in, admitted_out, harvest_space, simulate_core, surviving_targets, CandidateSpace,
-    Direction, EdgeCandidates, SimCore,
+    admitted, dual_simulation, surviving_targets, CandidateSpace, Direction, EdgeCandidates,
 };
 
 /// What one [`IncrementalSpace::apply`] changed in the relation.
@@ -86,10 +98,10 @@ impl RepairReport {
     }
 }
 
-/// A [`CandidateSpace`] that stays valid across graph edits: the
-/// worklist state survives between calls, and [`apply`] repairs it
-/// against a [`GraphDelta`] in time proportional to the affected
-/// neighborhood.
+/// A [`CandidateSpace`] that stays valid across graph edits:
+/// [`apply`] repairs it against a [`GraphDelta`] in time proportional
+/// to the affected neighborhood, and it retains the space and nothing
+/// sized by the graph.
 ///
 /// ```
 /// use gfd_graph::GraphBuilder;
@@ -119,7 +131,6 @@ impl RepairReport {
 pub struct IncrementalSpace {
     q: Pattern,
     scope: Option<NodeSet>,
-    core: SimCore,
     /// The space behind an `Arc`, so registry consumers can hold the
     /// current snapshot across later repairs: a repair goes through
     /// [`Arc::make_mut`], which repairs in place when nobody else
@@ -134,68 +145,120 @@ pub struct IncrementalSpace {
 /// reallocated): a warm repair that moves no set requests no memory.
 #[derive(Default)]
 struct RepairScratch {
-    /// The re-admission frontier as a set, for `is_tent` probes.
-    tent: HashSet<(u32, u32)>,
-    tqueue: VecDeque<(VarId, NodeId)>,
-    /// The frontier in BFS order.
-    tentative: Vec<(VarId, NodeId)>,
-    /// Members a relabeling no longer seeds.
-    forced: Vec<(VarId, NodeId)>,
-    /// Members whose support a deletion zeroed.
-    pending: Vec<(VarId, NodeId)>,
-    removed_pairs: Vec<(VarId, NodeId)>,
-    /// Per variable: nodes that entered its set, and whether any left.
+    /// Members queued to leave, and the pairs that did.
+    leaving: Vec<(VarId, NodeId)>,
+    left: Vec<(VarId, NodeId)>,
+    /// The re-admission frontier in BFS order, and each pair's position
+    /// in it.
+    frontier: Vec<(VarId, NodeId)>,
+    position: FxHashMap<(VarId, NodeId), u32>,
+    /// Per frontier pair: whether it is still in the fixpoint, and
+    /// `stride` support counters — one per pattern-edge end at its
+    /// variable, at the end's `ordinal` there (see [`Self::slot`]).
+    live: Vec<bool>,
+    support: Vec<u32>,
+    stride: usize,
+    ordinal: Vec<usize>,
+    dead: Vec<u32>,
+    /// Per variable: nodes that entered its set, nodes that left it.
     added_by_var: Vec<Vec<NodeId>>,
-    lost_any: Vec<bool>,
+    lost_by_var: Vec<Vec<NodeId>>,
     /// One freshly built run.
     run: Vec<NodeId>,
 }
 
 impl RepairScratch {
-    fn clear(&mut self, nvars: usize) {
-        self.tent.clear();
-        self.tqueue.clear();
-        self.tentative.clear();
-        self.forced.clear();
-        self.pending.clear();
-        self.removed_pairs.clear();
-        self.added_by_var.resize_with(nvars, Vec::new);
-        self.added_by_var.iter_mut().for_each(Vec::clear);
-        self.lost_any.clear();
-        self.lost_any.resize(nvars, false);
-    }
-
-    /// Admits `(v, u)` into the tentative frontier if it is a
-    /// seed-admissible non-member not yet enqueued.
-    fn consider(
-        &mut self,
-        q: &Pattern,
-        g: &Graph,
-        scope: Option<&NodeSet>,
-        member: &[Vec<bool>],
-        v: VarId,
-        u: NodeId,
-    ) {
-        if member[v.index()][u.index()]
-            || !q.label(v).admits(g.label(u))
-            || scope.is_some_and(|r| !r.contains(u))
-        {
-            return;
+    /// Empties every buffer and lays out the support counters for `q`.
+    fn reset(&mut self, q: &Pattern) {
+        let nvars = q.node_count();
+        self.stride = 0;
+        self.ordinal.clear();
+        self.ordinal.resize(2 * q.edge_count(), 0);
+        for v in q.vars() {
+            for (k, end) in ends(q, v).enumerate() {
+                self.ordinal[2 * end.edge + end.dir as usize] = k;
+                self.stride = self.stride.max(k + 1);
+            }
         }
-        if self.tent.insert((v.0, u.0)) {
-            self.tqueue.push_back((v, u));
+        self.leaving.clear();
+        self.left.clear();
+        self.frontier.clear();
+        self.position.clear();
+        self.dead.clear();
+        for by_var in [&mut self.added_by_var, &mut self.lost_by_var] {
+            by_var.resize_with(nvars, Vec::new);
+            by_var.iter_mut().for_each(Vec::clear);
         }
     }
 
-    fn is_tent(&self, v: VarId, u: NodeId) -> bool {
-        self.tent.contains(&(v.0, u.0))
+    /// Index of the support counter of frontier pair `i` on the
+    /// pattern-edge end `(edge, dir)`.
+    fn slot(&self, i: usize, edge: usize, dir: Direction) -> usize {
+        i * self.stride + self.ordinal[2 * edge + dir as usize]
+    }
+
+    /// True if `(v, u)` is a frontier pair still in the fixpoint.
+    fn is_live(&self, v: VarId, u: NodeId) -> bool {
+        (self.position.get(&(v, u))).is_some_and(|&i| self.live[i as usize])
+    }
+
+    /// Takes frontier pair `i` out of the fixpoint.
+    fn kill(&mut self, i: usize) {
+        if std::mem::replace(&mut self.live[i], false) {
+            self.dead.push(i as u32);
+        }
     }
 }
 
-/// Drops from the ascending `set` what `keep` rejects and merges the
+/// One end of a pattern edge: the edge read from the variable at
+/// `dir`'s near end towards `far`.
+#[derive(Clone, Copy)]
+struct End {
+    edge: usize,
+    dir: Direction,
+    far: VarId,
+    label: PatLabel,
+}
+
+/// The pattern-edge ends at `v` (a self-loop has both of its ends
+/// there).
+fn ends(q: &Pattern, v: VarId) -> impl Iterator<Item = End> + '_ {
+    q.edges().iter().enumerate().flat_map(move |(edge, pe)| {
+        let end = |dir, far| End {
+            edge,
+            dir,
+            far,
+            label: pe.label,
+        };
+        let out = (pe.src == v).then(|| end(Direction::Out, pe.dst));
+        let inn = (pe.dst == v).then(|| end(Direction::In, pe.src));
+        out.into_iter().chain(inn)
+    })
+}
+
+/// True if `u` simulates `v` in `space`, read off the run `u` has on
+/// one pattern edge at `v` (a member has a run on every one; between
+/// the stages of a repair a pair has all of its runs or none), and off
+/// the sorted set — which a repair merges last — for a variable with
+/// no pattern edge.
+fn is_member(q: &Pattern, space: &CandidateSpace, v: VarId, u: NodeId) -> bool {
+    match ends(q, v).next() {
+        Some(End {
+            edge,
+            dir: Direction::Out,
+            ..
+        }) => space.forward[edge].has_run(u),
+        Some(End { edge, .. }) => space.reverse[edge].has_run(u),
+        None => space.sets[v.index()].binary_search(&u).is_ok(),
+    }
+}
+
+/// Drops from the ascending `set` the ascending `drops` and merges the
 /// ascending `adds` in, in place.
-fn merge_set(set: &mut Vec<NodeId>, adds: &[NodeId], keep: impl Fn(NodeId) -> bool) {
-    set.retain(|&u| keep(u));
+fn merge_set(set: &mut Vec<NodeId>, adds: &[NodeId], drops: &[NodeId]) {
+    if !drops.is_empty() {
+        set.retain(|u| drops.binary_search(u).is_err());
+    }
     let mut i = set.len();
     let mut j = adds.len();
     set.resize(i + j, NodeId(0));
@@ -217,10 +280,20 @@ fn merge_set(set: &mut Vec<NodeId>, adds: &[NodeId], keep: impl Fn(NodeId) -> bo
 
 /// Drops the run of `u` from `own` and `u` from the runs of `mirror`
 /// (the same pattern edge read the other way) that list it — exactly
-/// the owners of the targets of `u`'s run.
-fn drop_run(own: &mut EdgeCandidates, mirror: &mut EdgeCandidates, u: NodeId) {
+/// the owners of the targets of `u`'s run. An owner whose run empties
+/// has lost its support on this edge: it is queued in `leaving` as a
+/// candidate of `far`.
+fn drop_run(
+    own: &mut EdgeCandidates,
+    mirror: &mut EdgeCandidates,
+    u: NodeId,
+    far: VarId,
+    leaving: &mut Vec<(VarId, NodeId)>,
+) {
     for &w in own.run(u) {
-        mirror.remove_target(w, u);
+        if mirror.remove_target(w, u) && mirror.run(w).is_empty() {
+            leaving.push((far, w));
+        }
     }
     own.remove_run(u);
 }
@@ -243,17 +316,14 @@ fn edge_gone(g: &Graph, e: &Edge, label: PatLabel) -> bool {
 }
 
 impl IncrementalSpace {
-    /// Runs the from-scratch fixpoint once, retaining the worklist
-    /// state for later repairs. `scope` (block-/fragment-local
+    /// Runs the from-scratch fixpoint once ([`dual_simulation`]) and
+    /// keeps its result repairable. `scope` (block-/fragment-local
     /// simulation) is fixed for the lifetime of the space.
     pub fn new(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Self {
-        let (core, sets) = simulate_core(q, g, scope);
-        let space = harvest_space(q, g, &core, sets);
         IncrementalSpace {
             q: q.clone(),
             scope: scope.cloned(),
-            core,
-            space: Arc::new(space),
+            space: Arc::new(dual_simulation(q, g, scope)),
             scratch: RepairScratch::default(),
         }
     }
@@ -302,278 +372,192 @@ impl IncrementalSpace {
     }
 
     /// [`apply`](IncrementalSpace::apply) for a delta that is already
-    /// in normalized form — the counter arithmetic relies on the
-    /// normalization invariants (net edge ops, coalesced label
-    /// changes), so passing a raw mutation log here corrupts the
-    /// relation.
+    /// in normalized form — the run edits rely on the normalization
+    /// invariants (net edge ops, coalesced label changes), so passing
+    /// a raw mutation log here corrupts the relation.
     pub fn apply_normalized(&mut self, g: &Graph, d: &GraphDelta) -> RepairReport {
-        let Self {
-            ref q,
-            ref scope,
-            ref mut core,
-            space: ref mut space_arc,
-            scratch: ref mut sc,
-        } = *self;
+        let (q, scope, sc) = (&self.q, self.scope.as_ref(), &mut self.scratch);
         // In-place repair when nobody shares the space; copy-on-write
         // (sets, directories, then only the edited pages) when a
         // consumer still holds the pre-repair snapshot.
-        let space = Arc::make_mut(space_arc);
-        let scope = scope.as_ref();
-        let nnodes = g.node_count();
-        let nvars = q.node_count();
-        sc.clear(nvars);
-
-        // Phase 0 — make room for nodes added at the end of the id
-        // space (ids are stable across refreeze).
-        for row in &mut core.member {
-            row.resize(nnodes, false);
-        }
-        for row in core.fwd.iter_mut().chain(core.bwd.iter_mut()) {
-            row.resize(nnodes, 0);
-        }
+        let space = Arc::make_mut(&mut self.space);
+        sc.reset(q);
+        // Node ids are stable across refreeze; nodes added at the end
+        // of the id space get directory room.
         for adj in space.forward.iter_mut().chain(space.reverse.iter_mut()) {
-            adj.grow(nnodes);
+            adj.grow(g.node_count());
         }
+        let mut changed = false;
 
-        // Phase 1 — optimistic re-admission frontier: every pair that
-        // can newly enter the (monotone-growing) relation is product-
-        // reachable from an insertion site, so BFS from those sites
-        // over seed-admissible non-members.
-        for &(u, _) in &d.added_nodes {
-            for v in q.vars() {
-                sc.consider(q, g, scope, &core.member, v, u);
+        // Stage 1 — edge ops between current members are run edits.
+        // Additions go first, so a member whose only support is
+        // rewired to another member never sees its run empty.
+        for e in &d.added_edges {
+            for (ei, pe) in q.edges().iter().enumerate() {
+                let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
+                if pe.label.admits(e.label) && fwd.has_run(e.src) && rev.has_run(e.dst) {
+                    changed |= fwd.insert_target(e.src, e.dst);
+                    rev.insert_target(e.dst, e.src);
+                }
+            }
+        }
+        for e in &d.removed_edges {
+            for (ei, pe) in q.edges().iter().enumerate() {
+                let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
+                if pe.label.admits(e.label)
+                    && edge_gone(g, e, pe.label)
+                    && fwd.remove_target(e.src, e.dst)
+                {
+                    rev.remove_target(e.dst, e.src);
+                    changed = true;
+                    if fwd.run(e.src).is_empty() {
+                        sc.leaving.push((pe.src, e.src));
+                    }
+                    if rev.run(e.dst).is_empty() {
+                        sc.leaving.push((pe.dst, e.dst));
+                    }
+                }
             }
         }
         for c in &d.label_changes {
             for v in q.vars() {
-                if core.member[v.index()][c.node.index()] {
-                    if !q.label(v).admits(c.new) {
-                        // The relabeled node no longer seeds v.
-                        sc.forced.push((v, c.node));
-                    }
-                } else {
-                    sc.consider(q, g, scope, &core.member, v, c.node);
+                if !q.label(v).admits(c.new) && is_member(q, space, v, c.node) {
+                    sc.leaving.push((v, c.node));
                 }
+            }
+        }
+
+        // Stage 2 — the deletion cascade. A pair can be queued more
+        // than once (two of its runs emptied); it leaves once.
+        while let Some((v, u)) = sc.leaving.pop() {
+            if !is_member(q, space, v, u) {
+                continue;
+            }
+            sc.left.push((v, u));
+            for end in ends(q, v) {
+                let (own, mirror) = space.sides_mut(end.edge, end.dir);
+                drop_run(own, mirror, u, end.far, &mut sc.leaving);
+                changed = true;
+            }
+        }
+
+        // Stage 3 — the re-admission frontier: BFS from the insertion
+        // sites over seed-admissible non-members.
+        let consider = |sc: &mut RepairScratch, space: &CandidateSpace, v: VarId, u: NodeId| {
+            if q.label(v).admits(g.label(u))
+                && scope.is_none_or(|r| r.contains(u))
+                && !is_member(q, space, v, u)
+                && !sc.position.contains_key(&(v, u))
+            {
+                sc.position.insert((v, u), sc.frontier.len() as u32);
+                sc.frontier.push((v, u));
+            }
+        };
+        let relabeled = d.label_changes.iter().map(|c| c.node);
+        for u in d.added_nodes.iter().map(|&(u, _)| u).chain(relabeled) {
+            for v in q.vars() {
+                consider(sc, space, v, u);
             }
         }
         for e in &d.added_edges {
             for pe in q.edges() {
                 if pe.label.admits(e.label) {
-                    sc.consider(q, g, scope, &core.member, pe.src, e.src);
-                    sc.consider(q, g, scope, &core.member, pe.dst, e.dst);
+                    consider(sc, space, pe.src, e.src);
+                    consider(sc, space, pe.dst, e.dst);
                 }
             }
         }
-        while let Some((v, u)) = sc.tqueue.pop_front() {
-            sc.tentative.push((v, u));
-            for pe in q.edges() {
-                if pe.dst == v {
-                    for a in admitted_in(g, u, pe.label) {
-                        sc.consider(q, g, scope, &core.member, pe.src, a.node);
-                    }
-                }
-                if pe.src == v {
-                    for a in admitted_out(g, u, pe.label) {
-                        sc.consider(q, g, scope, &core.member, pe.dst, a.node);
-                    }
+        let mut next = 0;
+        while let Some(&(v, u)) = sc.frontier.get(next) {
+            next += 1;
+            for end in ends(q, v) {
+                for a in admitted(g, u, end.label, end.dir) {
+                    consider(sc, space, end.far, a.node);
                 }
             }
         }
 
-        // Phase 2 — deletions: decrement support of the (still
-        // pre-commit) members on both sides of each removed edge.
-        // Removals are only *collected* here; flags flip after every
-        // counter is settled, so later drain decrements stay exact.
-        for e in &d.removed_edges {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                if pe.label.admits(e.label)
-                    && core.member[pe.src.index()][e.src.index()]
-                    && core.member[pe.dst.index()][e.dst.index()]
-                {
-                    let c = &mut core.fwd[ei][e.src.index()];
-                    debug_assert!(*c > 0, "deleted edge was not counted (fwd)");
-                    *c -= 1;
-                    if *c == 0 {
-                        sc.pending.push((pe.src, e.src));
-                    }
-                    let c = &mut core.bwd[ei][e.dst.index()];
-                    debug_assert!(*c > 0, "deleted edge was not counted (bwd)");
-                    *c -= 1;
-                    if *c == 0 {
-                        sc.pending.push((pe.dst, e.dst));
-                    }
+        // Stage 4 — prune the frontier to its greatest fixpoint, in
+        // scratch. Support is counted against members and the whole
+        // frontier, pairs already found dead included: their deaths
+        // are still queued, so every later decrement is exact.
+        let n = sc.frontier.len();
+        sc.live.clear();
+        sc.live.resize(n, true);
+        sc.support.clear();
+        sc.support.resize(n * sc.stride, 0);
+        for i in 0..n {
+            let (v, u) = sc.frontier[i];
+            for end in ends(q, v) {
+                let supports =
+                    |w| is_member(q, space, end.far, w) || sc.position.contains_key(&(end.far, w));
+                let neighbors = admitted(g, u, end.label, end.dir).iter();
+                let count = neighbors.filter(|a| supports(a.node)).count();
+                let slot = sc.slot(i, end.edge, end.dir);
+                sc.support[slot] = count as u32;
+                if count == 0 {
+                    sc.kill(i);
                 }
             }
         }
-
-        // Phase 3 — commit the frontier, then restore the counter
-        // invariant for the enlarged membership: frontier pairs get
-        // fresh counts over the edited graph; surviving old members
-        // adjacent to the frontier (or to an inserted edge) gain the
-        // new support units.
-        for &(v, u) in &sc.tentative {
-            core.member[v.index()][u.index()] = true;
-        }
-        for &(v, u) in &sc.tentative {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                if pe.src == v {
-                    core.fwd[ei][u.index()] = admitted_out(g, u, pe.label)
-                        .iter()
-                        .filter(|a| core.member[pe.dst.index()][a.node.index()])
-                        .count() as u32;
-                }
-                if pe.dst == v {
-                    core.bwd[ei][u.index()] = admitted_in(g, u, pe.label)
-                        .iter()
-                        .filter(|a| core.member[pe.src.index()][a.node.index()])
-                        .count() as u32;
-                }
-            }
-        }
-        for e in &d.added_edges {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                if pe.label.admits(e.label)
-                    && core.member[pe.src.index()][e.src.index()]
-                    && !sc.is_tent(pe.src, e.src)
-                    && core.member[pe.dst.index()][e.dst.index()]
-                    && !sc.is_tent(pe.dst, e.dst)
-                {
-                    core.fwd[ei][e.src.index()] += 1;
-                    core.bwd[ei][e.dst.index()] += 1;
-                }
-            }
-        }
-        for &(v, u) in &sc.tentative {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                if pe.dst == v {
-                    for a in admitted_in(g, u, pe.label) {
-                        let t = a.node;
-                        if core.member[pe.src.index()][t.index()] && !sc.is_tent(pe.src, t) {
-                            core.fwd[ei][t.index()] += 1;
-                        }
-                    }
-                }
-                if pe.src == v {
-                    for a in admitted_out(g, u, pe.label) {
-                        let w = a.node;
-                        if core.member[pe.dst.index()][w.index()] && !sc.is_tent(pe.dst, w) {
-                            core.bwd[ei][w.index()] += 1;
+        while let Some(i) = sc.dead.pop() {
+            let (v, u) = sc.frontier[i as usize];
+            for end in ends(q, v) {
+                for a in admitted(g, u, end.label, end.dir) {
+                    let Some(&j) = sc.position.get(&(end.far, a.node)) else {
+                        continue;
+                    };
+                    let j = j as usize;
+                    if sc.live[j] {
+                        let slot = sc.slot(j, end.edge, end.dir.flip());
+                        sc.support[slot] -= 1;
+                        if sc.support[slot] == 0 {
+                            sc.kill(j);
                         }
                     }
                 }
             }
         }
 
-        // Phase 4 — schedule every removal (flags flip here, after all
-        // counters are consistent) and drain the worklist to fixpoint.
-        for &(v, u) in &sc.forced {
-            core.remove(v, u);
-        }
-        // Pending pairs zeroed by a deletion may have been *restored*
-        // by a same-delta insertion in phase 3 (the rewire shape:
-        // remove a node's only support edge, add a replacement), so
-        // they — like the frontier — are removed only if some incident
-        // edge still has no support against the settled counters.
-        for &(v, u) in sc.pending.iter().chain(&sc.tentative) {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                if (pe.src == v && core.fwd[ei][u.index()] == 0)
-                    || (pe.dst == v && core.bwd[ei][u.index()] == 0)
-                {
-                    core.remove(v, u);
-                    break;
-                }
-            }
-        }
-        core.drain(q, g, Some(&mut sc.removed_pairs));
-
-        // Phase 5 — repair the sorted candidate sets in place.
+        // Stage 5 — write the survivors, net the report, merge the
+        // sets. A run lists exactly the neighbors whose mirrored run
+        // lists its owner; a survivor written later finds the earlier
+        // one's node already in its run, so the writes commute.
         let mut report = RepairReport::default();
-        for &(v, u) in &sc.tentative {
-            if core.member[v.index()][u.index()] {
+        for i in 0..n {
+            let (v, u) = sc.frontier[i];
+            if !sc.live[i] {
+                continue;
+            }
+            for end in ends(q, v) {
+                let mut run = std::mem::take(&mut sc.run);
+                run.clear();
+                let survives = |w| is_member(q, space, end.far, w) || sc.is_live(end.far, w);
+                surviving_targets(g, u, survives, end.label, end.dir, &mut run);
+                let (own, mirror) = space.sides_mut(end.edge, end.dir);
+                add_run(own, mirror, u, &run);
+                sc.run = run;
+                changed = true;
+            }
+            // A pair the cascade dropped and the frontier brought back
+            // is still in its (not yet merged) set: it never moved.
+            if space.sets[v.index()].binary_search(&u).is_err() {
                 sc.added_by_var[v.index()].push(u);
                 report.added.push((v, u));
             }
         }
-        for &(v, u) in &sc.removed_pairs {
-            if !sc.is_tent(v, u) {
-                // Frontier pairs that failed the fixpoint were never
-                // visible; only old members count as removed.
-                sc.lost_any[v.index()] = true;
+        for &(v, u) in &sc.left {
+            if !sc.is_live(v, u) {
+                sc.lost_by_var[v.index()].push(u);
                 report.removed.push((v, u));
             }
         }
-        for v in 0..nvars {
-            let adds = &mut sc.added_by_var[v];
-            if sc.lost_any[v] || !adds.is_empty() {
+        for (v, set) in space.sets.iter_mut().enumerate() {
+            let (adds, drops) = (&mut sc.added_by_var[v], &mut sc.lost_by_var[v]);
+            if !adds.is_empty() || !drops.is_empty() {
                 adds.sort_unstable();
-                merge_set(&mut space.sets[v], adds, |u| core.member[v][u.index()]);
-            }
-        }
-
-        // Phase 6 — edit the candidate adjacency run by run. A run
-        // lists exactly the neighbors whose mirrored run lists its
-        // owner, every edit is a no-op when already in effect or when
-        // the run it names does not exist (yet, or any more), and runs
-        // of entering pairs are read off the new snapshot under the
-        // new membership — so the edits below commute.
-        let mut changed = false;
-        // A pair that left: its own run goes on every pattern edge at
-        // the variable, and its node leaves the mirrored runs.
-        for &(v, u) in &report.removed {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
-                if pe.src == v {
-                    drop_run(fwd, rev, u);
-                    changed = true;
-                }
-                if pe.dst == v {
-                    drop_run(rev, fwd, u);
-                    changed = true;
-                }
-            }
-        }
-        // A removed graph edge between two members leaves one forward
-        // and one reverse run.
-        for e in &d.removed_edges {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                if pe.label.admits(e.label) && edge_gone(g, e, pe.label) {
-                    changed |= space.forward[ei].remove_target(e.src, e.dst);
-                    space.reverse[ei].remove_target(e.dst, e.src);
-                }
-            }
-        }
-        // A pair that entered: its own run on every pattern edge at
-        // the variable, and its node enters the mirrored runs.
-        for &(v, u) in &report.added {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
-                if pe.src == v {
-                    sc.run.clear();
-                    let targets = &core.member[pe.dst.index()];
-                    surviving_targets(g, u, targets, pe.label, Direction::Out, &mut sc.run);
-                    add_run(fwd, rev, u, &sc.run);
-                    changed = true;
-                }
-                if pe.dst == v {
-                    sc.run.clear();
-                    let sources = &core.member[pe.src.index()];
-                    surviving_targets(g, u, sources, pe.label, Direction::In, &mut sc.run);
-                    add_run(rev, fwd, u, &sc.run);
-                    changed = true;
-                }
-            }
-        }
-        // An added graph edge between two members enters one forward
-        // and one reverse run.
-        for e in &d.added_edges {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                if pe.label.admits(e.label)
-                    && core.member[pe.src.index()][e.src.index()]
-                    && core.member[pe.dst.index()][e.dst.index()]
-                {
-                    changed |= space.forward[ei].insert_target(e.src, e.dst);
-                    space.reverse[ei].insert_target(e.dst, e.src);
-                }
+                drops.sort_unstable();
+                merge_set(set, adds, drops);
             }
         }
         report.adjacency_changed = changed;
@@ -683,8 +667,9 @@ mod tests {
 
     /// Regression (found by an external API drive): one delta that
     /// removes a node's only support edge AND inserts a replacement.
-    /// The deletion zeroes the support counter — but the insertion
-    /// restores it, so the node must survive the repair.
+    /// The deletion empties the node's run and it leaves — but the
+    /// insertion brings its new support in and the node back with it,
+    /// so it must survive the repair and the report must not list it.
     #[test]
     fn rewire_within_one_delta_keeps_support() {
         let (g, [a1, b1, _, _, _, c2]) = chain();
@@ -703,6 +688,10 @@ mod tests {
         assert!(inc.contains(VarId(0), a1), "a1 must keep its support");
         assert!(inc.contains(VarId(1), b1), "b1 was rewired, not orphaned");
         assert!(report.added.contains(&(VarId(2), c2)));
+        // Netted: a1 and b1 left with the deletion and re-entered with
+        // the frontier, so only what really moved is listed.
+        assert_eq!(report.removed, vec![(VarId(2), NodeId(2))]);
+        assert_eq!(report.added.len(), 2, "the fresh b node and c2");
         assert_matches_scratch(&inc, &g2);
     }
 

@@ -75,6 +75,6 @@ pub use plan::QueryPlan;
 pub use registry::{
     CacheStats, ClassRegistry, ClassView, SpaceHandle, DEFAULT_REGISTRY_BUDGET_BYTES,
 };
-pub use simulation::{dual_simulation, CandidateSpace};
+pub use simulation::{dual_simulation, simulation_sets, CandidateSpace};
 pub use table::{MatchTable, TableView};
 pub use types::{Match, MatchOptions, SearchBudget};

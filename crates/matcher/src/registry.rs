@@ -57,11 +57,14 @@
 //! [`DEFAULT_REGISTRY_BUDGET_BYTES`]). All evictable state is per
 //! class; the accounted artifacts are match tables
 //! ([`MatchTable::data_bytes`]), per-class incremental spaces
-//! ([`CandidateSpace::approx_bytes`] — the simulation core's worklist
-//! state rides along uncounted, a documented estimate), and per-class
-//! factorized match representations
-//! ([`Factorization::approx_bytes`]). Plans, canonical forms and
-//! member permutations are tiny and exempt.
+//! ([`CandidateSpace::approx_bytes`]) and per-class factorized match
+//! representations ([`Factorization::approx_bytes`]). A space is
+//! accounted by what it retains: an [`IncrementalSpace`] keeps the
+//! candidate sets and run pages and nothing sized by the graph, so
+//! the figure misses only page headers, directories and spare
+//! capacity (`alloc_probe` holds held ÷ accounted bytes under a small
+//! constant). Plans, canonical forms and member permutations are tiny
+//! and exempt.
 //!
 //! When the budget is exceeded, entries are evicted **least recently
 //! used first** (every hit touches its entry), with one hard rule: *an
@@ -109,7 +112,8 @@ pub struct SpaceHandle(usize);
 /// Default [`ClassRegistry`] byte budget: generous enough that no test
 /// or benchmark workload in the suite evicts, small enough that a
 /// long-lived multi-tenant service stays bounded (64 MiB of spaces and
-/// match rows for the whole Σ, shared — not per worker).
+/// match rows for the whole Σ, shared — not per worker; what the
+/// registry holds is within a small factor of what it counts).
 pub const DEFAULT_REGISTRY_BUDGET_BYTES: usize = 64 << 20;
 
 /// Hit/miss/eviction counters of the registry's match-table cache.

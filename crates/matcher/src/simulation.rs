@@ -22,7 +22,12 @@
 //! extents; when a counter hits zero its node is removed and pushed on
 //! a worklist, and each removal only touches the removed node's own
 //! adjacency — `O(affected)` per removal, `O(Σ_e Σ_{u∈cand} deg_l(u))`
-//! in total rather than `rounds × vars × |V|`.
+//! in total rather than `rounds × vars × |V|`. The bitmaps and counter
+//! arrays (`SimCore`) are the from-scratch driver's working state and
+//! nothing more: sized by the graph, built, harvested into the
+//! [`CandidateSpace`] and dropped. The space is the relation's one
+//! retained representation — a repair reads membership and support
+//! off its runs ([`crate::incremental`]).
 //!
 //! ## Layout
 //!
@@ -304,6 +309,15 @@ impl EdgeCandidates {
             .unwrap_or(&[])
     }
 
+    /// True if `u` has a run here — exactly when `u` simulates the
+    /// edge's source variable: a member has support, hence a run, on
+    /// every pattern edge at its variable.
+    #[inline]
+    pub(crate) fn has_run(&self, u: NodeId) -> bool {
+        self.page_index(u)
+            .is_some_and(|i| self.pages[i].present & bit_of(u.index()) != 0)
+    }
+
     /// Every `(source candidate, run)`, ascending by candidate.
     pub fn runs(&self) -> impl Iterator<Item = (NodeId, &[NodeId])> + '_ {
         let page_numbers = self
@@ -451,6 +465,21 @@ impl CandidateSpace {
         self.sets.iter().map(Vec::len).sum()
     }
 
+    /// The adjacency of pattern edge `ei` read in direction `dir` — runs
+    /// owned by the candidates of the variable at the near end — and
+    /// its mirror (the same edge read from the far end), for editing a
+    /// run together with its mirrored entries.
+    pub(crate) fn sides_mut(
+        &mut self,
+        ei: usize,
+        dir: Direction,
+    ) -> (&mut EdgeCandidates, &mut EdgeCandidates) {
+        match dir {
+            Direction::Out => (&mut self.forward[ei], &mut self.reverse[ei]),
+            Direction::In => (&mut self.reverse[ei], &mut self.forward[ei]),
+        }
+    }
+
     /// Approximate heap bytes held by the relation — candidate sets
     /// plus, per edge direction, its payload counted as a flat CSR
     /// would hold it (one offset per run and a closing one, one cell
@@ -472,28 +501,27 @@ impl CandidateSpace {
 }
 
 /// Dense per-variable membership bitmaps plus per-edge support
-/// counters — the worklist state. Shared between the from-scratch
-/// driver [`dual_simulation`] and the delta-repair driver
-/// [`crate::incremental::IncrementalSpace`], which keeps a `SimCore`
-/// alive across graph edits: the support counters are exactly the
-/// bookkeeping an incremental algorithm needs to propagate removals in
-/// `O(affected)`.
-pub(crate) struct SimCore {
+/// counters — the from-scratch driver's worklist state, sized by the
+/// graph and **transient**: built by `simulate_core`, read once by
+/// `harvest_space`, dropped. Nothing keeps one across calls; a repair
+/// ([`crate::incremental`]) reads membership and support off the
+/// [`CandidateSpace`] itself.
+struct SimCore {
     /// `member[v][u]` — is node `u` currently simulating variable `v`?
-    pub(crate) member: Vec<Vec<bool>>,
+    member: Vec<Vec<bool>>,
     /// `fwd[e][u]` — admitted out-edges of `u` into `sim(dst(e))`,
     /// maintained for `u ∈ sim(src(e))`.
-    pub(crate) fwd: Vec<Vec<u32>>,
+    fwd: Vec<Vec<u32>>,
     /// `bwd[e][w]` — admitted in-edges of `w` from `sim(src(e))`,
     /// maintained for `w ∈ sim(dst(e))`.
-    pub(crate) bwd: Vec<Vec<u32>>,
-    pub(crate) queue: VecDeque<(VarId, NodeId)>,
+    bwd: Vec<Vec<u32>>,
+    queue: VecDeque<(VarId, NodeId)>,
 }
 
 impl SimCore {
     /// Flags `(v, u)` as removed and schedules the propagation; no-op
     /// if already removed.
-    pub(crate) fn remove(&mut self, v: VarId, u: NodeId) {
+    fn remove(&mut self, v: VarId, u: NodeId) {
         let m = &mut self.member[v.index()][u.index()];
         if *m {
             *m = false;
@@ -504,25 +532,14 @@ impl SimCore {
     /// Drains the removal worklist to fixpoint: each pop touches only
     /// the removed node's own admitted adjacency per incident pattern
     /// edge, decrementing the support counters of surviving neighbors
-    /// and cascading when one hits zero. When `removed` is given,
-    /// every removed pair is appended to it (callers repairing sorted
-    /// candidate sets need the list; from-scratch harvesting passes
-    /// `None` and pays nothing for the log).
-    pub(crate) fn drain(
-        &mut self,
-        q: &Pattern,
-        g: &Graph,
-        mut removed: Option<&mut Vec<(VarId, NodeId)>>,
-    ) {
+    /// and cascading when one hits zero.
+    fn drain(&mut self, q: &Pattern, g: &Graph) {
         while let Some((v, u)) = self.queue.pop_front() {
-            if let Some(log) = removed.as_deref_mut() {
-                log.push((v, u));
-            }
             for (ei, e) in q.edges().iter().enumerate() {
                 if e.src == v {
                     // u left sim(src): admitted edges u → w lose one
                     // unit of `bwd` support at w.
-                    for a in admitted_out(g, u, e.label) {
+                    for a in admitted(g, u, e.label, Direction::Out) {
                         let w = a.node;
                         if self.member[e.dst.index()][w.index()] {
                             let c = &mut self.bwd[ei][w.index()];
@@ -537,7 +554,7 @@ impl SimCore {
                 if e.dst == v {
                     // u left sim(dst): admitted edges t → u lose one
                     // unit of `fwd` support at t.
-                    for a in admitted_in(g, u, e.label) {
+                    for a in admitted(g, u, e.label, Direction::In) {
                         let t = a.node;
                         if self.member[e.src.index()][t.index()] {
                             let c = &mut self.fwd[ei][t.index()];
@@ -554,21 +571,30 @@ impl SimCore {
     }
 }
 
-/// Iterates the admitted out-adjacency of `u` for a pattern label.
-#[inline]
-pub(crate) fn admitted_out(g: &Graph, u: NodeId, label: PatLabel) -> &[gfd_graph::Adj] {
-    match label {
-        PatLabel::Sym(s) => g.neighbors_labeled(u, s),
-        PatLabel::Wildcard => g.out_slice(u),
+/// Which way a pattern edge is read from one of its endpoints.
+#[derive(Clone, Copy)]
+pub(crate) enum Direction {
+    Out,
+    In,
+}
+
+impl Direction {
+    pub(crate) fn flip(self) -> Direction {
+        match self {
+            Direction::Out => Direction::In,
+            Direction::In => Direction::Out,
+        }
     }
 }
 
-/// Iterates the admitted in-adjacency of `w` for a pattern label.
+/// The admitted adjacency of `u` in direction `dir` for a pattern label.
 #[inline]
-pub(crate) fn admitted_in(g: &Graph, w: NodeId, label: PatLabel) -> &[gfd_graph::Adj] {
-    match label {
-        PatLabel::Sym(s) => g.in_neighbors_labeled(w, s),
-        PatLabel::Wildcard => g.in_slice(w),
+pub(crate) fn admitted(g: &Graph, u: NodeId, label: PatLabel, dir: Direction) -> &[gfd_graph::Adj] {
+    match (dir, label) {
+        (Direction::Out, PatLabel::Sym(s)) => g.neighbors_labeled(u, s),
+        (Direction::Out, PatLabel::Wildcard) => g.out_slice(u),
+        (Direction::In, PatLabel::Sym(s)) => g.in_neighbors_labeled(u, s),
+        (Direction::In, PatLabel::Wildcard) => g.in_slice(u),
     }
 }
 
@@ -597,11 +623,7 @@ pub(crate) fn seed_candidates(
 
 /// Runs the worklist fixpoint from the seed sets, returning the final
 /// core state and the (ascending) surviving candidate sets.
-pub(crate) fn simulate_core(
-    q: &Pattern,
-    g: &Graph,
-    scope: Option<&NodeSet>,
-) -> (SimCore, Vec<Vec<NodeId>>) {
+fn simulate_core(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> (SimCore, Vec<Vec<NodeId>>) {
     let nvars = q.node_count();
     let nnodes = g.node_count();
     let nedges = q.edge_count();
@@ -630,13 +652,13 @@ pub(crate) fn simulate_core(
         let mut fwd = vec![0u32; nnodes];
         let mut bwd = vec![0u32; nnodes];
         for &u in &cands[e.src.index()] {
-            fwd[u.index()] = admitted_out(g, u, e.label)
+            fwd[u.index()] = admitted(g, u, e.label, Direction::Out)
                 .iter()
                 .filter(|a| core.member[e.dst.index()][a.node.index()])
                 .count() as u32;
         }
         for &w in &cands[e.dst.index()] {
-            bwd[w.index()] = admitted_in(g, w, e.label)
+            bwd[w.index()] = admitted(g, w, e.label, Direction::In)
                 .iter()
                 .filter(|a| core.member[e.src.index()][a.node.index()])
                 .count() as u32;
@@ -658,7 +680,7 @@ pub(crate) fn simulate_core(
     }
 
     // Phase 2: propagate removals to fixpoint.
-    core.drain(q, g, None);
+    core.drain(q, g);
 
     // Harvest the surviving sets (seeds were ascending, so sets are).
     let sets: Vec<Vec<NodeId>> = cands
@@ -672,12 +694,7 @@ pub(crate) fn simulate_core(
 /// Builds the per-edge candidate adjacency (both directions) over the
 /// final sets and packages the [`CandidateSpace`] — the from-scratch
 /// builder; a repair edits runs instead (see [`crate::incremental`]).
-pub(crate) fn harvest_space(
-    q: &Pattern,
-    g: &Graph,
-    core: &SimCore,
-    sets: Vec<Vec<NodeId>>,
-) -> CandidateSpace {
+fn harvest_space(q: &Pattern, g: &Graph, core: &SimCore, sets: Vec<Vec<NodeId>>) -> CandidateSpace {
     let nedges = q.edge_count();
     let mut forward = Vec::with_capacity(nedges);
     let mut reverse = Vec::with_capacity(nedges);
@@ -717,33 +734,28 @@ pub fn dual_simulation(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Candi
     harvest_space(q, g, &core, sets)
 }
 
-#[derive(Clone, Copy)]
-pub(crate) enum Direction {
-    Out,
-    In,
+/// The candidate sets of [`dual_simulation`] without the candidate
+/// adjacency — the fixpoint half alone, for callers that only size or
+/// intersect the sets (partial-match estimates, pivot feasibility).
+pub fn simulation_sets(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Vec<Vec<NodeId>> {
+    simulate_core(q, g, scope).1
 }
 
-/// Appends to `out` the admitted neighbors of `u` that survive in the
-/// target set, ascending. Labeled runs arrive sorted by node; wildcard
-/// runs span labels and are re-sorted and deduplicated.
+/// Appends to `out` the admitted neighbors of `u` that `survives`
+/// accepts (membership in the target set), ascending. Labeled runs
+/// arrive sorted by node; wildcard runs span labels and are re-sorted
+/// and deduplicated.
 pub(crate) fn surviving_targets(
     g: &Graph,
     u: NodeId,
-    target_member: &[bool],
+    survives: impl Fn(NodeId) -> bool,
     label: PatLabel,
     dir: Direction,
     out: &mut Vec<NodeId>,
 ) {
-    let run = match dir {
-        Direction::Out => admitted_out(g, u, label),
-        Direction::In => admitted_in(g, u, label),
-    };
     let start = out.len();
-    out.extend(
-        run.iter()
-            .map(|a| a.node)
-            .filter(|w| target_member[w.index()]),
-    );
+    let neighbors = admitted(g, u, label, dir).iter().map(|a| a.node);
+    out.extend(neighbors.filter(|&w| survives(w)));
     if matches!(label, PatLabel::Wildcard) {
         sort_dedup_tail(out, start);
     }
@@ -781,7 +793,7 @@ fn edge_adjacency(
         cells.resize(start + k, NodeId(0));
         for (r, &u) in group.iter().enumerate() {
             present |= bit_of(u.index());
-            surviving_targets(g, u, target_member, label, dir, cells);
+            surviving_targets(g, u, |w| target_member[w.index()], label, dir, cells);
             cells[start + r] = NodeId((cells.len() - start - k) as u32);
         }
         let p = page_of(&group[0]);

@@ -3,10 +3,13 @@
 //! of 64 node ids) with one hub adjacent to every page and parallel
 //! edges under both labels, patterns with at least one wildcard edge,
 //! and edits biased towards what moves runs — toggling edges that
-//! exist, dropping one label of a parallel pair, rewiring the hub.
+//! exist, dropping one label of a parallel pair, rewiring the hub —
+//! plus the rewire step that takes a member's only support away and
+//! replaces it in the same delta.
 
 use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId};
-use gfd_pattern::{Pattern, PatternBuilder, VarId};
+use gfd_match::{dual_simulation, CandidateSpace};
+use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::Rng;
 
 pub const NODE_LABELS: usize = 3;
@@ -153,4 +156,75 @@ pub fn paged_edit(rng: &mut Rng, g: &Graph) -> (Graph, GraphDelta) {
             }
         }
     })
+}
+
+/// One rewire step against `space`, the simulation of `q` in `g`: some
+/// candidate whose run on a pattern edge holds a single target — its
+/// only support there — loses every graph edge behind that target and,
+/// in the same delta, gains an edge to a replacement. With `to_member`
+/// the replacement is another current candidate of the edge's far
+/// variable (the support is rewired, the candidate never leaves);
+/// without, a seed-admissible node outside the far set, preferably one
+/// the new edge brings into the relation (the candidate is rescued by
+/// a pair that enters with it) — when none of a few tries enters, the
+/// candidate leaves for good. `None` when no candidate hangs by a
+/// single target or no replacement exists.
+pub fn rewire_edit(
+    rng: &mut Rng,
+    g: &Graph,
+    q: &Pattern,
+    space: &CandidateSpace,
+    to_member: bool,
+) -> Option<(Graph, GraphDelta)> {
+    let singles: Vec<(usize, NodeId, NodeId)> = (0..q.edge_count())
+        .flat_map(|ei| {
+            let hanging = space.forward[ei].runs().filter(|(_, run)| run.len() == 1);
+            hanging.map(move |(u, run)| (ei, u, run[0]))
+        })
+        .collect();
+    if singles.is_empty() {
+        return None;
+    }
+    let (ei, u, only) = singles[rng.gen_range(0..singles.len())];
+    let pe = q.edges()[ei];
+    let behind: Vec<_> = (g.out_slice(u).iter())
+        .filter(|a| a.node == only && pe.label.admits(a.label))
+        .map(|a| a.label)
+        .collect();
+    let label = match pe.label {
+        PatLabel::Sym(l) => l,
+        PatLabel::Wildcard => behind[0],
+    };
+    let far = space.of(pe.dst);
+    let pool: Vec<NodeId> = if to_member {
+        far.iter().copied().filter(|&t| t != only).collect()
+    } else {
+        let outside = |t: &NodeId| far.binary_search(t).is_err();
+        let admissible = g.nodes().filter(|&t| q.label(pe.dst).admits(g.label(t)));
+        admissible.filter(outside).collect()
+    };
+    if pool.is_empty() {
+        return None;
+    }
+    let rewired = |to: NodeId| {
+        g.edit_with_delta(|b| {
+            for &l in &behind {
+                b.remove_edge(u, only, l);
+            }
+            b.add_edge(u, to, label);
+        })
+    };
+    let tries: Vec<NodeId> = (0..if to_member { 1 } else { 8 })
+        .map(|_| pool[rng.gen_range(0..pool.len())])
+        .collect();
+    let enters = |&&to: &&NodeId| {
+        let sim = dual_simulation(q, &rewired(to).0, None);
+        sim.of(pe.dst).binary_search(&to).is_ok()
+    };
+    // A member needs no help to stay; a non-member should enter.
+    let to = match to_member {
+        true => tries[0],
+        false => *tries.iter().find(enters).unwrap_or(&tries[0]),
+    };
+    Some(rewired(to))
 }

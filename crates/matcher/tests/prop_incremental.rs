@@ -12,13 +12,20 @@
 //! The small graphs above fit one run page; the `paged` scripts run
 //! the same oracle on graphs of ≥ 200 nodes (see `common`), where a
 //! repair edits some pages and must share the rest with the snapshot a
-//! reader still holds.
+//! reader still holds. Two scripts aim at the paths a repair takes when
+//! deletions settle before insertions: `rewired` takes a member's only
+//! support away and replaces it in the same delta (by another member,
+//! or by a node that enters with it), and `edgeless` keeps a variable
+//! with no pattern edge — the one whose membership no run records —
+//! under relabelings and node additions.
 
 mod common;
 
+use std::collections::BTreeSet;
+
 use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
 use gfd_match::simulation::{dual_simulation, EdgeCandidates};
-use gfd_match::{CandidateSpace, IncrementalSpace};
+use gfd_match::{CandidateSpace, IncrementalSpace, RepairReport};
 use gfd_pattern::{Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
 
@@ -79,12 +86,17 @@ fn random_pattern(rng: &mut Rng, g: &Graph) -> Pattern {
 /// `edit_with_delta`, so the recorded delta is exactly what production
 /// callers (noise injection, repair loops) hand the repairer.
 fn random_edit(rng: &mut Rng, g: &Graph) -> (Graph, gfd_graph::GraphDelta) {
+    random_edit_of(rng, g, &[0, 1, 2, 3, 4, 5])
+}
+
+/// [`random_edit`] drawing only from the mutation `kinds` given.
+fn random_edit_of(rng: &mut Rng, g: &Graph, kinds: &[usize]) -> (Graph, gfd_graph::GraphDelta) {
     let ops = rng.gen_range(1..4);
     // Pre-draw the random choices so the closure stays `FnOnce`-clean.
     let mut plan: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(ops);
     for _ in 0..ops {
         plan.push((
-            rng.gen_range(0..6),
+            kinds[rng.gen_range(0..kinds.len())],
             rng.gen_range(0..usize::MAX),
             rng.gen_range(0..usize::MAX),
             rng.gen_range(0..usize::MAX),
@@ -175,6 +187,36 @@ fn spaces_equal(
         if !adjacency_equal(r1, r2, scratch.of(e.dst)) {
             return Err(format!("reverse adjacency of edge {ei} diverged at {step}"));
         }
+    }
+    Ok(())
+}
+
+/// The report against the from-scratch relations on both sides of the
+/// repair: `added` and `removed` are exactly the two set differences,
+/// without repeats — so a pair that left and re-entered within the
+/// repair is in neither, and no pair is in both.
+fn report_is_exact(
+    report: &RepairReport,
+    before: &CandidateSpace,
+    after: &CandidateSpace,
+) -> Result<(), String> {
+    let pairs = |space: &CandidateSpace| -> BTreeSet<(VarId, NodeId)> {
+        let vars = (0..).map(VarId).zip(&space.sets);
+        vars.flat_map(|(v, set)| set.iter().map(move |&u| (v, u)))
+            .collect()
+    };
+    let (before, after) = (pairs(before), pairs(after));
+    for (what, listed, from, to) in [
+        ("added", &report.added, &after, &before),
+        ("removed", &report.removed, &before, &after),
+    ] {
+        let want: Vec<_> = from.difference(to).copied().collect();
+        let mut got = listed.clone();
+        got.sort_unstable();
+        prop_assert!(
+            got == want,
+            "report.{what} is {got:?}, the relations differ by {want:?}"
+        );
     }
     Ok(())
 }
@@ -325,6 +367,114 @@ fn held_snapshot_survives_repairs_and_shares_untouched_pages() {
                 copied == 0 || shared > copied,
                 "repairs copied {copied} pages and shared {shared}"
             );
+            Ok(())
+        },
+    );
+}
+
+/// Every step takes a member's *only* support on some pattern edge
+/// away and replaces it in the same delta. On even steps the
+/// replacement is another member: the run is rewired before anything
+/// cascades and the member never leaves. On odd steps it is a
+/// non-member that enters on the strength of the new edge: the member
+/// leaves with the deletions and re-enters with the frontier, which
+/// the report must net out. Either way a reader's snapshot stays put
+/// and most pages stay shared with it — not every page with unchanged
+/// runs: one that held a run of a pair that left and came back, or
+/// took a target from an added edge whose endpoint then left, was
+/// written twice and reads as before.
+#[test]
+fn rewired_support_repairs_equal_scratch_across_pages() {
+    let (mut rewired, mut entered) = (0usize, 0usize);
+    let (mut shared, mut copied) = (0usize, 0usize);
+    check(
+        "IncrementalSpace ≡ dual_simulation when only supports are rewired",
+        case_budget(12),
+        |rng| {
+            let mut g = common::paged_graph(rng);
+            let q = common::paged_pattern(rng, &g);
+            let mut inc = IncrementalSpace::new(&q, &g, None);
+            for step in 0..SCRIPT_STEPS {
+                let to_member = step % 2 == 0;
+                let before = inc.space_arc();
+                // A relation with no member hanging by one edge gets an
+                // ordinary step, which usually produces some.
+                let rewire = common::rewire_edit(rng, &g, &q, &before, to_member);
+                let hung = rewire.is_some();
+                let (g2, delta) = rewire.unwrap_or_else(|| common::paged_edit(rng, &g));
+                let report = inc.apply(&g2, &delta);
+                let scratch = dual_simulation(&q, &g2, None);
+                spaces_equal(&inc, &scratch, step)
+                    .and_then(|()| report_is_exact(&report, &before, &scratch))
+                    .map_err(|m| format!("step {step}: {m}; delta {delta:?}; pattern {q:?}"))?;
+                prop_assert!(
+                    *before == dual_simulation(&q, &g, None),
+                    "step {step}: the snapshot held across the repair moved; delta {delta:?}"
+                );
+                for (old, new) in (before.forward.iter().zip(&inc.space().forward))
+                    .chain(before.reverse.iter().zip(&inc.space().reverse))
+                {
+                    for page in (0..g.node_count()).step_by(common::PAGE_NODES) {
+                        if old.shares_page(new, NodeId(page as u32)) {
+                            prop_assert!(page_runs(old, page) == page_runs(new, page));
+                            shared += 1;
+                        } else if page_runs(old, page).iter().any(|r| !r.is_empty()) {
+                            copied += 1;
+                        }
+                    }
+                }
+                rewired += usize::from(hung);
+                entered += usize::from(hung && !to_member && !report.added.is_empty());
+                g = g2;
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        rewired > 0 && entered > 0,
+        "premise: {rewired} rewire steps, {entered} of them rescued by an entering pair"
+    );
+    assert!(
+        shared > copied,
+        "repairs copied {copied} pages and shared {shared}"
+    );
+}
+
+/// A variable with no pattern edge has no run to read its membership
+/// off — its candidates are its seeds, kept in the sorted set alone —
+/// and a single-node component next to a connected one is a legal
+/// two-component pattern. Relabelings and node additions are what
+/// moves such a set.
+#[test]
+fn edgeless_variable_repairs_equal_scratch() {
+    check(
+        "IncrementalSpace ≡ dual_simulation with a variable on no pattern edge",
+        case_budget(24),
+        |rng| {
+            let mut g = random_graph(rng, 12);
+            let mut b = PatternBuilder::new(g.vocab().clone());
+            let x = b.node("x", &format!("l{}", rng.gen_range(0..NODE_LABELS)));
+            let y = b.wildcard_node("y");
+            b.edge(x, y, "e0");
+            if rng.gen_range(0..2) == 0 {
+                b.node("alone", &format!("l{}", rng.gen_range(0..NODE_LABELS)));
+            } else {
+                b.wildcard_node("alone");
+            }
+            let q = b.build();
+            let mut inc = IncrementalSpace::new(&q, &g, None);
+            for step in 0..SCRIPT_STEPS {
+                // Node additions and relabelings, an edge toggle now
+                // and then.
+                let (g2, delta) = random_edit_of(rng, &g, &[3, 4, 3, 4, 0, 2]);
+                let before = inc.space_arc();
+                let report = inc.apply(&g2, &delta);
+                let scratch = dual_simulation(&q, &g2, None);
+                spaces_equal(&inc, &scratch, step)
+                    .and_then(|()| report_is_exact(&report, &before, &scratch))
+                    .map_err(|m| format!("step {step}: {m}; delta {delta:?}; pattern {q:?}"))?;
+                g = g2;
+            }
             Ok(())
         },
     );

@@ -8,7 +8,8 @@
 //! scripts repaired through the class representative's
 //! `IncrementalSpace`. The `paged` script repeats the set and run
 //! comparison on graphs of ≥ 200 nodes (see `common`), with a reader
-//! holding the previous view across every repair.
+//! holding the previous view across every repair — once over ordinary
+//! edits, once over steps that rewire a member's only support.
 
 mod common;
 
@@ -342,39 +343,60 @@ fn repaired_representative_retransports_over_edit_scripts() {
     );
 }
 
+/// The paged twin-view script. With `rewire` every step takes a
+/// member's only support away and replaces it in the same delta (see
+/// `common::rewire_edit`), alternately by another member and by a node
+/// that enters with it; a relation with no such member, like every step
+/// without `rewire`, gets an ordinary paged edit.
+fn paged_views_script(name: &str, rewire: bool) {
+    check(name, case_budget(8), |rng| {
+        let mut g = common::paged_graph(rng);
+        let base = common::paged_pattern(rng, &g);
+        let members = [base.clone(), declaration_twin(rng, &base, 0)];
+        let reg = ClassRegistry::new();
+        let handles: Vec<_> = members.iter().map(|q| reg.register(q)).collect();
+        // A reader pins each epoch's view across the next repair,
+        // so every repair copies on write. The first member is the
+        // representative: its view's space is in its own numbering.
+        let mut held = reg.space(handles[0], &g);
+        for step in 0..SCRIPT_STEPS {
+            let rewired = match rewire {
+                true => common::rewire_edit(rng, &g, &base, &held.space, step % 2 == 0),
+                false => None,
+            };
+            let (g2, delta) = rewired.unwrap_or_else(|| common::paged_edit(rng, &g));
+            reg.apply(&g2, &delta);
+            view_equals_scratch(&held, &members[0], &g, &format!("held at step {step}"))?;
+            for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
+                let view = reg.space(h, &g2);
+                view_equals_scratch(&view, q, &g2, &format!("step {step}, member {m}"))
+                    .map_err(|e| format!("{e}; delta {delta:?}; member {q:?}"))?;
+            }
+            held = reg.space(handles[0], &g2);
+            g = g2;
+        }
+        if reg.simulations() != 1 {
+            return Err(format!(
+                "repairs re-simulated: {} fixpoints",
+                reg.simulations()
+            ));
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn repaired_views_equal_scratch_across_pages() {
-    check(
+    paged_views_script(
         "ClassRegistry repair + view ≡ scratch across run pages",
-        case_budget(8),
-        |rng| {
-            let mut g = common::paged_graph(rng);
-            let base = common::paged_pattern(rng, &g);
-            let members = [base.clone(), declaration_twin(rng, &base, 0)];
-            let reg = ClassRegistry::new();
-            let handles: Vec<_> = members.iter().map(|q| reg.register(q)).collect();
-            // A reader pins each epoch's view across the next repair,
-            // so every repair copies on write.
-            let mut held = reg.space(handles[0], &g);
-            for step in 0..SCRIPT_STEPS {
-                let (g2, delta) = common::paged_edit(rng, &g);
-                reg.apply(&g2, &delta);
-                view_equals_scratch(&held, &members[0], &g, &format!("held at step {step}"))?;
-                for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
-                    let view = reg.space(h, &g2);
-                    view_equals_scratch(&view, q, &g2, &format!("step {step}, member {m}"))
-                        .map_err(|e| format!("{e}; delta {delta:?}; member {q:?}"))?;
-                }
-                held = reg.space(handles[0], &g2);
-                g = g2;
-            }
-            if reg.simulations() != 1 {
-                return Err(format!(
-                    "repairs re-simulated: {} fixpoints",
-                    reg.simulations()
-                ));
-            }
-            Ok(())
-        },
+        false,
+    );
+}
+
+#[test]
+fn rewired_views_equal_scratch_across_pages() {
+    paged_views_script(
+        "ClassRegistry repair + view ≡ scratch when only supports are rewired",
+        true,
     );
 }

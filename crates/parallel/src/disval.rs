@@ -32,7 +32,7 @@ use gfd_util::{FxHashMap, FxHashSet};
 
 use gfd_core::GfdSet;
 use gfd_graph::{Fragmentation, Graph, NodeId};
-use gfd_match::dual_simulation;
+use gfd_match::simulation_sets;
 
 use crate::balance::random_assign;
 use crate::cluster::{CostModel, SimClocks};
@@ -168,7 +168,8 @@ fn partial_match_bytes(
     for (i, comp) in rule.components.iter().enumerate() {
         let block = &unit_slots[i.min(unit_slots.len() - 1)].block;
         let rows = if block.len() <= PARTIAL_REFINE_MAX_BLOCK {
-            dual_simulation(&comp.pattern, g, Some(block)).total_size() as u64
+            let sets = simulation_sets(&comp.pattern, g, Some(block));
+            sets.iter().map(Vec::len).sum::<usize>() as u64
         } else {
             let mut rows = 0u64;
             for v in comp.pattern.vars() {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use gfd_core::GfdSet;
 use gfd_graph::{neighborhood, Graph, NodeId, NodeSet};
-use gfd_match::simulation::{dual_simulation, CandidateSpace};
+use gfd_match::simulation::simulation_sets;
 use gfd_match::ClassRegistry;
 use gfd_pattern::{
     analysis::pivot_vector, iso_witness, tree_decomposition, PatLabel, Pattern, VarId,
@@ -245,23 +245,23 @@ fn pivot_universe(g: &Graph, plan: &ComponentPlan) -> usize {
     }
 }
 
-/// Extracts a component's feasible pivot candidates from an
-/// already-computed (whole-graph) candidate space: the simulation set
-/// of `pivot` — the component's pivot in the space's own variable
-/// numbering — or nothing when the component is provably matchless.
+/// Extracts a component's feasible pivot candidates from
+/// already-computed (whole-graph) simulation sets: the set of `pivot`
+/// — the component's pivot in the sets' own variable numbering — or
+/// nothing when the component is provably matchless.
 /// Returns the sorted candidate list and how many raw candidates the
 /// filter pruned.
-fn pivots_from_space(
+fn pivots_from_sets(
     g: &Graph,
     plan: &ComponentPlan,
-    cs: &CandidateSpace,
+    sets: &[Vec<NodeId>],
     pivot: VarId,
 ) -> (Vec<NodeId>, usize) {
     let universe = pivot_universe(g, plan);
-    if cs.is_empty_anywhere() {
+    if sets.iter().any(Vec::is_empty) {
         return (Vec::new(), universe);
     }
-    let cands = cs.of(pivot).to_vec();
+    let cands = sets[pivot.index()].clone();
     let pruned = universe - cands.len();
     (cands, pruned)
 }
@@ -287,8 +287,8 @@ pub fn feasible_pivots(g: &Graph, plan: &ComponentPlan, prune: bool) -> (Vec<Nod
         };
         return (all, 0);
     }
-    let cs = dual_simulation(&plan.pattern, g, None);
-    pivots_from_space(g, plan, &cs, plan.local_pivot)
+    let sets = simulation_sets(&plan.pattern, g, None);
+    pivots_from_sets(g, plan, &sets, plan.local_pivot)
 }
 
 /// A cache of `c`-hop data blocks keyed by `(node, radius)` — blocks
@@ -368,7 +368,7 @@ pub fn estimate_workload_in(
         for plan in &rule.components {
             let (cands, pruned) = if opts.prune_empty_pivots {
                 let view = registry.space(registry.register(&plan.pattern), g);
-                pivots_from_space(g, plan, &view.space, view.rep_var(plan.local_pivot))
+                pivots_from_sets(g, plan, &view.space.sets, view.rep_var(plan.local_pivot))
             } else {
                 feasible_pivots(g, plan, false)
             };

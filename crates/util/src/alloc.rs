@@ -25,8 +25,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+static FREED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// System-allocator wrapper that counts calls; see the module docs.
 pub struct CountingAlloc;
@@ -50,11 +50,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // path never grows a buffer.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        FREED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        FREED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -66,14 +67,18 @@ pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Total deallocations since process start.
-pub fn deallocation_count() -> u64 {
-    DEALLOCATIONS.load(Ordering::Relaxed)
-}
-
 /// Total bytes requested since process start.
 pub fn allocated_bytes() -> u64 {
     ALLOCATED_BYTES.load(Ordering::Relaxed)
+}
+
+/// Bytes requested and not yet given back — what the program retains.
+/// A realloc gives back its old size and requests its new one. The two
+/// counters are read one after the other, so the figure is exact only
+/// while no other thread allocates.
+pub fn live_bytes() -> u64 {
+    let freed = FREED_BYTES.load(Ordering::Relaxed);
+    ALLOCATED_BYTES.load(Ordering::Relaxed) - freed
 }
 
 /// Runs `f` repeatedly (`rounds` times) and returns the **minimum**
