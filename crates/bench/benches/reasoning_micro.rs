@@ -24,8 +24,8 @@ use gfd_graph::intersect::intersect_in_place;
 use gfd_graph::{AttrOp, Edge, Graph, GraphDelta, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
-    count_matches, count_matches_with, dual_simulation, for_each_match_with, CacheStats,
-    ClassRegistry, ComponentSearch, IncrementalSpace, MatchOptions, MatchScratch, SearchScratch,
+    count_matches, count_matches_with, dual_simulation, for_each_match_with, ClassRegistry,
+    ComponentSearch, IncrementalSpace, MatchOptions, MatchScratch, SearchScratch,
 };
 use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, feasible_pivots, plan_rules, WorkloadOptions};
@@ -799,76 +799,60 @@ fn main() {
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         let registry = ClassRegistry::new();
         let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
-        let mut stats = CacheStats::default();
         let mut scratch = UnitScratch::new();
         let mut out = Vec::new();
         for u in &wl.units {
-            exec.run(u, &mut stats, &mut scratch, &mut out);
+            exec.run(u, &mut scratch, &mut out);
         }
         assert!(out.is_empty(), "the probe fleet must be violation-free");
         let mut i = 0usize;
         bench("alloc/unit_exec_steady_state", &mut samples, || {
             let u = &wl.units[i % wl.units.len()];
             i += 1;
-            exec.run(u, &mut stats, &mut scratch, &mut out);
+            exec.run(u, &mut scratch, &mut out);
             out.len()
         });
 
-        // Cross-worker registry hit rate: a second worker (fresh
-        // scratch and counters) replays the whole workload against the
-        // registry worker 1 warmed above. Every probe must come back a
-        // hit — the sample times the serving-tier lookup itself, and
-        // its allocs_per_iter column doubles as the zero-allocation
-        // assertion for the warm cross-worker path.
-        let mut w2_stats = CacheStats::default();
-        let mut w2_scratch = UnitScratch::new();
-        let run_w2 = |stats: &mut CacheStats, scratch: &mut UnitScratch, out: &mut Vec<_>| {
-            for u in &wl.units {
-                exec.run(u, stats, scratch, out);
-            }
-        };
-        run_w2(&mut w2_stats, &mut w2_scratch, &mut out); // size worker 2's scratch
-        assert_eq!(w2_stats.misses, 0, "worker 1 already paid every table");
-        assert!(w2_stats.hits > 0, "cross-worker hits must be observable");
+        // What the registry still caches, warm: the class-space probe
+        // every unit-component pays — lock, LRU touch, four `Arc`
+        // bumps. allocs_per_iter doubles as the zero-allocation
+        // assertion for the serving-tier lookup.
+        let h = registry.register(&plans[0].components[0].pattern);
+        let sims = registry.simulations();
         bench("cache/registry_hit_rate", &mut samples, || {
-            run_w2(&mut w2_stats, &mut w2_scratch, &mut out);
-            w2_stats.hits
+            registry.space_and_plan(h, &g).space.total_size()
         });
+        assert_eq!(registry.simulations(), sims, "a warm probe never simulates");
+        let stats = registry.stats();
         println!(
-            "# cache: {} cross-worker hits, {} misses ({:.1}% hit rate)",
-            w2_stats.hits,
-            w2_stats.misses,
-            100.0 * w2_stats.hits as f64 / (w2_stats.hits + w2_stats.misses).max(1) as f64
+            "# cache: {} hits, {} misses ({:.1}% hit rate)",
+            stats.hits,
+            stats.misses,
+            100.0 * stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64
         );
 
-        // Eviction churn: the same workload through a registry whose
-        // byte budget holds only a couple of the 12-byte star tables,
-        // so nearly every probe misses, enumerates, and evicts a cold
-        // neighbor. Times the worst-case serving-tier path (miss +
-        // insert + LRU sweep) that a budget-starved deployment pays.
+        // Eviction churn: two classes alternating through a registry
+        // whose byte budget holds neither, so every probe misses,
+        // simulates, and evicts its cold neighbor. Times the worst-case
+        // serving-tier path (miss + simulate + LRU sweep) that a
+        // budget-starved deployment pays.
         let tiny = ClassRegistry::with_budget_bytes(32);
-        let tiny_exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &tiny, true);
-        let mut tiny_stats = CacheStats::default();
-        let mut tiny_scratch = UnitScratch::new();
-        let run_tiny = |stats: &mut CacheStats, scratch: &mut UnitScratch, out: &mut Vec<_>| {
-            for u in &wl.units {
-                tiny_exec.run(u, stats, scratch, out);
-            }
-        };
-        run_tiny(&mut tiny_stats, &mut tiny_scratch, &mut out);
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let f = pb.node("f", "flight");
+        let c = pb.node("c", "city");
+        pb.edge(f, c, "to");
+        let classes = [&plans[0].components[0].pattern, &pb.build()].map(|q| tiny.register(q));
         bench("cache/evict_churn", &mut samples, || {
-            run_tiny(&mut tiny_stats, &mut tiny_scratch, &mut out);
-            out.len()
+            classes.map(|h| tiny.space(h, &g).space.total_size())
         });
-        // Eviction counters live in the registry's global stats (they
-        // are not attributable to any one probing worker).
         assert!(
             tiny.stats().evicted_cold > 0,
             "the starved budget must force cold evictions"
         );
+        tiny.sweep();
         assert!(
-            tiny.bytes() <= tiny.budget_bytes() + 12,
-            "churn must stay within budget (plus one in-flight table)"
+            tiny.bytes() <= tiny.budget_bytes(),
+            "churn must drain to the budget once nothing is held"
         );
         println!(
             "# cache: {} cold evictions under a {}-byte budget ({} deferred)",

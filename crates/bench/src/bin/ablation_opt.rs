@@ -1,7 +1,7 @@
 //! Ablation of the individual design choices DESIGN.md calls out,
 //! each toggled separately at `n = 16` on the DBpedia stand-in:
 //!
-//! * multi-query caching + sub-pattern scheduling (appendix, \[31\]);
+//! * multi-query processing over shared class spaces (appendix, \[31\]);
 //! * per-unit evaluation-scheme choice in `disVal` (prefetch/partial);
 //! * replicate-and-split for skewed blocks;
 //! * workload reduction via implication (reported with its semantics

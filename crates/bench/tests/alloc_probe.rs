@@ -1,8 +1,9 @@
 //! The allocation-free hot-path guarantee, asserted: after warm-up,
 //! [`UnitExecutor::run`] performs **zero heap allocations** per call — the
-//! cached flat match tables are reused through `Arc` views served by
-//! the shared [`ClassRegistry`], the join backtracks inside
-//! [`UnitScratch`], and nothing in the per-unit loop grows a buffer.
+//! class's space and plan are read through `Arc`s served by the shared
+//! [`ClassRegistry`], rows land in warm scratch tables and the join
+//! backtracks inside [`UnitScratch`], and nothing in the per-unit loop
+//! grows a buffer.
 //! Runs in CI under `BENCH_SMOKE` so a regression that re-introduces
 //! per-unit allocation fails the build.
 //!
@@ -24,8 +25,8 @@ use gfd_datagen::{
 use gfd_graph::{AttrOp, Edge, Graph, GraphDelta, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
-    count_matches_with, for_each_match_in, CacheStats, ClassRegistry, IncrementalSpace,
-    MatchOptions, MatchScratch,
+    count_matches_with, for_each_match_in, ClassRegistry, IncrementalSpace, MatchOptions,
+    MatchScratch,
 };
 use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
@@ -66,15 +67,15 @@ fn clean_flights(n: usize) -> Graph {
 }
 
 /// The symmetric two-component rule (Example 10 shape): exercises the
-/// both-orientations path, the multi-query cache, and the disjoint
+/// both-orientations path, the shared class space, and the disjoint
 /// join — the full unit-execution machinery.
 fn same_id_same_dest(vocab: Arc<Vocab>) -> Gfd {
     same_id_same_dest_declared(vocab, false)
 }
 
 /// [`same_id_same_dest`]; with `leaves_first` the second star declares
-/// its leaves before its hub, so it reads the first star's cached
-/// tables through a non-identity column permutation.
+/// its leaves before its hub, so it enumerates the first star's class
+/// through a non-identity permutation.
 fn same_id_same_dest_declared(vocab: Arc<Vocab>, leaves_first: bool) -> Gfd {
     let mut b = PatternBuilder::new(vocab.clone());
     let x = b.node("x", "flight");
@@ -104,43 +105,70 @@ fn same_id_same_dest_declared(vocab: Arc<Vocab>, leaves_first: bool) -> Gfd {
     )
 }
 
+/// A one-component rule over the flight star, declared hub last: a
+/// second non-identity member of the star class on the streaming (`k = 1`)
+/// path. Every clean flight satisfies it.
+fn star_has_a_destination(vocab: Arc<Vocab>) -> Gfd {
+    let mut b = PatternBuilder::new(vocab.clone());
+    let x1 = b.node("x1", "id");
+    let x2 = b.node("x2", "city");
+    let x = b.node("x", "flight");
+    b.edge(x, x1, "number");
+    b.edge(x, x2, "to");
+    let val = vocab.intern("val");
+    Gfd::new(
+        "star-has-a-destination",
+        b.build(),
+        Dependency::always(vec![Literal::var_eq(x2, val, x2, val)]),
+    )
+}
+
 #[test]
 fn warm_execute_unit_allocates_nothing() {
     let _serial = serial();
-    let g = clean_flights(8);
-    // An identity twin and a non-identity twin: the second rule's
-    // second star is a permuted member of the one star class.
+    // More flights than a rule has ranges: every unit holds several
+    // pivots.
+    let g = clean_flights(160);
+    // An identity twin, a non-identity twin (the second rule's second
+    // star is a permuted member of the one star class), and a permuted
+    // one-component member.
     let sigma = GfdSet::new(vec![
         same_id_same_dest(g.vocab().clone()),
         same_id_same_dest_declared(g.vocab().clone(), true),
+        star_has_a_destination(g.vocab().clone()),
     ]);
     let plans = plan_rules(&sigma);
-    assert!(plans.iter().all(|p| p.symmetric_pair));
+    assert!(plans[..2].iter().all(|p| p.symmetric_pair));
     let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
     assert!(wl.units.len() >= 40, "premise: a non-trivial workload");
+    assert!(wl.slots.iter().all(|s| s.range().len() >= 2));
     let registry = ClassRegistry::new();
     let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
-    let mut stats = CacheStats::default();
+    assert_eq!(
+        (registry.class_count(), registry.member_count()),
+        (1, 3),
+        "premise: one star class, two non-identity members"
+    );
     let mut scratch = UnitScratch::new();
     let mut out = Vec::new();
 
-    let run_all = |stats: &mut CacheStats, scratch: &mut UnitScratch, out: &mut Vec<_>| {
+    let run_all = |scratch: &mut UnitScratch, out: &mut Vec<_>| {
         for u in &wl.units {
-            exec.run(u, stats, scratch, out);
+            exec.run(u, scratch, out);
         }
     };
 
-    // Warm-up: fills the registry's table cache (misses allocate) and
-    // sizes every scratch buffer.
-    run_all(&mut stats, &mut scratch, &mut out);
+    // Warm-up: simulates the class, builds its plan, and sizes every
+    // scratch buffer.
+    run_all(&mut scratch, &mut out);
     assert!(out.is_empty(), "premise: the clean fleet has no violations");
-    assert!(stats.misses > 0 && allocation_count() > 0);
+    assert!(registry.simulations() == 1 && allocation_count() > 0);
 
-    // Steady state: every enumeration is a registry hit served as a
-    // shared table view; the loop over ALL units must not allocate.
-    // Minimum over rounds guards against unrelated harness threads.
-    let misses_before = stats.misses;
-    let delta = min_allocation_delta(5, || run_all(&mut stats, &mut scratch, &mut out));
+    // Steady state: every unit reads the resident class space and
+    // refills warm scratch tables; the loop over ALL units must not
+    // allocate. Minimum over rounds guards against unrelated harness
+    // threads.
+    let delta = min_allocation_delta(5, || run_all(&mut scratch, &mut out));
     assert_eq!(
         delta,
         0,
@@ -150,21 +178,22 @@ fn warm_execute_unit_allocates_nothing() {
     );
     assert!(out.is_empty());
     assert_eq!(
-        stats.misses, misses_before,
+        registry.simulations(),
+        1,
         "steady state must be all hits — a miss means the warm registry \
          stopped covering the workload"
     );
-    assert!(stats.hits > 0);
+    assert!(registry.stats().hits > 0);
 }
 
-/// The tentpole's cross-worker guarantee: a registry warmed by one
-/// worker serves another worker's probes as hits — and those hits are
-/// as allocation-free as same-worker ones. Worker B never pays a miss:
-/// every table it reads was enumerated (and paid for) by worker A.
+/// The cross-worker guarantee: a registry warmed by one worker serves
+/// another worker's units — and that worker's warm pass is as
+/// allocation-free as the first's. Worker B never simulates: every
+/// space it reads was paid for by worker A.
 #[test]
 fn warm_cross_worker_registry_hit_allocates_nothing() {
     let _serial = serial();
-    let g = clean_flights(8);
+    let g = clean_flights(40);
     let sigma = GfdSet::new(vec![same_id_same_dest(g.vocab().clone())]);
     let plans = plan_rules(&sigma);
     let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
@@ -172,34 +201,32 @@ fn warm_cross_worker_registry_hit_allocates_nothing() {
     let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
     let mut out = Vec::new();
 
-    // Worker A: pays every enumeration.
-    let mut stats_a = CacheStats::default();
+    // Worker A: pays the simulation and the plan.
     let mut scratch_a = UnitScratch::new();
     for u in &wl.units {
-        exec.run(u, &mut stats_a, &mut scratch_a, &mut out);
+        exec.run(u, &mut scratch_a, &mut out);
     }
-    assert!(stats_a.misses > 0);
+    let simulations = registry.simulations();
+    assert!(simulations > 0);
 
-    // Worker B: fresh scratch and counters, shared registry. One
-    // sizing round for B's own scratch buffers, then the probe.
-    let mut stats_b = CacheStats::default();
+    // Worker B: fresh scratch, shared registry. One sizing round for
+    // B's own scratch buffers, then the probe.
+    let hits_before = registry.stats().hits;
     let mut scratch_b = UnitScratch::new();
-    let run_b = |stats_b: &mut CacheStats, scratch_b: &mut UnitScratch, out: &mut Vec<_>| {
+    let run_b = |scratch_b: &mut UnitScratch, out: &mut Vec<_>| {
         for u in &wl.units {
-            exec.run(u, stats_b, scratch_b, out);
+            exec.run(u, scratch_b, out);
         }
     };
-    run_b(&mut stats_b, &mut scratch_b, &mut out);
-    let delta = min_allocation_delta(5, || run_b(&mut stats_b, &mut scratch_b, &mut out));
+    run_b(&mut scratch_b, &mut out);
+    let delta = min_allocation_delta(5, || run_b(&mut scratch_b, &mut out));
+    assert_eq!(delta, 0, "a second worker's warm pass must not allocate");
     assert_eq!(
-        delta, 0,
-        "a cross-worker registry hit must be allocation-free"
+        registry.simulations(),
+        simulations,
+        "worker B must never simulate — worker A already paid every space"
     );
-    assert_eq!(
-        stats_b.misses, 0,
-        "worker B must never enumerate — worker A already paid every table"
-    );
-    assert!(stats_b.hits > 0);
+    assert!(registry.stats().hits > hits_before);
     assert!(out.is_empty());
 }
 

@@ -8,12 +8,12 @@
 //! first so dead ends are pruned early.
 //!
 //! Component match sets arrive as flat [`MatchTable`]s read through
-//! optional column permutations (the [`crate::table`] view contract):
-//! the join streams directly over table rows — no per-match `Vec`s are
-//! ever materialized, and a cached table reused across isomorphic
-//! components is joined in place through its permutation. All
-//! backtracking state lives in a caller-owned [`JoinScratch`], so a
-//! warm caller joins with zero heap allocation.
+//! optional column permutations ([`JoinInputs::perm`]): the join
+//! streams directly over table rows — no per-match `Vec`s are ever
+//! materialized, and a table stored in another variable order is
+//! joined in place through its permutation. All backtracking state
+//! lives in a caller-owned [`JoinScratch`], so a warm caller joins
+//! with zero heap allocation.
 //!
 //! Inputs may also *share* variables — the decomposition planner joins
 //! the bags of one component's tree decomposition through the same
@@ -47,8 +47,11 @@ pub trait JoinInputs {
     /// Component `i`'s match table (physical column order).
     fn table(&self, i: usize) -> &MatchTable;
     /// Component `i`'s column permutation (logical `j` reads physical
-    /// `perm[j]`); `None` = identity. Must be a bijection — see the
-    /// [`crate::table`] contract.
+    /// `perm[j]`); `None` = identity. Must be a bijection on
+    /// `0..arity` — it permutes columns, never projects or duplicates
+    /// them — so the *set of nodes* in a physical row equals the set
+    /// in the logical row and order-insensitive row checks may scan
+    /// the physical row directly.
     fn perm(&self, _i: usize) -> Option<&[u32]> {
         None
     }
@@ -62,7 +65,7 @@ pub struct ComponentTable<'a> {
     pub vars: &'a [VarId],
     /// The match table.
     pub table: &'a MatchTable,
-    /// Optional column permutation (see [`crate::table`]).
+    /// Optional column permutation (see [`JoinInputs::perm`]).
     pub perm: Option<&'a [u32]>,
 }
 

@@ -35,9 +35,8 @@
 //! order makes the unpinned enumeration worst-case optimal, cached
 //! once per canonical class in the [`registry::ClassRegistry`] — the
 //! bounded, internally synchronized serving tier that also holds
-//! candidate spaces, pinned match tables, and factorizations for
-//! every consumer of one Σ, all in the class representative's
-//! variable numbering. The two full-form entry points,
+//! candidate spaces and factorizations for every consumer of one Σ,
+//! all in the class representative's variable numbering. The two full-form entry points,
 //! [`for_each_match_with`] and [`count_matches_with`], take that
 //! `(space, plan)` pair optionally; [`for_each_match_in`] takes a
 //! registry member's [`ClassView`] and translates between the
@@ -76,5 +75,5 @@ pub use registry::{
     CacheStats, ClassRegistry, ClassView, SpaceHandle, DEFAULT_REGISTRY_BUDGET_BYTES,
 };
 pub use simulation::{dual_simulation, simulation_sets, CandidateSpace};
-pub use table::{MatchTable, TableView};
+pub use table::MatchTable;
 pub use types::{Match, MatchOptions, SearchBudget};

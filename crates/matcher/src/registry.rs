@@ -1,5 +1,5 @@
 //! The unified serving-tier class registry: one bounded, concurrently
-//! shared cache for candidate spaces, query plans, and match tables.
+//! shared cache for candidate spaces, query plans, and factorizations.
 //!
 //! Rule sets mined from real graphs are full of isomorphic pattern
 //! components (the paper's Example 10), yet every consumer of
@@ -28,14 +28,12 @@
 //! * decomposition-based [`QueryPlan`]s are built once per class (pure
 //!   pattern structure — graph edits never invalidate them, and they
 //!   are exempt from eviction);
-//! * pinned component enumerations are cached as flat [`MatchTable`]s
-//!   keyed by `(class, representative pin variable, pivot node)` —
-//!   enumerated on the representative, read by every member through a
-//!   column-permutation [`TableView`], never a row copy;
+//! * factorized match-set representations ([`Factorization`]) are
+//!   built once per class per epoch, marginals included;
 //! * under graph edits, [`ClassRegistry::advance`] repairs **one**
 //!   representative per class, keeps the plans, and drops exactly the
-//!   match tables and factorizations of classes whose relation (or
-//!   per-edge adjacency) changed. Repair maintains what a standing
+//!   factorizations of classes whose relation (or per-edge adjacency)
+//!   changed. Repair maintains what a standing
 //!   query reads — the candidate spaces behind `Vio(Σ, G)` — and
 //!   reports nothing: workloads are estimated from the repaired
 //!   spaces, never maintained alongside them.
@@ -55,9 +53,8 @@
 //! The registry is **byte-budgeted**
 //! ([`ClassRegistry::with_budget_bytes`]; default
 //! [`DEFAULT_REGISTRY_BUDGET_BYTES`]). All evictable state is per
-//! class; the accounted artifacts are match tables
-//! ([`MatchTable::data_bytes`]), per-class incremental spaces
-//! ([`CandidateSpace::approx_bytes`]) and per-class factorized match
+//! class, in two kinds: incremental spaces
+//! ([`CandidateSpace::approx_bytes`]) and factorized match
 //! representations ([`Factorization::approx_bytes`]). A space is
 //! accounted by what it retains: an [`IncrementalSpace`] keeps the
 //! candidate sets and run pages and nothing sized by the graph, so
@@ -69,41 +66,37 @@
 //! When the budget is exceeded, entries are evicted **least recently
 //! used first** (every hit touches its entry), with one hard rule: *an
 //! artifact whose `Arc` is still held outside the registry is never
-//! dropped* — eviction is refcount-aware, so a [`TableView`] held
-//! across an eviction storm keeps reading correct rows, and a space
-//! handle held across a repair keeps its snapshot (repairs
-//! copy-on-write when shared). Pinned entries the evictor had to skip
-//! while over budget are counted in
+//! dropped* — eviction is refcount-aware, so a [`ClassView`] or a
+//! factorization held across an eviction storm keeps reading correct
+//! data, and a space handle held across a repair keeps its snapshot
+//! (repairs copy-on-write when shared). Pinned entries the evictor
+//! had to skip while over budget are counted in
 //! [`CacheStats::eviction_deferred_pinned`] and surface as the
 //! [`ClassRegistry::deferred_pending`] gauge; once the pins drop, the
 //! next insertion — or an explicit [`ClassRegistry::sweep`] — drains
 //! them and the gauge returns to zero. A class's incremental space is
 //! reclaimable once unpinned; a later query re-simulates against the
 //! then-current snapshot, and every intervening
-//! [`ClassRegistry::advance`] drops whatever tables the evicted class
-//! still holds, because without the incremental state nobody can
-//! certify them unchanged.
+//! [`ClassRegistry::advance`] drops the factorization the evicted
+//! class still holds, because without the incremental state nobody
+//! can certify it unchanged.
 //!
 //! Lock discipline: simulation, factorization, and plan construction
 //! run under the registry lock (that is what guarantees "one
 //! simulation per class" even under concurrent first queries);
-//! match-table enumeration — the expensive, per-pivot work — runs
-//! *outside* the lock, with racing duplicate builds tolerated (first
-//! insert wins).
+//! enumeration never does — consumers enumerate through the `Arc`s a
+//! [`ClassView`] hands out, with no lock held.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_pattern::{canonical_form, CanonicalForm, IsoWitness, Pattern, VarId};
-use gfd_util::FxHashMap;
 
-use crate::component::ComponentSearch;
 use crate::factorize::{factorize, Factorization};
 use crate::incremental::IncrementalSpace;
 use crate::plan::QueryPlan;
 use crate::simulation::CandidateSpace;
-use crate::table::{MatchTable, TableView};
 
 /// Handle to a pattern registered in a [`ClassRegistry`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -112,20 +105,19 @@ pub struct SpaceHandle(usize);
 /// Default [`ClassRegistry`] byte budget: generous enough that no test
 /// or benchmark workload in the suite evicts, small enough that a
 /// long-lived multi-tenant service stays bounded (64 MiB of spaces and
-/// match rows for the whole Σ, shared — not per worker; what the
+/// factorizations for the whole Σ, shared — not per worker; what the
 /// registry holds is within a small factor of what it counts).
 pub const DEFAULT_REGISTRY_BUDGET_BYTES: usize = 64 << 20;
 
-/// Hit/miss/eviction counters of the registry's match-table cache.
-///
-/// Probes record into the registry's global counters *and* into a
-/// caller-supplied local `CacheStats`, so per-worker and per-tenant
-/// shares of one shared registry stay attributable.
+/// Hit/miss/eviction counters of the registry, counted inside it (all
+/// tenants' and workers' requests combined); a caller wanting its own
+/// call's share subtracts two [`ClassRegistry::stats`] readings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Enumerations served from the cache.
+    /// Class-space requests served from a resident space.
     pub hits: u64,
-    /// Enumerations that had to run.
+    /// Class-space requests that had to simulate (first query of a
+    /// class, or its first after an eviction).
     pub misses: u64,
     /// Unpinned entries dropped by the byte budget (LRU order).
     pub evicted_cold: u64,
@@ -144,13 +136,19 @@ impl std::ops::AddAssign for CacheStats {
     }
 }
 
-/// One cached pinned enumeration: rows stored in *representative*
-/// variable order, valid for the snapshot the registry is synchronized
-/// with — [`ClassRegistry::advance`] drops it when the class changes.
-struct TableEntry {
-    table: Arc<MatchTable>,
-    last_used: u64,
-    bytes: usize,
+impl std::ops::Sub for CacheStats {
+    type Output = CacheStats;
+    /// The counters accrued since an `earlier` reading of the same
+    /// registry.
+    fn sub(self, earlier: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            evicted_cold: self.evicted_cold - earlier.evicted_cold,
+            eviction_deferred_pinned: self.eviction_deferred_pinned
+                - earlier.eviction_deferred_pinned,
+        }
+    }
 }
 
 /// One isomorphism class: the representative pattern and every cached
@@ -169,8 +167,6 @@ struct ClassState {
     /// never evicted.
     plan: Option<Arc<QueryPlan>>,
     last_used: u64,
-    /// Cached pinned enumerations, keyed by `(rep pin var, pivot)`.
-    tables: FxHashMap<(VarId, NodeId), TableEntry>,
     /// Factorized match-set representation of the representative over
     /// the current snapshot, marginals included
     /// ([`mod@crate::factorize`]). A derivation of the space: a graph
@@ -185,8 +181,8 @@ struct ClassState {
 struct MemberState {
     class: usize,
     /// The witness as a permutation (member var `j` ↦ rep var
-    /// `perm[j]`), shared with every [`ClassView`] and [`TableView`]
-    /// handed out for this member. `None` for identity members.
+    /// `perm[j]`), shared with every [`ClassView`] handed out for this
+    /// member. `None` for identity members.
     perm: Option<Arc<[u32]>>,
 }
 
@@ -235,7 +231,6 @@ pub(crate) fn rep_var(perm: Option<&[u32]>, v: VarId) -> VarId {
 
 /// What the budget enforcer picked to drop.
 enum Victim {
-    Table(usize, (VarId, NodeId)),
     Class(usize),
     ClassFact(usize),
 }
@@ -253,11 +248,10 @@ struct RegistryInner {
     /// repeated `estimate_workload_in`/`detect_violations_shared`
     /// calls over one Σ.
     member_by_witness: HashMap<(usize, Vec<VarId>), usize>,
-    simulations: usize,
     plans_built: usize,
     factorizations_built: usize,
     stats: CacheStats,
-    /// Accounted bytes over tables, class spaces, and class facts.
+    /// Accounted bytes over class spaces and class facts.
     bytes: usize,
     budget: usize,
     /// Pinned entries the latest enforcement pass had to skip while
@@ -270,7 +264,7 @@ struct RegistryInner {
 }
 
 /// The shared, bounded, per-Σ cache of candidate spaces, query plans,
-/// and pinned match tables, keyed by canonical isomorphism class. See
+/// and factorizations, keyed by canonical isomorphism class. See
 /// the module docs for the sharing model and the eviction / pinning
 /// contract.
 #[derive(Default)]
@@ -327,7 +321,6 @@ impl ClassRegistry {
                     inc_bytes: 0,
                     plan: None,
                     last_used: 0,
-                    tables: FxHashMap::default(),
                     fact: None,
                     fact_bytes: 0,
                 });
@@ -381,8 +374,8 @@ impl ClassRegistry {
     /// numbering — read member variable `v` at
     /// [`ClassView::rep_var`]`(v)`. `None` when the class's plan shape
     /// is unfactorizable. Like spaces, a graph delta that touches the
-    /// class invalidates the factorization; like tables, a held `Arc`
-    /// defers its eviction.
+    /// class invalidates the factorization, and a held `Arc` defers
+    /// its eviction.
     pub fn factorization(&self, h: SpaceHandle, g: &Graph) -> Option<Arc<Factorization>> {
         let mut inner = self.lock();
         let out = inner.factorization(h, g);
@@ -405,82 +398,15 @@ impl ClassRegistry {
         Some(f)
     }
 
-    /// The enumeration of the member's pattern over `g` pinned at
-    /// `pin = pivot`, served from the per-class table cache: isomorphic
-    /// members pinned at corresponding variables and the same pivot
-    /// share one flat table (enumerated on the representative, in its
-    /// variable order; non-identity members read it through their
-    /// witness permutation — an `O(arity)` view header, never a row
-    /// copy). Like [`space`](Self::space), `g` must be the snapshot the
-    /// registry is synchronized with: a cached table is keyed by
-    /// `(class, rep_pin, pivot)` alone, and staleness is
-    /// [`advance`](Self::advance)'s and
-    /// [`invalidate_all`](Self::invalidate_all)'s job.
-    ///
-    /// Probes and misses are recorded both in the registry-global
-    /// [`stats`](Self::stats) and in the caller's `stats` (the
-    /// per-worker / per-tenant share). The enumeration itself runs
-    /// outside the registry lock; racing duplicate builds are
-    /// tolerated (the first inserted table wins and is shared).
-    pub fn pinned_table(
-        &self,
-        h: SpaceHandle,
-        g: &Graph,
-        pin: VarId,
-        pivot: NodeId,
-        stats: &mut CacheStats,
-    ) -> TableView {
-        let (class, rep_pin, perm, rep) = {
-            let mut inner = self.lock();
-            let inner = &mut *inner;
-            let m = &inner.members[h.0];
-            let class = m.class;
-            let rep_pin = rep_var(m.perm.as_deref(), pin);
-            let perm = m.perm.clone();
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.classes[class].last_used = tick;
-            if let Some(e) = inner.classes[class].tables.get_mut(&(rep_pin, pivot)) {
-                e.last_used = tick;
-                inner.stats.hits += 1;
-                stats.hits += 1;
-                let table = Arc::clone(&e.table);
-                return Self::table_view(table, perm);
-            }
-            inner.stats.misses += 1;
-            stats.misses += 1;
-            (class, rep_pin, perm, Arc::clone(&inner.classes[class].rep))
-        };
-
-        // Miss: enumerate the representative (outside the lock); every
-        // class member reads the stored table through its own view.
-        let mut table = MatchTable::new(rep.node_count());
-        ComponentSearch::new(&rep, g)
-            .pins(&[(rep_pin, pivot)])
-            .collect_into(&mut table);
-
-        let mut inner = self.lock();
-        let table = inner.insert_table(class, (rep_pin, pivot), Arc::new(table));
-        inner.enforce_budget();
-        Self::table_view(table, perm)
-    }
-
-    fn table_view(table: Arc<MatchTable>, perm: Option<Arc<[u32]>>) -> TableView {
-        match perm {
-            Some(p) => TableView::permuted(table, p),
-            None => TableView::identity(table),
-        }
-    }
-
     /// Multi-tenant repair against one edit step: the *first* tenant to
     /// reach epoch `target` (`target == version() + 1`) applies the
     /// delta; a tenant arriving later at an epoch the registry already
     /// passed finds the work done and returns at once. Applying means
     /// **one** [`IncrementalSpace`] repair per simulated class (classes
     /// never queried are skipped — a later first query simulates
-    /// against the then-current snapshot), then dropping the match
-    /// tables and factorizations of every class whose relation or
-    /// per-edge adjacency changed.
+    /// against the then-current snapshot), then dropping the
+    /// factorization of every class whose relation or per-edge
+    /// adjacency changed.
     ///
     /// `d` must be normalized. Tenants must ingest the same delta
     /// stream and bump their cursor once per *non-empty* normalized
@@ -506,7 +432,7 @@ impl ClassRegistry {
         self.lock().version
     }
 
-    /// Drops every cached artifact — incremental spaces, match tables,
+    /// Drops every cached artifact — incremental spaces and
     /// factorizations — so every later query rebuilds against the
     /// then-current snapshot. Sound at any point (the caches are pure
     /// derivations); used by detectors re-seeding after a degraded
@@ -519,9 +445,6 @@ impl ClassRegistry {
             if cls.inc.take().is_some() {
                 inner.bytes -= cls.inc_bytes;
                 cls.inc_bytes = 0;
-            }
-            for (_, e) in cls.tables.drain() {
-                inner.bytes -= e.bytes;
             }
             if cls.fact.take().is_some() {
                 inner.bytes -= cls.fact_bytes;
@@ -547,15 +470,6 @@ impl ClassRegistry {
         self.lock().members[h.0].class
     }
 
-    /// The member's class and its witness onto the representative as a
-    /// column permutation (`None` = the member *is* in representative
-    /// order) — what the multi-query index stores per component.
-    pub fn class_and_perm(&self, h: SpaceHandle) -> (usize, Option<Arc<[u32]>>) {
-        let inner = self.lock();
-        let m = &inner.members[h.0];
-        (m.class, m.perm.clone())
-    }
-
     /// Number of distinct isomorphism classes registered.
     pub fn class_count(&self) -> usize {
         self.lock().classes.len()
@@ -570,7 +484,7 @@ impl ClassRegistry {
     /// asserts "one simulation per isomorphism class" in tests and
     /// benchmarks (a class evicted and re-queried simulates again).
     pub fn simulations(&self) -> usize {
-        self.lock().simulations
+        self.lock().stats.misses as usize
     }
 
     /// From-scratch tree decompositions run so far — the "one plan per
@@ -585,13 +499,13 @@ impl ClassRegistry {
         self.lock().factorizations_built
     }
 
-    /// The registry-global cache counters (every tenant's probes
+    /// The registry's counters (every tenant's and worker's requests
     /// combined).
     pub fn stats(&self) -> CacheStats {
         self.lock().stats
     }
 
-    /// Accounted bytes currently held (tables + class spaces + class
+    /// Accounted bytes currently held (class spaces + class
     /// factorizations).
     pub fn bytes(&self) -> usize {
         self.lock().bytes
@@ -611,15 +525,19 @@ impl ClassRegistry {
 }
 
 impl RegistryInner {
+    /// Serves the class's space, simulating it if absent — the one
+    /// place [`CacheStats::hits`] and [`CacheStats::misses`] count.
     fn ensure_space(&mut self, class: usize, g: &Graph) {
-        if self.classes[class].inc.is_none() {
+        if self.classes[class].inc.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
             let inc = IncrementalSpace::new(&self.classes[class].rep, g, None);
             let b = inc.space().approx_bytes();
             let cls = &mut self.classes[class];
             cls.inc = Some(inc);
             cls.inc_bytes = b;
             self.bytes += b;
-            self.simulations += 1;
         }
     }
 
@@ -675,33 +593,6 @@ impl RegistryInner {
         self.classes[class].fact.clone()
     }
 
-    /// Inserts a freshly built table; a racing build that lost keeps
-    /// the existing entry (so `Arc::ptr_eq` sharing holds).
-    fn insert_table(
-        &mut self,
-        class: usize,
-        key: (VarId, NodeId),
-        table: Arc<MatchTable>,
-    ) -> Arc<MatchTable> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.classes[class].tables.get_mut(&key) {
-            e.last_used = tick;
-            return Arc::clone(&e.table);
-        }
-        let bytes = table.data_bytes();
-        self.bytes += bytes;
-        self.classes[class].tables.insert(
-            key,
-            TableEntry {
-                table: Arc::clone(&table),
-                last_used: tick,
-                bytes,
-            },
-        );
-        table
-    }
-
     /// [`ClassRegistry::advance`] under the lock: a no-op for an empty
     /// delta or an epoch already passed, one repair pass over every
     /// class otherwise.
@@ -732,17 +623,11 @@ impl RegistryInner {
                     moved
                 }
                 // Without the incremental state nobody can certify
-                // "unchanged": any tables the class still holds (tables
-                // don't require a simulated class) must go.
+                // "unchanged": a factorization that outlived its
+                // evicted space must go.
                 None => true,
             };
-            if !refresh {
-                continue;
-            }
-            for (_, e) in cls.tables.drain() {
-                *bytes -= e.bytes;
-            }
-            if cls.fact.take().is_some() {
+            if refresh && cls.fact.take().is_some() {
                 *bytes -= cls.fact_bytes;
                 cls.fact_bytes = 0;
             }
@@ -768,31 +653,19 @@ impl RegistryInner {
                 }
             }
             for (c, cls) in self.classes.iter().enumerate() {
-                for (&key, e) in &cls.tables {
-                    // Never evict the entry touched at the current
-                    // tick — that is what the caller just asked for.
-                    if e.last_used == self.tick {
-                        continue;
-                    }
-                    if Arc::strong_count(&e.table) == 1 {
-                        consider(e.last_used, Victim::Table(c, key), &mut victim);
+                // Never evict what was touched at the current tick —
+                // that is what the caller just asked for.
+                if cls.last_used == self.tick {
+                    continue;
+                }
+                if let Some(f) = &cls.fact {
+                    if Arc::strong_count(f) == 1 {
+                        consider(cls.last_used, Victim::ClassFact(c), &mut victim);
                     } else {
                         pinned += 1;
                     }
                 }
-                if let Some(f) = &cls.fact {
-                    if cls.last_used != self.tick {
-                        if Arc::strong_count(f) == 1 {
-                            consider(cls.last_used, Victim::ClassFact(c), &mut victim);
-                        } else {
-                            pinned += 1;
-                        }
-                    }
-                }
                 if let Some(inc) = &cls.inc {
-                    if cls.last_used == self.tick {
-                        continue;
-                    }
                     if Arc::strong_count(inc.space_arc_ref()) == 1 {
                         consider(cls.last_used, Victim::Class(c), &mut victim);
                     } else {
@@ -801,11 +674,6 @@ impl RegistryInner {
                 }
             }
             match victim {
-                Some((_, Victim::Table(c, key))) => {
-                    let e = self.classes[c].tables.remove(&key).expect("chosen above");
-                    self.bytes -= e.bytes;
-                    self.stats.evicted_cold += 1;
-                }
                 Some((_, Victim::ClassFact(c))) => {
                     self.classes[c].fact = None;
                     self.bytes -= self.classes[c].fact_bytes;
@@ -834,6 +702,7 @@ impl RegistryInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::component::ComponentSearch;
     use crate::simulation::dual_simulation;
     use gfd_graph::GraphBuilder;
     use gfd_pattern::PatternBuilder;
@@ -1105,175 +974,84 @@ mod tests {
         assert_eq!(reg.simulations(), 1);
     }
 
-    /// Isomorphic members share one pinned enumeration by pointer: the
-    /// second member's probe is a hit on the table the first stored,
-    /// read through the witness permutation.
-    #[test]
-    fn isomorphic_members_share_pinned_tables() {
-        let g = chain_graph();
-        let fwd = chain_pattern(&g, [0, 1, 2]);
-        let rev = chain_pattern(&g, [2, 1, 0]);
-        let reg = ClassRegistry::new();
-        let h_fwd = reg.register(&fwd);
-        let h_rev = reg.register(&rev);
-        let mut s1 = CacheStats::default();
-        let mut s2 = CacheStats::default();
-        // Pin both members at their own "y" variable and the same
-        // pivot: corresponding pins map to one rep pin.
-        let v1 = reg.pinned_table(h_fwd, &g, fwd.var_by_name("y").unwrap(), NodeId(1), &mut s1);
-        let v2 = reg.pinned_table(h_rev, &g, rev.var_by_name("y").unwrap(), NodeId(1), &mut s2);
-        assert_eq!((s1.hits, s1.misses), (0, 1));
-        assert_eq!((s2.hits, s2.misses), (1, 0));
-        assert!(
-            Arc::ptr_eq(v1.table(), v2.table()),
-            "hit must share the cached table, not copy it"
-        );
-        assert_eq!(v1.len(), 1, "premise: one chain match through b1");
-        // Both views read the same logical row in their own order.
-        for (q, v) in [(&fwd, &v1), (&rev, &v2)] {
-            assert_eq!(v.get(0, q.var_by_name("x").unwrap().index()), NodeId(0));
-            assert_eq!(v.get(0, q.var_by_name("y").unwrap().index()), NodeId(1));
-            assert_eq!(v.get(0, q.var_by_name("z").unwrap().index()), NodeId(2));
-        }
-        let global = reg.stats();
-        assert_eq!((global.hits, global.misses), (1, 1));
+    /// A single `e` edge `a → b`: with the chain and the triangle, a
+    /// third class over the same graphs.
+    fn edge_pattern(g: &Graph) -> Pattern {
+        let mut b = PatternBuilder::new(g.vocab().clone());
+        let x = b.node("x", "a");
+        let y = b.node("y", "b");
+        b.edge(x, y, "e");
+        b.build()
     }
 
-    /// Table staleness is `advance`'s job. Toggling a graph edge between
-    /// two *surviving* candidates moves no candidate set — only the
-    /// per-edge adjacency — yet changes the pinned enumeration, so the
-    /// repair must drop the class's tables; a delta that touches no
-    /// candidate must leave them cached.
-    #[test]
-    fn advance_drops_tables_on_adjacency_only_change() {
-        let mut b = GraphBuilder::with_fresh_vocab();
-        let a1 = b.add_node_labeled("a");
-        let b1 = b.add_node_labeled("b");
-        let c1 = b.add_node_labeled("c");
-        let a2 = b.add_node_labeled("a");
-        let b2 = b.add_node_labeled("b");
-        let c2 = b.add_node_labeled("c");
-        let d1 = b.add_node_labeled("d");
-        let d2 = b.add_node_labeled("d");
-        for (x, y, z) in [(a1, b1, c1), (a2, b2, c2)] {
-            b.add_edge_labeled(x, y, "e");
-            b.add_edge_labeled(y, z, "e");
-        }
-        let g = b.freeze();
-        let q = chain_pattern(&g, [0, 1, 2]);
-        let e = g.vocab().intern("e");
-        // Every chain x → y → z through `x = a1`, by exhaustive search.
-        let brute_force = |g: &Graph| {
-            let mut rows = Vec::new();
-            for y in g.nodes().filter(|&y| g.label(y) == g.label(b1)) {
-                for z in g.nodes().filter(|&z| g.label(z) == g.label(c1)) {
-                    if g.has_edge(a1, y, e) && g.has_edge(y, z, e) {
-                        rows.push(vec![a1, y, z]);
-                    }
-                }
-            }
-            rows
-        };
-        let reg = ClassRegistry::new();
-        let h = reg.register(&q);
-        let sets = reg.space(h, &g).space.sets.clone();
-        let pin = q.var_by_name("x").unwrap();
-        let mut stats = CacheStats::default();
-        let rows = |v: &TableView| -> Vec<Vec<NodeId>> {
-            (0..v.len())
-                .map(|r| (0..3).map(|c| v.get(r, c)).collect())
-                .collect()
-        };
-        let v = reg.pinned_table(h, &g, pin, a1, &mut stats);
-        assert_eq!(rows(&v), brute_force(&g));
-        assert_eq!(rows(&v), vec![vec![a1, b1, c1]]);
-        drop(v);
-
-        // No candidate touched: the cached table keeps serving.
-        let (g1, delta) = g.edit_with_delta(|b| {
-            b.add_edge_labeled(d1, d2, "e");
-        });
-        reg.apply(&g1, &delta);
-        reg.pinned_table(h, &g1, pin, a1, &mut stats);
-        assert_eq!((stats.hits, stats.misses), (1, 1), "untouched class ⇒ hit");
-
-        // a1 → b2 joins two surviving candidates: same sets, new match.
-        let (g2, delta) = g1.edit_with_delta(|b| {
-            b.add_edge_labeled(a1, b2, "e");
-        });
-        reg.apply(&g2, &delta);
-        assert_eq!(reg.space(h, &g2).space.sets, sets, "premise: no set moved");
-        let v = reg.pinned_table(h, &g2, pin, a1, &mut stats);
-        assert_eq!(
-            (stats.hits, stats.misses),
-            (1, 2),
-            "adjacency change ⇒ miss"
-        );
-        assert_eq!(rows(&v), brute_force(&g2));
-        assert_eq!(rows(&v), vec![vec![a1, b1, c1], vec![a1, b2, c2]]);
+    /// Three classes over the triangle graph and the accounted bytes of
+    /// each one's space.
+    fn three_classes(g: &Graph) -> ([Pattern; 3], [usize; 3]) {
+        let qs = [
+            chain_pattern(g, [0, 1, 2]),
+            triangle_pattern(g, [0, 1, 2]),
+            edge_pattern(g),
+        ];
+        let sizes = [0, 1, 2].map(|i| dual_simulation(&qs[i], g, None).approx_bytes());
+        assert!(sizes.iter().all(|&b| b > 0));
+        (qs, sizes)
     }
 
     /// LRU eviction: over budget, the *least recently touched*
-    /// unpinned table goes first — a touch-on-hit keeps hot entries.
+    /// unpinned class space goes first — a touch-on-hit keeps hot
+    /// classes.
     #[test]
     fn eviction_is_lru_with_touch_on_hit() {
-        let g = chain_graph();
-        let q = chain_pattern(&g, [0, 1, 2]);
-        // Each pinned chain table holds 1 row × 3 cols × 4 bytes = 12
-        // bytes; a 24-byte budget holds two.
-        let reg = ClassRegistry::with_budget_bytes(24);
-        let h = reg.register(&q);
-        let mut stats = CacheStats::default();
-        let x = q.var_by_name("x").unwrap();
-        let y = q.var_by_name("y").unwrap();
-        let z = q.var_by_name("z").unwrap();
-        reg.pinned_table(h, &g, x, NodeId(0), &mut stats);
-        reg.pinned_table(h, &g, y, NodeId(1), &mut stats);
-        // Touch the x-table so the y-table becomes the LRU victim.
-        reg.pinned_table(h, &g, x, NodeId(0), &mut stats);
-        assert_eq!((stats.hits, stats.misses), (1, 2));
-        reg.pinned_table(h, &g, z, NodeId(2), &mut stats);
-        assert!(reg.bytes() <= 24, "budget must hold after insertion");
+        let g = triangle_graph();
+        let (qs, sizes) = three_classes(&g);
+        // One byte short of all three: any two spaces fit.
+        let budget = sizes.iter().sum::<usize>() - 1;
+        let reg = ClassRegistry::with_budget_bytes(budget);
+        let [a, b, c] = [0, 1, 2].map(|i| reg.register(&qs[i]));
+        reg.space(a, &g);
+        reg.space(b, &g);
+        // Touch `a` so `b` becomes the LRU victim.
+        reg.space(a, &g);
+        assert_eq!((reg.stats().hits, reg.stats().misses), (1, 2));
+        reg.space(c, &g);
+        assert!(reg.bytes() <= budget, "budget must hold after insertion");
         assert_eq!(reg.stats().evicted_cold, 1);
-        reg.pinned_table(h, &g, x, NodeId(0), &mut stats);
-        assert_eq!(stats.hits, 2, "the touched table survived");
-        reg.pinned_table(h, &g, y, NodeId(1), &mut stats);
-        assert_eq!(stats.misses, 4, "the cold table was evicted");
+        reg.space(a, &g);
+        assert_eq!(reg.stats().hits, 2, "the touched class survived");
+        reg.space(b, &g);
+        assert_eq!(reg.stats().misses, 4, "the cold class was evicted");
     }
 
-    /// The pinning contract: a view held across an eviction storm is
-    /// never dropped (deferred instead) and keeps reading correct
-    /// rows; once the pin drops, a sweep drains the deferral.
+    /// The pinning contract: a [`ClassView`] held across an eviction
+    /// storm pins its space — never dropped, deferred instead — and
+    /// keeps reading correct sets; once the view drops, a sweep drains
+    /// the deferral.
     #[test]
-    fn pinned_tables_defer_eviction_and_drain_after_release() {
-        let g = chain_graph();
-        let q = chain_pattern(&g, [0, 1, 2]);
-        let reg = ClassRegistry::with_budget_bytes(12);
-        let h = reg.register(&q);
-        let mut stats = CacheStats::default();
-        let x = q.var_by_name("x").unwrap();
-        let y = q.var_by_name("y").unwrap();
-        let z = q.var_by_name("z").unwrap();
-        let held = reg.pinned_table(h, &g, x, NodeId(0), &mut stats);
-        // Storm: new tables keep arriving while `held` pins the first;
-        // each insertion evicts its cold predecessor but can never
+    fn pinned_spaces_defer_eviction_and_drain_after_release() {
+        let g = triangle_graph();
+        let (qs, sizes) = three_classes(&g);
+        let reg = ClassRegistry::with_budget_bytes(sizes[0]);
+        let [a, b, c] = [0, 1, 2].map(|i| reg.register(&qs[i]));
+        let held = reg.space(a, &g);
+        // Storm: other classes keep arriving while `held` pins the
+        // first; each arrival evicts its cold predecessor but can never
         // reach the budget because of the pin.
         for _ in 0..3 {
-            for (var, node) in [(y, NodeId(1)), (z, NodeId(2))] {
-                reg.pinned_table(h, &g, var, node, &mut stats);
-            }
+            reg.space(b, &g);
+            reg.space(c, &g);
         }
         assert!(reg.stats().evicted_cold > 0, "the storm did evict");
         assert!(reg.deferred_pending() > 0, "the held pin must defer");
         assert!(reg.stats().eviction_deferred_pinned > 0);
-        // The held view still reads the correct enumeration.
-        assert_eq!(held.len(), 1);
-        assert_eq!(held.get(0, x.index()), NodeId(0));
-        assert_eq!(held.get(0, y.index()), NodeId(1));
+        // The held view still reads the class's simulation.
+        let want = dual_simulation(&qs[0], &g, None);
+        for v in qs[0].vars() {
+            assert_eq!(held.of(v), want.of(v));
+        }
         drop(held);
         reg.sweep();
         assert_eq!(reg.deferred_pending(), 0, "pins dropped ⇒ drained");
-        assert!(reg.bytes() <= 12);
+        assert!(reg.bytes() <= sizes[0]);
     }
 
     /// One factorization serves the whole class: isomorphic members
@@ -1383,18 +1161,19 @@ mod tests {
         let fact_bytes = held.approx_bytes();
         assert!(reg.bytes() >= fact_bytes, "facts are accounted");
         // Shrink the budget below the factorization alone, then storm
-        // the registry with tables: every pass stays over budget, the
-        // held factorization is skipped (deferred), everything else
-        // drains.
+        // the registry with other classes' spaces: every pass stays
+        // over budget, the held factorization is skipped (deferred),
+        // everything else drains.
         let reg = ClassRegistry::with_budget_bytes(fact_bytes / 2);
         let h = reg.register(&q);
         let held = reg.factorization(h, &g).expect("factorizes");
-        let mut stats = CacheStats::default();
-        for var in [VarId(0), VarId(1), VarId(2)] {
-            for n in g.nodes() {
-                reg.pinned_table(h, &g, var, n, &mut stats);
+        let others = [chain_pattern(&g, [0, 1, 2]), edge_pattern(&g)].map(|q| reg.register(&q));
+        for _ in 0..3 {
+            for o in others {
+                reg.space(o, &g);
             }
         }
+        assert!(reg.stats().evicted_cold > 0, "the storm did evict");
         reg.sweep();
         assert!(reg.deferred_pending() > 0, "the held fact must defer");
         assert_eq!(held.count(), Some(2), "held handle still reads correctly");
@@ -1562,12 +1341,11 @@ mod tests {
         let q = chain_pattern(&g, [0, 1, 2]);
         let reg = ClassRegistry::new();
         let h = reg.register(&q);
-        reg.space(h, &g);
-        let mut stats = CacheStats::default();
-        reg.pinned_table(h, &g, VarId(0), NodeId(0), &mut stats);
+        assert!(reg.factorization(h, &g).is_some(), "chains factorize");
         assert!(reg.bytes() > 0);
         reg.invalidate_all();
         assert_eq!(reg.bytes(), 0);
+        assert!(reg.cached_factorization(h).is_none());
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });

@@ -42,44 +42,6 @@ pub fn assign(strategy: Assignment, costs: &[u64], n: usize) -> Vec<usize> {
     }
 }
 
-/// Grouped LPT: units sharing a group key are assigned to the same
-/// worker (groups are LPT-scheduled by total cost). This is the
-/// *sub-pattern scheduling* side of the multi-query optimization
-/// (\[31\]; appendix): units anchored at the same pivot share cached
-/// component enumerations, so co-locating them preserves cache
-/// locality while keeping the makespan 2-approximate at group
-/// granularity.
-pub fn lpt_assign_grouped(costs: &[u64], group_keys: &[u64], n: usize) -> Vec<usize> {
-    assert_eq!(
-        costs.len(),
-        group_keys.len(),
-        "lpt_assign_grouped: every unit cost needs a group key"
-    );
-    assert!(
-        n > 0,
-        "lpt_assign_grouped: cannot partition over zero workers"
-    );
-    let mut groups: gfd_util::FxHashMap<u64, (u64, Vec<usize>)> = gfd_util::FxHashMap::default();
-    for (i, (&c, &k)) in costs.iter().zip(group_keys).enumerate() {
-        let entry = groups.entry(k).or_default();
-        entry.0 += c;
-        entry.1.push(i);
-    }
-    let mut group_list: Vec<(u64, Vec<usize>)> = groups.into_values().collect();
-    group_list.sort_by_key(|(c, members)| (std::cmp::Reverse(*c), members[0]));
-    let mut load = vec![0u64; n];
-    let mut assignment = vec![0usize; costs.len()];
-    for (cost, members) in group_list {
-        // Invariant: the entry assert guarantees `0..n` is non-empty.
-        let worker = (0..n).min_by_key(|&w| (load[w], w)).expect("n > 0");
-        load[worker] += cost;
-        for m in members {
-            assignment[m] = worker;
-        }
-    }
-    assignment
-}
-
 /// The makespan (largest per-worker cost sum) of an assignment.
 pub fn makespan(costs: &[u64], assignment: &[usize], n: usize) -> u64 {
     assert_eq!(

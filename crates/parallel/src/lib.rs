@@ -33,11 +33,10 @@
 //! executor (module [`threaded`], std scoped threads over an atomic
 //! work queue) exists to verify that the work units compute identical
 //! violations when actually run concurrently; all workers share one
-//! `Arc<Graph>` CSR snapshot — never per-worker copies — and probe
+//! `Arc<Graph>` CSR snapshot — never per-worker copies — and read
 //! one [`gfd_match::ClassRegistry`] serving tier for candidate
-//! spaces, query plans and pinned match tables, so an enumeration
-//! paid by any worker (or co-tenant service) is a hit for every
-//! other. Workers are
+//! spaces, query plans and factorizations, so a simulation paid by
+//! any worker (or co-tenant service) serves every other. Workers are
 //! **panic-isolated**: a unit that panics is caught, retried on a
 //! healthy worker with bounded backoff, and quarantined-and-reported
 //! if the fault is sticky — never silently dropped.
@@ -87,7 +86,7 @@ pub use service::{
 pub use threaded::{
     run_units_threaded, run_units_threaded_report, ThreadedReport, MAX_UNIT_ATTEMPTS,
 };
-pub use unitexec::{CacheStats, MultiQueryIndex, UnitExecutor, UnitScratch};
+pub use unitexec::{CacheStats, UnitExecutor, UnitScratch};
 pub use wal::{FrameFault, RecoveryReport, SyncPolicy, WalError, WalWriter};
 pub use workload::{
     estimate_workload, estimate_workload_in, UnitSlot, WorkUnit, Workload, WorkloadOptions,

@@ -35,15 +35,15 @@ pub struct ParallelReport {
     pub units: usize,
     /// Per-worker busy seconds (for balance inspection).
     pub per_worker_busy: Vec<f64>,
-    /// Multi-query cache hits (0 when the optimization is off).
+    /// Class-space requests of the run (estimation, and execution with
+    /// the multi-query optimization on) its registry served resident.
     pub cache_hits: u64,
-    /// Multi-query cache misses (enumerations actually run).
+    /// Class-space requests that had to simulate.
     pub cache_misses: u64,
-    /// Cold artifacts reclaimed by the shared registry's LRU pass for
-    /// this run's probes.
+    /// Cold artifacts reclaimed by the run's registry's LRU pass.
     pub cache_evicted_cold: u64,
-    /// Eviction candidates skipped because a worker still held their
-    /// table (refcount-aware deferral); they drain once pins drop.
+    /// Eviction candidates skipped because a worker still held them
+    /// (refcount-aware deferral); they drain once pins drop.
     pub cache_evictions_deferred: u64,
 }
 

@@ -19,10 +19,9 @@
 //! poisons nothing shared: the panicked unit's partial output is
 //! truncated, the worker's scratch (whose invariants the unwind may
 //! have torn mid-update) is rebuilt — the shared registry needs no
-//! rebuild (its lock is never held across enumeration, and a poisoned
-//! lock is absorbed) and the worker's cache-stat counters are *kept*,
-//! so the merged report never loses probes a later-quarantined worker
-//! already paid for — and the unit is
+//! rebuild (its lock is never held across enumeration, a poisoned
+//! lock is absorbed, and its counters live inside it, out of a dying
+//! worker's reach) — and the unit is
 //! **requeued** — any healthy worker picks it up after a bounded
 //! backoff. After [`MAX_UNIT_ATTEMPTS`] failed attempts the unit is
 //! **quarantined and reported** in the [`ThreadedReport`]; it is never
@@ -75,10 +74,9 @@ pub struct ThreadedReport {
     /// recover them (re-derive the affected rules) or surface the
     /// gap; the standing-violation service does the former.
     pub quarantined: Vec<usize>,
-    /// This run's registry probe counters, summed over every worker —
-    /// including workers whose units later panicked or were
-    /// quarantined (counters are captured per probe, not per unit, so
-    /// fault handling never loses them).
+    /// The registry's counters across this call: every worker's
+    /// class-space requests (and those of any co-tenant that raced the
+    /// call), whatever became of the worker's later units.
     pub cache: CacheStats,
 }
 
@@ -131,6 +129,7 @@ pub fn run_units_threaded_report(
     faults: Option<&FaultPlan>,
     epoch: u64,
 ) -> ThreadedReport {
+    let cache_before = registry.stats();
     let exec = UnitExecutor::new(g, sigma, plans, slots, registry, true);
     // (unit index, attempt) queue; requeued entries go to the back so
     // healthy units drain first. Lock holders never panic (pop/push
@@ -142,7 +141,7 @@ pub fn run_units_threaded_report(
     let units_retried = AtomicU64::new(0);
     let quarantined: Mutex<Vec<usize>> = Mutex::new(Vec::new());
 
-    let per_worker: Vec<(Vec<Violation>, CacheStats)> = std::thread::scope(|scope| {
+    let per_worker: Vec<Vec<Violation>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.max(1))
             .map(|_| {
                 let (queue, outstanding) = (&queue, &outstanding);
@@ -150,7 +149,6 @@ pub fn run_units_threaded_report(
                     (&unit_panics, &units_retried, &quarantined);
                 let exec = &exec;
                 scope.spawn(move || {
-                    let mut stats = CacheStats::default();
                     let mut scratch = UnitScratch::new();
                     let mut out: Vec<Violation> = Vec::new();
                     loop {
@@ -190,7 +188,7 @@ pub fn run_units_threaded_report(
                                     panic!("injected worker fault (unit {i}, attempt {attempt})");
                                 }
                             }
-                            exec.run(unit, &mut stats, &mut scratch, &mut out);
+                            exec.run(unit, &mut scratch, &mut out);
                         }));
                         match result {
                             Ok(()) => {
@@ -204,12 +202,7 @@ pub fn run_units_threaded_report(
                                 // The unwind may have left the unit's
                                 // partial output and the scratch
                                 // mid-update: drop the partial rows and
-                                // rebuild the scratch. `stats` is NOT
-                                // reset — each counter was complete the
-                                // moment it was bumped, and wiping it
-                                // here silently dropped quarantined
-                                // workers' probes from the merged
-                                // report.
+                                // rebuild the scratch.
                                 out.truncate(checkpoint);
                                 scratch = UnitScratch::new();
                                 if attempt + 1 < MAX_UNIT_ATTEMPTS {
@@ -224,7 +217,7 @@ pub fn run_units_threaded_report(
                             }
                         }
                     }
-                    (out, stats)
+                    out
                 })
             })
             .collect();
@@ -242,12 +235,10 @@ pub fn run_units_threaded_report(
 
     // Merge with an exact capacity reservation, then establish the
     // canonical order in one unstable sort over the concatenation.
-    let total = per_worker.iter().map(|(v, _)| v.len()).sum();
+    let total = per_worker.iter().map(Vec::len).sum();
     let mut violations = Vec::with_capacity(total);
-    let mut cache = CacheStats::default();
-    for (mut part, stats) in per_worker {
+    for mut part in per_worker {
         violations.append(&mut part);
-        cache += stats;
     }
     sort_violations(&mut violations);
     let mut quarantined = quarantined.into_inner().expect("never poisoned");
@@ -257,7 +248,7 @@ pub fn run_units_threaded_report(
         unit_panics: unit_panics.into_inner(),
         units_retried: units_retried.into_inner(),
         quarantined,
-        cache,
+        cache: registry.stats() - cache_before,
     }
 }
 
@@ -313,15 +304,20 @@ mod tests {
 
     use crate::fault::silence_injected_panics;
 
+    /// Accounts in the fault-injection graphs: more pivot candidates
+    /// than a rule has ranges, so every unit holds several pivots.
+    const ACCOUNTS: usize = 200;
+
     #[test]
     fn threaded_equals_sequential() {
-        let g = Arc::new(social(18));
+        let g = Arc::new(social(ACCOUNTS));
         let sigma = GfdSet::new(vec![spam_rule(g.vocab().clone())]);
         let mut expected = detect_violations(&sigma, &g);
         sort_violations(&mut expected);
 
         let plans = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
+        assert!(wl.slots.iter().all(|s| s.range().len() >= 2));
         for threads in [1usize, 2, 4] {
             let got = run_units_threaded(&g, &sigma, &plans, &wl.units, &wl.slots, threads);
             assert_eq!(got, expected, "threads={threads}");
@@ -340,7 +336,7 @@ mod tests {
     #[test]
     fn transient_panics_retry_to_the_sequential_result() {
         silence_injected_panics();
-        let g = Arc::new(social(18));
+        let g = Arc::new(social(ACCOUNTS));
         let sigma = GfdSet::new(vec![spam_rule(g.vocab().clone())]);
         let mut expected = detect_violations(&sigma, &g);
         sort_violations(&mut expected);
@@ -381,7 +377,7 @@ mod tests {
     #[test]
     fn sticky_panics_quarantine_and_spare_siblings() {
         silence_injected_panics();
-        let g = Arc::new(social(18));
+        let g = Arc::new(social(ACCOUNTS));
         let sigma = GfdSet::new(vec![spam_rule(g.vocab().clone())]);
         let plans = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
@@ -423,26 +419,25 @@ mod tests {
         let mut scratch = UnitScratch::new();
         let registry = ClassRegistry::new();
         let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, false);
-        let mut stats = CacheStats::default();
         for (i, unit) in wl.units.iter().enumerate() {
             if !expected_quarantine.contains(&i) {
-                exec.run(unit, &mut stats, &mut scratch, &mut surviving);
+                exec.run(unit, &mut scratch, &mut surviving);
             }
         }
         sort_violations(&mut surviving);
         assert_eq!(report.violations, surviving);
     }
 
-    /// Satellite regression: the merged cache counters must include
-    /// probes made by workers whose later units panicked or were
+    /// Satellite regression: the report's cache counters must include
+    /// requests made by workers whose later units panicked or were
     /// quarantined. Injected faults fire *before* the unit's registry
-    /// probes, so every non-quarantined unit probes exactly as often
-    /// as in a fault-free sequential replay — if a panic handler wiped
-    /// worker-local stats, the faulty run would come up short.
+    /// requests, so every non-quarantined unit asks exactly as often
+    /// as in a fault-free sequential replay — a report that lost a
+    /// dying worker's share would come up short.
     #[test]
     fn cache_stats_survive_quarantined_workers() {
         silence_injected_panics();
-        let g = Arc::new(social(18));
+        let g = Arc::new(social(ACCOUNTS));
         let sigma = GfdSet::new(vec![spam_rule(g.vocab().clone())]);
         let plans = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
@@ -469,14 +464,14 @@ mod tests {
         // fresh registry: the probe volume must match the faulty run.
         let registry = ClassRegistry::new();
         let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
-        let mut stats = CacheStats::default();
         let mut scratch = UnitScratch::new();
         let mut sink = Vec::new();
         for (i, unit) in wl.units.iter().enumerate() {
             if !report.quarantined.contains(&i) {
-                exec.run(unit, &mut stats, &mut scratch, &mut sink);
+                exec.run(unit, &mut scratch, &mut sink);
             }
         }
+        let stats = registry.stats();
         assert_eq!(
             report.cache.hits + report.cache.misses,
             stats.hits + stats.misses,

@@ -1,19 +1,29 @@
 //! The workload model of §5.2: pivot vectors, work units, `W(Σ, G)`.
 //!
 //! For each GFD `ϕ` with pivot vector `PV(ϕ) = ((z_1, c¹_Q), …,
-//! (z_k, c^k_Q))`, a *work unit* is `w = ⟨v̄_z, G_z̄⟩`: a pivot
+//! (z_k, c^k_Q))`, the paper's *work unit* is `w = ⟨v̄_z, G_z̄⟩`: a pivot
 //! candidate per connected component together with the candidates'
 //! `c^i_Q`-hop data blocks. By the locality of subgraph isomorphism,
 //! a match pinned at a pivot candidate cannot leave that candidate's
 //! block, so validating `ϕ` reduces to enumerating matches pinned at
 //! the pivots of its work units (each pivot tuple checked exactly
-//! once). The block itself is what a unit *costs* — the load estimate
-//! here, the bytes `disVal` ships — and never an input of the search.
+//! once).
+//!
+//! A [`WorkUnit`] here is a *batch* of the paper's units whose pivots
+//! form contiguous ranges: each component's sorted feasible-candidate
+//! list is cut into a few near-equal ranges, and a unit is one cell of
+//! the rule's range grid — every pivot tuple drawn from the cell's
+//! ranges, checked exactly once, at most 64 units per rule whatever
+//! the graph's size. The cell's data block `G_z̄`
+//! (one multi-source `c^i_Q`-hop BFS per range) is what a unit *costs*
+//! — the load estimate here, the bytes `disVal` ships — and never an
+//! input of the search.
 //!
 //! Following Example 10, symmetric pivot tuples of *isomorphic*
-//! components are deduplicated (the unit then checks both pivot
-//! orientations internally), and units whose pivots cannot locally
-//! match their component are pruned during estimation.
+//! components are deduplicated — only cells `i ≤ j` of the grid exist,
+//! and the unit checks both pivot orientations internally — and pivots
+//! that cannot locally match their component are pruned during
+//! estimation.
 
 use std::sync::Arc;
 
@@ -60,30 +70,38 @@ pub struct ComponentPlan {
     pub width: usize,
 }
 
-/// One component's share of a work unit: the pivot candidate and its
-/// data block.
+/// One component's share of a work unit: a contiguous range of the
+/// component's sorted pivot-candidate list, and the range's data block.
 #[derive(Clone, Debug)]
 pub struct UnitSlot {
-    /// The pivot candidate `v_z` of this component — all that
-    /// executing the unit reads.
-    pub pivot: NodeId,
-    /// Its `c^i_Q`-hop data block, shared with the [`BlockCache`] —
-    /// cloning a slot never deep-copies a block. A cost input only:
-    /// the size term of the unit's load estimate and the byte model of
+    /// The component's sorted feasible pivot candidates — one list per
+    /// (isomorphism class, representative pivot variable), shared by
+    /// every slot cut from it, across twin rules too.
+    pub pivots: Arc<[NodeId]>,
+    /// Start of the slot's range of `pivots`.
+    pub lo: u32,
+    /// End (exclusive) of the slot's range of `pivots`.
+    pub hi: u32,
+    /// The `c^i_Q`-hop data block around the range's pivots, shared by
+    /// every slot over the same range. A cost input only: the size
+    /// term of the unit's load estimate and the byte model of
     /// `disVal`'s shipment; execution never searches inside it.
     pub block: Arc<NodeSet>,
 }
 
-/// A work unit `w = ⟨v̄_z, G_z̄⟩`, as a `(rule, offset, len, flags)`
-/// descriptor over the [`Workload`]'s flat slot arena.
-///
-/// Units used to own a per-unit slot `Vec` — one heap allocation per
-/// unit, materialized by the thousand during estimation. Now all slots
-/// of a workload live in one arena (`Workload::slots`) and a unit is a
-/// 24-byte `Copy` record pointing into it: estimation appends to two
-/// flat vectors, splitting/cloning units is a register copy, and the
-/// whole workload is two contiguous buffers (mmap-able modulo the
-/// `Arc` blocks).
+impl UnitSlot {
+    /// The pivot candidates `v_z` of this component — all that
+    /// executing the unit reads.
+    #[inline]
+    pub fn range(&self) -> &[NodeId] {
+        &self.pivots[self.lo as usize..self.hi as usize]
+    }
+}
+
+/// A work unit — one cell of its rule's range grid — as a `(rule,
+/// offset, len, flags)` descriptor over the [`Workload`]'s flat slot
+/// arena: a 24-byte `Copy` record, so splitting, shipping and
+/// re-assembling units copies descriptors, never slot vectors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkUnit {
     /// Index of the rule in `Σ`.
@@ -118,11 +136,6 @@ impl WorkUnit {
     #[inline]
     pub fn slots<'a>(&self, arena: &'a [UnitSlot]) -> &'a [UnitSlot] {
         &arena[self.slot_offset as usize..self.slot_offset as usize + self.slot_len as usize]
-    }
-
-    /// The pivot vector `v̄_z` in component order.
-    pub fn pivots<'a>(&self, arena: &'a [UnitSlot]) -> impl Iterator<Item = NodeId> + 'a {
-        self.slots(arena).iter().map(|s| s.pivot)
     }
 }
 
@@ -251,19 +264,18 @@ fn pivot_universe(g: &Graph, plan: &ComponentPlan) -> usize {
 /// nothing when the component is provably matchless.
 /// Returns the sorted candidate list and how many raw candidates the
 /// filter pruned.
-fn pivots_from_sets(
+fn pivots_from_sets<'s>(
     g: &Graph,
     plan: &ComponentPlan,
-    sets: &[Vec<NodeId>],
+    sets: &'s [Vec<NodeId>],
     pivot: VarId,
-) -> (Vec<NodeId>, usize) {
+) -> (&'s [NodeId], usize) {
     let universe = pivot_universe(g, plan);
     if sets.iter().any(Vec::is_empty) {
-        return (Vec::new(), universe);
+        return (&[], universe);
     }
-    let cands = sets[pivot.index()].clone();
-    let pruned = universe - cands.len();
-    (cands, pruned)
+    let cands = &sets[pivot.index()];
+    (cands, universe - cands.len())
 }
 
 /// Pivot candidates for a component, optionally pruned by one dual
@@ -278,7 +290,7 @@ fn pivots_from_sets(
 /// This is the standalone (one component, own simulation) entry point;
 /// [`estimate_workload`] draws the same information from a
 /// [`ClassRegistry`] shared across the whole Σ instead, so isomorphic
-/// components pay for one simulation together.
+/// components pay for one simulation — and share one list — together.
 pub fn feasible_pivots(g: &Graph, plan: &ComponentPlan, prune: bool) -> (Vec<NodeId>, usize) {
     if !prune {
         let all = match plan.pivot_label {
@@ -288,49 +300,134 @@ pub fn feasible_pivots(g: &Graph, plan: &ComponentPlan, prune: bool) -> (Vec<Nod
         return (all, 0);
     }
     let sets = simulation_sets(&plan.pattern, g, None);
-    pivots_from_sets(g, plan, &sets, plan.local_pivot)
+    let (cands, pruned) = pivots_from_sets(g, plan, &sets, plan.local_pivot);
+    (cands.to_vec(), pruned)
 }
 
-/// A cache of `c`-hop data blocks keyed by `(node, radius)` — blocks
-/// repeat across rules that share pivots. Blocks are handed out as
-/// [`Arc`]s (with their `|G_z̄|` size computed once), so work units
-/// share them instead of deep-cloning per candidate.
-#[derive(Default)]
-pub struct BlockCache {
-    cache: FxHashMap<(NodeId, usize), (Arc<NodeSet>, u64)>,
+/// Upper bound on the units of one rule: each of its `k` candidate
+/// lists is cut into at most `⌊64^{1/k}⌋` ranges (64, 8, 4, 2, …), so
+/// the rule's range grid never has more cells than this.
+const MAX_UNITS_PER_RULE: usize = 64;
+
+/// Ranges per candidate list for a rule of `k` components: the largest
+/// `c` with `c^k ≤` [`MAX_UNITS_PER_RULE`].
+fn cuts_per_list(k: usize) -> usize {
+    (1..=MAX_UNITS_PER_RULE)
+        .take_while(|c| {
+            c.checked_pow(k as u32)
+                .is_some_and(|cells| cells <= MAX_UNITS_PER_RULE)
+        })
+        .last()
+        .unwrap_or(1)
+}
+
+/// What determines a component's candidate list, so components that
+/// must draw the same list — twin rules above all — share one `Arc`,
+/// and with it ranges and blocks.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum ListKey {
+    /// Pruned: the simulation set of a class representative's variable.
+    Class(usize, VarId),
+    /// Unpruned: a pivot label's extent.
+    Label(PatLabel),
+}
+
+/// One deduplicated candidate list and how many raw candidates the
+/// feasibility filter pruned from it.
+struct PivotList {
+    pivots: Arc<[NodeId]>,
+    pruned: usize,
+}
+
+/// `(list, lo, hi, radius)`: a range of a candidate list and the hop
+/// count of the block around it.
+type BlockKey = (usize, u32, u32, usize);
+
+/// The per-call state of [`estimate_workload_in`]: candidate lists by
+/// [`ListKey`], and the data blocks of their ranges by `(list, lo, hi,
+/// radius)` — blocks repeat across rules that share lists, and are
+/// handed out as [`Arc`]s with their `|G_z̄|` size computed once.
+struct Estimator<'a> {
+    g: &'a Graph,
+    registry: &'a ClassRegistry,
+    prune: bool,
+    list_of: FxHashMap<ListKey, usize>,
+    lists: Vec<PivotList>,
+    blocks: FxHashMap<BlockKey, (Arc<NodeSet>, u64)>,
     /// Reusable BFS visited bitmap (cleared after every block).
-    scratch: Vec<bool>,
+    visited: Vec<bool>,
 }
 
-impl BlockCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The `radius`-hop block around `pivot` (computed once).
-    pub fn block(&mut self, g: &Graph, pivot: NodeId, radius: usize) -> Arc<NodeSet> {
-        self.block_and_size(g, pivot, radius).0
-    }
-
-    /// The block together with its `|G_z̄|` size measure (Example 11),
-    /// both computed once per `(pivot, radius)`.
-    pub fn block_and_size(
-        &mut self,
-        g: &Graph,
-        pivot: NodeId,
-        radius: usize,
-    ) -> (Arc<NodeSet>, u64) {
-        let scratch = &mut self.scratch;
-        let (block, size) = self.cache.entry((pivot, radius)).or_insert_with(|| {
-            if scratch.len() < g.node_count() {
-                scratch.resize(g.node_count(), false);
+impl Estimator<'_> {
+    /// The index of `plan`'s candidate list, computed on first use:
+    /// with pruning on, its pivot's set in the class's candidate space
+    /// (one simulation per class, read at the representative's
+    /// variable); the pivot label's whole extent otherwise.
+    fn list(&mut self, plan: &ComponentPlan) -> usize {
+        let g = self.g;
+        let (key, set) = if self.prune {
+            let h = self.registry.register(&plan.pattern);
+            let view = self.registry.space(h, g);
+            let pivot = view.rep_var(plan.local_pivot);
+            let key = ListKey::Class(self.registry.class_of(h), pivot);
+            (key, Some((view, pivot)))
+        } else {
+            (ListKey::Label(plan.pivot_label), None)
+        };
+        if let Some(&list) = self.list_of.get(&key) {
+            return list;
+        }
+        let (pivots, pruned) = match &set {
+            Some((view, pivot)) => {
+                let (cands, pruned) = pivots_from_sets(g, plan, &view.space.sets, *pivot);
+                (cands.into(), pruned)
             }
-            let block = neighborhood::khop_nodes_scratch(g, &[pivot], radius, scratch);
-            let size = block.block_size(g) as u64;
-            (Arc::new(block), size)
-        });
-        (block.clone(), *size)
+            None => (feasible_pivots(g, plan, false).0.into(), 0),
+        };
+        self.lists.push(PivotList { pivots, pruned });
+        self.list_of.insert(key, self.lists.len() - 1);
+        self.lists.len() - 1
+    }
+
+    /// Cuts `list` into at most `cuts` near-equal ranges (never more
+    /// ranges than candidates) and returns one slot per range with its
+    /// cost share `|block| × width`.
+    fn slots(
+        &mut self,
+        list: usize,
+        cuts: usize,
+        radius: usize,
+        width: u64,
+    ) -> Vec<(UnitSlot, u64)> {
+        let g = self.g;
+        let pivots = &self.lists[list].pivots;
+        let n = pivots.len();
+        let cuts = cuts.min(n);
+        if self.visited.len() < g.node_count() {
+            self.visited.resize(g.node_count(), false);
+        }
+        let mut out = Vec::with_capacity(cuts);
+        for i in 0..cuts {
+            let (lo, hi) = (i * n / cuts, (i + 1) * n / cuts);
+            let visited = &mut self.visited;
+            let (block, size) = self
+                .blocks
+                .entry((list, lo as u32, hi as u32, radius))
+                .or_insert_with(|| {
+                    let block =
+                        neighborhood::khop_nodes_scratch(g, &pivots[lo..hi], radius, visited);
+                    let size = block.block_size(g) as u64;
+                    (Arc::new(block), size)
+                });
+            let slot = UnitSlot {
+                pivots: Arc::clone(pivots),
+                lo: lo as u32,
+                hi: hi as u32,
+                block: Arc::clone(block),
+            };
+            out.push((slot, *size * width));
+        }
+        out
     }
 }
 
@@ -348,6 +445,11 @@ pub fn estimate_workload(sigma: &GfdSet, g: &Graph, opts: &WorkloadOptions) -> W
 /// at the class representative's variable). Callers that validate
 /// repeatedly (or also run detection) pass the same registry so the
 /// classes stay warm across calls.
+///
+/// Each of a rule's `k` candidate lists is cut into at most
+/// `⌊64^{1/k}⌋` ranges and one unit is emitted per cell of the range
+/// grid, so `units ≤ 64·|Σ|`; a symmetric pair draws both components
+/// from one list and keeps only the cells `i ≤ j`.
 pub fn estimate_workload_in(
     sigma: &GfdSet,
     g: &Graph,
@@ -357,108 +459,73 @@ pub fn estimate_workload_in(
     let start = std::time::Instant::now();
     let sims_before = registry.simulations();
     let rules = plan_rules(sigma);
-    let mut cache = BlockCache::new();
+    let mut est = Estimator {
+        g,
+        registry,
+        prune: opts.prune_empty_pivots,
+        list_of: FxHashMap::default(),
+        lists: Vec::new(),
+        blocks: FxHashMap::default(),
+        visited: Vec::new(),
+    };
     let mut wl = Workload::default();
 
     for rule in &rules {
-        // Per-component feasible candidates with their blocks. One
-        // simulation per component *class* prunes infeasible pivots up
-        // front; blocks are shared `Arc`s sized once in the cache.
-        let mut per_component: Vec<Vec<(NodeId, Arc<NodeSet>, u64)>> = Vec::new();
-        for plan in &rule.components {
-            let (cands, pruned) = if opts.prune_empty_pivots {
-                let view = registry.space(registry.register(&plan.pattern), g);
-                pivots_from_sets(g, plan, &view.space.sets, view.rep_var(plan.local_pivot))
-            } else {
-                feasible_pivots(g, plan, false)
-            };
-            wl.pruned += pruned;
+        let k = rule.components.len();
+        let cuts = cuts_per_list(k);
+        let mut per_component: Vec<Vec<(UnitSlot, u64)>> = Vec::with_capacity(k);
+        // A symmetric pair's second component holds the same candidates
+        // as its first (its pivot is the isomorphic image of component
+        // 0's, and simulation sets are automorphism-invariant), so
+        // Example 10's index pairing runs over component 0's ranges.
+        let (drawn, copies) = if rule.symmetric_pair { (1, 2) } else { (k, 1) };
+        for plan in &rule.components[..drawn] {
+            let list = est.list(plan);
+            // Pruned candidates count once per component.
+            wl.pruned += est.lists[list].pruned * copies;
             let width = plan.width.max(1) as u64;
-            let mut feasible = Vec::with_capacity(cands.len());
-            for cand in cands {
-                let (block, size) = cache.block_and_size(g, cand, plan.radius);
-                feasible.push((cand, block, size * width));
-            }
-            per_component.push(feasible);
+            per_component.push(est.slots(list, cuts, plan.radius, width));
         }
-        // Assemble pivot tuples (k ≤ 2 in practice, §5.2; general k
-        // supported via recursion). Reserving the tuple-count upper
-        // bound up front keeps the units vector from re-growing while
-        // thousands of units stream in.
-        let expected = per_component
-            .iter()
-            .map(Vec::len)
-            .try_fold(1usize, |a, b| a.checked_mul(b))
-            .unwrap_or(usize::MAX)
-            .min(1 << 20);
-        wl.units.reserve(expected);
-        wl.slots
-            .reserve(expected.saturating_mul(rule.components.len()));
-        let mut tuple = Vec::new();
-        assemble(rule, &per_component, 0, &mut tuple, &mut wl);
+        if rule.symmetric_pair {
+            per_component.push(per_component[0].clone());
+        }
+        // The empty pattern has no matches; an empty list no pivots.
+        if k == 0 || per_component.iter().any(Vec::is_empty) {
+            continue;
+        }
+        // One unit per cell of the range grid, in odometer order.
+        let mut cell = vec![0usize; k];
+        loop {
+            // Unordered pairs: second range at or above the first
+            // (Example 10's duplicate removal).
+            if !rule.symmetric_pair || cell[0] <= cell[1] {
+                let offset = wl.slots.len();
+                assert!(offset <= u32::MAX as usize, "slot arena exceeds u32 range");
+                let mut cost = 0u64;
+                for (ranges, &i) in per_component.iter().zip(&cell) {
+                    let (slot, slot_cost) = &ranges[i];
+                    cost += slot_cost;
+                    wl.slots.push(slot.clone());
+                }
+                wl.units.push(WorkUnit {
+                    rule: rule.rule as u32,
+                    slot_offset: offset as u32,
+                    slot_len: k as u32,
+                    check_both_orientations: rule.symmetric_pair,
+                    cost,
+                });
+            }
+            let Some(c) = (0..k).rfind(|&c| cell[c] + 1 < per_component[c].len()) else {
+                break;
+            };
+            cell[c] += 1;
+            cell[c + 1..].fill(0);
+        }
     }
     wl.plans = rules;
     wl.estimation_seconds = start.elapsed().as_secs_f64();
     wl.simulations = registry.simulations() - sims_before;
     wl
-}
-
-/// Recursively builds pivot tuples.
-fn assemble(
-    rule: &PivotedRule,
-    per_component: &[Vec<(NodeId, Arc<NodeSet>, u64)>],
-    depth: usize,
-    tuple: &mut Vec<usize>,
-    wl: &mut Workload,
-) {
-    if depth == per_component.len() {
-        // Injectivity first (component pivots must be distinct nodes)
-        // so rejected tuples never allocate.
-        for (c, &i) in tuple.iter().enumerate() {
-            let a = per_component[c][i].0;
-            if tuple[..c]
-                .iter()
-                .enumerate()
-                .any(|(c2, &i2)| per_component[c2][i2].0 == a)
-            {
-                return;
-            }
-        }
-        let mut cost = 0u64;
-        let offset = wl.slots.len();
-        assert!(offset <= u32::MAX as usize, "slot arena exceeds u32 range");
-        for (c, &i) in tuple.iter().enumerate() {
-            // The tuple's third element is the candidate's unit-cost
-            // contribution (`|block| × width`), precomputed once per
-            // candidate instead of once per tuple.
-            let (pivot, ref block, cost_c) = per_component[c][i];
-            cost += cost_c;
-            wl.slots.push(UnitSlot {
-                pivot,
-                block: block.clone(),
-            });
-        }
-        wl.units.push(WorkUnit {
-            rule: rule.rule as u32,
-            slot_offset: offset as u32,
-            slot_len: tuple.len() as u32,
-            check_both_orientations: rule.symmetric_pair,
-            cost,
-        });
-        return;
-    }
-    let start = if rule.symmetric_pair && depth == 1 {
-        // Unordered pairs: second index strictly above the first
-        // (Example 10's duplicate removal).
-        tuple[0] + 1
-    } else {
-        0
-    };
-    for i in start..per_component[depth].len() {
-        tuple.push(i);
-        assemble(rule, per_component, depth + 1, tuple, wl);
-        tuple.pop();
-    }
 }
 
 #[cfg(test)]
@@ -511,18 +578,76 @@ mod tests {
         }
     }
 
+    /// The unordered pivot pairs a symmetric-pair workload covers: a
+    /// diagonal cell every pair inside its range, an off-diagonal cell
+    /// every pair across its two ranges.
+    fn covered_pairs(wl: &Workload) -> Vec<(NodeId, NodeId)> {
+        let mut pairs = Vec::new();
+        for u in &wl.units {
+            let [a, b] = u.slots(&wl.slots) else {
+                panic!("two components")
+            };
+            for &x in a.range() {
+                for &y in b.range() {
+                    if a.lo != b.lo || x < y {
+                        pairs.push((x.min(y), x.max(y)));
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
     #[test]
     fn example10_unordered_pairs() {
-        // 9 flights, symmetric 2-component rule → C(9,2) = 36 units.
+        // 9 flights, symmetric 2-component rule → C(9,2) = 36 pivot
+        // pairs, each covered by exactly one unit.
         let g = nine_flights();
         let sigma = GfdSet::new(vec![flight_pair_gfd(g.vocab().clone())]);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
-        assert_eq!(wl.units.len(), 36);
+        let pairs = covered_pairs(&wl);
+        assert_eq!(pairs.len(), 36);
+        assert!(pairs.windows(2).all(|w| w[0] != w[1]), "no pair twice");
         assert!(wl.units.iter().all(|u| u.check_both_orientations));
-        // Every unit's cost is the sum of two 1-hop star blocks: each
-        // block = {flight, id} + 1 edge = 3 → cost 6.
-        assert!(wl.units.iter().all(|u| u.cost == 6));
-        assert_eq!(wl.total_cost(), 216);
+        // 9 candidates cut 8 ways: seven one-flight ranges and one of
+        // two, cells i ≤ j only.
+        assert_eq!(wl.units.len(), 8 * 9 / 2);
+        // A one-flight range's 1-hop block is {flight, id} + 1 edge =
+        // 3; a cell costs the sum of its two blocks.
+        let mut costs: Vec<u64> = wl.units.iter().map(|u| u.cost).collect();
+        costs.sort_unstable();
+        costs.dedup();
+        assert_eq!(costs, [6, 9, 12]);
+    }
+
+    /// Lists longer than the cut count: ranges hold several pivots, a
+    /// rule never exceeds its unit bound, and the pairs still come out
+    /// exactly once.
+    #[test]
+    fn long_lists_are_cut_into_bounded_grids() {
+        assert_eq!(
+            [1, 2, 3, 4, 6, 7].map(cuts_per_list),
+            [64, 8, 4, 2, 2, 1],
+            "⌊64^(1/k)⌋"
+        );
+        let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
+        for _ in 0..100 {
+            let f = b.add_node_labeled("flight");
+            let id = b.add_node_labeled("id");
+            b.add_edge_labeled(f, id, "number");
+        }
+        let g = b.freeze();
+        let sigma = GfdSet::new(vec![flight_pair_gfd(g.vocab().clone())]);
+        let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
+        assert_eq!(wl.units.len(), 36, "8 ranges, cells i ≤ j");
+        assert!(wl
+            .slots
+            .iter()
+            .all(|s| (12..=13).contains(&s.range().len())));
+        let pairs = covered_pairs(&wl);
+        assert_eq!(pairs.len(), 100 * 99 / 2);
+        assert!(pairs.windows(2).all(|w| w[0] != w[1]), "no pair twice");
     }
 
     #[test]
@@ -695,13 +820,26 @@ mod tests {
         assert_eq!(costs, [10, 10, 10, 10, 12, 12, 12]);
     }
 
+    /// Twin rules draw one candidate list, and with it one block per
+    /// range: the second rule's slots are the first's, by pointer.
     #[test]
     fn block_cache_reuses() {
         let g = nine_flights();
-        let mut cache = BlockCache::new();
-        let b1 = cache.block(&g, NodeId(0), 1).clone();
-        let b2 = cache.block(&g, NodeId(0), 1).clone();
-        assert_eq!(b1, b2);
-        assert_eq!(cache.cache.len(), 1);
+        let vocab = g.vocab().clone();
+        let sigma = GfdSet::new(vec![flight_pair_gfd(vocab.clone()), flight_pair_gfd(vocab)]);
+        let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
+        let (first, second) = wl.units.split_at(wl.units.len() / 2);
+        assert!(first.iter().all(|u| u.rule == 0) && second.iter().all(|u| u.rule == 1));
+        for (u, twin) in first.iter().zip(second) {
+            for (s, t) in u.slots(&wl.slots).iter().zip(twin.slots(&wl.slots)) {
+                assert!(Arc::ptr_eq(&s.pivots, &t.pivots), "one list");
+                assert_eq!((s.lo, s.hi), (t.lo, t.hi));
+                assert!(Arc::ptr_eq(&s.block, &t.block), "one block per range");
+            }
+        }
+        let mut blocks: Vec<_> = wl.slots.iter().map(|s| Arc::as_ptr(&s.block)).collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        assert_eq!(blocks.len(), 8, "one BFS per range of the one list");
     }
 }

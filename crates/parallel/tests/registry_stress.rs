@@ -1,8 +1,8 @@
 //! Concurrent serving-tier stress: one shared [`ClassRegistry`]
 //! serving two [`ViolationService`] tenants (racing each other on
 //! every `advance`) plus the panic-isolated threaded executor (N
-//! workers racing on every table probe), over an edit stream replayed
-//! from a fixed seed, so a failure here reproduces exactly.
+//! workers racing on every class-space request), over an edit stream
+//! replayed from a fixed seed, so a failure here reproduces exactly.
 //!
 //! Oracles:
 //! - Every epoch, both tenants and the threaded executor agree, and
@@ -58,8 +58,8 @@ fn social(n: usize) -> Graph {
 /// Three rules in two isomorphism classes, chosen so the registry's
 /// sharing machinery is all load-bearing: the two-component symmetric
 /// rule's halves and the spam rule's pattern are isomorphic (one
-/// class, three members, two of them a symmetric pair sharing match
-/// tables), the liker rule is the second class.
+/// class, three members, two of them a symmetric pair sharing one
+/// candidate list), the liker rule is the second class.
 fn rules(vocab: Arc<Vocab>) -> GfdSet {
     let keyword = vocab.intern("keyword");
     let is_fake = vocab.intern("is_fake");
@@ -221,8 +221,8 @@ fn shared_registry_serves_racing_tenants_and_executor() {
         );
 
         // The threaded executor probes the same registry at the same
-        // version: N workers over overlapping classes, sharing tables
-        // cross-worker.
+        // version: N workers over overlapping classes, sharing their
+        // spaces cross-worker.
         let head = svc_a.snapshot().graph;
         let wl = estimate_workload_in(&sigma, &head, &WorkloadOptions::default(), &registry);
         let report = run_units_threaded_report(
@@ -251,7 +251,7 @@ fn shared_registry_serves_racing_tenants_and_executor() {
 
     assert!(
         exec_hits > 0,
-        "the symmetric pair must produce cross-worker table hits"
+        "the workers must be served resident class spaces"
     );
 
     // Final oracle: the shared set is exactly from-scratch detection

@@ -164,12 +164,14 @@ fn soak_10k_edit_stream_survives_every_fault_family() {
         faults: Some(plan.clone()),
     };
 
-    let g0 = Arc::new(social(16));
+    // More accounts than a rule has ranges, so the units a degraded
+    // epoch faults, retries and quarantines hold several pivots each.
+    let g0 = Arc::new(social(160));
     let sigma = rules(g0.vocab().clone());
     // The service runs over an explicitly budgeted serving tier so the
     // soak also exercises the registry's memory contract: bounded
     // bytes at every epoch, and deferred (pin-protected) evictions
-    // that fully drain once no worker holds a table.
+    // that fully drain once no worker holds a class view.
     let budget: usize = 256 << 10;
     let registry = Arc::new(ClassRegistry::with_budget_bytes(budget));
     let mut svc =
@@ -216,8 +218,7 @@ fn soak_10k_edit_stream_survives_every_fault_family() {
         }
         // The memory contract holds at every epoch boundary: no worker
         // is mid-unit here, so nothing is pinned and the byte budget —
-        // which accounts spaces, tables, *and* factorizations — is
-        // strict.
+        // which accounts spaces *and* factorizations — is strict.
         assert!(
             registry.bytes() <= budget,
             "epoch {epoch}: registry at {} bytes exceeds its {budget}-byte budget",
@@ -228,7 +229,7 @@ fn soak_10k_edit_stream_survives_every_fault_family() {
     // Both rules carry constant-only consequents, so the service's
     // initial pass must have gone through the factorized marginal
     // screen — the budget assertions above covered factorization bytes,
-    // not just spaces and tables.
+    // not just spaces.
     assert!(
         registry.factorizations_built() > 0,
         "const-Y rules must exercise the factorized fast path"

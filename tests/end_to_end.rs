@@ -340,7 +340,7 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
 }
 
 /// Every unit-based path over `sigma`: the threaded executor,
-/// `repVal` with and without the multi-query cache, and `disVal`.
+/// `repVal` with and without the multi-query optimization, and `disVal`.
 fn unit_paths(
     sigma: &gfd::core::GfdSet,
     g: &std::sync::Arc<gfd::graph::Graph>,
@@ -505,4 +505,199 @@ fn permuted_twin_components_agree_with_detvio_on_every_unit_path() {
         Ok(())
     });
     assert!(seen_violation, "premise: some generated rule is violated");
+}
+
+/// The coverage oracle for range units. On random `(G, Σ)` — a
+/// connected rule, an asymmetric two-component rule and a symmetric
+/// pair, every candidate list longer than its cut count so that ranges
+/// hold several pivots and diagonal and off-diagonal cells both occur —
+/// the pivot tuples `wl.units` cover are every tuple of distinct
+/// feasible pivots exactly once (unordered for the symmetric pair:
+/// Example 10's `C(n, 2)`), and every unit path returns `detVio`'s
+/// violation set.
+#[test]
+fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
+    use gfd::core::{Dependency, Gfd, GfdSet, Literal};
+    use gfd::graph::{GraphBuilder, NodeId, Value};
+    use gfd::parallel::workload::feasible_pivots;
+    use gfd::pattern::PatternBuilder;
+    use gfd_util::prop::check;
+
+    /// Every tuple drawing one pivot from each list, in list order.
+    fn product(lists: &[&[NodeId]]) -> Vec<Vec<NodeId>> {
+        lists.iter().fold(vec![Vec::new()], |tuples, list| {
+            tuples
+                .iter()
+                .flat_map(|t| list.iter().map(move |&p| [&t[..], &[p]].concat()))
+                .collect()
+        })
+    }
+
+    let cases = if std::env::var_os("BENCH_SMOKE").is_some() {
+        2
+    } else {
+        6
+    };
+    check("range units: coverage + path agreement", cases, |rng| {
+        let mut gb = GraphBuilder::with_fresh_vocab();
+        let vocab = gb.vocab().clone();
+        let [a, b, c] = [("a", 180..220), ("b", 18..26), ("c", 18..26)].map(|(label, n)| {
+            let layer: Vec<NodeId> = (0..rng.gen_range(n))
+                .map(|_| {
+                    let u = gb.add_node_labeled(label);
+                    gb.set_attr_named(u, "val", Value::Int(rng.gen_range(0..3) as i64));
+                    u
+                })
+                .collect();
+            layer
+        });
+        for &u in &a {
+            for _ in 0..rng.gen_range(1..4) {
+                let targets = if rng.gen_bool(0.6) { &b } else { &c };
+                gb.add_edge_labeled(u, targets[rng.gen_range(0..targets.len())], "e");
+            }
+        }
+        let g = std::sync::Arc::new(gb.freeze());
+        let val = vocab.intern("val");
+
+        // Connected: a → b.
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let (x, y) = (pb.node("x", "a"), pb.node("y", "b"));
+        pb.edge(x, y, "e");
+        let connected = Gfd::new(
+            "connected",
+            pb.build(),
+            Dependency::always(vec![Literal::var_eq(x, val, y, val)]),
+        );
+        // Asymmetric: an a → c edge next to a lone b.
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let (x, y, z) = (pb.node("x", "a"), pb.node("y", "c"), pb.node("z", "b"));
+        pb.edge(x, y, "e");
+        let asymmetric = Gfd::new(
+            "asymmetric",
+            pb.build(),
+            Dependency::always(vec![Literal::var_eq(x, val, z, val)]),
+        );
+        // Symmetric pair: a → b twice, the second half declared either
+        // way round.
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let (x, y) = (pb.node("x", "a"), pb.node("y", "b"));
+        pb.edge(x, y, "e");
+        let (x2, y2) = if rng.gen_bool(0.5) {
+            let y2 = pb.node("y2", "b");
+            (pb.node("x2", "a"), y2)
+        } else {
+            (pb.node("x2", "a"), pb.node("y2", "b"))
+        };
+        pb.edge(x2, y2, "e");
+        let symmetric = Gfd::new(
+            "symmetric",
+            pb.build(),
+            Dependency::new(
+                vec![Literal::var_eq(y, val, y2, val)],
+                vec![Literal::var_eq(x, val, x2, val)],
+            ),
+        );
+        let sigma = GfdSet::new(vec![connected, asymmetric, symmetric]);
+
+        // Coverage, against feasible lists simulated per component.
+        let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
+        for (r, rule) in wl.plans.iter().enumerate() {
+            let lists: Vec<Vec<NodeId>> = rule
+                .components
+                .iter()
+                .map(|plan| feasible_pivots(&g, plan, true).0)
+                .collect();
+            let units: Vec<_> = wl.units.iter().filter(|u| u.rule() == r).collect();
+            if units.len() > 64 {
+                return Err(format!("rule {r}: {} units", units.len()));
+            }
+            if units
+                .iter()
+                .any(|u| u.slots(&wl.slots).iter().any(|s| s.range().len() < 2))
+            {
+                return Err(format!(
+                    "rule {r}: premise: every range holds several pivots"
+                ));
+            }
+            let mut diagonal = 0;
+            let mut covered: Vec<Vec<NodeId>> = Vec::new();
+            for u in &units {
+                let slots = u.slots(&wl.slots);
+                let same_range = rule.symmetric_pair && slots[0].lo == slots[1].lo;
+                diagonal += usize::from(same_range);
+                let ranges: Vec<&[NodeId]> = slots.iter().map(|s| s.range()).collect();
+                for mut t in product(&ranges) {
+                    if rule.symmetric_pair {
+                        if same_range && t[0] >= t[1] {
+                            continue;
+                        }
+                        t.sort_unstable();
+                    }
+                    if t.len() == 1 || t[0] != t[1] {
+                        covered.push(t);
+                    }
+                }
+            }
+            let lists: Vec<&[NodeId]> = lists.iter().map(Vec::as_slice).collect();
+            let mut expected = product(&lists);
+            if rule.symmetric_pair {
+                if lists[0] != lists[1] {
+                    return Err("symmetric components must share candidates".into());
+                }
+                if diagonal == 0 || diagonal == units.len() {
+                    return Err(format!("rule {r}: premise: both kinds of cell"));
+                }
+                expected.retain(|t| t[0] < t[1]);
+            } else {
+                expected.retain(|t| t.len() == 1 || t[0] != t[1]);
+            }
+            covered.sort_unstable();
+            expected.sort_unstable();
+            if covered != expected {
+                return Err(format!(
+                    "rule {r}: units cover {} pivot tuples, {} expected",
+                    covered.len(),
+                    expected.len()
+                ));
+            }
+        }
+
+        // Every path returns detVio's set.
+        let expected = canonical(detect_violations(&sigma, &g));
+        if !(0..3).all(|r| expected.iter().any(|v| v.rule == r)) {
+            return Err("premise: every rule is violated".into());
+        }
+        let frag = Fragmentation::partition(&g, 3, PartitionStrategy::Hash);
+        let mut paths: Vec<(String, Vec<Violation>)> = Vec::new();
+        for t in [1, 2, 4] {
+            let thr = threaded::run_units_threaded(&g, &sigma, &wl.plans, &wl.units, &wl.slots, t);
+            paths.push((format!("threaded×{t}"), thr));
+        }
+        for (name, cfg) in [
+            ("repVal", RepValConfig::val(3)),
+            ("repnop", RepValConfig::nop(3)),
+            ("repran", RepValConfig::ran(3, 5)),
+            ("repVal+split", RepValConfig::val(3).with_split(40)),
+        ] {
+            paths.push((name.into(), rep_val(&sigma, &g, &cfg).violations));
+        }
+        for (name, cfg) in [
+            ("disVal", DisValConfig::val(3)),
+            ("disnop", DisValConfig::nop(3)),
+            ("disran", DisValConfig::ran(3, 5)),
+        ] {
+            paths.push((name.into(), dis_val(&sigma, &g, &frag, &cfg).violations));
+        }
+        for (path, got) in paths {
+            if got != expected {
+                return Err(format!(
+                    "{path}: {} violations, detVio {}",
+                    got.len(),
+                    expected.len()
+                ));
+            }
+        }
+        Ok(())
+    });
 }
