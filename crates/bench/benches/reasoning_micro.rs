@@ -21,7 +21,7 @@ use gfd_datagen::{
     RuleGenConfig, SynthConfig,
 };
 use gfd_graph::intersect::intersect_in_place;
-use gfd_graph::{AttrOp, Edge, Graph, GraphDelta, NodeId, Value, Vocab};
+use gfd_graph::{AttrOp, Edge, Graph, GraphBuilder, GraphDelta, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
     count_matches, count_matches_with, dual_simulation, for_each_match_with, ClassRegistry,
@@ -173,6 +173,28 @@ fn bench_graph_primitives(g: &Graph, samples: &mut Vec<Sample>) {
     bench("graph/extent(label lookup)", samples, || {
         g.extent(node_label).len()
     });
+
+    // Probes whose source's run is out of line (longer than a page
+    // has nodes). No stand-in has an out-run that long, so the probes
+    // go against the transpose, whose out-runs are `g`'s in-runs.
+    let mut transpose = GraphBuilder::new(g.vocab().clone());
+    for u in g.nodes() {
+        transpose.add_node(g.label(u));
+    }
+    for e in g.edges() {
+        transpose.add_edge(e.dst, e.src, e.label);
+    }
+    let transpose = transpose.freeze();
+    let hubs: Vec<NodeId> = (transpose.nodes())
+        .filter(|&u| transpose.out_degree(u) > 64)
+        .collect();
+    assert!(!hubs.is_empty(), "the stand-in has in-hubs");
+    let mut h = 0usize;
+    bench("graph/has_edge(hub source)", samples, || {
+        let (u, (_, v)) = (hubs[h % hubs.len()], probes[h & 1023]);
+        h += 1;
+        transpose.has_edge(u, v, label)
+    });
 }
 
 /// The write side of the snapshot: what a successor costs when the
@@ -198,6 +220,22 @@ fn bench_graph_writes(samples: &mut Vec<Sample>) {
     bench("graph/apply_delta(1 edge, 1e5 nodes)", samples, || {
         g.apply_delta(&one_edge).edge_count()
     });
+
+    // The case that one steers around: the destination shares its
+    // page with the highest-in-degree node of `social-cycles`' graph.
+    let pokec = reallife_graph(&RealLifeConfig {
+        scale: 0.5,
+        ..RealLifeConfig::new(RealLifeKind::Pokec)
+    });
+    let mut beside_hub = GraphDelta::new(pokec.node_count());
+    beside_hub
+        .added_edges
+        .push(gfd_bench::edge_beside_hub(&pokec).1);
+    bench(
+        "graph/apply_delta(1 edge beside a hub, pokec)",
+        samples,
+        || pokec.apply_delta(&beside_hub).edge_count(),
+    );
 
     let stamp = g.vocab().intern("stamp");
     let mut writes = GraphDelta::new(n);

@@ -1,4 +1,5 @@
-//! Ablation of the individual design choices DESIGN.md calls out,
+//! Ablation of the individual design choices `ROADMAP.md`'s
+//! Architecture section calls out for the parallel algorithms,
 //! each toggled separately at `n = 16` on the DBpedia stand-in:
 //!
 //! * multi-query processing over shared class spaces (appendix, \[31\]);

@@ -2,10 +2,11 @@
 //! time for the `dis*` family as the graph grows, `n = 16`.
 //!
 //! The paper sweeps (10M,20M) → (50M,100M) nodes/edges; we sweep the
-//! same 1:2 node:edge shape at 1:100 scale, (100k,200k) → (500k,1M),
-//! per the substitution note in `DESIGN.md` §3. The sequential
-//! `detVio` is also attempted with a step budget, mirroring the
-//! paper's observation that it does not complete at scale.
+//! same 1:2 node:edge shape at 1:100 scale, (100k,200k) → (500k,1M)
+//! (the bin table in `crates/bench/src/lib.rs` indexes the figures).
+//! The sequential `detVio` is also attempted with a step budget,
+//! mirroring the paper's observation that it does not complete at
+//! scale.
 
 use gfd_bench::{banner, measure, print_table};
 use gfd_core::validate::detect_violations_budgeted;

@@ -1,7 +1,7 @@
 //! # gfd-bench — harness regenerating every table and figure of §7
 //!
-//! One binary per paper artifact (see `DESIGN.md` §4 and
-//! `EXPERIMENTS.md` for the index):
+//! One binary per paper artifact — this table is the index; the
+//! workspace around it is `ROADMAP.md`'s Architecture section:
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -14,11 +14,11 @@
 //! | `fig8_skew` | Fig. 8 — time vs skew, replicate-and-split ablation |
 //! | `fig9_accuracy` | Fig. 9 — recall/precision/time vs GCFD and BigDansing-style baselines |
 //! | `exp1_summary` | Exp-1 headline numbers (speedups, optimization gains) |
-//! | `ablation_opt` | DESIGN.md ablations: each optimization toggled separately |
+//! | `ablation_opt` | ablations: each optimization toggled separately |
 //!
 //! All binaries print machine-readable tables (TSV-ish) whose rows are
-//! the series the paper plots. Graph sizes are scaled (the substitution
-//! table in `DESIGN.md` §3); series *shapes* — who wins, scaling
+//! the series the paper plots. Graph sizes are scaled (the stand-ins
+//! of `gfd_datagen::reallife`); series *shapes* — who wins, scaling
 //! trends, crossovers — are the reproduction target, not absolute
 //! seconds.
 
@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use gfd_core::GfdSet;
 use gfd_datagen::{mine_gfds, reallife_graph, RealLifeConfig, RealLifeKind, RuleGenConfig};
-use gfd_graph::{Fragmentation, Graph, PartitionStrategy};
+use gfd_graph::{Edge, Fragmentation, Graph, NodeId, PartitionStrategy};
 use gfd_parallel::{dis_val, rep_val, DisValConfig, ParallelReport, RepValConfig};
 
 /// The three real-life stand-in datasets of §7.
@@ -159,11 +159,36 @@ pub fn print_table(title: &str, x_name: &str, xs: &[String], series: &[(&str, Ve
     }
 }
 
+/// The write the paged snapshot is worst placed for, as the
+/// allocation gate and the microbench both aim it: the node of the
+/// highest in-degree, and an absent edge whose destination shares that
+/// hub's 64-node page (the page-mate with the shortest in-run, so the
+/// edge touches no long run itself) and whose source lies in the upper
+/// half of the id range, away from the hubs.
+pub fn edge_beside_hub(g: &Graph) -> (NodeId, Edge) {
+    let hub = (g.nodes().max_by_key(|&u| g.in_degree(u))).expect("the graph has nodes");
+    let dst = (hub.0 & !63..=hub.0 | 63)
+        .map(NodeId)
+        .filter(|&u| u != hub && u.index() < g.node_count())
+        .min_by_key(|&u| g.in_degree(u))
+        .expect("the hub has a page-mate");
+    let label = g.edges().next().expect("the graph has edges").label;
+    let edge = (g.node_count() / 2..g.node_count())
+        .map(|src| Edge {
+            src: NodeId(src as u32),
+            dst,
+            label,
+        })
+        .find(|e| !g.has_edge(e.src, e.dst, e.label))
+        .expect("an absent edge exists");
+    (hub, edge)
+}
+
 /// Pretty banner for a figure binary.
 pub fn banner(fig: &str, what: &str) {
     println!("==============================================================");
     println!("{fig} — {what}");
-    println!("(scaled reproduction; see DESIGN.md §3 and EXPERIMENTS.md)");
+    println!("(scaled reproduction; see ROADMAP.md, Architecture, and crates/bench/src/lib.rs)");
     println!("==============================================================");
 }
 

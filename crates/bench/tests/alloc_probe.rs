@@ -413,9 +413,14 @@ fn bytes_requested<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// The O(delta) snapshot gate: a successor snapshot shares every page
 /// its delta leaves alone, so a small delta must cost a small fraction
 /// of a rebuild, and a run of pinned epochs must cost the pages that
-/// changed, not one graph per pin. Byte counts repeat exactly, so the
+/// changed, not one graph per pin. Inside a touched page it shares
+/// every out-of-line run and every tuple the delta leaves alone: an
+/// edge that lands beside the graph's largest hub must cost less than
+/// that hub's run, and sixteen writes into sixteen pages the pages'
+/// pointers and sixteen tuples. Byte counts repeat exactly, so the
 /// limits are hard asserts; a whole-array clone anywhere in
-/// `apply_delta` overshoots them several times over.
+/// `apply_delta` overshoots the first three several times over, a copy
+/// of a bystander hub or of a page's other tuples the last two.
 #[test]
 fn apply_delta_allocates_by_the_delta_not_the_graph() {
     let _serial = serial();
@@ -425,8 +430,8 @@ fn apply_delta_allocates_by_the_delta_not_the_graph() {
     let (_, freeze_bytes) = bytes_requested(|| builder.freeze());
     let (_, rebuild_bytes) = bytes_requested(|| g.thaw().freeze());
 
-    // Edits land in the upper half of the id range, away from the
-    // Zipf hubs whose pages are as large as their in-runs.
+    // Edits land in the upper half of the id range, on ordinary pages;
+    // the Zipf hubs at the low ids get their own case below.
     let label = g.edges().next().expect("the graph has edges").label;
     let edge_at = |i: usize| {
         (n / 2 + 131 * i..n)
@@ -463,6 +468,32 @@ fn apply_delta_allocates_by_the_delta_not_the_graph() {
     assert!(
         write_bytes * 20 < rebuild_bytes,
         "a 16-write apply_delta requested {write_bytes} B, a rebuild {rebuild_bytes} B"
+    );
+
+    // Sixteen writes into sixteen distinct pages: the three spines,
+    // and per page its 64 pointers and the one written tuple (two
+    // `Arc` headers, the tuple's vector and 256 B of entries — the six
+    // a written tuple holds here take 192). Copying a page's other 63
+    // tuples costs several times that.
+    let pages = n.div_ceil(64) as u64;
+    let per_page = 64 * 8 + 2 * 16 + 24 + 256;
+    assert!(
+        write_bytes < 3 * 8 * pages + 16 * per_page,
+        "a 16-write apply_delta requested {write_bytes} B over {pages} pages"
+    );
+
+    // One edge whose destination shares a page with the node of the
+    // highest in-degree: the patch rebuilds the page around the hub's
+    // run, so it requests less than that run alone occupies.
+    let (hub, edge) = gfd_bench::edge_beside_hub(&g);
+    let mut beside_hub = GraphDelta::new(n);
+    beside_hub.added_edges.push(edge);
+    let (patched, hub_page_bytes) = bytes_requested(|| g.apply_delta(&beside_hub));
+    assert_eq!(patched.in_degree(hub), g.in_degree(hub));
+    let hub_run_bytes = 8 * g.in_degree(hub) as u64;
+    assert!(
+        hub_page_bytes < hub_run_bytes,
+        "an edge beside a hub requested {hub_page_bytes} B, the hub's run is {hub_run_bytes} B"
     );
 
     // 32 epochs of one edit each, every snapshot kept pinned.

@@ -10,7 +10,7 @@
 //! * [`reallife`] — scaled stand-ins for DBpedia, YAGO2 and Pokec that
 //!   preserve the statistics GFD validation is sensitive to (type
 //!   alphabet sizes, node:edge ratios, entity shapes, degree skew) —
-//!   the offline substitution documented in `DESIGN.md`;
+//!   the offline substitution (see `ROADMAP.md`, Architecture);
 //! * [`rules`] — the GFD generator of §7: mine frequent features
 //!   (edges and short paths), pick top seeds, assemble patterns of a
 //!   target size with 1–2 connected components, then attach attribute

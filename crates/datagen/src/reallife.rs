@@ -6,8 +6,9 @@
 //! graphs that preserve the statistics the GFD algorithms are
 //! sensitive to — type-alphabet sizes, node:edge ratios, entity shapes
 //! (hub + property leaves, the shape `Q1`-style patterns match), and
-//! power-law relation skew — at roughly 0.1% scale. See `DESIGN.md`
-//! §3 for the substitution rationale.
+//! power-law relation skew — at roughly 0.1% scale. `ROADMAP.md`'s
+//! Architecture section places the stand-ins in the workspace; the bin
+//! table in `crates/bench/src/lib.rs` lists the figures run on them.
 //!
 //! Entities are hubs typed over a Zipf alphabet; each carries property
 //! leaves (typed nodes with a `val` attribute, like `flight → id`)

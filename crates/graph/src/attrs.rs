@@ -44,6 +44,19 @@ impl AttrMap {
         }
     }
 
+    /// A copy of this tuple with `attr = value`, in one allocation of
+    /// its final size — what a write into a tuple that another snapshot
+    /// still shares costs.
+    pub(crate) fn with(&self, attr: Sym, value: Value) -> AttrMap {
+        let at = self.entries.binary_search_by_key(&attr, |(a, _)| *a);
+        let (Ok(i) | Err(i)) = at;
+        let mut entries = Vec::with_capacity(self.entries.len() + usize::from(at.is_err()));
+        entries.extend_from_slice(&self.entries[..i]);
+        entries.push((attr, value));
+        entries.extend_from_slice(&self.entries[i + usize::from(at.is_ok())..]);
+        AttrMap { entries }
+    }
+
     /// Removes `attr`, returning its previous value.
     pub fn remove(&mut self, attr: Sym) -> Option<Value> {
         match self.entries.binary_search_by_key(&attr, |(a, _)| *a) {
@@ -102,6 +115,22 @@ mod tests {
         m.set(s(3), Value::Int(9));
         assert_eq!(m.get(s(3)), Some(&Value::Int(9)));
         assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn with_equals_clone_then_set() {
+        let m: AttrMap = [2u32, 4, 6]
+            .into_iter()
+            .map(|i| (s(i), Value::Int(i as i64)))
+            .collect();
+        for attr in 1..=7 {
+            let mut expected = m.clone();
+            expected.set(s(attr), Value::Bool(true));
+            let copy = m.with(s(attr), Value::Bool(true));
+            assert_eq!(copy, expected);
+            assert_eq!(copy.entries.capacity(), copy.len(), "one exact allocation");
+        }
+        assert_eq!(AttrMap::new().with(s(1), Value::Int(1)).len(), 1);
     }
 
     #[test]

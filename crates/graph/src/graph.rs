@@ -17,10 +17,13 @@
 //!   `(label, dst)` so duplicate-edge rejection stays a binary search.
 //! * [`Graph`] — produced by [`GraphBuilder::freeze`]: nodes are cut
 //!   into fixed-size pages of consecutive ids, each page a small CSR
-//!   (offsets + one contiguous adjacency array) per direction plus the
-//!   page's attribute tuples, every page behind its own `Arc`. Each
-//!   node's edge run is contiguous and sorted by `(label, dst)`, and
-//!   label extents are contiguous ranges over a node permutation.
+//!   (per-slot ranges over one contiguous adjacency array) per
+//!   direction plus the page's attribute tuples, every page behind its
+//!   own `Arc`. A run longer than a page has nodes lives out of line
+//!   in an `Arc` of its own, named by its slot's range entry; every
+//!   tuple sits behind its own `Arc` too. Each node's edge run is
+//!   contiguous and sorted by `(label, dst)`, and label extents are
+//!   contiguous ranges over a node permutation.
 //!   `has_edge` is a binary search over one contiguous slice;
 //!   per-label neighbor lists ([`Graph::neighbors_labeled`]) and label
 //!   extents ([`Graph::extent`]) are zero-allocation subslices.
@@ -36,9 +39,11 @@
 //! A successor snapshot ([`Graph::apply_delta`]) shares every page its
 //! delta does not touch with its predecessor: an epoch of the edit
 //! stream, a replayed log frame and a reader's pinned snapshot each
-//! cost the pages that changed, not a copy of the graph. Pages are cut
-//! by node count, so the page holding a high-degree hub is as large as
-//! the hub's run.
+//! cost the pages that changed, not a copy of the graph. Inside a
+//! touched page the unit of copy is the run and the tuple: what a
+//! successor copies is the runs and tuples its delta changes, the
+//! page's short runs (at most a page's worth of entries each) and one
+//! pointer per out-of-line run and per tuple it leaves alone.
 //!
 //! Edge semantics are unchanged from §2: edges are directed, labeled,
 //! and unique per `(src, dst, label)` triple (parallel edges with
@@ -122,7 +127,14 @@ impl fmt::Debug for Adj {
 pub struct GraphBuilder {
     vocab: Arc<Vocab>,
     labels: Vec<Sym>,
-    attrs: Vec<AttrMap>,
+    /// One tuple per node, shared with the snapshots it came from or
+    /// went into and copied on its first write: [`Graph::thaw`] copies
+    /// no tuple and [`freeze`](GraphBuilder::freeze) moves them all.
+    /// A tuple's `Arc` is made when it is first written, so that it
+    /// sits next to its entries.
+    attrs: Vec<Arc<AttrMap>>,
+    /// The tuple of every node that has no attribute yet.
+    no_attrs: Arc<AttrMap>,
     /// Outgoing adjacency per node, sorted by `(label, dst)`.
     out: Vec<Vec<Adj>>,
     label_index: HashMap<Sym, Vec<NodeId>>,
@@ -140,6 +152,7 @@ impl GraphBuilder {
             vocab,
             labels: Vec::new(),
             attrs: Vec::new(),
+            no_attrs: Arc::default(),
             out: Vec::new(),
             label_index: HashMap::new(),
             edge_count: 0,
@@ -178,7 +191,7 @@ impl GraphBuilder {
     pub fn add_node(&mut self, label: Sym) -> NodeId {
         let id = NodeId(self.labels.len() as u32);
         self.labels.push(label);
-        self.attrs.push(AttrMap::new());
+        self.attrs.push(self.no_attrs.clone());
         self.out.push(Vec::new());
         self.label_index.entry(label).or_default().push(id);
         if let Some(rec) = &mut self.rec {
@@ -272,7 +285,7 @@ impl GraphBuilder {
                 value: Some(value.clone()),
             });
         }
-        self.attrs[node.index()].set(attr, value);
+        set_shared(&mut self.attrs[node.index()], attr, value);
     }
 
     /// Sets an attribute, interning its name first.
@@ -283,17 +296,18 @@ impl GraphBuilder {
 
     /// Removes attribute `attr` from `node`, returning the old value.
     pub fn remove_attr(&mut self, node: NodeId, attr: Sym) -> Option<Value> {
-        let old = self.attrs[node.index()].remove(attr);
-        if old.is_some() {
-            if let Some(rec) = &mut self.rec {
-                rec.attr_ops.push(AttrOp {
-                    node,
-                    attr,
-                    value: None,
-                });
-            }
+        let map = &mut self.attrs[node.index()];
+        if !map.contains(attr) {
+            return None;
         }
-        old
+        if let Some(rec) = &mut self.rec {
+            rec.attr_ops.push(AttrOp {
+                node,
+                attr,
+                value: None,
+            });
+        }
+        Arc::make_mut(map).remove(attr)
     }
 
     /// Relabels `node` (updating the label index) and returns the old
@@ -348,7 +362,7 @@ impl GraphBuilder {
 
     /// The value of `node.attr`, if present.
     pub fn attr(&self, node: NodeId, attr: Sym) -> Option<&Value> {
-        self.attrs[node.index()].get(attr)
+        self.attrs(node).get(attr)
     }
 
     /// Nodes currently carrying `label` (ascending ids).
@@ -369,62 +383,64 @@ impl GraphBuilder {
             .out
             .chunks(PAGE_NODES)
             .map(|runs| {
-                let mut page = PageBuilder::with_capacity(runs.iter().map(Vec::len).sum());
+                let mut page = PageBuilder::for_lens(runs.iter().map(Vec::len));
                 for run in runs {
-                    page.adj.extend_from_slice(run);
-                    page.end_run();
+                    page.push_run(run.len(), run.iter().copied());
                 }
-                page.finish()
+                Arc::new(page.finish())
             })
             .collect();
 
-        // In pages: counting sort by destination, then order each run.
-        // `pending[v]` counts the slots of `v`'s run still to fill.
-        let mut pending = vec![0u32; n];
+        // In pages: counting sort by destination into one array, each
+        // run ordered, then cut into pages. `next[v]` is where the next
+        // entry of `v`'s run goes.
+        let mut degrees = vec![0u32; n];
         for run in &self.out {
             for a in run {
-                pending[a.node.index()] += 1;
+                degrees[a.node.index()] += 1;
             }
         }
-        let mut inn: Vec<AdjPage> = pending
-            .chunks(PAGE_NODES)
-            .map(|degrees| {
-                let mut offsets = [0u32; PAGE_NODES + 1];
-                for slot in 0..PAGE_NODES {
-                    offsets[slot + 1] = offsets[slot] + degrees.get(slot).copied().unwrap_or(0);
-                }
-                let filler = Adj {
-                    label: Sym(0),
-                    node: NodeId(0),
-                };
-                AdjPage {
-                    offsets,
-                    adj: vec![filler; offsets[PAGE_NODES] as usize].into_boxed_slice(),
-                }
+        let mut next: Vec<u32> = degrees
+            .iter()
+            .scan(0, |end, &degree| {
+                Some(std::mem::replace(end, *end + degree))
             })
             .collect();
+        let mut in_runs = vec![FILLER; self.edge_count];
         for (src, run) in self.out.iter().enumerate() {
             for a in run {
-                let dst = a.node.index();
-                let page = &mut inn[dst >> PAGE_SHIFT];
-                let at = page.offsets[(dst & PAGE_MASK) + 1] - pending[dst];
-                pending[dst] -= 1;
-                page.adj[at as usize] = Adj {
+                let at = &mut next[a.node.index()];
+                in_runs[*at as usize] = Adj {
                     label: a.label,
                     node: NodeId(src as u32),
                 };
+                *at += 1;
             }
         }
-        for page in &mut inn {
-            for slot in 0..PAGE_NODES {
-                let (lo, hi) = (page.offsets[slot], page.offsets[slot + 1]);
-                page.adj[lo as usize..hi as usize].sort_unstable();
-            }
-        }
+        let mut cut = 0;
+        let inn = degrees
+            .chunks(PAGE_NODES)
+            .map(|degrees| {
+                let mut page = PageBuilder::for_lens(degrees.iter().map(|&d| d as usize));
+                for &degree in degrees {
+                    let run = &mut in_runs[cut..cut + degree as usize];
+                    cut += run.len();
+                    run.sort_unstable();
+                    page.push_run(run.len(), run.iter().copied());
+                }
+                Arc::new(page.finish())
+            })
+            .collect();
 
+        // Slots past the last node share the tuple of the nodes without
+        // attributes.
         let mut maps = self.attrs.into_iter();
         let attrs = (0..page_count(n))
-            .map(|_| Arc::new(std::array::from_fn(|_| maps.next().unwrap_or_default())))
+            .map(|_| {
+                Arc::new(std::array::from_fn(|_| {
+                    maps.next().unwrap_or_else(|| self.no_attrs.clone())
+                }))
+            })
             .collect();
 
         let (extent_perm, extent_ranges) = build_extents(&self.labels);
@@ -433,7 +449,7 @@ impl GraphBuilder {
             labels: self.labels.into(),
             attrs,
             out,
-            inn: inn.into_iter().map(Arc::new).collect(),
+            inn,
             extent_perm,
             extent_ranges,
             edge_count: self.edge_count,
@@ -464,67 +480,149 @@ fn page_count(n: usize) -> usize {
     n.div_ceil(PAGE_NODES)
 }
 
-/// The attribute tuples of one page's nodes. Slots past the last node
-/// hold empty maps, so adding nodes into a page's free slots changes
-/// nothing.
-type AttrPage = [AttrMap; PAGE_NODES];
+/// The longest run a page keeps inline in its adjacency array; a
+/// longer one (a hub's) lives in an allocation of its own, so that
+/// rebuilding the page for a neighbor's edit shares it instead of
+/// copying it.
+const INLINE_RUN_MAX: usize = PAGE_NODES;
 
-/// One direction's adjacency of one page's nodes, as a small CSR.
-/// Slots past the last node have empty runs.
+/// The `start` of a slot whose run is out of line. No inline range
+/// starts here, so the lookup that finds an inline run is the one that
+/// fails over to an out-of-line one.
+const OUT_OF_LINE: u16 = u16::MAX;
+
+// Every inline range fits the `u16` pairs of `AdjPage::runs`.
+const _: () = assert!(PAGE_NODES * INLINE_RUN_MAX < OUT_OF_LINE as usize);
+
+/// What the slots of a run hold between its allocation and its fill.
+const FILLER: Adj = Adj {
+    label: Sym(0),
+    node: NodeId(0),
+};
+
+/// The attribute tuples of one page's nodes, each shared on its own: a
+/// write copies the page's pointers and the one tuple it changes.
+/// Slots past the last node hold the empty tuple, so adding nodes into
+/// a page's free slots changes nothing.
+type AttrPage = [Arc<AttrMap>; PAGE_NODES];
+
+/// One direction's adjacency of one page's nodes: one contiguous array
+/// for the runs of at most [`INLINE_RUN_MAX`] entries, one `Arc` per
+/// longer run. Slots past the last node have empty runs.
 struct AdjPage {
-    /// `adj[offsets[slot]..offsets[slot + 1]]` is the slot's run.
-    offsets: [u32; PAGE_NODES + 1],
+    /// Per slot, `(start, end)`: its run is `adj[start..end]`, or
+    /// `hubs[end]` when `start` is [`OUT_OF_LINE`].
+    runs: [(u16, u16); PAGE_NODES],
     adj: Box<[Adj]>,
+    hubs: Box<[Arc<[Adj]>]>,
 }
 
 impl AdjPage {
     fn empty() -> Self {
         AdjPage {
-            offsets: [0; PAGE_NODES + 1],
+            runs: [(0, 0); PAGE_NODES],
             adj: Box::default(),
+            hubs: Box::default(),
         }
     }
 
+    /// The slot's run. The range check every slice lookup pays is what
+    /// tells an out-of-line slot apart, so an inline run — the common
+    /// case — costs two loads and that check, nothing more.
     #[inline]
     fn run(&self, slot: usize) -> &[Adj] {
-        &self.adj[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+        let (start, end) = self.runs[slot];
+        match self.adj.get(start as usize..end as usize) {
+            Some(run) => run,
+            None => &self.hubs[end as usize],
+        }
+    }
+
+    /// The slot's out-of-line run, if it has one.
+    fn hub(&self, slot: usize) -> Option<&Arc<[Adj]>> {
+        let (start, end) = self.runs[slot];
+        (start == OUT_OF_LINE).then(|| &self.hubs[end as usize])
     }
 
     #[inline]
     fn degree(&self, slot: usize) -> usize {
-        (self.offsets[slot + 1] - self.offsets[slot]) as usize
+        self.run(slot).len()
     }
 }
 
-/// Fills an [`AdjPage`] slot by slot: push a slot's run onto `adj`,
-/// then [`end_run`](PageBuilder::end_run).
+/// Fills an [`AdjPage`] slot by slot, deciding per run whether it goes
+/// inline or out of line — the one place that decision is made.
 struct PageBuilder {
-    offsets: [u32; PAGE_NODES + 1],
+    runs: [(u16, u16); PAGE_NODES],
     adj: Vec<Adj>,
+    hubs: Vec<Arc<[Adj]>>,
     slots: usize,
 }
 
 impl PageBuilder {
-    fn with_capacity(entries: usize) -> Self {
+    /// A builder with room for runs of exactly these lengths, so that
+    /// [`finish`](PageBuilder::finish) never reallocates.
+    fn for_lens(lens: impl Iterator<Item = usize>) -> Self {
+        let (mut inline, mut hubs) = (0usize, 0usize);
+        for len in lens {
+            if len > INLINE_RUN_MAX {
+                hubs += 1;
+            } else {
+                inline += len;
+            }
+        }
         PageBuilder {
-            offsets: [0; PAGE_NODES + 1],
-            adj: Vec::with_capacity(entries),
+            runs: [(0, 0); PAGE_NODES],
+            adj: Vec::with_capacity(inline),
+            hubs: Vec::with_capacity(hubs),
             slots: 0,
         }
     }
 
-    fn end_run(&mut self) {
-        self.slots += 1;
-        self.offsets[self.slots] = self.adj.len() as u32;
+    /// The next slot's run: the `len` entries of `entries`. An
+    /// out-of-line run is one allocation of its final length.
+    fn push_run(&mut self, len: usize, entries: impl Iterator<Item = Adj>) {
+        if len > INLINE_RUN_MAX {
+            let mut run: Arc<[Adj]> = std::iter::repeat_n(FILLER, len).collect();
+            let mut entries = entries;
+            for slot in Arc::get_mut(&mut run).expect("just built, not yet shared") {
+                *slot = entries.next().expect("a run as long as announced");
+            }
+            assert!(entries.next().is_none(), "a run as long as announced");
+            self.push_hub(run);
+        } else {
+            let start = self.adj.len();
+            self.adj.extend(entries);
+            assert_eq!(self.adj.len() - start, len, "a run as long as announced");
+            self.runs[self.slots] = (start as u16, self.adj.len() as u16);
+            self.slots += 1;
+        }
     }
 
-    fn finish(mut self) -> Arc<AdjPage> {
-        let end = self.adj.len() as u32;
-        self.offsets[self.slots..].fill(end);
-        Arc::new(AdjPage {
-            offsets: self.offsets,
+    /// The next slot's run, unchanged from `old`'s `slot`: a copy of an
+    /// inline run, one more reference to an out-of-line one.
+    fn share_run(&mut self, old: &AdjPage, slot: usize) {
+        match old.hub(slot) {
+            Some(run) => self.push_hub(run.clone()),
+            None => {
+                let run = old.run(slot);
+                self.push_run(run.len(), run.iter().copied());
+            }
+        }
+    }
+
+    fn push_hub(&mut self, run: Arc<[Adj]>) {
+        self.runs[self.slots] = (OUT_OF_LINE, self.hubs.len() as u16);
+        self.hubs.push(run);
+        self.slots += 1;
+    }
+
+    fn finish(self) -> AdjPage {
+        AdjPage {
+            runs: self.runs,
             adj: self.adj.into_boxed_slice(),
-        })
+            hubs: self.hubs.into_boxed_slice(),
+        }
     }
 }
 
@@ -789,6 +887,7 @@ impl Graph {
                 .take(self.node_count())
                 .cloned()
                 .collect(),
+            no_attrs: Arc::default(),
             out: self.nodes().map(|u| self.out_slice(u).to_vec()).collect(),
             label_index,
             edge_count: self.edge_count,
@@ -819,11 +918,13 @@ impl Graph {
 
     /// Builds the successor snapshot by patching this one with a
     /// *normalized* delta, sharing every page the delta does not touch:
-    /// the page spines are cloned (one refcount bump per page), an
-    /// attribute page is copied on the first write into it, and an
-    /// adjacency page is rebuilt only if one of its nodes gains or
-    /// loses an edge. Labels and extents are shared unless the delta
-    /// adds or relabels nodes, in which case both are rebuilt whole.
+    /// the page spines are cloned (one refcount bump per page), the
+    /// first write into an attribute page copies its pointers and each
+    /// written tuple is copied once, and an adjacency page is rebuilt
+    /// only if one of its nodes gains or loses an edge — sharing, inside
+    /// the rebuilt page, every out-of-line run the delta leaves alone.
+    /// Labels and extents are shared unless the delta adds or relabels
+    /// nodes, in which case both are rebuilt whole.
     ///
     /// The delta must be consistent with this snapshot: based at its
     /// node count, added edges absent, removed edges present (the
@@ -863,16 +964,19 @@ impl Graph {
 
         let mut attrs = self.attrs.clone();
         grow(&mut attrs, pages, || {
-            std::array::from_fn(|_| AttrMap::new())
+            let empty = Arc::new(AttrMap::new());
+            std::array::from_fn(|_| empty.clone())
         });
         for op in &delta.attr_ops {
             let i = op.node.index();
-            let map = &mut Arc::make_mut(&mut attrs[i >> PAGE_SHIFT])[i & PAGE_MASK];
+            let page = Arc::make_mut(&mut attrs[i >> PAGE_SHIFT]);
+            let map = &mut page[i & PAGE_MASK];
             match &op.value {
-                Some(v) => map.set(op.attr, v.clone()),
-                None => {
-                    map.remove(op.attr);
+                Some(v) => set_shared(map, op.attr, v.clone()),
+                None if map.contains(op.attr) => {
+                    Arc::make_mut(map).remove(op.attr);
                 }
+                None => {}
             }
         }
 
@@ -912,6 +1016,15 @@ impl Graph {
     }
 }
 
+/// Sets `attr = value` in a tuple other snapshots may share: in place
+/// when none does, else on a copy made in one allocation.
+fn set_shared(map: &mut Arc<AttrMap>, attr: Sym, value: Value) {
+    match Arc::get_mut(map) {
+        Some(map) => map.set(attr, value),
+        None => *map = Arc::new(map.with(attr, value)),
+    }
+}
+
 /// Extends a page spine to `pages` entries, all sharing one empty page.
 fn grow<T>(spine: &mut Vec<Arc<T>>, pages: usize, empty: impl FnOnce() -> T) {
     if spine.len() < pages {
@@ -921,9 +1034,12 @@ fn grow<T>(spine: &mut Vec<Arc<T>>, pages: usize, empty: impl FnOnce() -> T) {
 
 /// Rebuilds the pages of `spine` that hold a node of `adds` or
 /// `removes`: per node, the old run with its `removes` dropped and its
-/// `adds` spliced in at their sort position. Every other page is left
-/// as it is. `O(d log d)` plus the size of the touched pages, for `d`
-/// patch entries.
+/// `adds` spliced in at their sort position, inline or out of line by
+/// its new length. A run of the page that no entry names is carried
+/// over — copied if inline, shared if out of line — and every other
+/// page is left as it is. `O(d log d)` plus the inline entries of the
+/// touched pages and the lengths of the touched runs, for `d` patch
+/// entries.
 fn patch_pages(
     spine: &mut [Arc<AdjPage>],
     mut adds: Vec<(NodeId, Adj)>,
@@ -931,54 +1047,73 @@ fn patch_pages(
 ) {
     adds.sort_unstable();
     removes.sort_unstable();
-    let page_of = |entry: Option<&(NodeId, Adj)>| entry.map(|(u, _)| u.index() >> PAGE_SHIFT);
-    let (mut ap, mut rp) = (0usize, 0usize);
+    let (mut adds, mut removes) = (adds.as_slice(), removes.as_slice());
+    let page_of = |entries: &[(NodeId, Adj)]| entries.first().map(|(u, _)| u.index() >> PAGE_SHIFT);
     loop {
-        let p = match (page_of(adds.get(ap)), page_of(removes.get(rp))) {
+        let p = match (page_of(adds), page_of(removes)) {
             (Some(a), Some(r)) => a.min(r),
             (Some(p), None) | (None, Some(p)) => p,
             (None, None) => return,
         };
         let old = &spine[p];
-        let a_end = ap + adds[ap..].partition_point(|(u, _)| u.index() >> PAGE_SHIFT == p);
-        let r_end = rp + removes[rp..].partition_point(|(u, _)| u.index() >> PAGE_SHIFT == p);
-        let entries = (old.adj.len() + (a_end - ap)).saturating_sub(r_end - rp);
-        let mut page = PageBuilder::with_capacity(entries);
+        // Each slot's share of the patch, as end positions in the two
+        // sorted lists, and with them the length of its new run.
+        let mut ends = [(0usize, 0usize); PAGE_NODES];
+        let mut lens = [0usize; PAGE_NODES];
+        let (mut a, mut r) = (0, 0);
         for slot in 0..PAGE_NODES {
             let node = NodeId(((p << PAGE_SHIFT) | slot) as u32);
-            let run = old.run(slot);
-            let a_lo = ap;
-            while ap < a_end && adds[ap].0 == node {
-                ap += 1;
-            }
-            let a_run = &adds[a_lo..ap];
-            let r_lo = rp;
-            while rp < r_end && removes[rp].0 == node {
-                rp += 1;
-            }
-            let r_run = &removes[r_lo..rp];
-
-            let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-            while i < run.len() || j < a_run.len() {
-                if j < a_run.len() && (i >= run.len() || a_run[j].1 < run[i]) {
-                    page.adj.push(a_run[j].1);
-                    j += 1;
-                } else {
-                    let e = run[i];
-                    i += 1;
-                    if k < r_run.len() && r_run[k].1 == e {
-                        k += 1;
-                        continue;
-                    }
-                    page.adj.push(e);
-                }
-            }
-            debug_assert_eq!(k, r_run.len(), "removed edge missing from {node:?}'s run");
-            page.end_run();
+            let (a_lo, r_lo) = (a, r);
+            a += adds[a..].iter().take_while(|(u, _)| *u == node).count();
+            r += removes[r..].iter().take_while(|(u, _)| *u == node).count();
+            ends[slot] = (a, r);
+            lens[slot] = (old.degree(slot) + (a - a_lo))
+                .checked_sub(r - r_lo)
+                .expect("removed edges are present");
         }
-        debug_assert!(ap == a_end && rp == r_end, "patch entries sorted by node");
-        spine[p] = page.finish();
+        debug_assert!(
+            page_of(&adds[a..]) != Some(p) && page_of(&removes[r..]) != Some(p),
+            "patch entries sorted by node"
+        );
+
+        let mut page = PageBuilder::for_lens(lens.iter().copied());
+        let (mut a_lo, mut r_lo) = (0, 0);
+        for slot in 0..PAGE_NODES {
+            let (a_hi, r_hi) = ends[slot];
+            if (a_lo, r_lo) == (a_hi, r_hi) {
+                page.share_run(old, slot);
+            } else {
+                let (a_run, r_run) = (&adds[a_lo..a_hi], &removes[r_lo..r_hi]);
+                page.push_run(lens[slot], merged_run(old.run(slot), a_run, r_run));
+            }
+            (a_lo, r_lo) = (a_hi, r_hi);
+        }
+        spine[p] = Arc::new(page.finish());
+        (adds, removes) = (&adds[a..], &removes[r..]);
     }
+}
+
+/// `run` without `removes` and with `adds` at their sort position, all
+/// three sorted.
+fn merged_run<'a>(
+    run: &'a [Adj],
+    adds: &'a [(NodeId, Adj)],
+    removes: &'a [(NodeId, Adj)],
+) -> impl Iterator<Item = Adj> + 'a {
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+    std::iter::from_fn(move || loop {
+        if j < adds.len() && (i >= run.len() || adds[j].1 < run[i]) {
+            j += 1;
+            return Some(adds[j - 1].1);
+        }
+        let e = *run.get(i)?;
+        i += 1;
+        if k < removes.len() && removes[k].1 == e {
+            k += 1;
+        } else {
+            return Some(e);
+        }
+    })
 }
 
 impl fmt::Debug for Graph {
@@ -1111,16 +1246,9 @@ mod tests {
     fn thaw_freeze_round_trip_preserves_everything() {
         let (g, [country, canberra, _]) = g3();
         let g2 = g.thaw().freeze();
-        assert_eq!(g2.node_count(), g.node_count());
-        assert_eq!(g2.edge_count(), g.edge_count());
         let capital = g.vocab().lookup("capital").unwrap();
         assert!(g2.has_edge(country, canberra, capital));
-        for u in g.nodes() {
-            assert_eq!(g.label(u), g2.label(u));
-            assert_eq!(g.attrs(u), g2.attrs(u));
-            assert_eq!(g.out_slice(u), g2.out_slice(u));
-            assert_eq!(g.in_slice(u), g2.in_slice(u));
-        }
+        assert_same_snapshot(&g2, &g);
     }
 
     #[test]
@@ -1211,14 +1339,27 @@ mod tests {
         b.add_edge_labeled(extra, country, "part_of");
         let delta = b.take_delta().unwrap().normalize();
         let patched = g.apply_delta(&delta);
-        let frozen = b.freeze();
-        assert_eq!(patched.node_count(), frozen.node_count());
-        assert_eq!(patched.edge_count(), frozen.edge_count());
-        for u in frozen.nodes() {
-            assert_eq!(patched.label(u), frozen.label(u));
-            assert_eq!(patched.attrs(u), frozen.attrs(u));
-            assert_eq!(patched.out_slice(u), frozen.out_slice(u));
-            assert_eq!(patched.in_slice(u), frozen.in_slice(u));
+        assert_same_snapshot(&patched, &b.freeze());
+    }
+
+    /// Every observable of two snapshots, and the layout behind it:
+    /// the same runs out of line, the same entries inline.
+    fn assert_same_snapshot(a: &Graph, b: &Graph) {
+        assert_eq!(a.node_count(), b.node_count());
+        assert_eq!(a.edge_count(), b.edge_count());
+        for u in b.nodes() {
+            assert_eq!(a.label(u), b.label(u));
+            assert_eq!(a.attrs(u), b.attrs(u));
+            assert_eq!(a.out_slice(u), b.out_slice(u));
+            assert_eq!(a.in_slice(u), b.in_slice(u));
+        }
+        for (a, b) in [(&a.out, &b.out), (&a.inn, &b.inn)] {
+            for (a, b) in a.iter().zip(b.iter()) {
+                assert_eq!(a.adj.len(), b.adj.len());
+                for slot in 0..PAGE_NODES {
+                    assert_eq!(a.hub(slot).is_some(), b.hub(slot).is_some());
+                }
+            }
         }
     }
 
@@ -1253,8 +1394,10 @@ mod tests {
     #[test]
     fn page_size_matches_the_boundary_oracles() {
         // tests/prop_graph.rs and tests/prop_delta.rs aim their edit
-        // scripts at multiples of this; change them together.
+        // scripts at multiples of this, and prop_graph.rs walks a run
+        // across the out-of-line threshold; change them together.
         assert_eq!(PAGE_NODES, 64);
+        assert_eq!(INLINE_RUN_MAX, 64);
     }
 
     #[test]
@@ -1292,6 +1435,90 @@ mod tests {
         assert_eq!(unshared(&g.out, &g2.out), Vec::<usize>::new());
         assert_eq!(unshared(&g.inn, &g2.inn), Vec::<usize>::new());
         assert!(shares_labels_and_extents(&g, &g2));
+    }
+
+    /// [`ring`] plus a hub in page 1 with `spokes` in-edges, one from
+    /// each of the first `spokes` nodes.
+    fn ring_with_hub(spokes: usize) -> (Graph, NodeId) {
+        let hub = NodeId(PAGE_NODES as u32 + 9);
+        let g = ring().edit(|b| {
+            for src in 0..spokes {
+                b.add_edge_labeled(NodeId(src as u32), hub, "spoke");
+            }
+        });
+        (g, hub)
+    }
+
+    #[test]
+    fn bystander_hub_run_is_shared_across_an_edit_of_its_page_mate() {
+        let (g, hub) = ring_with_hub(2 * PAGE_NODES);
+        let (page, slot) = (hub.index() >> PAGE_SHIFT, hub.index() & PAGE_MASK);
+        let run = g.inn[page]
+            .hub(slot)
+            .expect("the hub's in-run is out of line");
+        assert_eq!(run.len(), g.in_degree(hub));
+        assert!(g.out[page].hub(slot).is_none(), "its out-run is not");
+
+        let next = g.vocab().lookup("next").unwrap();
+        let mate = NodeId(hub.0 + 1);
+        let g2 = g.edit(|b| {
+            b.add_edge(NodeId(0), mate, next);
+        });
+        assert_eq!(unshared(&g.inn, &g2.inn), vec![page]);
+        let run2 = g2.inn[page].hub(slot).expect("still out of line");
+        assert!(Arc::ptr_eq(run, run2), "a bystander hub is not copied");
+        assert_eq!(g2.in_degree(mate), 2);
+
+        // The hub's own edit copies its run, and only then.
+        let g3 = g2.edit(|b| {
+            b.remove_edge_labeled(NodeId(0), hub, "spoke");
+        });
+        let run3 = g3.inn[page].hub(slot).expect("still out of line");
+        assert!(!Arc::ptr_eq(run2, run3));
+        assert_eq!(run3.len(), run2.len() - 1);
+        assert_same_snapshot(&g3, &g3.thaw().freeze());
+    }
+
+    #[test]
+    fn attribute_write_shares_the_other_tuples_of_its_page() {
+        let g = ring();
+        let val = g.vocab().lookup("val").unwrap();
+        let written = PAGE_NODES + 5;
+        let g2 = g.edit(|b| b.set_attr(NodeId(written as u32), val, Value::Int(-1)));
+        assert_eq!(unshared(&g.attrs, &g2.attrs), vec![1]);
+        assert_eq!(
+            unshared(&g.attrs[1][..], &g2.attrs[1][..]),
+            vec![written & PAGE_MASK]
+        );
+        // Tuples without attributes are one empty map per freeze.
+        let free = g.node_count() & PAGE_MASK;
+        let last = g.attrs.last().unwrap();
+        assert!(last[free..].iter().all(|m| Arc::ptr_eq(m, &last[free])));
+    }
+
+    #[test]
+    fn run_walked_across_the_threshold_equals_freeze_at_every_step() {
+        let (mut g, hub) = ring_with_hub(INLINE_RUN_MAX - 1);
+        let (page, slot) = (hub.index() >> PAGE_SHIFT, hub.index() & PAGE_MASK);
+        assert_eq!(g.in_degree(hub), INLINE_RUN_MAX, "the ring adds one");
+        let mut shadow = g.thaw();
+        let spoke = |i: usize| NodeId((INLINE_RUN_MAX + i) as u32);
+        let steps: [(bool, usize); 4] = [(true, 0), (true, 1), (false, 0), (false, 1)];
+        for (add, i) in steps {
+            if add {
+                assert!(shadow.add_edge_labeled(spoke(i), hub, "spoke"));
+            } else {
+                assert!(shadow.remove_edge_labeled(spoke(i), hub, "spoke"));
+            }
+            let delta = shadow.take_delta().unwrap().normalize();
+            g = g.apply_delta(&delta);
+            assert_same_snapshot(&g, &shadow.clone().freeze());
+            assert_eq!(
+                g.inn[page].hub(slot).is_some(),
+                g.in_degree(hub) > INLINE_RUN_MAX
+            );
+        }
+        assert_eq!(g.in_degree(hub), INLINE_RUN_MAX);
     }
 
     #[test]

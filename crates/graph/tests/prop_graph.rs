@@ -320,17 +320,19 @@ fn edit_delta_round_trip_equals_freeze() {
     });
 }
 
-/// The snapshot's page size: mirrors the private `PAGE_NODES` of
-/// `graph.rs`, whose unit test `page_size_matches_the_boundary_oracles`
-/// fails if the two drift apart.
+/// The snapshot's page size, and the longest run a page keeps inline:
+/// mirrors the private `PAGE_NODES` and `INLINE_RUN_MAX` of `graph.rs`,
+/// whose unit test `page_size_matches_the_boundary_oracles` fails if
+/// they drift apart.
 const PAGE: usize = 64;
 
 /// A graph wider than three pages with one hub whose in-run is longer
-/// than a page — or, one case in four, the empty graph.
-fn wide_graph(rng: &mut Rng) -> Graph {
+/// than a page, so out of line — or, one case in four, the empty graph
+/// and no hub.
+fn wide_graph(rng: &mut Rng) -> (Graph, Option<NodeId>) {
     let mut b = GraphBuilder::with_fresh_vocab();
     if rng.gen_range(0..4) == 0 {
-        return b.freeze();
+        return (b.freeze(), None);
     }
     let n = 3 * PAGE + rng.gen_range(0..PAGE);
     let ids: Vec<NodeId> = (0..n)
@@ -347,7 +349,7 @@ fn wide_graph(rng: &mut Rng) -> Graph {
     for &u in ids.iter().step_by(3) {
         b.set_attr_named(u, "a0", gfd_graph::Value::Int(u.0 as i64));
     }
-    b.freeze()
+    (b.freeze(), Some(hub))
 }
 
 /// A node next to a page boundary (last slot of a page, first and
@@ -358,8 +360,46 @@ fn boundary_node(rng: &mut Rng, n: usize) -> NodeId {
     NodeId(id.min(n - 1) as u32)
 }
 
-/// One step of a page-boundary edit script on the shadow builder.
-fn boundary_step(rng: &mut Rng, b: &mut GraphBuilder) -> String {
+/// A step aimed at the hub of [`wide_graph`], on the shadow builder of
+/// `g`: an in-edge toggled at a page-mate of the hub, so that the hub's
+/// page is rebuilt around its run — or the hub's own in-run carried
+/// across the out-of-line threshold in one delta, down to `PAGE - 1` or
+/// `PAGE` entries when it is longer, up to `PAGE + 1` or `PAGE + 2`
+/// when it is not.
+fn hub_step(
+    rng: &mut Rng,
+    b: &mut GraphBuilder,
+    g: &Graph,
+    hub: NodeId,
+    s: NodeId,
+    beside: bool,
+) -> String {
+    if beside {
+        let mate = NodeId((hub.0 ^ 1).min(g.node_count() as u32 - 1));
+        if !b.add_edge_labeled(s, mate, "e1") {
+            b.remove_edge_labeled(s, mate, "e1");
+        }
+        return format!("toggle {s:?}->{mate:?} beside hub {hub:?}");
+    }
+    let run = g.in_slice(hub);
+    let wobble = rng.gen_range(0..2);
+    if run.len() > PAGE {
+        for a in &run[PAGE - wobble..] {
+            b.remove_edge(a.node, hub, a.label);
+        }
+    } else {
+        let e3 = b.vocab().intern("e3");
+        let fresh = g.nodes().filter(|&src| !g.has_edge(src, hub, e3));
+        for src in fresh.take(PAGE + 1 + wobble - run.len()) {
+            b.add_edge(src, hub, e3);
+        }
+    }
+    format!("hub {hub:?} in-run from {} across {PAGE}", run.len())
+}
+
+/// One step of a page-boundary edit script on the shadow builder of
+/// `g`, whose hub (if it has one) is `hub`.
+fn boundary_step(rng: &mut Rng, b: &mut GraphBuilder, g: &Graph, hub: Option<NodeId>) -> String {
     let n = b.node_count();
     let free = (PAGE - n % PAGE) % PAGE;
     let add_nodes = |b: &mut GraphBuilder, count: usize| {
@@ -372,7 +412,11 @@ fn boundary_step(rng: &mut Rng, b: &mut GraphBuilder) -> String {
         return add_nodes(b, 1 + rng.gen_range(0..2 * PAGE + 2));
     }
     let (s, d) = (boundary_node(rng, n), boundary_node(rng, n));
-    match rng.gen_range(0..10) {
+    let kind = rng.gen_range(0..12);
+    if let (8 | 9, Some(hub)) = (kind, hub) {
+        return hub_step(rng, b, g, hub, s, kind == 8);
+    }
+    match kind {
         // Fill the last page exactly (a whole page if it is full).
         0 => add_nodes(b, if free == 0 { PAGE } else { free }),
         // Overflow it by one node.
@@ -429,11 +473,11 @@ fn paged_edit_scripts_equal_freeze() {
     // patched snapshot must equal a from-scratch freeze of the shadow
     // builder, and thaw → freeze must round-trip it.
     check("paged apply_delta ≡ freeze, 50-step scripts", 40, |rng| {
-        let mut g = wide_graph(rng);
+        let (mut g, hub) = wide_graph(rng);
         let mut shadow = g.thaw();
         let mut script = Vec::new();
         for _ in 0..50 {
-            script.push(boundary_step(rng, &mut shadow));
+            script.push(boundary_step(rng, &mut shadow, &g, hub));
             let delta = shadow.take_delta().expect("thaw records").normalize();
             let next = g.apply_delta(&delta);
             let verdict = graphs_equal(&next, &shadow.clone().freeze())

@@ -12,8 +12,9 @@ use gfd::parallel::unitexec::sort_violations;
 use gfd::parallel::{dis_val, rep_val, DisValConfig, RepValConfig};
 
 fn main() {
-    // A scaled-down YAGO2 stand-in (see DESIGN.md §3), frozen once and
-    // shared by every engine through one Arc.
+    // A scaled-down YAGO2 stand-in (ROADMAP.md, Architecture:
+    // gfd-datagen), frozen once and shared by every engine through one
+    // Arc.
     let g = std::sync::Arc::new(reallife_graph(&RealLifeConfig {
         scale: 0.25,
         ..RealLifeConfig::new(RealLifeKind::Yago2)
