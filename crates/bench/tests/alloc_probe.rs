@@ -5,7 +5,9 @@
 //! backtracks inside [`UnitScratch`], and nothing in the per-unit loop
 //! grows a buffer.
 //! Runs in CI under `BENCH_SMOKE` so a regression that re-introduces
-//! per-unit allocation fails the build.
+//! per-unit allocation fails the build. The standing path has the same
+//! kind of gate: a warm [`IncrementalDetector::apply_diff`] allocates
+//! per rule group, not per rule.
 //!
 //! The write side has its own gates: [`Graph::apply_delta`] must
 //! request allocator bytes in proportion to the delta's pages, not to
@@ -123,15 +125,102 @@ fn star_has_a_destination(vocab: Arc<Vocab>) -> Gfd {
     )
 }
 
+/// [`same_id_same_dest`] with its six variables — `x, x1, x2, y, y1,
+/// y2` — declared in `order`: a permuted member of the one two-star
+/// class.
+fn same_id_same_dest_in_order(vocab: Arc<Vocab>, order: [usize; 6]) -> Gfd {
+    let mut b = PatternBuilder::new(vocab.clone());
+    let names = ["x", "x1", "x2", "y", "y1", "y2"];
+    let labels = ["flight", "id", "city", "flight", "id", "city"];
+    let mut vars = [gfd_pattern::VarId(0); 6];
+    for i in order {
+        vars[i] = b.node(names[i], labels[i]);
+    }
+    for hub in [0, 3] {
+        b.edge(vars[hub], vars[hub + 1], "number");
+        b.edge(vars[hub], vars[hub + 2], "to");
+    }
+    let val = vocab.intern("val");
+    Gfd::new(
+        "same-id-same-dest",
+        b.build(),
+        Dependency::new(
+            vec![Literal::var_eq(vars[1], val, vars[4], val)],
+            vec![Literal::var_eq(vars[2], val, vars[5], val)],
+        ),
+    )
+}
+
+/// The epoch-path gate: a warm [`IncrementalDetector::apply_diff`]
+/// enumerates once per rule group and pin, so what it allocates cannot
+/// depend on how many rules the group holds. Σ is one disconnected
+/// two-star class, as one rule and as eight permuted declarations; each
+/// epoch writes an attribute onto a flight — a candidate of both hubs,
+/// so the epoch pins it twice — and changes no violation. Both counts
+/// must be equal and small: the delta's normalized copy and
+/// touched-node list, and what the registry's repair asks for. An
+/// enumeration that decomposes the pattern per pinned call, or
+/// allocates per rule, multiplies the eight-member count.
+#[test]
+fn warm_epoch_allocates_per_group_not_per_rule() {
+    let _serial = serial();
+    let orders = [
+        [0, 1, 2, 3, 4, 5],
+        [5, 4, 3, 2, 1, 0],
+        [1, 2, 0, 4, 5, 3],
+        [3, 4, 5, 0, 1, 2],
+        [2, 0, 1, 5, 3, 4],
+        [4, 3, 5, 1, 0, 2],
+        [0, 3, 1, 4, 2, 5],
+        [5, 2, 4, 1, 3, 0],
+    ];
+    let per_epoch = |members: usize| {
+        let mut g = clean_flights(40);
+        let vocab = g.vocab().clone();
+        let stamp = vocab.intern("stamp");
+        let rules = orders[..members].iter();
+        let sigma: GfdSet = rules
+            .map(|&order| same_id_same_dest_in_order(vocab.clone(), order))
+            .collect();
+        let mut det = IncrementalDetector::new(&sigma, &g);
+        let mut epoch = |i: i64| {
+            let (next, delta) = g.edit_with_delta(|b| b.set_attr(NodeId(0), stamp, Value::Int(i)));
+            let before = allocation_count();
+            let diff = det.apply_diff(&next, &delta);
+            let allocations = allocation_count() - before;
+            assert!(diff.is_empty(), "premise: the write changes no violation");
+            g = next;
+            allocations
+        };
+        // Warm-up: sizes the enumeration scratch and the touched page.
+        for i in 0..3 {
+            epoch(i);
+        }
+        (3..8).map(epoch).min().expect("five measured epochs")
+    };
+    let (one, eight) = (per_epoch(1), per_epoch(8));
+    eprintln!("warm epoch: {one} allocations for one rule, {eight} for eight twins");
+    assert_eq!(one, eight, "an epoch must allocate per group, not per rule");
+    assert!(
+        one <= EPOCH_ALLOCATIONS,
+        "a warm epoch made {one} allocations"
+    );
+}
+
+/// Allocations of one warm single-write epoch on the two-star class:
+/// the normalized copy of the delta and its touched-node list (measured
+/// 2 when written).
+const EPOCH_ALLOCATIONS: u64 = 2;
+
 #[test]
 fn warm_execute_unit_allocates_nothing() {
     let _serial = serial();
     // More flights than a rule has ranges: every unit holds several
     // pivots.
     let g = clean_flights(160);
-    // An identity twin, a non-identity twin (the second rule's second
-    // star is a permuted member of the one star class), and a permuted
-    // one-component member.
+    // A rule, its permuted twin (one rule group: the twin is checked
+    // on the first rule's rows through its permutation), and a
+    // permuted one-component member of the star class.
     let sigma = GfdSet::new(vec![
         same_id_same_dest(g.vocab().clone()),
         same_id_same_dest_declared(g.vocab().clone(), true),
@@ -146,8 +235,8 @@ fn warm_execute_unit_allocates_nothing() {
     let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
     assert_eq!(
         (registry.class_count(), registry.member_count()),
-        (1, 3),
-        "premise: one star class, two non-identity members"
+        (1, 2),
+        "premise: one star class, its representative and a permuted member"
     );
     let mut scratch = UnitScratch::new();
     let mut out = Vec::new();

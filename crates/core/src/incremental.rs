@@ -2,25 +2,24 @@
 //! graph edits.
 //!
 //! The sequential `detVio` (module [`crate::validate`]) re-enumerates
-//! every match of every rule per run. When the graph evolves by small
-//! deltas (noise injection, repair loops, live updates), almost all of
-//! that work re-derives unchanged facts. [`IncrementalDetector`] keeps
-//! per-rule state across edits:
+//! every match of every rule group per run. When the graph evolves by
+//! small deltas (noise injection, repair loops, live updates), almost
+//! all of that work re-derives unchanged facts. [`IncrementalDetector`]
+//! keeps state across edits:
 //!
-//! * one shared [`ClassRegistry`] handle — rule patterns register by
-//!   isomorphism class, each class's dual-simulation candidate space
-//!   is computed once and *repaired* (not recomputed) against each
-//!   [`GraphDelta`] at its representative, and the twin rules read
-//!   the same space through their permutation ([`ClassView`]: pin
-//!   screens look up the representative variable, enumeration runs on
-//!   the representative and rows come back in the rule's own order).
-//!   The registry is `Arc`-shared and versioned: several detectors
-//!   (and the threaded executor) can serve off one registry; the
-//!   first detector to reach an epoch repairs, and a later `advance`
-//!   at an epoch the registry already passed is a no-op;
+//! * one shared [`ClassRegistry`] handle per rule group
+//!   ([`RuleGroups`]: Σ grouped by pattern isomorphism class) — each
+//!   class's dual-simulation candidate space is computed once and
+//!   *repaired* (not recomputed) against each [`GraphDelta`] at its
+//!   representative, and a group reads it through its view
+//!   ([`ClassView`]: pin screens look up the class variable). The
+//!   registry is `Arc`-shared and versioned: several detectors (and the
+//!   threaded executor) can serve off one registry; the first detector
+//!   to reach an epoch repairs, and a later `advance` at an epoch the
+//!   registry already passed is a no-op;
 //! * the current violating matches of each rule.
 //!
-//! On a delta, a rule is re-examined only around the *affected nodes*
+//! On a delta, Σ is re-examined only around the *affected nodes*
 //! (delta edge endpoints, relabeled/attribute-touched nodes, added
 //! nodes):
 //!
@@ -28,26 +27,25 @@
 //!   and still violating (their edges, labels and attribute values
 //!   are untouched) and survive without re-enumeration;
 //! * stored violations touching affected nodes are re-checked
-//!   directly (edges + labels + dependency), in `O(|Q|)` each;
+//!   directly, per rule (edges + labels + dependency), in `O(|Q|)`
+//!   each;
 //! * new violations must contain an affected node (a match that
 //!   gained violation status either changed structurally or had an
 //!   attribute change on one of its images), so the detector
 //!   enumerates only matches *pinned* at affected candidate nodes —
-//!   using the repaired candidate space as the search filter — and
-//!   re-checks those.
+//!   once per group and pin, using the repaired candidate space as the
+//!   search filter — and checks every member of the group on each.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_match::types::Flow;
-use gfd_match::{
-    for_each_match_in, ClassRegistry, ClassView, Match, MatchOptions, MatchScratch, SpaceHandle,
-};
-use gfd_pattern::signature::decompose;
+use gfd_match::{ClassRegistry, ClassView, Match, MatchOptions, SpaceHandle};
 use gfd_pattern::VarId;
 
 use crate::gfd::GfdSet;
+use crate::group::{for_each_group_violation, GroupScratch, Pins, Pools, RuleGroup, RuleGroups};
 use crate::validate::{
     const_y_satisfied_everywhere, detect_violations, for_each_violation, match_satisfies, Violation,
 };
@@ -72,31 +70,15 @@ impl VioDiff {
     }
 }
 
-/// Per-rule incremental state.
-struct RuleState {
-    /// Handle of the rule's full pattern in the shared registry.
-    handle: SpaceHandle,
-    /// True if the rule's pattern is connected (the space then drives
-    /// enumeration directly).
-    connected: bool,
-    /// Current violating matches.
-    violations: HashSet<Match>,
-}
-
-/// A rule's view of its repaired class space, with the class's cached
-/// plan when the pattern is connected. Disconnected patterns only
-/// screen pins against the space — a plan-less view enumerates under
-/// the per-call filter, component by component — so no plan is built.
-fn rule_space(
-    registry: &ClassRegistry,
-    handle: SpaceHandle,
-    connected: bool,
-    g: &Graph,
-) -> ClassView {
-    if connected {
-        registry.space_and_plan(handle, g)
+/// A group's view of its class space in `registry`, with the class's
+/// cached plan when the pattern is connected. A disconnected group only
+/// screens pins against the space — its components enumerate under the
+/// per-call filter — so no plan is built.
+fn class_view(registry: &ClassRegistry, group: &RuleGroup, h: SpaceHandle, g: &Graph) -> ClassView {
+    if group.is_connected() {
+        registry.space_and_plan(h, g)
     } else {
-        registry.space(handle, g)
+        registry.space(h, g)
     }
 }
 
@@ -115,9 +97,15 @@ pub struct IncrementalDetector {
     registry: Arc<ClassRegistry>,
     /// The registry repair epoch this detector is synchronized with.
     version: u64,
-    rules: Vec<RuleState>,
-    /// Enumeration buffers, reused by every pinned re-enumeration.
-    scratch: MatchScratch,
+    /// Σ grouped by pattern isomorphism class: one enumeration per
+    /// group and pin, every member checked on the row.
+    groups: RuleGroups,
+    /// Each group's representative, registered in `registry`.
+    handles: Vec<SpaceHandle>,
+    /// The current violating matches of each rule.
+    violations: Vec<HashSet<Match>>,
+    /// Enumeration buffers, reused by every enumeration.
+    scratch: GroupScratch,
 }
 
 impl IncrementalDetector {
@@ -132,60 +120,50 @@ impl IncrementalDetector {
     /// several detectors over one `ClassRegistry` share simulations,
     /// plans and repairs across tenants.
     pub fn with_registry(sigma: &GfdSet, g: &Graph, registry: Arc<ClassRegistry>) -> Self {
-        let mut scratch = MatchScratch::default();
-        let rules = sigma
-            .iter()
-            .map(|gfd| {
-                let handle = registry.register(&gfd.pattern);
-                let connected = decompose(&gfd.pattern).len() == 1;
-                let mut violations = HashSet::new();
-                if !gfd.dep.y.is_empty() {
-                    let view = rule_space(&registry, handle, connected, g);
-                    if !view.space.is_empty_anywhere() {
-                        // Factorized fast path for the initial full
-                        // pass: an all-constant-`Y` rule whose
-                        // per-variable marginal aggregates show every
-                        // represented binding satisfying `Y` seeds an
-                        // empty violation set without enumerating —
-                        // the same superset argument as `detVio`'s
-                        // shared route. Later deltas re-examine only
-                        // affected pins either way.
-                        let skip = connected
-                            && const_y_satisfied_everywhere(&gfd.dep, g, &view, &registry, handle);
-                        if !skip {
-                            let opts = MatchOptions::unrestricted();
-                            for_each_match_in(&view, g, &opts, &mut scratch, &mut |m| {
-                                if !match_satisfies(&gfd.dep, g, m) {
-                                    violations.insert(Match(m.to_vec()));
-                                }
-                                Flow::Continue
-                            });
-                        }
-                    }
-                }
-                RuleState {
-                    handle,
-                    connected,
-                    violations,
-                }
-            })
-            .collect();
-        let version = registry.version();
-        IncrementalDetector {
-            sigma: sigma.clone(),
-            registry,
-            version,
-            rules,
-            scratch,
+        let mut det = Self::from_violations_in(sigma, &[], registry);
+        let Self {
+            ref registry,
+            ref groups,
+            ref handles,
+            ref mut violations,
+            ref mut scratch,
+            ..
+        } = det;
+        for (group, &h) in groups.iter().zip(handles) {
+            let view = class_view(registry, group, h, g);
+            if view.space.is_empty_anywhere() {
+                continue;
+            }
+            // Factorized fast path for the initial full pass: an
+            // all-constant-`Y` member whose per-variable marginal
+            // aggregates show every represented binding satisfying `Y`
+            // seeds an empty violation set without being checked — the
+            // same superset argument as `detVio`'s shared route. Later
+            // deltas re-examine only affected pins either way.
+            let connected = group.is_connected();
+            if !scratch.select(group, |m| {
+                !(connected && const_y_satisfied_everywhere(&m.dep, g, &view, registry, h))
+            }) {
+                continue;
+            }
+            let pools = if connected {
+                Pools::Classes(std::slice::from_ref(&view), &[])
+            } else {
+                Pools::Gated
+            };
+            for_each_group_violation(group, g, pools, Pins::None, scratch, &mut |rule, m| {
+                violations[rule].insert(Match(m.to_vec()));
+            });
         }
+        det
     }
 
     /// The current violation set, in rule order (match order within a
     /// rule is unspecified).
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
-        for (rule, state) in self.rules.iter().enumerate() {
-            for m in &state.violations {
+        for (rule, set) in self.violations.iter().enumerate() {
+            for m in set {
                 out.push(Violation {
                     rule,
                     mapping: m.clone(),
@@ -198,12 +176,19 @@ impl IncrementalDetector {
     /// The incremental validation answer: does the current snapshot
     /// satisfy `Σ`?
     pub fn satisfied(&self) -> bool {
-        self.rules.iter().all(|s| s.violations.is_empty())
+        self.violations.iter().all(HashSet::is_empty)
     }
 
     /// Total number of current violations.
     pub fn violation_count(&self) -> usize {
-        self.rules.iter().map(|s| s.violations.len()).sum()
+        self.violations.iter().map(HashSet::len).sum()
+    }
+
+    /// Component searches this detector has run — one per group and
+    /// pin, however many rules a group holds (the probe behind "one
+    /// enumeration per group").
+    pub fn enumerations(&self) -> u64 {
+        self.scratch.enumerations()
     }
 
     /// Seeds a detector from an externally computed violation set
@@ -232,24 +217,24 @@ impl IncrementalDetector {
         violations: &[Violation],
         registry: Arc<ClassRegistry>,
     ) -> Self {
-        let mut rules: Vec<RuleState> = sigma
+        let groups = RuleGroups::new(sigma);
+        let handles = groups
             .iter()
-            .map(|gfd| RuleState {
-                handle: registry.register(&gfd.pattern),
-                connected: decompose(&gfd.pattern).len() == 1,
-                violations: HashSet::new(),
-            })
+            .map(|group| registry.register(&sigma.get(group.rep).pattern))
             .collect();
+        let mut sets = vec![HashSet::new(); sigma.len()];
         for v in violations {
-            rules[v.rule].violations.insert(v.mapping.clone());
+            sets[v.rule].insert(v.mapping.clone());
         }
         let version = registry.version();
         IncrementalDetector {
             sigma: sigma.clone(),
             registry,
             version,
-            rules,
-            scratch: MatchScratch::default(),
+            groups,
+            handles,
+            violations: sets,
+            scratch: GroupScratch::default(),
         }
     }
 
@@ -269,7 +254,7 @@ impl IncrementalDetector {
             scratch.insert(Match(m.to_vec()));
             Flow::Continue
         });
-        scratch == self.rules[rule].violations
+        scratch == self.violations[rule]
     }
 
     /// Fault-injection hook: perturbs the stored state of one rule
@@ -280,14 +265,12 @@ impl IncrementalDetector {
     /// deterministically in soak tests.
     #[doc(hidden)]
     pub fn inject_drift(&mut self, rule: usize) {
-        let state = &mut self.rules[rule];
-        if let Some(m) = state.violations.iter().next().cloned() {
-            state.violations.remove(&m);
+        let set = &mut self.violations[rule];
+        if let Some(m) = set.iter().next().cloned() {
+            set.remove(&m);
         } else {
             let arity = self.sigma.get(rule).pattern.node_count();
-            state
-                .violations
-                .insert(Match(vec![NodeId(u32::MAX); arity.max(1)]));
+            set.insert(Match(vec![NodeId(u32::MAX); arity.max(1)]));
         }
     }
 
@@ -320,28 +303,21 @@ impl IncrementalDetector {
         let Self {
             ref sigma,
             ref registry,
-            ref mut rules,
+            ref groups,
+            ref handles,
+            ref mut violations,
             version,
             ref mut scratch,
         } = *self;
         registry.advance(g, &d, version);
-        // One options value for every pinned call: only the pin moves.
-        let mut opts = MatchOptions::unrestricted().pin(VarId(0), NodeId(0));
 
-        for (rule, state) in rules.iter_mut().enumerate() {
+        // 1. Re-check stored violations that touch the delta; the rest
+        //    are untouched matches with untouched attribute values and
+        //    survive as-is. Failures are retractions.
+        for (rule, set) in violations.iter_mut().enumerate() {
             let gfd = sigma.get(rule);
-            if gfd.dep.y.is_empty() {
-                continue; // X → ∅ can never be violated
-            }
-
-            // 1. Re-check stored violations that touch the delta; the
-            //    rest are untouched matches with untouched attribute
-            //    values and survive as-is. Failures are retractions.
-            state.violations.retain(|m| {
-                if !m.nodes().iter().copied().any(is_affected) {
-                    return true;
-                }
-                if still_violates(gfd, g, m) {
+            set.retain(|m| {
+                if !m.nodes().iter().copied().any(is_affected) || still_violates(gfd, g, m) {
                     return true;
                 }
                 diff.retracted.push(Violation {
@@ -350,36 +326,43 @@ impl IncrementalDetector {
                 });
                 false
             });
+        }
 
-            // 2. New violations contain an affected node: enumerate
-            //    matches pinned there (per variable whose candidate
-            //    set admits the node), via the repaired class space and
-            //    the class's cached plan — fetched once per rule.
-            let view = rule_space(registry, state.handle, state.connected, g);
+        // 2. New violations contain an affected node: enumerate each
+        //    group's matches pinned there (per representative variable
+        //    whose candidate set admits the node), via the repaired
+        //    class space and the class's cached plan — fetched once per
+        //    group — and check every member on each row.
+        for (group, &h) in groups.iter().zip(handles) {
+            if !scratch.select(group, |_| true) {
+                continue; // X → ∅ can never be violated
+            }
+            let view = class_view(registry, group, h, g);
             if view.space.is_empty_anywhere() {
-                debug_assert!(state.violations.is_empty());
+                debug_assert!(group.members.iter().all(|m| violations[m.rule].is_empty()));
                 continue;
             }
+            let pools = if group.is_connected() {
+                Pools::Classes(std::slice::from_ref(&view), &[])
+            } else {
+                Pools::Gated
+            };
             for &u in &affected {
-                for v in gfd.pattern.vars() {
+                for v in (0..group.arity as u32).map(VarId) {
                     if view.of(v).binary_search(&u).is_err() {
                         continue;
                     }
-                    opts.pins[0] = (v, u);
-                    let enumerate = &mut |m: &[NodeId]| {
-                        if !match_satisfies(&gfd.dep, g, m)
-                            && state.violations.insert(Match(m.to_vec()))
-                        {
-                            // First sighting only: the same match can
-                            // be re-found via several pins.
+                    let pins = Pins::Node(v, u);
+                    for_each_group_violation(group, g, pools, pins, scratch, &mut |rule, m| {
+                        // First sighting only: the same match can be
+                        // re-found via several pins.
+                        if violations[rule].insert(Match(m.to_vec())) {
                             diff.added.push(Violation {
                                 rule,
                                 mapping: Match(m.to_vec()),
                             });
                         }
-                        Flow::Continue
-                    };
-                    for_each_match_in(&view, g, &opts, scratch, enumerate);
+                    });
                 }
             }
         }

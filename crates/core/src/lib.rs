@@ -19,7 +19,10 @@
 //! * **Validation / error detection** (§5.1, coNP-complete): the set
 //!   `Vio(Σ, G)` of violating matches, with the sequential reference
 //!   algorithm `detVio` (module [`validate`]; the parallel-scalable
-//!   algorithms live in the `gfd-parallel` crate).
+//!   algorithms live in the `gfd-parallel` crate). Every detection path
+//!   enumerates through one primitive (module [`group`]): Σ grouped by
+//!   pattern isomorphism class, one search per group and pin, every
+//!   member's `X → Y` checked on the row.
 //! * **Classical dependencies as special cases** (§3): encodings of
 //!   relations, FDs and CFDs into graphs and GFDs (module [`cfd`]).
 //!
@@ -32,6 +35,7 @@ pub mod cfd;
 pub mod closure;
 pub mod eqrel;
 pub mod gfd;
+pub mod group;
 pub mod implication;
 pub mod incremental;
 pub mod literal;
@@ -39,6 +43,7 @@ pub mod sat;
 pub mod validate;
 
 pub use gfd::{Gfd, GfdSet};
+pub use group::RuleGroups;
 pub use implication::implies;
 pub use incremental::{IncrementalDetector, VioDiff};
 pub use literal::{Dependency, Literal};

@@ -11,25 +11,28 @@
 //!   match (semi-structured data!), while a missing attribute in `Y`
 //!   is a violation (when `X` held).
 //!
-//! The sequential reference algorithm `detVio` enumerates all matches
-//! per rule and checks the dependency — exponential in the worst case
+//! The sequential algorithm `detVio` enumerates all matches once per
+//! group of isomorphic rule patterns ([`crate::group`]) and checks every
+//! member's dependency on each — exponential in the worst case
 //! (validation is coNP-complete, Prop. 9), which is why the parallel
-//! crate exists. A budgeted variant is provided so callers can bound
-//! the effort.
+//! crate exists. [`for_each_violation`] is the per-rule reference path,
+//! independent of the grouping; a budgeted variant is provided so
+//! callers can bound the effort.
 
 use gfd_graph::{Graph, NodeId};
 use gfd_match::component::ComponentSearch;
 use gfd_match::table::MatchTable;
 use gfd_match::{
-    for_each_match, for_each_match_in, for_each_match_with, types::Flow, ClassRegistry, ClassView,
-    Match, MatchOptions, MatchScratch, SearchBudget, SpaceHandle,
+    for_each_match, types::Flow, ClassRegistry, ClassView, Match, MatchOptions, SearchBudget,
+    SpaceHandle,
 };
-use gfd_pattern::analysis::connected_components;
-use gfd_pattern::signature::decompose;
 use gfd_pattern::VarId;
 use gfd_util::FxHashMap;
 
 use crate::gfd::{Gfd, GfdSet};
+use crate::group::{
+    for_each_group_violation, GroupMember, GroupScratch, Pins, Pools, RuleGroup, RuleGroups,
+};
 use crate::literal::{Dependency, Literal};
 
 /// One violation: which rule, and the violating match.
@@ -86,27 +89,23 @@ pub fn for_each_violation(
 }
 
 /// The sequential algorithm `detVio` (§5.1): computes `Vio(Σ, G)` with
-/// a single processor by full match enumeration per rule, sharing
-/// simulation work across isomorphic rule patterns through a
-/// call-local [`ClassRegistry`].
+/// a single processor by full match enumeration — once per group of
+/// isomorphic rule patterns ([`RuleGroups`]), every member checked on
+/// each row — sharing simulation work across isomorphic rules through
+/// a call-local [`ClassRegistry`].
 pub fn detect_violations(sigma: &GfdSet, g: &Graph) -> Vec<Violation> {
     detect_violations_shared(sigma, g, &ClassRegistry::new())
 }
 
 /// `detVio` borrowing a caller-owned [`ClassRegistry`] shared across
 /// the whole Σ (and, if the caller wishes, with workload estimation):
-/// every rule pattern registers into it, and a **connected** rule
-/// whose isomorphism class is shared by ≥ 2 rules *of this Σ* (class
-/// occurrences are counted over this call's own registrations, so a
-/// warm registry carried across calls never distorts the gate)
-/// enumerates through the class's candidate space — simulated once,
-/// read by every twin through its permutation — instead of re-deriving
-/// its own filter.
-/// Singleton classes and disconnected patterns keep the per-call
-/// [`for_each_match`] path (with its size-gated per-call filter), so
-/// sharing costs at most one simulation per multi-member class,
-/// amortized over that class's rules; unqueried classes cost only
-/// their canonical form.
+/// a **connected** group of ≥ 2 rules of this Σ enumerates through its
+/// class's candidate space — simulated once, read through the
+/// representative's permutation — instead of re-deriving its own
+/// filter. Singleton groups and disconnected patterns keep the per-call
+/// size-gated filter of [`gfd_match::for_each_match_with`], so sharing
+/// costs at most one simulation per multi-member group, amortized over
+/// that group's rules, and registers nothing else.
 pub fn detect_violations_shared(
     sigma: &GfdSet,
     g: &Graph,
@@ -115,89 +114,56 @@ pub fn detect_violations_shared(
     detect_violations_with(sigma, g, registry, &mut DetScratch::default())
 }
 
-/// Caller-owned reusable state for repeated `detVio` runs: the match
-/// engine's [`MatchScratch`] plus the per-call registration
-/// bookkeeping. Keep one alive — next to the shared [`ClassRegistry`]
-/// — across detection iterations and the steady state is
-/// allocation-free up to the violations output itself.
-#[derive(Default)]
-pub struct DetScratch {
-    matching: MatchScratch,
-    handles: Vec<SpaceHandle>,
-    rules_in_class: FxHashMap<usize, usize>,
-}
+/// Caller-owned reusable state for repeated `detVio` runs: the
+/// enumeration primitive's buffers. Keep one alive — next to the shared
+/// [`ClassRegistry`] — across detection iterations and the steady state
+/// is allocation-free up to the grouping and the violations output.
+pub type DetScratch = GroupScratch;
 
 /// [`detect_violations_shared`] with caller-owned scratch. Shared
-/// connected rules additionally pull the class's cached
+/// connected groups additionally pull the class's cached
 /// decomposition plan from the registry
 /// ([`ClassRegistry::space_and_plan`]), so cyclic patterns enumerate
 /// in worst-case-optimal order without rebuilding the plan per call.
+/// Two per-member pre-filters take a member out of the group's row
+/// loop: the factorized constant-`Y` skip (shared groups) and the
+/// value-indexed join (disconnected two-component groups).
 pub fn detect_violations_with(
     sigma: &GfdSet,
     g: &Graph,
     registry: &ClassRegistry,
     scratch: &mut DetScratch,
 ) -> Vec<Violation> {
-    scratch.handles.clear();
-    scratch
-        .handles
-        .extend(sigma.iter().map(|gfd| registry.register(&gfd.pattern)));
-    // How many rules of THIS Σ land in each class (identical patterns
-    // share a handle, so count rule registrations, not handles).
-    scratch.rules_in_class.clear();
-    for &h in &scratch.handles {
-        *scratch
-            .rules_in_class
-            .entry(registry.class_of(h))
-            .or_insert(0) += 1;
-    }
     let mut out = Vec::new();
-    for (i, gfd) in sigma.iter().enumerate() {
-        if gfd.dep.y.is_empty() {
-            continue; // `X → ∅` holds for every match
-        }
-        let opts = MatchOptions::unrestricted();
-        let ncomp = connected_components(&gfd.pattern).len();
-        let shared =
-            ncomp == 1 && scratch.rules_in_class[&registry.class_of(scratch.handles[i])] >= 2;
-        // Disconnected rule with a cross-component X literal: joined on
-        // the literal's attribute values instead of enumerating every
-        // disjoint pair. (Gated on the component count computed above,
-        // so connected rules never pay for a decompose.)
-        if ncomp == 2 && detect_disconnected_indexed(gfd, g, i, &mut out) {
-            continue;
-        }
-        let mut visit = |m: &[NodeId]| {
-            if !match_satisfies(&gfd.dep, g, m) {
-                out.push(Violation {
-                    rule: i,
-                    mapping: Match(m.to_vec()),
-                });
-            }
-            Flow::Continue
-        };
-        // Shared rules enumerate through the class's cached space and
-        // plan; the rest leave the filter to the per-call rule.
-        if shared {
-            let view = registry.space_and_plan(scratch.handles[i], g);
+    for group in RuleGroups::new(sigma).iter() {
+        let shared = group.is_connected() && group.members.len() >= 2;
+        let class = shared.then(|| {
+            let h = registry.register(&sigma.get(group.rep).pattern);
+            (h, registry.space_and_plan(h, g))
+        });
+        let any = scratch.select(group, |m| match &class {
             // FAQ-style skip for all-constant-`Y` rules: if, per the
             // class's factorized marginals, every *represented*
             // binding already satisfies `Y`, no match violates `ϕ` —
             // the represented set is a superset of the match set.
-            // Variable elimination in place of enumeration.
-            if !const_y_satisfied_everywhere(&gfd.dep, g, &view, registry, scratch.handles[i]) {
-                for_each_match_in(&view, g, &opts, &mut scratch.matching, &mut visit);
-            }
-        } else {
-            for_each_match_with(
-                &gfd.pattern,
-                g,
-                &opts,
-                None,
-                &mut scratch.matching,
-                &mut visit,
-            );
+            Some((h, view)) => !const_y_satisfied_everywhere(&m.dep, g, view, registry, *h),
+            // A two-component rule with a cross-component X literal
+            // is joined on the literal's attribute values instead.
+            None => !detect_disconnected_indexed(group, m, g, &mut out),
+        });
+        if !any {
+            continue;
         }
+        let pools = match &class {
+            Some((_, view)) => Pools::Classes(std::slice::from_ref(view), &[]),
+            None => Pools::Gated,
+        };
+        for_each_group_violation(group, g, pools, Pins::None, scratch, &mut |rule, m| {
+            out.push(Violation {
+                rule,
+                mapping: Match(m.to_vec()),
+            })
+        });
     }
     out
 }
@@ -259,21 +225,23 @@ pub(crate) fn const_y_satisfied_everywhere(
 /// (`X` fails ⇒ no violation). This is the factorized-evaluation move
 /// of the FDB/FAQ line of work applied to `Vio(Σ, G)`: cost is
 /// output-proportional in value-agreeing pairs rather than in all
-/// pairs. Returns `false` (and emits nothing) when the rule lacks the
-/// shape, leaving the generic path to handle it.
+/// pairs. Reads the group's decomposition and the member's dependency
+/// in representative numbering; violations come out in the member's
+/// own order. Returns `false` (and emits nothing) when the rule lacks
+/// the shape, leaving the group's enumeration to handle it.
 fn detect_disconnected_indexed(
-    gfd: &Gfd,
+    group: &RuleGroup,
+    member: &GroupMember,
     g: &Graph,
-    rule: usize,
     out: &mut Vec<Violation>,
 ) -> bool {
-    let parts = decompose(&gfd.pattern);
+    let parts = &group.parts;
     if parts.len() != 2 {
         return false;
     }
     // A cross-component equality literal in X to join on.
     let comp_of = |v: VarId| parts[0].1.contains(&v);
-    let Some((jx, ja, jy, jb)) = gfd.dep.x.iter().find_map(|l| match *l {
+    let Some((jx, ja, jy, jb)) = member.dep.x.iter().find_map(|l| match *l {
         Literal::Vars { x, a, y, b } if comp_of(x) != comp_of(y) => Some((x, a, y, b)),
         _ => None,
     }) else {
@@ -288,7 +256,7 @@ fn detect_disconnected_indexed(
 
     // Enumerate both components into flat tables.
     let mut tables = Vec::with_capacity(2);
-    for (cq, _) in &parts {
+    for (cq, _) in parts {
         let mut t = MatchTable::new(cq.node_count());
         ComponentSearch::new(cq, g).collect_into(&mut t);
         if t.is_empty() {
@@ -321,7 +289,8 @@ fn detect_disconnected_indexed(
     }
     let vars0 = &parts[0].1;
     let vars1 = &parts[1].1;
-    let mut assignment = vec![NodeId(u32::MAX); gfd.pattern.node_count()];
+    let mut assignment = vec![NodeId(u32::MAX); group.arity];
+    let mut row = Vec::new();
     for prow in probe.iter() {
         let Some(v) = g.attr(prow[pcol], pattr) else {
             continue;
@@ -348,10 +317,10 @@ fn detect_disconnected_indexed(
             for (j, &n) in row1.iter().enumerate() {
                 assignment[vars1[j].index()] = n;
             }
-            if !match_satisfies(&gfd.dep, g, &assignment) {
+            if !match_satisfies(&member.dep, g, &assignment) {
                 out.push(Violation {
-                    rule,
-                    mapping: Match(assignment.clone()),
+                    rule: member.rule,
+                    mapping: Match(member.member_row(&assignment, &mut row).to_vec()),
                 });
             }
         }
@@ -672,9 +641,10 @@ mod tests {
     }
 
     /// Two rules sharing a cyclic (triangle) pattern class must route
-    /// through the registry's cached plan (WCOJ executor) and agree
-    /// with the fresh per-rule path — and a warm registry + scratch
-    /// must keep agreeing across repeated runs.
+    /// through the registry's cached plan (WCOJ executor), enumerating
+    /// the class once, and agree with the per-rule reference path — and
+    /// a warm registry + scratch must keep agreeing across repeated
+    /// runs.
     #[test]
     fn shared_cyclic_rules_use_cached_plan_and_agree() {
         let vocab = Vocab::shared();
@@ -715,8 +685,17 @@ mod tests {
             mk("phi-b", triangle(["p", "q", "r"])),
         ]);
 
-        // Baseline: fresh registries, per-rule generic path.
-        let mut want = detect_violations(&sigma, &g);
+        // Baseline: the per-rule reference path.
+        let mut want = Vec::new();
+        for (rule, gfd) in sigma.iter().enumerate() {
+            for_each_violation(gfd, &g, &MatchOptions::unrestricted(), &mut |m| {
+                want.push(Violation {
+                    rule,
+                    mapping: Match(m.to_vec()),
+                });
+                Flow::Continue
+            });
+        }
         // Every triangle rotation violates, for both rules.
         assert_eq!(want.len(), 12);
 
@@ -729,6 +708,7 @@ mod tests {
             want.sort_by_key(key);
             assert_eq!(got, want);
         }
+        assert_eq!(scratch.enumerations(), 3, "one search of the class per run");
         assert_eq!(reg.class_count(), 1, "both rules share one class");
         assert_eq!(reg.simulations(), 1);
         assert_eq!(reg.plans_built(), 1);

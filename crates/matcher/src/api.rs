@@ -31,7 +31,7 @@ use gfd_pattern::{signature::decompose, PatLabel, Pattern, VarId};
 
 use crate::component::{ComponentSearch, SearchScratch, StopReason};
 use crate::factorize::{FactorScratch, Factorization};
-use crate::join::{join_tables, ComponentTable, JoinScratch};
+use crate::join::{join_tables, JoinScratch};
 use crate::plan::QueryPlan;
 use crate::registry::{rep_var, ClassView};
 use crate::simulation::{dual_simulation, CandidateSpace};
@@ -286,16 +286,8 @@ fn enumerate(
             return StopReason::Exhausted; // no match of this component → none of Q
         }
     }
-    let inputs: Vec<ComponentTable> = parts
-        .iter()
-        .zip(tables.iter())
-        .map(|((_, vars), table)| ComponentTable {
-            vars,
-            table,
-            perm: None,
-        })
-        .collect();
-    if join_tables(inputs.as_slice(), q.node_count(), join, f) {
+    let tables = &tables[..parts.len()];
+    if join_tables(&parts, tables, q.node_count(), join, f) {
         StopReason::Exhausted
     } else {
         StopReason::CallbackBreak

@@ -254,7 +254,7 @@ pub(crate) fn space_candidate_ok(
 
 /// Caller-owned reusable buffers for [`ComponentSearch`]: per-depth
 /// candidate pools, the assignment array, and all ordering state.
-/// Detection loops run one search per rule per block; threading one
+/// Detection loops run one search per rule group and pin; threading one
 /// `SearchScratch` through them (via
 /// [`ComponentSearch::with_scratch`], recovered by
 /// [`ComponentSearch::into_scratch`]) makes repeated searches

@@ -7,82 +7,30 @@
 //! combinations in a streaming fashion, smallest component match-list
 //! first so dead ends are pruned early.
 //!
-//! Component match sets arrive as flat [`MatchTable`]s read through
-//! optional column permutations ([`JoinInputs::perm`]): the join
+//! Component match sets arrive as flat [`MatchTable`]s, one per part
+//! of the pattern's decomposition (what `decompose` returns): the join
 //! streams directly over table rows — no per-match `Vec`s are ever
-//! materialized, and a table stored in another variable order is
-//! joined in place through its permutation. All backtracking state
-//! lives in a caller-owned [`JoinScratch`], so a warm caller joins
-//! with zero heap allocation.
+//! materialized. All backtracking state lives in a caller-owned
+//! [`JoinScratch`], so a warm caller joins with zero heap allocation.
 //!
-//! Inputs may also *share* variables — the decomposition planner joins
-//! the bags of one component's tree decomposition through the same
-//! entry point. A column whose variable is already assigned must agree
-//! with the assignment (an equi-join on the bag overlap) instead of
-//! tripping the disjointness check; only newly placed variables
-//! consume fresh nodes. Shared-variable inputs are probed through a
-//! sorted row index over their key columns (built per join call,
-//! reused across calls through the scratch), so the equi-join runs in
-//! output-proportional time instead of scanning every row per outer
-//! match; inputs without shared variables keep the plain scan.
+//! Parts may also *share* variables — the bags of one component's
+//! tree decomposition, say. A column whose variable is already
+//! assigned must agree with the assignment (an equi-join on the bag
+//! overlap) instead of tripping the disjointness check; only newly
+//! placed variables consume fresh nodes. Shared-variable inputs are
+//! probed through a sorted row index over their key columns (built per
+//! join call, reused across calls through the scratch), so the
+//! equi-join runs in output-proportional time instead of scanning every
+//! row per outer match; inputs without shared variables keep the plain
+//! scan.
 
 use std::cmp::Ordering;
 
 use gfd_graph::NodeId;
-use gfd_pattern::VarId;
+use gfd_pattern::{Pattern, VarId};
 
 use crate::table::MatchTable;
 use crate::types::Flow;
-
-/// The join's view of its inputs: `count` components, each a flat
-/// table of matches plus the original pattern variable of every
-/// logical column. Implemented by slices of [`ComponentTable`] and by
-/// the unit executor's zero-allocation adapter in `gfd-parallel`.
-pub trait JoinInputs {
-    /// Number of components.
-    fn count(&self) -> usize;
-    /// `vars(i)[j]` is the original variable of component `i`'s
-    /// logical column `j`.
-    fn vars(&self, i: usize) -> &[VarId];
-    /// Component `i`'s match table (physical column order).
-    fn table(&self, i: usize) -> &MatchTable;
-    /// Component `i`'s column permutation (logical `j` reads physical
-    /// `perm[j]`); `None` = identity. Must be a bijection on
-    /// `0..arity` — it permutes columns, never projects or duplicates
-    /// them — so the *set of nodes* in a physical row equals the set
-    /// in the logical row and order-insensitive row checks may scan
-    /// the physical row directly.
-    fn perm(&self, _i: usize) -> Option<&[u32]> {
-        None
-    }
-}
-
-/// One component's join input borrowing a table directly — the
-/// convenient concrete form for callers that own their tables.
-#[derive(Clone, Copy)]
-pub struct ComponentTable<'a> {
-    /// Original pattern variable of each logical column.
-    pub vars: &'a [VarId],
-    /// The match table.
-    pub table: &'a MatchTable,
-    /// Optional column permutation (see [`JoinInputs::perm`]).
-    pub perm: Option<&'a [u32]>,
-}
-
-impl JoinInputs for [ComponentTable<'_>] {
-    fn count(&self) -> usize {
-        self.len()
-    }
-    fn vars(&self, i: usize) -> &[VarId] {
-        self[i].vars
-    }
-    fn table(&self, i: usize) -> &MatchTable {
-        self[i].table
-    }
-    fn perm(&self, i: usize) -> Option<&[u32]> {
-        self[i].perm
-    }
-}
 
 /// Reusable backtracking state for [`join_tables`]: component order,
 /// the assignment under construction, and the disjointness set. A
@@ -122,7 +70,6 @@ struct KeyedIndex {
 /// key columns are shared with earlier inputs by construction).
 fn cmp_key_to_assignment(
     table: &MatchTable,
-    perm: Option<&[u32]>,
     vars: &[VarId],
     cols: &[u32],
     r: u32,
@@ -130,8 +77,7 @@ fn cmp_key_to_assignment(
 ) -> Ordering {
     let row = table.row(r as usize);
     for &j in cols {
-        let phys = perm.map_or(j as usize, |p| p[j as usize] as usize);
-        match row[phys].cmp(&assignment[vars[j as usize].index()]) {
+        match row[j as usize].cmp(&assignment[vars[j as usize].index()]) {
             Ordering::Equal => {}
             o => return o,
         }
@@ -146,24 +92,24 @@ impl JoinScratch {
     }
 }
 
-/// Streams every compatible combination of input matches as a full
-/// assignment (indexed by original variable id, length `total_vars`).
-/// Inputs with disjoint variable sets combine node-disjointly (the
-/// disconnected-pattern join); inputs sharing variables must agree on
-/// them (the decomposition planner's bag join). Stops early if `f`
-/// returns [`Flow::Break`]; returns `true` if the enumeration ran to
-/// completion.
-pub fn join_tables<I: JoinInputs + ?Sized>(
-    inputs: &I,
+/// Streams every compatible combination of the parts' matches —
+/// `tables[i]` holds matches of `parts[i].0`, over the original
+/// variables `parts[i].1` — as a full assignment (indexed by original
+/// variable id, length `total_vars`). Parts with disjoint variable sets
+/// combine node-disjointly (the disconnected-pattern join); parts
+/// sharing variables must agree on them (a bag join). Stops early if
+/// `f` returns [`Flow::Break`]; returns `true` if the enumeration ran
+/// to completion.
+pub fn join_tables(
+    parts: &[(Pattern, Vec<VarId>)],
+    tables: &[MatchTable],
     total_vars: usize,
     scratch: &mut JoinScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> bool {
-    let k = inputs.count();
-    for i in 0..k {
-        if inputs.table(i).is_empty() {
-            return true; // no matches at all — trivially complete
-        }
+    debug_assert_eq!(parts.len(), tables.len(), "one table per part");
+    if tables.iter().any(MatchTable::is_empty) {
+        return true; // no matches at all — trivially complete
     }
     let JoinScratch {
         order,
@@ -174,9 +120,10 @@ pub fn join_tables<I: JoinInputs + ?Sized>(
         seen,
     } = scratch;
     // Order components by ascending match count for early pruning.
+    let k = tables.len();
     order.clear();
     order.extend(0..k);
-    order.sort_unstable_by_key(|&i| inputs.table(i).len());
+    order.sort_unstable_by_key(|&i| tables[i].len());
 
     // Index every input whose variables overlap an earlier one: probe
     // by binary search instead of rescanning the table per outer row.
@@ -189,21 +136,19 @@ pub fn join_tables<I: JoinInputs + ?Sized>(
         let ki = &mut keyed[d];
         ki.cols.clear();
         ki.rows.clear();
-        let vars = inputs.vars(ci);
+        let vars = &parts[ci].1;
         for (j, &v) in vars.iter().enumerate() {
             if seen[v.index()] {
                 ki.cols.push(j as u32);
             }
         }
         if !ki.cols.is_empty() {
-            let table = inputs.table(ci);
-            let perm = inputs.perm(ci);
+            let table = &tables[ci];
             ki.rows.extend(0..table.len() as u32);
             ki.rows.sort_unstable_by(|&a, &b| {
                 let (ra, rb) = (table.row(a as usize), table.row(b as usize));
                 for &j in &ki.cols {
-                    let phys = perm.map_or(j as usize, |p| p[j as usize] as usize);
-                    match ra[phys].cmp(&rb[phys]) {
+                    match ra[j as usize].cmp(&rb[j as usize]) {
                         Ordering::Equal => {}
                         o => return o,
                     }
@@ -211,7 +156,7 @@ pub fn join_tables<I: JoinInputs + ?Sized>(
                 a.cmp(&b)
             });
         }
-        for &v in vars {
+        for v in vars {
             seen[v.index()] = true;
         }
     }
@@ -220,7 +165,9 @@ pub fn join_tables<I: JoinInputs + ?Sized>(
     assignment.resize(total_vars, NodeId(u32::MAX));
     used.clear();
     used_vars.clear();
-    rec(inputs, order, keyed, 0, assignment, used, used_vars, f)
+    rec(
+        parts, tables, order, keyed, 0, assignment, used, used_vars, f,
+    )
 }
 
 /// Resets the variables placed since `from`, restoring the state this
@@ -239,8 +186,9 @@ fn unwind(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn rec<I: JoinInputs + ?Sized>(
-    inputs: &I,
+fn rec(
+    parts: &[(Pattern, Vec<VarId>)],
+    tables: &[MatchTable],
     order: &[usize],
     keyed: &[KeyedIndex],
     depth: usize,
@@ -253,9 +201,7 @@ fn rec<I: JoinInputs + ?Sized>(
         return f(assignment) == Flow::Continue;
     }
     let ci = order[depth];
-    let table = inputs.table(ci);
-    let vars = inputs.vars(ci);
-    let perm = inputs.perm(ci);
+    let (vars, table) = (&parts[ci].1, &tables[ci]);
     let ki = &keyed[depth];
     // Equi-join probe: only the contiguous group of rows agreeing with
     // the assignment on every key column; no key = the full table.
@@ -263,22 +209,17 @@ fn rec<I: JoinInputs + ?Sized>(
         (&[][..], table.len())
     } else {
         let lo = ki.rows.partition_point(|&r| {
-            cmp_key_to_assignment(table, perm, vars, &ki.cols, r, assignment) == Ordering::Less
+            cmp_key_to_assignment(table, vars, &ki.cols, r, assignment) == Ordering::Less
         });
         let len = ki.rows[lo..].partition_point(|&r| {
-            cmp_key_to_assignment(table, perm, vars, &ki.cols, r, assignment) == Ordering::Equal
+            cmp_key_to_assignment(table, vars, &ki.cols, r, assignment) == Ordering::Equal
         });
         (&ki.rows[lo..lo + len], 0)
     };
     'next_match: for r in (0..full).chain(group.iter().map(|&r| r as usize)) {
         let row = table.row(r);
         let placed0 = used.len();
-        for (j, &var) in vars.iter().enumerate() {
-            let phys = match perm {
-                None => j,
-                Some(p) => p[j] as usize,
-            };
-            let node = row[phys];
+        for (&var, &node) in vars.iter().zip(row) {
             let slot = assignment[var.index()];
             if slot != NodeId(u32::MAX) {
                 // Shared variable: the row must agree with the value an
@@ -299,7 +240,8 @@ fn rec<I: JoinInputs + ?Sized>(
             }
         }
         let go_on = rec(
-            inputs,
+            parts,
+            tables,
             order,
             keyed,
             depth + 1,
@@ -319,6 +261,8 @@ fn rec<I: JoinInputs + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gfd_graph::Vocab;
+    use gfd_pattern::PatternBuilder;
 
     fn table(arity: usize, rows: &[&[NodeId]]) -> MatchTable {
         let mut t = MatchTable::new(arity);
@@ -328,10 +272,24 @@ mod tests {
         t
     }
 
-    fn collect(components: &[ComponentTable], total: usize) -> Vec<Vec<NodeId>> {
+    /// A part over the original variables `vars`: wildcard nodes, one
+    /// per variable (the join reads only the variables).
+    fn part(vars: &[u32]) -> (Pattern, Vec<VarId>) {
+        let mut b = PatternBuilder::new(Vocab::shared());
+        for v in vars {
+            b.wildcard_node(&format!("v{v}"));
+        }
+        (b.build(), vars.iter().map(|&v| VarId(v)).collect())
+    }
+
+    fn collect(
+        parts: &[(Pattern, Vec<VarId>)],
+        tables: &[MatchTable],
+        total: usize,
+    ) -> Vec<Vec<NodeId>> {
         let mut out = Vec::new();
         let mut scratch = JoinScratch::new();
-        join_tables(components, total, &mut scratch, &mut |a| {
+        join_tables(parts, tables, total, &mut scratch, &mut |a| {
             out.push(a.to_vec());
             Flow::Continue
         });
@@ -343,19 +301,7 @@ mod tests {
         // Component A: var 0 over {n0, n1}; component B: var 1 over {n0, n1}.
         let ta = table(1, &[&[NodeId(0)], &[NodeId(1)]]);
         let tb = table(1, &[&[NodeId(0)], &[NodeId(1)]]);
-        let comps = [
-            ComponentTable {
-                vars: &[VarId(0)],
-                table: &ta,
-                perm: None,
-            },
-            ComponentTable {
-                vars: &[VarId(1)],
-                table: &tb,
-                perm: None,
-            },
-        ];
-        let out = collect(&comps, 2);
+        let out = collect(&[part(&[0]), part(&[1])], &[ta, tb], 2);
         // 2×2 minus the 2 overlapping combinations.
         assert_eq!(out.len(), 2);
         for a in &out {
@@ -367,32 +313,15 @@ mod tests {
     fn empty_component_short_circuits() {
         let ta = table(1, &[&[NodeId(0)]]);
         let tb = table(1, &[]);
-        let comps = [
-            ComponentTable {
-                vars: &[VarId(0)],
-                table: &ta,
-                perm: None,
-            },
-            ComponentTable {
-                vars: &[VarId(1)],
-                table: &tb,
-                perm: None,
-            },
-        ];
-        assert!(collect(&comps, 2).is_empty());
+        assert!(collect(&[part(&[0]), part(&[1])], &[ta, tb], 2).is_empty());
     }
 
     #[test]
     fn break_stops_enumeration() {
         let t = table(1, &[&[NodeId(0)], &[NodeId(1)], &[NodeId(2)]]);
-        let comps = [ComponentTable {
-            vars: &[VarId(0)],
-            table: &t,
-            perm: None,
-        }];
         let mut n = 0;
         let mut scratch = JoinScratch::new();
-        let complete = join_tables(comps.as_slice(), 1, &mut scratch, &mut |_| {
+        let complete = join_tables(&[part(&[0])], &[t], 1, &mut scratch, &mut |_| {
             n += 1;
             Flow::Break
         });
@@ -405,38 +334,8 @@ mod tests {
         // Component over original vars (2, 0); another over (1,).
         let ta = table(2, &[&[NodeId(10), NodeId(11)]]);
         let tb = table(1, &[&[NodeId(12)]]);
-        let comps = [
-            ComponentTable {
-                vars: &[VarId(2), VarId(0)],
-                table: &ta,
-                perm: None,
-            },
-            ComponentTable {
-                vars: &[VarId(1)],
-                table: &tb,
-                perm: None,
-            },
-        ];
-        let out = collect(&comps, 3);
+        let out = collect(&[part(&[2, 0]), part(&[1])], &[ta, tb], 3);
         assert_eq!(out, vec![vec![NodeId(11), NodeId(12), NodeId(10)]]);
-    }
-
-    #[test]
-    fn permuted_view_joins_like_materialized_rows() {
-        // Physical rows in representative order (rep0, rep1); the twin
-        // component's logical columns read (rep1, rep0).
-        let t = table(2, &[&[NodeId(1), NodeId(2)], &[NodeId(3), NodeId(4)]]);
-        let perm = [1u32, 0];
-        let comps = [ComponentTable {
-            vars: &[VarId(0), VarId(1)],
-            table: &t,
-            perm: Some(&perm),
-        }];
-        let out = collect(&comps, 2);
-        assert_eq!(
-            out,
-            vec![vec![NodeId(2), NodeId(1)], vec![NodeId(4), NodeId(3)],]
-        );
     }
 
     #[test]
@@ -452,19 +351,7 @@ mod tests {
             ],
         );
         let tb = table(2, &[&[NodeId(1), NodeId(9)], &[NodeId(2), NodeId(8)]]);
-        let comps = [
-            ComponentTable {
-                vars: &[VarId(0), VarId(1)],
-                table: &ta,
-                perm: None,
-            },
-            ComponentTable {
-                vars: &[VarId(1), VarId(2)],
-                table: &tb,
-                perm: None,
-            },
-        ];
-        let mut out = collect(&comps, 3);
+        let mut out = collect(&[part(&[0, 1]), part(&[1, 2])], &[ta, tb], 3);
         out.sort();
         assert_eq!(
             out,
@@ -482,57 +369,17 @@ mod tests {
         // A's node n0 — rejected (matches are injective).
         let ta = table(2, &[&[NodeId(0), NodeId(5)]]);
         let tb = table(2, &[&[NodeId(5), NodeId(0)], &[NodeId(5), NodeId(7)]]);
-        let comps = [
-            ComponentTable {
-                vars: &[VarId(0), VarId(1)],
-                table: &ta,
-                perm: None,
-            },
-            ComponentTable {
-                vars: &[VarId(1), VarId(2)],
-                table: &tb,
-                perm: None,
-            },
-        ];
-        let out = collect(&comps, 3);
-        assert_eq!(out, vec![vec![NodeId(0), NodeId(5), NodeId(7)]]);
-    }
-
-    #[test]
-    fn shared_join_through_permutation() {
-        // Bag B reads its logical columns (var1, var2) through the
-        // permutation [1, 0] of physical rows stored as (var2, var1).
-        let ta = table(2, &[&[NodeId(0), NodeId(5)]]);
-        let tb = table(2, &[&[NodeId(7), NodeId(5)], &[NodeId(7), NodeId(6)]]);
-        let perm = [1u32, 0];
-        let comps = [
-            ComponentTable {
-                vars: &[VarId(0), VarId(1)],
-                table: &ta,
-                perm: None,
-            },
-            ComponentTable {
-                vars: &[VarId(1), VarId(2)],
-                table: &tb,
-                perm: Some(&perm),
-            },
-        ];
-        let out = collect(&comps, 3);
+        let out = collect(&[part(&[0, 1]), part(&[1, 2])], &[ta, tb], 3);
         assert_eq!(out, vec![vec![NodeId(0), NodeId(5), NodeId(7)]]);
     }
 
     #[test]
     fn scratch_is_reusable_across_joins() {
-        let t = table(1, &[&[NodeId(0)], &[NodeId(1)]]);
-        let comps = [ComponentTable {
-            vars: &[VarId(0)],
-            table: &t,
-            perm: None,
-        }];
+        let (parts, tables) = ([part(&[0])], [table(1, &[&[NodeId(0)], &[NodeId(1)]])]);
         let mut scratch = JoinScratch::new();
         for _ in 0..3 {
             let mut n = 0;
-            join_tables(comps.as_slice(), 1, &mut scratch, &mut |_| {
+            join_tables(&parts, &tables, 1, &mut scratch, &mut |_| {
                 n += 1;
                 Flow::Continue
             });

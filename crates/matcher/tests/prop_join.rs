@@ -1,15 +1,15 @@
 //! Oracle property tests for the streamed flat-table join: on random
-//! multi-component patterns with random witnesses and pins,
-//! [`join_tables`] over permuted [`MatchTable`] views must produce
-//! exactly what the nested-`Vec<Vec<NodeId>>` join (the pre-flat-table
-//! algorithm, reimplemented below as the oracle) produces — including
-//! the both-orientations path that symmetric-pair units take.
+//! multi-component patterns with random pins, [`join_tables`] over
+//! [`MatchTable`]s must produce exactly what the
+//! nested-`Vec<Vec<NodeId>>` join (the pre-flat-table algorithm,
+//! reimplemented below as the oracle) produces — including the
+//! both-orientations path that symmetric-pair units take.
 
 use std::sync::Arc;
 
 use gfd_graph::{Graph, GraphBuilder, NodeId, Vocab};
 use gfd_match::component::ComponentSearch;
-use gfd_match::join::{join_tables, ComponentTable, JoinScratch};
+use gfd_match::join::{join_tables, JoinScratch};
 use gfd_match::table::MatchTable;
 use gfd_match::types::Flow;
 use gfd_pattern::{Pattern, PatternBuilder, VarId};
@@ -107,33 +107,20 @@ fn random_component(rng: &mut Rng, vocab: &Arc<Vocab>) -> Pattern {
 }
 
 /// Enumerates one component's matches (optionally pinned), returning
-/// the nested-`Vec` oracle form AND a flat table stored under a random
-/// column permutation (the "witness"), with the perm that views it back
-/// in logical order.
+/// the nested-`Vec` oracle form AND the flat table.
 fn enumerate_both(
-    rng: &mut Rng,
     q: &Pattern,
     g: &Graph,
     pin: Option<(VarId, NodeId)>,
-) -> (Vec<Vec<NodeId>>, MatchTable, Vec<u32>) {
-    let logical = ComponentSearch::new(q, g)
+) -> (Vec<Vec<NodeId>>, MatchTable) {
+    let nested = ComponentSearch::new(q, g)
         .pins(pin.as_slice())
         .collect_all();
-    let arity = q.node_count();
-    // Random witness: logical column j is stored at physical perm[j].
-    let mut perm: Vec<u32> = (0..arity as u32).collect();
-    for i in (1..perm.len()).rev() {
-        perm.swap(i, rng.gen_range(0..i + 1));
+    let mut table = MatchTable::with_capacity(q.node_count(), nested.len());
+    for row in &nested {
+        table.push_row(row);
     }
-    let mut table = MatchTable::with_capacity(arity, logical.len());
-    let mut phys = vec![NodeId(u32::MAX); arity];
-    for row in &logical {
-        for (j, &node) in row.iter().enumerate() {
-            phys[perm[j] as usize] = node;
-        }
-        table.push_row(&phys);
-    }
-    (logical, table, perm)
+    (nested, table)
 }
 
 fn sorted(mut v: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
@@ -141,10 +128,14 @@ fn sorted(mut v: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
     v
 }
 
-fn flat_join(inputs: &[ComponentTable], total: usize) -> Vec<Vec<NodeId>> {
+fn flat_join(
+    parts: &[(Pattern, Vec<VarId>)],
+    tables: &[MatchTable],
+    total: usize,
+) -> Vec<Vec<NodeId>> {
     let mut out = Vec::new();
     let mut scratch = JoinScratch::new();
-    join_tables(inputs, total, &mut scratch, &mut |a| {
+    join_tables(parts, tables, total, &mut scratch, &mut |a| {
         out.push(a.to_vec());
         Flow::Continue
     });
@@ -169,7 +160,7 @@ fn flat_table_join_equals_nested_join() {
             }
             let mut offset = 0usize;
             let mut nested: Vec<(Vec<VarId>, Vec<Vec<NodeId>>)> = Vec::new();
-            let mut tables: Vec<(MatchTable, Vec<u32>)> = Vec::new();
+            let mut tables: Vec<MatchTable> = Vec::new();
             for q in &comps {
                 let vars: Vec<VarId> = orig[offset..offset + q.node_count()]
                     .iter()
@@ -183,20 +174,16 @@ fn flat_table_join_equals_nested_join() {
                         NodeId(rng.gen_range(0..g.node_count()) as u32),
                     )
                 });
-                let (logical, table, perm) = enumerate_both(rng, q, &g, pin);
-                nested.push((vars, logical));
-                tables.push((table, perm));
+                let (rows, table) = enumerate_both(q, &g, pin);
+                nested.push((vars, rows));
+                tables.push(table);
             }
-            let inputs: Vec<ComponentTable> = nested
+            let parts: Vec<(Pattern, Vec<VarId>)> = comps
                 .iter()
-                .zip(&tables)
-                .map(|((vars, _), (table, perm))| ComponentTable {
-                    vars,
-                    table,
-                    perm: Some(perm),
-                })
+                .zip(&nested)
+                .map(|(q, (vars, _))| (q.clone(), vars.clone()))
                 .collect();
-            let got = sorted(flat_join(&inputs, total));
+            let got = sorted(flat_join(&parts, &tables, total));
             let want = sorted(oracle_join(&nested, total));
             if got != want {
                 return Err(format!(
@@ -233,21 +220,10 @@ fn both_orientations_flat_equals_nested() {
             let mut flat_union: Vec<Vec<NodeId>> = Vec::new();
             let mut oracle_union: Vec<Vec<NodeId>> = Vec::new();
             for (pa, pb) in [(a, b), (b, a)] {
-                let (l0, t0, p0) = enumerate_both(rng, &q, &g, Some((pivot, pa)));
-                let (l1, t1, p1) = enumerate_both(rng, &q, &g, Some((pivot, pb)));
-                let inputs = [
-                    ComponentTable {
-                        vars: &vars0,
-                        table: &t0,
-                        perm: Some(&p0),
-                    },
-                    ComponentTable {
-                        vars: &vars1,
-                        table: &t1,
-                        perm: Some(&p1),
-                    },
-                ];
-                flat_union.extend(flat_join(&inputs, total));
+                let (l0, t0) = enumerate_both(&q, &g, Some((pivot, pa)));
+                let (l1, t1) = enumerate_both(&q, &g, Some((pivot, pb)));
+                let parts = [(q.clone(), vars0.clone()), (q.clone(), vars1.clone())];
+                flat_union.extend(flat_join(&parts, &[t0, t1], total));
                 oracle_union.extend(oracle_join(
                     &[(vars0.clone(), l0), (vars1.clone(), l1)],
                     total,

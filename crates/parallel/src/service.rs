@@ -57,7 +57,7 @@ use std::path::Path;
 use std::sync::{mpsc, Arc, Weak};
 
 use gfd_core::validate::{detect_violations, for_each_violation};
-use gfd_core::{GfdSet, IncrementalDetector, Violation};
+use gfd_core::{GfdSet, IncrementalDetector, RuleGroups, Violation};
 use gfd_graph::{DeltaError, Graph, GraphDelta};
 use gfd_match::types::Flow;
 use gfd_match::{Match, MatchOptions};
@@ -753,16 +753,19 @@ impl ViolationService {
 
         let mut violations = report.violations;
         if !report.quarantined.is_empty() {
-            // Every quarantined unit's rule is re-derived from scratch
-            // on the coordinator — outside the unit machinery, so an
-            // injected per-unit fault cannot recur here. Drop the
-            // affected rules' partial results first: other units of
-            // the same rule completed fine, but re-derivation covers
-            // the whole rule, so keeping them would duplicate rows.
+            // Every rule a quarantined unit checks — each member of its
+            // rule group — is re-derived from scratch on the
+            // coordinator, outside the unit machinery, so an injected
+            // per-unit fault cannot recur here. Drop the affected
+            // rules' partial results first: other units of the same
+            // group completed fine, but re-derivation covers the whole
+            // rule, so keeping them would duplicate rows.
+            let groups = RuleGroups::new(&self.sigma);
             let mut rules: Vec<usize> = report
                 .quarantined
                 .iter()
-                .map(|&i| wl.units[i].rule())
+                .flat_map(|&i| groups.of(wl.units[i].rule()).members.iter())
+                .map(|m| m.rule)
                 .collect();
             rules.sort_unstable();
             rules.dedup();

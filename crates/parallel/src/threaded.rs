@@ -71,8 +71,9 @@ pub struct ThreadedReport {
     /// Unit indices abandoned after [`MAX_UNIT_ATTEMPTS`] panics,
     /// sorted ascending. Their violations are missing from
     /// [`violations`](ThreadedReport::violations) — the caller must
-    /// recover them (re-derive the affected rules) or surface the
-    /// gap; the standing-violation service does the former.
+    /// recover them (re-derive every rule of each unit's group) or
+    /// surface the gap; the standing-violation service does the
+    /// former.
     pub quarantined: Vec<usize>,
     /// The registry's counters across this call: every worker's
     /// class-space requests (and those of any co-tenant that raced the

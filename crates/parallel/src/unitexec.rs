@@ -1,20 +1,23 @@
 //! Executing a work unit: local error detection (`localVio`, §6.1).
 //!
-//! A unit of rule `ϕ` is one cell of `ϕ`'s range grid (module
-//! [`workload`](crate::workload)): per component, a contiguous range of
-//! the component's sorted pivot candidates. Executing it enumerates the
-//! matches `h(x̄)` of `ϕ`'s pattern whose pivots lie in the cell — one
-//! enumeration of each component *pinned* at each pivot of its range —
-//! and records every match with `h ⊨ X`, `h ⊭ Y`. By the locality of
-//! subgraph isomorphism a search pinned at a pivot cannot leave the
-//! pivot's `c^i_Q`-hop block, so execution reads only the pivots of a
-//! unit: its blocks are cost inputs (the load estimate, `disVal`'s byte
-//! model), never search inputs.
+//! A unit is one cell of a rule group's range grid (module
+//! [`workload`](crate::workload)): per component of the group's
+//! representative, a contiguous range of the component's sorted pivot
+//! candidates. Executing it enumerates the matches `h(x̄)` of the
+//! representative whose pivots lie in the cell — one enumeration of each
+//! component *pinned* at each pivot of its range — and checks every
+//! member rule of the group on each row, recording every match with
+//! `h ⊨ X`, `h ⊭ Y` in the member's own variable order
+//! ([`for_each_group_violation`], the one detection primitive). By the
+//! locality of subgraph isomorphism a search pinned at a pivot cannot
+//! leave the pivot's `c^i_Q`-hop block, so execution reads only the
+//! pivots of a unit: its blocks are cost inputs (the load estimate,
+//! `disVal`'s byte model), never search inputs.
 //!
-//! A one-component rule streams its rows straight into the dependency
-//! check; a `k ≥ 2` rule collects each component's rows in a per-worker
-//! scratch [`MatchTable`] and joins the tables under global
-//! injectivity. When a unit stems from the symmetric-pair dedup
+//! A one-component group streams its rows to the members' dependency
+//! checks; a `k ≥ 2` group collects each component's rows in a scratch
+//! [`MatchTable`](gfd_match::MatchTable) and joins the tables under
+//! global injectivity. When a unit stems from the symmetric-pair dedup
 //! (Example 10) and its two ranges differ, the swapped orientation is
 //! joined too, so the deduplication never loses violations (a diagonal
 //! cell's one join already holds both orders of every pair).
@@ -24,51 +27,35 @@
 //! of a run share is the read-only serving tier — with the
 //! *multi-query* optimization (appendix, following \[31\]) on, every
 //! component enumerates through its isomorphism class's candidate
-//! space and query plan in the shared [`ClassRegistry`]
-//! ([`for_each_match_in`]: the class representative is enumerated, pins
-//! and rows are translated through the member's permutation), one
-//! registry lookup per unit and component, and pivots a *resident*
-//! class factorization proves matchless are skipped before any search.
+//! space and query plan in the shared [`ClassRegistry`], one registry
+//! lookup per unit and component, and pivots a *resident* class
+//! factorization proves matchless are skipped before any search.
 //! Without it every enumeration searches the raw graph privately.
 //! Either way a warm [`UnitExecutor::run`] call performs **zero heap
 //! allocations** (asserted by the `alloc_probe` test and the
 //! `alloc/unit_exec_steady_state` bench sample).
 
-use gfd_core::validate::match_satisfies;
+use std::sync::Arc;
+
+use gfd_core::group::{for_each_group_violation, GroupScratch, Pins, Pools, RuleGroups};
 use gfd_core::{GfdSet, Violation};
-use gfd_graph::{Graph, NodeId};
-use gfd_match::component::{ComponentSearch, SearchScratch};
-use gfd_match::join::{join_tables, JoinInputs, JoinScratch};
-use gfd_match::table::MatchTable;
-use gfd_match::types::Flow;
-use gfd_match::{for_each_match_in, ClassRegistry, Match, MatchOptions, MatchScratch, SpaceHandle};
-use gfd_pattern::VarId;
+use gfd_graph::Graph;
+use gfd_match::{ClassRegistry, ClassView, Factorization, Match, SpaceHandle};
 
 pub use gfd_match::CacheStats;
 
 use crate::workload::{ComponentPlan, PivotedRule, UnitSlot, WorkUnit};
 
-/// Per-worker reusable execution state: the per-component scratch
-/// tables of the unit in flight, the join's backtracking scratch, and
-/// the enumerator's buffers. One instance per worker makes warm
-/// [`UnitExecutor::run`] calls allocation-free.
+/// Per-worker reusable execution state: the detection primitive's
+/// buffers, and the class views of the unit in flight. One instance
+/// per worker makes warm [`UnitExecutor::run`] calls allocation-free.
 #[derive(Default)]
 pub struct UnitScratch {
-    tables: Vec<MatchTable>,
-    join: JoinScratch,
-    search: SearchBuffers,
-}
-
-/// What one pinned enumeration needs besides its inputs.
-#[derive(Default)]
-struct SearchBuffers {
-    /// The one pin `(pivot variable, pivot)`, rewritten per pivot.
-    opts: MatchOptions,
-    /// Class-view enumeration (multi-query on).
-    matching: MatchScratch,
-    /// Raw enumeration (multi-query off).
-    raw: SearchScratch,
-    pinned_enumerations: u64,
+    group: GroupScratch,
+    /// Per component of the unit in flight (multi-query on): its class
+    /// view and resident factorization, released when the unit ends.
+    views: Vec<ClassView>,
+    facts: Vec<Option<Arc<Factorization>>>,
 }
 
 impl UnitScratch {
@@ -79,54 +66,37 @@ impl UnitScratch {
 
     /// Pinned enumerations run through this scratch so far — one per
     /// pivot that reached the search (pivots screened as provably dead
-    /// never do).
+    /// never do), however many rules the unit's group holds.
     pub fn pinned_enumerations(&self) -> u64 {
-        self.search.pinned_enumerations
-    }
-}
-
-/// The join's zero-allocation adapter: component `i` contributes its
-/// original variables and its scratch table (rows in the component's
-/// own variable order).
-struct UnitJoin<'a> {
-    comps: &'a [ComponentPlan],
-    tables: &'a [MatchTable],
-}
-
-impl JoinInputs for UnitJoin<'_> {
-    fn count(&self) -> usize {
-        self.tables.len()
-    }
-    fn vars(&self, i: usize) -> &[VarId] {
-        &self.comps[i].orig_vars
-    }
-    fn table(&self, i: usize) -> &MatchTable {
-        &self.tables[i]
+        self.group.enumerations()
     }
 }
 
 /// Everything one validation run's units execute against, fixed for
-/// the run: the snapshot, `Σ`, its pivoted plans, the workload's slot
-/// arena, the shared registry and — with the multi-query optimization
-/// on — every component's handle in it. Built once per run and shared
-/// by every worker; the per-worker state is the [`UnitScratch`] and
-/// output passed to [`run`](Self::run).
+/// the run: the snapshot, Σ's groups, its pivoted plans, the
+/// workload's slot arena, the shared registry and — with the
+/// multi-query optimization on — the handle of every representative
+/// component in it. Built once per run and shared by every worker; the
+/// per-worker state is the [`UnitScratch`] and output passed to
+/// [`run`](Self::run).
 pub struct UnitExecutor<'a> {
     g: &'a Graph,
-    sigma: &'a GfdSet,
+    groups: RuleGroups,
     plans: &'a [PivotedRule],
     slots: &'a [UnitSlot],
     registry: &'a ClassRegistry,
-    /// Per `(rule, component)`, with multi-query on.
+    /// Per `(rule, component)` of every group representative, with
+    /// multi-query on.
     handles: Option<Vec<Vec<SpaceHandle>>>,
 }
 
 impl<'a> UnitExecutor<'a> {
     /// The context for running units of `plans` (= `plan_rules(sigma)`)
     /// over `g`, their slots resolved against `slots`. `multi_query`
-    /// registers every component in `registry` and enumerates through
-    /// its classes' shared spaces and plans; without it every
-    /// enumeration runs privately on the raw graph.
+    /// registers every component of every group representative in
+    /// `registry` and enumerates through its classes' shared spaces and
+    /// plans; without it every enumeration runs privately on the raw
+    /// graph.
     pub fn new(
         g: &'a Graph,
         sigma: &'a GfdSet,
@@ -135,16 +105,18 @@ impl<'a> UnitExecutor<'a> {
         registry: &'a ClassRegistry,
         multi_query: bool,
     ) -> Self {
+        let groups = RuleGroups::new(sigma);
         let handles = multi_query.then(|| {
             let register = |c: &ComponentPlan| registry.register(&c.pattern);
-            plans
-                .iter()
-                .map(|rule| rule.components.iter().map(register).collect())
-                .collect()
+            let rep_handles = |p: &PivotedRule| {
+                let rep = groups.of(p.rule).rep == p.rule;
+                p.components.iter().filter(|_| rep).map(register).collect()
+            };
+            plans.iter().map(rep_handles).collect()
         });
         UnitExecutor {
             g,
-            sigma,
+            groups,
             plans,
             slots,
             registry,
@@ -152,117 +124,56 @@ impl<'a> UnitExecutor<'a> {
         }
     }
 
-    /// Streams to `f` every match of component `comp` of `rule` pinned
-    /// at a pivot of `slot`'s range, rows in the component's variable
-    /// order.
-    ///
-    /// With multi-query on, the class's space and plan are fetched
-    /// once for the whole range, and a *resident* class factorization
-    /// (probe only — never built here) screens pivots first: a zero
-    /// pivot marginal proves no match is pinned there, the represented
-    /// set being a superset of the match set. Overflowed counts prove
-    /// nothing and are ignored.
-    fn for_each_pinned(
-        &self,
-        rule: usize,
-        comp: usize,
-        slot: &UnitSlot,
-        buf: &mut SearchBuffers,
-        f: &mut dyn FnMut(&[NodeId]) -> Flow,
-    ) {
-        let plan = &self.plans[rule].components[comp];
-        let Some(handles) = &self.handles else {
-            for &pivot in slot.range() {
-                buf.pinned_enumerations += 1;
-                let pins = [(plan.local_pivot, pivot)];
-                let mut search = ComponentSearch::new(&plan.pattern, self.g)
-                    .with_scratch(std::mem::take(&mut buf.raw))
-                    .pins(&pins);
-                search.for_each(f);
-                buf.raw = search.into_scratch();
-            }
-            return;
-        };
-        let h = handles[rule][comp];
-        let view = self.registry.space_and_plan(h, self.g);
-        let rep_pin = view.rep_var(plan.local_pivot);
-        let fact = self.registry.cached_factorization(h);
-        let fact = fact.filter(|f| !f.overflowed());
-        for &pivot in slot.range() {
-            if fact
-                .as_ref()
-                .is_some_and(|f| f.marginal(rep_pin, pivot) == Some(0))
-            {
-                continue;
-            }
-            buf.pinned_enumerations += 1;
-            buf.opts.pins.clear();
-            buf.opts.pins.push((plan.local_pivot, pivot));
-            for_each_match_in(&view, self.g, &buf.opts, &mut buf.matching, f);
-        }
-    }
-
-    /// Executes one work unit, appending its violations to `out`.
+    /// Executes one work unit — a cell of the grid of the group whose
+    /// representative `unit.rule` is — appending the violations of
+    /// every member rule to `out`.
     pub fn run(&self, unit: &WorkUnit, scratch: &mut UnitScratch, out: &mut Vec<Violation>) {
-        let g = self.g;
-        let rule = &self.plans[unit.rule()];
-        let gfd = self.sigma.get(unit.rule());
+        let group = self.groups.of(unit.rule());
+        debug_assert_eq!(group.rep, unit.rule(), "units are cut for representatives");
+        let comps = &self.plans[group.rep].components;
         let unit_slots = unit.slots(self.slots);
-        let k = unit_slots.len();
-        debug_assert_eq!(k, rule.components.len(), "one slot per component");
+        debug_assert_eq!(unit_slots.len(), comps.len(), "one slot per component");
         let UnitScratch {
-            tables,
-            join,
-            search,
+            group: primitive,
+            views,
+            facts,
         } = scratch;
-        let mut check = |assignment: &[NodeId]| {
-            if !match_satisfies(&gfd.dep, g, assignment) {
-                out.push(Violation {
-                    rule: unit.rule(),
-                    mapping: Match(assignment.to_vec()),
-                });
+        if !primitive.select(group, |_| true) {
+            return; // X → ∅ can never be violated
+        }
+        // With multi-query on, each component's class space and plan
+        // are fetched once for the unit, and a *resident* class
+        // factorization (probe only — never built here) screens pivots:
+        // overflowed counts prove nothing and are left out.
+        let pools = match &self.handles {
+            Some(handles) => {
+                for &h in &handles[group.rep] {
+                    views.push(self.registry.space_and_plan(h, self.g));
+                    let fact = self.registry.cached_factorization(h);
+                    facts.push(fact.filter(|f| !f.overflowed()));
+                }
+                Pools::Classes(views, facts)
             }
-            Flow::Continue
+            None => Pools::Raw,
         };
-
-        if k == 1 {
-            // `Pattern::restrict` numbers a component's variables in
-            // ascending original order, so the one component of a
-            // connected pattern is the pattern: rows are assignments.
-            debug_assert!(rule.components[0]
-                .orig_vars
-                .iter()
-                .enumerate()
-                .all(|(i, v)| v.index() == i));
-            self.for_each_pinned(unit.rule(), 0, &unit_slots[0], search, &mut check);
-            return;
-        }
-
-        if tables.len() < k {
-            tables.resize_with(k, MatchTable::default);
-        }
         // Component `i` pinned over slot `i`'s range — and, for a
         // symmetric pair's off-diagonal cell, over the other slot's.
         let both = unit.check_both_orientations && unit_slots[0].lo != unit_slots[1].lo;
         for swap in [false, true].into_iter().take(1 + usize::from(both)) {
-            let all_match = rule.components.iter().enumerate().all(|(i, comp)| {
+            let ranges = |i: usize| {
                 let slot = &unit_slots[if swap { 1 - i } else { i }];
-                let table = &mut tables[i];
-                table.reset(comp.pattern.node_count());
-                self.for_each_pinned(unit.rule(), i, slot, search, &mut |row| {
-                    table.push_row(row);
-                    Flow::Continue
-                });
-                !table.is_empty()
+                (comps[i].local_pivot, slot.range())
+            };
+            let pins = Pins::Ranges(&ranges);
+            for_each_group_violation(group, self.g, pools, pins, primitive, &mut |rule, m| {
+                out.push(Violation {
+                    rule,
+                    mapping: Match(m.to_vec()),
+                })
             });
-            if all_match {
-                let inputs = UnitJoin {
-                    comps: &rule.components,
-                    tables: &tables[..k],
-                };
-                join_tables(&inputs, gfd.pattern.node_count(), join, &mut check);
-            }
         }
+        views.clear();
+        facts.clear();
     }
 }
 
@@ -283,9 +194,10 @@ mod tests {
     use crate::workload::{estimate_workload_in, plan_rules, WorkloadOptions};
     use gfd_core::validate::detect_violations;
     use gfd_core::{Dependency, Gfd, Literal};
-    use gfd_graph::{Value, Vocab};
+    use gfd_graph::{NodeId, Value, Vocab};
+    use gfd_match::types::Flow;
+    use gfd_match::{for_each_match_with, MatchOptions, MatchScratch};
     use gfd_pattern::PatternBuilder;
-    use std::sync::Arc;
 
     /// Flights with duplicate ids but mismatched destinations.
     fn flights(n_dup: usize) -> Graph {
@@ -461,9 +373,14 @@ mod tests {
         assert!(registry.stats().evicted_cold > 0, "the storm did evict");
         assert!(registry.deferred_pending() > 0, "the held view defers");
         // Flights are nodes 0, 3, 6, …: each adds (flight, id, city).
+        // The star is its class's representative: pins and rows are in
+        // the view's numbering.
+        assert!(held.perm.is_none());
         let opts = MatchOptions::unrestricted().pin(star.local_pivot, NodeId(0));
+        let space = held.plan.as_deref().map(|plan| (&*held.space, plan));
         let mut rows = Vec::new();
-        for_each_match_in(&held, &g, &opts, &mut MatchScratch::default(), &mut |m| {
+        let mut scratch = MatchScratch::default();
+        for_each_match_with(&held.rep, &g, &opts, space, &mut scratch, &mut |m| {
             rows.push(m.to_vec());
             Flow::Continue
         });

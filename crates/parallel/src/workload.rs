@@ -12,9 +12,12 @@
 //! A [`WorkUnit`] here is a *batch* of the paper's units whose pivots
 //! form contiguous ranges: each component's sorted feasible-candidate
 //! list is cut into a few near-equal ranges, and a unit is one cell of
-//! the rule's range grid — every pivot tuple drawn from the cell's
-//! ranges, checked exactly once, at most 64 units per rule whatever
-//! the graph's size. The cell's data block `G_z̄`
+//! a rule group's range grid — every pivot tuple drawn from the cell's
+//! ranges, checked exactly once for every rule of the group, at most 64
+//! units per group whatever the graph's size. Rules with isomorphic
+//! patterns form one group ([`RuleGroups`]) and share its
+//! representative's grid: executing a cell checks every member on each
+//! row. The cell's data block `G_z̄`
 //! (one multi-source `c^i_Q`-hop BFS per range) is what a unit *costs*
 //! — the load estimate here, the bytes `disVal` ships — and never an
 //! input of the search.
@@ -27,7 +30,7 @@
 
 use std::sync::Arc;
 
-use gfd_core::GfdSet;
+use gfd_core::{GfdSet, RuleGroups};
 use gfd_graph::{neighborhood, Graph, NodeId, NodeSet};
 use gfd_match::simulation::simulation_sets;
 use gfd_match::ClassRegistry;
@@ -76,7 +79,7 @@ pub struct ComponentPlan {
 pub struct UnitSlot {
     /// The component's sorted feasible pivot candidates — one list per
     /// (isomorphism class, representative pivot variable), shared by
-    /// every slot cut from it, across twin rules too.
+    /// every slot cut from it, across rule groups too.
     pub pivots: Arc<[NodeId]>,
     /// Start of the slot's range of `pivots`.
     pub lo: u32,
@@ -98,13 +101,14 @@ impl UnitSlot {
     }
 }
 
-/// A work unit — one cell of its rule's range grid — as a `(rule,
-/// offset, len, flags)` descriptor over the [`Workload`]'s flat slot
-/// arena: a 24-byte `Copy` record, so splitting, shipping and
+/// A work unit — one cell of its rule group's range grid — as a
+/// `(rule, offset, len, flags)` descriptor over the [`Workload`]'s flat
+/// slot arena: a 24-byte `Copy` record, so splitting, shipping and
 /// re-assembling units copies descriptors, never slot vectors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkUnit {
-    /// Index of the rule in `Σ`.
+    /// Index in `Σ` of the group's representative, whose pattern the
+    /// unit enumerates; the unit checks every rule of the group.
     pub rule: u32,
     /// First slot in the owning arena.
     pub slot_offset: u32,
@@ -121,7 +125,7 @@ pub struct WorkUnit {
 }
 
 impl WorkUnit {
-    /// Number of components `k` of the unit's rule.
+    /// Number of components `k` of the unit's pattern.
     pub fn k(&self) -> usize {
         self.slot_len as usize
     }
@@ -304,26 +308,26 @@ pub fn feasible_pivots(g: &Graph, plan: &ComponentPlan, prune: bool) -> (Vec<Nod
     (cands.to_vec(), pruned)
 }
 
-/// Upper bound on the units of one rule: each of its `k` candidate
-/// lists is cut into at most `⌊64^{1/k}⌋` ranges (64, 8, 4, 2, …), so
-/// the rule's range grid never has more cells than this.
-const MAX_UNITS_PER_RULE: usize = 64;
+/// Upper bound on the units of one rule group: each of its `k`
+/// candidate lists is cut into at most `⌊64^{1/k}⌋` ranges (64, 8, 4,
+/// 2, …), so the group's range grid never has more cells than this.
+const MAX_UNITS_PER_GROUP: usize = 64;
 
-/// Ranges per candidate list for a rule of `k` components: the largest
-/// `c` with `c^k ≤` [`MAX_UNITS_PER_RULE`].
+/// Ranges per candidate list for a pattern of `k` components: the
+/// largest `c` with `c^k ≤` [`MAX_UNITS_PER_GROUP`].
 fn cuts_per_list(k: usize) -> usize {
-    (1..=MAX_UNITS_PER_RULE)
+    (1..=MAX_UNITS_PER_GROUP)
         .take_while(|c| {
             c.checked_pow(k as u32)
-                .is_some_and(|cells| cells <= MAX_UNITS_PER_RULE)
+                .is_some_and(|cells| cells <= MAX_UNITS_PER_GROUP)
         })
         .last()
         .unwrap_or(1)
 }
 
 /// What determines a component's candidate list, so components that
-/// must draw the same list — twin rules above all — share one `Arc`,
-/// and with it ranges and blocks.
+/// must draw the same list — isomorphic components of different groups
+/// — share one `Arc`, and with it ranges and blocks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum ListKey {
     /// Pruned: the simulation set of a class representative's variable.
@@ -446,10 +450,12 @@ pub fn estimate_workload(sigma: &GfdSet, g: &Graph, opts: &WorkloadOptions) -> W
 /// repeatedly (or also run detection) pass the same registry so the
 /// classes stay warm across calls.
 ///
-/// Each of a rule's `k` candidate lists is cut into at most
-/// `⌊64^{1/k}⌋` ranges and one unit is emitted per cell of the range
-/// grid, so `units ≤ 64·|Σ|`; a symmetric pair draws both components
-/// from one list and keeps only the cells `i ≤ j`.
+/// Σ is grouped by pattern isomorphism class ([`RuleGroups`]) and only
+/// a group's representative gets a grid: each of its `k` candidate
+/// lists is cut into at most `⌊64^{1/k}⌋` ranges and one unit is
+/// emitted per cell of the range grid, so `units ≤ 64 · groups`; a
+/// symmetric pair draws both components from one list and keeps only
+/// the cells `i ≤ j`.
 pub fn estimate_workload_in(
     sigma: &GfdSet,
     g: &Graph,
@@ -459,6 +465,7 @@ pub fn estimate_workload_in(
     let start = std::time::Instant::now();
     let sims_before = registry.simulations();
     let rules = plan_rules(sigma);
+    let groups = RuleGroups::new(sigma);
     let mut est = Estimator {
         g,
         registry,
@@ -470,7 +477,7 @@ pub fn estimate_workload_in(
     };
     let mut wl = Workload::default();
 
-    for rule in &rules {
+    for rule in groups.iter().map(|group| &rules[group.rep]) {
         let k = rule.components.len();
         let cuts = cuts_per_list(k);
         let mut per_component: Vec<Vec<(UnitSlot, u64)>> = Vec::with_capacity(k);
@@ -820,26 +827,53 @@ mod tests {
         assert_eq!(costs, [10, 10, 10, 10, 12, 12, 12]);
     }
 
-    /// Twin rules draw one candidate list, and with it one block per
-    /// range: the second rule's slots are the first's, by pointer.
+    /// Twin rules share one grid: units name the group's representative
+    /// only. A component of another group that is isomorphic to one of
+    /// the representative's draws the same candidate list, and with it
+    /// one block per range: its slots are the representative's, by
+    /// pointer.
     #[test]
     fn block_cache_reuses() {
         let g = nine_flights();
         let vocab = g.vocab().clone();
-        let sigma = GfdSet::new(vec![flight_pair_gfd(vocab.clone()), flight_pair_gfd(vocab)]);
+        // The pair's star beside a lone id: a two-component pattern of
+        // its own class whose first component is the pair's star.
+        let mut b = PatternBuilder::new(vocab.clone());
+        let x = b.node("x", "flight");
+        let x1 = b.node("x1", "id");
+        b.edge(x, x1, "number");
+        let z = b.node("z", "id");
+        let val = vocab.intern("val");
+        let star_and_id = Gfd::new(
+            "star-and-id",
+            b.build(),
+            Dependency::always(vec![Literal::var_eq(x1, val, z, val)]),
+        );
+        let sigma = GfdSet::new(vec![
+            flight_pair_gfd(vocab.clone()),
+            star_and_id,
+            flight_pair_gfd(vocab),
+        ]);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
-        let (first, second) = wl.units.split_at(wl.units.len() / 2);
-        assert!(first.iter().all(|u| u.rule == 0) && second.iter().all(|u| u.rule == 1));
-        for (u, twin) in first.iter().zip(second) {
-            for (s, t) in u.slots(&wl.slots).iter().zip(twin.slots(&wl.slots)) {
-                assert!(Arc::ptr_eq(&s.pivots, &t.pivots), "one list");
-                assert_eq!((s.lo, s.hi), (t.lo, t.hi));
-                assert!(Arc::ptr_eq(&s.block, &t.block), "one block per range");
-            }
+        assert!(
+            wl.units.iter().all(|u| u.rule != 2),
+            "the twin is checked on its representative's grid"
+        );
+        let first_slots = |rule: u32| -> Vec<&UnitSlot> {
+            let units = wl.units.iter().filter(|u| u.rule == rule);
+            units.map(|u| &u.slots(&wl.slots)[0]).collect()
+        };
+        let (pair, star) = (first_slots(0), first_slots(1));
+        assert_eq!((pair.len(), star.len()), (36, 64), "8 ranges per list");
+        for s in &star {
+            let t = pair.iter().find(|t| (t.lo, t.hi) == (s.lo, s.hi));
+            let t = t.expect("one cut of one list");
+            assert!(Arc::ptr_eq(&s.pivots, &t.pivots), "one list");
+            assert!(Arc::ptr_eq(&s.block, &t.block), "one block per range");
         }
         let mut blocks: Vec<_> = wl.slots.iter().map(|s| Arc::as_ptr(&s.block)).collect();
         blocks.sort_unstable();
         blocks.dedup();
-        assert_eq!(blocks.len(), 8, "one BFS per range of the one list");
+        assert_eq!(blocks.len(), 16, "one BFS per range of the two lists");
     }
 }

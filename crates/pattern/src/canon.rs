@@ -80,9 +80,8 @@ impl IsoWitness {
     }
 
     /// Structural verification: is this really an exact-label
-    /// isomorphism from `a` onto `b`? Used in debug assertions and as
-    /// the collision-proof membership check of
-    /// [`crate::signature::group_isomorphic`].
+    /// isomorphism from `a` onto `b`? Used in debug assertions and by
+    /// tests of the grouping.
     pub fn verify(&self, a: &Pattern, b: &Pattern) -> bool {
         let n = a.node_count();
         if n != b.node_count() || a.edge_count() != b.edge_count() || self.map.len() != n {
@@ -318,11 +317,10 @@ pub fn group_isomorphic_with_witnesses(patterns: &[&Pattern]) -> Vec<(usize, Iso
     for (i, q) in patterns.iter().enumerate() {
         let form = canonical_form(q);
         let rep = *by_code.entry(form.code.clone()).or_insert(i);
-        let witness = form.witness_onto(&if rep == i {
-            form.clone()
-        } else {
-            forms[rep].clone()
-        });
+        let witness = match forms.get(rep) {
+            Some(rep_form) => form.witness_onto(rep_form),
+            None => IsoWitness::identity(q.node_count()),
+        };
         forms.push(form);
         out.push((rep, witness));
     }
@@ -469,6 +467,9 @@ mod tests {
         );
     }
 
+    /// Grouping keys on complete canonical codes: renamed twins share a
+    /// class (with a witness onto the representative), and the 2×C3 /
+    /// C6 pair — one 1-WL signature, two shapes — never merges.
     #[test]
     fn grouping_with_witnesses() {
         let vocab = Vocab::shared();
@@ -481,15 +482,21 @@ mod tests {
         };
         let p1 = mk(["x", "y"]);
         let p2 = mk(["v", "u"]);
-        let mut b = PatternBuilder::new(vocab);
+        let mut b = PatternBuilder::new(vocab.clone());
         b.node("solo", "acct");
         let p3 = b.build();
-        let classes = group_isomorphic_with_witnesses(&[&p1, &p2, &p3]);
-        assert_eq!(classes[0].0, 0);
-        assert_eq!(classes[1].0, 0);
-        assert_eq!(classes[2].0, 2);
+        let (two_tri, c6) = (tri_pair(vocab.clone()), hexagon(vocab));
+        assert_eq!(
+            crate::signature::pattern_signature(&two_tri),
+            crate::signature::pattern_signature(&c6),
+            "premise: the pair collides on the signature"
+        );
+        let classes = group_isomorphic_with_witnesses(&[&p1, &p2, &p3, &two_tri, &c6]);
+        let reps: Vec<usize> = classes.iter().map(|(rep, _)| *rep).collect();
+        assert_eq!(reps, [0, 0, 2, 3, 4], "the collision pair stays apart");
         assert!(classes[0].1.is_identity());
         assert!(classes[1].1.verify(&p2, &p1));
+        assert!(classes[4].1.verify(&c6, &c6));
     }
 
     #[test]

@@ -17,12 +17,13 @@
 //!   minimum-radius node per component, §5.2) — module [`analysis`];
 //! * **pattern-to-pattern embeddings** (`Q'` embeddable in `Q` via an
 //!   isomorphic mapping onto a subgraph, §4) — module [`embed`];
-//! * canonical **signatures** for grouping isomorphic components
-//!   across a rule set (the multi-query optimization of the appendix)
-//!   — module [`signature`];
+//! * 1-WL **signatures** (the canonical search's color partition) and
+//!   the component decomposition — module [`signature`];
 //! * complete **canonical forms** with explicit [`IsoWitness`]
-//!   bijections — the exact-isomorphism layer the candidate-space
-//!   registry keys on and its members read through — module [`canon`];
+//!   bijections — the exact-isomorphism layer that groups isomorphic
+//!   rules across a rule set (the multi-query optimization of the
+//!   appendix), that the candidate-space registry keys on and that its
+//!   members read through — module [`canon`];
 //! * **tree decompositions** with exact width for the small components
 //!   mined rules produce — the planner layer's structure analysis for
 //!   worst-case-optimal multiway matching of cyclic patterns — module
@@ -40,4 +41,3 @@ pub use canon::{canonical_form, iso_witness, CanonicalForm, IsoWitness};
 pub use decomp::{tree_decomposition, Bag, TreeDecomposition};
 pub use embed::{embeddings, embeddings_with, is_embeddable, isomorphic};
 pub use pattern::{distinct_neighbors, PatLabel, Pattern, PatternBuilder, PatternEdge, VarId};
-pub use signature::component_signature;

@@ -1,19 +1,19 @@
 //! Isomorphism-invariant component signatures.
 //!
 //! The multi-query optimization of the appendix ("extracting common
-//! sub-patterns", following \[31\]) needs to group the connected
-//! components of many GFD patterns into isomorphism classes so that
-//! per-component match enumeration is done once per class. A full
-//! pairwise isomorphism test over `‖Σ‖` patterns is wasteful, so we
-//! compute a cheap *signature* — a hash invariant under isomorphism
-//! built from 1-dimensional Weisfeiler–Leman color refinement — and
-//! only run exact [`crate::embed::isomorphic`] checks within a bucket.
+//! sub-patterns", following \[31\]) groups the patterns of Σ into
+//! isomorphism classes so that match enumeration is done once per
+//! class. The grouping keys on complete canonical forms
+//! ([`crate::canon`]); the cheap *signature* here — a hash invariant
+//! under isomorphism built from 1-dimensional Weisfeiler–Leman color
+//! refinement — supplies the color partition the canonical search
+//! respects, and is a prefilter only: non-isomorphic patterns can
+//! share a signature.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use crate::analysis::connected_components;
-use crate::canon::iso_witness;
 use crate::pattern::{PatLabel, Pattern, VarId};
 
 /// A small, collision-free code per pattern label (shared with the
@@ -79,45 +79,13 @@ pub(crate) fn wl_colors(q: &Pattern) -> Vec<u64> {
 /// An isomorphism-invariant signature of a whole pattern.
 ///
 /// Equal patterns (up to isomorphism) get equal signatures; unequal
-/// patterns get unequal signatures with high probability (collisions
-/// are resolved by the exact witness check in [`group_isomorphic`]).
+/// patterns get unequal signatures with high probability — collisions
+/// exist, so class membership is decided by canonical codes
+/// ([`crate::canon::group_isomorphic_with_witnesses`]).
 pub fn pattern_signature(q: &Pattern) -> u64 {
     let mut sorted = wl_colors(q);
     sorted.sort_unstable();
     hash_one(&(q.node_count(), q.edge_count(), sorted))
-}
-
-/// Signature of one connected component (given as its variable list).
-pub fn component_signature(q: &Pattern, vars: &[VarId]) -> u64 {
-    let (sub, _) = q.restrict(vars);
-    pattern_signature(&sub)
-}
-
-/// Groups patterns into isomorphism classes; returns, per input index,
-/// the class representative's index.
-///
-/// The signature is only a bucketing accelerator: membership within a
-/// bucket is verified by the structural [`iso_witness`] search, so
-/// 64-bit signature collisions — hash accidents as well as the
-/// structural pairs 1-WL refinement cannot separate — never merge
-/// distinct classes.
-pub fn group_isomorphic(patterns: &[&Pattern]) -> Vec<usize> {
-    let mut class = vec![usize::MAX; patterns.len()];
-    let mut buckets: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
-    for (i, q) in patterns.iter().enumerate() {
-        let sig = pattern_signature(q);
-        let bucket = buckets.entry(sig).or_default();
-        let mut found = None;
-        for &j in bucket.iter() {
-            if iso_witness(patterns[j], q).is_some() {
-                found = Some(class[j]);
-                break;
-            }
-        }
-        class[i] = found.unwrap_or(i);
-        bucket.push(i);
-    }
-    class
 }
 
 /// Splits a pattern into its connected components (as standalone
@@ -206,6 +174,15 @@ mod tests {
         assert!(!isomorphic(&ab, &ba));
     }
 
+    /// Class representative per input, as the canonical grouping
+    /// assigns it.
+    fn group_reps(patterns: &[&Pattern]) -> Vec<usize> {
+        crate::canon::group_isomorphic_with_witnesses(patterns)
+            .into_iter()
+            .map(|(rep, _)| rep)
+            .collect()
+    }
+
     #[test]
     fn grouping_collapses_duplicates() {
         let vocab = Vocab::shared();
@@ -221,7 +198,7 @@ mod tests {
         let mut b = PatternBuilder::new(vocab);
         b.node("solo", "acct");
         let p3 = b.build();
-        let classes = group_isomorphic(&[&p1, &p2, &p3]);
+        let classes = group_reps(&[&p1, &p2, &p3]);
         assert_eq!(classes[0], classes[1]);
         assert_ne!(classes[0], classes[2]);
     }
@@ -230,7 +207,7 @@ mod tests {
     /// on the 64-bit signature (uniform labels, every node with in-
     /// and out-degree 1 — 1-WL refinement never splits the colors, so
     /// two disjoint directed triangles hash exactly like one directed
-    /// 6-cycle). The structural witness check must keep the classes
+    /// 6-cycle). Grouping keys on canonical codes, so the classes stay
     /// apart anyway.
     #[test]
     fn signature_collision_does_not_merge_classes() {
@@ -255,7 +232,7 @@ mod tests {
             pattern_signature(&hexagon),
             "premise: the pair collides on the signature"
         );
-        let classes = group_isomorphic(&[&two_triangles, &hexagon]);
+        let classes = group_reps(&[&two_triangles, &hexagon]);
         assert_ne!(classes[0], classes[1], "collision merged distinct classes");
     }
 

@@ -173,20 +173,28 @@ fn clean_twin_consistency_rule_fires_only_after_corruption() {
     assert_eq!(violations.len(), 2, "both orientations of the twin pair");
 }
 
-/// Two cyclic rules that are non-identity twins of each other (one
-/// triangle, declared `x, y, z` and `z, x, y`) share one registry
-/// class, so the second reads the class's space, plan, factorization
-/// and tables through a permutation. Every path that serves it —
-/// `detVio` (private and shared registry), the incremental detector
-/// across a 20-step edit script, `repVal` and the threaded executor —
-/// must agree with brute force over the rules' own patterns.
+/// One rule group per pattern class, every member with its own
+/// consequent: four permuted declarations of the triangle `a → b → c →
+/// a` — two ordinary rules, one all-constant `Y` that holds everywhere
+/// (the factorized marginal skip takes it out of the row loop) and one
+/// whose `X` never holds — and a disconnected symmetric pair of `c → a`
+/// edges declared twice, the twins joining on different
+/// cross-component `X` literals. Every path that serves them — `detVio`
+/// (private and over the warm shared registry), the incremental
+/// detector across a 20-step edit script, the threaded executor (cold
+/// and warm), `repVal`, `repnop` and `disVal` — must agree with brute
+/// force over each rule's own pattern. And the group enumerates once: a
+/// fifth twin leaves the enumeration count of `detVio`, of one
+/// `apply_diff` step and of a full unit run unchanged.
 #[test]
 fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
-    use gfd::core::validate::{detect_violations_shared, match_satisfies};
-    use gfd::core::{Dependency, Gfd, GfdSet, IncrementalDetector, Literal};
+    use gfd::core::validate::DetScratch;
+    use gfd::core::validate::{detect_violations_shared, detect_violations_with, match_satisfies};
+    use gfd::core::{Dependency, Gfd, GfdSet, IncrementalDetector, Literal, RuleGroups};
     use gfd::graph::{Graph, GraphBuilder, NodeId, Value};
     use gfd::matcher::{ClassRegistry, Match};
-    use gfd::pattern::{PatLabel, PatternBuilder};
+    use gfd::parallel::unitexec::{UnitExecutor, UnitScratch};
+    use gfd::pattern::{PatLabel, PatternBuilder, VarId};
     use gfd_util::Rng;
     use std::sync::Arc;
 
@@ -200,7 +208,7 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
     for (i, layer) in layers.iter().enumerate() {
         for &u in layer {
             // Every `b` carries 1, for good: read at the wrong variable,
-            // the twin's consequent would look satisfied everywhere.
+            // a twin's consequent would look satisfied everywhere.
             let value = if i == 1 { 1 } else { rng.gen_range(0..2) };
             gb.set_attr_named(u, "val", Value::Int(value as i64));
             for &v in &layers[(i + 1) % 3] {
@@ -213,10 +221,10 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
     let mut g = Arc::new(gb.freeze());
     let val = vocab.intern("val");
 
-    // The triangle a → b → c → a, declared in `order`.
+    // The triangle a → b → c → a, declared in `order`; vars [x, y, z].
     let triangle = |order: [usize; 3]| {
         let mut pb = PatternBuilder::new(vocab.clone());
-        let mut vars = [gfd::pattern::VarId(0); 3];
+        let mut vars = [VarId(0); 3];
         for i in order {
             vars[i] = pb.node(["x", "y", "z"][i], ["a", "b", "c"][i]);
         }
@@ -225,70 +233,180 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
         }
         (pb.build(), vars)
     };
-    let (q1, [x1, y1, _]) = triangle([0, 1, 2]);
-    let (q2, [x2, y2, _]) = triangle([2, 0, 1]);
-    let sigma = GfdSet::new(vec![
+    // Two disjoint edges u → w, u2 → w2 from a `c` to an `a`, declared
+    // in `order`; vars [u, w, u2, w2].
+    let pair = |order: [usize; 4]| {
+        let mut pb = PatternBuilder::new(vocab.clone());
+        let mut vars = [VarId(0); 4];
+        for i in order {
+            vars[i] = pb.node(["u", "w", "u2", "w2"][i], ["c", "a", "c", "a"][i]);
+        }
+        pb.edge(vars[0], vars[1], "e");
+        pb.edge(vars[2], vars[3], "e");
+        (pb.build(), vars)
+    };
+    let int = |v: i64| Value::Int(v);
+    let (q0, [x0, y0, _]) = triangle([0, 1, 2]);
+    let (q1, [x1, y1, _]) = triangle([2, 0, 1]);
+    let (q2, [_, y2, _]) = triangle([1, 2, 0]);
+    let (q3, [x3, _, z3]) = triangle([2, 1, 0]);
+    let (p0, [u0, w0, u20, w20]) = pair([0, 1, 2, 3]);
+    let (p1, [u1, w1, u21, w21]) = pair([3, 2, 1, 0]);
+    let rules = vec![
         Gfd::new(
             "rep",
-            q1,
-            Dependency::always(vec![Literal::var_eq(x1, val, y1, val)]),
+            q0,
+            Dependency::always(vec![Literal::var_eq(x0, val, y0, val)]),
         ),
-        // All-constant `Y`: also takes the factorized marginal skip.
         Gfd::new(
             "twin",
-            q2,
+            q1,
             Dependency::new(
-                vec![Literal::const_eq(y2, val, Value::Int(1))],
-                vec![Literal::const_eq(x2, val, Value::Int(1))],
+                vec![Literal::const_eq(y1, val, int(1))],
+                vec![Literal::const_eq(x1, val, int(1))],
             ),
         ),
-    ]);
-
-    let registry = Arc::new(ClassRegistry::new());
-    let mut det = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
-    assert_eq!(
-        (registry.class_count(), registry.member_count()),
-        (1, 2),
-        "premise: one class, and the twin is a second, permuted member"
-    );
+        // Every `b` carries 1: satisfied by every represented binding.
+        Gfd::new(
+            "everywhere",
+            q2,
+            Dependency::always(vec![Literal::const_eq(y2, val, int(1))]),
+        ),
+        Gfd::new(
+            "never-x",
+            q3,
+            Dependency::new(
+                vec![Literal::const_eq(x3, val, int(7))],
+                vec![Literal::const_eq(z3, val, int(0))],
+            ),
+        ),
+        Gfd::new(
+            "pair",
+            p0,
+            Dependency::new(
+                vec![Literal::var_eq(u0, val, u20, val)],
+                vec![Literal::var_eq(w0, val, w20, val)],
+            ),
+        ),
+        Gfd::new(
+            "pair-twin",
+            p1,
+            Dependency::new(
+                vec![Literal::var_eq(w1, val, w21, val)],
+                vec![Literal::var_eq(u1, val, u21, val)],
+            ),
+        ),
+    ];
+    let sigma = GfdSet::new(rules.clone());
+    let groups = RuleGroups::new(&sigma);
+    let sizes: Vec<usize> = groups.iter().map(|grp| grp.members.len()).collect();
+    assert_eq!(sizes, [4, 2], "premise: a triangle group and a pair group");
+    assert!(groups.of(0).is_connected() && !groups.of(4).is_connected());
+    let probe = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+    for group in groups.iter() {
+        let row = &probe[..group.arity];
+        let permuted = group.members.iter().filter(|m| {
+            let mut buf = Vec::new();
+            m.member_row(row, &mut buf) != row
+        });
+        assert!(
+            permuted.count() > 0,
+            "premise: every group has a permuted member"
+        );
+    }
 
     // Every injective assignment of each rule's own pattern.
     let brute_force = |g: &Graph| {
-        let mut out = Vec::new();
         let nodes: Vec<NodeId> = g.nodes().collect();
+        let mut out = Vec::new();
         for (rule, gfd) in sigma.iter().enumerate() {
             let q = &gfd.pattern;
-            for &a in &nodes {
-                for &b in &nodes {
-                    for &c in &nodes {
-                        let m = [a, b, c];
-                        let ok = a != b
-                            && b != c
-                            && a != c
-                            && q.vars().all(|v| q.label(v).admits(g.label(m[v.index()])))
-                            && q.edges().iter().all(|e| match e.label {
-                                PatLabel::Sym(l) => {
-                                    g.has_edge(m[e.src.index()], m[e.dst.index()], l)
-                                }
-                                PatLabel::Wildcard => unreachable!("no wildcard edges here"),
-                            });
-                        if ok && !match_satisfies(&gfd.dep, g, &m) {
-                            out.push(Violation {
-                                rule,
-                                mapping: Match(m.to_vec()),
-                            });
-                        }
-                    }
+            let n = q.node_count();
+            let mut m = vec![NodeId(0); n];
+            for code in 0..nodes.len().pow(n as u32) {
+                let mut c = code;
+                for image in m.iter_mut() {
+                    *image = nodes[c % nodes.len()];
+                    c /= nodes.len();
+                }
+                let ok = (0..n).all(|i| (0..i).all(|j| m[i] != m[j]))
+                    && q.vars().all(|v| q.label(v).admits(g.label(m[v.index()])))
+                    && q.edges().iter().all(|e| match e.label {
+                        PatLabel::Sym(l) => g.has_edge(m[e.src.index()], m[e.dst.index()], l),
+                        PatLabel::Wildcard => unreachable!("no wildcard edges here"),
+                    });
+                if ok && !match_satisfies(&gfd.dep, g, &m) {
+                    out.push(Violation {
+                        rule,
+                        mapping: Match(m.clone()),
+                    });
                 }
             }
         }
         canonical(out)
     };
 
-    let mut seen_twin_violation = false;
+    // One enumeration per group and pin: the counts of detVio, of one
+    // `apply_diff` step and of a full unit run, on fresh registries.
+    let enumerations = |sigma: &GfdSet, g: &Arc<Graph>| {
+        let mut det_scratch = DetScratch::default();
+        detect_violations_with(sigma, g, &ClassRegistry::new(), &mut det_scratch);
+        let mut det = IncrementalDetector::new(sigma, g);
+        let a = layers[0][0];
+        let (next, delta) = g.edit_with_delta(|b| {
+            let flipped = if g.attr(a, val) == Some(&int(1)) {
+                0
+            } else {
+                1
+            };
+            b.set_attr(a, val, int(flipped));
+        });
+        let before = det.enumerations();
+        det.apply_diff(&next, &delta);
+        let step = det.enumerations() - before;
+        let wl = estimate_workload(sigma, g, &WorkloadOptions::default());
+        let registry = ClassRegistry::new();
+        let exec = UnitExecutor::new(g, sigma, &wl.plans, &wl.slots, &registry, true);
+        let mut unit_scratch = UnitScratch::new();
+        let mut sink = Vec::new();
+        for unit in &wl.units {
+            exec.run(unit, &mut unit_scratch, &mut sink);
+        }
+        [
+            det_scratch.enumerations(),
+            step,
+            unit_scratch.pinned_enumerations(),
+        ]
+    };
+    let (q4, [x4, _, z4]) = triangle([0, 2, 1]);
+    let mut five = rules;
+    five.push(Gfd::new(
+        "fifth",
+        q4,
+        Dependency::new(
+            vec![Literal::const_eq(z4, val, int(0))],
+            vec![Literal::const_eq(x4, val, int(0))],
+        ),
+    ));
+    let counts = enumerations(&sigma, &g);
+    assert!(
+        counts.iter().all(|&c| c > 0),
+        "premise: every path enumerates"
+    );
+    assert_eq!(
+        enumerations(&GfdSet::new(five), &g),
+        counts,
+        "a fifth twin must not add an enumeration to detVio, apply_diff or the units"
+    );
+
+    let registry = Arc::new(ClassRegistry::new());
+    let mut det = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
+    let mut seen = vec![false; sigma.len()];
     for step in 0..=20 {
         let expected = brute_force(&g);
-        seen_twin_violation |= expected.iter().any(|v| v.rule == 1);
+        for v in &expected {
+            seen[v.rule] = true;
+        }
         assert_eq!(
             canonical(det.violations()),
             expected,
@@ -301,12 +419,20 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
         );
         if step % 10 == 0 {
             assert_eq!(canonical(detect_violations(&sigma, &g)), expected, "detVio");
-            let rep = rep_val(&sigma, &g, &RepValConfig::val(2));
-            assert_eq!(rep.violations, expected, "repVal, step {step}");
+            for (name, cfg) in [
+                ("repVal", RepValConfig::val(2)),
+                ("repnop", RepValConfig::nop(2)),
+            ] {
+                let rep = rep_val(&sigma, &g, &cfg);
+                assert_eq!(rep.violations, expected, "{name}, step {step}");
+            }
+            let frag = Fragmentation::partition(&g, 2, PartitionStrategy::Hash);
+            let dis = dis_val(&sigma, &g, &frag, &DisValConfig::val(2));
+            assert_eq!(dis.violations, expected, "disVal, step {step}");
             let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
             let thr = threaded::run_units_threaded(&g, &sigma, &wl.plans, &wl.units, &wl.slots, 2);
             assert_eq!(thr, expected, "threaded, step {step}");
-            // Over the shared registry the class factorization is
+            // Over the shared registry the triangle's factorization is
             // resident (detVio's marginal skip built it), so the
             // executor's dead-pivot screen reads it too.
             let warm = threaded::run_units_threaded_report(
@@ -323,7 +449,7 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
         let layer = rng.gen_range(0..3);
         let u = layers[layer][rng.gen_range(0..4)];
         let v = layers[(layer + 1) % 3][rng.gen_range(0..4)];
-        let new_val = Value::Int(rng.gen_range(0..2) as i64);
+        let new_val = int(rng.gen_range(0..2) as i64);
         let (next, delta) = g.edit_with_delta(|b| {
             if layer != 1 && rng.gen_bool(0.5) {
                 b.set_attr(u, val, new_val);
@@ -336,7 +462,11 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
         g = Arc::new(next);
         det.apply(&g, &delta);
     }
-    assert!(seen_twin_violation, "premise: the permuted rule fired");
+    assert_eq!(
+        seen,
+        [true, true, false, false, true, true],
+        "premise: the ordinary rules fire, the everywhere-satisfied and never-X ones never do"
+    );
 }
 
 /// Every unit-based path over `sigma`: the threaded executor,
