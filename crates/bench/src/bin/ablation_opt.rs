@@ -2,7 +2,9 @@
 //! Architecture section calls out for the parallel algorithms,
 //! each toggled separately at `n = 16` on the DBpedia stand-in:
 //!
-//! * multi-query processing over shared class spaces (appendix, \[31\]);
+//! * multi-query processing (appendix, \[31\]): units enumerate through
+//!   the run's shared class spaces and plans, or search the raw graph
+//!   — rules sharing a pattern class are grouped either way;
 //! * per-unit evaluation-scheme choice in `disVal` (prefetch/partial);
 //! * replicate-and-split for skewed blocks;
 //! * workload reduction via implication (reported with its semantics

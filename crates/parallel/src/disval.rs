@@ -26,6 +26,7 @@
 //! charged to the communication clocks — so violations are exact and
 //! the communication behaviour (Fig. 5(j–l)) is faithfully modeled.
 
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 use gfd_util::FxHashSet;
@@ -35,13 +36,11 @@ use gfd_graph::{Fragmentation, Graph, NodeId};
 use gfd_match::simulation_sets;
 
 use crate::balance::random_assign;
-use crate::cluster::{CostModel, SimClocks};
+use crate::cluster::{drive, Protocol, Run, Setup, SimClocks, Traffic};
 use crate::metrics::ParallelReport;
-use crate::opt::{reduce_workload, split_large_units, SplitUnit, REDUCTION_CAP};
-use crate::unitexec::{sort_violations, UnitExecutor, UnitScratch};
-use crate::workload::{estimate_workload_in, PivotedRule, UnitSlot, WorkloadOptions};
+use crate::opt::SplitUnit;
+use crate::workload::{PivotedRule, UnitSlot, WorkloadOptions};
 use crate::Assignment;
-use gfd_match::ClassRegistry;
 
 /// Load-balance slack of the bi-criteria greedy: a worker is
 /// load-feasible while its load stays within this fraction of the
@@ -55,14 +54,17 @@ pub struct DisValConfig {
     pub n: usize,
     /// Assignment strategy: bi-criteria greedy, or random (`disran`).
     pub assignment: Assignment,
-    /// Multi-query optimization.
+    /// Multi-query optimization: units enumerate through the run's
+    /// shared class spaces and plans (class-space pools) instead of
+    /// searching the raw graph (raw pools). Rules sharing a pattern
+    /// class are grouped either way.
     pub multi_query: bool,
     /// Workload reduction via implication.
     pub reduce_workload: bool,
     /// Per-unit evaluation-scheme selection (prefetch vs partial);
     /// `false` (as in `disnop`) always prefetches.
     pub scheme_choice: bool,
-    /// Replicate-and-split threshold for skewed blocks.
+    /// Replicate-and-split threshold on a unit's estimated cost.
     pub split_threshold: Option<u64>,
     /// Workload-estimation knobs.
     pub workload: WorkloadOptions,
@@ -106,33 +108,6 @@ impl DisValConfig {
         self.split_threshold = Some(theta);
         self
     }
-}
-
-/// Bytes a worker must fetch to own a unit: the wire size of block
-/// nodes it neither owns nor has cached.
-fn prefetch_bytes(
-    g: &Graph,
-    slots: &[UnitSlot],
-    worker: usize,
-    frag: &Fragmentation,
-    cached: Option<&FxHashSet<NodeId>>,
-) -> u64 {
-    let mut seen = FxHashSet::default();
-    let mut bytes = 0u64;
-    for slot in slots {
-        for node in slot.block.iter() {
-            if frag.owner(node).index() == worker {
-                continue;
-            }
-            if cached.is_some_and(|c| c.contains(&node)) {
-                continue;
-            }
-            if seen.insert(node) {
-                bytes += g.node_wire_size(node) as u64;
-            }
-        }
-    }
-    bytes
 }
 
 /// Block size (in nodes) below which [`partial_match_bytes`] runs the
@@ -181,6 +156,12 @@ fn partial_match_bytes(
     bytes
 }
 
+/// The nodes of a unit's blocks, one block per slot (a node in two
+/// blocks comes twice).
+fn block_nodes(slots: &[UnitSlot]) -> impl Iterator<Item = NodeId> + '_ {
+    slots.iter().flat_map(|slot| slot.block.iter())
+}
+
 /// Runs `disVal` on a fragmented graph.
 ///
 /// # Panics
@@ -191,224 +172,120 @@ pub fn dis_val(
     frag: &Fragmentation,
     cfg: &DisValConfig,
 ) -> ParallelReport {
-    let g: &Graph = g;
-    assert!(cfg.n > 0, "dis_val: need at least one processor");
     assert_eq!(cfg.n, frag.n(), "one fragment per processor");
     let algo = match (cfg.assignment, cfg.multi_query || cfg.scheme_choice) {
         (Assignment::Balanced, true) => "disVal",
         (Assignment::Balanced, false) => "disnop",
         (Assignment::Random { .. }, _) => "disran",
     };
-
-    // (0) Optional workload reduction.
-    let (sigma_red, reduce_seconds) = if cfg.reduce_workload {
-        reduce_workload(sigma, REDUCTION_CAP)
-    } else {
-        (sigma.clone(), 0.0)
+    let setup = Setup {
+        algo,
+        n: cfg.n,
+        reduce_workload: cfg.reduce_workload,
+        multi_query: cfg.multi_query,
+        split_threshold: cfg.split_threshold,
+        workload: &cfg.workload,
     };
+    let blocks = Vec::new();
+    drive(sigma, g, setup, &mut Fragmented { cfg, frag, blocks })
+}
 
-    // (1) disPar: per-fragment estimation of partial units, assembled
-    // at the coordinator. The simulator computes the assembled units
-    // directly from the whole graph; the estimation work is charged as
-    // parallel (÷ n), and the partial-unit messages (one per unit and
-    // fragment touched) are charged to communication.
-    // One registry serves the whole run: the classes estimation
-    // simulates are the ones execution enumerates through.
-    let registry = ClassRegistry::new();
-    let wl = estimate_workload_in(&sigma_red, g, &cfg.workload, &registry);
-    let plans = &wl.plans;
-    let estimation_seconds = wl.estimation_seconds / cfg.n as f64;
-    let split = split_large_units(&wl.units, cfg.split_threshold);
-    let slots = &wl.slots;
+/// `disVal`'s protocol: procedure `disPar`'s partial units, the
+/// bi-criteria assignment, and `dlocalVio`'s per-unit choice between
+/// prefetching and partial detection.
+struct Fragmented<'a> {
+    cfg: &'a DisValConfig,
+    frag: &'a Fragmentation,
+    /// Per unit, its block bytes `|G_z̄|` in total and per fragment.
+    blocks: Vec<(u64, Vec<u64>)>,
+}
 
-    let mut clocks = SimClocks::new(cfg.n);
-    let cost_model = CostModel::default();
-    {
-        // Partial-unit descriptors flow from every fragment owning a
-        // pivot to the coordinator — batched into one message per
-        // fragment (M_i of disPar).
-        let mut desc_bytes = vec![0u64; cfg.n];
-        for su in &split {
-            if su.share != 0 {
-                continue;
-            }
-            let mut owners: Vec<usize> = su
-                .unit
-                .slots(slots)
-                .iter()
-                .flat_map(|slot| slot.range())
+impl Protocol for Fragmented<'_> {
+    /// `disPar`: every fragment owning a pivot of a unit ships the
+    /// coordinator a partial unit — batched into one message per
+    /// fragment (`M_i`) — carrying its share `|G^j_z̄|` of the unit's
+    /// block bytes, computed while estimating.
+    fn prepare(&mut self, run: &Run, clocks: &mut SimClocks) {
+        let frag = self.frag;
+        let mut descriptors = vec![0u64; run.n];
+        for unit in &run.wl.units {
+            let slots = unit.slots(&run.wl.slots);
+            let mut owners: Vec<usize> = (slots.iter().flat_map(UnitSlot::range))
                 .map(|&p| frag.owner(p).index())
                 .collect();
             owners.sort_unstable();
             owners.dedup();
             for w in owners {
-                desc_bytes[w] += 24 + 8 * su.unit.k() as u64;
+                descriptors[w] += 24 + 8 * unit.k() as u64;
             }
+            let mut by_frag = vec![0u64; run.n];
+            let mut seen = FxHashSet::default();
+            for node in block_nodes(slots).filter(|&node| seen.insert(node)) {
+                by_frag[frag.owner(node).index()] += run.g.node_wire_size(node) as u64;
+            }
+            self.blocks.push((by_frag.iter().sum(), by_frag));
         }
-        for (w, bytes) in desc_bytes.into_iter().enumerate() {
+        for (w, bytes) in descriptors.into_iter().enumerate() {
             if bytes > 0 {
-                clocks.charge_message(w, bytes, &cost_model);
+                clocks.charge_message(w, bytes);
             }
         }
     }
 
-    // (1c) Per-unit, per-fragment block byte sizes `|G^j_z̄|`. In a
-    // real deployment each fragment computes its local share during
-    // estimation and ships it inside the partial unit, so this work is
-    // parallel — charged to estimation (÷ n), not to the coordinator.
-    let t_sizes = std::time::Instant::now();
-    // One breakdown per *original* unit; split shares reuse it (their
-    // blocks are identical).
-    let unit_count = split.iter().map(|s| s.unit_index + 1).max().unwrap_or(0);
-    let mut per_unit_breakdown: Vec<Option<(u64, Vec<u64>)>> = vec![None; unit_count];
-    for su in &split {
-        if per_unit_breakdown[su.unit_index].is_some() {
-            continue;
+    /// Bi-criteria assignment (Prop. 13): descending cost; among
+    /// load-feasible workers pick minimal shipment — per-worker
+    /// shipment is `total − local`, O(1) per worker from the blocks.
+    fn assign(&self, run: &Run) -> Vec<usize> {
+        let (split, n) = (run.split, run.n);
+        if let Assignment::Random { seed } = self.cfg.assignment {
+            return random_assign(split.len(), n, seed);
         }
-        let mut by_frag = vec![0u64; cfg.n];
-        let mut total = 0u64;
-        let mut seen = FxHashSet::default();
-        for slot in su.unit.slots(slots) {
-            for node in slot.block.iter() {
-                if !seen.insert(node) {
+        let mut order: Vec<usize> = (0..split.len()).collect();
+        order.sort_by_key(|&i| (Reverse(split[i].cost()), i));
+        let mut load = vec![0u64; n];
+        let mut out = vec![0usize; split.len()];
+        for i in order {
+            let cost = split[i].cost();
+            let (total, by_frag) = &self.blocks[split[i].unit_index];
+            // Invariant: the driver asserts `n > 0`.
+            let min_load = *load.iter().min().expect("n > 0");
+            let slack = ((min_load as f64 * BALANCE_SLACK) as u64).max(cost);
+            // Invariant: `slack >= 0`, so the min-load worker always
+            // passes the feasibility filter.
+            let w = (0..n)
+                .filter(|&w| load[w] <= min_load + slack)
+                .min_by_key(|&w| (total - by_frag[w], w))
+                .expect("at least the min-load worker is feasible");
+            load[w] += cost;
+            out[i] = w;
+        }
+        out
+    }
+
+    /// `dlocalVio`'s shipment: a whole unit's block nodes the worker
+    /// neither owns nor has cached are prefetched (then cached) unless,
+    /// with scheme choice on, its partial matches are estimated smaller.
+    /// Shipment streams in bulk, so latency is paid per kind and bytes
+    /// per node or row.
+    fn ship(&self, run: &Run, worker: usize, shares: &[SplitUnit], traffic: &mut Traffic) {
+        let (g, slots, frag) = (run.g, &run.wl.slots, self.frag);
+        let mut cache: FxHashSet<NodeId> = FxHashSet::default();
+        for su in shares.iter().filter(|su| su.of == 1) {
+            let missing: FxHashSet<NodeId> = block_nodes(su.unit.slots(slots))
+                .filter(|&node| frag.owner(node).index() != worker && !cache.contains(&node))
+                .collect();
+            let fetch: u64 = missing.iter().map(|&n| g.node_wire_size(n) as u64).sum();
+            if self.cfg.scheme_choice {
+                let part = partial_match_bytes(g, &run.wl.plans, slots, su);
+                if part < fetch {
+                    traffic.partial += part;
                     continue;
                 }
-                let bytes = g.node_wire_size(node) as u64;
-                by_frag[frag.owner(node).index()] += bytes;
-                total += bytes;
             }
-        }
-        per_unit_breakdown[su.unit_index] = Some((total, by_frag));
-    }
-    let byte_breakdown: Vec<&(u64, Vec<u64>)> = split
-        .iter()
-        .map(|su| {
-            per_unit_breakdown[su.unit_index]
-                .as_ref()
-                .expect("the loop above fills a breakdown for every split share's unit_index")
-        })
-        .collect();
-    let estimation_seconds = estimation_seconds + t_sizes.elapsed().as_secs_f64() / cfg.n as f64;
-
-    // (2) Bi-criteria assignment (Prop. 13): descending cost; among
-    // load-feasible workers pick minimal shipment — per-worker
-    // shipment is `total − local`, O(1) per worker from the breakdown.
-    let t0 = std::time::Instant::now();
-    let assignment: Vec<usize> = match cfg.assignment {
-        Assignment::Random { seed } => random_assign(split.len(), cfg.n, seed),
-        Assignment::Balanced => {
-            // Descending cost; among load-feasible workers, minimal
-            // shipment.
-            let mut order: Vec<usize> = (0..split.len()).collect();
-            order.sort_by_key(|&i| (std::cmp::Reverse(split[i].cost()), i));
-            let mut load = vec![0u64; cfg.n];
-            let mut out = vec![0usize; split.len()];
-            for i in order {
-                let cost = split[i].cost();
-                let (total, by_frag) = byte_breakdown[i];
-                // Invariant: the entry assert guarantees `load` has
-                // `cfg.n > 0` slots.
-                let min_load = *load.iter().min().expect("n > 0");
-                let slack = ((min_load as f64 * BALANCE_SLACK) as u64).max(cost);
-                // Invariant: `slack >= 0`, so the min-load worker always
-                // passes the feasibility filter.
-                let w = (0..cfg.n)
-                    .filter(|&w| load[w] <= min_load + slack)
-                    .min_by_key(|&w| (total - by_frag[w], w))
-                    .expect("at least the min-load worker is feasible");
-                load[w] += cost;
-                out[i] = w;
-            }
-            out
-        }
-    };
-    let partition_seconds = t0.elapsed().as_secs_f64();
-
-    // (3) dlocalVio at each worker, with per-worker node caches.
-    let exec = UnitExecutor::new(g, &sigma_red, plans, slots, &registry, cfg.multi_query);
-    let mut violations = Vec::new();
-    let mut scratch = UnitScratch::new();
-    // Pass 1 — execute primary shares (per-worker loops so the
-    // per-worker node cache behaves like a real local cache) and
-    // record the measured time per unit.
-    let mut unit_elapsed: Vec<f64> =
-        vec![0.0; split.iter().map(|s| s.unit_index + 1).max().unwrap_or(0)];
-    for worker in 0..cfg.n {
-        let mut node_cache: FxHashSet<NodeId> = FxHashSet::default();
-        // Shipment is batched per worker: prefetches stream from peer
-        // fragments (bulk, nodes deduplicated by the cache), partial
-        // matches are pipelined, violations return to the coordinator
-        // once — so latency is paid per category, bytes per node/row.
-        let mut fetch_bytes = 0u64;
-        let mut partial_bytes = 0u64;
-        let mut violation_bytes = 0u64;
-        for (i, su) in split.iter().enumerate() {
-            if assignment[i] != worker {
-                continue;
-            }
-            if su.of > 1 {
-                // Replicated split shares ship partial matches rather
-                // than data blocks (appendix, replicate-and-split).
-                partial_bytes += su.cost() * 8;
-            } else if cfg.scheme_choice {
-                // Scheme selection: prefetch vs partial-match shipping.
-                let pre = prefetch_bytes(g, su.unit.slots(slots), worker, frag, Some(&node_cache));
-                let part = partial_match_bytes(g, plans, slots, su);
-                if part < pre {
-                    partial_bytes += part;
-                } else {
-                    for slot in su.unit.slots(slots) {
-                        for node in slot.block.iter() {
-                            if frag.owner(node).index() != worker {
-                                node_cache.insert(node);
-                            }
-                        }
-                    }
-                    fetch_bytes += pre;
-                }
-            } else {
-                let pre = prefetch_bytes(g, su.unit.slots(slots), worker, frag, Some(&node_cache));
-                for slot in su.unit.slots(slots) {
-                    for node in slot.block.iter() {
-                        if frag.owner(node).index() != worker {
-                            node_cache.insert(node);
-                        }
-                    }
-                }
-                fetch_bytes += pre;
-            }
-            if su.share == 0 {
-                let before = violations.len();
-                let start = std::time::Instant::now();
-                exec.run(&su.unit, &mut scratch, &mut violations);
-                unit_elapsed[su.unit_index] = start.elapsed().as_secs_f64();
-                let found = (violations.len() - before) as u64;
-                violation_bytes += found * 8 * su.unit.k().max(1) as u64;
-            }
-        }
-        for bytes in [fetch_bytes, partial_bytes, violation_bytes] {
-            if bytes > 0 {
-                clocks.charge_message(worker, bytes, &cost_model);
-            }
+            cache.extend(missing);
+            traffic.data += fetch;
         }
     }
-    // Pass 2 — every share carries 1/of of its unit's measured time.
-    for (i, su) in split.iter().enumerate() {
-        clocks.charge_compute(assignment[i], unit_elapsed[su.unit_index] / su.of as f64);
-    }
-
-    sort_violations(&mut violations);
-    ParallelReport::from_clocks(
-        algo,
-        cfg.n,
-        violations,
-        &clocks,
-        reduce_seconds,
-        estimation_seconds,
-        partition_seconds,
-        split.len(),
-        registry.stats(),
-    )
 }
 
 #[cfg(test)]

@@ -22,21 +22,22 @@
 //!
 //! The paper evaluates on 20 EC2 instances. This reproduction runs on
 //! a single machine, so the "cluster" is a **simulator with virtual
-//! clocks** (module [`cluster`]): work units execute for real on the
-//! host CPU, their measured time is charged to the owning virtual
-//! worker, and message traffic is charged to a communication clock
-//! under a configurable bandwidth/latency model. Simulated parallel
-//! time is `estimation/n + partition + max_i busy_i + comm` — exactly
-//! the quantity the paper's parallel-scalability definition measures —
-//! so speedup-vs-`n` shapes, balanced-vs-random gaps and
-//! repVal-vs-disVal comparisons reproduce faithfully. A real-thread
-//! executor (module [`threaded`], std scoped threads over an atomic
-//! work queue) exists to verify that the work units compute identical
-//! violations when actually run concurrently; all workers share one
-//! `Arc<Graph>` CSR snapshot — never per-worker copies — and read
-//! one [`gfd_match::ClassRegistry`] serving tier for candidate
-//! spaces, query plans and factorizations, so a simulation paid by
-//! any worker (or co-tenant service) serves every other. Workers are
+//! clocks** (module [`cluster`]) over one real executor. The threaded
+//! unit loop (module [`threaded`], std scoped threads over a
+//! retry-aware work queue) is the only code that runs a work unit: it
+//! measures each unit's time, and the simulator executes every unit
+//! there once and *replays* the measured times on the virtual worker
+//! each unit is assigned to, while message traffic is charged to a
+//! communication clock under a fixed bandwidth/latency model.
+//! Simulated parallel time is
+//! `estimation/n + partition + max_i busy_i + comm` — exactly the
+//! quantity the paper's parallel-scalability definition measures — so
+//! speedup-vs-`n` shapes, balanced-vs-random gaps and
+//! repVal-vs-disVal comparisons reproduce faithfully. All workers
+//! share one `Arc<Graph>` CSR snapshot — never per-worker copies — and
+//! read one [`gfd_match::ClassRegistry`] serving tier for candidate
+//! spaces, query plans and factorizations, so a simulation paid by any
+//! worker (or co-tenant service) serves every other. Workers are
 //! **panic-isolated**: a unit that panics is caught, retried on a
 //! healthy worker with bounded backoff, and quarantined-and-reported
 //! if the fault is sticky — never silently dropped.
@@ -74,7 +75,6 @@ pub mod unitexec;
 pub mod wal;
 pub mod workload;
 
-pub use cluster::CostModel;
 pub use disval::{dis_val, DisValConfig};
 pub use fault::{CrashKind, FaultPlan};
 pub use gfd_match::ClassRegistry;

@@ -3,11 +3,10 @@
 use gfd_core::Violation;
 
 use crate::cluster::SimClocks;
-use crate::unitexec::CacheStats;
 
 /// Everything a `repVal`/`disVal` run reports: the violations plus the
 /// simulated-time breakdown the figures plot.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ParallelReport {
     /// Algorithm label (`repVal`, `repnop`, `disran`, …).
     pub algo: String,
@@ -25,7 +24,9 @@ pub struct ParallelReport {
     pub partition_seconds: f64,
     /// Compute makespan `max_i busy_i` over the virtual workers.
     pub compute_seconds: f64,
-    /// Communication makespan (parallel shipment).
+    /// Communication makespan: shipments proceed in parallel per
+    /// worker, matching §7's observation that communication time "is
+    /// not very sensitive to n due to parallel shipment".
     pub comm_seconds: f64,
     /// Total bytes shipped between sites.
     pub bytes_shipped: u64,
@@ -47,40 +48,23 @@ pub struct ParallelReport {
     pub cache_evictions_deferred: u64,
 }
 
-impl ParallelReport {
-    /// Assembles a report from clocks and bookkeeping.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_clocks(
-        algo: impl Into<String>,
-        n: usize,
-        violations: Vec<Violation>,
-        clocks: &SimClocks,
-        reduce_seconds: f64,
-        estimation_seconds: f64,
-        partition_seconds: f64,
-        units: usize,
-        cache: CacheStats,
-    ) -> Self {
+/// A report carrying the clocks' makespans, traffic and per-worker
+/// busy time; the coordinator fills in the rest.
+impl From<SimClocks> for ParallelReport {
+    fn from(clocks: SimClocks) -> Self {
         ParallelReport {
-            algo: algo.into(),
-            n,
-            violations,
-            reduce_seconds,
-            estimation_seconds,
-            partition_seconds,
-            compute_seconds: clocks.compute_makespan(),
-            comm_seconds: clocks.comm_makespan(),
-            bytes_shipped: clocks.total_bytes(),
-            messages: clocks.total_messages(),
-            units,
-            per_worker_busy: clocks.busy.clone(),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evicted_cold: cache.evicted_cold,
-            cache_evictions_deferred: cache.eviction_deferred_pinned,
+            n: clocks.busy.len(),
+            compute_seconds: clocks.busy.iter().copied().fold(0.0, f64::max),
+            comm_seconds: clocks.comm.iter().copied().fold(0.0, f64::max),
+            bytes_shipped: clocks.bytes.iter().sum(),
+            messages: clocks.messages.iter().sum(),
+            per_worker_busy: clocks.busy,
+            ..Default::default()
         }
     }
+}
 
+impl ParallelReport {
     /// The simulated parallel response time
     /// `T(|Σ|, |G|, n) = reduce + est/n + partition + makespan + comm`.
     pub fn total_seconds(&self) -> f64 {
@@ -106,36 +90,29 @@ impl ParallelReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::CostModel;
+    use crate::cluster::{BANDWIDTH, LATENCY};
 
     #[test]
     fn totals_add_up() {
         let mut clocks = SimClocks::new(2);
         clocks.charge_compute(0, 1.0);
         clocks.charge_compute(1, 3.0);
-        clocks.charge_message(
-            0,
-            1_000,
-            &CostModel {
-                bandwidth: 1000.0,
-                latency: 0.0,
-            },
-        );
-        let r = ParallelReport::from_clocks(
-            "test",
-            2,
-            vec![],
-            &clocks,
-            0.5,
-            0.25,
-            0.25,
-            7,
-            CacheStats::default(),
-        );
+        clocks.charge_message(0, 1_000);
+        let comm = LATENCY + 1_000.0 / BANDWIDTH;
+        let r = ParallelReport {
+            reduce_seconds: 0.5,
+            estimation_seconds: 0.25,
+            partition_seconds: 0.25,
+            units: 7,
+            ..clocks.into()
+        };
         assert!((r.compute_seconds - 3.0).abs() < 1e-9);
-        assert!((r.comm_seconds - 1.0).abs() < 1e-9);
-        assert!((r.total_seconds() - 5.0).abs() < 1e-9);
-        assert_eq!(r.units, 7);
+        assert!((r.comm_seconds - comm).abs() < 1e-12);
+        assert!((r.total_seconds() - (4.0 + comm)).abs() < 1e-9);
+        assert_eq!(
+            (r.n, r.units, r.bytes_shipped, r.messages),
+            (2, 7, 1_000, 1)
+        );
     }
 
     #[test]
@@ -144,17 +121,7 @@ mod tests {
         for w in 0..4 {
             clocks.charge_compute(w, 2.0);
         }
-        let r = ParallelReport::from_clocks(
-            "t",
-            4,
-            vec![],
-            &clocks,
-            0.0,
-            0.0,
-            0.0,
-            0,
-            CacheStats::default(),
-        );
+        let r = ParallelReport::from(clocks);
         assert!((r.imbalance() - 1.0).abs() < 1e-9);
     }
 }

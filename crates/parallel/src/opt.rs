@@ -4,10 +4,10 @@
 //!   (`Σ \ {ϕ} ⊨ ϕ` ⇒ `Vio` unchanged). Delegates to
 //!   [`gfd_core::implication`], guarded by a size cap so reasoning
 //!   never dominates detection.
-//! * **Replicate-and-split for skewed graphs**: work units whose data
-//!   block exceeds a threshold `θ` are replicated into sub-units that
-//!   share the enumeration cost across processors and ship partial
-//!   matches instead of whole blocks.
+//! * **Replicate-and-split for skewed graphs**: work units whose
+//!   estimated cost exceeds a threshold `θ` are replicated into shares
+//!   that split the enumeration time across processors and ship
+//!   partial matches instead of whole blocks.
 
 use gfd_core::implication::minimize;
 use gfd_core::GfdSet;
@@ -55,9 +55,9 @@ impl SplitUnit {
     }
 }
 
-/// Splits units whose block size exceeds `threshold` into
-/// `ceil(cost/threshold)` shares ("replicate `w` with the same `z̄`,
-/// but split `G_z̄`"). With `threshold = None`, every unit gets a
+/// Splits units whose estimated cost `unit.cost` exceeds `threshold`
+/// into `ceil(cost/threshold)` shares ("replicate `w` with the same
+/// `z̄`, but split `G_z̄`"). With `threshold = None`, every unit gets a
 /// single share. Units are arena descriptors, so every share is a
 /// plain copy — splitting never touches the heap beyond the output
 /// vector itself.

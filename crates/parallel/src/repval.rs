@@ -16,13 +16,11 @@ use gfd_core::GfdSet;
 use gfd_graph::Graph;
 
 use crate::balance::assign;
-use crate::cluster::{CostModel, SimClocks};
+use crate::cluster::{drive, Protocol, Run, Setup, Traffic};
 use crate::metrics::ParallelReport;
-use crate::opt::{reduce_workload, split_large_units, REDUCTION_CAP};
-use crate::unitexec::{sort_violations, UnitExecutor, UnitScratch};
-use crate::workload::{estimate_workload_in, WorkloadOptions};
+use crate::opt::SplitUnit;
+use crate::workload::WorkloadOptions;
 use crate::Assignment;
-use gfd_match::ClassRegistry;
 
 /// Configuration of a `repVal` run.
 #[derive(Clone, Debug)]
@@ -31,8 +29,10 @@ pub struct RepValConfig {
     pub n: usize,
     /// Unit-assignment strategy (LPT or random).
     pub assignment: Assignment,
-    /// Multi-query optimization (common sub-patterns enumerate through
-    /// one shared class space and plan).
+    /// Multi-query optimization: units enumerate through the run's
+    /// shared class spaces and plans (class-space pools) instead of
+    /// searching the raw graph (raw pools). Rules sharing a pattern
+    /// class are grouped either way.
     pub multi_query: bool,
     /// Workload reduction via implication. **Semantics note**: dropping
     /// an implied rule preserves whether inconsistencies are detected
@@ -40,7 +40,7 @@ pub struct RepValConfig {
     /// only the surviving rules — so this is off by default and
     /// exercised by the ablation benchmarks.
     pub reduce_workload: bool,
-    /// Replicate-and-split threshold for skewed blocks.
+    /// Replicate-and-split threshold on a unit's estimated cost.
     pub split_threshold: Option<u64>,
     /// Workload-estimation knobs.
     pub workload: WorkloadOptions,
@@ -90,116 +90,39 @@ impl RepValConfig {
 /// here every virtual worker reads the *same* frozen CSR snapshot
 /// through one shared `Arc` — replication without copies.
 pub fn rep_val(sigma: &GfdSet, g: &Arc<Graph>, cfg: &RepValConfig) -> ParallelReport {
-    assert!(cfg.n > 0, "need at least one processor");
-    let g: &Graph = g;
     let algo = match (cfg.assignment, cfg.multi_query || cfg.reduce_workload) {
         (Assignment::Balanced, true) => "repVal",
         (Assignment::Balanced, false) => "repnop",
         (Assignment::Random { .. }, _) => "repran",
     };
-
-    // (0) Optional workload reduction at the coordinator.
-    let (sigma_red, reduce_seconds) = if cfg.reduce_workload {
-        reduce_workload(sigma, REDUCTION_CAP)
-    } else {
-        (sigma.clone(), 0.0)
-    };
-
-    // (1) bPar: estimate W(Σ, G) — parallelized, so charge /n. One
-    // registry serves the whole run: the classes estimation simulates
-    // are the ones execution enumerates through.
-    let registry = ClassRegistry::new();
-    let wl = estimate_workload_in(&sigma_red, g, &cfg.workload, &registry);
-    let plans = &wl.plans;
-    let estimation_seconds = wl.estimation_seconds / cfg.n as f64;
-
-    // (1b) Skew handling. Units are arena descriptors, so splitting
-    // copies 24-byte records; the slot arena stays where it is.
-    let split = split_large_units(&wl.units, cfg.split_threshold);
-    let slots = &wl.slots;
-
-    // (2) Partition the workload.
-    let t0 = std::time::Instant::now();
-    let costs: Vec<u64> = split.iter().map(|s| s.cost()).collect();
-    let assignment = assign(cfg.assignment, &costs, cfg.n);
-    let partition_seconds = t0.elapsed().as_secs_f64();
-
-    // (3) localVio at each worker, every worker reading the run's one
-    // registry — the paper's multi-query sharing, at the serving tier.
-    let mut clocks = SimClocks::new(cfg.n);
-    let cost_model = CostModel::default();
-    let exec = UnitExecutor::new(g, &sigma_red, plans, slots, &registry, cfg.multi_query);
-    let mut violations = Vec::new();
-    // Reused across workers: per-unit execution scratch (each worker
-    // would own one in a real deployment).
-    let mut scratch = UnitScratch::new();
-    // Pass 1 — execute the primary share of every unit at its owner
-    // and record the measured enumeration time per unit.
-    let mut unit_elapsed: Vec<f64> =
-        vec![0.0; split.iter().map(|s| s.unit_index + 1).max().unwrap_or(0)];
-    for worker in 0..cfg.n {
-        // Messages are batched per worker: one shipment of unit
-        // descriptors in (W_i(Σ, G), Fig. 4 line 2), one of violations
-        // out (line 4), one of partial matches for split shares.
-        let mut descriptor_bytes = 0u64;
-        let mut violation_bytes = 0u64;
-        let mut partial_bytes = 0u64;
-        // One clock read per executed unit: each unit's elapsed time is
-        // the span since the previous unit finished (the inter-unit
-        // bookkeeping it absorbs is nanoseconds; reading the clock
-        // twice per unit was a measurable share of the loop).
-        let mut mark = std::time::Instant::now();
-        for (i, su) in split.iter().enumerate() {
-            if assignment[i] != worker {
-                continue;
-            }
-            descriptor_bytes += 16 + 8 * su.unit.k() as u64;
-            if su.share == 0 {
-                let before = violations.len();
-                exec.run(&su.unit, &mut scratch, &mut violations);
-                let now = std::time::Instant::now();
-                unit_elapsed[su.unit_index] = (now - mark).as_secs_f64();
-                mark = now;
-                let found = (violations.len() - before) as u64;
-                violation_bytes += found * 8 * su.unit.k().max(1) as u64;
-            } else {
-                mark = std::time::Instant::now();
-            }
-            if su.of > 1 {
-                // Split shares ship partial matches instead of blocks
-                // (appendix, replicate-and-split).
-                partial_bytes += su.cost() * 8;
-            }
-        }
-        if descriptor_bytes > 0 {
-            clocks.charge_message(worker, descriptor_bytes, &cost_model);
-        }
-        if violation_bytes > 0 {
-            clocks.charge_message(worker, violation_bytes, &cost_model);
-        }
-        if partial_bytes > 0 {
-            clocks.charge_message(worker, partial_bytes, &cost_model);
-        }
-    }
-    // Pass 2 — every share (primary included) carries 1/of of the
-    // unit's measured enumeration time: splitting spreads a skewed
-    // unit's work across processors.
-    for (i, su) in split.iter().enumerate() {
-        clocks.charge_compute(assignment[i], unit_elapsed[su.unit_index] / su.of as f64);
-    }
-
-    sort_violations(&mut violations);
-    ParallelReport::from_clocks(
+    let setup = Setup {
         algo,
-        cfg.n,
-        violations,
-        &clocks,
-        reduce_seconds,
-        estimation_seconds,
-        partition_seconds,
-        split.len(),
-        registry.stats(),
-    )
+        n: cfg.n,
+        reduce_workload: cfg.reduce_workload,
+        multi_query: cfg.multi_query,
+        split_threshold: cfg.split_threshold,
+        workload: &cfg.workload,
+    };
+    drive(sigma, g, setup, &mut Replicated(cfg.assignment))
+}
+
+/// `repVal`'s protocol: a 2-approximate makespan partition (or random
+/// placement) of the shares' estimated costs, and one message of unit
+/// descriptors to each worker (`W_i(Σ, G)`, Fig. 4 line 2).
+struct Replicated(Assignment);
+
+impl Protocol for Replicated {
+    fn assign(&self, run: &Run) -> Vec<usize> {
+        let costs: Vec<u64> = run.split.iter().map(SplitUnit::cost).collect();
+        assign(self.0, &costs, run.n)
+    }
+
+    fn ship(&self, _: &Run, _: usize, shares: &[SplitUnit], traffic: &mut Traffic) {
+        traffic.data += shares
+            .iter()
+            .map(|su| 16 + 8 * su.unit.k() as u64)
+            .sum::<u64>();
+    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
-//! Real-thread execution of work units, isolated against panics.
+//! The unit loop: real-thread execution of work units, isolated
+//! against panics — the one place a work unit runs.
 //!
-//! The simulated cluster (crate docs) is what the benchmarks report,
-//! but the work-unit machinery is genuinely parallel-safe: this module
-//! runs units across OS threads (std scoped threads over a shared
-//! retry-aware work queue — no external thread-pool dependency),
-//! sharing one [`ClassRegistry`] serving tier across all workers (and
-//! any other tenants of the same registry), and is used by the test
-//! suite to verify that concurrent execution produces exactly the
-//! sequential violations.
+//! This module runs units across OS threads (std scoped threads over a
+//! shared retry-aware work queue — no external thread-pool
+//! dependency), sharing one [`ClassRegistry`] serving tier across all
+//! workers (and any other tenants of the same registry), and records
+//! each unit's measured run time and violation count. The simulated
+//! cluster (module [`cluster`](crate::cluster)) executes its units here
+//! on one thread and replays those times on its virtual workers.
 //!
 //! Every worker shares the *same* frozen CSR snapshot through one
 //! `Arc<Graph>` — the whole point of the builder/snapshot split: no
@@ -25,10 +25,7 @@
 //! **requeued** — any healthy worker picks it up after a bounded
 //! backoff. After [`MAX_UNIT_ATTEMPTS`] failed attempts the unit is
 //! **quarantined and reported** in the [`ThreadedReport`]; it is never
-//! silently dropped, and sibling workers' results always survive. The
-//! previous executor joined with a bare `expect`, so one panicking
-//! unit aborted the entire run and discarded every other worker's
-//! completed work.
+//! silently dropped, and sibling workers' results always survive.
 //!
 //! The optional [`FaultPlan`] injects deterministic panics and
 //! stragglers at chosen `(epoch, unit)` coordinates — the soak
@@ -39,7 +36,7 @@ use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gfd_core::{GfdSet, Violation};
 use gfd_graph::Graph;
@@ -79,19 +76,28 @@ pub struct ThreadedReport {
     /// class-space requests (and those of any co-tenant that raced the
     /// call), whatever became of the worker's later units.
     pub cache: CacheStats,
+    /// Per unit index, what its successful attempt measured; a
+    /// quarantined unit reads zero.
+    pub unit_runs: Vec<UnitRun>,
+}
+
+/// One unit's successful attempt.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct UnitRun {
+    /// Seconds of the [`UnitExecutor::run`] call.
+    pub seconds: f64,
+    /// Violations it found.
+    pub violations: u64,
 }
 
 /// Executes all units (descriptors over the `slots` arena) across
 /// `threads` OS threads sharing one `Arc<Graph>`, returning the
 /// canonical (sorted) violation list.
 ///
-/// Worker panics no longer abort the run: units execute under
-/// `catch_unwind` with requeue-and-retry (see the module docs).
-/// This convenience wrapper still treats an *exhausted* unit — one
-/// that panicked [`MAX_UNIT_ATTEMPTS`] times with no fault plan, i.e.
-/// a genuine bug — as fatal, because returning a silently incomplete
-/// violation set would be unsound. Callers that want the failure
-/// ledger instead use [`run_units_threaded_report`].
+/// A unit that panics on all [`MAX_UNIT_ATTEMPTS`] attempts — with no
+/// fault plan, a genuine bug — is fatal here, because a silently
+/// incomplete violation set would be unsound; callers that want the
+/// failure ledger instead use [`run_units_threaded_report`].
 pub fn run_units_threaded(
     g: &Arc<Graph>,
     sigma: &GfdSet,
@@ -130,8 +136,21 @@ pub fn run_units_threaded_report(
     faults: Option<&FaultPlan>,
     epoch: u64,
 ) -> ThreadedReport {
-    let cache_before = registry.stats();
     let exec = UnitExecutor::new(g, sigma, plans, slots, registry, true);
+    run_units(&exec, units, threads, faults, epoch)
+}
+
+/// The unit loop behind [`run_units_threaded_report`], over a prebuilt
+/// executor — so whether units enumerate through the registry's class
+/// spaces stays the caller's choice.
+pub(crate) fn run_units(
+    exec: &UnitExecutor,
+    units: &[WorkUnit],
+    threads: usize,
+    faults: Option<&FaultPlan>,
+    epoch: u64,
+) -> ThreadedReport {
+    let cache_before = exec.registry.stats();
     // (unit index, attempt) queue; requeued entries go to the back so
     // healthy units drain first. Lock holders never panic (pop/push
     // only), so the mutex cannot poison.
@@ -142,16 +161,16 @@ pub fn run_units_threaded_report(
     let units_retried = AtomicU64::new(0);
     let quarantined: Mutex<Vec<usize>> = Mutex::new(Vec::new());
 
-    let per_worker: Vec<Vec<Violation>> = std::thread::scope(|scope| {
+    let per_worker: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.max(1))
             .map(|_| {
                 let (queue, outstanding) = (&queue, &outstanding);
                 let (unit_panics, units_retried, quarantined) =
                     (&unit_panics, &units_retried, &quarantined);
-                let exec = &exec;
                 scope.spawn(move || {
                     let mut scratch = UnitScratch::new();
                     let mut out: Vec<Violation> = Vec::new();
+                    let mut runs: Vec<(usize, UnitRun)> = Vec::new();
                     loop {
                         // Invariant behind every "never poisoned" here:
                         // the locks are held only across pop/push (which
@@ -189,10 +208,18 @@ pub fn run_units_threaded_report(
                                     panic!("injected worker fault (unit {i}, attempt {attempt})");
                                 }
                             }
+                            let start = Instant::now();
                             exec.run(unit, &mut scratch, &mut out);
+                            let seconds = start.elapsed().as_secs_f64();
+                            let violations = (out.len() - checkpoint) as u64;
+                            UnitRun {
+                                seconds,
+                                violations,
+                            }
                         }));
                         match result {
-                            Ok(()) => {
+                            Ok(run) => {
+                                runs.push((i, run));
                                 if attempt > 0 {
                                     units_retried.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -218,7 +245,7 @@ pub fn run_units_threaded_report(
                             }
                         }
                     }
-                    out
+                    (out, runs)
                 })
             })
             .collect();
@@ -236,10 +263,14 @@ pub fn run_units_threaded_report(
 
     // Merge with an exact capacity reservation, then establish the
     // canonical order in one unstable sort over the concatenation.
-    let total = per_worker.iter().map(Vec::len).sum();
+    let total = per_worker.iter().map(|(out, _)| out.len()).sum();
     let mut violations = Vec::with_capacity(total);
-    for mut part in per_worker {
-        violations.append(&mut part);
+    let mut unit_runs = vec![UnitRun::default(); units.len()];
+    for (mut out, runs) in per_worker {
+        violations.append(&mut out);
+        for (i, run) in runs {
+            unit_runs[i] = run;
+        }
     }
     sort_violations(&mut violations);
     let mut quarantined = quarantined.into_inner().expect("never poisoned");
@@ -249,7 +280,8 @@ pub fn run_units_threaded_report(
         unit_panics: unit_panics.into_inner(),
         units_retried: units_retried.into_inner(),
         quarantined,
-        cache: registry.stats() - cache_before,
+        cache: exec.registry.stats() - cache_before,
+        unit_runs,
     }
 }
 
@@ -427,6 +459,70 @@ mod tests {
         }
         sort_violations(&mut surviving);
         assert_eq!(report.violations, surviving);
+    }
+
+    /// The per-unit record: a unit's violation count is its successful
+    /// attempt's alone — the counts sum to the violations returned at
+    /// every thread count — and a quarantined unit reads zero.
+    #[test]
+    fn unit_runs_record_each_units_successful_attempt() {
+        silence_injected_panics();
+        let g = Arc::new(social(ACCOUNTS));
+        let sigma = GfdSet::new(vec![spam_rule(g.vocab().clone())]);
+        let plans = plan_rules(&sigma);
+        let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
+        let registry = ClassRegistry::new();
+        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
+        let mut scratch = UnitScratch::new();
+        let sequential: Vec<u64> = (wl.units.iter())
+            .map(|unit| {
+                let mut out = Vec::new();
+                exec.run(unit, &mut scratch, &mut out);
+                out.len() as u64
+            })
+            .collect();
+        let run = |faults: &FaultPlan, threads, epoch| {
+            let registry = ClassRegistry::new();
+            run_units_threaded_report(
+                &g,
+                &sigma,
+                &plans,
+                &wl.units,
+                &wl.slots,
+                &registry,
+                threads,
+                Some(faults),
+                epoch,
+            )
+        };
+        let transient = FaultPlan {
+            seed: 42,
+            unit_panic_p: 0.5,
+            sticky_p: 0.0,
+            ..Default::default()
+        };
+        for threads in [1usize, 2, 4] {
+            let report = run(&transient, threads, 3);
+            assert!(report.unit_panics > 0, "plan injected nothing");
+            let counts: Vec<u64> = report.unit_runs.iter().map(|r| r.violations).collect();
+            assert_eq!(counts, sequential, "threads={threads}");
+            assert_eq!(counts.iter().sum::<u64>(), report.violations.len() as u64);
+        }
+        let sticky = FaultPlan {
+            seed: 7,
+            unit_panic_p: 0.4,
+            sticky_p: 1.0,
+            ..Default::default()
+        };
+        let report = run(&sticky, 4, 9);
+        assert!(report.quarantined.iter().any(|&i| sequential[i] > 0));
+        for (i, r) in report.unit_runs.iter().enumerate() {
+            if report.quarantined.contains(&i) {
+                assert_eq!((r.seconds, r.violations), (0.0, 0), "unit {i}");
+            } else {
+                assert_eq!(r.violations, sequential[i], "unit {i}");
+            }
+        }
     }
 
     /// Satellite regression: the report's cache counters must include

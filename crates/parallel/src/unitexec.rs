@@ -84,7 +84,7 @@ pub struct UnitExecutor<'a> {
     groups: RuleGroups,
     plans: &'a [PivotedRule],
     slots: &'a [UnitSlot],
-    registry: &'a ClassRegistry,
+    pub(crate) registry: &'a ClassRegistry,
     /// Per `(rule, component)` of every group representative, with
     /// multi-query on.
     handles: Option<Vec<Vec<SpaceHandle>>>,
