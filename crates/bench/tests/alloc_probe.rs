@@ -15,7 +15,8 @@
 //! the runs the delta moved — nothing at all when no set moves. And
 //! what stays allocated is gated too: an [`IncrementalSpace`] retains
 //! its candidates, not arrays sized by the graph, so the bytes a
-//! [`ClassRegistry`] accounts are the bytes it holds.
+//! [`ClassRegistry`] accounts are the bytes it holds — and building one
+//! from scratch requests bytes by its seeds, not by the graph.
 
 use std::sync::Arc;
 
@@ -27,8 +28,8 @@ use gfd_datagen::{
 use gfd_graph::{AttrOp, Edge, Graph, GraphDelta, NodeId, Value, Vocab};
 use gfd_match::types::Flow;
 use gfd_match::{
-    count_matches_with, for_each_match_in, ClassRegistry, IncrementalSpace, MatchOptions,
-    MatchScratch,
+    count_matches_with, dual_simulation, for_each_match_in, simulation_sets, ClassRegistry,
+    IncrementalSpace, MatchOptions, MatchScratch,
 };
 use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
@@ -746,6 +747,44 @@ fn a_class_retains_its_candidates_not_the_graph() {
         large <= small + small / 20 + directories,
         "a class over {N} padding nodes retains {small} B, over {} it retains {large} B \
          (page directories account for {directories} B of the difference)",
+        16 * N
+    );
+}
+
+/// The build-side twin of the retention gate: what a from-scratch
+/// simulation *requests* follows its seeds, not the graph. The same
+/// 300-node matching core padded with N and with 16·N inert nodes must
+/// cost [`dual_simulation`] and [`simulation_sets`] the same bytes, up
+/// to the candidate space's page directories (one 16-byte word per
+/// 4 096 node ids per edge direction). Worklist flags or counters sized
+/// by |V| — a byte per variable and four per pattern edge and direction
+/// for each of the 15·N extra nodes — overshoot that by megabytes.
+#[test]
+fn a_simulation_requests_by_its_seeds_not_the_graph() {
+    let _serial = serial();
+    const N: usize = 4096;
+    let requested = |padding: usize| {
+        let (g, q) = padded_chains(padding);
+        let (space, space_bytes) = bytes_requested(|| dual_simulation(&q, &g, None));
+        let (sets, sets_bytes) = bytes_requested(|| simulation_sets(&q, &g, None));
+        assert_eq!(space.total_size(), 300, "premise: every chain matches");
+        assert_eq!(space.sets, sets);
+        let words = g.node_count().div_ceil(4096) as u64;
+        (space_bytes, sets_bytes, words, q.edge_count() as u64)
+    };
+    let (small_space, small_sets, small_words, nedges) = requested(N);
+    let (large_space, large_sets, large_words, _) = requested(16 * N);
+    let directories = 2 * nedges * (large_words - small_words) * 16;
+    assert!(
+        large_space <= small_space + directories,
+        "dual_simulation requests {small_space} B over {N} padding nodes, {large_space} B over {} \
+         (page directories account for {directories} B of the difference)",
+        16 * N
+    );
+    assert_eq!(
+        large_sets,
+        small_sets,
+        "simulation_sets requests {small_sets} B over {N} padding nodes, {large_sets} B over {}",
         16 * N
     );
 }

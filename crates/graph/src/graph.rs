@@ -26,7 +26,9 @@
 //!   contiguous ranges over a node permutation.
 //!   `has_edge` is a binary search over one contiguous slice;
 //!   per-label neighbor lists ([`Graph::neighbors_labeled`]) and label
-//!   extents ([`Graph::extent`]) are zero-allocation subslices.
+//!   extents ([`Graph::extent`]) are zero-allocation subslices, and a
+//!   node's position within its extent ([`Graph::extent_rank`]) is one
+//!   load from a per-node array kept beside the permutation.
 //!
 //! A frozen snapshot is immutable, `Send + Sync`, and shared across
 //! workers behind an `Arc` — no per-worker copies. Repair/noise
@@ -443,7 +445,7 @@ impl GraphBuilder {
             })
             .collect();
 
-        let (extent_perm, extent_ranges) = build_extents(&self.labels);
+        let (extent_perm, extent_ranges, extent_rank) = build_extents(&self.labels);
         Graph {
             vocab: self.vocab,
             labels: self.labels.into(),
@@ -452,6 +454,7 @@ impl GraphBuilder {
             inn,
             extent_perm,
             extent_ranges,
+            extent_rank,
             edge_count: self.edge_count,
         }
     }
@@ -626,23 +629,28 @@ impl PageBuilder {
     }
 }
 
-/// Label extents: the node permutation sorted by `(label, id)` and one
-/// contiguous `(label, lo, hi)` range per label.
-type Extents = (Arc<[NodeId]>, Arc<[(Sym, u32, u32)]>);
+/// Label extents: the node permutation sorted by `(label, id)`, one
+/// contiguous `(label, lo, hi)` range per label, and per node its
+/// position within its own label's range.
+type Extents = (Arc<[NodeId]>, Arc<[(Sym, u32, u32)]>, Arc<[u32]>);
 
 fn build_extents(labels: &[Sym]) -> Extents {
     let mut perm: Arc<[NodeId]> = (0..labels.len() as u32).map(NodeId).collect();
     let sorted = Arc::get_mut(&mut perm).expect("just built, not yet shared");
     sorted.sort_unstable_by_key(|&u| (labels[u.index()], u));
     let mut ranges: Vec<(Sym, u32, u32)> = Vec::new();
+    let mut rank: Arc<[u32]> = std::iter::repeat_n(0, labels.len()).collect();
+    let ranks = Arc::get_mut(&mut rank).expect("just built, not yet shared");
     for (i, &u) in perm.iter().enumerate() {
         let label = labels[u.index()];
         match ranges.last_mut() {
             Some((l, _, hi)) if *l == label => *hi = (i + 1) as u32,
             _ => ranges.push((label, i as u32, (i + 1) as u32)),
         }
+        let (_, lo, _) = ranges[ranges.len() - 1];
+        ranks[u.index()] = i as u32 - lo;
     }
-    (perm, ranges.into())
+    (perm, ranges.into(), rank)
 }
 
 /// An immutable paged CSR snapshot of a property graph.
@@ -663,6 +671,8 @@ pub struct Graph {
     extent_perm: Arc<[NodeId]>,
     /// Per label: `(label, lo, hi)` into `extent_perm`, sorted by label.
     extent_ranges: Arc<[(Sym, u32, u32)]>,
+    /// Per node: its position within its label's extent.
+    extent_rank: Arc<[u32]>,
     edge_count: usize,
 }
 
@@ -835,6 +845,15 @@ impl Graph {
         }
     }
 
+    /// The position of `node` within the extent of its own label:
+    /// `g.extent(g.label(u))[g.extent_rank(u)] == u`. One load, so a
+    /// per-variable array sized by an extent can be indexed from a
+    /// node id in O(1) — what the simulation's seed-indexed state does.
+    #[inline]
+    pub fn extent_rank(&self, node: NodeId) -> usize {
+        self.extent_rank[node.index()] as usize
+    }
+
     /// All labels that occur on nodes, with their extents (ascending
     /// label order).
     pub fn label_extents(&self) -> impl Iterator<Item = (Sym, &[NodeId])> + '_ {
@@ -923,8 +942,9 @@ impl Graph {
     /// written tuple is copied once, and an adjacency page is rebuilt
     /// only if one of its nodes gains or loses an edge — sharing, inside
     /// the rebuilt page, every out-of-line run the delta leaves alone.
-    /// Labels and extents are shared unless the delta adds or relabels
-    /// nodes, in which case both are rebuilt whole.
+    /// Labels and extents (with the extent ranks) are shared unless the
+    /// delta adds or relabels nodes, in which case both are rebuilt
+    /// whole.
     ///
     /// The delta must be consistent with this snapshot: based at its
     /// node count, added edges absent, removed edges present (the
@@ -939,9 +959,13 @@ impl Graph {
         );
         let pages = page_count(old_n + delta.added_nodes.len());
 
-        let (labels, (extent_perm, extent_ranges)) =
+        let (labels, (extent_perm, extent_ranges, extent_rank)) =
             if delta.added_nodes.is_empty() && delta.label_changes.is_empty() {
-                let extents = (self.extent_perm.clone(), self.extent_ranges.clone());
+                let extents = (
+                    self.extent_perm.clone(),
+                    self.extent_ranges.clone(),
+                    self.extent_rank.clone(),
+                );
                 (self.labels.clone(), extents)
             } else {
                 let added = delta
@@ -1011,6 +1035,7 @@ impl Graph {
             inn,
             extent_perm,
             extent_ranges,
+            extent_rank,
             edge_count: self.edge_count + delta.added_edges.len() - delta.removed_edges.len(),
         }
     }
@@ -1389,6 +1414,34 @@ mod tests {
         Arc::ptr_eq(&a.labels, &b.labels)
             && Arc::ptr_eq(&a.extent_perm, &b.extent_perm)
             && Arc::ptr_eq(&a.extent_ranges, &b.extent_ranges)
+            && Arc::ptr_eq(&a.extent_rank, &b.extent_rank)
+    }
+
+    /// Every node sits at its extent rank in its own label's extent.
+    fn assert_extent_ranks(g: &Graph) {
+        for u in g.nodes() {
+            assert_eq!(g.extent(g.label(u))[g.extent_rank(u)], u);
+        }
+    }
+
+    #[test]
+    fn extent_rank_inverts_the_extents() {
+        let (g, [country, canberra, melbourne]) = g3();
+        assert_eq!(
+            [country, canberra, melbourne].map(|u| g.extent_rank(u)),
+            [0, 0, 1]
+        );
+        // Interleaved labels: no extent is a contiguous id range.
+        let g = ring();
+        assert_extent_ranks(&g);
+        assert_eq!(g.extent_rank(NodeId(7)), 3);
+        let g2 = g.edit(|b| {
+            b.set_label(NodeId(2), g.label(NodeId(1)));
+            b.add_node_labeled("a");
+            b.add_node_labeled("c");
+        });
+        assert_extent_ranks(&g2);
+        assert_eq!(g2.extent_rank(NodeId(3)), 2, "n2 moved in before it");
     }
 
     #[test]
@@ -1544,6 +1597,8 @@ mod tests {
         assert!(g2.extent(b).contains(&moved) && !g2.extent(a).contains(&moved));
         assert!(!Arc::ptr_eq(&g.labels, &g2.labels));
         assert!(!Arc::ptr_eq(&g.extent_perm, &g2.extent_perm));
+        assert!(!Arc::ptr_eq(&g.extent_rank, &g2.extent_rank));
+        assert_extent_ranks(&g2);
         assert_eq!(unshared(&g.attrs, &g2.attrs), Vec::<usize>::new());
         assert_eq!(unshared(&g.out, &g2.out), Vec::<usize>::new());
         assert_eq!(unshared(&g.inn, &g2.inn), Vec::<usize>::new());
@@ -1572,6 +1627,9 @@ mod tests {
         assert!(Arc::ptr_eq(&g2.inn[g.inn.len()], &g2.inn[g.inn.len() + 1]));
         let newest = NodeId(g2.node_count() as u32 - 1);
         assert!(g2.out_slice(newest).is_empty() && g2.attrs(newest).is_empty());
+        // Added nodes rebuild the extents, their ranks included.
+        assert!(!Arc::ptr_eq(&g.extent_rank, &g2.extent_rank));
+        assert_extent_ranks(&g2);
     }
 
     #[test]

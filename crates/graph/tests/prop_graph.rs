@@ -161,7 +161,7 @@ fn csr_extents_equal_oracle() {
         prop_assert!(listed == oracle.extents, "label_extents() disagrees");
         let fresh = g.vocab().intern("__never_used");
         prop_assert!(g.extent(fresh).is_empty(), "unknown label must be empty");
-        Ok(())
+        extent_ranks_invert(&g)
     });
 }
 
@@ -286,7 +286,20 @@ fn graphs_equal(a: &Graph, b: &Graph) -> Result<(), String> {
     if ea != eb {
         return Err("label extents".into());
     }
-    Ok(())
+    extent_ranks_invert(a)?;
+    extent_ranks_invert(b)
+}
+
+/// `extent_rank` is the inverse of the extents: every node sits at its
+/// rank in its own label's extent.
+fn extent_ranks_invert(g: &Graph) -> Result<(), String> {
+    match g
+        .nodes()
+        .find(|&u| g.extent(g.label(u)).get(g.extent_rank(u)) != Some(&u))
+    {
+        Some(u) => Err(format!("extent rank of {u:?}")),
+        None => Ok(()),
+    }
 }
 
 #[test]

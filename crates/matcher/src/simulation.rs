@@ -22,12 +22,17 @@
 //! extents; when a counter hits zero its node is removed and pushed on
 //! a worklist, and each removal only touches the removed node's own
 //! adjacency — `O(affected)` per removal, `O(Σ_e Σ_{u∈cand} deg_l(u))`
-//! in total rather than `rounds × vars × |V|`. The bitmaps and counter
+//! in total rather than `rounds × vars × |V|`. The flags and counter
 //! arrays (`SimCore`) are the from-scratch driver's working state and
-//! nothing more: sized by the graph, built, harvested into the
-//! [`CandidateSpace`] and dropped. The space is the relation's one
-//! retained representation — a repair reads membership and support
-//! off its runs ([`crate::incremental`]).
+//! nothing more: sized by the seeds, built, harvested into the
+//! [`CandidateSpace`] and dropped. Every array is indexed by a node's
+//! rank in its variable's seed, found in O(1) without a search in the
+//! two unscoped cases — [`Graph::extent_rank`] for a labelled variable
+//! (once the neighbor's label matches), the node id for a wildcard —
+//! and by binary search in the seed within a scope (block-scoped calls
+//! are small). The space is the relation's one retained
+//! representation — a repair reads membership and support off its runs
+//! ([`crate::incremental`]).
 //!
 //! ## Layout
 //!
@@ -44,11 +49,12 @@
 //! allocation of exactly their size; a page moves into an allocation
 //! of its own when a repair first writes it.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
-use gfd_graph::{Graph, NodeId, NodeSet};
+use gfd_graph::{Adj, Graph, NodeId, NodeSet, Sym};
 use gfd_pattern::{PatLabel, Pattern, VarId};
 
 /// Run pages cover the same 64 consecutive node ids as the graph's own
@@ -500,32 +506,127 @@ impl CandidateSpace {
     }
 }
 
-/// Dense per-variable membership bitmaps plus per-edge support
-/// counters — the from-scratch driver's worklist state, sized by the
-/// graph and **transient**: built by `simulate_core`, read once by
+/// How a variable's seed turns a node id into the node's rank in the
+/// seed — fixed by the call's scope and the variable's label, so every
+/// lookup is O(1) except within a scope.
+#[derive(Clone, Copy)]
+enum RankBy {
+    /// Unscoped, labelled: the seed is the label's extent, and a node
+    /// carrying the label sits at [`Graph::extent_rank`].
+    Extent(Sym),
+    /// Unscoped wildcard: the seed is every node, and a node's rank is
+    /// its id.
+    Id,
+    /// Scoped: the seed is the scope narrowed by label, binary-searched
+    /// (scopes are small — see `PARTIAL_REFINE_MAX_BLOCK` in
+    /// gfd-parallel).
+    Search,
+}
+
+/// One variable's seed — its candidate list, ascending, and how it
+/// ranks a node — with a flag per entry: does it still simulate the
+/// variable?
+struct Seed<'g> {
+    nodes: Cow<'g, [NodeId]>,
+    rank_by: RankBy,
+    /// `member[r]` — does `nodes[r]` still simulate the variable?
+    member: Vec<bool>,
+}
+
+impl Seed<'_> {
+    /// The rank of `w` in the seed, if `w` is there.
+    #[inline]
+    fn rank(&self, g: &Graph, w: NodeId) -> Option<usize> {
+        match self.rank_by {
+            RankBy::Extent(s) => (g.label(w) == s).then(|| g.extent_rank(w)),
+            RankBy::Id => Some(w.index()),
+            RankBy::Search => self.nodes.binary_search(&w).ok(),
+        }
+    }
+
+    /// Is `w` in the seed? Before any removal that is membership, and
+    /// for an unscoped labelled variable it is one label compare.
+    #[inline]
+    fn contains(&self, g: &Graph, w: NodeId) -> bool {
+        match self.rank_by {
+            RankBy::Extent(s) => g.label(w) == s,
+            _ => self.rank(g, w).is_some(),
+        }
+    }
+
+    /// The nodes still simulating the variable, ascending.
+    fn survivors(&self) -> Vec<NodeId> {
+        let flagged = self.nodes.iter().zip(&self.member);
+        flagged.filter(|(_, &m)| m).map(|(&u, _)| u).collect()
+    }
+}
+
+/// Per-variable seeds with their membership flags, plus per-edge
+/// support counters, all indexed by **rank in the seed** — the
+/// from-scratch simulation's worklist state, sized by the seeds (a
+/// variable's label extent, or the scope) rather than the graph, and
+/// **transient**: built by `simulate_core`, read once by
 /// `harvest_space`, dropped. Nothing keeps one across calls; a repair
 /// ([`crate::incremental`]) reads membership and support off the
 /// [`CandidateSpace`] itself.
-struct SimCore {
-    /// `member[v][u]` — is node `u` currently simulating variable `v`?
-    member: Vec<Vec<bool>>,
-    /// `fwd[e][u]` — admitted out-edges of `u` into `sim(dst(e))`,
-    /// maintained for `u ∈ sim(src(e))`.
+///
+/// A neighbor `w` is ranked in `seed(v)` one of three ways ([`RankBy`]):
+/// for an unscoped labelled `v`, `w` must carry the label and sits at
+/// `g.extent_rank(w)`; for an unscoped wildcard `v`, at `w.index()`;
+/// within a scope, by binary search in the seed.
+struct SimCore<'g> {
+    q: &'g Pattern,
+    g: &'g Graph,
+    /// `seeds[v]`, indexed by variable id.
+    seeds: Vec<Seed<'g>>,
+    /// `fwd[e][r]` — admitted out-edges of `seed(src(e))[r]` into
+    /// `sim(dst(e))`, maintained while it simulates `src(e)`.
     fwd: Vec<Vec<u32>>,
-    /// `bwd[e][w]` — admitted in-edges of `w` from `sim(src(e))`,
-    /// maintained for `w ∈ sim(dst(e))`.
+    /// `bwd[e][r]` — admitted in-edges of `seed(dst(e))[r]` from
+    /// `sim(src(e))`, maintained while it simulates `dst(e)`.
     bwd: Vec<Vec<u32>>,
-    queue: VecDeque<(VarId, NodeId)>,
+    /// Removed `(variable, rank)` pairs awaiting propagation.
+    queue: VecDeque<(VarId, u32)>,
 }
 
-impl SimCore {
-    /// Flags `(v, u)` as removed and schedules the propagation; no-op
-    /// if already removed.
-    fn remove(&mut self, v: VarId, u: NodeId) {
-        let m = &mut self.member[v.index()][u.index()];
+impl SimCore<'_> {
+    /// Flags `seed(v)[r]` as removed and schedules the propagation;
+    /// no-op if already removed.
+    fn remove(&mut self, v: VarId, r: usize) {
+        let m = &mut self.seeds[v.index()].member[r];
         if *m {
             *m = false;
-            self.queue.push_back((v, u));
+            self.queue.push_back((v, r as u32));
+        }
+    }
+
+    /// `u` left the simulation of the near end of pattern edge `ei`,
+    /// read in direction `dir`: every admitted edge from `u` to a
+    /// surviving candidate of the far end takes one unit of that
+    /// candidate's support on the edge, and a candidate left with none
+    /// is removed. The hot loop of the fixpoint, so it runs one copy
+    /// per rank case and its body carries no dispatch.
+    fn withdraw(&mut self, u: NodeId, ei: usize, dir: Direction) {
+        let (g, e) = (self.g, self.q.edges()[ei]);
+        let (far, support) = match dir {
+            Direction::Out => (e.dst, &mut self.bwd[ei]),
+            Direction::In => (e.src, &mut self.fwd[ei]),
+        };
+        let seed = &mut self.seeds[far.index()];
+        let (nodes, member) = (&seed.nodes, &mut seed.member[..]);
+        let adj = admitted(g, u, e.label, dir);
+        let queue = &mut self.queue;
+        let removed = |r: usize| queue.push_back((far, r as u32));
+        match seed.rank_by {
+            RankBy::Extent(s) => {
+                let rank = |w| (g.label(w) == s).then(|| g.extent_rank(w));
+                withdraw_ranked(adj, rank, member, support, removed)
+            }
+            RankBy::Id => withdraw_ranked(adj, |w| Some(w.index()), member, support, removed),
+            RankBy::Search => {
+                let rank = |w| nodes.binary_search(&w).ok();
+                withdraw_ranked(adj, rank, member, support, removed)
+            }
         }
     }
 
@@ -533,40 +634,48 @@ impl SimCore {
     /// the removed node's own admitted adjacency per incident pattern
     /// edge, decrementing the support counters of surviving neighbors
     /// and cascading when one hits zero.
-    fn drain(&mut self, q: &Pattern, g: &Graph) {
-        while let Some((v, u)) = self.queue.pop_front() {
+    fn drain(&mut self) {
+        let q = self.q;
+        while let Some((v, r)) = self.queue.pop_front() {
+            let u = self.seeds[v.index()].nodes[r as usize];
             for (ei, e) in q.edges().iter().enumerate() {
                 if e.src == v {
                     // u left sim(src): admitted edges u → w lose one
                     // unit of `bwd` support at w.
-                    for a in admitted(g, u, e.label, Direction::Out) {
-                        let w = a.node;
-                        if self.member[e.dst.index()][w.index()] {
-                            let c = &mut self.bwd[ei][w.index()];
-                            debug_assert!(*c > 0, "bwd support underflow at {w:?}");
-                            *c -= 1;
-                            if *c == 0 {
-                                self.remove(e.dst, w);
-                            }
-                        }
-                    }
+                    self.withdraw(u, ei, Direction::Out);
                 }
                 if e.dst == v {
                     // u left sim(dst): admitted edges t → u lose one
                     // unit of `fwd` support at t.
-                    for a in admitted(g, u, e.label, Direction::In) {
-                        let t = a.node;
-                        if self.member[e.src.index()][t.index()] {
-                            let c = &mut self.fwd[ei][t.index()];
-                            debug_assert!(*c > 0, "fwd support underflow at {t:?}");
-                            *c -= 1;
-                            if *c == 0 {
-                                self.remove(e.src, t);
-                            }
-                        }
-                    }
+                    self.withdraw(u, ei, Direction::In);
                 }
             }
+        }
+    }
+}
+
+/// [`SimCore::withdraw`] under one rank function: takes one unit of
+/// `support` (indexed by rank) from the surviving endpoint of every
+/// edge in `adj`, and removes — flags, then reports to `removed` by
+/// rank — each candidate left with none.
+#[inline]
+fn withdraw_ranked(
+    adj: &[Adj],
+    rank: impl Fn(NodeId) -> Option<usize>,
+    member: &mut [bool],
+    support: &mut [u32],
+    mut removed: impl FnMut(usize),
+) {
+    for a in adj {
+        let Some(r) = rank(a.node).filter(|&r| member[r]) else {
+            continue;
+        };
+        let c = &mut support[r];
+        debug_assert!(*c > 0, "support underflow at {:?}", a.node);
+        *c -= 1;
+        if *c == 0 {
+            member[r] = false;
+            removed(r);
         }
     }
 }
@@ -589,7 +698,7 @@ impl Direction {
 
 /// The admitted adjacency of `u` in direction `dir` for a pattern label.
 #[inline]
-pub(crate) fn admitted(g: &Graph, u: NodeId, label: PatLabel, dir: Direction) -> &[gfd_graph::Adj] {
+pub(crate) fn admitted(g: &Graph, u: NodeId, label: PatLabel, dir: Direction) -> &[Adj] {
     match (dir, label) {
         (Direction::Out, PatLabel::Sym(s)) => g.neighbors_labeled(u, s),
         (Direction::Out, PatLabel::Wildcard) => g.out_slice(u),
@@ -598,126 +707,91 @@ pub(crate) fn admitted(g: &Graph, u: NodeId, label: PatLabel, dir: Direction) ->
     }
 }
 
-/// The seed candidate list of one variable: its label extent narrowed
-/// by the optional scope (ascending — extents and scopes both are).
-pub(crate) fn seed_candidates(
-    q: &Pattern,
-    g: &Graph,
-    scope: Option<&NodeSet>,
-    v: VarId,
-) -> Vec<NodeId> {
-    match (q.label(v), scope) {
-        (PatLabel::Sym(s), None) => g.extent(s).to_vec(),
+/// The seed of one variable: its label extent narrowed by the optional
+/// scope (ascending — extents and scopes both are), borrowed where it
+/// is an extent or a scope as is.
+fn seed<'g>(q: &Pattern, g: &'g Graph, scope: Option<&'g NodeSet>, v: VarId) -> Seed<'g> {
+    let (nodes, rank_by) = match (q.label(v), scope) {
+        (PatLabel::Sym(s), None) => (Cow::Borrowed(g.extent(s)), RankBy::Extent(s)),
+        (PatLabel::Wildcard, None) => (Cow::Owned(g.nodes().collect()), RankBy::Id),
         (PatLabel::Sym(s), Some(r)) => {
             let extent = g.extent(s);
-            if r.len() < extent.len() {
+            let narrowed = if r.len() < extent.len() {
                 r.iter().filter(|&u| g.label(u) == s).collect()
             } else {
                 extent.iter().copied().filter(|&u| r.contains(u)).collect()
-            }
+            };
+            (Cow::Owned(narrowed), RankBy::Search)
         }
-        (PatLabel::Wildcard, Some(r)) => r.iter().collect(),
-        (PatLabel::Wildcard, None) => g.nodes().collect(),
+        (PatLabel::Wildcard, Some(r)) => (Cow::Borrowed(r.as_slice()), RankBy::Search),
+    };
+    let member = vec![true; nodes.len()];
+    Seed {
+        nodes,
+        rank_by,
+        member,
     }
 }
 
-/// Runs the worklist fixpoint from the seed sets, returning the final
-/// core state and the (ascending) surviving candidate sets.
-fn simulate_core(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> (SimCore, Vec<Vec<NodeId>>) {
-    let nvars = q.node_count();
-    let nnodes = g.node_count();
-    let nedges = q.edge_count();
-
-    // Seed candidate lists and membership bitmaps from label extents.
-    let mut cands: Vec<Vec<NodeId>> = Vec::with_capacity(nvars);
-    let mut member: Vec<Vec<bool>> = vec![vec![false; nnodes]; nvars];
-    for v in q.vars() {
-        let seed = seed_candidates(q, g, scope, v);
-        for &u in &seed {
-            member[v.index()][u.index()] = true;
-        }
-        cands.push(seed);
-    }
-
+/// Runs the worklist fixpoint from the seeds, returning the final core
+/// state.
+fn simulate_core<'g>(q: &'g Pattern, g: &'g Graph, scope: Option<&'g NodeSet>) -> SimCore<'g> {
     let mut core = SimCore {
-        member,
-        fwd: vec![Vec::new(); nedges],
-        bwd: vec![Vec::new(); nedges],
+        q,
+        g,
+        seeds: q.vars().map(|v| seed(q, g, scope, v)).collect(),
+        fwd: Vec::with_capacity(q.edge_count()),
+        bwd: Vec::with_capacity(q.edge_count()),
         queue: VecDeque::new(),
     };
 
-    // Phase 1: counters against the full seed membership. Removals are
-    // only *scheduled* here so every later decrement is exact.
-    for (ei, e) in q.edges().iter().enumerate() {
-        let mut fwd = vec![0u32; nnodes];
-        let mut bwd = vec![0u32; nnodes];
-        for &u in &cands[e.src.index()] {
-            fwd[u.index()] = admitted(g, u, e.label, Direction::Out)
-                .iter()
-                .filter(|a| core.member[e.dst.index()][a.node.index()])
-                .count() as u32;
-        }
-        for &w in &cands[e.dst.index()] {
-            bwd[w.index()] = admitted(g, w, e.label, Direction::In)
-                .iter()
-                .filter(|a| core.member[e.src.index()][a.node.index()])
-                .count() as u32;
-        }
-        core.fwd[ei] = fwd;
-        core.bwd[ei] = bwd;
+    // Phase 1: counters against the full seeds. Removals are only
+    // *scheduled* here so every later decrement is exact.
+    let support = |core: &SimCore, near: VarId, far: VarId, label, dir| -> Vec<u32> {
+        let far = &core.seeds[far.index()];
+        let seed = core.seeds[near.index()].nodes.iter();
+        seed.map(|&u| {
+            let adj = admitted(g, u, label, dir).iter();
+            adj.filter(|a| far.contains(g, a.node)).count() as u32
+        })
+        .collect()
+    };
+    for e in q.edges() {
+        let fwd = support(&core, e.src, e.dst, e.label, Direction::Out);
+        let bwd = support(&core, e.dst, e.src, e.label, Direction::In);
+        core.fwd.push(fwd);
+        core.bwd.push(bwd);
     }
     for (ei, e) in q.edges().iter().enumerate() {
-        for &u in &cands[e.src.index()] {
-            if core.fwd[ei][u.index()] == 0 {
-                core.remove(e.src, u);
+        for r in 0..core.fwd[ei].len() {
+            if core.fwd[ei][r] == 0 {
+                core.remove(e.src, r);
             }
         }
-        for &w in &cands[e.dst.index()] {
-            if core.bwd[ei][w.index()] == 0 {
-                core.remove(e.dst, w);
+        for r in 0..core.bwd[ei].len() {
+            if core.bwd[ei][r] == 0 {
+                core.remove(e.dst, r);
             }
         }
     }
 
     // Phase 2: propagate removals to fixpoint.
-    core.drain(q, g);
-
-    // Harvest the surviving sets (seeds were ascending, so sets are).
-    let sets: Vec<Vec<NodeId>> = cands
-        .iter()
-        .zip(&core.member)
-        .map(|(seed, m)| seed.iter().copied().filter(|u| m[u.index()]).collect())
-        .collect();
-    (core, sets)
+    core.drain();
+    core
 }
 
 /// Builds the per-edge candidate adjacency (both directions) over the
 /// final sets and packages the [`CandidateSpace`] — the from-scratch
 /// builder; a repair edits runs instead (see [`crate::incremental`]).
-fn harvest_space(q: &Pattern, g: &Graph, core: &SimCore, sets: Vec<Vec<NodeId>>) -> CandidateSpace {
-    let nedges = q.edge_count();
+fn harvest_space(core: &SimCore) -> CandidateSpace {
+    let sets: Vec<Vec<NodeId>> = core.seeds.iter().map(Seed::survivors).collect();
+    let nedges = core.q.edge_count();
     let mut forward = Vec::with_capacity(nedges);
     let mut reverse = Vec::with_capacity(nedges);
     let mut cells = Vec::new();
-    for (ei, e) in q.edges().iter().enumerate() {
-        forward.push(edge_adjacency(
-            g,
-            &sets[e.src.index()],
-            &core.member[e.dst.index()],
-            &core.fwd[ei],
-            e.label,
-            Direction::Out,
-            &mut cells,
-        ));
-        reverse.push(edge_adjacency(
-            g,
-            &sets[e.dst.index()],
-            &core.member[e.src.index()],
-            &core.bwd[ei],
-            e.label,
-            Direction::In,
-            &mut cells,
-        ));
+    for ei in 0..nedges {
+        forward.push(edge_adjacency(core, &sets, ei, Direction::Out, &mut cells));
+        reverse.push(edge_adjacency(core, &sets, ei, Direction::In, &mut cells));
     }
     CandidateSpace {
         sets,
@@ -730,15 +804,15 @@ fn harvest_space(q: &Pattern, g: &Graph, core: &SimCore, sets: Vec<Vec<NodeId>>)
 /// restricted to a node set (fragment-/block-local simulation), and
 /// packages it as a [`CandidateSpace`].
 pub fn dual_simulation(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> CandidateSpace {
-    let (core, sets) = simulate_core(q, g, scope);
-    harvest_space(q, g, &core, sets)
+    harvest_space(&simulate_core(q, g, scope))
 }
 
 /// The candidate sets of [`dual_simulation`] without the candidate
 /// adjacency — the fixpoint half alone, for callers that only size or
 /// intersect the sets (partial-match estimates, pivot feasibility).
 pub fn simulation_sets(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Vec<Vec<NodeId>> {
-    simulate_core(q, g, scope).1
+    let core = simulate_core(q, g, scope);
+    core.seeds.iter().map(Seed::survivors).collect()
 }
 
 /// Appends to `out` the admitted neighbors of `u` that `survives`
@@ -761,21 +835,31 @@ pub(crate) fn surviving_targets(
     }
 }
 
-/// Builds the run pages of one edge direction: one run of admitted,
-/// surviving neighbors per source candidate. The pages are assembled
-/// back to back in the reused buffer `cells` — reserved up front from
-/// `support[u]`, the worklist's support counter of `u` on this edge:
-/// its run length, an upper bound where a wildcard run drops parallel
-/// edges — and then share one allocation of exactly their size.
+/// Builds the run pages of pattern edge `ei` read in direction `dir`:
+/// one run of admitted, surviving neighbors per candidate in the near
+/// end's final set (`sets`, indexed by variable). The pages are
+/// assembled back to back in the reused buffer `cells` — reserved up
+/// front from the worklist's support counters on this edge (a
+/// candidate's run length, an upper bound where a wildcard run drops
+/// parallel edges) — and then share one allocation of exactly their
+/// size.
 fn edge_adjacency(
-    g: &Graph,
-    sources: &[NodeId],
-    target_member: &[bool],
-    support: &[u32],
-    label: PatLabel,
+    core: &SimCore,
+    sets: &[Vec<NodeId>],
+    ei: usize,
     dir: Direction,
     cells: &mut Vec<NodeId>,
 ) -> EdgeCandidates {
+    let (g, e) = (core.g, core.q.edges()[ei]);
+    let (near, far, support) = match dir {
+        Direction::Out => (e.src, e.dst, &core.fwd[ei]),
+        Direction::In => (e.dst, e.src, &core.bwd[ei]),
+    };
+    let (sources, near, far) = (
+        &sets[near.index()],
+        &core.seeds[near.index()],
+        &core.seeds[far.index()],
+    );
     let page_of = |u: &NodeId| u.index() >> PAGE_SHIFT;
     let mut adj = EdgeCandidates::default();
     adj.grow(g.node_count());
@@ -784,16 +868,53 @@ fn edge_adjacency(
     }
     let npages = sources.chunk_by(|a, b| page_of(a) == page_of(b)).count();
     adj.pages.reserve_exact(npages);
-    let targets: usize = sources.iter().map(|u| support[u.index()] as usize).sum();
+    let rank = |u: NodeId| near.rank(g, u).expect("a survivor is in its seed");
+    let targets: usize = sources.iter().map(|&u| support[rank(u)] as usize).sum();
     cells.clear();
     cells.reserve_exact(sources.len() + targets);
+    // One copy of the page loop per rank case of the far end, so the
+    // survival test of a neighbor carries no dispatch.
+    let (label, alive) = (e.label, &far.member);
+    match far.rank_by {
+        RankBy::Extent(s) => fill_pages(&mut adj, cells, g, sources, label, dir, |w| {
+            g.label(w) == s && alive[g.extent_rank(w)]
+        }),
+        RankBy::Id => fill_pages(&mut adj, cells, g, sources, label, dir, |w| {
+            alive[w.index()]
+        }),
+        RankBy::Search => fill_pages(&mut adj, cells, g, sources, label, dir, |w| {
+            far.nodes.binary_search(&w).is_ok_and(|r| alive[r])
+        }),
+    }
+    assert!(u32::try_from(cells.len()).is_ok(), "page offsets are u32");
+    let slab: Arc<[NodeId]> = Arc::from(&cells[..]);
+    for page in &mut adj.pages {
+        page.cells = Arc::clone(&slab);
+    }
+    adj.renumber();
+    adj
+}
+
+/// Appends one page per 64-id group of `sources` to `adj`, its cells to
+/// `cells`: each source's run holds its admitted neighbors (by `label`
+/// in direction `dir`) that `survives` accepts.
+fn fill_pages(
+    adj: &mut EdgeCandidates,
+    cells: &mut Vec<NodeId>,
+    g: &Graph,
+    sources: &[NodeId],
+    label: PatLabel,
+    dir: Direction,
+    survives: impl Fn(NodeId) -> bool,
+) {
+    let page_of = |u: &NodeId| u.index() >> PAGE_SHIFT;
     for group in sources.chunk_by(|a, b| page_of(a) == page_of(b)) {
         let (start, k) = (cells.len(), group.len());
         let mut present = 0u64;
         cells.resize(start + k, NodeId(0));
         for (r, &u) in group.iter().enumerate() {
             present |= bit_of(u.index());
-            surviving_targets(g, u, |w| target_member[w.index()], label, dir, cells);
+            surviving_targets(g, u, &survives, label, dir, cells);
             cells[start + r] = NodeId((cells.len() - start - k) as u32);
         }
         let p = page_of(&group[0]);
@@ -805,13 +926,6 @@ fn edge_adjacency(
             cells: Arc::default(),
         });
     }
-    assert!(u32::try_from(cells.len()).is_ok(), "page offsets are u32");
-    let slab: Arc<[NodeId]> = Arc::from(&cells[..]);
-    for page in &mut adj.pages {
-        page.cells = Arc::clone(&slab);
-    }
-    adj.renumber();
-    adj
 }
 
 #[cfg(test)]

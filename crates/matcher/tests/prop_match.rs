@@ -10,7 +10,9 @@
 //!   space and plan through the full-form entry point;
 //! * a **naive fixpoint dual simulation** — the dense
 //!   `rounds × vars × nodes` re-scan the worklist algorithm replaced —
-//!   must compute exactly the same relation.
+//!   must compute exactly the same relation and the same candidate
+//!   adjacency in both directions: unscoped, within a random scope, and
+//!   on snapshots whose extents `apply_delta` rebuilt.
 //!
 //! On top of them sits the **locality lemma** of §5.2 as a property:
 //! a component's matches pinned at its pivot lie inside the pivot
@@ -22,7 +24,7 @@
 //! the failing seed.)
 
 use gfd_graph::neighborhood::khop_nodes;
-use gfd_graph::{Graph, GraphBuilder, NodeId};
+use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
 use gfd_match::simulation::dual_simulation;
 use gfd_match::types::Flow;
 use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, QueryPlan};
@@ -125,13 +127,15 @@ fn oracle_matches(q: &Pattern, g: &Graph) -> Vec<Vec<NodeId>> {
 }
 
 /// The dense fixpoint algorithm the worklist version replaced, kept
-/// here as the simulation oracle.
-fn oracle_dual_simulation(q: &Pattern, g: &Graph) -> Vec<Vec<NodeId>> {
+/// here as the simulation oracle — over the whole graph, or over the
+/// nodes of `scope` alone.
+fn oracle_dual_simulation(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Vec<Vec<NodeId>> {
     let nvars = q.node_count();
     let mut member: Vec<Vec<bool>> = vec![vec![false; g.node_count()]; nvars];
     for v in q.vars() {
         for u in g.nodes() {
-            if q.label(v).admits(g.label(u)) {
+            let in_scope = scope.is_none_or(|s| s.contains(u));
+            if in_scope && q.label(v).admits(g.label(u)) {
                 member[v.index()][u.index()] = true;
             }
         }
@@ -250,20 +254,116 @@ fn matcher_equals_brute_force_oracle() {
     });
 }
 
+/// The candidate adjacency the oracle relation implies for pattern edge
+/// `ei` read from its source (`out`) or its target: per candidate of
+/// the near end, the far end's candidates it has an admitted edge with,
+/// ascending.
+fn oracle_runs(
+    q: &Pattern,
+    g: &Graph,
+    sets: &[Vec<NodeId>],
+    ei: usize,
+    out: bool,
+) -> Vec<(NodeId, Vec<NodeId>)> {
+    let e = q.edges()[ei];
+    let (near, far) = if out { (e.src, e.dst) } else { (e.dst, e.src) };
+    let edge_ok = |u, w| match out {
+        true => oracle_edge_ok(g, u, w, e.label),
+        false => oracle_edge_ok(g, w, u, e.label),
+    };
+    sets[near.index()]
+        .iter()
+        .map(|&u| {
+            let run = sets[far.index()].iter().copied();
+            (u, run.filter(|&w| edge_ok(u, w)).collect())
+        })
+        .collect()
+}
+
+/// `dual_simulation` over `scope` equals the oracle: every candidate
+/// set, and every pattern edge's runs in both directions.
+fn simulation_matches_oracle(
+    q: &Pattern,
+    g: &Graph,
+    scope: Option<&NodeSet>,
+) -> Result<(), String> {
+    let cs = dual_simulation(q, g, scope);
+    let expected = oracle_dual_simulation(q, g, scope);
+    for v in q.vars() {
+        prop_assert!(
+            cs.of(v) == expected[v.index()].as_slice(),
+            "sim({v:?}) mismatch for {q:?} in {scope:?}: {:?} vs {:?}",
+            cs.of(v),
+            expected[v.index()]
+        );
+    }
+    for ei in 0..q.edge_count() {
+        for (adj, out) in [(&cs.forward[ei], true), (&cs.reverse[ei], false)] {
+            let got: Vec<(NodeId, Vec<NodeId>)> =
+                adj.runs().map(|(u, run)| (u, run.to_vec())).collect();
+            let want = oracle_runs(q, g, &expected, ei, out);
+            prop_assert!(
+                got == want,
+                "edge {ei} (out: {out}) runs mismatch for {q:?} in {scope:?}: {got:?} vs {want:?}"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Graphs whose three label extents interleave in id order (node `i`
+/// carries `l{i % 3}`), so no extent is a contiguous id range, and
+/// patterns mixing wildcard and labelled variables: the ranks the
+/// worklist indexes by must land where the oracle's node ids do.
 #[test]
 fn worklist_simulation_equals_fixpoint_oracle() {
     check("worklist sim ≡ dense fixpoint", 200, |rng| {
         let g = random_graph(rng, 12);
         let q = random_pattern(rng, &g);
-        let cs = dual_simulation(&q, &g, None);
-        let expected = oracle_dual_simulation(&q, &g);
-        for v in q.vars() {
-            prop_assert!(
-                cs.of(v) == expected[v.index()].as_slice(),
-                "sim({v:?}) mismatch for {q:?}: {:?} vs {:?}",
-                cs.of(v),
-                expected[v.index()]
-            );
+        simulation_matches_oracle(&q, &g, None)
+    });
+}
+
+/// A scoped simulation ranks by binary search in the scope-narrowed
+/// seeds: it must equal the oracle restricted to the scope.
+#[test]
+fn scoped_simulation_equals_restricted_oracle() {
+    check("scoped sim ≡ scope-restricted fixpoint", 200, |rng| {
+        let g = random_graph(rng, 12);
+        let q = random_pattern(rng, &g);
+        let picked = g.nodes().filter(|_| rng.gen_range(0..3) > 0).collect();
+        simulation_matches_oracle(&q, &g, Some(&NodeSet::from_vec(picked)))
+    });
+}
+
+/// Snapshots from `apply_delta` scripts that add nodes and relabel
+/// old ones rebuild the extents and their ranks: the unscoped
+/// simulation on every step's snapshot must still equal the oracle.
+#[test]
+fn simulation_after_relabels_and_added_nodes_equals_oracle() {
+    check("sim on patched snapshots ≡ dense fixpoint", 100, |rng| {
+        let mut g = random_graph(rng, 10);
+        let q = random_pattern(rng, &g);
+        for _ in 0..4 {
+            g = g.edit(|b| {
+                for _ in 0..rng.gen_range(0..4) {
+                    b.add_node_labeled(&format!("l{}", rng.gen_range(0..NODE_LABELS)));
+                }
+                let n = b.node_count();
+                for _ in 0..rng.gen_range(1..4) {
+                    let u = NodeId(rng.gen_range(0..n) as u32);
+                    let label = b
+                        .vocab()
+                        .intern(&format!("l{}", rng.gen_range(0..NODE_LABELS)));
+                    b.set_label(u, label);
+                }
+                for _ in 0..rng.gen_range(0..2 * n) {
+                    let (s, d) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    let e = format!("e{}", rng.gen_range(0..EDGE_LABELS));
+                    b.add_edge_labeled(NodeId(s as u32), NodeId(d as u32), &e);
+                }
+            });
+            simulation_matches_oracle(&q, &g, None)?;
         }
         Ok(())
     });

@@ -118,6 +118,9 @@ impl DisValConfig {
 /// edge volume while its accuracy gain matters most exactly where
 /// blocks are small and label counts over-estimate badly (a block
 /// admits many candidates by label that one missing edge disqualifies).
+/// The bound also keeps a scoped simulation cheap per lookup: its
+/// worklist state is sized by the block-narrowed seeds, and a neighbor
+/// is ranked in a scoped seed by binary search.
 pub(crate) const PARTIAL_REFINE_MAX_BLOCK: usize = 256;
 
 /// Estimated bytes for shipping partial matches of a unit's
