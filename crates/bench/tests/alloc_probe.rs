@@ -11,8 +11,10 @@
 //!
 //! The write side has its own gates: [`Graph::apply_delta`] must
 //! request allocator bytes in proportion to the delta's pages, not to
-//! the graph, and a warm [`IncrementalSpace`] repair in proportion to
-//! the runs the delta moved — nothing at all when no set moves. And
+//! the graph, a warm [`IncrementalSpace`] repair in proportion to the
+//! runs the delta moved — nothing at all when no set moves — and log
+//! recovery in proportion to the frames it replays, not one snapshot
+//! per epoch. And
 //! what stays allocated is gated too: an [`IncrementalSpace`] retains
 //! its candidates, not arrays sized by the graph, so the bytes a
 //! [`ClassRegistry`] accounts are the bytes it holds — and building one
@@ -32,11 +34,13 @@ use gfd_match::{
     IncrementalSpace, MatchOptions, MatchScratch,
 };
 use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
+use gfd_parallel::wal::{self, SyncPolicy, WalWriter};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
 use gfd_pattern::PatternBuilder;
 use gfd_util::alloc::{
     allocated_bytes, allocation_count, live_bytes, min_allocation_delta, CountingAlloc,
 };
+use gfd_util::TempDir;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -604,6 +608,79 @@ fn apply_delta_allocates_by_the_delta_not_the_graph() {
     assert!(
         pinned_bytes < 2 * freeze_bytes,
         "32 pinned epochs requested {pinned_bytes} B, one freeze {freeze_bytes} B"
+    );
+}
+
+/// The recovery gate: replaying a log costs its frames, not one
+/// snapshot per epoch. Two logs over the same 20 000-node base, of 32
+/// and of 128 one-op frames, must cost `recover_in` at most 512 B more
+/// per extra frame — the frame read, its decoded delta, the builder's
+/// edit — where a successor snapshot per frame requests its page
+/// spines and touched pages, kilobytes each. Writing the snapshot
+/// frame must request less than four times the bytes it writes: the
+/// frame buffer and the vocabulary, not a `GraphData` copy of the
+/// graph.
+#[test]
+fn recovery_requests_by_the_log_not_the_epochs() {
+    let _serial = serial();
+    let g = synthetic_graph(&SynthConfig::sized(20_000, 7));
+    let n = g.node_count();
+    let label = g.edges().next().expect("the graph has edges").label;
+    let stamp = g.vocab().intern("stamp");
+    // One op per frame: an edge from a distinct source each time, or a
+    // write into a distinct node, so every frame applies.
+    let frame = |i: usize| {
+        let mut delta = GraphDelta::new(n);
+        let u = NodeId((n / 2 + i) as u32);
+        match i % 2 {
+            0 => delta.added_edges.push(
+                (0..n as u32)
+                    .map(|d| Edge {
+                        src: u,
+                        dst: NodeId(d),
+                        label,
+                    })
+                    .find(|e| !g.has_edge(e.src, e.dst, e.label))
+                    .expect("an absent edge exists"),
+            ),
+            _ => delta.attr_ops.push(AttrOp {
+                node: u,
+                attr: stamp,
+                value: Some(Value::Int(i as i64)),
+            }),
+        }
+        delta
+    };
+    let dir = TempDir::new("gfd-alloc-recovery").unwrap();
+    let replay = |frames: usize| {
+        let path = dir.file(&format!("{frames}.wal"));
+        let (mut w, create_bytes) =
+            bytes_requested(|| WalWriter::create(&path, 0, &g, SyncPolicy::OnDemand).unwrap());
+        let snapshot_len = w.bytes();
+        for i in 0..frames {
+            w.append(i as u64 + 1, &frame(i), g.vocab()).unwrap();
+        }
+        drop(w);
+        let (recovered, recover_bytes) =
+            bytes_requested(|| wal::recover_in(&path, SyncPolicy::OnDemand, g.vocab()).unwrap());
+        assert_eq!(recovered.2.recovered_epoch, frames as u64);
+        assert_eq!(recovered.0.edge_count(), g.edge_count() + frames / 2);
+        (create_bytes, snapshot_len, recover_bytes)
+    };
+    let (create_bytes, snapshot_len, short) = replay(32);
+    let (_, _, long) = replay(128);
+    let per_frame = long.saturating_sub(short) / 96;
+    eprintln!(
+        "recovery: {short} B for 32 frames, {long} B for 128 ({per_frame} B per extra frame); \
+         create: {create_bytes} B for a {snapshot_len} B file"
+    );
+    assert!(
+        per_frame <= 512,
+        "recover_in requested {per_frame} B per extra one-op frame ({short} B for 32, {long} B for 128)"
+    );
+    assert!(
+        create_bytes < 4 * snapshot_len,
+        "WalWriter::create requested {create_bytes} B to write {snapshot_len} B"
     );
 }
 

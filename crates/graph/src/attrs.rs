@@ -57,6 +57,18 @@ impl AttrMap {
         AttrMap { entries }
     }
 
+    /// The tuple of these entries, in their own allocation when they
+    /// are sorted by symbol without repeats (as every encoder writes
+    /// them); otherwise set one by one, so a later entry for the same
+    /// symbol wins.
+    pub(crate) fn from_entries(entries: Vec<(Sym, Value)>) -> AttrMap {
+        if entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            AttrMap { entries }
+        } else {
+            entries.into_iter().collect()
+        }
+    }
+
     /// Removes `attr`, returning its previous value.
     pub fn remove(&mut self, attr: Sym) -> Option<Value> {
         match self.entries.binary_search_by_key(&attr, |(a, _)| *a) {
@@ -76,7 +88,7 @@ impl AttrMap {
     }
 
     /// Iterates over `(attribute, value)` pairs in symbol order.
-    pub fn iter(&self) -> impl Iterator<Item = (Sym, &Value)> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Sym, &Value)> + '_ {
         self.entries.iter().map(|(a, v)| (*a, v))
     }
 

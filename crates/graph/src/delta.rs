@@ -24,11 +24,20 @@
 //!   added during the session fold their final label into
 //!   `added_nodes` instead;
 //! * attribute ops keep only the last write per `(node, attribute)`.
+//!
+//! A delta applies two ways: [`Graph::apply_delta`] builds a successor
+//! snapshot that shares what the delta leaves alone (an epoch readers
+//! pin), and [`GraphBuilder::apply_delta`] edits a builder in place (a
+//! log replay that freezes once at the end). [`GraphDelta::check_against`]
+//! validates against either, through [`DeltaBase`].
+//!
+//! [`GraphBuilder::apply_delta`]: crate::GraphBuilder::apply_delta
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
-use crate::graph::{Edge, Graph, NodeId};
+use crate::graph::{Edge, Graph, GraphBuilder, NodeId};
 use crate::value::Value;
 use crate::vocab::Sym;
 
@@ -70,6 +79,12 @@ pub enum DeltaError {
     /// A `removed_edges` entry absent from the base snapshot.
     EdgeAbsent {
         /// The missing edge.
+        edge: Edge,
+    },
+    /// An edge named twice in `added_edges`, or twice in
+    /// `removed_edges`: the second add or remove could not take effect.
+    RepeatedEdge {
+        /// The repeated edge.
         edge: Edge,
     },
     /// A label change whose `old` label disagrees with the snapshot.
@@ -132,6 +147,12 @@ impl fmt::Display for DeltaError {
                 edge.src.index(),
                 edge.dst.index()
             ),
+            DeltaError::RepeatedEdge { edge } => write!(
+                f,
+                "edge {}→{} named twice in one edge list",
+                edge.src.index(),
+                edge.dst.index()
+            ),
             DeltaError::StaleLabel { node } => {
                 write!(f, "stale label change on node {}", node.index())
             }
@@ -149,6 +170,57 @@ impl fmt::Display for DeltaError {
 }
 
 impl std::error::Error for DeltaError {}
+
+/// What [`GraphDelta::check_against`] reads of the graph a delta claims
+/// to be based on: a frozen [`Graph`] on the ingest path, the replay
+/// [`GraphBuilder`] in log recovery.
+pub trait DeltaBase {
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+    /// True if the edge `(src, dst, label)` exists (`false` for
+    /// out-of-range ids).
+    fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool;
+    /// The label of an in-range `node`.
+    fn label(&self, node: NodeId) -> Sym;
+}
+
+impl DeltaBase for Graph {
+    fn node_count(&self) -> usize {
+        Graph::node_count(self)
+    }
+    fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
+        Graph::has_edge(self, src, dst, label)
+    }
+    fn label(&self, node: NodeId) -> Sym {
+        Graph::label(self, node)
+    }
+}
+
+impl DeltaBase for GraphBuilder {
+    fn node_count(&self) -> usize {
+        GraphBuilder::node_count(self)
+    }
+    fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
+        GraphBuilder::has_edge(self, src, dst, label)
+    }
+    fn label(&self, node: NodeId) -> Sym {
+        GraphBuilder::label(self, node)
+    }
+}
+
+/// Snapshots are shared as `Arc<Graph>`; a check takes the pointer as
+/// readily as the graph.
+impl<B: DeltaBase + ?Sized> DeltaBase for Arc<B> {
+    fn node_count(&self) -> usize {
+        (**self).node_count()
+    }
+    fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
+        (**self).has_edge(src, dst, label)
+    }
+    fn label(&self, node: NodeId) -> Sym {
+        (**self).label(node)
+    }
+}
 
 /// One node relabeling `old → new` (type noise, repair).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -175,8 +247,8 @@ pub struct AttrOp {
 /// The recorded difference between a base snapshot and its edited
 /// successor. Produced by [`GraphBuilder::take_delta`]
 /// (automatically recorded by [`Graph::thaw`]/[`Graph::edit_with_delta`])
-/// and consumed by [`Graph::apply_delta`] and the incremental
-/// maintenance subsystems.
+/// and consumed by [`Graph::apply_delta`], [`GraphBuilder::apply_delta`]
+/// and the incremental maintenance subsystems.
 ///
 /// [`GraphBuilder::take_delta`]: crate::GraphBuilder::take_delta
 /// [`Graph::thaw`]: crate::Graph::thaw
@@ -423,21 +495,29 @@ impl GraphDelta {
         Ok(())
     }
 
-    /// Validates a (possibly hostile) delta against the snapshot it
-    /// claims to be based on, without applying anything. `Ok(())`
-    /// guarantees [`Graph::apply_delta`] will produce the correct
-    /// successor; any violation of the [`normalize`] invariants —
-    /// wrong base, out-of-range or non-dense node ids, adding a
-    /// present edge, removing an absent one, a stale label change —
-    /// is reported as the first [`DeltaError`] found.
+    /// Validates a (possibly hostile) delta against the graph it claims
+    /// to be based on — a snapshot or a builder — without applying
+    /// anything. `Ok(())` guarantees [`Graph::apply_delta`] and
+    /// [`GraphBuilder::apply_delta`] produce the correct successor;
+    /// any violation of the [`normalize`] invariants — wrong base,
+    /// out-of-range or non-dense node ids, adding a present edge,
+    /// removing an absent one, naming one edge twice in a list, a
+    /// stale label change — is reported as the first [`DeltaError`]
+    /// found.
     ///
     /// Call on a normalized delta (ingest normalizes first); raw
     /// recorded deltas may legitimately contain add/remove pairs that
     /// cancel — use [`check_ids`](GraphDelta::check_ids) for those.
     ///
     /// [`normalize`]: GraphDelta::normalize
-    pub fn check_against(&self, g: &Graph) -> Result<(), DeltaError> {
+    /// [`GraphBuilder::apply_delta`]: crate::GraphBuilder::apply_delta
+    pub fn check_against(&self, g: &(impl DeltaBase + ?Sized)) -> Result<(), DeltaError> {
         self.check_ids(g.node_count())?;
+        for edges in [&self.added_edges, &self.removed_edges] {
+            if let Some(edge) = repeated_edge(edges) {
+                return Err(DeltaError::RepeatedEdge { edge });
+            }
+        }
         for e in &self.added_edges {
             let base_endpoints = e.src.index() < self.base_nodes && e.dst.index() < self.base_nodes;
             if base_endpoints && g.has_edge(e.src, e.dst, e.label) {
@@ -642,6 +722,20 @@ impl GraphDelta {
         delta.check_ids(base_nodes)?;
         Ok(delta)
     }
+}
+
+/// The first edge `edges` names twice, if any: one pass over a list
+/// sorted by `(src, label, dst)` — the order [`GraphDelta::normalize`]
+/// leaves, so ingest and replay allocate nothing here — and a sorted
+/// copy of any other.
+fn repeated_edge(edges: &[Edge]) -> Option<Edge> {
+    let key = |e: &Edge| (e.src, e.label, e.dst);
+    if edges.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+        return None;
+    }
+    let mut sorted = edges.to_vec();
+    sorted.sort_unstable_by_key(key);
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 /// Byte-level primitives shared by the [`GraphDelta`] and

@@ -321,7 +321,9 @@ impl GraphBuilder {
             return old;
         }
         if let Some(extent) = self.label_index.get_mut(&old) {
-            extent.retain(|&n| n != node);
+            if let Ok(pos) = extent.binary_search(&node) {
+                extent.remove(pos);
+            }
         }
         self.labels[node.index()] = label;
         let extent = self.label_index.entry(label).or_default();
@@ -365,6 +367,77 @@ impl GraphBuilder {
     /// The value of `node.attr`, if present.
     pub fn attr(&self, node: NodeId, attr: Sym) -> Option<&Value> {
         self.attrs(node).get(attr)
+    }
+
+    /// True if the edge `(src, dst, label)` exists — one binary search
+    /// over `src`'s sorted run, as on a frozen [`Graph::has_edge`];
+    /// `false` for out-of-range ids.
+    pub fn has_edge(&self, src: NodeId, dst: NodeId, label: Sym) -> bool {
+        self.out
+            .get(src.index())
+            .is_some_and(|run| run.binary_search(&Adj { label, node: dst }).is_ok())
+    }
+
+    /// Applies a *normalized* delta in place — the builder-side twin of
+    /// [`Graph::apply_delta`], for a replay that folds many deltas into
+    /// one builder and freezes once instead of building a snapshot per
+    /// delta. Added nodes first, then relabels, removed edges, added
+    /// edges, and the attribute writes last. Recording, when on, sees
+    /// the ops as mutations of its own.
+    ///
+    /// The delta must be consistent with this builder — based at its
+    /// node count, added edges absent, removed edges present, each
+    /// named once — which is what [`GraphDelta::check_against`] on the
+    /// builder establishes for a delta from outside.
+    pub fn apply_delta(&mut self, delta: &GraphDelta) {
+        debug_assert_eq!(
+            delta.base_nodes,
+            self.node_count(),
+            "apply_delta: delta based on a different graph"
+        );
+        for &(id, label) in &delta.added_nodes {
+            let added = self.add_node(label);
+            debug_assert_eq!(added, id, "added node ids are dense");
+        }
+        for c in &delta.label_changes {
+            let old = self.set_label(c.node, c.new);
+            debug_assert_eq!(old, c.old, "stale label change");
+        }
+        for e in &delta.removed_edges {
+            let removed = self.remove_edge(e.src, e.dst, e.label);
+            debug_assert!(removed, "removed edge {e:?} is present");
+        }
+        for e in &delta.added_edges {
+            let added = self.add_edge(e.src, e.dst, e.label);
+            debug_assert!(added, "added edge {e:?} is absent");
+        }
+        for op in &delta.attr_ops {
+            match &op.value {
+                Some(v) => self.set_attr(op.node, op.attr, v.clone()),
+                None => {
+                    self.remove_attr(op.node, op.attr);
+                }
+            }
+        }
+    }
+
+    /// Room for `additional` more nodes, so a decoder that knows its
+    /// node count grows the per-node arrays once.
+    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
+        self.labels.reserve_exact(additional);
+        self.attrs.reserve_exact(additional);
+        self.out.reserve_exact(additional);
+    }
+
+    /// Adds a node with its whole attribute tuple, allocated once (an
+    /// unrecorded bulk load: a decoder's, not an edit session's).
+    pub(crate) fn add_node_with(&mut self, label: Sym, attrs: AttrMap) -> NodeId {
+        debug_assert!(self.rec.is_none(), "bulk loads are not recorded");
+        let id = self.add_node(label);
+        if !attrs.is_empty() {
+            self.attrs[id.index()] = Arc::new(attrs);
+        }
+        id
     }
 
     /// Nodes currently carrying `label` (ascending ids).
@@ -699,7 +772,7 @@ impl Graph {
     }
 
     /// Iterates over all node ids.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + '_ {
         (0..self.labels.len() as u32).map(NodeId)
     }
 
@@ -1141,6 +1214,50 @@ fn merged_run<'a>(
     })
 }
 
+/// Test oracle, not API: the first difference between two snapshots,
+/// over every observable — labels, tuples, runs, extents and extent
+/// ranks — and the layout behind it: the same runs out of line and the
+/// same entries inline in every page. Two ways of building one graph
+/// (a freeze, a chain of [`Graph::apply_delta`]s, a replayed builder)
+/// must agree on all of it.
+#[doc(hidden)]
+pub fn same_snapshot(a: &Graph, b: &Graph) -> Result<(), String> {
+    if (a.node_count(), a.edge_count()) != (b.node_count(), b.edge_count()) {
+        return Err(format!(
+            "{} nodes / {} edges vs {} / {}",
+            a.node_count(),
+            a.edge_count(),
+            b.node_count(),
+            b.edge_count()
+        ));
+    }
+    let node_differs = |u: &NodeId| {
+        let u = *u;
+        a.label(u) != b.label(u)
+            || a.attrs(u) != b.attrs(u)
+            || a.out_slice(u) != b.out_slice(u)
+            || a.in_slice(u) != b.in_slice(u)
+    };
+    if let Some(u) = b.nodes().find(node_differs) {
+        return Err(format!("node {u:?} differs"));
+    }
+    if !a.label_extents().eq(b.label_extents()) || a.extent_rank != b.extent_rank {
+        return Err("label extents differ".into());
+    }
+    for (dir, a, b) in [("out", &a.out, &b.out), ("in", &a.inn, &b.inn)] {
+        if a.len() != b.len() {
+            return Err(format!("{dir} spines of {} vs {} pages", a.len(), b.len()));
+        }
+        for (p, (a, b)) in a.iter().zip(b.iter()).enumerate() {
+            let hubs_differ = (0..PAGE_NODES).any(|s| a.hub(s).is_some() != b.hub(s).is_some());
+            if a.adj.len() != b.adj.len() || hubs_differ {
+                return Err(format!("{dir} page {p} is laid out differently"));
+            }
+        }
+    }
+    Ok(())
+}
+
 impl fmt::Debug for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Graph")
@@ -1367,24 +1484,35 @@ mod tests {
         assert_same_snapshot(&patched, &b.freeze());
     }
 
-    /// Every observable of two snapshots, and the layout behind it:
-    /// the same runs out of line, the same entries inline.
+    #[test]
+    fn builder_apply_delta_equals_the_snapshot_patch() {
+        let (g, [country, canberra, melbourne]) = g3();
+        let (val, capital) = (g.vocab().intern("val"), g.vocab().intern("capital"));
+        let (patched, delta) = g.edit_with_delta(|b| {
+            let sydney = b.add_node_labeled("city");
+            b.set_label(melbourne, b.label(country));
+            b.remove_edge(country, canberra, capital);
+            b.add_edge(sydney, country, capital);
+            b.set_attr(sydney, val, Value::str("Sydney"));
+            b.remove_attr(canberra, val);
+        });
+        let mut replay = g.thaw();
+        assert!(replay.has_edge(country, canberra, capital));
+        assert!(!replay.has_edge(canberra, country, capital));
+        assert!(
+            !replay.has_edge(NodeId(99), country, capital),
+            "out of range"
+        );
+        assert_eq!(delta.check_against(&replay), Ok(()));
+        replay.apply_delta(&delta);
+        assert!(!replay.has_edge(country, canberra, capital));
+        assert_same_snapshot(&replay.freeze(), &patched);
+    }
+
+    /// [`same_snapshot`], as an assertion.
     fn assert_same_snapshot(a: &Graph, b: &Graph) {
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.edge_count(), b.edge_count());
-        for u in b.nodes() {
-            assert_eq!(a.label(u), b.label(u));
-            assert_eq!(a.attrs(u), b.attrs(u));
-            assert_eq!(a.out_slice(u), b.out_slice(u));
-            assert_eq!(a.in_slice(u), b.in_slice(u));
-        }
-        for (a, b) in [(&a.out, &b.out), (&a.inn, &b.inn)] {
-            for (a, b) in a.iter().zip(b.iter()) {
-                assert_eq!(a.adj.len(), b.adj.len());
-                for slot in 0..PAGE_NODES {
-                    assert_eq!(a.hub(slot).is_some(), b.hub(slot).is_some());
-                }
-            }
+        if let Err(diff) = same_snapshot(a, b) {
+            panic!("snapshots differ: {diff}");
         }
     }
 
@@ -1555,6 +1683,7 @@ mod tests {
         let (page, slot) = (hub.index() >> PAGE_SHIFT, hub.index() & PAGE_MASK);
         assert_eq!(g.in_degree(hub), INLINE_RUN_MAX, "the ring adds one");
         let mut shadow = g.thaw();
+        let mut replay = g.thaw();
         let spoke = |i: usize| NodeId((INLINE_RUN_MAX + i) as u32);
         let steps: [(bool, usize); 4] = [(true, 0), (true, 1), (false, 0), (false, 1)];
         for (add, i) in steps {
@@ -1565,7 +1694,9 @@ mod tests {
             }
             let delta = shadow.take_delta().unwrap().normalize();
             g = g.apply_delta(&delta);
+            replay.apply_delta(&delta);
             assert_same_snapshot(&g, &shadow.clone().freeze());
+            assert_same_snapshot(&g, &replay.clone().freeze());
             assert_eq!(
                 g.inn[page].hub(slot).is_some(),
                 g.in_degree(hub) > INLINE_RUN_MAX

@@ -1,6 +1,12 @@
 //! Graph serialization: a self-contained intermediate form and a simple
 //! line-oriented text format for fixtures and interchange.
 //!
+//! The binary snapshot encoding has one writer and one parser, each
+//! reached two ways: [`GraphData::encode_into`] and [`encode_snapshot`]
+//! (straight from a frozen [`Graph`], no `GraphData` in between) write
+//! the same bytes; [`GraphData::decode`] and [`DecodedSnapshot::decode`]
+//! (straight into a [`GraphBuilder`]) read them under the same checks.
+//!
 //! Text format (one record per line, `#`-comments allowed):
 //!
 //! ```text
@@ -15,10 +21,11 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use crate::attrs::AttrMap;
 use crate::delta::{wire, DeltaError};
 use crate::graph::{Graph, GraphBuilder, NodeId};
 use crate::value::Value;
-use crate::vocab::Vocab;
+use crate::vocab::{Sym, Vocab};
 
 /// A self-contained, owner-free snapshot of a graph (no interned
 /// symbols — everything is resolved), suitable for shipping between
@@ -66,26 +73,15 @@ impl GraphData {
     /// history diverged from the snapshot's): symbols in the rebuilt
     /// graph would silently mean different names.
     pub fn into_graph_in(self, vocab: &Arc<Vocab>) -> Result<Graph, DeltaError> {
-        let mut syms = Vec::with_capacity(self.symbols.len());
-        for (i, s) in self.symbols.iter().enumerate() {
-            let sym = vocab.intern(s);
-            if sym.0 as usize != i {
-                return Err(DeltaError::Corrupt {
-                    offset: 0,
-                    what: "snapshot symbol numbering disagrees with the supplied vocabulary",
-                });
-            }
-            syms.push(sym);
-        }
+        intern_in_order(vocab, self.symbols.iter().map(String::as_str))?;
         let mut b = GraphBuilder::new(Arc::clone(vocab));
-        for (label, attrs) in &self.nodes {
-            let u = b.add_node(syms[*label as usize]);
-            for (a, v) in attrs {
-                b.set_attr(u, syms[*a as usize], v.clone());
-            }
+        b.reserve_nodes(self.nodes.len());
+        for (label, attrs) in self.nodes {
+            let attrs = attrs.into_iter().map(|(a, v)| (Sym(a), v)).collect();
+            b.add_node_with(Sym(label), AttrMap::from_entries(attrs));
         }
-        for (s, d, l) in &self.edges {
-            b.add_edge(NodeId(*s), NodeId(*d), syms[*l as usize]);
+        for (s, d, l) in self.edges {
+            b.add_edge(NodeId(s), NodeId(d), Sym(l));
         }
         Ok(b.freeze())
     }
@@ -97,25 +93,12 @@ impl GraphData {
     ///
     /// [`GraphDelta::encode_into`]: crate::delta::GraphDelta::encode_into
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        wire::put_varint(out, self.symbols.len() as u64);
-        for s in &self.symbols {
-            wire::put_str(out, s);
-        }
-        wire::put_varint(out, self.nodes.len() as u64);
-        for (label, attrs) in &self.nodes {
-            wire::put_varint(out, *label as u64);
-            wire::put_varint(out, attrs.len() as u64);
-            for (a, v) in attrs {
-                wire::put_varint(out, *a as u64);
-                wire::put_value(out, Some(v));
-            }
-        }
-        wire::put_varint(out, self.edges.len() as u64);
-        for (s, d, l) in &self.edges {
-            wire::put_varint(out, *s as u64);
-            wire::put_varint(out, *d as u64);
-            wire::put_varint(out, *l as u64);
-        }
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|(label, attrs)| (*label, attrs.iter().map(|(a, v)| (*a, v))));
+        let edges = self.edges.iter().copied();
+        put_snapshot(out, &self.symbols, nodes, (self.edges.len(), edges));
     }
 
     /// Decodes a snapshot from (possibly hostile) bytes. Like
@@ -126,70 +109,229 @@ impl GraphData {
     ///
     /// [`GraphDelta::decode`]: crate::delta::GraphDelta::decode
     pub fn decode(bytes: &[u8]) -> Result<GraphData, DeltaError> {
-        let mut r = wire::Reader::new(bytes);
-        let n_syms = r.element_count("symbols")?;
-        let mut symbols = Vec::with_capacity(n_syms);
-        for _ in 0..n_syms {
-            symbols.push(r.str()?.to_string());
-        }
-        let sym_limit = symbols.len() as u32;
-        let sym = |r: &mut wire::Reader| -> Result<u32, DeltaError> {
-            let s = r.varint_u32("symbol")?;
-            if s >= sym_limit {
-                return Err(DeltaError::SymOutOfRange {
-                    sym: crate::vocab::Sym(s),
-                    limit: sym_limit,
-                });
-            }
-            Ok(s)
+        let mut data = GraphData {
+            symbols: Vec::new(),
+            nodes: Vec::new(),
+            edges: Vec::new(),
         };
+        let symbols = parse_snapshot(bytes, &mut data)?;
+        data.symbols = symbols.iter().map(|s| s.to_string()).collect();
+        Ok(data)
+    }
+}
 
-        let n_nodes = r.element_count("nodes")?;
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let label = sym(&mut r)?;
-            let n_attrs = r.element_count("attrs")?;
-            let mut attrs = Vec::with_capacity(n_attrs);
-            for _ in 0..n_attrs {
-                let a = sym(&mut r)?;
-                let offset = r.offset();
-                let v = r.value()?.ok_or(DeltaError::Corrupt {
-                    offset,
-                    what: "snapshot attribute has no value",
-                })?;
-                attrs.push((a, v));
-            }
-            nodes.push((label, attrs));
+/// Appends the snapshot encoding of `g` to `out` — byte for byte what
+/// [`GraphData::from_graph`]`(g).`[`encode_into`](GraphData::encode_into)
+/// appends, without the `GraphData` copy of the graph in between.
+/// `symbols` is `g.vocab().snapshot()`, taken by the caller so that the
+/// symbol count it frames the record with is the count written.
+pub fn encode_snapshot(g: &Graph, symbols: &[Arc<str>], out: &mut Vec<u8>) {
+    let nodes = g.nodes().map(|u| {
+        let attrs = g.attrs(u).iter().map(|(a, v)| (a.0, v));
+        (g.label(u).0, attrs)
+    });
+    let edges = g.edges().map(|e| (e.src.0, e.dst.0, e.label.0));
+    put_snapshot(out, symbols, nodes, (g.edge_count(), edges));
+}
+
+/// The one snapshot writer: the symbol table, then per node its label
+/// and attribute pairs, then the `(src, dst, label)` edges — each list
+/// prefixed by its length.
+fn put_snapshot<'v, A>(
+    out: &mut Vec<u8>,
+    symbols: &[impl AsRef<str>],
+    nodes: impl ExactSizeIterator<Item = (u32, A)>,
+    (edge_count, edges): (usize, impl Iterator<Item = (u32, u32, u32)>),
+) where
+    A: ExactSizeIterator<Item = (u32, &'v Value)>,
+{
+    wire::put_varint(out, symbols.len() as u64);
+    for s in symbols {
+        wire::put_str(out, s.as_ref());
+    }
+    wire::put_varint(out, nodes.len() as u64);
+    for (label, attrs) in nodes {
+        wire::put_varint(out, label as u64);
+        wire::put_varint(out, attrs.len() as u64);
+        for (a, v) in attrs {
+            wire::put_varint(out, a as u64);
+            wire::put_value(out, Some(v));
         }
-        let node_limit = nodes.len() as u32;
-        if node_limit as usize != nodes.len() {
-            return Err(DeltaError::Corrupt {
-                offset: r.offset(),
-                what: "node count overflows u32",
+    }
+    wire::put_varint(out, edge_count as u64);
+    for (s, d, l) in edges {
+        wire::put_varint(out, s as u64);
+        wire::put_varint(out, d as u64);
+        wire::put_varint(out, l as u64);
+    }
+}
+
+/// What [`parse_snapshot`] hands the parts of a snapshot to, in
+/// encoding order, each part validated before it arrives.
+trait SnapshotSink {
+    /// The record holds `count` nodes.
+    fn nodes(&mut self, count: usize);
+    /// The next node: its label and attribute pairs, as encoded.
+    fn node(&mut self, label: Sym, attrs: Vec<(Sym, Value)>);
+    /// The record holds `count` edges.
+    fn edges(&mut self, count: usize);
+    /// The next edge, both endpoints among the nodes.
+    fn edge(&mut self, src: NodeId, dst: NodeId, label: Sym);
+}
+
+impl SnapshotSink for GraphData {
+    fn nodes(&mut self, count: usize) {
+        self.nodes.reserve_exact(count);
+    }
+    fn node(&mut self, label: Sym, attrs: Vec<(Sym, Value)>) {
+        let attrs = attrs.into_iter().map(|(a, v)| (a.0, v)).collect();
+        self.nodes.push((label.0, attrs));
+    }
+    fn edges(&mut self, count: usize) {
+        self.edges.reserve_exact(count);
+    }
+    fn edge(&mut self, src: NodeId, dst: NodeId, label: Sym) {
+        self.edges.push((src.0, dst.0, label.0));
+    }
+}
+
+impl SnapshotSink for GraphBuilder {
+    fn nodes(&mut self, count: usize) {
+        self.reserve_nodes(count);
+    }
+    fn node(&mut self, label: Sym, attrs: Vec<(Sym, Value)>) {
+        self.add_node_with(label, AttrMap::from_entries(attrs));
+    }
+    fn edges(&mut self, _: usize) {}
+    fn edge(&mut self, src: NodeId, dst: NodeId, label: Sym) {
+        self.add_edge(src, dst, label);
+    }
+}
+
+/// The one snapshot parser. Never panics on hostile bytes: lengths are
+/// bounded by the remaining input, every symbol index must fall inside
+/// the record's own symbol table (a symbol reaches `sink` as `Sym(i)`,
+/// the record's index), every edge endpoint inside its node table, and
+/// trailing bytes are rejected. Returns the symbol table, borrowed from
+/// `bytes`.
+fn parse_snapshot<'a>(
+    bytes: &'a [u8],
+    sink: &mut impl SnapshotSink,
+) -> Result<Vec<&'a str>, DeltaError> {
+    let mut r = wire::Reader::new(bytes);
+    let n_syms = r.element_count("symbols")?;
+    let mut symbols = Vec::with_capacity(n_syms);
+    for _ in 0..n_syms {
+        symbols.push(r.str()?);
+    }
+    let sym_limit = symbols.len() as u32;
+    let sym = |r: &mut wire::Reader| -> Result<Sym, DeltaError> {
+        let s = r.varint_u32("symbol")?;
+        if s >= sym_limit {
+            return Err(DeltaError::SymOutOfRange {
+                sym: Sym(s),
+                limit: sym_limit,
             });
         }
+        Ok(Sym(s))
+    };
 
-        let n_edges = r.element_count("edges")?;
-        let mut edges = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
+    let offset = r.offset();
+    let n_nodes = r.element_count("nodes")?;
+    let node_limit = u32::try_from(n_nodes).map_err(|_| DeltaError::Corrupt {
+        offset,
+        what: "node count overflows u32",
+    })?;
+    sink.nodes(n_nodes);
+    for _ in 0..n_nodes {
+        let label = sym(&mut r)?;
+        let n_attrs = r.element_count("attrs")?;
+        let mut attrs = Vec::with_capacity(n_attrs);
+        for _ in 0..n_attrs {
+            let a = sym(&mut r)?;
             let offset = r.offset();
-            let s = r.varint_u32("edge source")?;
-            let d = r.varint_u32("edge destination")?;
-            let l = sym(&mut r)?;
-            if s >= node_limit || d >= node_limit {
-                return Err(DeltaError::Corrupt {
-                    offset,
-                    what: "edge endpoint out of range",
-                });
-            }
-            edges.push((s, d, l));
+            let v = r.value()?.ok_or(DeltaError::Corrupt {
+                offset,
+                what: "snapshot attribute has no value",
+            })?;
+            attrs.push((a, v));
         }
-        r.finish()?;
-        Ok(GraphData {
-            symbols,
-            nodes,
-            edges,
-        })
+        sink.node(label, attrs);
+    }
+
+    let n_edges = r.element_count("edges")?;
+    sink.edges(n_edges);
+    for _ in 0..n_edges {
+        let offset = r.offset();
+        let s = r.varint_u32("edge source")?;
+        let d = r.varint_u32("edge destination")?;
+        let l = sym(&mut r)?;
+        if s >= node_limit || d >= node_limit {
+            return Err(DeltaError::Corrupt {
+                offset,
+                what: "edge endpoint out of range",
+            });
+        }
+        sink.edge(NodeId(s), NodeId(d), l);
+    }
+    r.finish()?;
+    Ok(symbols)
+}
+
+/// Interns `names` into `vocab` in order, failing as soon as one does
+/// not land on its own index: the vocabulary's history diverged from
+/// the record's, so its symbols would silently mean different names.
+fn intern_in_order<'s>(
+    vocab: &Vocab,
+    names: impl Iterator<Item = &'s str>,
+) -> Result<(), DeltaError> {
+    for (i, name) in names.enumerate() {
+        if vocab.intern(name).index() != i {
+            return Err(DeltaError::Corrupt {
+                offset: 0,
+                what: "snapshot symbol numbering disagrees with the supplied vocabulary",
+            });
+        }
+    }
+    Ok(())
+}
+
+/// A snapshot encoding decoded in one pass straight into a
+/// [`GraphBuilder`] — no [`GraphData`] in between — whose symbols are
+/// still the record's own indices: entry `i` of the record's symbol
+/// table is `Sym(i)`. Nothing is interned until
+/// [`intern`](DecodedSnapshot::intern), so a record that fails to
+/// decode leaves the caller's vocabulary untouched.
+pub struct DecodedSnapshot<'a> {
+    symbols: Vec<&'a str>,
+    builder: GraphBuilder,
+}
+
+impl<'a> DecodedSnapshot<'a> {
+    /// Decodes (possibly hostile) snapshot bytes — what
+    /// [`GraphData::encode_into`] and [`encode_snapshot`] write — into a
+    /// builder over `vocab`, under the checks of [`GraphData::decode`]:
+    /// an error, never a panic, and every byte validated before
+    /// [`intern`](DecodedSnapshot::intern) can touch `vocab`.
+    pub fn decode(bytes: &'a [u8], vocab: &Arc<Vocab>) -> Result<Self, DeltaError> {
+        let mut builder = GraphBuilder::new(Arc::clone(vocab));
+        let symbols = parse_snapshot(bytes, &mut builder)?;
+        Ok(DecodedSnapshot { symbols, builder })
+    }
+
+    /// Size of the record's symbol table.
+    pub fn symbol_count(&self) -> usize {
+        self.symbols.len()
+    }
+
+    /// Interns the record's symbol table into the vocabulary given to
+    /// [`decode`](DecodedSnapshot::decode) and hands over the builder,
+    /// whose symbols now mean the vocabulary's names. Fails, like
+    /// [`GraphData::into_graph_in`], if a name does not land on its own
+    /// index.
+    pub fn intern(self) -> Result<GraphBuilder, DeltaError> {
+        intern_in_order(self.builder.vocab(), self.symbols.into_iter())?;
+        Ok(self.builder)
     }
 }
 

@@ -18,9 +18,12 @@
 //! * recorded edit deltas ([`GraphDelta`], module [`delta`]): every
 //!   thaw/edit session captures its mutations, refreezing rebuilds
 //!   only the pages the delta touches
-//!   ([`graph::Graph::apply_delta`]) and shares the rest, and
-//!   the delta feeds the incremental maintenance subsystems in
-//!   `gfd-match`/`gfd-core`/`gfd-parallel`;
+//!   ([`graph::Graph::apply_delta`]) and shares the rest, a replay
+//!   applies a chain of them to one builder in place
+//!   ([`GraphBuilder::apply_delta`]) and freezes once, one
+//!   [`GraphDelta::check_against`] validates against either side
+//!   ([`DeltaBase`]), and the delta feeds the incremental maintenance
+//!   subsystems in `gfd-match`/`gfd-core`/`gfd-parallel`;
 //! * `k`-hop neighborhoods and induced subgraphs — the data blocks
 //!   `G_z̄` of work units (module [`neighborhood`]);
 //! * sorted-slice intersection kernels (merge + galloping) used by the
@@ -34,7 +37,9 @@
 //!   [`GraphData`] also carry a plain-bytes binary codec
 //!   (`encode_into`/`decode`) whose decoder is hardened against
 //!   hostile input — it is the record payload of the durable
-//!   write-ahead log in `gfd-parallel`.
+//!   write-ahead log in `gfd-parallel`, which writes snapshots straight
+//!   from a graph ([`encode_snapshot`]) and reads them straight into a
+//!   builder ([`DecodedSnapshot`]).
 //!
 //! The crate is fully self-contained (no external dependencies);
 //! everything the paper's algorithms touch is implemented here from
@@ -52,10 +57,10 @@ pub mod value;
 pub mod vocab;
 
 pub use attrs::AttrMap;
-pub use delta::{AttrOp, DeltaError, GraphDelta, LabelChange};
+pub use delta::{AttrOp, DeltaBase, DeltaError, GraphDelta, LabelChange};
 pub use fragment::{FragmentId, Fragmentation, PartitionStrategy};
 pub use graph::{Adj, Edge, Graph, GraphBuilder, NodeId};
-pub use io::GraphData;
+pub use io::{encode_snapshot, DecodedSnapshot, GraphData};
 pub use neighborhood::NodeSet;
 pub use stats::{EquiDepthHistogram, GraphStats};
 pub use value::Value;

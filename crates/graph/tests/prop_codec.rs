@@ -6,13 +6,20 @@
 //!
 //! * **round trip** — `encode → decode` is the identity over deltas
 //!   recorded from random edit scripts (including merge-compacted
-//!   batches) and over `GraphData` snapshots of random graphs;
+//!   batches) and over `GraphData` snapshots of random graphs; the
+//!   log's direct paths (`encode_snapshot` from a graph,
+//!   `DecodedSnapshot` into a builder) write the same bytes and rebuild
+//!   the same graph;
 //! * **hostility** — decoding arbitrary mutations of valid byte
 //!   streams (bit flips, truncations, splices of random garbage)
 //!   never panics: it returns a `DeltaError`, or an `Ok` delta that
-//!   still satisfies the `check_ids` structural invariants.
+//!   still satisfies the `check_ids` structural invariants, and both
+//!   snapshot decoders reach the same verdict.
 
-use gfd_graph::{DeltaError, Graph, GraphBuilder, GraphData, GraphDelta, NodeId, Value};
+use gfd_graph::{
+    encode_snapshot, graph::same_snapshot, DecodedSnapshot, DeltaError, Graph, GraphBuilder,
+    GraphData, GraphDelta, NodeId, Value, Vocab,
+};
 use gfd_util::{prop::check, prop_assert, Rng};
 
 /// A small random base graph over a fixed label/attr vocabulary.
@@ -143,11 +150,68 @@ fn snapshot_codec_round_trip() {
             let back = GraphData::decode(&bytes).map_err(|e| format!("decode failed: {e}"))?;
             prop_assert!(back == data, "snapshot decode diverged");
 
+            // The log writer encodes straight from the snapshot: the
+            // same bytes, no `GraphData` in between.
+            let mut direct = Vec::new();
+            encode_snapshot(&g, &g.vocab().snapshot(), &mut direct);
+            prop_assert!(direct == bytes, "encode_snapshot diverges from GraphData");
+
             // Rebuilding the graph from the decoded snapshot preserves the
             // observable structure (the recovery floor the WAL replays on).
             let g2 = back.into_graph();
             prop_assert!(g2.node_count() == g.node_count(), "node counts differ");
             prop_assert!(g2.edge_count() == g.edge_count(), "edge counts differ");
+
+            // Decoded straight into a builder over a vocabulary that
+            // already holds the names, in order: the same graph.
+            let vocab = Vocab::shared();
+            for name in g.vocab().snapshot().iter() {
+                vocab.intern(name);
+            }
+            let decoded = DecodedSnapshot::decode(&bytes, &vocab)
+                .map_err(|e| format!("builder decode failed: {e}"))?;
+            prop_assert!(decoded.symbol_count() == data.symbols.len());
+            let builder = decoded
+                .intern()
+                .map_err(|e| format!("interning failed: {e}"))?;
+            same_snapshot(&builder.freeze(), &g)
+        },
+    );
+}
+
+#[test]
+fn builder_decode_never_panics_and_agrees_with_graphdata() {
+    check(
+        "hostile snapshot bytes: builder decode ≡ GraphData decode",
+        cases(100),
+        |rng| {
+            let data = GraphData::from_graph(&base_graph(rng));
+            let mut bytes = Vec::new();
+            data.encode_into(&mut bytes);
+            mutate(rng, &mut bytes);
+            // One parser behind both decoders: the same verdict on every
+            // input, and a decode that fails leaves the vocabulary alone.
+            let vocab = Vocab::shared();
+            vocab.intern("held");
+            match (
+                GraphData::decode(&bytes),
+                DecodedSnapshot::decode(&bytes, &vocab),
+            ) {
+                (Ok(d), Ok(s)) => {
+                    prop_assert!(s.symbol_count() == d.symbols.len(), "symbol tables differ");
+                    prop_assert!(vocab.len() == 1, "decode interned before it was asked");
+                    // Interning may fail (the held name collides), never panic.
+                    let _ = s.intern();
+                }
+                (Err(_), Err(_)) => prop_assert!(vocab.len() == 1, "a failed decode interned"),
+                (d, s) => {
+                    return Err(format!(
+                        "decoders disagree: GraphData {:?}, builder {:?}",
+                        d.map(|_| ()),
+                        s.map(|_| ())
+                    ))
+                }
+            }
             Ok(())
         },
     );

@@ -198,10 +198,21 @@ fn check_against_rejects_malformed_deltas() {
         let base = base_graph(rng);
         let limit = base.node_count() as u32;
         let sym_e0 = base.vocab().lookup("e0");
+        // The one check reads a snapshot and a replay builder alike:
+        // both must reach the same verdict on every delta below.
+        let thawed = base.thaw();
+        let verdict = |d: &GraphDelta| -> Result<Result<(), DeltaError>, String> {
+            let (on_graph, on_builder) = (d.check_against(&base), d.check_against(&thawed));
+            prop_assert!(
+                on_graph == on_builder,
+                "snapshot says {on_graph:?}, builder says {on_builder:?} on {d:?}"
+            );
+            Ok(on_graph)
+        };
 
         // A recorded (well-formed) delta always passes.
         let (_, good) = random_step(rng, &base);
-        if let Err(e) = good.check_against(&base) {
+        if let Err(e) = verdict(&good)? {
             return Err(format!("recorded delta rejected: {e}"));
         }
 
@@ -214,47 +225,58 @@ fn check_against_rejects_malformed_deltas() {
             label: sym_e0.unwrap_or(gfd_graph::Sym(0)),
         });
         prop_assert!(
-            matches!(
-                bad.check_against(&base),
-                Err(DeltaError::NodeOutOfRange { .. })
-            ),
+            matches!(verdict(&bad)?, Err(DeltaError::NodeOutOfRange { .. })),
             "out-of-range add accepted"
         );
 
         // Wrong base snapshot.
         let stale = GraphDelta::new(base.node_count() + 1);
         prop_assert!(
-            matches!(
-                stale.check_against(&base),
-                Err(DeltaError::BaseMismatch { .. })
-            ),
+            matches!(verdict(&stale)?, Err(DeltaError::BaseMismatch { .. })),
             "base mismatch accepted"
         );
 
         // Removing an absent edge: pick a (src, dst, label) triple not
         // in the snapshot.
-        if let Some(l) = sym_e0 {
+        let absent = sym_e0.and_then(|l| {
+            let mut pairs = (0..limit).flat_map(|s| (0..limit).map(move |d| (s, d)));
+            pairs
+                .find(|&(s, d)| !base.has_edge(NodeId(s), NodeId(d), l))
+                .map(|(s, d)| Edge {
+                    src: NodeId(s),
+                    dst: NodeId(d),
+                    label: l,
+                })
+        });
+        if let Some(e) = absent {
             let mut rem = GraphDelta::new(base.node_count());
-            let mut found = None;
-            'outer: for s in 0..limit {
-                for d in 0..limit {
-                    if !base.has_edge(NodeId(s), NodeId(d), l) {
-                        found = Some(Edge {
-                            src: NodeId(s),
-                            dst: NodeId(d),
-                            label: l,
-                        });
-                        break 'outer;
-                    }
-                }
-            }
-            if let Some(e) = found {
-                rem.removed_edges.push(e);
-                prop_assert!(
-                    matches!(rem.check_against(&base), Err(DeltaError::EdgeAbsent { .. })),
-                    "absent-edge removal accepted"
-                );
-            }
+            rem.removed_edges.push(e);
+            prop_assert!(
+                matches!(verdict(&rem)?, Err(DeltaError::EdgeAbsent { .. })),
+                "absent-edge removal accepted"
+            );
+
+            // One absent edge added twice: each add alone is fine, the
+            // second cannot take effect.
+            let mut twice = GraphDelta::new(base.node_count());
+            twice.added_edges.extend([e, e]);
+            prop_assert!(
+                verdict(&twice)? == Err(DeltaError::RepeatedEdge { edge: e }),
+                "an edge added twice accepted"
+            );
+        }
+
+        // One present edge removed twice, among other removals.
+        let present: Vec<Edge> = base.edges().collect();
+        if !present.is_empty() {
+            let e = present[rng.gen_range(0..present.len())];
+            let mut twice = GraphDelta::new(base.node_count());
+            twice.removed_edges.extend(present.iter().copied());
+            twice.removed_edges.push(e);
+            prop_assert!(
+                verdict(&twice)? == Err(DeltaError::RepeatedEdge { edge: e }),
+                "an edge removed twice accepted"
+            );
         }
 
         // Out-of-range attribute write.
@@ -265,10 +287,7 @@ fn check_against_rejects_malformed_deltas() {
             value: Some(Value::Int(1)),
         });
         prop_assert!(
-            matches!(
-                attr.check_against(&base),
-                Err(DeltaError::NodeOutOfRange { .. })
-            ),
+            matches!(verdict(&attr)?, Err(DeltaError::NodeOutOfRange { .. })),
             "out-of-range attr accepted"
         );
         Ok(())

@@ -11,6 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use gfd_graph::{
+    graph::same_snapshot,
     neighborhood::{induced_subgraph, khop_nodes},
     EquiDepthHistogram, Fragmentation, Graph, GraphBuilder, NodeId, PartitionStrategy, Sym,
 };
@@ -502,6 +503,38 @@ fn paged_edit_scripts_equal_freeze() {
         }
         Ok(())
     });
+}
+
+#[test]
+fn builder_replay_equals_the_snapshot_chain() {
+    // Log recovery's replay: every step's delta checked against and
+    // applied in place to one builder, frozen once after the last step,
+    // must equal the chain of successor snapshots ingest builds — every
+    // observable and the page layout — over scripts that add nodes,
+    // relabel, write and remove attributes and carry a hub's run across
+    // the out-of-line threshold.
+    check(
+        "builder replay + one freeze ≡ apply_delta chain",
+        40,
+        |rng| {
+            let (mut g, hub) = wide_graph(rng);
+            let mut shadow = g.thaw();
+            let mut replay = g.thaw();
+            let mut script = Vec::new();
+            for _ in 0..50 {
+                script.push(boundary_step(rng, &mut shadow, &g, hub));
+                let delta = shadow.take_delta().expect("thaw records").normalize();
+                if let Err(e) = delta.check_against(&replay) {
+                    return Err(format!(
+                        "replay rejected {delta:?}: {e}; script: {script:?}"
+                    ));
+                }
+                replay.apply_delta(&delta);
+                g = g.apply_delta(&delta);
+            }
+            same_snapshot(&replay.freeze(), &g).map_err(|msg| format!("{msg}; script: {script:?}"))
+        },
+    );
 }
 
 #[test]

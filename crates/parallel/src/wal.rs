@@ -16,13 +16,13 @@
 //! The checksum ([`gfd_util::checksum64`]) covers header **and**
 //! payload, so a torn write anywhere in the frame is detected. Frame
 //! zero is always a **base snapshot** (`kind = 1`): a
-//! [`GraphData`] encoding of the graph at the log's base epoch — the
-//! floor recovery replays from. Every later frame is a **delta**
-//! (`kind = 2`) holding one compacted [`GraphDelta`] for one epoch,
-//! prefixed by the vocabulary names interned since the previous frame;
-//! `sym_count` is the total vocabulary size after the frame, so replay
-//! validates every symbol against exactly the vocabulary the writer
-//! had.
+//! [`GraphData`](gfd_graph::GraphData) encoding of the graph at the
+//! log's base epoch — the floor recovery replays from. Every later
+//! frame is a **delta** (`kind = 2`) holding one compacted
+//! [`GraphDelta`] for one epoch, prefixed by the vocabulary names
+//! interned since the previous frame; `sym_count` is the total
+//! vocabulary size after the frame, so replay validates every symbol
+//! against exactly the vocabulary the writer had.
 //!
 //! ## Durability contract
 //!
@@ -35,25 +35,45 @@
 //!   (subscriber demand, shutdown).
 //!
 //! [`recover`] never trusts a byte: length and checksum mismatches,
-//! epoch gaps, unknown kinds and undecodable payloads all **truncate
-//! the log at the first faulty frame** — the surviving prefix is
-//! replayed onto the base snapshot, the file is cut back to the valid
-//! prefix on disk, and the damage is reported (never panicked) through
-//! [`RecoveryReport`]. A log whose snapshot frame itself is damaged
-//! has no floor to recover from and surfaces as a [`WalError`].
+//! epoch gaps, unknown kinds, undecodable payloads and deltas that do
+//! not apply all **truncate the log at the first faulty frame** — the
+//! surviving prefix is replayed onto the base snapshot, the file is cut
+//! back to the valid prefix on disk, and the damage is reported (never
+//! panicked) through [`RecoveryReport`]. A log whose snapshot frame
+//! itself is damaged has no floor to recover from and surfaces as a
+//! [`WalError`].
+//!
+//! ## Replay
+//!
+//! Recovery builds one graph, not one per epoch. The snapshot payload
+//! is decoded in one pass straight into a [`GraphBuilder`]
+//! ([`DecodedSnapshot`]), and its symbol table is interned into the
+//! caller's vocabulary only after every byte of it validated. Each
+//! intact delta frame is then checked against that builder and applied
+//! to it in place ([`GraphBuilder::apply_delta`]), and the builder is
+//! frozen once after the last frame. Nobody pins the intermediate
+//! epochs of a replay, so none is ever built as a snapshot.
+//!
+//! The writer is the mirror image: frames are assembled in one reused
+//! buffer, the snapshot encoded straight from the frozen graph
+//! ([`encode_snapshot`]) and each delta straight behind its header.
+//!
+//! [`GraphBuilder`]: gfd_graph::GraphBuilder
+//! [`GraphBuilder::apply_delta`]: gfd_graph::GraphBuilder::apply_delta
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use gfd_graph::{Graph, GraphData, GraphDelta, Vocab};
+use gfd_graph::{encode_snapshot, DecodedSnapshot, Graph, GraphDelta, Vocab};
 use gfd_util::checksum64;
 
 /// File magic: identifies the format and its version. Bumping the
 /// codec (or [`checksum64`]) bumps the trailing version digits.
 pub const MAGIC: [u8; 8] = *b"GFDWAL01";
-/// Frame kind: base snapshot ([`GraphData`] payload).
+/// Frame kind: base snapshot (a [`GraphData`](gfd_graph::GraphData)
+/// encoding).
 pub const KIND_SNAPSHOT: u8 = 1;
 /// Frame kind: one epoch's compacted delta (+ new vocabulary names).
 pub const KIND_DELTA: u8 = 2;
@@ -218,12 +238,12 @@ impl WalWriter {
             .open(path)?;
         file.write_all(&MAGIC)?;
 
-        let data = GraphData::from_graph(g);
-        let sym_count = data.symbols.len() as u32;
+        let symbols = g.vocab().snapshot();
+        let sym_count = symbols.len() as u32;
         let mut buf = Vec::new();
-        let mut payload = Vec::new();
-        data.encode_into(&mut payload);
-        frame_into(&mut buf, KIND_SNAPSHOT, base_epoch, sym_count, &payload);
+        frame_into(&mut buf, KIND_SNAPSHOT, base_epoch, sym_count, |out| {
+            encode_snapshot(g, &symbols, out)
+        });
         file.write_all(&buf)?;
         file.sync_all()?;
         sync_parent_dir(path)?;
@@ -265,15 +285,13 @@ impl WalWriter {
         let snapshot = vocab.snapshot();
         let new_syms = &snapshot[self.syms_written..];
 
-        let mut payload = Vec::new();
-        delta.encode_with_symbols(new_syms, &mut payload);
         self.buf.clear();
         frame_into(
             &mut self.buf,
             KIND_DELTA,
             epoch,
             snapshot.len() as u32,
-            &payload,
+            |out| delta.encode_with_symbols(new_syms, out),
         );
         self.file.write_all(&self.buf)?;
 
@@ -353,14 +371,24 @@ impl WalWriter {
     }
 }
 
-/// Assembles one frame: header, payload, trailing checksum over both.
-fn frame_into(out: &mut Vec<u8>, kind: u8, epoch: u64, sym_count: u32, payload: &[u8]) {
+/// Assembles one frame in `out`: the header, the payload `encode`
+/// writes straight behind it, the payload length patched into the
+/// header, and the trailing checksum over both.
+fn frame_into(
+    out: &mut Vec<u8>,
+    kind: u8,
+    epoch: u64,
+    sym_count: u32,
+    encode: impl FnOnce(&mut Vec<u8>),
+) {
     let start = out.len();
     out.push(kind);
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&sym_count.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let payload_len = (out.len() - start - HEADER_LEN) as u32;
+    out[start + HEADER_LEN - 4..start + HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     let cksum = checksum64(&out[start..]);
     out.extend_from_slice(&cksum.to_le_bytes());
 }
@@ -510,24 +538,24 @@ pub fn recover_in(
             what: format!("first frame has kind {} (want snapshot)", base.kind),
         });
     }
-    let data = GraphData::decode(base.payload).map_err(|e| WalError::Corrupt {
+    // Decode validates the whole payload before anything is interned,
+    // so a corrupt floor leaves the caller's vocabulary as it was.
+    let payload_fault = |e| WalError::Corrupt {
         offset: MAGIC.len() as u64,
         what: format!("base snapshot payload: {e}"),
-    })?;
-    if data.symbols.len() as u32 != base.sym_count {
+    };
+    let snapshot = DecodedSnapshot::decode(base.payload, vocab).map_err(payload_fault)?;
+    if snapshot.symbol_count() as u64 != base.sym_count as u64 {
         return Err(WalError::Corrupt {
             offset: MAGIC.len() as u64,
             what: format!(
                 "snapshot sym_count {} disagrees with payload ({} symbols)",
                 base.sym_count,
-                data.symbols.len()
+                snapshot.symbol_count()
             ),
         });
     }
-    let mut g = data.into_graph_in(vocab).map_err(|e| WalError::Corrupt {
-        offset: MAGIC.len() as u64,
-        what: format!("base snapshot payload: {e}"),
-    })?;
+    let mut replay = snapshot.intern().map_err(payload_fault)?;
 
     let mut report = RecoveryReport {
         base_epoch: base.epoch,
@@ -575,9 +603,10 @@ pub fn recover_in(
             }
         };
         // The payload decoded, but it must also *apply*: a frame whose
-        // delta disagrees with the replayed snapshot (stale base,
-        // phantom edge) is as corrupt as a bad checksum.
-        if let Err(e) = delta.check_against(&g) {
+        // delta disagrees with the replayed graph (stale base, phantom
+        // edge, an edge named twice) is as corrupt as a bad checksum.
+        // The whole frame is checked before any of it is applied.
+        if let Err(e) = delta.check_against(&replay) {
             fault = Some(FrameFault {
                 offset: pos as u64,
                 epoch: Some(f.epoch),
@@ -602,7 +631,7 @@ pub fn recover_in(
                 });
             }
         }
-        g = g.apply_delta(&delta);
+        replay.apply_delta(&delta);
         head = f.epoch;
         syms = f.sym_count;
         frames += 1;
@@ -640,7 +669,7 @@ pub fn recover_in(
         frames,
         fsyncs: 1,
     };
-    Ok((g, writer, report))
+    Ok((replay.freeze(), writer, report))
 }
 
 /// The epoch field of the frame at `pos`, if that many header bytes
@@ -658,7 +687,7 @@ fn parse_epoch_if_readable(bytes: &[u8], pos: usize) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_graph::{GraphBuilder, NodeId, Value};
+    use gfd_graph::{Edge, GraphBuilder, NodeId, Value};
     use gfd_util::TempDir;
 
     /// A tiny graph plus a few recorded epochs, including one that
@@ -873,6 +902,102 @@ mod tests {
             recover(&path, SyncPolicy::OnDemand),
             Err(WalError::Corrupt { .. })
         ));
+    }
+
+    /// A frame whose checksum is valid but whose delta does not apply
+    /// as a whole — its first op applies, a later one removes an absent
+    /// edge, or one edge is removed twice — is truncated away like a
+    /// torn one: recovery lands exactly on the epoch before it, with
+    /// none of the frame applied and nothing panicked.
+    #[test]
+    fn a_frame_that_does_not_apply_is_cut_whole() {
+        let dir = TempDir::new("gfd-wal-noapply").unwrap();
+        let probe = build_log(&dir.file("probe.wal"), SyncPolicy::OnDemand).1;
+        let head = &probe[5];
+        let follows = head.vocab().lookup("follows").unwrap();
+        let (a, c) = (NodeId(0), NodeId(1));
+        assert!(head.has_edge(a, c, follows) && !head.has_edge(c, a, follows));
+
+        let mut absent_removed = GraphDelta::new(head.node_count());
+        absent_removed.added_edges.push(Edge {
+            src: c,
+            dst: a,
+            label: follows,
+        });
+        absent_removed.removed_edges.push(Edge {
+            src: c,
+            dst: NodeId(2),
+            label: follows,
+        });
+        let mut removed_twice = GraphDelta::new(head.node_count());
+        let present = Edge {
+            src: a,
+            dst: c,
+            label: follows,
+        };
+        removed_twice.removed_edges.extend([present, present]);
+
+        for (name, bad) in [("absent", absent_removed), ("twice", removed_twice)] {
+            let path = dir.file(&format!("{name}.wal"));
+            let (_, snapshots, mut w) = build_log(&path, SyncPolicy::OnDemand);
+            w.append(6, &bad, snapshots[5].vocab()).unwrap();
+            let bad_at = frame_bounds(&path).unwrap()[6].offset;
+            drop(w);
+
+            let (g, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
+            assert_eq!(report.recovered_epoch, 5, "{name}");
+            assert_eq!(report.replayed_epochs, 5, "{name}");
+            assert!(graphs_equal(&g, &snapshots[5]), "{name}: partly applied");
+            let fault = report.corruption.expect("the frame is reported");
+            assert_eq!(fault.offset, bad_at, "{name}");
+            assert_eq!(fault.epoch, Some(6), "{name}");
+            assert!(
+                fault.what.contains("delta does not apply"),
+                "{name}: {fault:?}"
+            );
+            assert_eq!(report.truncated_frames, 1, "{name}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), bad_at, "{name}");
+        }
+    }
+
+    /// A snapshot frame with a valid checksum over a payload that does
+    /// not decode, or whose header miscounts its symbols, is no floor:
+    /// recovery errors out and has interned nothing into the caller's
+    /// vocabulary.
+    #[test]
+    fn a_corrupt_floor_leaves_the_vocabulary_untouched() {
+        let dir = TempDir::new("gfd-wal-floor").unwrap();
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let a = b.add_node_labeled("account");
+        b.set_attr_named(a, "handle", Value::str("fresh"));
+        let g = b.freeze();
+        let symbols = g.vocab().snapshot();
+        let mut payload = Vec::new();
+        encode_snapshot(&g, &symbols, &mut payload);
+        let sym_count = symbols.len() as u32;
+
+        let trailing = [payload.as_slice(), &[0]].concat();
+        let cases = [
+            ("trailing byte", trailing, sym_count),
+            ("sym_count", payload, sym_count + 1),
+        ];
+        for (name, payload, sym_count) in cases {
+            let path = dir.file("floor.wal");
+            let mut bytes = MAGIC.to_vec();
+            frame_into(&mut bytes, KIND_SNAPSHOT, 0, sym_count, |out| {
+                out.extend_from_slice(&payload)
+            });
+            std::fs::write(&path, &bytes).unwrap();
+
+            let vocab = Vocab::shared();
+            vocab.intern("rule-side name");
+            let result = recover_in(&path, SyncPolicy::OnDemand, &vocab);
+            assert!(
+                matches!(result, Err(WalError::Corrupt { .. })),
+                "{name}: {result:?}"
+            );
+            assert_eq!(vocab.len(), 1, "{name}: the vocabulary grew");
+        }
     }
 
     #[test]
