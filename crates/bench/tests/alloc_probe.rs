@@ -18,7 +18,8 @@
 //! what stays allocated is gated too: an [`IncrementalSpace`] retains
 //! its candidates, not arrays sized by the graph, so the bytes a
 //! [`ClassRegistry`] accounts are the bytes it holds — and building one
-//! from scratch requests bytes by its seeds, not by the graph.
+//! from scratch requests bytes by its seeds, not by the graph. A
+//! detector's first pass requests about what `detVio` requests.
 
 use std::sync::Arc;
 
@@ -766,6 +767,60 @@ fn warm_space_repair_allocates_by_the_delta() {
     );
 }
 
+/// The start gate: an [`IncrementalDetector`]'s first pass is one
+/// detection pass, so it requests about the bytes `detVio` requests on
+/// the same inputs — the `social-cycles` shape: a Pokec-shape graph
+/// with `flag` true on 5 % of nodes, and three wildcard triangles over
+/// `pk_rel0..2`, each with `c0.flag = true → c1.flag = true`. Anything
+/// the detector builds on top of the class spaces, plans and its
+/// violation sets (a per-class aggregate structure, say) shows up as
+/// the excess.
+#[test]
+fn a_detector_starts_at_the_cost_of_detvio() {
+    let _serial = serial();
+    let plain = reallife_graph(&RealLifeConfig {
+        scale: 0.2,
+        ..RealLifeConfig::new(RealLifeKind::Pokec)
+    });
+    let flag = plain.vocab().intern("flag");
+    let mut rng = gfd_util::Rng::seed_from_u64(7);
+    let mut b = plain.thaw();
+    for u in plain.nodes() {
+        b.set_attr(u, flag, Value::Bool(rng.gen_bool(0.05)));
+    }
+    let g = b.freeze();
+    let sigma: GfdSet = (0..3)
+        .map(|i| {
+            let mut pb = PatternBuilder::new(g.vocab().clone());
+            let c: Vec<_> = (0..3).map(|j| pb.wildcard_node(&format!("c{j}"))).collect();
+            pb.edge(c[0], c[1], &format!("pk_rel{i}"));
+            pb.edge(c[1], c[2], &format!("pk_rel{}", (i + 1) % 3));
+            pb.wildcard_edge(c[0], c[2]);
+            let dep = Dependency::new(
+                vec![Literal::const_eq(c[0], flag, true)],
+                vec![Literal::const_eq(c[1], flag, true)],
+            );
+            Gfd::new(format!("tri{i}"), pb.build(), dep)
+        })
+        .collect();
+    let key = |v: &gfd_core::Violation| (v.rule, v.mapping.nodes().to_vec());
+    let (mut detvio, detvio_bytes) =
+        bytes_requested(|| gfd_core::detect_violations_shared(&sigma, &g, &ClassRegistry::new()));
+    let (detector, detector_bytes) = bytes_requested(|| {
+        IncrementalDetector::with_registry(&sigma, &g, Arc::new(ClassRegistry::new()))
+    });
+    let mut started = detector.violations();
+    detvio.sort_by_key(key);
+    started.sort_by_key(key);
+    assert!(!detvio.is_empty(), "premise: unflagged neighbors violate");
+    assert_eq!(started, detvio, "the detector starts on Vio(Σ, G)");
+    eprintln!("start: detector {detector_bytes} B, detVio {detvio_bytes} B");
+    assert!(
+        detector_bytes * 4 <= detvio_bytes * 5,
+        "a detector's first pass requested {detector_bytes} B, detVio {detvio_bytes} B"
+    );
+}
+
 /// The matching core of [`a_class_retains_its_candidates_not_the_graph`]
 /// — 100 `a → b → c` chains, ids 0..300, so the runs of every pattern
 /// edge span five pages — followed by `padding` nodes of a label the
@@ -868,7 +923,7 @@ fn a_simulation_requests_by_its_seeds_not_the_graph() {
 
 /// The accounting gate: the bytes a [`ClassRegistry`] says it holds
 /// are, within a small factor, the bytes it holds. A detector over
-/// mined rules fills a shared registry (spaces, plans, facts); dropping
+/// mined rules fills a shared registry (spaces, plans); dropping
 /// the last handle gives back everything the registry kept alive.
 /// Page headers, directories, patterns, canonical forms and plans are
 /// real and unaccounted, hence a factor and a per-class constant

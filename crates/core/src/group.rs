@@ -12,15 +12,12 @@
 //! members [`GroupScratch::select`] picks (a caller's pre-filter takes
 //! its member out of the row loop instead of forking a path).
 
-use std::sync::Arc;
-
 use gfd_graph::{Graph, NodeId};
 use gfd_match::component::{ComponentSearch, SearchScratch};
 use gfd_match::join::{join_tables, JoinScratch};
 use gfd_match::types::Flow;
 use gfd_match::{
-    for_each_match_in, for_each_match_with, ClassView, Factorization, MatchOptions, MatchScratch,
-    MatchTable,
+    for_each_match_in, for_each_match_with, ClassView, MatchOptions, MatchScratch, MatchTable,
 };
 use gfd_pattern::canon::group_isomorphic_with_witnesses;
 use gfd_pattern::signature::decompose;
@@ -139,12 +136,13 @@ pub enum Pools<'a> {
     Raw,
     /// The per-call filter of [`for_each_match_with`]: a component
     /// simulates when its size gate says so, and searches raw otherwise.
+    /// Kept over `Raw`: without it `detVio` on the benchmark's
+    /// `social-cycles` (`--seed 1`, 2-vCPU host) takes 0.142 s instead
+    /// of 0.025 s, though it allocates 0.16 MiB instead of 6.96.
     Gated,
     /// Component `i` enumerates through `views[i]`, its registry
-    /// class's space and plan; a pin at a node of zero marginal in
-    /// `facts[i]` (a resident class factorization, where given) is
-    /// skipped — the represented set is a superset of the match set.
-    Classes(&'a [ClassView], &'a [Option<Arc<Factorization>>]),
+    /// class's space and plan.
+    Classes(&'a [ClassView]),
 }
 
 /// Where one enumeration is pinned.
@@ -288,12 +286,6 @@ impl Searches {
     ) {
         let (cq, vars) = &group.parts[i];
         let mut search = |pin: Option<(VarId, NodeId)>| {
-            if let (Pools::Classes(views, facts), Some((v, u))) = (pools, pin) {
-                let fact = facts.get(i).and_then(Option::as_ref);
-                if fact.is_some_and(|fact| fact.marginal(views[i].rep_var(v), u) == Some(0)) {
-                    return;
-                }
-            }
             self.enumerations += 1;
             self.opts.pins.clear();
             self.opts.pins.extend(pin);
@@ -309,7 +301,7 @@ impl Searches {
                 Pools::Gated => {
                     for_each_match_with(cq, g, &self.opts, None, &mut self.matching, f);
                 }
-                Pools::Classes(views, _) => {
+                Pools::Classes(views) => {
                     for_each_match_in(&views[i], g, &self.opts, &mut self.matching, f);
                 }
             }

@@ -46,9 +46,7 @@ use gfd_pattern::VarId;
 
 use crate::gfd::GfdSet;
 use crate::group::{for_each_group_violation, GroupScratch, Pins, Pools, RuleGroup, RuleGroups};
-use crate::validate::{
-    const_y_satisfied_everywhere, detect_violations, for_each_violation, match_satisfies, Violation,
-};
+use crate::validate::{detect_violations, for_each_violation, match_satisfies, Violation};
 
 /// The change `apply_diff` made to `Vio(Σ, G)` in one edit step: what
 /// a standing-violation service pushes to subscribers instead of the
@@ -131,23 +129,11 @@ impl IncrementalDetector {
         } = det;
         for (group, &h) in groups.iter().zip(handles) {
             let view = class_view(registry, group, h, g);
-            if view.space.is_empty_anywhere() {
+            if view.space.is_empty_anywhere() || !scratch.select(group, |_| true) {
                 continue;
             }
-            // Factorized fast path for the initial full pass: an
-            // all-constant-`Y` member whose per-variable marginal
-            // aggregates show every represented binding satisfying `Y`
-            // seeds an empty violation set without being checked — the
-            // same superset argument as `detVio`'s shared route. Later
-            // deltas re-examine only affected pins either way.
-            let connected = group.is_connected();
-            if !scratch.select(group, |m| {
-                !(connected && const_y_satisfied_everywhere(&m.dep, g, &view, registry, h))
-            }) {
-                continue;
-            }
-            let pools = if connected {
-                Pools::Classes(std::slice::from_ref(&view), &[])
+            let pools = if group.is_connected() {
+                Pools::Classes(std::slice::from_ref(&view))
             } else {
                 Pools::Gated
             };
@@ -343,7 +329,7 @@ impl IncrementalDetector {
                 continue;
             }
             let pools = if group.is_connected() {
-                Pools::Classes(std::slice::from_ref(&view), &[])
+                Pools::Classes(std::slice::from_ref(&view))
             } else {
                 Pools::Gated
             };

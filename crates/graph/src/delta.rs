@@ -1,9 +1,8 @@
 //! Edit deltas: the difference between two snapshots of a graph.
 //!
-//! Every `thaw`/`edit` session on a frozen [`Graph`](crate::Graph)
-//! records the mutations it performs — node additions, edge
-//! insertions/deletions, label changes, attribute writes — as a
-//! [`GraphDelta`]. Node ids are stable across the thaw→mutate→refreeze
+//! Every `thaw`/`edit` of a frozen [`Graph`] records the mutations it
+//! performs — node additions, edge insertions/deletions, label
+//! changes, attribute writes — as a [`GraphDelta`]. Node ids are stable across the thaw→mutate→refreeze
 //! round trip, so a delta is directly addressable against both the old
 //! and the new snapshot: consumers (incremental dual simulation in
 //! `gfd-match`, incremental violation detection in `gfd-core`,
@@ -558,7 +557,7 @@ impl GraphDelta {
 
     /// Appends the plain-bytes encoding of this delta to `out` (no
     /// serde: varint-framed fields, values tagged by kind — see the
-    /// [`wire`] module). The encoding is self-delimiting; a write-ahead
+    /// `wire` module). The encoding is self-delimiting; a write-ahead
     /// log frames it with an epoch header and a trailing checksum.
     ///
     /// Added-node ids are **not** written: [`check_ids`] guarantees

@@ -337,7 +337,7 @@ impl<'a> ComponentSearch<'a> {
 
     /// Selects the **space-mode** pool source: pools are multiway
     /// intersections of the simulation's pruned per-edge adjacency
-    /// ([`fill_space_pool`]) under the light per-candidate check, and
+    /// (`fill_space_pool`) under the light per-candidate check, and
     /// any pin outside its sets short-circuits to an empty
     /// enumeration. Without a space the search runs in **raw mode**:
     /// labeled CSR runs under the full `compatible` check.

@@ -18,10 +18,8 @@
 //!   decomposition width while the flat match set is exponential.
 //!
 //! Every node carries its subtree count, so counting is a single
-//! bottom-up fold (done during construction — [`Factorization::count`]
-//! is `O(1)`), and per-binding *marginal* counts come from one
-//! root-to-leaf walk ([`Factorization::compute_marginals`], the FAQ
-//! variable-elimination pass).
+//! bottom-up fold, done during construction ([`Factorization::count`]
+//! is `O(1)`).
 //!
 //! ## Exactness
 //!
@@ -33,10 +31,9 @@
 //! sorted-merge precondition checked at build time
 //! ([`Factorization::is_exact`]). Single-bag plans (triangles, K4 —
 //! most mined cyclic rules) are trivially exact. Counting consumers
-//! fall back to enumeration when the precondition fails; *emptiness*
-//! and marginal-zero tests stay valid unconditionally (the represented
-//! set is a superset of the match set), which is what the validation
-//! fast paths rely on.
+//! fall back to enumeration when the precondition fails; an *empty*
+//! representation stays conclusive unconditionally (the represented
+//! set is a superset of the match set).
 //!
 //! ## Expansion
 //!
@@ -94,11 +91,8 @@ struct MemoKey {
     sep: [u32; MAX_SEP],
 }
 
-/// A factorized d-representation of one connected pattern's match set.
-/// Built by [`factorize`] / [`FactorScratch::build`]; immutable
-/// afterwards (marginals attach via
-/// [`compute_marginals`](Factorization::compute_marginals) before the
-/// value is shared).
+/// A factorized d-representation of one connected pattern's match set,
+/// built into caller-owned scratch by [`FactorScratch::build`].
 #[derive(Clone, Debug, Default)]
 pub struct Factorization {
     nodes: Vec<FNode>,
@@ -114,16 +108,6 @@ pub struct Factorization {
     /// variable pair sharing no bag has disjoint candidate sets, and
     /// no count saturated.
     exact: bool,
-    /// True when some count saturated at `u64::MAX`: subtree counts
-    /// and marginals are then unreliable even as upper-bound *sums*
-    /// (a saturated total breaks `Σ marginal = raw_count`), so
-    /// aggregate consumers must decline. Inexactness without overflow
-    /// keeps those identities — only injectivity is over-counted.
-    overflow: bool,
-    /// Per-`(var, node)` marginal counts — how many represented
-    /// assignments bind `var` to `node`. `None` until
-    /// [`compute_marginals`](Factorization::compute_marginals) runs.
-    marginals: Option<FxHashMap<(u32, u32), u64>>,
 }
 
 impl Factorization {
@@ -150,106 +134,10 @@ impl Factorization {
         self.exact
     }
 
-    /// True when counting saturated: every derived aggregate
-    /// (`raw_count`, marginals) is garbage beyond "huge". Superset
-    /// arguments that compare marginal sums against `raw_count` must
-    /// check this — mere inexactness preserves those identities,
-    /// saturation does not.
-    pub fn overflowed(&self) -> bool {
-        self.overflow
-    }
-
-    /// Number of variables of the factorized pattern.
-    pub fn arity(&self) -> usize {
-        self.n_vars
-    }
-
     /// Number of union/product nodes — the size counting actually
     /// touches, versus `raw_count()` flat rows.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Approximate resident bytes — the registry's accounting measure,
-    /// same contract as `CandidateSpace::approx_bytes`.
-    pub fn approx_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<FNode>()
-            + self.counts.len() * 8
-            + self.edges.len() * std::mem::size_of::<(NodeId, u32)>()
-            + self.parts.len() * 4
-            + self.marginals.as_ref().map_or(0, |m| {
-                m.len() * (std::mem::size_of::<((u32, u32), u64)>() + 8)
-            })
-    }
-
-    /// Computes all per-binding marginal counts in one root-to-leaf
-    /// pass (down-weights × subtree counts): `marginal(v, n)` is the
-    /// number of represented assignments with `h(v) = n` — the FAQ
-    /// answer for every singleton free variable at once. A no-op when
-    /// already computed or when a count saturated (marginals would be
-    /// meaningless).
-    pub fn compute_marginals(&mut self) {
-        if self.marginals.is_some() || self.root == NO_NODE {
-            if self.marginals.is_none() {
-                self.marginals = Some(FxHashMap::default());
-            }
-            return;
-        }
-        let mut marginals: FxHashMap<(u32, u32), u64> = FxHashMap::default();
-        // Children always precede parents in the arena (post-order
-        // construction), so a descending sweep sees every parent
-        // before its children.
-        let mut outer = vec![0u128; self.nodes.len()];
-        outer[self.root as usize] = 1;
-        for idx in (0..self.nodes.len()).rev() {
-            let o = outer[idx];
-            if o == 0 {
-                continue;
-            }
-            let node = self.nodes[idx];
-            match node.kind {
-                Kind::Leaf => {}
-                Kind::Union => {
-                    for &(gv, child) in &self.edges[node.lo as usize..node.hi as usize] {
-                        outer[child as usize] += o;
-                        let add = o.saturating_mul(self.counts[child as usize] as u128);
-                        let m = marginals.entry((node.var, gv.0)).or_insert(0);
-                        *m = m.saturating_add(add.min(u64::MAX as u128) as u64);
-                    }
-                }
-                Kind::Product => {
-                    let parts = &self.parts[node.lo as usize..node.hi as usize];
-                    // Reachable products have no zero-count part (they
-                    // would have been pruned), so sibling weight is an
-                    // exact division of the total.
-                    let total: u128 = parts.iter().fold(1u128, |a, &p| {
-                        a.saturating_mul(self.counts[p as usize] as u128)
-                    });
-                    for &p in parts {
-                        let siblings = total / (self.counts[p as usize] as u128).max(1);
-                        outer[p as usize] += o.saturating_mul(siblings);
-                    }
-                }
-            }
-        }
-        self.marginals = Some(marginals);
-    }
-
-    /// The marginal count of `h(var) = node` over represented
-    /// assignments — exact match marginals iff
-    /// [`is_exact`](Factorization::is_exact), an upper bound otherwise
-    /// (a zero is always conclusive). `None` until
-    /// [`compute_marginals`](Factorization::compute_marginals) ran.
-    pub fn marginal(&self, var: VarId, node: NodeId) -> Option<u64> {
-        self.marginals
-            .as_ref()
-            .map(|m| m.get(&(var.0, node.0)).copied().unwrap_or(0))
-    }
-
-    /// True once [`compute_marginals`](Factorization::compute_marginals)
-    /// ran (the registry computes them before sharing a factorization).
-    pub fn has_marginals(&self) -> bool {
-        self.marginals.is_some()
     }
 
     /// Lazily expands the factorization into flat matches, re-applying
@@ -337,8 +225,8 @@ impl FactorScratch {
     }
 
     /// The factorization of the last successful
-    /// [`build`](FactorScratch::build) — borrow it for counting; clone
-    /// it (or use [`factorize`]) for an owned copy to share.
+    /// [`build`](FactorScratch::build), borrowed for counting or
+    /// expansion.
     pub fn fact(&self) -> &Factorization {
         &self.fact
     }
@@ -376,8 +264,6 @@ impl FactorScratch {
         fact.counts.clear();
         fact.edges.clear();
         fact.parts.clear();
-        fact.marginals = None;
-        fact.overflow = false;
         fact.n_vars = n;
         fact.nodes.push(FNode {
             kind: Kind::Leaf,
@@ -456,7 +342,6 @@ impl FactorScratch {
         let overflow = b.overflow;
         self.fact.root = root;
         self.fact.exact = exact && !overflow;
-        self.fact.overflow = overflow;
         true
     }
 
@@ -476,24 +361,6 @@ impl FactorScratch {
         }
         self.fact.count()
     }
-}
-
-/// Builds an owned [`Factorization`] of `q`'s unpinned match set — the
-/// registry's per-class artifact (marginals included).
-/// `None` when the plan shape is declined (see [`FactorScratch::build`]).
-pub fn factorize(
-    q: &Pattern,
-    g: &Graph,
-    cs: &CandidateSpace,
-    plan: &QueryPlan,
-) -> Option<Factorization> {
-    let mut scratch = FactorScratch::new();
-    if !scratch.build(q, g, cs, plan, &[]) {
-        return None;
-    }
-    let mut fact = scratch.fact;
-    fact.compute_marginals();
-    Some(fact)
 }
 
 /// Sorted-slice disjointness (merge walk).
@@ -733,7 +600,12 @@ mod tests {
     fn build(q: &Pattern, g: &Graph) -> Factorization {
         let cs = dual_simulation(q, g, None);
         let plan = QueryPlan::new(q);
-        factorize(q, g, &cs, &plan).expect("plan shape is factorizable")
+        let mut scratch = FactorScratch::new();
+        assert!(
+            scratch.build(q, g, &cs, &plan, &[]),
+            "plan shape is factorizable"
+        );
+        scratch.fact().clone()
     }
 
     #[test]
@@ -811,28 +683,6 @@ mod tests {
             f.node_count(),
             f.raw_count()
         );
-    }
-
-    #[test]
-    fn marginals_sum_to_total_per_variable() {
-        let g = skewed_graph(10, 5);
-        let q = triangle_pattern(g.vocab());
-        let f = build(&q, &g);
-        assert!(f.has_marginals());
-        let total = f.raw_count();
-        for v in q.vars() {
-            let sum: u64 = g.nodes().filter_map(|n| f.marginal(v, n)).sum();
-            assert_eq!(sum, total, "marginals of {v:?} must fold to the total");
-        }
-        // And each pinned enumeration agrees with its marginal.
-        for n in g.nodes() {
-            let x = q.var_by_name("x").unwrap();
-            let pinned = ComponentSearch::new(&q, &g)
-                .pins(&[(x, n)])
-                .collect_all()
-                .len();
-            assert_eq!(f.marginal(x, n), Some(pinned as u64));
-        }
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub struct RepairReport {
     /// was edited — runs can move even when no pair entered or left
     /// the relation (e.g. a new graph edge between two surviving
     /// candidates). Consumers that derive from the *full* space (the
-    /// tables and factorizations of `gfd_match::ClassRegistry`) must
-    /// refresh on this; consumers that only read candidate sets (pivot
+    /// byte accounting of `gfd_match::ClassRegistry`) must refresh on
+    /// this; consumers that only read candidate sets (pivot
     /// feasibility) can key off [`is_unchanged`](Self::is_unchanged).
     pub adjacency_changed: bool,
 }

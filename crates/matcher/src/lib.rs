@@ -35,8 +35,8 @@
 //! order makes the unpinned enumeration worst-case optimal, cached
 //! once per canonical class in the [`registry::ClassRegistry`] — the
 //! bounded, internally synchronized serving tier that also holds
-//! candidate spaces and factorizations for every consumer of one Σ,
-//! all in the class representative's variable numbering. The two full-form entry points,
+//! candidate spaces for every consumer of one Σ, all in the class
+//! representative's variable numbering. The two full-form entry points,
 //! [`for_each_match_with`] and [`count_matches_with`], take that
 //! `(space, plan)` pair optionally; [`for_each_match_in`] takes a
 //! registry member's [`ClassView`] and translates between the
@@ -47,10 +47,8 @@
 //! [`mod@factorize`]): a [`factorize::Factorization`] is a d-representation
 //! of a component's match set whose size tracks per-bag work while the
 //! represented set multiplies across bags, so counting is a bottom-up
-//! fold, per-binding marginals are one root-to-node pass, and tuple
-//! consumers expand lazily — aggregate consumers (`count_matches_with`,
-//! the validators' constant-consequent fast path, workload costing)
-//! never materialize the match set.
+//! fold and tuple consumers expand lazily — [`count_matches_with`]
+//! counts without materializing the match set.
 
 pub mod api;
 pub mod component;
@@ -68,7 +66,7 @@ pub use api::{
     for_each_match_with, has_match, MatchScratch,
 };
 pub use component::{ComponentSearch, SearchScratch, StopReason};
-pub use factorize::{factorize, FactorScratch, Factorization};
+pub use factorize::{FactorScratch, Factorization};
 pub use incremental::{IncrementalSpace, RepairReport};
 pub use plan::QueryPlan;
 pub use registry::{

@@ -1,5 +1,5 @@
 //! The unified serving-tier class registry: one bounded, concurrently
-//! shared cache for candidate spaces, query plans, and factorizations.
+//! shared cache for candidate spaces and query plans.
 //!
 //! Rule sets mined from real graphs are full of isomorphic pattern
 //! components (the paper's Example 10), yet every consumer of
@@ -19,24 +19,20 @@
 //!   the [`IsoWitness`] onto the representative as `perm` (member var
 //!   `j` ↦ rep var `perm[j]`, `None` = identity), immutable from
 //!   [`ClassRegistry::register`] on. Every member of a class is handed
-//!   the *same* `Arc`s — space, [`QueryPlan`], factorization — in a
-//!   [`ClassView`] next to its own `perm`, and translates variables at
-//!   the edge: a candidate set or marginal of member var `v` is read
-//!   at `perm[v]` ([`ClassView::rep_var`]), enumeration runs on the
+//!   the *same* `Arc`s — space and [`QueryPlan`] — in a [`ClassView`]
+//!   next to its own `perm`, and translates variables at the edge: a
+//!   candidate set of member var `v` is read at `perm[v]`
+//!   ([`ClassView::rep_var`]), enumeration runs on the
 //!   representative and rows come back permuted
 //!   ([`for_each_match_in`](crate::api::for_each_match_in));
 //! * decomposition-based [`QueryPlan`]s are built once per class (pure
 //!   pattern structure — graph edits never invalidate them, and they
 //!   are exempt from eviction);
-//! * factorized match-set representations ([`Factorization`]) are
-//!   built once per class per epoch, marginals included;
 //! * under graph edits, [`ClassRegistry::advance`] repairs **one**
-//!   representative per class, keeps the plans, and drops exactly the
-//!   factorizations of classes whose relation (or per-edge adjacency)
-//!   changed. Repair maintains what a standing
-//!   query reads — the candidate spaces behind `Vio(Σ, G)` — and
-//!   reports nothing: workloads are estimated from the repaired
-//!   spaces, never maintained alongside them.
+//!   representative per class and keeps the plans. Repair maintains
+//!   what a standing query reads — the candidate spaces behind
+//!   `Vio(Σ, G)` — and reports nothing: workloads are estimated from
+//!   the repaired spaces, never maintained alongside them.
 //!
 //! One registry is shared across a whole rule set Σ — workload
 //! estimation (`gfd-parallel`), violation detection (`gfd-core`),
@@ -52,12 +48,11 @@
 //!
 //! The registry is **byte-budgeted**
 //! ([`ClassRegistry::with_budget_bytes`]; default
-//! [`DEFAULT_REGISTRY_BUDGET_BYTES`]). All evictable state is per
-//! class, in two kinds: incremental spaces
-//! ([`CandidateSpace::approx_bytes`]) and factorized match
-//! representations ([`Factorization::approx_bytes`]). A space is
-//! accounted by what it retains: an [`IncrementalSpace`] keeps the
-//! candidate sets and run pages and nothing sized by the graph, so
+//! [`DEFAULT_REGISTRY_BUDGET_BYTES`]). The one evictable kind is a
+//! class's incremental space ([`CandidateSpace::approx_bytes`]). A
+//! space is accounted by what it retains: an [`IncrementalSpace`]
+//! keeps the candidate sets and run pages and nothing sized by the
+//! graph, so
 //! the figure misses only page headers, directories and spare
 //! capacity (`alloc_probe` holds held ÷ accounted bytes under a small
 //! constant). Plans, canonical forms and member permutations are tiny
@@ -66,24 +61,21 @@
 //! When the budget is exceeded, entries are evicted **least recently
 //! used first** (every hit touches its entry), with one hard rule: *an
 //! artifact whose `Arc` is still held outside the registry is never
-//! dropped* — eviction is refcount-aware, so a [`ClassView`] or a
-//! factorization held across an eviction storm keeps reading correct
-//! data, and a space handle held across a repair keeps its snapshot
-//! (repairs copy-on-write when shared). Pinned entries the evictor
+//! dropped* — eviction is refcount-aware, so a [`ClassView`] held
+//! across an eviction storm keeps reading correct data, and a space
+//! handle held across a repair keeps its snapshot (repairs
+//! copy-on-write when shared). Pinned entries the evictor
 //! had to skip while over budget are counted in
 //! [`CacheStats::eviction_deferred_pinned`] and surface as the
 //! [`ClassRegistry::deferred_pending`] gauge; once the pins drop, the
 //! next insertion — or an explicit [`ClassRegistry::sweep`] — drains
 //! them and the gauge returns to zero. A class's incremental space is
 //! reclaimable once unpinned; a later query re-simulates against the
-//! then-current snapshot, and every intervening
-//! [`ClassRegistry::advance`] drops the factorization the evicted
-//! class still holds, because without the incremental state nobody
-//! can certify it unchanged.
+//! then-current snapshot.
 //!
-//! Lock discipline: simulation, factorization, and plan construction
-//! run under the registry lock (that is what guarantees "one
-//! simulation per class" even under concurrent first queries);
+//! Lock discipline: simulation and plan construction run under the
+//! registry lock (that is what guarantees "one simulation per class"
+//! even under concurrent first queries);
 //! enumeration never does — consumers enumerate through the `Arc`s a
 //! [`ClassView`] hands out, with no lock held.
 
@@ -93,7 +85,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_pattern::{canonical_form, CanonicalForm, IsoWitness, Pattern, VarId};
 
-use crate::factorize::{factorize, Factorization};
 use crate::incremental::IncrementalSpace;
 use crate::plan::QueryPlan;
 use crate::simulation::CandidateSpace;
@@ -104,9 +95,9 @@ pub struct SpaceHandle(usize);
 
 /// Default [`ClassRegistry`] byte budget: generous enough that no test
 /// or benchmark workload in the suite evicts, small enough that a
-/// long-lived multi-tenant service stays bounded (64 MiB of spaces and
-/// factorizations for the whole Σ, shared — not per worker; what the
-/// registry holds is within a small factor of what it counts).
+/// long-lived multi-tenant service stays bounded (64 MiB of spaces for
+/// the whole Σ, shared — not per worker; what the registry holds is
+/// within a small factor of what it counts).
 pub const DEFAULT_REGISTRY_BUDGET_BYTES: usize = 64 << 20;
 
 /// Hit/miss/eviction counters of the registry, counted inside it (all
@@ -119,9 +110,9 @@ pub struct CacheStats {
     /// Class-space requests that had to simulate (first query of a
     /// class, or its first after an eviction).
     pub misses: u64,
-    /// Unpinned entries dropped by the byte budget (LRU order).
+    /// Unpinned class spaces dropped by the byte budget (LRU order).
     pub evicted_cold: u64,
-    /// Eviction attempts skipped because the entry's `Arc` was still
+    /// Eviction attempts skipped because the space's `Arc` was still
     /// held outside the registry (one count per pinned entry per
     /// enforcement pass that ended over budget).
     pub eviction_deferred_pinned: u64,
@@ -167,13 +158,6 @@ struct ClassState {
     /// never evicted.
     plan: Option<Arc<QueryPlan>>,
     last_used: u64,
-    /// Factorized match-set representation of the representative over
-    /// the current snapshot, marginals included
-    /// ([`mod@crate::factorize`]). A derivation of the space: a graph
-    /// delta that refreshes the class drops it (plans survive, facts
-    /// do not), and eviction reclaims it like any other artifact.
-    fact: Option<Arc<Factorization>>,
-    fact_bytes: usize,
 }
 
 /// One registered pattern: its class and the witness onto the class
@@ -229,12 +213,6 @@ pub(crate) fn rep_var(perm: Option<&[u32]>, v: VarId) -> VarId {
     perm.and_then(|p| p.get(v.index())).map_or(v, |&r| VarId(r))
 }
 
-/// What the budget enforcer picked to drop.
-enum Victim {
-    Class(usize),
-    ClassFact(usize),
-}
-
 #[derive(Default)]
 struct RegistryInner {
     classes: Vec<ClassState>,
@@ -249,9 +227,8 @@ struct RegistryInner {
     /// calls over one Σ.
     member_by_witness: HashMap<(usize, Vec<VarId>), usize>,
     plans_built: usize,
-    factorizations_built: usize,
     stats: CacheStats,
-    /// Accounted bytes over class spaces and class facts.
+    /// Accounted bytes over class spaces.
     bytes: usize,
     budget: usize,
     /// Pinned entries the latest enforcement pass had to skip while
@@ -263,8 +240,8 @@ struct RegistryInner {
     version: u64,
 }
 
-/// The shared, bounded, per-Σ cache of candidate spaces, query plans,
-/// and factorizations, keyed by canonical isomorphism class. See
+/// The shared, bounded, per-Σ cache of candidate spaces and query
+/// plans, keyed by canonical isomorphism class. See
 /// the module docs for the sharing model and the eviction / pinning
 /// contract.
 #[derive(Default)]
@@ -321,8 +298,6 @@ impl ClassRegistry {
                     inc_bytes: 0,
                     plan: None,
                     last_used: 0,
-                    fact: None,
-                    fact_bytes: 0,
                 });
                 (c, witness)
             }
@@ -368,45 +343,13 @@ impl ClassRegistry {
         out
     }
 
-    /// The factorized match-set representation of the member's
-    /// **class** over `g` ([`mod@crate::factorize`]), with marginals
-    /// computed: factorized once per class, in representative variable
-    /// numbering — read member variable `v` at
-    /// [`ClassView::rep_var`]`(v)`. `None` when the class's plan shape
-    /// is unfactorizable. Like spaces, a graph delta that touches the
-    /// class invalidates the factorization, and a held `Arc` defers
-    /// its eviction.
-    pub fn factorization(&self, h: SpaceHandle, g: &Graph) -> Option<Arc<Factorization>> {
-        let mut inner = self.lock();
-        let out = inner.factorization(h, g);
-        inner.enforce_budget();
-        out
-    }
-
-    /// Probe-only variant of [`factorization`](Self::factorization):
-    /// serves the class's factorization if (and only if) it is already
-    /// resident — never simulates or factorizes. The entry point for
-    /// hot paths (the unit executor's dead-pivot screen) that want
-    /// marginals when they are free but must not pay a build.
-    pub fn cached_factorization(&self, h: SpaceHandle) -> Option<Arc<Factorization>> {
-        let mut inner = self.lock();
-        let inner = &mut *inner;
-        let cls = &mut inner.classes[inner.members[h.0].class];
-        let f = Arc::clone(cls.fact.as_ref()?);
-        inner.tick += 1;
-        cls.last_used = inner.tick;
-        Some(f)
-    }
-
     /// Multi-tenant repair against one edit step: the *first* tenant to
     /// reach epoch `target` (`target == version() + 1`) applies the
     /// delta; a tenant arriving later at an epoch the registry already
     /// passed finds the work done and returns at once. Applying means
     /// **one** [`IncrementalSpace`] repair per simulated class (classes
     /// never queried are skipped — a later first query simulates
-    /// against the then-current snapshot), then dropping the
-    /// factorization of every class whose relation or per-edge
-    /// adjacency changed.
+    /// against the then-current snapshot).
     ///
     /// `d` must be normalized. Tenants must ingest the same delta
     /// stream and bump their cursor once per *non-empty* normalized
@@ -432,12 +375,11 @@ impl ClassRegistry {
         self.lock().version
     }
 
-    /// Drops every cached artifact — incremental spaces and
-    /// factorizations — so every later query rebuilds against the
-    /// then-current snapshot. Sound at any point (the caches are pure
-    /// derivations); used by detectors re-seeding after a degraded
-    /// epoch, where a mid-repair panic may have torn the incremental
-    /// state.
+    /// Drops every class space, so every later query re-simulates
+    /// against the then-current snapshot. Sound at any point (the
+    /// spaces are pure derivations); used by detectors re-seeding after
+    /// a degraded epoch, where a mid-repair panic may have torn the
+    /// incremental state.
     pub fn invalidate_all(&self) {
         let mut inner = self.lock();
         let inner = &mut *inner;
@@ -445,10 +387,6 @@ impl ClassRegistry {
             if cls.inc.take().is_some() {
                 inner.bytes -= cls.inc_bytes;
                 cls.inc_bytes = 0;
-            }
-            if cls.fact.take().is_some() {
-                inner.bytes -= cls.fact_bytes;
-                cls.fact_bytes = 0;
             }
         }
         inner.deferred_pending = 0;
@@ -493,20 +431,13 @@ impl ClassRegistry {
         self.lock().plans_built
     }
 
-    /// From-scratch factorizations built so far — the "one
-    /// d-representation per isomorphism class per epoch" probe.
-    pub fn factorizations_built(&self) -> usize {
-        self.lock().factorizations_built
-    }
-
     /// The registry's counters (every tenant's and worker's requests
     /// combined).
     pub fn stats(&self) -> CacheStats {
         self.lock().stats
     }
 
-    /// Accounted bytes currently held (class spaces + class
-    /// factorizations).
+    /// Accounted bytes currently held (class spaces).
     pub fn bytes(&self) -> usize {
         self.lock().bytes
     }
@@ -568,31 +499,6 @@ impl RegistryInner {
         }
     }
 
-    /// Builds (or serves) the class's factorization, on the
-    /// representative's space and plan. `None` when the class's plan
-    /// shape is unfactorizable (disconnected pattern or an oversized
-    /// separator) — cheap to re-answer, so declines are not cached.
-    fn factorization(&mut self, h: SpaceHandle, g: &Graph) -> Option<Arc<Factorization>> {
-        let class = self.members[h.0].class;
-        self.tick += 1;
-        self.classes[class].last_used = self.tick;
-        self.ensure_space(class, g);
-        self.ensure_class_plan(class);
-        if self.classes[class].fact.is_none() {
-            let cls = &self.classes[class];
-            let space = cls.inc.as_ref().expect("simulated above").space();
-            let plan = cls.plan.as_ref().expect("built above");
-            let fact = factorize(&cls.rep, g, space, plan)?;
-            let b = fact.approx_bytes();
-            let cls = &mut self.classes[class];
-            cls.fact = Some(Arc::new(fact));
-            cls.fact_bytes = b;
-            self.bytes += b;
-            self.factorizations_built += 1;
-        }
-        self.classes[class].fact.clone()
-    }
-
     /// [`ClassRegistry::advance`] under the lock: a no-op for an empty
     /// delta or an epoch already passed, one repair pass over every
     /// class otherwise.
@@ -607,37 +513,26 @@ impl RegistryInner {
         );
         let RegistryInner { classes, bytes, .. } = self;
         for cls in classes.iter_mut() {
-            // Caches refresh on set changes and on adjacency-only
-            // changes (a new graph edge between surviving candidates
-            // moves the per-edge runs without moving any set).
-            let refresh = match cls.inc.as_mut() {
-                Some(inc) => {
-                    let report = inc.apply_normalized(g, d);
-                    let moved = !report.is_unchanged() || report.adjacency_changed;
-                    if moved {
-                        // The recount walks every page of the space.
-                        let nb = inc.space().approx_bytes();
-                        *bytes = *bytes + nb - cls.inc_bytes;
-                        cls.inc_bytes = nb;
-                    }
-                    moved
-                }
-                // Without the incremental state nobody can certify
-                // "unchanged": a factorization that outlived its
-                // evicted space must go.
-                None => true,
+            let Some(inc) = cls.inc.as_mut() else {
+                continue;
             };
-            if refresh && cls.fact.take().is_some() {
-                *bytes -= cls.fact_bytes;
-                cls.fact_bytes = 0;
+            // Bytes move with the sets and with adjacency-only changes
+            // (a new graph edge between surviving candidates moves the
+            // per-edge runs without moving any set).
+            let report = inc.apply_normalized(g, d);
+            if !report.is_unchanged() || report.adjacency_changed {
+                // The recount walks every page of the space.
+                let nb = inc.space().approx_bytes();
+                *bytes = *bytes + nb - cls.inc_bytes;
+                cls.inc_bytes = nb;
             }
         }
         self.version = target;
         self.enforce_budget();
     }
 
-    /// Evicts least-recently-used unpinned entries until the budget
-    /// holds; pinned entries are skipped (and counted) — see the
+    /// Evicts least-recently-used unpinned class spaces until the
+    /// budget holds; pinned spaces are skipped (and counted) — see the
     /// module-level contract.
     fn enforce_budget(&mut self) {
         loop {
@@ -645,42 +540,22 @@ impl RegistryInner {
                 self.deferred_pending = 0;
                 return;
             }
-            let mut victim: Option<(u64, Victim)> = None;
+            let mut victim: Option<(u64, usize)> = None;
             let mut pinned = 0u64;
-            fn consider(last: u64, v: Victim, best: &mut Option<(u64, Victim)>) {
-                if best.as_ref().is_none_or(|(t, _)| last < *t) {
-                    *best = Some((last, v));
-                }
-            }
             for (c, cls) in self.classes.iter().enumerate() {
                 // Never evict what was touched at the current tick —
                 // that is what the caller just asked for.
-                if cls.last_used == self.tick {
+                let Some(inc) = cls.inc.as_ref().filter(|_| cls.last_used != self.tick) else {
                     continue;
-                }
-                if let Some(f) = &cls.fact {
-                    if Arc::strong_count(f) == 1 {
-                        consider(cls.last_used, Victim::ClassFact(c), &mut victim);
-                    } else {
-                        pinned += 1;
-                    }
-                }
-                if let Some(inc) = &cls.inc {
-                    if Arc::strong_count(inc.space_arc_ref()) == 1 {
-                        consider(cls.last_used, Victim::Class(c), &mut victim);
-                    } else {
-                        pinned += 1;
-                    }
+                };
+                if Arc::strong_count(inc.space_arc_ref()) > 1 {
+                    pinned += 1;
+                } else if victim.is_none_or(|(t, _)| cls.last_used < t) {
+                    victim = Some((cls.last_used, c));
                 }
             }
             match victim {
-                Some((_, Victim::ClassFact(c))) => {
-                    self.classes[c].fact = None;
-                    self.bytes -= self.classes[c].fact_bytes;
-                    self.classes[c].fact_bytes = 0;
-                    self.stats.evicted_cold += 1;
-                }
-                Some((_, Victim::Class(c))) => {
+                Some((_, c)) => {
                     self.classes[c].inc = None;
                     self.bytes -= self.classes[c].inc_bytes;
                     self.classes[c].inc_bytes = 0;
@@ -1054,63 +929,9 @@ mod tests {
         assert!(reg.bytes() <= sizes[0]);
     }
 
-    /// One factorization serves the whole class: isomorphic members
-    /// read the one build at their representative variables, counts
-    /// agree with enumeration, and a graph delta that touches the class
-    /// drops the cached factorization (epoch invalidation — like
-    /// spaces, never plans).
-    #[test]
-    fn factorizations_are_shared_and_invalidated_per_epoch() {
-        let g = triangle_graph();
-        let members = [
-            triangle_pattern(&g, [0, 1, 2]),
-            triangle_pattern(&g, [2, 0, 1]),
-        ];
-        let reg = ClassRegistry::new();
-        let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
-        assert!(
-            reg.cached_factorization(handles[0]).is_none(),
-            "probe never builds"
-        );
-        for (q, &h) in members.iter().zip(&handles) {
-            let f = reg.factorization(h, &g).expect("triangles factorize");
-            assert_eq!(f.count(), Some(2), "two triangles in the graph");
-            assert!(f.has_marginals());
-            // Marginals read at the representative variable agree with
-            // per-pivot enumeration of the member's own pattern.
-            let x = q.var_by_name("x").unwrap();
-            let rep_x = reg.space(h, &g).rep_var(x);
-            for n in g.nodes() {
-                let pinned = ComponentSearch::new(q, &g)
-                    .pins(&[(x, n)])
-                    .collect_all()
-                    .len();
-                assert_eq!(f.marginal(rep_x, n), Some(pinned as u64));
-            }
-        }
-        assert_eq!(reg.simulations(), 1);
-        assert_eq!(reg.plans_built(), 1);
-        assert!(
-            reg.cached_factorization(handles[1]).is_some(),
-            "resident after build"
-        );
-        // An edit that touches the class invalidates the factorization…
-        let (g2, delta) = g.edit_with_delta(|b| {
-            b.remove_edge_labeled(NodeId(0), NodeId(1), "e");
-        });
-        reg.apply(&g2, &delta);
-        assert!(
-            reg.cached_factorization(handles[0]).is_none(),
-            "delta drops facts"
-        );
-        // …and the rebuild counts against the new snapshot.
-        let f = reg.factorization(handles[0], &g2).unwrap();
-        assert_eq!(f.count(), Some(1), "one triangle left");
-    }
-
     /// Twins cost no bytes: whatever `k` declaration-order twins of one
-    /// class query — spaces, plans, factorizations — the registry holds
-    /// what it held after the first.
+    /// class query — spaces and plans — the registry holds what it held
+    /// after the first.
     #[test]
     fn twins_share_the_class_artifacts_byte_for_byte() {
         let g = triangle_graph();
@@ -1123,64 +944,23 @@ mod tests {
         let reg = ClassRegistry::new();
         let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
         assert_eq!((reg.class_count(), reg.member_count()), (1, 4));
-        let first_space = reg.space_and_plan(handles[0], &g).space;
-        let first_fact = reg
-            .factorization(handles[0], &g)
-            .expect("triangles factorize");
+        let first = reg.space_and_plan(handles[0], &g);
         let after_one = reg.bytes();
         assert!(after_one > 0);
         for &h in &handles[1..] {
-            assert!(Arc::ptr_eq(&reg.space_and_plan(h, &g).space, &first_space));
-            assert!(Arc::ptr_eq(&reg.factorization(h, &g).unwrap(), &first_fact));
+            let view = reg.space_and_plan(h, &g);
+            assert!(Arc::ptr_eq(&view.space, &first.space));
+            assert!(Arc::ptr_eq(
+                view.plan.as_ref().unwrap(),
+                first.plan.as_ref().unwrap()
+            ));
         }
         assert_eq!(
             reg.bytes(),
             after_one,
             "a twin is a permutation, not a copy"
         );
-        assert_eq!(
-            (
-                reg.simulations(),
-                reg.plans_built(),
-                reg.factorizations_built()
-            ),
-            (1, 1, 1)
-        );
-    }
-
-    /// The satellite-2 contract: factorization bytes count against the
-    /// global budget, a held factorization handle defers its eviction
-    /// through a storm, and the deferral drains only after release.
-    #[test]
-    fn pinned_factorizations_defer_eviction_and_drain_after_release() {
-        let g = triangle_graph();
-        let q = triangle_pattern(&g, [0, 1, 2]);
-        let reg = ClassRegistry::new();
-        let h = reg.register(&q);
-        let held = reg.factorization(h, &g).expect("triangles factorize");
-        let fact_bytes = held.approx_bytes();
-        assert!(reg.bytes() >= fact_bytes, "facts are accounted");
-        // Shrink the budget below the factorization alone, then storm
-        // the registry with other classes' spaces: every pass stays
-        // over budget, the held factorization is skipped (deferred),
-        // everything else drains.
-        let reg = ClassRegistry::with_budget_bytes(fact_bytes / 2);
-        let h = reg.register(&q);
-        let held = reg.factorization(h, &g).expect("factorizes");
-        let others = [chain_pattern(&g, [0, 1, 2]), edge_pattern(&g)].map(|q| reg.register(&q));
-        for _ in 0..3 {
-            for o in others {
-                reg.space(o, &g);
-            }
-        }
-        assert!(reg.stats().evicted_cold > 0, "the storm did evict");
-        reg.sweep();
-        assert!(reg.deferred_pending() > 0, "the held fact must defer");
-        assert_eq!(held.count(), Some(2), "held handle still reads correctly");
-        drop(held);
-        reg.sweep();
-        assert_eq!(reg.deferred_pending(), 0, "pin dropped ⇒ drained");
-        assert!(reg.bytes() <= reg.budget_bytes());
+        assert_eq!((reg.simulations(), reg.plans_built()), (1, 1));
     }
 
     /// A whole evicted class is skipped by `apply` (there is nothing to
@@ -1333,25 +1113,28 @@ mod tests {
         assert!(runs_only >= 1, "premise: some epoch moved runs but no set");
     }
 
-    /// `invalidate_all` drops every derived artifact; later queries
-    /// rebuild against the current snapshot.
+    /// `invalidate_all` drops every class space; later queries
+    /// re-simulate against the current snapshot.
     #[test]
     fn invalidate_all_rebuilds_from_current_snapshot() {
         let g = chain_graph();
         let q = chain_pattern(&g, [0, 1, 2]);
         let reg = ClassRegistry::new();
         let h = reg.register(&q);
-        assert!(reg.factorization(h, &g).is_some(), "chains factorize");
+        let held = reg.space(h, &g).space;
         assert!(reg.bytes() > 0);
         reg.invalidate_all();
         assert_eq!(reg.bytes(), 0);
-        assert!(reg.cached_factorization(h).is_none());
+        let fresh = reg.space(h, &g).space;
+        assert!(!Arc::ptr_eq(&held, &fresh), "the space was dropped");
+        assert_eq!(reg.simulations(), 2, "and re-simulated");
+        reg.invalidate_all();
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
         reg.apply(&g2, &delta);
         assert_matches_scratch(&reg, h, &q, &g2);
-        assert_eq!(reg.simulations(), 2);
+        assert_eq!(reg.simulations(), 3);
     }
 
     /// A space handle held across a repair keeps its pre-repair

@@ -36,7 +36,7 @@
 //! repVal-vs-disVal comparisons reproduce faithfully. All workers
 //! share one `Arc<Graph>` CSR snapshot — never per-worker copies — and
 //! read one [`gfd_match::ClassRegistry`] serving tier for candidate
-//! spaces, query plans and factorizations, so a simulation paid by any
+//! spaces and query plans, so a simulation paid by any
 //! worker (or co-tenant service) serves every other. Workers are
 //! **panic-isolated**: a unit that panics is caught, retried on a
 //! healthy worker with bounded backoff, and quarantined-and-reported

@@ -329,8 +329,8 @@ impl ViolationService {
 
     /// Multi-tenant construction: starts the service over a **shared**
     /// [`ClassRegistry`]. N services (plus threaded executors and
-    /// workload maintainers) can serve off one registry — simulations,
-    /// plans and factorizations are paid once across all of them,
+    /// workload maintainers) can serve off one registry — simulations
+    /// and plans are paid once across all of them,
     /// under the registry's single byte budget. Tenants sharing a
     /// registry must ingest the same edit stream (the first tenant to
     /// reach an epoch repairs the registry; a later `advance` at an

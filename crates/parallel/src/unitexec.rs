@@ -28,19 +28,16 @@
 //! *multi-query* optimization (appendix, following \[31\]) on, every
 //! component enumerates through its isomorphism class's candidate
 //! space and query plan in the shared [`ClassRegistry`], one registry
-//! lookup per unit and component, and pivots a *resident* class
-//! factorization proves matchless are skipped before any search.
-//! Without it every enumeration searches the raw graph privately.
+//! lookup per unit and component. Without it every enumeration
+//! searches the raw graph privately.
 //! Either way a warm [`UnitExecutor::run`] call performs **zero heap
 //! allocations** (asserted by the `alloc_probe` test and the
 //! `alloc/unit_exec_steady_state` bench sample).
 
-use std::sync::Arc;
-
 use gfd_core::group::{for_each_group_violation, GroupScratch, Pins, Pools, RuleGroups};
 use gfd_core::{GfdSet, Violation};
 use gfd_graph::Graph;
-use gfd_match::{ClassRegistry, ClassView, Factorization, Match, SpaceHandle};
+use gfd_match::{ClassRegistry, ClassView, Match, SpaceHandle};
 
 pub use gfd_match::CacheStats;
 
@@ -53,9 +50,8 @@ use crate::workload::{ComponentPlan, PivotedRule, UnitSlot, WorkUnit};
 pub struct UnitScratch {
     group: GroupScratch,
     /// Per component of the unit in flight (multi-query on): its class
-    /// view and resident factorization, released when the unit ends.
+    /// view, released when the unit ends.
     views: Vec<ClassView>,
-    facts: Vec<Option<Arc<Factorization>>>,
 }
 
 impl UnitScratch {
@@ -65,8 +61,7 @@ impl UnitScratch {
     }
 
     /// Pinned enumerations run through this scratch so far — one per
-    /// pivot that reached the search (pivots screened as provably dead
-    /// never do), however many rules the unit's group holds.
+    /// pivot, however many rules the unit's group holds.
     pub fn pinned_enumerations(&self) -> u64 {
         self.group.enumerations()
     }
@@ -136,23 +131,17 @@ impl<'a> UnitExecutor<'a> {
         let UnitScratch {
             group: primitive,
             views,
-            facts,
         } = scratch;
         if !primitive.select(group, |_| true) {
             return; // X → ∅ can never be violated
         }
         // With multi-query on, each component's class space and plan
-        // are fetched once for the unit, and a *resident* class
-        // factorization (probe only — never built here) screens pivots:
-        // overflowed counts prove nothing and are left out.
+        // are fetched once for the unit.
         let pools = match &self.handles {
             Some(handles) => {
-                for &h in &handles[group.rep] {
-                    views.push(self.registry.space_and_plan(h, self.g));
-                    let fact = self.registry.cached_factorization(h);
-                    facts.push(fact.filter(|f| !f.overflowed()));
-                }
-                Pools::Classes(views, facts)
+                let fetch = |&h: &SpaceHandle| self.registry.space_and_plan(h, self.g);
+                views.extend(handles[group.rep].iter().map(fetch));
+                Pools::Classes(views)
             }
             None => Pools::Raw,
         };
@@ -173,7 +162,6 @@ impl<'a> UnitExecutor<'a> {
             });
         }
         views.clear();
-        facts.clear();
     }
 }
 
@@ -198,6 +186,7 @@ mod tests {
     use gfd_match::types::Flow;
     use gfd_match::{for_each_match_with, MatchOptions, MatchScratch};
     use gfd_pattern::PatternBuilder;
+    use std::sync::Arc;
 
     /// Flights with duplicate ids but mismatched destinations.
     fn flights(n_dup: usize) -> Graph {
@@ -389,59 +378,5 @@ mod tests {
         registry.sweep();
         assert_eq!(registry.deferred_pending(), 0, "pin dropped ⇒ drained");
         assert!(registry.bytes() <= 16);
-    }
-
-    /// The dead-pivot screen: with a resident factorization, pivots
-    /// carrying zero marginal mass are never enumerated. The 4-cycle
-    /// survives dual simulation — its checks are degree-local, blind to
-    /// cycle length — so the workload still schedules its pivots; the
-    /// probe-only screen is what kills them.
-    #[test]
-    fn resident_factorization_screens_dead_pivots() {
-        let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
-        let tri: Vec<_> = (0..3).map(|_| b.add_node_labeled("person")).collect();
-        for k in 0..3 {
-            b.add_edge_labeled(tri[k], tri[(k + 1) % 3], "knows");
-        }
-        let cyc: Vec<_> = (0..4).map(|_| b.add_node_labeled("person")).collect();
-        for k in 0..4 {
-            b.add_edge_labeled(cyc[k], cyc[(k + 1) % 4], "knows");
-        }
-        let g = b.freeze();
-        let mut pb = PatternBuilder::new(g.vocab().clone());
-        let x = pb.node("x", "person");
-        let y = pb.node("y", "person");
-        let z = pb.node("z", "person");
-        pb.edge(x, y, "knows");
-        pb.edge(y, z, "knows");
-        pb.edge(z, x, "knows");
-        let val = g.vocab().intern("val");
-        let gfd = Gfd::new(
-            "tri",
-            pb.build(),
-            Dependency::always(vec![Literal::const_eq(x, val, "__never")]),
-        );
-        let sigma = GfdSet::new(vec![gfd]);
-        let plans = plan_rules(&sigma);
-        let mut expected = detect_violations(&sigma, &g);
-        sort_violations(&mut expected);
-        assert_eq!(expected.len(), 3, "one rotation per triangle pivot");
-
-        // Cold: all seven simulation-admitted pivots reach the search.
-        let (cold, enumerated) = run_all_units_in(&g, &sigma, true, &ClassRegistry::new());
-        assert_eq!(cold, expected);
-        assert_eq!(enumerated, 7, "dual simulation admits the 4-cycle");
-
-        // Warm the class factorization, as a planner or validator
-        // sharing the registry would have.
-        let registry = ClassRegistry::new();
-        let h = registry.register(&plans[0].components[0].pattern);
-        assert!(registry.factorization(h, &g).is_some());
-        let (warm, enumerated) = run_all_units_in(&g, &sigma, true, &registry);
-        assert_eq!(warm, expected);
-        assert_eq!(
-            enumerated, 3,
-            "the 4-cycle's dead pivots must never be enumerated"
-        );
     }
 }

@@ -788,9 +788,7 @@ mod tests {
     /// Estimation prices and prunes by dual simulation alone: a 4-cycle
     /// fools it (its checks are degree-local, blind to cycle length),
     /// so the 4-cycle's pivots become units at the ordinary
-    /// `|block| × width` cost. Screening such provably matchless
-    /// pivots is the executor's job (`UnitExecutor::run`'s
-    /// cached-factorization probe), not the estimator's.
+    /// `|block| × width` cost; executing them finds no match.
     #[test]
     fn simulation_admitted_pivots_all_become_units_at_proxy_cost() {
         let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();

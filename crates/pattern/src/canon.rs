@@ -26,7 +26,7 @@
 //! isomorphic patterns land in corresponding cells), cells are ordered
 //! by color value, and the canonical order is the cell-respecting
 //! permutation whose structure encoding is lexicographically smallest.
-//! The encoding is built position-major (see [`Search`]) so the DFS
+//! The encoding is built position-major (see `Search`) so the DFS
 //! prunes every branch whose prefix already exceeds the incumbent —
 //! symmetric uniform-label patterns (one big WL cell, `n!` orders)
 //! collapse to near-linear work instead of `n!` full encodings. GFD
@@ -252,7 +252,8 @@ impl Search<'_> {
 }
 
 /// Computes the canonical form of a pattern. See the module docs for
-/// the algorithm and [`Search`] for the prefix-pruned encoding.
+/// the algorithm and the private `Search` for the prefix-pruned
+/// encoding.
 pub fn canonical_form(q: &Pattern) -> CanonicalForm {
     let n = q.node_count();
     let colors = wl_colors(q);

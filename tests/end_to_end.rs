@@ -176,9 +176,8 @@ fn clean_twin_consistency_rule_fires_only_after_corruption() {
 /// One rule group per pattern class, every member with its own
 /// consequent: four permuted declarations of the triangle `a → b → c →
 /// a` — two ordinary rules, one all-constant `Y` that holds everywhere
-/// (the factorized marginal skip takes it out of the row loop) and one
-/// whose `X` never holds — and a disconnected symmetric pair of `c → a`
-/// edges declared twice, the twins joining on different
+/// and one whose `X` never holds — and a disconnected symmetric pair
+/// of `c → a` edges declared twice, the twins joining on different
 /// cross-component `X` literals. Every path that serves them — `detVio`
 /// (private and over the warm shared registry), the incremental
 /// detector across a 20-step edit script, the threaded executor (cold
@@ -432,9 +431,7 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
             let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
             let thr = threaded::run_units_threaded(&g, &sigma, &wl.plans, &wl.units, &wl.slots, 2);
             assert_eq!(thr, expected, "threaded, step {step}");
-            // Over the shared registry the triangle's factorization is
-            // resident (detVio's marginal skip built it), so the
-            // executor's dead-pivot screen reads it too.
+            // The executor over the registry detVio keeps warm.
             let warm = threaded::run_units_threaded_report(
                 &g, &sigma, &wl.plans, &wl.units, &wl.slots, &registry, 2, None, 0,
             );
