@@ -24,8 +24,8 @@
 //!   [`GraphDelta::check_against`] validates against either side
 //!   ([`DeltaBase`]), and the delta feeds the incremental maintenance
 //!   subsystems in `gfd-match`/`gfd-core`/`gfd-parallel`;
-//! * `k`-hop neighborhoods and induced subgraphs — the data blocks
-//!   `G_z̄` of work units (module [`neighborhood`]);
+//! * `k`-hop neighborhoods — the data blocks `G_z̄` of `disVal`'s byte
+//!   model (module [`neighborhood`]);
 //! * sorted-slice intersection kernels (merge + galloping) used by the
 //!   matcher's candidate-pool refinement (module [`intersect`]);
 //! * fragmentations `(F_1, …, F_n)` with in-/out-border nodes for the

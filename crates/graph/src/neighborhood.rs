@@ -1,22 +1,19 @@
-//! `k`-hop neighborhoods and induced subgraphs — the data blocks `G_z̄`.
+//! `k`-hop neighborhoods — the node side of the data blocks `G_z̄` —
+//! and [`NodeSet`], the sorted node-id set that also scopes a
+//! simulation.
 //!
-//! §5.2: a work unit for a GFD `ϕ` with pivot vector
-//! `PV(ϕ) = ((z_1, c¹_Q), …)` carries, for each pivot candidate
-//! `σ(z_i)`, the subgraph induced by all nodes within `c^i_Q` hops.
-//! "Hops" are undirected: by the locality of subgraph isomorphism,
-//! every node of a match is within radius hops of the pivot's image
-//! along undirected paths.
+//! §5.2: the data block of a pivot candidate `σ(z_i)` of a GFD with
+//! pivot vector `PV(ϕ) = ((z_1, c¹_Q), …)` is everything within
+//! `c^i_Q` hops. "Hops" are undirected: by the locality of subgraph
+//! isomorphism, every node of a match is within radius hops of the
+//! pivot's image along undirected paths.
 //!
-//! Data blocks are represented as [`NodeSet`]s (sorted node-id sets)
-//! instead of copied graphs. A search pinned at the pivot cannot leave
-//! the block, so the matcher never consults it: a block is what a work
-//! unit *costs* (its size, the bytes shipped for it). An
-//! explicit [`induced_subgraph`] is provided for when a standalone
-//! graph is needed (tests, shipping blocks between fragments).
+//! A block is `disVal`'s byte model — the nodes a fragment would ship
+//! to assemble it — and nothing else builds one: a pinned search cannot
+//! leave the block, so the matcher never consults it, and the workload
+//! model prices a unit from its pivots' candidate space instead.
 
-use std::collections::HashMap;
-
-use crate::graph::{Graph, GraphBuilder, NodeId};
+use crate::graph::{Graph, NodeId};
 
 /// A sorted set of node ids; the node side of a data block `G_z̄`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -62,32 +59,6 @@ impl NodeSet {
     pub fn as_slice(&self) -> &[NodeId] {
         &self.sorted
     }
-
-    /// Set union.
-    pub fn union(&self, other: &NodeSet) -> NodeSet {
-        let mut merged = Vec::with_capacity(self.len() + other.len());
-        merged.extend_from_slice(&self.sorted);
-        merged.extend_from_slice(&other.sorted);
-        NodeSet::from_vec(merged)
-    }
-
-    /// Number of edges of `g` with both endpoints inside the set.
-    pub fn internal_edge_count(&self, g: &Graph) -> usize {
-        self.iter()
-            .map(|u| {
-                g.out_slice(u)
-                    .iter()
-                    .filter(|a| self.contains(a.node))
-                    .count()
-            })
-            .sum()
-    }
-
-    /// `|G_z̄| = nodes + internal edges` — the block-size measure used by
-    /// workload estimation (Example 11).
-    pub fn block_size(&self, g: &Graph) -> usize {
-        self.len() + self.internal_edge_count(g)
-    }
 }
 
 impl FromIterator<NodeId> for NodeSet {
@@ -99,8 +70,8 @@ impl FromIterator<NodeId> for NodeSet {
 /// All nodes within `k` undirected hops of any seed (including seeds).
 ///
 /// Dense-bitmap BFS: one `|V|`-byte visited array beats hash-map
-/// bookkeeping for the small, frequent blocks workload estimation
-/// builds (one per pivot candidate).
+/// bookkeeping for the small, frequent blocks `disVal` builds (one per
+/// range of pivot candidates).
 pub fn khop_nodes(g: &Graph, seeds: &[NodeId], k: usize) -> NodeSet {
     let mut visited = vec![false; g.node_count()];
     khop_nodes_scratch(g, seeds, k, &mut visited)
@@ -143,34 +114,10 @@ pub fn khop_nodes_scratch(g: &Graph, seeds: &[NodeId], k: usize, visited: &mut [
     NodeSet::from_vec(reached)
 }
 
-/// Materializes the subgraph of `g` induced by `nodes`.
-///
-/// Returns the new graph and the mapping from original node ids to ids
-/// in the new graph. Labels/attributes are preserved; the new graph
-/// shares `g`'s vocabulary.
-pub fn induced_subgraph(g: &Graph, nodes: &NodeSet) -> (Graph, HashMap<NodeId, NodeId>) {
-    let mut sub = GraphBuilder::new(g.vocab().clone());
-    let mut map = HashMap::with_capacity(nodes.len());
-    for u in nodes.iter() {
-        let nu = sub.add_node(g.label(u));
-        for (a, v) in g.attrs(u).iter() {
-            sub.set_attr(nu, a, v.clone());
-        }
-        map.insert(u, nu);
-    }
-    for u in nodes.iter() {
-        for a in g.out_slice(u) {
-            if let Some(&nv) = map.get(&a.node) {
-                sub.add_edge(map[&u], nv, a.label);
-            }
-        }
-    }
-    (sub.freeze(), map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphBuilder;
 
     /// A directed path a -> b -> c -> d plus an edge e -> c.
     fn path_graph() -> (Graph, Vec<NodeId>) {
@@ -212,37 +159,5 @@ mod tests {
             prev = set.len();
         }
         assert_eq!(khop_nodes(&g, &[ns[0]], 4).len(), 5);
-    }
-
-    #[test]
-    fn block_size_counts_nodes_and_internal_edges() {
-        let (g, ns) = path_graph();
-        let set = khop_nodes(&g, &[ns[2]], 1); // {b, c, d, e}
-                                               // Internal edges: b->c, c->d, e->c.
-        assert_eq!(set.internal_edge_count(&g), 3);
-        assert_eq!(set.block_size(&g), 7);
-    }
-
-    #[test]
-    fn induced_subgraph_preserves_structure() {
-        let (g, ns) = path_graph();
-        let set = khop_nodes(&g, &[ns[2]], 1);
-        let (sub, map) = induced_subgraph(&g, &set);
-        assert_eq!(sub.node_count(), 4);
-        assert_eq!(sub.edge_count(), 3);
-        let e = g.vocab().lookup("e").unwrap();
-        assert!(sub.has_edge(map[&ns[1]], map[&ns[2]], e));
-        assert!(sub.has_edge(map[&ns[4]], map[&ns[2]], e));
-        assert_eq!(sub.label(map[&ns[2]]), g.label(ns[2]));
-    }
-
-    #[test]
-    fn nodeset_union_and_membership() {
-        let a = NodeSet::from_vec(vec![NodeId(1), NodeId(3)]);
-        let b = NodeSet::from_vec(vec![NodeId(2), NodeId(3)]);
-        let u = a.union(&b);
-        assert_eq!(u.len(), 3);
-        assert!(u.contains(NodeId(1)) && u.contains(NodeId(2)) && u.contains(NodeId(3)));
-        assert!(!u.contains(NodeId(0)));
     }
 }

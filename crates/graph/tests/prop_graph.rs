@@ -11,9 +11,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use gfd_graph::{
-    graph::same_snapshot,
-    neighborhood::{induced_subgraph, khop_nodes},
-    EquiDepthHistogram, Fragmentation, Graph, GraphBuilder, NodeId, PartitionStrategy, Sym,
+    graph::same_snapshot, neighborhood::khop_nodes, EquiDepthHistogram, Fragmentation, Graph,
+    GraphBuilder, NodeId, PartitionStrategy, Sym,
 };
 use gfd_util::{prop::check, prop_assert, Rng};
 
@@ -586,23 +585,6 @@ fn fragmentation_covers() {
         }
         Ok(())
     });
-}
-
-#[test]
-fn induced_subgraph_edge_count() {
-    check(
-        "induced subgraphs keep exactly the internal edges",
-        60,
-        |rng| {
-            let (g, _) = random_graph(rng, 16, 3, 3);
-            let k = rng.gen_range(0..3);
-            let set = khop_nodes(&g, &[NodeId(0)], k);
-            let (sub, _) = induced_subgraph(&g, &set);
-            prop_assert!(sub.node_count() == set.len());
-            prop_assert!(sub.edge_count() == set.internal_edge_count(&g));
-            Ok(())
-        },
-    );
 }
 
 #[test]

@@ -9,9 +9,10 @@
 //! Procedure `disPar` estimates partial work units per fragment,
 //! assembles complete units at the coordinator, and assigns them with
 //! a greedy bi-criteria strategy (Prop. 13): process units in
-//! descending cost; among the workers whose projected load stays
-//! within a slack of the best, pick the one that needs the least data
-//! shipped. Procedure `dlocalVio` then evaluates each unit with one of
+//! descending cost; among the workers whose current load is within
+//! `max(15 % of the minimum load, the unit's cost)` of the minimum,
+//! pick the one that needs the least data shipped. Procedure
+//! `dlocalVio` then evaluates each unit with one of
 //! two schemes, whichever is estimated cheaper (the appendix's
 //! *prefetching* vs *partial detection*):
 //!
@@ -25,21 +26,26 @@
 //! seconds that a real deployment would spend shipping data are
 //! charged to the communication clocks — so violations are exact and
 //! the communication behaviour (Fig. 5(j–l)) is faithfully modeled.
+//!
+//! The data blocks `G_z̄` are this byte model's alone: a work unit is
+//! its pivot ranges, and [`dis_val`] builds one `c^i_Q`-hop block per
+//! distinct range of its workload while estimating.
 
 use std::cmp::Reverse;
 use std::sync::Arc;
 
-use gfd_util::FxHashSet;
+use gfd_util::{FxHashMap, FxHashSet};
 
 use gfd_core::GfdSet;
-use gfd_graph::{Fragmentation, Graph, NodeId};
+use gfd_graph::neighborhood::khop_nodes_scratch;
+use gfd_graph::{Fragmentation, Graph, NodeId, NodeSet};
 use gfd_match::simulation_sets;
 
 use crate::balance::random_assign;
 use crate::cluster::{drive, Protocol, Run, Setup, SimClocks, Traffic};
 use crate::metrics::ParallelReport;
 use crate::opt::SplitUnit;
-use crate::workload::{PivotedRule, UnitSlot, WorkloadOptions};
+use crate::workload::{PivotedRule, UnitSlot, Workload, WorkloadOptions};
 use crate::Assignment;
 
 /// Load-balance slack of the bi-criteria greedy: a worker is
@@ -135,14 +141,14 @@ pub(crate) const PARTIAL_REFINE_MAX_BLOCK: usize = 256;
 fn partial_match_bytes(
     g: &Graph,
     plans: &[PivotedRule],
-    slots: &[UnitSlot],
+    blocks: &[Arc<NodeSet>],
     su: &SplitUnit,
 ) -> u64 {
     let rule = &plans[su.unit.rule()];
-    let unit_slots = su.unit.slots(slots);
+    let unit_blocks = su.unit.slots(blocks);
     let mut bytes = 0u64;
     for (i, comp) in rule.components.iter().enumerate() {
-        let block = &unit_slots[i.min(unit_slots.len() - 1)].block;
+        let block = &unit_blocks[i.min(unit_blocks.len() - 1)];
         let rows = if block.len() <= PARTIAL_REFINE_MAX_BLOCK {
             let sets = simulation_sets(&comp.pattern, g, Some(block));
             sets.iter().map(Vec::len).sum::<usize>() as u64
@@ -161,8 +167,31 @@ fn partial_match_bytes(
 
 /// The nodes of a unit's blocks, one block per slot (a node in two
 /// blocks comes twice).
-fn block_nodes(slots: &[UnitSlot]) -> impl Iterator<Item = NodeId> + '_ {
-    slots.iter().flat_map(|slot| slot.block.iter())
+fn block_nodes(blocks: &[Arc<NodeSet>]) -> impl Iterator<Item = NodeId> + '_ {
+    blocks.iter().flat_map(|block| block.iter())
+}
+
+/// The data block of every slot of `wl`, index for index: the
+/// `c^i_Q`-hop neighbourhood of the slot's pivot range, one multi-source
+/// BFS per distinct `(list, lo, hi, radius)` — slots over the same range
+/// share one `Arc`.
+fn slot_blocks(g: &Graph, wl: &Workload) -> Vec<Arc<NodeSet>> {
+    let mut visited = vec![false; g.node_count()];
+    let mut cache = FxHashMap::default();
+    let mut blocks = Vec::with_capacity(wl.slots.len());
+    // Units tile the arena in order, so pushing per unit fills it
+    // index for index.
+    for unit in &wl.units {
+        let comps = &wl.plans[unit.rule()].components;
+        for (slot, c) in unit.slots(&wl.slots).iter().zip(comps) {
+            let range = (slot.pivots.as_ptr(), slot.lo, slot.hi, c.radius);
+            let block = cache.entry(range).or_insert_with(|| {
+                Arc::new(khop_nodes_scratch(g, slot.range(), c.radius, &mut visited))
+            });
+            blocks.push(Arc::clone(block));
+        }
+    }
+    blocks
 }
 
 /// Runs `disVal` on a fragmented graph.
@@ -189,8 +218,13 @@ pub fn dis_val(
         split_threshold: cfg.split_threshold,
         workload: &cfg.workload,
     };
-    let blocks = Vec::new();
-    drive(sigma, g, setup, &mut Fragmented { cfg, frag, blocks })
+    let mut protocol = Fragmented {
+        cfg,
+        frag,
+        blocks: Vec::new(),
+        block_bytes: Vec::new(),
+    };
+    drive(sigma, g, setup, &mut protocol)
 }
 
 /// `disVal`'s protocol: procedure `disPar`'s partial units, the
@@ -199,17 +233,21 @@ pub fn dis_val(
 struct Fragmented<'a> {
     cfg: &'a DisValConfig,
     frag: &'a Fragmentation,
+    /// The data block of every slot of the workload, index for index.
+    blocks: Vec<Arc<NodeSet>>,
     /// Per unit, its block bytes `|G_z̄|` in total and per fragment.
-    blocks: Vec<(u64, Vec<u64>)>,
+    block_bytes: Vec<(u64, Vec<u64>)>,
 }
 
 impl Protocol for Fragmented<'_> {
     /// `disPar`: every fragment owning a pivot of a unit ships the
     /// coordinator a partial unit — batched into one message per
     /// fragment (`M_i`) — carrying its share `|G^j_z̄|` of the unit's
-    /// block bytes, computed while estimating.
+    /// block bytes, computed while estimating from the blocks built
+    /// here ([`slot_blocks`]).
     fn prepare(&mut self, run: &Run, clocks: &mut SimClocks) {
         let frag = self.frag;
+        self.blocks = slot_blocks(run.g, run.wl);
         let mut descriptors = vec![0u64; run.n];
         for unit in &run.wl.units {
             let slots = unit.slots(&run.wl.slots);
@@ -223,10 +261,10 @@ impl Protocol for Fragmented<'_> {
             }
             let mut by_frag = vec![0u64; run.n];
             let mut seen = FxHashSet::default();
-            for node in block_nodes(slots).filter(|&node| seen.insert(node)) {
+            for node in block_nodes(unit.slots(&self.blocks)).filter(|&node| seen.insert(node)) {
                 by_frag[frag.owner(node).index()] += run.g.node_wire_size(node) as u64;
             }
-            self.blocks.push((by_frag.iter().sum(), by_frag));
+            self.block_bytes.push((by_frag.iter().sum(), by_frag));
         }
         for (w, bytes) in descriptors.into_iter().enumerate() {
             if bytes > 0 {
@@ -249,7 +287,7 @@ impl Protocol for Fragmented<'_> {
         let mut out = vec![0usize; split.len()];
         for i in order {
             let cost = split[i].cost();
-            let (total, by_frag) = &self.blocks[split[i].unit_index];
+            let (total, by_frag) = &self.block_bytes[split[i].unit_index];
             // Invariant: the driver asserts `n > 0`.
             let min_load = *load.iter().min().expect("n > 0");
             let slack = ((min_load as f64 * BALANCE_SLACK) as u64).max(cost);
@@ -271,15 +309,15 @@ impl Protocol for Fragmented<'_> {
     /// Shipment streams in bulk, so latency is paid per kind and bytes
     /// per node or row.
     fn ship(&self, run: &Run, worker: usize, shares: &[SplitUnit], traffic: &mut Traffic) {
-        let (g, slots, frag) = (run.g, &run.wl.slots, self.frag);
+        let (g, blocks, frag) = (run.g, &self.blocks, self.frag);
         let mut cache: FxHashSet<NodeId> = FxHashSet::default();
         for su in shares.iter().filter(|su| su.of == 1) {
-            let missing: FxHashSet<NodeId> = block_nodes(su.unit.slots(slots))
+            let missing: FxHashSet<NodeId> = block_nodes(su.unit.slots(blocks))
                 .filter(|&node| frag.owner(node).index() != worker && !cache.contains(&node))
                 .collect();
             let fetch: u64 = missing.iter().map(|&n| g.node_wire_size(n) as u64).sum();
             if self.cfg.scheme_choice {
-                let part = partial_match_bytes(g, &run.wl.plans, slots, su);
+                let part = partial_match_bytes(g, &run.wl.plans, blocks, su);
                 if part < fetch {
                     traffic.partial += part;
                     continue;
@@ -424,7 +462,7 @@ mod tests {
     #[test]
     fn partial_match_estimate_crossover() {
         use crate::opt::SplitUnit;
-        use crate::workload::{UnitSlot, WorkUnit};
+        use crate::workload::WorkUnit;
         use gfd_graph::neighborhood::khop_nodes;
 
         let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
@@ -454,44 +492,35 @@ mod tests {
             )
         }]);
         let plans = plan_rules(&sigma);
-        let mk_unit = |slots: &mut Vec<UnitSlot>, block: Arc<gfd_graph::NodeSet>, pivot| {
-            let offset = slots.len() as u32;
-            slots.push(UnitSlot {
-                pivots: Arc::from([pivot]),
-                lo: 0,
-                hi: 1,
-                block,
-            });
-            SplitUnit {
-                unit: WorkUnit {
-                    rule: 0,
-                    slot_offset: offset,
-                    slot_len: 1,
-                    check_both_orientations: false,
-                    cost: 0,
-                },
-                unit_index: 0,
-                share: 0,
-                of: 1,
-            }
+        // A one-slot unit over the first entry of a block arena.
+        let su = SplitUnit {
+            unit: WorkUnit {
+                rule: 0,
+                slot_offset: 0,
+                slot_len: 1,
+                check_both_orientations: false,
+                cost: 0,
+            },
+            unit_index: 0,
+            share: 0,
+            of: 1,
         };
 
         // Small block (4 nodes ≤ threshold): the refined path. Label
         // seeding would count both flights (rows 2+1+1 = 4); the
         // refined relation drops f2 (rows 1+1+1 = 3).
-        let mut slots: Vec<UnitSlot> = Vec::new();
         let block = Arc::new(khop_nodes(&g, &[f], 1));
         assert!(block.len() <= PARTIAL_REFINE_MAX_BLOCK);
-        let su = mk_unit(&mut slots, block.clone(), f);
+        let blocks = std::slice::from_ref(&block);
         let nvars = 3u64;
         let refined = gfd_match::dual_simulation(&plans[0].components[0].pattern, &g, Some(&block))
             .total_size() as u64;
         assert_eq!(refined, 3);
         assert_eq!(
-            partial_match_bytes(&g, &plans, &slots, &su),
+            partial_match_bytes(&g, &plans, blocks, &su),
             refined * 8 * nvars
         );
-        assert!(partial_match_bytes(&g, &plans, &slots, &su) < 4 * 8 * nvars);
+        assert!(partial_match_bytes(&g, &plans, blocks, &su) < 4 * 8 * nvars);
 
         // Large block (> threshold): the seeding path counts every
         // label-admitted node, including ids refinement would drop
@@ -526,11 +555,9 @@ mod tests {
         let plans2 = plan_rules(&sigma2);
         let big = Arc::new(khop_nodes(&g2, &[hub], 1));
         assert!(big.len() > PARTIAL_REFINE_MAX_BLOCK);
-        let mut slots2: Vec<UnitSlot> = Vec::new();
-        let su2 = mk_unit(&mut slots2, big.clone(), hub);
         let seeded_rows = (1 + 310 + 1) as u64; // flights + ids + cities by label
         assert_eq!(
-            partial_match_bytes(&g2, &plans2, &slots2, &su2),
+            partial_match_bytes(&g2, &plans2, std::slice::from_ref(&big), &su),
             seeded_rows * 8 * 3
         );
         let refined_rows =
@@ -540,6 +567,58 @@ mod tests {
             refined_rows < seeded_rows,
             "premise: refinement would have been tighter ({refined_rows} vs {seeded_rows})"
         );
+    }
+
+    /// `disVal` builds the blocks itself, one per slot of the arena:
+    /// each is the `c^i_Q`-hop neighbourhood of its slot's range, and
+    /// slots over one range of one list — across rule groups too —
+    /// share one allocation.
+    #[test]
+    fn one_block_per_distinct_range() {
+        use crate::workload::estimate_workload;
+        use gfd_graph::neighborhood::khop_nodes;
+
+        let g = flights(9, 0);
+        let vocab = g.vocab().clone();
+        // phi's star beside a lone id: a group of its own whose first
+        // component draws phi's candidate list.
+        let mut b = PatternBuilder::new(vocab.clone());
+        let x = b.node("x", "flight");
+        let x1 = b.node("x1", "id");
+        let x2 = b.node("x2", "city");
+        b.edge(x, x1, "number");
+        b.edge(x, x2, "to");
+        let z = b.node("z", "id");
+        let val = vocab.intern("val");
+        let star_and_id = Gfd::new(
+            "star-and-id",
+            b.build(),
+            Dependency::always(vec![Literal::var_eq(x1, val, z, val)]),
+        );
+        let sigma = GfdSet::new(vec![phi(vocab), star_and_id]);
+        let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
+        let blocks = slot_blocks(&g, &wl);
+        assert_eq!(blocks.len(), wl.slots.len());
+        let mut ranges = Vec::new();
+        for u in &wl.units {
+            let comps = &wl.plans[u.rule()].components;
+            let slots = u.slots(&wl.slots).iter().zip(u.slots(&blocks));
+            for ((slot, block), comp) in slots.zip(comps) {
+                assert_eq!(**block, khop_nodes(&g, slot.range(), comp.radius));
+                ranges.push((slot.pivots.as_ptr(), slot.lo, slot.hi, comp.radius));
+            }
+        }
+        ranges.sort_unstable();
+        ranges.dedup();
+        let mut allocations: Vec<_> = blocks.iter().map(Arc::as_ptr).collect();
+        allocations.sort_unstable();
+        allocations.dedup();
+        assert_eq!(
+            allocations.len(),
+            ranges.len(),
+            "one BFS per distinct range"
+        );
+        assert_eq!(ranges.len(), 16, "8 ranges of each of the two lists");
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub fn reduce_workload(sigma: &GfdSet, cap: usize) -> (GfdSet, f64) {
 /// the replicated unit this entry carries.
 #[derive(Clone, Copy, Debug)]
 pub struct SplitUnit {
-    /// The underlying unit (same pivots/blocks for all shares — the
+    /// The underlying unit (same pivots for all shares — the
     /// descriptor points into the workload's shared slot arena).
     pub unit: WorkUnit,
     /// Index of the original unit in the pre-split workload (shares of

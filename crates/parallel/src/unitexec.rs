@@ -10,9 +10,9 @@
 //! `h ⊨ X`, `h ⊭ Y` in the member's own variable order
 //! ([`for_each_group_violation`], the one detection primitive). By the
 //! locality of subgraph isomorphism a search pinned at a pivot cannot
-//! leave the pivot's `c^i_Q`-hop block, so execution reads only the
-//! pivots of a unit: its blocks are cost inputs (the load estimate,
-//! `disVal`'s byte model), never search inputs.
+//! leave the pivot's `c^i_Q`-hop block, so a unit is its pivot ranges
+//! and nothing more: the only blocks are the ones `disVal` builds for
+//! its byte model.
 //!
 //! A one-component group streams its rows to the members' dependency
 //! checks; a `k ≥ 2` group collects each component's rows in a scratch
