@@ -1,11 +1,14 @@
 //! Graph serialization: a self-contained intermediate form and a simple
 //! line-oriented text format for fixtures and interchange.
 //!
-//! The binary snapshot encoding has one writer and one parser, each
-//! reached two ways: [`GraphData::encode_into`] and [`encode_snapshot`]
-//! (straight from a frozen [`Graph`], no `GraphData` in between) write
-//! the same bytes; [`GraphData::decode`] and [`DecodedSnapshot::decode`]
-//! (straight into a [`GraphBuilder`]) read them under the same checks.
+//! The binary snapshot encoding has one writer and one parser.
+//! [`GraphData::encode_into`], [`encode_snapshot`] (straight from a
+//! frozen [`Graph`], no `GraphData` in between) and
+//! [`encode_snapshot_chunked`] (the same, handed off in chunks through
+//! one caller-owned buffer, so a log can stream a floor of any size)
+//! write the same bytes; [`GraphData::decode`] and
+//! [`DecodedSnapshot::decode`] (straight into a [`GraphBuilder`]) read
+//! them under the same checks.
 //!
 //! Text format (one record per line, `#`-comments allowed):
 //!
@@ -18,6 +21,7 @@
 //! values are parsed as `i64`, `true`/`false`, or strings otherwise.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -98,7 +102,13 @@ impl GraphData {
             .iter()
             .map(|(label, attrs)| (*label, attrs.iter().map(|(a, v)| (*a, v))));
         let edges = self.edges.iter().copied();
-        put_snapshot(out, &self.symbols, nodes, (self.edges.len(), edges));
+        let Ok(()) = put_snapshot(
+            out,
+            &self.symbols,
+            nodes,
+            (self.edges.len(), edges),
+            no_flush,
+        );
     }
 
     /// Decodes a snapshot from (possibly hostile) bytes. Like
@@ -126,28 +136,79 @@ impl GraphData {
 /// `symbols` is `g.vocab().snapshot()`, taken by the caller so that the
 /// symbol count it frames the record with is the count written.
 pub fn encode_snapshot(g: &Graph, symbols: &[Arc<str>], out: &mut Vec<u8>) {
+    let Ok(()) = put_graph(g, symbols, out, no_flush);
+}
+
+/// Bytes [`encode_snapshot_chunked`] gathers before it hands a chunk
+/// off.
+pub const SNAPSHOT_CHUNK: usize = 64 * 1024;
+
+/// [`encode_snapshot`] through a caller-owned buffer, for a writer that
+/// streams the record instead of holding it: `buf` is cleared, and
+/// `emit` receives each chunk once it holds at least [`SNAPSHOT_CHUNK`]
+/// bytes, then the tail. A chunk ends after a whole symbol, node or
+/// edge, so it overshoots the threshold by at most one of them; the
+/// chunks concatenated are `encode_snapshot`'s bytes. The first error
+/// `emit` returns ends the encoding and is returned.
+pub fn encode_snapshot_chunked<E>(
+    g: &Graph,
+    symbols: &[Arc<str>],
+    buf: &mut Vec<u8>,
+    mut emit: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    buf.clear();
+    put_graph(g, symbols, buf, |out| {
+        if out.len() >= SNAPSHOT_CHUNK {
+            emit(out)?;
+            out.clear();
+        }
+        Ok(())
+    })?;
+    if !buf.is_empty() {
+        emit(buf)?;
+        buf.clear();
+    }
+    Ok(())
+}
+
+/// The flush hook of a writer that holds the whole record.
+fn no_flush(_: &mut Vec<u8>) -> Result<(), Infallible> {
+    Ok(())
+}
+
+/// [`put_snapshot`] over a frozen graph's own parts.
+fn put_graph<E>(
+    g: &Graph,
+    symbols: &[Arc<str>],
+    out: &mut Vec<u8>,
+    flush: impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E> {
     let nodes = g.nodes().map(|u| {
         let attrs = g.attrs(u).iter().map(|(a, v)| (a.0, v));
         (g.label(u).0, attrs)
     });
     let edges = g.edges().map(|e| (e.src.0, e.dst.0, e.label.0));
-    put_snapshot(out, symbols, nodes, (g.edge_count(), edges));
+    put_snapshot(out, symbols, nodes, (g.edge_count(), edges), flush)
 }
 
 /// The one snapshot writer: the symbol table, then per node its label
 /// and attribute pairs, then the `(src, dst, label)` edges — each list
-/// prefixed by its length.
-fn put_snapshot<'v, A>(
+/// prefixed by its length. `flush` sees `out` after each symbol, node
+/// and edge, and may drain it; its first error ends the record.
+fn put_snapshot<'v, A, E>(
     out: &mut Vec<u8>,
     symbols: &[impl AsRef<str>],
     nodes: impl ExactSizeIterator<Item = (u32, A)>,
     (edge_count, edges): (usize, impl Iterator<Item = (u32, u32, u32)>),
-) where
+    mut flush: impl FnMut(&mut Vec<u8>) -> Result<(), E>,
+) -> Result<(), E>
+where
     A: ExactSizeIterator<Item = (u32, &'v Value)>,
 {
     wire::put_varint(out, symbols.len() as u64);
     for s in symbols {
         wire::put_str(out, s.as_ref());
+        flush(out)?;
     }
     wire::put_varint(out, nodes.len() as u64);
     for (label, attrs) in nodes {
@@ -157,13 +218,16 @@ fn put_snapshot<'v, A>(
             wire::put_varint(out, a as u64);
             wire::put_value(out, Some(v));
         }
+        flush(out)?;
     }
     wire::put_varint(out, edge_count as u64);
     for (s, d, l) in edges {
         wire::put_varint(out, s as u64);
         wire::put_varint(out, d as u64);
         wire::put_varint(out, l as u64);
+        flush(out)?;
     }
+    Ok(())
 }
 
 /// What [`parse_snapshot`] hands the parts of a snapshot to, in
@@ -523,6 +587,51 @@ mod tests {
             GraphData::decode(&bytes),
             Err(DeltaError::Corrupt { .. })
         ));
+    }
+
+    /// The chunked writer hands off `encode_snapshot`'s bytes: every
+    /// chunk but the tail at least `SNAPSHOT_CHUNK` long, and an error
+    /// from the sink ends the record at the chunk that raised it.
+    #[test]
+    fn chunked_snapshot_concatenates_to_the_record() {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let val = b.vocab().intern("val");
+        for i in 0..4_000u32 {
+            let u = b.add_node_labeled("item");
+            b.set_attr(u, val, Value::str(&"v".repeat(1 + (i % 97) as usize)));
+            if i > 0 {
+                b.add_edge_labeled(NodeId(i - 1), u, "next");
+            }
+        }
+        let g = b.freeze();
+        let symbols = g.vocab().snapshot();
+        let mut whole = Vec::new();
+        encode_snapshot(&g, &symbols, &mut whole);
+
+        let mut buf = Vec::new();
+        let mut chunks: Vec<Vec<u8>> = Vec::new();
+        let Ok(()) = encode_snapshot_chunked(&g, &symbols, &mut buf, |c| {
+            chunks.push(c.to_vec());
+            Ok::<(), Infallible>(())
+        });
+        assert!(buf.is_empty());
+        assert!(chunks.len() >= 3, "{} chunks", chunks.len());
+        let (tail, full) = chunks.split_last().unwrap();
+        assert!(full.iter().all(|c| c.len() >= SNAPSHOT_CHUNK));
+        assert!(!tail.is_empty());
+        assert_eq!(chunks.concat(), whole);
+
+        let mut calls = 0;
+        let stopped = encode_snapshot_chunked(&g, &symbols, &mut buf, |_| {
+            calls += 1;
+            if calls == 2 {
+                Err("disk full")
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(stopped, Err("disk full"));
+        assert_eq!(calls, 2);
     }
 
     #[test]

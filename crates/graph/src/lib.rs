@@ -37,8 +37,9 @@
 //!   [`GraphData`] also carry a plain-bytes binary codec
 //!   (`encode_into`/`decode`) whose decoder is hardened against
 //!   hostile input — it is the record payload of the durable
-//!   write-ahead log in `gfd-parallel`, which writes snapshots straight
-//!   from a graph ([`encode_snapshot`]) and reads them straight into a
+//!   write-ahead log in `gfd-parallel`, which streams snapshots
+//!   straight from a graph in fixed-size chunks
+//!   ([`encode_snapshot_chunked`]) and reads them straight into a
 //!   builder ([`DecodedSnapshot`]).
 //!
 //! The crate is fully self-contained (no external dependencies);
@@ -60,7 +61,9 @@ pub use attrs::AttrMap;
 pub use delta::{AttrOp, DeltaBase, DeltaError, GraphDelta, LabelChange};
 pub use fragment::{FragmentId, Fragmentation, PartitionStrategy};
 pub use graph::{Adj, Edge, Graph, GraphBuilder, NodeId};
-pub use io::{encode_snapshot, DecodedSnapshot, GraphData};
+pub use io::{
+    encode_snapshot, encode_snapshot_chunked, DecodedSnapshot, GraphData, SNAPSHOT_CHUNK,
+};
 pub use neighborhood::NodeSet;
 pub use stats::{EquiDepthHistogram, GraphStats};
 pub use value::Value;

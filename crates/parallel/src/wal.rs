@@ -54,20 +54,29 @@
 //! frozen once after the last frame. Nobody pins the intermediate
 //! epochs of a replay, so none is ever built as a snapshot.
 //!
-//! The writer is the mirror image: frames are assembled in one reused
-//! buffer, the snapshot encoded straight from the frozen graph
-//! ([`encode_snapshot`]) and each delta straight behind its header.
+//! The writer is the mirror image, in bounded memory. The snapshot
+//! frame streams straight from the frozen graph to the file
+//! ([`encode_snapshot_chunked`]) through one buffer of about
+//! [`SNAPSHOT_CHUNK`] bytes, under a streaming [`Checksum64`]: a first
+//! pass of the same writer only counts, since the header holds the
+//! payload length and the checksum is seeded with the frame's. Each
+//! delta frame is assembled in that buffer, straight behind its header.
+//! A payload too long for the header's `u32` length field is an error,
+//! never a wrapped length.
 //!
 //! [`GraphBuilder`]: gfd_graph::GraphBuilder
 //! [`GraphBuilder::apply_delta`]: gfd_graph::GraphBuilder::apply_delta
 
+use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use gfd_graph::{encode_snapshot, DecodedSnapshot, Graph, GraphDelta, Vocab};
-use gfd_util::checksum64;
+use gfd_graph::{
+    encode_snapshot_chunked, DecodedSnapshot, Graph, GraphDelta, Vocab, SNAPSHOT_CHUNK,
+};
+use gfd_util::{checksum64, Checksum64};
 
 /// File magic: identifies the format and its version. Bumping the
 /// codec (or [`checksum64`]) bumps the trailing version digits.
@@ -212,7 +221,8 @@ pub struct WalWriter {
     synced_epoch: u64,
     /// End of the snapshot frame (== start of the first delta frame).
     base_len: u64,
-    /// Scratch buffer frames are assembled in.
+    /// Scratch buffer: the snapshot's chunks pass through it on
+    /// create, delta frames are assembled in it.
     buf: Vec<u8>,
     /// Lifetime counters (snapshot frame included).
     frames: u64,
@@ -225,30 +235,54 @@ impl WalWriter {
     /// frame is always fsynced — a log that exists has a floor — and so
     /// is the parent directory, so a crash right after `create` returns
     /// cannot lose the new file's directory entry.
+    ///
+    /// The frame streams to the file in chunks, so `create` holds one
+    /// chunk of it at a time, whatever the graph's size; the file is
+    /// byte for byte `MAGIC` and the frame assembled whole.
     pub fn create(
         path: &Path,
         base_epoch: u64,
         g: &Graph,
         policy: SyncPolicy,
     ) -> Result<WalWriter, WalError> {
+        let symbols = g.vocab().snapshot();
+        let sym_count = symbols.len() as u32;
+        // A chunk plus the one item that carried it past the threshold.
+        let mut buf = Vec::with_capacity(2 * SNAPSHOT_CHUNK);
+        // The header holds the payload length and the checksum is
+        // seeded with the frame's, so the writer runs once to count.
+        let mut payload_len = 0;
+        let Ok(()) = encode_snapshot_chunked(g, &symbols, &mut buf, |chunk| {
+            payload_len += chunk.len();
+            Ok::<(), Infallible>(())
+        });
+        let at = MAGIC.len() as u64;
+        let header = frame_header(at, KIND_SNAPSHOT, base_epoch, sym_count, payload_len)?;
+
         let mut file = OpenOptions::new()
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
         file.write_all(&MAGIC)?;
-
-        let symbols = g.vocab().snapshot();
-        let sym_count = symbols.len() as u32;
-        let mut buf = Vec::new();
-        frame_into(&mut buf, KIND_SNAPSHOT, base_epoch, sym_count, |out| {
-            encode_snapshot(g, &symbols, out)
-        });
-        file.write_all(&buf)?;
+        file.write_all(&header)?;
+        let mut cksum = Checksum64::new((HEADER_LEN + payload_len) as u64);
+        cksum.update(&header);
+        let mut streamed = 0;
+        encode_snapshot_chunked(g, &symbols, &mut buf, |chunk| {
+            streamed += chunk.len();
+            cksum.update(chunk);
+            file.write_all(chunk)
+        })?;
+        assert_eq!(
+            streamed, payload_len,
+            "the snapshot writer wrote a different length than it counted"
+        );
+        file.write_all(&cksum.finish().to_le_bytes())?;
         file.sync_all()?;
         sync_parent_dir(path)?;
 
-        let len = (MAGIC.len() + buf.len()) as u64;
+        let len = (MAGIC.len() + HEADER_LEN + payload_len + CKSUM_LEN) as u64;
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
@@ -288,11 +322,12 @@ impl WalWriter {
         self.buf.clear();
         frame_into(
             &mut self.buf,
+            self.len,
             KIND_DELTA,
             epoch,
             snapshot.len() as u32,
             |out| delta.encode_with_symbols(new_syms, out),
-        );
+        )?;
         self.file.write_all(&self.buf)?;
 
         self.len += self.buf.len() as u64;
@@ -371,26 +406,49 @@ impl WalWriter {
     }
 }
 
-/// Assembles one frame in `out`: the header, the payload `encode`
-/// writes straight behind it, the payload length patched into the
-/// header, and the trailing checksum over both.
+/// The header of the frame at file offset `at`. A payload longer than
+/// the `u32` length field holds is refused: a wrapped length would make
+/// recovery drop the frame as torn — for the floor, the whole log.
+fn frame_header(
+    at: u64,
+    kind: u8,
+    epoch: u64,
+    sym_count: u32,
+    payload_len: usize,
+) -> Result<[u8; HEADER_LEN], WalError> {
+    let len = u32::try_from(payload_len).map_err(|_| WalError::Corrupt {
+        offset: at,
+        what: format!("a {payload_len}-byte payload overflows the u32 frame length"),
+    })?;
+    let mut header = [0; HEADER_LEN];
+    header[0] = kind;
+    header[1..9].copy_from_slice(&epoch.to_le_bytes());
+    header[9..13].copy_from_slice(&sym_count.to_le_bytes());
+    header[13..].copy_from_slice(&len.to_le_bytes());
+    Ok(header)
+}
+
+/// Assembles the frame at file offset `at` in `out`: the payload
+/// `encode` writes behind room for the header, the header filled in
+/// once the payload's length is known, and the trailing checksum over
+/// both.
 fn frame_into(
     out: &mut Vec<u8>,
+    at: u64,
     kind: u8,
     epoch: u64,
     sym_count: u32,
     encode: impl FnOnce(&mut Vec<u8>),
-) {
+) -> Result<(), WalError> {
     let start = out.len();
-    out.push(kind);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&sym_count.to_le_bytes());
-    out.extend_from_slice(&[0; 4]);
+    out.resize(start + HEADER_LEN, 0);
     encode(out);
-    let payload_len = (out.len() - start - HEADER_LEN) as u32;
-    out[start + HEADER_LEN - 4..start + HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let payload_len = out.len() - start - HEADER_LEN;
+    let header = frame_header(at, kind, epoch, sym_count, payload_len)?;
+    out[start..start + HEADER_LEN].copy_from_slice(&header);
     let cksum = checksum64(&out[start..]);
     out.extend_from_slice(&cksum.to_le_bytes());
+    Ok(())
 }
 
 /// A frame parsed from raw bytes (payload still encoded).
@@ -687,7 +745,8 @@ fn parse_epoch_if_readable(bytes: &[u8], pos: usize) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_graph::{Edge, GraphBuilder, NodeId, Value};
+    use gfd_graph::graph::same_snapshot;
+    use gfd_graph::{encode_snapshot, Edge, GraphBuilder, NodeId, Value};
     use gfd_util::TempDir;
 
     /// A tiny graph plus a few recorded epochs, including one that
@@ -984,9 +1043,11 @@ mod tests {
         for (name, payload, sym_count) in cases {
             let path = dir.file("floor.wal");
             let mut bytes = MAGIC.to_vec();
-            frame_into(&mut bytes, KIND_SNAPSHOT, 0, sym_count, |out| {
+            let at = MAGIC.len() as u64;
+            frame_into(&mut bytes, at, KIND_SNAPSHOT, 0, sym_count, |out| {
                 out.extend_from_slice(&payload)
-            });
+            })
+            .unwrap();
             std::fs::write(&path, &bytes).unwrap();
 
             let vocab = Vocab::shared();
@@ -998,6 +1059,92 @@ mod tests {
             );
             assert_eq!(vocab.len(), 1, "{name}: the vocabulary grew");
         }
+    }
+
+    /// The streamed floor is the frame assembled whole, byte for byte:
+    /// for `build_log`'s graph, and for one whose payload spans three
+    /// chunks, with a string value across every 64 KiB mark and chunks
+    /// that end inside a checksum lane. Both files recover to the graph
+    /// they were written from.
+    #[test]
+    fn create_streams_the_frame_assembled_whole() {
+        let dir = TempDir::new("gfd-wal-identity").unwrap();
+        let (tiny, _, _) = build_log(&dir.file("tiny-log.wal"), SyncPolicy::OnDemand);
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let name = b.vocab().intern("name");
+        for i in 0..1_200u32 {
+            let u = b.add_node_labeled("entity");
+            b.set_attr(u, name, Value::str(&"q".repeat(251)));
+            if i > 0 {
+                b.add_edge_labeled(NodeId(i - 1), u, "next");
+            }
+        }
+        let large = b.freeze();
+
+        for (what, g) in [("tiny", &tiny), ("large", &large)] {
+            let symbols = g.vocab().snapshot();
+            let mut payload = Vec::new();
+            encode_snapshot(g, &symbols, &mut payload);
+            if what == "large" {
+                assert!(payload.len() >= 3 * SNAPSHOT_CHUNK, "{} B", payload.len());
+                for k in 1..=3 {
+                    let mark = k * SNAPSHOT_CHUNK;
+                    assert_eq!(&payload[mark - 1..=mark], b"qq", "mark {k}");
+                }
+                let mut chunks = Vec::new();
+                let Ok(()) = encode_snapshot_chunked(g, &symbols, &mut Vec::new(), |c| {
+                    chunks.push(c.len());
+                    Ok::<(), Infallible>(())
+                });
+                assert!(chunks.len() >= 3, "{chunks:?}");
+                assert!(chunks.iter().any(|len| len % 8 != 0), "{chunks:?}");
+            }
+            let mut expected = MAGIC.to_vec();
+            let at = MAGIC.len() as u64;
+            frame_into(
+                &mut expected,
+                at,
+                KIND_SNAPSHOT,
+                7,
+                symbols.len() as u32,
+                |out| out.extend_from_slice(&payload),
+            )
+            .unwrap();
+
+            let path = dir.file(&format!("{what}.wal"));
+            let w = WalWriter::create(&path, 7, g, SyncPolicy::OnDemand).unwrap();
+            assert_eq!(w.bytes(), expected.len() as u64, "{what}");
+            assert_eq!(w.base_bytes(), w.bytes(), "{what}");
+            drop(w);
+            assert!(
+                std::fs::read(&path).unwrap() == expected,
+                "{what}: the streamed file differs from the assembled frame"
+            );
+            let (back, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
+            assert_eq!(report.recovered_epoch, 7, "{what}");
+            assert!(report.corruption.is_none(), "{what}");
+            same_snapshot(&back, g).unwrap_or_else(|e| panic!("{what}: {e}"));
+        }
+    }
+
+    /// A payload past the `u32` length field is an error, not a
+    /// wrapped length; the largest that fits is written as is.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn frame_header_refuses_a_payload_past_u32() {
+        let too_long = u32::MAX as usize + 1;
+        match frame_header(40, KIND_DELTA, 3, 9, too_long) {
+            Err(WalError::Corrupt { offset, what }) => {
+                assert_eq!(offset, 40);
+                assert!(what.contains(&too_long.to_string()), "{what}");
+            }
+            other => panic!("{other:?}"),
+        }
+        let header = frame_header(40, KIND_DELTA, 3, 9, u32::MAX as usize).unwrap();
+        assert_eq!(header[0], KIND_DELTA);
+        assert_eq!(header[1..9], 3u64.to_le_bytes());
+        assert_eq!(header[9..13], 9u32.to_le_bytes());
+        assert_eq!(header[13..], u32::MAX.to_le_bytes());
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   reproducible with a one-line test;
 //! * [`fxhash`] — a multiply-rotate hasher for hot maps keyed by small
 //!   internal tuples (`rustc-hash` stand-in);
-//! * [`checksum`] — a one-shot 64-bit frame checksum (xxhash-style,
-//!   full avalanche) for the durable write-ahead log's on-disk
-//!   records;
+//! * [`checksum`] — a 64-bit frame checksum (xxhash-style, full
+//!   avalanche), one-shot or streamed, for the durable write-ahead
+//!   log's on-disk records;
 //! * [`tempdir`] — unique self-cleaning temp directories, so
 //!   durable-log tests and benches never accumulate state across runs;
 //! * [`alloc`] (feature `count-alloc`, test/bench only) — a counting
@@ -30,7 +30,7 @@ pub mod prop;
 pub mod rng;
 pub mod tempdir;
 
-pub use checksum::checksum64;
+pub use checksum::{checksum64, Checksum64};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use rng::Rng;
 pub use tempdir::TempDir;
