@@ -723,15 +723,10 @@ fn main() {
         });
     }
 
-    // Factorized counting vs materialized enumeration on a skewed
-    // multiplicative workload: two dense bipartite layers (a→b and
-    // b→c, 48×48 each) multiply into 48³ ≈ 110k path matches while
-    // the d-representation stays at ~2·48² union edges. The
-    // factorized count folds that representation bottom-up —
-    // width-polynomial — where the materialized count walks every
-    // match. Both run from the registry's warm space and plan with
-    // caller-owned scratch; the factorized sample's allocs_per_iter
-    // must be 0 (also asserted by tests/alloc_probe.rs).
+    // Counting a skewed multiplicative workload: two dense bipartite
+    // layers (a→b and b→c, 48×48 each) multiply into 48³ ≈ 110k path
+    // matches, each one enumerated from the registry's warm space and
+    // plan with caller-owned scratch.
     {
         let n = 48usize;
         let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
@@ -759,40 +754,12 @@ fn main() {
         let reg = ClassRegistry::new();
         let h = reg.register(&path);
         let opts = MatchOptions::unrestricted();
-        let mut fact_scratch = MatchScratch::default();
-        let mut mat_scratch = MatchScratch::default();
+        let mut scratch = MatchScratch::default();
         let view = reg.space_and_plan(h, &gs);
-        let (cs, plan) = (&*view.space, view.plan.as_deref().expect("asked for"));
-        let expected = n * n * n;
-        assert_eq!(
-            count_matches_with(&path, &gs, &opts, Some((cs, plan)), &mut fact_scratch),
-            expected,
-            "the factorized count must be exact here"
-        );
-        bench("factor/count_skewed(factorized)", &mut samples, || {
-            count_matches_with(&path, &gs, &opts, Some((cs, plan)), &mut fact_scratch)
-        });
-        let mut count_materialized = || {
-            let mut c = 0usize;
-            for_each_match_with(
-                &path,
-                &gs,
-                &opts,
-                Some((cs, plan)),
-                &mut mat_scratch,
-                &mut |_| {
-                    c += 1;
-                    Flow::Continue
-                },
-            );
-            c
-        };
-        assert_eq!(count_materialized(), expected);
-        bench(
-            "factor/count_skewed(materialized)",
-            &mut samples,
-            &mut count_materialized,
-        );
+        let space = Some((&*view.space, view.plan.as_deref().expect("asked for")));
+        let mut count = || count_matches_with(&path, &gs, &opts, space, &mut scratch);
+        assert_eq!(count(), n * n * n);
+        bench("match/count_skewed(space+plan)", &mut samples, count);
     }
 
     // The allocation-free hot-path probe: a clean symmetric-pair

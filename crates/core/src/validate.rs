@@ -166,8 +166,8 @@ pub fn detect_violations_with(
 /// filtering, the two flat match tables are joined *on that literal*:
 /// the smaller side is indexed by attribute value, the larger side
 /// probes, and rows whose attribute is missing are skipped outright
-/// (`X` fails ⇒ no violation). This is the factorized-evaluation move
-/// of the FDB/FAQ line of work applied to `Vio(Σ, G)`: cost is
+/// (`X` fails ⇒ no violation). This is the FDB/FAQ line of work's
+/// predicate-into-the-join move applied to `Vio(Σ, G)`: cost is
 /// output-proportional in value-agreeing pairs rather than in all
 /// pairs. Reads the group's decomposition and the member's dependency
 /// in representative numbering; violations come out in the member's

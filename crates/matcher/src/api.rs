@@ -1,10 +1,9 @@
 //! Top-level matching API over full (possibly disconnected) patterns.
 //!
 //! Enumeration is filter-and-refine, and every connected component is
-//! enumerated by the one recursion in [`crate::component`]. The two
-//! full-form entry points, [`for_each_match_with`] (streaming) and
-//! [`count_matches_with`] (counting), only decide that recursion's
-//! inputs:
+//! enumerated by the one recursion in [`crate::component`]. The one
+//! full-form entry point, [`for_each_match_with`], only decides that
+//! recursion's inputs:
 //!
 //! * the **pool source** — a caller-supplied [`CandidateSpace`] (the
 //!   registry's, maintained across edits) selects space mode; without
@@ -19,7 +18,9 @@
 //! Connected patterns stream their matches straight to the callback;
 //! only genuinely disconnected patterns buffer per-component matches
 //! for the disjointness join. [`for_each_match`], [`count_matches`],
-//! [`find_matches`] and [`has_match`] are one-line wrappers; a
+//! [`find_matches`] and [`has_match`] are one-line wrappers, and
+//! [`count_matches_with`] counts the rows [`for_each_match_with`]
+//! streams; a
 //! caller-owned [`MatchScratch`] makes repeated calls allocation-free
 //! in steady state. [`for_each_match_in`] is the streaming form for a
 //! [`ClassRegistry`](crate::registry::ClassRegistry) member: it
@@ -30,7 +31,6 @@ use gfd_graph::{Graph, NodeId};
 use gfd_pattern::{signature::decompose, PatLabel, Pattern, VarId};
 
 use crate::component::{ComponentSearch, SearchScratch, StopReason};
-use crate::factorize::{FactorScratch, Factorization};
 use crate::join::{join_tables, JoinScratch};
 use crate::plan::QueryPlan;
 use crate::registry::{rep_var, ClassView};
@@ -40,27 +40,17 @@ use crate::types::{Flow, Match, MatchOptions};
 
 /// Caller-owned reusable buffers for the matching API: the
 /// enumerator's [`SearchScratch`], the disconnected-pattern join
-/// state, the factorized counter's arenas, and the pin and row buffers
-/// of [`for_each_match_in`]'s variable translation. A fresh default is
-/// always valid; keeping one alive across calls removes the per-call
-/// heap traffic of `for_each_match`/`count_matches`.
+/// state, and the pin and row buffers of [`for_each_match_in`]'s
+/// variable translation. A fresh default is always valid; keeping one
+/// alive across calls removes the per-call heap traffic of
+/// `for_each_match`/`count_matches`.
 #[derive(Default)]
 pub struct MatchScratch {
     search: SearchScratch,
     join: JoinScratch,
     tables: Vec<MatchTable>,
-    factor: FactorScratch,
     rep_pins: Vec<(VarId, NodeId)>,
     member_row: Vec<NodeId>,
-}
-
-impl MatchScratch {
-    /// The factorization left behind by the most recent factorized
-    /// count — for introspecting exactness, node counts and byte size
-    /// without re-deriving them.
-    pub fn last_factorization(&self) -> &Factorization {
-        self.factor.fact()
-    }
 }
 
 /// Outcome of a streaming enumeration.
@@ -331,19 +321,9 @@ pub fn count_matches(q: &Pattern, g: &Graph, opts: &MatchOptions) -> usize {
     count_matches_with(q, g, opts, None, &mut MatchScratch::default())
 }
 
-/// The full form of [`count_matches`] — same `space` and `scratch`
-/// contract as [`for_each_match_with`].
-///
-/// A connected pattern with a candidate space (supplied, or computed
-/// by the per-call filter) is counted **without enumeration** when
-/// possible: the component's match set is factorized over the plan's
-/// bag tree ([`mod@crate::factorize`]) into the caller's scratch arenas
-/// and the count read off the root fold — width-polynomial time even
-/// when the flat match set explodes, and zero steady-state heap
-/// allocation for registry consumers. Falls back to streaming when
-/// the request is capped (a budget changes the *observable* count),
-/// a pin is not addressable, the factorizer declines, or cross-bag
-/// injectivity could make the folded count inexact.
+/// The full form of [`count_matches`]: counts the rows that
+/// [`for_each_match_with`], the one full form, streams under the same
+/// `space` and `scratch` contract.
 pub fn count_matches_with(
     q: &Pattern,
     g: &Graph,
@@ -351,26 +331,6 @@ pub fn count_matches_with(
     space: Option<(&CandidateSpace, &QueryPlan)>,
     scratch: &mut MatchScratch,
 ) -> usize {
-    let connected = q.node_count() > 0 && q.is_connected();
-    let own = match space {
-        None if connected => filter_component(q, g),
-        _ => None,
-    };
-    let space = space.or(own.as_ref().map(|(cs, plan)| (cs, plan)));
-    if let Some((cs, plan)) = space {
-        let countable = connected
-            && opts.budget.max_matches.is_none()
-            && opts.budget.max_steps.is_none()
-            && opts.pins.iter().all(|&(v, _)| v.index() < q.node_count());
-        if countable {
-            if cs.is_empty_anywhere() {
-                return 0;
-            }
-            if let Some(n) = scratch.factor.count(q, g, cs, plan, &opts.pins) {
-                return n.min(usize::MAX as u64) as usize;
-            }
-        }
-    }
     let mut n = 0usize;
     for_each_match_with(q, g, opts, space, scratch, &mut |_| {
         n += 1;

@@ -180,12 +180,7 @@ fn pin_of(pins: &[(VarId, NodeId)], sv: VarId) -> Option<NodeId> {
 /// builds a pool: the pin is probed in each run by binary search and
 /// survives or not — a pinned enumeration stays local to the pin's
 /// neighborhood.
-///
-/// Shared between the enumerator below and the factorization builder
-/// ([`crate::factorize`], whose `assigned` holds only the bag-visible
-/// bindings) — both must draw pools from the exact same candidate
-/// adjacency for the oracle equivalences to hold.
-pub(crate) fn fill_space_pool(
+fn fill_space_pool(
     q: &Pattern,
     cs: &CandidateSpace,
     pins: &[(VarId, NodeId)],
@@ -238,14 +233,7 @@ pub(crate) fn fill_space_pool(
 
 /// The space-mode per-candidate check — what the runs cannot express:
 /// injectivity against the partial assignment and self-loop edges.
-/// Shared with [`crate::factorize`].
-pub(crate) fn space_candidate_ok(
-    q: &Pattern,
-    g: &Graph,
-    sv: VarId,
-    gv: NodeId,
-    assigned: &[NodeId],
-) -> bool {
+fn space_candidate_ok(q: &Pattern, g: &Graph, sv: VarId, gv: NodeId, assigned: &[NodeId]) -> bool {
     !assigned.contains(&gv)
         && q.out(sv)
             .iter()

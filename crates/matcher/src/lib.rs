@@ -36,23 +36,15 @@
 //! once per canonical class in the [`registry::ClassRegistry`] — the
 //! bounded, internally synchronized serving tier that also holds
 //! candidate spaces for every consumer of one Σ, all in the class
-//! representative's variable numbering. The two full-form entry points,
-//! [`for_each_match_with`] and [`count_matches_with`], take that
-//! `(space, plan)` pair optionally; [`for_each_match_in`] takes a
-//! registry member's [`ClassView`] and translates between the
-//! member's variables and the representative's; everything else is a
-//! wrapper.
-//!
-//! Over the same bag tree sits the **factorized layer** (module
-//! [`mod@factorize`]): a [`factorize::Factorization`] is a d-representation
-//! of a component's match set whose size tracks per-bag work while the
-//! represented set multiplies across bags, so counting is a bottom-up
-//! fold and tuple consumers expand lazily — [`count_matches_with`]
-//! counts without materializing the match set.
+//! representative's variable numbering. The one full-form entry point,
+//! [`for_each_match_with`], takes that `(space, plan)` pair
+//! optionally; [`for_each_match_in`] takes a registry member's
+//! [`ClassView`] and translates between the member's variables and the
+//! representative's; everything else — [`count_matches_with`]
+//! included — is a wrapper.
 
 pub mod api;
 pub mod component;
-pub mod factorize;
 pub mod incremental;
 pub mod join;
 pub mod plan;
@@ -66,7 +58,6 @@ pub use api::{
     for_each_match_with, has_match, MatchScratch,
 };
 pub use component::{ComponentSearch, SearchScratch, StopReason};
-pub use factorize::{FactorScratch, Factorization};
 pub use incremental::{IncrementalSpace, RepairReport};
 pub use plan::QueryPlan;
 pub use registry::{

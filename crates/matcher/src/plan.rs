@@ -23,8 +23,7 @@
 //!   than all per-binding residual solves combined.)
 //! * the order only replaces the enumerator's greedy one for unpinned
 //!   searches of cyclic components (width ≥ 2); forests and pinned
-//!   searches are already well served by pins-first greedy order. The
-//!   bag tree itself also drives [`mod@crate::factorize`].
+//!   searches are already well served by pins-first greedy order.
 //!
 //! Plans are a pure function of the pattern — no graph statistics —
 //! and therefore isomorphism-invariant: the registry computes one plan
@@ -37,21 +36,17 @@ use gfd_pattern::{tree_decomposition, Pattern, TreeDecomposition, VarId};
 /// A decomposition-based execution plan for one connected pattern.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
-    pub(crate) td: TreeDecomposition,
-    /// Per bag, its variables in placement order: greedy
-    /// most-constrained-first (most already-placed bag neighbors, then
-    /// highest bag-internal degree, then smallest id — fully
-    /// deterministic).
-    pub(crate) bag_orders: Vec<Vec<VarId>>,
-    /// Bag indices in parent-before-child (DFS) order. With the
-    /// running-intersection property this guarantees that at the
-    /// first-visited bag containing both endpoints of an edge, at
-    /// least one endpoint is still fresh, so every edge is enforced
-    /// exactly where it first becomes local.
-    pub(crate) seq: Vec<u32>,
-    /// The enumerator's variable order: the bag orders concatenated
-    /// along `seq`, each variable at its first occurrence.
+    /// The enumerator's variable order: each bag's variables in
+    /// placement order — greedy most-constrained-first (most
+    /// already-placed bag neighbors, then highest bag-internal degree,
+    /// then smallest id — fully deterministic) — concatenated along the
+    /// bags' parent-before-child (DFS) order, each variable at its
+    /// first occurrence. With the running-intersection property the
+    /// DFS order guarantees that at the first-visited bag containing
+    /// both endpoints of an edge, at least one endpoint is still fresh,
+    /// so every edge is enforced exactly where it first becomes local.
     pub(crate) order: Vec<VarId>,
+    width: usize,
     pub(crate) n_vars: usize,
 }
 
@@ -59,22 +54,17 @@ impl QueryPlan {
     /// Plans `q` from scratch (tree decomposition + per-bag orders).
     pub fn new(q: &Pattern) -> QueryPlan {
         let td = tree_decomposition(q);
-        let bag_orders: Vec<Vec<VarId>> =
-            td.bags.iter().map(|bag| bag_order(q, &bag.vars)).collect();
-        let seq = dfs_order(&td);
         let mut order = Vec::with_capacity(q.node_count());
-        for &bi in &seq {
-            for &v in &bag_orders[bi as usize] {
+        for bi in dfs_order(&td) {
+            for v in bag_order(q, &td.bags[bi as usize].vars) {
                 if !order.contains(&v) {
                     order.push(v);
                 }
             }
         }
         QueryPlan {
-            td,
-            bag_orders,
-            seq,
             order,
+            width: td.width(),
             n_vars: q.node_count(),
         }
     }
@@ -84,22 +74,12 @@ impl QueryPlan {
     /// is the right one; width ≥ 2 marks a cyclic component worth
     /// ordering along its bags.
     pub fn width(&self) -> usize {
-        self.td.width()
+        self.width
     }
 
     /// True if the plan has any cyclic bag (width ≥ 2).
     pub fn is_cyclic(&self) -> bool {
         self.width() >= 2
-    }
-
-    /// Number of bags.
-    pub fn bag_count(&self) -> usize {
-        self.bag_orders.len()
-    }
-
-    /// The underlying tree decomposition.
-    pub fn decomposition(&self) -> &TreeDecomposition {
-        &self.td
     }
 }
 
@@ -245,7 +225,7 @@ mod tests {
     fn triangle_plan_matches_oracle() {
         let g = skewed_graph(12, 4);
         let q = triangle_pattern(g.vocab());
-        assert_eq!(QueryPlan::new(&q).bag_count(), 1);
+        assert_eq!(tree_decomposition(&q).bag_count(), 1);
         assert_eq!(run_plan(&q, &g, &[]), run_oracle(&q, &g, &[]));
         assert_eq!(run_plan(&q, &g, &[]).len(), 4);
     }
@@ -267,9 +247,8 @@ mod tests {
             pb.edge(vs[i], vs[(i + 1) % 4], "e");
         }
         let q = pb.build();
-        let plan = QueryPlan::new(&q);
-        assert_eq!(plan.bag_count(), 2);
-        assert_eq!(plan.width(), 2);
+        assert_eq!(tree_decomposition(&q).bag_count(), 2);
+        assert_eq!(QueryPlan::new(&q).width(), 2);
         assert_eq!(run_plan(&q, &g, &[]), run_oracle(&q, &g, &[]));
         assert!(!run_plan(&q, &g, &[]).is_empty());
     }

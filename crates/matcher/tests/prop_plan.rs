@@ -9,14 +9,16 @@
 //! pinned, and pinned under a neighborhood-sized step budget — and
 //! permuted-declaration twins through their [`ClassRegistry`] views
 //! ([`for_each_match_in`]), plain and pinned, across random edit
-//! scripts with incrementally repaired spaces.
+//! scripts with incrementally repaired spaces. Counting
+//! ([`count_matches_with`], [`count_matches`]) is held to the oracle's
+//! length on the same cases.
 
 use gfd_graph::{Graph, GraphBuilder, NodeId};
 use gfd_match::api::EnumOutcome;
 use gfd_match::types::Flow;
 use gfd_match::{
-    dual_simulation, for_each_match_in, for_each_match_with, ClassRegistry, MatchOptions,
-    MatchScratch, QueryPlan, SearchBudget,
+    count_matches, count_matches_with, dual_simulation, for_each_match_in, for_each_match_with,
+    ClassRegistry, MatchOptions, MatchScratch, QueryPlan, SearchBudget,
 };
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
@@ -207,6 +209,15 @@ fn plan_executor_equals_brute_force_on_cyclic_patterns() {
             got.len(),
             expected.len()
         );
+        let opts = MatchOptions::unrestricted();
+        let counted = count_matches_with(&q, &g, &opts, Some((&cs, &plan)), &mut scratch);
+        // No space: the per-call filter decides the pool source.
+        let filtered = count_matches(&q, &g, &opts);
+        prop_assert!(
+            counted == expected.len() && filtered == expected.len(),
+            "counts {counted} (space+plan), {filtered} (per-call) vs oracle {} for {q:?}",
+            expected.len()
+        );
         Ok(())
     });
 }
@@ -234,6 +245,13 @@ fn pinned_plan_execution_equals_filtered_oracle() {
             got.len(),
             expected.len()
         );
+        let opts = MatchOptions::unrestricted().pin(pin_var, pin_node);
+        let counted = count_matches_with(&q, &g, &opts, Some((&cs, &plan)), &mut scratch);
+        prop_assert!(
+            counted == expected.len(),
+            "pinned count {counted} vs oracle {} for {q:?}",
+            expected.len()
+        );
         Ok(())
     });
 }
@@ -243,7 +261,9 @@ fn pinned_plan_execution_equals_filtered_oracle() {
 /// plan per class, both in representative numbering; after every
 /// edit, each member's enumeration through its view — plain, and
 /// pinned at a random variable of the member — must still equal brute
-/// force on the member's own pattern over the *current* graph.
+/// force on the member's own pattern over the *current* graph, and so
+/// must the unpinned count of the representative inside the view's
+/// space and plan.
 #[test]
 fn transported_plans_survive_edit_scripts() {
     let mut scratch = MatchScratch::default();
@@ -287,6 +307,15 @@ fn transported_plans_survive_edit_scripts() {
                         got.len(),
                         expected.len()
                     );
+                    if opts.pins.is_empty() {
+                        let space = view.plan.as_deref().map(|plan| (&*view.space, plan));
+                        let counted = count_matches_with(&view.rep, &g, &opts, space, &mut scratch);
+                        prop_assert!(
+                            counted == expected.len(),
+                            "step {step}: representative count {counted} vs oracle {} for {q:?}",
+                            expected.len()
+                        );
+                    }
                 }
             }
             // One random edit: add or remove a labeled edge.

@@ -66,63 +66,6 @@ impl TreeDecomposition {
     pub fn bag_count(&self) -> usize {
         self.bags.len()
     }
-
-    /// The first bag containing `v` (its *home* bag), if any.
-    pub fn home_bag(&self, v: VarId) -> Option<usize> {
-        self.bags.iter().position(|b| b.vars.contains(&v))
-    }
-
-    /// The variables a bag shares with its parent — the *separator*
-    /// that conditions the bag's residual solve in a fused execution.
-    /// By the running-intersection property this is exactly the set of
-    /// bag variables already bound when the bag is entered in
-    /// parent-before-child order. Root bags have an empty separator.
-    pub fn separator(&self, bag: usize) -> impl Iterator<Item = VarId> + '_ {
-        let b = &self.bags[bag];
-        let parent = b.parent.map(|p| &self.bags[p]);
-        b.vars
-            .iter()
-            .copied()
-            .filter(move |v| parent.is_some_and(|p| p.vars.contains(v)))
-    }
-
-    /// The largest separator size over all bags — the factorization
-    /// layer's memoization-key width (a factorized representation keys
-    /// shared subtrees by separator bindings, so this bounds the key).
-    pub fn max_separator(&self) -> usize {
-        (0..self.bags.len())
-            .map(|b| self.separator(b).count())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Per-variable bitmask of the bags containing it, or `None` when
-    /// the decomposition has more than 128 bags. Two variables
-    /// *co-occur* iff their masks intersect; pairs that never co-occur
-    /// are exactly the pairs a bag-local evaluation cannot compare —
-    /// the factorization layer's exactness precondition reads off
-    /// these masks.
-    pub fn var_bag_masks(&self, n_vars: usize) -> Option<Vec<u128>> {
-        let mut masks = Vec::new();
-        self.var_bag_masks_into(n_vars, &mut masks).then_some(masks)
-    }
-
-    /// [`Self::var_bag_masks`] into a caller-owned buffer — the
-    /// allocation-free form for warm counting loops. Returns `false`
-    /// (leaving the buffer cleared) past 128 bags.
-    pub fn var_bag_masks_into(&self, n_vars: usize, masks: &mut Vec<u128>) -> bool {
-        masks.clear();
-        if self.bags.len() > 128 {
-            return false;
-        }
-        masks.resize(n_vars, 0);
-        for (bi, bag) in self.bags.iter().enumerate() {
-            for v in &bag.vars {
-                masks[v.index()] |= 1u128 << bi;
-            }
-        }
-        true
-    }
 }
 
 /// Undirected adjacency bitmasks of the pattern (self-loops dropped —
@@ -378,7 +321,7 @@ mod tests {
     fn verify(td: &TreeDecomposition, q: &Pattern) {
         for v in q.vars() {
             assert!(
-                td.home_bag(v).is_some(),
+                td.bags.iter().any(|b| b.vars.contains(&v)),
                 "variable {v:?} not covered by any bag"
             );
         }
