@@ -14,7 +14,8 @@
 use gfd_bench::{banner, dataset, measure, rules, DEFAULT_SCALE};
 use gfd_datagen::RealLifeKind;
 use gfd_graph::{Fragmentation, PartitionStrategy};
-use gfd_parallel::{dis_val, rep_val, DisValConfig, RepValConfig, WorkloadOptions};
+use gfd_parallel::opt::{reduce_workload, REDUCTION_CAP};
+use gfd_parallel::{dis_val, rep_val, DisValConfig, ParallelReport, RepValConfig, WorkloadOptions};
 
 fn main() {
     banner("Ablation", "each optimization toggled separately (n = 16)");
@@ -26,7 +27,7 @@ fn main() {
     println!("\n### repVal ablations");
     println!("variant\ttime(s)\tunits\tcache hits\tviolations");
     let base = measure(|| rep_val(&sigma, &g, &RepValConfig::val(n)));
-    let report = |label: &str, r: &gfd_parallel::ParallelReport| {
+    let report = |label: &str, r: &ParallelReport| {
         println!(
             "{label}\t{:.4}\t{}\t{}\t{}",
             r.total_seconds(),
@@ -48,14 +49,11 @@ fn main() {
     });
     report("− multi-query", &no_mq);
     let with_reduce = measure(|| {
-        rep_val(
-            &sigma,
-            &g,
-            &RepValConfig {
-                reduce_workload: true,
-                ..RepValConfig::val(n)
-            },
-        )
+        let (reduced, reduce_seconds) = reduce_workload(&sigma, REDUCTION_CAP);
+        ParallelReport {
+            reduce_seconds,
+            ..rep_val(&reduced, &g, &RepValConfig::val(n))
+        }
     });
     report("+ workload reduction*", &with_reduce);
     let with_split = measure(|| rep_val(&sigma, &g, &RepValConfig::val(n).with_split(64)));
@@ -76,7 +74,7 @@ fn main() {
 
     println!("\n### disVal ablations");
     println!("variant\ttime(s)\tcomm(s)\tKiB shipped\tviolations");
-    let dreport = |label: &str, r: &gfd_parallel::ParallelReport| {
+    let dreport = |label: &str, r: &ParallelReport| {
         println!(
             "{label}\t{:.4}\t{:.4}\t{:.1}\t{}",
             r.total_seconds(),

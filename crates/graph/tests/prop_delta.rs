@@ -1,6 +1,6 @@
 //! Property tests for delta batch compaction and ingest validation —
 //! the [`GraphDelta::merge`] / [`GraphDelta::check_against`] layer the
-//! standing-violation service's `EditLog` is built on.
+//! standing-violation service's ingest and write-ahead log are built on.
 //!
 //! The central oracle: a random 50-step edit script, recorded as one
 //! delta per step, applied two ways — step by step (the raw sequence)

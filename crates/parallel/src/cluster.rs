@@ -19,7 +19,7 @@ use gfd_graph::Graph;
 use gfd_match::ClassRegistry;
 
 use crate::metrics::ParallelReport;
-use crate::opt::{reduce_workload, split_large_units, SplitUnit, REDUCTION_CAP};
+use crate::opt::{split_large_units, SplitUnit};
 use crate::threaded::{run_units, UnitRun};
 use crate::unitexec::UnitExecutor;
 use crate::workload::{estimate_workload_in, Workload, WorkloadOptions};
@@ -88,7 +88,6 @@ pub(crate) struct Setup<'a> {
     /// Report label (`repVal`, `disnop`, …).
     pub algo: &'static str,
     pub n: usize,
-    pub reduce_workload: bool,
     pub multi_query: bool,
     pub split_threshold: Option<u64>,
     pub workload: &'a WorkloadOptions,
@@ -128,12 +127,12 @@ pub(crate) trait Protocol {
     fn ship(&self, run: &Run, worker: usize, shares: &[SplitUnit], traffic: &mut Traffic);
 }
 
-/// One simulated run: reduce Σ (optionally), estimate `W(Σ, G)` with
-/// the time charged ÷ n, split skewed units, let `protocol` assign the
-/// shares (timed as the partition step), execute every unit once
-/// through the threaded unit loop on one thread — a dedicated machine
-/// per worker has no contention to pick up — and replay the measured
-/// unit times and `protocol`'s traffic on the virtual clocks.
+/// One simulated run: estimate `W(Σ, G)` with the time charged ÷ n,
+/// split skewed units, let `protocol` assign the shares (timed as the
+/// partition step), execute every unit once through the threaded unit
+/// loop on one thread — a dedicated machine per worker has no
+/// contention to pick up — and replay the measured unit times and
+/// `protocol`'s traffic on the virtual clocks.
 ///
 /// # Panics
 /// Panics if a unit panics on every attempt, as
@@ -146,15 +145,10 @@ pub(crate) fn drive(
 ) -> ParallelReport {
     let n = setup.n;
     assert!(n > 0, "need at least one processor");
-    let (sigma, reduce_seconds) = if setup.reduce_workload {
-        reduce_workload(sigma, REDUCTION_CAP)
-    } else {
-        (sigma.clone(), 0.0)
-    };
     // One registry serves the whole run: the classes estimation
     // simulates are the ones execution enumerates through.
     let registry = ClassRegistry::new();
-    let wl = &estimate_workload_in(&sigma, g, setup.workload, &registry);
+    let wl = &estimate_workload_in(sigma, g, setup.workload, &registry);
     let split = &split_large_units(&wl.units, setup.split_threshold);
     let run = Run { g, n, wl, split };
     let mut clocks = SimClocks::new(n);
@@ -166,7 +160,7 @@ pub(crate) fn drive(
     let partition_seconds = start.elapsed().as_secs_f64();
 
     let (plans, slots) = (&wl.plans, &wl.slots);
-    let exec = UnitExecutor::new(g, &sigma, plans, slots, &registry, setup.multi_query);
+    let exec = UnitExecutor::new(g, sigma, plans, slots, &registry, setup.multi_query);
     let executed = run_units(&exec, &wl.units, 1, None, 0);
     assert!(
         executed.quarantined.is_empty(),
@@ -204,7 +198,6 @@ pub(crate) fn drive(
     ParallelReport {
         algo: setup.algo.into(),
         violations: executed.violations,
-        reduce_seconds,
         estimation_seconds,
         partition_seconds,
         units: split.len(),

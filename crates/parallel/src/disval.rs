@@ -65,8 +65,6 @@ pub struct DisValConfig {
     /// searching the raw graph (raw pools). Rules sharing a pattern
     /// class are grouped either way.
     pub multi_query: bool,
-    /// Workload reduction via implication.
-    pub reduce_workload: bool,
     /// Per-unit evaluation-scheme selection (prefetch vs partial);
     /// `false` (as in `disnop`) always prefetches.
     pub scheme_choice: bool,
@@ -83,19 +81,17 @@ impl DisValConfig {
             n,
             assignment: Assignment::Balanced,
             multi_query: true,
-            reduce_workload: false,
             scheme_choice: true,
             split_threshold: None,
             workload: WorkloadOptions::default(),
         }
     }
 
-    /// `disnop`: optimizations off (no multi-query, no reduction, no
-    /// scheme choice, no splitting); bi-criteria assignment stays.
+    /// `disnop`: optimizations off (no multi-query, no scheme choice,
+    /// no splitting); bi-criteria assignment stays.
     pub fn nop(n: usize) -> Self {
         DisValConfig {
             multi_query: false,
-            reduce_workload: false,
             scheme_choice: false,
             ..Self::val(n)
         }
@@ -217,7 +213,6 @@ pub fn dis_val(
     let setup = Setup {
         algo,
         n: cfg.n,
-        reduce_workload: cfg.reduce_workload,
         multi_query: cfg.multi_query,
         split_threshold: cfg.split_threshold,
         workload: &cfg.workload,

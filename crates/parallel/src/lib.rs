@@ -47,8 +47,8 @@
 //! Module [`service`] lifts the one-shot detectors into a long-lived
 //! engine over an **edit stream**: batches of [`gfd_graph::GraphDelta`]s
 //! compact (opposing ops cancel), commit as epoch-pinned snapshots
-//! readers can hold across later commits, replay from any pinned epoch
-//! via the [`service::EditLog`], and push violation *changes* to
+//! readers can hold across later commits, persist to the write-ahead
+//! log (module [`wal`]), and push violation *changes* to
 //! subscribers. Its robustness story — malformed-batch rejection,
 //! `catch_unwind` repair with graceful degradation to a panic-isolated
 //! full recompute, and a sampled per-epoch repair-invariant oracle —
@@ -81,7 +81,7 @@ pub use gfd_match::ClassRegistry;
 pub use metrics::ParallelReport;
 pub use repval::{rep_val, RepValConfig};
 pub use service::{
-    EditLog, IngestError, PinnedEpoch, ServiceConfig, ServiceStats, VioUpdate, ViolationService,
+    IngestError, PinnedEpoch, ServiceConfig, ServiceStats, VioUpdate, ViolationService,
 };
 pub use threaded::{
     run_units_threaded, run_units_threaded_report, ThreadedReport, MAX_UNIT_ATTEMPTS,

@@ -14,8 +14,8 @@ pub struct ParallelReport {
     pub n: usize,
     /// The violations `Vio(Σ, G)` found.
     pub violations: Vec<Violation>,
-    /// Seconds the coordinator spent minimizing `Σ` (workload
-    /// reduction) — zero when the optimization is off.
+    /// Seconds spent minimizing `Σ` (workload reduction), filled by a
+    /// caller that reduced `Σ` first; `rep_val`/`dis_val` leave it 0.
     pub reduce_seconds: f64,
     /// Workload-estimation seconds, already divided by `n`
     /// (estimation is parallelized across processors).

@@ -1,9 +1,11 @@
 //! Optimization strategies (appendix).
 //!
 //! * **Workload reduction**: drop rules implied by the rest of `Σ`
-//!   (`Σ \ {ϕ} ⊨ ϕ` ⇒ `Vio` unchanged). Delegates to
-//!   [`gfd_core::implication`], guarded by a size cap so reasoning
-//!   never dominates detection.
+//!   (`Σ \ {ϕ} ⊨ ϕ` ⇒ whether `Vio` is empty is unchanged). Delegates
+//!   to [`gfd_core::implication`], guarded by a size cap so reasoning
+//!   never dominates detection. `repVal` and `disVal` never reduce:
+//!   the violations of a dropped rule would go unreported, so a
+//!   caller reduces `Σ` itself and runs them on the result.
 //! * **Replicate-and-split for skewed graphs**: work units whose
 //!   estimated cost exceeds a threshold `θ` are replicated into shares
 //!   that split the enumeration time across processors and ship
@@ -14,8 +16,8 @@ use gfd_core::GfdSet;
 
 use crate::workload::WorkUnit;
 
-/// Size cap `repVal` and `disVal` pass to [`reduce_workload`]
-/// (reasoning on larger rule sets would eat into detection time).
+/// Size cap for [`reduce_workload`] (reasoning on larger rule sets
+/// would eat into detection time).
 pub const REDUCTION_CAP: usize = 64;
 
 /// Applies implication-based workload reduction when `‖Σ‖` is within

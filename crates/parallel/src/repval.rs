@@ -34,12 +34,6 @@ pub struct RepValConfig {
     /// searching the raw graph (raw pools). Rules sharing a pattern
     /// class are grouped either way.
     pub multi_query: bool,
-    /// Workload reduction via implication. **Semantics note**: dropping
-    /// an implied rule preserves whether inconsistencies are detected
-    /// (`Vio = ∅` is unchanged), but the reported violation set lists
-    /// only the surviving rules — so this is off by default and
-    /// exercised by the ablation benchmarks.
-    pub reduce_workload: bool,
     /// Replicate-and-split threshold on a unit's estimated cost.
     pub split_threshold: Option<u64>,
     /// Workload-estimation knobs.
@@ -53,18 +47,16 @@ impl RepValConfig {
             n,
             assignment: Assignment::Balanced,
             multi_query: true,
-            reduce_workload: false,
             split_threshold: None,
             workload: WorkloadOptions::default(),
         }
     }
 
     /// `repnop`: no optimization strategies (multi-query processing,
-    /// workload reduction, skew splitting) — balancing still on.
+    /// skew splitting) — balancing still on.
     pub fn nop(n: usize) -> Self {
         RepValConfig {
             multi_query: false,
-            reduce_workload: false,
             ..Self::val(n)
         }
     }
@@ -90,7 +82,7 @@ impl RepValConfig {
 /// here every virtual worker reads the *same* frozen CSR snapshot
 /// through one shared `Arc` — replication without copies.
 pub fn rep_val(sigma: &GfdSet, g: &Arc<Graph>, cfg: &RepValConfig) -> ParallelReport {
-    let algo = match (cfg.assignment, cfg.multi_query || cfg.reduce_workload) {
+    let algo = match (cfg.assignment, cfg.multi_query) {
         (Assignment::Balanced, true) => "repVal",
         (Assignment::Balanced, false) => "repnop",
         (Assignment::Random { .. }, _) => "repran",
@@ -98,7 +90,6 @@ pub fn rep_val(sigma: &GfdSet, g: &Arc<Graph>, cfg: &RepValConfig) -> ParallelRe
     let setup = Setup {
         algo,
         n: cfg.n,
-        reduce_workload: cfg.reduce_workload,
         multi_query: cfg.multi_query,
         split_threshold: cfg.split_threshold,
         workload: &cfg.workload,

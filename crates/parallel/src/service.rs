@@ -18,11 +18,9 @@
 //! * **Epoch/snapshot pinning** — each committed batch is an epoch.
 //!   Readers pin the current [`Arc<Graph>`] ([`ViolationService::
 //!   snapshot`]) and keep serving it while the next batch applies;
-//!   commits swap the Arc, never mutate. The [`EditLog`] records each
-//!   epoch's compacted delta, so the current snapshot rebuilds from
-//!   **any** live pinned epoch by replaying the suffix
-//!   ([`EditLog::replay_onto`]); the log is bounded by pin-gated
-//!   compaction (epochs no live pin can replay from are dropped).
+//!   commits swap the Arc, never mutate. A pin is the snapshot itself:
+//!   the service keeps no per-epoch log in memory and tracks no pins —
+//!   the write-ahead log below is the one place epochs persist.
 //! * **Durability** — with [`ViolationService::with_durable_log`] every
 //!   committed epoch is also appended to an on-disk write-ahead log
 //!   ([`crate::wal`]) as a checksummed frame, fsynced per
@@ -49,12 +47,11 @@
 //!   numbers; folding the updates over the epoch-0 baseline always
 //!   reproduces the service's absolute violation set.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{mpsc, Arc, Weak};
+use std::sync::{mpsc, Arc};
 
 use gfd_core::validate::{detect_violations, for_each_violation};
 use gfd_core::{GfdSet, IncrementalDetector, RuleGroups, Violation};
@@ -74,8 +71,7 @@ use crate::workload::{estimate_workload_in, WorkloadOptions};
 /// A reader's pinned epoch: the epoch number and the frozen snapshot
 /// it refers to. Holding one keeps the snapshot alive (it is an
 /// `Arc`); the service never mutates committed snapshots, so a pin
-/// stays valid and consistent forever — and doubles as a replay base
-/// for [`EditLog::replay_onto`]. Successive snapshots share every
+/// stays valid and consistent forever. Successive snapshots share every
 /// page no edit touched ([`Graph::apply_delta`]), so a pin costs the
 /// pages rewritten since its epoch, not a copy of the graph.
 #[derive(Clone, Debug)]
@@ -84,87 +80,6 @@ pub struct PinnedEpoch {
     pub epoch: u64,
     /// The snapshot as of that epoch.
     pub graph: Arc<Graph>,
-}
-
-/// One committed epoch's record in the [`EditLog`].
-#[derive(Clone, Debug)]
-pub struct LogEntry {
-    /// The epoch this entry produced (entry takes epoch-1 → epoch).
-    pub epoch: u64,
-    /// The batch's compacted, normalized delta.
-    pub delta: GraphDelta,
-}
-
-/// The per-epoch delta log: entry `e` records the compacted delta
-/// that took snapshot `e-1` to snapshot `e`. Together with any
-/// [`PinnedEpoch`] it reconstructs any later snapshot.
-///
-/// The log is **bounded**: after each commit the service drops every
-/// entry at or below the oldest *live* pin (entries only a dropped pin
-/// could replay from serve nobody). [`compacted_to`](EditLog::compacted_to)
-/// is the resulting replay floor; durability past that floor is the
-/// on-disk write-ahead log's job ([`crate::wal`]).
-#[derive(Debug, Default)]
-pub struct EditLog {
-    entries: Vec<LogEntry>,
-    /// Epochs `<= compacted_to` have been dropped from memory.
-    compacted_to: u64,
-}
-
-impl EditLog {
-    /// All retained entries, in epoch order.
-    pub fn entries(&self) -> &[LogEntry] {
-        &self.entries
-    }
-
-    /// The replay floor: entries at or below this epoch were compacted
-    /// away. Replay is only possible from pins at or past the floor.
-    pub fn compacted_to(&self) -> u64 {
-        self.compacted_to
-    }
-
-    /// Entries currently held in memory.
-    pub fn retained(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Drops every entry at or below `epoch`, returning how many were
-    /// dropped. Called by the service with the oldest live pin's epoch.
-    fn compact_to(&mut self, epoch: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.epoch > epoch);
-        self.compacted_to = self.compacted_to.max(epoch);
-        before - self.entries.len()
-    }
-
-    /// The net delta from `epoch` to the log head, folded into one
-    /// normalized delta ([`GraphDelta::compact`]); `None` if the log
-    /// has no entries past `epoch`.
-    ///
-    /// # Panics
-    ///
-    /// If `epoch` predates the compaction floor — the entries needed
-    /// to replay from there no longer exist, so any answer would be
-    /// silently wrong.
-    pub fn delta_since(&self, epoch: u64) -> Option<GraphDelta> {
-        assert!(
-            epoch >= self.compacted_to,
-            "replay from epoch {epoch} impossible: the log is compacted to {}",
-            self.compacted_to
-        );
-        let suffix = self.entries.iter().filter(|e| e.epoch > epoch);
-        GraphDelta::compact(suffix.map(|e| &e.delta))
-    }
-
-    /// Replays the log suffix onto a pinned epoch, reconstructing the
-    /// snapshot at the log head — one compacted [`Graph::apply_delta`]
-    /// patch, however many epochs the pin is behind.
-    pub fn replay_onto(&self, pin: &PinnedEpoch) -> Arc<Graph> {
-        match self.delta_since(pin.epoch) {
-            Some(net) => Arc::new(pin.graph.apply_delta(&net)),
-            None => Arc::clone(&pin.graph),
-        }
-    }
 }
 
 /// Why a batch was rejected. Rejection is total: the epoch, the log,
@@ -269,11 +184,9 @@ pub struct ServiceStats {
     pub units_retried: u64,
     /// Units quarantined (and then recovered sequentially).
     pub units_quarantined: u64,
-    /// Entries currently retained by the in-memory [`EditLog`] (the
-    /// epochs newer than the oldest live pin).
+    /// Always 0: the service keeps no per-epoch log in memory; the
+    /// write-ahead log holds the epochs.
     pub retained_epochs: u64,
-    /// Entries dropped from the in-memory log by pin-gated compaction.
-    pub log_compacted_epochs: u64,
     /// Frames written to the durable log (snapshot frame included);
     /// zero for an in-memory-only service.
     pub log_frames: u64,
@@ -304,16 +217,10 @@ pub struct ViolationService {
     /// degradation path can emit an exact diff even when the
     /// detector's state was lost to a panic.
     served: HashSet<(usize, Match)>,
-    log: EditLog,
     /// The durable write-ahead log, if the service was constructed
     /// with one ([`with_durable_log`](Self::with_durable_log) /
     /// [`recover`](Self::recover)).
     wal: Option<WalWriter>,
-    /// Epochs handed out by [`snapshot`](Self::snapshot), held weakly:
-    /// a pin's epoch gates log compaction only while the caller still
-    /// holds the `Arc`. `RefCell` because pinning is a `&self`
-    /// operation (readers pin concurrently with serving).
-    pins: RefCell<Vec<(u64, Weak<Graph>)>>,
     subscribers: Vec<mpsc::Sender<VioUpdate>>,
     rng: Rng,
     cfg: ServiceConfig,
@@ -355,9 +262,7 @@ impl ViolationService {
             registry,
             detector,
             served,
-            log: EditLog::default(),
             wal: None,
-            pins: RefCell::new(Vec::new()),
             subscribers: Vec::new(),
             rng,
             cfg,
@@ -440,13 +345,6 @@ impl ViolationService {
             registry,
             detector,
             served,
-            // The in-memory log restarts empty with its floor at the
-            // recovered epoch: pre-crash epochs are replayable from
-            // disk, not from memory.
-            log: EditLog {
-                entries: Vec::new(),
-                compacted_to: epoch,
-            },
             stats: ServiceStats {
                 epochs: epoch,
                 log_frames: writer.frames(),
@@ -454,7 +352,6 @@ impl ViolationService {
                 ..ServiceStats::default()
             },
             wal: Some(writer),
-            pins: RefCell::new(Vec::new()),
             subscribers: Vec::new(),
             rng,
             cfg,
@@ -463,17 +360,8 @@ impl ViolationService {
     }
 
     /// Pins the current epoch: the returned snapshot stays valid and
-    /// immutable while later batches commit. While the pin is held (its
-    /// `Arc` alive), the in-memory [`EditLog`] retains every epoch the
-    /// pin might replay through; dropping the pin releases them for
-    /// compaction at the next commit.
+    /// immutable while later batches commit.
     pub fn snapshot(&self) -> PinnedEpoch {
-        let mut pins = self.pins.borrow_mut();
-        // Keep the registry bounded even on read-heavy, commit-light
-        // workloads: dead pins are also pruned here, not just at commit.
-        pins.retain(|(_, w)| w.strong_count() > 0);
-        pins.push((self.epoch, Arc::downgrade(&self.current)));
-        drop(pins);
         PinnedEpoch {
             epoch: self.epoch,
             graph: Arc::clone(&self.current),
@@ -509,11 +397,6 @@ impl ViolationService {
     /// Operational counters.
     pub fn stats(&self) -> &ServiceStats {
         &self.stats
-    }
-
-    /// The per-epoch delta log.
-    pub fn log(&self) -> &EditLog {
-        &self.log
     }
 
     /// The durable write-ahead log, if this service has one.
@@ -657,8 +540,8 @@ impl ViolationService {
             }
         };
 
-        // 5. Commit: swap the snapshot, append the log entry (durable
-        //    first, then in-memory), then — and only then — publish.
+        // 5. Commit: swap the snapshot, append the epoch to the
+        //    write-ahead log, then — and only then — publish.
         //    Subscribers can never observe a half-applied epoch
         //    because nothing is published until every service
         //    structure agrees on `next_epoch`.
@@ -681,25 +564,6 @@ impl ViolationService {
                     self.wal = None;
                 }
             }
-        }
-        self.log.entries.push(LogEntry {
-            epoch: next_epoch,
-            delta: compacted,
-        });
-        // Pin-gated compaction: entries only dropped pins could replay
-        // from serve nobody; release them. Live pins (weak upgradable)
-        // hold their suffix in place.
-        {
-            let mut pins = self.pins.borrow_mut();
-            pins.retain(|(_, w)| w.strong_count() > 0);
-            let floor = pins
-                .iter()
-                .map(|&(epoch, _)| epoch)
-                .min()
-                .unwrap_or(next_epoch);
-            drop(pins);
-            self.stats.log_compacted_epochs += self.log.compact_to(floor) as u64;
-            self.stats.retained_epochs = self.log.retained() as u64;
         }
         let update = VioUpdate {
             epoch: next_epoch,
@@ -822,6 +686,15 @@ mod tests {
     use gfd_core::{Dependency, Gfd, Literal};
     use gfd_graph::{GraphBuilder, NodeId, Value, Vocab};
     use gfd_pattern::PatternBuilder;
+    use std::sync::Barrier;
+
+    /// Readers may share a service across threads: `snapshot` and
+    /// `violations` take `&self` and nothing behind them is
+    /// thread-local.
+    const _: fn() = || {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<ViolationService>();
+    };
 
     fn social(n: usize) -> Graph {
         let mut g = GraphBuilder::with_fresh_vocab();
@@ -923,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_pins_survive_commits_and_the_log_replays_them_forward() {
+    fn epoch_pins_survive_commits() {
         let (g0, mut svc) = service(12, ServiceConfig::default());
         let pin0 = svc.snapshot();
         assert_eq!(pin0.epoch, 0);
@@ -931,7 +804,8 @@ mod tests {
 
         let mut rng = Rng::seed_from_u64(11);
         let mut shadow = g0.edit(|_| {});
-        let mut mid_pin = None;
+        // One pin per epoch, held beside the shadow graph at that epoch.
+        let mut pins = Vec::new();
         for round in 0..6u64 {
             let (next, batch) = random_batch(&mut rng, &shadow, 1 + (round as usize % 3));
             shadow = next;
@@ -944,27 +818,66 @@ mod tests {
                 scratch(svc.sigma(), &shadow),
                 "epoch {epoch} diverges from scratch detection"
             );
-            if round == 2 {
-                mid_pin = Some(svc.snapshot());
-            }
+            let pin = svc.snapshot();
+            assert_eq!(pin.epoch, epoch);
+            pins.push((pin, shadow.edit(|_| {})));
         }
 
-        // An empty batch still commits a (trivial) epoch.
+        // An empty batch still commits a (trivial) epoch, on the same
+        // snapshot.
         assert_eq!(svc.ingest(&[]).unwrap(), 7);
+        assert!(Arc::ptr_eq(&svc.snapshot().graph, &pins[5].0.graph));
 
-        // The epoch-0 pin still addresses the original snapshot, and
-        // replay from either pin reconstructs the head exactly.
+        // Every pin still addresses its own epoch's snapshot, however
+        // many epochs committed after it.
         assert!(Arc::ptr_eq(&pin0.graph, &g0), "pinned snapshot was swapped");
-        for pin in [&pin0, mid_pin.as_ref().unwrap()] {
-            let replayed = svc.log().replay_onto(pin);
+        for (pin, at) in &pins {
             assert!(
-                graphs_equal(&replayed, &shadow),
-                "replay from epoch {} diverges from the head snapshot",
+                graphs_equal(&pin.graph, at),
+                "the pin at epoch {} changed under later commits",
                 pin.epoch
             );
         }
         assert_eq!(svc.stats().epochs, 7);
-        assert_eq!(svc.log().entries().len(), 7);
+        assert_eq!(svc.stats().retained_epochs, 0);
+    }
+
+    #[test]
+    fn readers_share_the_service_across_threads_between_ingests() {
+        let (g0, mut svc) = service(12, ServiceConfig::default());
+        let mut rng = Rng::seed_from_u64(71);
+        let mut shadow = g0.edit(|_| {});
+        for round in 0..4u64 {
+            if round > 0 {
+                let (next, batch) = random_batch(&mut rng, &shadow, 2);
+                shadow = next;
+                svc.ingest(&batch).unwrap();
+            }
+            let reader = &svc;
+            // Both readers hold the service at once: the barrier keeps
+            // either from finishing before the other has started.
+            let both = Barrier::new(2);
+            let reads: Vec<(PinnedEpoch, Vec<Violation>)> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            both.wait();
+                            (reader.snapshot(), reader.violations())
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("a reader panicked"))
+                    .collect()
+            });
+            let expected = scratch(svc.sigma(), &shadow);
+            for (pin, violations) in &reads {
+                assert_eq!(pin.epoch, round);
+                assert!(Arc::ptr_eq(&pin.graph, &svc.snapshot().graph));
+                assert_eq!(*violations, expected, "epoch {round}");
+            }
+        }
     }
 
     #[test]
@@ -1008,9 +921,9 @@ mod tests {
             IngestError::MalformedBatch { .. }
         ));
 
-        // Rejection is total: no epoch, no log entry, no diff.
+        // Rejection is total: no epoch, no diff.
         assert_eq!(svc.snapshot().epoch, 0);
-        assert!(svc.log().entries().is_empty());
+        assert_eq!(svc.stats().epochs, 0);
         assert_eq!(svc.violations(), before);
         assert_eq!(svc.stats().batches_rejected, 3);
 
@@ -1166,75 +1079,6 @@ mod tests {
             stats.units_quarantined > 0,
             "plan produced no sticky faults; pick a different seed"
         );
-    }
-
-    #[test]
-    fn pin_gated_compaction_bounds_the_log_and_releases_on_drop() {
-        let (g0, mut svc) = service(10, ServiceConfig::default());
-        let mut rng = Rng::seed_from_u64(61);
-        let mut shadow = g0.edit(|_| {});
-
-        // No pins held: every committed entry is compacted away at the
-        // commit that created it.
-        for _ in 0..3 {
-            let (next, batch) = random_batch(&mut rng, &shadow, 2);
-            shadow = next;
-            svc.ingest(&batch).unwrap();
-        }
-        assert_eq!(svc.stats().retained_epochs, 0);
-        assert_eq!(svc.stats().log_compacted_epochs, 3);
-        assert_eq!(svc.log().compacted_to(), 3);
-
-        // A held pin freezes its suffix in place...
-        let pin = svc.snapshot();
-        for _ in 0..4 {
-            let (next, batch) = random_batch(&mut rng, &shadow, 2);
-            shadow = next;
-            svc.ingest(&batch).unwrap();
-        }
-        assert_eq!(svc.stats().retained_epochs, 4);
-        let replayed = svc.log().replay_onto(&pin);
-        assert!(graphs_equal(&replayed, &shadow), "pinned replay diverged");
-
-        // ...and dropping it releases the suffix at the next commit.
-        drop(replayed);
-        drop(pin);
-        let (next, batch) = random_batch(&mut rng, &shadow, 1);
-        shadow = next;
-        svc.ingest(&batch).unwrap();
-        assert_eq!(svc.stats().retained_epochs, 0);
-        assert_eq!(svc.log().compacted_to(), 8);
-        assert_eq!(svc.violations(), scratch(svc.sigma(), &shadow));
-    }
-
-    #[test]
-    #[should_panic(expected = "log is compacted")]
-    fn replay_below_the_compaction_floor_panics_loudly() {
-        let (g0, mut svc) = service(8, ServiceConfig::default());
-        let mut shadow = g0.edit(|_| {});
-        // Epoch 1: a real edit, so `current` moves to a fresh Arc the
-        // test does not hold.
-        let (next, d1) = shadow.edit_with_delta(|b| {
-            b.add_edge_labeled(NodeId(0), NodeId(1), "post");
-        });
-        shadow = next;
-        svc.ingest(&[d1]).unwrap();
-        let pin = svc.snapshot();
-        assert_eq!(pin.epoch, 1);
-        // A caller that remembers the epoch but drops the Arc no
-        // longer gates compaction — replaying later must fail loudly,
-        // not silently skip the compacted entries.
-        let remembered_epoch = pin.epoch;
-        drop(pin);
-        let (_, d2) = shadow.edit_with_delta(|b| {
-            b.add_edge_labeled(NodeId(0), NodeId(2), "post");
-        });
-        svc.ingest(&[d2]).unwrap();
-        let stale = PinnedEpoch {
-            epoch: remembered_epoch,
-            graph: Arc::new(social(2)),
-        };
-        svc.log().replay_onto(&stale);
     }
 
     #[test]

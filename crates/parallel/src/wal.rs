@@ -1,5 +1,5 @@
-//! Durable write-ahead edit log: the on-disk backing of the
-//! standing-violation service's [`EditLog`](crate::EditLog).
+//! Durable write-ahead edit log: the standing-violation service's one
+//! epoch log ([`ViolationService`](crate::ViolationService)).
 //!
 //! ## On-disk format
 //!

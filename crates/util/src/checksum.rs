@@ -1,6 +1,6 @@
 //! A dependency-free 64-bit content checksum for on-disk records.
 //!
-//! The durable `EditLog` (`gfd_parallel::wal`) frames plain bytes on
+//! The write-ahead log (`gfd_parallel::wal`) frames plain bytes on
 //! disk and must detect torn writes, truncated tails and bit rot
 //! without pulling in a CRC crate. [`checksum64`] is an xxhash-style
 //! multiply-rotate hash over 8-byte lanes with a SplitMix64 finalizer:
