@@ -2,28 +2,30 @@
 //!
 //! For a pattern `Q` and a set `Σ`, the GFDs *embedded in `Q` and
 //! derived from `Σ`* are `(Q, f(X') → f(Y'))` for every `ϕ' = (Q', X'
-//! → Y')` in `Σ` and every embedding `f` of `Q'` into `Q`. Closures
-//! over those embedded dependencies drive both static analyses:
+//! → Y')` in `Σ` and every embedding `f` of `Q'` into `Q`. An
+//! embedding is a match of `Q'` in `Q` frozen as a graph (the
+//! canonical graph of [`crate::sat::canonical_graph`]), so both static
+//! analyses ground `Σ` through one function on the one enumerator,
+//! [`ground_deps_of_matches`], and compute closures over the result:
 //!
 //! * `enforced(Σ_Q)` — the fixpoint starting from nothing, used by
-//!   satisfiability;
+//!   satisfiability (owners are the nodes of all of `Σ`'s patterns);
 //! * `closure(Σ_Q, X)` — the fixpoint starting from `X`, used by
-//!   implication.
+//!   implication (owners are `Q`'s variables).
 //!
-//! The same machinery is reused by the satisfiability chase with graph
-//! *nodes* instead of pattern variables as term owners, so the literal
-//! form here is "ground": owners are plain `u32` indices.
+//! Either way the literal form here is "ground": owners are plain
+//! `u32` indices.
 
-use gfd_graph::{Sym, Value};
-use gfd_pattern::{embeddings, Pattern};
+use gfd_graph::{Graph, Sym, Value};
+use gfd_match::api::EnumOutcome;
+use gfd_match::{for_each_match, types::Flow, MatchOptions, SearchBudget};
 
 use crate::eqrel::EqRel;
 use crate::gfd::GfdSet;
 use crate::literal::{Dependency, Literal};
 
 /// A literal whose variables have been resolved to owner indices
-/// (pattern variables for implication, graph nodes for the
-/// satisfiability chase).
+/// (nodes of a canonical graph).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GroundLiteral {
     /// `o.A = c`.
@@ -111,16 +113,26 @@ pub fn ground_dep(dep: &Dependency, owner_of: &dyn Fn(gfd_pattern::VarId) -> u32
     }
 }
 
-/// Derives all GFDs of `Σ` embedded in `Q` (owners are `Q`'s variable
-/// indices). One [`GroundDep`] per (rule, embedding) pair.
-pub fn embedded_deps(sigma: &GfdSet, q: &Pattern) -> Vec<GroundDep> {
-    let mut out = Vec::new();
+/// Grounds every rule of `Σ` on each of its matches in `graph`: one
+/// [`GroundDep`] per (rule, match) pair, owners are node indices.
+/// Returns `None` if a rule's enumeration ran out of `budget`.
+pub fn ground_deps_of_matches(
+    sigma: &GfdSet,
+    graph: &Graph,
+    budget: SearchBudget,
+) -> Option<Vec<GroundDep>> {
+    let opts = MatchOptions::unrestricted().with_budget(budget);
+    let mut deps = Vec::new();
     for gfd in sigma {
-        for emb in embeddings(&gfd.pattern, q) {
-            out.push(ground_dep(&gfd.dep, &|v| emb[v.index()].0));
+        let outcome = for_each_match(&gfd.pattern, graph, &opts, &mut |m| {
+            deps.push(ground_dep(&gfd.dep, &|v| m[v.index()].0));
+            Flow::Continue
+        });
+        if outcome != EnumOutcome::Complete {
+            return None;
         }
     }
-    out
+    Some(deps)
 }
 
 /// Runs the equality chase: asserts `base`, then fires every
@@ -159,6 +171,7 @@ pub fn chase(deps: &[GroundDep], base: &[GroundLiteral]) -> EqRel {
 mod tests {
     use super::*;
     use crate::gfd::Gfd;
+    use crate::sat::canonical_graph;
     use gfd_graph::Vocab;
     use gfd_pattern::{PatternBuilder, VarId};
 
@@ -268,9 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn embedded_deps_follow_embeddings() {
+    fn grounding_follows_matches() {
         // Σ = { (single τ node, ∅ → x.A = c) }; Q = τ → τ edge.
-        // The single node embeds twice, so both Q-variables get the dep.
+        // The single node matches Q's canonical graph twice, so both
+        // Q-variables get the dep.
         let vocab = Vocab::shared();
         let a = sym(&vocab, "A");
         let mut b = PatternBuilder::new(vocab.clone());
@@ -289,7 +303,8 @@ mod tests {
         b.edge(x, y, "l");
         let q = b.build();
 
-        let deps = embedded_deps(&sigma, &q);
+        let g = canonical_graph([&q]);
+        let deps = ground_deps_of_matches(&sigma, &g, SearchBudget::UNLIMITED).unwrap();
         assert_eq!(deps.len(), 2);
         let rel = chase(&deps, &[]);
         assert!(rel.entails_const(0, a, &Value::str("c")));

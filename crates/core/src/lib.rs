@@ -14,8 +14,8 @@
 //!   conflict characterization of Lemma 3 as a canonical-model chase
 //!   that also *produces* a model on success (module [`sat`]).
 //! * **Implication** (§4.2, NP-complete): `Σ ⊨ ϕ` via deducibility of
-//!   `Y` from `closure(Σ_Q, X)` over embedded GFDs, Lemma 7 (module
-//!   [`implication`]).
+//!   `Y` from `closure(Σ_Q, X)` over embedded GFDs, Lemma 7 — the
+//!   matches of `Σ` in `Q`'s canonical graph (module [`implication`]).
 //! * **Validation / error detection** (§5.1, coNP-complete): the set
 //!   `Vio(Σ, G)` of violating matches, with the sequential reference
 //!   algorithm `detVio` (module [`validate`]; the parallel-scalable
@@ -28,8 +28,9 @@
 //!
 //! The equality-atom reasoning shared by `enforced(Σ_Q)` and
 //! `closure(Σ_Q, X)` is a union–find over attribute terms and
-//! constants (module [`eqrel`]); derivation of embedded GFDs along
-//! pattern embeddings lives in module [`closure`].
+//! constants (module [`eqrel`]); grounding `Σ` on its matches in a
+//! canonical graph — the embedded GFDs of both analyses, found by the
+//! same enumerator detection uses — lives in module [`closure`].
 
 pub mod cfd;
 pub mod closure;

@@ -27,13 +27,11 @@
 //! `∅ → Y` rules) are detected first; tree-pattern classification (the
 //! PTIME case) is exposed via [`tractable_case`].
 
-use std::collections::HashMap;
-
 use gfd_graph::{Graph, GraphBuilder, NodeId, Value};
-use gfd_match::{for_each_match, types::Flow, MatchOptions, SearchBudget};
-use gfd_pattern::{analysis, PatLabel};
+use gfd_match::SearchBudget;
+use gfd_pattern::{analysis, PatLabel, Pattern};
 
-use crate::closure::{chase, ground_dep, GroundDep};
+use crate::closure::{chase, ground_deps_of_matches};
 use crate::gfd::GfdSet;
 
 /// Result of a satisfiability check.
@@ -87,66 +85,42 @@ pub fn tractable_case(sigma: &GfdSet) -> Option<TractableCase> {
     None
 }
 
-/// Builds the canonical graph `G₀`: one copy of each pattern of `Σ`.
-/// Returns the frozen graph and, per rule, the node of each pattern
-/// variable.
-pub fn canonical_graph(sigma: &GfdSet) -> (Graph, Vec<Vec<NodeId>>) {
-    let vocab = sigma
-        .iter()
-        .next()
-        .map(|g| g.pattern.vocab().clone())
-        .unwrap_or_else(gfd_graph::Vocab::shared);
+/// Builds the canonical graph of `patterns`: one copy of each, in
+/// order, with pattern `k`'s variable `i` at node `i` plus the node
+/// counts of the patterns before it (so a single pattern's variable
+/// `i` is node `i`). Every wildcard node and edge gets a fresh label
+/// of its own, so a labeled variable of another pattern never matches
+/// it while a wildcard one does.
+pub fn canonical_graph<'a>(patterns: impl IntoIterator<Item = &'a Pattern>) -> Graph {
+    let mut patterns = patterns.into_iter().peekable();
+    let vocab = match patterns.peek() {
+        Some(q) => q.vocab().clone(),
+        None => gfd_graph::Vocab::shared(),
+    };
     let mut g0 = GraphBuilder::new(vocab.clone());
-    let mut images = Vec::with_capacity(sigma.len());
     let mut fresh = 0usize;
-    for gfd in sigma {
-        let q = &gfd.pattern;
-        let mut map = HashMap::new();
+    let mut fresh_label = |kind: &str| {
+        fresh += 1;
+        vocab.intern(&format!("__wild_{kind}_{fresh}"))
+    };
+    for q in patterns {
+        let base = g0.node_count() as u32;
         for v in q.vars() {
             let label = match q.label(v) {
                 PatLabel::Sym(s) => s,
-                PatLabel::Wildcard => {
-                    fresh += 1;
-                    vocab.intern(&format!("__wild_node_{fresh}"))
-                }
+                PatLabel::Wildcard => fresh_label("node"),
             };
-            map.insert(v, g0.add_node(label));
+            g0.add_node(label);
         }
         for e in q.edges() {
             let label = match e.label {
                 PatLabel::Sym(s) => s,
-                PatLabel::Wildcard => {
-                    fresh += 1;
-                    vocab.intern(&format!("__wild_edge_{fresh}"))
-                }
+                PatLabel::Wildcard => fresh_label("edge"),
             };
-            g0.add_edge(map[&e.src], map[&e.dst], label);
-        }
-        images.push(q.vars().map(|v| map[&v]).collect());
-    }
-    (g0.freeze(), images)
-}
-
-/// Collects the ground dependencies of every match of every rule of
-/// `Σ` in `graph`. Returns `None` if the budget was exhausted.
-fn ground_deps_of_matches(
-    sigma: &GfdSet,
-    graph: &Graph,
-    budget: SearchBudget,
-) -> Option<Vec<GroundDep>> {
-    let mut deps = Vec::new();
-    for gfd in sigma {
-        let opts = MatchOptions::unrestricted().with_budget(budget);
-        let outcome = for_each_match(&gfd.pattern, graph, &opts, &mut |m| {
-            let owners: Vec<u32> = m.iter().map(|n| n.0).collect();
-            deps.push(ground_dep(&gfd.dep, &|v| owners[v.index()]));
-            Flow::Continue
-        });
-        if !matches!(outcome, gfd_match::api::EnumOutcome::Complete) {
-            return None;
+            g0.add_edge(NodeId(base + e.src.0), NodeId(base + e.dst.0), label);
         }
     }
-    Some(deps)
+    g0.freeze()
 }
 
 /// Checks satisfiability with an explicit match-enumeration budget.
@@ -154,7 +128,7 @@ pub fn check_satisfiability_budgeted(sigma: &GfdSet, budget: SearchBudget) -> Sa
     if sigma.is_empty() {
         return SatOutcome::Satisfiable(GraphBuilder::with_fresh_vocab().freeze());
     }
-    let (g0, _) = canonical_graph(sigma);
+    let g0 = canonical_graph(sigma.iter().map(|g| &g.pattern));
     let Some(deps) = ground_deps_of_matches(sigma, &g0, budget) else {
         return SatOutcome::Unknown;
     };
@@ -440,5 +414,37 @@ mod tests {
         );
         let sigma2 = GfdSet::new(vec![phi_a, phi_b, phi_d]);
         assert!(!is_satisfiable(&sigma2));
+    }
+
+    #[test]
+    fn exhausted_budget_is_unknown() {
+        // Example 7's ϕ8 and ϕ9: their patterns have several candidate
+        // nodes in G₀, so one backtracking step cannot decide.
+        let vocab = Vocab::shared();
+        let a = vocab.intern("A");
+        let sigma = GfdSet::new(vec![
+            Gfd::new(
+                "phi8",
+                q8(vocab.clone()),
+                Dependency::always(vec![Literal::const_eq(VarId(0), a, "c")]),
+            ),
+            Gfd::new(
+                "phi9",
+                q9(vocab),
+                Dependency::always(vec![Literal::const_eq(VarId(0), a, "d")]),
+            ),
+        ]);
+        let one_step = SearchBudget {
+            max_matches: None,
+            max_steps: Some(1),
+        };
+        assert!(matches!(
+            check_satisfiability_budgeted(&sigma, one_step),
+            SatOutcome::Unknown
+        ));
+        assert!(matches!(
+            check_satisfiability_budgeted(&sigma, DEFAULT_REASONING_BUDGET),
+            SatOutcome::Unsatisfiable { .. }
+        ));
     }
 }

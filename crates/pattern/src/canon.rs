@@ -1,10 +1,10 @@
 //! Canonical forms and explicit isomorphism witnesses.
 //!
-//! [`crate::signature`] buckets patterns by a 64-bit hash that is
-//! *invariant* under isomorphism but not *complete*: non-isomorphic
-//! patterns can collide, both by hash accident and structurally (1-WL
-//! color refinement cannot separate, e.g., two directed triangles from
-//! one directed 6-cycle). The canonical form closes that gap: two
+//! The 1-WL colors of [`crate::signature`] are *invariant* under
+//! isomorphism but not *complete*: non-isomorphic patterns can share
+//! them, both by hash accident and structurally (color refinement
+//! cannot separate, e.g., two directed triangles from one directed
+//! 6-cycle). The canonical form closes that gap: two
 //! patterns over one vocabulary have equal [`CanonicalForm::code`]s
 //! **iff** they are isomorphic under exact label equality, and the
 //! canonical variable order turns code equality into an explicit
@@ -14,10 +14,11 @@
 //! result instead of re-simulating (the paper's Example 10
 //! observation, generalized from symmetric pairs to whole rule sets).
 //!
-//! Exact label equality — not the directional `refines` of
-//! [`crate::embed`] — is deliberate: a wildcard variable and a labeled
-//! variable have different match sets, so sharing a candidate space
-//! between them would be unsound even where an embedding exists.
+//! Exact label equality — not the directional order in which a
+//! wildcard variable lands on a labeled one — is deliberate: a
+//! wildcard variable and a labeled variable have different match sets,
+//! so sharing a candidate space between them would be unsound even
+//! where one pattern matches in the other.
 //!
 //! ## Algorithm
 //!
@@ -291,7 +292,7 @@ pub fn canonical_form(q: &Pattern) -> CanonicalForm {
 }
 
 /// Finds an exact-label isomorphism from `a` onto `b`, if one exists —
-/// the structural check that is immune to signature collisions, and
+/// the structural check that is immune to 1-WL color collisions, and
 /// the witness the candidate-space registry's members read through.
 pub fn iso_witness(a: &Pattern, b: &Pattern) -> Option<IsoWitness> {
     if a.node_count() != b.node_count() || a.edge_count() != b.edge_count() {
@@ -333,6 +334,12 @@ mod tests {
     use super::*;
     use crate::pattern::PatternBuilder;
     use gfd_graph::Vocab;
+
+    fn sorted_colors(q: &Pattern) -> Vec<u64> {
+        let mut colors = wl_colors(q);
+        colors.sort_unstable();
+        colors
+    }
 
     fn tri_pair(vocab: std::sync::Arc<Vocab>) -> Pattern {
         // Two disjoint directed 3-cycles, uniform labels.
@@ -413,13 +420,13 @@ mod tests {
     fn wl_collision_pair_is_separated() {
         // Two directed triangles vs one directed 6-cycle: same node
         // count, edge count, uniform labels and uniform 1-WL colors —
-        // a *structural* signature collision (not a hash accident)…
+        // a *structural* collision (not a hash accident)…
         let vocab = Vocab::shared();
         let two_tri = tri_pair(vocab.clone());
         let c6 = hexagon(vocab);
         assert_eq!(
-            crate::signature::pattern_signature(&two_tri),
-            crate::signature::pattern_signature(&c6),
+            sorted_colors(&two_tri),
+            sorted_colors(&c6),
             "premise: 1-WL cannot separate the pair"
         );
         // …but canonical codes (and hence witnesses) tell them apart.
@@ -470,7 +477,7 @@ mod tests {
 
     /// Grouping keys on complete canonical codes: renamed twins share a
     /// class (with a witness onto the representative), and the 2×C3 /
-    /// C6 pair — one 1-WL signature, two shapes — never merges.
+    /// C6 pair — one 1-WL color multiset, two shapes — never merges.
     #[test]
     fn grouping_with_witnesses() {
         let vocab = Vocab::shared();
@@ -488,9 +495,9 @@ mod tests {
         let p3 = b.build();
         let (two_tri, c6) = (tri_pair(vocab.clone()), hexagon(vocab));
         assert_eq!(
-            crate::signature::pattern_signature(&two_tri),
-            crate::signature::pattern_signature(&c6),
-            "premise: the pair collides on the signature"
+            sorted_colors(&two_tri),
+            sorted_colors(&c6),
+            "premise: the pair collides on the colors"
         );
         let classes = group_isomorphic_with_witnesses(&[&p1, &p2, &p3, &two_tri, &c6]);
         let reps: Vec<usize> = classes.iter().map(|(rep, _)| *rep).collect();

@@ -15,10 +15,8 @@
 //!
 //! * connected components, eccentricities and **pivot selection** (the
 //!   minimum-radius node per component, §5.2) — module [`analysis`];
-//! * **pattern-to-pattern embeddings** (`Q'` embeddable in `Q` via an
-//!   isomorphic mapping onto a subgraph, §4) — module [`embed`];
-//! * 1-WL **signatures** (the canonical search's color partition) and
-//!   the component decomposition — module [`signature`];
+//! * 1-WL **colors** (the canonical search's color partition) and the
+//!   component decomposition — module [`signature`];
 //! * complete **canonical forms** with explicit [`IsoWitness`]
 //!   bijections — the exact-isomorphism layer that groups isomorphic
 //!   rules across a rule set (the multi-query optimization of the
@@ -32,12 +30,10 @@
 pub mod analysis;
 pub mod canon;
 pub mod decomp;
-pub mod embed;
 pub mod pattern;
 pub mod signature;
 
 pub use analysis::{ComponentInfo, PivotVector};
 pub use canon::{canonical_form, iso_witness, CanonicalForm, IsoWitness};
 pub use decomp::{tree_decomposition, Bag, TreeDecomposition};
-pub use embed::{embeddings, embeddings_with, is_embeddable, isomorphic};
 pub use pattern::{distinct_neighbors, PatLabel, Pattern, PatternBuilder, PatternEdge, VarId};

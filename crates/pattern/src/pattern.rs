@@ -45,18 +45,6 @@ impl PatLabel {
             PatLabel::Wildcard => true,
         }
     }
-
-    /// Is `self` at least as specific as `other`? (Used for pattern-
-    /// to-pattern embeddings: a wildcard pattern node may map onto any
-    /// node, a labeled one only onto an equally labeled node.)
-    #[inline]
-    pub fn refines(self, other: PatLabel) -> bool {
-        match (self, other) {
-            (PatLabel::Wildcard, _) => true,
-            (PatLabel::Sym(a), PatLabel::Sym(b)) => a == b,
-            (PatLabel::Sym(_), PatLabel::Wildcard) => false,
-        }
-    }
 }
 
 /// A directed pattern edge.
@@ -71,7 +59,7 @@ pub struct PatternEdge {
 }
 
 /// Number of distinct variables in a pattern adjacency list — the
-/// *sound* degree-pruning bound for matchers and embedders: distinct
+/// *sound* degree-pruning bound for the matcher: distinct
 /// neighbor variables map to distinct images (injectivity), so each
 /// needs its own edge, but parallel pattern edges to one neighbor
 /// (e.g. a labeled and a wildcard edge) can share a single image edge,
@@ -219,15 +207,6 @@ impl Pattern {
             }
             seen = next;
         }
-    }
-
-    /// True if the pattern has an edge `src → dst` that `label` refines
-    /// (i.e. an edge every match of which also satisfies `label`); used
-    /// by pattern-to-pattern embeddings.
-    pub fn has_edge_refining(&self, src: VarId, dst: VarId, label: PatLabel) -> bool {
-        self.out(src)
-            .iter()
-            .any(|&(d, l)| d == dst && label.refines(l))
     }
 
     /// Restricts the pattern to `vars` (e.g. one connected component),
@@ -429,18 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn refines_ordering() {
-        let vocab = Vocab::shared();
-        let a = PatLabel::Sym(vocab.intern("a"));
-        let b = PatLabel::Sym(vocab.intern("b"));
-        assert!(PatLabel::Wildcard.refines(a));
-        assert!(PatLabel::Wildcard.refines(PatLabel::Wildcard));
-        assert!(a.refines(a));
-        assert!(!a.refines(b));
-        assert!(!a.refines(PatLabel::Wildcard));
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate variable name")]
     fn duplicate_names_rejected() {
         let mut b = PatternBuilder::new(Vocab::shared());
@@ -477,18 +444,5 @@ mod tests {
         let y = b.node("y", "a");
         b.edge(y, x, "e");
         assert!(b.build().is_connected());
-    }
-
-    #[test]
-    fn has_edge_refining_respects_wildcards() {
-        let vocab = Vocab::shared();
-        let mut b = PatternBuilder::new(vocab.clone());
-        let x = b.node("x", "a");
-        let y = b.node("y", "b");
-        b.wildcard_edge(x, y);
-        let q = b.build();
-        // The wildcard edge refines nothing concrete but refines wildcard.
-        assert!(q.has_edge_refining(x, y, PatLabel::Wildcard));
-        assert!(!q.has_edge_refining(x, y, PatLabel::Sym(vocab.intern("e"))));
     }
 }

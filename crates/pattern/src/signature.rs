@@ -1,14 +1,14 @@
-//! Isomorphism-invariant component signatures.
+//! Isomorphism-invariant variable colors and the component
+//! decomposition.
 //!
 //! The multi-query optimization of the appendix ("extracting common
 //! sub-patterns", following \[31\]) groups the patterns of Σ into
 //! isomorphism classes so that match enumeration is done once per
 //! class. The grouping keys on complete canonical forms
-//! ([`crate::canon`]); the cheap *signature* here — a hash invariant
-//! under isomorphism built from 1-dimensional Weisfeiler–Leman color
-//! refinement — supplies the color partition the canonical search
-//! respects, and is a prefilter only: non-isomorphic patterns can
-//! share a signature.
+//! ([`crate::canon`]); the 1-dimensional Weisfeiler–Leman colors here
+//! supply the color partition the canonical search respects. They are
+//! invariant under isomorphism but not complete: non-isomorphic
+//! patterns can share a sorted color multiset.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -40,8 +40,8 @@ fn hash_one<T: Hash>(t: &T) -> u64 {
 /// The stopping round is determined by an isomorphism-invariant
 /// property of the color multiset, so corresponding variables of
 /// isomorphic patterns still get equal colors; that makes the colors
-/// both a signature ingredient and the cell partition the canonical
-/// form's permutation search respects.
+/// the cell partition the canonical form's permutation search
+/// respects.
 pub(crate) fn wl_colors(q: &Pattern) -> Vec<u64> {
     let n = q.node_count();
     let mut colors: Vec<u64> = q.vars().map(|v| label_code(q.label(v))).collect();
@@ -76,18 +76,6 @@ pub(crate) fn wl_colors(q: &Pattern) -> Vec<u64> {
     colors
 }
 
-/// An isomorphism-invariant signature of a whole pattern.
-///
-/// Equal patterns (up to isomorphism) get equal signatures; unequal
-/// patterns get unequal signatures with high probability — collisions
-/// exist, so class membership is decided by canonical codes
-/// ([`crate::canon::group_isomorphic_with_witnesses`]).
-pub fn pattern_signature(q: &Pattern) -> u64 {
-    let mut sorted = wl_colors(q);
-    sorted.sort_unstable();
-    hash_one(&(q.node_count(), q.edge_count(), sorted))
-}
-
 /// Splits a pattern into its connected components (as standalone
 /// patterns) with, per component, the original variable of each new
 /// variable — the decomposition step shared by the matcher and the
@@ -102,9 +90,15 @@ pub fn decompose(q: &Pattern) -> Vec<(Pattern, Vec<VarId>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::embed::isomorphic;
     use crate::pattern::PatternBuilder;
     use gfd_graph::Vocab;
+
+    /// The sorted 1-WL color multiset: equal for isomorphic patterns.
+    fn sorted_colors(q: &Pattern) -> Vec<u64> {
+        let mut colors = wl_colors(q);
+        colors.sort_unstable();
+        colors
+    }
 
     #[test]
     fn isomorphic_patterns_share_signature() {
@@ -121,7 +115,7 @@ mod tests {
         b.edge(x, y, "e");
         let p2 = b.build();
 
-        assert_eq!(pattern_signature(&p1), pattern_signature(&p2));
+        assert_eq!(sorted_colors(&p1), sorted_colors(&p2));
     }
 
     #[test]
@@ -140,8 +134,8 @@ mod tests {
         let rev = b.build();
 
         // Reversed edge on same labels IS isomorphic (rename x↔y), so
-        // signatures must agree…
-        assert_eq!(pattern_signature(&path), pattern_signature(&rev));
+        // the colors must agree…
+        assert_eq!(sorted_colors(&path), sorted_colors(&rev));
 
         // …but a 2-path differs from a single edge.
         let vocab = Vocab::shared();
@@ -152,7 +146,7 @@ mod tests {
         b.edge(x, y, "e");
         b.edge(y, z, "e");
         let p2 = b.build();
-        assert_ne!(pattern_signature(&path), pattern_signature(&p2));
+        assert_ne!(sorted_colors(&path), sorted_colors(&p2));
     }
 
     #[test]
@@ -170,8 +164,8 @@ mod tests {
         b.edge(y, x, "e");
         let ba = b.build();
 
-        assert_ne!(pattern_signature(&ab), pattern_signature(&ba));
-        assert!(!isomorphic(&ab, &ba));
+        assert_ne!(sorted_colors(&ab), sorted_colors(&ba));
+        assert!(crate::canon::iso_witness(&ab, &ba).is_none());
     }
 
     /// Class representative per input, as the canonical grouping
@@ -204,9 +198,9 @@ mod tests {
     }
 
     /// Regression: two non-isomorphic patterns engineered to collide
-    /// on the 64-bit signature (uniform labels, every node with in-
-    /// and out-degree 1 — 1-WL refinement never splits the colors, so
-    /// two disjoint directed triangles hash exactly like one directed
+    /// on their 1-WL colors (uniform labels, every node with in- and
+    /// out-degree 1 — refinement never splits the colors, so two
+    /// disjoint directed triangles color exactly like one directed
     /// 6-cycle). Grouping keys on canonical codes, so the classes stay
     /// apart anyway.
     #[test]
@@ -228,9 +222,9 @@ mod tests {
         let hexagon = b.build();
 
         assert_eq!(
-            pattern_signature(&two_triangles),
-            pattern_signature(&hexagon),
-            "premise: the pair collides on the signature"
+            sorted_colors(&two_triangles),
+            sorted_colors(&hexagon),
+            "premise: the pair collides on the colors"
         );
         let classes = group_reps(&[&two_triangles, &hexagon]);
         assert_ne!(classes[0], classes[1], "collision merged distinct classes");

@@ -11,7 +11,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`graph`] | `gfd-graph` | property graphs as a mutable `GraphBuilder` + frozen CSR `Graph` snapshot, neighborhoods, fragments, stats |
-//! | [`pattern`] | `gfd-pattern` | graph patterns `Q[x̄]`, pivots, embeddings |
+//! | [`pattern`] | `gfd-pattern` | graph patterns `Q[x̄]`, pivots, canonical forms, tree decompositions |
 //! | [`matcher`] | `gfd-match` | subgraph isomorphism, pivoted matching, simulation |
 //! | [`core`] | `gfd-core` | GFDs, satisfiability, implication, validation |
 //! | [`parallel`] | `gfd-parallel` | workload model, repVal / disVal over one `Arc<Graph>`, cluster runtime |
