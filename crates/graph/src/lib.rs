@@ -24,14 +24,15 @@
 //!   [`GraphDelta::check_against`] validates against either side
 //!   ([`DeltaBase`]), and the delta feeds the incremental maintenance
 //!   subsystems in `gfd-match`/`gfd-core`/`gfd-parallel`;
-//! * `k`-hop neighborhoods — the data blocks `G_z̄` of `disVal`'s byte
-//!   model (module [`neighborhood`]);
+//! * `k`-hop neighborhoods, the node side of the paper's data blocks
+//!   `G_z̄`, and [`NodeSet`], the node set that scopes a simulation
+//!   (module [`neighborhood`]);
 //! * sorted-slice intersection kernels (merge + galloping) used by the
 //!   matcher's candidate-pool refinement (module [`intersect`]);
 //! * fragmentations `(F_1, …, F_n)` with in-/out-border nodes for the
 //!   distributed setting of §6.2 (module [`fragment`]);
-//! * statistics used by workload estimation: label frequencies and
-//!   equi-depth histograms (module [`stats`]);
+//! * graph statistics: label frequencies, degrees and the skew ratio
+//!   of Fig. 8 (module [`stats`]);
 //! * a plain-text interchange format and a self-contained snapshot
 //!   form ([`GraphData`], module [`io`]); both [`GraphDelta`] and
 //!   [`GraphData`] also carry a plain-bytes binary codec
@@ -65,6 +66,6 @@ pub use io::{
     encode_snapshot, encode_snapshot_chunked, DecodedSnapshot, GraphData, SNAPSHOT_CHUNK,
 };
 pub use neighborhood::NodeSet;
-pub use stats::{EquiDepthHistogram, GraphStats};
+pub use stats::GraphStats;
 pub use value::Value;
 pub use vocab::{Sym, Vocab};

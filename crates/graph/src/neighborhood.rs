@@ -1,5 +1,5 @@
-//! `k`-hop neighborhoods — the node side of the data blocks `G_z̄` —
-//! and [`NodeSet`], the sorted node-id set that also scopes a
+//! `k`-hop neighborhoods — the node side of the paper's data blocks
+//! `G_z̄` — and [`NodeSet`], the sorted node-id set that also scopes a
 //! simulation.
 //!
 //! §5.2: the data block of a pivot candidate `σ(z_i)` of a GFD with
@@ -8,10 +8,12 @@
 //! isomorphism, every node of a match is within radius hops of the
 //! pivot's image along undirected paths.
 //!
-//! A block is `disVal`'s byte model — the nodes a fragment would ship
-//! to assemble it — and nothing else builds one: a pinned search cannot
-//! leave the block, so the matcher never consults it, and the workload
-//! model prices a unit from its pivots' candidate space instead.
+//! No detection path builds a block: a pinned search cannot leave it,
+//! so the matcher never consults one, and work units are priced — and
+//! `disVal`'s shipments sized — from their pivots' class candidate
+//! space instead. [`khop_nodes`] serves the skew statistic of Fig. 8
+//! ([`GraphStats::skew_ratio`](crate::GraphStats::skew_ratio)) and
+//! tests.
 
 use crate::graph::{Graph, NodeId};
 
@@ -67,23 +69,10 @@ impl FromIterator<NodeId> for NodeSet {
     }
 }
 
-/// All nodes within `k` undirected hops of any seed (including seeds).
-///
-/// Dense-bitmap BFS: one `|V|`-byte visited array beats hash-map
-/// bookkeeping for the small, frequent blocks `disVal` builds (one per
-/// range of pivot candidates).
+/// All nodes within `k` undirected hops of any seed (including seeds),
+/// by a dense-bitmap BFS.
 pub fn khop_nodes(g: &Graph, seeds: &[NodeId], k: usize) -> NodeSet {
     let mut visited = vec![false; g.node_count()];
-    khop_nodes_scratch(g, seeds, k, &mut visited)
-}
-
-/// Scratch-reusing variant of [`khop_nodes`] for callers that build
-/// many blocks: `visited` must be all-`false` and is restored to
-/// all-`false` on return (only the entries the BFS touched are reset,
-/// so reuse costs `O(|block|)`, not `O(|V|)`).
-pub fn khop_nodes_scratch(g: &Graph, seeds: &[NodeId], k: usize, visited: &mut [bool]) -> NodeSet {
-    debug_assert!(visited.len() >= g.node_count());
-    debug_assert!(visited.iter().all(|&b| !b), "scratch must start clear");
     let mut reached: Vec<NodeId> = Vec::with_capacity(seeds.len());
     for &s in seeds {
         if !std::mem::replace(&mut visited[s.index()], true) {
@@ -107,9 +96,6 @@ pub fn khop_nodes_scratch(g: &Graph, seeds: &[NodeId], k: usize, visited: &mut [
             }
         }
         lo = hi;
-    }
-    for &u in &reached {
-        visited[u.index()] = false;
     }
     NodeSet::from_vec(reached)
 }

@@ -1,11 +1,6 @@
-//! Graph statistics backing workload estimation (§6.1).
-//!
-//! `bPar` needs, per pivot variable `z`: (a) the frequency distribution
-//! of candidates `C(µ(z))` (nodes sharing `µ(z)`'s label) — served by
-//! [`GraphStats::label_frequency`]; and (b) an *m-balanced partition* of
-//! the candidates into value ranges so candidate enumeration can be
-//! spread over processors — served by [`EquiDepthHistogram`], the
-//! "precomputed equi-depth histogram" the paper cites.
+//! Graph statistics: label frequencies `|C(µ(z))|` — the candidates of
+//! a pivot variable `z` (§6.1) — degree statistics, and the `d`-hop
+//! skew ratio of Fig. 8.
 
 use std::collections::HashMap;
 
@@ -83,66 +78,6 @@ impl GraphStats {
     }
 }
 
-/// An equi-depth histogram over `u64` keys: `m` buckets holding
-/// (approximately) the same number of samples each.
-///
-/// Used to derive the *m-balanced partition* `R_{µ(z)} = {r_1, …, r_m}`
-/// of candidate value ranges in workload estimation.
-#[derive(Clone, Debug)]
-pub struct EquiDepthHistogram {
-    /// Inclusive `(lo, hi)` bounds per bucket, ascending and disjoint.
-    buckets: Vec<(u64, u64)>,
-}
-
-impl EquiDepthHistogram {
-    /// Builds a histogram with (at most) `m` equal-count buckets.
-    ///
-    /// Fewer than `m` buckets are returned when there are fewer than `m`
-    /// distinct keys. Panics if `m == 0`.
-    pub fn build(mut keys: Vec<u64>, m: usize) -> Self {
-        assert!(m > 0, "histogram needs at least one bucket");
-        keys.sort_unstable();
-        let mut buckets = Vec::with_capacity(m);
-        if keys.is_empty() {
-            return EquiDepthHistogram { buckets };
-        }
-        let per = keys.len().div_ceil(m);
-        let mut i = 0usize;
-        while i < keys.len() {
-            let mut j = (i + per).min(keys.len());
-            // Extend the bucket so equal keys never straddle a boundary.
-            while j < keys.len() && keys[j] == keys[j - 1] {
-                j += 1;
-            }
-            buckets.push((keys[i], keys[j - 1]));
-            i = j;
-        }
-        EquiDepthHistogram { buckets }
-    }
-
-    /// The bucket ranges, ascending.
-    pub fn ranges(&self) -> &[(u64, u64)] {
-        &self.buckets
-    }
-
-    /// Number of buckets.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// True when no samples were provided.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// The bucket index containing `key`, if any.
-    pub fn bucket_of(&self, key: u64) -> Option<usize> {
-        self.buckets
-            .iter()
-            .position(|&(lo, hi)| key >= lo && key <= hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,38 +97,6 @@ mod tests {
         assert_eq!(stats.label_frequency(flight), 3);
         assert_eq!(stats.label_frequency(city), 1);
         assert_eq!(stats.label_frequency(g.vocab().intern("nope")), 0);
-    }
-
-    #[test]
-    fn equi_depth_buckets_balanced() {
-        let keys: Vec<u64> = (0..100).collect();
-        let h = EquiDepthHistogram::build(keys, 4);
-        assert_eq!(h.len(), 4);
-        assert_eq!(h.ranges()[0], (0, 24));
-        assert_eq!(h.ranges()[3], (75, 99));
-    }
-
-    #[test]
-    fn equi_depth_handles_duplicates() {
-        let keys = vec![5u64; 50];
-        let h = EquiDepthHistogram::build(keys, 4);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.ranges()[0], (5, 5));
-    }
-
-    #[test]
-    fn equi_depth_bucket_lookup() {
-        let h = EquiDepthHistogram::build((0..30).collect(), 3);
-        assert_eq!(h.bucket_of(0), Some(0));
-        assert_eq!(h.bucket_of(29), Some(2));
-        assert_eq!(h.bucket_of(999), None);
-    }
-
-    #[test]
-    fn empty_histogram() {
-        let h = EquiDepthHistogram::build(Vec::new(), 3);
-        assert!(h.is_empty());
-        assert_eq!(h.bucket_of(1), None);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use gfd_graph::{
-    graph::same_snapshot, neighborhood::khop_nodes, EquiDepthHistogram, Fragmentation, Graph,
-    GraphBuilder, NodeId, PartitionStrategy, Sym,
+    graph::same_snapshot, neighborhood::khop_nodes, Fragmentation, Graph, GraphBuilder, NodeId,
+    PartitionStrategy, Sym,
 };
 use gfd_util::{prop::check, prop_assert, Rng};
 
@@ -585,27 +585,6 @@ fn fragmentation_covers() {
         }
         Ok(())
     });
-}
-
-#[test]
-fn equi_depth_covers() {
-    check(
-        "equi-depth buckets cover keys, ascending and disjoint",
-        80,
-        |rng| {
-            let len = rng.gen_range(1..200);
-            let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..1000) as u64).collect();
-            let m = rng.gen_range(1..10);
-            let h = EquiDepthHistogram::build(keys.clone(), m);
-            for k in &keys {
-                prop_assert!(h.bucket_of(*k).is_some(), "key {k} not covered");
-            }
-            for w in h.ranges().windows(2) {
-                prop_assert!(w[0].1 < w[1].0, "buckets must be disjoint and ascending");
-            }
-            Ok(())
-        },
-    );
 }
 
 #[test]

@@ -518,8 +518,8 @@ enum RankBy {
     /// its id.
     Id,
     /// Scoped: the seed is the scope narrowed by label, binary-searched
-    /// (scopes are small — see `PARTIAL_REFINE_MAX_BLOCK` in
-    /// gfd-parallel).
+    /// (no detection path scopes a simulation; scopes are small node
+    /// sets).
     Search,
 }
 

@@ -94,18 +94,20 @@ pub(crate) struct Setup<'a> {
 }
 
 /// What a [`Protocol`] reads: the snapshot, the worker count, the
-/// estimated workload and its shares after skew splitting.
+/// estimated workload, its shares after skew splitting, and the
+/// registry estimation simulated the classes in.
 pub(crate) struct Run<'a> {
     pub g: &'a Graph,
     pub n: usize,
     pub wl: &'a Workload,
     pub split: &'a [SplitUnit],
+    pub registry: &'a ClassRegistry,
 }
 
 /// Bytes one worker ships, batched per kind into one message each.
 #[derive(Default)]
 pub(crate) struct Traffic {
-    /// Unit descriptors (`repVal`) or prefetched block nodes (`disVal`).
+    /// Unit descriptors (`repVal`) or prefetched nodes (`disVal`).
     pub data: u64,
     /// Partial matches: split shares', and `disVal`'s partial detection.
     pub partial: u64,
@@ -147,10 +149,16 @@ pub(crate) fn drive(
     assert!(n > 0, "need at least one processor");
     // One registry serves the whole run: the classes estimation
     // simulates are the ones execution enumerates through.
-    let registry = ClassRegistry::new();
-    let wl = &estimate_workload_in(sigma, g, setup.workload, &registry);
+    let registry = &ClassRegistry::new();
+    let wl = &estimate_workload_in(sigma, g, setup.workload, registry);
     let split = &split_large_units(&wl.units, setup.split_threshold);
-    let run = Run { g, n, wl, split };
+    let run = Run {
+        g,
+        n,
+        wl,
+        split,
+        registry,
+    };
     let mut clocks = SimClocks::new(n);
     let start = Instant::now();
     protocol.prepare(&run, &mut clocks);
@@ -160,7 +168,7 @@ pub(crate) fn drive(
     let partition_seconds = start.elapsed().as_secs_f64();
 
     let (plans, slots) = (&wl.plans, &wl.slots);
-    let exec = UnitExecutor::new(g, sigma, plans, slots, &registry, setup.multi_query);
+    let exec = UnitExecutor::new(g, sigma, plans, slots, registry, setup.multi_query);
     let executed = run_units(&exec, &wl.units, 1, None, 0);
     assert!(
         executed.quarantined.is_empty(),
@@ -182,8 +190,8 @@ pub(crate) fn drive(
                     runs[su.unit_index].violations * 8 * su.unit.k().max(1) as u64;
             }
             if su.of > 1 {
-                // Split shares ship partial matches instead of blocks
-                // (appendix, replicate-and-split).
+                // Split shares ship partial matches instead of their
+                // unit's footprint (appendix, replicate-and-split).
                 traffic.partial += su.cost() * 8;
             }
         }

@@ -15,7 +15,7 @@
 //!   evaluation per unit;
 //!
 //! plus the appendix optimizations: replicate-and-split for skewed
-//! data blocks, multi-query processing over common sub-patterns, and
+//! work units, multi-query processing over common sub-patterns, and
 //! workload reduction via implication (module [`opt`]).
 //!
 //! ## The cluster substitute

@@ -9,7 +9,7 @@
 //! * **Replicate-and-split for skewed graphs**: work units whose
 //!   estimated cost exceeds a threshold `θ` are replicated into shares
 //!   that split the enumeration time across processors and ship
-//!   partial matches instead of whole blocks.
+//!   partial matches instead of prefetching the unit's footprint.
 
 use gfd_core::implication::minimize;
 use gfd_core::GfdSet;

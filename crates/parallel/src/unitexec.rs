@@ -11,8 +11,8 @@
 //! ([`for_each_group_violation`], the one detection primitive). By the
 //! locality of subgraph isomorphism a search pinned at a pivot cannot
 //! leave the pivot's `c^i_Q`-hop block, so a unit is its pivot ranges
-//! and nothing more: the only blocks are the ones `disVal` builds for
-//! its byte model.
+//! and nothing more: no code builds a block, and `disVal` sizes what
+//! it ships from the pivots' root pools in the class candidate space.
 //!
 //! A one-component group streams its rows to the members' dependency
 //! checks; a `k ≥ 2` group collects each component's rows in a scratch

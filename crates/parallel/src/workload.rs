@@ -19,9 +19,10 @@
 //! representative's grid: executing a cell checks every member on each
 //! row. A unit is priced from the candidate space estimation already
 //! reads, not from its data block `G_z̄`: each pivot weighs its root
-//! expansion pool — the runs a search pinned there intersects first —
-//! and a `k ≥ 2` cell adds its join count. Only `disVal` builds blocks,
-//! for the bytes it ships.
+//! pools (`root_pools`) — the runs a search pinned there intersects
+//! first — and a `k ≥ 2` cell adds its join count. No code builds a
+//! data block: `disVal` sizes the bytes it ships from the same root
+//! pools.
 //!
 //! Following Example 10, symmetric pivot tuples of *isomorphic*
 //! components are deduplicated — only cells `i ≤ j` of the grid exist,
@@ -344,17 +345,29 @@ struct PivotList {
     pruned: usize,
 }
 
-/// The weight of pivot `v` of the class's representative variable
-/// `pivot`: `1 +` the size of its root expansion pool — the runs at `v`
-/// of every pattern edge at `pivot`, the pools a search pinned at `v`
-/// intersects first.
-fn root_pool_weight(view: &ClassView, pivot: VarId, v: NodeId) -> u64 {
+/// The root pools of pivot `v` of the class's representative variable
+/// `pivot`: the runs at `v` of every pattern edge at `pivot` (out-edges,
+/// then in-edges) — the pools a search pinned at `v` intersects first.
+/// What a unit is priced from and what `disVal`'s byte model ships.
+pub(crate) fn root_pools(
+    view: &ClassView,
+    pivot: VarId,
+    v: NodeId,
+) -> impl Iterator<Item = &[NodeId]> + '_ {
     let (space, edges) = (&view.space, view.rep.edges().iter().enumerate());
-    let out = edges.clone().filter(|(_, e)| e.src == pivot);
-    let into = edges.filter(|(_, e)| e.dst == pivot);
-    let fwd = out.map(|(e, _)| space.forward[e].run(v).len());
-    let rev = into.map(|(e, _)| space.reverse[e].run(v).len());
-    1 + fwd.chain(rev).sum::<usize>() as u64
+    let out = edges.clone().filter(move |(_, e)| e.src == pivot);
+    let into = edges.filter(move |(_, e)| e.dst == pivot);
+    let fwd = out.map(move |(e, _)| space.forward[e].run(v));
+    let rev = into.map(move |(e, _)| space.reverse[e].run(v));
+    fwd.chain(rev)
+}
+
+/// The weight of pivot `v` of the class's representative variable
+/// `pivot`: `1 +` the summed sizes of its [`root_pools`].
+fn root_pool_weight(view: &ClassView, pivot: VarId, v: NodeId) -> u64 {
+    1 + root_pools(view, pivot, v)
+        .map(<[NodeId]>::len)
+        .sum::<usize>() as u64
 }
 
 /// The per-call state of [`estimate_workload_in`]: candidate lists by

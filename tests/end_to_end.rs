@@ -93,6 +93,44 @@ fn engines_agree_on_synthetic_graph() {
     assert_eq!(dis.violations, expected);
 }
 
+/// Choosing between prefetching and partial matches never ships more
+/// than prefetching alone: a share goes partial only when that saves
+/// remote nodes no other share on its worker still needs.
+#[test]
+fn scheme_choice_ships_no_more_than_prefetching_alone() {
+    let g = std::sync::Arc::new(reallife_graph(&RealLifeConfig {
+        scale: 0.15,
+        ..RealLifeConfig::new(RealLifeKind::Yago2)
+    }));
+    let sigma = mine_gfds(
+        &g,
+        &RuleGenConfig {
+            count: 20,
+            pattern_nodes: 4,
+            two_component_fraction: 0.25,
+            ..Default::default()
+        },
+    );
+    for n in [3usize, 4] {
+        for strategy in [PartitionStrategy::Hash, PartitionStrategy::BfsClustered] {
+            let frag = Fragmentation::partition(&g, n, strategy);
+            let with = dis_val(&sigma, &g, &frag, &DisValConfig::val(n));
+            let prefetch_only = DisValConfig {
+                scheme_choice: false,
+                ..DisValConfig::val(n)
+            };
+            let without = dis_val(&sigma, &g, &frag, &prefetch_only);
+            assert_eq!(with.violations, without.violations, "n={n} {strategy:?}");
+            assert!(
+                with.bytes_shipped <= without.bytes_shipped,
+                "n={n} {strategy:?}: {} B with the choice, {} B without",
+                with.bytes_shipped,
+                without.bytes_shipped
+            );
+        }
+    }
+}
+
 #[test]
 fn twin_rules_catch_injected_noise() {
     let g = reallife_graph(&RealLifeConfig {
