@@ -25,7 +25,7 @@ use gfd_graph::{AttrOp, Edge, Graph, GraphBuilder, GraphDelta, NodeId, Value, Vo
 use gfd_match::types::Flow;
 use gfd_match::{
     count_matches, count_matches_with, dual_simulation, for_each_match_with, ClassRegistry,
-    ComponentSearch, IncrementalSpace, MatchOptions, MatchScratch, SearchScratch,
+    ComponentSearch, IncrementalSpace, MatchOptions, MatchScratch, Pin, SearchScratch,
 };
 use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
 use gfd_parallel::workload::{estimate_workload, feasible_pivots, plan_rules, WorkloadOptions};
@@ -663,16 +663,19 @@ fn main() {
         let reg = ClassRegistry::new();
         let view = reg.space_and_plan(reg.register(&cyc4), &gp);
         let (cs, plan) = (&*view.space, view.plan.as_deref().expect("asked for"));
-        let pins: Vec<(VarId, NodeId)> = cyc4
+        let pins: Vec<Pin> = cyc4
             .vars()
             .flat_map(|var| {
                 let set = cs.of(var);
                 let stride = (set.len() / 16).max(1);
-                set.iter().step_by(stride).take(16).map(move |&u| (var, u))
+                set.iter()
+                    .step_by(stride)
+                    .take(16)
+                    .map(move |&u| Pin::at(var, u))
             })
             .collect();
         assert!(!pins.is_empty(), "premise: the four-cycle has candidates");
-        let mut opts = MatchOptions::unrestricted().pin(pins[0].0, pins[0].1);
+        let mut opts = MatchOptions::unrestricted().pin(pins[0].var, pins[0].lo);
         let mut scratch = MatchScratch::default();
         let mut next = 0usize;
         bench("match/pinned_4cycle(space)", &mut samples, || {

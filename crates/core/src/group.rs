@@ -1,5 +1,6 @@
 //! The one detection primitive: Σ grouped by pattern isomorphism class
-//! ([`RuleGroups`]), and one enumeration per (group, pins) that checks
+//! ([`RuleGroups`]), and one enumeration per (group, pins) — one search
+//! per component, under the pins on its own variables — that checks
 //! every member's `X → Y` on the rows ([`for_each_group_violation`]).
 //!
 //! Isomorphic rules have the same matches up to a renaming of variables
@@ -8,7 +9,8 @@
 //! its *representative*; each member's `X → Y` is rewritten once into
 //! representative numbering, and only a violating row is permuted back
 //! into the member's order. `detVio`, the incremental detector and the
-//! unit executor differ only in data: [`Pins`], [`Pools`], and the
+//! unit executor differ only in data: the pins (none, one node, or one
+//! node-id interval per component — each a [`Pin`]), [`Pools`], and the
 //! members [`GroupScratch::select`] picks (a caller's pre-filter takes
 //! its member out of the row loop instead of forking a path).
 
@@ -17,7 +19,7 @@ use gfd_match::component::{ComponentSearch, SearchScratch};
 use gfd_match::join::{join_tables, JoinScratch};
 use gfd_match::types::Flow;
 use gfd_match::{
-    for_each_match_in, for_each_match_with, ClassView, MatchOptions, MatchScratch, MatchTable,
+    for_each_match_in, for_each_match_with, ClassView, MatchOptions, MatchScratch, MatchTable, Pin,
 };
 use gfd_pattern::canon::group_isomorphic_with_witnesses;
 use gfd_pattern::signature::decompose;
@@ -145,19 +147,6 @@ pub enum Pools<'a> {
     Classes(&'a [ClassView]),
 }
 
-/// Where one enumeration is pinned.
-#[derive(Clone, Copy)]
-pub enum Pins<'a> {
-    /// Nowhere.
-    None,
-    /// Representative variable `v` at node `u`: the component holding
-    /// `v` is pinned, the others enumerate unpinned.
-    Node(VarId, NodeId),
-    /// Component `i` is pinned at its own variable `ranges(i).0`, once
-    /// per node of `ranges(i).1`.
-    Ranges(&'a dyn Fn(usize) -> (VarId, &'a [NodeId])),
-}
-
 /// Caller-owned buffers of [`for_each_group_violation`]; keep one alive
 /// across calls and the steady state allocates nothing.
 #[derive(Default)]
@@ -202,22 +191,24 @@ impl GroupScratch {
         self.active.contains(&true)
     }
 
-    /// Component searches run so far: one per unpinned component and
-    /// one per pin that reached the search.
+    /// Component searches run so far: one per component of each
+    /// enumeration, pinned or not.
     pub fn enumerations(&self) -> u64 {
         self.search.enumerations
     }
 }
 
-/// Enumerates `group`'s representative once under `pins`, with pools
-/// from `pools`, and checks every member the last
-/// [`GroupScratch::select`] picked on each row: `sink(rule, mapping)`
-/// receives each violation, the mapping in the rule's own order.
+/// Enumerates `group`'s representative once under `pins` (over
+/// representative variables; each component keeps the pins on its own
+/// variables), with pools from `pools`, and checks every member the
+/// last [`GroupScratch::select`] picked on each row: `sink(rule,
+/// mapping)` receives each violation, the mapping in the rule's own
+/// order.
 pub fn for_each_group_violation(
     group: &RuleGroup,
     g: &Graph,
     pools: Pools<'_>,
-    pins: Pins<'_>,
+    pins: &[Pin],
     scratch: &mut GroupScratch,
     sink: &mut dyn FnMut(usize, &[NodeId]),
 ) {
@@ -273,49 +264,34 @@ pub fn for_each_group_violation(
 }
 
 impl Searches {
-    /// Streams component `i`'s matches under its pins, rows in the
-    /// component's own variable order.
+    /// Streams component `i`'s matches under the pins on its variables,
+    /// rows in the component's own variable order.
     fn component(
         &mut self,
         g: &Graph,
         group: &RuleGroup,
         i: usize,
         pools: Pools<'_>,
-        pins: Pins<'_>,
+        pins: &[Pin],
         f: &mut dyn FnMut(&[NodeId]) -> Flow,
     ) {
         let (cq, vars) = &group.parts[i];
-        let mut search = |pin: Option<(VarId, NodeId)>| {
-            self.enumerations += 1;
-            self.opts.pins.clear();
-            self.opts.pins.extend(pin);
-            match pools {
-                Pools::Raw => {
-                    let raw = std::mem::take(&mut self.raw);
-                    let mut s = ComponentSearch::new(cq, g)
-                        .with_scratch(raw)
-                        .pins(&self.opts.pins);
-                    s.for_each(f);
-                    self.raw = s.into_scratch();
-                }
-                Pools::Gated => {
-                    for_each_match_with(cq, g, &self.opts, None, &mut self.matching, f);
-                }
-                Pools::Classes(views) => {
-                    for_each_match_in(&views[i], g, &self.opts, &mut self.matching, f);
-                }
+        self.enumerations += 1;
+        Pin::restrict(pins, vars, &mut self.opts.pins);
+        match pools {
+            Pools::Raw => {
+                let raw = std::mem::take(&mut self.raw);
+                let mut s = ComponentSearch::new(cq, g)
+                    .with_scratch(raw)
+                    .pins(&self.opts.pins);
+                s.for_each(f);
+                self.raw = s.into_scratch();
             }
-        };
-        match pins {
-            Pins::None => search(None),
-            Pins::Node(v, u) => search(
-                vars.iter()
-                    .position(|&x| x == v)
-                    .map(|l| (VarId(l as u32), u)),
-            ),
-            Pins::Ranges(ranges) => {
-                let (pivot, nodes) = ranges(i);
-                nodes.iter().for_each(|&u| search(Some((pivot, u))));
+            Pools::Gated => {
+                for_each_match_with(cq, g, &self.opts, None, &mut self.matching, f);
+            }
+            Pools::Classes(views) => {
+                for_each_match_in(&views[i], g, &self.opts, &mut self.matching, f);
             }
         }
     }

@@ -29,7 +29,8 @@ use crate::closure::{chase, ground_deps_of_matches, ground_literal, GroundLitera
 use crate::gfd::{Gfd, GfdSet};
 use crate::literal::Literal;
 use crate::sat::{
-    canonical_graph, check_satisfiability_budgeted, SatOutcome, DEFAULT_REASONING_BUDGET,
+    canonical_graph, check_satisfiability, check_satisfiability_budgeted, SatOutcome,
+    DEFAULT_REASONING_BUDGET,
 };
 
 /// Result of the checked implication analysis.
@@ -113,9 +114,16 @@ fn implies_checked_budgeted(sigma: &GfdSet, phi: &Gfd, budget: SearchBudget) -> 
 
 /// Removes rules implied by the rest of the set — the *workload
 /// reduction* optimization of the appendix: if `Σ \ {ϕ} ⊨ ϕ`, then
-/// `ϕ` can be dropped without changing `Vio(Σ, G)`. A rule whose check
-/// runs out of budget is kept.
+/// dropping `ϕ` preserves `G ⊨ Σ` (not `Vio(Σ, G)`, which lists `ϕ`'s
+/// own violations). A rule whose check runs out of budget is kept.
+/// [`implies`] assumes `Σ` is satisfiable, so `Σ` is checked once up
+/// front and returned unchanged unless it is `Satisfiable`; one check
+/// covers every candidate, since a model of `Σ` is a model of each
+/// subset.
 pub fn minimize(sigma: &GfdSet) -> GfdSet {
+    if !matches!(check_satisfiability(sigma), SatOutcome::Satisfiable(_)) {
+        return sigma.clone();
+    }
     let mut kept: Vec<Gfd> = sigma.iter().cloned().collect();
     let mut i = 0;
     while i < kept.len() {
@@ -341,6 +349,25 @@ mod tests {
         );
         let sigma2 = GfdSet::new(vec![mk("one"), other]);
         assert_eq!(minimize(&sigma2).len(), 2);
+    }
+
+    /// An unsatisfiable Σ is returned whole: `implies` would count its
+    /// conflict as implying every rule, and drop `x.C = 7` on the word
+    /// of `x.A = 1` and `x.A = 2`.
+    #[test]
+    fn minimize_keeps_an_unsatisfiable_sigma() {
+        let vocab = Vocab::shared();
+        let [a, c] = ["A", "C"].map(|name| vocab.intern(name));
+        let rule = |name: &str, attr, value: i64| {
+            let mut b = PatternBuilder::new(vocab.clone());
+            let x = b.node("x", "tau");
+            let lit = Literal::const_eq(x, attr, gfd_graph::Value::Int(value));
+            Gfd::new(name, b.build(), Dependency::always(vec![lit]))
+        };
+        let sigma = GfdSet::new(vec![rule("a1", a, 1), rule("a2", a, 2), rule("c7", c, 7)]);
+        let kept = minimize(&sigma);
+        let names: Vec<&str> = kept.iter().map(|gfd| gfd.name.as_str()).collect();
+        assert_eq!(names, ["a1", "a2", "c7"]);
     }
 
     /// A one-rule Σ over `sigma_q` and a ϕ over `phi_q`, both of the

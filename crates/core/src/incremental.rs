@@ -41,11 +41,11 @@ use std::sync::Arc;
 
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_match::types::Flow;
-use gfd_match::{ClassRegistry, ClassView, Match, MatchOptions, SpaceHandle};
+use gfd_match::{ClassRegistry, ClassView, Match, MatchOptions, Pin, SpaceHandle};
 use gfd_pattern::VarId;
 
 use crate::gfd::GfdSet;
-use crate::group::{for_each_group_violation, GroupScratch, Pins, Pools, RuleGroup, RuleGroups};
+use crate::group::{for_each_group_violation, GroupScratch, Pools, RuleGroup, RuleGroups};
 use crate::validate::{detect_violations, for_each_violation, match_satisfies, Violation};
 
 /// The change `apply_diff` made to `Vio(Σ, G)` in one edit step: what
@@ -137,7 +137,7 @@ impl IncrementalDetector {
             } else {
                 Pools::Gated
             };
-            for_each_group_violation(group, g, pools, Pins::None, scratch, &mut |rule, m| {
+            for_each_group_violation(group, g, pools, &[], scratch, &mut |rule, m| {
                 violations[rule].insert(Match(m.to_vec()));
             });
         }
@@ -338,7 +338,7 @@ impl IncrementalDetector {
                     if view.of(v).binary_search(&u).is_err() {
                         continue;
                     }
-                    let pins = Pins::Node(v, u);
+                    let pins = &[Pin::at(v, u)];
                     for_each_group_violation(group, g, pools, pins, scratch, &mut |rule, m| {
                         // First sighting only: the same match can be
                         // re-found via several pins.

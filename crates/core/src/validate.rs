@@ -28,7 +28,7 @@ use gfd_util::FxHashMap;
 
 use crate::gfd::{Gfd, GfdSet};
 use crate::group::{
-    for_each_group_violation, GroupMember, GroupScratch, Pins, Pools, RuleGroup, RuleGroups,
+    for_each_group_violation, GroupMember, GroupScratch, Pools, RuleGroup, RuleGroups,
 };
 use crate::literal::{Dependency, Literal};
 
@@ -149,7 +149,7 @@ pub fn detect_violations_with(
             Some(view) => Pools::Classes(std::slice::from_ref(view)),
             None => Pools::Gated,
         };
-        for_each_group_violation(group, g, pools, Pins::None, scratch, &mut |rule, m| {
+        for_each_group_violation(group, g, pools, &[], scratch, &mut |rule, m| {
             out.push(Violation {
                 rule,
                 mapping: Match(m.to_vec()),

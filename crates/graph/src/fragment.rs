@@ -147,18 +147,6 @@ impl Fragmentation {
             .enumerate()
             .map(|(i, info)| (FragmentId(i as u16), info))
     }
-
-    /// True if `node` is owned by `f`.
-    pub fn is_local(&self, f: FragmentId, node: NodeId) -> bool {
-        self.owner(node) == f
-    }
-
-    /// Number of cross-fragment edges (the edge cut).
-    pub fn edge_cut(&self, g: &Graph) -> usize {
-        g.edges()
-            .filter(|e| self.owner(e.src) != self.owner(e.dst))
-            .count()
-    }
 }
 
 /// Greedy BFS clustering: repeatedly grow a fragment from an unassigned
@@ -200,6 +188,12 @@ fn bfs_clustered(g: &Graph, n: usize) -> Vec<FragmentId> {
 mod tests {
     use super::*;
 
+    /// Number of cross-fragment edges (the edge cut).
+    fn edge_cut(frag: &Fragmentation, g: &Graph) -> usize {
+        let cut = g.edges().filter(|e| frag.owner(e.src) != frag.owner(e.dst));
+        cut.count()
+    }
+
     fn ring(n: usize) -> Graph {
         let mut b = crate::graph::GraphBuilder::with_fresh_vocab();
         let ns: Vec<NodeId> = (0..n).map(|_| b.add_node_labeled("v")).collect();
@@ -240,13 +234,13 @@ mod tests {
         let g = ring(12);
         let frag = Fragmentation::partition(&g, 3, PartitionStrategy::Contiguous);
         // A 12-ring cut into 3 contiguous arcs has 3 cut edges.
-        assert_eq!(frag.edge_cut(&g), 3);
+        assert_eq!(edge_cut(&frag, &g), 3);
         for (fid, info) in frag.fragments() {
             for &b in &info.in_border {
-                assert!(frag.is_local(fid, b), "in-border nodes are local");
+                assert!(frag.owner(b) == fid, "in-border nodes are local");
             }
             for &b in &info.out_border {
-                assert!(!frag.is_local(fid, b), "out-border nodes are foreign");
+                assert!(frag.owner(b) != fid, "out-border nodes are foreign");
             }
         }
     }
@@ -256,7 +250,7 @@ mod tests {
         let g = ring(64);
         let hash = Fragmentation::partition(&g, 4, PartitionStrategy::Hash);
         let bfs = Fragmentation::partition(&g, 4, PartitionStrategy::BfsClustered);
-        assert!(bfs.edge_cut(&g) < hash.edge_cut(&g));
+        assert!(edge_cut(&bfs, &g) < edge_cut(&hash, &g));
     }
 
     #[test]

@@ -172,18 +172,11 @@ impl GraphBuilder {
         &self.vocab
     }
 
-    /// Starts delta recording (no-op if already recording). Builders
-    /// produced by [`Graph::thaw`] record automatically.
-    pub fn record_deltas(&mut self) {
-        if self.rec.is_none() {
-            self.rec = Some(GraphDelta::new(self.labels.len()));
-        }
-    }
-
     /// Takes the recorded delta (raw, in mutation order — callers
     /// usually want [`GraphDelta::normalize`]), leaving recording
     /// active with a fresh base at the current node count. Returns
-    /// `None` if recording was never enabled.
+    /// `None` from a builder that was not recording: only builders
+    /// produced by [`Graph::thaw`] start out recording.
     pub fn take_delta(&mut self) -> Option<GraphDelta> {
         let next = GraphDelta::new(self.labels.len());
         self.rec.replace(next)
@@ -895,14 +888,6 @@ impl Graph {
         false
     }
 
-    /// All edge labels `src → dst` (empty for out-of-range ids).
-    pub fn edges_between(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = Sym> + '_ {
-        self.out_run_or_empty(src)
-            .iter()
-            .filter(move |a| a.node == dst)
-            .map(|a| a.label)
-    }
-
     /// Nodes carrying `label` — the candidate extent `C(µ(z))`, as a
     /// zero-alloc subslice of the label permutation (ascending ids).
     pub fn extent(&self, label: Sym) -> &[NodeId] {
@@ -1219,7 +1204,8 @@ fn merged_run<'a>(
 /// ranks — and the layout behind it: the same runs out of line and the
 /// same entries inline in every page. Two ways of building one graph
 /// (a freeze, a chain of [`Graph::apply_delta`]s, a replayed builder)
-/// must agree on all of it.
+/// must agree on all of it. Public for the snapshot oracles outside
+/// this crate: `prop_codec`, `prop_graph` and the `wal` tests.
 #[doc(hidden)]
 pub fn same_snapshot(a: &Graph, b: &Graph) -> Result<(), String> {
     if (a.node_count(), a.edge_count()) != (b.node_count(), b.edge_count()) {
@@ -1271,6 +1257,12 @@ impl fmt::Debug for Graph {
 mod tests {
     use super::*;
 
+    /// All edge labels `src → dst` (empty for out-of-range ids).
+    fn edges_between(g: &Graph, src: NodeId, dst: NodeId) -> impl Iterator<Item = Sym> + '_ {
+        let run = g.out_run_or_empty(src).iter();
+        run.filter(move |a| a.node == dst).map(|a| a.label)
+    }
+
     fn g3() -> (Graph, [NodeId; 3]) {
         // Fig. 1's G3: a country with one capital (plus a stray city).
         let mut b = GraphBuilder::with_fresh_vocab();
@@ -1306,7 +1298,7 @@ mod tests {
         assert!(b.add_edge_labeled(a, c, "f")); // parallel edge, new label
         let g = b.freeze();
         assert_eq!(g.edge_count(), 2);
-        let labels: Vec<_> = g.edges_between(a, c).collect();
+        let labels: Vec<_> = edges_between(&g, a, c).collect();
         assert_eq!(labels.len(), 2);
     }
 
@@ -1431,7 +1423,7 @@ mod tests {
         let ghost = NodeId(1000);
         assert!(!g.has_edge(ghost, country, capital));
         assert!(!g.has_edge_any(ghost, country));
-        assert_eq!(g.edges_between(ghost, country).count(), 0);
+        assert_eq!(edges_between(&g, ghost, country).count(), 0);
         // In-range src against an absent dst id stays false, too.
         assert!(!g.has_edge(country, ghost, capital));
     }

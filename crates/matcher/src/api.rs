@@ -15,6 +15,10 @@
 //!   [`QueryPlan`] next to the space orders unpinned cyclic
 //!   components along its bags.
 //!
+//! A pin is a node-id interval on one variable ([`Pin`]); a
+//! disconnected pattern hands each component the pins on its own
+//! variables ([`Pin::restrict`]).
+//!
 //! Connected patterns stream their matches straight to the callback;
 //! only genuinely disconnected patterns buffer per-component matches
 //! for the disjointness join. [`for_each_match`], [`count_matches`],
@@ -28,7 +32,7 @@
 //! through the member's permutation.
 
 use gfd_graph::{Graph, NodeId};
-use gfd_pattern::{signature::decompose, PatLabel, Pattern, VarId};
+use gfd_pattern::{signature::decompose, PatLabel, Pattern};
 
 use crate::component::{ComponentSearch, SearchScratch, StopReason};
 use crate::join::{join_tables, JoinScratch};
@@ -36,7 +40,7 @@ use crate::plan::QueryPlan;
 use crate::registry::{rep_var, ClassView};
 use crate::simulation::{dual_simulation, CandidateSpace};
 use crate::table::MatchTable;
-use crate::types::{Flow, Match, MatchOptions};
+use crate::types::{Flow, Match, MatchOptions, Pin};
 
 /// Caller-owned reusable buffers for the matching API: the
 /// enumerator's [`SearchScratch`], the disconnected-pattern join
@@ -49,7 +53,7 @@ pub struct MatchScratch {
     search: SearchScratch,
     join: JoinScratch,
     tables: Vec<MatchTable>,
-    rep_pins: Vec<(VarId, NodeId)>,
+    rep_pins: Vec<Pin>,
     member_row: Vec<NodeId>,
 }
 
@@ -154,7 +158,10 @@ pub fn for_each_match_in(
     };
     let mut pins = std::mem::take(&mut scratch.rep_pins);
     pins.clear();
-    pins.extend(opts.pins.iter().map(|&(v, n)| (rep_var(Some(perm), v), n)));
+    pins.extend(opts.pins.iter().map(|&pin| Pin {
+        var: rep_var(Some(perm), pin.var),
+        ..pin
+    }));
     let mut row = std::mem::take(&mut scratch.member_row);
     row.clear();
     row.resize(perm.len(), NodeId(0));
@@ -176,7 +183,7 @@ fn enumerate_capped(
     q: &Pattern,
     g: &Graph,
     opts: &MatchOptions,
-    pins: &[(VarId, NodeId)],
+    pins: &[Pin],
     space: Option<(&CandidateSpace, &QueryPlan)>,
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
@@ -215,7 +222,7 @@ fn enumerate(
     q: &Pattern,
     g: &Graph,
     opts: &MatchOptions,
-    pins: &[(VarId, NodeId)],
+    pins: &[Pin],
     space: Option<(&CandidateSpace, &QueryPlan)>,
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
@@ -255,14 +262,10 @@ fn enumerate(
     if tables.len() < parts.len() {
         tables.resize_with(parts.len(), MatchTable::default);
     }
-    let mut local_pins: Vec<(VarId, NodeId)> = Vec::new();
+    let mut local_pins = Vec::new();
     for ((cq, orig_vars), table) in parts.iter().zip(tables.iter_mut()) {
         let own = filter_component(cq, g);
-        local_pins.clear();
-        local_pins.extend(pins.iter().filter_map(|&(var, node)| {
-            let local = orig_vars.iter().position(|&v| v == var)?;
-            Some((VarId(local as u32), node))
-        }));
+        Pin::restrict(pins, orig_vars, &mut local_pins);
         table.reset(cq.node_count());
         let space = own.as_ref().map(|(cs, plan)| (cs, plan));
         let mut part = component_search(cq, g, &local_pins, space, steps_left, search);
@@ -291,7 +294,7 @@ fn enumerate(
 fn component_search<'a>(
     cq: &'a Pattern,
     g: &'a Graph,
-    pins: &'a [(VarId, NodeId)],
+    pins: &'a [Pin],
     space: Option<(&'a CandidateSpace, &'a QueryPlan)>,
     max_steps: u64,
     scratch: &mut SearchScratch,

@@ -19,7 +19,10 @@
 //!   by the intersection itself (filter-and-refine, worst-case
 //!   optimal per step), so candidates only need a light check. In
 //!   *raw mode* the runs are the graph's labeled CSR runs and each
-//!   candidate passes the full `compatible` check;
+//!   candidate passes the full `compatible` check. A pinned variable's
+//!   pool is built the same way, every source first clipped to its pin
+//!   interval ([`Pin`]) by two binary searches, so a node pin yields at
+//!   most the node and a work unit's pivot exactly its range;
 //! * the **variable order** — pins first, then greedily the most
 //!   constrained variable; unpinned searches of cyclic patterns take
 //!   a [`QueryPlan`]'s flattened bag order instead.
@@ -35,7 +38,7 @@ use gfd_pattern::{distinct_neighbors, PatLabel, Pattern, VarId};
 use crate::plan::QueryPlan;
 use crate::simulation::CandidateSpace;
 use crate::table::MatchTable;
-use crate::types::Flow;
+use crate::types::{Flow, Pin};
 
 /// True if `g` has an edge `u → v` admitted by the pattern label.
 #[inline]
@@ -165,10 +168,25 @@ fn fold_csr_runs(pool: &mut Vec<NodeId>, runs: &mut [&[Adj]], seeded: bool) {
     }
 }
 
-/// The pin on `sv`, if any.
-#[inline]
-fn pin_of(pins: &[(VarId, NodeId)], sv: VarId) -> Option<NodeId> {
-    pins.iter().find(|&&(pv, _)| pv == sv).map(|&(_, n)| n)
+/// The interval the pins on `sv` leave it — their intersection — or
+/// `None` when `sv` is unpinned.
+fn interval(pins: &[Pin], sv: VarId) -> Option<(NodeId, NodeId)> {
+    let on_sv = pins.iter().filter(|p| p.var == sv);
+    on_sv.fold(None, |acc, p| {
+        let (lo, hi) = acc.unwrap_or((p.lo, p.hi));
+        Some((lo.max(p.lo), hi.min(p.hi)))
+    })
+}
+
+/// The entries of `run` (sorted by `node`) inside `bounds`: two binary
+/// searches, and the run itself when unbounded.
+fn clip<T>(run: &[T], bounds: Option<(NodeId, NodeId)>, node: impl Fn(&T) -> NodeId) -> &[T] {
+    let Some((lo, hi)) = bounds else {
+        return run;
+    };
+    let start = run.partition_point(|x| node(x) < lo);
+    let len = run[start..].partition_point(|x| node(x) <= hi);
+    &run[start..start + len]
 }
 
 /// The **space-mode** pool source: fills `pool` with the
@@ -176,20 +194,19 @@ fn pin_of(pins: &[(VarId, NodeId)], sv: VarId) -> Option<NodeId> {
 /// of the candidate-adjacency runs of *every* already-assigned pattern
 /// neighbor (every constraining edge at once), so the work at each
 /// level is bounded by the smallest constraining run. An unconstrained
-/// variable seeds from its simulation set. A pinned variable never
-/// builds a pool: the pin is probed in each run by binary search and
-/// survives or not — a pinned enumeration stays local to the pin's
-/// neighborhood.
+/// variable seeds from its simulation set. Every source is first
+/// clipped to `sv`'s pin interval, so a pinned enumeration stays local
+/// to the pinned nodes' neighborhoods.
 fn fill_space_pool(
     q: &Pattern,
     cs: &CandidateSpace,
-    pins: &[(VarId, NodeId)],
+    pins: &[Pin],
     sv: VarId,
     assigned: &[NodeId],
     pool: &mut Vec<NodeId>,
 ) {
     pool.clear();
-    let pin = pin_of(pins, sv);
+    let bounds = interval(pins, sv);
     let mut runs: [&[NodeId]; MAX_RUNS] = [&[]; MAX_RUNS];
     let mut n = 0usize;
     let mut seeded = false;
@@ -207,27 +224,14 @@ fn fill_space_pool(
             continue;
         }
         // Runs are keyed by node id: no rank lookup in the other set.
-        // Assigned images always come from the space's own sets (pins
-        // are screened up front); an image outside them has the empty
-        // run, and an empty pool is the sound answer.
-        let run = adj.run(image);
-        match pin {
-            Some(p) if run.binary_search(&p).is_err() => return,
-            Some(_) => {}
-            None => push_run(pool, &mut runs, &mut n, &mut seeded, run, fold_space_runs),
-        }
-    }
-    if let Some(p) = pin {
-        if cs.of(sv).binary_search(&p).is_ok() {
-            pool.push(p);
-        }
-        return;
+        let run = clip(adj.run(image), bounds, |&x| x);
+        push_run(pool, &mut runs, &mut n, &mut seeded, run, fold_space_runs);
     }
     if n > 0 {
         fold_space_runs(pool, &mut runs[..n], seeded);
     } else {
         // No constraining edge yet (component start): the simulation set.
-        pool.extend_from_slice(cs.of(sv));
+        pool.extend_from_slice(clip(cs.of(sv), bounds, |&x| x));
     }
 }
 
@@ -277,7 +281,7 @@ pub struct ComponentSearch<'a> {
     g: &'a Graph,
     cand: Option<&'a CandidateSpace>,
     plan: Option<&'a QueryPlan>,
-    pins: &'a [(VarId, NodeId)],
+    pins: &'a [Pin],
     max_steps: u64,
     steps: u64,
     /// Reusable buffers, possibly adopted from a previous search.
@@ -325,10 +329,9 @@ impl<'a> ComponentSearch<'a> {
 
     /// Selects the **space-mode** pool source: pools are multiway
     /// intersections of the simulation's pruned per-edge adjacency
-    /// (`fill_space_pool`) under the light per-candidate check, and
-    /// any pin outside its sets short-circuits to an empty
-    /// enumeration. Without a space the search runs in **raw mode**:
-    /// labeled CSR runs under the full `compatible` check.
+    /// (`fill_space_pool`) under the light per-candidate check. Without
+    /// a space the search runs in **raw mode**: labeled CSR runs under
+    /// the full `compatible` check.
     pub fn candidate_space(mut self, cs: &'a CandidateSpace) -> Self {
         self.cand = Some(cs);
         self
@@ -345,10 +348,10 @@ impl<'a> ComponentSearch<'a> {
         self
     }
 
-    /// Pins `h(var) = node` for every listed pair. Pins on variables
-    /// the component does not have are ignored (the component mapping
-    /// of a disconnected pattern drops them the same way).
-    pub fn pins(mut self, pins: &'a [(VarId, NodeId)]) -> Self {
+    /// Confines each pinned variable to the intersection of its pins'
+    /// intervals. Pins on variables the component does not have are
+    /// ignored ([`Pin::restrict`] drops them the same way).
+    pub fn pins(mut self, pins: &'a [Pin]) -> Self {
         self.pins = pins;
         self
     }
@@ -400,15 +403,12 @@ impl<'a> ComponentSearch<'a> {
 
     /// The **raw-mode** pool source: the intersection of every
     /// assigned pattern neighbor's labeled CSR run, falling back to
-    /// label extent / all nodes at a component start. A pinned
-    /// variable's pool is its pin. `pool` comes out sorted and
-    /// duplicate-free; `compatible` decides membership.
+    /// label extent / all nodes at a component start, each clipped to
+    /// `sv`'s pin interval. `pool` comes out sorted and duplicate-free;
+    /// `compatible` decides membership.
     fn fill_raw_pool(&self, assigned: &[NodeId], sv: VarId, pool: &mut Vec<NodeId>) {
         pool.clear();
-        if let Some(p) = pin_of(self.pins, sv) {
-            pool.push(p);
-            return;
-        }
+        let bounds = interval(self.pins, sv);
         let g = self.g;
         let mut runs: [&'a [Adj]; MAX_RUNS] = [&[]; MAX_RUNS];
         let mut n = 0usize;
@@ -427,7 +427,7 @@ impl<'a> ComponentSearch<'a> {
             if t != sv && ta.0 != u32::MAX {
                 match l {
                     PatLabel::Sym(el) => {
-                        let run = g.in_neighbors_labeled(ta, el);
+                        let run = clip(g.in_neighbors_labeled(ta, el), bounds, |a| a.node);
                         push_run(pool, &mut runs, &mut n, &mut seeded, run, fold_csr_runs);
                     }
                     PatLabel::Wildcard => consider_wildcard(g.in_slice(ta), &mut wildcard),
@@ -439,7 +439,7 @@ impl<'a> ComponentSearch<'a> {
             if s != sv && sa.0 != u32::MAX {
                 match l {
                     PatLabel::Sym(el) => {
-                        let run = g.neighbors_labeled(sa, el);
+                        let run = clip(g.neighbors_labeled(sa, el), bounds, |a| a.node);
                         push_run(pool, &mut runs, &mut n, &mut seeded, run, fold_csr_runs);
                     }
                     PatLabel::Wildcard => consider_wildcard(g.out_slice(sa), &mut wildcard),
@@ -448,15 +448,21 @@ impl<'a> ComponentSearch<'a> {
         }
         if n > 0 {
             fold_csr_runs(pool, &mut runs[..n], seeded);
-        } else if let Some(run) = wildcard {
-            pool.extend(run.iter().map(|a| a.node));
+            return;
+        }
+        let (lo, hi) = bounds.unwrap_or((NodeId(0), NodeId(u32::MAX)));
+        if let Some(run) = wildcard {
+            pool.extend(run.iter().map(|a| a.node).filter(|u| (lo..=hi).contains(u)));
             pool.sort_unstable();
             pool.dedup();
         } else {
             // Component start: label extent / all.
             match self.q.label(sv) {
-                PatLabel::Sym(s) => pool.extend_from_slice(g.extent(s)),
-                PatLabel::Wildcard => pool.extend(g.nodes()),
+                PatLabel::Sym(s) => pool.extend_from_slice(clip(g.extent(s), bounds, |&x| x)),
+                PatLabel::Wildcard => {
+                    let end = (hi.index() + 1).min(g.node_count()) as u32;
+                    pool.extend((lo.0..end).map(NodeId));
+                }
             }
         }
     }
@@ -516,27 +522,9 @@ impl<'a> ComponentSearch<'a> {
     pub fn for_each(&mut self, f: &mut dyn FnMut(&[NodeId]) -> Flow) -> StopReason {
         let q = self.q;
         let n = q.node_count();
-        let pins = self.pins;
-        let in_range = move || pins.iter().copied().filter(move |&(v, _)| v.index() < n);
-        // Contradictory pins anchor nothing: two variables on one node
-        // (injectivity) or one variable on two nodes.
-        for (i, (v1, n1)) in in_range().enumerate() {
-            if in_range()
-                .skip(i + 1)
-                .any(|(v2, n2)| (v1 == v2) != (n1 == n2))
-            {
-                return StopReason::Exhausted;
-            }
-        }
-        if let Some(cs) = self.cand {
-            // An empty simulation set proves the component matchless,
-            // and a pin outside the relation cannot anchor any match
-            // (sim contains every match).
-            if cs.is_empty_anywhere()
-                || in_range().any(|(v, node)| cs.of(v).binary_search(&node).is_err())
-            {
-                return StopReason::Exhausted;
-            }
+        // An empty simulation set proves the component matchless.
+        if self.cand.is_some_and(CandidateSpace::is_empty_anywhere) {
+            return StopReason::Exhausted;
         }
         // Refill the per-pattern caches inside the (possibly adopted)
         // scratch, then fix the variable order.
@@ -550,7 +538,8 @@ impl<'a> ComponentSearch<'a> {
                 .extend(q.vars().map(|v| distinct_neighbors(q.inn(v))));
         }
         s.pinned.clear();
-        s.pinned.extend(in_range().map(|(v, _)| v));
+        s.pinned
+            .extend(self.pins.iter().map(|p| p.var).filter(|v| v.index() < n));
         let mut order = std::mem::take(&mut s.order);
         match self.plan {
             Some(plan) if s.pinned.is_empty() && plan.is_cyclic() => {
@@ -662,12 +651,12 @@ mod tests {
         b.edge(x, y, "post");
         let q = b.build();
         let matches = ComponentSearch::new(&q, &g)
-            .pins(&[(x, ns[1])])
+            .pins(&[Pin::at(x, ns[1])])
             .collect_all();
         assert_eq!(matches, vec![vec![ns[1], ns[5]]]);
         // Pin to a non-account node: no matches.
         let matches = ComponentSearch::new(&q, &g)
-            .pins(&[(x, ns[2])])
+            .pins(&[Pin::at(x, ns[2])])
             .collect_all();
         assert!(matches.is_empty());
     }
@@ -702,14 +691,29 @@ mod tests {
         b.edge(x, y, "post");
         let q = b.build();
         let matches = ComponentSearch::new(&q, &g)
-            .pins(&[(x, ns[0]), (y, ns[4])])
+            .pins(&[Pin::at(x, ns[0]), Pin::at(y, ns[4])])
             .collect_all();
         assert_eq!(matches, vec![vec![ns[0], ns[4]]]);
         // acct1 did not post p6.
         let matches = ComponentSearch::new(&q, &g)
-            .pins(&[(x, ns[0]), (y, ns[5])])
+            .pins(&[Pin::at(x, ns[0]), Pin::at(y, ns[5])])
             .collect_all();
         assert!(matches.is_empty());
+    }
+
+    /// Raw mode draws a variable constrained only by wildcard edges
+    /// from a run that spans labels; its pin must filter that run.
+    #[test]
+    fn wildcard_edge_pool_is_clipped_to_the_pin() {
+        let (g, ns) = social();
+        let mut b = PatternBuilder::new(g.vocab().clone());
+        let x = b.node("x", "account");
+        let y = b.wildcard_node("y");
+        b.wildcard_edge(x, y);
+        let q = b.build();
+        let pins = [Pin::at(x, ns[0]), Pin::at(y, ns[4])];
+        let matches = ComponentSearch::new(&q, &g).pins(&pins).collect_all();
+        assert_eq!(matches, vec![vec![ns[0], ns[4]]]);
     }
 
     #[test]
@@ -860,7 +864,7 @@ mod tests {
         // ns[2] is a blog that nobody posts: not in sim(x).
         let matches = ComponentSearch::new(&q, &g)
             .candidate_space(&cs)
-            .pins(&[(x, ns[2])])
+            .pins(&[Pin::at(x, ns[2])])
             .collect_all();
         assert!(matches.is_empty());
     }

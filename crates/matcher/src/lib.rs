@@ -13,9 +13,9 @@
 //! * **disconnected patterns**: components are matched independently
 //!   and joined under global injectivity (`Q1`/`Q4` of Fig. 2 relate
 //!   entities that may be arbitrarily far apart);
-//! * **pivoted local matching**: fix `h(z) = v` for pivot `z` and
-//!   search only inside a data block `G_z̄` (work-unit processing,
-//!   §5.2/§6.1);
+//! * **pivoted local matching**: pin pivot `z` at a node or at a
+//!   node-id interval ([`Pin`]), and the search stays inside the
+//!   pinned nodes' `G_z̄` (work-unit processing, §5.2/§6.1);
 //! * **streaming enumeration** with early termination — validation
 //!   often only needs the first violating match;
 //! * **graph simulation** (module [`simulation`]) — the polynomial
@@ -65,4 +65,4 @@ pub use registry::{
 };
 pub use simulation::{dual_simulation, simulation_sets, CandidateSpace};
 pub use table::MatchTable;
-pub use types::{Match, MatchOptions, SearchBudget};
+pub use types::{Match, MatchOptions, Pin, SearchBudget};

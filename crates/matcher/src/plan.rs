@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use crate::component::{ComponentSearch, SearchScratch, StopReason};
     use crate::simulation::dual_simulation;
-    use crate::types::Flow;
+    use crate::types::{Flow, Pin};
     use gfd_graph::{Graph, GraphBuilder, NodeId};
     use gfd_pattern::PatternBuilder;
 
@@ -197,7 +197,7 @@ mod tests {
     }
 
     /// The enumerator in space mode under the plan's order.
-    fn run_plan(q: &Pattern, g: &Graph, pins: &[(VarId, NodeId)]) -> Vec<Vec<NodeId>> {
+    fn run_plan(q: &Pattern, g: &Graph, pins: &[Pin]) -> Vec<Vec<NodeId>> {
         let cs = dual_simulation(q, g, None);
         let plan = QueryPlan::new(q);
         let mut search = ComponentSearch::new(q, g)
@@ -215,7 +215,7 @@ mod tests {
     }
 
     /// The enumerator in raw mode under greedy order.
-    fn run_oracle(q: &Pattern, g: &Graph, pins: &[(VarId, NodeId)]) -> Vec<Vec<NodeId>> {
+    fn run_oracle(q: &Pattern, g: &Graph, pins: &[Pin]) -> Vec<Vec<NodeId>> {
         let mut out = ComponentSearch::new(q, g).pins(pins).collect_all();
         out.sort();
         out
@@ -261,13 +261,13 @@ mod tests {
         // Pin x to each closure anchor and to a non-anchor.
         let all = run_oracle(&q, &g, &[]);
         for m in &all {
-            let pins = [(x, m[x.index()])];
+            let pins = [Pin::at(x, m[x.index()])];
             assert_eq!(run_plan(&q, &g, &pins), run_oracle(&q, &g, &pins));
         }
         // A colliding pin pair yields nothing.
         let y = q.var_by_name("y").unwrap();
         let node = all[0][x.index()];
-        assert!(run_plan(&q, &g, &[(x, node), (y, node)]).is_empty());
+        assert!(run_plan(&q, &g, &[Pin::at(x, node), Pin::at(y, node)]).is_empty());
     }
 
     #[test]
@@ -278,7 +278,7 @@ mod tests {
         let plan = QueryPlan::new(&q);
         let full = run_plan(&q, &g, &[]);
         // Pin every variable at the nodes of the first match only.
-        let pins: Vec<(VarId, NodeId)> = q.vars().map(|v| (v, full[0][v.index()])).collect();
+        let pins: Vec<Pin> = q.vars().map(|v| Pin::at(v, full[0][v.index()])).collect();
         let out = ComponentSearch::new(&q, &g)
             .candidate_space(&cs)
             .plan_order(&plan)

@@ -442,7 +442,8 @@ impl ClassRegistry {
         self.lock().bytes
     }
 
-    /// The configured byte budget.
+    /// The configured byte budget. Public for `reasoning_micro`, which
+    /// checks a capped registry stays within it.
     pub fn budget_bytes(&self) -> usize {
         self.lock().budget
     }

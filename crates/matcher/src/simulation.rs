@@ -341,7 +341,8 @@ impl EdgeCandidates {
 
     /// True if `self` and `other` hold the page covering `u` as the
     /// same allocation — what consecutive snapshots of a repaired space
-    /// do for every page the repair did not edit.
+    /// do for every page the repair did not edit. Public for
+    /// `prop_incremental`'s page-sharing oracle.
     pub fn shares_page(&self, other: &EdgeCandidates, u: NodeId) -> bool {
         match (self.page_index(u), other.page_index(u)) {
             (Some(i), Some(j)) => {

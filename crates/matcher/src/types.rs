@@ -54,11 +54,45 @@ impl Default for SearchBudget {
     }
 }
 
+/// A pin `lo ≤ h(var) ≤ hi`: a closed node-id interval on one
+/// variable. Pins on one variable intersect; an empty one admits
+/// nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pin {
+    /// The pinned variable.
+    pub var: VarId,
+    /// The smallest admitted image.
+    pub lo: NodeId,
+    /// The largest admitted image.
+    pub hi: NodeId,
+}
+
+impl Pin {
+    /// The node pin `h(var) = node`: `[node, node]`.
+    pub fn at(var: VarId, node: NodeId) -> Self {
+        let (lo, hi) = (node, node);
+        Pin { var, lo, hi }
+    }
+
+    /// Writes into `out` the pins on a component's variables, renumbered
+    /// into its own ids: `orig_vars[l]` is component variable `l`'s
+    /// pattern variable, as `Pattern::restrict` returns it.
+    pub fn restrict(pins: &[Pin], orig_vars: &[VarId], out: &mut Vec<Pin>) {
+        out.clear();
+        for &Pin { var, lo, hi } in pins {
+            if let Some(l) = orig_vars.iter().position(|&v| v == var) {
+                let var = VarId(l as u32);
+                out.push(Pin { var, lo, hi });
+            }
+        }
+    }
+}
+
 /// Options steering a match enumeration.
 #[derive(Clone, Debug, Default)]
 pub struct MatchOptions {
-    /// Pre-pinned assignments `h(var) = node` (pivot anchoring).
-    pub pins: Vec<(VarId, NodeId)>,
+    /// Pins (pivot anchoring).
+    pub pins: Vec<Pin>,
     /// Effort cap.
     pub budget: SearchBudget,
 }
@@ -71,7 +105,7 @@ impl MatchOptions {
 
     /// Adds a pin `h(var) = node`.
     pub fn pin(mut self, var: VarId, node: NodeId) -> Self {
-        self.pins.push((var, node));
+        self.pins.push(Pin::at(var, node));
         self
     }
 
@@ -108,7 +142,7 @@ mod tests {
         let opts = MatchOptions::unrestricted()
             .pin(VarId(0), NodeId(3))
             .with_budget(SearchBudget::matches(10));
-        assert_eq!(opts.pins, vec![(VarId(0), NodeId(3))]);
+        assert_eq!(opts.pins, vec![Pin::at(VarId(0), NodeId(3))]);
         assert_eq!(opts.budget.max_matches, Some(10));
     }
 }

@@ -11,7 +11,7 @@ use gfd_graph::{Graph, GraphBuilder, NodeId, Vocab};
 use gfd_match::component::ComponentSearch;
 use gfd_match::join::{join_tables, JoinScratch};
 use gfd_match::table::MatchTable;
-use gfd_match::types::Flow;
+use gfd_match::types::{Flow, Pin};
 use gfd_pattern::{Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, Rng};
 
@@ -108,11 +108,7 @@ fn random_component(rng: &mut Rng, vocab: &Arc<Vocab>) -> Pattern {
 
 /// Enumerates one component's matches (optionally pinned), returning
 /// the nested-`Vec` oracle form AND the flat table.
-fn enumerate_both(
-    q: &Pattern,
-    g: &Graph,
-    pin: Option<(VarId, NodeId)>,
-) -> (Vec<Vec<NodeId>>, MatchTable) {
+fn enumerate_both(q: &Pattern, g: &Graph, pin: Option<Pin>) -> (Vec<Vec<NodeId>>, MatchTable) {
     let nested = ComponentSearch::new(q, g)
         .pins(pin.as_slice())
         .collect_all();
@@ -169,7 +165,7 @@ fn flat_table_join_equals_nested_join() {
                 offset += q.node_count();
                 // Random pin on roughly half the components.
                 let pin = rng.gen_bool(0.5).then(|| {
-                    (
+                    Pin::at(
                         VarId(rng.gen_range(0..q.node_count()) as u32),
                         NodeId(rng.gen_range(0..g.node_count()) as u32),
                     )
@@ -220,8 +216,8 @@ fn both_orientations_flat_equals_nested() {
             let mut flat_union: Vec<Vec<NodeId>> = Vec::new();
             let mut oracle_union: Vec<Vec<NodeId>> = Vec::new();
             for (pa, pb) in [(a, b), (b, a)] {
-                let (l0, t0) = enumerate_both(&q, &g, Some((pivot, pa)));
-                let (l1, t1) = enumerate_both(&q, &g, Some((pivot, pb)));
+                let (l0, t0) = enumerate_both(&q, &g, Some(Pin::at(pivot, pa)));
+                let (l1, t1) = enumerate_both(&q, &g, Some(Pin::at(pivot, pb)));
                 let parts = [(q.clone(), vars0.clone()), (q.clone(), vars1.clone())];
                 flat_union.extend(flat_join(&parts, &[t0, t1], total));
                 oracle_union.extend(oracle_join(

@@ -7,7 +7,8 @@
 //!   the match set of the enumerator with no space supplied (the
 //!   per-call filter rule decides), with a caller-supplied space
 //!   (filter forced on, greedy order), and with a caller-supplied
-//!   space and plan through the full-form entry point;
+//!   space and plan through the full-form entry point — unpinned, pinned
+//!   at a node, and under random node-id interval pins;
 //! * a **naive fixpoint dual simulation** — the dense
 //!   `rounds × vars × nodes` re-scan the worklist algorithm replaced —
 //!   must compute exactly the same relation and the same candidate
@@ -27,7 +28,7 @@ use gfd_graph::neighborhood::khop_nodes;
 use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
 use gfd_match::simulation::dual_simulation;
 use gfd_match::types::Flow;
-use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, QueryPlan};
+use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, Pin, QueryPlan};
 use gfd_pattern::analysis::pivot_vector;
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
@@ -388,29 +389,82 @@ fn simulation_contains_every_match() {
     });
 }
 
+/// Zero to three random interval pins on random variables, over ids up
+/// to one past the last node. A quarter of them are inverted (empty),
+/// and two pins often land on one variable, where they must intersect.
+fn random_pins(rng: &mut Rng, q: &Pattern, g: &Graph) -> Vec<Pin> {
+    let n = g.node_count() + 1;
+    (0..rng.gen_range(0..4))
+        .map(|_| {
+            let var = VarId(rng.gen_range(0..q.node_count()) as u32);
+            let (a, b) = (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
+            let (lo, hi) = match rng.gen_range(0..4) {
+                0 => (a.max(b), a.min(b)),
+                _ => (a.min(b), a.max(b)),
+            };
+            Pin {
+                var,
+                lo: NodeId(lo),
+                hi: NodeId(hi),
+            }
+        })
+        .collect()
+}
+
+/// A node pin, then random interval pins, in every pool source: the
+/// brute-force matches inside every pin's interval. A wildcard-labeled
+/// pinned variable, an inverted interval and two pins on one variable
+/// all occur (counted, so the generator cannot silently stop covering
+/// them).
 #[test]
 fn pinned_enumeration_agrees_with_oracle() {
+    let (mut wildcard, mut inverted, mut doubled) = (0, 0, 0);
     check("pin ≡ filtered oracle", 100, |rng| {
         let g = random_graph(rng, 10);
         let q = random_pattern(rng, &g);
         let pin_var = VarId(rng.gen_range(0..q.node_count()) as u32);
         let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
-        let expected: Vec<Vec<NodeId>> = oracle_matches(&q, &g)
-            .into_iter()
-            .filter(|m| m[pin_var.index()] == pin_node)
-            .collect();
-        let opts = MatchOptions::unrestricted().pin(pin_var, pin_node);
-        for source in SOURCES {
-            let got = engine_matches(&q, &g, &opts, source);
-            prop_assert!(
-                got == expected,
-                "{source:?}: {} vs oracle {} for {q:?}",
-                got.len(),
-                expected.len()
-            );
+        let intervals = random_pins(rng, &q, &g);
+        wildcard += intervals
+            .iter()
+            .any(|p| q.label(p.var) == PatLabel::Wildcard) as usize;
+        inverted += intervals.iter().any(|p| p.lo > p.hi) as usize;
+        doubled += intervals
+            .iter()
+            .enumerate()
+            .any(|(i, p)| intervals[..i].iter().any(|o| o.var == p.var))
+            as usize;
+        let all = oracle_matches(&q, &g);
+        for pins in [vec![Pin::at(pin_var, pin_node)], intervals] {
+            let expected: Vec<Vec<NodeId>> = all
+                .iter()
+                .filter(|m| {
+                    pins.iter()
+                        .all(|p| (p.lo..=p.hi).contains(&m[p.var.index()]))
+                })
+                .cloned()
+                .collect();
+            let opts = MatchOptions {
+                pins,
+                ..MatchOptions::unrestricted()
+            };
+            for source in SOURCES {
+                let got = engine_matches(&q, &g, &opts, source);
+                prop_assert!(
+                    got == expected,
+                    "{source:?} under {:?}: {} vs oracle {} for {q:?}",
+                    opts.pins,
+                    got.len(),
+                    expected.len()
+                );
+            }
         }
         Ok(())
     });
+    assert!(
+        wildcard > 0 && inverted > 0 && doubled > 0,
+        "premise: every pin shape occurs"
+    );
 }
 
 /// The locality of subgraph isomorphism (§5.2), which lets the unit
@@ -435,7 +489,7 @@ fn pivot_pinned_matches_stay_within_the_pivot_radius() {
             let all = oracle_matches(&cq, &g);
             let cs = dual_simulation(&cq, &g, None);
             for v in g.nodes() {
-                let pins = [(VarId(z as u32), v)];
+                let pins = [Pin::at(VarId(z as u32), v)];
                 let expected: Vec<Vec<NodeId>> =
                     all.iter().filter(|m| m[z] == v).cloned().collect();
                 let mut raw = ComponentSearch::new(&cq, &g).pins(&pins).collect_all();

@@ -6,10 +6,11 @@
 //! checked edge by edge. Against it we drive random **cyclic**
 //! patterns (a random spanning tree plus closing edges) through
 //! [`for_each_match_with`] with a `(space, plan)` pair — plain,
-//! pinned, and pinned under a neighborhood-sized step budget — and
-//! permuted-declaration twins through their [`ClassRegistry`] views
-//! ([`for_each_match_in`]), plain and pinned, across random edit
-//! scripts with incrementally repaired spaces. Counting
+//! pinned at a node or a node-id interval, and pinned under a
+//! neighborhood-sized step budget — and permuted-declaration twins
+//! through their [`ClassRegistry`] views ([`for_each_match_in`]), plain
+//! and pinned at a node or an interval, across random edit scripts
+//! with incrementally repaired spaces. Counting
 //! ([`count_matches_with`], [`count_matches`]) is held to the oracle's
 //! length on the same cases.
 
@@ -18,7 +19,7 @@ use gfd_match::api::EnumOutcome;
 use gfd_match::types::Flow;
 use gfd_match::{
     count_matches, count_matches_with, dual_simulation, for_each_match_in, for_each_match_with,
-    ClassRegistry, MatchOptions, MatchScratch, QueryPlan, SearchBudget,
+    ClassRegistry, MatchOptions, MatchScratch, Pin, QueryPlan, SearchBudget,
 };
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
@@ -182,7 +183,7 @@ fn plan_matches(
     g: &Graph,
     cs: &gfd_match::CandidateSpace,
     plan: &QueryPlan,
-    pins: &[(VarId, NodeId)],
+    pins: &[Pin],
     scratch: &mut MatchScratch,
 ) -> Vec<Vec<NodeId>> {
     let mut opts = MatchOptions::unrestricted();
@@ -222,6 +223,28 @@ fn plan_executor_equals_brute_force_on_cyclic_patterns() {
     });
 }
 
+/// A random interval pin on `var`: `lo ≤ hi`, both within the graph.
+fn random_interval(rng: &mut Rng, var: VarId, g: &Graph) -> Pin {
+    let (a, b) = (
+        rng.gen_range(0..g.node_count()),
+        rng.gen_range(0..g.node_count()),
+    );
+    Pin {
+        var,
+        lo: NodeId(a.min(b) as u32),
+        hi: NodeId(a.max(b) as u32),
+    }
+}
+
+/// The oracle's matches inside every pin's interval.
+fn within(mut matches: Vec<Vec<NodeId>>, pins: &[Pin]) -> Vec<Vec<NodeId>> {
+    matches.retain(|m| {
+        pins.iter()
+            .all(|p| (p.lo..=p.hi).contains(&m[p.var.index()]))
+    });
+    matches
+}
+
 #[test]
 fn pinned_plan_execution_equals_filtered_oracle() {
     let mut scratch = MatchScratch::default();
@@ -232,26 +255,32 @@ fn pinned_plan_execution_equals_filtered_oracle() {
         let q = build_pattern(&spec, &order, &g);
         let pin_var = VarId(rng.gen_range(0..q.node_count()) as u32);
         let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
-        let expected: Vec<Vec<NodeId>> = oracle_matches(&q, &g)
-            .into_iter()
-            .filter(|m| m[pin_var.index()] == pin_node)
-            .collect();
+        let all = oracle_matches(&q, &g);
         let cs = dual_simulation(&q, &g, None);
         let plan = QueryPlan::new(&q);
-        let got = plan_matches(&q, &g, &cs, &plan, &[(pin_var, pin_node)], &mut scratch);
-        prop_assert!(
-            got == expected,
-            "pinned plan: {} vs oracle {} for {q:?}",
-            got.len(),
-            expected.len()
-        );
-        let opts = MatchOptions::unrestricted().pin(pin_var, pin_node);
-        let counted = count_matches_with(&q, &g, &opts, Some((&cs, &plan)), &mut scratch);
-        prop_assert!(
-            counted == expected.len(),
-            "pinned count {counted} vs oracle {} for {q:?}",
-            expected.len()
-        );
+        for pin in [
+            Pin::at(pin_var, pin_node),
+            random_interval(rng, pin_var, &g),
+        ] {
+            let expected = within(all.clone(), &[pin]);
+            let got = plan_matches(&q, &g, &cs, &plan, &[pin], &mut scratch);
+            prop_assert!(
+                got == expected,
+                "plan pinned at {pin:?}: {} vs oracle {} for {q:?}",
+                got.len(),
+                expected.len()
+            );
+            let opts = MatchOptions {
+                pins: vec![pin],
+                ..MatchOptions::unrestricted()
+            };
+            let counted = count_matches_with(&q, &g, &opts, Some((&cs, &plan)), &mut scratch);
+            prop_assert!(
+                counted == expected.len(),
+                "count pinned at {pin:?}: {counted} vs oracle {} for {q:?}",
+                expected.len()
+            );
+        }
         Ok(())
     });
 }
@@ -260,7 +289,8 @@ fn pinned_plan_execution_equals_filtered_oracle() {
 /// registry repairs the class's space incrementally and keeps one
 /// plan per class, both in representative numbering; after every
 /// edit, each member's enumeration through its view — plain, and
-/// pinned at a random variable of the member — must still equal brute
+/// pinned at a node or an interval on a random variable of the member —
+/// must still equal brute
 /// force on the member's own pattern over the *current* graph, and so
 /// must the unpinned count of the representative inside the view's
 /// space and plan.
@@ -288,12 +318,16 @@ fn transported_plans_survive_edit_scripts() {
                 let view = reg.space_and_plan(h, &g);
                 let pin_var = VarId(rng.gen_range(0..k) as u32);
                 let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
+                let interval = MatchOptions {
+                    pins: vec![random_interval(rng, pin_var, &g)],
+                    ..MatchOptions::unrestricted()
+                };
                 for opts in [
                     MatchOptions::unrestricted(),
                     MatchOptions::unrestricted().pin(pin_var, pin_node),
+                    interval,
                 ] {
-                    let mut expected = oracle_matches(q, &g);
-                    expected.retain(|m| opts.pins.iter().all(|&(v, n)| m[v.index()] == n));
+                    let expected = within(oracle_matches(q, &g), &opts.pins);
                     let mut got = Vec::new();
                     for_each_match_in(&view, &g, &opts, &mut scratch, &mut |m| {
                         got.push(m.to_vec());

@@ -16,7 +16,7 @@ mod common;
 use gfd_graph::{Graph, GraphBuilder, NodeId};
 use gfd_match::simulation::dual_simulation;
 use gfd_match::types::Flow;
-use gfd_match::{for_each_match_in, ClassRegistry, ClassView, MatchOptions, MatchScratch};
+use gfd_match::{for_each_match_in, ClassRegistry, ClassView, MatchOptions, MatchScratch, Pin};
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, Rng};
 
@@ -142,11 +142,11 @@ fn view_equals_scratch(view: &ClassView, q: &Pattern, g: &Graph, what: &str) -> 
 /// Brute force on the member's own pattern: every injective
 /// assignment honoring `pins`, checked label by label and edge by
 /// edge. Sorted.
-fn oracle_matches(q: &Pattern, g: &Graph, pins: &[(VarId, NodeId)]) -> Vec<Vec<NodeId>> {
+fn oracle_matches(q: &Pattern, g: &Graph, pins: &[Pin]) -> Vec<Vec<NodeId>> {
     fn rec(
         q: &Pattern,
         g: &Graph,
-        pins: &[(VarId, NodeId)],
+        pins: &[Pin],
         assign: &mut Vec<NodeId>,
         out: &mut Vec<Vec<NodeId>>,
     ) {
@@ -165,7 +165,9 @@ fn oracle_matches(q: &Pattern, g: &Graph, pins: &[(VarId, NodeId)]) -> Vec<Vec<N
             return;
         }
         for u in g.nodes() {
-            let pinned_elsewhere = pins.iter().any(|&(pv, pn)| pv == v && pn != u);
+            let pinned_elsewhere = pins
+                .iter()
+                .any(|p| p.var == v && !(p.lo..=p.hi).contains(&u));
             if pinned_elsewhere || !q.label(v).admits(g.label(u)) || assign.contains(&u) {
                 continue;
             }

@@ -189,7 +189,7 @@ mod tests {
     fn balanced_beats_random_makespan() {
         // Units long enough that a neighbouring test thread's
         // preemption does not decide the measured makespan.
-        let g = flights(160, 6);
+        let g = flights(640, 6);
         let sigma = GfdSet::new(vec![phi(g.vocab().clone())]);
         let val = rep_val(&sigma, &g, &RepValConfig::val(4));
         let ran = rep_val(&sigma, &g, &RepValConfig::ran(4, 99));

@@ -4,15 +4,17 @@
 //! [`workload`](crate::workload)): per component of the group's
 //! representative, a contiguous range of the component's sorted pivot
 //! candidates. Executing it enumerates the matches `h(x̄)` of the
-//! representative whose pivots lie in the cell — one enumeration of each
-//! component *pinned* at each pivot of its range — and checks every
-//! member rule of the group on each row, recording every match with
-//! `h ⊨ X`, `h ⊭ Y` in the member's own variable order
+//! representative whose pivots lie in the cell — one search of each
+//! component, its pivot pinned at the interval
+//! `[pivots[lo], pivots[hi − 1]]` (raw mode may admit pruned nodes;
+//! they have no matches) — and checks every member rule of the group on
+//! each row, recording every match with `h ⊨ X`, `h ⊭ Y` in the
+//! member's own variable order
 //! ([`for_each_group_violation`], the one detection primitive). By the
-//! locality of subgraph isomorphism a search pinned at a pivot cannot
-//! leave the pivot's `c^i_Q`-hop block, so a unit is its pivot ranges
-//! and nothing more: no code builds a block, and `disVal` sizes what
-//! it ships from the pivots' root pools in the class candidate space.
+//! locality of subgraph isomorphism a match cannot leave its pivot's
+//! `c^i_Q`-hop block, so a unit is its pivot ranges and nothing more: no
+//! code builds a block, and `disVal` sizes what it ships from the
+//! pivots' root pools in the class candidate space.
 //!
 //! A one-component group streams its rows to the members' dependency
 //! checks; a `k ≥ 2` group collects each component's rows in a scratch
@@ -34,10 +36,10 @@
 //! allocations** (asserted by the `alloc_probe` test and the
 //! `alloc/unit_exec_steady_state` bench sample).
 
-use gfd_core::group::{for_each_group_violation, GroupScratch, Pins, Pools, RuleGroups};
+use gfd_core::group::{for_each_group_violation, GroupScratch, Pools, RuleGroups};
 use gfd_core::{GfdSet, Violation};
 use gfd_graph::Graph;
-use gfd_match::{ClassRegistry, ClassView, Match, SpaceHandle};
+use gfd_match::{ClassRegistry, ClassView, Match, Pin, SpaceHandle};
 
 pub use gfd_match::CacheStats;
 
@@ -52,6 +54,8 @@ pub struct UnitScratch {
     /// Per component of the unit in flight (multi-query on): its class
     /// view, released when the unit ends.
     views: Vec<ClassView>,
+    /// Per component: its pivot's interval.
+    pins: Vec<Pin>,
 }
 
 impl UnitScratch {
@@ -60,9 +64,11 @@ impl UnitScratch {
         Self::default()
     }
 
-    /// Pinned enumerations run through this scratch so far — one per
-    /// pivot, however many rules the unit's group holds.
-    pub fn pinned_enumerations(&self) -> u64 {
+    /// Component searches run through this scratch so far — one per
+    /// component and orientation of each unit, however many pivots its
+    /// ranges hold and rules its group holds. Public for
+    /// `tests/end_to_end.rs`, which checks that count.
+    pub fn enumerations(&self) -> u64 {
         self.group.enumerations()
     }
 }
@@ -131,6 +137,7 @@ impl<'a> UnitExecutor<'a> {
         let UnitScratch {
             group: primitive,
             views,
+            pins,
         } = scratch;
         if !primitive.select(group, |_| true) {
             return; // X → ∅ can never be violated
@@ -145,15 +152,17 @@ impl<'a> UnitExecutor<'a> {
             }
             None => Pools::Raw,
         };
-        // Component `i` pinned over slot `i`'s range — and, for a
-        // symmetric pair's off-diagonal cell, over the other slot's.
+        // Component `i`'s pivot pinned at slot `i`'s interval — and, for
+        // a symmetric pair's off-diagonal cell, at the other slot's.
         let both = unit.check_both_orientations && unit_slots[0].lo != unit_slots[1].lo;
         for swap in [false, true].into_iter().take(1 + usize::from(both)) {
-            let ranges = |i: usize| {
-                let slot = &unit_slots[if swap { 1 - i } else { i }];
-                (comps[i].local_pivot, slot.range())
-            };
-            let pins = Pins::Ranges(&ranges);
+            pins.clear();
+            for (i, c) in comps.iter().enumerate() {
+                let range = unit_slots[if swap { 1 - i } else { i }].range();
+                let var = c.orig_vars[c.local_pivot.index()];
+                let (lo, hi) = (range[0], range[range.len() - 1]);
+                pins.push(Pin { var, lo, hi });
+            }
             for_each_group_violation(group, self.g, pools, pins, primitive, &mut |rule, m| {
                 out.push(Violation {
                     rule,
@@ -233,7 +242,7 @@ mod tests {
     }
 
     /// Estimates and executes `W(Σ, G)` against `registry`; returns the
-    /// violations and how many pinned enumerations reached the search.
+    /// violations and how many component searches ran.
     fn run_all_units_in(
         g: &Graph,
         sigma: &GfdSet,
@@ -248,7 +257,7 @@ mod tests {
             exec.run(u, &mut scratch, &mut out);
         }
         sort_violations(&mut out);
-        (out, scratch.pinned_enumerations())
+        (out, scratch.enumerations())
     }
 
     fn run_all_units(g: &Graph, sigma: &GfdSet, mq: bool) -> Vec<Violation> {

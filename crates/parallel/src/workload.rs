@@ -5,8 +5,8 @@
 //! candidate per connected component together with the candidates'
 //! `c^i_Q`-hop data blocks. By the locality of subgraph isomorphism,
 //! a match pinned at a pivot candidate cannot leave that candidate's
-//! block, so validating `ϕ` reduces to enumerating matches pinned at
-//! the pivots of its work units (each pivot tuple checked exactly
+//! block, so validating `ϕ` reduces to enumerating the matches whose
+//! pivots lie in its work units (each pivot tuple checked exactly
 //! once).
 //!
 //! A [`WorkUnit`] here is a *batch* of the paper's units whose pivots
@@ -16,8 +16,9 @@
 //! ranges, checked exactly once for every rule of the group, at most 64
 //! units per group whatever the graph's size. Rules with isomorphic
 //! patterns form one group ([`RuleGroups`]) and share its
-//! representative's grid: executing a cell checks every member on each
-//! row. A unit is priced from the candidate space estimation already
+//! representative's grid: executing a cell — one search per component,
+//! its pivot pinned at the node-id interval the cell's range spans —
+//! checks every member on each row. A unit is priced from the candidate space estimation already
 //! reads, not from its data block `G_z̄`: each pivot weighs its root
 //! pools (`root_pools`) — the runs a search pinned there intersects
 //! first — and a `k ≥ 2` cell adds its join count. No code builds a

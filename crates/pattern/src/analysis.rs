@@ -41,11 +41,6 @@ impl PivotVector {
     pub fn pivots(&self) -> impl Iterator<Item = VarId> + '_ {
         self.components.iter().map(|c| c.pivot)
     }
-
-    /// The largest component radius.
-    pub fn max_radius(&self) -> usize {
-        self.components.iter().map(|c| c.radius).max().unwrap_or(0)
-    }
 }
 
 /// Undirected connected components of `q`, each sorted ascending;
@@ -122,26 +117,24 @@ pub fn is_tree(q: &Pattern) -> bool {
     q.node_count() > 0 && connected_components(q).len() == 1 && q.edge_count() == q.node_count() - 1
 }
 
-/// True if every component is a tree (acyclic pattern forest).
-pub fn is_forest(q: &Pattern) -> bool {
-    connected_components(q)
-        .iter()
-        .map(|c| {
-            let internal_edges = q
-                .edges()
-                .iter()
-                .filter(|e| c.binary_search(&e.src).is_ok())
-                .count();
-            (c.len(), internal_edges)
-        })
-        .all(|(nodes, edges)| edges + 1 == nodes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::PatternBuilder;
     use gfd_graph::Vocab;
+
+    /// The largest component radius.
+    fn max_radius(pv: &PivotVector) -> usize {
+        pv.components.iter().map(|c| c.radius).max().unwrap_or(0)
+    }
+
+    /// True if every component is a tree (acyclic pattern forest).
+    fn is_forest(q: &Pattern) -> bool {
+        connected_components(q).iter().all(|c| {
+            let internal = q.edges().iter().filter(|e| c.binary_search(&e.src).is_ok());
+            internal.count() + 1 == c.len()
+        })
+    }
 
     /// Q1 of Fig. 2: two star-shaped flight entities (disconnected).
     fn q1() -> Pattern {
@@ -182,7 +175,7 @@ mod tests {
         assert_eq!(pv.components[0].radius, 1);
         assert_eq!(pv.components[1].pivot, y);
         assert_eq!(pv.components[1].radius, 1);
-        assert_eq!(pv.max_radius(), 1);
+        assert_eq!(max_radius(&pv), 1);
     }
 
     #[test]

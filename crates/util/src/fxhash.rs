@@ -12,7 +12,7 @@
 //! **Not** DoS-resistant — use only for internal keys derived from
 //! graph/pattern ids, never for attacker-controlled strings.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiply-rotate word hasher; see the module docs.
@@ -75,9 +75,6 @@ impl Hasher for FxHasher {
 
 /// `HashMap` keyed through [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// `HashSet` keyed through [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

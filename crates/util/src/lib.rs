@@ -31,6 +31,6 @@ pub mod rng;
 pub mod tempdir;
 
 pub use checksum::{checksum64, Checksum64};
-pub use fxhash::{FxHashMap, FxHashSet};
+pub use fxhash::FxHashMap;
 pub use rng::Rng;
 pub use tempdir::TempDir;

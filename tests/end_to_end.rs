@@ -228,34 +228,39 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
     use gfd::core::validate::DetScratch;
     use gfd::core::validate::{detect_violations_shared, detect_violations_with, match_satisfies};
     use gfd::core::{Dependency, Gfd, GfdSet, IncrementalDetector, Literal, RuleGroups};
-    use gfd::graph::{Graph, GraphBuilder, NodeId, Value};
+    use gfd::graph::{Graph, GraphBuilder, NodeId, Value, Vocab};
     use gfd::matcher::{ClassRegistry, Match};
     use gfd::parallel::unitexec::{UnitExecutor, UnitScratch};
     use gfd::pattern::{PatLabel, PatternBuilder, VarId};
     use gfd_util::Rng;
     use std::sync::Arc;
 
-    let mut rng = Rng::seed_from_u64(14);
-    let mut gb = GraphBuilder::with_fresh_vocab();
-    let vocab = gb.vocab().clone();
-    let layers: Vec<Vec<NodeId>> = ["a", "b", "c"]
-        .iter()
-        .map(|l| (0..4).map(|_| gb.add_node_labeled(l)).collect())
-        .collect();
-    for (i, layer) in layers.iter().enumerate() {
-        for &u in layer {
-            // Every `b` carries 1, for good: read at the wrong variable,
-            // a twin's consequent would look satisfied everywhere.
-            let value = if i == 1 { 1 } else { rng.gen_range(0..2) };
-            gb.set_attr_named(u, "val", Value::Int(value as i64));
-            for &v in &layers[(i + 1) % 3] {
-                if rng.gen_bool(0.6) {
-                    gb.add_edge_labeled(u, v, "e");
+    let vocab = Vocab::shared();
+    // Layers of `per_layer` nodes labeled a, b, c, each node wired to
+    // each node of the next layer with probability `p`.
+    let layered = |rng: &mut Rng, per_layer: usize, p: f64| {
+        let mut gb = GraphBuilder::new(vocab.clone());
+        let layers: Vec<Vec<NodeId>> = ["a", "b", "c"]
+            .iter()
+            .map(|l| (0..per_layer).map(|_| gb.add_node_labeled(l)).collect())
+            .collect();
+        for (i, layer) in layers.iter().enumerate() {
+            for &u in layer {
+                // Every `b` carries 1, for good: read at the wrong variable,
+                // a twin's consequent would look satisfied everywhere.
+                let value = if i == 1 { 1 } else { rng.gen_range(0..2) };
+                gb.set_attr_named(u, "val", Value::Int(value as i64));
+                for &v in &layers[(i + 1) % 3] {
+                    if rng.gen_bool(p) {
+                        gb.add_edge_labeled(u, v, "e");
+                    }
                 }
             }
         }
-    }
-    let mut g = Arc::new(gb.freeze());
+        (Arc::new(gb.freeze()), layers)
+    };
+    let mut rng = Rng::seed_from_u64(14);
+    let (mut g, layers) = layered(&mut rng, 4, 0.6);
     let val = vocab.intern("val");
 
     // The triangle a → b → c → a, declared in `order`; vars [x, y, z].
@@ -409,10 +414,18 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
         for unit in &wl.units {
             exec.run(unit, &mut unit_scratch, &mut sink);
         }
+        // One search per component and orientation of each unit,
+        // however many pivots its ranges hold.
+        let searches = wl.units.iter().map(|unit| {
+            let slots = unit.slots(&wl.slots);
+            let both = unit.check_both_orientations && slots[0].lo != slots[1].lo;
+            (unit.k() * (1 + usize::from(both))) as u64
+        });
+        assert_eq!(unit_scratch.enumerations(), searches.sum::<u64>());
         [
             det_scratch.enumerations(),
             step,
-            unit_scratch.pinned_enumerations(),
+            unit_scratch.enumerations(),
         ]
     };
     let (q4, [x4, _, z4]) = triangle([0, 2, 1]);
@@ -435,6 +448,13 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
         counts,
         "a fifth twin must not add an enumeration to detVio, apply_diff or the units"
     );
+    // Ranges of several pivots still cost one search per component:
+    // `enumerations` asserts the units' count on wider layers too.
+    let (wide, _) = layered(&mut Rng::seed_from_u64(15), 20, 0.1);
+    let wl = estimate_workload(&sigma, &wide, &WorkloadOptions::default());
+    let several = wl.slots.iter().any(|slot| slot.range().len() > 1);
+    assert!(several, "premise: some range holds several pivots");
+    enumerations(&sigma, &wide);
 
     let registry = Arc::new(ClassRegistry::new());
     let mut det = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
