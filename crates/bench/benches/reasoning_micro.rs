@@ -501,12 +501,15 @@ fn main() {
     // The simulation-based pivot filter in isolation (one dual
     // simulation per component instead of a backtracking probe per
     // pivot candidate).
-    let det_plans = plan_rules(&sigma_det);
+    let det_plan = plan_rules(&sigma_det);
     bench("detect/pivot_feasibility", &mut samples, || {
-        det_plans
+        det_plan
             .iter()
-            .flat_map(|r| &r.components)
-            .map(|c| feasible_pivots(&g2, c, true).0.len())
+            .flat_map(|(group, gp)| (0..group.parts.len()).map(move |i| (group, gp, i)))
+            .map(|(group, gp, i)| {
+                let (part, pivot) = (&group.parts[i].0, gp.local_pivot(group, i));
+                feasible_pivots(&g2, part, pivot, true).0.len()
+            })
             .sum::<usize>()
     });
     bench("detect/repVal_n4", &mut samples, || {
@@ -803,10 +806,9 @@ fn main() {
                 vec![Literal::var_eq(x2, val, y2, val)],
             ),
         )]);
-        let plans = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         let registry = ClassRegistry::new();
-        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
+        let exec = UnitExecutor::new(&g, &wl.plan, &wl.slots, &registry, true);
         let mut scratch = UnitScratch::new();
         let mut out = Vec::new();
         for u in &wl.units {
@@ -825,7 +827,8 @@ fn main() {
         // every unit-component pays — lock, LRU touch, four `Arc`
         // bumps. allocs_per_iter doubles as the zero-allocation
         // assertion for the serving-tier lookup.
-        let h = registry.register(&plans[0].components[0].pattern);
+        let star = &wl.plan.groups[0].parts[0].0;
+        let h = registry.register(star);
         let sims = registry.simulations();
         bench("cache/registry_hit_rate", &mut samples, || {
             registry.space_and_plan(h, &g).space.total_size()
@@ -849,7 +852,7 @@ fn main() {
         let f = pb.node("f", "flight");
         let c = pb.node("c", "city");
         pb.edge(f, c, "to");
-        let classes = [&plans[0].components[0].pattern, &pb.build()].map(|q| tiny.register(q));
+        let classes = [star, &pb.build()].map(|q| tiny.register(q));
         bench("cache/evict_churn", &mut samples, || {
             classes.map(|h| tiny.space(h, &g).space.total_size())
         });

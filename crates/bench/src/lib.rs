@@ -1,7 +1,8 @@
 //! # gfd-bench — harness regenerating every table and figure of §7
 //!
-//! One binary per paper artifact — this table is the index; the
-//! workspace around it is `ROADMAP.md`'s Architecture section:
+//! One binary per paper artifact, plus the allocation gate — this table
+//! is the index; the workspace around it is `ROADMAP.md`'s Architecture
+//! section:
 //!
 //! | binary | paper artifact |
 //! |---|---|
@@ -15,8 +16,9 @@
 //! | `fig9_accuracy` | Fig. 9 — recall/precision/time vs GCFD and BigDansing-style baselines |
 //! | `exp1_summary` | Exp-1 headline numbers (speedups, optimization gains) |
 //! | `ablation_opt` | ablations: each optimization toggled separately |
+//! | `bench_compare` | the allocation gate: `allocs_per_iter` of a fresh `reasoning_micro` run against the committed `BENCH_smoke.json` |
 //!
-//! All binaries print machine-readable tables (TSV-ish) whose rows are
+//! The figure binaries print machine-readable tables (TSV-ish) whose rows are
 //! the series the paper plots. Graph sizes are scaled (the stand-ins
 //! of `gfd_datagen::reallife`); series *shapes* — who wins, scaling
 //! trends, crossovers — are the reproduction target, not absolute

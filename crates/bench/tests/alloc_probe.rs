@@ -232,13 +232,14 @@ fn warm_execute_unit_allocates_nothing() {
         same_id_same_dest_declared(g.vocab().clone(), true),
         star_has_a_destination(g.vocab().clone()),
     ]);
-    let plans = plan_rules(&sigma);
-    assert!(plans[..2].iter().all(|p| p.symmetric_pair));
+    let plan = plan_rules(&sigma);
+    let (group, gp) = plan.group(0);
+    assert!(gp.symmetric_pair && group.members.len() == 2);
     let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
     assert!(wl.units.len() >= 40, "premise: a non-trivial workload");
     assert!(wl.slots.iter().all(|s| s.range().len() >= 2));
     let registry = ClassRegistry::new();
-    let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
+    let exec = UnitExecutor::new(&g, &plan, &wl.slots, &registry, true);
     assert_eq!(
         (registry.class_count(), registry.member_count()),
         (1, 2),
@@ -290,10 +291,10 @@ fn warm_cross_worker_registry_hit_allocates_nothing() {
     let _serial = serial();
     let g = clean_flights(40);
     let sigma = GfdSet::new(vec![same_id_same_dest(g.vocab().clone())]);
-    let plans = plan_rules(&sigma);
+    let plan = plan_rules(&sigma);
     let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
     let registry = ClassRegistry::new();
-    let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
+    let exec = UnitExecutor::new(&g, &plan, &wl.slots, &registry, true);
     let mut out = Vec::new();
 
     // Worker A: pays the simulation and the plan.

@@ -130,6 +130,11 @@ impl GfdSet {
         self.gfds.remove(index)
     }
 
+    /// Inserts `gfd` at `index`, shifting the rules after it.
+    pub fn insert(&mut self, index: usize, gfd: Gfd) {
+        self.gfds.insert(index, gfd);
+    }
+
     /// Total size `|Σ| = Σ|ϕ|`.
     pub fn size(&self) -> usize {
         self.gfds.iter().map(Gfd::size).sum()

@@ -124,24 +124,18 @@ pub fn minimize(sigma: &GfdSet) -> GfdSet {
     if !matches!(check_satisfiability(sigma), SatOutcome::Satisfiable(_)) {
         return sigma.clone();
     }
-    let mut kept: Vec<Gfd> = sigma.iter().cloned().collect();
+    // Each candidate is taken out of the one kept set, checked against
+    // the rest in place, and put back where it was unless implied.
+    let mut kept = sigma.clone();
     let mut i = 0;
     while i < kept.len() {
-        let candidate = kept[i].clone();
-        let rest = GfdSet::new(
-            kept.iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, g)| g.clone())
-                .collect(),
-        );
-        if !rest.is_empty() && implies(&rest, &candidate) {
-            kept.remove(i);
-        } else {
+        let candidate = kept.remove(i);
+        if kept.is_empty() || !implies(&kept, &candidate) {
+            kept.insert(i, candidate);
             i += 1;
         }
     }
-    GfdSet::new(kept)
+    kept
 }
 
 #[cfg(test)]

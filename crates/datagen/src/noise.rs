@@ -175,6 +175,7 @@ pub fn inject_noise_with_delta(g: &Graph, cfg: &NoiseConfig) -> (Graph, NoiseRep
 mod tests {
     use super::*;
     use crate::reallife::{reallife_graph, RealLifeConfig, RealLifeKind};
+    use gfd_graph::graph::same_snapshot;
 
     fn graph() -> Graph {
         reallife_graph(&RealLifeConfig {
@@ -201,17 +202,15 @@ mod tests {
     #[test]
     fn zero_rate_is_noop() {
         let g = graph();
-        let before = gfd_graph::io::to_text(&g);
         let mut b = g.thaw();
         let report = inject_noise(&mut b, &NoiseConfig { rate: 0.0, seed: 1 });
         assert!(report.is_empty());
-        assert_eq!(gfd_graph::io::to_text(&b.freeze()), before);
+        assert_eq!(same_snapshot(&b.freeze(), &g), Ok(()));
     }
 
     #[test]
     fn corruption_changes_graph() {
         let g = graph();
-        let before = gfd_graph::io::to_text(&g);
         let mut b = g.thaw();
         let report = inject_noise(
             &mut b,
@@ -221,7 +220,7 @@ mod tests {
             },
         );
         assert!(!report.is_empty());
-        assert_ne!(gfd_graph::io::to_text(&b.freeze()), before);
+        assert!(same_snapshot(&b.freeze(), &g).is_err());
     }
 
     #[test]
@@ -249,10 +248,7 @@ mod tests {
         let mut b = g.thaw();
         let report2 = inject_noise(&mut b, &cfg);
         assert_eq!(report.corrupted, report2.corrupted);
-        assert_eq!(
-            gfd_graph::io::to_text(&noisy),
-            gfd_graph::io::to_text(&b.freeze())
-        );
+        assert_eq!(same_snapshot(&noisy, &b.freeze()), Ok(()));
         // Every corrupted node is visible in the delta's neighborhood.
         let touched = delta.touched_nodes();
         for n in report.dirty_nodes() {

@@ -1205,7 +1205,8 @@ fn merged_run<'a>(
 /// same entries inline in every page. Two ways of building one graph
 /// (a freeze, a chain of [`Graph::apply_delta`]s, a replayed builder)
 /// must agree on all of it. Public for the snapshot oracles outside
-/// this crate: `prop_codec`, `prop_graph` and the `wal` tests.
+/// this crate: `prop_codec`, `prop_graph`, the `wal` tests and the
+/// noise-injection tests of `gfd-datagen`.
 #[doc(hidden)]
 pub fn same_snapshot(a: &Graph, b: &Graph) -> Result<(), String> {
     if (a.node_count(), a.edge_count()) != (b.node_count(), b.edge_count()) {

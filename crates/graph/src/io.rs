@@ -1,5 +1,5 @@
-//! Graph serialization: a self-contained intermediate form and a simple
-//! line-oriented text format for fixtures and interchange.
+//! Graph serialization: a self-contained intermediate form and its
+//! binary snapshot encoding.
 //!
 //! The binary snapshot encoding has one writer and one parser.
 //! [`GraphData::encode_into`], [`encode_snapshot`] (straight from a
@@ -9,20 +9,8 @@
 //! write the same bytes; [`GraphData::decode`] and
 //! [`DecodedSnapshot::decode`] (straight into a [`GraphBuilder`]) read
 //! them under the same checks.
-//!
-//! Text format (one record per line, `#`-comments allowed):
-//!
-//! ```text
-//! node <id> <label> [attr=value ...]
-//! edge <src> <dst> <label>
-//! ```
-//!
-//! Node ids in the text format must be dense and ascending from 0;
-//! values are parsed as `i64`, `true`/`false`, or strings otherwise.
 
-use std::collections::HashMap;
 use std::convert::Infallible;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::attrs::AttrMap;
@@ -399,134 +387,6 @@ impl<'a> DecodedSnapshot<'a> {
     }
 }
 
-/// Writes `g` in the line-oriented text format.
-pub fn to_text(g: &Graph) -> String {
-    let mut out = String::new();
-    let vocab = g.vocab();
-    for u in g.nodes() {
-        let _ = write!(out, "node {} {}", u.0, vocab.resolve(g.label(u)));
-        for (a, v) in g.attrs(u).iter() {
-            let _ = write!(out, " {}={}", vocab.resolve(a), v);
-        }
-        out.push('\n');
-    }
-    for e in g.edges() {
-        let _ = writeln!(
-            out,
-            "edge {} {} {}",
-            e.src.0,
-            e.dst.0,
-            vocab.resolve(e.label)
-        );
-    }
-    out
-}
-
-/// Errors from [`from_text`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum ParseError {
-    /// A line didn't have the expected shape.
-    Malformed { line: usize, reason: String },
-    /// Node ids were not dense/ascending, or an edge referenced an
-    /// unknown node.
-    BadNodeId { line: usize, id: u32 },
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::Malformed { line, reason } => {
-                write!(f, "line {line}: malformed record: {reason}")
-            }
-            ParseError::BadNodeId { line, id } => write!(f, "line {line}: bad node id {id}"),
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-fn parse_value(raw: &str) -> Value {
-    if let Ok(i) = raw.parse::<i64>() {
-        return Value::Int(i);
-    }
-    match raw {
-        "true" => Value::Bool(true),
-        "false" => Value::Bool(false),
-        _ => Value::Str(Arc::from(raw)),
-    }
-}
-
-/// Parses the text format produced by [`to_text`] into a frozen graph.
-pub fn from_text(text: &str, vocab: Arc<Vocab>) -> Result<Graph, ParseError> {
-    let mut b = GraphBuilder::new(vocab);
-    let mut seen: HashMap<u32, NodeId> = HashMap::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("node") => {
-                let id: u32 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| {
-                    ParseError::Malformed {
-                        line: lineno + 1,
-                        reason: "node needs an id".into(),
-                    }
-                })?;
-                let label = parts.next().ok_or_else(|| ParseError::Malformed {
-                    line: lineno + 1,
-                    reason: "node needs a label".into(),
-                })?;
-                if id as usize != b.node_count() {
-                    return Err(ParseError::BadNodeId {
-                        line: lineno + 1,
-                        id,
-                    });
-                }
-                let u = b.add_node_labeled(label);
-                seen.insert(id, u);
-                for kv in parts {
-                    let (k, v) = kv.split_once('=').ok_or_else(|| ParseError::Malformed {
-                        line: lineno + 1,
-                        reason: format!("attribute `{kv}` is not key=value"),
-                    })?;
-                    b.set_attr_named(u, k, parse_value(v));
-                }
-            }
-            Some("edge") => {
-                let mut next_id = |what: &str| -> Result<NodeId, ParseError> {
-                    let id: u32 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(|| {
-                        ParseError::Malformed {
-                            line: lineno + 1,
-                            reason: format!("edge needs a {what}"),
-                        }
-                    })?;
-                    seen.get(&id).copied().ok_or(ParseError::BadNodeId {
-                        line: lineno + 1,
-                        id,
-                    })
-                };
-                let src = next_id("source")?;
-                let dst = next_id("destination")?;
-                let label = parts.next().ok_or_else(|| ParseError::Malformed {
-                    line: lineno + 1,
-                    reason: "edge needs a label".into(),
-                })?;
-                b.add_edge_labeled(src, dst, label);
-            }
-            Some(other) => {
-                return Err(ParseError::Malformed {
-                    line: lineno + 1,
-                    reason: format!("unknown record `{other}`"),
-                })
-            }
-            None => unreachable!("empty lines filtered above"),
-        }
-    }
-    Ok(b.freeze())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,39 +492,5 @@ mod tests {
         });
         assert_eq!(stopped, Err("disk full"));
         assert_eq!(calls, 2);
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let g = sample();
-        let text = to_text(&g);
-        let g2 = from_text(&text, Vocab::shared()).unwrap();
-        assert_eq!(g2.node_count(), 2);
-        assert_eq!(g2.edge_count(), 1);
-        let ontime = g2.vocab().lookup("ontime").unwrap();
-        assert_eq!(g2.attr(NodeId(0), ontime), Some(&Value::Bool(true)));
-        let stops = g2.vocab().lookup("stops").unwrap();
-        assert_eq!(g2.attr(NodeId(0), stops), Some(&Value::Int(0)));
-    }
-
-    #[test]
-    fn parse_rejects_bad_ids() {
-        let err = from_text("node 5 flight", Vocab::shared()).unwrap_err();
-        assert!(matches!(err, ParseError::BadNodeId { id: 5, .. }));
-        let err = from_text("node 0 a\nedge 0 7 e", Vocab::shared()).unwrap_err();
-        assert!(matches!(err, ParseError::BadNodeId { id: 7, .. }));
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(from_text("wobble 1 2", Vocab::shared()).is_err());
-        assert!(from_text("node 0", Vocab::shared()).is_err());
-        assert!(from_text("node 0 a b", Vocab::shared()).is_err()); // attr without '='
-    }
-
-    #[test]
-    fn comments_and_blank_lines_skipped() {
-        let g = from_text("# header\n\nnode 0 a\n", Vocab::shared()).unwrap();
-        assert_eq!(g.node_count(), 1);
     }
 }

@@ -33,8 +33,8 @@
 //!   distributed setting of §6.2 (module [`fragment`]);
 //! * graph statistics: label frequencies, degrees and the skew ratio
 //!   of Fig. 8 (module [`stats`]);
-//! * a plain-text interchange format and a self-contained snapshot
-//!   form ([`GraphData`], module [`io`]); both [`GraphDelta`] and
+//! * a self-contained snapshot form ([`GraphData`], module [`io`]);
+//!   both [`GraphDelta`] and
 //!   [`GraphData`] also carry a plain-bytes binary codec
 //!   (`encode_into`/`decode`) whose decoder is hardened against
 //!   hostile input — it is the record payload of the durable

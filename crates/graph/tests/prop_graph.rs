@@ -586,20 +586,3 @@ fn fragmentation_covers() {
         Ok(())
     });
 }
-
-#[test]
-fn text_round_trip() {
-    check("text round trip preserves counts and labels", 60, |rng| {
-        let (g, _) = random_graph(rng, 12, 3, 3);
-        let text = gfd_graph::io::to_text(&g);
-        let g2 = gfd_graph::io::from_text(&text, gfd_graph::Vocab::shared()).unwrap();
-        prop_assert!(g2.node_count() == g.node_count());
-        prop_assert!(g2.edge_count() == g.edge_count());
-        for u in g.nodes() {
-            let l1 = g.vocab().resolve(g.label(u));
-            let l2 = g2.vocab().resolve(g2.label(u));
-            prop_assert!(l1.as_ref() == l2.as_ref(), "label of {u:?} changed");
-        }
-        Ok(())
-    });
-}

@@ -149,7 +149,14 @@ fn oracle_matches(q: &Pattern, g: &Graph) -> Vec<Vec<NodeId>> {
                 continue;
             }
             assign[depth] = u;
-            rec(q, g, depth + 1, assign, out);
+            // Cut an assignment early where an edge between assigned
+            // variables already fails; the leaf still checks every edge.
+            let mut closed = q.edges().iter().filter(|e| e.src.max(e.dst) == v);
+            let fails = closed
+                .any(|e| !oracle_edge_ok(g, assign[e.src.index()], assign[e.dst.index()], e.label));
+            if !fails {
+                rec(q, g, depth + 1, assign, out);
+            }
             assign[depth] = NodeId(u32::MAX);
         }
     }
@@ -380,7 +387,10 @@ fn transported_plans_survive_edit_scripts() {
 /// Pinning any variable at a blob node under a step budget of
 /// `2 · deg²` — far less than the far region's size — must still run
 /// to completion and equal the brute-force pinned match set: the
-/// search starts at the pin, never at a simulation set.
+/// search starts at the pin, never at a simulation set. The same holds
+/// for an interval pin over the variable's `d` blob nodes (consecutive
+/// ids) under `d` times that budget, the far region larger still: the
+/// pinned pool is the seed set clipped to the interval.
 #[test]
 fn pinned_enumeration_is_neighborhood_bounded() {
     let mut scratch = MatchScratch::default();
@@ -389,7 +399,8 @@ fn pinned_enumeration_is_neighborhood_bounded() {
         let d = rng.gen_range(1..if k == 3 { 4 } else { 3 });
         let deg = 2 * d;
         let budget = 2 * (deg * deg) as u64;
-        let far = budget as usize + rng.gen_range(4..12);
+        let interval_budget = d as u64 * budget;
+        let far = interval_budget as usize + rng.gen_range(4..12);
         let mut b = GraphBuilder::with_fresh_vocab();
         let mut layer = |count: usize| -> Vec<Vec<NodeId>> {
             (0..k)
@@ -428,26 +439,41 @@ fn pinned_enumeration_is_neighborhood_bounded() {
         );
         let all = oracle_matches(&q, &g);
         for (j, nodes) in blob.iter().enumerate() {
-            let (pin_var, pin_node) = (VarId(j as u32), nodes[0]);
-            let expected: Vec<Vec<NodeId>> =
-                all.iter().filter(|m| m[j] == pin_node).cloned().collect();
-            let opts = MatchOptions::unrestricted()
-                .pin(pin_var, pin_node)
-                .with_budget(SearchBudget {
-                    max_matches: None,
-                    max_steps: Some(budget),
-                });
-            let (outcome, got) = plan_matches_with(&q, &g, &cs, &plan, &opts, &mut scratch);
+            let var = VarId(j as u32);
+            let node = Pin::at(var, nodes[0]);
+            let interval = Pin {
+                var,
+                lo: nodes[0],
+                hi: nodes[d - 1],
+            };
             prop_assert!(
-                outcome == EnumOutcome::Complete,
-                "pin {pin_var:?}: {outcome:?} within {budget} steps (far region {far})"
+                nodes.windows(2).all(|w| w[1].0 == w[0].0 + 1),
+                "premise: a label's blob nodes are consecutive ids"
             );
-            prop_assert!(
-                got == expected,
-                "pin {pin_var:?}: {} vs oracle {}",
-                got.len(),
-                expected.len()
-            );
+            for (pin, steps) in [(node, budget), (interval, interval_budget)] {
+                let expected: Vec<Vec<NodeId>> = (all.iter())
+                    .filter(|m| (pin.lo..=pin.hi).contains(&m[j]))
+                    .cloned()
+                    .collect();
+                let opts = MatchOptions {
+                    pins: vec![pin],
+                    budget: SearchBudget {
+                        max_matches: None,
+                        max_steps: Some(steps),
+                    },
+                };
+                let (outcome, got) = plan_matches_with(&q, &g, &cs, &plan, &opts, &mut scratch);
+                prop_assert!(
+                    outcome == EnumOutcome::Complete,
+                    "pin {pin:?}: {outcome:?} within {steps} steps (far region {far})"
+                );
+                prop_assert!(
+                    got == expected,
+                    "pin {pin:?}: {} vs oracle {}",
+                    got.len(),
+                    expected.len()
+                );
+            }
         }
         Ok(())
     });

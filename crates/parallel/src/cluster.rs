@@ -137,8 +137,8 @@ pub(crate) trait Protocol {
 /// `protocol`'s traffic on the virtual clocks.
 ///
 /// # Panics
-/// Panics if a unit panics on every attempt, as
-/// [`run_units_threaded`](crate::threaded::run_units_threaded) does.
+/// Panics if a unit panics on every attempt: the result would be
+/// incomplete.
 pub(crate) fn drive(
     sigma: &GfdSet,
     g: &Graph,
@@ -167,8 +167,7 @@ pub(crate) fn drive(
     let assignment = protocol.assign(&run);
     let partition_seconds = start.elapsed().as_secs_f64();
 
-    let (plans, slots) = (&wl.plans, &wl.slots);
-    let exec = UnitExecutor::new(g, sigma, plans, slots, registry, setup.multi_query);
+    let exec = UnitExecutor::new(g, &wl.plan, &wl.slots, registry, setup.multi_query);
     let executed = run_units(&exec, &wl.units, 1, None, 0);
     assert!(
         executed.quarantined.is_empty(),
@@ -256,7 +255,6 @@ mod tests {
             rule: 0,
             slot_offset: 0,
             slot_len: 1,
-            check_both_orientations: false,
             cost,
         };
         let split = split_large_units(&[unit(100), unit(10)], Some(25));

@@ -40,6 +40,7 @@ use std::sync::Arc;
 
 use gfd_util::FxHashMap;
 
+use gfd_core::group::RuleGroup;
 use gfd_core::GfdSet;
 use gfd_graph::{Fragmentation, Graph, NodeId};
 use gfd_match::ClassView;
@@ -48,7 +49,7 @@ use crate::balance::random_assign;
 use crate::cluster::{drive, Protocol, Run, Setup, SimClocks, Traffic};
 use crate::metrics::ParallelReport;
 use crate::opt::SplitUnit;
-use crate::workload::{root_pools, ComponentPlan, UnitSlot, WorkloadOptions};
+use crate::workload::{root_pools, GroupPlan, UnitSlot, WorkloadOptions};
 use crate::Assignment;
 
 /// Load-balance slack of the bi-criteria greedy: a worker is
@@ -124,24 +125,25 @@ struct UnitBytes {
     by_frag: Vec<u64>,
     /// The unit's partial matches in bytes: per slot, the rows its
     /// pivots pin — the product of each pivot's root-pool sizes (1 for
-    /// a lone-node component) — times 8 × the component's arity.
+    /// a lone-node part) — times 8 × the part's arity.
     partial: u64,
 }
 
 impl UnitBytes {
-    /// The byte model of a unit with `slots` over components `comps`,
-    /// slot `i` read through `views[i]`, component `i`'s class view.
+    /// The byte model of a unit with `slots` over the parts of
+    /// `group`, pivoted by `gp`, slot `i` read through `views[i]`, part
+    /// `i`'s class view.
     fn new(
         g: &Graph,
         frag: &Fragmentation,
-        comps: &[ComponentPlan],
+        (group, gp): (&RuleGroup, &GroupPlan),
         views: &[ClassView],
         slots: &[UnitSlot],
     ) -> Self {
         let mut footprint = Vec::new();
         let mut partial = 0u64;
-        for ((slot, comp), view) in slots.iter().zip(comps).zip(views) {
-            let pivot = view.rep_var(comp.local_pivot);
+        for (i, (slot, view)) in slots.iter().zip(views).enumerate() {
+            let pivot = view.rep_var(gp.local_pivot(group, i));
             let mut rows = 0u64;
             for &v in slot.range() {
                 footprint.push(v);
@@ -152,7 +154,7 @@ impl UnitBytes {
                 }
                 rows = rows.saturating_add(pinned);
             }
-            let arity = comp.pattern.node_count().max(1) as u64;
+            let arity = group.parts[i].0.node_count().max(1) as u64;
             partial = partial.saturating_add(rows.saturating_mul(8 * arity));
         }
         footprint.sort_unstable();
@@ -214,8 +216,8 @@ impl Protocol for Fragmented<'_> {
     /// `disPar`: every fragment owning a pivot of a unit ships the
     /// coordinator a partial unit — batched into one message per
     /// fragment (`M_i`) — carrying its share of the unit's footprint
-    /// bytes. The byte models read each representative component's
-    /// class view, registered once; estimation has simulated them all.
+    /// bytes. The byte models read each representative part's class
+    /// view, registered once; estimation has simulated them all.
     fn prepare(&mut self, run: &Run, clocks: &mut SimClocks) {
         let (g, frag, registry) = (run.g, self.frag, run.registry);
         let mut views: FxHashMap<usize, Vec<ClassView>> = FxHashMap::default();
@@ -230,13 +232,14 @@ impl Protocol for Fragmented<'_> {
             for w in owners {
                 descriptors[w] += 24 + 8 * unit.k() as u64;
             }
-            let comps = &run.wl.plans[unit.rule()].components;
-            let views = views.entry(unit.rule()).or_insert_with(|| {
-                let view = |c: &ComponentPlan| registry.space(registry.register(&c.pattern), g);
-                comps.iter().map(view).collect()
+            let index = run.wl.plan.group_index(unit.rule());
+            let (group, gp) = run.wl.plan.group(index);
+            let views = views.entry(index).or_insert_with(|| {
+                let view = |(q, _): &(_, _)| registry.space(registry.register(q), g);
+                group.parts.iter().map(view).collect()
             });
             self.units
-                .push(UnitBytes::new(g, frag, comps, views, slots));
+                .push(UnitBytes::new(g, frag, (group, gp), views, slots));
         }
         for (w, bytes) in descriptors.into_iter().enumerate() {
             if bytes > 0 {
@@ -496,14 +499,15 @@ mod tests {
             units: Vec::new(),
         };
         protocol.prepare(&run, &mut SimClocks::new(2));
-        let comp = &wl.plans[0].components[0];
+        let (group, gp) = wl.plan.group(0);
+        let (part, pivot) = (&group.parts[0].0, gp.local_pivot(group, 0));
         let wire = |v: NodeId| g.node_wire_size(v) as u64;
         let expected = [(f, 2, vec![f, f1, f2, fc]), (h, 1, vec![h, h1, hc])];
         let units = wl.units.iter().zip(&protocol.units);
-        for ((unit, bytes), (pivot, rows, footprint)) in units.zip(expected) {
-            assert_eq!(unit.slots(&wl.slots)[0].range(), [pivot]);
-            let opts = MatchOptions::unrestricted().pin(comp.local_pivot, pivot);
-            assert_eq!(count_matches(&comp.pattern, &g, &opts), rows);
+        for ((unit, bytes), (node, rows, footprint)) in units.zip(expected) {
+            assert_eq!(unit.slots(&wl.slots)[0].range(), [node]);
+            let opts = MatchOptions::unrestricted().pin(pivot, node);
+            assert_eq!(count_matches(part, &g, &opts), rows);
             assert_eq!(bytes.partial, rows as u64 * 8 * 3, "rows × 8 × arity");
             assert_eq!(bytes.footprint, footprint, "pivot ∪ root pools");
             let city = *footprint.last().expect("a city");

@@ -83,9 +83,7 @@ pub use repval::{rep_val, RepValConfig};
 pub use service::{
     IngestError, PinnedEpoch, ServiceConfig, ServiceStats, VioUpdate, ViolationService,
 };
-pub use threaded::{
-    run_units_threaded, run_units_threaded_report, ThreadedReport, MAX_UNIT_ATTEMPTS,
-};
+pub use threaded::{run_units_threaded_report, ThreadedReport, MAX_UNIT_ATTEMPTS};
 pub use unitexec::{CacheStats, UnitExecutor, UnitScratch};
 pub use wal::{FrameFault, RecoveryReport, SyncPolicy, WalError, WalWriter};
 pub use workload::{

@@ -91,7 +91,6 @@ mod tests {
             rule: 0,
             slot_offset: 0,
             slot_len: 1,
-            check_both_orientations: false,
             cost,
         }
     }

@@ -54,7 +54,7 @@ use std::path::Path;
 use std::sync::{mpsc, Arc};
 
 use gfd_core::validate::{detect_violations, for_each_violation};
-use gfd_core::{GfdSet, IncrementalDetector, RuleGroups, Violation};
+use gfd_core::{GfdSet, IncrementalDetector, Violation};
 use gfd_graph::{DeltaError, Graph, GraphDelta};
 use gfd_match::types::Flow;
 use gfd_match::{Match, MatchOptions};
@@ -602,7 +602,7 @@ impl ViolationService {
         let report = run_units_threaded_report(
             next,
             &self.sigma,
-            &wl.plans,
+            &wl.plan,
             &wl.units,
             &wl.slots,
             &self.registry,
@@ -624,11 +624,10 @@ impl ViolationService {
             // rules' partial results first: other units of the same
             // group completed fine, but re-derivation covers the whole
             // rule, so keeping them would duplicate rows.
-            let groups = RuleGroups::new(&self.sigma);
             let mut rules: Vec<usize> = report
                 .quarantined
                 .iter()
-                .flat_map(|&i| groups.of(wl.units[i].rule()).members.iter())
+                .flat_map(|&i| wl.plan.groups.of(wl.units[i].rule()).members.iter())
                 .map(|m| m.rule)
                 .collect();
             rules.sort_unstable();

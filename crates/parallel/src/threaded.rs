@@ -43,7 +43,7 @@ use gfd_graph::Graph;
 
 use crate::fault::FaultPlan;
 use crate::unitexec::{sort_violations, CacheStats, UnitExecutor, UnitScratch};
-use crate::workload::{PivotedRule, UnitSlot, WorkUnit};
+use crate::workload::{SigmaPlan, UnitSlot, WorkUnit};
 use gfd_match::ClassRegistry;
 
 /// Total attempts a unit gets (1 initial + 2 retries) before it is
@@ -90,45 +90,24 @@ pub struct UnitRun {
     pub violations: u64,
 }
 
-/// Executes all units (descriptors over the `slots` arena) across
-/// `threads` OS threads sharing one `Arc<Graph>`, returning the
-/// canonical (sorted) violation list.
+/// Executes all units (descriptors over the `slots` arena, cut from
+/// `plan`) across `threads` OS threads sharing one `Arc<Graph>`, every
+/// unit isolated against panics: a panicked unit is requeued to a
+/// healthy worker with bounded retries and backoff, and an exhausted
+/// one is quarantined and reported — a caller that cannot recover it
+/// must treat a non-empty [`ThreadedReport::quarantined`] as an
+/// incomplete result. `faults` (with its `epoch` coordinate) injects
+/// deterministic panics/stragglers for the soak harness; pass `None` in
+/// production.
 ///
-/// A unit that panics on all [`MAX_UNIT_ATTEMPTS`] attempts — with no
-/// fault plan, a genuine bug — is fatal here, because a silently
-/// incomplete violation set would be unsound; callers that want the
-/// failure ledger instead use [`run_units_threaded_report`].
-pub fn run_units_threaded(
-    g: &Arc<Graph>,
-    sigma: &GfdSet,
-    plans: &[PivotedRule],
-    units: &[WorkUnit],
-    slots: &[UnitSlot],
-    threads: usize,
-) -> Vec<Violation> {
-    let registry = ClassRegistry::new();
-    let report =
-        run_units_threaded_report(g, sigma, plans, units, slots, &registry, threads, None, 0);
-    assert!(
-        report.quarantined.is_empty(),
-        "units {:?} panicked {MAX_UNIT_ATTEMPTS} times each — result would be incomplete; \
-         use run_units_threaded_report to recover instead of aborting",
-        report.quarantined
-    );
-    report.violations
-}
-
-/// The fault-isolated executor behind [`run_units_threaded`]: every
-/// unit runs under `catch_unwind`, panicked units are requeued to
-/// healthy workers with bounded retries and backoff, exhausted units
-/// are quarantined and reported. `faults` (with its `epoch`
-/// coordinate) injects deterministic panics/stragglers for the soak
-/// harness; pass `None` in production.
+/// Everything the units read of Σ comes from `plan`; `sigma` is only
+/// debug-checked to be as long as the Σ `plan` was planned from (the
+/// parameter stays for callers that pass it positionally).
 #[allow(clippy::too_many_arguments)]
 pub fn run_units_threaded_report(
     g: &Arc<Graph>,
     sigma: &GfdSet,
-    plans: &[PivotedRule],
+    plan: &SigmaPlan,
     units: &[WorkUnit],
     slots: &[UnitSlot],
     registry: &ClassRegistry,
@@ -136,7 +115,15 @@ pub fn run_units_threaded_report(
     faults: Option<&FaultPlan>,
     epoch: u64,
 ) -> ThreadedReport {
-    let exec = UnitExecutor::new(g, sigma, plans, slots, registry, true);
+    debug_assert_eq!(
+        plan.groups
+            .iter()
+            .map(|group| group.members.len())
+            .sum::<usize>(),
+        sigma.len(),
+        "plan is plan_rules(sigma)"
+    );
+    let exec = UnitExecutor::new(g, plan, slots, registry, true);
     run_units(&exec, units, threads, faults, epoch)
 }
 
@@ -348,12 +335,16 @@ mod tests {
         let mut expected = detect_violations(&sigma, &g);
         sort_violations(&mut expected);
 
-        let plans = plan_rules(&sigma);
+        let plan = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         assert!(wl.slots.iter().all(|s| s.range().len() >= 2));
         for threads in [1usize, 2, 4] {
-            let got = run_units_threaded(&g, &sigma, &plans, &wl.units, &wl.slots, threads);
-            assert_eq!(got, expected, "threads={threads}");
+            let registry = ClassRegistry::new();
+            let report = run_units_threaded_report(
+                &g, &sigma, &plan, &wl.units, &wl.slots, &registry, threads, None, 0,
+            );
+            assert!(report.quarantined.is_empty());
+            assert_eq!(report.violations, expected, "threads={threads}");
         }
     }
 
@@ -361,9 +352,10 @@ mod tests {
     fn empty_units_empty_result() {
         let g = Arc::new(social(4));
         let sigma = GfdSet::default();
-        let plans = plan_rules(&sigma);
-        let got = run_units_threaded(&g, &sigma, &plans, &[], &[], 2);
-        assert!(got.is_empty());
+        let plan = plan_rules(&sigma);
+        let registry = ClassRegistry::new();
+        let report = run_units_threaded_report(&g, &sigma, &plan, &[], &[], &registry, 2, None, 0);
+        assert!(report.quarantined.is_empty() && report.violations.is_empty());
     }
 
     #[test]
@@ -374,7 +366,7 @@ mod tests {
         let mut expected = detect_violations(&sigma, &g);
         sort_violations(&mut expected);
 
-        let plans = plan_rules(&sigma);
+        let plan = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         // Transient-only faults: every panicked unit must succeed on
         // retry, so the result is complete and nothing is quarantined.
@@ -388,7 +380,7 @@ mod tests {
             let report = run_units_threaded_report(
                 &g,
                 &sigma,
-                &plans,
+                &plan,
                 &wl.units,
                 &wl.slots,
                 &ClassRegistry::new(),
@@ -412,7 +404,7 @@ mod tests {
         silence_injected_panics();
         let g = Arc::new(social(ACCOUNTS));
         let sigma = GfdSet::new(vec![spam_rule(g.vocab().clone())]);
-        let plans = plan_rules(&sigma);
+        let plan = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         let faults = FaultPlan {
             seed: 7,
@@ -431,7 +423,7 @@ mod tests {
         let report = run_units_threaded_report(
             &g,
             &sigma,
-            &plans,
+            &plan,
             &wl.units,
             &wl.slots,
             &ClassRegistry::new(),
@@ -451,7 +443,7 @@ mod tests {
         let mut surviving = Vec::new();
         let mut scratch = UnitScratch::new();
         let registry = ClassRegistry::new();
-        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, false);
+        let exec = UnitExecutor::new(&g, &plan, &wl.slots, &registry, false);
         for (i, unit) in wl.units.iter().enumerate() {
             if !expected_quarantine.contains(&i) {
                 exec.run(unit, &mut scratch, &mut surviving);
@@ -469,10 +461,10 @@ mod tests {
         silence_injected_panics();
         let g = Arc::new(social(ACCOUNTS));
         let sigma = GfdSet::new(vec![spam_rule(g.vocab().clone())]);
-        let plans = plan_rules(&sigma);
+        let plan = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         let registry = ClassRegistry::new();
-        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
+        let exec = UnitExecutor::new(&g, &plan, &wl.slots, &registry, true);
         let mut scratch = UnitScratch::new();
         let sequential: Vec<u64> = (wl.units.iter())
             .map(|unit| {
@@ -486,7 +478,7 @@ mod tests {
             run_units_threaded_report(
                 &g,
                 &sigma,
-                &plans,
+                &plan,
                 &wl.units,
                 &wl.slots,
                 &registry,
@@ -536,7 +528,7 @@ mod tests {
         silence_injected_panics();
         let g = Arc::new(social(ACCOUNTS));
         let sigma = GfdSet::new(vec![spam_rule(g.vocab().clone())]);
-        let plans = plan_rules(&sigma);
+        let plan = plan_rules(&sigma);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         let faults = FaultPlan {
             seed: 7,
@@ -547,7 +539,7 @@ mod tests {
         let report = run_units_threaded_report(
             &g,
             &sigma,
-            &plans,
+            &plan,
             &wl.units,
             &wl.slots,
             &ClassRegistry::new(),
@@ -560,7 +552,7 @@ mod tests {
         // Sequential replay of exactly the units that completed, on a
         // fresh registry: the probe volume must match the faulty run.
         let registry = ClassRegistry::new();
-        let exec = UnitExecutor::new(&g, &sigma, &plans, &wl.slots, &registry, true);
+        let exec = UnitExecutor::new(&g, &plan, &wl.slots, &registry, true);
         let mut scratch = UnitScratch::new();
         let mut sink = Vec::new();
         for (i, unit) in wl.units.iter().enumerate() {

@@ -1,49 +1,51 @@
 //! Executing a work unit: local error detection (`localVio`, §6.1).
 //!
 //! A unit is one cell of a rule group's range grid (module
-//! [`workload`](crate::workload)): per component of the group's
-//! representative, a contiguous range of the component's sorted pivot
+//! [`workload`](crate::workload)): per part of the group's
+//! representative, a contiguous range of the part's sorted pivot
 //! candidates. Executing it enumerates the matches `h(x̄)` of the
 //! representative whose pivots lie in the cell — one search of each
-//! component, its pivot pinned at the interval
-//! `[pivots[lo], pivots[hi − 1]]` (raw mode may admit pruned nodes;
-//! they have no matches) — and checks every member rule of the group on
-//! each row, recording every match with `h ⊨ X`, `h ⊭ Y` in the
-//! member's own variable order
+//! part, its pivot pinned at the interval `[pivots[lo], pivots[hi − 1]]`
+//! (raw mode may admit pruned nodes; they have no matches) — and checks
+//! every member rule of the group on each row, recording every match
+//! with `h ⊨ X`, `h ⊭ Y` in the member's own variable order
 //! ([`for_each_group_violation`], the one detection primitive). By the
 //! locality of subgraph isomorphism a match cannot leave its pivot's
 //! `c^i_Q`-hop block, so a unit is its pivot ranges and nothing more: no
 //! code builds a block, and `disVal` sizes what it ships from the
 //! pivots' root pools in the class candidate space.
 //!
-//! A one-component group streams its rows to the members' dependency
-//! checks; a `k ≥ 2` group collects each component's rows in a scratch
+//! Everything a unit reads of Σ comes from the run's one
+//! [`SigmaPlan`]: the group's parts (what is registered, pinned and
+//! enumerated), their pivots, and Example 10's symmetric-pair flag. A
+//! one-part group streams its rows to the members' dependency checks; a
+//! `k ≥ 2` group collects each part's rows in a scratch
 //! [`MatchTable`](gfd_match::MatchTable) and joins the tables under
-//! global injectivity. When a unit stems from the symmetric-pair dedup
-//! (Example 10) and its two ranges differ, the swapped orientation is
-//! joined too, so the deduplication never loses violations (a diagonal
-//! cell's one join already holds both orders of every pair).
+//! global injectivity. When the group is a symmetric pair and the
+//! unit's two ranges differ, the swapped orientation is joined too, so
+//! the deduplication never loses violations (a diagonal cell's one join
+//! already holds both orders of every pair).
 //!
 //! Units share **no state**: everything a unit builds lives in the
 //! worker's [`UnitScratch`] and is reset by the next unit. What units
 //! of a run share is the read-only serving tier — with the
 //! *multi-query* optimization (appendix, following \[31\]) on, every
-//! component enumerates through its isomorphism class's candidate
-//! space and query plan in the shared [`ClassRegistry`], one registry
-//! lookup per unit and component. Without it every enumeration
-//! searches the raw graph privately.
+//! part enumerates through its isomorphism class's candidate space and
+//! query plan in the shared [`ClassRegistry`], one registry lookup per
+//! unit and part. Without it every enumeration searches the raw graph
+//! privately.
 //! Either way a warm [`UnitExecutor::run`] call performs **zero heap
 //! allocations** (asserted by the `alloc_probe` test and the
 //! `alloc/unit_exec_steady_state` bench sample).
 
-use gfd_core::group::{for_each_group_violation, GroupScratch, Pools, RuleGroups};
-use gfd_core::{GfdSet, Violation};
+use gfd_core::group::{for_each_group_violation, GroupScratch, Pools, RuleGroup};
+use gfd_core::Violation;
 use gfd_graph::Graph;
 use gfd_match::{ClassRegistry, ClassView, Match, Pin, SpaceHandle};
 
 pub use gfd_match::CacheStats;
 
-use crate::workload::{ComponentPlan, PivotedRule, UnitSlot, WorkUnit};
+use crate::workload::{SigmaPlan, UnitSlot, WorkUnit};
 
 /// Per-worker reusable execution state: the detection primitive's
 /// buffers, and the class views of the unit in flight. One instance
@@ -51,10 +53,10 @@ use crate::workload::{ComponentPlan, PivotedRule, UnitSlot, WorkUnit};
 #[derive(Default)]
 pub struct UnitScratch {
     group: GroupScratch,
-    /// Per component of the unit in flight (multi-query on): its class
-    /// view, released when the unit ends.
+    /// Per part of the unit in flight (multi-query on): its class view,
+    /// released when the unit ends.
     views: Vec<ClassView>,
-    /// Per component: its pivot's interval.
+    /// Per part: its pivot's interval.
     pins: Vec<Pin>,
 }
 
@@ -64,61 +66,53 @@ impl UnitScratch {
         Self::default()
     }
 
-    /// Component searches run through this scratch so far — one per
-    /// component and orientation of each unit, however many pivots its
-    /// ranges hold and rules its group holds. Public for
-    /// `tests/end_to_end.rs`, which checks that count.
+    /// Part searches run through this scratch so far — one per part and
+    /// orientation of each unit, however many pivots its ranges hold and
+    /// rules its group holds. Public for `tests/end_to_end.rs`, which
+    /// checks that count.
     pub fn enumerations(&self) -> u64 {
         self.group.enumerations()
     }
 }
 
 /// Everything one validation run's units execute against, fixed for
-/// the run: the snapshot, Σ's groups, its pivoted plans, the
-/// workload's slot arena, the shared registry and — with the
-/// multi-query optimization on — the handle of every representative
-/// component in it. Built once per run and shared by every worker; the
-/// per-worker state is the [`UnitScratch`] and output passed to
-/// [`run`](Self::run).
+/// the run: the snapshot, Σ's plan, the workload's slot arena, the
+/// shared registry and — with the multi-query optimization on — the
+/// handle of every representative part in it. Built once per run and
+/// shared by every worker; the per-worker state is the [`UnitScratch`]
+/// and output passed to [`run`](Self::run).
 pub struct UnitExecutor<'a> {
     g: &'a Graph,
-    groups: RuleGroups,
-    plans: &'a [PivotedRule],
+    plan: &'a SigmaPlan,
     slots: &'a [UnitSlot],
     pub(crate) registry: &'a ClassRegistry,
-    /// Per `(rule, component)` of every group representative, with
-    /// multi-query on.
+    /// Per group, per part of its representative, with multi-query on.
     handles: Option<Vec<Vec<SpaceHandle>>>,
 }
 
 impl<'a> UnitExecutor<'a> {
-    /// The context for running units of `plans` (= `plan_rules(sigma)`)
-    /// over `g`, their slots resolved against `slots`. `multi_query`
-    /// registers every component of every group representative in
-    /// `registry` and enumerates through its classes' shared spaces and
-    /// plans; without it every enumeration runs privately on the raw
-    /// graph.
+    /// The context for running units cut from `plan` over `g`, their
+    /// slots resolved against `slots`. `multi_query` registers every
+    /// part of every group representative in `registry` and enumerates
+    /// through its classes' shared spaces and plans; without it every
+    /// enumeration runs privately on the raw graph.
     pub fn new(
         g: &'a Graph,
-        sigma: &'a GfdSet,
-        plans: &'a [PivotedRule],
+        plan: &'a SigmaPlan,
         slots: &'a [UnitSlot],
         registry: &'a ClassRegistry,
         multi_query: bool,
     ) -> Self {
-        let groups = RuleGroups::new(sigma);
         let handles = multi_query.then(|| {
-            let register = |c: &ComponentPlan| registry.register(&c.pattern);
-            let rep_handles = |p: &PivotedRule| {
-                let rep = groups.of(p.rule).rep == p.rule;
-                p.components.iter().filter(|_| rep).map(register).collect()
+            let register = |group: &RuleGroup| {
+                let parts = group.parts.iter();
+                parts.map(|(q, _)| registry.register(q)).collect()
             };
-            plans.iter().map(rep_handles).collect()
+            plan.groups.iter().map(register).collect()
         });
         UnitExecutor {
             g,
-            groups,
-            plans,
+            plan,
             slots,
             registry,
             handles,
@@ -129,11 +123,10 @@ impl<'a> UnitExecutor<'a> {
     /// representative `unit.rule` is — appending the violations of
     /// every member rule to `out`.
     pub fn run(&self, unit: &WorkUnit, scratch: &mut UnitScratch, out: &mut Vec<Violation>) {
-        let group = self.groups.of(unit.rule());
-        debug_assert_eq!(group.rep, unit.rule(), "units are cut for representatives");
-        let comps = &self.plans[group.rep].components;
+        let index = self.plan.group_index(unit.rule());
+        let (group, gp) = self.plan.group(index);
         let unit_slots = unit.slots(self.slots);
-        debug_assert_eq!(unit_slots.len(), comps.len(), "one slot per component");
+        debug_assert_eq!(unit_slots.len(), group.parts.len(), "one slot per part");
         let UnitScratch {
             group: primitive,
             views,
@@ -142,24 +135,23 @@ impl<'a> UnitExecutor<'a> {
         if !primitive.select(group, |_| true) {
             return; // X → ∅ can never be violated
         }
-        // With multi-query on, each component's class space and plan
-        // are fetched once for the unit.
+        // With multi-query on, each part's class space and plan are
+        // fetched once for the unit.
         let pools = match &self.handles {
             Some(handles) => {
                 let fetch = |&h: &SpaceHandle| self.registry.space_and_plan(h, self.g);
-                views.extend(handles[group.rep].iter().map(fetch));
+                views.extend(handles[index].iter().map(fetch));
                 Pools::Classes(views)
             }
             None => Pools::Raw,
         };
-        // Component `i`'s pivot pinned at slot `i`'s interval — and, for
-        // a symmetric pair's off-diagonal cell, at the other slot's.
-        let both = unit.check_both_orientations && unit_slots[0].lo != unit_slots[1].lo;
+        // Part `i`'s pivot pinned at slot `i`'s interval — and, for a
+        // symmetric pair's off-diagonal cell, at the other slot's.
+        let both = gp.symmetric_pair && unit_slots[0].lo != unit_slots[1].lo;
         for swap in [false, true].into_iter().take(1 + usize::from(both)) {
             pins.clear();
-            for (i, c) in comps.iter().enumerate() {
+            for (i, &var) in gp.pivots.iter().enumerate() {
                 let range = unit_slots[if swap { 1 - i } else { i }].range();
-                let var = c.orig_vars[c.local_pivot.index()];
                 let (lo, hi) = (range[0], range[range.len() - 1]);
                 pins.push(Pin { var, lo, hi });
             }
@@ -190,7 +182,7 @@ mod tests {
     use super::*;
     use crate::workload::{estimate_workload_in, plan_rules, WorkloadOptions};
     use gfd_core::validate::detect_violations;
-    use gfd_core::{Dependency, Gfd, Literal};
+    use gfd_core::{Dependency, Gfd, GfdSet, Literal};
     use gfd_graph::{NodeId, Value, Vocab};
     use gfd_match::types::Flow;
     use gfd_match::{for_each_match_with, MatchOptions, MatchScratch};
@@ -250,7 +242,7 @@ mod tests {
         registry: &ClassRegistry,
     ) -> (Vec<Violation>, u64) {
         let wl = estimate_workload_in(sigma, g, &WorkloadOptions::default(), registry);
-        let exec = UnitExecutor::new(g, sigma, &wl.plans, &wl.slots, registry, mq);
+        let exec = UnitExecutor::new(g, &wl.plan, &wl.slots, registry, mq);
         let mut scratch = UnitScratch::new();
         let mut out = Vec::new();
         for u in &wl.units {
@@ -350,10 +342,10 @@ mod tests {
         let g = flights(0);
         let vocab = g.vocab().clone();
         let sigma = GfdSet::new(vec![phi_same_id_same_dest(vocab.clone())]);
-        let plans = plan_rules(&sigma);
-        let star = &plans[0].components[0];
+        let plan = plan_rules(&sigma);
+        let (group, gp) = plan.group(0);
         let registry = ClassRegistry::with_budget_bytes(16);
-        let h = registry.register(&star.pattern);
+        let h = registry.register(&group.parts[0].0);
         let held = registry.space_and_plan(h, &g);
         // The storm: other classes' spaces arrive over the budget.
         let others = ["number", "to"].map(|label| {
@@ -374,7 +366,7 @@ mod tests {
         // The star is its class's representative: pins and rows are in
         // the view's numbering.
         assert!(held.perm.is_none());
-        let opts = MatchOptions::unrestricted().pin(star.local_pivot, NodeId(0));
+        let opts = MatchOptions::unrestricted().pin(gp.local_pivot(group, 0), NodeId(0));
         let space = held.plan.as_deref().map(|plan| (&*held.space, plan));
         let mut rows = Vec::new();
         let mut scratch = MatchScratch::default();

@@ -9,30 +9,37 @@
 //! pivots lie in its work units (each pivot tuple checked exactly
 //! once).
 //!
-//! A [`WorkUnit`] here is a *batch* of the paper's units whose pivots
-//! form contiguous ranges: each component's sorted feasible-candidate
-//! list is cut into a few near-equal ranges, and a unit is one cell of
-//! a rule group's range grid — every pivot tuple drawn from the cell's
-//! ranges, checked exactly once for every rule of the group, at most 64
-//! units per group whatever the graph's size. Rules with isomorphic
-//! patterns form one group ([`RuleGroups`]) and share its
-//! representative's grid: executing a cell — one search per component,
-//! its pivot pinned at the node-id interval the cell's range spans —
-//! checks every member on each row. A unit is priced from the candidate space estimation already
-//! reads, not from its data block `G_z̄`: each pivot weighs its root
-//! pools (`root_pools`) — the runs a search pinned there intersects
-//! first — and a `k ≥ 2` cell adds its join count. No code builds a
-//! data block: `disVal` sizes the bytes it ships from the same root
-//! pools.
+//! Σ is planned once per run ([`plan_rules`]): grouped by pattern
+//! isomorphism class ([`RuleGroups`]), and per group the pivot and
+//! decomposition width of each part of its representative plus
+//! Example 10's symmetric-pair flag ([`GroupPlan`]). Estimation, the
+//! unit executor, `disVal`'s byte model and the service all read that
+//! one [`SigmaPlan`], so a part's class view, its pin and its rows come
+//! from one [`RuleGroup::parts`] entry.
 //!
-//! Following Example 10, symmetric pivot tuples of *isomorphic*
-//! components are deduplicated — only cells `i ≤ j` of the grid exist,
-//! and the unit checks both pivot orientations internally — and pivots
-//! that cannot locally match their component are pruned during
-//! estimation.
+//! A [`WorkUnit`] here is a *batch* of the paper's units whose pivots
+//! form contiguous ranges: each part's sorted feasible-candidate list
+//! is cut into a few near-equal ranges, and a unit is one cell of a
+//! rule group's range grid — every pivot tuple drawn from the cell's
+//! ranges, checked exactly once for every rule of the group, at most 64
+//! units per group whatever the graph's size. Executing a cell — one
+//! search per part, its pivot pinned at the node-id interval the cell's
+//! range spans — checks every member on each row. A unit is priced from
+//! the candidate space estimation already reads, not from its data
+//! block `G_z̄`: each pivot weighs its root pools (`root_pools`) — the
+//! runs a search pinned there intersects first — and a `k ≥ 2` cell
+//! adds its join count. No code builds a data block: `disVal` sizes the
+//! bytes it ships from the same root pools.
+//!
+//! Following Example 10, symmetric pivot tuples of a group whose two
+//! parts are isomorphic are deduplicated — only cells `i ≤ j` of the
+//! grid exist, and the executor checks both pivot orientations of an
+//! off-diagonal cell — and pivots that cannot locally match their part
+//! are pruned during estimation.
 
 use std::sync::Arc;
 
+use gfd_core::group::RuleGroup;
 use gfd_core::{GfdSet, RuleGroups};
 use gfd_graph::{Graph, NodeId};
 use gfd_match::simulation::simulation_sets;
@@ -42,45 +49,70 @@ use gfd_pattern::{
 };
 use gfd_util::FxHashMap;
 
-/// Per-rule pivot metadata, precomputed once from `Σ`.
+/// Σ planned for the parallel path: its rule groups and, group for
+/// group, their [`GroupPlan`]s. Built once per run by [`plan_rules`].
 #[derive(Clone, Debug)]
-pub struct PivotedRule {
-    /// Index of the rule in `Σ`.
-    pub rule: usize,
-    /// Component patterns (renumbered) with their original variables.
-    pub components: Vec<ComponentPlan>,
-    /// True if the rule has exactly two components and they are
-    /// isomorphic (Example 10's dedup applies). Component 1's pivot is
-    /// then the isomorphic image of component 0's, so both components
-    /// draw their pivot candidates from one list.
+pub struct SigmaPlan {
+    /// Σ grouped by pattern isomorphism class, in the order of the
+    /// groups' representatives.
+    pub groups: RuleGroups,
+    /// One plan per group, in group order.
+    plans: Vec<GroupPlan>,
+}
+
+/// The pivots of one rule group's representative (`PV(ϕ)`, §5.2).
+#[derive(Clone, Debug)]
+pub struct GroupPlan {
+    /// Per part of the representative, in [`RuleGroup::parts`] order:
+    /// its pivot, a representative variable.
+    pub pivots: Vec<VarId>,
+    /// Per part: the width of its tree decomposition (0 for a single
+    /// node, 1 for trees, ≥ 2 for cyclic parts) — the planner's
+    /// difficulty signal, folded into unit costs: a pinned search gets
+    /// more expensive per pool entry as the part's width grows.
+    pub widths: Vec<usize>,
+    /// True if the representative has exactly two parts and they are
+    /// isomorphic (Example 10's dedup applies). Part 1's pivot is then
+    /// the isomorphic image of part 0's, so both parts draw their pivot
+    /// candidates from one list.
     pub symmetric_pair: bool,
 }
 
-/// One connected component of a rule's pattern, ready for matching.
-#[derive(Clone, Debug)]
-pub struct ComponentPlan {
-    /// The component as a standalone pattern.
-    pub pattern: Pattern,
-    /// Original pattern variable of each component variable.
-    pub orig_vars: Vec<VarId>,
-    /// The pivot, as a component-local variable.
-    pub local_pivot: VarId,
-    /// The pivot's label constraint.
-    pub pivot_label: PatLabel,
-    /// The component radius `c^i_Q`.
-    pub radius: usize,
-    /// Width of the component's tree decomposition (0 for a single
-    /// node, 1 for trees, ≥ 2 for cyclic components) — the planner's
-    /// difficulty signal, folded into unit costs: a pinned search gets
-    /// more expensive per pool entry as the component's width grows.
-    pub width: usize,
+impl GroupPlan {
+    /// Part `i`'s pivot in the part's own variable numbering.
+    pub fn local_pivot(&self, group: &RuleGroup, i: usize) -> VarId {
+        let vars = &group.parts[i].1;
+        // Invariant: a pivot is picked from its part's variables, which
+        // `connected_components` lists in ascending order.
+        let local = vars.binary_search(&self.pivots[i]);
+        VarId(local.expect("a pivot is in its part") as u32)
+    }
 }
 
-/// One component's share of a work unit: a contiguous range of the
-/// component's sorted pivot-candidate list.
+impl SigmaPlan {
+    /// The groups with their plans, in group order.
+    pub fn iter(&self) -> impl Iterator<Item = (&RuleGroup, &GroupPlan)> {
+        self.groups.iter().zip(&self.plans)
+    }
+
+    /// The index of the group whose representative is `rep` — the rule
+    /// a [`WorkUnit`] names.
+    pub fn group_index(&self, rep: usize) -> usize {
+        let found = self.groups.binary_search_by_key(&rep, |group| group.rep);
+        found.expect("units are cut for group representatives")
+    }
+
+    /// The group at `index` with its plan.
+    pub fn group(&self, index: usize) -> (&RuleGroup, &GroupPlan) {
+        (&self.groups[index], &self.plans[index])
+    }
+}
+
+/// One part's share of a work unit: a contiguous range of the part's
+/// sorted pivot-candidate list.
 #[derive(Clone, Debug)]
 pub struct UnitSlot {
-    /// The component's sorted feasible pivot candidates — one list per
+    /// The part's sorted feasible pivot candidates — one list per
     /// (isomorphism class, representative pivot variable), shared by
     /// every slot cut from it, across rule groups too.
     pub pivots: Arc<[NodeId]>,
@@ -91,7 +123,7 @@ pub struct UnitSlot {
 }
 
 impl UnitSlot {
-    /// The pivot candidates `v_z` of this component — all that
+    /// The pivot candidates `v_z` of this part — all that
     /// executing the unit reads.
     #[inline]
     pub fn range(&self) -> &[NodeId] {
@@ -100,7 +132,7 @@ impl UnitSlot {
 }
 
 /// A work unit — one cell of its rule group's range grid — as a
-/// `(rule, offset, len, flags)` descriptor over the [`Workload`]'s flat
+/// `(rule, offset, len, cost)` descriptor over the [`Workload`]'s flat
 /// slot arena: a 24-byte `Copy` record, so splitting, shipping and
 /// re-assembling units copies descriptors, never slot vectors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,26 +142,24 @@ pub struct WorkUnit {
     pub rule: u32,
     /// First slot in the owning arena.
     pub slot_offset: u32,
-    /// Number of slots (= components `k`), in component order.
+    /// Number of slots (= parts `k`), in part order.
     pub slot_len: u32,
-    /// Check both pivot orientations (symmetric-pair dedup).
-    pub check_both_orientations: bool,
     /// The unit's load estimate, in place of Example 11's `|G_z̄|`: per
     /// slot, the sum over its pivots `v` of `1 +` the size of `v`'s
     /// root expansion pool in the class's candidate space, times
-    /// `max(width, 1)` of the component (a width-`w` component
-    /// enumerates more per pool entry than a tree); for `k ≥ 2` plus
+    /// `max(width, 1)` of the part (a width-`w` part enumerates more
+    /// per pool entry than a tree); for `k ≥ 2` plus
     /// the cell's join count `orientations × Π |range_i|`.
     pub cost: u64,
 }
 
 impl WorkUnit {
-    /// Number of components `k` of the unit's pattern.
+    /// Number of parts `k` of the unit's pattern.
     pub fn k(&self) -> usize {
         self.slot_len as usize
     }
 
-    /// The rule index as a `usize` (for indexing `Σ` / plans).
+    /// The rule index as a `usize` (for indexing `Σ`).
     #[inline]
     pub fn rule(&self) -> usize {
         self.rule as usize
@@ -146,8 +176,8 @@ impl WorkUnit {
 /// Knobs for workload estimation.
 #[derive(Clone, Debug)]
 pub struct WorkloadOptions {
-    /// Prune pivot candidates outside the component's dual-simulation
-    /// relation (one worklist simulation per component instead of a
+    /// Prune pivot candidates outside the part's dual-simulation
+    /// relation (one worklist simulation per part instead of a
     /// backtracking probe per candidate).
     pub prune_empty_pivots: bool,
 }
@@ -161,12 +191,12 @@ impl Default for WorkloadOptions {
 }
 
 /// The estimated workload `W(Σ, G)` plus estimation bookkeeping.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Workload {
-    /// The pivoted rules the units were assembled from
-    /// ([`plan_rules`] of the estimated Σ) — what executing the units
-    /// takes, so callers plan once per run.
-    pub plans: Vec<PivotedRule>,
+    /// The plan the units were assembled from ([`plan_rules`] of the
+    /// estimated Σ) — what executing the units takes, so callers plan
+    /// once per run.
+    pub plan: SigmaPlan,
     /// All work units — descriptors into [`Workload::slots`].
     pub units: Vec<WorkUnit>,
     /// The flat slot arena all units index into (the ROADMAP's
@@ -179,8 +209,8 @@ pub struct Workload {
     /// Units pruned by the emptiness probe.
     pub pruned: usize,
     /// Worklist simulations run *during the estimating call* — with
-    /// the shared [`ClassRegistry`], at most one per component
-    /// isomorphism class of Σ; 0 when pruning is off or the borrowed
+    /// the shared [`ClassRegistry`], at most one per part isomorphism
+    /// class of Σ; 0 when pruning is off or the borrowed
     /// registry already held the classes warm. The probe behind the
     /// "simulate once per class" guarantee.
     pub simulations: usize,
@@ -193,88 +223,69 @@ impl Workload {
     }
 }
 
-/// Precomputes pivots and component plans for every rule of `Σ`
-/// (`PV(ϕ)` is `O(|Q|²)`; §5.2).
-pub fn plan_rules(sigma: &GfdSet) -> Vec<PivotedRule> {
-    sigma
+/// Plans Σ for one run: groups it ([`RuleGroups`]) and gives each
+/// group's representative parts their pivots and widths (`PV(ϕ)` is
+/// `O(|Q|²)`; §5.2).
+pub fn plan_rules(sigma: &GfdSet) -> SigmaPlan {
+    let groups = RuleGroups::new(sigma);
+    let plans = groups
         .iter()
-        .enumerate()
-        .map(|(rule, gfd)| {
-            let pv = pivot_vector(&gfd.pattern);
-            let mut components: Vec<ComponentPlan> = pv
+        .map(|group| {
+            let pv = pivot_vector(&sigma.get(group.rep).pattern);
+            // `pivot_vector` and `RuleGroup::parts` both cut the
+            // pattern along `connected_components`, in one order.
+            debug_assert!(pv
                 .components
                 .iter()
-                .map(|c| {
-                    let (pattern, orig_vars) = gfd.pattern.restrict(&c.vars);
-                    // Invariant: component decomposition picks each
-                    // pivot from the component's own variable set, so
-                    // the restriction must contain it.
-                    let local_pivot = VarId(
-                        orig_vars
-                            .iter()
-                            .position(|&v| v == c.pivot)
-                            .expect("pivot is in its component") as u32,
-                    );
-                    let pivot_label = pattern.label(local_pivot);
-                    let width = tree_decomposition(&pattern).width();
-                    ComponentPlan {
-                        pattern,
-                        orig_vars,
-                        local_pivot,
-                        pivot_label,
-                        radius: c.radius,
-                        width,
-                    }
-                })
-                .collect();
-            // Example 10's dedup pairs *indices* of the two components'
-            // candidate lists, which are one list only if the pivots
-            // correspond: take component 1's pivot to be the isomorphic
-            // image of component 0's (the radius is
-            // isomorphism-invariant, so it is still a minimum-radius
-            // pivot) rather than whatever the tie-break on declaration
-            // order picked.
-            let witness = match &components[..] {
-                [c0, c1] => iso_witness(&c0.pattern, &c1.pattern),
-                _ => None,
+                .zip(&group.parts)
+                .all(|(c, p)| c.vars == p.1));
+            let mut plan = GroupPlan {
+                pivots: pv.components.iter().map(|c| c.pivot).collect(),
+                widths: group
+                    .parts
+                    .iter()
+                    .map(|(q, _)| tree_decomposition(q).width())
+                    .collect(),
+                symmetric_pair: false,
             };
-            if let Some(w) = &witness {
-                let image = w.map(components[0].local_pivot);
-                components[1].local_pivot = image;
-                components[1].pivot_label = components[1].pattern.label(image);
+            // Example 10's dedup pairs *indices* of the two parts'
+            // candidate lists, which are one list only if the pivots
+            // correspond: take part 1's pivot to be the isomorphic image
+            // of part 0's (the radius is isomorphism-invariant, so it is
+            // still a minimum-radius pivot) rather than whatever the
+            // tie-break on declaration order picked.
+            if let [(q0, _), (q1, vars1)] = &group.parts[..] {
+                if let Some(w) = iso_witness(q0, q1) {
+                    plan.pivots[1] = vars1[w.map(plan.local_pivot(group, 0)).index()];
+                    plan.symmetric_pair = true;
+                }
             }
-            let symmetric_pair = witness.is_some();
-            PivotedRule {
-                rule,
-                components,
-                symmetric_pair,
-            }
+            plan
         })
-        .collect()
+        .collect();
+    SigmaPlan { groups, plans }
 }
 
-/// Number of pivot candidates the component's label constraint admits
-/// before any pruning.
-fn pivot_universe(g: &Graph, plan: &ComponentPlan) -> usize {
-    match plan.pivot_label {
+/// Number of pivot candidates a pivot label admits before any pruning.
+fn pivot_universe(g: &Graph, label: PatLabel) -> usize {
+    match label {
         PatLabel::Sym(s) => g.extent(s).len(),
         PatLabel::Wildcard => g.node_count(),
     }
 }
 
-/// Extracts a component's feasible pivot candidates from
-/// already-computed (whole-graph) simulation sets: the set of `pivot`
-/// — the component's pivot in the sets' own variable numbering — or
-/// nothing when the component is provably matchless.
-/// Returns the sorted candidate list and how many raw candidates the
-/// filter pruned.
+/// Extracts a part's feasible pivot candidates from already-computed
+/// (whole-graph) simulation sets: the set of `pivot` — the part's pivot
+/// in the sets' own variable numbering, labeled `label` — or nothing
+/// when the part is provably matchless. Returns the sorted candidate
+/// list and how many raw candidates the filter pruned.
 fn pivots_from_sets<'s>(
     g: &Graph,
-    plan: &ComponentPlan,
+    label: PatLabel,
     sets: &'s [Vec<NodeId>],
     pivot: VarId,
 ) -> (&'s [NodeId], usize) {
-    let universe = pivot_universe(g, plan);
+    let universe = pivot_universe(g, label);
     if sets.iter().any(Vec::is_empty) {
         return (&[], universe);
     }
@@ -282,29 +293,36 @@ fn pivots_from_sets<'s>(
     (cands, universe - cands.len())
 }
 
-/// Pivot candidates for a component, optionally pruned by one dual
-/// simulation of the component pattern over the whole graph. Returns
-/// the sorted candidate list and how many raw candidates were pruned.
+/// Pivot candidates of `part` at its variable `pivot`, optionally
+/// pruned by one dual simulation of the part over the whole graph.
+/// Returns the sorted candidate list and how many raw candidates were
+/// pruned.
 ///
 /// Replaces the per-candidate backtracking probe: a pivot candidate
 /// outside `sim(z)` cannot anchor any match (the simulation contains
 /// every match) — the unscoped check is exactly the whole-graph,
 /// pivot-pinned search the unit will run.
 ///
-/// This is the standalone (one component, own simulation) entry point;
+/// This is the standalone (one part, own simulation) reference;
 /// [`estimate_workload`] draws the same information from a
 /// [`ClassRegistry`] shared across the whole Σ instead, so isomorphic
-/// components pay for one simulation — and share one list — together.
-pub fn feasible_pivots(g: &Graph, plan: &ComponentPlan, prune: bool) -> (Vec<NodeId>, usize) {
+/// parts pay for one simulation — and share one list — together.
+pub fn feasible_pivots(
+    g: &Graph,
+    part: &Pattern,
+    pivot: VarId,
+    prune: bool,
+) -> (Vec<NodeId>, usize) {
+    let label = part.label(pivot);
     if !prune {
-        let all = match plan.pivot_label {
+        let all = match label {
             PatLabel::Sym(s) => g.extent(s).to_vec(),
             PatLabel::Wildcard => g.nodes().collect(),
         };
         return (all, 0);
     }
-    let sets = simulation_sets(&plan.pattern, g, None);
-    let (cands, pruned) = pivots_from_sets(g, plan, &sets, plan.local_pivot);
+    let sets = simulation_sets(part, g, None);
+    let (cands, pruned) = pivots_from_sets(g, label, &sets, pivot);
     (cands.to_vec(), pruned)
 }
 
@@ -325,9 +343,9 @@ fn cuts_per_list(k: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// What determines a component's candidate list, so components that
-/// must draw the same list — isomorphic components of different groups
-/// — share one `Arc`, and with it ranges and prices.
+/// What determines a part's candidate list, so parts that must draw
+/// the same list — isomorphic parts of different groups — share one
+/// `Arc`, and with it ranges and prices.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum ListKey {
     /// Pruned: the simulation set of a class representative's variable.
@@ -382,32 +400,32 @@ struct Estimator<'a> {
 }
 
 impl Estimator<'_> {
-    /// The index of `plan`'s candidate list, computed on first use:
-    /// with pruning on, its pivot's set in the class's candidate space
-    /// (one simulation per class, read at the representative's
-    /// variable), each pivot weighing its root expansion pool; the
-    /// pivot label's whole extent otherwise, each pivot weighing
-    /// `1 + degree` (there is no space to read).
-    fn list(&mut self, plan: &ComponentPlan) -> usize {
-        let g = self.g;
+    /// The index of the candidate list of `part`'s variable `pivot`,
+    /// computed on first use: with pruning on, its set in the class's
+    /// candidate space (one simulation per class, read at the
+    /// representative's variable), each pivot weighing its root
+    /// expansion pool; the pivot label's whole extent otherwise, each
+    /// pivot weighing `1 + degree` (there is no space to read).
+    fn list(&mut self, part: &Pattern, local_pivot: VarId) -> usize {
+        let (g, label) = (self.g, part.label(local_pivot));
         let (key, set) = if self.prune {
-            let h = self.registry.register(&plan.pattern);
+            let h = self.registry.register(part);
             let view = self.registry.space(h, g);
-            let pivot = view.rep_var(plan.local_pivot);
+            let pivot = view.rep_var(local_pivot);
             let key = ListKey::Class(self.registry.class_of(h), pivot);
             (key, Some((view, pivot)))
         } else {
-            (ListKey::Label(plan.pivot_label), None)
+            (ListKey::Label(label), None)
         };
         if let Some(&list) = self.list_of.get(&key) {
             return list;
         }
         let (pivots, pruned): (Arc<[NodeId]>, _) = match &set {
             Some((view, pivot)) => {
-                let (cands, pruned) = pivots_from_sets(g, plan, &view.space.sets, *pivot);
+                let (cands, pruned) = pivots_from_sets(g, label, &view.space.sets, *pivot);
                 (cands.into(), pruned)
             }
-            None => (feasible_pivots(g, plan, false).0.into(), 0),
+            None => (feasible_pivots(g, part, local_pivot, false).0.into(), 0),
         };
         let weight = |v: NodeId| match &set {
             Some((view, pivot)) => root_pool_weight(view, *pivot, v),
@@ -458,20 +476,20 @@ pub fn estimate_workload(sigma: &GfdSet, g: &Graph, opts: &WorkloadOptions) -> W
 }
 
 /// [`estimate_workload`] borrowing a caller-owned [`ClassRegistry`]:
-/// every component of every rule registers into it and pivot
-/// feasibility reads the **per-isomorphism-class** candidate spaces —
-/// one simulation per class instead of one per component (Example 10's
-/// reuse, applied to the whole Σ; each component reads its pivot's set
+/// every part of every group representative registers into it and
+/// pivot feasibility reads the **per-isomorphism-class** candidate
+/// spaces — one simulation per class instead of one per part (Example
+/// 10's reuse, applied to the whole Σ; each part reads its pivot's set
 /// at the class representative's variable). Callers that validate
 /// repeatedly (or also run detection) pass the same registry so the
 /// classes stay warm across calls.
 ///
-/// Σ is grouped by pattern isomorphism class ([`RuleGroups`]) and only
-/// a group's representative gets a grid: each of its `k` candidate
+/// Σ is planned once ([`plan_rules`]) and only a group's
+/// representative gets a grid: each of its `k` candidate
 /// lists is cut into at most `⌊64^{1/k}⌋` ranges and one unit is
 /// emitted per cell of the range grid, so `units ≤ 64 · groups`; a
-/// symmetric pair draws both components from one list and keeps only
-/// the cells `i ≤ j`.
+/// symmetric pair draws both parts from one list and keeps only the
+/// cells `i ≤ j`.
 pub fn estimate_workload_in(
     sigma: &GfdSet,
     g: &Graph,
@@ -480,8 +498,7 @@ pub fn estimate_workload_in(
 ) -> Workload {
     let start = std::time::Instant::now();
     let sims_before = registry.simulations();
-    let rules = plan_rules(sigma);
-    let groups = RuleGroups::new(sigma);
+    let plan = plan_rules(sigma);
     let mut est = Estimator {
         g,
         registry,
@@ -489,29 +506,29 @@ pub fn estimate_workload_in(
         list_of: FxHashMap::default(),
         lists: Vec::new(),
     };
-    let mut wl = Workload::default();
+    let (mut units, mut slots, mut pruned) = (Vec::new(), Vec::new(), 0);
 
-    for rule in groups.iter().map(|group| &rules[group.rep]) {
-        let k = rule.components.len();
+    for (group, gp) in plan.iter() {
+        let k = group.parts.len();
         let cuts = cuts_per_list(k);
-        let mut per_component: Vec<Vec<(UnitSlot, u64)>> = Vec::with_capacity(k);
-        // A symmetric pair's second component holds the same candidates
-        // as its first (its pivot is the isomorphic image of component
-        // 0's, and simulation sets are automorphism-invariant), so
-        // Example 10's index pairing runs over component 0's ranges.
-        let (drawn, copies) = if rule.symmetric_pair { (1, 2) } else { (k, 1) };
-        for plan in &rule.components[..drawn] {
-            let list = est.list(plan);
-            // Pruned candidates count once per component.
-            wl.pruned += est.lists[list].pruned * copies;
-            let width = plan.width.max(1) as u64;
-            per_component.push(est.slots(list, cuts, width));
+        let mut per_part: Vec<Vec<(UnitSlot, u64)>> = Vec::with_capacity(k);
+        // A symmetric pair's second part holds the same candidates as
+        // its first (its pivot is the isomorphic image of part 0's, and
+        // simulation sets are automorphism-invariant), so Example 10's
+        // index pairing runs over part 0's ranges.
+        let (drawn, copies) = if gp.symmetric_pair { (1, 2) } else { (k, 1) };
+        for (i, (part, _)) in group.parts[..drawn].iter().enumerate() {
+            let list = est.list(part, gp.local_pivot(group, i));
+            // Pruned candidates count once per part.
+            pruned += est.lists[list].pruned * copies;
+            let width = gp.widths[i].max(1) as u64;
+            per_part.push(est.slots(list, cuts, width));
         }
-        if rule.symmetric_pair {
-            per_component.push(per_component[0].clone());
+        if gp.symmetric_pair {
+            per_part.push(per_part[0].clone());
         }
         // The empty pattern has no matches; an empty list no pivots.
-        if k == 0 || per_component.iter().any(Vec::is_empty) {
+        if k == 0 || per_part.iter().any(Vec::is_empty) {
             continue;
         }
         // One unit per cell of the range grid, in odometer order.
@@ -519,40 +536,43 @@ pub fn estimate_workload_in(
         loop {
             // Unordered pairs: second range at or above the first
             // (Example 10's duplicate removal).
-            if !rule.symmetric_pair || cell[0] <= cell[1] {
-                let offset = wl.slots.len();
+            if !gp.symmetric_pair || cell[0] <= cell[1] {
+                let offset = slots.len();
                 assert!(offset <= u32::MAX as usize, "slot arena exceeds u32 range");
                 let mut cost = 0u64;
                 let mut joins = 1u64;
-                for (ranges, &i) in per_component.iter().zip(&cell) {
+                for (ranges, &i) in per_part.iter().zip(&cell) {
                     let (slot, price) = &ranges[i];
                     cost += price;
                     joins *= slot.range().len() as u64;
-                    wl.slots.push(slot.clone());
+                    slots.push(slot.clone());
                 }
                 // The cell's join count for k ≥ 2: both orientations
                 // off a symmetric pair's diagonal.
-                let orientations = 1 + u64::from(rule.symmetric_pair && cell[0] != cell[1]);
+                let orientations = 1 + u64::from(gp.symmetric_pair && cell[0] != cell[1]);
                 cost += u64::from(k >= 2) * orientations * joins;
-                wl.units.push(WorkUnit {
-                    rule: rule.rule as u32,
+                units.push(WorkUnit {
+                    rule: group.rep as u32,
                     slot_offset: offset as u32,
                     slot_len: k as u32,
-                    check_both_orientations: rule.symmetric_pair,
                     cost,
                 });
             }
-            let Some(c) = (0..k).rfind(|&c| cell[c] + 1 < per_component[c].len()) else {
+            let Some(c) = (0..k).rfind(|&c| cell[c] + 1 < per_part[c].len()) else {
                 break;
             };
             cell[c] += 1;
             cell[c + 1..].fill(0);
         }
     }
-    wl.plans = rules;
-    wl.estimation_seconds = start.elapsed().as_secs_f64();
-    wl.simulations = registry.simulations() - sims_before;
-    wl
+    Workload {
+        plan,
+        units,
+        slots,
+        estimation_seconds: start.elapsed().as_secs_f64(),
+        pruned,
+        simulations: registry.simulations() - sims_before,
+    }
 }
 
 #[cfg(test)]
@@ -596,13 +616,20 @@ mod tests {
     fn plan_detects_symmetric_pair() {
         let g = nine_flights();
         let sigma = GfdSet::new(vec![flight_pair_gfd(g.vocab().clone())]);
-        let rules = plan_rules(&sigma);
-        assert_eq!(rules.len(), 1);
-        assert_eq!(rules[0].components.len(), 2);
-        assert!(rules[0].symmetric_pair);
-        for c in &rules[0].components {
-            assert_eq!(c.radius, 1, "flight star has radius 1 at the hub");
-        }
+        let plan = plan_rules(&sigma);
+        let [(group, gp)] = &plan.iter().collect::<Vec<_>>()[..] else {
+            panic!("one group")
+        };
+        assert_eq!(group.parts.len(), 2);
+        assert!(gp.symmetric_pair);
+        // Each star's flight: the tie-broken minimum-radius pivot of
+        // part 0, and its isomorphic image in part 1.
+        assert_eq!(gp.pivots, [VarId(0), VarId(2)]);
+        assert_eq!(gp.widths, [1, 1]);
+        assert_eq!(
+            (gp.local_pivot(group, 0), gp.local_pivot(group, 1)),
+            (VarId(0), VarId(0))
+        );
     }
 
     /// The unordered pivot pairs a symmetric-pair workload covers: a
@@ -636,7 +663,7 @@ mod tests {
         let pairs = covered_pairs(&wl);
         assert_eq!(pairs.len(), 36);
         assert!(pairs.windows(2).all(|w| w[0] != w[1]), "no pair twice");
-        assert!(wl.units.iter().all(|u| u.check_both_orientations));
+        assert!(wl.plan.iter().all(|(_, gp)| gp.symmetric_pair));
         // 9 candidates cut 8 ways: seven one-flight ranges and one of
         // two, cells i ≤ j only.
         assert_eq!(wl.units.len(), 8 * 9 / 2);
@@ -668,9 +695,9 @@ mod tests {
         let sigma = GfdSet::new(vec![flight_pair_gfd(g.vocab().clone())]);
         let registry = ClassRegistry::new();
         let wl = estimate_workload_in(&sigma, &g, &WorkloadOptions::default(), &registry);
-        let plan = &wl.plans[0].components[0];
-        let view = registry.space(registry.register(&plan.pattern), &g);
-        let pivot = view.rep_var(plan.local_pivot);
+        let (group, gp) = wl.plan.group(0);
+        let view = registry.space(registry.register(&group.parts[0].0), &g);
+        let pivot = view.rep_var(gp.local_pivot(group, 0));
         let weight = |v: NodeId| -> u64 {
             let edges = view.rep.edges().iter().enumerate();
             let runs = edges.map(|(e, edge)| {
@@ -752,7 +779,7 @@ mod tests {
         );
         let wl = estimate_workload(&GfdSet::new(vec![gfd]), &g, &WorkloadOptions::default());
         assert_eq!(wl.units.len(), 9);
-        assert!(wl.units.iter().all(|u| !u.check_both_orientations));
+        assert!(wl.plan.iter().all(|(_, gp)| !gp.symmetric_pair));
     }
 
     #[test]
@@ -764,7 +791,7 @@ mod tests {
         let sigma = GfdSet::new(vec![flight_pair_gfd(g.vocab().clone())]);
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         assert_eq!(wl.units.len(), 36, "the id-less flight contributes nothing");
-        assert!(wl.pruned >= 2, "pruned once per component");
+        assert!(wl.pruned >= 2, "pruned once per part");
     }
 
     /// The PR's acceptance probe: on a mined Σ whose rules share
@@ -801,10 +828,9 @@ mod tests {
         assert!(sigma.len() >= 16, "Σ must hold at least 16 rules");
 
         // Independently count the component isomorphism classes.
-        let plans = plan_rules(&sigma);
-        let components: Vec<&Pattern> = plans
-            .iter()
-            .flat_map(|r| r.components.iter().map(|c| &c.pattern))
+        let components: Vec<Pattern> = (sigma.iter())
+            .flat_map(|gfd| gfd_pattern::signature::decompose(&gfd.pattern))
+            .map(|(q, _)| q)
             .collect();
         let mut codes: Vec<Vec<u64>> = components
             .iter()
@@ -854,8 +880,8 @@ mod tests {
             Dependency::always(vec![Literal::var_eq(x, val, y, val)]),
         );
         let sigma = GfdSet::new(vec![gfd]);
-        let rules = plan_rules(&sigma);
-        assert_eq!(rules[0].components[0].width, 2, "triangle has width 2");
+        let plan = plan_rules(&sigma);
+        assert_eq!(plan.group(0).1.widths, [2], "triangle has width 2");
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
         // A pivot weighs 1 + one out-run entry + one in-run entry = 3
         // (the pivot sits on two pattern edges), weighted ×2 by the

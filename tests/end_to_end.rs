@@ -11,12 +11,28 @@ use gfd::datagen::{
 };
 use gfd::graph::{Fragmentation, PartitionStrategy};
 use gfd::parallel::unitexec::sort_violations;
-use gfd::parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
-use gfd::parallel::{dis_val, rep_val, threaded, DisValConfig, RepValConfig};
+use gfd::parallel::workload::{estimate_workload, Workload, WorkloadOptions};
+use gfd::parallel::{dis_val, rep_val, threaded, ClassRegistry, DisValConfig, RepValConfig};
 
 fn canonical(mut v: Vec<Violation>) -> Vec<Violation> {
     sort_violations(&mut v);
     v
+}
+
+/// The units of `wl` on `threads` OS threads over a fresh registry,
+/// none of them quarantined.
+fn threaded_run(
+    g: &std::sync::Arc<gfd::graph::Graph>,
+    sigma: &gfd::core::GfdSet,
+    wl: &Workload,
+    threads: usize,
+) -> Vec<Violation> {
+    let registry = ClassRegistry::new();
+    let report = threaded::run_units_threaded_report(
+        g, sigma, &wl.plan, &wl.units, &wl.slots, &registry, threads, None, 0,
+    );
+    assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+    report.violations
 }
 
 #[test]
@@ -56,10 +72,12 @@ fn all_engines_agree_on_reallife_graph() {
     }
 
     // Real OS threads.
-    let plans = plan_rules(&sigma);
     let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
-    let thr = threaded::run_units_threaded(&g, &sigma, &plans, &wl.units, &wl.slots, 4);
-    assert_eq!(thr, expected, "threaded execution");
+    assert_eq!(
+        threaded_run(&g, &sigma, &wl, 4),
+        expected,
+        "threaded execution"
+    );
 
     // BigDansing-style relational joins.
     let relational = canonical(RelationalValidator::new(&g).detect_violations(&sigma));
@@ -408,7 +426,7 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
         let step = det.enumerations() - before;
         let wl = estimate_workload(sigma, g, &WorkloadOptions::default());
         let registry = ClassRegistry::new();
-        let exec = UnitExecutor::new(g, sigma, &wl.plans, &wl.slots, &registry, true);
+        let exec = UnitExecutor::new(g, &wl.plan, &wl.slots, &registry, true);
         let mut unit_scratch = UnitScratch::new();
         let mut sink = Vec::new();
         for unit in &wl.units {
@@ -418,7 +436,8 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
         // however many pivots its ranges hold.
         let searches = wl.units.iter().map(|unit| {
             let slots = unit.slots(&wl.slots);
-            let both = unit.check_both_orientations && slots[0].lo != slots[1].lo;
+            let (_, gp) = wl.plan.group(wl.plan.group_index(unit.rule()));
+            let both = gp.symmetric_pair && slots[0].lo != slots[1].lo;
             (unit.k() * (1 + usize::from(both))) as u64
         });
         assert_eq!(unit_scratch.enumerations(), searches.sum::<u64>());
@@ -487,11 +506,11 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
             let dis = dis_val(&sigma, &g, &frag, &DisValConfig::val(2));
             assert_eq!(dis.violations, expected, "disVal, step {step}");
             let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
-            let thr = threaded::run_units_threaded(&g, &sigma, &wl.plans, &wl.units, &wl.slots, 2);
+            let thr = threaded_run(&g, &sigma, &wl, 2);
             assert_eq!(thr, expected, "threaded, step {step}");
             // The executor over the registry detVio keeps warm.
             let warm = threaded::run_units_threaded_report(
-                &g, &sigma, &wl.plans, &wl.units, &wl.slots, &registry, 2, None, 0,
+                &g, &sigma, &wl.plan, &wl.units, &wl.slots, &registry, 2, None, 0,
             );
             assert_eq!(
                 canonical(warm.violations),
@@ -533,10 +552,7 @@ fn unit_paths(
     let wl = estimate_workload(sigma, g, &WorkloadOptions::default());
     let frag = Fragmentation::partition(g, 2, PartitionStrategy::Hash);
     vec![
-        (
-            "threaded",
-            threaded::run_units_threaded(g, sigma, &wl.plans, &wl.units, &wl.slots, 2),
-        ),
+        ("threaded", threaded_run(g, sigma, &wl, 2)),
         (
             "repVal",
             rep_val(sigma, g, &RepValConfig::val(2)).violations,
@@ -787,11 +803,10 @@ fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
 
         // Coverage, against feasible lists simulated per component.
         let wl = estimate_workload(&sigma, &g, &WorkloadOptions::default());
-        for (r, rule) in wl.plans.iter().enumerate() {
-            let lists: Vec<Vec<NodeId>> = rule
-                .components
-                .iter()
-                .map(|plan| feasible_pivots(&g, plan, true).0)
+        for (group, gp) in wl.plan.iter() {
+            let r = group.rep;
+            let lists: Vec<Vec<NodeId>> = (0..group.parts.len())
+                .map(|i| feasible_pivots(&g, &group.parts[i].0, gp.local_pivot(group, i), true).0)
                 .collect();
             let units: Vec<_> = wl.units.iter().filter(|u| u.rule() == r).collect();
             if units.len() > 64 {
@@ -809,11 +824,11 @@ fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
             let mut covered: Vec<Vec<NodeId>> = Vec::new();
             for u in &units {
                 let slots = u.slots(&wl.slots);
-                let same_range = rule.symmetric_pair && slots[0].lo == slots[1].lo;
+                let same_range = gp.symmetric_pair && slots[0].lo == slots[1].lo;
                 diagonal += usize::from(same_range);
                 let ranges: Vec<&[NodeId]> = slots.iter().map(|s| s.range()).collect();
                 for mut t in product(&ranges) {
-                    if rule.symmetric_pair {
+                    if gp.symmetric_pair {
                         if same_range && t[0] >= t[1] {
                             continue;
                         }
@@ -826,7 +841,7 @@ fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
             }
             let lists: Vec<&[NodeId]> = lists.iter().map(Vec::as_slice).collect();
             let mut expected = product(&lists);
-            if rule.symmetric_pair {
+            if gp.symmetric_pair {
                 if lists[0] != lists[1] {
                     return Err("symmetric components must share candidates".into());
                 }
@@ -856,8 +871,7 @@ fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
         let frag = Fragmentation::partition(&g, 3, PartitionStrategy::Hash);
         let mut paths: Vec<(String, Vec<Violation>)> = Vec::new();
         for t in [1, 2, 4] {
-            let thr = threaded::run_units_threaded(&g, &sigma, &wl.plans, &wl.units, &wl.slots, t);
-            paths.push((format!("threaded×{t}"), thr));
+            paths.push((format!("threaded×{t}"), threaded_run(&g, &sigma, &wl, t)));
         }
         for (name, cfg) in [
             ("repVal", RepValConfig::val(3)),
