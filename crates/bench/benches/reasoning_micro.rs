@@ -469,8 +469,8 @@ fn main() {
     bench("detect/detVio", &mut samples, || {
         detect_violations(&sigma_det, &g2)
     });
-    // Warm detection: a registry (per-class spaces and plans, built
-    // once) plus caller-owned scratch. Per-iteration allocations drop
+    // Warm detection: a registry (per-class spaces, simulated once)
+    // plus caller-owned scratch. Per-iteration allocations drop
     // to the violation records themselves.
     {
         let reg = ClassRegistry::new();
@@ -522,17 +522,20 @@ fn main() {
     // chains, and only 8 cycle-closing edges back into the `a` layer.
     // The enumerator in raw mode (`backtrack`: the engine type with
     // no space attached) must enumerate all 25 600 (x, y) edge pairs
-    // per call before discovering that almost none close; the planned
+    // per call before discovering that almost none close; the space
     // path draws its pools from the registry's warm candidate space —
     // where simulation has already collapsed every layer to the 8
     // closure indices — by multiway intersection of the space's
-    // adjacency runs, in the plan's bag order. The `sim percall`
+    // adjacency runs, in the enumerator's greedy order. A
+    // tree-decomposition order was about 1.5× faster on this triangle
+    // and 8× on this skewed four-cycle, shapes no lifecycle workload
+    // has (`match/cycle_rules(space)` below is the shape they do have,
+    // and there the greedy order is as fast). The `sim percall`
     // samples go through the default entry point, whose filter rule
-    // fires here (cyclic, 160-node pools): one dual-simulation
-    // fixpoint and one plan per call — the cost the class-keyed cache
-    // amortizes away. Spaces, plans and scratch are caller-owned
-    // and warm: the plan samples must report 0 allocs_per_iter (also
-    // asserted by tests/alloc_probe.rs).
+    // fires here (cyclic, 160-node pools): one dual-simulation fixpoint
+    // per call — the cost the class-keyed cache amortizes away. Spaces
+    // and scratch are caller-owned and warm: the space samples must
+    // report 0 allocs_per_iter (also asserted by tests/alloc_probe.rs).
     {
         let per_layer = 160usize;
         let closures = 8usize;
@@ -579,28 +582,16 @@ fn main() {
         let reg = ClassRegistry::new();
         let tri_h = reg.register(&tri);
         let cyc4_h = reg.register(&cyc4);
-        let planned_opts = MatchOptions::unrestricted();
-        let mut planned_scratch = MatchScratch::default();
-        let mut count_planned = |h, q: &Pattern, reg: &ClassRegistry| {
-            let view = reg.space_and_plan(h, &gs);
-            let mut n = 0usize;
-            for_each_match_with(
-                q,
-                &gs,
-                &planned_opts,
-                view.plan.as_deref().map(|plan| (&*view.space, plan)),
-                &mut planned_scratch,
-                &mut |_| {
-                    n += 1;
-                    Flow::Continue
-                },
-            );
-            n
+        let space_opts = MatchOptions::unrestricted();
+        let mut space_scratch = MatchScratch::default();
+        let mut count_space = |h, q: &Pattern, reg: &ClassRegistry| {
+            let view = reg.space(h, &gs);
+            count_matches_with(q, &gs, &space_opts, Some(&*view.space), &mut space_scratch)
         };
         // Warm the registry caches and scratch high-water marks, and
         // pin down the match counts both engines must agree on.
-        let tri_n = count_planned(tri_h, &tri, &reg);
-        let cyc4_n = count_planned(cyc4_h, &cyc4, &reg);
+        let tri_n = count_space(tri_h, &tri, &reg);
+        let cyc4_n = count_space(cyc4_h, &cyc4, &reg);
         let mut back_scratch = SearchScratch::default();
         let mut count_raw = |q: &Pattern| {
             let mut search =
@@ -622,11 +613,11 @@ fn main() {
         assert_eq!(tri_n, count_percall(&tri));
         assert_eq!(cyc4_n, count_percall(&cyc4));
 
-        bench("match/wcoj_triangle(plan)", &mut samples, || {
-            count_planned(tri_h, &tri, &reg)
+        bench("match/wcoj_triangle(space)", &mut samples, || {
+            count_space(tri_h, &tri, &reg)
         });
-        bench("match/wcoj_4cycle(plan)", &mut samples, || {
-            count_planned(cyc4_h, &cyc4, &reg)
+        bench("match/wcoj_4cycle(space)", &mut samples, || {
+            count_space(cyc4_h, &cyc4, &reg)
         });
         bench("match/wcoj_triangle(backtrack)", &mut samples, || {
             count_raw(&tri)
@@ -664,8 +655,8 @@ fn main() {
         pb.wildcard_edge(v[0], v[3]);
         let cyc4 = pb.build();
         let reg = ClassRegistry::new();
-        let view = reg.space_and_plan(reg.register(&cyc4), &gp);
-        let (cs, plan) = (&*view.space, view.plan.as_deref().expect("asked for"));
+        let view = reg.space(reg.register(&cyc4), &gp);
+        let cs = &*view.space;
         let pins: Vec<Pin> = cyc4
             .vars()
             .flat_map(|var| {
@@ -685,17 +676,10 @@ fn main() {
             opts.pins[0] = pins[next];
             next = (next + 1) % pins.len();
             let mut n = 0usize;
-            for_each_match_with(
-                &cyc4,
-                &gp,
-                &opts,
-                Some((cs, plan)),
-                &mut scratch,
-                &mut |_| {
-                    n += 1;
-                    Flow::Continue
-                },
-            );
+            for_each_match_with(&cyc4, &gp, &opts, Some(cs), &mut scratch, &mut |_| {
+                n += 1;
+                Flow::Continue
+            });
             n
         });
 
@@ -727,12 +711,58 @@ fn main() {
             dual_simulation(&cyc4, &g_minus, None).total_size()
                 + dual_simulation(&cyc4, &gp, None).total_size()
         });
+
+        // The lifecycle benchmark's `social-cycles` Σ itself, built the
+        // way its `cycle_rules` builds it (rules seed 0xACE): four
+        // triangles and four four-cycles over the `pk_rel*` relations,
+        // wildcard nodes, one wildcard edge each. One iteration
+        // enumerates each rule once, unpinned, in its warm registry
+        // class space — what `detVio` runs per rule group.
+        let rels: Vec<String> = (0..)
+            .map(|i| format!("pk_rel{i}"))
+            .take_while(|name| gp.vocab().lookup(name).is_some())
+            .collect();
+        let offset = Rng::seed_from_u64(0xACE).gen_range(0..rels.len());
+        let rel = |i: usize, j: usize| &rels[(offset + i + j * (i + 1)) % rels.len()];
+        let cycles: Vec<Pattern> = (0..8usize)
+            .map(|i| {
+                let len = if i < 4 { 3 } else { 4 };
+                let mut b = PatternBuilder::new(gp.vocab().clone());
+                let v: Vec<VarId> = (0..len)
+                    .map(|j| b.wildcard_node(&format!("c{i}_{j}")))
+                    .collect();
+                b.edge(v[0], v[1], rel(i, 0));
+                b.edge(v[1], v[2], rel(i, 1));
+                if len == 3 {
+                    b.wildcard_edge(v[0], v[2]);
+                } else {
+                    b.edge(v[3], v[2], rel(i, 2));
+                    b.wildcard_edge(v[0], v[3]);
+                }
+                b.build()
+            })
+            .collect();
+        let cycle_reg = ClassRegistry::new();
+        let handles: Vec<_> = cycles.iter().map(|q| cycle_reg.register(q)).collect();
+        assert_eq!(cycle_reg.class_count(), 8, "premise: eight distinct shapes");
+        let unpinned = MatchOptions::unrestricted();
+        let mut cycle_scratch = MatchScratch::default();
+        let mut count_cycles = || -> usize {
+            let count = |&h| {
+                let view = cycle_reg.space(h, &gp);
+                let space = Some(&*view.space);
+                count_matches_with(&view.rep, &gp, &unpinned, space, &mut cycle_scratch)
+            };
+            handles.iter().map(count).sum()
+        };
+        assert!(count_cycles() > 0, "premise: the rules have matches");
+        bench("match/cycle_rules(space)", &mut samples, count_cycles);
     }
 
     // Counting a skewed multiplicative workload: two dense bipartite
     // layers (a→b and b→c, 48×48 each) multiply into 48³ ≈ 110k path
-    // matches, each one enumerated from the registry's warm space and
-    // plan with caller-owned scratch.
+    // matches, each one enumerated from the registry's warm space with
+    // caller-owned scratch.
     {
         let n = 48usize;
         let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
@@ -761,11 +791,10 @@ fn main() {
         let h = reg.register(&path);
         let opts = MatchOptions::unrestricted();
         let mut scratch = MatchScratch::default();
-        let view = reg.space_and_plan(h, &gs);
-        let space = Some((&*view.space, view.plan.as_deref().expect("asked for")));
-        let mut count = || count_matches_with(&path, &gs, &opts, space, &mut scratch);
+        let view = reg.space(h, &gs);
+        let mut count = || count_matches_with(&path, &gs, &opts, Some(&*view.space), &mut scratch);
         assert_eq!(count(), n * n * n);
-        bench("match/count_skewed(space+plan)", &mut samples, count);
+        bench("match/count_skewed(space)", &mut samples, count);
     }
 
     // The allocation-free hot-path probe: a clean symmetric-pair
@@ -831,7 +860,7 @@ fn main() {
         let h = registry.register(star);
         let sims = registry.simulations();
         bench("cache/registry_hit_rate", &mut samples, || {
-            registry.space_and_plan(h, &g).space.total_size()
+            registry.space(h, &g).space.total_size()
         });
         assert_eq!(registry.simulations(), sims, "a warm probe never simulates");
         let stats = registry.stats();

@@ -11,7 +11,7 @@
 //! summary line. Exits non-zero when a row grew or a baseline row is
 //! missing; a row that fell, or a new row, passes. The committed
 //! baseline is `BENCH_smoke.json`, regenerated with
-//! `BENCH_SMOKE=1 BENCH_JSON_PATH=BENCH_smoke.json cargo bench -p gfd-bench`:
+//! `BENCH_SMOKE=1 BENCH_JSON_PATH=$PWD/BENCH_smoke.json cargo bench -p gfd-bench`:
 //! a smoke run and a full run spread one-off allocations over different
 //! iteration counts, so only runs of one kind compare.
 

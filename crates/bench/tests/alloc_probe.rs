@@ -1,6 +1,6 @@
 //! The allocation-free hot-path guarantee, asserted: after warm-up,
 //! [`UnitExecutor::run`] performs **zero heap allocations** per call — the
-//! class's space and plan are read through `Arc`s served by the shared
+//! class's space is read through an `Arc` served by the shared
 //! [`ClassRegistry`], rows land in warm scratch tables and the join
 //! backtracks inside [`UnitScratch`], and nothing in the per-unit loop
 //! grows a buffer.
@@ -385,8 +385,8 @@ fn warm_counting_allocates_nothing() {
 
     let reg = ClassRegistry::new();
     let h = reg.register(&path);
-    let view = reg.space_and_plan(h, &g2);
-    let space = view.plan.as_deref().map(|plan| (&*view.space, plan));
+    let view = reg.space(h, &g2);
+    let space = Some(&*view.space);
     let warm = count_matches_with(&path, &g2, &opts, space, &mut scratch);
     assert_eq!(warm, per_layer * per_layer);
     let delta = min_allocation_delta(5, || {
@@ -401,9 +401,9 @@ fn warm_counting_allocates_nothing() {
     );
 }
 
-/// The enumerator's space-mode steady state under a plan order: with
-/// the candidate space and decomposition plan warm in the registry
-/// and scratch at its high-water mark, a full cyclic-pattern
+/// The enumerator's space-mode steady state on a cyclic pattern: with
+/// the candidate space warm in the registry and scratch at its
+/// high-water mark, a full cyclic-pattern
 /// enumeration — pools, multiway intersections, recursion, match
 /// emission — must not touch the heap, for the class representative
 /// and for a twin reading through its permutation alike.
@@ -458,11 +458,7 @@ fn warm_plan_execution_allocates_nothing() {
     let count = |scratch: &mut MatchScratch| {
         let mut n = 0usize;
         for h in handles {
-            let view = reg.space_and_plan(h, &g);
-            assert!(
-                view.plan.as_ref().is_some_and(|p| p.is_cyclic()),
-                "premise: the triangle takes the plan order"
-            );
+            let view = reg.space(h, &g);
             for_each_match_in(&view, &g, &opts, scratch, &mut |_| {
                 n += 1;
                 Flow::Continue
@@ -471,8 +467,8 @@ fn warm_plan_execution_allocates_nothing() {
         n
     };
 
-    // Warm-up: builds the space and the decomposition plan (both
-    // allocate) and sizes the pool hierarchy in the scratch.
+    // Warm-up: builds the space (which allocates) and sizes the pool
+    // hierarchy in the scratch.
     let expected = count(&mut scratch);
     assert_eq!(
         expected,
@@ -481,14 +477,14 @@ fn warm_plan_execution_allocates_nothing() {
     );
     assert!(allocation_count() > 0);
 
-    // Steady state: warm space, cached plan, high-water scratch — the
-    // entire plan execution must be allocation-free.
+    // Steady state: warm space, high-water scratch — the entire
+    // enumeration must be allocation-free.
     let delta = min_allocation_delta(5, || {
         assert_eq!(count(&mut scratch), expected);
     });
     assert_eq!(
         delta, 0,
-        "warm plan execution must perform zero heap allocations \
+        "warm space-mode enumeration must perform zero heap allocations \
          ({delta} allocations per enumeration)"
     );
 }

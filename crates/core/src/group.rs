@@ -139,11 +139,11 @@ pub enum Pools<'a> {
     /// The per-call filter of [`for_each_match_with`]: a component
     /// simulates when its size gate says so, and searches raw otherwise.
     /// Kept over `Raw`: without it `detVio` on the benchmark's
-    /// `social-cycles` (`--seed 1`, 2-vCPU host) takes 0.142 s instead
-    /// of 0.025 s, though it allocates 0.16 MiB instead of 6.96.
+    /// `social-cycles` (`--seed 1`, 2-vCPU host) takes 0.151 s instead
+    /// of 0.026 s, though it allocates 0.16 MiB instead of 6.94.
     Gated,
-    /// Component `i` enumerates through `views[i]`, its registry
-    /// class's space and plan.
+    /// Component `i` enumerates through `views[i]`, in its registry
+    /// class's space.
     Classes(&'a [ClassView]),
 }
 

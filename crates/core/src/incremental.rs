@@ -12,7 +12,8 @@
 //!   class's dual-simulation candidate space is computed once and
 //!   *repaired* (not recomputed) against each [`GraphDelta`] at its
 //!   representative, and a group reads it through its view
-//!   ([`ClassView`]: pin screens look up the class variable). The
+//!   ([`ClassView`](gfd_match::ClassView): pin screens look up the
+//!   class variable). The
 //!   registry is `Arc`-shared and versioned: several detectors (and the
 //!   threaded executor) can serve off one registry; the first detector
 //!   to reach an epoch repairs, and a later `advance` at an epoch the
@@ -41,11 +42,11 @@ use std::sync::Arc;
 
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_match::types::Flow;
-use gfd_match::{ClassRegistry, ClassView, Match, MatchOptions, Pin, SpaceHandle};
+use gfd_match::{ClassRegistry, Match, MatchOptions, Pin, SpaceHandle};
 use gfd_pattern::VarId;
 
 use crate::gfd::GfdSet;
-use crate::group::{for_each_group_violation, GroupScratch, Pools, RuleGroup, RuleGroups};
+use crate::group::{for_each_group_violation, GroupScratch, Pools, RuleGroups};
 use crate::validate::{detect_violations, for_each_violation, match_satisfies, Violation};
 
 /// The change `apply_diff` made to `Vio(Σ, G)` in one edit step: what
@@ -65,18 +66,6 @@ impl VioDiff {
     /// True if the step changed nothing.
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.retracted.is_empty()
-    }
-}
-
-/// A group's view of its class space in `registry`, with the class's
-/// cached plan when the pattern is connected. A disconnected group only
-/// screens pins against the space — its components enumerate under the
-/// per-call filter — so no plan is built.
-fn class_view(registry: &ClassRegistry, group: &RuleGroup, h: SpaceHandle, g: &Graph) -> ClassView {
-    if group.is_connected() {
-        registry.space_and_plan(h, g)
-    } else {
-        registry.space(h, g)
     }
 }
 
@@ -115,8 +104,8 @@ impl IncrementalDetector {
     }
 
     /// [`new`](IncrementalDetector::new) over a shared registry:
-    /// several detectors over one `ClassRegistry` share simulations,
-    /// plans and repairs across tenants.
+    /// several detectors over one `ClassRegistry` share simulations and
+    /// repairs across tenants.
     pub fn with_registry(sigma: &GfdSet, g: &Graph, registry: Arc<ClassRegistry>) -> Self {
         let mut det = Self::from_violations_in(sigma, &[], registry);
         let Self {
@@ -128,7 +117,7 @@ impl IncrementalDetector {
             ..
         } = det;
         for (group, &h) in groups.iter().zip(handles) {
-            let view = class_view(registry, group, h, g);
+            let view = registry.space(h, g);
             if view.space.is_empty_anywhere() || !scratch.select(group, |_| true) {
                 continue;
             }
@@ -317,13 +306,13 @@ impl IncrementalDetector {
         // 2. New violations contain an affected node: enumerate each
         //    group's matches pinned there (per representative variable
         //    whose candidate set admits the node), via the repaired
-        //    class space and the class's cached plan — fetched once per
-        //    group — and check every member on each row.
+        //    class space — fetched once per group — and check every
+        //    member on each row.
         for (group, &h) in groups.iter().zip(handles) {
             if !scratch.select(group, |_| true) {
                 continue; // X → ∅ can never be violated
             }
-            let view = class_view(registry, group, h, g);
+            let view = registry.space(h, g);
             if view.space.is_empty_anywhere() {
                 debug_assert!(group.members.iter().all(|m| violations[m.rule].is_empty()));
                 continue;

@@ -1,19 +1,15 @@
 //! Top-level matching API over full (possibly disconnected) patterns.
 //!
 //! Enumeration is filter-and-refine, and every connected component is
-//! enumerated by the one recursion in [`crate::component`]. The one
-//! full-form entry point, [`for_each_match_with`], only decides that
-//! recursion's inputs:
-//!
-//! * the **pool source** — a caller-supplied [`CandidateSpace`] (the
-//!   registry's, maintained across edits) selects space mode; without
-//!   one, the size-gated rule below decides per component whether to
-//!   compute the filter via [`dual_simulation`] (which either proves
-//!   the component matchless or hands the refiner its pruned space) or
-//!   to search the raw CSR;
-//! * the **variable order** — pins first, then greedy; a
-//!   [`QueryPlan`] next to the space orders unpinned cyclic
-//!   components along its bags.
+//! enumerated by the one recursion in [`crate::component`], which
+//! orders every search itself. The one full-form entry point,
+//! [`for_each_match_with`], only decides that recursion's **pool
+//! source**: a caller-supplied [`CandidateSpace`] (the registry's,
+//! maintained across edits) selects space mode; without one, the
+//! size-gated rule below decides per component whether to compute the
+//! filter via [`dual_simulation`] (which either proves the component
+//! matchless or hands the refiner its pruned space) or to search the
+//! raw CSR.
 //!
 //! A pin is a node-id interval on one variable ([`Pin`]); a
 //! disconnected pattern hands each component the pins on its own
@@ -36,7 +32,6 @@ use gfd_pattern::{signature::decompose, PatLabel, Pattern};
 
 use crate::component::{ComponentSearch, SearchScratch, StopReason};
 use crate::join::{join_tables, JoinScratch};
-use crate::plan::QueryPlan;
 use crate::registry::{rep_var, ClassView};
 use crate::simulation::{dual_simulation, CandidateSpace};
 use crate::table::MatchTable;
@@ -98,10 +93,10 @@ fn auto_simulate(cq: &Pattern, g: &Graph) -> bool {
     cq.vars().map(pool).min().unwrap_or(0) >= SIM_AUTO_MIN_POOL
 }
 
-/// Computes a connected component's own candidate space and plan when
+/// Computes a connected component's own candidate space when
 /// [`auto_simulate`] asks for the filter; `None` means "search raw".
-fn filter_component(cq: &Pattern, g: &Graph) -> Option<(CandidateSpace, QueryPlan)> {
-    auto_simulate(cq, g).then(|| (dual_simulation(cq, g, None), QueryPlan::new(cq)))
+fn filter_component(cq: &Pattern, g: &Graph) -> Option<CandidateSpace> {
+    auto_simulate(cq, g).then(|| dual_simulation(cq, g, None))
 }
 
 /// Enumerates matches of `q` in `g`, calling `f` for each match
@@ -118,9 +113,8 @@ pub fn for_each_match(
 
 /// The full form of [`for_each_match`]: caller-owned scratch buffers —
 /// repeated calls (detection loops, benchmarks) reuse every pool,
-/// table and join arena — and, optionally, a candidate space with its
-/// decomposition plan for a *connected* `q` (what
-/// `ClassRegistry::space_and_plan` hands out for its class
+/// table and join arena — and, optionally, a candidate space for a
+/// *connected* `q` (what `ClassRegistry::space` hands out for its class
 /// representative, maintained across graph edits) instead of the
 /// per-call filter. Disconnected patterns ignore
 /// `space`: it indexes full-pattern variables, which the per-component
@@ -129,7 +123,7 @@ pub fn for_each_match_with(
     q: &Pattern,
     g: &Graph,
     opts: &MatchOptions,
-    space: Option<(&CandidateSpace, &QueryPlan)>,
+    space: Option<&CandidateSpace>,
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> EnumOutcome {
@@ -137,14 +131,12 @@ pub fn for_each_match_with(
 }
 
 /// [`for_each_match_with`] for a registry member: enumerates the
-/// class **representative** with the class's `(space, plan)` — the
-/// one translation point between member and representative variable
-/// numbering. The caller's pins (member variables) are mapped through
-/// the view's permutation, and each row reaches `f` permuted back into
-/// member order through one buffer kept in `scratch`. An identity
-/// member calls straight through. A view without a plan
-/// ([`ClassRegistry::space`](crate::registry::ClassRegistry::space))
-/// leaves the filter to the per-call rule.
+/// class **representative** in the class's space — the one translation
+/// point between member and representative variable numbering. The
+/// caller's pins (member variables) are mapped through the view's
+/// permutation, and each row reaches `f` permuted back into member
+/// order through one buffer kept in `scratch`. An identity member calls
+/// straight through.
 pub fn for_each_match_in(
     view: &ClassView,
     g: &Graph,
@@ -152,7 +144,7 @@ pub fn for_each_match_in(
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> EnumOutcome {
-    let space = view.plan.as_deref().map(|plan| (&*view.space, plan));
+    let space = Some(&*view.space);
     let Some(perm) = view.perm.as_deref() else {
         return for_each_match_with(&view.rep, g, opts, space, scratch, f);
     };
@@ -184,7 +176,7 @@ fn enumerate_capped(
     g: &Graph,
     opts: &MatchOptions,
     pins: &[Pin],
-    space: Option<(&CandidateSpace, &QueryPlan)>,
+    space: Option<&CandidateSpace>,
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> EnumOutcome {
@@ -223,7 +215,7 @@ fn enumerate(
     g: &Graph,
     opts: &MatchOptions,
     pins: &[Pin],
-    space: Option<(&CandidateSpace, &QueryPlan)>,
+    space: Option<&CandidateSpace>,
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> StopReason {
@@ -240,7 +232,7 @@ fn enumerate(
             Some(_) => None,
             None => filter_component(q, g),
         };
-        let space = space.or(own.as_ref().map(|(cs, plan)| (cs, plan)));
+        let space = space.or(own.as_ref());
         let mut search = component_search(q, g, pins, space, step_cap, &mut scratch.search);
         let reason = search.for_each(f);
         scratch.search = search.into_scratch();
@@ -267,8 +259,7 @@ fn enumerate(
         let own = filter_component(cq, g);
         Pin::restrict(pins, orig_vars, &mut local_pins);
         table.reset(cq.node_count());
-        let space = own.as_ref().map(|(cs, plan)| (cs, plan));
-        let mut part = component_search(cq, g, &local_pins, space, steps_left, search);
+        let mut part = component_search(cq, g, &local_pins, own.as_ref(), steps_left, search);
         let reason = part.collect_into(table);
         steps_left = steps_left.saturating_sub(part.steps());
         *search = part.into_scratch();
@@ -289,13 +280,13 @@ fn enumerate(
 
 /// Configures the one enumerator for a connected component with the
 /// inputs the caller resolved: pins in the component's own variable
-/// ids, the pool source and order (`space`), and the step budget. The
+/// ids, the pool source (`space`), and the step budget. The
 /// scratch is adopted; recover it with `into_scratch`.
 fn component_search<'a>(
     cq: &'a Pattern,
     g: &'a Graph,
     pins: &'a [Pin],
-    space: Option<(&'a CandidateSpace, &'a QueryPlan)>,
+    space: Option<&'a CandidateSpace>,
     max_steps: u64,
     scratch: &mut SearchScratch,
 ) -> ComponentSearch<'a> {
@@ -303,8 +294,8 @@ fn component_search<'a>(
         .with_scratch(std::mem::take(scratch))
         .pins(pins)
         .max_steps(max_steps);
-    if let Some((cs, plan)) = space {
-        search = search.candidate_space(cs).plan_order(plan);
+    if let Some(cs) = space {
+        search = search.candidate_space(cs);
     }
     search
 }
@@ -331,7 +322,7 @@ pub fn count_matches_with(
     q: &Pattern,
     g: &Graph,
     opts: &MatchOptions,
-    space: Option<(&CandidateSpace, &QueryPlan)>,
+    space: Option<&CandidateSpace>,
     scratch: &mut MatchScratch,
 ) -> usize {
     let mut n = 0usize;

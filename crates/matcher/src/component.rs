@@ -24,8 +24,8 @@
 //!   interval ([`Pin`]) by two binary searches, so a node pin yields at
 //!   most the node and a work unit's pivot exactly its range;
 //! * the **variable order** — pins first, then greedily the most
-//!   constrained variable; unpinned searches of cyclic patterns take
-//!   a [`QueryPlan`]'s flattened bag order instead.
+//!   constrained variable, ties going to the smallest candidate set —
+//!   an order that reads the data, not only the pattern's shape.
 //!
 //! All pools are written into per-depth scratch buffers owned by the
 //! search and reused across the whole enumeration — steady-state
@@ -35,7 +35,6 @@ use gfd_graph::intersect::{intersect_in_place, intersect_k};
 use gfd_graph::{Adj, Graph, NodeId};
 use gfd_pattern::{distinct_neighbors, PatLabel, Pattern, VarId};
 
-use crate::plan::QueryPlan;
 use crate::simulation::CandidateSpace;
 use crate::table::MatchTable;
 use crate::types::{Flow, Pin};
@@ -59,7 +58,7 @@ pub(crate) fn edge_ok(g: &Graph, u: NodeId, v: NodeId, label: PatLabel) -> bool 
 /// stable secondary key `Reverse(v.0)` (variable ids are unique), so
 /// two calls over the same inputs — across processes, thread
 /// schedules, or repeated detection passes — always produce the same
-/// order. Plan caches and regression baselines rely on this.
+/// order. Regression baselines rely on this.
 #[cfg(test)]
 pub(crate) fn search_order(q: &Pattern, pinned: &[VarId], cand_counts: &[usize]) -> Vec<VarId> {
     let mut visited = Vec::new();
@@ -274,13 +273,11 @@ pub struct SearchScratch {
 
 /// Single-component matcher: one recursion whose two real decisions
 /// are data — the pool source ([`ComponentSearch::candidate_space`]
-/// attached or not) and the variable order (pins, then greedy; or a
-/// supplied [`ComponentSearch::plan_order`]).
+/// attached or not) and the variable order (pins, then greedy).
 pub struct ComponentSearch<'a> {
     q: &'a Pattern,
     g: &'a Graph,
     cand: Option<&'a CandidateSpace>,
-    plan: Option<&'a QueryPlan>,
     pins: &'a [Pin],
     max_steps: u64,
     steps: u64,
@@ -306,7 +303,6 @@ impl<'a> ComponentSearch<'a> {
             q,
             g,
             cand: None,
-            plan: None,
             pins: &[],
             max_steps: u64::MAX,
             steps: 0,
@@ -334,17 +330,6 @@ impl<'a> ComponentSearch<'a> {
     /// the full `compatible` check.
     pub fn candidate_space(mut self, cs: &'a CandidateSpace) -> Self {
         self.cand = Some(cs);
-        self
-    }
-
-    /// Supplies a decomposition plan whose flattened bag order
-    /// replaces the greedy variable order for *unpinned* searches of
-    /// cyclic patterns: measured on the skewed-closure bench graph,
-    /// greedy order ties it on the triangle but trails it 4.5× on the
-    /// four-cycle (`match/wcoj_4cycle(plan)`). Pinned searches always
-    /// start at their pins.
-    pub fn plan_order(mut self, plan: &'a QueryPlan) -> Self {
-        self.plan = Some(plan);
         self
     }
 
@@ -541,21 +526,12 @@ impl<'a> ComponentSearch<'a> {
         s.pinned
             .extend(self.pins.iter().map(|p| p.var).filter(|v| v.index() < n));
         let mut order = std::mem::take(&mut s.order);
-        match self.plan {
-            Some(plan) if s.pinned.is_empty() && plan.is_cyclic() => {
-                debug_assert_eq!(plan.n_vars, n, "plan built for another pattern");
-                order.clear();
-                order.extend_from_slice(&plan.order);
-            }
-            _ => {
-                s.counts.clear();
-                match self.cand {
-                    Some(cs) => s.counts.extend(cs.sets.iter().map(Vec::len)),
-                    None => s.counts.resize(n, usize::MAX),
-                }
-                search_order_into(q, &s.pinned, &s.counts, &mut s.visited, &mut order);
-            }
+        s.counts.clear();
+        match self.cand {
+            Some(cs) => s.counts.extend(cs.sets.iter().map(Vec::len)),
+            None => s.counts.resize(n, usize::MAX),
         }
+        search_order_into(q, &s.pinned, &s.counts, &mut s.visited, &mut order);
         let mut assigned = std::mem::take(&mut s.assigned);
         assigned.clear();
         assigned.resize(n, NodeId(u32::MAX));
@@ -849,6 +825,169 @@ mod tests {
             let mut t = ComponentSearch::new(&post, &g).with_scratch(s.into_scratch());
             assert_eq!(t.collect_all(), baseline_b);
             scratch = t.into_scratch();
+        }
+    }
+
+    fn triangle_pattern(vocab: &std::sync::Arc<gfd_graph::Vocab>) -> Pattern {
+        let mut b = PatternBuilder::new(vocab.clone());
+        let x = b.node("x", "a");
+        let y = b.node("y", "b");
+        let z = b.node("z", "c");
+        b.edge(x, y, "e1");
+        b.edge(y, z, "e2");
+        b.edge(z, x, "e3");
+        b.build()
+    }
+
+    /// A skewed triangle workload: dense a→b layer, sparse cycle
+    /// closures — the shape where edge-at-a-time enumeration drowns.
+    fn skewed_graph(per_layer: usize, closures: usize) -> Graph {
+        let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
+        let al: Vec<NodeId> = (0..per_layer).map(|_| b.add_node_labeled("a")).collect();
+        let bl: Vec<NodeId> = (0..per_layer).map(|_| b.add_node_labeled("b")).collect();
+        let cl: Vec<NodeId> = (0..per_layer).map(|_| b.add_node_labeled("c")).collect();
+        for &a in &al {
+            for &x in &bl {
+                b.add_edge_labeled(a, x, "e1");
+            }
+        }
+        for i in 0..per_layer {
+            b.add_edge_labeled(bl[i], cl[i], "e2");
+        }
+        for i in 0..closures.min(per_layer) {
+            b.add_edge_labeled(cl[i], al[i], "e3");
+        }
+        b.freeze()
+    }
+
+    /// The enumerator in space mode, sorted.
+    fn run_space(q: &Pattern, g: &Graph, pins: &[Pin]) -> Vec<Vec<NodeId>> {
+        let cs = dual_simulation(q, g, None);
+        let mut search = ComponentSearch::new(q, g).candidate_space(&cs).pins(pins);
+        let mut out = Vec::new();
+        let reason = search.for_each(&mut |m| {
+            out.push(m.to_vec());
+            Flow::Continue
+        });
+        assert_eq!(reason, StopReason::Exhausted);
+        out.sort();
+        out
+    }
+
+    /// The enumerator in raw mode, sorted.
+    fn run_oracle(q: &Pattern, g: &Graph, pins: &[Pin]) -> Vec<Vec<NodeId>> {
+        let mut out = ComponentSearch::new(q, g).pins(pins).collect_all();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn skewed_triangle_space_mode_matches_oracle() {
+        let g = skewed_graph(12, 4);
+        let q = triangle_pattern(g.vocab());
+        assert_eq!(run_space(&q, &g, &[]), run_oracle(&q, &g, &[]));
+        assert_eq!(run_space(&q, &g, &[]).len(), 4);
+    }
+
+    #[test]
+    fn pins_restrict_space_mode_output() {
+        let g = skewed_graph(8, 3);
+        let q = triangle_pattern(g.vocab());
+        let x = q.var_by_name("x").unwrap();
+        // Pin x to each closure anchor.
+        let all = run_oracle(&q, &g, &[]);
+        for m in &all {
+            let pins = [Pin::at(x, m[x.index()])];
+            assert_eq!(run_space(&q, &g, &pins), run_oracle(&q, &g, &pins));
+        }
+        // A colliding pin pair yields nothing.
+        let y = q.var_by_name("y").unwrap();
+        let node = all[0][x.index()];
+        assert!(run_space(&q, &g, &[Pin::at(x, node), Pin::at(y, node)]).is_empty());
+    }
+
+    #[test]
+    fn full_pins_respected_in_space_mode() {
+        let g = skewed_graph(6, 6);
+        let q = triangle_pattern(g.vocab());
+        let cs = dual_simulation(&q, &g, None);
+        let full = run_space(&q, &g, &[]);
+        // Pin every variable at the nodes of the first match only.
+        let pins: Vec<Pin> = q.vars().map(|v| Pin::at(v, full[0][v.index()])).collect();
+        let out = ComponentSearch::new(&q, &g)
+            .candidate_space(&cs)
+            .pins(&pins)
+            .collect_all();
+        assert_eq!(out, vec![full[0].clone()]);
+    }
+
+    #[test]
+    fn budget_and_break_stop_space_mode() {
+        let g = skewed_graph(8, 8);
+        let q = triangle_pattern(g.vocab());
+        let cs = dual_simulation(&q, &g, None);
+        let search = || ComponentSearch::new(&q, &g).candidate_space(&cs);
+        let reason = search().max_steps(2).for_each(&mut |_| Flow::Continue);
+        assert_eq!(reason, StopReason::BudgetExhausted);
+        let mut n = 0;
+        let reason = search().for_each(&mut |_| {
+            n += 1;
+            Flow::Break
+        });
+        assert_eq!(reason, StopReason::CallbackBreak);
+        assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn self_loop_enforced_in_space_mode() {
+        let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
+        let n: Vec<NodeId> = (0..3).map(|_| b.add_node_labeled("t")).collect();
+        for i in 0..3 {
+            b.add_edge_labeled(n[i], n[(i + 1) % 3], "e");
+        }
+        b.add_edge_labeled(n[0], n[0], "s");
+        let g = b.freeze();
+        let mut pb = PatternBuilder::new(g.vocab().clone());
+        let vs: Vec<VarId> = (0..3).map(|i| pb.node(&format!("v{i}"), "t")).collect();
+        for i in 0..3 {
+            pb.edge(vs[i], vs[(i + 1) % 3], "e");
+        }
+        pb.edge(vs[0], vs[0], "s");
+        let q = pb.build();
+        assert_eq!(run_space(&q, &g, &[]), run_oracle(&q, &g, &[]));
+        assert_eq!(run_space(&q, &g, &[]).len(), 1);
+    }
+
+    /// The scratch is genuinely reusable in space mode: repeated
+    /// executions of patterns of different arity agree with raw mode
+    /// (the zero-allocation claim itself is asserted with the counting
+    /// allocator in `gfd-bench`).
+    #[test]
+    fn scratch_reuse_across_patterns_of_different_arity() {
+        let g = skewed_graph(6, 2);
+        let tri = triangle_pattern(g.vocab());
+        // An undirected 4-cycle inside the dense bipartite a→b layer:
+        // two `a` variables each pointing at the same two `b`s.
+        let mut pb = PatternBuilder::new(g.vocab().clone());
+        let a0 = pb.node("a0", "a");
+        let b0 = pb.node("b0", "b");
+        let a1 = pb.node("a1", "a");
+        let b1 = pb.node("b1", "b");
+        pb.edge(a0, b0, "e1");
+        pb.edge(a1, b0, "e1");
+        pb.edge(a1, b1, "e1");
+        pb.edge(a0, b1, "e1");
+        let square = pb.build();
+        let mut scratch = SearchScratch::default();
+        for q in [&tri, &square, &tri] {
+            let cs = dual_simulation(q, &g, None);
+            let mut search = ComponentSearch::new(q, &g)
+                .with_scratch(scratch)
+                .candidate_space(&cs);
+            let mut out = search.collect_all();
+            scratch = search.into_scratch();
+            out.sort();
+            assert_eq!(out, run_oracle(q, &g, &[]));
         }
     }
 

@@ -29,16 +29,15 @@
 //! ([`component::ComponentSearch`]) whose two decisions are data: the
 //! pool source (a candidate space — multiway intersection of every
 //! placed neighbor's candidate-adjacency run — or the raw CSR) and the
-//! variable order (pins first, then greedy). On top of it sits a
-//! **planner layer** (module [`plan`]): cyclic components get a
-//! tree-decomposition-based [`plan::QueryPlan`] whose flattened bag
-//! order makes the unpinned enumeration worst-case optimal, cached
-//! once per canonical class in the [`registry::ClassRegistry`] — the
-//! bounded, internally synchronized serving tier that also holds
-//! candidate spaces for every consumer of one Σ, all in the class
+//! variable order (pins first, then greedy by connectivity and
+//! candidate-set size). There is no planner above it: every search,
+//! pinned or not, cyclic or not, takes the enumerator's own
+//! data-aware order. Candidate spaces are cached once per canonical
+//! class in the [`registry::ClassRegistry`] — the bounded, internally
+//! synchronized serving tier for every consumer of one Σ, in the class
 //! representative's variable numbering. The one full-form entry point,
-//! [`for_each_match_with`], takes that `(space, plan)` pair
-//! optionally; [`for_each_match_in`] takes a registry member's
+//! [`for_each_match_with`], takes such a space optionally;
+//! [`for_each_match_in`] takes a registry member's
 //! [`ClassView`] and translates between the member's variables and the
 //! representative's; everything else — [`count_matches_with`]
 //! included — is a wrapper.
@@ -47,7 +46,6 @@ pub mod api;
 pub mod component;
 pub mod incremental;
 pub mod join;
-pub mod plan;
 pub mod registry;
 pub mod simulation;
 pub mod table;
@@ -59,7 +57,6 @@ pub use api::{
 };
 pub use component::{ComponentSearch, SearchScratch, StopReason};
 pub use incremental::{IncrementalSpace, RepairReport};
-pub use plan::QueryPlan;
 pub use registry::{
     CacheStats, ClassRegistry, ClassView, SpaceHandle, DEFAULT_REGISTRY_BUDGET_BYTES,
 };

@@ -1,5 +1,5 @@
 //! The unified serving-tier class registry: one bounded, concurrently
-//! shared cache for candidate spaces and query plans.
+//! shared cache of candidate spaces.
 //!
 //! Rule sets mined from real graphs are full of isomorphic pattern
 //! components (the paper's Example 10), yet every consumer of
@@ -19,17 +19,17 @@
 //!   the [`IsoWitness`] onto the representative as `perm` (member var
 //!   `j` ↦ rep var `perm[j]`, `None` = identity), immutable from
 //!   [`ClassRegistry::register`] on. Every member of a class is handed
-//!   the *same* `Arc`s — space and [`QueryPlan`] — in a [`ClassView`]
-//!   next to its own `perm`, and translates variables at the edge: a
+//!   the *same* space `Arc` in a [`ClassView`] next to its own `perm`,
+//!   and translates variables at the edge: a
 //!   candidate set of member var `v` is read at `perm[v]`
 //!   ([`ClassView::rep_var`]), enumeration runs on the
 //!   representative and rows come back permuted
 //!   ([`for_each_match_in`](crate::api::for_each_match_in));
-//! * decomposition-based [`QueryPlan`]s are built once per class (pure
-//!   pattern structure — graph edits never invalidate them, and they
-//!   are exempt from eviction);
+//! * the space is the class's only artifact: the enumerator orders
+//!   every search from it (candidate-set sizes), so no per-class
+//!   variable order is cached beside it;
 //! * under graph edits, [`ClassRegistry::advance`] repairs **one**
-//!   representative per class and keeps the plans. Repair maintains
+//!   representative per class. Repair maintains
 //!   what a standing query reads — the candidate spaces behind
 //!   `Vio(Σ, G)` — and reports nothing: workloads are estimated from
 //!   the repaired spaces, never maintained alongside them.
@@ -55,8 +55,8 @@
 //! graph, so
 //! the figure misses only page headers, directories and spare
 //! capacity (`alloc_probe` holds held ÷ accounted bytes under a small
-//! constant). Plans, canonical forms and member permutations are tiny
-//! and exempt.
+//! constant). Canonical forms and member permutations are tiny and
+//! exempt.
 //!
 //! When the budget is exceeded, entries are evicted **least recently
 //! used first** (every hit touches its entry), with one hard rule: *an
@@ -73,8 +73,7 @@
 //! reclaimable once unpinned; a later query re-simulates against the
 //! then-current snapshot.
 //!
-//! Lock discipline: simulation and plan construction run under the
-//! registry lock (that is what guarantees "one simulation per class"
+//! Lock discipline: simulation runs under the registry lock (that is what guarantees "one simulation per class"
 //! even under concurrent first queries);
 //! enumeration never does — consumers enumerate through the `Arc`s a
 //! [`ClassView`] hands out, with no lock held.
@@ -86,7 +85,6 @@ use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_pattern::{canonical_form, CanonicalForm, IsoWitness, Pattern, VarId};
 
 use crate::incremental::IncrementalSpace;
-use crate::plan::QueryPlan;
 use crate::simulation::CandidateSpace;
 
 /// Handle to a pattern registered in a [`ClassRegistry`].
@@ -153,10 +151,6 @@ struct ClassState {
     inc: Option<IncrementalSpace>,
     /// Accounted bytes of `inc` (the space estimate).
     inc_bytes: usize,
-    /// Decomposition-based query plan, built lazily on the
-    /// representative. Pure pattern structure: never invalidated,
-    /// never evicted.
-    plan: Option<Arc<QueryPlan>>,
     last_used: u64,
 }
 
@@ -170,23 +164,20 @@ struct MemberState {
     perm: Option<Arc<[u32]>>,
 }
 
-/// What a member reads: its class's shared artifacts — all in
-/// **representative** variable numbering, the same `Arc`s for every
+/// What a member reads: its class's shared space — in
+/// **representative** variable numbering, the same `Arc` for every
 /// member of the class — plus the member's own permutation.
 /// [`for_each_match_in`](crate::api::for_each_match_in) enumerates
 /// through a view; everything else translates with
 /// [`rep_var`](ClassView::rep_var).
 #[derive(Clone, Debug)]
 pub struct ClassView {
-    /// The class representative, the pattern `space` and `plan` index.
+    /// The class representative, the pattern `space` indexes.
     pub rep: Arc<Pattern>,
     /// The class's candidate space over the queried snapshot. Stays
     /// valid across repairs and evictions (see the pinning contract in
     /// the module docs).
     pub space: Arc<CandidateSpace>,
-    /// The class's decomposition plan; `None` from
-    /// [`ClassRegistry::space`], which never builds one.
-    pub plan: Option<Arc<QueryPlan>>,
     /// Member var `j` ↦ rep var `perm[j]`; `None` = the member is in
     /// representative order.
     pub perm: Option<Arc<[u32]>>,
@@ -226,7 +217,6 @@ struct RegistryInner {
     /// repeated `estimate_workload_in`/`detect_violations_shared`
     /// calls over one Σ.
     member_by_witness: HashMap<(usize, Vec<VarId>), usize>,
-    plans_built: usize,
     stats: CacheStats,
     /// Accounted bytes over class spaces.
     bytes: usize,
@@ -240,8 +230,8 @@ struct RegistryInner {
     version: u64,
 }
 
-/// The shared, bounded, per-Σ cache of candidate spaces and query
-/// plans, keyed by canonical isomorphism class. See
+/// The shared, bounded, per-Σ cache of candidate spaces, keyed by
+/// canonical isomorphism class. See
 /// the module docs for the sharing model and the eviction / pinning
 /// contract.
 #[derive(Default)]
@@ -296,7 +286,6 @@ impl ClassRegistry {
                     form,
                     inc: None,
                     inc_bytes: 0,
-                    plan: None,
                     last_used: 0,
                 });
                 (c, witness)
@@ -322,25 +311,22 @@ impl ClassRegistry {
     /// simulated once per class (on first query), the same `Arc` for
     /// every member. `g` must be the snapshot the registry is
     /// synchronized with (the one passed to the last
-    /// [`advance`](Self::advance), or the initial graph). The view
-    /// carries no plan; see [`space_and_plan`](Self::space_and_plan).
+    /// [`advance`](Self::advance), or the initial graph).
     pub fn space(&self, h: SpaceHandle, g: &Graph) -> ClassView {
         let mut inner = self.lock();
-        let out = inner.class_view(h, g, false);
+        let inner = &mut *inner;
+        let class = inner.members[h.0].class;
+        inner.tick += 1;
+        inner.classes[class].last_used = inner.tick;
+        inner.ensure_space(class, g);
+        let cls = &inner.classes[class];
+        let view = ClassView {
+            rep: Arc::clone(&cls.rep),
+            space: cls.inc.as_ref().expect("simulated above").space_arc(),
+            perm: inner.members[h.0].perm.clone(),
+        };
         inner.enforce_budget();
-        out
-    }
-
-    /// [`space`](Self::space) plus the class's decomposition-based
-    /// query plan — tree-decomposed once per class, on first query —
-    /// under one lock acquisition: the call detection hot paths use to
-    /// set up enumeration. Plans are pure pattern structure, so graph
-    /// edits never invalidate them and eviction never drops them.
-    pub fn space_and_plan(&self, h: SpaceHandle, g: &Graph) -> ClassView {
-        let mut inner = self.lock();
-        let out = inner.class_view(h, g, true);
-        inner.enforce_budget();
-        out
+        view
     }
 
     /// Multi-tenant repair against one edit step: the *first* tenant to
@@ -425,12 +411,6 @@ impl ClassRegistry {
         self.lock().stats.misses as usize
     }
 
-    /// From-scratch tree decompositions run so far — the "one plan per
-    /// isomorphism class" probe.
-    pub fn plans_built(&self) -> usize {
-        self.lock().plans_built
-    }
-
     /// The registry's counters (every tenant's and worker's requests
     /// combined).
     pub fn stats(&self) -> CacheStats {
@@ -470,33 +450,6 @@ impl RegistryInner {
             cls.inc = Some(inc);
             cls.inc_bytes = b;
             self.bytes += b;
-        }
-    }
-
-    /// The member's view of its class: simulates the class on first
-    /// query, and builds its plan on first `with_plan` query.
-    fn class_view(&mut self, h: SpaceHandle, g: &Graph, with_plan: bool) -> ClassView {
-        let class = self.members[h.0].class;
-        self.tick += 1;
-        self.classes[class].last_used = self.tick;
-        self.ensure_space(class, g);
-        if with_plan {
-            self.ensure_class_plan(class);
-        }
-        let cls = &self.classes[class];
-        ClassView {
-            rep: Arc::clone(&cls.rep),
-            space: cls.inc.as_ref().expect("simulated above").space_arc(),
-            plan: if with_plan { cls.plan.clone() } else { None },
-            perm: self.members[h.0].perm.clone(),
-        }
-    }
-
-    fn ensure_class_plan(&mut self, class: usize) {
-        if self.classes[class].plan.is_none() {
-            let p = QueryPlan::new(&self.classes[class].rep);
-            self.classes[class].plan = Some(Arc::new(p));
-            self.plans_built += 1;
         }
     }
 
@@ -764,34 +717,8 @@ mod tests {
         b.freeze()
     }
 
-    #[test]
-    fn one_plan_serves_the_whole_class() {
-        let g = triangle_graph();
-        let members = [
-            triangle_pattern(&g, [0, 1, 2]),
-            triangle_pattern(&g, [2, 0, 1]),
-            triangle_pattern(&g, [1, 2, 0]),
-        ];
-        let reg = ClassRegistry::new();
-        let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
-        assert_eq!(reg.class_count(), 1);
-        assert_eq!(reg.plans_built(), 0, "registration alone never plans");
-        assert!(
-            reg.space(handles[0], &g).plan.is_none(),
-            "space() never plans"
-        );
-        assert_eq!(reg.plans_built(), 0);
-        for &h in &handles {
-            let view = reg.space_and_plan(h, &g);
-            let plan = view.plan.expect("asked for");
-            assert_eq!(plan.width(), 2, "a triangle decomposes into one 3-var bag");
-            assert_eq!(gfd_pattern::tree_decomposition(&view.rep).bag_count(), 1);
-        }
-        assert_eq!(reg.plans_built(), 1, "one decomposition for three members");
-    }
-
-    /// Enumerating through the view — the representative under the
-    /// class's space and plan, rows permuted back — must equal raw
+    /// Enumerating through the view — the representative in the
+    /// class's space, rows permuted back — must equal raw
     /// enumeration of the member's own pattern, plain and pinned at a
     /// member variable.
     #[test]
@@ -808,7 +735,7 @@ mod tests {
         let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
         let mut scratch = MatchScratch::default();
         for (q, &h) in members.iter().zip(&handles) {
-            let view = reg.space_and_plan(h, &g);
+            let view = reg.space(h, &g);
             let y = q.var_by_name("y").unwrap();
             for opts in [
                 MatchOptions::unrestricted(),
@@ -830,7 +757,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(reg.plans_built(), 1);
         assert_eq!(reg.simulations(), 1);
     }
 
@@ -932,7 +858,7 @@ mod tests {
     }
 
     /// Twins cost no bytes: whatever `k` declaration-order twins of one
-    /// class query — spaces and plans — the registry holds what it held
+    /// class query, the registry holds what it held
     /// after the first.
     #[test]
     fn twins_share_the_class_artifacts_byte_for_byte() {
@@ -946,23 +872,19 @@ mod tests {
         let reg = ClassRegistry::new();
         let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
         assert_eq!((reg.class_count(), reg.member_count()), (1, 4));
-        let first = reg.space_and_plan(handles[0], &g);
+        let first = reg.space(handles[0], &g);
         let after_one = reg.bytes();
         assert!(after_one > 0);
         for &h in &handles[1..] {
-            let view = reg.space_and_plan(h, &g);
+            let view = reg.space(h, &g);
             assert!(Arc::ptr_eq(&view.space, &first.space));
-            assert!(Arc::ptr_eq(
-                view.plan.as_ref().unwrap(),
-                first.plan.as_ref().unwrap()
-            ));
         }
         assert_eq!(
             reg.bytes(),
             after_one,
             "a twin is a permutation, not a copy"
         );
-        assert_eq!((reg.simulations(), reg.plans_built()), (1, 1));
+        assert_eq!(reg.simulations(), 1);
     }
 
     /// A whole evicted class is skipped by `apply` (there is nothing to

@@ -6,8 +6,8 @@
 //!   over a random graph, checked edge by edge — must produce exactly
 //!   the match set of the enumerator with no space supplied (the
 //!   per-call filter rule decides), with a caller-supplied space
-//!   (filter forced on, greedy order), and with a caller-supplied
-//!   space and plan through the full-form entry point — unpinned, pinned
+//!   (filter forced on), and with a caller-supplied space through the
+//!   full-form entry point — unpinned, pinned
 //!   at a node, and under random node-id interval pins;
 //! * a **naive fixpoint dual simulation** — the dense
 //!   `rounds × vars × nodes` re-scan the worklist algorithm replaced —
@@ -28,7 +28,7 @@ use gfd_graph::neighborhood::khop_nodes;
 use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
 use gfd_match::simulation::dual_simulation;
 use gfd_match::types::Flow;
-use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, Pin, QueryPlan};
+use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, Pin};
 use gfd_pattern::analysis::pivot_vector;
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
@@ -188,22 +188,20 @@ fn oracle_dual_simulation(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Ve
         .collect()
 }
 
-/// How the enumerator gets its pool source: filter-off, filter-on,
-/// and filter-on under a plan must all agree with brute force.
+/// How the enumerator gets its pool source: filter-off, filter-on, and
+/// filter-on through the entry point must all agree with brute force.
 #[derive(Clone, Copy, Debug)]
 enum Source {
     /// No space supplied: the per-call rule decides (raw mode on
     /// graphs this small).
     NoSpace,
-    /// A caller-supplied space attached to the engine type directly:
-    /// space mode under the greedy order.
+    /// A caller-supplied space attached to the engine type directly.
     Space,
-    /// A caller-supplied space and plan through the full-form entry
-    /// point: space mode, plan order when cyclic and unpinned.
-    SpacePlan,
+    /// A caller-supplied space through the full-form entry point.
+    EntrySpace,
 }
 
-const SOURCES: [Source; 3] = [Source::NoSpace, Source::Space, Source::SpacePlan];
+const SOURCES: [Source; 3] = [Source::NoSpace, Source::Space, Source::EntrySpace];
 
 /// Sorted matches of `q` under `opts` via `source`. A supplied space
 /// only applies to connected patterns (the documented contract), so
@@ -223,10 +221,9 @@ fn engine_matches(q: &Pattern, g: &Graph, opts: &MatchOptions, source: Source) -
                 .pins(&opts.pins)
                 .for_each(&mut push);
         }
-        Source::SpacePlan => {
+        Source::EntrySpace => {
             let cs = dual_simulation(q, g, None);
-            let plan = QueryPlan::new(q);
-            for_each_match_with(q, g, opts, Some((&cs, &plan)), &mut scratch, &mut push);
+            for_each_match_with(q, g, opts, Some(&cs), &mut scratch, &mut push);
         }
         _ => {
             for_each_match_with(q, g, opts, None, &mut scratch, &mut push);

@@ -1,11 +1,11 @@
-//! Property-based tests for the decomposition planner and the
-//! enumerator's plan-driven space mode.
+//! Property-based tests for the enumerator's space mode on cyclic
+//! patterns.
 //!
 //! The oracle is the same brute-force matcher that guards
 //! `prop_match.rs`: every injective assignment over a random graph,
 //! checked edge by edge. Against it we drive random **cyclic**
 //! patterns (a random spanning tree plus closing edges) through
-//! [`for_each_match_with`] with a `(space, plan)` pair — plain,
+//! [`for_each_match_with`] with a candidate space — plain,
 //! pinned at a node or a node-id interval, and pinned under a
 //! neighborhood-sized step budget — and permuted-declaration twins
 //! through their [`ClassRegistry`] views ([`for_each_match_in`]), plain
@@ -19,7 +19,7 @@ use gfd_match::api::EnumOutcome;
 use gfd_match::types::Flow;
 use gfd_match::{
     count_matches, count_matches_with, dual_simulation, for_each_match_in, for_each_match_with,
-    ClassRegistry, MatchOptions, MatchScratch, Pin, QueryPlan, SearchBudget,
+    ClassRegistry, MatchOptions, MatchScratch, Pin, SearchBudget,
 };
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
@@ -165,18 +165,17 @@ fn oracle_matches(q: &Pattern, g: &Graph) -> Vec<Vec<NodeId>> {
     out
 }
 
-/// Runs the enumerator inside `(cs, plan)` through the public entry
-/// point and returns how it ended plus the sorted matches.
-fn plan_matches_with(
+/// Runs the enumerator inside `cs` through the public entry point and
+/// returns how it ended plus the sorted matches.
+fn space_matches_with(
     q: &Pattern,
     g: &Graph,
     cs: &gfd_match::CandidateSpace,
-    plan: &QueryPlan,
     opts: &MatchOptions,
     scratch: &mut MatchScratch,
 ) -> (EnumOutcome, Vec<Vec<NodeId>>) {
     let mut out = Vec::new();
-    let outcome = for_each_match_with(q, g, opts, Some((cs, plan)), scratch, &mut |m| {
+    let outcome = for_each_match_with(q, g, opts, Some(cs), scratch, &mut |m| {
         out.push(m.to_vec());
         Flow::Continue
     });
@@ -184,46 +183,43 @@ fn plan_matches_with(
     (outcome, out)
 }
 
-/// [`plan_matches_with`] to completion under pins only.
-fn plan_matches(
+/// [`space_matches_with`] to completion under pins only.
+fn space_matches(
     q: &Pattern,
     g: &Graph,
     cs: &gfd_match::CandidateSpace,
-    plan: &QueryPlan,
     pins: &[Pin],
     scratch: &mut MatchScratch,
 ) -> Vec<Vec<NodeId>> {
     let mut opts = MatchOptions::unrestricted();
     opts.pins.extend_from_slice(pins);
-    plan_matches_with(q, g, cs, plan, &opts, scratch).1
+    space_matches_with(q, g, cs, &opts, scratch).1
 }
 
 #[test]
 fn plan_executor_equals_brute_force_on_cyclic_patterns() {
     let mut scratch = MatchScratch::default();
-    check("plan ≡ brute force (cyclic)", 150, |rng| {
+    check("space mode ≡ brute force (cyclic)", 150, |rng| {
         let g = random_graph(rng, 9);
         let spec = random_cyclic_spec(rng);
         let order: Vec<usize> = (0..spec.labels.len()).collect();
         let q = build_pattern(&spec, &order, &g);
         let expected = oracle_matches(&q, &g);
         let cs = dual_simulation(&q, &g, None);
-        let plan = QueryPlan::new(&q);
-        let got = plan_matches(&q, &g, &cs, &plan, &[], &mut scratch);
+        let got = space_matches(&q, &g, &cs, &[], &mut scratch);
         prop_assert!(
             got == expected,
-            "plan (width {}): {} matches vs oracle {} for {q:?}",
-            plan.width(),
+            "space mode: {} matches vs oracle {} for {q:?}",
             got.len(),
             expected.len()
         );
         let opts = MatchOptions::unrestricted();
-        let counted = count_matches_with(&q, &g, &opts, Some((&cs, &plan)), &mut scratch);
+        let counted = count_matches_with(&q, &g, &opts, Some(&cs), &mut scratch);
         // No space: the per-call filter decides the pool source.
         let filtered = count_matches(&q, &g, &opts);
         prop_assert!(
             counted == expected.len() && filtered == expected.len(),
-            "counts {counted} (space+plan), {filtered} (per-call) vs oracle {} for {q:?}",
+            "counts {counted} (space), {filtered} (per-call) vs oracle {} for {q:?}",
             expected.len()
         );
         Ok(())
@@ -255,7 +251,7 @@ fn within(mut matches: Vec<Vec<NodeId>>, pins: &[Pin]) -> Vec<Vec<NodeId>> {
 #[test]
 fn pinned_plan_execution_equals_filtered_oracle() {
     let mut scratch = MatchScratch::default();
-    check("pinned plan ≡ filtered oracle", 120, |rng| {
+    check("pinned space mode ≡ filtered oracle", 120, |rng| {
         let g = random_graph(rng, 8);
         let spec = random_cyclic_spec(rng);
         let order: Vec<usize> = (0..spec.labels.len()).collect();
@@ -264,16 +260,15 @@ fn pinned_plan_execution_equals_filtered_oracle() {
         let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
         let all = oracle_matches(&q, &g);
         let cs = dual_simulation(&q, &g, None);
-        let plan = QueryPlan::new(&q);
         for pin in [
             Pin::at(pin_var, pin_node),
             random_interval(rng, pin_var, &g),
         ] {
             let expected = within(all.clone(), &[pin]);
-            let got = plan_matches(&q, &g, &cs, &plan, &[pin], &mut scratch);
+            let got = space_matches(&q, &g, &cs, &[pin], &mut scratch);
             prop_assert!(
                 got == expected,
-                "plan pinned at {pin:?}: {} vs oracle {} for {q:?}",
+                "space mode pinned at {pin:?}: {} vs oracle {} for {q:?}",
                 got.len(),
                 expected.len()
             );
@@ -281,7 +276,7 @@ fn pinned_plan_execution_equals_filtered_oracle() {
                 pins: vec![pin],
                 ..MatchOptions::unrestricted()
             };
-            let counted = count_matches_with(&q, &g, &opts, Some((&cs, &plan)), &mut scratch);
+            let counted = count_matches_with(&q, &g, &opts, Some(&cs), &mut scratch);
             prop_assert!(
                 counted == expected.len(),
                 "count pinned at {pin:?}: {counted} vs oracle {} for {q:?}",
@@ -293,18 +288,17 @@ fn pinned_plan_execution_equals_filtered_oracle() {
 }
 
 /// Permuted-declaration twins across a random edit script: the
-/// registry repairs the class's space incrementally and keeps one
-/// plan per class, both in representative numbering; after every
-/// edit, each member's enumeration through its view — plain, and
-/// pinned at a node or an interval on a random variable of the member —
-/// must still equal brute
-/// force on the member's own pattern over the *current* graph, and so
-/// must the unpinned count of the representative inside the view's
-/// space and plan.
+/// registry simulates the class once and repairs its space
+/// incrementally, in representative numbering; after every edit, each
+/// member's enumeration through its view — plain, and pinned at a node
+/// or an interval on a random variable of the member — must still
+/// equal brute force on the member's own pattern over the *current*
+/// graph, and so must the unpinned count of the representative inside
+/// the view's space.
 #[test]
 fn transported_plans_survive_edit_scripts() {
     let mut scratch = MatchScratch::default();
-    check("registry plans ≡ oracle under edits", 60, |rng| {
+    check("registry spaces ≡ oracle under edits", 60, |rng| {
         let mut g = random_graph(rng, 8);
         let spec = random_cyclic_spec(rng);
         let k = spec.labels.len();
@@ -322,7 +316,7 @@ fn transported_plans_survive_edit_scripts() {
         );
         for step in 0..3 {
             for (q, &h) in members.iter().zip(&handles) {
-                let view = reg.space_and_plan(h, &g);
+                let view = reg.space(h, &g);
                 let pin_var = VarId(rng.gen_range(0..k) as u32);
                 let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
                 let interval = MatchOptions {
@@ -349,7 +343,7 @@ fn transported_plans_survive_edit_scripts() {
                         expected.len()
                     );
                     if opts.pins.is_empty() {
-                        let space = view.plan.as_deref().map(|plan| (&*view.space, plan));
+                        let space = Some(&*view.space);
                         let counted = count_matches_with(&view.rep, &g, &opts, space, &mut scratch);
                         prop_assert!(
                             counted == expected.len(),
@@ -375,7 +369,7 @@ fn transported_plans_survive_edit_scripts() {
             reg.apply(&g2, &delta);
             g = g2;
         }
-        prop_assert!(reg.plans_built() == 1, "one decomposition per class");
+        prop_assert!(reg.simulations() == 1, "one simulation per class");
         Ok(())
     });
 }
@@ -431,8 +425,6 @@ fn pinned_enumeration_is_neighborhood_bounded() {
         let order: Vec<usize> = (0..k).collect();
         let q = build_pattern(&spec, &order, &g);
         let cs = dual_simulation(&q, &g, None);
-        let plan = QueryPlan::new(&q);
-        prop_assert!(plan.width() == 2, "a {k}-cycle has width 2");
         prop_assert!(
             cs.of(VarId(0)).len() == far + d,
             "premise: the far region survives simulation"
@@ -462,7 +454,7 @@ fn pinned_enumeration_is_neighborhood_bounded() {
                         max_steps: Some(steps),
                     },
                 };
-                let (outcome, got) = plan_matches_with(&q, &g, &cs, &plan, &opts, &mut scratch);
+                let (outcome, got) = space_matches_with(&q, &g, &cs, &opts, &mut scratch);
                 prop_assert!(
                     outcome == EnumOutcome::Complete,
                     "pin {pin:?}: {outcome:?} within {steps} steps (far region {far})"

@@ -284,7 +284,7 @@ fn transported_spaces_equal_scratch_simulation() {
             let reg = ClassRegistry::new();
             let mut scratch = MatchScratch::default();
             for (m, q) in members.iter().enumerate() {
-                let view = reg.space_and_plan(reg.register(q), &g);
+                let view = reg.space(reg.register(q), &g);
                 view_equals_scratch(&view, q, &g, &format!("member {m}"))
                     .and_then(|()| {
                         view_enumerates_the_member(rng, &view, q, &g, &mut scratch, "enumeration")
@@ -324,7 +324,7 @@ fn repaired_representative_retransports_over_edit_scripts() {
                 let (g2, delta) = random_edit(rng, &g);
                 reg.apply(&g2, &delta);
                 for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
-                    let view = reg.space_and_plan(h, &g2);
+                    let view = reg.space(h, &g2);
                     let what = format!("step {step}, member {m}");
                     view_equals_scratch(&view, q, &g2, &what)
                         .and_then(|()| {

@@ -30,7 +30,7 @@ pub struct RepValConfig {
     /// Unit-assignment strategy (LPT or random).
     pub assignment: Assignment,
     /// Multi-query optimization: units enumerate through the run's
-    /// shared class spaces and plans (class-space pools) instead of
+    /// shared class spaces (class-space pools) instead of
     /// searching the raw graph (raw pools). Rules sharing a pattern
     /// class are grouped either way.
     pub multi_query: bool,

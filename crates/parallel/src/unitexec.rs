@@ -30,10 +30,9 @@
 //! worker's [`UnitScratch`] and is reset by the next unit. What units
 //! of a run share is the read-only serving tier — with the
 //! *multi-query* optimization (appendix, following \[31\]) on, every
-//! part enumerates through its isomorphism class's candidate space and
-//! query plan in the shared [`ClassRegistry`], one registry lookup per
-//! unit and part. Without it every enumeration searches the raw graph
-//! privately.
+//! part enumerates through its isomorphism class's candidate space in
+//! the shared [`ClassRegistry`], one registry lookup per unit and part.
+//! Without it every enumeration searches the raw graph privately.
 //! Either way a warm [`UnitExecutor::run`] call performs **zero heap
 //! allocations** (asserted by the `alloc_probe` test and the
 //! `alloc/unit_exec_steady_state` bench sample).
@@ -94,7 +93,7 @@ impl<'a> UnitExecutor<'a> {
     /// The context for running units cut from `plan` over `g`, their
     /// slots resolved against `slots`. `multi_query` registers every
     /// part of every group representative in `registry` and enumerates
-    /// through its classes' shared spaces and plans; without it every
+    /// through its classes' shared spaces; without it every
     /// enumeration runs privately on the raw graph.
     pub fn new(
         g: &'a Graph,
@@ -135,11 +134,11 @@ impl<'a> UnitExecutor<'a> {
         if !primitive.select(group, |_| true) {
             return; // X → ∅ can never be violated
         }
-        // With multi-query on, each part's class space and plan are
-        // fetched once for the unit.
+        // With multi-query on, each part's class space is fetched once
+        // for the unit.
         let pools = match &self.handles {
             Some(handles) => {
-                let fetch = |&h: &SpaceHandle| self.registry.space_and_plan(h, self.g);
+                let fetch = |&h: &SpaceHandle| self.registry.space(h, self.g);
                 views.extend(handles[index].iter().map(fetch));
                 Pools::Classes(views)
             }
@@ -346,7 +345,7 @@ mod tests {
         let (group, gp) = plan.group(0);
         let registry = ClassRegistry::with_budget_bytes(16);
         let h = registry.register(&group.parts[0].0);
-        let held = registry.space_and_plan(h, &g);
+        let held = registry.space(h, &g);
         // The storm: other classes' spaces arrive over the budget.
         let others = ["number", "to"].map(|label| {
             let mut b = PatternBuilder::new(vocab.clone());
@@ -367,7 +366,7 @@ mod tests {
         // the view's numbering.
         assert!(held.perm.is_none());
         let opts = MatchOptions::unrestricted().pin(gp.local_pivot(group, 0), NodeId(0));
-        let space = held.plan.as_deref().map(|plan| (&*held.space, plan));
+        let space = Some(&*held.space);
         let mut rows = Vec::new();
         let mut scratch = MatchScratch::default();
         for_each_match_with(&held.rep, &g, &opts, space, &mut scratch, &mut |m| {

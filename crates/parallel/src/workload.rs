@@ -67,9 +67,9 @@ pub struct GroupPlan {
     /// its pivot, a representative variable.
     pub pivots: Vec<VarId>,
     /// Per part: the width of its tree decomposition (0 for a single
-    /// node, 1 for trees, ≥ 2 for cyclic parts) — the planner's
-    /// difficulty signal, folded into unit costs: a pinned search gets
-    /// more expensive per pool entry as the part's width grows.
+    /// node, 1 for trees, ≥ 2 for cyclic parts) — the decomposition's
+    /// one use: folded into unit costs, since a pinned search gets more
+    /// expensive per pool entry as the part's width grows.
     pub widths: Vec<usize>,
     /// True if the representative has exactly two parts and they are
     /// isomorphic (Example 10's dedup applies). Part 1's pivot is then

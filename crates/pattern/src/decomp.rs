@@ -1,14 +1,15 @@
-//! Tree decompositions of pattern graphs — the planner's structure
-//! analysis.
+//! Tree decompositions of pattern graphs — the structure signal that
+//! prices work units, and nothing else.
 //!
 //! Mined GFD rule sets are full of small cyclic components (triangles,
-//! 4-cycles, diamonds); enumerating them edge-at-a-time pays the worst
-//! intermediate-result blowup of a bad branch order. Decomposition-
-//! based plans (Abo Khamis/Ngo/Suciu's FAQ/submodular-width line)
-//! instead bound enumeration by the width of a *tree decomposition* of
-//! the pattern's undirected skeleton: each bag is solved as one
-//! multiway join, and bags are stitched along the tree, where the
-//! running-intersection property makes the stitch a plain equi-join.
+//! 4-cycles, diamonds). The width of a *tree decomposition* of a
+//! pattern's undirected skeleton (the FAQ/submodular-width line of Abo
+//! Khamis, Ngo and Suciu) measures how hard such a component is to
+//! enumerate: width 1 for trees, 2 for a triangle or a 4-cycle.
+//! `gfd-parallel`'s workload estimation folds each part's width into
+//! its unit costs. No search reads a decomposition: the matcher's one
+//! enumerator orders every search from candidate-set sizes, which see
+//! the data where a width sees only the pattern.
 //!
 //! Decompositions here come from *elimination orders*: eliminating
 //! variable `v` creates the bag `{v} ∪ N(v)` over the current fill
@@ -17,9 +18,8 @@
 //! order exactly (depth-first branch-and-bound over orders, ~8! leaves
 //! before pruning); larger patterns fall back to the min-fill greedy
 //! heuristic. Both searches break ties toward the smallest variable
-//! id, so the result is a pure deterministic function of the pattern —
-//! the property the per-class plan cache in the matcher's registry
-//! relies on. Connected acyclic patterns always get width 1.
+//! id, so the result is a pure deterministic function of the pattern.
+//! Connected acyclic patterns always get width 1.
 
 use crate::pattern::{Pattern, VarId};
 
@@ -28,8 +28,8 @@ use crate::pattern::{Pattern, VarId};
 pub const EXACT_MAX_VARS: usize = 8;
 
 /// Adjacency bitmasks cap the pattern size the decomposition handles;
-/// beyond it a trivial one-bag decomposition is returned (callers
-/// treat its width as "too wide to plan").
+/// beyond it a trivial one-bag decomposition is returned (its width is
+/// the pattern's size minus one, the most expensive price).
 const MAX_VARS: usize = 128;
 
 /// One bag of a tree decomposition.
@@ -55,9 +55,8 @@ pub struct TreeDecomposition {
 
 impl TreeDecomposition {
     /// The width: largest bag size minus one. Width ≤ 1 means the
-    /// pattern is a forest and a greedy variable order is already
-    /// worst-case optimal; width ≥ 2 marks a cyclic pattern worth
-    /// ordering along its bags.
+    /// pattern is a forest; width ≥ 2 marks a cyclic pattern, whose
+    /// pinned searches cost more per pool entry.
     pub fn width(&self) -> usize {
         self.width
     }
@@ -284,7 +283,7 @@ fn decomposition_from_order(q: &Pattern, order: &[usize]) -> TreeDecomposition {
 /// variables, min-fill greedy beyond; both deterministic. Disconnected
 /// patterns yield a forest (one root bag per component). Patterns
 /// larger than 128 variables get a trivial single-bag decomposition
-/// whose width (`n − 1`) callers read as "unplannable".
+/// whose width (`n − 1`) prices them as the hardest shape.
 pub fn tree_decomposition(q: &Pattern) -> TreeDecomposition {
     let n = q.node_count();
     if n == 0 {

@@ -23,9 +23,8 @@
 //!   appendix), that the candidate-space registry keys on and that its
 //!   members read through — module [`canon`];
 //! * **tree decompositions** with exact width for the small components
-//!   mined rules produce — the planner layer's structure analysis for
-//!   worst-case-optimal multiway matching of cyclic patterns — module
-//!   [`decomp`].
+//!   mined rules produce — the width prices work units; no search
+//!   reads it — module [`decomp`].
 
 pub mod analysis;
 pub mod canon;
