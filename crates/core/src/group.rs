@@ -10,13 +10,17 @@
 //! representative numbering, and only a violating row is permuted back
 //! into the member's order. `detVio`, the incremental detector and the
 //! unit executor differ only in data: the pins (none, one node, or one
-//! node-id interval per component — each a [`Pin`]), [`Pools`], and the
-//! members [`GroupScratch::select`] picks (a caller's pre-filter takes
-//! its member out of the row loop instead of forking a path).
+//! node-id interval per component — each a [`Pin`]) and [`Pools`].
+//!
+//! A two-part group enumerates each part once per call and joins the
+//! two tables once per distinct [`JoinKey`] among its members — the
+//! first cross-part equality of a member's `X`, which every violation
+//! must satisfy — plus one plain disjoint join for the members without
+//! one. A member checks only its own key's rows.
 
 use gfd_graph::{Graph, NodeId};
 use gfd_match::component::{ComponentSearch, SearchScratch};
-use gfd_match::join::{join_tables, JoinScratch};
+use gfd_match::join::{join_tables, JoinKey, JoinScratch};
 use gfd_match::types::Flow;
 use gfd_match::{
     for_each_match_in, for_each_match_with, ClassView, MatchOptions, MatchScratch, MatchTable, Pin,
@@ -59,6 +63,10 @@ pub struct GroupMember {
     pub rule: usize,
     /// The rule's `X → Y` over representative variables.
     pub dep: Dependency,
+    /// In a two-part group: the first literal of `X` equating a part-0
+    /// attribute with a part-1 one, oriented part 0 → part 1 — the
+    /// member's rows come from the join on it.
+    pub key: Option<JoinKey>,
     /// The representative variable of each of the rule's variables;
     /// `None` when the rule is in representative order.
     perm: Option<Vec<VarId>>,
@@ -83,28 +91,37 @@ impl RuleGroups {
     pub fn new(sigma: &GfdSet) -> Self {
         let patterns: Vec<&Pattern> = sigma.iter().map(|gfd| &gfd.pattern).collect();
         let mut groups: Vec<RuleGroup> = Vec::new();
-        let mut group_of = Vec::with_capacity(sigma.len());
         let classes = group_isomorphic_with_witnesses(&patterns);
+        // Each class's size at its representative, until the loop
+        // overwrites the entry with the rule's group: member lists are
+        // allocated once, at their size.
+        let mut group_of = vec![0; sigma.len()];
+        for &(rep, _) in &classes {
+            group_of[rep] += 1;
+        }
         for (rule, (rep, witness)) in classes.into_iter().enumerate() {
             let gfd = sigma.get(rule);
             if rep == rule {
                 groups.push(RuleGroup {
                     rep,
-                    members: Vec::new(),
+                    members: Vec::with_capacity(group_of[rule]),
                     parts: decompose(&gfd.pattern),
                     arity: gfd.pattern.node_count(),
                 });
             }
-            group_of.push(if rep == rule {
+            group_of[rule] = if rep == rule {
                 groups.len() - 1
             } else {
                 group_of[rep]
-            });
+            };
             let map = witness.as_slice();
             let rewrite = |lits: &[Literal]| lits.iter().map(|l| l.substitute(map)).collect();
-            groups[group_of[rule]].members.push(GroupMember {
+            let group = &mut groups[group_of[rule]];
+            let dep = Dependency::new(rewrite(&gfd.dep.x), rewrite(&gfd.dep.y));
+            group.members.push(GroupMember {
                 rule,
-                dep: Dependency::new(rewrite(&gfd.dep.x), rewrite(&gfd.dep.y)),
+                key: cross_key(&group.parts, &dep.x),
+                dep,
                 perm: (!witness.is_identity()).then(|| map.to_vec()),
             });
         }
@@ -115,6 +132,26 @@ impl RuleGroups {
     pub fn of(&self, rule: usize) -> &RuleGroup {
         &self.groups[self.group_of[rule]]
     }
+}
+
+/// The first literal of `x` equating an attribute of part 0 with one
+/// of part 1, oriented part 0 → part 1; `None` unless there are two
+/// parts.
+fn cross_key(parts: &[(Pattern, Vec<VarId>)], x: &[Literal]) -> Option<JoinKey> {
+    let [(_, vars0), _] = parts else {
+        return None;
+    };
+    let in0 = |v: VarId| vars0.contains(&v);
+    x.iter().find_map(|l| match *l {
+        Literal::Vars { x, a, y, b } if in0(x) && !in0(y) => Some(JoinKey { x, a, y, b }),
+        Literal::Vars { x, a, y, b } if !in0(x) && in0(y) => Some(JoinKey {
+            x: y,
+            a: b,
+            y: x,
+            b: a,
+        }),
+        _ => None,
+    })
 }
 
 impl std::ops::Deref for RuleGroups {
@@ -178,15 +215,11 @@ const CHUNK_ROWS: usize = 1024;
 
 impl GroupScratch {
     /// Selects the members the next enumeration of `group` checks:
-    /// those with a non-empty `Y` that `keep` accepts. Returns whether
-    /// any is selected — with none, there is nothing to enumerate for.
-    pub fn select(
-        &mut self,
-        group: &RuleGroup,
-        mut keep: impl FnMut(&GroupMember) -> bool,
-    ) -> bool {
+    /// those with a non-empty `Y`. Returns whether any is selected —
+    /// with none, there is nothing to enumerate for.
+    pub fn select(&mut self, group: &RuleGroup) -> bool {
         self.active.clear();
-        let checked = group.members.iter().map(|m| !m.dep.y.is_empty() && keep(m));
+        let checked = group.members.iter().map(|m| !m.dep.y.is_empty());
         self.active.extend(checked);
         self.active.contains(&true)
     }
@@ -201,9 +234,9 @@ impl GroupScratch {
 /// Enumerates `group`'s representative once under `pins` (over
 /// representative variables; each component keeps the pins on its own
 /// variables), with pools from `pools`, and checks every member the
-/// last [`GroupScratch::select`] picked on each row: `sink(rule,
-/// mapping)` receives each violation, the mapping in the rule's own
-/// order.
+/// last [`GroupScratch::select`] picked on each row of its key's join:
+/// `sink(rule, mapping)` receives each violation, the mapping in the
+/// rule's own order.
 pub fn for_each_group_violation(
     group: &RuleGroup,
     g: &Graph,
@@ -221,8 +254,12 @@ pub fn for_each_group_violation(
         tables,
         join,
     } = scratch;
-    let mut check = |rows: &mut MatchTable| {
-        for (member, _) in group.members.iter().zip(&*active).filter(|(_, on)| **on) {
+    let selected = || group.members.iter().zip(&*active).filter(|(_, on)| **on);
+    rows.reset(group.arity);
+    // Checks the buffered rows against the selected members joined on
+    // `key`, then empties the chunk.
+    let mut check = |rows: &mut MatchTable, key: Option<JoinKey>| {
+        for (member, _) in selected().filter(|(m, _)| m.key == key) {
             for rep_row in rows.iter() {
                 if !match_satisfies(&member.dep, g, rep_row) {
                     sink(member.rule, member.member_row(rep_row, row));
@@ -231,17 +268,18 @@ pub fn for_each_group_violation(
         }
         rows.clear();
     };
-    rows.reset(group.arity);
-    let mut buffer = |rep_row: &[NodeId]| {
-        rows.push_row(rep_row);
-        if rows.len() == CHUNK_ROWS {
-            check(rows);
-        }
-        Flow::Continue
-    };
     match group.parts.len() {
         0 => {} // the empty pattern has no matches
-        1 => search.component(g, group, 0, pools, pins, &mut buffer),
+        1 => {
+            search.component(g, group, 0, pools, pins, &mut |r| {
+                rows.push_row(r);
+                if rows.len() == CHUNK_ROWS {
+                    check(rows, None);
+                }
+                Flow::Continue
+            });
+            check(rows, None);
+        }
         k => {
             if tables.len() < k {
                 tables.resize_with(k, MatchTable::default);
@@ -255,12 +293,29 @@ pub fn for_each_group_violation(
                 });
                 !table.is_empty()
             });
-            if all_match {
-                join_tables(&group.parts, &tables[..k], group.arity, join, &mut buffer);
+            if !all_match {
+                return;
+            }
+            // One join per distinct key among the selected members (at
+            // its first holder), one plain join if any member has none.
+            let keys = selected().enumerate().filter_map(|(i, (m, _))| {
+                let first = selected().take(i).all(|(p, _)| p.key != m.key);
+                first.then_some(m.key)
+            });
+            let (parts, tables) = (&group.parts, &tables[..k]);
+            for key in keys {
+                let on = key.map(|key| (g, key));
+                join_tables(parts, tables, group.arity, on, join, &mut |r| {
+                    rows.push_row(r);
+                    if rows.len() == CHUNK_ROWS {
+                        check(rows, key);
+                    }
+                    Flow::Continue
+                });
+                check(rows, key);
             }
         }
     }
-    check(rows);
 }
 
 impl Searches {

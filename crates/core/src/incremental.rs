@@ -118,7 +118,7 @@ impl IncrementalDetector {
         } = det;
         for (group, &h) in groups.iter().zip(handles) {
             let view = registry.space(h, g);
-            if view.space.is_empty_anywhere() || !scratch.select(group, |_| true) {
+            if view.space.is_empty_anywhere() || !scratch.select(group) {
                 continue;
             }
             let pools = if group.is_connected() {
@@ -309,7 +309,7 @@ impl IncrementalDetector {
         //    class space — fetched once per group — and check every
         //    member on each row.
         for (group, &h) in groups.iter().zip(handles) {
-            if !scratch.select(group, |_| true) {
+            if !scratch.select(group) {
                 continue; // X → ∅ can never be violated
             }
             let view = registry.space(h, g);
@@ -330,12 +330,11 @@ impl IncrementalDetector {
                     let pins = &[Pin::at(v, u)];
                     for_each_group_violation(group, g, pools, pins, scratch, &mut |rule, m| {
                         // First sighting only: the same match can be
-                        // re-found via several pins.
-                        if violations[rule].insert(Match(m.to_vec())) {
-                            diff.added.push(Violation {
-                                rule,
-                                mapping: Match(m.to_vec()),
-                            });
+                        // re-found via several pins, or be stored.
+                        if !violations[rule].contains(m) {
+                            let mapping = Match(m.to_vec());
+                            violations[rule].insert(mapping.clone());
+                            diff.added.push(Violation { rule, mapping });
                         }
                     });
                 }

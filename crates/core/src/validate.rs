@@ -13,23 +13,18 @@
 //!
 //! The sequential algorithm `detVio` enumerates all matches once per
 //! group of isomorphic rule patterns ([`crate::group`]) and checks every
-//! member's dependency on each — exponential in the worst case
-//! (validation is coNP-complete, Prop. 9), which is why the parallel
-//! crate exists. [`for_each_violation`] is the per-rule reference path,
+//! member's dependency on each — a two-part group's member on the rows
+//! of the join on its cross-part `X` equality, as on every other path —
+//! exponential in the worst case (validation is coNP-complete, Prop. 9),
+//! which is why the parallel crate exists. [`for_each_violation`] is the per-rule reference path,
 //! independent of the grouping; a budgeted variant is provided so
 //! callers can bound the effort.
 
 use gfd_graph::{Graph, NodeId};
-use gfd_match::component::ComponentSearch;
-use gfd_match::table::MatchTable;
 use gfd_match::{for_each_match, types::Flow, ClassRegistry, Match, MatchOptions, SearchBudget};
-use gfd_pattern::VarId;
-use gfd_util::FxHashMap;
 
 use crate::gfd::{Gfd, GfdSet};
-use crate::group::{
-    for_each_group_violation, GroupMember, GroupScratch, Pools, RuleGroup, RuleGroups,
-};
+use crate::group::{for_each_group_violation, GroupScratch, Pools, RuleGroups};
 use crate::literal::{Dependency, Literal};
 
 /// One violation: which rule, and the violating match.
@@ -117,9 +112,7 @@ pub fn detect_violations_shared(
 /// is allocation-free up to the grouping and the violations output.
 pub type DetScratch = GroupScratch;
 
-/// [`detect_violations_shared`] with caller-owned scratch. One
-/// per-member pre-filter takes a member out of the group's row loop:
-/// the value-indexed join of disconnected two-component groups.
+/// [`detect_violations_shared`] with caller-owned scratch.
 pub fn detect_violations_with(
     sigma: &GfdSet,
     g: &Graph,
@@ -133,12 +126,7 @@ pub fn detect_violations_with(
             let h = registry.register(&sigma.get(group.rep).pattern);
             registry.space(h, g)
         });
-        // A two-component rule with a cross-component X literal is
-        // joined on the literal's attribute values instead.
-        let any = scratch.select(group, |m| {
-            !detect_disconnected_indexed(group, m, g, &mut out)
-        });
-        if !any {
+        if !scratch.select(group) {
             continue;
         }
         let pools = match &view {
@@ -153,123 +141,6 @@ pub fn detect_violations_with(
         });
     }
     out
-}
-
-/// Value-indexed join fast path for `detVio` on **disconnected**
-/// two-component rules: when `X` carries a cross-component literal
-/// `x.A = y.B`, a match can only violate `ϕ` if `X` holds — so instead
-/// of forming every disjoint pair of component matches (quadratic) and
-/// filtering, the two flat match tables are joined *on that literal*:
-/// the smaller side is indexed by attribute value, the larger side
-/// probes, and rows whose attribute is missing are skipped outright
-/// (`X` fails ⇒ no violation). This is the FDB/FAQ line of work's
-/// predicate-into-the-join move applied to `Vio(Σ, G)`: cost is
-/// output-proportional in value-agreeing pairs rather than in all
-/// pairs. Reads the group's decomposition and the member's dependency
-/// in representative numbering; violations come out in the member's
-/// own order. Returns `false` (and emits nothing) when the rule lacks
-/// the shape, leaving the group's enumeration to handle it.
-/// Kept over the generic join: without it `detVio` (`--seed 1`, 2-vCPU
-/// host) takes 0.0149 s instead of 0.0062 on the benchmark's `kb-trees`
-/// and 0.0163 instead of 0.0096 on `wide-sigma`, though it allocates
-/// 0.98 / 2.02 MiB instead of 1.17 / 2.60.
-fn detect_disconnected_indexed(
-    group: &RuleGroup,
-    member: &GroupMember,
-    g: &Graph,
-    out: &mut Vec<Violation>,
-) -> bool {
-    let parts = &group.parts;
-    if parts.len() != 2 {
-        return false;
-    }
-    // A cross-component equality literal in X to join on.
-    let comp_of = |v: VarId| parts[0].1.contains(&v);
-    let Some((jx, ja, jy, jb)) = member.dep.x.iter().find_map(|l| match *l {
-        Literal::Vars { x, a, y, b } if comp_of(x) != comp_of(y) => Some((x, a, y, b)),
-        _ => None,
-    }) else {
-        return false;
-    };
-    // Orient so that (vx, va) lives in component 0.
-    let ((vx, va), (vy, vb)) = if comp_of(jx) {
-        ((jx, ja), (jy, jb))
-    } else {
-        ((jy, jb), (jx, ja))
-    };
-
-    // Enumerate both components into flat tables.
-    let mut tables = Vec::with_capacity(2);
-    for (cq, _) in parts {
-        let mut t = MatchTable::new(cq.node_count());
-        ComponentSearch::new(cq, g).collect_into(&mut t);
-        if t.is_empty() {
-            return true; // no match of this component → none of Q
-        }
-        tables.push(t);
-    }
-    let local = |part: usize, v: VarId| {
-        parts[part]
-            .1
-            .iter()
-            .position(|&ov| ov == v)
-            .expect("literal var is in its component")
-    };
-    let (c0, c1) = (local(0, vx), local(1, vy));
-
-    // Index the smaller side by its join-attribute value; probe with
-    // the larger. Rows missing the attribute never satisfy X.
-    let (build, probe, bcol, pcol, battr, pattr, build_is_0) = if tables[0].len() <= tables[1].len()
-    {
-        (&tables[0], &tables[1], c0, c1, va, vb, true)
-    } else {
-        (&tables[1], &tables[0], c1, c0, vb, va, false)
-    };
-    let mut index: FxHashMap<&gfd_graph::Value, Vec<u32>> = FxHashMap::default();
-    for (r, row) in build.iter().enumerate() {
-        if let Some(v) = g.attr(row[bcol], battr) {
-            index.entry(v).or_default().push(r as u32);
-        }
-    }
-    let vars0 = &parts[0].1;
-    let vars1 = &parts[1].1;
-    let mut assignment = vec![NodeId(u32::MAX); group.arity];
-    let mut row = Vec::new();
-    for prow in probe.iter() {
-        let Some(v) = g.attr(prow[pcol], pattr) else {
-            continue;
-        };
-        let Some(partners) = index.get(v) else {
-            continue;
-        };
-        'pair: for &br in partners {
-            let brow = build.row(br as usize);
-            let (row0, row1) = if build_is_0 {
-                (brow, prow)
-            } else {
-                (prow, brow)
-            };
-            // Disjointness (h is injective across components).
-            for &n in row0 {
-                if row1.contains(&n) {
-                    continue 'pair;
-                }
-            }
-            for (j, &n) in row0.iter().enumerate() {
-                assignment[vars0[j].index()] = n;
-            }
-            for (j, &n) in row1.iter().enumerate() {
-                assignment[vars1[j].index()] = n;
-            }
-            if !match_satisfies(&member.dep, g, &assignment) {
-                out.push(Violation {
-                    rule: member.rule,
-                    mapping: Match(member.member_row(&assignment, &mut row).to_vec()),
-                });
-            }
-        }
-    }
-    true
 }
 
 /// Budgeted `detVio`; the boolean is `true` when the enumeration was
@@ -316,7 +187,7 @@ mod tests {
     use super::*;
     use crate::gfd::Gfd;
     use gfd_graph::{Value, Vocab};
-    use gfd_pattern::PatternBuilder;
+    use gfd_pattern::{PatternBuilder, VarId};
     use std::sync::Arc;
 
     /// Builds G1 of Fig. 1 plus ϕ1 of Example 5 (flights with same id
@@ -520,68 +391,121 @@ mod tests {
         assert_eq!(vio.len(), 2); // both orientations of the cycle
     }
 
-    /// The value-indexed disconnected join must equal the generic
-    /// pair-enumeration path on random attribute worlds — including
-    /// rows with missing attributes (X fails ⇒ skipped) and equal
-    /// values spread across many nodes.
+    /// The keyed joins of a two-part group must equal the per-rule
+    /// reference path on random attribute worlds — including rows with
+    /// missing attributes (X fails ⇒ no violation) and equal values
+    /// spread across many nodes. One group of three isomorphic
+    /// two-star members, one declared in another variable order: one
+    /// joined on the leaves' values, one on the hubs', and one with no
+    /// cross-part `X` literal (the plain join), through detVio and the
+    /// incremental detector's first pass alike.
     #[test]
     fn indexed_disconnected_join_equals_generic_enumeration() {
+        use crate::incremental::IncrementalDetector;
         use gfd_util::{prop::check, Rng};
-        check("indexed join ≡ generic detVio", 60, |rng: &mut Rng| {
-            let vocab = Vocab::shared();
-            let mut b = gfd_graph::GraphBuilder::new(vocab.clone());
-            let n = rng.gen_range(4..10);
-            for _ in 0..n {
-                let h = b.add_node_labeled("hub");
-                let l = b.add_node_labeled("leaf");
-                b.add_edge_labeled(h, l, "owns");
-                // Sparse attributes: some nodes miss them entirely.
-                if rng.gen_bool(0.8) {
-                    b.set_attr_named(h, "val", Value::Int(rng.gen_range(0..3) as i64));
+        check(
+            "keyed joins ≡ per-rule enumeration",
+            60,
+            |rng: &mut Rng| {
+                let vocab = Vocab::shared();
+                let mut b = gfd_graph::GraphBuilder::new(vocab.clone());
+                let n = rng.gen_range(4..10);
+                let mut hubs = Vec::new();
+                for _ in 0..n {
+                    let h = b.add_node_labeled("hub");
+                    let l = b.add_node_labeled("leaf");
+                    b.add_edge_labeled(h, l, "owns");
+                    hubs.push((h, l));
+                    // Sparse attributes: some nodes miss them entirely.
+                    if rng.gen_bool(0.8) {
+                        b.set_attr_named(h, "val", Value::Int(rng.gen_range(0..3) as i64));
+                    }
+                    if rng.gen_bool(0.8) {
+                        b.set_attr_named(l, "val", Value::Int(rng.gen_range(0..3) as i64));
+                    }
                 }
-                if rng.gen_bool(0.8) {
-                    b.set_attr_named(l, "val", Value::Int(rng.gen_range(0..3) as i64));
+                // A few hubs own a second leaf.
+                for _ in 0..rng.gen_range(0..n) {
+                    let (h, _) = hubs[rng.gen_range(0..n)];
+                    let (_, l) = hubs[rng.gen_range(0..n)];
+                    b.add_edge_labeled(h, l, "owns");
                 }
-            }
-            let g = b.freeze();
-            let val = vocab.intern("val");
-            // Two disconnected hub→leaf stars; X joins the leaves'
-            // values across components, Y constrains the hubs.
-            let mut pb = PatternBuilder::new(vocab.clone());
-            let x = pb.node("x", "hub");
-            let xl = pb.node("xl", "leaf");
-            pb.edge(x, xl, "owns");
-            let y = pb.node("y", "hub");
-            let yl = pb.node("yl", "leaf");
-            pb.edge(y, yl, "owns");
-            let gfd = Gfd::new(
-                "pair",
-                pb.build(),
-                Dependency::new(
-                    vec![Literal::var_eq(xl, val, yl, val)],
-                    vec![Literal::var_eq(x, val, y, val)],
-                ),
-            );
-            let sigma = GfdSet::new(vec![gfd.clone()]);
+                let g = b.freeze();
+                let val = vocab.intern("val");
+                // Two disconnected hub→leaf stars, declared in `order`.
+                let stars = |order: [&'static str; 4]| {
+                    let mut pb = PatternBuilder::new(vocab.clone());
+                    let ids = order.map(|name| {
+                        pb.node(name, if name.ends_with('l') { "leaf" } else { "hub" })
+                    });
+                    let v = move |name: &str| ids[order.iter().position(|&o| o == name).unwrap()];
+                    pb.edge(v("x"), v("xl"), "owns");
+                    pb.edge(v("y"), v("yl"), "owns");
+                    let eq = move |p: &str, r: &str| Literal::var_eq(v(p), val, v(r), val);
+                    (pb.build(), eq)
+                };
+                let (q0, eq0) = stars(["x", "xl", "y", "yl"]);
+                let (q1, eq1) = stars(["yl", "y", "xl", "x"]);
+                let (q2, eq2) = stars(["x", "xl", "y", "yl"]);
+                let sigma = GfdSet::new(vec![
+                    // Joined on the leaves' values.
+                    Gfd::new(
+                        "leaves",
+                        q0,
+                        Dependency::new(vec![eq0("xl", "yl")], vec![eq0("x", "xl")]),
+                    ),
+                    // Joined on the hubs' values.
+                    Gfd::new(
+                        "hubs",
+                        q1,
+                        Dependency::new(vec![eq1("y", "x")], vec![eq1("yl", "y")]),
+                    ),
+                    // No cross-part X literal: the plain disjoint join.
+                    Gfd::new(
+                        "plain",
+                        q2,
+                        Dependency::new(vec![eq2("x", "xl")], vec![eq2("xl", "yl")]),
+                    ),
+                ]);
+                // `Y` never repeats another member's key, so a member checked
+                // on another key's rows reports duplicates.
+                let groups = RuleGroups::new(&sigma);
+                assert_eq!(groups.len(), 1, "one isomorphism class");
+                let keys: Vec<_> = groups[0].members.iter().map(|m| m.key).collect();
+                assert!(keys[0].is_some() && keys[1].is_some() && keys[0] != keys[1]);
+                assert_eq!(keys[2], None);
 
-            let mut fast = detect_violations(&sigma, &g);
-            // Generic oracle: unbudgeted full pair enumeration.
-            let mut slow = Vec::new();
-            for_each_violation(&gfd, &g, &MatchOptions::unrestricted(), &mut |m| {
-                slow.push(Violation {
-                    rule: 0,
-                    mapping: Match(m.to_vec()),
-                });
-                Flow::Continue
-            });
-            let key = |v: &Violation| (v.rule, v.mapping.nodes().to_vec());
-            fast.sort_by_key(key);
-            slow.sort_by_key(key);
-            if fast != slow {
-                return Err(format!("{} indexed vs {} generic", fast.len(), slow.len()));
-            }
-            Ok(())
-        });
+                // Oracle: each rule's own unbudgeted pair enumeration.
+                let mut want = Vec::new();
+                for (rule, gfd) in sigma.iter().enumerate() {
+                    for_each_violation(gfd, &g, &MatchOptions::unrestricted(), &mut |m| {
+                        want.push(Violation {
+                            rule,
+                            mapping: Match(m.to_vec()),
+                        });
+                        Flow::Continue
+                    });
+                }
+                let key = |v: &Violation| (v.rule, v.mapping.nodes().to_vec());
+                want.sort_by_key(key);
+                let det =
+                    IncrementalDetector::with_registry(&sigma, &g, Arc::new(ClassRegistry::new()));
+                for (path, mut got) in [
+                    ("detVio", detect_violations(&sigma, &g)),
+                    ("first pass", det.violations()),
+                ] {
+                    got.sort_by_key(key);
+                    if got != want {
+                        return Err(format!(
+                            "{path}: {} keyed vs {} generic",
+                            got.len(),
+                            want.len()
+                        ));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     /// Two rules sharing a cyclic (triangle) pattern class must route

@@ -271,7 +271,7 @@ fn enumerate(
         }
     }
     let tables = &tables[..parts.len()];
-    if join_tables(&parts, tables, q.node_count(), join, f) {
+    if join_tables(&parts, tables, q.node_count(), None, join, f) {
         StopReason::Exhausted
     } else {
         StopReason::CallbackBreak

@@ -13,76 +13,49 @@
 //! materialized. All backtracking state lives in a caller-owned
 //! [`JoinScratch`], so a warm caller joins with zero heap allocation.
 //!
-//! Parts may also *share* variables — the bags of one component's
-//! tree decomposition, say. A column whose variable is already
-//! assigned must agree with the assignment (an equi-join on the bag
-//! overlap) instead of tripping the disjointness check; only newly
-//! placed variables consume fresh nodes. Shared-variable inputs are
-//! probed through a sorted row index over their key columns (built per
-//! join call, reused across calls through the scratch), so the
-//! equi-join runs in output-proportional time instead of scanning every
-//! row per outer match; inputs without shared variables keep the plain
-//! scan.
+//! Two parts may also be joined *on* a cross-part equality
+//! `x.A = y.B` ([`JoinKey`]) — the predicate-into-the-join move of the
+//! FAQ/FDB line of work: a caller that only needs rows on which the
+//! literal holds (a rule whose `X` requires it) gets exactly those. The
+//! smaller table is indexed by its attribute value, the larger probes,
+//! and rows lacking the attribute take no part, so the join costs the
+//! value-agreeing pairs rather than the table product.
 
-use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
-use gfd_graph::NodeId;
+use gfd_graph::{Graph, NodeId, Sym, Value};
 use gfd_pattern::{Pattern, VarId};
+use gfd_util::fxhash::FxHasher;
 
 use crate::table::MatchTable;
 use crate::types::Flow;
 
+/// A cross-part equality `x.a = y.b` to join two parts on: `x` is a
+/// variable of part 0, `y` of part 1 (original variable ids).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JoinKey {
+    /// The part-0 variable.
+    pub x: VarId,
+    /// Its attribute.
+    pub a: Sym,
+    /// The part-1 variable.
+    pub y: VarId,
+    /// Its attribute.
+    pub b: Sym,
+}
+
 /// Reusable backtracking state for [`join_tables`]: component order,
-/// the assignment under construction, and the disjointness set. A
-/// caller that keeps one scratch across joins performs no steady-state
-/// allocation.
+/// the assignment under construction, the disjointness set and a keyed
+/// join's value index. A caller that keeps one scratch across joins
+/// performs no steady-state allocation.
 #[derive(Debug, Default)]
 pub struct JoinScratch {
     order: Vec<usize>,
     assignment: Vec<NodeId>,
     used: Vec<NodeId>,
-    /// The variable placed at each `used` slot — lets the unwind reset
-    /// exactly the variables this depth placed, leaving shared
-    /// variables assigned by earlier inputs untouched.
-    used_vars: Vec<VarId>,
-    /// Per-depth equi-join index (empty key = plain scan).
-    keyed: Vec<KeyedIndex>,
-    /// Which variables some earlier-ordered input binds — the key
-    /// columns of each later input.
-    seen: Vec<bool>,
-}
-
-/// A sorted row index over one input's key columns (the logical
-/// columns whose variables an earlier-ordered input binds). Rows with
-/// equal keys are contiguous, so a probe is one binary search plus a
-/// scan of exactly the matching group.
-#[derive(Debug, Default)]
-struct KeyedIndex {
-    /// Logical key columns.
-    cols: Vec<u32>,
-    /// Row ids, sorted lexicographically by key-column values (ties by
-    /// row id, preserving insertion order within a group).
-    rows: Vec<u32>,
-}
-
-/// Lexicographic comparison of row `r`'s key-column values against the
-/// values `assignment` fixes for those columns' variables (all bound:
-/// key columns are shared with earlier inputs by construction).
-fn cmp_key_to_assignment(
-    table: &MatchTable,
-    vars: &[VarId],
-    cols: &[u32],
-    r: u32,
-    assignment: &[NodeId],
-) -> Ordering {
-    let row = table.row(r as usize);
-    for &j in cols {
-        match row[j as usize].cmp(&assignment[vars[j as usize].index()]) {
-            Ordering::Equal => {}
-            o => return o,
-        }
-    }
-    Ordering::Equal
+    /// The keyed join's index over its smaller table: `(value hash,
+    /// row)` pairs, sorted, one per row that has the key attribute.
+    index: Vec<(u64, u32)>,
 }
 
 impl JoinScratch {
@@ -92,18 +65,25 @@ impl JoinScratch {
     }
 }
 
-/// Streams every compatible combination of the parts' matches —
+fn value_hash(v: &Value) -> u64 {
+    let mut h = FxHasher::default();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Streams every node-disjoint combination of the parts' matches —
 /// `tables[i]` holds matches of `parts[i].0`, over the original
-/// variables `parts[i].1` — as a full assignment (indexed by original
-/// variable id, length `total_vars`). Parts with disjoint variable sets
-/// combine node-disjointly (the disconnected-pattern join); parts
-/// sharing variables must agree on them (a bag join). Stops early if
-/// `f` returns [`Flow::Break`]; returns `true` if the enumeration ran
-/// to completion.
+/// variables `parts[i].1`, the parts' variable sets pairwise disjoint —
+/// as a full assignment (indexed by original variable id, length
+/// `total_vars`). With `on = Some((g, key))` (two parts only), only the
+/// combinations on which `key` holds in `g` stream. Stops early if `f`
+/// returns [`Flow::Break`]; returns `true` if the enumeration ran to
+/// completion.
 pub fn join_tables(
     parts: &[(Pattern, Vec<VarId>)],
     tables: &[MatchTable],
     total_vars: usize,
+    on: Option<(&Graph, JoinKey)>,
     scratch: &mut JoinScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> bool {
@@ -115,142 +95,121 @@ pub fn join_tables(
         order,
         assignment,
         used,
-        used_vars,
-        keyed,
-        seen,
+        index,
     } = scratch;
     // Order components by ascending match count for early pruning.
-    let k = tables.len();
     order.clear();
-    order.extend(0..k);
+    order.extend(0..tables.len());
     order.sort_unstable_by_key(|&i| tables[i].len());
-
-    // Index every input whose variables overlap an earlier one: probe
-    // by binary search instead of rescanning the table per outer row.
-    if keyed.len() < k {
-        keyed.resize_with(k, KeyedIndex::default);
-    }
-    seen.clear();
-    seen.resize(total_vars, false);
-    for (d, &ci) in order.iter().enumerate() {
-        let ki = &mut keyed[d];
-        ki.cols.clear();
-        ki.rows.clear();
-        let vars = &parts[ci].1;
-        for (j, &v) in vars.iter().enumerate() {
-            if seen[v.index()] {
-                ki.cols.push(j as u32);
+    let probe = on.map(|(g, key)| {
+        debug_assert_eq!(tables.len(), 2, "a key joins two parts");
+        // The larger table probes an index over the smaller one.
+        order.reverse();
+        let build = order[1];
+        let ((pvar, pattr), (bvar, battr)) = if build == 1 {
+            ((key.x, key.a), (key.y, key.b))
+        } else {
+            ((key.y, key.b), (key.x, key.a))
+        };
+        let col = parts[build]
+            .1
+            .iter()
+            .position(|&v| v == bvar)
+            .expect("key variable is in its part");
+        index.clear();
+        for (r, row) in tables[build].iter().enumerate() {
+            if let Some(v) = g.attr(row[col], battr) {
+                index.push((value_hash(v), r as u32));
             }
         }
-        if !ki.cols.is_empty() {
-            let table = &tables[ci];
-            ki.rows.extend(0..table.len() as u32);
-            ki.rows.sort_unstable_by(|&a, &b| {
-                let (ra, rb) = (table.row(a as usize), table.row(b as usize));
-                for &j in &ki.cols {
-                    match ra[j as usize].cmp(&rb[j as usize]) {
-                        Ordering::Equal => {}
-                        o => return o,
-                    }
-                }
-                a.cmp(&b)
-            });
+        index.sort_unstable();
+        Probe {
+            g,
+            var: pvar,
+            attr: pattr,
+            col,
+            build_attr: battr,
+            index,
         }
-        for v in vars {
-            seen[v.index()] = true;
-        }
-    }
-
+    });
     assignment.clear();
     assignment.resize(total_vars, NodeId(u32::MAX));
     used.clear();
-    used_vars.clear();
-    rec(
-        parts, tables, order, keyed, 0, assignment, used, used_vars, f,
-    )
+    let join = Join {
+        parts,
+        tables,
+        order,
+        probe,
+    };
+    rec(&join, 0, assignment, used, f)
 }
 
-/// Resets the variables placed since `from`, restoring the state this
-/// depth found on entry.
-fn unwind(
+/// What one join call reads and never writes.
+struct Join<'a> {
+    parts: &'a [(Pattern, Vec<VarId>)],
+    tables: &'a [MatchTable],
+    order: &'a [usize],
+    probe: Option<Probe<'a>>,
+}
+
+/// A keyed join's second level: the probing row's `var.attr` value
+/// selects the indexed rows whose `col` node carries it as
+/// `build_attr`.
+struct Probe<'a> {
+    g: &'a Graph,
+    var: VarId,
+    attr: Sym,
+    col: usize,
+    build_attr: Sym,
+    index: &'a [(u64, u32)],
+}
+
+fn rec(
+    join: &Join<'_>,
+    depth: usize,
     assignment: &mut [NodeId],
     used: &mut Vec<NodeId>,
-    used_vars: &mut Vec<VarId>,
-    from: usize,
-) {
-    for &v in &used_vars[from..] {
-        assignment[v.index()] = NodeId(u32::MAX);
-    }
-    used.truncate(from);
-    used_vars.truncate(from);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rec(
-    parts: &[(Pattern, Vec<VarId>)],
-    tables: &[MatchTable],
-    order: &[usize],
-    keyed: &[KeyedIndex],
-    depth: usize,
-    assignment: &mut Vec<NodeId>,
-    used: &mut Vec<NodeId>,
-    used_vars: &mut Vec<VarId>,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> bool {
-    if depth == order.len() {
+    if depth == join.order.len() {
         return f(assignment) == Flow::Continue;
     }
-    let ci = order[depth];
-    let (vars, table) = (&parts[ci].1, &tables[ci]);
-    let ki = &keyed[depth];
-    // Equi-join probe: only the contiguous group of rows agreeing with
-    // the assignment on every key column; no key = the full table.
-    let (group, full) = if ki.cols.is_empty() {
-        (&[][..], table.len())
-    } else {
-        let lo = ki.rows.partition_point(|&r| {
-            cmp_key_to_assignment(table, vars, &ki.cols, r, assignment) == Ordering::Less
-        });
-        let len = ki.rows[lo..].partition_point(|&r| {
-            cmp_key_to_assignment(table, vars, &ki.cols, r, assignment) == Ordering::Equal
-        });
-        (&ki.rows[lo..lo + len], 0)
+    let ci = join.order[depth];
+    let (vars, table) = (&join.parts[ci].1, &join.tables[ci]);
+    // A keyed join's indexed level scans only the rows whose value
+    // hashes like the probe's; every other level scans the table.
+    let (full, candidates, want) = match &join.probe {
+        Some(p) if depth == 1 => {
+            let Some(v) = p.g.attr(assignment[p.var.index()], p.attr) else {
+                return true; // X fails on this row
+            };
+            let h = value_hash(v);
+            let lo = p.index.partition_point(|&(k, _)| k < h);
+            let len = p.index[lo..].partition_point(|&(k, _)| k == h);
+            (0, &p.index[lo..lo + len], Some((p, v)))
+        }
+        _ => (table.len(), &[][..], None),
     };
-    'next_match: for r in (0..full).chain(group.iter().map(|&r| r as usize)) {
+    'next_match: for r in (0..full).chain(candidates.iter().map(|&(_, r)| r as usize)) {
         let row = table.row(r);
-        let placed0 = used.len();
-        for (&var, &node) in vars.iter().zip(row) {
-            let slot = assignment[var.index()];
-            if slot != NodeId(u32::MAX) {
-                // Shared variable: the row must agree with the value an
-                // earlier input placed.
-                if slot != node {
-                    unwind(assignment, used, used_vars, placed0);
-                    continue 'next_match;
-                }
-            } else if used.contains(&node) {
-                // Fresh variable: matches are injective, so the node
-                // must not repeat.
-                unwind(assignment, used, used_vars, placed0);
-                continue 'next_match;
-            } else {
-                assignment[var.index()] = node;
-                used.push(node);
-                used_vars.push(var);
+        if let Some((p, v)) = want {
+            // Confirm by value, not by hash alone.
+            if p.g.attr(row[p.col], p.build_attr) != Some(v) {
+                continue;
             }
         }
-        let go_on = rec(
-            parts,
-            tables,
-            order,
-            keyed,
-            depth + 1,
-            assignment,
-            used,
-            used_vars,
-            f,
-        );
-        unwind(assignment, used, used_vars, placed0);
+        // Matches are injective: no node may repeat across parts.
+        let placed0 = used.len();
+        for (&var, &node) in vars.iter().zip(row) {
+            if used[..placed0].contains(&node) {
+                used.truncate(placed0);
+                continue 'next_match;
+            }
+            assignment[var.index()] = node;
+            used.push(node);
+        }
+        let go_on = rec(join, depth + 1, assignment, used, f);
+        used.truncate(placed0);
         if !go_on {
             return false;
         }
@@ -289,7 +248,7 @@ mod tests {
     ) -> Vec<Vec<NodeId>> {
         let mut out = Vec::new();
         let mut scratch = JoinScratch::new();
-        join_tables(parts, tables, total, &mut scratch, &mut |a| {
+        join_tables(parts, tables, total, None, &mut scratch, &mut |a| {
             out.push(a.to_vec());
             Flow::Continue
         });
@@ -321,7 +280,7 @@ mod tests {
         let t = table(1, &[&[NodeId(0)], &[NodeId(1)], &[NodeId(2)]]);
         let mut n = 0;
         let mut scratch = JoinScratch::new();
-        let complete = join_tables(&[part(&[0])], &[t], 1, &mut scratch, &mut |_| {
+        let complete = join_tables(&[part(&[0])], &[t], 1, None, &mut scratch, &mut |_| {
             n += 1;
             Flow::Break
         });
@@ -339,38 +298,45 @@ mod tests {
     }
 
     #[test]
-    fn shared_variables_equi_join() {
-        // Two "bags" of one decomposed component sharing var 1: rows
-        // combine only when they agree on the overlap.
-        let ta = table(
-            2,
-            &[
-                &[NodeId(0), NodeId(1)],
-                &[NodeId(0), NodeId(2)],
-                &[NodeId(3), NodeId(2)],
-            ],
-        );
-        let tb = table(2, &[&[NodeId(1), NodeId(9)], &[NodeId(2), NodeId(8)]]);
-        let mut out = collect(&[part(&[0, 1]), part(&[1, 2])], &[ta, tb], 3);
-        out.sort();
-        assert_eq!(
-            out,
-            vec![
-                vec![NodeId(0), NodeId(1), NodeId(9)],
-                vec![NodeId(0), NodeId(2), NodeId(8)],
-                vec![NodeId(3), NodeId(2), NodeId(8)],
-            ]
-        );
-    }
-
-    #[test]
-    fn shared_join_still_enforces_injectivity_on_fresh_vars() {
-        // Bags agree on var 1 = n5, but bag B's fresh var 2 reuses bag
-        // A's node n0 — rejected (matches are injective).
-        let ta = table(2, &[&[NodeId(0), NodeId(5)]]);
-        let tb = table(2, &[&[NodeId(5), NodeId(0)], &[NodeId(5), NodeId(7)]]);
-        let out = collect(&[part(&[0, 1]), part(&[1, 2])], &[ta, tb], 3);
-        assert_eq!(out, vec![vec![NodeId(0), NodeId(5), NodeId(7)]]);
+    fn value_key_joins_only_agreeing_rows() {
+        // Part 0 over var 0, part 1 over var 1, joined on v0.val = v1.val:
+        // n0 and n2 share a value, n1 has another, n3 has none.
+        let vocab = Vocab::shared();
+        let mut b = gfd_graph::GraphBuilder::new(vocab.clone());
+        let n: Vec<_> = (0..4).map(|_| b.add_node_labeled("t")).collect();
+        b.set_attr_named(n[0], "val", Value::Int(7));
+        b.set_attr_named(n[1], "val", Value::Int(8));
+        b.set_attr_named(n[2], "val", Value::Int(7));
+        let g = b.freeze();
+        let val = vocab.intern("val");
+        let key = JoinKey {
+            x: VarId(0),
+            a: val,
+            y: VarId(1),
+            b: val,
+        };
+        let all = [&[n[0]][..], &[n[1]], &[n[2]], &[n[3]]];
+        // Either side may be the smaller, indexed one.
+        for (t0, t1) in [(&all[..], &all[..3]), (&all[..3], &all[..])] {
+            let (t0, t1) = (table(1, t0), table(1, t1));
+            let mut out = Vec::new();
+            let mut scratch = JoinScratch::new();
+            let parts = [part(&[0]), part(&[1])];
+            join_tables(
+                &parts,
+                &[t0, t1],
+                2,
+                Some((&g, key)),
+                &mut scratch,
+                &mut |a| {
+                    out.push(a.to_vec());
+                    Flow::Continue
+                },
+            );
+            out.sort();
+            // Equal values, disjoint nodes: (n0, n2) and (n2, n0) only.
+            assert_eq!(out, vec![vec![n[0], n[2]], vec![n[2], n[0]]]);
+        }
     }
 
     #[test]
@@ -379,7 +345,7 @@ mod tests {
         let mut scratch = JoinScratch::new();
         for _ in 0..3 {
             let mut n = 0;
-            join_tables(&parts, &tables, 1, &mut scratch, &mut |_| {
+            join_tables(&parts, &tables, 1, None, &mut scratch, &mut |_| {
                 n += 1;
                 Flow::Continue
             });

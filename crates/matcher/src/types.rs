@@ -21,6 +21,14 @@ impl Match {
     }
 }
 
+/// Its derived `Hash` is its slice's, so a set of matches can be
+/// probed with a borrowed row before one is allocated.
+impl std::borrow::Borrow<[NodeId]> for Match {
+    fn borrow(&self) -> &[NodeId] {
+        &self.0
+    }
+}
+
 /// A cap on search effort, so that adversarial inputs cannot hang the
 /// sequential validator (the paper's `detVio` is exponential; Exp-1
 /// reports it failing to terminate).

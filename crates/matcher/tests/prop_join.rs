@@ -131,7 +131,7 @@ fn flat_join(
 ) -> Vec<Vec<NodeId>> {
     let mut out = Vec::new();
     let mut scratch = JoinScratch::new();
-    join_tables(parts, tables, total, &mut scratch, &mut |a| {
+    join_tables(parts, tables, total, None, &mut scratch, &mut |a| {
         out.push(a.to_vec());
         Flow::Continue
     });

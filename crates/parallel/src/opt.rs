@@ -1,37 +1,16 @@
 //! Optimization strategies (appendix).
 //!
 //! * **Workload reduction**: drop rules implied by the rest of `Σ`
-//!   (`Σ \ {ϕ} ⊨ ϕ` ⇒ whether `Vio` is empty is unchanged). Delegates
-//!   to [`gfd_core::implication`], guarded by a size cap so reasoning
-//!   never dominates detection. `repVal` and `disVal` never reduce:
-//!   the violations of a dropped rule would go unreported, so a
+//!   (`Σ \ {ϕ} ⊨ ϕ` ⇒ whether `Vio` is empty is unchanged) with
+//!   [`gfd_core::implication::minimize`]. `repVal` and `disVal` never
+//!   reduce: the violations of a dropped rule would go unreported, so a
 //!   caller reduces `Σ` itself and runs them on the result.
 //! * **Replicate-and-split for skewed graphs**: work units whose
 //!   estimated cost exceeds a threshold `θ` are replicated into shares
 //!   that split the enumeration time across processors and ship
 //!   partial matches instead of prefetching the unit's footprint.
 
-use gfd_core::implication::minimize;
-use gfd_core::GfdSet;
-
 use crate::workload::WorkUnit;
-
-/// Size cap for [`reduce_workload`] (reasoning on larger rule sets
-/// would eat into detection time).
-pub const REDUCTION_CAP: usize = 64;
-
-/// Applies implication-based workload reduction when `‖Σ‖` is within
-/// `cap` (the analysis is NP-complete; the cap keeps the coordinator
-/// cost negligible, as in the paper's heuristic use). Returns the
-/// reduced set and the seconds spent.
-pub fn reduce_workload(sigma: &GfdSet, cap: usize) -> (GfdSet, f64) {
-    if sigma.len() > cap {
-        return (sigma.clone(), 0.0);
-    }
-    let start = std::time::Instant::now();
-    let reduced = minimize(sigma);
-    (reduced, start.elapsed().as_secs_f64())
-}
 
 /// A unit after skew splitting: `share`/`of` describe which slice of
 /// the replicated unit this entry carries.
@@ -118,30 +97,5 @@ mod tests {
         let split = split_large_units(&[unit(1_000_000)], None);
         assert_eq!(split.len(), 1);
         assert_eq!(split[0].of, 1);
-    }
-
-    #[test]
-    fn reduction_respects_cap() {
-        use gfd_core::{Dependency, Gfd, Literal};
-        use gfd_pattern::{PatternBuilder, VarId};
-        let vocab = gfd_graph::Vocab::shared();
-        let a = vocab.intern("A");
-        let mk = |name: &str| {
-            let mut b = PatternBuilder::new(vocab.clone());
-            b.node("x", "t");
-            Gfd::new(
-                name,
-                b.build(),
-                Dependency::always(vec![Literal::const_eq(VarId(0), a, "v")]),
-            )
-        };
-        // Two identical rules: unreduced when over the cap…
-        let sigma = GfdSet::new(vec![mk("a"), mk("b")]);
-        let (reduced, secs) = reduce_workload(&sigma, 1);
-        assert_eq!(reduced.len(), 2);
-        assert_eq!(secs, 0.0);
-        // …and deduplicated when within it.
-        let (reduced, _) = reduce_workload(&sigma, 10);
-        assert_eq!(reduced.len(), 1);
     }
 }

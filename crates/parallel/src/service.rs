@@ -565,14 +565,25 @@ impl ViolationService {
                 }
             }
         }
-        let update = VioUpdate {
+        let mut update = Some(VioUpdate {
             epoch: next_epoch,
             added,
             retracted,
             degraded,
-        };
-        self.subscribers
-            .retain(|tx| tx.send(update.clone()).is_ok());
+        });
+        // Every subscriber but the last gets a copy; the last takes the
+        // update itself.
+        let mut rest = self.subscribers.len();
+        self.subscribers.retain(|tx| {
+            rest -= 1;
+            let update = if rest == 0 {
+                update.take()
+            } else {
+                update.clone()
+            };
+            tx.send(update.expect("taken by the last subscriber"))
+                .is_ok()
+        });
         Ok(next_epoch)
     }
 
@@ -934,8 +945,8 @@ mod tests {
     #[test]
     fn subscribers_see_every_epoch_exactly_once_and_fold_to_the_absolute_set() {
         let (g0, mut svc) = service(10, ServiceConfig::default());
-        let rx = svc.subscribe();
-        let mut folded: HashSet<(usize, Match)> = svc
+        let receivers = [svc.subscribe(), svc.subscribe()];
+        let start: HashSet<(usize, Match)> = svc
             .violations()
             .into_iter()
             .map(|v| (v.rule, v.mapping))
@@ -955,24 +966,6 @@ mod tests {
         }
         drop(svc);
 
-        let mut expected_epoch = 1;
-        for update in rx.iter() {
-            assert_eq!(update.epoch, expected_epoch, "torn or skipped epoch");
-            expected_epoch += 1;
-            for v in &update.retracted {
-                assert!(
-                    folded.remove(&(v.rule, v.mapping.clone())),
-                    "retraction of a violation the subscriber does not hold"
-                );
-            }
-            for v in &update.added {
-                assert!(
-                    folded.insert((v.rule, v.mapping.clone())),
-                    "re-add of a violation the subscriber already holds"
-                );
-            }
-        }
-        assert_eq!(expected_epoch, 9, "one update per committed epoch");
         let scratch_set: HashSet<(usize, Match)> = scratch(
             &GfdSet::new(vec![spam_rule(shadow.vocab().clone())]),
             &shadow,
@@ -980,7 +973,28 @@ mod tests {
         .into_iter()
         .map(|v| (v.rule, v.mapping))
         .collect();
-        assert_eq!(folded, scratch_set, "folded stream diverges from scratch");
+        for rx in receivers {
+            let mut folded = start.clone();
+            let mut expected_epoch = 1;
+            for update in rx.iter() {
+                assert_eq!(update.epoch, expected_epoch, "torn or skipped epoch");
+                expected_epoch += 1;
+                for v in &update.retracted {
+                    assert!(
+                        folded.remove(&(v.rule, v.mapping.clone())),
+                        "retraction of a violation the subscriber does not hold"
+                    );
+                }
+                for v in &update.added {
+                    assert!(
+                        folded.insert((v.rule, v.mapping.clone())),
+                        "re-add of a violation the subscriber already holds"
+                    );
+                }
+            }
+            assert_eq!(expected_epoch, 9, "one update per committed epoch");
+            assert_eq!(folded, scratch_set, "folded stream diverges from scratch");
+        }
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! one-part group streams its rows to the members' dependency checks; a
 //! `k ≥ 2` group collects each part's rows in a scratch
 //! [`MatchTable`](gfd_match::MatchTable) and joins the tables under
-//! global injectivity. When the group is a symmetric pair and the
-//! unit's two ranges differ, the swapped orientation is joined too, so
-//! the deduplication never loses violations (a diagonal cell's one join
-//! already holds both orders of every pair).
+//! global injectivity — once per distinct member key, on it, and once
+//! plainly for members without one. When the group is a symmetric pair
+//! and the unit's two ranges differ, the swapped orientation is joined
+//! too, so the deduplication never loses violations (a diagonal cell's
+//! one join already holds both orders of every pair).
 //!
 //! Units share **no state**: everything a unit builds lives in the
 //! worker's [`UnitScratch`] and is reset by the next unit. What units
@@ -131,7 +132,7 @@ impl<'a> UnitExecutor<'a> {
             views,
             pins,
         } = scratch;
-        if !primitive.select(group, |_| true) {
+        if !primitive.select(group) {
             return; // X → ∅ can never be violated
         }
         // With multi-query on, each part's class space is fetched once
