@@ -10,7 +10,15 @@
 //! representative numbering, and only a violating row is permuted back
 //! into the member's order. `detVio`, the incremental detector and the
 //! unit executor differ only in data: the pins (none, one node, or one
-//! node-id interval per component — each a [`Pin`]) and [`Pools`].
+//! node-id interval per component — each a [`Pin`]) and the pool source
+//! of each part — one `Option<ClassView>` per part of the group: `Some`
+//! enumerates in that part's registry class space, `None` searches the
+//! raw CSR. Every registry class is thus a connected part, whichever
+//! path registered it.
+//!
+//! Which members an enumeration checks is fixed by Σ: those with a
+//! non-empty `Y` ([`GroupMember::checked`]), since `X → ∅` is never
+//! violated; a group without one enumerates nothing.
 //!
 //! A two-part group enumerates each part once per call and joins the
 //! two tables once per distinct [`JoinKey`] among its members — the
@@ -22,9 +30,7 @@ use gfd_graph::{Graph, NodeId};
 use gfd_match::component::{ComponentSearch, SearchScratch};
 use gfd_match::join::{join_tables, JoinKey, JoinScratch};
 use gfd_match::types::Flow;
-use gfd_match::{
-    for_each_match_in, for_each_match_with, ClassView, MatchOptions, MatchScratch, MatchTable, Pin,
-};
+use gfd_match::{for_each_match_in, ClassView, MatchOptions, MatchScratch, MatchTable, Pin};
 use gfd_pattern::canon::group_isomorphic_with_witnesses;
 use gfd_pattern::signature::decompose;
 use gfd_pattern::{Pattern, VarId};
@@ -67,6 +73,8 @@ pub struct GroupMember {
     /// attribute with a part-1 one, oriented part 0 → part 1 — the
     /// member's rows come from the join on it.
     pub key: Option<JoinKey>,
+    /// Whether an enumeration checks the member: its `Y` is non-empty.
+    pub checked: bool,
     /// The representative variable of each of the rule's variables;
     /// `None` when the rule is in representative order.
     perm: Option<Vec<VarId>>,
@@ -121,6 +129,7 @@ impl RuleGroups {
             group.members.push(GroupMember {
                 rule,
                 key: cross_key(&group.parts, &dep.x),
+                checked: !dep.y.is_empty(),
                 dep,
                 perm: (!witness.is_identity()).then(|| map.to_vec()),
             });
@@ -162,33 +171,16 @@ impl std::ops::Deref for RuleGroups {
 }
 
 impl RuleGroup {
-    /// True if the representative's pattern is connected.
-    pub fn is_connected(&self) -> bool {
-        self.parts.len() == 1
+    /// True if an enumeration of the group checks any member.
+    pub fn checks(&self) -> bool {
+        self.members.iter().any(|m| m.checked)
     }
-}
-
-/// Where one enumeration draws its candidate pools.
-#[derive(Clone, Copy)]
-pub enum Pools<'a> {
-    /// Raw CSR search.
-    Raw,
-    /// The per-call filter of [`for_each_match_with`]: a component
-    /// simulates when its size gate says so, and searches raw otherwise.
-    /// Kept over `Raw`: without it `detVio` on the benchmark's
-    /// `social-cycles` (`--seed 1`, 2-vCPU host) takes 0.151 s instead
-    /// of 0.026 s, though it allocates 0.16 MiB instead of 6.94.
-    Gated,
-    /// Component `i` enumerates through `views[i]`, in its registry
-    /// class's space.
-    Classes(&'a [ClassView]),
 }
 
 /// Caller-owned buffers of [`for_each_group_violation`]; keep one alive
 /// across calls and the steady state allocates nothing.
 #[derive(Default)]
 pub struct GroupScratch {
-    active: Vec<bool>,
     rows: MatchTable,
     row: Vec<NodeId>,
     search: Searches,
@@ -205,7 +197,7 @@ struct Searches {
     enumerations: u64,
 }
 
-/// Rows an enumeration buffers before the selected members check them,
+/// Rows an enumeration buffers before the checked members read them,
 /// one member at a time: each dependency's check then runs as one tight
 /// loop over contiguous rows rather than inside the search's callback —
 /// several times cheaper per check where the search is cheap and the
@@ -214,16 +206,6 @@ struct Searches {
 const CHUNK_ROWS: usize = 1024;
 
 impl GroupScratch {
-    /// Selects the members the next enumeration of `group` checks:
-    /// those with a non-empty `Y`. Returns whether any is selected —
-    /// with none, there is nothing to enumerate for.
-    pub fn select(&mut self, group: &RuleGroup) -> bool {
-        self.active.clear();
-        let checked = group.members.iter().map(|m| !m.dep.y.is_empty());
-        self.active.extend(checked);
-        self.active.contains(&true)
-    }
-
     /// Component searches run so far: one per component of each
     /// enumeration, pinned or not.
     pub fn enumerations(&self) -> u64 {
@@ -233,33 +215,35 @@ impl GroupScratch {
 
 /// Enumerates `group`'s representative once under `pins` (over
 /// representative variables; each component keeps the pins on its own
-/// variables), with pools from `pools`, and checks every member the
-/// last [`GroupScratch::select`] picked on each row of its key's join:
-/// `sink(rule, mapping)` receives each violation, the mapping in the
-/// rule's own order.
+/// variables) — part `i` in `views[i]`'s class space, or on the raw CSR
+/// where that is `None` — and checks every [checked](GroupMember::checked)
+/// member on each row of its key's join: `sink(rule, mapping)` receives
+/// each violation, the mapping in the rule's own order.
 pub fn for_each_group_violation(
     group: &RuleGroup,
     g: &Graph,
-    pools: Pools<'_>,
+    views: &[Option<ClassView>],
     pins: &[Pin],
     scratch: &mut GroupScratch,
     sink: &mut dyn FnMut(usize, &[NodeId]),
 ) {
-    debug_assert_eq!(scratch.active.len(), group.members.len(), "select first");
+    debug_assert_eq!(views.len(), group.parts.len(), "one view per part");
+    if !group.checks() {
+        return; // X → ∅ can never be violated
+    }
     let GroupScratch {
-        active,
         rows,
         row,
         search,
         tables,
         join,
     } = scratch;
-    let selected = || group.members.iter().zip(&*active).filter(|(_, on)| **on);
+    let checked = || group.members.iter().filter(|m| m.checked);
     rows.reset(group.arity);
-    // Checks the buffered rows against the selected members joined on
+    // Checks the buffered rows against the checked members joined on
     // `key`, then empties the chunk.
     let mut check = |rows: &mut MatchTable, key: Option<JoinKey>| {
-        for (member, _) in selected().filter(|(m, _)| m.key == key) {
+        for member in checked().filter(|m| m.key == key) {
             for rep_row in rows.iter() {
                 if !match_satisfies(&member.dep, g, rep_row) {
                     sink(member.rule, member.member_row(rep_row, row));
@@ -271,7 +255,7 @@ pub fn for_each_group_violation(
     match group.parts.len() {
         0 => {} // the empty pattern has no matches
         1 => {
-            search.component(g, group, 0, pools, pins, &mut |r| {
+            search.component(g, group, 0, views, pins, &mut |r| {
                 rows.push_row(r);
                 if rows.len() == CHUNK_ROWS {
                     check(rows, None);
@@ -287,7 +271,7 @@ pub fn for_each_group_violation(
             // No match of one component → none of the pattern.
             let all_match = tables[..k].iter_mut().enumerate().all(|(i, table)| {
                 table.reset(group.parts[i].0.node_count());
-                search.component(g, group, i, pools, pins, &mut |r| {
+                search.component(g, group, i, views, pins, &mut |r| {
                     table.push_row(r);
                     Flow::Continue
                 });
@@ -296,10 +280,10 @@ pub fn for_each_group_violation(
             if !all_match {
                 return;
             }
-            // One join per distinct key among the selected members (at
+            // One join per distinct key among the checked members (at
             // its first holder), one plain join if any member has none.
-            let keys = selected().enumerate().filter_map(|(i, (m, _))| {
-                let first = selected().take(i).all(|(p, _)| p.key != m.key);
+            let keys = checked().enumerate().filter_map(|(i, m)| {
+                let first = checked().take(i).all(|p| p.key != m.key);
                 first.then_some(m.key)
             });
             let (parts, tables) = (&group.parts, &tables[..k]);
@@ -320,33 +304,31 @@ pub fn for_each_group_violation(
 
 impl Searches {
     /// Streams component `i`'s matches under the pins on its variables,
-    /// rows in the component's own variable order.
+    /// rows in the component's own variable order: in `views[i]`'s class
+    /// space, or on the raw CSR.
     fn component(
         &mut self,
         g: &Graph,
         group: &RuleGroup,
         i: usize,
-        pools: Pools<'_>,
+        views: &[Option<ClassView>],
         pins: &[Pin],
         f: &mut dyn FnMut(&[NodeId]) -> Flow,
     ) {
         let (cq, vars) = &group.parts[i];
         self.enumerations += 1;
         Pin::restrict(pins, vars, &mut self.opts.pins);
-        match pools {
-            Pools::Raw => {
+        match &views[i] {
+            Some(view) => {
+                for_each_match_in(view, g, &self.opts, &mut self.matching, f);
+            }
+            None => {
                 let raw = std::mem::take(&mut self.raw);
                 let mut s = ComponentSearch::new(cq, g)
                     .with_scratch(raw)
                     .pins(&self.opts.pins);
                 s.for_each(f);
                 self.raw = s.into_scratch();
-            }
-            Pools::Gated => {
-                for_each_match_with(cq, g, &self.opts, None, &mut self.matching, f);
-            }
-            Pools::Classes(views) => {
-                for_each_match_in(&views[i], g, &self.opts, &mut self.matching, f);
             }
         }
     }

@@ -7,13 +7,13 @@
 //! all of that work re-derives unchanged facts. [`IncrementalDetector`]
 //! keeps state across edits:
 //!
-//! * one shared [`ClassRegistry`] handle per rule group
-//!   ([`RuleGroups`]: Σ grouped by pattern isomorphism class) — each
+//! * one shared [`ClassRegistry`] handle per connected part of each
+//!   rule group ([`RuleGroups`]: Σ grouped by pattern isomorphism
+//!   class), registered exactly as the work units register them — each
 //!   class's dual-simulation candidate space is computed once and
 //!   *repaired* (not recomputed) against each [`GraphDelta`] at its
-//!   representative, and a group reads it through its view
-//!   ([`ClassView`](gfd_match::ClassView): pin screens look up the
-//!   class variable). The
+//!   representative, and a part reads it through its view
+//!   ([`ClassView`]: pin screens look up the class variable). The
 //!   registry is `Arc`-shared and versioned: several detectors (and the
 //!   threaded executor) can serve off one registry; the first detector
 //!   to reach an epoch repairs, and a later `advance` at an epoch the
@@ -33,20 +33,21 @@
 //! * new violations must contain an affected node (a match that
 //!   gained violation status either changed structurally or had an
 //!   attribute change on one of its images), so the detector
-//!   enumerates only matches *pinned* at affected candidate nodes —
-//!   once per group and pin, using the repaired candidate space as the
-//!   search filter — and checks every member of the group on each.
+//!   enumerates only matches *pinned* at affected candidate nodes — a
+//!   node pins a variable where its part's view admits it, once per
+//!   group and pin, every part searching its repaired class space —
+//!   and checks every member of the group on each.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_match::types::Flow;
-use gfd_match::{ClassRegistry, Match, MatchOptions, Pin, SpaceHandle};
+use gfd_match::{ClassRegistry, ClassView, Match, MatchOptions, Pin, SpaceHandle};
 use gfd_pattern::VarId;
 
 use crate::gfd::GfdSet;
-use crate::group::{for_each_group_violation, GroupScratch, Pools, RuleGroups};
+use crate::group::{for_each_group_violation, GroupScratch, RuleGroups};
 use crate::validate::{detect_violations, for_each_violation, match_satisfies, Violation};
 
 /// The change `apply_diff` made to `Vio(Σ, G)` in one edit step: what
@@ -87,12 +88,16 @@ pub struct IncrementalDetector {
     /// Σ grouped by pattern isomorphism class: one enumeration per
     /// group and pin, every member checked on the row.
     groups: RuleGroups,
-    /// Each group's representative, registered in `registry`.
-    handles: Vec<SpaceHandle>,
+    /// Per group, each part of its representative, registered in
+    /// `registry`.
+    handles: Vec<Vec<SpaceHandle>>,
     /// The current violating matches of each rule.
     violations: Vec<HashSet<Match>>,
     /// Enumeration buffers, reused by every enumeration.
     scratch: GroupScratch,
+    /// The group in flight's class views, one per part; emptied after
+    /// each group so no view outlives it.
+    views: Vec<Option<ClassView>>,
 }
 
 impl IncrementalDetector {
@@ -114,21 +119,16 @@ impl IncrementalDetector {
             ref handles,
             ref mut violations,
             ref mut scratch,
+            ref mut views,
             ..
         } = det;
-        for (group, &h) in groups.iter().zip(handles) {
-            let view = registry.space(h, g);
-            if view.space.is_empty_anywhere() || !scratch.select(group) {
-                continue;
+        for (group, handles) in groups.iter().zip(handles) {
+            if group.checks() && fetch_views(registry, handles, g, views) {
+                for_each_group_violation(group, g, views, &[], scratch, &mut |rule, m| {
+                    violations[rule].insert(Match(m.to_vec()));
+                });
             }
-            let pools = if group.is_connected() {
-                Pools::Classes(std::slice::from_ref(&view))
-            } else {
-                Pools::Gated
-            };
-            for_each_group_violation(group, g, pools, &[], scratch, &mut |rule, m| {
-                violations[rule].insert(Match(m.to_vec()));
-            });
+            views.clear();
         }
         det
     }
@@ -195,7 +195,10 @@ impl IncrementalDetector {
         let groups = RuleGroups::new(sigma);
         let handles = groups
             .iter()
-            .map(|group| registry.register(&sigma.get(group.rep).pattern))
+            .map(|group| {
+                let parts = group.parts.iter();
+                parts.map(|(q, _)| registry.register(q)).collect()
+            })
             .collect();
         let mut sets = vec![HashSet::new(); sigma.len()];
         for v in violations {
@@ -210,6 +213,7 @@ impl IncrementalDetector {
             handles,
             violations: sets,
             scratch: GroupScratch::default(),
+            views: Vec::new(),
         }
     }
 
@@ -283,6 +287,7 @@ impl IncrementalDetector {
             ref mut violations,
             version,
             ref mut scratch,
+            ref mut views,
         } = *self;
         registry.advance(g, &d, version);
 
@@ -305,43 +310,56 @@ impl IncrementalDetector {
 
         // 2. New violations contain an affected node: enumerate each
         //    group's matches pinned there (per representative variable
-        //    whose candidate set admits the node), via the repaired
-        //    class space — fetched once per group — and check every
-        //    member on each row.
-        for (group, &h) in groups.iter().zip(handles) {
-            if !scratch.select(group) {
-                continue; // X → ∅ can never be violated
-            }
-            let view = registry.space(h, g);
-            if view.space.is_empty_anywhere() {
+        //    whose part's candidate set admits the node), every part in
+        //    its repaired class space — fetched once per group — and
+        //    check every member on each row.
+        for (group, handles) in groups.iter().zip(handles) {
+            // X → ∅ is never violated, and a matchless part leaves the
+            // group's pattern without a match.
+            if !group.checks() || !fetch_views(registry, handles, g, views) {
                 debug_assert!(group.members.iter().all(|m| violations[m.rule].is_empty()));
+                views.clear();
                 continue;
             }
-            let pools = if group.is_connected() {
-                Pools::Classes(std::slice::from_ref(&view))
-            } else {
-                Pools::Gated
-            };
             for &u in &affected {
-                for v in (0..group.arity as u32).map(VarId) {
-                    if view.of(v).binary_search(&u).is_err() {
-                        continue;
-                    }
-                    let pins = &[Pin::at(v, u)];
-                    for_each_group_violation(group, g, pools, pins, scratch, &mut |rule, m| {
-                        // First sighting only: the same match can be
-                        // re-found via several pins, or be stored.
-                        if !violations[rule].contains(m) {
-                            let mapping = Match(m.to_vec());
-                            violations[rule].insert(mapping.clone());
-                            diff.added.push(Violation { rule, mapping });
+                for (view, (_, vars)) in views.iter().flatten().zip(&group.parts) {
+                    for (local, &v) in vars.iter().enumerate() {
+                        if view.of(VarId(local as u32)).binary_search(&u).is_err() {
+                            continue;
                         }
-                    });
+                        let pins = &[Pin::at(v, u)];
+                        for_each_group_violation(group, g, views, pins, scratch, &mut |rule, m| {
+                            // First sighting only: the same match can be
+                            // re-found via several pins, or be stored.
+                            if !violations[rule].contains(m) {
+                                let mapping = Match(m.to_vec());
+                                violations[rule].insert(mapping.clone());
+                                diff.added.push(Violation { rule, mapping });
+                            }
+                        });
+                    }
                 }
             }
+            views.clear();
         }
         diff
     }
+}
+
+/// Fills `views` with the class view over `g` of each part of a group,
+/// registered as `handles`; `false` if some part has no match anywhere,
+/// so neither has the group's pattern.
+fn fetch_views(
+    registry: &ClassRegistry,
+    handles: &[SpaceHandle],
+    g: &Graph,
+    views: &mut Vec<Option<ClassView>>,
+) -> bool {
+    views.extend(handles.iter().map(|&h| Some(registry.space(h, g))));
+    views
+        .iter()
+        .flatten()
+        .all(|view| !view.space.is_empty_anywhere())
 }
 
 /// Direct `O(|Q|)` re-check of a previously stored violating match:

@@ -16,15 +16,21 @@
 //! member's dependency on each — a two-part group's member on the rows
 //! of the join on its cross-part `X` equality, as on every other path —
 //! exponential in the worst case (validation is coNP-complete, Prop. 9),
-//! which is why the parallel crate exists. [`for_each_violation`] is the per-rule reference path,
+//! which is why the parallel crate exists. Each part of a group
+//! enumerates in its registry class space when the one size gate
+//! ([`gfd_match::auto_simulate`]) fires for it, and on the raw CSR
+//! otherwise. [`for_each_violation`] is the per-rule reference path,
 //! independent of the grouping; a budgeted variant is provided so
 //! callers can bound the effort.
 
 use gfd_graph::{Graph, NodeId};
-use gfd_match::{for_each_match, types::Flow, ClassRegistry, Match, MatchOptions, SearchBudget};
+use gfd_match::{
+    auto_simulate, for_each_match, types::Flow, ClassRegistry, ClassView, Match, MatchOptions,
+    SearchBudget,
+};
 
 use crate::gfd::{Gfd, GfdSet};
-use crate::group::{for_each_group_violation, GroupScratch, Pools, RuleGroups};
+use crate::group::{for_each_group_violation, GroupScratch, RuleGroups};
 use crate::literal::{Dependency, Literal};
 
 /// One violation: which rule, and the violating match.
@@ -90,14 +96,14 @@ pub fn detect_violations(sigma: &GfdSet, g: &Graph) -> Vec<Violation> {
 }
 
 /// `detVio` borrowing a caller-owned [`ClassRegistry`] shared across
-/// the whole Σ (and, if the caller wishes, with workload estimation):
-/// a **connected** group of ≥ 2 rules of this Σ enumerates through its
-/// class's candidate space — simulated once, read through the
-/// representative's permutation — instead of re-deriving its own
-/// filter. Singleton groups and disconnected patterns keep the per-call
-/// size-gated filter of [`gfd_match::for_each_match_with`], so sharing
-/// costs at most one simulation per multi-member group, amortized over
-/// that group's rules, and registers nothing else.
+/// the whole Σ (and, if the caller wishes, with workload estimation or
+/// an incremental detector): each part of a group that passes the size
+/// gate [`auto_simulate`] — cyclic, with large entry pools — registers
+/// as a class and enumerates through its candidate space, simulated
+/// once per class and read through the representative's permutation;
+/// every other part searches the raw CSR and registers nothing. The
+/// classes are connected parts, the same ones the detector and the
+/// work units register.
 pub fn detect_violations_shared(
     sigma: &GfdSet,
     g: &Graph,
@@ -107,10 +113,23 @@ pub fn detect_violations_shared(
 }
 
 /// Caller-owned reusable state for repeated `detVio` runs: the
-/// enumeration primitive's buffers. Keep one alive — next to the shared
-/// [`ClassRegistry`] — across detection iterations and the steady state
-/// is allocation-free up to the grouping and the violations output.
-pub type DetScratch = GroupScratch;
+/// enumeration primitive's buffers and the group in flight's class
+/// views. Keep one alive — next to the shared [`ClassRegistry`] —
+/// across detection iterations and the steady state is allocation-free
+/// up to the grouping and the violations output.
+#[derive(Default)]
+pub struct DetScratch {
+    group: GroupScratch,
+    /// Per part of the group in flight: its class view, or `None`.
+    views: Vec<Option<ClassView>>,
+}
+
+impl DetScratch {
+    /// Component searches run through this scratch so far.
+    pub fn enumerations(&self) -> u64 {
+        self.group.enumerations()
+    }
+}
 
 /// [`detect_violations_shared`] with caller-owned scratch.
 pub fn detect_violations_with(
@@ -120,25 +139,20 @@ pub fn detect_violations_with(
     scratch: &mut DetScratch,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
-    for group in RuleGroups::new(sigma).iter() {
-        let shared = group.is_connected() && group.members.len() >= 2;
-        let view = shared.then(|| {
-            let h = registry.register(&sigma.get(group.rep).pattern);
-            registry.space(h, g)
-        });
-        if !scratch.select(group) {
-            continue;
-        }
-        let pools = match &view {
-            Some(view) => Pools::Classes(std::slice::from_ref(view)),
-            None => Pools::Gated,
-        };
-        for_each_group_violation(group, g, pools, &[], scratch, &mut |rule, m| {
+    let DetScratch {
+        group: primitive,
+        views,
+    } = scratch;
+    for group in RuleGroups::new(sigma).iter().filter(|group| group.checks()) {
+        let view = |q| auto_simulate(q, g).then(|| registry.space(registry.register(q), g));
+        views.extend(group.parts.iter().map(|(q, _)| view(q)));
+        for_each_group_violation(group, g, views, &[], primitive, &mut |rule, m| {
             out.push(Violation {
                 rule,
                 mapping: Match(m.to_vec()),
             })
         });
+        views.clear();
     }
     out
 }
@@ -508,6 +522,10 @@ mod tests {
         );
     }
 
+    /// Person nodes enough for a cyclic pattern over `person` to pass
+    /// the simulation size gate ([`gfd_match::auto_simulate`]).
+    const GATED_PERSONS: usize = 128;
+
     /// Two rules sharing a cyclic (triangle) pattern class must route
     /// through the registry's one class space, simulated once and
     /// enumerated once per run, and agree with the per-rule reference
@@ -517,8 +535,11 @@ mod tests {
     fn shared_cyclic_rules_use_cached_plan_and_agree() {
         let vocab = Vocab::shared();
         let mut gb = gfd_graph::GraphBuilder::new(vocab.clone());
-        // Two directed triangles over "person" plus a dangling edge.
-        let ps: Vec<_> = (0..7).map(|_| gb.add_node_labeled("person")).collect();
+        // Two directed triangles over "person" plus a dangling edge,
+        // among enough isolated persons for the size gate to fire.
+        let ps: Vec<_> = (0..GATED_PERSONS)
+            .map(|_| gb.add_node_labeled("person"))
+            .collect();
         for tri in [[0, 1, 2], [3, 4, 5]] {
             for k in 0..3 {
                 gb.add_edge_labeled(ps[tri[k]], ps[tri[(k + 1) % 3]], "knows");
@@ -590,7 +611,9 @@ mod tests {
     fn shared_const_y_rules_skip_enumeration_via_marginals() {
         let vocab = Vocab::shared();
         let mut gb = gfd_graph::GraphBuilder::new(vocab.clone());
-        let ps: Vec<_> = (0..6).map(|_| gb.add_node_labeled("person")).collect();
+        let ps: Vec<_> = (0..GATED_PERSONS)
+            .map(|_| gb.add_node_labeled("person"))
+            .collect();
         for tri in [[0, 1, 2], [3, 4, 5]] {
             for k in 0..3 {
                 gb.add_edge_labeled(ps[tri[k]], ps[tri[(k + 1) % 3]], "knows");
@@ -632,6 +655,70 @@ mod tests {
         }
         assert_eq!(reg.class_count(), 1, "both rules share one class");
         assert_eq!(scratch.enumerations(), 3, "one search of the class per run");
+    }
+
+    /// A two-member group over a tree pattern fails the size gate
+    /// however large its pools: detVio searches it on the raw CSR,
+    /// registers no class, and agrees with the per-rule reference path.
+    #[test]
+    fn detvio_simulates_only_gated_parts() {
+        let vocab = Vocab::shared();
+        let mut gb = gfd_graph::GraphBuilder::new(vocab.clone());
+        let ps: Vec<_> = (0..GATED_PERSONS)
+            .map(|_| gb.add_node_labeled("person"))
+            .collect();
+        for (i, w) in ps.windows(2).enumerate() {
+            gb.add_edge_labeled(w[0], w[1], "knows");
+            gb.set_attr_named(w[0], "val", Value::Int((i % 3) as i64));
+        }
+        let g = gb.freeze();
+
+        // x -knows-> y, declared in both variable orders.
+        let edge = |names: [&str; 2]| {
+            let mut b = PatternBuilder::new(vocab.clone());
+            let a = b.node(names[0], "person");
+            let c = b.node(names[1], "person");
+            if names[0] == "x" {
+                b.edge(a, c, "knows");
+            } else {
+                b.edge(c, a, "knows");
+            }
+            b.build()
+        };
+        let val = vocab.intern("val");
+        let sigma = GfdSet::new(vec![
+            Gfd::new(
+                "src-zero",
+                edge(["x", "y"]),
+                Dependency::always(vec![Literal::const_eq(VarId(0), val, Value::Int(0))]),
+            ),
+            Gfd::new(
+                "dst-zero",
+                edge(["y", "x"]),
+                Dependency::always(vec![Literal::const_eq(VarId(0), val, Value::Int(0))]),
+            ),
+        ]);
+        assert_eq!(RuleGroups::new(&sigma).len(), 1, "one two-member group");
+
+        let mut want = Vec::new();
+        for (rule, gfd) in sigma.iter().enumerate() {
+            for_each_violation(gfd, &g, &MatchOptions::unrestricted(), &mut |m| {
+                want.push(Violation {
+                    rule,
+                    mapping: Match(m.to_vec()),
+                });
+                Flow::Continue
+            });
+        }
+        assert!(!want.is_empty());
+        let reg = ClassRegistry::new();
+        let mut got = detect_violations_shared(&sigma, &g, &reg);
+        let key = |v: &Violation| (v.rule, v.mapping.nodes().to_vec());
+        got.sort_by_key(key);
+        want.sort_by_key(key);
+        assert_eq!(got, want);
+        assert_eq!(reg.class_count(), 0, "a tree part registers no class");
+        assert_eq!(reg.simulations(), 0);
     }
 
     #[test]

@@ -74,15 +74,19 @@ pub enum EnumOutcome {
 /// keep it.
 const SIM_AUTO_MIN_POOL: usize = 128;
 
-/// The per-call filter rule: filter when the component is *cyclic*
-/// (edges ≥ nodes — includes parallel-edge multi-constraints) and its
-/// cheapest entry pool is large enough for the filter to pay for
-/// itself. On trees the raw search already expands only adjacency
-/// intersections, and measured mined-rule workloads run faster
-/// unfiltered; cycles are where simulation prunes what backtracking
-/// discovers late. A caller who wants the filter regardless passes a
-/// space.
-fn auto_simulate(cq: &Pattern, g: &Graph) -> bool {
+/// The one size gate on simulation: filter a connected component when
+/// it is *cyclic* (edges ≥ nodes — includes parallel-edge
+/// multi-constraints) and its cheapest entry pool holds at least
+/// `SIM_AUTO_MIN_POOL` (128) nodes, so the filter pays for itself. On
+/// trees the raw search already expands only adjacency intersections,
+/// and measured mined-rule workloads run faster unfiltered; cycles are
+/// where simulation prunes what backtracking discovers late.
+///
+/// The per-call filter of [`for_each_match_with`] reads it, and so
+/// does `detVio`, to decide per part whether to enumerate in the
+/// part's registry class space or to search the raw CSR. A caller who
+/// wants the filter regardless passes a space.
+pub fn auto_simulate(cq: &Pattern, g: &Graph) -> bool {
     if cq.edge_count() < cq.node_count() {
         return false;
     }

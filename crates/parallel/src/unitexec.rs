@@ -32,13 +32,15 @@
 //! of a run share is the read-only serving tier — with the
 //! *multi-query* optimization (appendix, following \[31\]) on, every
 //! part enumerates through its isomorphism class's candidate space in
-//! the shared [`ClassRegistry`], one registry lookup per unit and part.
-//! Without it every enumeration searches the raw graph privately.
+//! the shared [`ClassRegistry`], one registry lookup per unit and part
+//! — the same part classes `detVio` and the incremental detector
+//! register. Without it every part's view is `None` and every
+//! enumeration searches the raw graph privately.
 //! Either way a warm [`UnitExecutor::run`] call performs **zero heap
 //! allocations** (asserted by the `alloc_probe` test and the
 //! `alloc/unit_exec_steady_state` bench sample).
 
-use gfd_core::group::{for_each_group_violation, GroupScratch, Pools, RuleGroup};
+use gfd_core::group::{for_each_group_violation, GroupScratch, RuleGroup};
 use gfd_core::Violation;
 use gfd_graph::Graph;
 use gfd_match::{ClassRegistry, ClassView, Match, Pin, SpaceHandle};
@@ -53,9 +55,9 @@ use crate::workload::{SigmaPlan, UnitSlot, WorkUnit};
 #[derive(Default)]
 pub struct UnitScratch {
     group: GroupScratch,
-    /// Per part of the unit in flight (multi-query on): its class view,
-    /// released when the unit ends.
-    views: Vec<ClassView>,
+    /// Per part of the unit in flight: its class view (multi-query on)
+    /// or `None`, released when the unit ends.
+    views: Vec<Option<ClassView>>,
     /// Per part: its pivot's interval.
     pins: Vec<Pin>,
 }
@@ -132,19 +134,18 @@ impl<'a> UnitExecutor<'a> {
             views,
             pins,
         } = scratch;
-        if !primitive.select(group) {
+        if !group.checks() {
             return; // X → ∅ can never be violated
         }
         // With multi-query on, each part's class space is fetched once
         // for the unit.
-        let pools = match &self.handles {
+        match &self.handles {
             Some(handles) => {
-                let fetch = |&h: &SpaceHandle| self.registry.space(h, self.g);
+                let fetch = |&h: &SpaceHandle| Some(self.registry.space(h, self.g));
                 views.extend(handles[index].iter().map(fetch));
-                Pools::Classes(views)
             }
-            None => Pools::Raw,
-        };
+            None => views.resize(group.parts.len(), None),
+        }
         // Part `i`'s pivot pinned at slot `i`'s interval — and, for a
         // symmetric pair's off-diagonal cell, at the other slot's.
         let both = gp.symmetric_pair && unit_slots[0].lo != unit_slots[1].lo;
@@ -155,7 +156,7 @@ impl<'a> UnitExecutor<'a> {
                 let (lo, hi) = (range[0], range[range.len() - 1]);
                 pins.push(Pin { var, lo, hi });
             }
-            for_each_group_violation(group, self.g, pools, pins, primitive, &mut |rule, m| {
+            for_each_group_violation(group, self.g, views, pins, primitive, &mut |rule, m| {
                 out.push(Violation {
                     rule,
                     mapping: Match(m.to_vec()),
@@ -182,6 +183,7 @@ mod tests {
     use super::*;
     use crate::workload::{estimate_workload_in, plan_rules, WorkloadOptions};
     use gfd_core::validate::detect_violations;
+    use gfd_core::IncrementalDetector;
     use gfd_core::{Dependency, Gfd, GfdSet, Literal};
     use gfd_graph::{NodeId, Value, Vocab};
     use gfd_match::types::Flow;
@@ -281,6 +283,22 @@ mod tests {
             "isomorphic components must share one class space"
         );
         assert!(registry.stats().hits > 0);
+    }
+
+    /// The incremental detector registers a group's parts as the units
+    /// do: after it seeds over a two-part rule, estimation on the same
+    /// registry finds the parts' class simulated and runs none.
+    #[test]
+    fn detector_and_estimation_share_part_classes() {
+        let g = flights(3);
+        let sigma = GfdSet::new(vec![phi_same_id_same_dest(g.vocab().clone())]);
+        let registry = Arc::new(ClassRegistry::new());
+        let det = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
+        assert_eq!(det.violation_count(), 6);
+        assert_eq!(registry.class_count(), 1, "both stars are one class");
+        let wl = estimate_workload_in(&sigma, &g, &WorkloadOptions::default(), &registry);
+        assert_eq!(wl.simulations, 0, "the detector simulated the class");
+        assert_eq!(registry.class_count(), 1);
     }
 
     #[test]

@@ -182,10 +182,10 @@ fn shared_registry_serves_racing_tenants_and_executor() {
         cfg(2),
         Arc::clone(&registry),
     );
-    // Three classes: the shared account→blog "post" star (spam rule +
-    // both halves of the symmetric rule), the "like" star, and the
-    // symmetric rule's full two-component pattern.
-    assert_eq!(registry.class_count(), 3);
+    // Two classes, both connected parts: the shared account→blog
+    // "post" star (spam rule + both halves of the symmetric rule) and
+    // the "like" star.
+    assert_eq!(registry.class_count(), 2);
     assert_eq!(
         registry.simulations(),
         registry.class_count(),
@@ -246,7 +246,7 @@ fn shared_registry_serves_racing_tenants_and_executor() {
             registry.class_count(),
             "a class was re-simulated at epoch {ea}"
         );
-        assert_eq!(registry.class_count(), 3);
+        assert_eq!(registry.class_count(), 2);
     }
 
     assert!(

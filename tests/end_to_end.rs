@@ -361,7 +361,7 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
     let groups = RuleGroups::new(&sigma);
     let sizes: Vec<usize> = groups.iter().map(|grp| grp.members.len()).collect();
     assert_eq!(sizes, [4, 2], "premise: a triangle group and a pair group");
-    assert!(groups.of(0).is_connected() && !groups.of(4).is_connected());
+    assert!(groups.of(0).parts.len() == 1 && groups.of(4).parts.len() == 2);
     let probe = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
     for group in groups.iter() {
         let row = &probe[..group.arity];
