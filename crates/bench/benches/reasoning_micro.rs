@@ -347,8 +347,8 @@ fn main() {
             });
             let mut inc = IncrementalSpace::new(q, &g, None);
             bench("sim/incremental_vs_scratch(repair)", &mut samples, || {
-                inc.apply(&g_minus, &d_rm);
-                inc.apply(&g, &d_add);
+                inc.apply_normalized(&g_minus, &d_rm);
+                inc.apply_normalized(&g, &d_add);
                 inc.space().total_size()
             });
             bench("sim/incremental_vs_scratch(scratch)", &mut samples, || {

@@ -7,9 +7,10 @@
 //! Runs in CI under `BENCH_SMOKE` so a regression that re-introduces
 //! per-unit allocation fails the build. The standing path has the same
 //! kind of gate: a warm [`IncrementalDetector::apply_diff`] allocates
-//! per rule group, not per rule.
+//! nothing, for one rule or for eight isomorphic twins.
 //!
-//! The write side has its own gates: [`Graph::apply_delta`] must
+//! The write side has its own gates: a warm [`WalWriter::append`] that
+//! interns no new name allocates nothing, [`Graph::apply_delta`] must
 //! request allocator bytes in proportion to the delta's pages, not to
 //! the graph, a warm [`IncrementalSpace`] repair in proportion to the
 //! runs the delta moved — nothing at all when no set moves — and log
@@ -163,10 +164,11 @@ fn same_id_same_dest_in_order(vocab: Arc<Vocab>, order: [usize; 6]) -> Gfd {
 /// two-star class, as one rule and as eight permuted declarations; each
 /// epoch writes an attribute onto a flight — a candidate of both hubs,
 /// so the epoch pins it twice — and changes no violation. Both counts
-/// must be equal and small: the delta's normalized copy and
-/// touched-node list, and what the registry's repair asks for. An
-/// enumeration that decomposes the pattern per pinned call, or
-/// allocates per rule, multiplies the eight-member count.
+/// must be zero: the delta arrives normalized and is taken as it is,
+/// the touched-node list fills a buffer the detector keeps, and the
+/// registry's repair moves no set. An enumeration that decomposes the
+/// pattern per pinned call, or allocates per rule, multiplies the
+/// eight-member count.
 #[test]
 fn warm_epoch_allocates_per_group_not_per_rule() {
     let _serial = serial();
@@ -207,16 +209,49 @@ fn warm_epoch_allocates_per_group_not_per_rule() {
     let (one, eight) = (per_epoch(1), per_epoch(8));
     eprintln!("warm epoch: {one} allocations for one rule, {eight} for eight twins");
     assert_eq!(one, eight, "an epoch must allocate per group, not per rule");
-    assert!(
-        one <= EPOCH_ALLOCATIONS,
+    assert_eq!(
+        one, EPOCH_ALLOCATIONS,
         "a warm epoch made {one} allocations"
     );
 }
 
 /// Allocations of one warm single-write epoch on the two-star class:
-/// the normalized copy of the delta and its touched-node list (measured
-/// 2 when written).
-const EPOCH_ALLOCATIONS: u64 = 2;
+/// none (measured 0 for one rule and for eight twins when written).
+const EPOCH_ALLOCATIONS: u64 = 0;
+
+/// The log-append gate: a warm [`WalWriter::append`] of a frame that
+/// interns no new name makes zero allocations — the frame is encoded
+/// into the writer's reused buffer, and the vocabulary is copied only
+/// when names were interned since the last frame. A copy of the
+/// vocabulary per frame costs one allocation here, and bytes in
+/// proportion to the vocabulary on every frame of a real log.
+#[test]
+fn warm_wal_append_allocates_nothing() {
+    let _serial = serial();
+    let g = clean_flights(40);
+    let stamp = g.vocab().intern("stamp");
+    let dir = TempDir::new("gfd-alloc-append").unwrap();
+    let path = dir.file("append.wal");
+    let mut w = WalWriter::create(&path, 0, &g, SyncPolicy::OnDemand).unwrap();
+    let mut delta = GraphDelta::new(g.node_count());
+    delta.attr_ops.push(AttrOp {
+        node: NodeId(0),
+        attr: stamp,
+        value: Some(Value::Int(0)),
+    });
+    let mut epoch = 0;
+    let mut append = || {
+        epoch += 1;
+        w.append(epoch, &delta, g.vocab()).unwrap();
+    };
+    // Warm-up: sizes the frame buffer.
+    append();
+    let allocations = min_allocation_delta(5, append);
+    assert_eq!(
+        allocations, 0,
+        "a warm append that interns no name made {allocations} allocations"
+    );
+}
 
 #[test]
 fn warm_execute_unit_allocates_nothing() {

@@ -98,12 +98,14 @@ pub struct IncrementalDetector {
     /// The group in flight's class views, one per part; emptied after
     /// each group so no view outlives it.
     views: Vec<Option<ClassView>>,
+    /// The epoch in flight's touched nodes, kept across epochs.
+    affected: Vec<NodeId>,
 }
 
 impl IncrementalDetector {
     /// Full detection pass over `g`, retaining all per-rule state for
-    /// later [`apply`](IncrementalDetector::apply) calls, over a
-    /// private registry.
+    /// later [`apply_diff`](IncrementalDetector::apply_diff) calls,
+    /// over a private registry.
     pub fn new(sigma: &GfdSet, g: &Graph) -> Self {
         Self::with_registry(sigma, g, Arc::new(ClassRegistry::new()))
     }
@@ -214,6 +216,7 @@ impl IncrementalDetector {
             violations: sets,
             scratch: GroupScratch::default(),
             views: Vec::new(),
+            affected: Vec::new(),
         }
     }
 
@@ -253,25 +256,20 @@ impl IncrementalDetector {
         }
     }
 
-    /// Repairs the detector against one edit step: `g` is the edited
-    /// snapshot, `delta` the recorded difference from the snapshot the
-    /// detector was last synchronized with.
-    pub fn apply(&mut self, g: &Graph, delta: &GraphDelta) {
-        self.apply_diff(g, delta);
-    }
-
-    /// [`apply`](IncrementalDetector::apply), additionally reporting
-    /// exactly which violations appeared and disappeared — the
-    /// subscriber-facing change stream of a standing-violation
-    /// service (`Vio(Σ, G)` *changes*, not absolute sets).
+    /// Repairs the detector against one edit step and reports exactly
+    /// which violations appeared and disappeared — the
+    /// subscriber-facing change stream of a standing-violation service
+    /// (`Vio(Σ, G)` *changes*, not absolute sets). `g` is the edited
+    /// snapshot, `delta` the difference from the snapshot the detector
+    /// was last synchronized with, taken as it is: its producer made it
+    /// normalized (see [`GraphDelta`]). A warm call allocates only for
+    /// what it finds and what the registry's repair moves.
     pub fn apply_diff(&mut self, g: &Graph, delta: &GraphDelta) -> VioDiff {
         let mut diff = VioDiff::default();
-        let d = delta.clone().normalize();
-        if d.is_empty() {
+        if delta.is_empty() {
             return diff;
         }
-        let affected = d.touched_nodes();
-        let is_affected = |u: NodeId| affected.binary_search(&u).is_ok();
+        delta.touched_nodes(&mut self.affected);
 
         // Repair the candidate spaces first — one repair per
         // isomorphism class, shared by every rule of the class; pinned
@@ -288,8 +286,10 @@ impl IncrementalDetector {
             version,
             ref mut scratch,
             ref mut views,
+            ref affected,
         } = *self;
-        registry.advance(g, &d, version);
+        registry.advance(g, delta, version);
+        let is_affected = |u: NodeId| affected.binary_search(&u).is_ok();
 
         // 1. Re-check stored violations that touch the delta; the rest
         //    are untouched matches with untouched attribute values and
@@ -321,7 +321,7 @@ impl IncrementalDetector {
                 views.clear();
                 continue;
             }
-            for &u in &affected {
+            for &u in affected {
                 for (view, (_, vars)) in views.iter().flatten().zip(&group.parts) {
                     for (local, &v) in vars.iter().enumerate() {
                         if view.of(VarId(local as u32)).binary_search(&u).is_err() {
@@ -555,7 +555,7 @@ mod tests {
                 let a = b.vocab().intern("val");
                 b.set_attr(NodeId(r1 as u32), a, Value::Int(1));
             });
-            det.apply(&g2, &delta);
+            det.apply_diff(&g2, &delta);
             if detector_set(&det) != violation_set(&sigma, &g2) {
                 return Err("post-handoff repair diverges".into());
             }
@@ -598,7 +598,7 @@ mod tests {
                             b.add_edge_labeled(h, NodeId(r2 as u32), "owns");
                         }
                     });
-                    det.apply(&g2, &delta);
+                    det.apply_diff(&g2, &delta);
                     let scratch = violation_set(&sigma, &g2);
                     if detector_set(&det) != scratch {
                         return Err(format!(

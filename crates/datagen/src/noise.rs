@@ -158,16 +158,14 @@ pub fn inject_noise(g: &mut GraphBuilder, cfg: &NoiseConfig) -> NoiseReport {
 /// session, returning the corrupted snapshot, the ground truth, *and*
 /// the [`GraphDelta`] describing exactly what changed — the triple the
 /// incremental repair loop (inject → detect → fix) consumes: the
-/// delta feeds `IncrementalDetector::apply`/`IncrementalSpace::apply`
-/// so detection after each injection touches only the corrupted
-/// neighborhood.
+/// delta, normalized by [`GraphBuilder::take_delta`], feeds
+/// `IncrementalDetector::apply_diff`/`IncrementalSpace::apply_normalized`
+/// as it is, so detection after each injection touches only the
+/// corrupted neighborhood.
 pub fn inject_noise_with_delta(g: &Graph, cfg: &NoiseConfig) -> (Graph, NoiseReport, GraphDelta) {
     let mut b = g.thaw();
     let report = inject_noise(&mut b, cfg);
-    let delta = b
-        .take_delta()
-        .expect("thawed builders record deltas")
-        .normalize();
+    let delta = b.take_delta().expect("thawed builders record deltas");
     (g.apply_delta(&delta), report, delta)
 }
 
@@ -250,7 +248,8 @@ mod tests {
         assert_eq!(report.corrupted, report2.corrupted);
         assert_eq!(same_snapshot(&noisy, &b.freeze()), Ok(()));
         // Every corrupted node is visible in the delta's neighborhood.
-        let touched = delta.touched_nodes();
+        let mut touched = Vec::new();
+        delta.touched_nodes(&mut touched);
         for n in report.dirty_nodes() {
             assert!(touched.binary_search(&n).is_ok(), "{n:?} not in delta");
         }
@@ -295,7 +294,7 @@ mod tests {
             },
         );
         assert!(!report.is_empty(), "need actual corruption to exercise");
-        det.apply(&noisy, &delta);
+        det.apply_diff(&noisy, &delta);
         assert_eq!(
             det.violations()
                 .into_iter()
@@ -320,7 +319,7 @@ mod tests {
                 }
             }
         });
-        det.apply(&fixed, &fix_delta);
+        det.apply_diff(&fixed, &fix_delta);
         let after_fix = det
             .violations()
             .into_iter()

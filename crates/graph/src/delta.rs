@@ -24,6 +24,9 @@
 //!   `added_nodes` instead;
 //! * attribute ops keep only the last write per `(node, attribute)`.
 //!
+//! The producers (`take_delta`, `merge`, `compact`) make this normal
+//! form; every consumer takes a delta as it is.
+//!
 //! A delta applies two ways: [`Graph::apply_delta`] builds a successor
 //! snapshot that shares what the delta leaves alone (an epoch readers
 //! pin), and [`GraphBuilder::apply_delta`] edits a builder in place (a
@@ -244,9 +247,9 @@ pub struct AttrOp {
 }
 
 /// The recorded difference between a base snapshot and its edited
-/// successor. Produced by [`GraphBuilder::take_delta`]
+/// successor, in normal form. Produced by [`GraphBuilder::take_delta`]
 /// (automatically recorded by [`Graph::thaw`]/[`Graph::edit_with_delta`])
-/// and consumed by [`Graph::apply_delta`], [`GraphBuilder::apply_delta`]
+/// and consumed as it is by [`Graph::apply_delta`], [`GraphBuilder::apply_delta`]
 /// and the incremental maintenance subsystems.
 ///
 /// [`GraphBuilder::take_delta`]: crate::GraphBuilder::take_delta
@@ -293,11 +296,12 @@ impl GraphDelta {
             && self.attr_ops.is_empty()
     }
 
-    /// Every node the delta mentions (edge endpoints, relabeled and
-    /// attribute-touched nodes, added nodes), sorted and deduplicated.
-    /// This is the "affected neighborhood" seed consumers re-check.
-    pub fn touched_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = Vec::new();
+    /// Replaces `v`'s contents with every node the delta mentions (edge
+    /// endpoints, relabeled and attribute-touched nodes, added nodes),
+    /// sorted and deduplicated: the "affected neighborhood" seed
+    /// consumers re-check, in a buffer they keep across deltas.
+    pub fn touched_nodes(&self, v: &mut Vec<NodeId>) {
+        v.clear();
         v.extend(self.added_nodes.iter().map(|&(n, _)| n));
         for e in self.added_edges.iter().chain(&self.removed_edges) {
             v.push(e.src);
@@ -307,7 +311,6 @@ impl GraphDelta {
         v.extend(self.attr_ops.iter().map(|o| o.node));
         v.sort_unstable();
         v.dedup();
-        v
     }
 
     /// Cancels add/remove pairs, coalesces label changes (base label →
@@ -1145,7 +1148,9 @@ mod tests {
             attr: Sym(0),
             value: None,
         });
-        let touched = d.touched_nodes();
+        // A reused buffer is replaced, not appended to.
+        let mut touched = vec![NodeId(0), NodeId(2)];
+        d.touched_nodes(&mut touched);
         assert_eq!(touched, vec![NodeId(1), NodeId(3), NodeId(4)]);
     }
 }

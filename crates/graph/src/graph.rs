@@ -172,14 +172,15 @@ impl GraphBuilder {
         &self.vocab
     }
 
-    /// Takes the recorded delta (raw, in mutation order — callers
-    /// usually want [`GraphDelta::normalize`]), leaving recording
-    /// active with a fresh base at the current node count. Returns
-    /// `None` from a builder that was not recording: only builders
-    /// produced by [`Graph::thaw`] start out recording.
+    /// Takes the recorded delta in normal form (see
+    /// [`GraphDelta::normalize`]; made here, once — every consumer takes
+    /// the delta as it is), leaving recording active with a fresh base
+    /// at the current node count. Returns `None` from a builder that was
+    /// not recording: only builders produced by [`Graph::thaw`] start
+    /// out recording.
     pub fn take_delta(&mut self) -> Option<GraphDelta> {
         let next = GraphDelta::new(self.labels.len());
-        self.rec.replace(next)
+        self.rec.replace(next).map(GraphDelta::normalize)
     }
 
     /// Adds a node with the given (already interned) label.
@@ -986,10 +987,7 @@ impl Graph {
     pub fn edit_with_delta(&self, edits: impl FnOnce(&mut GraphBuilder)) -> (Graph, GraphDelta) {
         let mut b = self.thaw();
         edits(&mut b);
-        let delta = b
-            .take_delta()
-            .expect("thawed builders record deltas")
-            .normalize();
+        let delta = b.take_delta().expect("thawed builders record deltas");
         (self.apply_delta(&delta), delta)
     }
 
@@ -1463,6 +1461,27 @@ mod tests {
     }
 
     #[test]
+    fn take_delta_returns_the_normal_form() {
+        let (g, [country, canberra, melbourne]) = g3();
+        let vocab = g.vocab().clone();
+        let (val, city) = (vocab.intern("val"), vocab.intern("city"));
+        let mut b = g.thaw();
+        b.add_edge_labeled(melbourne, country, "in");
+        b.remove_edge_labeled(melbourne, country, "in");
+        b.set_label(canberra, vocab.intern("capital_city"));
+        b.set_label(canberra, vocab.intern("seat"));
+        b.set_attr(melbourne, val, Value::str("Naarm"));
+        b.set_attr(melbourne, val, Value::str("Melbourne"));
+        let delta = b.take_delta().expect("thawed builders record deltas");
+        assert!(delta.added_edges.is_empty() && delta.removed_edges.is_empty());
+        assert_eq!(delta.label_changes.len(), 1);
+        assert_eq!(delta.label_changes[0].old, city);
+        assert_eq!(delta.attr_ops.len(), 1);
+        assert_eq!(delta.attr_ops[0].value, Some(Value::str("Melbourne")));
+        assert_eq!(delta, delta.clone().normalize());
+    }
+
+    #[test]
     fn apply_delta_equals_freeze() {
         // The patch path and the full rebuild must agree observably.
         let (g, [country, canberra, melbourne]) = g3();
@@ -1472,7 +1491,7 @@ mod tests {
         b.add_edge(country, melbourne, capital);
         let extra = b.add_node_labeled("province");
         b.add_edge_labeled(extra, country, "part_of");
-        let delta = b.take_delta().unwrap().normalize();
+        let delta = b.take_delta().unwrap();
         let patched = g.apply_delta(&delta);
         assert_same_snapshot(&patched, &b.freeze());
     }
@@ -1685,7 +1704,7 @@ mod tests {
             } else {
                 assert!(shadow.remove_edge_labeled(spoke(i), hub, "spoke"));
             }
-            let delta = shadow.take_delta().unwrap().normalize();
+            let delta = shadow.take_delta().unwrap();
             g = g.apply_delta(&delta);
             replay.apply_delta(&delta);
             assert_same_snapshot(&g, &shadow.clone().freeze());

@@ -314,7 +314,7 @@ fn edit_delta_round_trip_equals_freeze() {
         for _ in 0..rng.gen_range(1..20) {
             script.push(random_mutation(rng, &mut b));
         }
-        let delta = b.take_delta().expect("thaw records").normalize();
+        let delta = b.take_delta().expect("thaw records");
         let patched = g.apply_delta(&delta);
         let frozen = b.freeze();
         if let Err(msg) = graphs_equal(&patched, &frozen) {
@@ -491,7 +491,7 @@ fn paged_edit_scripts_equal_freeze() {
         let mut script = Vec::new();
         for _ in 0..50 {
             script.push(boundary_step(rng, &mut shadow, &g, hub));
-            let delta = shadow.take_delta().expect("thaw records").normalize();
+            let delta = shadow.take_delta().expect("thaw records");
             let next = g.apply_delta(&delta);
             let verdict = graphs_equal(&next, &shadow.clone().freeze())
                 .and_then(|()| graphs_equal(&next.thaw().freeze(), &next));
@@ -522,7 +522,7 @@ fn builder_replay_equals_the_snapshot_chain() {
             let mut script = Vec::new();
             for _ in 0..50 {
                 script.push(boundary_step(rng, &mut shadow, &g, hub));
-                let delta = shadow.take_delta().expect("thaw records").normalize();
+                let delta = shadow.take_delta().expect("thaw records");
                 if let Err(e) = delta.check_against(&replay) {
                     return Err(format!(
                         "replay rejected {delta:?}: {e}; script: {script:?}"

@@ -74,7 +74,7 @@ use crate::simulation::{
     admitted, dual_simulation, surviving_targets, CandidateSpace, Direction, EdgeCandidates,
 };
 
-/// What one [`IncrementalSpace::apply`] changed in the relation.
+/// What one [`IncrementalSpace::apply_normalized`] changed in the relation.
 #[derive(Clone, Debug, Default)]
 pub struct RepairReport {
     /// Pairs `(var, node)` that entered the relation.
@@ -99,9 +99,9 @@ impl RepairReport {
 }
 
 /// A [`CandidateSpace`] that stays valid across graph edits:
-/// [`apply`] repairs it against a [`GraphDelta`] in time proportional
-/// to the affected neighborhood, and it retains the space and nothing
-/// sized by the graph.
+/// [`apply_normalized`] repairs it against a [`GraphDelta`] in time
+/// proportional to the affected neighborhood, and it retains the space
+/// and nothing sized by the graph.
 ///
 /// ```
 /// use gfd_graph::GraphBuilder;
@@ -123,11 +123,11 @@ impl RepairReport {
 /// let (g2, delta) = g.edit_with_delta(|b| {
 ///     b.remove_edge_labeled(a, c, "e");
 /// });
-/// inc.apply(&g2, &delta);
+/// inc.apply_normalized(&g2, &delta);
 /// assert_eq!(inc.space().sets, dual_simulation(&q, &g2, None).sets);
 /// ```
 ///
-/// [`apply`]: IncrementalSpace::apply
+/// [`apply_normalized`]: IncrementalSpace::apply_normalized
 pub struct IncrementalSpace {
     q: Pattern,
     scope: Option<NodeSet>,
@@ -357,24 +357,16 @@ impl IncrementalSpace {
         self.space.sets[v.index()].binary_search(&u).is_ok()
     }
 
-    /// Repairs the relation against `delta`, where `g` is the edited
-    /// snapshot and `delta` the recorded difference from the snapshot
-    /// this space was last synchronized with. Normalizes the delta
-    /// first; callers that already hold a normalized delta (anything
-    /// produced by
-    /// [`Graph::edit_with_delta`](gfd_graph::Graph::edit_with_delta)
-    /// or [`GraphDelta::normalize`]) should use
-    /// [`apply_normalized`](IncrementalSpace::apply_normalized) and
-    /// skip the re-normalization clone. Returns which pairs
-    /// entered/left the relation.
-    pub fn apply(&mut self, g: &Graph, delta: &GraphDelta) -> RepairReport {
-        self.apply_normalized(g, &delta.clone().normalize())
-    }
-
-    /// [`apply`](IncrementalSpace::apply) for a delta that is already
-    /// in normalized form — the run edits rely on the normalization
-    /// invariants (net edge ops, coalesced label changes), so passing
-    /// a raw mutation log here corrupts the relation.
+    /// Repairs the relation against `d`, where `g` is the edited
+    /// snapshot and `d` the difference from the snapshot this space
+    /// was last synchronized with, taken as it is: its producer
+    /// ([`GraphBuilder::take_delta`](gfd_graph::GraphBuilder::take_delta),
+    /// [`Graph::edit_with_delta`](gfd_graph::Graph::edit_with_delta),
+    /// [`GraphDelta::merge`] or [`GraphDelta::compact`]) made it
+    /// normalized. The run edits rely on the normalization invariants
+    /// (net edge ops, coalesced label changes), so a raw mutation log
+    /// here corrupts the relation. Returns which pairs entered/left
+    /// the relation.
     pub fn apply_normalized(&mut self, g: &Graph, d: &GraphDelta) -> RepairReport {
         let (q, scope, sc) = (&self.q, self.scope.as_ref(), &mut self.scratch);
         // In-place repair when nobody shares the space; copy-on-write
@@ -623,7 +615,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(b1, c1, "e");
         });
-        let report = inc.apply(&g2, &delta);
+        let report = inc.apply_normalized(&g2, &delta);
         // Killing the b1→c1 edge empties the whole relation.
         assert_eq!(report.removed.len(), 3);
         assert!(report.added.is_empty());
@@ -640,7 +632,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.add_edge_labeled(b2, c2, "e");
         });
-        let report = inc.apply(&g2, &delta);
+        let report = inc.apply_normalized(&g2, &delta);
         assert!(report.removed.is_empty());
         assert!(report.added.contains(&(VarId(0), a2)));
         assert!(report.added.contains(&(VarId(1), b2)));
@@ -660,7 +652,7 @@ mod tests {
             // …but a fresh chain appears: a1 -> b1 -> c2 via new edge.
             b.add_edge_labeled(b1, c2, "e");
         });
-        let report = inc.apply(&g2, &delta);
+        let report = inc.apply_normalized(&g2, &delta);
         assert!(!report.is_unchanged());
         assert_matches_scratch(&inc, &g2);
     }
@@ -684,7 +676,7 @@ mod tests {
             b.add_edge_labeled(a1, b3, "e");
             b.add_edge_labeled(b3, c2, "e");
         });
-        let report = inc.apply(&g2, &delta);
+        let report = inc.apply_normalized(&g2, &delta);
         assert!(inc.contains(VarId(0), a1), "a1 must keep its support");
         assert!(inc.contains(VarId(1), b1), "b1 was rewired, not orphaned");
         assert!(report.added.contains(&(VarId(2), c2)));
@@ -701,7 +693,7 @@ mod tests {
         let q = chain_pattern(&g);
         let mut inc = IncrementalSpace::new(&q, &g, None);
         let (g2, delta) = g.edit_with_delta(|_| {});
-        let report = inc.apply(&g2, &delta);
+        let report = inc.apply_normalized(&g2, &delta);
         assert!(report.is_unchanged());
         assert_matches_scratch(&inc, &g2);
     }
@@ -715,7 +707,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.add_edge_labeled(b2, c2, "e");
         });
-        let report = inc.apply(&g2, &delta);
+        let report = inc.apply_normalized(&g2, &delta);
         assert!(
             report.is_unchanged(),
             "growth outside the scope is invisible"

@@ -337,22 +337,16 @@ impl ClassRegistry {
     /// never queried are skipped — a later first query simulates
     /// against the then-current snapshot).
     ///
-    /// `d` must be normalized. Tenants must ingest the same delta
-    /// stream and bump their cursor once per *non-empty* normalized
+    /// The registry's one repair entry point. `d` is taken as it is:
+    /// its producer made it normalized (see
+    /// [`IncrementalSpace::apply_normalized`]). Tenants must ingest the
+    /// same delta stream and bump their cursor once per *non-empty*
     /// delta — normalization is deterministic, so every tenant skips
     /// exactly the same empties (an empty delta is a no-op here and
-    /// does **not** advance the repair epoch).
+    /// does **not** advance the repair epoch). A single tenant passes
+    /// `version() + 1`.
     pub fn advance(&self, g: &Graph, d: &GraphDelta, target: u64) {
         self.lock().advance(g, d, target);
-    }
-
-    /// Single-tenant convenience: normalizes `delta` and
-    /// [`advance`](Self::advance)s to the next epoch.
-    pub fn apply(&self, g: &Graph, delta: &GraphDelta) {
-        let d = delta.clone().normalize();
-        let mut inner = self.lock();
-        let target = inner.version + 1;
-        inner.advance(g, &d, target);
     }
 
     /// The repair epoch: how many non-empty deltas have been applied.
@@ -639,7 +633,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        reg.apply(&g2, &delta);
+        reg.advance(&g2, &delta, reg.version() + 1);
         assert_eq!(reg.version(), 1);
         for (q, &h) in members.iter().zip(&handles) {
             assert_matches_scratch(&reg, h, q, &g2);
@@ -766,11 +760,11 @@ mod tests {
         let q = chain_pattern(&g, [0, 1, 2]);
         let reg = ClassRegistry::new();
         let h = reg.register(&q);
-        // Edit before ever querying: apply skips the unsimulated class…
+        // Edit before ever querying: advance skips the unsimulated class…
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        reg.apply(&g2, &delta);
+        reg.advance(&g2, &delta, reg.version() + 1);
         assert_eq!(reg.simulations(), 0);
         // …and the first query simulates against the edited snapshot.
         assert_matches_scratch(&reg, h, &q, &g2);
@@ -887,7 +881,7 @@ mod tests {
         assert_eq!(reg.simulations(), 1);
     }
 
-    /// A whole evicted class is skipped by `apply` (there is nothing to
+    /// A whole evicted class is skipped by `advance` (there is nothing to
     /// repair) and re-simulates against the current snapshot on the
     /// next query.
     #[test]
@@ -904,7 +898,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        reg.apply(&g2, &delta);
+        reg.advance(&g2, &delta, reg.version() + 1);
         assert_eq!(reg.simulations(), 1, "nothing to repair, nothing simulated");
         assert_matches_scratch(&reg, h, &q, &g2);
         assert_eq!(reg.simulations(), 2, "re-query re-simulates");
@@ -954,14 +948,13 @@ mod tests {
                     b.add_edge_labeled(src, dst, "e");
                 }
             });
-            let delta = delta.normalize();
             assert!(!delta.is_empty());
             script.push((next, delta));
         }
 
         // An empty delta advances nobody.
         let (same, d_empty) = script[0].0.edit_with_delta(|_| {});
-        reg.advance(&same, &d_empty.normalize(), 1);
+        reg.advance(&same, &d_empty, 1);
         assert_eq!(reg.version(), 0);
 
         let mut cursors = [0usize; 2];
@@ -1023,7 +1016,7 @@ mod tests {
                 spaces.map(|cs| cs.total_size()).sum()
             };
             let sets_before = sizes(&g);
-            reg.apply(&next, &delta);
+            reg.advance(&next, &delta, reg.version() + 1);
             g = next;
             let recount: usize = members
                 .iter()
@@ -1056,7 +1049,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        reg.apply(&g2, &delta);
+        reg.advance(&g2, &delta, reg.version() + 1);
         assert_matches_scratch(&reg, h, &q, &g2);
         assert_eq!(reg.simulations(), 3);
     }
@@ -1074,7 +1067,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|b| {
             b.remove_edge_labeled(NodeId(1), NodeId(2), "e");
         });
-        reg.apply(&g2, &delta);
+        reg.advance(&g2, &delta, reg.version() + 1);
         assert_eq!(before.sets, sets_before, "held snapshot is immutable");
         assert!(
             reg.space(h, &g2).space.is_empty_anywhere(),

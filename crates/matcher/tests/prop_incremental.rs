@@ -232,7 +232,7 @@ fn incremental_repair_equals_scratch_over_edit_scripts() {
             let mut inc = IncrementalSpace::new(&q, &g, None);
             for step in 0..SCRIPT_STEPS {
                 let (g2, delta) = random_edit(rng, &g);
-                let report = inc.apply(&g2, &delta);
+                let report = inc.apply_normalized(&g2, &delta);
                 let scratch = dual_simulation(&q, &g2, None);
                 spaces_equal(&inc, &scratch, step)
                     .map_err(|m| format!("{m}; delta {delta:?}; pattern {q:?}"))?;
@@ -275,7 +275,7 @@ fn scoped_incremental_repair_equals_scratch() {
             let mut inc = IncrementalSpace::new(&q, &g, Some(&scope));
             for step in 0..SCRIPT_STEPS / 2 {
                 let (g2, delta) = random_edit(rng, &g);
-                inc.apply(&g2, &delta);
+                inc.apply_normalized(&g2, &delta);
                 let scratch = dual_simulation(&q, &g2, Some(&scope));
                 spaces_equal(&inc, &scratch, step)
                     .map_err(|m| format!("scoped: {m}; delta {delta:?}; pattern {q:?}"))?;
@@ -297,7 +297,7 @@ fn paged_repair_equals_scratch_over_edit_scripts() {
             let mut inc = IncrementalSpace::new(&q, &g, None);
             for step in 0..SCRIPT_STEPS {
                 let (g2, delta) = common::paged_edit(rng, &g);
-                inc.apply(&g2, &delta);
+                inc.apply_normalized(&g2, &delta);
                 let scratch = dual_simulation(&q, &g2, None);
                 spaces_equal(&inc, &scratch, step)
                     .map_err(|m| format!("{m}; delta {delta:?}; pattern {q:?}"))?;
@@ -334,7 +334,7 @@ fn held_snapshot_survives_repairs_and_shares_untouched_pages() {
             for step in 0..SCRIPT_STEPS {
                 let before = inc.space_arc();
                 let (g2, delta) = common::paged_edit(rng, &g);
-                inc.apply(&g2, &delta);
+                inc.apply_normalized(&g2, &delta);
                 prop_assert!(
                     *before == dual_simulation(&q, &g, None),
                     "step {step}: the snapshot held across the repair moved; delta {delta:?}"
@@ -402,7 +402,7 @@ fn rewired_support_repairs_equal_scratch_across_pages() {
                 let rewire = common::rewire_edit(rng, &g, &q, &before, to_member);
                 let hung = rewire.is_some();
                 let (g2, delta) = rewire.unwrap_or_else(|| common::paged_edit(rng, &g));
-                let report = inc.apply(&g2, &delta);
+                let report = inc.apply_normalized(&g2, &delta);
                 let scratch = dual_simulation(&q, &g2, None);
                 spaces_equal(&inc, &scratch, step)
                     .and_then(|()| report_is_exact(&report, &before, &scratch))
@@ -468,7 +468,7 @@ fn edgeless_variable_repairs_equal_scratch() {
                 // and then.
                 let (g2, delta) = random_edit_of(rng, &g, &[3, 4, 3, 4, 0, 2]);
                 let before = inc.space_arc();
-                let report = inc.apply(&g2, &delta);
+                let report = inc.apply_normalized(&g2, &delta);
                 let scratch = dual_simulation(&q, &g2, None);
                 spaces_equal(&inc, &scratch, step)
                     .and_then(|()| report_is_exact(&report, &before, &scratch))

@@ -366,7 +366,7 @@ fn transported_plans_survive_edit_scripts() {
                     b.add_edge_labeled(s, d, &lbl);
                 }
             });
-            reg.apply(&g2, &delta);
+            reg.advance(&g2, &delta, reg.version() + 1);
             g = g2;
         }
         prop_assert!(reg.simulations() == 1, "one simulation per class");

@@ -322,7 +322,7 @@ fn repaired_representative_retransports_over_edit_scripts() {
             let mut scratch = MatchScratch::default();
             for step in 0..SCRIPT_STEPS {
                 let (g2, delta) = random_edit(rng, &g);
-                reg.apply(&g2, &delta);
+                reg.advance(&g2, &delta, reg.version() + 1);
                 for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
                     let view = reg.space(h, &g2);
                     let what = format!("step {step}, member {m}");
@@ -367,7 +367,7 @@ fn paged_views_script(name: &str, rewire: bool) {
                 false => None,
             };
             let (g2, delta) = rewired.unwrap_or_else(|| common::paged_edit(rng, &g));
-            reg.apply(&g2, &delta);
+            reg.advance(&g2, &delta, reg.version() + 1);
             view_equals_scratch(&held, &members[0], &g, &format!("held at step {step}"))?;
             for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
                 let view = reg.space(h, &g2);

@@ -300,7 +300,7 @@ impl WalWriter {
         })
     }
 
-    /// Appends one epoch's compacted delta. `vocab` must be the
+    /// Appends one epoch's compacted delta as it is. `vocab` must be the
     /// vocabulary of the snapshot the delta produces (the service's
     /// shared `Vocab`): names interned since the last frame ride along
     /// in the payload so recovery can rebuild interning incrementally.
@@ -316,8 +316,12 @@ impl WalWriter {
                 what: format!("append of epoch {epoch} onto head {}", self.head),
             });
         }
-        let snapshot = vocab.snapshot();
-        let new_syms = &snapshot[self.syms_written..];
+        // The vocabulary is copied only when it grew since the last frame.
+        let grown = (vocab.len() > self.syms_written).then(|| vocab.snapshot());
+        let new_syms = grown
+            .as_deref()
+            .map_or(&[][..], |names| &names[self.syms_written..]);
+        let sym_count = self.syms_written + new_syms.len();
 
         self.buf.clear();
         frame_into(
@@ -325,14 +329,14 @@ impl WalWriter {
             self.len,
             KIND_DELTA,
             epoch,
-            snapshot.len() as u32,
+            sym_count as u32,
             |out| delta.encode_with_symbols(new_syms, out),
         )?;
         self.file.write_all(&self.buf)?;
 
         self.len += self.buf.len() as u64;
         self.head = epoch;
-        self.syms_written = snapshot.len();
+        self.syms_written = sym_count;
         self.frames += 1;
         self.unsynced += 1;
         match self.policy {

@@ -534,7 +534,7 @@ fn permuted_twin_rules_agree_with_brute_force_on_every_path() {
             }
         });
         g = Arc::new(next);
-        det.apply(&g, &delta);
+        det.apply_diff(&g, &delta);
     }
     assert_eq!(
         seen,
