@@ -237,6 +237,23 @@ fn bench_graph_writes(samples: &mut Vec<Sample>) {
         || pokec.apply_delta(&beside_hub).edge_count(),
     );
 
+    // The same edge on a snapshot nothing else holds, as the service
+    // holds an epoch no reader pinned: added and removed in turn, each
+    // where it lies.
+    let mut owned = pokec;
+    let mut removal = GraphDelta::new(owned.node_count());
+    removal.removed_edges = beside_hub.added_edges.clone();
+    let mut add = true;
+    bench(
+        "graph/apply_delta_in_place(1 edge beside a hub, pokec, owned)",
+        samples,
+        || {
+            owned.apply_delta_in_place(if add { &beside_hub } else { &removal });
+            add = !add;
+            owned.edge_count()
+        },
+    );
+
     let stamp = g.vocab().intern("stamp");
     let mut writes = GraphDelta::new(n);
     writes.attr_ops.extend((0..16).map(|i| AttrOp {

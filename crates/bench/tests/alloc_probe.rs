@@ -12,7 +12,9 @@
 //! The write side has its own gates: a warm [`WalWriter::append`] that
 //! interns no new name allocates nothing, [`Graph::apply_delta`] must
 //! request allocator bytes in proportion to the delta's pages, not to
-//! the graph, a warm [`IncrementalSpace`] repair in proportion to the
+//! the graph, a warm [`Graph::apply_delta_in_place`] on a snapshot
+//! nothing else holds must allocate nothing, a warm
+//! [`IncrementalSpace`] repair in proportion to the
 //! runs the delta moved — nothing at all when no set moves — and log
 //! recovery in proportion to the frames it replays, not one snapshot
 //! per epoch. And
@@ -636,6 +638,62 @@ fn apply_delta_allocates_by_the_delta_not_the_graph() {
     assert!(
         pinned_bytes < 2 * freeze_bytes,
         "32 pinned epochs requested {pinned_bytes} B, one freeze {freeze_bytes} B"
+    );
+}
+
+/// The owned-path gate: a snapshot nothing else holds is edited where
+/// it lies, so once its touched page, the hub's run and the written
+/// tuple have room, a warm epoch allocates nothing — on the graph of
+/// `social-cycles`, with every epoch's edge into its largest hub,
+/// whose run the copying form requests whole per epoch.
+#[test]
+fn an_owned_snapshot_edits_in_place() {
+    let _serial = serial();
+    let mut g = reallife_graph(&RealLifeConfig {
+        scale: 0.5,
+        ..RealLifeConfig::new(RealLifeKind::Pokec)
+    });
+    let (hub, beside) = gfd_bench::edge_beside_hub(&g);
+    let into_hub = (g.node_count() / 2..g.node_count())
+        .map(|src| Edge {
+            src: NodeId(src as u32),
+            dst: hub,
+            label: beside.label,
+        })
+        .find(|e| !g.has_edge(e.src, e.dst, e.label))
+        .expect("an absent edge into the hub exists");
+    let stamp = g.vocab().intern("stamp");
+    let epoch = |add: bool| {
+        let mut delta = GraphDelta::new(g.node_count());
+        match add {
+            true => delta.added_edges.push(into_hub),
+            false => delta.removed_edges.push(into_hub),
+        }
+        delta.attr_ops.push(AttrOp {
+            node: into_hub.src,
+            attr: stamp,
+            value: Some(Value::Int(i64::from(add))),
+        });
+        delta
+    };
+    let (add, remove) = (epoch(true), epoch(false));
+    let degree = g.in_degree(hub);
+    assert!(degree > 64, "the hub's run is out of line");
+
+    // Warm-up: the first insert doubles the hub's run and its source's
+    // page, and the first write adds `stamp` to the tuple.
+    g.apply_delta_in_place(&add);
+    g.apply_delta_in_place(&remove);
+    let before = allocation_count();
+    for round in 0..16 {
+        g.apply_delta_in_place(if round % 2 == 0 { &add } else { &remove });
+    }
+    let allocations = allocation_count() - before;
+    assert_eq!(g.in_degree(hub), degree);
+    assert_eq!(g.attr(into_hub.src, stamp), Some(&Value::Int(0)));
+    assert_eq!(
+        allocations, 0,
+        "16 warm in-place epochs beside a {degree}-entry hub made {allocations} allocations"
     );
 }
 

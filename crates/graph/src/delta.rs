@@ -27,12 +27,17 @@
 //! The producers (`take_delta`, `merge`, `compact`) make this normal
 //! form; every consumer takes a delta as it is.
 //!
-//! A delta applies two ways: [`Graph::apply_delta`] builds a successor
-//! snapshot that shares what the delta leaves alone (an epoch readers
-//! pin), and [`GraphBuilder::apply_delta`] edits a builder in place (a
-//! log replay that freezes once at the end). [`GraphDelta::check_against`]
-//! validates against either, through [`DeltaBase`].
+//! A delta applies to a snapshot or to a builder.
+//! [`Graph::apply_delta_in_place`] patches a snapshot copy-on-write —
+//! editing what it holds alone where it lies (an epoch no reader
+//! pinned), copying what another snapshot shares (a pinned one) — and
+//! [`Graph::apply_delta`] is that patch on a shallow copy, a successor
+//! that shares what the delta leaves alone. [`GraphBuilder::apply_delta`]
+//! edits a builder in place (a log replay that freezes once at the
+//! end). [`GraphDelta::check_against`] validates against either,
+//! through [`DeltaBase`].
 //!
+//! [`Graph::apply_delta_in_place`]: crate::Graph::apply_delta_in_place
 //! [`GraphBuilder::apply_delta`]: crate::GraphBuilder::apply_delta
 
 use std::collections::hash_map::{Entry, HashMap};

@@ -1,5 +1,5 @@
 //! The property graph `G = (V, E, L, F_A)` of §2, split into a mutable
-//! [`GraphBuilder`] and an immutable, paged CSR snapshot [`Graph`].
+//! [`GraphBuilder`] and a paged, copy-on-write CSR snapshot [`Graph`].
 //!
 //! ## Why two types
 //!
@@ -30,22 +30,29 @@
 //!   node's position within its extent ([`Graph::extent_rank`]) is one
 //!   load from a per-node array kept beside the permutation.
 //!
-//! A frozen snapshot is immutable, `Send + Sync`, and shared across
-//! workers behind an `Arc` — no per-worker copies. Repair/noise
-//! workflows go back through [`Graph::thaw`] (or the [`Graph::edit`]
-//! convenience) and re-freeze; node ids are stable across the round
-//! trip.
+//! A frozen snapshot is `Send + Sync` and shared across workers behind
+//! an `Arc` — no per-worker copies — and nothing another holder can
+//! see ever changes under it. Repair/noise workflows go back through
+//! [`Graph::thaw`] (or the [`Graph::edit`] convenience) and re-freeze;
+//! node ids are stable across the round trip.
 //!
 //! ## Why pages
 //!
 //! A successor snapshot ([`Graph::apply_delta`]) shares every page its
-//! delta does not touch with its predecessor: an epoch of the edit
-//! stream, a replayed log frame and a reader's pinned snapshot each
-//! cost the pages that changed, not a copy of the graph. Inside a
-//! touched page the unit of copy is the run and the tuple: what a
-//! successor copies is the runs and tuples its delta changes, the
-//! page's short runs (at most a page's worth of entries each) and one
-//! pointer per out-of-line run and per tuple it leaves alone.
+//! delta does not touch with its predecessor: a replayed log frame and
+//! a reader's pinned snapshot each cost the pages that changed, not a
+//! copy of the graph. Inside a touched page the unit of copy is the run
+//! and the tuple: what a successor copies is the runs and tuples its
+//! delta changes, the page's short runs (at most a page's worth of
+//! entries each) and one pointer per out-of-line run and per tuple it
+//! leaves alone.
+//!
+//! The layout is copy-on-write at every level — spine, page, run and
+//! tuple — so a snapshot that holds a level alone edits it where it
+//! lies ([`Graph::apply_delta_in_place`]): an epoch of the edit stream
+//! that no reader pinned copies nothing. For that a page's inline
+//! array and each out-of-line run keep spare capacity past their live
+//! entries, grown by doubling when an insert finds them full.
 //!
 //! Edge semantics are unchanged from §2: edges are directed, labeled,
 //! and unique per `(src, dst, label)` triple (parallel edges with
@@ -373,11 +380,11 @@ impl GraphBuilder {
     }
 
     /// Applies a *normalized* delta in place — the builder-side twin of
-    /// [`Graph::apply_delta`], for a replay that folds many deltas into
-    /// one builder and freezes once instead of building a snapshot per
-    /// delta. Added nodes first, then relabels, removed edges, added
-    /// edges, and the attribute writes last. Recording, when on, sees
-    /// the ops as mutations of its own.
+    /// [`Graph::apply_delta_in_place`], for a replay that folds many
+    /// deltas into one builder and freezes once instead of building a
+    /// snapshot per delta. Added nodes first, then relabels, removed
+    /// edges, added edges, and the attribute writes last. Recording,
+    /// when on, sees the ops as mutations of its own.
     ///
     /// The delta must be consistent with this builder — based at its
     /// node count, added edges absent, removed edges present, each
@@ -564,7 +571,8 @@ const OUT_OF_LINE: u16 = u16::MAX;
 // Every inline range fits the `u16` pairs of `AdjPage::runs`.
 const _: () = assert!(PAGE_NODES * INLINE_RUN_MAX < OUT_OF_LINE as usize);
 
-/// What the slots of a run hold between its allocation and its fill.
+/// What the slots of a run hold between its allocation and its fill,
+/// and an out-of-line run's room past its live length.
 const FILLER: Adj = Adj {
     label: Sym(0),
     node: NodeId(0),
@@ -576,23 +584,88 @@ const FILLER: Adj = Adj {
 /// a page's free slots changes nothing.
 type AttrPage = [Arc<AttrMap>; PAGE_NODES];
 
+/// A run longer than [`INLINE_RUN_MAX`], in one allocation of its own
+/// with its live length kept beside it: the run is `entries[..len]`,
+/// and the slots past it are room to grow into in place.
+#[derive(Clone)]
+struct Hub {
+    entries: Arc<[Adj]>,
+    len: usize,
+}
+
+impl Hub {
+    /// The `len` entries of `run` in one allocation of `room` slots.
+    fn collect(len: usize, room: usize, run: impl Iterator<Item = Adj>) -> Hub {
+        let mut entries: Arc<[Adj]> = std::iter::repeat_n(FILLER, room).collect();
+        let slots = Arc::get_mut(&mut entries).expect("just built, not yet shared");
+        let mut run = run;
+        for slot in &mut slots[..len] {
+            *slot = run.next().expect("a run as long as announced");
+        }
+        assert!(run.next().is_none(), "a run as long as announced");
+        Hub { entries, len }
+    }
+
+    #[inline]
+    fn run(&self) -> &[Adj] {
+        &self.entries[..self.len]
+    }
+
+    /// The allocation to edit, with room for `extra` more entries:
+    /// this one when no other page holds it and it has the room, else
+    /// a copy — of twice the length when the room was short.
+    fn own(&mut self, extra: usize) -> &mut [Adj] {
+        let short = self.len + extra > self.entries.len();
+        if short || Arc::get_mut(&mut self.entries).is_none() {
+            let room = if short {
+                (2 * self.len).max(self.len + extra)
+            } else {
+                self.entries.len()
+            };
+            *self = Hub::collect(self.len, room, self.run().iter().copied());
+        }
+        Arc::get_mut(&mut self.entries).expect("just copied, not yet shared")
+    }
+
+    fn insert(&mut self, entry: Adj) {
+        let at = self.run().binary_search(&entry);
+        let (at, len) = (at.expect_err("added edges are absent"), self.len);
+        let entries = self.own(1);
+        entries.copy_within(at..len, at + 1);
+        entries[at] = entry;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, entry: Adj) {
+        let at = self.run().binary_search(&entry);
+        let (at, len) = (at.expect("removed edges are present"), self.len);
+        self.own(0).copy_within(at + 1..len, at);
+        self.len -= 1;
+    }
+}
+
 /// One direction's adjacency of one page's nodes: one contiguous array
 /// for the runs of at most [`INLINE_RUN_MAX`] entries, one `Arc` per
 /// longer run. Slots past the last node have empty runs.
+///
+/// The inline runs lie in slot order, back to back from the start of
+/// `adj`: an in-place edit of one run moves the runs after it, never
+/// leaving a gap, so the array's live length is the page's inline
+/// entry count, as a freeze lays it out.
 struct AdjPage {
     /// Per slot, `(start, end)`: its run is `adj[start..end]`, or
     /// `hubs[end]` when `start` is [`OUT_OF_LINE`].
     runs: [(u16, u16); PAGE_NODES],
-    adj: Box<[Adj]>,
-    hubs: Box<[Arc<[Adj]>]>,
+    adj: Vec<Adj>,
+    hubs: Vec<Hub>,
 }
 
 impl AdjPage {
     fn empty() -> Self {
         AdjPage {
             runs: [(0, 0); PAGE_NODES],
-            adj: Box::default(),
-            hubs: Box::default(),
+            adj: Vec::new(),
+            hubs: Vec::new(),
         }
     }
 
@@ -604,12 +677,12 @@ impl AdjPage {
         let (start, end) = self.runs[slot];
         match self.adj.get(start as usize..end as usize) {
             Some(run) => run,
-            None => &self.hubs[end as usize],
+            None => self.hubs[end as usize].run(),
         }
     }
 
     /// The slot's out-of-line run, if it has one.
-    fn hub(&self, slot: usize) -> Option<&Arc<[Adj]>> {
+    fn hub(&self, slot: usize) -> Option<&Hub> {
         let (start, end) = self.runs[slot];
         (start == OUT_OF_LINE).then(|| &self.hubs[end as usize])
     }
@@ -618,6 +691,93 @@ impl AdjPage {
     fn degree(&self, slot: usize) -> usize {
         self.run(slot).len()
     }
+
+    /// Drops `entry` from the slot's run where it lies. An out-of-line
+    /// run stays out of line whatever its new length: [`settle`]
+    /// places it once the delta's additions are in, so a run that a
+    /// delta both shortens and lengthens moves at most once.
+    ///
+    /// [`settle`]: AdjPage::settle
+    fn remove(&mut self, slot: usize, entry: Adj) {
+        let (start, end) = self.runs[slot];
+        if start == OUT_OF_LINE {
+            return self.hubs[end as usize].remove(entry);
+        }
+        let (start, end) = (start as usize, end as usize);
+        let at = self.adj[start..end].binary_search(&entry);
+        self.adj
+            .remove(start + at.expect("removed edges are present"));
+        self.runs[slot].1 -= 1;
+        self.shift_after(slot, -1);
+    }
+
+    /// Adds `entry` to the slot's run at its sort position, where the
+    /// run lies — moving an inline run that outgrows
+    /// [`INLINE_RUN_MAX`] out of line.
+    fn insert(&mut self, slot: usize, entry: Adj) {
+        let (start, end) = self.runs[slot];
+        if start == OUT_OF_LINE {
+            return self.hubs[end as usize].insert(entry);
+        }
+        let (start, end) = (start as usize, end as usize);
+        let at = self.adj[start..end].binary_search(&entry);
+        let at = start + at.expect_err("added edges are absent");
+        if end - start < INLINE_RUN_MAX {
+            reserve_doubling(&mut self.adj, 1);
+            self.adj.insert(at, entry);
+            self.runs[slot].1 += 1;
+            self.shift_after(slot, 1);
+            return;
+        }
+        let (head, tail) = (&self.adj[start..at], &self.adj[at..end]);
+        let run = head.iter().chain([&entry]).chain(tail).copied();
+        let hub = Hub::collect(end - start + 1, 2 * (end - start), run);
+        self.adj.drain(start..end);
+        self.shift_after(slot, -((end - start) as i32));
+        self.runs[slot] = (OUT_OF_LINE, self.hubs.len() as u16);
+        self.hubs.push(hub);
+    }
+
+    /// Moves the slot's run inline if it is out of line and no longer
+    /// than [`INLINE_RUN_MAX`]: the placement a freeze gives it.
+    fn settle(&mut self, slot: usize) {
+        let (start, hub) = self.runs[slot];
+        if start != OUT_OF_LINE || self.hubs[hub as usize].len > INLINE_RUN_MAX {
+            return;
+        }
+        let run = self.hubs.swap_remove(hub as usize);
+        let last = (OUT_OF_LINE, self.hubs.len() as u16);
+        if let Some(moved) = self.runs.iter_mut().find(|r| **r == last) {
+            moved.1 = hub;
+        }
+        // The run goes right after the inline run before it.
+        let before = self.runs[..slot].iter().rev().find(|r| r.0 != OUT_OF_LINE);
+        let at = before.map_or(0, |r| r.1 as usize);
+        reserve_doubling(&mut self.adj, run.len);
+        self.adj.extend_from_slice(run.run());
+        self.adj[at..].rotate_right(run.len);
+        self.runs[slot] = (at as u16, (at + run.len) as u16);
+        self.shift_after(slot, run.len as i32);
+    }
+
+    /// Moves the inline runs after `slot` by `by` entries.
+    fn shift_after(&mut self, slot: usize, by: i32) {
+        for (start, end) in &mut self.runs[slot + 1..] {
+            if *start != OUT_OF_LINE {
+                *start = (i32::from(*start) + by) as u16;
+                *end = (i32::from(*end) + by) as u16;
+            }
+        }
+    }
+}
+
+/// Room for `additional` more entries in a page's inline array: when
+/// it lacks it, the capacity at least doubles, so a stream of inserts
+/// reallocates a logarithmic number of times.
+fn reserve_doubling(v: &mut Vec<Adj>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        v.reserve_exact(v.len().max(additional));
+    }
 }
 
 /// Fills an [`AdjPage`] slot by slot, deciding per run whether it goes
@@ -625,7 +785,7 @@ impl AdjPage {
 struct PageBuilder {
     runs: [(u16, u16); PAGE_NODES],
     adj: Vec<Adj>,
-    hubs: Vec<Arc<[Adj]>>,
+    hubs: Vec<Hub>,
     slots: usize,
 }
 
@@ -653,13 +813,7 @@ impl PageBuilder {
     /// out-of-line run is one allocation of its final length.
     fn push_run(&mut self, len: usize, entries: impl Iterator<Item = Adj>) {
         if len > INLINE_RUN_MAX {
-            let mut run: Arc<[Adj]> = std::iter::repeat_n(FILLER, len).collect();
-            let mut entries = entries;
-            for slot in Arc::get_mut(&mut run).expect("just built, not yet shared") {
-                *slot = entries.next().expect("a run as long as announced");
-            }
-            assert!(entries.next().is_none(), "a run as long as announced");
-            self.push_hub(run);
+            self.push_hub(Hub::collect(len, len, entries));
         } else {
             let start = self.adj.len();
             self.adj.extend(entries);
@@ -681,17 +835,22 @@ impl PageBuilder {
         }
     }
 
-    fn push_hub(&mut self, run: Arc<[Adj]>) {
+    fn push_hub(&mut self, run: Hub) {
         self.runs[self.slots] = (OUT_OF_LINE, self.hubs.len() as u16);
         self.hubs.push(run);
         self.slots += 1;
     }
 
-    fn finish(self) -> AdjPage {
+    /// The page, its slots past the last one pushed given empty runs
+    /// at the end of the inline array, where an in-place insert into
+    /// them expects them.
+    fn finish(mut self) -> AdjPage {
+        let end = self.adj.len() as u16;
+        self.runs[self.slots..].fill((end, end));
         AdjPage {
             runs: self.runs,
-            adj: self.adj.into_boxed_slice(),
-            hubs: self.hubs.into_boxed_slice(),
+            adj: self.adj,
+            hubs: self.hubs,
         }
     }
 }
@@ -720,11 +879,17 @@ fn build_extents(labels: &[Sym]) -> Extents {
     (perm, ranges.into(), rank)
 }
 
-/// An immutable paged CSR snapshot of a property graph.
+/// A paged CSR snapshot of a property graph, copy-on-write: what one
+/// holder reads never changes under it.
 ///
 /// Produced by [`GraphBuilder::freeze`]; see the module docs for the
 /// layout. All read methods are allocation-free; the snapshot is
 /// `Send + Sync` and meant to be shared across workers via `Arc`.
+///
+/// `clone` is shallow: it copies the three page spines' pointers and
+/// shares every page, run and tuple, each of which the first in-place
+/// edit of either copy then copies for itself.
+#[derive(Clone)]
 pub struct Graph {
     vocab: Arc<Vocab>,
     labels: Arc<[Sym]>,
@@ -991,23 +1156,38 @@ impl Graph {
         (self.apply_delta(&delta), delta)
     }
 
-    /// Builds the successor snapshot by patching this one with a
-    /// *normalized* delta, sharing every page the delta does not touch:
-    /// the page spines are cloned (one refcount bump per page), the
-    /// first write into an attribute page copies its pointers and each
-    /// written tuple is copied once, and an adjacency page is rebuilt
-    /// only if one of its nodes gains or loses an edge — sharing, inside
-    /// the rebuilt page, every out-of-line run the delta leaves alone.
-    /// Labels and extents (with the extent ranks) are shared unless the
-    /// delta adds or relabels nodes, in which case both are rebuilt
-    /// whole.
+    /// Builds the successor snapshot by patching a shallow copy of this
+    /// one with a *normalized* delta ([`apply_delta_in_place`]): every
+    /// page is shared with this snapshot, so the copy shares every page
+    /// the delta does not touch — one refcount bump per page for the
+    /// cloned spines — and rebuilds, in one pass each, the pages it
+    /// does; this snapshot is left as it was.
+    ///
+    /// [`apply_delta_in_place`]: Graph::apply_delta_in_place
+    pub fn apply_delta(&self, delta: &GraphDelta) -> Graph {
+        let mut next = self.clone();
+        next.apply_delta_in_place(delta);
+        next
+    }
+
+    /// Patches this snapshot with a *normalized* delta, copy-on-write
+    /// at every level: a spine, page, tuple or out-of-line run that
+    /// this snapshot holds alone is edited where it lies, and one that
+    /// another snapshot shares is copied first — an attribute page's
+    /// 64 pointers, the written tuple, and an adjacency page rebuilt
+    /// in one pass sized for its patch (sharing, inside it, every
+    /// out-of-line run the delta leaves alone). Ownership is the only
+    /// branch: held alone, a warm epoch of a few edits into pages and
+    /// runs with room to spare allocates nothing. Labels and extents
+    /// (with the extent ranks) are kept unless the delta adds or
+    /// relabels nodes, in which case both are rebuilt whole.
     ///
     /// The delta must be consistent with this snapshot: based at its
     /// node count, added edges absent, removed edges present (the
     /// invariants [`GraphDelta::normalize`] documents). Deltas
     /// recorded by [`Graph::thaw`]/[`Graph::edit_with_delta`] satisfy
     /// this by construction.
-    pub fn apply_delta(&self, delta: &GraphDelta) -> Graph {
+    pub fn apply_delta_in_place(&mut self, delta: &GraphDelta) {
         let old_n = self.node_count();
         assert_eq!(
             delta.base_nodes, old_n,
@@ -1015,41 +1195,32 @@ impl Graph {
         );
         let pages = page_count(old_n + delta.added_nodes.len());
 
-        let (labels, (extent_perm, extent_ranges, extent_rank)) =
-            if delta.added_nodes.is_empty() && delta.label_changes.is_empty() {
-                let extents = (
-                    self.extent_perm.clone(),
-                    self.extent_ranges.clone(),
-                    self.extent_rank.clone(),
-                );
-                (self.labels.clone(), extents)
-            } else {
-                let added = delta
-                    .added_nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &(id, label))| {
-                        debug_assert_eq!(id.index(), old_n + k, "added node ids are dense");
-                        label
-                    });
-                let mut labels: Arc<[Sym]> = self.labels.iter().copied().chain(added).collect();
-                let relabeled = Arc::get_mut(&mut labels).expect("just built, not yet shared");
-                for c in &delta.label_changes {
-                    debug_assert_eq!(relabeled[c.node.index()], c.old, "stale label change");
-                    relabeled[c.node.index()] = c.new;
-                }
-                let extents = build_extents(&labels);
-                (labels, extents)
-            };
+        if !(delta.added_nodes.is_empty() && delta.label_changes.is_empty()) {
+            let added = delta
+                .added_nodes
+                .iter()
+                .enumerate()
+                .map(|(k, &(id, label))| {
+                    debug_assert_eq!(id.index(), old_n + k, "added node ids are dense");
+                    label
+                });
+            let mut labels: Arc<[Sym]> = self.labels.iter().copied().chain(added).collect();
+            let relabeled = Arc::get_mut(&mut labels).expect("just built, not yet shared");
+            for c in &delta.label_changes {
+                debug_assert_eq!(relabeled[c.node.index()], c.old, "stale label change");
+                relabeled[c.node.index()] = c.new;
+            }
+            (self.extent_perm, self.extent_ranges, self.extent_rank) = build_extents(&labels);
+            self.labels = labels;
+        }
 
-        let mut attrs = self.attrs.clone();
-        grow(&mut attrs, pages, || {
+        grow(&mut self.attrs, pages, || {
             let empty = Arc::new(AttrMap::new());
             std::array::from_fn(|_| empty.clone())
         });
         for op in &delta.attr_ops {
             let i = op.node.index();
-            let page = Arc::make_mut(&mut attrs[i >> PAGE_SHIFT]);
+            let page = Arc::make_mut(&mut self.attrs[i >> PAGE_SHIFT]);
             let map = &mut page[i & PAGE_MASK];
             match &op.value {
                 Some(v) => set_shared(map, op.attr, v.clone()),
@@ -1060,40 +1231,17 @@ impl Graph {
             }
         }
 
-        let mut out = self.out.clone();
-        let mut inn = self.inn.clone();
-        grow(&mut out, pages, AdjPage::empty);
-        grow(&mut inn, pages, AdjPage::empty);
-        let out_key = |e: &Edge| {
+        grow(&mut self.out, pages, AdjPage::empty);
+        grow(&mut self.inn, pages, AdjPage::empty);
+        patch_spine(&mut self.out, delta, |e| {
             let (label, node) = (e.label, e.dst);
             (e.src, Adj { label, node })
-        };
-        let in_key = |e: &Edge| {
+        });
+        patch_spine(&mut self.inn, delta, |e| {
             let (label, node) = (e.label, e.src);
             (e.dst, Adj { label, node })
-        };
-        patch_pages(
-            &mut out,
-            delta.added_edges.iter().map(out_key).collect(),
-            delta.removed_edges.iter().map(out_key).collect(),
-        );
-        patch_pages(
-            &mut inn,
-            delta.added_edges.iter().map(in_key).collect(),
-            delta.removed_edges.iter().map(in_key).collect(),
-        );
-
-        Graph {
-            vocab: self.vocab.clone(),
-            labels,
-            attrs,
-            out,
-            inn,
-            extent_perm,
-            extent_ranges,
-            extent_rank,
-            edge_count: self.edge_count + delta.added_edges.len() - delta.removed_edges.len(),
-        }
+        });
+        self.edge_count = self.edge_count + delta.added_edges.len() - delta.removed_edges.len();
     }
 }
 
@@ -1110,6 +1258,46 @@ fn set_shared(map: &mut Arc<AttrMap>, attr: Sym, value: Value) {
 fn grow<T>(spine: &mut Vec<Arc<T>>, pages: usize, empty: impl FnOnce() -> T) {
     if spine.len() < pages {
         spine.resize(pages, Arc::new(empty()));
+    }
+}
+
+/// Applies the delta's edges to one direction's pages, `key` naming
+/// the node whose run an edge is an entry of. A page this spine holds
+/// alone is edited where it lies: the removals first, then the
+/// additions, then each run a removal shortened is moved inline if it
+/// now fits, so no run crosses [`INLINE_RUN_MAX`] twice in one delta.
+/// The entries bound for a page another snapshot shares are gathered
+/// and handed to [`patch_pages`], which rebuilds each such page once.
+///
+/// Another thread can drop its share of a page meanwhile, so a page
+/// may be edited in place and rebuilt in one delta; the rebuild starts
+/// from the edited page, and each entry lands exactly once either way.
+fn patch_spine(
+    spine: &mut [Arc<AdjPage>],
+    delta: &GraphDelta,
+    key: impl Fn(&Edge) -> (NodeId, Adj),
+) {
+    let (mut adds, mut removes) = (Vec::new(), Vec::new());
+    for (edges, shared, insert) in [
+        (&delta.removed_edges, &mut removes, false),
+        (&delta.added_edges, &mut adds, true),
+    ] {
+        for (node, entry) in edges.iter().map(&key) {
+            let (p, slot) = (node.index() >> PAGE_SHIFT, node.index() & PAGE_MASK);
+            match Arc::get_mut(&mut spine[p]) {
+                Some(page) if insert => page.insert(slot, entry),
+                Some(page) => page.remove(slot, entry),
+                None => shared.push((node, entry)),
+            }
+        }
+    }
+    if !(adds.is_empty() && removes.is_empty()) {
+        patch_pages(spine, adds, removes);
+    }
+    for (node, _) in delta.removed_edges.iter().map(&key) {
+        let page = Arc::get_mut(&mut spine[node.index() >> PAGE_SHIFT]);
+        page.expect("a patched page is this spine's own")
+            .settle(node.index() & PAGE_MASK);
     }
 }
 
@@ -1201,10 +1389,11 @@ fn merged_run<'a>(
 /// over every observable — labels, tuples, runs, extents and extent
 /// ranks — and the layout behind it: the same runs out of line and the
 /// same entries inline in every page. Two ways of building one graph
-/// (a freeze, a chain of [`Graph::apply_delta`]s, a replayed builder)
-/// must agree on all of it. Public for the snapshot oracles outside
-/// this crate: `prop_codec`, `prop_graph`, the `wal` tests and the
-/// noise-injection tests of `gfd-datagen`.
+/// (a freeze, a chain of [`Graph::apply_delta`]s, a snapshot patched
+/// in place, a replayed builder) must agree on all of it. Public for
+/// the snapshot oracles outside this crate: `prop_codec`,
+/// `prop_graph`, the `wal` tests and the noise-injection tests of
+/// `gfd-datagen`.
 #[doc(hidden)]
 pub fn same_snapshot(a: &Graph, b: &Graph) -> Result<(), String> {
     if (a.node_count(), a.edge_count()) != (b.node_count(), b.edge_count()) {
@@ -1649,7 +1838,7 @@ mod tests {
         let run = g.inn[page]
             .hub(slot)
             .expect("the hub's in-run is out of line");
-        assert_eq!(run.len(), g.in_degree(hub));
+        assert_eq!(run.len, g.in_degree(hub));
         assert!(g.out[page].hub(slot).is_none(), "its out-run is not");
 
         let next = g.vocab().lookup("next").unwrap();
@@ -1659,7 +1848,10 @@ mod tests {
         });
         assert_eq!(unshared(&g.inn, &g2.inn), vec![page]);
         let run2 = g2.inn[page].hub(slot).expect("still out of line");
-        assert!(Arc::ptr_eq(run, run2), "a bystander hub is not copied");
+        assert!(
+            Arc::ptr_eq(&run.entries, &run2.entries),
+            "a bystander hub is not copied"
+        );
         assert_eq!(g2.in_degree(mate), 2);
 
         // The hub's own edit copies its run, and only then.
@@ -1667,8 +1859,8 @@ mod tests {
             b.remove_edge_labeled(NodeId(0), hub, "spoke");
         });
         let run3 = g3.inn[page].hub(slot).expect("still out of line");
-        assert!(!Arc::ptr_eq(run2, run3));
-        assert_eq!(run3.len(), run2.len() - 1);
+        assert!(!Arc::ptr_eq(&run2.entries, &run3.entries));
+        assert_eq!(run3.len, run2.len - 1);
         assert_same_snapshot(&g3, &g3.thaw().freeze());
     }
 
@@ -1696,6 +1888,9 @@ mod tests {
         assert_eq!(g.in_degree(hub), INLINE_RUN_MAX, "the ring adds one");
         let mut shadow = g.thaw();
         let mut replay = g.thaw();
+        // A freeze holds every page alone, so this one walks the run
+        // across the threshold and back where it lies.
+        let mut owned = g.thaw().freeze();
         let spoke = |i: usize| NodeId((INLINE_RUN_MAX + i) as u32);
         let steps: [(bool, usize); 4] = [(true, 0), (true, 1), (false, 0), (false, 1)];
         for (add, i) in steps {
@@ -1707,14 +1902,100 @@ mod tests {
             let delta = shadow.take_delta().unwrap();
             g = g.apply_delta(&delta);
             replay.apply_delta(&delta);
+            let before = Arc::as_ptr(&owned.inn[page]);
+            owned.apply_delta_in_place(&delta);
+            assert_eq!(
+                Arc::as_ptr(&owned.inn[page]),
+                before,
+                "edited where it lies"
+            );
             assert_same_snapshot(&g, &shadow.clone().freeze());
             assert_same_snapshot(&g, &replay.clone().freeze());
+            assert_same_snapshot(&owned, &g);
             assert_eq!(
                 g.inn[page].hub(slot).is_some(),
                 g.in_degree(hub) > INLINE_RUN_MAX
             );
         }
         assert_eq!(g.in_degree(hub), INLINE_RUN_MAX);
+    }
+
+    #[test]
+    fn a_page_of_two_hubs_walks_one_across_the_threshold_in_place() {
+        // The first hub moving inline renumbers the second; moving out
+        // again appends it after the second.
+        let (g, hub) = ring_with_hub(INLINE_RUN_MAX);
+        let mate = NodeId(hub.0 + 1);
+        let g = g.edit(|b| {
+            for src in 0..2 * PAGE_NODES as u32 {
+                b.add_edge_labeled(NodeId(src), mate, "spoke");
+            }
+        });
+        let (page, slot) = (hub.index() >> PAGE_SHIFT, hub.index() & PAGE_MASK);
+        let mut head = g.thaw().freeze();
+        let mut shadow = head.thaw();
+        let mate_degree = head.in_degree(mate);
+        assert_eq!(head.inn[page].hubs.len(), 2);
+        for (add, src) in [(false, 0), (false, 1), (true, 1), (true, 0)] {
+            if add {
+                assert!(shadow.add_edge_labeled(NodeId(src), hub, "spoke"));
+            } else {
+                assert!(shadow.remove_edge_labeled(NodeId(src), hub, "spoke"));
+            }
+            head.apply_delta_in_place(&shadow.take_delta().unwrap());
+            assert_same_snapshot(&head, &shadow.clone().freeze());
+            assert_eq!(
+                head.inn[page].hub(slot).is_some(),
+                head.in_degree(hub) > INLINE_RUN_MAX
+            );
+            assert_eq!(head.in_degree(mate), mate_degree);
+        }
+    }
+
+    #[test]
+    fn an_owned_snapshot_edits_in_place_and_a_clone_copies_first() {
+        let (g, hub) = ring_with_hub(2 * PAGE_NODES);
+        let (page, slot) = (hub.index() >> PAGE_SHIFT, hub.index() & PAGE_MASK);
+        let (next, val) = (g.vocab().intern("next"), g.vocab().intern("val"));
+        let mut head = g.thaw().freeze();
+        let pin = head.clone();
+        let mut shadow = head.thaw();
+        let edit = |shadow: &mut GraphBuilder, round: i64| {
+            shadow.add_edge(NodeId(round as u32), hub, next);
+            shadow.set_attr(hub, val, Value::Int(-round));
+            shadow.take_delta().unwrap()
+        };
+
+        // Pinned: the touched pages, the hub's run and the tuple are
+        // copied, and the pin keeps the old ones.
+        head.apply_delta_in_place(&edit(&mut shadow, 1));
+        assert_eq!(unshared(&pin.inn, &head.inn), vec![page]);
+        assert_eq!(unshared(&pin.out, &head.out), vec![0]);
+        assert_eq!(unshared(&pin.attrs, &head.attrs), vec![page]);
+        assert_same_snapshot(&pin, &g);
+        assert_same_snapshot(&head, &shadow.clone().freeze());
+
+        // Unpinned: the copy sized the hub's run exactly, so the next
+        // edit doubles its room; from then on the same pages, run and
+        // tuple are edited where they lie.
+        head.apply_delta_in_place(&edit(&mut shadow, 2));
+        let hub_run = |head: &Graph| Arc::as_ptr(&head.inn[page].hub(slot).unwrap().entries);
+        let held = |head: &Graph| {
+            let (inn, out) = (Arc::as_ptr(&head.inn[page]), Arc::as_ptr(&head.out[0]));
+            (
+                inn,
+                out,
+                hub_run(head) as *const Adj,
+                Arc::as_ptr(&head.attrs[page][slot]),
+            )
+        };
+        let before = held(&head);
+        for round in 3..6 {
+            head.apply_delta_in_place(&edit(&mut shadow, round));
+            assert_same_snapshot(&head, &shadow.clone().freeze());
+        }
+        assert_eq!(held(&head), before);
+        assert_same_snapshot(&pin, &g);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! * recorded edit deltas ([`GraphDelta`], module [`delta`]): every
 //!   thaw/edit session captures its mutations, refreezing rebuilds
 //!   only the pages the delta touches
-//!   ([`graph::Graph::apply_delta`]) and shares the rest, a replay
+//!   ([`graph::Graph::apply_delta`]) and shares the rest, a snapshot
+//!   held alone is patched where it lies
+//!   ([`graph::Graph::apply_delta_in_place`]), a replay
 //!   applies a chain of them to one builder in place
 //!   ([`GraphBuilder::apply_delta`]) and freezes once, one
 //!   [`GraphDelta::check_against`] validates against either side

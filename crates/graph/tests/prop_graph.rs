@@ -505,6 +505,51 @@ fn paged_edit_scripts_equal_freeze() {
 }
 
 #[test]
+fn in_place_edit_scripts_equal_freeze_beside_pins() {
+    // The same scripts, applied to one head with apply_delta_in_place
+    // while a seed-chosen subset of its epochs is pinned by `clone()`:
+    // a page, run or tuple a pin shares is copied before its edit, one
+    // the head holds alone is edited where it lies, and a pin released
+    // mid-script hands its pages back to the head. The head must be a
+    // from-scratch freeze of the shadow builder at every step, layout
+    // included, and every pin the freeze of its own epoch when it is
+    // released and at the end.
+    check(
+        "apply_delta_in_place ≡ freeze, pins untouched",
+        40,
+        |rng| {
+            let (mut head, hub) = wide_graph(rng);
+            let mut shadow = head.thaw();
+            let mut pins: Vec<(usize, Graph, Graph)> = Vec::new();
+            let mut script = Vec::new();
+            let pinned_at = |step: usize, pin: &Graph, frozen: &Graph, script: &[String]| {
+                same_snapshot(pin, frozen)
+                    .map_err(|msg| format!("pin of step {step}: {msg}; script: {script:?}"))
+            };
+            for step in 0..50 {
+                if rng.gen_range(0..3) == 0 {
+                    pins.push((step, head.clone(), shadow.clone().freeze()));
+                }
+                if !pins.is_empty() && rng.gen_range(0..4) == 0 {
+                    let (at, pin, frozen) = pins.swap_remove(rng.gen_range(0..pins.len()));
+                    pinned_at(at, &pin, &frozen, &script)?;
+                }
+                script.push(boundary_step(rng, &mut shadow, &head, hub));
+                let delta = shadow.take_delta().expect("thaw records");
+                head.apply_delta_in_place(&delta);
+                if let Err(msg) = same_snapshot(&head, &shadow.clone().freeze()) {
+                    return Err(format!("step {step}: {msg}; script: {script:?}"));
+                }
+            }
+            for (at, pin, frozen) in &pins {
+                pinned_at(*at, pin, frozen, &script)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
 fn builder_replay_equals_the_snapshot_chain() {
     // Log recovery's replay: every step's delta checked against and
     // applied in place to one builder, frozen once after the last step,

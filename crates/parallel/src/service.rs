@@ -17,10 +17,14 @@
 //!   (the detector sees each affected node once per epoch).
 //! * **Epoch/snapshot pinning** — each committed batch is an epoch.
 //!   Readers pin the current [`Arc<Graph>`] ([`ViolationService::
-//!   snapshot`]) and keep serving it while the next batch applies;
-//!   commits swap the Arc, never mutate. A pin is the snapshot itself:
-//!   the service keeps no per-epoch log in memory and tracks no pins —
-//!   the write-ahead log below is the one place epochs persist.
+//!   snapshot`]) and keep serving it while the next batch applies: the
+//!   service never mutates a snapshot anyone else holds. A commit
+//!   edits the snapshot in place when the service holds it alone
+//!   ([`Graph::apply_delta_in_place`]) and patches a copy that shares
+//!   the untouched pages when a reader holds it too. A pin is the
+//!   snapshot itself: the service keeps no per-epoch log in memory and
+//!   tracks no pins — the write-ahead log below is the one place
+//!   epochs persist.
 //! * **Durability** — with [`ViolationService::with_durable_log`] every
 //!   committed epoch is also appended to an on-disk write-ahead log
 //!   ([`crate::wal`]) as a checksummed frame, fsynced per
@@ -70,10 +74,12 @@ use crate::workload::{estimate_workload_in, WorkloadOptions};
 
 /// A reader's pinned epoch: the epoch number and the frozen snapshot
 /// it refers to. Holding one keeps the snapshot alive (it is an
-/// `Arc`); the service never mutates committed snapshots, so a pin
-/// stays valid and consistent forever. Successive snapshots share every
-/// page no edit touched ([`Graph::apply_delta`]), so a pin costs the
-/// pages rewritten since its epoch, not a copy of the graph.
+/// `Arc`); the service never mutates a snapshot anyone else holds, so
+/// a pin stays valid and consistent forever. The next commit patches a
+/// copy that shares every page no edit touched
+/// ([`Graph::apply_delta_in_place`] on a shared snapshot), so a pin
+/// costs the pages rewritten since its epoch, not a copy of the graph;
+/// an epoch no reader pinned is edited in place and costs no copy.
 #[derive(Clone, Debug)]
 pub struct PinnedEpoch {
     /// The pinned epoch number (0 = the service's initial snapshot).
@@ -432,9 +438,10 @@ impl ViolationService {
     /// Ingests one batch of edit deltas (delta `i+1` based on the
     /// result of delta `i`, the chain [`Graph::edit_with_delta`]
     /// sessions produce). On success the batch commits as one epoch:
-    /// compaction → page patch → repair (or degradation) → log append
-    /// → subscriber updates; returns the committed epoch. On
-    /// rejection **nothing** changed.
+    /// compaction → page patch (in place unless a reader pins the
+    /// snapshot) → repair (or degradation) → log append → subscriber
+    /// updates; returns the committed epoch. On rejection **nothing**
+    /// changed.
     pub fn ingest(&mut self, batch: &[GraphDelta]) -> Result<u64, IngestError> {
         // 1. Validate structurally + fold the batch into one delta.
         //    Hostile ids must be caught BEFORE compaction (normalize's
@@ -458,16 +465,15 @@ impl ViolationService {
             return Err(IngestError::MalformedBatch { error });
         }
 
-        // 3. Build the successor snapshot: it shares every page the
-        //    net delta does not touch with the current one. Readers
-        //    holding the old Arc keep serving it — commit is a pointer
-        //    swap at the end, never an in-place mutation.
+        // 3. Patch the snapshot. Held by the service alone it is
+        //    edited where it lies; a reader's pin makes it shared, and
+        //    then `make_mut` patches a shallow copy that shares every
+        //    page the net delta does not touch, so the pinned snapshot
+        //    never changes.
         let next_epoch = self.epoch + 1;
-        let next = if compacted.is_empty() {
-            Arc::clone(&self.current)
-        } else {
-            Arc::new(self.current.apply_delta(&compacted))
-        };
+        if !compacted.is_empty() {
+            Arc::make_mut(&mut self.current).apply_delta_in_place(&compacted);
+        }
 
         // 4. Repair under catch_unwind. A panic here (injected or
         //    real) must not take the service down: the detector state
@@ -476,7 +482,7 @@ impl ViolationService {
         let injected_repair_panic = faults.as_ref().is_some_and(|f| f.repair_panics(next_epoch));
         let repair = {
             let detector = &mut self.detector;
-            let (g, d) = (&next, &compacted);
+            let (g, d) = (&*self.current, &compacted);
             panic::catch_unwind(AssertUnwindSafe(move || {
                 if injected_repair_panic {
                     panic!("injected repair fault (epoch {next_epoch})");
@@ -508,7 +514,7 @@ impl ViolationService {
                 let diverged = match check_rule {
                     Some(rule) => {
                         self.stats.oracle_checks += 1;
-                        let ok = self.detector.verify_rule(rule, &next);
+                        let ok = self.detector.verify_rule(rule, &self.current);
                         if !ok {
                             self.stats.divergences_detected += 1;
                         }
@@ -517,7 +523,7 @@ impl ViolationService {
                     None => false,
                 };
                 if diverged {
-                    let (a, r) = self.degraded_refresh(&next, next_epoch);
+                    let (a, r) = self.degraded_refresh(next_epoch);
                     (a, r, true)
                 } else {
                     let mut added = diff.added;
@@ -535,18 +541,16 @@ impl ViolationService {
             }
             Err(_) => {
                 self.stats.repair_panics += 1;
-                let (a, r) = self.degraded_refresh(&next, next_epoch);
+                let (a, r) = self.degraded_refresh(next_epoch);
                 (a, r, true)
             }
         };
 
-        // 5. Commit: swap the snapshot, append the epoch to the
-        //    write-ahead log, then — and only then — publish.
-        //    Subscribers can never observe a half-applied epoch
-        //    because nothing is published until every service
-        //    structure agrees on `next_epoch`.
+        // 5. Commit: advance the epoch, append it to the write-ahead
+        //    log, then — and only then — publish. Subscribers can never
+        //    observe a half-applied epoch because nothing is published
+        //    until every service structure agrees on `next_epoch`.
         self.epoch = next_epoch;
-        self.current = next;
         self.stats.epochs = next_epoch;
         self.stats.edits_ingested += batch.len() as u64;
         if let Some(w) = self.wal.as_mut() {
@@ -592,12 +596,10 @@ impl ViolationService {
     /// re-deriving their rules sequentially (quarantine is *reported
     /// work*, never lost work), diff against the served set, and
     /// re-seed the incremental detector from the recomputed truth.
-    fn degraded_refresh(
-        &mut self,
-        next: &Arc<Graph>,
-        next_epoch: u64,
-    ) -> (Vec<Violation>, Vec<Violation>) {
+    fn degraded_refresh(&mut self, next_epoch: u64) -> (Vec<Violation>, Vec<Violation>) {
         self.stats.degraded_epochs += 1;
+        // The recompute's workers share the snapshot by `Arc`.
+        let next = Arc::clone(&self.current);
         // The repair that just failed (or drifted) may have torn the
         // registry's incremental state mid-update: drop every cached
         // artifact so the recompute — and every later query — derives
@@ -606,12 +608,12 @@ impl ViolationService {
         self.registry.invalidate_all();
         let wl = estimate_workload_in(
             &self.sigma,
-            next,
+            &next,
             &WorkloadOptions::default(),
             &self.registry,
         );
         let report = run_units_threaded_report(
-            next,
+            &next,
             &self.sigma,
             &wl.plan,
             &wl.units,
@@ -646,7 +648,7 @@ impl ViolationService {
             violations.retain(|v| rules.binary_search(&v.rule).is_err());
             for &rule in &rules {
                 let gfd = self.sigma.get(rule);
-                for_each_violation(gfd, next, &MatchOptions::unrestricted(), &mut |m| {
+                for_each_violation(gfd, &next, &MatchOptions::unrestricted(), &mut |m| {
                     violations.push(Violation {
                         rule,
                         mapping: Match(m.to_vec()),
@@ -814,11 +816,22 @@ mod tests {
 
         let mut rng = Rng::seed_from_u64(11);
         let mut shadow = g0.edit(|_| {});
-        // One pin per epoch, held beside the shadow graph at that epoch.
+        // A pin on every third epoch, held beside the shadow graph at
+        // that epoch, so ingest takes both branches: the epoch after a
+        // pin commits on a snapshot a reader holds and copies it, the
+        // others on one the service holds alone and edit it where it
+        // lies.
         let mut pins = Vec::new();
-        for round in 0..6u64 {
+        let (mut copied, mut in_place) = (0, 0);
+        for round in 0..9u64 {
             let (next, batch) = random_batch(&mut rng, &shadow, 1 + (round as usize % 3));
             shadow = next;
+            let changes = GraphDelta::compact(&batch).is_some_and(|d| !d.is_empty());
+            // A pin taken and dropped at once: the address alone.
+            let before = Arc::as_ptr(&svc.snapshot().graph);
+            let pinned = std::iter::once(&pin0)
+                .chain(pins.iter().map(|(pin, _)| pin))
+                .any(|pin| Arc::as_ptr(&pin.graph) == before);
             let epoch = svc
                 .ingest(&batch)
                 .expect("recorded batches are well-formed");
@@ -828,15 +841,33 @@ mod tests {
                 scratch(svc.sigma(), &shadow),
                 "epoch {epoch} diverges from scratch detection"
             );
-            let pin = svc.snapshot();
-            assert_eq!(pin.epoch, epoch);
-            pins.push((pin, shadow.edit(|_| {})));
+            let after = Arc::as_ptr(&svc.snapshot().graph);
+            match (changes, pinned) {
+                (true, false) => {
+                    assert_eq!(after, before, "epoch {epoch}: unpinned, edited in place");
+                    in_place += 1;
+                }
+                (true, true) => {
+                    assert_ne!(after, before, "epoch {epoch}: pinned, copied");
+                    copied += 1;
+                }
+                (false, _) => assert_eq!(after, before, "epoch {epoch}: nothing to patch"),
+            }
+            if round % 3 == 2 {
+                let pin = svc.snapshot();
+                assert_eq!(pin.epoch, epoch);
+                pins.push((pin, shadow.edit(|_| {})));
+            }
         }
+        assert!(
+            copied > 1 && in_place > 1,
+            "{copied} copied, {in_place} in place"
+        );
 
         // An empty batch still commits a (trivial) epoch, on the same
         // snapshot.
-        assert_eq!(svc.ingest(&[]).unwrap(), 7);
-        assert!(Arc::ptr_eq(&svc.snapshot().graph, &pins[5].0.graph));
+        assert_eq!(svc.ingest(&[]).unwrap(), 10);
+        assert!(Arc::ptr_eq(&svc.snapshot().graph, &pins[2].0.graph));
 
         // Every pin still addresses its own epoch's snapshot, however
         // many epochs committed after it.
@@ -848,7 +879,7 @@ mod tests {
                 pin.epoch
             );
         }
-        assert_eq!(svc.stats().epochs, 7);
+        assert_eq!(svc.stats().epochs, 10);
         assert_eq!(svc.stats().retained_epochs, 0);
     }
 
