@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use gfd_core::sat::check_satisfiability;
 use gfd_core::validate::{detect_violations, detect_violations_with, DetScratch};
-use gfd_core::{implies, Dependency, Gfd, GfdSet, Literal};
+use gfd_core::{implies, Dependency, Gfd, GfdSet, IncrementalDetector, Literal};
 use gfd_datagen::{
     isomorphic_twin, mine_gfds, reallife_graph, synthetic_graph, RealLifeConfig, RealLifeKind,
     RuleGenConfig, SynthConfig,
@@ -65,30 +65,55 @@ fn smoke() -> bool {
 /// wall-clock microbenches). Smoke mode skips calibration and runs
 /// each sample once.
 fn bench<R>(name: &'static str, samples: &mut Vec<Sample>, mut f: impl FnMut() -> R) {
-    let (floor_ms, runs) = if smoke() { (0, 1) } else { (50, 3) };
-    let mut iters = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = t.elapsed();
-        if elapsed.as_millis() >= floor_ms || iters >= 1 << 24 {
-            break;
-        }
-        iters *= 4;
-    }
-    let mut best = f64::INFINITY;
-    let mut best_allocs = u64::MAX;
-    for _ in 0..runs {
+    measure(name, samples, |iters| {
         let a0 = allocation_count();
         let t = Instant::now();
         for _ in 0..iters {
             black_box(f());
         }
-        best = best.min(t.elapsed().as_secs_f64() * 1e9 / iters as f64);
+        (t.elapsed().as_secs_f64(), allocation_count() - a0)
+    });
+}
+
+/// [`bench`] for an operation that must be undone before it runs
+/// again (an epoch and its inverse): only `f` is timed and counted,
+/// and `undo` runs untimed after each call.
+fn bench_undone<S, R>(
+    name: &'static str,
+    samples: &mut Vec<Sample>,
+    state: &mut S,
+    mut f: impl FnMut(&mut S) -> R,
+    mut undo: impl FnMut(&mut S),
+) {
+    measure(name, samples, |iters| {
+        let (mut secs, mut allocs) = (0.0, 0);
+        for _ in 0..iters {
+            let a0 = allocation_count();
+            let t = Instant::now();
+            black_box(f(state));
+            secs += t.elapsed().as_secs_f64();
+            allocs += allocation_count() - a0;
+            undo(state);
+        }
+        (secs, allocs)
+    });
+}
+
+/// The calibration and best-of-runs loop of [`bench`]: `run(iters)`
+/// returns the seconds and allocations of `iters` measured calls.
+fn measure(name: &'static str, samples: &mut Vec<Sample>, mut run: impl FnMut(u64) -> (f64, u64)) {
+    let (floor_s, runs) = if smoke() { (0.0, 1) } else { (0.05, 3) };
+    let mut iters = 1u64;
+    while run(iters).0 < floor_s && iters < 1 << 24 {
+        iters *= 4;
+    }
+    let mut best = f64::INFINITY;
+    let mut best_allocs = u64::MAX;
+    for _ in 0..runs {
+        let (secs, allocs) = run(iters);
+        best = best.min(secs * 1e9 / iters as f64);
         // Min over runs: robust against one-off warm-up allocations.
-        best_allocs = best_allocs.min(allocation_count() - a0);
+        best_allocs = best_allocs.min(allocs);
     }
     let allocs_per_iter = best_allocs as f64 / iters as f64;
     println!("{name:<44} {best:>14.1} ns/iter  {allocs_per_iter:>10.1} allocs  (x{iters})");
@@ -774,6 +799,53 @@ fn main() {
         };
         assert!(count_cycles() > 0, "premise: the rules have matches");
         bench("match/cycle_rules(space)", &mut samples, count_cycles);
+
+        // One standing-path epoch on the same graph and rule shapes,
+        // per op kind: the `pk_rel0` edge above added or removed, or an
+        // attribute no rule reads written. Σ carries the lifecycle
+        // benchmark's dependency (`x.flag = true → y.flag = true` on
+        // each cycle's first edge). Each epoch is undone, untimed,
+        // before the next, so every timed call starts from one state.
+        let flag = gp.vocab().intern("flag");
+        let sigma: GfdSet = cycles
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                let [x, y] = [VarId(0), VarId(1)];
+                let x_flag = vec![Literal::const_eq(x, flag, true)];
+                let dep = Dependency::new(x_flag, vec![Literal::const_eq(y, flag, true)]);
+                Gfd::new(format!("cycle-{i}"), q.clone(), dep)
+            })
+            .collect();
+        let stamp = gp.vocab().intern("stamp");
+        let (g_stamped, d_stamp) = gp.edit_with_delta(|b| b.set_attr(src, stamp, Value::Int(1)));
+        let (_, d_unstamp) = g_stamped.edit_with_delta(|b| {
+            b.remove_attr(src, stamp);
+        });
+        let mut det = IncrementalDetector::new(&sigma, &gp);
+        det.apply_diff(&g_minus, &d_rm);
+        bench_undone(
+            "core/apply_diff(1 added edge, pokec)",
+            &mut samples,
+            &mut det,
+            |det| det.apply_diff(&gp, &d_add),
+            |det| drop(det.apply_diff(&g_minus, &d_rm)),
+        );
+        det.apply_diff(&gp, &d_add);
+        bench_undone(
+            "core/apply_diff(1 removed edge, pokec)",
+            &mut samples,
+            &mut det,
+            |det| det.apply_diff(&g_minus, &d_rm),
+            |det| drop(det.apply_diff(&gp, &d_add)),
+        );
+        bench_undone(
+            "core/apply_diff(1 unread attr write, pokec)",
+            &mut samples,
+            &mut det,
+            |det| det.apply_diff(&g_stamped, &d_stamp),
+            |det| drop(det.apply_diff(&gp, &d_unstamp)),
+        );
     }
 
     // Counting a skewed multiplicative workload: two dense bipartite

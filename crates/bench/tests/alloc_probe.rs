@@ -161,16 +161,21 @@ fn same_id_same_dest_in_order(vocab: Arc<Vocab>, order: [usize; 6]) -> Gfd {
 }
 
 /// The epoch-path gate: a warm [`IncrementalDetector::apply_diff`]
-/// enumerates once per rule group and pin, so what it allocates cannot
-/// depend on how many rules the group holds. Σ is one disconnected
-/// two-star class, as one rule and as eight permuted declarations; each
-/// epoch writes an attribute onto a flight — a candidate of both hubs,
-/// so the epoch pins it twice — and changes no violation. Both counts
-/// must be zero: the delta arrives normalized and is taken as it is,
-/// the touched-node list fills a buffer the detector keeps, and the
-/// registry's repair moves no set. An enumeration that decomposes the
-/// pattern per pinned call, or allocates per rule, multiplies the
-/// eight-member count.
+/// enumerates once per rule group and pinned search, so what it
+/// allocates cannot depend on how many rules the group holds. Σ is one
+/// disconnected two-star class, as one rule and as eight permuted
+/// declarations; each epoch writes a fresh `val` onto a flight's `id`
+/// node — an attribute every member reads at both stars' `id`
+/// variables, so the epoch pins the node twice — and changes no
+/// violation. Both counts must be zero: the delta arrives normalized
+/// and is taken as it is, the touched-node list and the searches fill
+/// buffers the detector keeps, and the registry's repair moves no set.
+/// An enumeration that decomposes the pattern per pinned call, or
+/// allocates per rule, multiplies the eight-member count.
+///
+/// The sampled oracle has the same gate: a warm
+/// [`IncrementalDetector::verify_rule`] enumerates the group on the raw
+/// CSR in the detector's buffers and allocates nothing.
 #[test]
 fn warm_epoch_allocates_per_group_not_per_rule() {
     let _serial = serial();
@@ -187,18 +192,26 @@ fn warm_epoch_allocates_per_group_not_per_rule() {
     let per_epoch = |members: usize| {
         let mut g = clean_flights(40);
         let vocab = g.vocab().clone();
-        let stamp = vocab.intern("stamp");
+        let val = vocab.intern("val");
         let rules = orders[..members].iter();
         let sigma: GfdSet = rules
             .map(|&order| same_id_same_dest_in_order(vocab.clone(), order))
             .collect();
         let mut det = IncrementalDetector::new(&sigma, &g);
         let mut epoch = |i: i64| {
-            let (next, delta) = g.edit_with_delta(|b| b.set_attr(NodeId(0), stamp, Value::Int(i)));
-            let before = allocation_count();
+            // Node 1 is the first flight's `id`; a fresh number keeps
+            // every id distinct.
+            let fresh = Value::str(&format!("FRESH{i}"));
+            let (next, delta) = g.edit_with_delta(|b| b.set_attr(NodeId(1), val, fresh));
+            let (before, searches) = (allocation_count(), det.enumerations());
             let diff = det.apply_diff(&next, &delta);
             let allocations = allocation_count() - before;
             assert!(diff.is_empty(), "premise: the write changes no violation");
+            assert_eq!(
+                det.enumerations() - searches,
+                4,
+                "premise: the write pins the id node at both stars, two parts each"
+            );
             g = next;
             allocations
         };
@@ -206,14 +219,28 @@ fn warm_epoch_allocates_per_group_not_per_rule() {
         for i in 0..3 {
             epoch(i);
         }
-        (3..8).map(epoch).min().expect("five measured epochs")
+        let warm = (3..8).map(epoch).min().expect("five measured epochs");
+        assert!(
+            det.verify_rule(0, &g),
+            "premise: the maintained state is exact"
+        );
+        let before = allocation_count();
+        assert!(det.verify_rule(0, &g));
+        let oracle = allocation_count() - before;
+        (warm, oracle)
     };
-    let (one, eight) = (per_epoch(1), per_epoch(8));
+    let ((one, oracle_one), (eight, oracle_eight)) = (per_epoch(1), per_epoch(8));
     eprintln!("warm epoch: {one} allocations for one rule, {eight} for eight twins");
+    eprintln!("warm verify_rule: {oracle_one} allocations for one rule, {oracle_eight} for eight");
     assert_eq!(one, eight, "an epoch must allocate per group, not per rule");
     assert_eq!(
         one, EPOCH_ALLOCATIONS,
         "a warm epoch made {one} allocations"
+    );
+    assert_eq!(
+        (oracle_one, oracle_eight),
+        (0, 0),
+        "a warm verify_rule must allocate nothing"
     );
 }
 

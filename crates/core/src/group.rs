@@ -26,7 +26,7 @@
 //! must satisfy — plus one plain disjoint join for the members without
 //! one. A member checks only its own key's rows.
 
-use gfd_graph::{Graph, NodeId};
+use gfd_graph::{Graph, NodeId, Sym};
 use gfd_match::component::{ComponentSearch, SearchScratch};
 use gfd_match::join::{join_tables, JoinKey, JoinScratch};
 use gfd_match::types::Flow;
@@ -140,6 +140,26 @@ impl RuleGroups {
     /// The group `rule` belongs to.
     pub fn of(&self, rule: usize) -> &RuleGroup {
         &self.groups[self.group_of[rule]]
+    }
+
+    /// Every `(group, variable, attribute)` where some checked member
+    /// of the group reads the attribute of the variable in its `X ∪ Y`
+    /// — variables in representative numbering — sorted, so a lookup is
+    /// a binary search. A write to an attribute not listed at a
+    /// variable cannot change whether a match violates any member.
+    pub fn reads(&self) -> Vec<(usize, VarId, Sym)> {
+        let reads = || {
+            self.groups.iter().enumerate().flat_map(|(i, group)| {
+                let checked = group.members.iter().filter(|m| m.checked);
+                let lits = checked.flat_map(|m| m.dep.literals());
+                lits.flat_map(move |l| l.reads().map(move |(v, a)| (i, v, a)))
+            })
+        };
+        let mut all = Vec::with_capacity(reads().count());
+        all.extend(reads());
+        all.sort_unstable();
+        all.dedup();
+        all
     }
 }
 

@@ -20,35 +20,43 @@
 //!   registry already passed is a no-op;
 //! * the current violating matches of each rule.
 //!
-//! On a delta, Σ is re-examined only around the *affected nodes*
-//! (delta edge endpoints, relabeled/attribute-touched nodes, added
-//! nodes):
+//! On a delta, Σ is re-examined only around what the delta's ops can
+//! change:
 //!
-//! * stored violations that touch no affected node are still matches
-//!   and still violating (their edges, labels and attribute values
-//!   are untouched) and survive without re-enumeration;
+//! * stored violations that touch no *affected node* (delta edge
+//!   endpoints, relabeled/attribute-touched nodes, added nodes) are
+//!   still matches and still violating (their edges, labels and
+//!   attribute values are untouched) and survive without
+//!   re-enumeration;
 //! * stored violations touching affected nodes are re-checked
 //!   directly, per rule (edges + labels + dependency), in `O(|Q|)`
 //!   each;
-//! * new violations must contain an affected node (a match that
-//!   gained violation status either changed structurally or had an
-//!   attribute change on one of its images), so the detector
-//!   enumerates only matches *pinned* at affected candidate nodes — a
-//!   node pins a variable where its part's view admits it, once per
-//!   group and pin, every part searching its repaired class space —
-//!   and checks every member of the group on each.
+//! * a new violation is a new match, or an old match whose dependency
+//!   check flipped, so the detector enumerates only matches *pinned*
+//!   where the delta's ops can have made one, by op kind. Patterns are
+//!   positive, so a removed edge pins nothing; an added edge pins both
+//!   endpoints at each pattern edge whose label admits it; an attribute
+//!   write pins its node only at the variables whose attribute some
+//!   checked member's `X ∪ Y` reads; an added node or a relabel pins
+//!   the node at every variable. A pin counts where its part's view
+//!   admits the node; each search runs once per group, every part in
+//!   its repaired class space (not fetched for a group no op reaches),
+//!   and checks every member of the group on each row.
+//!
+//! The sampled oracle [`IncrementalDetector::verify_rule`] re-derives
+//! one rule group's violations on the raw CSR — no registry, no
+//! maintained space — in the detector's own buffers.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use gfd_graph::{Graph, GraphDelta, NodeId};
-use gfd_match::types::Flow;
-use gfd_match::{ClassRegistry, ClassView, Match, MatchOptions, Pin, SpaceHandle};
+use gfd_graph::{Graph, GraphDelta, NodeId, Sym};
+use gfd_match::{ClassRegistry, ClassView, Match, Pin, SpaceHandle};
 use gfd_pattern::VarId;
 
 use crate::gfd::GfdSet;
-use crate::group::{for_each_group_violation, GroupScratch, RuleGroups};
-use crate::validate::{detect_violations, for_each_violation, match_satisfies, Violation};
+use crate::group::{for_each_group_violation, GroupScratch, RuleGroup, RuleGroups};
+use crate::validate::{detect_violations, match_satisfies, Violation};
 
 /// The change `apply_diff` made to `Vio(Σ, G)` in one edit step: what
 /// a standing-violation service pushes to subscribers instead of the
@@ -93,13 +101,18 @@ pub struct IncrementalDetector {
     handles: Vec<Vec<SpaceHandle>>,
     /// The current violating matches of each rule.
     violations: Vec<HashSet<Match>>,
-    /// Enumeration buffers, reused by every enumeration.
+    /// Enumeration buffers, reused by every enumeration, the oracle's
+    /// too.
     scratch: GroupScratch,
-    /// The group in flight's class views, one per part; emptied after
-    /// each group so no view outlives it.
+    /// The group in flight's class views, one per part (all `None` for
+    /// the oracle's raw enumeration); emptied after each group so no
+    /// view outlives it.
     views: Vec<Option<ClassView>>,
     /// The epoch in flight's touched nodes, kept across epochs.
     affected: Vec<NodeId>,
+    /// [`RuleGroups::reads`]: where an attribute write can flip a
+    /// member's check.
+    reads: Vec<(usize, VarId, Sym)>,
 }
 
 impl IncrementalDetector {
@@ -161,9 +174,10 @@ impl IncrementalDetector {
         self.violations.iter().map(HashSet::len).sum()
     }
 
-    /// Component searches this detector has run — one per group and
-    /// pin, however many rules a group holds (the probe behind "one
-    /// enumeration per group").
+    /// Component searches this detector has run — one per component
+    /// of each group's pinned search, however many rules a group holds
+    /// (the probe behind "one enumeration per group"), plus the
+    /// unpinned ones of every [`verify_rule`](Self::verify_rule).
     pub fn enumerations(&self) -> u64 {
         self.scratch.enumerations()
     }
@@ -207,6 +221,7 @@ impl IncrementalDetector {
             sets[v.rule].insert(v.mapping.clone());
         }
         let version = registry.version();
+        let reads = groups.reads();
         IncrementalDetector {
             sigma: sigma.clone(),
             registry,
@@ -217,26 +232,41 @@ impl IncrementalDetector {
             scratch: GroupScratch::default(),
             views: Vec::new(),
             affected: Vec::new(),
+            reads,
         }
     }
 
     /// Sampled repair-invariant check for one rule: re-derives the
-    /// rule's violation set from scratch — a fresh enumeration that
-    /// shares none of the detector's incremental state — and compares
-    /// it with the maintained set. `true` means the maintained state
-    /// is still exact for this rule.
+    /// violation sets of the rule's group — the rule and its
+    /// isomorphic twins, in one enumeration — on the raw CSR, reading
+    /// neither the registry nor any maintained candidate space, and
+    /// compares them with the maintained sets: every violation found
+    /// must be stored, and as many found as stored. `true` means the
+    /// maintained state is still exact for every rule of the group.
     ///
-    /// One rule's worth of work, so a long-running service can afford
+    /// One group's worth of work in the detector's own buffers (a warm
+    /// call allocates nothing), so a long-running service can afford
     /// it at a sampling cadence per epoch; a `false` is the signal to
     /// degrade to a full recompute instead of serving drifted answers.
-    pub fn verify_rule(&self, rule: usize, g: &Graph) -> bool {
-        let gfd = self.sigma.get(rule);
-        let mut scratch: HashSet<Match> = HashSet::new();
-        for_each_violation(gfd, g, &MatchOptions::unrestricted(), &mut |m| {
-            scratch.insert(Match(m.to_vec()));
-            Flow::Continue
+    pub fn verify_rule(&mut self, rule: usize, g: &Graph) -> bool {
+        let Self {
+            ref groups,
+            ref violations,
+            ref mut scratch,
+            ref mut views,
+            ..
+        } = *self;
+        let group = groups.of(rule);
+        views.clear();
+        views.extend(group.parts.iter().map(|_| None));
+        let (mut found, mut stored) = (0, true);
+        for_each_group_violation(group, g, views, &[], scratch, &mut |rule, m| {
+            found += 1;
+            stored &= violations[rule].contains(m);
         });
-        scratch == self.violations[rule]
+        views.clear();
+        let members = group.members.iter();
+        stored && found == members.map(|m| violations[m.rule].len()).sum::<usize>()
     }
 
     /// Fault-injection hook: perturbs the stored state of one rule
@@ -287,6 +317,7 @@ impl IncrementalDetector {
             ref mut scratch,
             ref mut views,
             ref affected,
+            ref reads,
         } = *self;
         registry.advance(g, delta, version);
         let is_affected = |u: NodeId| affected.binary_search(&u).is_ok();
@@ -308,41 +339,122 @@ impl IncrementalDetector {
             });
         }
 
-        // 2. New violations contain an affected node: enumerate each
-        //    group's matches pinned there (per representative variable
-        //    whose part's candidate set admits the node), every part in
-        //    its repaired class space — fetched once per group — and
-        //    check every member on each row.
-        for (group, handles) in groups.iter().zip(handles) {
-            // X → ∅ is never violated, and a matchless part leaves the
-            // group's pattern without a match.
-            if !group.checks() || !fetch_views(registry, handles, g, views) {
-                debug_assert!(group.members.iter().all(|m| violations[m.rule].is_empty()));
-                views.clear();
+        // 2. New violations come from the ops that can create one (see
+        //    `for_each_seed`): per group, the pinned searches its ops
+        //    call for, each screened by its part's repaired class space
+        //    — fetched at the group's first search, so a group no op
+        //    reaches reads none — and every member checked on each row.
+        for (i, (group, handles)) in groups.iter().zip(handles).enumerate() {
+            // X → ∅ is never violated.
+            if !group.checks() {
                 continue;
             }
-            for &u in affected {
-                for (view, (_, vars)) in views.iter().flatten().zip(&group.parts) {
-                    for (local, &v) in vars.iter().enumerate() {
-                        if view.of(VarId(local as u32)).binary_search(&u).is_err() {
-                            continue;
-                        }
-                        let pins = &[Pin::at(v, u)];
-                        for_each_group_violation(group, g, views, pins, scratch, &mut |rule, m| {
-                            // First sighting only: the same match can be
-                            // re-found via several pins, or be stored.
-                            if !violations[rule].contains(m) {
-                                let mapping = Match(m.to_vec());
-                                violations[rule].insert(mapping.clone());
-                                diff.added.push(Violation { rule, mapping });
-                            }
-                        });
-                    }
+            // The group's own slice of the read set: a lookup in it is
+            // a few steps, not a search over all of Σ per op and
+            // variable.
+            let reads = &reads[reads.partition_point(|r| r.0 < i)..];
+            let reads = &reads[..reads.partition_point(|r| r.0 == i)];
+            let reads_at = |v: VarId, attr: Sym| reads.binary_search(&(i, v, attr)).is_ok();
+            let mut live = None;
+            for_each_seed(group, reads_at, g, delta, &mut |part, (x, u), also| {
+                // A matchless part leaves the group's pattern without a
+                // match.
+                if !*live.get_or_insert_with(|| fetch_views(registry, handles, g, views)) {
+                    return;
                 }
-            }
+                let (Some(view), (_, vars)) = (&views[part], &group.parts[part]) else {
+                    return;
+                };
+                let admitted = |(x, u): At| view.of(x).binary_search(&u).is_ok();
+                if !admitted((x, u)) || !also.is_none_or(admitted) {
+                    return;
+                }
+                let (y, v) = also.unwrap_or((x, u));
+                let pins = [Pin::at(vars[x.index()], u), Pin::at(vars[y.index()], v)];
+                let pins = &pins[..1 + usize::from(also.is_some())];
+                for_each_group_violation(group, g, views, pins, scratch, &mut |rule, m| {
+                    // First sighting only: the same match can be
+                    // re-found via several searches, or be stored.
+                    if !violations[rule].contains(m) {
+                        let mapping = Match(m.to_vec());
+                        violations[rule].insert(mapping.clone());
+                        diff.added.push(Violation { rule, mapping });
+                    }
+                });
+            });
+            debug_assert!(
+                live != Some(false) || group.members.iter().all(|m| violations[m.rule].is_empty())
+            );
             views.clear();
         }
         diff
+    }
+}
+
+/// `(x, u)`: the pin `h(x) = u` on a variable in its part's own
+/// numbering.
+type At = (VarId, NodeId);
+
+/// Calls `f(part, (x, u), also)` for each search `delta`'s ops call for
+/// in `group`, screened by label only (the class views screen them
+/// again): pin `h(x) = u` in `part`'s own variables, and `h(y) = v` too
+/// where `also` is `Some((y, v))`. `reads(v, A)` says whether some
+/// checked member's `X ∪ Y` reads attribute `A` of representative
+/// variable `v`. A new violation is a match that is new, or an old
+/// match whose dependency check flipped; patterns are positive, so by
+/// op kind:
+///
+/// * a removed edge creates neither and calls for none;
+/// * an added edge `(u, v, l)` creates only matches mapping some
+///   pattern edge `x → y` that admits `l` onto it: one search pinned
+///   at both endpoints — one pin for a self-loop `x → x`, and only
+///   when `u = v`; none for `x ≠ y` with `u = v` (matches are
+///   injective);
+/// * an attribute write or removal on `(u, A)` flips only members that
+///   read `A`: `u` is pinned only at the variables `v` where `reads(v,
+///   A)`;
+/// * an added node or a relabel may complete a match at any variable:
+///   the node is pinned at every variable whose label admits it, which
+///   covers every search its edges and attribute writes call for.
+fn for_each_seed(
+    group: &RuleGroup,
+    reads: impl Fn(VarId, Sym) -> bool,
+    g: &Graph,
+    delta: &GraphDelta,
+    f: &mut dyn FnMut(usize, At, Option<At>),
+) {
+    let relabeled = |u: NodeId| {
+        let changes = &delta.label_changes;
+        changes.binary_search_by_key(&u, |c| c.node).is_ok()
+    };
+    let placed = |u: NodeId| u.index() >= delta.base_nodes || relabeled(u);
+    for (part, (q, vars)) in group.parts.iter().enumerate() {
+        let admits = |x: VarId, u: NodeId| q.label(x).admits(g.label(u));
+        let added = delta.added_nodes.iter().map(|&(u, _)| u);
+        for u in added.chain(delta.label_changes.iter().map(|c| c.node)) {
+            q.vars()
+                .filter(|&x| admits(x, u))
+                .for_each(|x| f(part, (x, u), None));
+        }
+        for e in delta
+            .added_edges
+            .iter()
+            .filter(|e| !placed(e.src) && !placed(e.dst))
+        {
+            for pe in q.edges().iter().filter(|pe| pe.label.admits(e.label)) {
+                let fits = (pe.src == pe.dst) == (e.src == e.dst);
+                if fits && admits(pe.src, e.src) && admits(pe.dst, e.dst) {
+                    let also = (pe.src != pe.dst).then_some((pe.dst, e.dst));
+                    f(part, (pe.src, e.src), also);
+                }
+            }
+        }
+        for op in delta.attr_ops.iter().filter(|op| !placed(op.node)) {
+            let read = |&x: &VarId| reads(vars[x.index()], op.attr) && admits(x, op.node);
+            q.vars()
+                .filter(read)
+                .for_each(|x| f(part, (x, op.node), None));
+        }
     }
 }
 
@@ -561,6 +673,141 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    /// Hubs owning one leaf each, `val` on most nodes, and a Σ that
+    /// gives each op kind a violation only its own pins find: a keyed
+    /// two-part rule over two lone hubs (found only by pinning a
+    /// relabeled node or a written `val`), a lone hub that must carry
+    /// `val` (the same, or an added node without one), a wildcard edge,
+    /// a self-loop pattern edge and a pair of parallel pattern edges
+    /// (found only by pinning an added edge's endpoints).
+    fn op_kind_world(rng: &mut Rng) -> (Graph, GfdSet) {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        for _ in 0..rng.gen_range(4..8) {
+            let hub = b.add_node_labeled("hub");
+            let leaf = b.add_node_labeled("leaf");
+            b.add_edge_labeled(hub, leaf, "owns");
+            for node in [hub, leaf] {
+                if rng.gen_bool(0.8) {
+                    b.set_attr_named(node, "val", Value::Int(rng.gen_range(0..3) as i64));
+                }
+            }
+        }
+        let g = b.freeze();
+        let vocab = g.vocab().clone();
+        let val = vocab.intern("val");
+        let rule = |name: &str, build: &dyn Fn(&mut PatternBuilder) -> Dependency| {
+            let mut pb = PatternBuilder::new(vocab.clone());
+            let dep = build(&mut pb);
+            Gfd::new(name, pb.build(), dep)
+        };
+        let sigma = GfdSet::new(vec![
+            rule("hub-pair", &|pb| {
+                let (a, c) = (pb.node("a", "hub"), pb.node("c", "hub"));
+                let x = vec![Literal::var_eq(a, val, c, val)];
+                Dependency::new(x, vec![Literal::const_eq(a, val, Value::Int(0))])
+            }),
+            rule("every-hub-has-val", &|pb| {
+                let a = pb.node("a", "hub");
+                Dependency::always(vec![Literal::var_eq(a, val, a, val)])
+            }),
+            rule("any-edge-to-a-leaf-with-val", &|pb| {
+                let (x, y) = (pb.node("x", "hub"), pb.node("y", "leaf"));
+                pb.wildcard_edge(x, y);
+                Dependency::always(vec![Literal::var_eq(y, val, y, val)])
+            }),
+            rule("self-liker-is-zero", &|pb| {
+                let x = pb.node("x", "hub");
+                pb.edge(x, x, "likes");
+                Dependency::always(vec![Literal::const_eq(x, val, Value::Int(0))])
+            }),
+            rule("owns-and-likes", &|pb| {
+                let (x, y) = (pb.node("x", "hub"), pb.node("y", "leaf"));
+                pb.edge(x, y, "owns").edge(x, y, "likes");
+                let x_eq = vec![Literal::var_eq(x, val, y, val)];
+                Dependency::new(x_eq, vec![Literal::const_eq(x, val, Value::Int(0))])
+            }),
+        ]);
+        (g, sigma)
+    }
+
+    #[test]
+    fn every_op_kind_finds_the_violations_it_makes() {
+        const KINDS: [&str; 8] = [
+            "add an edge",
+            "add a self-loop",
+            "remove an edge",
+            "write a read attribute",
+            "write an unread attribute",
+            "remove an attribute",
+            "relabel",
+            "add a node with edges",
+        ];
+        check(
+            "IncrementalDetector ≡ detVio, one op kind per step",
+            40,
+            |rng| {
+                let (mut g, sigma) = op_kind_world(rng);
+                let vocab = g.vocab().clone();
+                let [hub, leaf, owns, likes, val, stamp] =
+                    ["hub", "leaf", "owns", "likes", "val", "stamp"].map(|s| vocab.intern(s));
+                let mut det = IncrementalDetector::new(&sigma, &g);
+                for step in 0..16 {
+                    let kind = rng.gen_range(0..KINDS.len());
+                    let n = g.node_count();
+                    let u = NodeId(rng.gen_range(0..n) as u32);
+                    // Any node but `u`: a self-loop is its own op kind.
+                    let v = NodeId(((u.index() + 1 + rng.gen_range(0..n - 1)) % n) as u32);
+                    let label = if rng.gen_bool(0.5) { owns } else { likes };
+                    let value = Value::Int(rng.gen_range(0..3) as i64);
+                    let edges: Vec<_> = g.edges().collect();
+                    let gone = *rng.choose(&edges).expect("every hub owns a leaf");
+                    let (g2, delta) = g.edit_with_delta(|b| match KINDS[kind] {
+                        "add an edge" => {
+                            b.add_edge(u, v, label);
+                        }
+                        "add a self-loop" => {
+                            b.add_edge(u, u, label);
+                        }
+                        "remove an edge" => {
+                            b.remove_edge(gone.src, gone.dst, gone.label);
+                        }
+                        "write a read attribute" => b.set_attr(u, val, value),
+                        "write an unread attribute" => b.set_attr(u, stamp, value),
+                        "remove an attribute" => {
+                            b.remove_attr(u, val);
+                        }
+                        "relabel" => {
+                            b.set_label(u, if b.label(u) == hub { leaf } else { hub });
+                        }
+                        _ => {
+                            let n = b.add_node(if rng.gen_bool(0.5) { hub } else { leaf });
+                            if rng.gen_bool(0.5) {
+                                b.set_attr(n, val, value);
+                            }
+                            b.add_edge(n, u, label);
+                            b.add_edge(v, n, owns);
+                        }
+                    });
+                    let diff = det.apply_diff(&g2, &delta);
+                    let scratch = violation_set(&sigma, &g2);
+                    if detector_set(&det) != scratch {
+                        return Err(format!(
+                            "step {step} ({}): {} maintained vs {} scratch",
+                            KINDS[kind],
+                            det.violation_count(),
+                            scratch.len()
+                        ));
+                    }
+                    if KINDS[kind] == "write an unread attribute" && !diff.is_empty() {
+                        return Err(format!("step {step}: an unread write changed Vio"));
+                    }
+                    g = g2;
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -79,6 +79,16 @@ impl Literal {
         }
     }
 
+    /// The `(variable, attribute)` pairs the literal reads: one for
+    /// `x.A = c`, two for `x.A = y.B`.
+    pub fn reads(&self) -> impl Iterator<Item = (VarId, Sym)> {
+        let pairs = match *self {
+            Literal::Const { var, attr, .. } => [Some((var, attr)), None],
+            Literal::Vars { x, a, y, b } => [Some((x, a)), Some((y, b))],
+        };
+        pairs.into_iter().flatten()
+    }
+
     /// The largest variable index mentioned (for arity validation).
     pub fn max_var(&self) -> VarId {
         match self {

@@ -38,7 +38,9 @@
 //! * **Self-healing repair** — the incremental repair runs under
 //!   `catch_unwind`; a panic (or a divergence caught by the sampled
 //!   per-epoch invariant check, [`IncrementalDetector::verify_rule`]
-//!   on a seed-chosen rule) triggers graceful degradation: a full
+//!   on a seed-chosen rule: its rule group re-derived on the raw CSR,
+//!   away from the registry's repaired spaces, in the detector's own
+//!   buffers) triggers graceful degradation: a full
 //!   recompute on panic-isolated workers
 //!   ([`run_units_threaded_report`]), quarantined units recovered by
 //!   sequential re-derivation of their rules, and incremental
@@ -147,7 +149,8 @@ pub struct ServiceConfig {
     /// OS threads for degraded-path recomputes.
     pub threads: usize,
     /// Per-epoch probability of running the sampled repair-invariant
-    /// oracle (one random rule re-derived from scratch and compared).
+    /// oracle: one random rule's group (the rule and its isomorphic
+    /// twins) re-derived by one raw enumeration and compared.
     pub oracle_sample_p: f64,
     /// Seed for the service's deterministic sampling stream.
     pub seed: u64,
