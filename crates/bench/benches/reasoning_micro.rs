@@ -550,7 +550,7 @@ fn main() {
             .flat_map(|(group, gp)| (0..group.parts.len()).map(move |i| (group, gp, i)))
             .map(|(group, gp, i)| {
                 let (part, pivot) = (&group.parts[i].0, gp.local_pivot(group, i));
-                feasible_pivots(&g2, part, pivot, true).0.len()
+                feasible_pivots(&g2, part, pivot).0.len()
             })
             .sum::<usize>()
     });

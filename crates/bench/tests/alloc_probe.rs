@@ -13,7 +13,8 @@
 //! interns no new name allocates nothing, [`Graph::apply_delta`] must
 //! request allocator bytes in proportion to the delta's pages, not to
 //! the graph, a warm [`Graph::apply_delta_in_place`] on a snapshot
-//! nothing else holds must allocate nothing, a warm
+//! nothing else holds must allocate nothing — and neither must the
+//! epoch after a pinned one, inside the pages that one copied — a warm
 //! [`IncrementalSpace`] repair in proportion to the
 //! runs the delta moved — nothing at all when no set moves — and log
 //! recovery in proportion to the frames it replays, not one snapshot
@@ -721,6 +722,52 @@ fn an_owned_snapshot_edits_in_place() {
     assert_eq!(
         allocations, 0,
         "16 warm in-place epochs beside a {degree}-entry hub made {allocations} allocations"
+    );
+}
+
+/// The copy's-room gate: a pinned epoch copies the pages it touches
+/// with room for twice their inline entries, so the next epoch — the
+/// pin still held, the copies this snapshot's own — inserts into them
+/// where they lie: one more inline entry in each copied page makes
+/// zero allocations. A copy sized exactly for its first edit
+/// reallocates on the second.
+#[test]
+fn a_copied_page_has_room_for_the_next_epoch() {
+    let _serial = serial();
+    let mut g = synthetic_graph(&SynthConfig::sized(20_000, 7));
+    let n = g.node_count();
+    let label = g.edges().next().expect("the graph has edges").label;
+    // Two sources in one page and two destinations in another (pages
+    // are 64 nodes), on ordinary nodes: both edges land in the same
+    // two pages, inline.
+    let (src, dst) = (n / 2 / 64 * 64, (3 * n / 4) / 64 * 64);
+    let edge = |i: usize| Edge {
+        src: NodeId((src + i) as u32),
+        dst: NodeId((dst + i) as u32),
+        label,
+    };
+    let epoch = |e: Edge| {
+        assert!(!g.has_edge(e.src, e.dst, e.label), "the edge is absent");
+        assert!(g.out_degree(e.src) < 64 && g.in_degree(e.dst) < 64);
+        let mut delta = GraphDelta::new(n);
+        delta.added_edges.push(e);
+        delta
+    };
+    let (first, second) = (epoch(edge(0)), epoch(edge(1)));
+
+    let pin = g.clone();
+    g.apply_delta_in_place(&first);
+    let before = allocation_count();
+    g.apply_delta_in_place(&second);
+    let allocations = allocation_count() - before;
+    assert!(g.has_edge(edge(1).src, edge(1).dst, label));
+    assert!(
+        !pin.has_edge(edge(0).src, edge(0).dst, label),
+        "the pin holds"
+    );
+    assert_eq!(
+        allocations, 0,
+        "an inline insert into each copied page made {allocations} allocations"
     );
 }
 

@@ -559,8 +559,8 @@ fn page_count(n: usize) -> usize {
 
 /// The longest run a page keeps inline in its adjacency array; a
 /// longer one (a hub's) lives in an allocation of its own, so that
-/// rebuilding the page for a neighbor's edit shares it instead of
-/// copying it.
+/// copying the page for a neighbor's edit shares it instead of copying
+/// it too.
 const INLINE_RUN_MAX: usize = PAGE_NODES;
 
 /// The `start` of a slot whose run is out of line. No inline range
@@ -771,6 +771,22 @@ impl AdjPage {
     }
 }
 
+/// The copy an edit makes of a page another snapshot shares: the inline
+/// array with room for twice its entries — the doubling its first
+/// insert would make anyway — and every out-of-line run shared until
+/// [`Hub::own`] copies one the edit touches.
+impl Clone for AdjPage {
+    fn clone(&self) -> Self {
+        let mut adj = Vec::with_capacity(2 * self.adj.len());
+        adj.extend_from_slice(&self.adj);
+        AdjPage {
+            runs: self.runs,
+            adj,
+            hubs: self.hubs.clone(),
+        }
+    }
+}
+
 /// Room for `additional` more entries in a page's inline array: when
 /// it lacks it, the capacity at least doubles, so a stream of inserts
 /// reallocates a logarithmic number of times.
@@ -780,8 +796,9 @@ fn reserve_doubling(v: &mut Vec<Adj>, additional: usize) {
     }
 }
 
-/// Fills an [`AdjPage`] slot by slot, deciding per run whether it goes
-/// inline or out of line — the one place that decision is made.
+/// Fills an [`AdjPage`] slot by slot for a freeze, deciding per run
+/// whether it goes inline or out of line; an in-place edit makes the
+/// same decision run by run ([`AdjPage::insert`], [`AdjPage::settle`]).
 struct PageBuilder {
     runs: [(u16, u16); PAGE_NODES],
     adj: Vec<Adj>,
@@ -813,7 +830,9 @@ impl PageBuilder {
     /// out-of-line run is one allocation of its final length.
     fn push_run(&mut self, len: usize, entries: impl Iterator<Item = Adj>) {
         if len > INLINE_RUN_MAX {
-            self.push_hub(Hub::collect(len, len, entries));
+            self.runs[self.slots] = (OUT_OF_LINE, self.hubs.len() as u16);
+            self.hubs.push(Hub::collect(len, len, entries));
+            self.slots += 1;
         } else {
             let start = self.adj.len();
             self.adj.extend(entries);
@@ -821,24 +840,6 @@ impl PageBuilder {
             self.runs[self.slots] = (start as u16, self.adj.len() as u16);
             self.slots += 1;
         }
-    }
-
-    /// The next slot's run, unchanged from `old`'s `slot`: a copy of an
-    /// inline run, one more reference to an out-of-line one.
-    fn share_run(&mut self, old: &AdjPage, slot: usize) {
-        match old.hub(slot) {
-            Some(run) => self.push_hub(run.clone()),
-            None => {
-                let run = old.run(slot);
-                self.push_run(run.len(), run.iter().copied());
-            }
-        }
-    }
-
-    fn push_hub(&mut self, run: Hub) {
-        self.runs[self.slots] = (OUT_OF_LINE, self.hubs.len() as u16);
-        self.hubs.push(run);
-        self.slots += 1;
     }
 
     /// The page, its slots past the last one pushed given empty runs
@@ -1160,8 +1161,8 @@ impl Graph {
     /// one with a *normalized* delta ([`apply_delta_in_place`]): every
     /// page is shared with this snapshot, so the copy shares every page
     /// the delta does not touch — one refcount bump per page for the
-    /// cloned spines — and rebuilds, in one pass each, the pages it
-    /// does; this snapshot is left as it was.
+    /// cloned spines — and copies, then edits, the pages it does; this
+    /// snapshot is left as it was.
     ///
     /// [`apply_delta_in_place`]: Graph::apply_delta_in_place
     pub fn apply_delta(&self, delta: &GraphDelta) -> Graph {
@@ -1173,14 +1174,15 @@ impl Graph {
     /// Patches this snapshot with a *normalized* delta, copy-on-write
     /// at every level: a spine, page, tuple or out-of-line run that
     /// this snapshot holds alone is edited where it lies, and one that
-    /// another snapshot shares is copied first — an attribute page's
-    /// 64 pointers, the written tuple, and an adjacency page rebuilt
-    /// in one pass sized for its patch (sharing, inside it, every
-    /// out-of-line run the delta leaves alone). Ownership is the only
-    /// branch: held alone, a warm epoch of a few edits into pages and
-    /// runs with room to spare allocates nothing. Labels and extents
-    /// (with the extent ranks) are kept unless the delta adds or
-    /// relabels nodes, in which case both are rebuilt whole.
+    /// another snapshot shares is copied first, then edited the same
+    /// way — an attribute page's 64 pointers, the written tuple, and an
+    /// adjacency page's inline array with room for twice its entries
+    /// (sharing, inside it, every out-of-line run the delta leaves
+    /// alone). One editor either way: held alone, a warm epoch of a few
+    /// edits into pages and runs with room to spare allocates nothing.
+    /// Labels and extents (with the extent ranks) are kept unless the
+    /// delta adds or relabels nodes, in which case both are rebuilt
+    /// whole.
     ///
     /// The delta must be consistent with this snapshot: based at its
     /// node count, added edges absent, removed edges present (the
@@ -1262,127 +1264,34 @@ fn grow<T>(spine: &mut Vec<Arc<T>>, pages: usize, empty: impl FnOnce() -> T) {
 }
 
 /// Applies the delta's edges to one direction's pages, `key` naming
-/// the node whose run an edge is an entry of. A page this spine holds
-/// alone is edited where it lies: the removals first, then the
-/// additions, then each run a removal shortened is moved inline if it
-/// now fits, so no run crosses [`INLINE_RUN_MAX`] twice in one delta.
-/// The entries bound for a page another snapshot shares are gathered
-/// and handed to [`patch_pages`], which rebuilds each such page once.
-///
-/// Another thread can drop its share of a page meanwhile, so a page
-/// may be edited in place and rebuilt in one delta; the rebuild starts
-/// from the edited page, and each entry lands exactly once either way.
+/// the node whose run an edge is an entry of. Each touched page is
+/// edited where it lies, copied first if another snapshot shares it:
+/// the removals first, then the additions, then each run a removal
+/// shortened is moved inline if it now fits, so no run crosses
+/// [`INLINE_RUN_MAX`] twice in one delta.
 fn patch_spine(
     spine: &mut [Arc<AdjPage>],
     delta: &GraphDelta,
     key: impl Fn(&Edge) -> (NodeId, Adj),
 ) {
-    let (mut adds, mut removes) = (Vec::new(), Vec::new());
-    for (edges, shared, insert) in [
-        (&delta.removed_edges, &mut removes, false),
-        (&delta.added_edges, &mut adds, true),
-    ] {
-        for (node, entry) in edges.iter().map(&key) {
-            let (p, slot) = (node.index() >> PAGE_SHIFT, node.index() & PAGE_MASK);
-            match Arc::get_mut(&mut spine[p]) {
-                Some(page) if insert => page.insert(slot, entry),
-                Some(page) => page.remove(slot, entry),
-                None => shared.push((node, entry)),
-            }
-        }
+    for (node, entry) in delta.removed_edges.iter().map(&key) {
+        let (page, slot) = page_of(spine, node);
+        page.remove(slot, entry);
     }
-    if !(adds.is_empty() && removes.is_empty()) {
-        patch_pages(spine, adds, removes);
+    for (node, entry) in delta.added_edges.iter().map(&key) {
+        let (page, slot) = page_of(spine, node);
+        page.insert(slot, entry);
     }
     for (node, _) in delta.removed_edges.iter().map(&key) {
-        let page = Arc::get_mut(&mut spine[node.index() >> PAGE_SHIFT]);
-        page.expect("a patched page is this spine's own")
-            .settle(node.index() & PAGE_MASK);
+        let (page, slot) = page_of(spine, node);
+        page.settle(slot);
     }
 }
 
-/// Rebuilds the pages of `spine` that hold a node of `adds` or
-/// `removes`: per node, the old run with its `removes` dropped and its
-/// `adds` spliced in at their sort position, inline or out of line by
-/// its new length. A run of the page that no entry names is carried
-/// over — copied if inline, shared if out of line — and every other
-/// page is left as it is. `O(d log d)` plus the inline entries of the
-/// touched pages and the lengths of the touched runs, for `d` patch
-/// entries.
-fn patch_pages(
-    spine: &mut [Arc<AdjPage>],
-    mut adds: Vec<(NodeId, Adj)>,
-    mut removes: Vec<(NodeId, Adj)>,
-) {
-    adds.sort_unstable();
-    removes.sort_unstable();
-    let (mut adds, mut removes) = (adds.as_slice(), removes.as_slice());
-    let page_of = |entries: &[(NodeId, Adj)]| entries.first().map(|(u, _)| u.index() >> PAGE_SHIFT);
-    loop {
-        let p = match (page_of(adds), page_of(removes)) {
-            (Some(a), Some(r)) => a.min(r),
-            (Some(p), None) | (None, Some(p)) => p,
-            (None, None) => return,
-        };
-        let old = &spine[p];
-        // Each slot's share of the patch, as end positions in the two
-        // sorted lists, and with them the length of its new run.
-        let mut ends = [(0usize, 0usize); PAGE_NODES];
-        let mut lens = [0usize; PAGE_NODES];
-        let (mut a, mut r) = (0, 0);
-        for slot in 0..PAGE_NODES {
-            let node = NodeId(((p << PAGE_SHIFT) | slot) as u32);
-            let (a_lo, r_lo) = (a, r);
-            a += adds[a..].iter().take_while(|(u, _)| *u == node).count();
-            r += removes[r..].iter().take_while(|(u, _)| *u == node).count();
-            ends[slot] = (a, r);
-            lens[slot] = (old.degree(slot) + (a - a_lo))
-                .checked_sub(r - r_lo)
-                .expect("removed edges are present");
-        }
-        debug_assert!(
-            page_of(&adds[a..]) != Some(p) && page_of(&removes[r..]) != Some(p),
-            "patch entries sorted by node"
-        );
-
-        let mut page = PageBuilder::for_lens(lens.iter().copied());
-        let (mut a_lo, mut r_lo) = (0, 0);
-        for slot in 0..PAGE_NODES {
-            let (a_hi, r_hi) = ends[slot];
-            if (a_lo, r_lo) == (a_hi, r_hi) {
-                page.share_run(old, slot);
-            } else {
-                let (a_run, r_run) = (&adds[a_lo..a_hi], &removes[r_lo..r_hi]);
-                page.push_run(lens[slot], merged_run(old.run(slot), a_run, r_run));
-            }
-            (a_lo, r_lo) = (a_hi, r_hi);
-        }
-        spine[p] = Arc::new(page.finish());
-        (adds, removes) = (&adds[a..], &removes[r..]);
-    }
-}
-
-/// `run` without `removes` and with `adds` at their sort position, all
-/// three sorted.
-fn merged_run<'a>(
-    run: &'a [Adj],
-    adds: &'a [(NodeId, Adj)],
-    removes: &'a [(NodeId, Adj)],
-) -> impl Iterator<Item = Adj> + 'a {
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    std::iter::from_fn(move || loop {
-        if j < adds.len() && (i >= run.len() || adds[j].1 < run[i]) {
-            j += 1;
-            return Some(adds[j - 1].1);
-        }
-        let e = *run.get(i)?;
-        i += 1;
-        if k < removes.len() && removes[k].1 == e {
-            k += 1;
-        } else {
-            return Some(e);
-        }
-    })
+/// `node`'s page, owned by this spine, and its slot there.
+fn page_of(spine: &mut [Arc<AdjPage>], node: NodeId) -> (&mut AdjPage, usize) {
+    let i = node.index();
+    (Arc::make_mut(&mut spine[i >> PAGE_SHIFT]), i & PAGE_MASK)
 }
 
 /// Test oracle, not API: the first difference between two snapshots,
@@ -1975,10 +1884,9 @@ mod tests {
         assert_same_snapshot(&pin, &g);
         assert_same_snapshot(&head, &shadow.clone().freeze());
 
-        // Unpinned: the copy sized the hub's run exactly, so the next
-        // edit doubles its room; from then on the same pages, run and
-        // tuple are edited where they lie.
-        head.apply_delta_in_place(&edit(&mut shadow, 2));
+        // Unpinned: the copies have room to spare, so from the next
+        // edit on the same pages, run and tuple are edited where they
+        // lie.
         let hub_run = |head: &Graph| Arc::as_ptr(&head.inn[page].hub(slot).unwrap().entries);
         let held = |head: &Graph| {
             let (inn, out) = (Arc::as_ptr(&head.inn[page]), Arc::as_ptr(&head.out[0]));
@@ -1990,7 +1898,7 @@ mod tests {
             )
         };
         let before = held(&head);
-        for round in 3..6 {
+        for round in 2..6 {
             head.apply_delta_in_place(&edit(&mut shadow, round));
             assert_same_snapshot(&head, &shadow.clone().freeze());
         }

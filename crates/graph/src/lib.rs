@@ -16,10 +16,10 @@
 //!   node permutation (see [`graph`] module docs for the layout
 //!   rationale);
 //! * recorded edit deltas ([`GraphDelta`], module [`delta`]): every
-//!   thaw/edit session captures its mutations, refreezing rebuilds
-//!   only the pages the delta touches
+//!   thaw/edit session captures its mutations, refreezing copies and
+//!   edits only the pages the delta touches
 //!   ([`graph::Graph::apply_delta`]) and shares the rest, a snapshot
-//!   held alone is patched where it lies
+//!   held alone is edited where it lies by the same page editor
 //!   ([`graph::Graph::apply_delta_in_place`]), a replay
 //!   applies a chain of them to one builder in place
 //!   ([`GraphBuilder::apply_delta`]) and freezes once, one

@@ -375,10 +375,10 @@ fn boundary_node(rng: &mut Rng, n: usize) -> NodeId {
 
 /// A step aimed at the hub of [`wide_graph`], on the shadow builder of
 /// `g`: an in-edge toggled at a page-mate of the hub, so that the hub's
-/// page is rebuilt around its run — or the hub's own in-run carried
-/// across the out-of-line threshold in one delta, down to `PAGE - 1` or
-/// `PAGE` entries when it is longer, up to `PAGE + 1` or `PAGE + 2`
-/// when it is not.
+/// page is copied and edited around its run — or the hub's own in-run
+/// carried across the out-of-line threshold in one delta, down to
+/// `PAGE - 1` or `PAGE` entries when it is longer, up to `PAGE + 1` or
+/// `PAGE + 2` when it is not.
 fn hub_step(
     rng: &mut Rng,
     b: &mut GraphBuilder,

@@ -43,7 +43,7 @@
 //!   buffers) triggers graceful degradation: a full
 //!   recompute on panic-isolated workers
 //!   ([`run_units_threaded_report`]), quarantined units recovered by
-//!   sequential re-derivation of their rules, and incremental
+//!   sequential re-derivation of their rule groups, and incremental
 //!   maintenance resumed from the recomputed truth
 //!   ([`IncrementalDetector::from_violations`]). The service logs the
 //!   event ([`ServiceStats`]) and keeps serving — it degrades, it
@@ -59,11 +59,11 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 
-use gfd_core::validate::{detect_violations, for_each_violation};
+use gfd_core::group::{for_each_group_violation, GroupScratch};
+use gfd_core::validate::detect_violations;
 use gfd_core::{GfdSet, IncrementalDetector, Violation};
 use gfd_graph::{DeltaError, Graph, GraphDelta};
-use gfd_match::types::Flow;
-use gfd_match::{Match, MatchOptions};
+use gfd_match::Match;
 use gfd_util::Rng;
 
 use gfd_match::{CacheStats, ClassRegistry};
@@ -596,9 +596,9 @@ impl ViolationService {
 
     /// Graceful degradation: recompute `Vio(Σ, G)` from scratch on
     /// panic-isolated workers, recover quarantined units by
-    /// re-deriving their rules sequentially (quarantine is *reported
-    /// work*, never lost work), diff against the served set, and
-    /// re-seed the incremental detector from the recomputed truth.
+    /// re-deriving their rule groups sequentially (quarantine is
+    /// *reported work*, never lost work), diff against the served set,
+    /// and re-seed the incremental detector from the recomputed truth.
     fn degraded_refresh(&mut self, next_epoch: u64) -> (Vec<Violation>, Vec<Violation>) {
         self.stats.degraded_epochs += 1;
         // The recompute's workers share the snapshot by `Arc`.
@@ -633,30 +633,31 @@ impl ViolationService {
 
         let mut violations = report.violations;
         if !report.quarantined.is_empty() {
-            // Every rule a quarantined unit checks — each member of its
-            // rule group — is re-derived from scratch on the
-            // coordinator, outside the unit machinery, so an injected
-            // per-unit fault cannot recur here. Drop the affected
-            // rules' partial results first: other units of the same
+            // The rule group of every quarantined unit is re-derived
+            // from scratch on the coordinator — one enumeration per
+            // group on the raw CSR, outside the unit machinery, so an
+            // injected per-unit fault cannot recur here. Drop its
+            // members' partial results first: other units of the same
             // group completed fine, but re-derivation covers the whole
-            // rule, so keeping them would duplicate rows.
-            let mut rules: Vec<usize> = report
+            // group, so keeping them would duplicate rows.
+            let groups = &wl.plan.groups;
+            let mut reps: Vec<usize> = report
                 .quarantined
                 .iter()
-                .flat_map(|&i| wl.plan.groups.of(wl.units[i].rule()).members.iter())
-                .map(|m| m.rule)
+                .map(|&i| groups.of(wl.units[i].rule()).rep)
                 .collect();
-            rules.sort_unstable();
-            rules.dedup();
-            violations.retain(|v| rules.binary_search(&v.rule).is_err());
-            for &rule in &rules {
-                let gfd = self.sigma.get(rule);
-                for_each_violation(gfd, &next, &MatchOptions::unrestricted(), &mut |m| {
+            reps.sort_unstable();
+            reps.dedup();
+            violations.retain(|v| reps.binary_search(&groups.of(v.rule).rep).is_err());
+            let mut scratch = GroupScratch::default();
+            for &rep in &reps {
+                let group = groups.of(rep);
+                let raw = vec![None; group.parts.len()];
+                for_each_group_violation(group, &next, &raw, &[], &mut scratch, &mut |rule, m| {
                     violations.push(Violation {
                         rule,
                         mapping: Match(m.to_vec()),
                     });
-                    Flow::Continue
                 });
             }
             sort_violations(&mut violations);

@@ -293,10 +293,9 @@ fn pivots_from_sets<'s>(
     (cands, universe - cands.len())
 }
 
-/// Pivot candidates of `part` at its variable `pivot`, optionally
-/// pruned by one dual simulation of the part over the whole graph.
-/// Returns the sorted candidate list and how many raw candidates were
-/// pruned.
+/// Pivot candidates of `part` at its variable `pivot`, pruned by one
+/// dual simulation of the part over the whole graph. Returns the sorted
+/// candidate list and how many raw candidates were pruned.
 ///
 /// Replaces the per-candidate backtracking probe: a pivot candidate
 /// outside `sim(z)` cannot anchor any match (the simulation contains
@@ -307,22 +306,9 @@ fn pivots_from_sets<'s>(
 /// [`estimate_workload`] draws the same information from a
 /// [`ClassRegistry`] shared across the whole Σ instead, so isomorphic
 /// parts pay for one simulation — and share one list — together.
-pub fn feasible_pivots(
-    g: &Graph,
-    part: &Pattern,
-    pivot: VarId,
-    prune: bool,
-) -> (Vec<NodeId>, usize) {
-    let label = part.label(pivot);
-    if !prune {
-        let all = match label {
-            PatLabel::Sym(s) => g.extent(s).to_vec(),
-            PatLabel::Wildcard => g.nodes().collect(),
-        };
-        return (all, 0);
-    }
+pub fn feasible_pivots(g: &Graph, part: &Pattern, pivot: VarId) -> (Vec<NodeId>, usize) {
     let sets = simulation_sets(part, g, None);
-    let (cands, pruned) = pivots_from_sets(g, label, &sets, pivot);
+    let (cands, pruned) = pivots_from_sets(g, part.label(pivot), &sets, pivot);
     (cands.to_vec(), pruned)
 }
 
@@ -425,7 +411,10 @@ impl Estimator<'_> {
                 let (cands, pruned) = pivots_from_sets(g, label, &view.space.sets, *pivot);
                 (cands.into(), pruned)
             }
-            None => (feasible_pivots(g, part, local_pivot, false).0.into(), 0),
+            None => match label {
+                PatLabel::Sym(s) => (g.extent(s).into(), 0),
+                PatLabel::Wildcard => (g.nodes().collect(), 0),
+            },
         };
         let weight = |v: NodeId| match &set {
             Some((view, pivot)) => root_pool_weight(view, *pivot, v),

@@ -806,7 +806,7 @@ fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
         for (group, gp) in wl.plan.iter() {
             let r = group.rep;
             let lists: Vec<Vec<NodeId>> = (0..group.parts.len())
-                .map(|i| feasible_pivots(&g, &group.parts[i].0, gp.local_pivot(group, i), true).0)
+                .map(|i| feasible_pivots(&g, &group.parts[i].0, gp.local_pivot(group, i)).0)
                 .collect();
             let units: Vec<_> = wl.units.iter().filter(|u| u.rule() == r).collect();
             if units.len() > 64 {
