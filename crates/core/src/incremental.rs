@@ -324,19 +324,16 @@ impl IncrementalDetector {
 
         // 1. Re-check stored violations that touch the delta; the rest
         //    are untouched matches with untouched attribute values and
-        //    survive as-is. Failures are retractions.
+        //    survive as-is. Failures are retractions, moved out of the
+        //    set into the diff.
         for (rule, set) in violations.iter_mut().enumerate() {
             let gfd = sigma.get(rule);
-            set.retain(|m| {
-                if !m.nodes().iter().copied().any(is_affected) || still_violates(gfd, g, m) {
-                    return true;
-                }
-                diff.retracted.push(Violation {
-                    rule,
-                    mapping: m.clone(),
-                });
-                false
-            });
+            let failed = |m: &Match| {
+                m.nodes().iter().copied().any(is_affected) && !still_violates(gfd, g, m)
+            };
+            let retracted = set.extract_if(failed);
+            diff.retracted
+                .extend(retracted.map(|mapping| Violation { rule, mapping }));
         }
 
         // 2. New violations come from the ops that can create one (see

@@ -23,27 +23,56 @@
 //!    and its node leaves the mirrored runs; a mirrored run that
 //!    empties queues its owner. What is left is the greatest
 //!    simulation on the edited graph *inside the old relation*.
-//! 3. **Re-admission frontier.** Dual simulation is monotone in the
-//!    edge set, so the final relation contains the one stage 2 left,
-//!    and every pair of the difference is product-reachable from an
-//!    insertion site (an added or relabeled node, an endpoint of an
-//!    added edge) through pairs of the difference: a group of such
-//!    pairs touching no site had the same support before the delta,
-//!    so it was in the old relation and stage 2 would have kept it.
-//!    The frontier is the BFS closure of the sites over
-//!    seed-admissible non-members.
-//! 4. **The frontier is pruned to its greatest fixpoint in scratch**:
-//!    support counters for frontier pairs only, counted against
-//!    members ∪ live frontier. Members cannot lose support here, so
-//!    nothing outside the frontier is touched and a frontier pair
-//!    that fails never writes a page.
+//! 3. **Re-admission by demand.** Dual simulation is monotone in the
+//!    edge set, so the final relation F contains the members M that
+//!    stage 2 left, and what is missing is found in rounds. A round
+//!    starts from its *triggers* — in the first, the insertion sites:
+//!    added and relabeled nodes at every variable, and the endpoints
+//!    of an added edge at every pattern edge that admits it — and
+//!    closes them under one rule. A pair `(v, u)` is *satisfied* on a
+//!    pattern-edge end at `v` when `u` has an admitted neighbour there
+//!    that is a member at the far variable; on an unsatisfied end every
+//!    seed-admissible non-member neighbour joins the round's closure,
+//!    and a satisfied end adds nothing.
+//! 4. **The closure is pruned to its greatest fixpoint in scratch**.
+//!    Members cannot lose support here, so a satisfied end keeps its
+//!    support and only an unsatisfied one is counted: its neighbours in
+//!    the round. Nothing outside the closure is touched, and a closure
+//!    pair that fails never writes a page.
 //! 5. **Survivors are written** — their own run on every pattern edge
-//!    at the variable, their node into the mirrored runs — and the
-//!    sorted sets are merged in place. The report is netted: a member
-//!    that lost its only support in stage 2 and is rescued by a
-//!    frontier pair left and re-entered, and appears in neither list;
-//!    one rescued by an added edge to another *member* never left,
-//!    because stage 1 applies additions before stage 2 cascades.
+//!    at the variable, their node into the mirrored runs — and are
+//!    members from then on. The next round's triggers are their
+//!    non-member neighbours that no closure has held yet, met in the
+//!    same scan that builds the runs; the rounds stop when one admits
+//!    nothing. Then the sorted sets are merged in place. The report is
+//!    netted: a member that lost its only support in stage 2 and is
+//!    rescued by a closure pair left and re-entered, and appears in
+//!    neither list; one rescued by an added edge to another *member*
+//!    never left, because stage 1 applies additions before stage 2
+//!    cascades.
+//!
+//! The rounds admit exactly F \ M:
+//!
+//! - *Every pair that enters reaches a trigger through pairs that
+//!   enter.* Take the pairs of F \ M that no such path reaches. They
+//!   touch no insertion site and no admitted pair, so each is supported
+//!   by them and by M through edges the delta did not add; with the
+//!   old relation they were a simulation of the old graph, hence in the
+//!   old relation, and stage 2 — which keeps the greatest simulation
+//!   inside it — would have kept them.
+//! - *A trigger that can enter survives its closure's fixpoint.* On
+//!   each end a pair of F is satisfied or supported by a non-member of
+//!   F, and the closure holds every seed-admissible non-member
+//!   neighbour of an unsatisfied end (one an earlier closure held and
+//!   killed is, by induction, not in F). So the closure's pairs of F
+//!   are a post-fixpoint over M, and the prune keeps them: a closure
+//!   pair that dies is not in F, and stays out.
+//! - *A pair downstream of pairs that entered becomes a trigger of the
+//!   next round*, so when a round admits nothing no pair of F \ M is
+//!   left unreached.
+//!
+//! A closure follows only the ends a pair still needs, so it stays near
+//! the edit where the reach of its sites spans a dense neighbourhood.
 //!
 //! Each run edit writes the one page it touches — in place when the
 //! page's cells have no other holder, in a private copy of that page
@@ -81,20 +110,36 @@ pub struct RepairReport {
     pub added: Vec<(VarId, NodeId)>,
     /// Pairs `(var, node)` that left the relation.
     pub removed: Vec<(VarId, NodeId)>,
-    /// True when some run of the per-pattern-edge candidate adjacency
-    /// was edited — runs can move even when no pair entered or left
-    /// the relation (e.g. a new graph edge between two surviving
-    /// candidates). Consumers that derive from the *full* space (the
-    /// byte accounting of `gfd_match::ClassRegistry`) must refresh on
-    /// this; consumers that only read candidate sets (pivot
-    /// feasibility) can key off [`is_unchanged`](Self::is_unchanged).
-    pub adjacency_changed: bool,
+    /// Payload cells the run edits wrote and dropped, one per run and
+    /// one per target, as [`CandidateSpace::approx_bytes`] counts them.
+    pub cells_added: usize,
+    pub cells_removed: usize,
 }
 
 impl RepairReport {
     /// True if the repair left every candidate set unchanged.
     pub fn is_unchanged(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
+    }
+
+    /// True when some run of the per-pattern-edge candidate adjacency
+    /// was edited — runs can move even when no pair entered or left
+    /// the relation (e.g. a new graph edge between two surviving
+    /// candidates). Consumers that derive from the *full* space must
+    /// refresh on this; consumers that only read candidate sets (pivot
+    /// feasibility) can key off [`is_unchanged`](Self::is_unchanged).
+    pub fn adjacency_changed(&self) -> bool {
+        self.cells_added + self.cells_removed > 0
+    }
+
+    /// How far the repair moved the space's
+    /// [`CandidateSpace::approx_bytes`] — a run cell and a set entry
+    /// are one [`NodeId`] each — so a consumer keeps that count current
+    /// without walking the pages.
+    pub fn byte_delta(&self) -> isize {
+        let grew = self.cells_added + self.added.len();
+        let shrank = self.cells_removed + self.removed.len();
+        (grew as isize - shrank as isize) * std::mem::size_of::<NodeId>() as isize
     }
 }
 
@@ -148,13 +193,15 @@ struct RepairScratch {
     /// Members queued to leave, and the pairs that did.
     leaving: Vec<(VarId, NodeId)>,
     left: Vec<(VarId, NodeId)>,
-    /// The re-admission frontier in BFS order, and each pair's position
-    /// in it.
-    frontier: Vec<(VarId, NodeId)>,
+    /// The demand closures of the repair's rounds, one after another
+    /// (a round is a suffix), and each pair's position in them.
+    closure: Vec<(VarId, NodeId)>,
     position: FxHashMap<(VarId, NodeId), u32>,
-    /// Per frontier pair: whether it is still in the fixpoint, and
-    /// `stride` support counters — one per pattern-edge end at its
-    /// variable, at the end's `ordinal` there (see [`Self::slot`]).
+    /// Per closure pair: whether it is still in its round's fixpoint
+    /// (once the round is over, whether it entered), and `stride`
+    /// support counters — one per pattern-edge end at its variable, at
+    /// the end's `ordinal` there (see [`Self::slot`]), or
+    /// [`SATISFIED`].
     live: Vec<bool>,
     support: Vec<u32>,
     stride: usize,
@@ -182,8 +229,10 @@ impl RepairScratch {
         }
         self.leaving.clear();
         self.left.clear();
-        self.frontier.clear();
+        self.closure.clear();
         self.position.clear();
+        self.live.clear();
+        self.support.clear();
         self.dead.clear();
         for by_var in [&mut self.added_by_var, &mut self.lost_by_var] {
             by_var.resize_with(nvars, Vec::new);
@@ -191,24 +240,32 @@ impl RepairScratch {
         }
     }
 
-    /// Index of the support counter of frontier pair `i` on the
+    /// Index of the support counter of closure pair `i` on the
     /// pattern-edge end `(edge, dir)`.
     fn slot(&self, i: usize, edge: usize, dir: Direction) -> usize {
         i * self.stride + self.ordinal[2 * edge + dir as usize]
     }
 
-    /// True if `(v, u)` is a frontier pair still in the fixpoint.
+    /// True if `(v, u)` is a closure pair still in its round's
+    /// fixpoint, or one that entered in an earlier round (a trigger of
+    /// the next round, not counted yet, is not).
     fn is_live(&self, v: VarId, u: NodeId) -> bool {
-        (self.position.get(&(v, u))).is_some_and(|&i| self.live[i as usize])
+        let i = self.position.get(&(v, u));
+        i.is_some_and(|&i| self.live.get(i as usize) == Some(&true))
     }
 
-    /// Takes frontier pair `i` out of the fixpoint.
+    /// Takes closure pair `i` out of its round's fixpoint.
     fn kill(&mut self, i: usize) {
         if std::mem::replace(&mut self.live[i], false) {
             self.dead.push(i as u32);
         }
     }
 }
+
+/// The support counter of a closure pair's satisfied end: it has a
+/// member neighbour, so it is set beyond what the closure's deaths can
+/// take off (at most one per admitted edge).
+const SATISFIED: u32 = u32::MAX;
 
 /// One end of a pattern edge: the edge read from the variable at
 /// `dir`'s near end towards `far`.
@@ -278,33 +335,42 @@ fn merge_set(set: &mut Vec<NodeId>, adds: &[NodeId], drops: &[NodeId]) {
     }
 }
 
-/// Drops the run of `u` from `own` and `u` from the runs of `mirror`
-/// (the same pattern edge read the other way) that list it — exactly
-/// the owners of the targets of `u`'s run. An owner whose run empties
-/// has lost its support on this edge: it is queued in `leaving` as a
-/// candidate of `far`.
+/// Drops the run of `u` (which has one) from `own` and `u` from the
+/// runs of `mirror` (the same pattern edge read the other way) that
+/// list it — exactly the owners of the targets of `u`'s run. An owner
+/// whose run empties has lost its support on this edge: it is queued in
+/// `leaving` as a candidate of `far`. Returns the cells dropped.
 fn drop_run(
     own: &mut EdgeCandidates,
     mirror: &mut EdgeCandidates,
     u: NodeId,
     far: VarId,
     leaving: &mut Vec<(VarId, NodeId)>,
-) {
+) -> usize {
+    let mut cells = 1 + own.run(u).len();
     for &w in own.run(u) {
-        if mirror.remove_target(w, u) && mirror.run(w).is_empty() {
-            leaving.push((far, w));
+        if mirror.remove_target(w, u) {
+            cells += 1;
+            if mirror.run(w).is_empty() {
+                leaving.push((far, w));
+            }
         }
     }
     own.remove_run(u);
+    cells
 }
 
 /// Gives `u` the run `run` in `own` and lists `u` in the mirrored run
-/// of every target that has one.
-fn add_run(own: &mut EdgeCandidates, mirror: &mut EdgeCandidates, u: NodeId, run: &[NodeId]) {
+/// of every target that has one. Returns the cells written.
+fn add_run(
+    own: &mut EdgeCandidates,
+    mirror: &mut EdgeCandidates,
+    u: NodeId,
+    run: &[NodeId],
+) -> usize {
     own.insert_run(u, run);
-    for &w in run {
-        mirror.insert_target(w, u);
-    }
+    let listed = run.iter().filter(|&&w| mirror.insert_target(w, u)).count();
+    1 + run.len() + listed
 }
 
 /// True if the removed graph edge `e` no longer supports pattern label
@@ -379,7 +445,7 @@ impl IncrementalSpace {
         for adj in space.forward.iter_mut().chain(space.reverse.iter_mut()) {
             adj.grow(g.node_count());
         }
-        let mut changed = false;
+        let mut report = RepairReport::default();
 
         // Stage 1 — edge ops between current members are run edits.
         // Additions go first, so a member whose only support is
@@ -387,9 +453,10 @@ impl IncrementalSpace {
         for e in &d.added_edges {
             for (ei, pe) in q.edges().iter().enumerate() {
                 let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
-                if pe.label.admits(e.label) && fwd.has_run(e.src) && rev.has_run(e.dst) {
-                    changed |= fwd.insert_target(e.src, e.dst);
+                if pe.label.admits(e.label) && rev.has_run(e.dst) && fwd.insert_target(e.src, e.dst)
+                {
                     rev.insert_target(e.dst, e.src);
+                    report.cells_added += 2;
                 }
             }
         }
@@ -401,7 +468,7 @@ impl IncrementalSpace {
                     && fwd.remove_target(e.src, e.dst)
                 {
                     rev.remove_target(e.dst, e.src);
-                    changed = true;
+                    report.cells_removed += 2;
                     if fwd.run(e.src).is_empty() {
                         sc.leaving.push((pe.src, e.src));
                     }
@@ -428,22 +495,26 @@ impl IncrementalSpace {
             sc.left.push((v, u));
             for end in ends(q, v) {
                 let (own, mirror) = space.sides_mut(end.edge, end.dir);
-                drop_run(own, mirror, u, end.far, &mut sc.leaving);
-                changed = true;
+                report.cells_removed += drop_run(own, mirror, u, end.far, &mut sc.leaving);
             }
         }
 
-        // Stage 3 — the re-admission frontier: BFS from the insertion
-        // sites over seed-admissible non-members.
+        // Stages 3–5 run in rounds, each a suffix of `sc.closure`
+        // starting at `round`, until a round admits nothing. `consider`
+        // gives a pair its place in the closure if it is a
+        // seed-admissible non-member that no closure has held, and
+        // returns the place it has, if any. The first round's triggers
+        // are the insertion sites.
         let consider = |sc: &mut RepairScratch, space: &CandidateSpace, v: VarId, u: NodeId| {
-            if q.label(v).admits(g.label(u))
-                && scope.is_none_or(|r| r.contains(u))
-                && !is_member(q, space, v, u)
-                && !sc.position.contains_key(&(v, u))
-            {
-                sc.position.insert((v, u), sc.frontier.len() as u32);
-                sc.frontier.push((v, u));
+            if let Some(&i) = sc.position.get(&(v, u)) {
+                return Some(i as usize);
             }
+            let admissible = q.label(v).admits(g.label(u)) && scope.is_none_or(|r| r.contains(u));
+            (admissible && !is_member(q, space, v, u)).then(|| {
+                sc.position.insert((v, u), sc.closure.len() as u32);
+                sc.closure.push((v, u));
+                sc.closure.len() - 1
+            })
         };
         let relabeled = d.label_changes.iter().map(|c| c.node);
         for u in d.added_nodes.iter().map(|&(u, _)| u).chain(relabeled) {
@@ -459,85 +530,102 @@ impl IncrementalSpace {
                 }
             }
         }
-        let mut next = 0;
-        while let Some(&(v, u)) = sc.frontier.get(next) {
-            next += 1;
-            for end in ends(q, v) {
-                for a in admitted(g, u, end.label, end.dir) {
-                    consider(sc, space, end.far, a.node);
+        let mut round = 0;
+        while round < sc.closure.len() {
+            // Stage 3 — close the triggers under demand: an end with a
+            // member neighbour is satisfied, an unsatisfied end brings
+            // in every seed-admissible non-member neighbour and counts
+            // those of the round as its support — pairs already found
+            // dead included: their deaths are still queued, so every
+            // later decrement is exact. A satisfied end is set to
+            // `SATISFIED`, not counted: members never leave here, so it
+            // cannot lose its support.
+            let mut i = round;
+            while let Some(&(v, u)) = sc.closure.get(i) {
+                if sc.live.len() == i {
+                    // Room for every pair the closure holds so far.
+                    sc.live.resize(sc.closure.len(), true);
+                    sc.support.resize(sc.closure.len() * sc.stride, 0);
                 }
-            }
-        }
-
-        // Stage 4 — prune the frontier to its greatest fixpoint, in
-        // scratch. Support is counted against members and the whole
-        // frontier, pairs already found dead included: their deaths
-        // are still queued, so every later decrement is exact.
-        let n = sc.frontier.len();
-        sc.live.clear();
-        sc.live.resize(n, true);
-        sc.support.clear();
-        sc.support.resize(n * sc.stride, 0);
-        for i in 0..n {
-            let (v, u) = sc.frontier[i];
-            for end in ends(q, v) {
-                let supports =
-                    |w| is_member(q, space, end.far, w) || sc.position.contains_key(&(end.far, w));
-                let neighbors = admitted(g, u, end.label, end.dir).iter();
-                let count = neighbors.filter(|a| supports(a.node)).count();
-                let slot = sc.slot(i, end.edge, end.dir);
-                sc.support[slot] = count as u32;
-                if count == 0 {
-                    sc.kill(i);
-                }
-            }
-        }
-        while let Some(i) = sc.dead.pop() {
-            let (v, u) = sc.frontier[i as usize];
-            for end in ends(q, v) {
-                for a in admitted(g, u, end.label, end.dir) {
-                    let Some(&j) = sc.position.get(&(end.far, a.node)) else {
+                for end in ends(q, v) {
+                    let neighbors = admitted(g, u, end.label, end.dir);
+                    let slot = sc.slot(i, end.edge, end.dir);
+                    if neighbors
+                        .iter()
+                        .any(|a| is_member(q, space, end.far, a.node))
+                    {
+                        sc.support[slot] = SATISFIED;
                         continue;
-                    };
-                    let j = j as usize;
-                    if sc.live[j] {
+                    }
+                    for a in neighbors {
+                        let j = consider(sc, space, end.far, a.node);
+                        sc.support[slot] += u32::from(j.is_some_and(|j| j >= round));
+                    }
+                    if sc.support[slot] == 0 {
+                        sc.kill(i);
+                    }
+                }
+                i += 1;
+            }
+
+            // Stage 4 — prune the round's closure to its greatest
+            // fixpoint, in scratch: a death takes one off the counter of
+            // every unsatisfied end it supported.
+            let n = sc.closure.len();
+            while let Some(i) = sc.dead.pop() {
+                let (v, u) = sc.closure[i as usize];
+                for end in ends(q, v) {
+                    for a in admitted(g, u, end.label, end.dir) {
+                        let Some(&j) = sc.position.get(&(end.far, a.node)) else {
+                            continue;
+                        };
+                        let j = j as usize;
                         let slot = sc.slot(j, end.edge, end.dir.flip());
-                        sc.support[slot] -= 1;
-                        if sc.support[slot] == 0 {
-                            sc.kill(j);
+                        if j >= round && sc.live[j] {
+                            sc.support[slot] -= 1;
+                            if sc.support[slot] == 0 {
+                                sc.kill(j);
+                            }
                         }
                     }
                 }
             }
+
+            // Stage 5 — write the survivors, which makes them members.
+            // A run lists exactly the neighbors whose mirrored run lists
+            // its owner; a survivor written later finds the earlier
+            // one's node already in its run, so the writes commute.
+            for i in round..n {
+                let (v, u) = sc.closure[i];
+                if !sc.live[i] {
+                    continue;
+                }
+                for end in ends(q, v) {
+                    let mut run = std::mem::take(&mut sc.run);
+                    run.clear();
+                    // A neighbour is a target if it is a member or a
+                    // survivor; a non-member no closure has held becomes
+                    // a trigger of the next round.
+                    let survives = |w| {
+                        is_member(q, space, end.far, w)
+                            || consider(sc, space, end.far, w)
+                                .is_some_and(|j| sc.live.get(j) == Some(&true))
+                    };
+                    surviving_targets(g, u, survives, end.label, end.dir, &mut run);
+                    let (own, mirror) = space.sides_mut(end.edge, end.dir);
+                    report.cells_added += add_run(own, mirror, u, &run);
+                    sc.run = run;
+                }
+                // A pair the cascade dropped and a closure brought back
+                // is still in its (not yet merged) set: it never moved.
+                if space.sets[v.index()].binary_search(&u).is_err() {
+                    sc.added_by_var[v.index()].push(u);
+                    report.added.push((v, u));
+                }
+            }
+            round = n;
         }
 
-        // Stage 5 — write the survivors, net the report, merge the
-        // sets. A run lists exactly the neighbors whose mirrored run
-        // lists its owner; a survivor written later finds the earlier
-        // one's node already in its run, so the writes commute.
-        let mut report = RepairReport::default();
-        for i in 0..n {
-            let (v, u) = sc.frontier[i];
-            if !sc.live[i] {
-                continue;
-            }
-            for end in ends(q, v) {
-                let mut run = std::mem::take(&mut sc.run);
-                run.clear();
-                let survives = |w| is_member(q, space, end.far, w) || sc.is_live(end.far, w);
-                surviving_targets(g, u, survives, end.label, end.dir, &mut run);
-                let (own, mirror) = space.sides_mut(end.edge, end.dir);
-                add_run(own, mirror, u, &run);
-                sc.run = run;
-                changed = true;
-            }
-            // A pair the cascade dropped and the frontier brought back
-            // is still in its (not yet merged) set: it never moved.
-            if space.sets[v.index()].binary_search(&u).is_err() {
-                sc.added_by_var[v.index()].push(u);
-                report.added.push((v, u));
-            }
-        }
         for &(v, u) in &sc.left {
             if !sc.is_live(v, u) {
                 sc.lost_by_var[v.index()].push(u);
@@ -552,7 +640,6 @@ impl IncrementalSpace {
                 merge_set(set, adds, drops);
             }
         }
-        report.adjacency_changed = changed;
         report
     }
 }
@@ -681,9 +768,42 @@ mod tests {
         assert!(inc.contains(VarId(1), b1), "b1 was rewired, not orphaned");
         assert!(report.added.contains(&(VarId(2), c2)));
         // Netted: a1 and b1 left with the deletion and re-entered with
-        // the frontier, so only what really moved is listed.
+        // a closure, so only what really moved is listed.
         assert_eq!(report.removed, vec![(VarId(2), NodeId(2))]);
         assert_eq!(report.added.len(), 2, "the fresh b node and c2");
+        assert_matches_scratch(&inc, &g2);
+    }
+
+    /// Two rounds, and a closure that follows demand only. Adding
+    /// b2→c1 completes b2, whose other end already has the member a1;
+    /// adding a1→b6 gives b6 its x-neighbour but no z-neighbour. The
+    /// first round's closure is the two endpoints alone — a7 hangs off
+    /// b6's satisfied end and is never looked at. b2 enters, and only
+    /// then does its other a-neighbour a2, a trigger of the second
+    /// round, find the support it lacked.
+    #[test]
+    fn a_neighbour_of_an_entrant_enters_in_the_next_round() {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let [a1, b1, c1] = ["a", "b", "c"].map(|l| b.add_node_labeled(l));
+        let [a2, b2, b6, a7] = ["a", "b", "b", "a"].map(|l| b.add_node_labeled(l));
+        for (s, d) in [(a1, b1), (b1, c1), (a1, b2), (a2, b2), (a7, b6)] {
+            b.add_edge_labeled(s, d, "e");
+        }
+        let g = b.freeze();
+        let q = chain_pattern(&g);
+        let (x, y) = (VarId(0), VarId(1));
+        let mut inc = IncrementalSpace::new(&q, &g, None);
+        assert_eq!(inc.space().sets, vec![vec![a1], vec![b1], vec![c1]]);
+        let (g2, delta) = g.edit_with_delta(|b| {
+            b.add_edge_labeled(b2, c1, "e");
+            b.add_edge_labeled(a1, b6, "e");
+        });
+        let report = inc.apply_normalized(&g2, &delta);
+        let (first, second) = inc.scratch.closure.split_at(2);
+        assert!(first.contains(&(y, b2)) && first.contains(&(y, b6)));
+        assert_eq!(second, [(x, a2)]);
+        assert_eq!(report.added, vec![(y, b2), (x, a2)]);
+        assert!(report.removed.is_empty());
         assert_matches_scratch(&inc, &g2);
     }
 

@@ -55,8 +55,10 @@
 //! graph, so
 //! the figure misses only page headers, directories and spare
 //! capacity (`alloc_probe` holds held ÷ accounted bytes under a small
-//! constant). Canonical forms and member permutations are tiny and
-//! exempt.
+//! constant). The figure is counted once, when the space is simulated,
+//! and then moved by each repair's net
+//! ([`RepairReport::byte_delta`](crate::RepairReport::byte_delta)).
+//! Canonical forms and member permutations are tiny and exempt.
 //!
 //! When the budget is exceeded, entries are evicted **least recently
 //! used first** (every hit touches its entry), with one hard rule: *an
@@ -464,16 +466,14 @@ impl RegistryInner {
             let Some(inc) = cls.inc.as_mut() else {
                 continue;
             };
-            // Bytes move with the sets and with adjacency-only changes
-            // (a new graph edge between surviving candidates moves the
-            // per-edge runs without moving any set).
-            let report = inc.apply_normalized(g, d);
-            if !report.is_unchanged() || report.adjacency_changed {
-                // The recount walks every page of the space.
-                let nb = inc.space().approx_bytes();
-                *bytes = *bytes + nb - cls.inc_bytes;
-                cls.inc_bytes = nb;
-            }
+            // The repair counts the run cells and set entries it wrote
+            // and dropped, so the class's bytes move by their net
+            // without a walk over the space's pages.
+            let delta = inc.apply_normalized(g, d).byte_delta();
+            let nb = (cls.inc_bytes.checked_add_signed(delta))
+                .expect("a repair drops no more bytes than the space held");
+            *bytes = *bytes + nb - cls.inc_bytes;
+            cls.inc_bytes = nb;
         }
         self.version = target;
         self.enforce_budget();
@@ -980,8 +980,8 @@ mod tests {
         assert!(lagging_calls >= 8, "premise: the laggard path ran");
     }
 
-    /// `advance` recounts a class's bytes only when its repair moved
-    /// something; the running total must still equal a from-scratch
+    /// `advance` moves a class's bytes by its repair's net, never by a
+    /// recount; the running total must still equal a from-scratch
     /// recount after every epoch — edits that move sets, edits that
     /// move only runs, and edits no class admits (`f` edges).
     #[test]

@@ -817,13 +817,13 @@ pub fn simulation_sets(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Vec<V
 }
 
 /// Appends to `out` the admitted neighbors of `u` that `survives`
-/// accepts (membership in the target set), ascending. Labeled runs
-/// arrive sorted by node; wildcard runs span labels and are re-sorted
-/// and deduplicated.
+/// accepts (membership in the target set), ascending, asking once per
+/// admitted edge. Labeled runs arrive sorted by node; wildcard runs
+/// span labels and are re-sorted and deduplicated.
 pub(crate) fn surviving_targets(
     g: &Graph,
     u: NodeId,
-    survives: impl Fn(NodeId) -> bool,
+    mut survives: impl FnMut(NodeId) -> bool,
     label: PatLabel,
     dir: Direction,
     out: &mut Vec<NodeId>,

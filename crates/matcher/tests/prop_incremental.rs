@@ -17,7 +17,9 @@
 //! support away and replaces it in the same delta (by another member,
 //! or by a node that enters with it), and `edgeless` keeps a variable
 //! with no pattern edge — the one whose membership no run records —
-//! under relabelings and node additions.
+//! under relabelings and node additions. The `cyclic` scripts close
+//! wildcard cycles through an added edge, with a chain of non-members
+//! hanging off them that can only enter one round after another.
 
 mod common;
 
@@ -194,7 +196,8 @@ fn spaces_equal(
 /// The report against the from-scratch relations on both sides of the
 /// repair: `added` and `removed` are exactly the two set differences,
 /// without repeats — so a pair that left and re-entered within the
-/// repair is in neither, and no pair is in both.
+/// repair is in neither, and no pair is in both — and its byte delta
+/// is the difference of the two spaces' byte estimates.
 fn report_is_exact(
     report: &RepairReport,
     before: &CandidateSpace,
@@ -205,6 +208,12 @@ fn report_is_exact(
         vars.flat_map(|(v, set)| set.iter().map(move |&u| (v, u)))
             .collect()
     };
+    let moved = after.approx_bytes() as isize - before.approx_bytes() as isize;
+    prop_assert!(
+        report.byte_delta() == moved,
+        "report.byte_delta() is {}, the spaces' estimates differ by {moved}",
+        report.byte_delta()
+    );
     let (before, after) = (pairs(before), pairs(after));
     for (what, listed, from, to) in [
         ("added", &report.added, &after, &before),
@@ -477,5 +486,157 @@ fn edgeless_variable_repairs_equal_scratch() {
             }
             Ok(())
         },
+    );
+}
+
+/// A wildcard cycle `v0 → v1 → … → v(k-1) → v0` of 3–4 variables whose
+/// closing pattern edge is a wildcard (the others are labeled half the
+/// time), as `social-cycles` draws its rules; with each pattern edge's
+/// label, `None` for a wildcard.
+fn cycle_pattern(rng: &mut Rng, g: &Graph) -> (Pattern, Vec<Option<String>>) {
+    let k = rng.gen_range(3..5);
+    let mut b = PatternBuilder::new(g.vocab().clone());
+    let vars: Vec<VarId> = (0..k).map(|i| b.wildcard_node(&format!("v{i}"))).collect();
+    let mut labels = Vec::with_capacity(k);
+    for i in 0..k {
+        let (s, d) = (vars[i], vars[(i + 1) % k]);
+        if i + 1 == k || rng.gen_range(0..2) == 0 {
+            b.wildcard_edge(s, d);
+            labels.push(None);
+        } else {
+            let label = format!("e{}", rng.gen_range(0..EDGE_LABELS));
+            b.edge(s, d, &label);
+            labels.push(Some(label));
+        }
+    }
+    (b.build(), labels)
+}
+
+/// One planted cycle: the edge that closes the chain `c` into a cycle
+/// through `a`'s node at `v0`, and the tail nodes that can enter only
+/// after it — `tail[0]` in the second round, `tail[1]` in the third —
+/// at the variables they are planted at.
+struct Planted {
+    closing: (NodeId, NodeId, String),
+    tail: [(VarId, NodeId); 2],
+}
+
+/// Plants, in one edit, a complete cycle `a` (a match, so its nodes
+/// become members), a copy `c` of it that shares `a`'s node at `v0` and
+/// lacks one pattern edge, and a tail of two nodes: `t` at `v0`, tied to
+/// `c`'s node at `v1` and to `a`'s at `v(k-1)`, and `s` at `v(k-1)`,
+/// tied to `t` and to `a`'s node at `v(k-2)`. Closing `c` admits it in
+/// the first round; `t` lies behind an end of `c`'s node at `v1` that
+/// `a`'s member at `v0` satisfies, so it is a trigger of the second
+/// round, and `s`, behind an end of `t`'s that `a` satisfies, of the
+/// third.
+fn plant_cycle(
+    rng: &mut Rng,
+    g: &Graph,
+    q: &Pattern,
+    labels: &[Option<String>],
+) -> (Graph, gfd_graph::GraphDelta, Planted) {
+    let k = q.node_count();
+    // A graph label for each planted copy of each pattern edge.
+    let drawn: Vec<String> = (0..3 * k)
+        .map(|i| match &labels[i % k] {
+            Some(label) => label.clone(),
+            None => format!("e{}", rng.gen_range(0..EDGE_LABELS)),
+        })
+        .collect();
+    let missing = rng.gen_range(0..k);
+    let (v0, v1, last) = (VarId(0), VarId(1), VarId(k as u32 - 1));
+    let mut planted = None;
+    let (g2, delta) = g.edit_with_delta(|b| {
+        let mut fresh = |n: usize| -> Vec<NodeId> {
+            (0..n)
+                .map(|i| b.add_node_labeled(&format!("l{}", i % NODE_LABELS)))
+                .collect()
+        };
+        let a = fresh(k);
+        let mut c = fresh(k);
+        c[0] = a[0];
+        let tail = fresh(2);
+        let (t, s) = (tail[0], tail[1]);
+        // Where each tail node finds its neighbour at variable `w`.
+        let t_at = |w: VarId| if w == v1 { c[1] } else { a[w.index()] };
+        let s_at = |w: VarId| if w == v0 { t } else { a[w.index()] };
+        for (ei, pe) in q.edges().iter().enumerate() {
+            let (src, dst) = (pe.src.index(), pe.dst.index());
+            b.add_edge_labeled(a[src], a[dst], &drawn[ei]);
+            if ei != missing {
+                b.add_edge_labeled(c[src], c[dst], &drawn[k + ei]);
+            }
+            for (node, var, at) in [(t, v0, &t_at as &dyn Fn(VarId) -> NodeId), (s, last, &s_at)] {
+                if pe.src == var {
+                    b.add_edge_labeled(node, at(pe.dst), &drawn[2 * k + ei]);
+                } else if pe.dst == var {
+                    b.add_edge_labeled(at(pe.src), node, &drawn[2 * k + ei]);
+                }
+            }
+        }
+        let pe = &q.edges()[missing];
+        planted = Some(Planted {
+            closing: (
+                c[pe.src.index()],
+                c[pe.dst.index()],
+                drawn[k + missing].clone(),
+            ),
+            tail: [(v0, t), (last, s)],
+        });
+    });
+    (g2, delta, planted.expect("the edit ran"))
+}
+
+/// The round oracle: scripts that plant wildcard cycles and close them
+/// through an added edge, interleaved with random edge churn, repair to
+/// exactly `dual_simulation` with an exact report. A planted cycle's
+/// tail needs the closed cycle and then each other, so a closing repair
+/// that admits the tail's second node ran at least three rounds.
+#[test]
+fn cyclic_closing_edges_admit_in_rounds() {
+    let (mut closed, mut third_round) = (0usize, 0usize);
+    check(
+        "IncrementalSpace ≡ dual_simulation when an added edge closes a cycle",
+        case_budget(24),
+        |rng| {
+            let mut g = random_graph(rng, 12);
+            let (q, labels) = cycle_pattern(rng, &g);
+            let mut inc = IncrementalSpace::new(&q, &g, None);
+            let mut pending: Option<Planted> = None;
+            for step in 0..SCRIPT_STEPS {
+                let closing = pending.take();
+                let (g2, delta) = match &closing {
+                    Some(p) => {
+                        let (src, dst, label) = &p.closing;
+                        g.edit_with_delta(|b| {
+                            b.add_edge_labeled(*src, *dst, label);
+                        })
+                    }
+                    None if rng.gen_range(0..2) == 0 => {
+                        let (g2, delta, p) = plant_cycle(rng, &g, &q, &labels);
+                        pending = Some(p);
+                        (g2, delta)
+                    }
+                    None => random_edit_of(rng, &g, &[0, 1, 2, 2]),
+                };
+                let before = inc.space_arc();
+                let report = inc.apply_normalized(&g2, &delta);
+                let scratch = dual_simulation(&q, &g2, None);
+                spaces_equal(&inc, &scratch, step)
+                    .and_then(|()| report_is_exact(&report, &before, &scratch))
+                    .map_err(|m| format!("step {step}: {m}; delta {delta:?}; pattern {q:?}"))?;
+                if let Some(p) = closing {
+                    closed += 1;
+                    third_round += usize::from(report.added.contains(&p.tail[1]));
+                }
+                g = g2;
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        closed > 0 && third_round > 0,
+        "premise: {closed} closing edges, {third_round} of them admitted a tail in a third round"
     );
 }

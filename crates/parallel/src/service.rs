@@ -222,10 +222,11 @@ pub struct ViolationService {
     registry: Arc<ClassRegistry>,
     detector: IncrementalDetector,
     /// Mirror of the set subscribers hold (the fold of all updates
-    /// sent so far over the baseline). Kept service-side so the
-    /// degradation path can emit an exact diff even when the
-    /// detector's state was lost to a panic.
-    served: HashSet<(usize, Match)>,
+    /// sent so far over the baseline), one set per rule as the
+    /// detector keeps them. Kept service-side so the degradation path
+    /// can emit an exact diff even when the detector's state was lost
+    /// to a panic.
+    served: Vec<HashSet<Match>>,
     /// The durable write-ahead log, if the service was constructed
     /// with one ([`with_durable_log`](Self::with_durable_log) /
     /// [`recover`](Self::recover)).
@@ -258,11 +259,7 @@ impl ViolationService {
         registry: Arc<ClassRegistry>,
     ) -> Self {
         let detector = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
-        let served = detector
-            .violations()
-            .into_iter()
-            .map(|v| (v.rule, v.mapping))
-            .collect();
+        let served = per_rule(sigma.len(), detector.violations());
         let rng = Rng::seed_from_u64(cfg.seed);
         ViolationService {
             sigma,
@@ -341,10 +338,7 @@ impl ViolationService {
         sort_violations(&mut violations);
         let detector =
             IncrementalDetector::from_violations_in(&sigma, &violations, Arc::clone(&registry));
-        let served = violations
-            .into_iter()
-            .map(|v| (v.rule, v.mapping))
-            .collect();
+        let served = per_rule(sigma.len(), violations);
         let rng = Rng::seed_from_u64(cfg.seed);
         let epoch = report.recovered_epoch;
         let svc = ViolationService {
@@ -380,12 +374,12 @@ impl ViolationService {
     /// The current absolute violation set, canonically sorted (the
     /// fold of every update over the baseline).
     pub fn violations(&self) -> Vec<Violation> {
-        let mut out: Vec<Violation> = self
-            .served
-            .iter()
-            .map(|(rule, m)| Violation {
-                rule: *rule,
-                mapping: m.clone(),
+        let mut out: Vec<Violation> = (self.served.iter().enumerate())
+            .flat_map(|(rule, set)| {
+                set.iter().map(move |m| Violation {
+                    rule,
+                    mapping: m.clone(),
+                })
             })
             .collect();
         sort_violations(&mut out);
@@ -534,10 +528,10 @@ impl ViolationService {
                     sort_violations(&mut added);
                     sort_violations(&mut retracted);
                     for v in &retracted {
-                        self.served.remove(&(v.rule, v.mapping.clone()));
+                        self.served[v.rule].remove(&v.mapping);
                     }
                     for v in &added {
-                        self.served.insert((v.rule, v.mapping.clone()));
+                        self.served[v.rule].insert(v.mapping.clone());
                     }
                     (added, retracted, false)
                 }
@@ -663,35 +657,40 @@ impl ViolationService {
             sort_violations(&mut violations);
         }
 
-        let new_set: HashSet<(usize, Match)> = violations
-            .iter()
-            .map(|v| (v.rule, v.mapping.clone()))
-            .collect();
-        let mut added: Vec<Violation> = new_set
-            .difference(&self.served)
-            .map(|(rule, m)| Violation {
-                rule: *rule,
-                mapping: m.clone(),
-            })
-            .collect();
-        let mut retracted: Vec<Violation> = self
-            .served
-            .difference(&new_set)
-            .map(|(rule, m)| Violation {
-                rule: *rule,
-                mapping: m.clone(),
-            })
-            .collect();
-        sort_violations(&mut added);
-        sort_violations(&mut retracted);
-        self.served = new_set;
         self.detector = IncrementalDetector::from_violations_in(
             &self.sigma,
             &violations,
             Arc::clone(&self.registry),
         );
+        let new_sets = per_rule(self.sigma.len(), violations);
+        let (mut added, mut retracted) = (Vec::new(), Vec::new());
+        for (rule, (new, old)) in new_sets.iter().zip(&self.served).enumerate() {
+            let violation = |m: &Match| Violation {
+                rule,
+                mapping: m.clone(),
+            };
+            added.extend(new.difference(old).map(violation));
+            retracted.extend(old.difference(new).map(violation));
+        }
+        sort_violations(&mut added);
+        sort_violations(&mut retracted);
+        self.served = new_sets;
         (added, retracted)
     }
+}
+
+/// `violations` as one set of matches per rule of a Σ of `rules`, each
+/// allocated once at its final size.
+fn per_rule(rules: usize, violations: Vec<Violation>) -> Vec<HashSet<Match>> {
+    let mut counts = vec![0; rules];
+    for v in &violations {
+        counts[v.rule] += 1;
+    }
+    let mut sets: Vec<HashSet<Match>> = counts.into_iter().map(HashSet::with_capacity).collect();
+    for v in violations {
+        sets[v.rule].insert(v.mapping);
+    }
+    sets
 }
 
 #[cfg(test)]
