@@ -1,10 +1,14 @@
 //! # gfd-bench — harness regenerating every table and figure of §7
 //!
-//! One binary per paper artifact, plus the allocation gate — this table
-//! is the index; the workspace around it is `ROADMAP.md`'s Architecture
-//! section:
+//! Two binaries: `figures` runs the figures named on its command line
+//! (`cargo run --release -p gfd-bench --bin figures -- fig8_skew`), or
+//! every figure in §7 order when none is named; `bench_compare` is the
+//! allocation gate, comparing `allocs_per_iter` of a fresh
+//! `reasoning_micro` run against the committed `BENCH_smoke.json`.
+//! Each figure is a function of [`figures`] — this table is the index;
+//! the workspace around it is `ROADMAP.md`'s Architecture section:
 //!
-//! | binary | paper artifact |
+//! | figure | paper artifact |
 //! |---|---|
 //! | `fig5_scalability` | Fig. 5(a)(b)(c) — time vs `n`, 6 algorithms, 3 graphs |
 //! | `fig5_vary_sigma` | Fig. 5(d)(f)(h) — time vs `‖Σ‖` |
@@ -16,20 +20,29 @@
 //! | `fig9_accuracy` | Fig. 9 — recall/precision/time vs GCFD and BigDansing-style baselines |
 //! | `exp1_summary` | Exp-1 headline numbers (speedups, optimization gains) |
 //! | `ablation_opt` | ablations: each optimization toggled separately |
-//! | `bench_compare` | the allocation gate: `allocs_per_iter` of a fresh `reasoning_micro` run against the committed `BENCH_smoke.json` |
 //!
-//! The figure binaries print machine-readable tables (TSV-ish) whose rows are
-//! the series the paper plots. Graph sizes are scaled (the stand-ins
-//! of `gfd_datagen::reallife`); series *shapes* — who wins, scaling
+//! The figures print machine-readable tables (TSV-ish) whose rows are
+//! the series the paper plots, and diagnostics on stderr. The Fig. 5
+//! family, Exp-1 and the ablation baselines read one [`Cells`] table,
+//! so a run measures each of their cells once, however many figures
+//! print it. Graph sizes are scaled (the stand-ins of
+//! `gfd_datagen::reallife`); series *shapes* — who wins, scaling
 //! trends, crossovers — are the reproduction target, not absolute
 //! seconds.
 
+mod accuracy;
+pub mod figures;
+
+use std::collections::HashMap;
+use std::fmt::Display;
 use std::sync::Arc;
 
 use gfd_core::GfdSet;
 use gfd_datagen::{mine_gfds, reallife_graph, RealLifeConfig, RealLifeKind, RuleGenConfig};
 use gfd_graph::{Edge, Fragmentation, Graph, NodeId, PartitionStrategy};
 use gfd_parallel::{dis_val, rep_val, DisValConfig, ParallelReport, RepValConfig};
+
+pub use figures::FIGURES;
 
 /// The three real-life stand-in datasets of §7.
 pub const DATASETS: [(&str, RealLifeKind); 3] = [
@@ -43,15 +56,6 @@ pub const DEFAULT_SCALE: f64 = 0.25;
 
 /// The paper's processor counts.
 pub const PROCESSOR_COUNTS: [usize; 5] = [4, 8, 12, 16, 20];
-
-/// Builds a stand-in graph, frozen and ready to share across workers.
-pub fn dataset(kind: RealLifeKind, scale: f64) -> Arc<Graph> {
-    Arc::new(reallife_graph(&RealLifeConfig {
-        kind,
-        scale,
-        seed: 0xBEEF,
-    }))
-}
 
 /// Mines a rule set with the §7 knobs (`‖Σ‖`, `|Q|`).
 pub fn rules(g: &Graph, count: usize, pattern_nodes: usize) -> GfdSet {
@@ -73,6 +77,13 @@ pub struct Cell {
     pub algo: &'static str,
     /// The full report.
     pub report: ParallelReport,
+}
+
+/// The report of `algo` in a row of cells.
+pub fn pick<'a>(row: &'a [Cell], algo: &str) -> &'a ParallelReport {
+    &(row.iter().find(|c| c.algo == algo))
+        .expect("a measured algorithm")
+        .report
 }
 
 /// Number of repetitions per cell (the paper averages 5 runs; we take
@@ -99,62 +110,165 @@ pub fn measure(mut f: impl FnMut() -> ParallelReport) -> ParallelReport {
     best
 }
 
-/// Runs the three `rep*` algorithms at `n` processors.
-pub fn run_rep_family(sigma: &GfdSet, g: &Arc<Graph>, n: usize) -> Vec<Cell> {
-    vec![
-        Cell {
-            algo: "repnop",
-            report: measure(|| rep_val(sigma, g, &RepValConfig::nop(n))),
-        },
-        Cell {
-            algo: "repran",
-            report: measure(|| rep_val(sigma, g, &RepValConfig::ran(n, 0x5EED))),
-        },
-        Cell {
-            algo: "repVal",
-            report: measure(|| rep_val(sigma, g, &RepValConfig::val(n))),
-        },
-    ]
-}
-
-/// Runs the three `dis*` algorithms at `n` processors on a BFS-
-/// clustered fragmentation (the realistic partitioning).
-pub fn run_dis_family(sigma: &GfdSet, g: &Arc<Graph>, n: usize) -> Vec<Cell> {
+/// Runs `disnop`, `disran` and `val` (named `disVal`) at `val.n`
+/// processors on a BFS-clustered fragmentation (the realistic
+/// partitioning).
+pub fn run_dis_family(sigma: &GfdSet, g: &Arc<Graph>, val: DisValConfig) -> Vec<Cell> {
+    let n = val.n;
     let frag = Fragmentation::partition(g, n, PartitionStrategy::BfsClustered);
+    let cell = |algo, cfg: DisValConfig| Cell {
+        algo,
+        report: measure(|| dis_val(sigma, g, &frag, &cfg)),
+    };
     vec![
-        Cell {
-            algo: "disnop",
-            report: measure(|| dis_val(sigma, g, &frag, &DisValConfig::nop(n))),
-        },
-        Cell {
-            algo: "disran",
-            report: measure(|| dis_val(sigma, g, &frag, &DisValConfig::ran(n, 0x5EED))),
-        },
-        Cell {
-            algo: "disVal",
-            report: measure(|| dis_val(sigma, g, &frag, &DisValConfig::val(n))),
-        },
+        cell("disnop", DisValConfig::nop(n)),
+        cell("disran", DisValConfig::ran(n, 0x5EED)),
+        cell("disVal", val),
     ]
 }
 
-/// All six algorithms of Fig. 5.
+/// All six algorithms of Fig. 5 at `n` processors.
 pub fn run_all_algorithms(sigma: &GfdSet, g: &Arc<Graph>, n: usize) -> Vec<Cell> {
-    let mut cells = run_rep_family(sigma, g, n);
-    cells.extend(run_dis_family(sigma, g, n));
+    let cell = |algo, cfg: RepValConfig| Cell {
+        algo,
+        report: measure(|| rep_val(sigma, g, &cfg)),
+    };
+    let mut cells = vec![
+        cell("repnop", RepValConfig::nop(n)),
+        cell("repran", RepValConfig::ran(n, 0x5EED)),
+        cell("repVal", RepValConfig::val(n)),
+    ];
+    cells.extend(run_dis_family(sigma, g, DisValConfig::val(n)));
     cells
 }
 
+/// The Fig. 5 cell table: the six algorithms of [`run_all_algorithms`]
+/// at a key (dataset, `‖Σ‖`, `|Q|`, `n`), measured the first time a
+/// figure asks for the key and read back every later time. A dataset's
+/// graph is built once and a (dataset, `‖Σ‖`, `|Q|`) rule set mined
+/// once, so Fig. 5(a)'s `n = 16` column — Fig. 5(d)'s `‖Σ‖ = 50` and
+/// Fig. 5(e)'s `|Q| = 5` column, the ablation baselines — is one
+/// measurement.
+pub struct Cells {
+    scale: f64,
+    /// Measures a key's row: [`run_all_algorithms`] outside tests.
+    run: fn(&GfdSet, &Arc<Graph>, usize) -> Vec<Cell>,
+    graphs: HashMap<&'static str, Arc<Graph>>,
+    sigmas: HashMap<(&'static str, usize, usize), Arc<GfdSet>>,
+    rows: HashMap<(&'static str, usize, usize, usize), Vec<Cell>>,
+    measured: usize,
+}
+
+impl Cells {
+    /// An empty table over the stand-ins at `scale`.
+    pub fn new(scale: f64) -> Self {
+        Cells {
+            scale,
+            run: run_all_algorithms,
+            graphs: HashMap::new(),
+            sigmas: HashMap::new(),
+            rows: HashMap::new(),
+            measured: 0,
+        }
+    }
+
+    /// The stand-in named `dataset` in [`DATASETS`], frozen and ready
+    /// to share across workers.
+    pub fn graph(&mut self, dataset: &'static str) -> Arc<Graph> {
+        let scale = self.scale;
+        let g = self.graphs.entry(dataset).or_insert_with(|| {
+            let (_, kind) = DATASETS
+                .into_iter()
+                .find(|(name, _)| *name == dataset)
+                .expect("a dataset of DATASETS");
+            let seed = 0xBEEF;
+            let g = reallife_graph(&RealLifeConfig { kind, scale, seed });
+            eprintln!("[{dataset}] |V|={} |E|={}", g.node_count(), g.edge_count());
+            Arc::new(g)
+        });
+        g.clone()
+    }
+
+    /// The rule set of [`rules`]`(graph, count, q)`.
+    pub fn sigma(&mut self, dataset: &'static str, count: usize, q: usize) -> Arc<GfdSet> {
+        let g = self.graph(dataset);
+        let sigma = (self.sigmas.entry((dataset, count, q)))
+            .or_insert_with(|| Arc::new(rules(&g, count, q)));
+        sigma.clone()
+    }
+
+    /// The six cells at a key, measured on first request.
+    pub fn row(&mut self, dataset: &'static str, count: usize, q: usize, n: usize) -> &[Cell] {
+        let key = (dataset, count, q, n);
+        if !self.rows.contains_key(&key) {
+            let (g, sigma) = (self.graph(dataset), self.sigma(dataset, count, q));
+            let row = (self.run)(&sigma, &g, n);
+            self.measured += row.len();
+            self.rows.insert(key, row);
+        }
+        &self.rows[&key]
+    }
+
+    /// One series per algorithm over `xs`: the value `f` reads off the
+    /// cell at `key(x)`, skipped where it reads `None`.
+    pub fn sweep(
+        &mut self,
+        dataset: &'static str,
+        xs: &[usize],
+        key: impl Fn(usize) -> (usize, usize, usize),
+        f: impl Fn(&Cell) -> Option<f64>,
+    ) -> Series {
+        let mut series = Series::default();
+        for &x in xs {
+            let (count, q, n) = key(x);
+            for cell in self.row(dataset, count, q, n) {
+                if let Some(v) = f(cell) {
+                    series.push(cell.algo, v);
+                }
+            }
+        }
+        series
+    }
+
+    /// Cells measured so far (each key's six count once).
+    pub fn measured(&self) -> usize {
+        self.measured
+    }
+}
+
+/// A figure's series: one named column per algorithm, a value per x.
+#[derive(Default)]
+pub struct Series(Vec<(&'static str, Vec<f64>)>);
+
+impl Series {
+    /// Appends `value` to the column `name`, opening it on first use.
+    pub fn push(&mut self, name: &'static str, value: f64) {
+        match self.0.iter_mut().find(|(a, _)| *a == name) {
+            Some((_, vals)) => vals.push(value),
+            None => self.0.push((name, vec![value])),
+        }
+    }
+
+    /// The column `name`'s last value over its first.
+    pub fn growth(&self, name: &str) -> f64 {
+        let vals = &(self.0.iter().find(|(a, _)| *a == name))
+            .expect("a measured series")
+            .1;
+        vals[vals.len() - 1] / vals[0].max(1e-12)
+    }
+}
+
 /// Prints a figure table: one row per x value, one column per series.
-pub fn print_table(title: &str, x_name: &str, xs: &[String], series: &[(&str, Vec<f64>)]) {
+pub fn print_table(title: &str, x_name: &str, xs: &[impl Display], series: &Series) {
     println!("\n### {title}");
     print!("{x_name}");
-    for (name, _) in series {
+    for (name, _) in &series.0 {
         print!("\t{name}");
     }
     println!();
     for (i, x) in xs.iter().enumerate() {
         print!("{x}");
-        for (_, vals) in series {
+        for (_, vals) in &series.0 {
             print!("\t{:.4}", vals[i]);
         }
         println!();
@@ -186,7 +300,7 @@ pub fn edge_beside_hub(g: &Graph) -> (NodeId, Edge) {
     (hub, edge)
 }
 
-/// Pretty banner for a figure binary.
+/// Pretty banner for a figure.
 pub fn banner(fig: &str, what: &str) {
     println!("==============================================================");
     println!("{fig} — {what}");
@@ -200,7 +314,7 @@ mod tests {
 
     #[test]
     fn dataset_and_rules_build() {
-        let g = dataset(RealLifeKind::Yago2, 0.05);
+        let g = Cells::new(0.05).graph("YAGO2");
         assert!(g.node_count() > 100);
         let sigma = rules(&g, 5, 3);
         assert_eq!(sigma.len(), 5);
@@ -208,7 +322,7 @@ mod tests {
 
     #[test]
     fn all_six_algorithms_run_and_agree() {
-        let g = dataset(RealLifeKind::Yago2, 0.05);
+        let g = Cells::new(0.05).graph("YAGO2");
         let sigma = rules(&g, 4, 3);
         let cells = run_all_algorithms(&sigma, &g, 3);
         assert_eq!(cells.len(), 6);
@@ -216,5 +330,50 @@ mod tests {
         for c in &cells[1..] {
             assert_eq!(&c.report.violations, reference, "{} disagrees", c.algo);
         }
+    }
+
+    #[test]
+    fn a_key_is_measured_once_and_agrees_with_a_fresh_run() {
+        let mut cells = Cells::new(0.05);
+        let row: Vec<_> = (cells.row("YAGO2", 4, 3, 3).iter())
+            .map(|c| (c.algo, c.report.violations.clone()))
+            .collect();
+        assert_eq!(cells.measured(), 6);
+        cells.row("YAGO2", 4, 3, 3);
+        assert_eq!(cells.measured(), 6, "a second request measures nothing");
+        let (g, sigma) = (cells.graph("YAGO2"), cells.sigma("YAGO2", 4, 3));
+        let fresh = run_all_algorithms(&sigma, &g, 3);
+        assert_eq!(row.len(), fresh.len());
+        for ((algo, violations), c) in row.iter().zip(&fresh) {
+            assert_eq!(*algo, c.algo);
+            assert_eq!(violations, &c.report.violations, "{algo} disagrees");
+        }
+    }
+
+    /// Fig. 5, Exp-1 and the ablation baselines ask for 42 keys: 15
+    /// of Fig. 5(a), 15 more of 5(d) and 12 more of 5(e). The pass runs
+    /// on a table whose rows are measured by a stub, so it costs the
+    /// rule mining only.
+    #[test]
+    fn a_full_fig5_pass_measures_252_cells() {
+        let mut cells = Cells {
+            run: |_, _, _| {
+                (["repnop", "repran", "repVal", "disnop", "disran", "disVal"].iter())
+                    .map(|&algo| Cell {
+                        algo,
+                        report: ParallelReport::default(),
+                    })
+                    .collect()
+            },
+            ..Cells::new(0.05)
+        };
+        for (name, run) in FIGURES {
+            if name.starts_with("fig5_") || name == "exp1_summary" {
+                run(&mut cells);
+            }
+        }
+        let (dataset, count, q, n) = figures::ABLATION;
+        cells.row(dataset, count, q, n);
+        assert_eq!(cells.measured(), 42 * 6);
     }
 }

@@ -23,9 +23,9 @@
 //! for unconstrained classes) and yields an explicit model, which the
 //! checker returns and which `G₀ ⊨ Σ` tests can verify independently.
 //!
-//! The syntactic shortcut cases of Corollary 4 (variable-only `Σ`, no
-//! `∅ → Y` rules) are detected first; tree-pattern classification (the
-//! PTIME case) is exposed via [`tractable_case`].
+//! The chase decides every case. [`tractable_case`] only classifies `Σ`
+//! into the tractable cases of Corollary 4 (variable-only `Σ`, no
+//! `∅ → Y` rules, tree patterns); no checker consults it.
 
 use gfd_graph::{Graph, GraphBuilder, NodeId, Value};
 use gfd_match::SearchBudget;

@@ -13,7 +13,9 @@
 //! The report records the ground-truth dirty node set `Vio`, from
 //! which the Fig. 9 harness computes precision and recall.
 
-use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId, Value};
+use std::collections::HashMap;
+
+use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId, Sym, Value};
 use gfd_util::Rng;
 
 /// Noise-injection parameters.
@@ -79,14 +81,15 @@ pub fn inject_noise(g: &mut GraphBuilder, cfg: &NoiseConfig) -> NoiseReport {
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut report = NoiseReport::default();
     let nodes: Vec<NodeId> = g.nodes().collect();
-    // Collect label alphabet once for type noise.
-    let labels: Vec<_> = {
-        let mut ls: Vec<_> = nodes.iter().map(|&n| g.label(n)).collect();
-        ls.sort_unstable();
-        ls.dedup();
-        ls
-    };
-    // Value index for representational noise: (label, attr, value) pairs.
+    // Each label's nodes, ascending, where representational noise looks
+    // for a sharer; type noise moves the nodes it relabels.
+    let mut by_label: HashMap<Sym, Vec<NodeId>> = HashMap::new();
+    for &n in &nodes {
+        by_label.entry(g.label(n)).or_default().push(n);
+    }
+    // The label alphabet, for type noise.
+    let mut labels: Vec<Sym> = by_label.keys().copied().collect();
+    labels.sort_unstable();
     for &n in &nodes {
         if !rng.gen_bool(cfg.rate) {
             continue;
@@ -117,7 +120,11 @@ pub fn inject_noise(g: &mut GraphBuilder, cfg: &NoiseConfig) -> NoiseReport {
                     } else {
                         labels[i]
                     };
-                    g.set_label(n, pick);
+                    let filed = "every node is filed under its label";
+                    let from = by_label.get_mut(&g.set_label(n, pick)).expect(filed);
+                    from.remove(from.binary_search(&n).expect(filed));
+                    let to = by_label.get_mut(&pick).expect("a label of the graph");
+                    to.insert(to.partition_point(|&m| m < n), n);
                     report.corrupted.push((n, NoiseKind::Type));
                 }
             }
@@ -128,8 +135,7 @@ pub fn inject_noise(g: &mut GraphBuilder, cfg: &NoiseConfig) -> NoiseReport {
                 let attrs: Vec<_> = g.attrs(n).iter().map(|(a, v)| (a, v.clone())).collect();
                 let mut done = false;
                 for (a, v) in &attrs {
-                    let sharer = g
-                        .nodes_with_label(g.label(n))
+                    let sharer = by_label[&g.label(n)]
                         .iter()
                         .any(|&m| m != n && g.attr(m, *a) == Some(v));
                     if sharer {
@@ -229,6 +235,43 @@ mod tests {
         for w in dirty.windows(2) {
             assert!(w[0] < w[1]);
         }
+    }
+
+    /// Representational noise looks for a sharer under a node's label
+    /// as it stands, after the type noise before it: in pairs `(a, b)`
+    /// of one value, `a` labelled `P` and `b` labelled `Q`, `b` has a
+    /// sharer exactly when `a` was relabelled to `Q` first.
+    #[test]
+    fn a_relabelled_node_shares_values_under_its_new_label() {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let pairs: Vec<_> = (0..16)
+            .map(|i| {
+                let value = Value::str(&format!("x{i}"));
+                let (a, q) = (b.add_node_labeled("P"), b.add_node_labeled("Q"));
+                b.set_attr_named(a, "v", value.clone());
+                b.set_attr_named(q, "v", value);
+                (a, q)
+            })
+            .collect();
+        let mut shared = 0;
+        for seed in 0..8 {
+            let report = inject_noise(&mut b.clone(), &NoiseConfig { rate: 1.0, seed });
+            let kind = |n| {
+                report
+                    .corrupted
+                    .iter()
+                    .find(|&&(m, _)| m == n)
+                    .map(|&(_, k)| k)
+            };
+            for &(a, q) in &pairs {
+                assert_ne!(kind(a), Some(NoiseKind::Representational));
+                if kind(q) == Some(NoiseKind::Representational) {
+                    assert_eq!(kind(a), Some(NoiseKind::Type), "{q:?} had no sharer");
+                    shared += 1;
+                }
+            }
+        }
+        assert!(shared > 0, "no relabelled node was ever a sharer");
     }
 
     #[test]

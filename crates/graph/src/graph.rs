@@ -58,7 +58,6 @@
 //! and unique per `(src, dst, label)` triple (parallel edges with
 //! distinct labels are allowed, as in property graphs and RDF).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -146,7 +145,6 @@ pub struct GraphBuilder {
     no_attrs: Arc<AttrMap>,
     /// Outgoing adjacency per node, sorted by `(label, dst)`.
     out: Vec<Vec<Adj>>,
-    label_index: HashMap<Sym, Vec<NodeId>>,
     edge_count: usize,
     /// When present, every successful mutation is appended here (see
     /// [`GraphDelta`]); enabled by [`Graph::thaw`] so edit sessions
@@ -163,7 +161,6 @@ impl GraphBuilder {
             attrs: Vec::new(),
             no_attrs: Arc::default(),
             out: Vec::new(),
-            label_index: HashMap::new(),
             edge_count: 0,
             rec: None,
         }
@@ -196,7 +193,6 @@ impl GraphBuilder {
         self.labels.push(label);
         self.attrs.push(self.no_attrs.clone());
         self.out.push(Vec::new());
-        self.label_index.entry(label).or_default().push(id);
         if let Some(rec) = &mut self.rec {
             rec.added_nodes.push((id, label));
         }
@@ -313,23 +309,14 @@ impl GraphBuilder {
         Arc::make_mut(map).remove(attr)
     }
 
-    /// Relabels `node` (updating the label index) and returns the old
-    /// label. Used by noise injection ("type inconsistency") and graph
-    /// repair experiments.
+    /// Relabels `node` and returns the old label. Used by noise
+    /// injection ("type inconsistency") and graph repair experiments.
     pub fn set_label(&mut self, node: NodeId, label: Sym) -> Sym {
         let old = self.labels[node.index()];
         if old == label {
             return old;
         }
-        if let Some(extent) = self.label_index.get_mut(&old) {
-            if let Ok(pos) = extent.binary_search(&node) {
-                extent.remove(pos);
-            }
-        }
         self.labels[node.index()] = label;
-        let extent = self.label_index.entry(label).or_default();
-        let pos = extent.partition_point(|&n| n < node);
-        extent.insert(pos, node);
         if let Some(rec) = &mut self.rec {
             rec.label_changes.push(LabelChange {
                 node,
@@ -439,14 +426,6 @@ impl GraphBuilder {
             self.attrs[id.index()] = Arc::new(attrs);
         }
         id
-    }
-
-    /// Nodes currently carrying `label` (ascending ids).
-    pub fn nodes_with_label(&self, label: Sym) -> &[NodeId] {
-        self.label_index
-            .get(&label)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
     }
 
     /// Cuts the builder into an immutable paged CSR snapshot. Node ids
@@ -1120,10 +1099,6 @@ impl Graph {
     /// a delta patch ([`Graph::apply_delta`]) instead of a full
     /// [`GraphBuilder::freeze`].
     pub fn thaw(&self) -> GraphBuilder {
-        let mut label_index: HashMap<Sym, Vec<NodeId>> = HashMap::new();
-        for (label, extent) in self.label_extents() {
-            label_index.insert(label, extent.to_vec());
-        }
         GraphBuilder {
             vocab: self.vocab.clone(),
             labels: self.labels.to_vec(),
@@ -1133,7 +1108,6 @@ impl Graph {
                 .collect(),
             no_attrs: Arc::default(),
             out: self.nodes().map(|u| self.out_slice(u).to_vec()).collect(),
-            label_index,
             edge_count: self.edge_count,
             rec: Some(GraphDelta::new(self.node_count())),
         }
