@@ -453,7 +453,7 @@ pub fn ablation_opt(cells: &mut Cells) {
     ] {
         let (time, units, hits) = (r.total_seconds(), r.units, r.cache_hits);
         println!(
-            "{label}\t{time:.4}\t{units}\t{hits}\t{}",
+            "{label}\t{time:.2e}\t{units}\t{hits}\t{}",
             r.violations.len()
         );
         assert!(
@@ -481,7 +481,7 @@ pub fn ablation_opt(cells: &mut Cells) {
             r.bytes_shipped as f64 / 1024.0,
         );
         println!(
-            "{label}\t{time:.4}\t{comm:.4}\t{kib:.1}\t{}",
+            "{label}\t{time:.2e}\t{comm:.2e}\t{kib:.1}\t{}",
             r.violations.len()
         );
         assert!(r.violations == base.violations, "{label}");

@@ -21,14 +21,14 @@
 //! | `exp1_summary` | Exp-1 headline numbers (speedups, optimization gains) |
 //! | `ablation_opt` | ablations: each optimization toggled separately |
 //!
-//! The figures print machine-readable tables (TSV-ish) whose rows are
-//! the series the paper plots, and diagnostics on stderr. The Fig. 5
-//! family, Exp-1 and the ablation baselines read one [`Cells`] table,
-//! so a run measures each of their cells once, however many figures
-//! print it. Graph sizes are scaled (the stand-ins of
-//! `gfd_datagen::reallife`); series *shapes* — who wins, scaling
-//! trends, crossovers — are the reproduction target, not absolute
-//! seconds.
+//! The figures print machine-readable tables (TSV-ish, values to three
+//! significant digits) whose rows are the series the paper plots, and
+//! diagnostics on stderr. The Fig. 5 family, Exp-1 and the ablation
+//! baselines read one [`Cells`] table, so a run measures each of their
+//! cells once, however many figures print it. Graph sizes are scaled
+//! (the stand-ins of `gfd_datagen::reallife`); series *shapes* — who
+//! wins, scaling trends, crossovers — are the reproduction target, not
+//! absolute seconds.
 
 mod accuracy;
 pub mod figures;
@@ -258,7 +258,10 @@ impl Series {
     }
 }
 
-/// Prints a figure table: one row per x value, one column per series.
+/// Prints a figure table: one row per x value, one column per series,
+/// every value to three significant digits (`6.12e-4`), as Fig. 8's
+/// skew axis: cells at the default scale run to 10⁻⁴ s, where four
+/// fixed decimals would print one figure for every algorithm.
 pub fn print_table(title: &str, x_name: &str, xs: &[impl Display], series: &Series) {
     println!("\n### {title}");
     print!("{x_name}");
@@ -269,7 +272,7 @@ pub fn print_table(title: &str, x_name: &str, xs: &[impl Display], series: &Seri
     for (i, x) in xs.iter().enumerate() {
         print!("{x}");
         for (_, vals) in &series.0 {
-            print!("\t{:.4}", vals[i]);
+            print!("\t{:.2e}", vals[i]);
         }
         println!();
     }

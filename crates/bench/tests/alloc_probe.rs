@@ -22,7 +22,8 @@
 //! what stays allocated is gated too: an [`IncrementalSpace`] retains
 //! its candidates, not arrays sized by the graph, so the bytes a
 //! [`ClassRegistry`] accounts are the bytes it holds — and building one
-//! from scratch requests bytes by its seeds, not by the graph. A
+//! from scratch requests bytes by its seeds, not by the graph, and no
+//! worklist slot per candidate its seeding leaves unsupported. A
 //! detector's first pass requests about what `detVio` requests.
 
 use std::sync::Arc;
@@ -1140,6 +1141,54 @@ fn a_simulation_requests_by_its_seeds_not_the_graph() {
         "simulation_sets requests {small_sets} B over {N} padding nodes, {large_sets} B over {}",
         16 * N
     );
+}
+
+/// The working-state gate: a from-scratch simulation requests its
+/// seed-sized flags and counters and the space it returns, and no
+/// worklist slot per removal. 8 192 `a` nodes, of which only 64 have an
+/// `e`-edge (to one of 64 `b` nodes), against `x:a -e-> y:b`: the
+/// seeding leaves 8 128 of the 8 256 seed entries without support, and
+/// none of their removals sets off a cascade. The bound is one flag
+/// byte per seed entry, one four-byte counter per seed entry per
+/// incident pattern edge direction (each variable here has one), twice
+/// the space's [`approx_bytes`](gfd_match::CandidateSpace::approx_bytes)
+/// and 4 KiB. A queue that takes an eight-byte slot for every removal,
+/// growing by doubling, overshoots it more than threefold: 177 392 B
+/// against a bound of 48 464 B when written, where the scan-and-stack
+/// fixpoint requests 46 352 B.
+#[test]
+fn a_simulation_requests_no_slot_per_removal() {
+    let _serial = serial();
+    const A: usize = 8192;
+    const B: usize = 64;
+    let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
+    let xs: Vec<NodeId> = (0..A).map(|_| b.add_node_labeled("a")).collect();
+    let ys: Vec<NodeId> = (0..B).map(|_| b.add_node_labeled("b")).collect();
+    for (i, &y) in ys.iter().enumerate() {
+        b.add_edge_labeled(xs[i * (A / B)], y, "e");
+    }
+    let g = b.freeze();
+    let mut pb = PatternBuilder::new(g.vocab().clone());
+    let x = pb.node("x", "a");
+    let y = pb.node("y", "b");
+    pb.edge(x, y, "e");
+    let q = pb.build();
+
+    let (space, space_bytes) = bytes_requested(|| dual_simulation(&q, &g, None));
+    let (sets, sets_bytes) = bytes_requested(|| simulation_sets(&q, &g, None));
+    assert_eq!(space.total_size(), 2 * B, "premise: 64 a-b pairs simulate");
+    assert_eq!(space.sets, sets);
+    let entries = (A + B) as u64;
+    let bound = entries + 4 * entries + 2 * space.approx_bytes() as u64 + (4 << 10);
+    for (call, bytes) in [
+        ("dual_simulation", space_bytes),
+        ("simulation_sets", sets_bytes),
+    ] {
+        assert!(
+            bytes <= bound,
+            "{call} requests {bytes} B over {entries} seed entries, more than {bound} B"
+        );
+    }
 }
 
 /// The accounting gate: the bytes a [`ClassRegistry`] says it holds

@@ -19,12 +19,17 @@
 //! `e = (a, b, l)` it keeps, for every candidate `u` of `a`, the count
 //! of admitted graph edges `u → w` with `w` still simulating `b` (and
 //! the mirror count for candidates of `b`). Seeding reads only label
-//! extents; when a counter hits zero its node is removed and pushed on
-//! a worklist, and each removal only touches the removed node's own
-//! adjacency — `O(affected)` per removal, `O(Σ_e Σ_{u∈cand} deg_l(u))`
-//! in total rather than `rounds × vars × |V|`. The flags and counter
-//! arrays (`SimCore`) are the from-scratch driver's working state and
-//! nothing more: sized by the seeds, built, harvested into the
+//! extents (an unscoped wildcard's seed is the id range `0..|V|`, held
+//! as nothing but its length). A candidate whose counter the seeding
+//! leaves at zero is only flagged *pending*; one ascending scan of each
+//! variable's flags then removes the pending candidates one by one, and
+//! a candidate that a removal leaves without support is removed too,
+//! through a stack — so the stack holds one cascade, never the seed.
+//! Each removal only touches the removed node's own adjacency —
+//! `O(affected)` per removal, `O(Σ_e Σ_{u∈cand} deg_l(u))` in total
+//! rather than `rounds × vars × |V|`. The flags, counters and stack
+//! (`SimCore`) are the from-scratch driver's working state and nothing
+//! more: sized by the seeds and the cascade, built, harvested into the
 //! [`CandidateSpace`] and dropped. Every array is indexed by a node's
 //! rank in its variable's seed, found in O(1) without a search in the
 //! two unscoped cases — [`Graph::extent_rank`] for a labelled variable
@@ -50,7 +55,6 @@
 //! of its own when a repair first writes it.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -515,8 +519,8 @@ enum RankBy {
     /// Unscoped, labelled: the seed is the label's extent, and a node
     /// carrying the label sits at [`Graph::extent_rank`].
     Extent(Sym),
-    /// Unscoped wildcard: the seed is every node, and a node's rank is
-    /// its id.
+    /// Unscoped wildcard: the seed is the id range `0..|V|`, and a
+    /// node's rank is its id.
     Id,
     /// Scoped: the seed is the scope narrowed by label, binary-searched
     /// (no detection path scopes a simulation; scopes are small node
@@ -524,24 +528,57 @@ enum RankBy {
     Search,
 }
 
-/// One variable's seed — its candidate list, ascending, and how it
-/// ranks a node — with a flag per entry: does it still simulate the
-/// variable?
+/// Where a seed entry stands in the fixpoint — one byte per entry.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Flag {
+    /// Still simulates the variable.
+    Alive,
+    /// Left without support by the seeding; its removal is yet to
+    /// reach its neighbors.
+    Pending,
+    /// Removed: its neighbors have lost its support, or will once the
+    /// stack gets to it.
+    Gone,
+}
+
+/// One variable's seed — its candidates, ascending, and how it ranks a
+/// node — with a [`Flag`] per entry.
 struct Seed<'g> {
-    nodes: Cow<'g, [NodeId]>,
+    /// The candidates, listed — except under [`RankBy::Id`], where the
+    /// seed is the id range `0..member.len()` and this is empty.
+    listed: Cow<'g, [NodeId]>,
     rank_by: RankBy,
-    /// `member[r]` — does `nodes[r]` still simulate the variable?
-    member: Vec<bool>,
+    /// `member[r]` — where the entry of rank `r` stands.
+    member: Vec<Flag>,
 }
 
 impl Seed<'_> {
+    /// The node of rank `r` in the seed.
+    #[inline]
+    fn node(&self, r: usize) -> NodeId {
+        match self.rank_by {
+            RankBy::Id => NodeId(r as u32),
+            _ => self.listed[r],
+        }
+    }
+
+    /// The seed's nodes, ascending: the id range or the list, one of
+    /// them empty, so neither pays a dispatch per node.
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let ids = match self.rank_by {
+            RankBy::Id => 0..self.member.len() as u32,
+            _ => 0..0,
+        };
+        ids.map(NodeId).chain(self.listed.iter().copied())
+    }
+
     /// The rank of `w` in the seed, if `w` is there.
     #[inline]
     fn rank(&self, g: &Graph, w: NodeId) -> Option<usize> {
         match self.rank_by {
             RankBy::Extent(s) => (g.label(w) == s).then(|| g.extent_rank(w)),
             RankBy::Id => Some(w.index()),
-            RankBy::Search => self.nodes.binary_search(&w).ok(),
+            RankBy::Search => self.listed.binary_search(&w).ok(),
         }
     }
 
@@ -557,19 +594,22 @@ impl Seed<'_> {
 
     /// The nodes still simulating the variable, ascending.
     fn survivors(&self) -> Vec<NodeId> {
-        let flagged = self.nodes.iter().zip(&self.member);
-        flagged.filter(|(_, &m)| m).map(|(&u, _)| u).collect()
+        let flagged = self.nodes().zip(&self.member);
+        flagged
+            .filter(|(_, &m)| m == Flag::Alive)
+            .map(|(u, _)| u)
+            .collect()
     }
 }
 
-/// Per-variable seeds with their membership flags, plus per-edge
-/// support counters, all indexed by **rank in the seed** — the
-/// from-scratch simulation's worklist state, sized by the seeds (a
-/// variable's label extent, or the scope) rather than the graph, and
-/// **transient**: built by `simulate_core`, read once by
-/// `harvest_space`, dropped. Nothing keeps one across calls; a repair
-/// ([`crate::incremental`]) reads membership and support off the
-/// [`CandidateSpace`] itself.
+/// Per-variable seeds with their flags, plus per-edge support
+/// counters, all indexed by **rank in the seed**, and the stack of
+/// removals still to propagate — the from-scratch simulation's working
+/// state, sized by the seeds (a variable's label extent, or the scope)
+/// and the deepest cascade rather than the graph, and **transient**:
+/// built by `simulate_core`, read once by `harvest_space`, dropped.
+/// Nothing keeps one across calls; a repair ([`crate::incremental`])
+/// reads membership and support off the [`CandidateSpace`] itself.
 ///
 /// A neighbor `w` is ranked in `seed(v)` one of three ways ([`RankBy`]):
 /// for an unscoped labelled `v`, `w` must carry the label and sits at
@@ -586,27 +626,18 @@ struct SimCore<'g> {
     /// `bwd[e][r]` — admitted in-edges of `seed(dst(e))[r]` from
     /// `sim(src(e))`, maintained while it simulates `dst(e)`.
     bwd: Vec<Vec<u32>>,
-    /// Removed `(variable, rank)` pairs awaiting propagation.
-    queue: VecDeque<(VarId, u32)>,
+    /// `(variable, rank)` pairs a propagation removed, awaiting their
+    /// own.
+    stack: Vec<(VarId, u32)>,
 }
 
 impl SimCore<'_> {
-    /// Flags `seed(v)[r]` as removed and schedules the propagation;
-    /// no-op if already removed.
-    fn remove(&mut self, v: VarId, r: usize) {
-        let m = &mut self.seeds[v.index()].member[r];
-        if *m {
-            *m = false;
-            self.queue.push_back((v, r as u32));
-        }
-    }
-
     /// `u` left the simulation of the near end of pattern edge `ei`,
     /// read in direction `dir`: every admitted edge from `u` to a
     /// surviving candidate of the far end takes one unit of that
     /// candidate's support on the edge, and a candidate left with none
-    /// is removed. The hot loop of the fixpoint, so it runs one copy
-    /// per rank case and its body carries no dispatch.
+    /// is removed onto the stack. The hot loop of the fixpoint, so it
+    /// runs one copy per rank case and its body carries no dispatch.
     fn withdraw(&mut self, u: NodeId, ei: usize, dir: Direction) {
         let (g, e) = (self.g, self.q.edges()[ei]);
         let (far, support) = match dir {
@@ -614,10 +645,10 @@ impl SimCore<'_> {
             Direction::In => (e.src, &mut self.fwd[ei]),
         };
         let seed = &mut self.seeds[far.index()];
-        let (nodes, member) = (&seed.nodes, &mut seed.member[..]);
+        let (listed, member) = (&seed.listed, &mut seed.member[..]);
         let adj = admitted(g, u, e.label, dir);
-        let queue = &mut self.queue;
-        let removed = |r: usize| queue.push_back((far, r as u32));
+        let stack = &mut self.stack;
+        let removed = |r: usize| stack.push((far, r as u32));
         match seed.rank_by {
             RankBy::Extent(s) => {
                 let rank = |w| (g.label(w) == s).then(|| g.extent_rank(w));
@@ -625,31 +656,46 @@ impl SimCore<'_> {
             }
             RankBy::Id => withdraw_ranked(adj, |w| Some(w.index()), member, support, removed),
             RankBy::Search => {
-                let rank = |w| nodes.binary_search(&w).ok();
+                let rank = |w| listed.binary_search(&w).ok();
                 withdraw_ranked(adj, rank, member, support, removed)
             }
         }
     }
 
-    /// Drains the removal worklist to fixpoint: each pop touches only
-    /// the removed node's own admitted adjacency per incident pattern
-    /// edge, decrementing the support counters of surviving neighbors
-    /// and cascading when one hits zero.
+    /// Propagates the removals to fixpoint: one ascending scan of each
+    /// variable's flags removes every pending candidate, and after each
+    /// one drains the stack of the cascade it set off.
     fn drain(&mut self) {
+        for v in self.q.vars() {
+            for r in 0..self.seeds[v.index()].member.len() {
+                let m = &mut self.seeds[v.index()].member[r];
+                if *m == Flag::Pending {
+                    *m = Flag::Gone;
+                    self.propagate(v, r);
+                    while let Some((v, r)) = self.stack.pop() {
+                        self.propagate(v, r as usize);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `seed(v)[r]` was removed: touches only its admitted adjacency
+    /// per incident pattern edge, taking one unit of support from each
+    /// surviving neighbor and stacking a neighbor left with none.
+    fn propagate(&mut self, v: VarId, r: usize) {
         let q = self.q;
-        while let Some((v, r)) = self.queue.pop_front() {
-            let u = self.seeds[v.index()].nodes[r as usize];
-            for (ei, e) in q.edges().iter().enumerate() {
-                if e.src == v {
-                    // u left sim(src): admitted edges u → w lose one
-                    // unit of `bwd` support at w.
-                    self.withdraw(u, ei, Direction::Out);
-                }
-                if e.dst == v {
-                    // u left sim(dst): admitted edges t → u lose one
-                    // unit of `fwd` support at t.
-                    self.withdraw(u, ei, Direction::In);
-                }
+        let u = self.seeds[v.index()].node(r);
+        for (ei, e) in q.edges().iter().enumerate() {
+            if e.src == v {
+                // u left sim(src): admitted edges u → w lose one
+                // unit of `bwd` support at w.
+                self.withdraw(u, ei, Direction::Out);
+            }
+            if e.dst == v {
+                // u left sim(dst): admitted edges t → u lose one
+                // unit of `fwd` support at t.
+                self.withdraw(u, ei, Direction::In);
             }
         }
     }
@@ -663,19 +709,19 @@ impl SimCore<'_> {
 fn withdraw_ranked(
     adj: &[Adj],
     rank: impl Fn(NodeId) -> Option<usize>,
-    member: &mut [bool],
+    member: &mut [Flag],
     support: &mut [u32],
     mut removed: impl FnMut(usize),
 ) {
     for a in adj {
-        let Some(r) = rank(a.node).filter(|&r| member[r]) else {
+        let Some(r) = rank(a.node).filter(|&r| member[r] == Flag::Alive) else {
             continue;
         };
         let c = &mut support[r];
         debug_assert!(*c > 0, "support underflow at {:?}", a.node);
         *c -= 1;
         if *c == 0 {
-            member[r] = false;
+            member[r] = Flag::Gone;
             removed(r);
         }
     }
@@ -710,11 +756,12 @@ pub(crate) fn admitted(g: &Graph, u: NodeId, label: PatLabel, dir: Direction) ->
 
 /// The seed of one variable: its label extent narrowed by the optional
 /// scope (ascending — extents and scopes both are), borrowed where it
-/// is an extent or a scope as is.
+/// is an extent or a scope as is, and no list at all for an unscoped
+/// wildcard.
 fn seed<'g>(q: &Pattern, g: &'g Graph, scope: Option<&'g NodeSet>, v: VarId) -> Seed<'g> {
-    let (nodes, rank_by) = match (q.label(v), scope) {
+    let (listed, rank_by) = match (q.label(v), scope) {
         (PatLabel::Sym(s), None) => (Cow::Borrowed(g.extent(s)), RankBy::Extent(s)),
-        (PatLabel::Wildcard, None) => (Cow::Owned(g.nodes().collect()), RankBy::Id),
+        (PatLabel::Wildcard, None) => (Cow::Borrowed(&[][..]), RankBy::Id),
         (PatLabel::Sym(s), Some(r)) => {
             let extent = g.extent(s);
             let narrowed = if r.len() < extent.len() {
@@ -726,32 +773,43 @@ fn seed<'g>(q: &Pattern, g: &'g Graph, scope: Option<&'g NodeSet>, v: VarId) -> 
         }
         (PatLabel::Wildcard, Some(r)) => (Cow::Borrowed(r.as_slice()), RankBy::Search),
     };
-    let member = vec![true; nodes.len()];
+    let len = match rank_by {
+        RankBy::Id => g.node_count(),
+        _ => listed.len(),
+    };
     Seed {
-        nodes,
+        listed,
         rank_by,
-        member,
+        member: vec![Flag::Alive; len],
     }
 }
 
-/// Runs the worklist fixpoint from the seeds, returning the final core
-/// state.
+/// Runs the fixpoint from the seeds, returning the final core state.
 fn simulate_core<'g>(q: &'g Pattern, g: &'g Graph, scope: Option<&'g NodeSet>) -> SimCore<'g> {
+    let mut core = seeded(q, g, scope);
+    // Phase 2: propagate removals to fixpoint.
+    core.drain();
+    core
+}
+
+/// Phase 1 of the fixpoint: the seeds and their support counters, with
+/// every candidate the seeding leaves without support flagged pending.
+fn seeded<'g>(q: &'g Pattern, g: &'g Graph, scope: Option<&'g NodeSet>) -> SimCore<'g> {
     let mut core = SimCore {
         q,
         g,
         seeds: q.vars().map(|v| seed(q, g, scope, v)).collect(),
         fwd: Vec::with_capacity(q.edge_count()),
         bwd: Vec::with_capacity(q.edge_count()),
-        queue: VecDeque::new(),
+        stack: Vec::new(),
     };
 
-    // Phase 1: counters against the full seeds. Removals are only
-    // *scheduled* here so every later decrement is exact.
+    // Counters against the full seeds. A candidate left at zero is
+    // only flagged pending here, so every later decrement is exact.
     let support = |core: &SimCore, near: VarId, far: VarId, label, dir| -> Vec<u32> {
         let far = &core.seeds[far.index()];
-        let seed = core.seeds[near.index()].nodes.iter();
-        seed.map(|&u| {
+        let seed = core.seeds[near.index()].nodes();
+        seed.map(|u| {
             let adj = admitted(g, u, label, dir).iter();
             adj.filter(|a| far.contains(g, a.node)).count() as u32
         })
@@ -764,20 +822,15 @@ fn simulate_core<'g>(q: &'g Pattern, g: &'g Graph, scope: Option<&'g NodeSet>) -
         core.bwd.push(bwd);
     }
     for (ei, e) in q.edges().iter().enumerate() {
-        for r in 0..core.fwd[ei].len() {
-            if core.fwd[ei][r] == 0 {
-                core.remove(e.src, r);
-            }
-        }
-        for r in 0..core.bwd[ei].len() {
-            if core.bwd[ei][r] == 0 {
-                core.remove(e.dst, r);
+        for (v, support) in [(e.src, &core.fwd[ei]), (e.dst, &core.bwd[ei])] {
+            let member = &mut core.seeds[v.index()].member;
+            for (m, &c) in member.iter_mut().zip(support) {
+                if c == 0 {
+                    *m = Flag::Pending;
+                }
             }
         }
     }
-
-    // Phase 2: propagate removals to fixpoint.
-    core.drain();
     core
 }
 
@@ -840,7 +893,7 @@ pub(crate) fn surviving_targets(
 /// one run of admitted, surviving neighbors per candidate in the near
 /// end's final set (`sets`, indexed by variable). The pages are
 /// assembled back to back in the reused buffer `cells` — reserved up
-/// front from the worklist's support counters on this edge (a
+/// front from the fixpoint's support counters on this edge (a
 /// candidate's run length, an upper bound where a wildcard run drops
 /// parallel edges) — and then share one allocation of exactly their
 /// size.
@@ -875,16 +928,17 @@ fn edge_adjacency(
     cells.reserve_exact(sources.len() + targets);
     // One copy of the page loop per rank case of the far end, so the
     // survival test of a neighbor carries no dispatch.
-    let (label, alive) = (e.label, &far.member);
+    let (label, member) = (e.label, &far.member);
+    let alive = |r: usize| member[r] == Flag::Alive;
     match far.rank_by {
         RankBy::Extent(s) => fill_pages(&mut adj, cells, g, sources, label, dir, |w| {
-            g.label(w) == s && alive[g.extent_rank(w)]
+            g.label(w) == s && alive(g.extent_rank(w))
         }),
         RankBy::Id => fill_pages(&mut adj, cells, g, sources, label, dir, |w| {
-            alive[w.index()]
+            alive(w.index())
         }),
         RankBy::Search => fill_pages(&mut adj, cells, g, sources, label, dir, |w| {
-            far.nodes.binary_search(&w).is_ok_and(|r| alive[r])
+            far.listed.binary_search(&w).is_ok_and(alive)
         }),
     }
     assert!(u32::try_from(cells.len()).is_ok(), "page offsets are u32");
@@ -1045,6 +1099,57 @@ mod tests {
         let sim = dual_simulation(&q, &g, None);
         assert_eq!(sim.of(x).len(), 3);
         assert_eq!(sim.of(y).len(), 3);
+    }
+
+    /// A directed path of `n` `v`-nodes under `e`, and the 2-cycle
+    /// `x -e-> y -e-> x` over `v`-variables or wildcards.
+    fn path_and_two_cycle(n: usize, wildcard: bool) -> (Graph, Pattern) {
+        let mut gb = gfd_graph::GraphBuilder::with_fresh_vocab();
+        let ns: Vec<_> = (0..n).map(|_| gb.add_node_labeled("v")).collect();
+        for w in ns.windows(2) {
+            gb.add_edge_labeled(w[0], w[1], "e");
+        }
+        let g = gb.freeze();
+        let mut b = PatternBuilder::new(g.vocab().clone());
+        let (x, y) = match wildcard {
+            true => (b.wildcard_node("x"), b.wildcard_node("y")),
+            false => (b.node("x", "v"), b.node("y", "v")),
+        };
+        b.edge(x, y, "e");
+        b.edge(y, x, "e");
+        let q = b.build();
+        (g, q)
+    }
+
+    /// No node of a path lies on a cycle, so the 2-cycle empties it —
+    /// but the seeding finds only the two ends of the path without
+    /// support, under each variable. Every other candidate leaves
+    /// through the stack, in two cascades that run the whole path.
+    #[test]
+    fn a_path_empties_through_the_stack() {
+        const N: usize = 2000;
+        for wildcard in [false, true] {
+            let (g, q) = path_and_two_cycle(N, wildcard);
+            let mut core = seeded(&q, &g, None);
+            let pending = |core: &SimCore| -> Vec<(usize, NodeId)> {
+                let flagged = core.seeds.iter().enumerate().flat_map(|(v, seed)| {
+                    seed.nodes().zip(&seed.member).map(move |(u, &m)| (v, u, m))
+                });
+                flagged
+                    .filter(|&(_, _, m)| m == Flag::Pending)
+                    .map(|(v, u, _)| (v, u))
+                    .collect()
+            };
+            let ends = [NodeId(0), NodeId(N as u32 - 1)];
+            let want: Vec<_> = (0..2).flat_map(|v| ends.map(|u| (v, u))).collect();
+            assert_eq!(pending(&core), want, "wildcard: {wildcard}");
+            core.drain();
+            assert!(core.stack.is_empty());
+            for seed in &core.seeds {
+                assert_eq!(seed.member.len(), N);
+                assert!(seed.member.iter().all(|&m| m == Flag::Gone));
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //! * a **naive fixpoint dual simulation** — the dense
 //!   `rounds × vars × nodes` re-scan the worklist algorithm replaced —
 //!   must compute exactly the same relation and the same candidate
-//!   adjacency in both directions: unscoped, within a random scope, and
-//!   on snapshots whose extents `apply_delta` rebuilt.
+//!   adjacency in both directions: unscoped, within a random scope,
+//!   on snapshots whose extents `apply_delta` rebuilt, and on a long
+//!   path that a cascade of removals empties end to end.
 //!
 //! On top of them sits the **locality lemma** of §5.2 as a property:
 //! a component's matches pinned at its pivot lie inside the pivot
@@ -365,6 +366,35 @@ fn simulation_after_relabels_and_added_nodes_equals_oracle() {
         }
         Ok(())
     });
+}
+
+/// A deep cascade: on a 2 000-node directed path the 2-cycle
+/// `x -e-> y -e-> x` simulates nowhere, yet the seeding leaves only
+/// the path's two ends without support — every other candidate is
+/// removed by a cascade that runs the length of the path. Over
+/// labelled and over wildcard variables, the relation must be empty
+/// and equal the oracle's.
+#[test]
+fn a_deep_cascade_empties_a_path_like_the_oracle() {
+    const N: usize = 2000;
+    let mut gb = GraphBuilder::with_fresh_vocab();
+    let ns: Vec<NodeId> = (0..N).map(|_| gb.add_node_labeled("v")).collect();
+    for w in ns.windows(2) {
+        gb.add_edge_labeled(w[0], w[1], "e");
+    }
+    let g = gb.freeze();
+    for wildcard in [false, true] {
+        let mut b = PatternBuilder::new(g.vocab().clone());
+        let (x, y) = match wildcard {
+            true => (b.wildcard_node("x"), b.wildcard_node("y")),
+            false => (b.node("x", "v"), b.node("y", "v")),
+        };
+        b.edge(x, y, "e");
+        b.edge(y, x, "e");
+        let q = b.build();
+        assert_eq!(dual_simulation(&q, &g, None).total_size(), 0);
+        simulation_matches_oracle(&q, &g, None).unwrap();
+    }
 }
 
 #[test]
