@@ -190,7 +190,6 @@ pub fn fig6_scale_g(_: &mut Cells) {
     let (g, sigma) = largest.expect("a swept graph");
     let t0 = std::time::Instant::now();
     let budget = SearchBudget {
-        max_matches: None,
         max_steps: Some(50_000_000),
     };
     let (_, complete) = detect_violations_budgeted(&sigma, &g, budget);

@@ -555,10 +555,7 @@ mod tests {
     #[test]
     fn exhausted_budget_is_unknown() {
         let (sigma, phi) = example8();
-        let one_step = SearchBudget {
-            max_matches: None,
-            max_steps: Some(1),
-        };
+        let one_step = SearchBudget { max_steps: Some(1) };
         assert_eq!(decide(&sigma, &phi, one_step), ImplicationOutcome::Unknown);
         assert_eq!(
             implies_checked_budgeted(&sigma, &phi, one_step),

@@ -161,7 +161,6 @@ pub fn check_satisfiability_budgeted(sigma: &GfdSet, budget: SearchBudget) -> Sa
 /// Default budget for reasoning chases: generous, but bounded so
 /// adversarial rule sets cannot hang the analysis.
 pub const DEFAULT_REASONING_BUDGET: SearchBudget = SearchBudget {
-    max_matches: None,
     max_steps: Some(50_000_000),
 };
 
@@ -434,10 +433,7 @@ mod tests {
                 Dependency::always(vec![Literal::const_eq(VarId(0), a, "d")]),
             ),
         ]);
-        let one_step = SearchBudget {
-            max_matches: None,
-            max_steps: Some(1),
-        };
+        let one_step = SearchBudget { max_steps: Some(1) };
         assert!(matches!(
             check_satisfiability_budgeted(&sigma, one_step),
             SatOutcome::Unknown

@@ -724,15 +724,11 @@ mod tests {
     #[test]
     fn budgeted_detection_reports_incompleteness() {
         let (g, sigma) = flights_fixture();
-        let (vio, complete) = detect_violations_budgeted(
-            &sigma,
-            &g,
-            SearchBudget {
-                max_matches: Some(1),
-                max_steps: None,
-            },
-        );
-        assert!(vio.len() <= 1);
+        let (all, complete) = detect_violations_budgeted(&sigma, &g, SearchBudget::UNLIMITED);
+        assert!(complete && !all.is_empty());
+        let one_step = SearchBudget { max_steps: Some(1) };
+        let (vio, complete) = detect_violations_budgeted(&sigma, &g, one_step);
+        assert!(vio.len() < all.len());
         assert!(!complete);
     }
 }

@@ -22,7 +22,9 @@
 //! * label changes carry the base label and the final label, and nodes
 //!   added during the session fold their final label into
 //!   `added_nodes` instead;
-//! * attribute ops keep only the last write per `(node, attribute)`.
+//! * attribute ops keep only the last write per `(node, attribute)`;
+//! * every list is sorted by its key, so one net effect has one
+//!   normal form.
 //!
 //! The producers (`take_delta`, `merge`, `compact`) make this normal
 //! form; every consumer takes a delta as it is.
@@ -40,7 +42,6 @@
 //! [`Graph::apply_delta_in_place`]: crate::Graph::apply_delta_in_place
 //! [`GraphBuilder::apply_delta`]: crate::GraphBuilder::apply_delta
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -269,17 +270,19 @@ pub struct GraphDelta {
     /// Nodes added during the session, with their (final) labels, in
     /// id order.
     pub added_nodes: Vec<(NodeId, Sym)>,
-    /// Edges inserted (net of cancellations after [`normalize`]).
+    /// Edges inserted (net of cancellations after [`normalize`], then
+    /// sorted by `(src, label, dst)`).
     ///
     /// [`normalize`]: GraphDelta::normalize
     pub added_edges: Vec<Edge>,
-    /// Edges deleted (net of cancellations after `normalize`).
+    /// Edges deleted (net of cancellations after `normalize`, sorted
+    /// likewise).
     pub removed_edges: Vec<Edge>,
     /// Relabelings of *base* nodes (added nodes fold into
-    /// `added_nodes`).
+    /// `added_nodes`); after `normalize` one per node, sorted by node.
     pub label_changes: Vec<LabelChange>,
-    /// Attribute writes in application order (one per `(node, attr)`
-    /// after `normalize`, last write wins).
+    /// Attribute writes in application order; after `normalize` the
+    /// last write per `(node, attr)`, sorted by `(node, attr)`.
     pub attr_ops: Vec<AttrOp>,
 }
 
@@ -321,74 +324,53 @@ impl GraphDelta {
     /// Cancels add/remove pairs, coalesces label changes (base label →
     /// final label, dropping identities and folding relabelings of
     /// freshly added nodes into `added_nodes`), and keeps only the last
-    /// write per `(node, attribute)`. Edge lists come out sorted by
-    /// `(src, label, dst)`.
+    /// write per `(node, attribute)`. Every list comes out sorted by
+    /// its key: edges by `(src, label, dst)`, label changes by node,
+    /// attribute writes by `(node, attr)` — so the normal form is
+    /// canonical. Each list is sorted in place: nothing is allocated
+    /// but a stable sort's scratch, which std keeps on the stack for a
+    /// short list.
     ///
     /// Recording only captures successful mutations, so per edge key
-    /// the net effect is `-1`, `0` or `+1`; `normalize` reduces the
-    /// recorded history to that net effect.
+    /// the recorded ops alternate and the net effect is `-1`, `0` or
+    /// `+1`; `normalize` reduces the recorded history to that net
+    /// effect.
     pub fn normalize(mut self) -> Self {
-        // Edges: per (src, dst, label) key the ops alternate
-        // (add/remove of an already-present/absent edge is rejected at
-        // the builder), so net = adds - removes ∈ {-1, 0, +1}.
-        if !self.added_edges.is_empty() || !self.removed_edges.is_empty() {
-            let key = |e: &Edge| (e.src, e.label, e.dst);
-            let mut net: HashMap<(NodeId, Sym, NodeId), i32> = HashMap::new();
-            for e in &self.added_edges {
-                *net.entry(key(e)).or_insert(0) += 1;
-            }
-            for e in &self.removed_edges {
-                *net.entry(key(e)).or_insert(0) -= 1;
-            }
-            self.added_edges.retain(|e| net[&key(e)] > 0);
-            self.added_edges.sort_unstable_by_key(key);
-            self.added_edges.dedup();
-            self.removed_edges.retain(|e| net[&key(e)] < 0);
-            self.removed_edges.sort_unstable_by_key(key);
-            self.removed_edges.dedup();
-        }
+        // Edges: sorted, an add and a remove of one key cancel, and
+        // what is left of a key is one op (its ops alternated, so at
+        // most one is left unless the history repeated an op).
+        self.added_edges.sort_unstable_by_key(edge_key);
+        self.removed_edges.sort_unstable_by_key(edge_key);
+        cancel_pairs(&mut self.added_edges, &mut self.removed_edges);
+        self.added_edges.dedup();
+        self.removed_edges.dedup();
 
-        // Label changes: first old, last new per node; relabelings of
-        // session-added nodes update the added_nodes record instead.
-        if !self.label_changes.is_empty() {
-            let mut coalesced: Vec<LabelChange> = Vec::with_capacity(self.label_changes.len());
-            let mut slot_of: HashMap<NodeId, usize> = HashMap::new();
-            for c in self.label_changes.drain(..) {
-                if c.node.index() >= self.base_nodes {
-                    let slot = c.node.index() - self.base_nodes;
-                    self.added_nodes[slot].1 = c.new;
-                    continue;
-                }
-                match slot_of.entry(c.node) {
-                    Entry::Occupied(slot) => coalesced[*slot.get()].new = c.new,
-                    Entry::Vacant(slot) => {
-                        slot.insert(coalesced.len());
-                        coalesced.push(c);
-                    }
-                }
+        // Label changes: per node the first old and the last new, in a
+        // stable sort's runs; relabelings of session-added nodes update
+        // the added_nodes record instead, and identities drop out.
+        self.label_changes.sort_by_key(|c| c.node);
+        self.label_changes.dedup_by(|later, first| {
+            let same = later.node == first.node;
+            if same {
+                first.new = later.new;
             }
-            coalesced.retain(|c| c.old != c.new);
-            coalesced.sort_unstable_by_key(|c| c.node);
-            self.label_changes = coalesced;
-        }
+            same
+        });
+        let (base, added) = (self.base_nodes, &mut self.added_nodes);
+        self.label_changes
+            .retain(|c| match c.node.index().checked_sub(base) {
+                Some(slot) => {
+                    added[slot].1 = c.new;
+                    false
+                }
+                None => c.old != c.new,
+            });
 
-        // Attributes: last write per (node, attr) wins, kept in first-
-        // occurrence order (application order is then irrelevant). A
-        // single write has nothing to coalesce with.
-        if self.attr_ops.len() > 1 {
-            let mut kept: Vec<AttrOp> = Vec::with_capacity(self.attr_ops.len());
-            let mut slot_of: HashMap<(NodeId, Sym), usize> = HashMap::new();
-            for op in self.attr_ops.drain(..) {
-                match slot_of.entry((op.node, op.attr)) {
-                    Entry::Occupied(slot) => kept[*slot.get()].value = op.value,
-                    Entry::Vacant(slot) => {
-                        slot.insert(kept.len());
-                        kept.push(op);
-                    }
-                }
-            }
-            self.attr_ops = kept;
-        }
+        // Attributes: reversed, the last write per (node, attr) heads
+        // its run of a stable sort, and dedup keeps a run's head.
+        self.attr_ops.reverse();
+        self.attr_ops.sort_by_key(|op| (op.node, op.attr));
+        self.attr_ops.dedup_by_key(|op| (op.node, op.attr));
         self
     }
 
@@ -416,17 +398,27 @@ impl GraphDelta {
     /// batch-compaction primitive of the edit-stream engine: one page
     /// patch and one state repair serve the whole batch, and
     /// re-enumerations pinned at nodes touched by several edits run
-    /// once. The chain is concatenated once and normalized once, so
-    /// the cost is linear in its total size.
+    /// once. Each list of the net delta is reserved once at the
+    /// chain's total, filled once and normalized in place, so the cost
+    /// is linear in the chain's total size (plus the sorts).
     ///
     /// # Panics
     ///
     /// If a delta is not based on its predecessor's result;
     /// [`check_ids`](GraphDelta::check_ids) against the running node
     /// count rules that out for deltas from outside.
-    pub fn compact<'a>(chain: impl IntoIterator<Item = &'a GraphDelta>) -> Option<GraphDelta> {
-        let mut chain = chain.into_iter().peekable();
-        let mut net = GraphDelta::new(chain.peek()?.base_nodes);
+    pub fn compact(chain: &[GraphDelta]) -> Option<GraphDelta> {
+        fn reserved<T>(chain: &[GraphDelta], list: impl Fn(&GraphDelta) -> &Vec<T>) -> Vec<T> {
+            Vec::with_capacity(chain.iter().map(|d| list(d).len()).sum())
+        }
+        let mut net = GraphDelta {
+            base_nodes: chain.first()?.base_nodes,
+            added_nodes: reserved(chain, |d| &d.added_nodes),
+            added_edges: reserved(chain, |d| &d.added_edges),
+            removed_edges: reserved(chain, |d| &d.removed_edges),
+            label_changes: reserved(chain, |d| &d.label_changes),
+            attr_ops: reserved(chain, |d| &d.attr_ops),
+        };
         for delta in chain {
             net.append(delta);
         }
@@ -731,17 +723,40 @@ impl GraphDelta {
     }
 }
 
+/// The order a normalized edge list is sorted in.
+fn edge_key(e: &Edge) -> (NodeId, Sym, NodeId) {
+    (e.src, e.label, e.dst)
+}
+
+/// Drops an add and a remove of one key together, in one merge pass
+/// over two lists sorted by [`edge_key`]; what is left of each keeps
+/// its order.
+fn cancel_pairs(added: &mut Vec<Edge>, removed: &mut Vec<Edge>) {
+    let (mut read, mut kept) = (0, 0);
+    added.retain(|a| {
+        while removed.get(read).is_some_and(|r| edge_key(r) < edge_key(a)) {
+            removed[kept] = removed[read];
+            (read, kept) = (read + 1, kept + 1);
+        }
+        let cancels = removed
+            .get(read)
+            .is_some_and(|r| edge_key(r) == edge_key(a));
+        read += usize::from(cancels);
+        !cancels
+    });
+    removed.drain(kept..read);
+}
+
 /// The first edge `edges` names twice, if any: one pass over a list
 /// sorted by `(src, label, dst)` — the order [`GraphDelta::normalize`]
 /// leaves, so ingest and replay allocate nothing here — and a sorted
 /// copy of any other.
 fn repeated_edge(edges: &[Edge]) -> Option<Edge> {
-    let key = |e: &Edge| (e.src, e.label, e.dst);
-    if edges.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+    if edges.windows(2).all(|w| edge_key(&w[0]) < edge_key(&w[1])) {
         return None;
     }
     let mut sorted = edges.to_vec();
-    sorted.sort_unstable_by_key(key);
+    sorted.sort_unstable_by_key(edge_key);
     sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
@@ -1135,12 +1150,19 @@ mod tests {
         });
         d.attr_ops.push(AttrOp {
             node: NodeId(0),
+            attr: Sym(2),
+            value: Some(Value::Int(2)),
+        });
+        d.attr_ops.push(AttrOp {
+            node: NodeId(0),
             attr: Sym(4),
             value: None,
         });
         let d = d.normalize();
-        assert_eq!(d.attr_ops.len(), 1);
-        assert_eq!(d.attr_ops[0].value, None);
+        // One write per (node, attr), the last, in (node, attr) order.
+        assert_eq!(d.attr_ops.len(), 2);
+        assert_eq!(d.attr_ops[0].attr, Sym(2));
+        assert_eq!(d.attr_ops[1].value, None);
     }
 
     #[test]

@@ -1,16 +1,11 @@
 //! Graph fragmentation for the distributed setting of §6.2.
 //!
 //! A fragmentation `(F_1, …, F_n)` of `G` assigns every node to exactly
-//! one fragment (edges belong to the fragment of their source). Each
-//! fragment tracks its border:
-//!
-//! * **in-nodes** `F_i.I` — nodes of `F_i` that have an incoming edge
-//!   from another fragment;
-//! * **out-nodes** `F_i.O` — nodes in *other* fragments reachable by an
-//!   edge leaving `F_i`.
-//!
-//! The `disVal` algorithm uses border nodes to mark "missing data" in
-//! partial work units and to estimate communication costs.
+//! one fragment (edges belong to the fragment of their source), and it
+//! is that owner map and nothing more. The paper's border sets `F_i.I`
+//! and `F_i.O` are not built: `disVal` prices a unit's shipment by the
+//! owner of each node its footprint reads, which is all it reads of a
+//! fragmentation.
 
 use std::fmt;
 
@@ -47,30 +42,10 @@ pub enum PartitionStrategy {
     BfsClustered,
 }
 
-/// Per-fragment node lists and border sets.
-#[derive(Clone, Debug, Default)]
-pub struct FragmentInfo {
-    /// Nodes owned by this fragment (sorted).
-    pub nodes: Vec<NodeId>,
-    /// `F_i.I`: owned nodes with an incoming cross-fragment edge (sorted).
-    pub in_border: Vec<NodeId>,
-    /// `F_i.O`: foreign nodes reachable by an edge from this fragment (sorted).
-    pub out_border: Vec<NodeId>,
-    /// Number of edges whose source is owned by this fragment.
-    pub edge_count: usize,
-}
-
-impl FragmentInfo {
-    /// `|F_i|` as nodes + owned edges.
-    pub fn size(&self) -> usize {
-        self.nodes.len() + self.edge_count
-    }
-}
-
-/// A complete fragmentation of a graph.
+/// A complete fragmentation of a graph: the fragment owning each node.
 pub struct Fragmentation {
     owner: Vec<FragmentId>,
-    fragments: Vec<FragmentInfo>,
+    n: usize,
 }
 
 impl Fragmentation {
@@ -97,55 +72,24 @@ impl Fragmentation {
     }
 
     /// Builds a fragmentation from an explicit node → fragment map.
+    ///
+    /// # Panics
+    /// Panics unless `owner` names a fragment below `n` for each node
+    /// of `g`.
     pub fn from_owner(g: &Graph, n: usize, owner: Vec<FragmentId>) -> Self {
         assert_eq!(owner.len(), g.node_count());
-        let mut fragments = vec![FragmentInfo::default(); n];
-        for u in g.nodes() {
-            let f = owner[u.index()];
-            fragments[f.index()].nodes.push(u);
-        }
-        for u in g.nodes() {
-            let fu = owner[u.index()];
-            for a in g.out_slice(u) {
-                let v = a.node;
-                fragments[fu.index()].edge_count += 1;
-                let fv = owner[v.index()];
-                if fu != fv {
-                    fragments[fu.index()].out_border.push(v);
-                    fragments[fv.index()].in_border.push(v);
-                }
-            }
-        }
-        for info in &mut fragments {
-            info.in_border.sort_unstable();
-            info.in_border.dedup();
-            info.out_border.sort_unstable();
-            info.out_border.dedup();
-        }
-        Fragmentation { owner, fragments }
+        assert!(owner.iter().all(|f| f.index() < n), "a fragment id past n");
+        Fragmentation { owner, n }
     }
 
     /// Number of fragments `n`.
     pub fn n(&self) -> usize {
-        self.fragments.len()
+        self.n
     }
 
     /// The fragment owning `node`.
     pub fn owner(&self, node: NodeId) -> FragmentId {
         self.owner[node.index()]
-    }
-
-    /// Per-fragment info.
-    pub fn fragment(&self, f: FragmentId) -> &FragmentInfo {
-        &self.fragments[f.index()]
-    }
-
-    /// Iterates over all fragments.
-    pub fn fragments(&self) -> impl Iterator<Item = (FragmentId, &FragmentInfo)> + '_ {
-        self.fragments
-            .iter()
-            .enumerate()
-            .map(|(i, info)| (FragmentId(i as u16), info))
     }
 }
 
@@ -212,37 +156,17 @@ mod tests {
             PartitionStrategy::BfsClustered,
         ] {
             let frag = Fragmentation::partition(&g, 4, strategy);
-            let total: usize = frag.fragments().map(|(_, f)| f.nodes.len()).sum();
-            assert_eq!(total, 20, "{strategy:?}");
-            for u in g.nodes() {
-                let f = frag.owner(u);
-                assert!(frag.fragment(f).nodes.contains(&u));
-            }
+            assert_eq!(frag.n(), 4, "{strategy:?}");
+            assert_eq!(frag.owner.len(), 20, "{strategy:?}");
+            assert!(g.nodes().all(|u| frag.owner(u).index() < 4), "{strategy:?}");
         }
     }
 
     #[test]
-    fn edges_covered_by_fragments() {
+    fn contiguous_ring_cuts_one_edge_per_arc() {
         let g = ring(12);
         let frag = Fragmentation::partition(&g, 3, PartitionStrategy::Contiguous);
-        let total_edges: usize = frag.fragments().map(|(_, f)| f.edge_count).sum();
-        assert_eq!(total_edges, g.edge_count());
-    }
-
-    #[test]
-    fn border_nodes_match_edge_cut() {
-        let g = ring(12);
-        let frag = Fragmentation::partition(&g, 3, PartitionStrategy::Contiguous);
-        // A 12-ring cut into 3 contiguous arcs has 3 cut edges.
         assert_eq!(edge_cut(&frag, &g), 3);
-        for (fid, info) in frag.fragments() {
-            for &b in &info.in_border {
-                assert!(frag.owner(b) == fid, "in-border nodes are local");
-            }
-            for &b in &info.out_border {
-                assert!(frag.owner(b) != fid, "out-border nodes are foreign");
-            }
-        }
     }
 
     #[test]
@@ -257,8 +181,13 @@ mod tests {
     fn fragment_sizes_roughly_balanced() {
         let g = ring(100);
         let frag = Fragmentation::partition(&g, 4, PartitionStrategy::BfsClustered);
-        for (_, info) in frag.fragments() {
-            assert!(info.nodes.len() >= 20 && info.nodes.len() <= 30);
+        let mut sizes = [0usize; 4];
+        for u in g.nodes() {
+            sizes[frag.owner(u).index()] += 1;
         }
+        assert!(
+            sizes.iter().all(|&size| (20..=30).contains(&size)),
+            "{sizes:?}"
+        );
     }
 }

@@ -31,8 +31,8 @@
 //!   (module [`neighborhood`]);
 //! * sorted-slice intersection kernels (merge + galloping) used by the
 //!   matcher's candidate-pool refinement (module [`intersect`]);
-//! * fragmentations `(F_1, …, F_n)` with in-/out-border nodes for the
-//!   distributed setting of §6.2 (module [`fragment`]);
+//! * fragmentations `(F_1, …, F_n)`, as node → fragment owner maps, for
+//!   the distributed setting of §6.2 (module [`fragment`]);
 //! * graph statistics: label frequencies, degrees and the skew ratio
 //!   of Fig. 8 (module [`stats`]);
 //! * a self-contained snapshot form ([`GraphData`], module [`io`]);

@@ -11,7 +11,11 @@
 //! the same attribute) so the cancellation rules are exercised, not
 //! just the happy path.
 
-use gfd_graph::{DeltaError, Edge, Graph, GraphBuilder, GraphDelta, NodeId, Value};
+use std::collections::BTreeMap;
+
+use gfd_graph::{
+    AttrOp, DeltaError, Edge, Graph, GraphBuilder, GraphDelta, LabelChange, NodeId, Sym, Value,
+};
 use gfd_util::{prop::check, prop_assert, Rng};
 
 /// The snapshot's page size (the private `PAGE_NODES` of `graph.rs`,
@@ -161,6 +165,85 @@ fn compacted_batch_equals_raw_sequence() {
             graphs_equal(&folded, &raw)
         },
     );
+}
+
+/// `normalize` against a keyed oracle on raw histories, recorded or
+/// not: per edge key the net count of adds minus removes (one add if
+/// positive, one remove if negative), per base node its first old and
+/// last new label (dropped if equal), per `(node, attr)` the last
+/// write — every list in its key's order.
+#[test]
+fn normalize_equals_the_keyed_oracle() {
+    check("normalize ≡ keyed net effect", cases(200), |rng| {
+        let node = |rng: &mut Rng| NodeId(rng.gen_range(0..4) as u32);
+        let sym = |rng: &mut Rng| Sym(rng.gen_range(0..3) as u32);
+        let mut raw = GraphDelta::new(4);
+        for _ in 0..rng.gen_range(0..24) {
+            let e = Edge {
+                src: node(rng),
+                dst: node(rng),
+                label: sym(rng),
+            };
+            match rng.gen_bool(0.5) {
+                true => raw.added_edges.push(e),
+                false => raw.removed_edges.push(e),
+            }
+        }
+        for _ in 0..rng.gen_range(0..8) {
+            let (node, old, new) = (node(rng), sym(rng), sym(rng));
+            raw.label_changes.push(LabelChange { node, old, new });
+        }
+        for _ in 0..rng.gen_range(0..24) {
+            let (node, attr) = (node(rng), sym(rng));
+            let value = rng
+                .gen_bool(0.8)
+                .then(|| Value::Int(rng.gen_range(0..3) as i64));
+            raw.attr_ops.push(AttrOp { node, attr, value });
+        }
+
+        let key = |e: &Edge| (e.src, e.label, e.dst);
+        let mut net: BTreeMap<_, (i32, Edge)> = BTreeMap::new();
+        for (edges, sign) in [(&raw.added_edges, 1), (&raw.removed_edges, -1)] {
+            for e in edges {
+                net.entry(key(e)).or_insert((0, *e)).0 += sign;
+            }
+        }
+        let netted = |keep: fn(i32) -> bool| -> Vec<Edge> {
+            let kept = net.values().filter(|(count, _)| keep(*count));
+            kept.map(|&(_, e)| e).collect()
+        };
+        let mut labels: BTreeMap<NodeId, LabelChange> = BTreeMap::new();
+        for c in &raw.label_changes {
+            labels.entry(c.node).or_insert_with(|| c.clone()).new = c.new;
+        }
+        let mut writes: BTreeMap<(NodeId, Sym), AttrOp> = BTreeMap::new();
+        for op in &raw.attr_ops {
+            writes.insert((op.node, op.attr), op.clone());
+        }
+
+        let got = raw.clone().normalize();
+        let want_added = netted(|count| count > 0);
+        let want_removed = netted(|count| count < 0);
+        prop_assert!(
+            got.added_edges == want_added && got.removed_edges == want_removed,
+            "edges {:?} / {:?}, oracle {want_added:?} / {want_removed:?}; raw {raw:?}",
+            got.added_edges,
+            got.removed_edges
+        );
+        let want_labels: Vec<_> = labels.into_values().filter(|c| c.old != c.new).collect();
+        prop_assert!(
+            got.label_changes == want_labels,
+            "labels {:?}, oracle {want_labels:?}",
+            got.label_changes
+        );
+        let want_writes: Vec<_> = writes.into_values().collect();
+        prop_assert!(
+            got.attr_ops == want_writes,
+            "writes {:?}, oracle {want_writes:?}",
+            got.attr_ops
+        );
+        Ok(())
+    });
 }
 
 #[test]

@@ -57,8 +57,17 @@ pub struct MatchScratch {
 pub enum EnumOutcome {
     /// All matches were visited.
     Complete,
-    /// Stopped early: by callback, match cap, or step budget.
+    /// Stopped early: by callback or step budget.
     Stopped(StopReason),
+}
+
+impl From<StopReason> for EnumOutcome {
+    fn from(reason: StopReason) -> Self {
+        match reason {
+            StopReason::Exhausted => EnumOutcome::Complete,
+            reason => EnumOutcome::Stopped(reason),
+        }
+    }
 }
 
 /// Smallest seed pool at which the per-call filter turns simulation
@@ -131,7 +140,7 @@ pub fn for_each_match_with(
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> EnumOutcome {
-    enumerate_capped(q, g, opts, &opts.pins, space, scratch, f)
+    enumerate(q, g, opts, &opts.pins, space, scratch, f).into()
 }
 
 /// [`for_each_match_with`] for a registry member: enumerates the
@@ -161,7 +170,7 @@ pub fn for_each_match_in(
     let mut row = std::mem::take(&mut scratch.member_row);
     row.clear();
     row.resize(perm.len(), NodeId(0));
-    let outcome = enumerate_capped(&view.rep, g, opts, &pins, space, scratch, &mut |m| {
+    let reason = enumerate(&view.rep, g, opts, &pins, space, scratch, &mut |m| {
         for (image, &p) in row.iter_mut().zip(perm) {
             *image = m[p as usize];
         }
@@ -169,51 +178,12 @@ pub fn for_each_match_in(
     });
     scratch.rep_pins = pins;
     scratch.member_row = row;
-    outcome
+    reason.into()
 }
 
 /// [`for_each_match_with`] with the pins passed beside `opts` (whose
-/// own are ignored): the match cap, applied in this one place for
+/// own are ignored): pins and the step budget are honored here, for
 /// every path below.
-fn enumerate_capped(
-    q: &Pattern,
-    g: &Graph,
-    opts: &MatchOptions,
-    pins: &[Pin],
-    space: Option<&CandidateSpace>,
-    scratch: &mut MatchScratch,
-    f: &mut dyn FnMut(&[NodeId]) -> Flow,
-) -> EnumOutcome {
-    debug_assert!(
-        std::sync::Arc::ptr_eq(q.vocab(), g.vocab()),
-        "pattern and graph must share a vocabulary"
-    );
-    let cap = opts.budget.max_matches.unwrap_or(usize::MAX);
-    if cap == 0 {
-        return EnumOutcome::Stopped(StopReason::BudgetExhausted);
-    }
-    let mut emitted = 0usize;
-    let mut capped = false;
-    let reason = enumerate(q, g, opts, pins, space, scratch, &mut |m| {
-        emitted += 1;
-        if f(m) == Flow::Break {
-            return Flow::Break;
-        }
-        if emitted >= cap {
-            capped = true;
-            return Flow::Break;
-        }
-        Flow::Continue
-    });
-    match reason {
-        StopReason::Exhausted => EnumOutcome::Complete,
-        StopReason::CallbackBreak if capped => EnumOutcome::Stopped(StopReason::BudgetExhausted),
-        reason => EnumOutcome::Stopped(reason),
-    }
-}
-
-/// [`enumerate_capped`] below the match cap: pins and the step budget
-/// are honored here.
 fn enumerate(
     q: &Pattern,
     g: &Graph,
@@ -223,6 +193,10 @@ fn enumerate(
     scratch: &mut MatchScratch,
     f: &mut dyn FnMut(&[NodeId]) -> Flow,
 ) -> StopReason {
+    debug_assert!(
+        std::sync::Arc::ptr_eq(q.vocab(), g.vocab()),
+        "pattern and graph must share a vocabulary"
+    );
     if q.node_count() == 0 {
         return StopReason::Exhausted; // the empty pattern has no matches
     }
@@ -504,36 +478,6 @@ mod tests {
         let q2 = b.build();
         assert!(!has_match(&q2, &g, &MatchOptions::unrestricted()));
         assert_eq!(count_matches(&q2, &g, &MatchOptions::unrestricted()), 0);
-    }
-
-    #[test]
-    fn match_cap_is_respected() {
-        let (g, _) = flights();
-        let mut b = PatternBuilder::new(g.vocab().clone());
-        b.wildcard_node("x");
-        let q = b.build();
-        let opts = MatchOptions::unrestricted().with_budget(crate::types::SearchBudget::matches(3));
-        let ms = find_matches(&q, &g, &opts);
-        assert_eq!(ms.len(), 3);
-    }
-
-    /// A cap of 0 admits no match: the callback must never run, on
-    /// the connected (streaming) and the disconnected (join) path.
-    #[test]
-    fn match_cap_zero_emits_nothing() {
-        let (g, _) = flights();
-        let mut b = PatternBuilder::new(g.vocab().clone());
-        b.node("x", "city");
-        let connected = b.build();
-        let opts = MatchOptions::unrestricted().with_budget(crate::types::SearchBudget::matches(0));
-        for q in [connected, q1(g.vocab().clone())] {
-            assert!(has_match(&q, &g, &MatchOptions::unrestricted()));
-            assert_eq!(count_matches(&q, &g, &opts), 0);
-            let outcome = for_each_match(&q, &g, &opts, &mut |_| {
-                panic!("callback invoked under a match cap of 0")
-            });
-            assert_eq!(outcome, EnumOutcome::Stopped(StopReason::BudgetExhausted));
-        }
     }
 
     #[test]

@@ -46,8 +46,8 @@
 //!    same scan that builds the runs; the rounds stop when one admits
 //!    nothing. Then the sorted sets are merged in place. The report is
 //!    netted: a member that lost its only support in stage 2 and is
-//!    rescued by a closure pair left and re-entered, and appears in
-//!    neither list; one rescued by an added edge to another *member*
+//!    rescued by a closure pair left and re-entered, and counts in
+//!    neither direction; one rescued by an added edge to another *member*
 //!    never left, because stage 1 applies additions before stage 2
 //!    cascades.
 //!
@@ -106,10 +106,10 @@ use crate::simulation::{
 /// What one [`IncrementalSpace::apply_normalized`] changed in the relation.
 #[derive(Clone, Debug, Default)]
 pub struct RepairReport {
-    /// Pairs `(var, node)` that entered the relation.
-    pub added: Vec<(VarId, NodeId)>,
-    /// Pairs `(var, node)` that left the relation.
-    pub removed: Vec<(VarId, NodeId)>,
+    /// How many pairs `(var, node)` entered the relation.
+    pub added: usize,
+    /// How many pairs `(var, node)` left the relation.
+    pub removed: usize,
     /// Payload cells the run edits wrote and dropped, one per run and
     /// one per target, as [`CandidateSpace::approx_bytes`] counts them.
     pub cells_added: usize,
@@ -119,7 +119,7 @@ pub struct RepairReport {
 impl RepairReport {
     /// True if the repair left every candidate set unchanged.
     pub fn is_unchanged(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
+        self.added == 0 && self.removed == 0
     }
 
     /// True when some run of the per-pattern-edge candidate adjacency
@@ -137,8 +137,8 @@ impl RepairReport {
     /// are one [`NodeId`] each — so a consumer keeps that count current
     /// without walking the pages.
     pub fn byte_delta(&self) -> isize {
-        let grew = self.cells_added + self.added.len();
-        let shrank = self.cells_removed + self.removed.len();
+        let grew = self.cells_added + self.added;
+        let shrank = self.cells_removed + self.removed;
         (grew as isize - shrank as isize) * std::mem::size_of::<NodeId>() as isize
     }
 }
@@ -431,8 +431,8 @@ impl IncrementalSpace {
     /// [`GraphDelta::merge`] or [`GraphDelta::compact`]) made it
     /// normalized. The run edits rely on the normalization invariants
     /// (net edge ops, coalesced label changes), so a raw mutation log
-    /// here corrupts the relation. Returns which pairs entered/left
-    /// the relation.
+    /// here corrupts the relation. Returns how many pairs entered and
+    /// left the relation, and how many run cells moved.
     pub fn apply_normalized(&mut self, g: &Graph, d: &GraphDelta) -> RepairReport {
         let (q, scope, sc) = (&self.q, self.scope.as_ref(), &mut self.scratch);
         // In-place repair when nobody shares the space; copy-on-write
@@ -620,7 +620,7 @@ impl IncrementalSpace {
                 // is still in its (not yet merged) set: it never moved.
                 if space.sets[v.index()].binary_search(&u).is_err() {
                     sc.added_by_var[v.index()].push(u);
-                    report.added.push((v, u));
+                    report.added += 1;
                 }
             }
             round = n;
@@ -629,7 +629,7 @@ impl IncrementalSpace {
         for &(v, u) in &sc.left {
             if !sc.is_live(v, u) {
                 sc.lost_by_var[v.index()].push(u);
-                report.removed.push((v, u));
+                report.removed += 1;
             }
         }
         for (v, set) in space.sets.iter_mut().enumerate() {
@@ -704,8 +704,7 @@ mod tests {
         });
         let report = inc.apply_normalized(&g2, &delta);
         // Killing the b1→c1 edge empties the whole relation.
-        assert_eq!(report.removed.len(), 3);
-        assert!(report.added.is_empty());
+        assert_eq!((report.added, report.removed), (0, 3));
         assert!(inc.space().is_empty_anywhere());
         assert_matches_scratch(&inc, &g2);
     }
@@ -720,10 +719,10 @@ mod tests {
             b.add_edge_labeled(b2, c2, "e");
         });
         let report = inc.apply_normalized(&g2, &delta);
-        assert!(report.removed.is_empty());
-        assert!(report.added.contains(&(VarId(0), a2)));
-        assert!(report.added.contains(&(VarId(1), b2)));
-        assert!(report.added.contains(&(VarId(2), c2)));
+        assert_eq!((report.added, report.removed), (3, 0));
+        assert!(inc.contains(VarId(0), a2));
+        assert!(inc.contains(VarId(1), b2));
+        assert!(inc.contains(VarId(2), c2));
         assert_matches_scratch(&inc, &g2);
     }
 
@@ -748,7 +747,7 @@ mod tests {
     /// removes a node's only support edge AND inserts a replacement.
     /// The deletion empties the node's run and it leaves — but the
     /// insertion brings its new support in and the node back with it,
-    /// so it must survive the repair and the report must not list it.
+    /// so it must survive the repair and the report must not count it.
     #[test]
     fn rewire_within_one_delta_keeps_support() {
         let (g, [a1, b1, _, _, _, c2]) = chain();
@@ -766,11 +765,12 @@ mod tests {
         let report = inc.apply_normalized(&g2, &delta);
         assert!(inc.contains(VarId(0), a1), "a1 must keep its support");
         assert!(inc.contains(VarId(1), b1), "b1 was rewired, not orphaned");
-        assert!(report.added.contains(&(VarId(2), c2)));
+        assert!(inc.contains(VarId(2), c2));
+        assert!(!inc.contains(VarId(2), NodeId(2)));
         // Netted: a1 and b1 left with the deletion and re-entered with
-        // a closure, so only what really moved is listed.
-        assert_eq!(report.removed, vec![(VarId(2), NodeId(2))]);
-        assert_eq!(report.added.len(), 2, "the fresh b node and c2");
+        // a closure, so only what really moved is counted: c1 left, the
+        // fresh b node and c2 entered.
+        assert_eq!((report.added, report.removed), (2, 1));
         assert_matches_scratch(&inc, &g2);
     }
 
@@ -802,8 +802,9 @@ mod tests {
         let (first, second) = inc.scratch.closure.split_at(2);
         assert!(first.contains(&(y, b2)) && first.contains(&(y, b6)));
         assert_eq!(second, [(x, a2)]);
-        assert_eq!(report.added, vec![(y, b2), (x, a2)]);
-        assert!(report.removed.is_empty());
+        assert_eq!((report.added, report.removed), (2, 0));
+        assert!(inc.contains(y, b2) && inc.contains(x, a2));
+        assert!(!inc.contains(y, b6));
         assert_matches_scratch(&inc, &g2);
     }
 

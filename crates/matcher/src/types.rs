@@ -31,29 +31,17 @@ impl std::borrow::Borrow<[NodeId]> for Match {
 
 /// A cap on search effort, so that adversarial inputs cannot hang the
 /// sequential validator (the paper's `detVio` is exponential; Exp-1
-/// reports it failing to terminate).
+/// reports it failing to terminate). It counts backtracking steps; a
+/// caller that wants fewer matches breaks out of the callback.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchBudget {
-    /// Stop after this many matches have been emitted.
-    pub max_matches: Option<usize>,
     /// Stop after this many backtracking steps.
     pub max_steps: Option<u64>,
 }
 
 impl SearchBudget {
-    /// No limits.
-    pub const UNLIMITED: SearchBudget = SearchBudget {
-        max_matches: None,
-        max_steps: None,
-    };
-
-    /// Limit on emitted matches only.
-    pub fn matches(n: usize) -> Self {
-        SearchBudget {
-            max_matches: Some(n),
-            max_steps: None,
-        }
-    }
+    /// No limit.
+    pub const UNLIMITED: SearchBudget = SearchBudget { max_steps: None };
 }
 
 impl Default for SearchBudget {
@@ -149,8 +137,10 @@ mod tests {
     fn options_builders() {
         let opts = MatchOptions::unrestricted()
             .pin(VarId(0), NodeId(3))
-            .with_budget(SearchBudget::matches(10));
+            .with_budget(SearchBudget {
+                max_steps: Some(10),
+            });
         assert_eq!(opts.pins, vec![Pin::at(VarId(0), NodeId(3))]);
-        assert_eq!(opts.budget.max_matches, Some(10));
+        assert_eq!(opts.budget.max_steps, Some(10));
     }
 }

@@ -450,7 +450,6 @@ fn pinned_enumeration_is_neighborhood_bounded() {
                 let opts = MatchOptions {
                     pins: vec![pin],
                     budget: SearchBudget {
-                        max_matches: None,
                         max_steps: Some(steps),
                     },
                 };

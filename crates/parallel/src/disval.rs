@@ -1,10 +1,13 @@
 //! `disVal` — parallel error detection on a fragmented graph
 //! (§6.2, Theorem 11).
 //!
-//! `G` is partitioned into fragments `(F_1, …, F_n)`, one per worker,
-//! with border-node bookkeeping. Error detection becomes a
-//! *bi-criteria* problem: balance the workload **and** minimize the
-//! data shipped to evaluate units whose data straddles fragments.
+//! `G` is partitioned into fragments `(F_1, …, F_n)`, one per worker.
+//! No border-node bookkeeping: the paper's sets `F_i.I` and `F_i.O`
+//! are not kept, because a unit's shipment is priced by the owner of
+//! each node its footprint reads, and that owner map is all `disVal`
+//! reads of a fragmentation. Error detection becomes a *bi-criteria*
+//! problem: balance the workload **and** minimize the data shipped to
+//! evaluate units whose data straddles fragments.
 //!
 //! Procedure `disPar` estimates partial work units per fragment,
 //! assembles complete units at the coordinator, and assigns them with

@@ -17,14 +17,15 @@
 //!   `advance` makes the first arrival apply the repair; the
 //!   laggard's call at an epoch already passed is a no-op).
 
-use std::collections::HashSet;
+mod common;
+
 use std::sync::Arc;
 use std::thread;
 
+use common::{random_batch, social, vio_set};
 use gfd_core::validate::detect_violations;
-use gfd_core::{Dependency, Gfd, GfdSet, Literal, Violation};
-use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId, Value, Vocab};
-use gfd_match::Match;
+use gfd_core::{Dependency, Gfd, GfdSet, Literal};
+use gfd_graph::Vocab;
 use gfd_parallel::workload::plan_rules;
 use gfd_parallel::{
     estimate_workload_in, run_units_threaded_report, ClassRegistry, ServiceConfig,
@@ -32,28 +33,6 @@ use gfd_parallel::{
 };
 use gfd_pattern::PatternBuilder;
 use gfd_util::Rng;
-
-fn social(n: usize) -> Graph {
-    let mut g = GraphBuilder::with_fresh_vocab();
-    let blogs: Vec<_> = (0..n)
-        .map(|i| {
-            let b = g.add_node_labeled("blog");
-            g.set_attr_named(
-                b,
-                "keyword",
-                Value::str(if i % 3 == 0 { "spam" } else { "ok" }),
-            );
-            b
-        })
-        .collect();
-    for i in 0..n {
-        let a = g.add_node_labeled("account");
-        g.set_attr_named(a, "is_fake", Value::Bool(i % 4 == 0));
-        g.add_edge_labeled(a, blogs[i], "post");
-        g.add_edge_labeled(a, blogs[(i + 1) % n], "like");
-    }
-    g.freeze()
-}
 
 /// Three rules in two isomorphism classes, chosen so the registry's
 /// sharing machinery is all load-bearing: the two-component symmetric
@@ -106,51 +85,6 @@ fn rules(vocab: Arc<Vocab>) -> GfdSet {
         ),
     );
     GfdSet::new(vec![spam, liker, twins])
-}
-
-/// One batch of chained edit deltas on the shadow (the soak's edit
-/// model): a small slot pool of rule-relevant edge and attribute
-/// flips.
-fn random_batch(rng: &mut Rng, g: &Graph, len: usize) -> (Graph, Vec<GraphDelta>) {
-    let mut cur = g.edit(|_| {});
-    let mut deltas = Vec::with_capacity(len);
-    for _ in 0..len {
-        let n = cur.node_count();
-        let s = NodeId(rng.gen_range(0..n) as u32);
-        let d = NodeId(rng.gen_range(0..n) as u32);
-        let kind = rng.gen_range(0..6);
-        let spam = rng.gen_bool(0.5);
-        let fake = rng.gen_bool(0.5);
-        let (next, delta) = cur.edit_with_delta(|b| match kind {
-            0 => {
-                b.add_edge_labeled(s, d, "post");
-            }
-            1 => {
-                b.remove_edge_labeled(s, d, "post");
-            }
-            2 => {
-                b.add_edge_labeled(s, d, "like");
-            }
-            3 => {
-                b.remove_edge_labeled(s, d, "like");
-            }
-            4 => {
-                let a = b.vocab().intern("keyword");
-                b.set_attr(s, a, Value::str(if spam { "spam" } else { "ok" }));
-            }
-            _ => {
-                let a = b.vocab().intern("is_fake");
-                b.set_attr(s, a, Value::Bool(fake));
-            }
-        });
-        cur = next;
-        deltas.push(delta);
-    }
-    (cur, deltas)
-}
-
-fn vio_set(vs: Vec<Violation>) -> HashSet<(usize, Match)> {
-    vs.into_iter().map(|v| (v.rule, v.mapping)).collect()
 }
 
 #[test]
