@@ -44,22 +44,67 @@ use gfd_parallel::wal::{self, SyncPolicy, WalWriter};
 use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
 use gfd_pattern::PatternBuilder;
 use gfd_util::alloc::{
-    allocated_bytes, allocation_count, live_bytes, min_allocation_delta, CountingAlloc,
+    allocation_count, thread_allocated_bytes, thread_allocation_count, thread_live_bytes,
+    CountingAlloc,
 };
 use gfd_util::TempDir;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The allocation counter is process-global and `cargo test` runs this
-/// file's tests on parallel threads: each test holds this lock so a
-/// neighbor's warm-up never lands inside its measured rounds.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+// Every gate reads its own thread's counters, once: `cargo test` runs
+// the gates on parallel threads, and what a neighbour (or the harness)
+// allocates meanwhile never lands in a measurement.
 
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    // A failed neighbor poisons the lock; the unit value cannot be
-    // left half-updated, so keep measuring.
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+/// What `f` returns and the allocations this thread made while it ran.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = thread_allocation_count();
+    let result = f();
+    (result, thread_allocation_count() - before)
+}
+
+/// What `f` returns and the bytes this thread asked the allocator for
+/// while it ran.
+fn bytes_requested<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = thread_allocated_bytes();
+    let result = f();
+    (result, thread_allocated_bytes() - before)
+}
+
+/// The isolation gate: a gate counts its own thread, and only it. A
+/// buffer this thread allocates reads one allocation. A spawned thread
+/// allocates in a loop while this one measures a no-op — a wait for a
+/// thousand of the neighbour's allocations: the thread count reads
+/// zero, the process-wide count does not. A process-wide counter in a
+/// gate's place reads the neighbour's thousand.
+#[test]
+fn a_gate_counts_only_its_own_thread() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let (_, own) = allocations(|| std::hint::black_box(vec![0u8; 64]));
+    assert_eq!(own, 1, "this thread's own buffer");
+    let (stop, rounds) = (AtomicBool::new(false), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(vec![0u8; 64]);
+                rounds.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let process = allocation_count();
+        let ((), mine) = allocations(|| {
+            let start = rounds.load(Ordering::Relaxed);
+            while rounds.load(Ordering::Relaxed) < start + 1000 {
+                std::hint::spin_loop();
+            }
+        });
+        let process = allocation_count() - process;
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(mine, 0, "a no-op read {mine} allocations on its own thread");
+        assert!(
+            process >= 1000,
+            "premise: the neighbour allocated meanwhile ({process} process-wide)"
+        );
+    });
 }
 
 /// A clean flight fleet (distinct ids → no violations): the
@@ -180,7 +225,6 @@ fn same_id_same_dest_in_order(vocab: Arc<Vocab>, order: [usize; 6]) -> Gfd {
 /// CSR in the detector's buffers and allocates nothing.
 #[test]
 fn warm_epoch_allocates_per_group_not_per_rule() {
-    let _serial = serial();
     let orders = [
         [0, 1, 2, 3, 4, 5],
         [5, 4, 3, 2, 1, 0],
@@ -205,9 +249,8 @@ fn warm_epoch_allocates_per_group_not_per_rule() {
             // every id distinct.
             let fresh = Value::str(&format!("FRESH{i}"));
             let (next, delta) = g.edit_with_delta(|b| b.set_attr(NodeId(1), val, fresh));
-            let (before, searches) = (allocation_count(), det.enumerations());
-            let diff = det.apply_diff(&next, &delta);
-            let allocations = allocation_count() - before;
+            let searches = det.enumerations();
+            let (diff, allocations) = allocations(|| det.apply_diff(&next, &delta));
             assert!(diff.is_empty(), "premise: the write changes no violation");
             assert_eq!(
                 det.enumerations() - searches,
@@ -221,14 +264,13 @@ fn warm_epoch_allocates_per_group_not_per_rule() {
         for i in 0..3 {
             epoch(i);
         }
-        let warm = (3..8).map(epoch).min().expect("five measured epochs");
+        let warm = epoch(3);
         assert!(
             det.verify_rule(0, &g),
             "premise: the maintained state is exact"
         );
-        // The minimum of three calls, as for the epochs: the harness
-        // spawns the next test's thread while this one measures.
-        let oracle = min_allocation_delta(3, || assert!(det.verify_rule(0, &g)));
+        let (exact, oracle) = allocations(|| det.verify_rule(0, &g));
+        assert!(exact);
         (warm, oracle)
     };
     let ((one, oracle_one), (eight, oracle_eight)) = (per_epoch(1), per_epoch(8));
@@ -258,7 +300,6 @@ const EPOCH_ALLOCATIONS: u64 = 0;
 /// proportion to the vocabulary on every frame of a real log.
 #[test]
 fn warm_wal_append_allocates_nothing() {
-    let _serial = serial();
     let g = clean_flights(40);
     let stamp = g.vocab().intern("stamp");
     let dir = TempDir::new("gfd-alloc-append").unwrap();
@@ -277,7 +318,7 @@ fn warm_wal_append_allocates_nothing() {
     };
     // Warm-up: sizes the frame buffer.
     append();
-    let allocations = min_allocation_delta(5, append);
+    let ((), allocations) = allocations(append);
     assert_eq!(
         allocations, 0,
         "a warm append that interns no name made {allocations} allocations"
@@ -286,7 +327,6 @@ fn warm_wal_append_allocates_nothing() {
 
 #[test]
 fn warm_execute_unit_allocates_nothing() {
-    let _serial = serial();
     // More flights than a rule has ranges: every unit holds several
     // pivots.
     let g = clean_flights(160);
@@ -324,13 +364,12 @@ fn warm_execute_unit_allocates_nothing() {
     // scratch buffer.
     run_all(&mut scratch, &mut out);
     assert!(out.is_empty(), "premise: the clean fleet has no violations");
-    assert!(registry.simulations() == 1 && allocation_count() > 0);
+    assert_eq!(registry.simulations(), 1);
 
     // Steady state: every unit reads the resident class space and
     // refills warm scratch tables; the loop over ALL units must not
-    // allocate. Minimum over rounds guards against unrelated harness
-    // threads.
-    let delta = min_allocation_delta(5, || run_all(&mut scratch, &mut out));
+    // allocate.
+    let ((), delta) = allocations(|| run_all(&mut scratch, &mut out));
     assert_eq!(
         delta,
         0,
@@ -354,7 +393,6 @@ fn warm_execute_unit_allocates_nothing() {
 /// space it reads was paid for by worker A.
 #[test]
 fn warm_cross_worker_registry_hit_allocates_nothing() {
-    let _serial = serial();
     let g = clean_flights(40);
     let sigma = GfdSet::new(vec![same_id_same_dest(g.vocab().clone())]);
     let plan = plan_rules(&sigma);
@@ -381,7 +419,7 @@ fn warm_cross_worker_registry_hit_allocates_nothing() {
         }
     };
     run_b(&mut scratch_b, &mut out);
-    let delta = min_allocation_delta(5, || run_b(&mut scratch_b, &mut out));
+    let ((), delta) = allocations(|| run_b(&mut scratch_b, &mut out));
     assert_eq!(delta, 0, "a second worker's warm pass must not allocate");
     assert_eq!(
         registry.simulations(),
@@ -399,7 +437,6 @@ fn warm_cross_worker_registry_hit_allocates_nothing() {
 /// registry's cached space and plan.
 #[test]
 fn warm_counting_allocates_nothing() {
-    let _serial = serial();
     // Raw mode: a star pattern (fewer edges than nodes) keeps the
     // per-call filter off, so no candidate space is built.
     let g = clean_flights(8);
@@ -414,12 +451,8 @@ fn warm_counting_allocates_nothing() {
     let mut scratch = MatchScratch::default();
     let expected = count_matches_with(&star, &g, &opts, None, &mut scratch);
     assert_eq!(expected, 8, "premise: one star per flight");
-    let delta = min_allocation_delta(5, || {
-        assert_eq!(
-            count_matches_with(&star, &g, &opts, None, &mut scratch),
-            expected
-        );
-    });
+    let (count, delta) = allocations(|| count_matches_with(&star, &g, &opts, None, &mut scratch));
+    assert_eq!(count, expected);
     assert_eq!(
         delta, 0,
         "warm raw-mode counting must perform zero heap allocations"
@@ -455,12 +488,8 @@ fn warm_counting_allocates_nothing() {
     let space = Some(&*view.space);
     let warm = count_matches_with(&path, &g2, &opts, space, &mut scratch);
     assert_eq!(warm, per_layer * per_layer);
-    let delta = min_allocation_delta(5, || {
-        assert_eq!(
-            count_matches_with(&path, &g2, &opts, space, &mut scratch),
-            warm
-        );
-    });
+    let (count, delta) = allocations(|| count_matches_with(&path, &g2, &opts, space, &mut scratch));
+    assert_eq!(count, warm);
     assert_eq!(
         delta, 0,
         "warm space-mode counting must perform zero heap allocations"
@@ -475,7 +504,6 @@ fn warm_counting_allocates_nothing() {
 /// and for a twin reading through its permutation alike.
 #[test]
 fn warm_plan_execution_allocates_nothing() {
-    let _serial = serial();
     // A skewed cyclic workload: a dense a→b layer, per-index b→c
     // edges, and a handful of c→a closures — triangles exist but are
     // rare relative to the frontier.
@@ -541,26 +569,16 @@ fn warm_plan_execution_allocates_nothing() {
         2 * closures,
         "premise: one triangle per closure, per member"
     );
-    assert!(allocation_count() > 0);
 
     // Steady state: warm space, high-water scratch — the entire
     // enumeration must be allocation-free.
-    let delta = min_allocation_delta(5, || {
-        assert_eq!(count(&mut scratch), expected);
-    });
+    let (again, delta) = allocations(|| count(&mut scratch));
+    assert_eq!(again, expected);
     assert_eq!(
         delta, 0,
         "warm space-mode enumeration must perform zero heap allocations \
          ({delta} allocations per enumeration)"
     );
-}
-
-/// What `f` returns and the bytes the allocator was asked for while
-/// it ran.
-fn bytes_requested<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = allocated_bytes();
-    let result = f();
-    (result, allocated_bytes() - before)
 }
 
 /// The O(delta) snapshot gate: a successor snapshot shares every page
@@ -576,7 +594,6 @@ fn bytes_requested<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// of a bystander hub or of a page's other tuples the last two.
 #[test]
 fn apply_delta_allocates_by_the_delta_not_the_graph() {
-    let _serial = serial();
     let g = synthetic_graph(&SynthConfig::sized(20_000, 7));
     let n = g.node_count();
     let builder = g.thaw();
@@ -677,7 +694,6 @@ fn apply_delta_allocates_by_the_delta_not_the_graph() {
 /// whose run the copying form requests whole per epoch.
 #[test]
 fn an_owned_snapshot_edits_in_place() {
-    let _serial = serial();
     let mut g = reallife_graph(&RealLifeConfig {
         scale: 0.5,
         ..RealLifeConfig::new(RealLifeKind::Pokec)
@@ -713,11 +729,11 @@ fn an_owned_snapshot_edits_in_place() {
     // page, and the first write adds `stamp` to the tuple.
     g.apply_delta_in_place(&add);
     g.apply_delta_in_place(&remove);
-    let before = allocation_count();
-    for round in 0..16 {
-        g.apply_delta_in_place(if round % 2 == 0 { &add } else { &remove });
-    }
-    let allocations = allocation_count() - before;
+    let ((), allocations) = allocations(|| {
+        for round in 0..16 {
+            g.apply_delta_in_place(if round % 2 == 0 { &add } else { &remove });
+        }
+    });
     assert_eq!(g.in_degree(hub), degree);
     assert_eq!(g.attr(into_hub.src, stamp), Some(&Value::Int(0)));
     assert_eq!(
@@ -734,7 +750,6 @@ fn an_owned_snapshot_edits_in_place() {
 /// reallocates on the second.
 #[test]
 fn a_copied_page_has_room_for_the_next_epoch() {
-    let _serial = serial();
     let mut g = synthetic_graph(&SynthConfig::sized(20_000, 7));
     let n = g.node_count();
     let label = g.edges().next().expect("the graph has edges").label;
@@ -758,9 +773,7 @@ fn a_copied_page_has_room_for_the_next_epoch() {
 
     let pin = g.clone();
     g.apply_delta_in_place(&first);
-    let before = allocation_count();
-    g.apply_delta_in_place(&second);
-    let allocations = allocation_count() - before;
+    let ((), allocations) = allocations(|| g.apply_delta_in_place(&second));
     assert!(g.has_edge(edge(1).src, edge(1).dst, label));
     assert!(
         !pin.has_edge(edge(0).src, edge(0).dst, label),
@@ -783,7 +796,6 @@ fn a_copied_page_has_room_for_the_next_epoch() {
 /// vocabulary snapshot, with no copy of the frame or of the graph.
 #[test]
 fn recovery_requests_by_the_log_not_the_epochs() {
-    let _serial = serial();
     let g = synthetic_graph(&SynthConfig::sized(20_000, 7));
     let n = g.node_count();
     let label = g.edges().next().expect("the graph has edges").label;
@@ -856,7 +868,6 @@ fn recovery_requests_by_the_log_not_the_epochs() {
 /// doubling, overshoot both limits.
 #[test]
 fn a_batch_compacts_into_one_allocation_per_list() {
-    let _serial = serial();
     let g = clean_flights(8);
     let (stamp, seen) = (g.vocab().intern("stamp"), g.vocab().intern("seen"));
     let (town, village) = (g.vocab().intern("town"), g.vocab().intern("village"));
@@ -913,7 +924,7 @@ fn a_batch_compacts_into_one_allocation_per_list() {
         shadow.attr(NodeId(1), seen)
     );
 
-    let allocations = min_allocation_delta(5, || drop(GraphDelta::compact(&batch)));
+    let (_, allocations) = allocations(|| GraphDelta::compact(&batch));
     let (_, bytes) = bytes_requested(|| GraphDelta::compact(&batch));
     assert!(
         allocations <= non_empty,
@@ -936,7 +947,6 @@ fn a_batch_compacts_into_one_allocation_per_list() {
 /// overshoots both limits by orders of magnitude.
 #[test]
 fn warm_space_repair_allocates_by_the_delta() {
-    let _serial = serial();
     let g = reallife_graph(&RealLifeConfig {
         scale: 0.2,
         ..RealLifeConfig::new(RealLifeKind::Pokec)
@@ -1023,7 +1033,6 @@ fn warm_space_repair_allocates_by_the_delta() {
 /// lacks.
 #[test]
 fn an_added_edge_requests_by_its_demand_not_its_reach() {
-    let _serial = serial();
     let g = reallife_graph(&RealLifeConfig {
         scale: 0.5,
         seed: 0xBEEF,
@@ -1079,7 +1088,6 @@ fn an_added_edge_requests_by_its_demand_not_its_reach() {
 /// the excess.
 #[test]
 fn a_detector_starts_at_the_cost_of_detvio() {
-    let _serial = serial();
     let plain = reallife_graph(&RealLifeConfig {
         scale: 0.2,
         ..RealLifeConfig::new(RealLifeKind::Pokec)
@@ -1159,13 +1167,12 @@ fn padded_chains(padding: usize) -> (Graph, gfd_pattern::Pattern) {
 /// nodes — overshoots the limit a hundredfold.
 #[test]
 fn a_class_retains_its_candidates_not_the_graph() {
-    let _serial = serial();
     const N: usize = 4096;
     let retained = |padding: usize| {
         let (g, q) = padded_chains(padding);
-        let before = live_bytes();
+        let before = thread_live_bytes();
         let inc = IncrementalSpace::new(&q, &g, None);
-        let held = live_bytes() - before;
+        let held = (thread_live_bytes() - before) as u64;
         assert_eq!(
             inc.space().total_size(),
             300,
@@ -1195,7 +1202,6 @@ fn a_class_retains_its_candidates_not_the_graph() {
 /// for each of the 15·N extra nodes — overshoot that by megabytes.
 #[test]
 fn a_simulation_requests_by_its_seeds_not_the_graph() {
-    let _serial = serial();
     const N: usize = 4096;
     let requested = |padding: usize| {
         let (g, q) = padded_chains(padding);
@@ -1238,7 +1244,6 @@ fn a_simulation_requests_by_its_seeds_not_the_graph() {
 /// fixpoint requests 46 352 B.
 #[test]
 fn a_simulation_requests_no_slot_per_removal() {
-    let _serial = serial();
     const A: usize = 8192;
     const B: usize = 64;
     let mut b = gfd_graph::GraphBuilder::with_fresh_vocab();
@@ -1281,7 +1286,6 @@ fn a_simulation_requests_no_slot_per_removal() {
 /// with every class puts the ratio in the tens.
 #[test]
 fn the_registry_counts_what_it_holds() {
-    let _serial = serial();
     /// Patterns, canonical form, plan and map entries of one class.
     const PER_CLASS_BYTES: u64 = 4 << 10;
     let g = reallife_graph(&RealLifeConfig {
@@ -1304,9 +1308,9 @@ fn the_registry_counts_what_it_holds() {
     let (accounted, classes) = (registry.bytes() as u64, registry.class_count() as u64);
     assert!(registry.simulations() >= 5 && accounted > 0);
     drop(detector);
-    let before = live_bytes();
+    let before = thread_live_bytes();
     drop(registry);
-    let held = before - live_bytes();
+    let held = (before - thread_live_bytes()) as u64;
     let ratio = held.saturating_sub(classes * PER_CLASS_BYTES) as f64 / accounted as f64;
     eprintln!("registry: {classes} classes hold {held} B, account {accounted} B, ratio {ratio:.2}");
     // Measured 1.55 when written (21.6 with a dense worklist core kept

@@ -1274,9 +1274,9 @@ fn page_of(spine: &mut [Arc<AdjPage>], node: NodeId) -> (&mut AdjPage, usize) {
 /// same entries inline in every page. Two ways of building one graph
 /// (a freeze, a chain of [`Graph::apply_delta`]s, a snapshot patched
 /// in place, a replayed builder) must agree on all of it. Public for
-/// the snapshot oracles outside this crate: `prop_codec`,
-/// `prop_graph`, the `wal` tests and the noise-injection tests of
-/// `gfd-datagen`.
+/// the snapshot oracles outside this crate: `prop_codec`, `prop_delta`,
+/// `prop_graph`, the service soaks, the `wal` tests and the
+/// noise-injection tests of `gfd-datagen`.
 #[doc(hidden)]
 pub fn same_snapshot(a: &Graph, b: &Graph) -> Result<(), String> {
     if (a.node_count(), a.edge_count()) != (b.node_count(), b.edge_count()) {

@@ -22,13 +22,6 @@ use crate::graph::NodeId;
 /// galloping binary search on the larger side.
 pub const GALLOP_RATIO: usize = 32;
 
-/// Appends the keys of `src` to `out` (no clearing, no sorting — the
-/// caller picks a `src` whose keys are already ascending).
-#[inline]
-pub fn extend_keys<T>(out: &mut Vec<NodeId>, src: &[T], key: impl Fn(&T) -> NodeId) {
-    out.extend(src.iter().map(key));
-}
-
 /// Debug-build check of the kernels' precondition: keys strictly
 /// ascending, hence duplicate-free. The trap this guards against is
 /// real in this codebase: a *multi-label* CSR out-run is sorted by
@@ -350,8 +343,5 @@ mod tests {
         let mut acc = ids(&[1, 2, 3, 4]);
         intersect_in_place(&mut acc, &run, |a| a.node);
         assert_eq!(acc, ids(&[2, 4]));
-        let mut out = Vec::new();
-        extend_keys(&mut out, &run, |a| a.node);
-        assert_eq!(out, ids(&[2, 4, 6]));
     }
 }

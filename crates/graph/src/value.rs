@@ -34,14 +34,6 @@ impl Value {
         }
     }
 
-    /// Returns the integer content if this is an `Int`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// Approximate serialized size in bytes, used by the communication
     /// cost model of the cluster runtime (§6.2's `cs * |M|`).
     pub fn wire_size(&self) -> usize {
@@ -102,7 +94,6 @@ mod tests {
         let v = Value::str("Edi");
         assert_eq!(v.to_string(), "Edi");
         assert_eq!(v.as_str(), Some("Edi"));
-        assert_eq!(v.as_int(), None);
     }
 
     #[test]

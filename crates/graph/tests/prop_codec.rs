@@ -16,128 +16,71 @@
 //!   still satisfies the `check_ids` structural invariants, and both
 //!   snapshot decoders reach the same verdict.
 
+mod common;
+
+use common::{base_graph, random_step};
 use gfd_graph::{
-    encode_snapshot, graph::same_snapshot, DecodedSnapshot, DeltaError, Graph, GraphBuilder,
-    GraphData, GraphDelta, NodeId, Value, Vocab,
+    encode_snapshot, graph::same_snapshot, DecodedSnapshot, DeltaError, GraphData, GraphDelta,
+    Vocab,
 };
-use gfd_util::{prop::check, prop_assert, Rng};
-
-/// A small random base graph over a fixed label/attr vocabulary.
-fn base_graph(rng: &mut Rng) -> Graph {
-    let n = rng.gen_range(3..10);
-    let mut b = GraphBuilder::with_fresh_vocab();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node_labeled(&format!("l{}", i % 3)))
-        .collect();
-    for _ in 0..rng.gen_range(0..2 * n) {
-        let s = ids[rng.gen_range(0..n)];
-        let d = ids[rng.gen_range(0..n)];
-        b.add_edge_labeled(s, d, &format!("e{}", rng.gen_range(0..2)));
-    }
-    for _ in 0..rng.gen_range(0..n) {
-        let u = ids[rng.gen_range(0..n)];
-        let v = match rng.gen_range(0..3) {
-            0 => Value::Int(rng.gen_range(0..100) as i64 - 50),
-            1 => Value::Bool(rng.gen_range(0..2) == 0),
-            _ => Value::str(&format!("s{}", rng.gen_range(0..5))),
-        };
-        b.set_attr_named(u, "val", v);
-    }
-    b.freeze()
-}
-
-/// One random edit step on the current snapshot (same coordinate-pool
-/// shape as `prop_delta.rs`, so recorded deltas carry every field).
-fn random_step(rng: &mut Rng, g: &Graph) -> (Graph, GraphDelta) {
-    let n = g.node_count();
-    let s = NodeId(rng.gen_range(0..n.min(4)) as u32);
-    let d = NodeId(rng.gen_range(0..n.min(4)) as u32);
-    let kind = rng.gen_range(0..6);
-    g.edit_with_delta(|b| match kind {
-        0 => {
-            b.add_edge_labeled(s, d, "e0");
-        }
-        1 => {
-            b.remove_edge_labeled(s, d, "e0");
-        }
-        2 => {
-            let a = b.vocab().intern("val");
-            b.set_attr(s, a, Value::Int(rng.gen_range(0..3) as i64));
-        }
-        3 => {
-            let a = b.vocab().intern("val");
-            b.remove_attr(s, a);
-        }
-        4 => {
-            let l = b.vocab().intern(&format!("l{}", rng.gen_range(0..3)));
-            b.set_label(s, l);
-        }
-        _ => {
-            let v = b.add_node_labeled("l1");
-            b.add_edge_labeled(v, d, "e1");
-        }
-    })
-}
-
-fn cases(full: u64) -> u64 {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        (full / 5).max(2)
-    } else {
-        full
-    }
-}
+use gfd_util::prop::{cases, check};
+use gfd_util::{prop_assert, Rng};
 
 #[test]
 fn delta_codec_round_trip_over_edit_scripts() {
-    check("delta encode → decode ≡ identity", cases(80), |rng| {
-        let base = base_graph(rng);
-        let mut g = base.edit(|_| {});
-        let mut compacted: Option<GraphDelta> = None;
-        for _ in 0..rng.gen_range(1..20) {
-            let (next, delta) = random_step(rng, &g);
-            g = next;
+    check(
+        "delta encode → decode ≡ identity",
+        cases(80, 16),
+        |rng| {
+            let base = base_graph(rng);
+            let mut g = base.edit(|_| {});
+            let mut compacted: Option<GraphDelta> = None;
+            for _ in 0..rng.gen_range(1..20) {
+                let (next, delta) = random_step(rng, &g);
+                g = next;
 
-            // Per-step deltas round-trip…
-            let sym_limit = g.vocab().len() as u32;
-            let mut bytes = Vec::new();
-            delta.encode_into(&mut bytes);
-            match GraphDelta::decode(&bytes, sym_limit) {
-                Ok(back) if back == delta => {}
-                Ok(back) => return Err(format!("step decode diverged: {back:?} vs {delta:?}")),
-                Err(e) => return Err(format!("step decode failed: {e}")),
+                // Per-step deltas round-trip…
+                let sym_limit = g.vocab().len() as u32;
+                let mut bytes = Vec::new();
+                delta.encode_into(&mut bytes);
+                match GraphDelta::decode(&bytes, sym_limit) {
+                    Ok(back) if back == delta => {}
+                    Ok(back) => return Err(format!("step decode diverged: {back:?} vs {delta:?}")),
+                    Err(e) => return Err(format!("step decode failed: {e}")),
+                }
+
+                compacted = Some(match compacted.take() {
+                    None => delta,
+                    Some(prev) => prev.merge(delta),
+                });
             }
 
-            compacted = Some(match compacted.take() {
-                None => delta,
-                Some(prev) => prev.merge(delta),
-            });
-        }
+            // …and so does the merge-compacted batch (the shape the WAL
+            // actually persists: one compacted delta per epoch).
+            let compacted = compacted.expect("at least one step");
+            let sym_limit = g.vocab().len() as u32;
+            let mut bytes = Vec::new();
+            compacted.encode_into(&mut bytes);
+            let back = GraphDelta::decode(&bytes, sym_limit)
+                .map_err(|e| format!("compacted decode failed: {e}"))?;
+            prop_assert!(back == compacted, "compacted decode diverged");
 
-        // …and so does the merge-compacted batch (the shape the WAL
-        // actually persists: one compacted delta per epoch).
-        let compacted = compacted.expect("at least one step");
-        let sym_limit = g.vocab().len() as u32;
-        let mut bytes = Vec::new();
-        compacted.encode_into(&mut bytes);
-        let back = GraphDelta::decode(&bytes, sym_limit)
-            .map_err(|e| format!("compacted decode failed: {e}"))?;
-        prop_assert!(back == compacted, "compacted decode diverged");
-
-        // The decoded delta is ingest-grade: it validates against the
-        // base exactly when the original does.
-        prop_assert!(
-            back.check_against(&base).is_ok() == compacted.check_against(&base).is_ok(),
-            "decoded delta validates differently"
-        );
-        Ok(())
-    });
+            // The decoded delta is ingest-grade: it validates against the
+            // base exactly when the original does.
+            prop_assert!(
+                back.check_against(&base).is_ok() == compacted.check_against(&base).is_ok(),
+                "decoded delta validates differently"
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]
 fn snapshot_codec_round_trip() {
     check(
         "GraphData encode → decode ≡ identity",
-        cases(60),
+        cases(60, 12),
         |rng| {
             let mut g = base_graph(rng);
             // A few edits so the snapshot isn't always freeze-fresh.
@@ -183,7 +126,7 @@ fn snapshot_codec_round_trip() {
 fn builder_decode_never_panics_and_agrees_with_graphdata() {
     check(
         "hostile snapshot bytes: builder decode ≡ GraphData decode",
-        cases(100),
+        cases(100, 20),
         |rng| {
             let data = GraphData::from_graph(&base_graph(rng));
             let mut bytes = Vec::new();
@@ -253,7 +196,7 @@ fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>) {
 fn decode_never_panics_on_mutated_streams() {
     check(
         "hostile delta bytes: Err or invariant-clean Ok",
-        cases(150),
+        cases(150, 30),
         |rng| {
             let base = base_graph(rng);
             let mut g = base.edit(|_| {});
@@ -286,7 +229,7 @@ fn decode_never_panics_on_mutated_streams() {
 fn snapshot_decode_never_panics_on_mutated_streams() {
     check(
         "hostile snapshot bytes: Err or well-formed Ok",
-        cases(100),
+        cases(100, 20),
         |rng| {
             let data = GraphData::from_graph(&base_graph(rng));
             let mut bytes = Vec::new();
@@ -318,7 +261,7 @@ fn snapshot_decode_never_panics_on_mutated_streams() {
 
 #[test]
 fn every_prefix_of_an_encoding_is_rejected() {
-    check("strict prefixes never decode", cases(40), |rng| {
+    check("strict prefixes never decode", cases(40, 8), |rng| {
         let base = base_graph(rng);
         let (g, delta) = random_step(rng, &base);
         let sym_limit = g.vocab().len() as u32;

@@ -11,133 +11,21 @@
 //! the same attribute) so the cancellation rules are exercised, not
 //! just the happy path.
 
+mod common;
+
 use std::collections::BTreeMap;
 
-use gfd_graph::{
-    AttrOp, DeltaError, Edge, Graph, GraphBuilder, GraphDelta, LabelChange, NodeId, Sym, Value,
-};
-use gfd_util::{prop::check, prop_assert, Rng};
-
-/// The snapshot's page size (the private `PAGE_NODES` of `graph.rs`,
-/// pinned there by `page_size_matches_the_boundary_oracles`).
-const PAGE: usize = 64;
-
-/// A random base graph over a fixed label/attr vocabulary: small, or
-/// one case in three wider than three pages, so the toggled slots of
-/// [`random_step`] straddle a page boundary.
-fn base_graph(rng: &mut Rng) -> Graph {
-    let n = match rng.gen_range(0..3) {
-        0 => 3 * PAGE + rng.gen_range(0..PAGE),
-        _ => rng.gen_range(3..10),
-    };
-    let mut b = GraphBuilder::with_fresh_vocab();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node_labeled(&format!("l{}", i % 3)))
-        .collect();
-    for _ in 0..rng.gen_range(0..2 * n) {
-        let s = ids[rng.gen_range(0..n)];
-        let d = ids[rng.gen_range(0..n)];
-        b.add_edge_labeled(s, d, &format!("e{}", rng.gen_range(0..2)));
-    }
-    b.freeze()
-}
-
-/// One random edit step on the current snapshot, biased toward
-/// *toggling* a small pool of edge/attr slots so consecutive steps
-/// frequently oppose each other (the compaction-relevant shape).
-fn random_step(rng: &mut Rng, g: &Graph) -> (Graph, GraphDelta) {
-    let n = g.node_count();
-    // A deliberately tiny coordinate pool: repeated steps hit the same
-    // (src, dst, label) and (node, attr) slots, producing add/remove
-    // and set/unset chains for merge to cancel. On a wide graph the
-    // pool is the two slots either side of the first page boundary.
-    let lo = if n > PAGE + 2 { PAGE - 2 } else { 0 };
-    let s = NodeId((lo + rng.gen_range(0..n.min(4))) as u32);
-    let d = NodeId((lo + rng.gen_range(0..n.min(4))) as u32);
-    let kind = rng.gen_range(0..7);
-    g.edit_with_delta(|b| match kind {
-        0 => {
-            b.add_edge_labeled(s, d, "e0");
-        }
-        1 => {
-            b.remove_edge_labeled(s, d, "e0");
-        }
-        2 => {
-            let a = b.vocab().intern("val");
-            b.set_attr(s, a, Value::Int(rng.gen_range(0..3) as i64));
-        }
-        3 => {
-            let a = b.vocab().intern("val");
-            b.remove_attr(s, a);
-        }
-        4 => {
-            let l = b.vocab().intern(&format!("l{}", rng.gen_range(0..3)));
-            b.set_label(s, l);
-        }
-        5 => {
-            let v = b.add_node_labeled("l1");
-            b.add_edge_labeled(v, d, "e1");
-        }
-        _ => {
-            // Toggle within one session: add + remove (or the reverse)
-            // of the same edge, so even *single* deltas carry opposing
-            // pairs for normalize to cancel before merge sees them.
-            if b.add_edge_labeled(s, d, "e1") {
-                b.remove_edge_labeled(s, d, "e1");
-            } else {
-                b.remove_edge_labeled(s, d, "e1");
-                b.add_edge_labeled(s, d, "e1");
-            }
-        }
-    })
-}
-
-/// Structural equality over every observable (labels, attrs, CSR runs).
-fn graphs_equal(a: &Graph, b: &Graph) -> Result<(), String> {
-    if a.node_count() != b.node_count() {
-        return Err(format!(
-            "node counts {} vs {}",
-            a.node_count(),
-            b.node_count()
-        ));
-    }
-    if a.edge_count() != b.edge_count() {
-        return Err(format!(
-            "edge counts {} vs {}",
-            a.edge_count(),
-            b.edge_count()
-        ));
-    }
-    for u in a.nodes() {
-        if a.label(u) != b.label(u) {
-            return Err(format!("label of {u:?}"));
-        }
-        if a.attrs(u) != b.attrs(u) {
-            return Err(format!("attrs of {u:?}"));
-        }
-        if a.out_slice(u) != b.out_slice(u) {
-            return Err(format!("out run of {u:?}"));
-        }
-        if a.in_slice(u) != b.in_slice(u) {
-            return Err(format!("in run of {u:?}"));
-        }
-    }
-    Ok(())
-}
-
-fn cases(full: u64) -> u64 {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        (full / 5).max(2)
-    } else {
-        full
-    }
-}
+use common::{base_graph, random_step};
+use gfd_graph::graph::same_snapshot;
+use gfd_graph::{AttrOp, DeltaError, Edge, GraphDelta, LabelChange, NodeId, Sym, Value};
+use gfd_util::prop::{cases, check};
+use gfd_util::{prop_assert, Rng};
 
 #[test]
 fn compacted_batch_equals_raw_sequence() {
     check(
         "merge-compacted batch ≡ raw step sequence",
-        cases(60),
+        cases(60, 12),
         |rng| {
             let base = base_graph(rng);
             // Snapshots are Arc-shared, not Clone; a no-op edit forks
@@ -162,7 +50,7 @@ fn compacted_batch_equals_raw_sequence() {
                 return Err(format!("compacted delta rejected: {e}"));
             }
             let folded = base.apply_delta(&compacted);
-            graphs_equal(&folded, &raw)
+            same_snapshot(&folded, &raw)
         },
     );
 }
@@ -174,7 +62,7 @@ fn compacted_batch_equals_raw_sequence() {
 /// write — every list in its key's order.
 #[test]
 fn normalize_equals_the_keyed_oracle() {
-    check("normalize ≡ keyed net effect", cases(200), |rng| {
+    check("normalize ≡ keyed net effect", cases(200, 40), |rng| {
         let node = |rng: &mut Rng| NodeId(rng.gen_range(0..4) as u32);
         let sym = |rng: &mut Rng| Sym(rng.gen_range(0..3) as u32);
         let mut raw = GraphDelta::new(4);
@@ -250,7 +138,7 @@ fn normalize_equals_the_keyed_oracle() {
 fn merge_is_associative_over_splits() {
     // Folding a batch left-to-right must not depend on where the batch
     // is split: merge(merge(a, b), c) ≡ merge(a, merge(b, c)).
-    check("merge associativity", cases(40), |rng| {
+    check("merge associativity", cases(40, 8), |rng| {
         let base = base_graph(rng);
         let mut g = base.edit(|_| {});
         let mut deltas = Vec::new();
@@ -271,13 +159,13 @@ fn merge_is_associative_over_splits() {
         if left != all {
             return Err(format!("split at {split} diverges: {left:?} vs {all:?}"));
         }
-        graphs_equal(&base.apply_delta(&all), &g)
+        same_snapshot(&base.apply_delta(&all), &g)
     });
 }
 
 #[test]
 fn check_against_rejects_malformed_deltas() {
-    check("check_against catches corruption", cases(60), |rng| {
+    check("check_against catches corruption", cases(60, 12), |rng| {
         let base = base_graph(rng);
         let limit = base.node_count() as u32;
         let sym_e0 = base.vocab().lookup("e0");

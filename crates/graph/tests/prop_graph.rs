@@ -251,45 +251,6 @@ fn random_mutation(rng: &mut Rng, b: &mut GraphBuilder) -> String {
     }
 }
 
-/// Structural equality of two snapshots over every observable.
-fn graphs_equal(a: &Graph, b: &Graph) -> Result<(), String> {
-    if a.node_count() != b.node_count() {
-        return Err(format!(
-            "node counts {} vs {}",
-            a.node_count(),
-            b.node_count()
-        ));
-    }
-    if a.edge_count() != b.edge_count() {
-        return Err(format!(
-            "edge counts {} vs {}",
-            a.edge_count(),
-            b.edge_count()
-        ));
-    }
-    for u in a.nodes() {
-        if a.label(u) != b.label(u) {
-            return Err(format!("label of {u:?}"));
-        }
-        if a.attrs(u) != b.attrs(u) {
-            return Err(format!("attrs of {u:?}"));
-        }
-        if a.out_slice(u) != b.out_slice(u) {
-            return Err(format!("out run of {u:?}"));
-        }
-        if a.in_slice(u) != b.in_slice(u) {
-            return Err(format!("in run of {u:?}"));
-        }
-    }
-    let ea: Vec<_> = a.label_extents().map(|(l, e)| (l, e.to_vec())).collect();
-    let eb: Vec<_> = b.label_extents().map(|(l, e)| (l, e.to_vec())).collect();
-    if ea != eb {
-        return Err("label extents".into());
-    }
-    extent_ranks_invert(a)?;
-    extent_ranks_invert(b)
-}
-
 /// `extent_rank` is the inverse of the extents: every node sits at its
 /// rank in its own label's extent.
 fn extent_ranks_invert(g: &Graph) -> Result<(), String> {
@@ -317,7 +278,7 @@ fn edit_delta_round_trip_equals_freeze() {
         let delta = b.take_delta().expect("thaw records");
         let patched = g.apply_delta(&delta);
         let frozen = b.freeze();
-        if let Err(msg) = graphs_equal(&patched, &frozen) {
+        if let Err(msg) = same_snapshot(&patched, &frozen) {
             return Err(format!("{msg}; script: {script:?}"));
         }
         // Dedup survives the round trip: re-adding any existing edge
@@ -493,8 +454,8 @@ fn paged_edit_scripts_equal_freeze() {
             script.push(boundary_step(rng, &mut shadow, &g, hub));
             let delta = shadow.take_delta().expect("thaw records");
             let next = g.apply_delta(&delta);
-            let verdict = graphs_equal(&next, &shadow.clone().freeze())
-                .and_then(|()| graphs_equal(&next.thaw().freeze(), &next));
+            let verdict = same_snapshot(&next, &shadow.clone().freeze())
+                .and_then(|()| same_snapshot(&next.thaw().freeze(), &next));
             if let Err(msg) = verdict {
                 return Err(format!("{msg}; script: {script:?}"));
             }
@@ -587,7 +548,7 @@ fn empty_delta_patch_is_identity() {
         let (g, _) = random_graph(rng, 16, 3, 3);
         let (g2, delta) = g.edit_with_delta(|_| {});
         prop_assert!(delta.is_empty(), "empty session recorded {delta:?}");
-        graphs_equal(&g, &g2)
+        same_snapshot(&g, &g2)
     });
 }
 

@@ -17,10 +17,9 @@
 //!
 //! Connected patterns stream their matches straight to the callback;
 //! only genuinely disconnected patterns buffer per-component matches
-//! for the disjointness join. [`for_each_match`], [`count_matches`],
-//! [`find_matches`] and [`has_match`] are one-line wrappers, and
-//! [`count_matches_with`] counts the rows [`for_each_match_with`]
-//! streams; a
+//! for the disjointness join. [`for_each_match`] and [`count_matches`]
+//! are one-line wrappers, and [`count_matches_with`] counts the rows
+//! [`for_each_match_with`] streams; a
 //! caller-owned [`MatchScratch`] makes repeated calls allocation-free
 //! in steady state. [`for_each_match_in`] is the streaming form for a
 //! [`ClassRegistry`](crate::registry::ClassRegistry) member: it
@@ -35,7 +34,7 @@ use crate::join::{join_tables, JoinScratch};
 use crate::registry::{rep_var, ClassView};
 use crate::simulation::{dual_simulation, CandidateSpace};
 use crate::table::MatchTable;
-use crate::types::{Flow, Match, MatchOptions, Pin};
+use crate::types::{Flow, MatchOptions, Pin};
 
 /// Caller-owned reusable buffers for the matching API: the
 /// enumerator's [`SearchScratch`], the disconnected-pattern join
@@ -278,16 +277,6 @@ fn component_search<'a>(
     search
 }
 
-/// Collects all matches (subject to `opts.budget`).
-pub fn find_matches(q: &Pattern, g: &Graph, opts: &MatchOptions) -> Vec<Match> {
-    let mut out = Vec::new();
-    for_each_match(q, g, opts, &mut |m| {
-        out.push(Match(m.to_vec()));
-        Flow::Continue
-    });
-    out
-}
-
 /// Counts matches (subject to `opts.budget`).
 pub fn count_matches(q: &Pattern, g: &Graph, opts: &MatchOptions) -> usize {
     count_matches_with(q, g, opts, None, &mut MatchScratch::default())
@@ -311,21 +300,22 @@ pub fn count_matches_with(
     n
 }
 
-/// True if at least one match exists.
-pub fn has_match(q: &Pattern, g: &Graph, opts: &MatchOptions) -> bool {
-    let mut found = false;
-    for_each_match(q, g, opts, &mut |_| {
-        found = true;
-        Flow::Break
-    });
-    found
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Match;
     use gfd_graph::{Value, Vocab};
     use gfd_pattern::PatternBuilder;
+
+    /// Every match of `q` under `opts`, in the order they stream.
+    fn matches(q: &Pattern, g: &Graph, opts: &MatchOptions) -> Vec<Match> {
+        let mut out = Vec::new();
+        for_each_match(q, g, opts, &mut |m| {
+            out.push(Match(m.to_vec()));
+            Flow::Continue
+        });
+        out
+    }
 
     /// G1 of Fig. 1: two flight entities with equal ids but different
     /// destinations.
@@ -427,7 +417,7 @@ mod tests {
         pb.wildcard_edge(y, x);
         let wild = pb.build();
         assert!(auto_simulate(&wild, &g));
-        let pinned = find_matches(&wild, &g, &MatchOptions::unrestricted().pin(x, small));
+        let pinned = matches(&wild, &g, &MatchOptions::unrestricted().pin(x, small));
         assert_eq!(pinned, vec![Match(vec![small, big[0]])]);
     }
 
@@ -437,7 +427,7 @@ mod tests {
         let q = q1(g.vocab().clone());
         let x = q.var_by_name("x").unwrap();
         let y = q.var_by_name("y").unwrap();
-        let ms = find_matches(&q, &g, &MatchOptions::unrestricted());
+        let ms = matches(&q, &g, &MatchOptions::unrestricted());
         // x and y each range over the two flights, disjointly: 2 matches.
         assert_eq!(ms.len(), 2);
         for m in &ms {
@@ -451,7 +441,7 @@ mod tests {
         let (g, [f1, f2]) = flights();
         let q = q1(g.vocab().clone());
         let x = q.var_by_name("x").unwrap();
-        let ms = find_matches(&q, &g, &MatchOptions::unrestricted().pin(x, f1));
+        let ms = matches(&q, &g, &MatchOptions::unrestricted().pin(x, f1));
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].get(x), f1);
         assert_eq!(ms[0].get(q.var_by_name("y").unwrap()), f2);
@@ -462,7 +452,13 @@ mod tests {
         let (g, _) = flights();
         let q = q1(g.vocab().clone());
         assert_eq!(count_matches(&q, &g, &MatchOptions::unrestricted()), 2);
-        assert!(has_match(&q, &g, &MatchOptions::unrestricted()));
+        // A caller that asks whether a match exists stops at the first.
+        let mut seen = 0;
+        for_each_match(&q, &g, &MatchOptions::unrestricted(), &mut |_| {
+            seen += 1;
+            Flow::Break
+        });
+        assert_eq!(seen, 1);
     }
 
     #[test]
@@ -476,7 +472,6 @@ mod tests {
         b.edge(x, y, "capital");
         b.edge(x, z, "capital");
         let q2 = b.build();
-        assert!(!has_match(&q2, &g, &MatchOptions::unrestricted()));
         assert_eq!(count_matches(&q2, &g, &MatchOptions::unrestricted()), 0);
     }
 

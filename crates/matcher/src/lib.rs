@@ -52,8 +52,8 @@ pub mod table;
 pub mod types;
 
 pub use api::{
-    auto_simulate, count_matches, count_matches_with, find_matches, for_each_match,
-    for_each_match_in, for_each_match_with, has_match, MatchScratch,
+    auto_simulate, count_matches, count_matches_with, for_each_match, for_each_match_in,
+    for_each_match_with, MatchScratch,
 };
 pub use component::{ComponentSearch, SearchScratch, StopReason};
 pub use incremental::{IncrementalSpace, RepairReport};

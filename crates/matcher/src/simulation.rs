@@ -1045,12 +1045,14 @@ mod tests {
         let g = chain_graph();
         let q = chain_pattern(&g);
         let sim = dual_simulation(&q, &g, None);
-        let ms = crate::api::find_matches(&q, &g, &crate::types::MatchOptions::unrestricted());
-        for m in &ms {
-            for v in q.vars() {
-                assert!(sim.of(v).contains(&m.get(v)));
-            }
-        }
+        let opts = crate::types::MatchOptions::unrestricted();
+        let mut seen = 0;
+        crate::api::for_each_match(&q, &g, &opts, &mut |m| {
+            seen += 1;
+            assert!(q.vars().all(|v| sim.of(v).contains(&m[v.index()])));
+            crate::types::Flow::Continue
+        });
+        assert!(seen > 0, "premise: the chain pattern matches");
     }
 
     #[test]
@@ -1065,11 +1067,8 @@ mod tests {
         let q = b.build();
         let sim = dual_simulation(&q, &g, None);
         assert!(sim.is_empty_anywhere());
-        assert!(!crate::api::has_match(
-            &q,
-            &g,
-            &crate::types::MatchOptions::unrestricted()
-        ));
+        let opts = crate::types::MatchOptions::unrestricted();
+        assert_eq!(crate::api::count_matches(&q, &g, &opts), 0);
     }
 
     #[test]

@@ -1,4 +1,10 @@
-//! A generator wide enough to cross run pages, shared by the
+//! What the matcher suites share: one random graph and pattern
+//! generator over a small label vocabulary (`l0..l2`, `e0`, `e1`), one
+//! brute-force matcher — every injective assignment honouring the
+//! pins, checked label by label and edge by edge — and one edit-step
+//! generator over every mutation kind the storage layer records.
+//!
+//! Beside them, a generator wide enough to cross run pages, for the
 //! incremental and registry oracles: graphs of ≥ 200 nodes (≥ 4 pages
 //! of 64 node ids) with one hub adjacent to every page and parallel
 //! edges under both labels, patterns with at least one wildcard edge,
@@ -6,9 +12,14 @@
 //! exist, dropping one label of a parallel pair, rewiring the hub —
 //! plus the rewire step that takes a member's only support away and
 //! replaces it in the same delta.
+//!
+//! Each suite uses part of the kit, hence the one allowance below.
+#![allow(dead_code)]
 
-use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId};
-use gfd_match::{dual_simulation, CandidateSpace};
+use std::ops::RangeInclusive;
+
+use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId, Value};
+use gfd_match::{dual_simulation, CandidateSpace, Pin};
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::Rng;
 
@@ -21,6 +32,191 @@ pub const HUB: NodeId = NodeId(0);
 
 fn edge_label(i: usize) -> String {
     format!("e{}", i % EDGE_LABELS)
+}
+
+/// A random graph over the small vocabulary: a node count drawn from
+/// `nodes`, node `i` labeled `l{i % 3}`, and `n · k` random edges for a
+/// `k` drawn from `edges_per_node` (both ends of the edge range count).
+pub fn random_graph(
+    rng: &mut Rng,
+    nodes: RangeInclusive<usize>,
+    edges_per_node: RangeInclusive<usize>,
+) -> Graph {
+    let n = rng.gen_range(*nodes.start()..*nodes.end() + 1);
+    let mut b = GraphBuilder::with_fresh_vocab();
+    let ids: Vec<NodeId> = (0..n)
+        .map(|i| b.add_node_labeled(&format!("l{}", i % NODE_LABELS)))
+        .collect();
+    let m = rng.gen_range(edges_per_node.start() * n..edges_per_node.end() * n + 1);
+    for _ in 0..m {
+        let s = rng.gen_range(0..n);
+        let d = rng.gen_range(0..n);
+        let e = format!("e{}", rng.gen_range(0..EDGE_LABELS));
+        b.add_edge_labeled(ids[s], ids[d], &e);
+    }
+    b.freeze()
+}
+
+/// A random pattern of 1–4 variables and 0–4 edges over the graph's
+/// vocabulary: possibly disconnected, a wildcard node three times in
+/// ten, a wildcard edge two times in ten.
+pub fn random_pattern(rng: &mut Rng, g: &Graph) -> Pattern {
+    let k = rng.gen_range(1..5);
+    let mut b = PatternBuilder::new(g.vocab().clone());
+    let vars: Vec<VarId> = (0..k)
+        .map(|i| {
+            let name = format!("v{i}");
+            if rng.gen_range(0..10) < 3 {
+                b.wildcard_node(&name)
+            } else {
+                b.node(&name, &format!("l{}", rng.gen_range(0..NODE_LABELS)))
+            }
+        })
+        .collect();
+    for _ in 0..rng.gen_range(0..5) {
+        let s = vars[rng.gen_range(0..k)];
+        let d = vars[rng.gen_range(0..k)];
+        if rng.gen_range(0..10) < 2 {
+            b.wildcard_edge(s, d);
+        } else {
+            b.edge(s, d, &format!("e{}", rng.gen_range(0..EDGE_LABELS)));
+        }
+    }
+    b.build()
+}
+
+/// Does `g` admit the pattern edge `(u → v, label)` between two image
+/// nodes?
+pub fn oracle_edge_ok(g: &Graph, u: NodeId, v: NodeId, label: PatLabel) -> bool {
+    match label {
+        PatLabel::Sym(s) => g.has_edge(u, v, s),
+        PatLabel::Wildcard => g.has_edge_any(u, v),
+    }
+}
+
+/// Brute force: every injective assignment honouring `pins` (each a
+/// closed node-id interval on its variable), filtered by labels and
+/// pattern edges. An assignment is cut where an edge between assigned
+/// variables already fails. Sorted.
+pub fn oracle_matches(q: &Pattern, g: &Graph, pins: &[Pin]) -> Vec<Vec<NodeId>> {
+    fn rec(
+        q: &Pattern,
+        g: &Graph,
+        pins: &[Pin],
+        assign: &mut Vec<NodeId>,
+        out: &mut Vec<Vec<NodeId>>,
+    ) {
+        if assign.len() == q.node_count() {
+            out.push(assign.clone());
+            return;
+        }
+        let v = VarId(assign.len() as u32);
+        for u in g.nodes() {
+            let pinned_elsewhere = pins
+                .iter()
+                .any(|p| p.var == v && !(p.lo..=p.hi).contains(&u));
+            if pinned_elsewhere || !q.label(v).admits(g.label(u)) || assign.contains(&u) {
+                continue;
+            }
+            assign.push(u);
+            let mut closed = q.edges().iter().filter(|e| e.src.max(e.dst) == v);
+            let edge_ok = |e: &gfd_pattern::PatternEdge| {
+                oracle_edge_ok(g, assign[e.src.index()], assign[e.dst.index()], e.label)
+            };
+            if closed.all(edge_ok) {
+                rec(q, g, pins, assign, out);
+            }
+            assign.pop();
+        }
+    }
+    let mut out = Vec::new();
+    rec(q, g, pins, &mut Vec::new(), &mut out);
+    out.sort();
+    out
+}
+
+/// The mutation kinds of [`random_edit_of`].
+#[derive(Clone, Copy, Debug)]
+pub enum Edit {
+    /// Insert an edge (a no-op when present).
+    AddEdge,
+    /// Remove an edge and insert a replacement sharing its source, in
+    /// one delta — the shape where a deletion-zeroed support must be
+    /// restored by the accompanying insertion.
+    Rewire,
+    /// Delete an edge (a no-op when absent).
+    RemoveEdge,
+    /// Add a node, wired to an existing one half the time.
+    AddNode,
+    /// Relabel a node.
+    Relabel,
+    /// Write or remove an attribute: invisible to matching.
+    WriteAttr,
+}
+
+/// Every mutation kind.
+pub const ALL_EDITS: [Edit; 6] = [
+    Edit::AddEdge,
+    Edit::Rewire,
+    Edit::RemoveEdge,
+    Edit::AddNode,
+    Edit::Relabel,
+    Edit::WriteAttr,
+];
+
+/// One edit step: a batch of 1–3 random mutations, each of a kind drawn
+/// uniformly from `kinds`, applied through `edit_with_delta`, so the
+/// recorded delta is exactly what production callers (noise injection,
+/// repair loops) hand a repairer.
+pub fn random_edit_of(rng: &mut Rng, g: &Graph, kinds: &[Edit]) -> (Graph, GraphDelta) {
+    let ops = rng.gen_range(1..4);
+    // Pre-draw the random choices so the closure stays `FnOnce`-clean.
+    let mut plan: Vec<(Edit, usize, usize, usize)> = Vec::with_capacity(ops);
+    for _ in 0..ops {
+        plan.push((
+            kinds[rng.gen_range(0..kinds.len())],
+            rng.gen_range(0..usize::MAX),
+            rng.gen_range(0..usize::MAX),
+            rng.gen_range(0..usize::MAX),
+        ));
+    }
+    g.edit_with_delta(move |b| {
+        for (kind, r1, r2, r3) in plan {
+            let n = b.node_count();
+            let (s, d) = (NodeId((r1 % n) as u32), NodeId((r2 % n) as u32));
+            let e = format!("e{}", r3 % EDGE_LABELS);
+            match kind {
+                Edit::AddEdge => {
+                    b.add_edge_labeled(s, d, &e);
+                }
+                Edit::Rewire => {
+                    b.remove_edge_labeled(s, d, &e);
+                    b.add_edge_labeled(s, NodeId(((r2 + 1) % n) as u32), &e);
+                }
+                Edit::RemoveEdge => {
+                    b.remove_edge_labeled(s, d, &e);
+                }
+                Edit::AddNode => {
+                    let u = b.add_node_labeled(&format!("l{}", r1 % NODE_LABELS));
+                    if r2 % 2 == 0 {
+                        b.add_edge_labeled(u, NodeId((r3 % n) as u32), &e);
+                    }
+                }
+                Edit::Relabel => {
+                    let l = b.vocab().intern(&format!("l{}", r2 % NODE_LABELS));
+                    b.set_label(s, l);
+                }
+                Edit::WriteAttr => {
+                    let a = b.vocab().intern("val");
+                    if r2 % 3 == 0 {
+                        b.remove_attr(s, a);
+                    } else {
+                        b.set_attr(s, a, Value::Int((r3 % 100) as i64));
+                    }
+                }
+            }
+        }
+    })
 }
 
 pub fn paged_graph(rng: &mut Rng) -> Graph {

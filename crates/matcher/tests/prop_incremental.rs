@@ -25,140 +25,17 @@ mod common;
 
 use std::collections::BTreeSet;
 
-use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
+use common::{
+    random_edit_of, random_graph, random_pattern, Edit, ALL_EDITS, EDGE_LABELS, NODE_LABELS,
+};
+use gfd_graph::{Graph, NodeId, NodeSet};
 use gfd_match::simulation::{dual_simulation, EdgeCandidates};
 use gfd_match::{CandidateSpace, IncrementalSpace, RepairReport};
 use gfd_pattern::{Pattern, PatternBuilder, VarId};
-use gfd_util::{prop::check, prop_assert, Rng};
+use gfd_util::prop::{cases, check};
+use gfd_util::{prop_assert, Rng};
 
-const NODE_LABELS: usize = 3;
-const EDGE_LABELS: usize = 2;
 const SCRIPT_STEPS: usize = 50;
-
-fn case_budget(full: u64) -> u64 {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        (full / 8).max(2)
-    } else {
-        full
-    }
-}
-
-fn random_graph(rng: &mut Rng, max_nodes: usize) -> Graph {
-    let n = rng.gen_range(2..max_nodes + 1);
-    let mut b = GraphBuilder::with_fresh_vocab();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node_labeled(&format!("l{}", i % NODE_LABELS)))
-        .collect();
-    let m = rng.gen_range(0..3 * n + 1);
-    for _ in 0..m {
-        let s = rng.gen_range(0..n);
-        let d = rng.gen_range(0..n);
-        let e = format!("e{}", rng.gen_range(0..EDGE_LABELS));
-        b.add_edge_labeled(ids[s], ids[d], &e);
-    }
-    b.freeze()
-}
-
-fn random_pattern(rng: &mut Rng, g: &Graph) -> Pattern {
-    let k = rng.gen_range(1..5);
-    let mut b = PatternBuilder::new(g.vocab().clone());
-    let vars: Vec<VarId> = (0..k)
-        .map(|i| {
-            let name = format!("v{i}");
-            if rng.gen_range(0..10) < 3 {
-                b.wildcard_node(&name)
-            } else {
-                b.node(&name, &format!("l{}", rng.gen_range(0..NODE_LABELS)))
-            }
-        })
-        .collect();
-    for _ in 0..rng.gen_range(0..5) {
-        let s = vars[rng.gen_range(0..k)];
-        let d = vars[rng.gen_range(0..k)];
-        if rng.gen_range(0..10) < 2 {
-            b.wildcard_edge(s, d);
-        } else {
-            b.edge(s, d, &format!("e{}", rng.gen_range(0..EDGE_LABELS)));
-        }
-    }
-    b.build()
-}
-
-/// One edit step: a batch of 1–3 random mutations applied through
-/// `edit_with_delta`, so the recorded delta is exactly what production
-/// callers (noise injection, repair loops) hand the repairer.
-fn random_edit(rng: &mut Rng, g: &Graph) -> (Graph, gfd_graph::GraphDelta) {
-    random_edit_of(rng, g, &[0, 1, 2, 3, 4, 5])
-}
-
-/// [`random_edit`] drawing only from the mutation `kinds` given.
-fn random_edit_of(rng: &mut Rng, g: &Graph, kinds: &[usize]) -> (Graph, gfd_graph::GraphDelta) {
-    let ops = rng.gen_range(1..4);
-    // Pre-draw the random choices so the closure stays `FnOnce`-clean.
-    let mut plan: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(ops);
-    for _ in 0..ops {
-        plan.push((
-            kinds[rng.gen_range(0..kinds.len())],
-            rng.gen_range(0..usize::MAX),
-            rng.gen_range(0..usize::MAX),
-            rng.gen_range(0..usize::MAX),
-        ));
-    }
-    g.edit_with_delta(move |b| {
-        for (kind, r1, r2, r3) in plan {
-            let n = b.node_count();
-            match kind {
-                0 => {
-                    // Insert an edge (may be a duplicate no-op).
-                    let s = NodeId((r1 % n) as u32);
-                    let d = NodeId((r2 % n) as u32);
-                    b.add_edge_labeled(s, d, &format!("e{}", r3 % EDGE_LABELS));
-                }
-                1 => {
-                    // Rewire: remove an edge and insert a replacement
-                    // sharing an endpoint, in ONE delta — the shape
-                    // where a deletion-zeroed support counter must be
-                    // restored by the accompanying insertion.
-                    let s = NodeId((r1 % n) as u32);
-                    let d = NodeId((r2 % n) as u32);
-                    let d2 = NodeId(((r2 + 1) % n) as u32);
-                    let e = format!("e{}", r3 % EDGE_LABELS);
-                    b.remove_edge_labeled(s, d, &e);
-                    b.add_edge_labeled(s, d2, &e);
-                }
-                2 => {
-                    // Delete an edge (no-op when absent).
-                    let s = NodeId((r1 % n) as u32);
-                    let d = NodeId((r2 % n) as u32);
-                    b.remove_edge_labeled(s, d, &format!("e{}", r3 % EDGE_LABELS));
-                }
-                3 => {
-                    let u = b.add_node_labeled(&format!("l{}", r1 % NODE_LABELS));
-                    // Sometimes wire the new node in immediately.
-                    if r2 % 2 == 0 {
-                        let d = NodeId((r3 % n) as u32);
-                        b.add_edge_labeled(u, d, &format!("e{}", r3 % EDGE_LABELS));
-                    }
-                }
-                4 => {
-                    let u = NodeId((r1 % n) as u32);
-                    let l = b.vocab().intern(&format!("l{}", r2 % NODE_LABELS));
-                    b.set_label(u, l);
-                }
-                _ => {
-                    // Attribute churn: must not perturb the relation.
-                    let u = NodeId((r1 % n) as u32);
-                    let a = b.vocab().intern("val");
-                    if r2 % 3 == 0 {
-                        b.remove_attr(u, a);
-                    } else {
-                        b.set_attr(u, a, gfd_graph::Value::Int((r3 % 100) as i64));
-                    }
-                }
-            }
-        }
-    })
-}
 
 /// Same runs: as values (which also rejects a kept empty page), one
 /// run per source candidate in order, and by lookup of every source.
@@ -247,13 +124,13 @@ fn report_is_exact(
 fn incremental_repair_equals_scratch_over_edit_scripts() {
     check(
         "IncrementalSpace ≡ dual_simulation over 50-step scripts",
-        case_budget(40),
+        cases(40, 5),
         |rng| {
-            let mut g = random_graph(rng, 12);
+            let mut g = random_graph(rng, 2..=12, 0..=3);
             let q = random_pattern(rng, &g);
             let mut inc = IncrementalSpace::new(&q, &g, None);
             for step in 0..SCRIPT_STEPS {
-                let (g2, delta) = random_edit(rng, &g);
+                let (g2, delta) = random_edit_of(rng, &g, &ALL_EDITS);
                 let before = Relation::of(inc.space());
                 let report = inc.apply_normalized(&g2, &delta);
                 let scratch = dual_simulation(&q, &g2, None);
@@ -272,9 +149,9 @@ fn incremental_repair_equals_scratch_over_edit_scripts() {
 fn scoped_incremental_repair_equals_scratch() {
     check(
         "scoped IncrementalSpace ≡ scoped dual_simulation",
-        case_budget(24),
+        cases(24, 3),
         |rng| {
-            let mut g = random_graph(rng, 12);
+            let mut g = random_graph(rng, 2..=12, 0..=3);
             let q = random_pattern(rng, &g);
             // A fixed scope of about half the initial nodes; nodes
             // added later fall outside it, as block-local consumers
@@ -286,7 +163,7 @@ fn scoped_incremental_repair_equals_scratch() {
             );
             let mut inc = IncrementalSpace::new(&q, &g, Some(&scope));
             for step in 0..SCRIPT_STEPS / 2 {
-                let (g2, delta) = random_edit(rng, &g);
+                let (g2, delta) = random_edit_of(rng, &g, &ALL_EDITS);
                 inc.apply_normalized(&g2, &delta);
                 let scratch = dual_simulation(&q, &g2, Some(&scope));
                 spaces_equal(&inc, &scratch, step)
@@ -302,7 +179,7 @@ fn scoped_incremental_repair_equals_scratch() {
 fn paged_repair_equals_scratch_over_edit_scripts() {
     check(
         "IncrementalSpace ≡ dual_simulation across run pages",
-        case_budget(12),
+        cases(12, 2),
         |rng| {
             let mut g = common::paged_graph(rng);
             let q = common::paged_pattern(rng, &g);
@@ -333,7 +210,7 @@ fn page_runs(a: &EdgeCandidates, first: usize) -> Vec<&[NodeId]> {
 fn held_snapshot_survives_repairs_and_shares_untouched_pages() {
     check(
         "copy-on-write: held snapshots stay at their epoch, untouched pages are shared",
-        case_budget(12),
+        cases(12, 2),
         |rng| {
             let mut g = common::paged_graph(rng);
             let q = common::paged_pattern(rng, &g);
@@ -401,7 +278,7 @@ fn rewired_support_repairs_equal_scratch_across_pages() {
     let (mut shared, mut copied) = (0usize, 0usize);
     check(
         "IncrementalSpace ≡ dual_simulation when only supports are rewired",
-        case_budget(12),
+        cases(12, 2),
         |rng| {
             let mut g = common::paged_graph(rng);
             let q = common::paged_pattern(rng, &g);
@@ -461,9 +338,9 @@ fn rewired_support_repairs_equal_scratch_across_pages() {
 fn edgeless_variable_repairs_equal_scratch() {
     check(
         "IncrementalSpace ≡ dual_simulation with a variable on no pattern edge",
-        case_budget(24),
+        cases(24, 3),
         |rng| {
-            let mut g = random_graph(rng, 12);
+            let mut g = random_graph(rng, 2..=12, 0..=3);
             let mut b = PatternBuilder::new(g.vocab().clone());
             let x = b.node("x", &format!("l{}", rng.gen_range(0..NODE_LABELS)));
             let y = b.wildcard_node("y");
@@ -478,7 +355,18 @@ fn edgeless_variable_repairs_equal_scratch() {
             for step in 0..SCRIPT_STEPS {
                 // Node additions and relabelings, an edge toggle now
                 // and then.
-                let (g2, delta) = random_edit_of(rng, &g, &[3, 4, 3, 4, 0, 2]);
+                let (g2, delta) = random_edit_of(
+                    rng,
+                    &g,
+                    &[
+                        Edit::AddNode,
+                        Edit::Relabel,
+                        Edit::AddNode,
+                        Edit::Relabel,
+                        Edit::AddEdge,
+                        Edit::RemoveEdge,
+                    ],
+                );
                 let before = inc.space_arc();
                 let report = inc.apply_normalized(&g2, &delta);
                 let scratch = dual_simulation(&q, &g2, None);
@@ -601,9 +489,9 @@ fn cyclic_closing_edges_admit_in_rounds() {
     let (mut closed, mut third_round) = (0usize, 0usize);
     check(
         "IncrementalSpace ≡ dual_simulation when an added edge closes a cycle",
-        case_budget(24),
+        cases(24, 3),
         |rng| {
-            let mut g = random_graph(rng, 12);
+            let mut g = random_graph(rng, 2..=12, 0..=3);
             let (q, labels) = cycle_pattern(rng, &g);
             let mut inc = IncrementalSpace::new(&q, &g, None);
             let mut pending: Option<Planted> = None;
@@ -621,7 +509,16 @@ fn cyclic_closing_edges_admit_in_rounds() {
                         pending = Some(p);
                         (g2, delta)
                     }
-                    None => random_edit_of(rng, &g, &[0, 1, 2, 2]),
+                    None => random_edit_of(
+                        rng,
+                        &g,
+                        &[
+                            Edit::AddEdge,
+                            Edit::Rewire,
+                            Edit::RemoveEdge,
+                            Edit::RemoveEdge,
+                        ],
+                    ),
                 };
                 let before = inc.space_arc();
                 let report = inc.apply_normalized(&g2, &delta);

@@ -13,16 +13,8 @@ use gfd_match::join::{join_tables, JoinScratch};
 use gfd_match::table::MatchTable;
 use gfd_match::types::{Flow, Pin};
 use gfd_pattern::{Pattern, PatternBuilder, VarId};
-use gfd_util::{prop::check, Rng};
-
-/// `BENCH_SMOKE=1` shrinks the seed budget (CI fail-fast gate).
-fn cases(full: u64) -> u64 {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        (full / 8).max(4)
-    } else {
-        full
-    }
-}
+use gfd_util::prop::{cases, check};
+use gfd_util::Rng;
 
 /// The pre-flat-table nested join, kept verbatim as the oracle:
 /// smallest match list first, disjointness via a `used` stack.
@@ -73,7 +65,7 @@ fn oracle_join(
 }
 
 /// A random small graph over labels {A, B} and edge labels {e, f}.
-fn random_graph(rng: &mut Rng, vocab: &Arc<Vocab>) -> Graph {
+fn random_ab_graph(rng: &mut Rng, vocab: &Arc<Vocab>) -> Graph {
     let mut b = GraphBuilder::new(vocab.clone());
     let n = rng.gen_range(3..9);
     let nodes: Vec<NodeId> = (0..n)
@@ -143,9 +135,9 @@ fn flat_table_join_equals_nested_join() {
     let vocab = Vocab::shared();
     check(
         "join_tables ≡ nested-Vec oracle on random patterns",
-        cases(120),
+        cases(120, 15),
         |rng| {
-            let g = random_graph(rng, &vocab);
+            let g = random_ab_graph(rng, &vocab);
             let ncomp = rng.gen_range(2..4);
             let comps: Vec<Pattern> = (0..ncomp).map(|_| random_component(rng, &vocab)).collect();
             let total: usize = comps.iter().map(Pattern::node_count).sum();
@@ -201,9 +193,9 @@ fn both_orientations_flat_equals_nested() {
     let vocab = Vocab::shared();
     check(
         "symmetric-pair both-orientations ≡ oracle",
-        cases(80),
+        cases(80, 10),
         |rng| {
-            let g = random_graph(rng, &vocab);
+            let g = random_ab_graph(rng, &vocab);
             let q = random_component(rng, &vocab);
             let k = q.node_count();
             let total = 2 * k;

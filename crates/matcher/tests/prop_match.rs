@@ -25,6 +25,11 @@
 //! `gfd_util::prop` runs each property over a seed range and reports
 //! the failing seed.)
 
+mod common;
+
+use common::{
+    oracle_edge_ok, oracle_matches, random_graph, random_pattern, EDGE_LABELS, NODE_LABELS,
+};
 use gfd_graph::neighborhood::khop_nodes;
 use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
 use gfd_match::simulation::dual_simulation;
@@ -33,100 +38,6 @@ use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch
 use gfd_pattern::analysis::pivot_vector;
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
-
-const NODE_LABELS: usize = 3;
-const EDGE_LABELS: usize = 2;
-
-/// A random graph over a fixed small label vocabulary.
-fn random_graph(rng: &mut Rng, max_nodes: usize) -> Graph {
-    let n = rng.gen_range(1..max_nodes + 1);
-    let mut b = GraphBuilder::with_fresh_vocab();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node_labeled(&format!("l{}", i % NODE_LABELS)))
-        .collect();
-    let m = rng.gen_range(0..3 * n + 1);
-    for _ in 0..m {
-        let s = rng.gen_range(0..n);
-        let d = rng.gen_range(0..n);
-        let e = format!("e{}", rng.gen_range(0..EDGE_LABELS));
-        b.add_edge_labeled(ids[s], ids[d], &e);
-    }
-    b.freeze()
-}
-
-/// A random (possibly disconnected, possibly wildcard) pattern over
-/// the graph's vocabulary.
-fn random_pattern(rng: &mut Rng, g: &Graph) -> Pattern {
-    let k = rng.gen_range(1..5);
-    let mut b = PatternBuilder::new(g.vocab().clone());
-    let vars: Vec<VarId> = (0..k)
-        .map(|i| {
-            let name = format!("v{i}");
-            if rng.gen_range(0..10) < 3 {
-                b.wildcard_node(&name)
-            } else {
-                b.node(&name, &format!("l{}", rng.gen_range(0..NODE_LABELS)))
-            }
-        })
-        .collect();
-    let edges = rng.gen_range(0..5);
-    for _ in 0..edges {
-        let s = vars[rng.gen_range(0..k)];
-        let d = vars[rng.gen_range(0..k)];
-        if rng.gen_range(0..10) < 2 {
-            b.wildcard_edge(s, d);
-        } else {
-            b.edge(s, d, &format!("e{}", rng.gen_range(0..EDGE_LABELS)));
-        }
-    }
-    b.build()
-}
-
-/// Does `g` admit the pattern edge `(src → dst, label)` between the
-/// two image nodes?
-fn oracle_edge_ok(g: &Graph, u: NodeId, v: NodeId, label: PatLabel) -> bool {
-    match label {
-        PatLabel::Sym(s) => g.has_edge(u, v, s),
-        PatLabel::Wildcard => g.has_edge_any(u, v),
-    }
-}
-
-/// Brute force: every injective assignment, filtered by labels and
-/// pattern edges. Returns sorted match vectors.
-fn oracle_matches(q: &Pattern, g: &Graph) -> Vec<Vec<NodeId>> {
-    let k = q.node_count();
-    let mut out = Vec::new();
-    let mut assign = vec![NodeId(u32::MAX); k];
-    fn rec(
-        q: &Pattern,
-        g: &Graph,
-        depth: usize,
-        assign: &mut Vec<NodeId>,
-        out: &mut Vec<Vec<NodeId>>,
-    ) {
-        if depth == q.node_count() {
-            for e in q.edges() {
-                if !oracle_edge_ok(g, assign[e.src.index()], assign[e.dst.index()], e.label) {
-                    return;
-                }
-            }
-            out.push(assign.clone());
-            return;
-        }
-        let v = VarId(depth as u32);
-        for u in g.nodes() {
-            if !q.label(v).admits(g.label(u)) || assign[..depth].contains(&u) {
-                continue;
-            }
-            assign[depth] = u;
-            rec(q, g, depth + 1, assign, out);
-            assign[depth] = NodeId(u32::MAX);
-        }
-    }
-    rec(q, g, 0, &mut assign, &mut out);
-    out.sort();
-    out
-}
 
 /// The dense fixpoint algorithm the worklist version replaced, kept
 /// here as the simulation oracle — over the whole graph, or over the
@@ -237,9 +148,9 @@ fn engine_matches(q: &Pattern, g: &Graph, opts: &MatchOptions, source: Source) -
 #[test]
 fn matcher_equals_brute_force_oracle() {
     check("filter-and-refine ≡ brute force", 150, |rng| {
-        let g = random_graph(rng, 10);
+        let g = random_graph(rng, 1..=10, 0..=3);
         let q = random_pattern(rng, &g);
-        let expected = oracle_matches(&q, &g);
+        let expected = oracle_matches(&q, &g, &[]);
         for source in SOURCES {
             let got = engine_matches(&q, &g, &MatchOptions::unrestricted(), source);
             prop_assert!(
@@ -317,7 +228,7 @@ fn simulation_matches_oracle(
 #[test]
 fn worklist_simulation_equals_fixpoint_oracle() {
     check("worklist sim ≡ dense fixpoint", 200, |rng| {
-        let g = random_graph(rng, 12);
+        let g = random_graph(rng, 1..=12, 0..=3);
         let q = random_pattern(rng, &g);
         simulation_matches_oracle(&q, &g, None)
     });
@@ -328,7 +239,7 @@ fn worklist_simulation_equals_fixpoint_oracle() {
 #[test]
 fn scoped_simulation_equals_restricted_oracle() {
     check("scoped sim ≡ scope-restricted fixpoint", 200, |rng| {
-        let g = random_graph(rng, 12);
+        let g = random_graph(rng, 1..=12, 0..=3);
         let q = random_pattern(rng, &g);
         let picked = g.nodes().filter(|_| rng.gen_range(0..3) > 0).collect();
         simulation_matches_oracle(&q, &g, Some(&NodeSet::from_vec(picked)))
@@ -341,7 +252,7 @@ fn scoped_simulation_equals_restricted_oracle() {
 #[test]
 fn simulation_after_relabels_and_added_nodes_equals_oracle() {
     check("sim on patched snapshots ≡ dense fixpoint", 100, |rng| {
-        let mut g = random_graph(rng, 10);
+        let mut g = random_graph(rng, 1..=10, 0..=3);
         let q = random_pattern(rng, &g);
         for _ in 0..4 {
             g = g.edit(|b| {
@@ -400,7 +311,7 @@ fn a_deep_cascade_empties_a_path_like_the_oracle() {
 #[test]
 fn simulation_contains_every_match() {
     check("sim ⊇ matches", 120, |rng| {
-        let g = random_graph(rng, 10);
+        let g = random_graph(rng, 1..=10, 0..=3);
         let q = random_pattern(rng, &g);
         let cs = dual_simulation(&q, &g, None);
         for m in engine_matches(&q, &g, &MatchOptions::unrestricted(), Source::NoSpace) {
@@ -447,7 +358,7 @@ fn random_pins(rng: &mut Rng, q: &Pattern, g: &Graph) -> Vec<Pin> {
 fn pinned_enumeration_agrees_with_oracle() {
     let (mut wildcard, mut inverted, mut doubled) = (0, 0, 0);
     check("pin ≡ filtered oracle", 100, |rng| {
-        let g = random_graph(rng, 10);
+        let g = random_graph(rng, 1..=10, 0..=3);
         let q = random_pattern(rng, &g);
         let pin_var = VarId(rng.gen_range(0..q.node_count()) as u32);
         let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
@@ -461,16 +372,8 @@ fn pinned_enumeration_agrees_with_oracle() {
             .enumerate()
             .any(|(i, p)| intervals[..i].iter().any(|o| o.var == p.var))
             as usize;
-        let all = oracle_matches(&q, &g);
         for pins in [vec![Pin::at(pin_var, pin_node)], intervals] {
-            let expected: Vec<Vec<NodeId>> = all
-                .iter()
-                .filter(|m| {
-                    pins.iter()
-                        .all(|p| (p.lo..=p.hi).contains(&m[p.var.index()]))
-                })
-                .cloned()
-                .collect();
+            let expected = oracle_matches(&q, &g, &pins);
             let opts = MatchOptions {
                 pins,
                 ..MatchOptions::unrestricted()
@@ -505,7 +408,7 @@ fn pinned_enumeration_agrees_with_oracle() {
 fn pivot_pinned_matches_stay_within_the_pivot_radius() {
     let mut reached_radius = false;
     check("pinned at pivot ⊆ radius-hop block", 150, |rng| {
-        let g = random_graph(rng, 10);
+        let g = random_graph(rng, 1..=10, 0..=3);
         let q = random_pattern(rng, &g);
         for c in &pivot_vector(&q).components {
             let (cq, orig_vars) = q.restrict(&c.vars);
@@ -513,7 +416,7 @@ fn pivot_pinned_matches_stay_within_the_pivot_radius() {
                 .iter()
                 .position(|&v| v == c.pivot)
                 .expect("the pivot is in its component");
-            let all = oracle_matches(&cq, &g);
+            let all = oracle_matches(&cq, &g, &[]);
             let cs = dual_simulation(&cq, &g, None);
             for v in g.nodes() {
                 let pins = [Pin::at(VarId(z as u32), v)];

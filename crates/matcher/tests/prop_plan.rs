@@ -14,6 +14,9 @@
 //! ([`count_matches_with`], [`count_matches`]) is held to the oracle's
 //! length on the same cases.
 
+mod common;
+
+use common::{oracle_matches, random_graph, EDGE_LABELS, NODE_LABELS};
 use gfd_graph::{Graph, GraphBuilder, NodeId};
 use gfd_match::api::EnumOutcome;
 use gfd_match::types::Flow;
@@ -21,29 +24,8 @@ use gfd_match::{
     count_matches, count_matches_with, dual_simulation, for_each_match_in, for_each_match_with,
     ClassRegistry, MatchOptions, MatchScratch, Pin, SearchBudget,
 };
-use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
+use gfd_pattern::{Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
-
-const NODE_LABELS: usize = 3;
-const EDGE_LABELS: usize = 2;
-
-/// A random graph over the fixed small label vocabulary, dense enough
-/// for cycles to close.
-fn random_graph(rng: &mut Rng, max_nodes: usize) -> Graph {
-    let n = rng.gen_range(3..max_nodes + 1);
-    let mut b = GraphBuilder::with_fresh_vocab();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node_labeled(&format!("l{}", i % NODE_LABELS)))
-        .collect();
-    let m = rng.gen_range(n..4 * n + 1);
-    for _ in 0..m {
-        let s = rng.gen_range(0..n);
-        let d = rng.gen_range(0..n);
-        let e = format!("e{}", rng.gen_range(0..EDGE_LABELS));
-        b.add_edge_labeled(ids[s], ids[d], &e);
-    }
-    b.freeze()
-}
 
 /// A structural pattern description, buildable under any variable
 /// declaration order — the twin generator for witness transport.
@@ -114,57 +96,6 @@ fn random_order(rng: &mut Rng, k: usize) -> Vec<usize> {
     order
 }
 
-fn oracle_edge_ok(g: &Graph, u: NodeId, v: NodeId, label: PatLabel) -> bool {
-    match label {
-        PatLabel::Sym(s) => g.has_edge(u, v, s),
-        PatLabel::Wildcard => g.has_edge_any(u, v),
-    }
-}
-
-/// Brute force: every injective assignment, filtered by labels and
-/// pattern edges. Returns sorted match vectors.
-fn oracle_matches(q: &Pattern, g: &Graph) -> Vec<Vec<NodeId>> {
-    let k = q.node_count();
-    let mut out = Vec::new();
-    let mut assign = vec![NodeId(u32::MAX); k];
-    fn rec(
-        q: &Pattern,
-        g: &Graph,
-        depth: usize,
-        assign: &mut Vec<NodeId>,
-        out: &mut Vec<Vec<NodeId>>,
-    ) {
-        if depth == q.node_count() {
-            for e in q.edges() {
-                if !oracle_edge_ok(g, assign[e.src.index()], assign[e.dst.index()], e.label) {
-                    return;
-                }
-            }
-            out.push(assign.clone());
-            return;
-        }
-        let v = VarId(depth as u32);
-        for u in g.nodes() {
-            if !q.label(v).admits(g.label(u)) || assign[..depth].contains(&u) {
-                continue;
-            }
-            assign[depth] = u;
-            // Cut an assignment early where an edge between assigned
-            // variables already fails; the leaf still checks every edge.
-            let mut closed = q.edges().iter().filter(|e| e.src.max(e.dst) == v);
-            let fails = closed
-                .any(|e| !oracle_edge_ok(g, assign[e.src.index()], assign[e.dst.index()], e.label));
-            if !fails {
-                rec(q, g, depth + 1, assign, out);
-            }
-            assign[depth] = NodeId(u32::MAX);
-        }
-    }
-    rec(q, g, 0, &mut assign, &mut out);
-    out.sort();
-    out
-}
-
 /// Runs the enumerator inside `cs` through the public entry point and
 /// returns how it ended plus the sorted matches.
 fn space_matches_with(
@@ -200,11 +131,11 @@ fn space_matches(
 fn plan_executor_equals_brute_force_on_cyclic_patterns() {
     let mut scratch = MatchScratch::default();
     check("space mode ≡ brute force (cyclic)", 150, |rng| {
-        let g = random_graph(rng, 9);
+        let g = random_graph(rng, 3..=9, 1..=4);
         let spec = random_cyclic_spec(rng);
         let order: Vec<usize> = (0..spec.labels.len()).collect();
         let q = build_pattern(&spec, &order, &g);
-        let expected = oracle_matches(&q, &g);
+        let expected = oracle_matches(&q, &g, &[]);
         let cs = dual_simulation(&q, &g, None);
         let got = space_matches(&q, &g, &cs, &[], &mut scratch);
         prop_assert!(
@@ -239,32 +170,22 @@ fn random_interval(rng: &mut Rng, var: VarId, g: &Graph) -> Pin {
     }
 }
 
-/// The oracle's matches inside every pin's interval.
-fn within(mut matches: Vec<Vec<NodeId>>, pins: &[Pin]) -> Vec<Vec<NodeId>> {
-    matches.retain(|m| {
-        pins.iter()
-            .all(|p| (p.lo..=p.hi).contains(&m[p.var.index()]))
-    });
-    matches
-}
-
 #[test]
 fn pinned_plan_execution_equals_filtered_oracle() {
     let mut scratch = MatchScratch::default();
     check("pinned space mode ≡ filtered oracle", 120, |rng| {
-        let g = random_graph(rng, 8);
+        let g = random_graph(rng, 3..=8, 1..=4);
         let spec = random_cyclic_spec(rng);
         let order: Vec<usize> = (0..spec.labels.len()).collect();
         let q = build_pattern(&spec, &order, &g);
         let pin_var = VarId(rng.gen_range(0..q.node_count()) as u32);
         let pin_node = NodeId(rng.gen_range(0..g.node_count()) as u32);
-        let all = oracle_matches(&q, &g);
         let cs = dual_simulation(&q, &g, None);
         for pin in [
             Pin::at(pin_var, pin_node),
             random_interval(rng, pin_var, &g),
         ] {
-            let expected = within(all.clone(), &[pin]);
+            let expected = oracle_matches(&q, &g, &[pin]);
             let got = space_matches(&q, &g, &cs, &[pin], &mut scratch);
             prop_assert!(
                 got == expected,
@@ -299,7 +220,7 @@ fn pinned_plan_execution_equals_filtered_oracle() {
 fn transported_plans_survive_edit_scripts() {
     let mut scratch = MatchScratch::default();
     check("registry spaces ≡ oracle under edits", 60, |rng| {
-        let mut g = random_graph(rng, 8);
+        let mut g = random_graph(rng, 3..=8, 1..=4);
         let spec = random_cyclic_spec(rng);
         let k = spec.labels.len();
         let identity: Vec<usize> = (0..k).collect();
@@ -328,7 +249,7 @@ fn transported_plans_survive_edit_scripts() {
                     MatchOptions::unrestricted().pin(pin_var, pin_node),
                     interval,
                 ] {
-                    let expected = within(oracle_matches(q, &g), &opts.pins);
+                    let expected = oracle_matches(q, &g, &opts.pins);
                     let mut got = Vec::new();
                     for_each_match_in(&view, &g, &opts, &mut scratch, &mut |m| {
                         got.push(m.to_vec());
@@ -429,7 +350,7 @@ fn pinned_enumeration_is_neighborhood_bounded() {
             cs.of(VarId(0)).len() == far + d,
             "premise: the far region survives simulation"
         );
-        let all = oracle_matches(&q, &g);
+        let all = oracle_matches(&q, &g, &[]);
         for (j, nodes) in blob.iter().enumerate() {
             let var = VarId(j as u32);
             let node = Pin::at(var, nodes[0]);

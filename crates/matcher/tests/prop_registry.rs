@@ -13,65 +13,26 @@
 
 mod common;
 
-use gfd_graph::{Graph, GraphBuilder, NodeId};
+use common::{oracle_matches, random_edit_of, random_graph, random_pattern, Edit};
+use gfd_graph::{Graph, NodeId};
 use gfd_match::simulation::dual_simulation;
 use gfd_match::types::Flow;
-use gfd_match::{for_each_match_in, ClassRegistry, ClassView, MatchOptions, MatchScratch, Pin};
+use gfd_match::{for_each_match_in, ClassRegistry, ClassView, MatchOptions, MatchScratch};
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
-use gfd_util::{prop::check, Rng};
+use gfd_util::prop::{cases, check};
+use gfd_util::Rng;
 
-const NODE_LABELS: usize = 3;
-const EDGE_LABELS: usize = 2;
 const SCRIPT_STEPS: usize = 50;
 
-fn case_budget(full: u64) -> u64 {
-    if std::env::var_os("BENCH_SMOKE").is_some() {
-        (full / 8).max(2)
-    } else {
-        full
-    }
-}
-
-fn random_graph(rng: &mut Rng, max_nodes: usize) -> Graph {
-    let n = rng.gen_range(2..max_nodes + 1);
-    let mut b = GraphBuilder::with_fresh_vocab();
-    let ids: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node_labeled(&format!("l{}", i % NODE_LABELS)))
-        .collect();
-    let m = rng.gen_range(0..3 * n + 1);
-    for _ in 0..m {
-        let s = rng.gen_range(0..n);
-        let d = rng.gen_range(0..n);
-        let e = format!("e{}", rng.gen_range(0..EDGE_LABELS));
-        b.add_edge_labeled(ids[s], ids[d], &e);
-    }
-    b.freeze()
-}
-
-fn random_pattern(rng: &mut Rng, g: &Graph) -> Pattern {
-    let k = rng.gen_range(1..5);
-    let mut b = PatternBuilder::new(g.vocab().clone());
-    let vars: Vec<VarId> = (0..k)
-        .map(|i| {
-            let name = format!("v{i}");
-            if rng.gen_range(0..10) < 3 {
-                b.wildcard_node(&name)
-            } else {
-                b.node(&name, &format!("l{}", rng.gen_range(0..NODE_LABELS)))
-            }
-        })
-        .collect();
-    for _ in 0..rng.gen_range(0..5) {
-        let s = vars[rng.gen_range(0..k)];
-        let d = vars[rng.gen_range(0..k)];
-        if rng.gen_range(0..10) < 2 {
-            b.wildcard_edge(s, d);
-        } else {
-            b.edge(s, d, &format!("e{}", rng.gen_range(0..EDGE_LABELS)));
-        }
-    }
-    b.build()
-}
+/// Every mutation kind but attribute writes, which a candidate space
+/// never reads, in the order this suite's seed stream draws them.
+const REGISTRY_EDITS: [Edit; 5] = [
+    Edit::AddEdge,
+    Edit::RemoveEdge,
+    Edit::AddNode,
+    Edit::Relabel,
+    Edit::Rewire,
+];
 
 /// Rebuilds `q` with its variables declared in a random order under
 /// fresh names — an exact-label isomorphic twin the registry must map
@@ -139,49 +100,6 @@ fn view_equals_scratch(view: &ClassView, q: &Pattern, g: &Graph, what: &str) -> 
     Ok(())
 }
 
-/// Brute force on the member's own pattern: every injective
-/// assignment honoring `pins`, checked label by label and edge by
-/// edge. Sorted.
-fn oracle_matches(q: &Pattern, g: &Graph, pins: &[Pin]) -> Vec<Vec<NodeId>> {
-    fn rec(
-        q: &Pattern,
-        g: &Graph,
-        pins: &[Pin],
-        assign: &mut Vec<NodeId>,
-        out: &mut Vec<Vec<NodeId>>,
-    ) {
-        let v = VarId(assign.len() as u32);
-        if assign.len() == q.node_count() {
-            let edge_ok = |e: &gfd_pattern::PatternEdge| {
-                let (s, d) = (assign[e.src.index()], assign[e.dst.index()]);
-                match e.label {
-                    PatLabel::Sym(l) => g.has_edge(s, d, l),
-                    PatLabel::Wildcard => g.has_edge_any(s, d),
-                }
-            };
-            if q.edges().iter().all(edge_ok) {
-                out.push(assign.clone());
-            }
-            return;
-        }
-        for u in g.nodes() {
-            let pinned_elsewhere = pins
-                .iter()
-                .any(|p| p.var == v && !(p.lo..=p.hi).contains(&u));
-            if pinned_elsewhere || !q.label(v).admits(g.label(u)) || assign.contains(&u) {
-                continue;
-            }
-            assign.push(u);
-            rec(q, g, pins, assign, out);
-            assign.pop();
-        }
-    }
-    let mut out = Vec::new();
-    rec(q, g, pins, &mut Vec::new(), &mut out);
-    out.sort();
-    out
-}
-
 /// Enumeration through the view — unpinned, and pinned at a random
 /// variable of the member — against [`oracle_matches`].
 fn view_enumerates_the_member(
@@ -217,66 +135,13 @@ fn view_enumerates_the_member(
     Ok(())
 }
 
-/// One edit step, mirroring `prop_incremental.rs`: a batch of 1–3
-/// random mutations recorded through `edit_with_delta`.
-fn random_edit(rng: &mut Rng, g: &Graph) -> (Graph, gfd_graph::GraphDelta) {
-    let ops = rng.gen_range(1..4);
-    let mut plan: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(ops);
-    for _ in 0..ops {
-        plan.push((
-            rng.gen_range(0..5),
-            rng.gen_range(0..usize::MAX),
-            rng.gen_range(0..usize::MAX),
-            rng.gen_range(0..usize::MAX),
-        ));
-    }
-    g.edit_with_delta(move |b| {
-        for (kind, r1, r2, r3) in plan {
-            let n = b.node_count();
-            match kind {
-                0 => {
-                    let s = NodeId((r1 % n) as u32);
-                    let d = NodeId((r2 % n) as u32);
-                    b.add_edge_labeled(s, d, &format!("e{}", r3 % EDGE_LABELS));
-                }
-                1 => {
-                    let s = NodeId((r1 % n) as u32);
-                    let d = NodeId((r2 % n) as u32);
-                    b.remove_edge_labeled(s, d, &format!("e{}", r3 % EDGE_LABELS));
-                }
-                2 => {
-                    let u = b.add_node_labeled(&format!("l{}", r1 % NODE_LABELS));
-                    if r2 % 2 == 0 {
-                        let d = NodeId((r3 % n) as u32);
-                        b.add_edge_labeled(u, d, &format!("e{}", r3 % EDGE_LABELS));
-                    }
-                }
-                3 => {
-                    let u = NodeId((r1 % n) as u32);
-                    let l = b.vocab().intern(&format!("l{}", r2 % NODE_LABELS));
-                    b.set_label(u, l);
-                }
-                _ => {
-                    // Rewire in one delta: deletion + replacing insertion.
-                    let s = NodeId((r1 % n) as u32);
-                    let d = NodeId((r2 % n) as u32);
-                    let d2 = NodeId(((r2 + 1) % n) as u32);
-                    let e = format!("e{}", r3 % EDGE_LABELS);
-                    b.remove_edge_labeled(s, d, &e);
-                    b.add_edge_labeled(s, d2, &e);
-                }
-            }
-        }
-    })
-}
-
 #[test]
 fn transported_spaces_equal_scratch_simulation() {
     check(
         "ClassRegistry view ≡ dual_simulation + brute force on the member",
-        case_budget(40),
+        cases(40, 5),
         |rng| {
-            let g = random_graph(rng, 12);
+            let g = random_graph(rng, 2..=12, 0..=3);
             let base = random_pattern(rng, &g);
             let members: Vec<Pattern> = std::iter::once(base.clone())
                 .chain((0..rng.gen_range(1..4)).map(|t| declaration_twin(rng, &base, t)))
@@ -307,9 +172,9 @@ fn transported_spaces_equal_scratch_simulation() {
 fn repaired_representative_retransports_over_edit_scripts() {
     check(
         "ClassRegistry repair + view ≡ scratch over 50-step scripts",
-        case_budget(16),
+        cases(16, 2),
         |rng| {
-            let mut g = random_graph(rng, 10);
+            let mut g = random_graph(rng, 2..=10, 0..=3);
             let base = random_pattern(rng, &g);
             let members: Vec<Pattern> = std::iter::once(base.clone())
                 .chain((0..2).map(|t| declaration_twin(rng, &base, t)))
@@ -321,7 +186,7 @@ fn repaired_representative_retransports_over_edit_scripts() {
             }
             let mut scratch = MatchScratch::default();
             for step in 0..SCRIPT_STEPS {
-                let (g2, delta) = random_edit(rng, &g);
+                let (g2, delta) = random_edit_of(rng, &g, &REGISTRY_EDITS);
                 reg.advance(&g2, &delta, reg.version() + 1);
                 for (m, (q, &h)) in members.iter().zip(&handles).enumerate() {
                     let view = reg.space(h, &g2);
@@ -351,7 +216,7 @@ fn repaired_representative_retransports_over_edit_scripts() {
 /// that enters with it; a relation with no such member, like every step
 /// without `rewire`, gets an ordinary paged edit.
 fn paged_views_script(name: &str, rewire: bool) {
-    check(name, case_budget(8), |rng| {
+    check(name, cases(8, 2), |rng| {
         let mut g = common::paged_graph(rng);
         let base = common::paged_pattern(rng, &g);
         let members = [base.clone(), declaration_twin(rng, &base, 0)];

@@ -210,8 +210,6 @@ pub(crate) fn drive(
         units: split.len(),
         cache_hits: cache.hits,
         cache_misses: cache.misses,
-        cache_evicted_cold: cache.evicted_cold,
-        cache_evictions_deferred: cache.eviction_deferred_pinned,
         ..clocks.into()
     }
 }

@@ -41,11 +41,6 @@ pub struct ParallelReport {
     pub cache_hits: u64,
     /// Class-space requests that had to simulate.
     pub cache_misses: u64,
-    /// Cold artifacts reclaimed by the run's registry's LRU pass.
-    pub cache_evicted_cold: u64,
-    /// Eviction candidates skipped because a worker still held them
-    /// (refcount-aware deferral); they drain once pins drop.
-    pub cache_evictions_deferred: u64,
 }
 
 /// A report carrying the clocks' makespans, traffic and per-worker

@@ -699,6 +699,7 @@ mod tests {
     use crate::fault::silence_injected_panics;
     use gfd_core::validate::detect_violations;
     use gfd_core::{Dependency, Gfd, Literal};
+    use gfd_graph::graph::same_snapshot;
     use gfd_graph::{GraphBuilder, NodeId, Value, Vocab};
     use gfd_pattern::PatternBuilder;
     use std::sync::Barrier;
@@ -755,17 +756,6 @@ mod tests {
         let mut v = detect_violations(sigma, g);
         sort_violations(&mut v);
         v
-    }
-
-    fn graphs_equal(a: &Graph, b: &Graph) -> bool {
-        a.node_count() == b.node_count()
-            && a.edge_count() == b.edge_count()
-            && a.nodes().all(|u| {
-                a.label(u) == b.label(u)
-                    && a.attrs(u) == b.attrs(u)
-                    && a.out_slice(u) == b.out_slice(u)
-                    && a.in_slice(u) == b.in_slice(u)
-            })
     }
 
     /// One batch of chained edit deltas on the shadow snapshot, biased
@@ -877,7 +867,7 @@ mod tests {
         assert!(Arc::ptr_eq(&pin0.graph, &g0), "pinned snapshot was swapped");
         for (pin, at) in &pins {
             assert!(
-                graphs_equal(&pin.graph, at),
+                same_snapshot(&pin.graph, at).is_ok(),
                 "the pin at epoch {} changed under later commits",
                 pin.epoch
             );

@@ -170,8 +170,6 @@ pub struct FrameFault {
 /// asserts on these counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// The epoch of the base snapshot frame.
-    pub base_epoch: u64,
     /// The epoch recovery landed on (base + replayed deltas).
     pub recovered_epoch: u64,
     /// Delta frames successfully replayed onto the snapshot.
@@ -620,7 +618,6 @@ pub fn recover_in(
     let mut replay = snapshot.intern().map_err(payload_fault)?;
 
     let mut report = RecoveryReport {
-        base_epoch: base.epoch,
         recovered_epoch: base.epoch,
         ..RecoveryReport::default()
     };
@@ -782,16 +779,6 @@ mod tests {
         (base, snapshots, w)
     }
 
-    fn graphs_equal(a: &Graph, b: &Graph) -> bool {
-        a.node_count() == b.node_count()
-            && a.edge_count() == b.edge_count()
-            && a.nodes().all(|u| {
-                a.label(u) == b.label(u)
-                    && a.attrs(u) == b.attrs(u)
-                    && a.out_slice(u) == b.out_slice(u)
-            })
-    }
-
     #[test]
     fn round_trip_replays_to_head() {
         let dir = TempDir::new("gfd-wal-roundtrip").unwrap();
@@ -807,7 +794,7 @@ mod tests {
         assert_eq!(report.truncated_frames, 0);
         assert_eq!(report.truncated_bytes, 0);
         assert!(report.corruption.is_none());
-        assert!(graphs_equal(&g, &snapshots[5]));
+        assert!(same_snapshot(&g, &snapshots[5]).is_ok());
         // The recovered writer can keep appending.
         assert_eq!(w2.head(), 5);
         // The late-interned name survived replay.
@@ -873,7 +860,7 @@ mod tests {
                 "cut {cut}: wrong recovery epoch"
             );
             assert!(
-                graphs_equal(&g, &snapshots[intact as usize]),
+                same_snapshot(&g, &snapshots[intact as usize]).is_ok(),
                 "cut {cut}: recovered graph diverges from epoch {intact}"
             );
             let torn =
@@ -908,7 +895,7 @@ mod tests {
         let (g, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
         assert_eq!(report.recovered_epoch, 2);
         assert_eq!(report.replayed_epochs, 2);
-        assert!(graphs_equal(&g, &snapshots[2]));
+        assert!(same_snapshot(&g, &snapshots[2]).is_ok());
         let fault = report.corruption.expect("flip must be reported");
         assert_eq!(fault.offset, target.offset);
         // Epochs 3..5 dropped.
@@ -1010,7 +997,10 @@ mod tests {
             let (g, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
             assert_eq!(report.recovered_epoch, 5, "{name}");
             assert_eq!(report.replayed_epochs, 5, "{name}");
-            assert!(graphs_equal(&g, &snapshots[5]), "{name}: partly applied");
+            assert!(
+                same_snapshot(&g, &snapshots[5]).is_ok(),
+                "{name}: partly applied"
+            );
             let fault = report.corruption.expect("the frame is reported");
             assert_eq!(fault.offset, bad_at, "{name}");
             assert_eq!(fault.epoch, Some(6), "{name}");

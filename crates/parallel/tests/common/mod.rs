@@ -1,14 +1,17 @@
-//! What the service suites share: the social graph their rules read,
-//! the edit model — chained deltas over a small slot pool of
+//! What the service suites share: the social graph and the two rules
+//! that read it, the edit model — chained deltas over a small slot pool of
 //! rule-relevant edge and attribute flips, so one batch carries
 //! opposing ops for compaction to cancel — and the violation set they
 //! compare.
 
 use std::collections::HashSet;
 
-use gfd_core::Violation;
-use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId, Value};
+use std::sync::Arc;
+
+use gfd_core::{Dependency, Gfd, GfdSet, Literal, Violation};
+use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId, Value, Vocab};
 use gfd_match::Match;
+use gfd_pattern::PatternBuilder;
 use gfd_util::Rng;
 
 /// `n` blogs, every third one with keyword `spam`, and `n` accounts,
@@ -33,6 +36,39 @@ pub fn social(n: usize) -> Graph {
         g.add_edge_labeled(a, blogs[(i + 1) % n], "like");
     }
     g.freeze()
+}
+
+/// A spam blog's poster must be fake, its likers real.
+pub fn rules(vocab: Arc<Vocab>) -> GfdSet {
+    let keyword = vocab.intern("keyword");
+    let is_fake = vocab.intern("is_fake");
+
+    let mut b = PatternBuilder::new(vocab.clone());
+    let x = b.node("x", "account");
+    let y = b.node("y", "blog");
+    b.edge(x, y, "post");
+    let spam = Gfd::new(
+        "spam-poster-is-fake",
+        b.build(),
+        Dependency::new(
+            vec![Literal::const_eq(y, keyword, "spam")],
+            vec![Literal::const_eq(x, is_fake, true)],
+        ),
+    );
+
+    let mut b = PatternBuilder::new(vocab);
+    let x = b.node("x", "account");
+    let y = b.node("y", "blog");
+    b.edge(x, y, "like");
+    let liker = Gfd::new(
+        "spam-liker-is-real",
+        b.build(),
+        Dependency::new(
+            vec![Literal::const_eq(y, keyword, "spam")],
+            vec![Literal::const_eq(x, is_fake, false)],
+        ),
+    );
+    GfdSet::new(vec![spam, liker])
 }
 
 /// A violation list as a set, for comparisons that ignore order.

@@ -22,57 +22,14 @@ use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use common::{random_batch, social, vio_set};
+use common::{random_batch, rules, social, vio_set};
 use gfd_core::validate::detect_violations;
-use gfd_core::{Dependency, Gfd, GfdSet, Literal};
-use gfd_graph::{Graph, Vocab};
+use gfd_graph::graph::same_snapshot;
+use gfd_graph::Graph;
 use gfd_parallel::wal::{frame_bounds, HEADER_LEN};
 use gfd_parallel::{CrashKind, FaultPlan, ServiceConfig, SyncPolicy, ViolationService};
-use gfd_pattern::PatternBuilder;
+use gfd_util::prop::cases;
 use gfd_util::{Rng, TempDir};
-
-fn rules(vocab: Arc<Vocab>) -> GfdSet {
-    let keyword = vocab.intern("keyword");
-    let is_fake = vocab.intern("is_fake");
-
-    let mut b = PatternBuilder::new(vocab.clone());
-    let x = b.node("x", "account");
-    let y = b.node("y", "blog");
-    b.edge(x, y, "post");
-    let spam = Gfd::new(
-        "spam-poster-is-fake",
-        b.build(),
-        Dependency::new(
-            vec![Literal::const_eq(y, keyword, "spam")],
-            vec![Literal::const_eq(x, is_fake, true)],
-        ),
-    );
-
-    let mut b = PatternBuilder::new(vocab);
-    let x = b.node("x", "account");
-    let y = b.node("y", "blog");
-    b.edge(x, y, "like");
-    let liker = Gfd::new(
-        "spam-liker-is-real",
-        b.build(),
-        Dependency::new(
-            vec![Literal::const_eq(y, keyword, "spam")],
-            vec![Literal::const_eq(x, is_fake, false)],
-        ),
-    );
-    GfdSet::new(vec![spam, liker])
-}
-
-fn graphs_equal(a: &Graph, b: &Graph) -> bool {
-    a.node_count() == b.node_count()
-        && a.edge_count() == b.edge_count()
-        && a.nodes().all(|u| {
-            a.label(u) == b.label(u)
-                && a.attrs(u) == b.attrs(u)
-                && a.out_slice(u) == b.out_slice(u)
-                && a.in_slice(u) == b.in_slice(u)
-        })
-}
 
 /// Damages the log at `path` the way `kind` says a crash would, with
 /// positions drawn from the plan at `tick`. `synced_len` is the prefix
@@ -123,11 +80,7 @@ fn mangle(
 
 #[test]
 fn kill_and_recover_soak_lands_on_oracle_identical_epochs() {
-    let target_epochs: u64 = if std::env::var_os("BENCH_SMOKE").is_some() {
-        20
-    } else {
-        60
-    };
+    let target_epochs = cases(60, 20);
 
     // The plan only decides *crashes* here; the service itself runs
     // fault-free so every divergence the oracle catches is recovery's.
@@ -230,10 +183,9 @@ fn kill_and_recover_soak_lands_on_oracle_identical_epochs() {
         // shadow at the recovered epoch — then the timeline rewinds.
         shadows.truncate(expect_epoch as usize + 1);
         let shadow = shadows.last().unwrap();
-        assert!(
-            graphs_equal(svc.snapshot().graph.as_ref(), shadow),
-            "tick {tick} ({kind:?}): recovered graph diverges from the shadow"
-        );
+        if let Err(msg) = same_snapshot(svc.snapshot().graph.as_ref(), shadow) {
+            panic!("tick {tick} ({kind:?}): recovered graph diverges from the shadow: {msg}");
+        }
         assert_eq!(
             vio_set(svc.violations()),
             vio_set(detect_violations(&sigma, shadow)),
@@ -263,7 +215,7 @@ fn kill_and_recover_soak_lands_on_oracle_identical_epochs() {
     assert_eq!(report.recovered_epoch, head);
     assert!(report.corruption.is_none());
     let shadow = shadows.last().unwrap();
-    assert!(graphs_equal(svc.snapshot().graph.as_ref(), shadow));
+    same_snapshot(svc.snapshot().graph.as_ref(), shadow).unwrap();
     assert_eq!(
         vio_set(svc.violations()),
         vio_set(detect_violations(&sigma, shadow))

@@ -32,6 +32,7 @@ use gfd_parallel::{
     ViolationService, WorkloadOptions,
 };
 use gfd_pattern::PatternBuilder;
+use gfd_util::prop::cases;
 use gfd_util::Rng;
 
 /// Three rules in two isomorphism classes, chosen so the registry's
@@ -40,35 +41,9 @@ use gfd_util::Rng;
 /// class, three members, two of them a symmetric pair sharing one
 /// candidate list), the liker rule is the second class.
 fn rules(vocab: Arc<Vocab>) -> GfdSet {
+    let mut sigma = common::rules(vocab.clone());
     let keyword = vocab.intern("keyword");
     let is_fake = vocab.intern("is_fake");
-
-    let mut b = PatternBuilder::new(vocab.clone());
-    let x = b.node("x", "account");
-    let y = b.node("y", "blog");
-    b.edge(x, y, "post");
-    let spam = Gfd::new(
-        "spam-poster-is-fake",
-        b.build(),
-        Dependency::new(
-            vec![Literal::const_eq(y, keyword, "spam")],
-            vec![Literal::const_eq(x, is_fake, true)],
-        ),
-    );
-
-    let mut b = PatternBuilder::new(vocab.clone());
-    let x = b.node("x", "account");
-    let y = b.node("y", "blog");
-    b.edge(x, y, "like");
-    let liker = Gfd::new(
-        "spam-liker-is-real",
-        b.build(),
-        Dependency::new(
-            vec![Literal::const_eq(y, keyword, "spam")],
-            vec![Literal::const_eq(x, is_fake, false)],
-        ),
-    );
-
     let mut b = PatternBuilder::new(vocab);
     let x = b.node("x", "account");
     let y = b.node("y", "blog");
@@ -76,24 +51,20 @@ fn rules(vocab: Arc<Vocab>) -> GfdSet {
     let x2 = b.node("x2", "account");
     let y2 = b.node("y2", "blog");
     b.edge(x2, y2, "post");
-    let twins = Gfd::new(
+    sigma.push(Gfd::new(
         "same-keyword-same-standing",
         b.build(),
         Dependency::new(
             vec![Literal::var_eq(y, keyword, y2, keyword)],
             vec![Literal::var_eq(x, is_fake, x2, is_fake)],
         ),
-    );
-    GfdSet::new(vec![spam, liker, twins])
+    ));
+    sigma
 }
 
 #[test]
 fn shared_registry_serves_racing_tenants_and_executor() {
-    let epochs: usize = if std::env::var_os("BENCH_SMOKE").is_some() {
-        12
-    } else {
-        40
-    };
+    let epochs = cases(40, 12) as usize;
     let g0 = Arc::new(social(12));
     let sigma = rules(g0.vocab().clone());
     let plans = plan_rules(&sigma);

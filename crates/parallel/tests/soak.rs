@@ -20,66 +20,19 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{random_batch, social, vio_set};
+use common::{random_batch, rules, social, vio_set};
 use gfd_core::validate::detect_violations;
-use gfd_core::{Dependency, Gfd, GfdSet, Literal};
-use gfd_graph::{AttrOp, Graph, NodeId, Value, Vocab};
+use gfd_graph::graph::same_snapshot;
+use gfd_graph::{AttrOp, NodeId, Value};
 use gfd_parallel::fault::silence_injected_panics;
 use gfd_parallel::{ClassRegistry, FaultPlan, ServiceConfig, ViolationService};
-use gfd_pattern::PatternBuilder;
+use gfd_util::prop::cases;
 use gfd_util::Rng;
-
-fn rules(vocab: Arc<Vocab>) -> GfdSet {
-    let keyword = vocab.intern("keyword");
-    let is_fake = vocab.intern("is_fake");
-
-    let mut b = PatternBuilder::new(vocab.clone());
-    let x = b.node("x", "account");
-    let y = b.node("y", "blog");
-    b.edge(x, y, "post");
-    let spam = Gfd::new(
-        "spam-poster-is-fake",
-        b.build(),
-        Dependency::new(
-            vec![Literal::const_eq(y, keyword, "spam")],
-            vec![Literal::const_eq(x, is_fake, true)],
-        ),
-    );
-
-    let mut b = PatternBuilder::new(vocab);
-    let x = b.node("x", "account");
-    let y = b.node("y", "blog");
-    b.edge(x, y, "like");
-    let liker = Gfd::new(
-        "spam-liker-is-real",
-        b.build(),
-        Dependency::new(
-            vec![Literal::const_eq(y, keyword, "spam")],
-            vec![Literal::const_eq(x, is_fake, false)],
-        ),
-    );
-    GfdSet::new(vec![spam, liker])
-}
-
-fn graphs_equal(a: &Graph, b: &Graph) -> bool {
-    a.node_count() == b.node_count()
-        && a.edge_count() == b.edge_count()
-        && a.nodes().all(|u| {
-            a.label(u) == b.label(u)
-                && a.attrs(u) == b.attrs(u)
-                && a.out_slice(u) == b.out_slice(u)
-                && a.in_slice(u) == b.in_slice(u)
-        })
-}
 
 #[test]
 fn soak_10k_edit_stream_survives_every_fault_family() {
     silence_injected_panics();
-    let edit_budget: usize = if std::env::var_os("BENCH_SMOKE").is_some() {
-        1_500
-    } else {
-        10_000
-    };
+    let edit_budget = cases(10_000, 1_500) as usize;
 
     let plan = FaultPlan {
         seed: 0xF00D,
@@ -184,11 +137,10 @@ fn soak_10k_edit_stream_survives_every_fault_family() {
     // own epoch — later commits swapped snapshots, never mutated one.
     assert!(Arc::ptr_eq(&pin0.graph, &g0), "the epoch-0 pin was swapped");
     let (mid_pin, mid_shadow) = mid_pin.as_ref().expect("stream ran past epoch 10");
-    assert!(
-        graphs_equal(&mid_pin.graph, mid_shadow),
-        "the pin at epoch {} diverges from its epoch's shadow",
-        mid_pin.epoch
-    );
+    if let Err(msg) = same_snapshot(&mid_pin.graph, mid_shadow) {
+        let epoch = mid_pin.epoch;
+        panic!("the pin at epoch {epoch} diverges from its epoch's shadow: {msg}");
+    }
 
     // Every fault family fired and was absorbed — visible in stats,
     // with quarantined work recovered (oracle 1 already proves no

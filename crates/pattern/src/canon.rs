@@ -71,15 +71,6 @@ impl IsoWitness {
         self.map.iter().enumerate().all(|(i, v)| v.index() == i)
     }
 
-    /// The inverse bijection (`b_var → a_var`).
-    pub fn inverse(&self) -> IsoWitness {
-        let mut map = vec![VarId(u32::MAX); self.map.len()];
-        for (i, v) in self.map.iter().enumerate() {
-            map[v.index()] = VarId(i as u32);
-        }
-        IsoWitness { map }
-    }
-
     /// Structural verification: is this really an exact-label
     /// isomorphism from `a` onto `b`? Used in debug assertions and by
     /// tests of the grouping.
@@ -382,7 +373,7 @@ mod tests {
         assert_eq!(f1.code(), f2.code());
         let w = f1.witness_onto(&f2);
         assert!(w.verify(&p1, &p2));
-        assert!(w.inverse().verify(&p2, &p1));
+        assert!(f2.witness_onto(&f1).verify(&p2, &p1));
     }
 
     #[test]

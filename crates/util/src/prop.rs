@@ -32,6 +32,17 @@ where
     }
 }
 
+/// A property's case budget: `full`, or `smoke` when the `BENCH_SMOKE`
+/// environment variable is set — the fast pull-request gate that
+/// replays a few seeds of every property before the full run.
+pub fn cases(full: u64, smoke: u64) -> u64 {
+    if std::env::var_os("BENCH_SMOKE").is_some() {
+        smoke
+    } else {
+        full
+    }
+}
+
 /// `assert!`-style helper producing the `Result` form [`check`] wants.
 #[macro_export]
 macro_rules! prop_assert {
@@ -60,6 +71,20 @@ mod tests {
     #[should_panic(expected = "failed at seed 0")]
     fn failing_property_names_seed() {
         check("contradiction", 4, |_| Err("nope".into()));
+    }
+
+    /// Both modes, in one test: no other test of this crate reads
+    /// `BENCH_SMOKE`, and the caller's setting is put back.
+    #[test]
+    fn the_budget_follows_the_mode() {
+        let caller = std::env::var_os("BENCH_SMOKE");
+        std::env::set_var("BENCH_SMOKE", "1");
+        assert_eq!(cases(80, 16), 16);
+        std::env::remove_var("BENCH_SMOKE");
+        assert_eq!(cases(80, 16), 80);
+        if let Some(value) = caller {
+            std::env::set_var("BENCH_SMOKE", value);
+        }
     }
 
     #[test]

@@ -722,7 +722,7 @@ fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
     use gfd::graph::{GraphBuilder, NodeId, Value};
     use gfd::parallel::workload::feasible_pivots;
     use gfd::pattern::PatternBuilder;
-    use gfd_util::prop::check;
+    use gfd_util::prop::{cases, check};
 
     /// Every tuple drawing one pivot from each list, in list order.
     fn product(lists: &[&[NodeId]]) -> Vec<Vec<NodeId>> {
@@ -734,12 +734,8 @@ fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
         })
     }
 
-    let cases = if std::env::var_os("BENCH_SMOKE").is_some() {
-        2
-    } else {
-        6
-    };
-    check("range units: coverage + path agreement", cases, |rng| {
+    let budget = cases(6, 2);
+    check("range units: coverage + path agreement", budget, |rng| {
         let mut gb = GraphBuilder::with_fresh_vocab();
         let vocab = gb.vocab().clone();
         let [a, b, c] = [("a", 180..220), ("b", 18..26), ("c", 18..26)].map(|(label, n)| {

@@ -26,11 +26,13 @@ use gfd::datagen::{
 use gfd::graph::{
     Fragmentation, Graph, GraphBuilder, NodeId, PartitionStrategy, Sym, Value, Vocab,
 };
-use gfd::matcher::{find_matches, has_match, MatchOptions};
+use gfd::matcher::types::Flow;
+use gfd::matcher::{count_matches, for_each_match, MatchOptions};
 use gfd::parallel::unitexec::sort_violations;
 use gfd::parallel::{dis_val, rep_val, DisValConfig, RepValConfig};
 use gfd::pattern::{PatLabel, Pattern, PatternBuilder, VarId};
-use gfd_util::{prop::check, prop_assert, Rng};
+use gfd_util::prop::{cases, check};
+use gfd_util::{prop_assert, Rng};
 use std::sync::Arc;
 
 /// What the random rules draw from.
@@ -158,7 +160,7 @@ fn sat_chase_is_sound() {
             );
             for gfd in &sigma {
                 prop_assert!(
-                    has_match(&gfd.pattern, &model, &MatchOptions::unrestricted()),
+                    count_matches(&gfd.pattern, &model, &MatchOptions::unrestricted()) > 0,
                     "every pattern must match in the model"
                 );
             }
@@ -365,10 +367,12 @@ fn counterexample(sigma: &GfdSet, phi: &Gfd) -> Result<Option<Graph>, String> {
         .collect();
     let phi_alone = GfdSet::new(vec![phi.clone()]);
     let all = |g: &Graph, p: &Pattern| -> Vec<Vec<NodeId>> {
-        find_matches(p, g, &MatchOptions::unrestricted())
-            .into_iter()
-            .map(|m| m.0)
-            .collect()
+        let mut out = Vec::new();
+        for_each_match(p, g, &MatchOptions::unrestricted(), &mut |m| {
+            out.push(m.to_vec());
+            Flow::Continue
+        });
+        out
     };
     let mut pick = vec![0usize; radix.len()];
     loop {
@@ -494,13 +498,8 @@ fn near_copy(rng: &mut Rng, vocab: &Arc<Vocab>, sigma: &GfdSet) -> Gfd {
 /// runs fewer cases; a failure names its seed.
 #[test]
 fn implication_is_complete() {
-    let cases = if std::env::var_os("BENCH_SMOKE").is_some() {
-        200
-    } else {
-        2000
-    };
     let (mut implied, mut not_implied) = (0, 0);
-    check("implication completeness", cases, |rng| {
+    check("implication completeness", cases(2000, 200), |rng| {
         let vocab = Vocab::shared();
         let sigma = random_rules(rng, &vocab, RICH);
         let phi = if rng.gen_bool(0.5) {
