@@ -43,16 +43,21 @@
 //!   its repaired class space (not fetched for a group no op reaches),
 //!   and checks every member of the group on each row.
 //!
-//! The sampled oracle [`IncrementalDetector::verify_rule`] re-derives
-//! one rule group's violations on the raw CSR — no registry, no
-//! maintained space — in the detector's own buffers.
+//! An epoch is [`IncrementalDetector::diff`], which only reads the
+//! maintained set, then [`IncrementalDetector::commit`], its one
+//! writer. The sampled oracle [`IncrementalDetector::verify_rule`]
+//! re-derives one rule group's violations on the raw CSR, in the
+//! detector's own buffers; [`IncrementalDetector::inject_drift`] feeds
+//! it a wrong diff.
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
 use gfd_graph::{Graph, GraphDelta, NodeId, Sym};
 use gfd_match::{ClassRegistry, ClassView, Match, Pin, SpaceHandle};
 use gfd_pattern::VarId;
+use gfd_util::fxhash::FxHasher;
 
 use crate::gfd::GfdSet;
 use crate::group::{for_each_group_violation, GroupScratch, RuleGroup, RuleGroups};
@@ -78,11 +83,20 @@ impl VioDiff {
     }
 }
 
+/// One rule's stored violations, under a fixed key so that what the
+/// set allocates is a function of the edit stream alone. [`FxHasher`]
+/// is not DoS-resistant and needs not be: a row holds node ids of the
+/// snapshot, from batches [`GraphDelta::check_ids`] and
+/// [`GraphDelta::check_against`] have validated.
+type Rows = HashSet<Match, BuildHasherDefault<FxHasher>>;
+
 /// Maintains `Vio(Σ, G)` across graph edits; see the module docs.
 ///
-/// The maintained set is always identical to what
-/// [`detect_violations`] computes from scratch on the current
-/// snapshot (asserted by the oracle test below and the end-to-end
+/// The maintained set is the one store of `Vio(Σ, G)` — a service
+/// serves it as it is — written only by [`commit`](Self::commit) and
+/// the constructors. After each commit it is identical to what
+/// [`detect_violations`] computes from scratch on the current snapshot
+/// (asserted by the oracle test below and the end-to-end
 /// inject→detect→fix loop in `gfd-datagen`).
 pub struct IncrementalDetector {
     sigma: GfdSet,
@@ -99,8 +113,11 @@ pub struct IncrementalDetector {
     /// Per group, each part of its representative, registered in
     /// `registry`.
     handles: Vec<Vec<SpaceHandle>>,
-    /// The current violating matches of each rule.
-    violations: Vec<HashSet<Match>>,
+    /// The store: the current violating matches of each rule.
+    violations: Vec<Rows>,
+    /// Per rule, the rows the epoch in flight found that the store
+    /// lacks: `diff`'s first-sighting dedup, which `commit` moves in.
+    fresh: Vec<Rows>,
     /// Enumeration buffers, reused by every enumeration, the oracle's
     /// too.
     scratch: GroupScratch,
@@ -163,15 +180,26 @@ impl IncrementalDetector {
         out
     }
 
+    /// What a holder of `before`'s violation set must add and retract
+    /// to hold this detector's.
+    pub fn changes_since(&self, before: &IncrementalDetector) -> VioDiff {
+        let new = |v: &Violation| !before.violations[v.rule].contains(&v.mapping);
+        let gone = |v: &Violation| !self.violations[v.rule].contains(&v.mapping);
+        VioDiff {
+            added: self.violations().into_iter().filter(new).collect(),
+            retracted: before.violations().into_iter().filter(gone).collect(),
+        }
+    }
+
     /// The incremental validation answer: does the current snapshot
     /// satisfy `Σ`?
     pub fn satisfied(&self) -> bool {
-        self.violations.iter().all(HashSet::is_empty)
+        self.violations.iter().all(Rows::is_empty)
     }
 
     /// Total number of current violations.
     pub fn violation_count(&self) -> usize {
-        self.violations.iter().map(HashSet::len).sum()
+        self.violations.iter().map(Rows::len).sum()
     }
 
     /// Component searches this detector has run — one per component
@@ -182,27 +210,19 @@ impl IncrementalDetector {
         self.scratch.enumerations()
     }
 
-    /// Seeds a detector from an externally computed violation set
-    /// (e.g. a parallel from-scratch recompute) instead of running the
-    /// sequential full pass [`new`](IncrementalDetector::new) does.
-    /// The caller asserts `violations` *is* `Vio(Σ, g)`; candidate
+    /// Seeds a detector over `registry` from an externally computed
+    /// violation set (e.g. a parallel from-scratch recompute) instead of
+    /// running the sequential full pass [`new`](IncrementalDetector::new)
+    /// does. The caller asserts `violations` *is* `Vio(Σ, g)`; candidate
     /// spaces register lazily and simulate against the then-current
     /// snapshot on first use, so the handoff carries no stale state.
+    /// The caller is responsible for the registry's cached state being
+    /// valid for that snapshot — a degraded service calls
+    /// [`ClassRegistry::invalidate_all`] first.
     ///
-    /// This is the graceful-degradation re-entry point: after a
-    /// divergence or a repair-path panic, a service recomputes from
-    /// scratch (on panic-isolated workers) and resumes incremental
+    /// This is the graceful-degradation and recovery re-entry point: a
+    /// service recomputes from scratch and resumes incremental
     /// maintenance from the recomputed truth.
-    pub fn from_violations(sigma: &GfdSet, violations: &[Violation]) -> Self {
-        Self::from_violations_in(sigma, violations, Arc::new(ClassRegistry::new()))
-    }
-
-    /// [`from_violations`](IncrementalDetector::from_violations) over
-    /// a shared registry. The caller is responsible for the registry's
-    /// cached state being valid for the snapshot `violations` was
-    /// computed on — a degraded service calls
-    /// [`ClassRegistry::invalidate_all`] first, so every space
-    /// re-simulates lazily against the recovered snapshot.
     pub fn from_violations_in(
         sigma: &GfdSet,
         violations: &[Violation],
@@ -216,7 +236,7 @@ impl IncrementalDetector {
                 parts.map(|(q, _)| registry.register(q)).collect()
             })
             .collect();
-        let mut sets = vec![HashSet::new(); sigma.len()];
+        let mut sets = vec![Rows::default(); sigma.len()];
         for v in violations {
             sets[v.rule].insert(v.mapping.clone());
         }
@@ -229,6 +249,7 @@ impl IncrementalDetector {
             groups,
             handles,
             violations: sets,
+            fresh: vec![Rows::default(); sigma.len()],
             scratch: GroupScratch::default(),
             views: Vec::new(),
             affected: Vec::new(),
@@ -269,32 +290,60 @@ impl IncrementalDetector {
         stored && found == members.map(|m| violations[m.rule].len()).sum::<usize>()
     }
 
-    /// Fault-injection hook: perturbs the stored state of one rule
-    /// (drops a stored violation, or plants an impossible one if the
-    /// rule has none) to model repair-invariant drift. Only the
-    /// robustness harness calls this — it exists so the
-    /// sampled-oracle → degradation path can be exercised
-    /// deterministically in soak tests.
+    /// Fault-injection hook: makes `diff` wrong for one rule, as a
+    /// repair bug would (it publishes what it stores): the diff also
+    /// retracts a stored row of `rule` it kept, or, if there is none,
+    /// adds an impossible row. Only the robustness harness calls this
+    /// — it exists so the sampled-oracle → rollback → degradation path
+    /// can be exercised deterministically in soak tests.
     #[doc(hidden)]
-    pub fn inject_drift(&mut self, rule: usize) {
-        let set = &mut self.violations[rule];
-        if let Some(m) = set.iter().next().cloned() {
-            set.remove(&m);
-        } else {
-            let arity = self.sigma.get(rule).pattern.node_count();
-            set.insert(Match(vec![NodeId(u32::MAX); arity.max(1)]));
+    pub fn inject_drift(&self, rule: usize, diff: &mut VioDiff) {
+        let retracted = |m: &Match| {
+            diff.retracted
+                .iter()
+                .any(|v| v.rule == rule && v.mapping == *m)
+        };
+        match self.violations[rule]
+            .iter()
+            .find(|m| !retracted(m))
+            .cloned()
+        {
+            Some(mapping) => diff.retracted.push(Violation { rule, mapping }),
+            None => {
+                let arity = self.sigma.get(rule).pattern.node_count();
+                let mapping = Match(vec![NodeId(u32::MAX); arity.max(1)]);
+                diff.added.push(Violation { rule, mapping });
+            }
         }
     }
 
-    /// Repairs the detector against one edit step and reports exactly
-    /// which violations appeared and disappeared — the
-    /// subscriber-facing change stream of a standing-violation service
-    /// (`Vio(Σ, G)` *changes*, not absolute sets). `g` is the edited
+    /// [`diff`](Self::diff), then [`commit`](Self::commit).
+    pub fn apply_diff(&mut self, g: &Graph, delta: &GraphDelta) -> VioDiff {
+        let diff = self.diff(g, delta);
+        self.commit(&diff);
+        diff
+    }
+
+    /// Writes `diff` into the store — its retractions leave, its
+    /// additions enter — the store's one writer after construction.
+    pub fn commit(&mut self, diff: &VioDiff) {
+        for v in &diff.retracted {
+            self.violations[v.rule].remove(&v.mapping);
+        }
+        for v in &diff.added {
+            let row = self.fresh[v.rule].take(&v.mapping);
+            self.violations[v.rule].insert(row.unwrap_or_else(|| v.mapping.clone()));
+        }
+    }
+
+    /// Repairs the candidate spaces against one edit step and returns
+    /// which violations appear and disappear, reading the store but not
+    /// writing it; commit each diff before the next. `g` is the edited
     /// snapshot, `delta` the difference from the snapshot the detector
     /// was last synchronized with, taken as it is: its producer made it
     /// normalized (see [`GraphDelta`]). A warm call allocates only for
     /// what it finds and what the registry's repair moves.
-    pub fn apply_diff(&mut self, g: &Graph, delta: &GraphDelta) -> VioDiff {
+    pub fn diff(&mut self, g: &Graph, delta: &GraphDelta) -> VioDiff {
         let mut diff = VioDiff::default();
         if delta.is_empty() {
             return diff;
@@ -312,7 +361,8 @@ impl IncrementalDetector {
             ref registry,
             ref groups,
             ref handles,
-            ref mut violations,
+            ref violations,
+            ref mut fresh,
             version,
             ref mut scratch,
             ref mut views,
@@ -321,17 +371,18 @@ impl IncrementalDetector {
         } = *self;
         registry.advance(g, delta, version);
         let is_affected = |u: NodeId| affected.binary_search(&u).is_ok();
+        fresh.iter_mut().for_each(Rows::clear);
 
         // 1. Re-check stored violations that touch the delta; the rest
         //    are untouched matches with untouched attribute values and
-        //    survive as-is. Failures are retractions, moved out of the
-        //    set into the diff.
-        for (rule, set) in violations.iter_mut().enumerate() {
+        //    survive as-is. Failures are retractions, copied into the
+        //    diff.
+        for (rule, set) in violations.iter().enumerate() {
             let gfd = sigma.get(rule);
-            let failed = |m: &Match| {
+            let failed = |m: &&Match| {
                 m.nodes().iter().copied().any(is_affected) && !still_violates(gfd, g, m)
             };
-            let retracted = set.extract_if(failed);
+            let retracted = set.iter().filter(failed).cloned();
             diff.retracted
                 .extend(retracted.map(|mapping| Violation { rule, mapping }));
         }
@@ -372,15 +423,19 @@ impl IncrementalDetector {
                 for_each_group_violation(group, g, views, pins, scratch, &mut |rule, m| {
                     // First sighting only: the same match can be
                     // re-found via several searches, or be stored.
-                    if !violations[rule].contains(m) {
+                    if !violations[rule].contains(m) && !fresh[rule].contains(m) {
                         let mapping = Match(m.to_vec());
-                        violations[rule].insert(mapping.clone());
+                        fresh[rule].insert(mapping.clone());
                         diff.added.push(Violation { rule, mapping });
                     }
                 });
             });
+            // A group without a match anywhere retracts every stored row.
+            let retracted = |rule| diff.retracted.iter().filter(|v| v.rule == rule).count();
             debug_assert!(
-                live != Some(false) || group.members.iter().all(|m| violations[m.rule].is_empty())
+                live != Some(false)
+                    || (group.members.iter())
+                        .all(|m| retracted(m.rule) == violations[m.rule].len())
             );
             views.clear();
         }
@@ -594,7 +649,9 @@ mod tests {
     fn diff_stream_folds_to_maintained_set() {
         // A subscriber that only ever sees VioDiffs must be able to
         // reconstruct the absolute set: baseline + Σ diffs ≡ scratch.
-        // Added/retracted must also be disjoint and non-redundant.
+        // Added/retracted must also be disjoint and non-redundant. The
+        // store changes only at commit, and committing the inverse diff
+        // takes it back to the set before the epoch.
         check("Σ VioDiff ≡ detVio over edit scripts", 25, |rng| {
             let (mut g, sigma) = random_world(rng);
             let mut det = IncrementalDetector::new(&sigma, &g);
@@ -610,7 +667,19 @@ mod tests {
                         b.set_attr(NodeId(r1 as u32), a, Value::Int(rng.gen_range(0..3) as i64));
                     }
                 });
-                let diff = det.apply_diff(&g2, &delta);
+                let before = detector_set(&det);
+                let diff = det.diff(&g2, &delta);
+                if detector_set(&det) != before {
+                    return Err(format!("step {step}: diff wrote the store"));
+                }
+                det.commit(&diff);
+                let mut inverse = diff.clone();
+                std::mem::swap(&mut inverse.added, &mut inverse.retracted);
+                det.commit(&inverse);
+                if detector_set(&det) != before {
+                    return Err(format!("step {step}: the inverse diff did not undo"));
+                }
+                det.commit(&diff);
                 for v in &diff.retracted {
                     if !folded.remove(&(v.rule, v.mapping.clone())) {
                         return Err(format!("step {step}: retraction of absent violation"));
@@ -623,6 +692,9 @@ mod tests {
                 }
                 if folded != violation_set(&sigma, &g2) {
                     return Err(format!("step {step}: folded diff diverges from scratch"));
+                }
+                if detector_set(&det) != folded {
+                    return Err(format!("step {step}: the store diverges from the fold"));
                 }
                 g = g2;
             }
@@ -641,7 +713,9 @@ mod tests {
                 }
             }
             let rule = rng.gen_range(0..sigma.len());
-            det.inject_drift(rule);
+            let mut diff = VioDiff::default();
+            det.inject_drift(rule, &mut diff);
+            det.commit(&diff);
             if det.verify_rule(rule, &g) {
                 return Err(format!("injected drift on rule {rule} not detected"));
             }
@@ -654,7 +728,8 @@ mod tests {
         check("from_violations ≡ new, then keeps repairing", 20, |rng| {
             let (g, sigma) = random_world(rng);
             let scratch = detect_violations(&sigma, &g);
-            let mut det = IncrementalDetector::from_violations(&sigma, &scratch);
+            let registry = Arc::new(ClassRegistry::new());
+            let mut det = IncrementalDetector::from_violations_in(&sigma, &scratch, registry);
             if detector_set(&det) != violation_set(&sigma, &g) {
                 return Err("seeded state diverges from scratch".into());
             }

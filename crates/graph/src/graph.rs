@@ -1658,9 +1658,9 @@ mod tests {
 
     #[test]
     fn page_size_matches_the_boundary_oracles() {
-        // tests/prop_graph.rs and tests/prop_delta.rs aim their edit
-        // scripts at multiples of this, and prop_graph.rs walks a run
-        // across the out-of-line threshold; change them together.
+        // The graph suites' kit (tests/common) aims its edit scripts at
+        // multiples of this and walks a hub's run across the
+        // out-of-line threshold; change them together.
         assert_eq!(PAGE_NODES, 64);
         assert_eq!(INLINE_RUN_MAX, 64);
     }

@@ -35,25 +35,23 @@
 //!   ids, phantom edge removals, stale labels …) is rejected with an
 //!   [`IngestError`] *before* anything is touched: no epoch, no log
 //!   entry, no detector work.
-//! * **Self-healing repair** — the incremental repair runs under
-//!   `catch_unwind`; a panic (or a divergence caught by the sampled
-//!   per-epoch invariant check, [`IncrementalDetector::verify_rule`]
-//!   on a seed-chosen rule: its rule group re-derived on the raw CSR,
-//!   away from the registry's repaired spaces, in the detector's own
-//!   buffers) triggers graceful degradation: a full
-//!   recompute on panic-isolated workers
-//!   ([`run_units_threaded_report`]), quarantined units recovered by
-//!   sequential re-derivation of their rule groups, and incremental
-//!   maintenance resumed from the recomputed truth
-//!   ([`IncrementalDetector::from_violations`]). The service logs the
-//!   event ([`ServiceStats`]) and keeps serving — it degrades, it
-//!   does not die.
+//! * **Self-healing repair** — diff → commit → oracle → rollback:
+//!   [`IncrementalDetector::diff`] runs under `catch_unwind` and writes
+//!   nothing, the service commits its diff, and the sampled invariant
+//!   check ([`IncrementalDetector::verify_rule`] on a seed-chosen rule:
+//!   its group re-derived on the raw CSR) reads the committed set; a
+//!   divergence commits the inverse diff. After a panic or a divergence
+//!   the detector's set is thus the set subscribers hold, and the epoch
+//!   degrades: a full recompute on panic-isolated workers
+//!   ([`run_units_threaded_report`]), quarantined units re-derived
+//!   sequentially, and a detector seeded from the truth
+//!   ([`IncrementalDetector::from_violations_in`]) whose difference from
+//!   the old one is the epoch's update, logged in [`ServiceStats`].
 //! * **No torn epochs** — subscribers receive one [`VioUpdate`] per
 //!   committed epoch, after commit, with strictly consecutive epoch
 //!   numbers; folding the updates over the epoch-0 baseline always
-//!   reproduces the service's absolute violation set.
+//!   reproduces the service's absolute violation set, the detector's.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
@@ -61,7 +59,7 @@ use std::sync::{mpsc, Arc};
 
 use gfd_core::group::{for_each_group_violation, GroupScratch};
 use gfd_core::validate::detect_violations;
-use gfd_core::{GfdSet, IncrementalDetector, Violation};
+use gfd_core::{GfdSet, IncrementalDetector, VioDiff, Violation};
 use gfd_graph::{DeltaError, Graph, GraphDelta};
 use gfd_match::Match;
 use gfd_util::Rng;
@@ -213,6 +211,8 @@ pub struct ServiceStats {
 }
 
 /// The long-lived standing-violation engine; see the module docs.
+/// Its violation set is its detector's, and every update it publishes
+/// is a diff the detector committed.
 pub struct ViolationService {
     sigma: GfdSet,
     current: Arc<Graph>,
@@ -221,12 +221,6 @@ pub struct ViolationService {
     /// recomputes read through — possibly shared with other tenants.
     registry: Arc<ClassRegistry>,
     detector: IncrementalDetector,
-    /// Mirror of the set subscribers hold (the fold of all updates
-    /// sent so far over the baseline), one set per rule as the
-    /// detector keeps them. Kept service-side so the degradation path
-    /// can emit an exact diff even when the detector's state was lost
-    /// to a panic.
-    served: Vec<HashSet<Match>>,
     /// The durable write-ahead log, if the service was constructed
     /// with one ([`with_durable_log`](Self::with_durable_log) /
     /// [`recover`](Self::recover)).
@@ -259,18 +253,15 @@ impl ViolationService {
         registry: Arc<ClassRegistry>,
     ) -> Self {
         let detector = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
-        let served = per_rule(sigma.len(), detector.violations());
-        let rng = Rng::seed_from_u64(cfg.seed);
         ViolationService {
             sigma,
             current: g,
             epoch: 0,
             registry,
             detector,
-            served,
             wal: None,
             subscribers: Vec::new(),
-            rng,
+            rng: Rng::seed_from_u64(cfg.seed),
             cfg,
             stats: ServiceStats::default(),
         }
@@ -302,8 +293,8 @@ impl ViolationService {
     /// first torn or corrupt frame — hostile bytes degrade recovery,
     /// they never panic it), re-derives `Vio(Σ, G)` on the recovered
     /// snapshot, re-seeds the incremental detector from that truth
-    /// ([`IncrementalDetector::from_violations`]' registry-shared
-    /// variant), and resumes ingest at the recovered epoch. The
+    /// ([`IncrementalDetector::from_violations_in`]), and resumes
+    /// ingest at the recovered epoch. The
     /// [`RecoveryReport`] accounts for every replayed epoch and every
     /// truncated frame.
     pub fn recover(
@@ -333,21 +324,16 @@ impl ViolationService {
             Some(v) => wal::recover_in(path, policy, v)?,
             None => wal::recover(path, policy)?,
         };
-        let g = Arc::new(g);
-        let mut violations = detect_violations(&sigma, &g);
-        sort_violations(&mut violations);
+        let violations = detect_violations(&sigma, &g);
         let detector =
             IncrementalDetector::from_violations_in(&sigma, &violations, Arc::clone(&registry));
-        let served = per_rule(sigma.len(), violations);
-        let rng = Rng::seed_from_u64(cfg.seed);
         let epoch = report.recovered_epoch;
         let svc = ViolationService {
             sigma,
-            current: g,
+            current: Arc::new(g),
             epoch,
             registry,
             detector,
-            served,
             stats: ServiceStats {
                 epochs: epoch,
                 log_frames: writer.frames(),
@@ -356,7 +342,7 @@ impl ViolationService {
             },
             wal: Some(writer),
             subscribers: Vec::new(),
-            rng,
+            rng: Rng::seed_from_u64(cfg.seed),
             cfg,
         };
         Ok((svc, report))
@@ -374,14 +360,7 @@ impl ViolationService {
     /// The current absolute violation set, canonically sorted (the
     /// fold of every update over the baseline).
     pub fn violations(&self) -> Vec<Violation> {
-        let mut out: Vec<Violation> = (self.served.iter().enumerate())
-            .flat_map(|(rule, set)| {
-                set.iter().map(move |m| Violation {
-                    rule,
-                    mapping: m.clone(),
-                })
-            })
-            .collect();
+        let mut out = self.detector.violations();
         sort_violations(&mut out);
         out
     }
@@ -473,8 +452,8 @@ impl ViolationService {
         }
 
         // 4. Repair under catch_unwind. A panic here (injected or
-        //    real) must not take the service down: the detector state
-        //    is considered lost and the epoch degrades.
+        //    real) must not take the service down: `diff` writes
+        //    nothing, and the epoch degrades.
         let faults = self.cfg.faults.clone();
         let injected_repair_panic = faults.as_ref().is_some_and(|f| f.repair_panics(next_epoch));
         let repair = {
@@ -484,26 +463,25 @@ impl ViolationService {
                 if injected_repair_panic {
                     panic!("injected repair fault (epoch {next_epoch})");
                 }
-                detector.apply_diff(g, d)
+                detector.diff(g, d)
             }))
         };
 
-        let (added, retracted, degraded) = match repair {
-            Ok(diff) => {
-                // Fault injection: model repair-invariant drift, then
-                // point the sampled oracle at the drifted rule — the
-                // harness pairs them so every injected drift is
-                // caught, degraded around, and healed (an UNdetected
-                // drift would simply be wrong, which is exactly what
-                // the sampling trade-off accepts at its cadence).
+        let (diff, degraded) = match repair {
+            Ok(mut diff) => {
+                // Fault injection: a wrong diff, then the sampled oracle
+                // pointed at the drifted rule, so every injected drift
+                // is caught, rolled back and healed (an UNdetected one
+                // is what the sampling trade-off accepts).
                 let drifted = match &faults {
                     Some(f) if !self.sigma.is_empty() && f.drifts(next_epoch) => {
                         let rule = self.rng.gen_range(0..self.sigma.len());
-                        self.detector.inject_drift(rule);
+                        self.detector.inject_drift(rule, &mut diff);
                         Some(rule)
                     }
                     _ => None,
                 };
+                self.detector.commit(&diff);
                 let check_rule = drifted.or_else(|| {
                     (!self.sigma.is_empty() && self.rng.next_f64() < self.cfg.oracle_sample_p)
                         .then(|| self.rng.gen_range(0..self.sigma.len()))
@@ -520,28 +498,22 @@ impl ViolationService {
                     None => false,
                 };
                 if diverged {
-                    let (a, r) = self.degraded_refresh(next_epoch);
-                    (a, r, true)
+                    // Roll back: the inverse diff swaps the two lists.
+                    std::mem::swap(&mut diff.added, &mut diff.retracted);
+                    self.detector.commit(&diff);
+                    (self.degraded_refresh(next_epoch), true)
                 } else {
-                    let mut added = diff.added;
-                    let mut retracted = diff.retracted;
-                    sort_violations(&mut added);
-                    sort_violations(&mut retracted);
-                    for v in &retracted {
-                        self.served[v.rule].remove(&v.mapping);
-                    }
-                    for v in &added {
-                        self.served[v.rule].insert(v.mapping.clone());
-                    }
-                    (added, retracted, false)
+                    (diff, false)
                 }
             }
             Err(_) => {
                 self.stats.repair_panics += 1;
-                let (a, r) = self.degraded_refresh(next_epoch);
-                (a, r, true)
+                (self.degraded_refresh(next_epoch), true)
             }
         };
+        let (mut added, mut retracted) = (diff.added, diff.retracted);
+        sort_violations(&mut added);
+        sort_violations(&mut retracted);
 
         // 5. Commit: advance the epoch, append it to the write-ahead
         //    log, then — and only then — publish. Subscribers can never
@@ -591,9 +563,10 @@ impl ViolationService {
     /// Graceful degradation: recompute `Vio(Σ, G)` from scratch on
     /// panic-isolated workers, recover quarantined units by
     /// re-deriving their rule groups sequentially (quarantine is
-    /// *reported work*, never lost work), diff against the served set,
-    /// and re-seed the incremental detector from the recomputed truth.
-    fn degraded_refresh(&mut self, next_epoch: u64) -> (Vec<Violation>, Vec<Violation>) {
+    /// *reported work*, never lost work), re-seed the incremental
+    /// detector from the recomputed truth, and return its difference
+    /// from the detector it replaces, which holds what subscribers do.
+    fn degraded_refresh(&mut self, next_epoch: u64) -> VioDiff {
         self.stats.degraded_epochs += 1;
         // The recompute's workers share the snapshot by `Arc`.
         let next = Arc::clone(&self.current);
@@ -654,43 +627,14 @@ impl ViolationService {
                     });
                 });
             }
-            sort_violations(&mut violations);
         }
 
-        self.detector = IncrementalDetector::from_violations_in(
-            &self.sigma,
-            &violations,
-            Arc::clone(&self.registry),
-        );
-        let new_sets = per_rule(self.sigma.len(), violations);
-        let (mut added, mut retracted) = (Vec::new(), Vec::new());
-        for (rule, (new, old)) in new_sets.iter().zip(&self.served).enumerate() {
-            let violation = |m: &Match| Violation {
-                rule,
-                mapping: m.clone(),
-            };
-            added.extend(new.difference(old).map(violation));
-            retracted.extend(old.difference(new).map(violation));
-        }
-        sort_violations(&mut added);
-        sort_violations(&mut retracted);
-        self.served = new_sets;
-        (added, retracted)
+        let registry = Arc::clone(&self.registry);
+        let truth = IncrementalDetector::from_violations_in(&self.sigma, &violations, registry);
+        let diff = truth.changes_since(&self.detector);
+        self.detector = truth;
+        diff
     }
-}
-
-/// `violations` as one set of matches per rule of a Σ of `rules`, each
-/// allocated once at its final size.
-fn per_rule(rules: usize, violations: Vec<Violation>) -> Vec<HashSet<Match>> {
-    let mut counts = vec![0; rules];
-    for v in &violations {
-        counts[v.rule] += 1;
-    }
-    let mut sets: Vec<HashSet<Match>> = counts.into_iter().map(HashSet::with_capacity).collect();
-    for v in violations {
-        sets[v.rule].insert(v.mapping);
-    }
-    sets
 }
 
 #[cfg(test)]
@@ -702,6 +646,7 @@ mod tests {
     use gfd_graph::graph::same_snapshot;
     use gfd_graph::{GraphBuilder, NodeId, Value, Vocab};
     use gfd_pattern::PatternBuilder;
+    use std::collections::HashSet;
     use std::sync::Barrier;
 
     /// Readers may share a service across threads: `snapshot` and
@@ -756,6 +701,43 @@ mod tests {
         let mut v = detect_violations(sigma, g);
         sort_violations(&mut v);
         v
+    }
+
+    fn vio_set(violations: Vec<Violation>) -> HashSet<(usize, Match)> {
+        violations
+            .into_iter()
+            .map(|v| (v.rule, v.mapping))
+            .collect()
+    }
+
+    /// Folds every update `rx` has received over `baseline`, the set
+    /// its subscriber held when it subscribed: epochs run 1, 2, … with
+    /// no gap, and no update retracts a row the fold lacks or adds one
+    /// it holds. Returns the fold and each update's `degraded` flag.
+    fn fold(
+        baseline: Vec<Violation>,
+        rx: &mpsc::Receiver<VioUpdate>,
+    ) -> (HashSet<(usize, Match)>, Vec<bool>) {
+        let mut folded = vio_set(baseline);
+        let mut degraded = Vec::new();
+        for update in rx.try_iter() {
+            let epoch = update.epoch;
+            assert_eq!(epoch, degraded.len() as u64 + 1, "torn or skipped epoch");
+            degraded.push(update.degraded);
+            for v in update.retracted {
+                assert!(
+                    folded.remove(&(v.rule, v.mapping)),
+                    "epoch {epoch}: retraction of a violation the subscriber does not hold"
+                );
+            }
+            for v in update.added {
+                assert!(
+                    folded.insert((v.rule, v.mapping)),
+                    "epoch {epoch}: re-add of a violation the subscriber already holds"
+                );
+            }
+        }
+        (folded, degraded)
     }
 
     /// One batch of chained edit deltas on the shadow snapshot, biased
@@ -970,11 +952,7 @@ mod tests {
     fn subscribers_see_every_epoch_exactly_once_and_fold_to_the_absolute_set() {
         let (g0, mut svc) = service(10, ServiceConfig::default());
         let receivers = [svc.subscribe(), svc.subscribe()];
-        let start: HashSet<(usize, Match)> = svc
-            .violations()
-            .into_iter()
-            .map(|v| (v.rule, v.mapping))
-            .collect();
+        let start = svc.violations();
 
         let mut rng = Rng::seed_from_u64(23);
         let mut shadow = g0.edit(|_| {});
@@ -990,33 +968,13 @@ mod tests {
         }
         drop(svc);
 
-        let scratch_set: HashSet<(usize, Match)> = scratch(
+        let scratch_set = vio_set(scratch(
             &GfdSet::new(vec![spam_rule(shadow.vocab().clone())]),
             &shadow,
-        )
-        .into_iter()
-        .map(|v| (v.rule, v.mapping))
-        .collect();
+        ));
         for rx in receivers {
-            let mut folded = start.clone();
-            let mut expected_epoch = 1;
-            for update in rx.iter() {
-                assert_eq!(update.epoch, expected_epoch, "torn or skipped epoch");
-                expected_epoch += 1;
-                for v in &update.retracted {
-                    assert!(
-                        folded.remove(&(v.rule, v.mapping.clone())),
-                        "retraction of a violation the subscriber does not hold"
-                    );
-                }
-                for v in &update.added {
-                    assert!(
-                        folded.insert((v.rule, v.mapping.clone())),
-                        "re-add of a violation the subscriber already holds"
-                    );
-                }
-            }
-            assert_eq!(expected_epoch, 9, "one update per committed epoch");
+            let (folded, updates) = fold(start.clone(), &rx);
+            assert_eq!(updates.len(), 8, "one update per committed epoch");
             assert_eq!(folded, scratch_set, "folded stream diverges from scratch");
         }
     }
@@ -1035,6 +993,7 @@ mod tests {
         };
         let (g0, mut svc) = service(12, cfg);
         let rx = svc.subscribe();
+        let baseline = svc.violations();
         let mut rng = Rng::seed_from_u64(31);
         let mut shadow = g0.edit(|_| {});
         for _ in 0..4 {
@@ -1045,14 +1004,11 @@ mod tests {
         assert_eq!(svc.violations(), scratch(svc.sigma(), &shadow));
         assert_eq!(svc.stats().repair_panics, 4);
         assert_eq!(svc.stats().degraded_epochs, 4);
-        drop(svc);
-        for update in rx.iter() {
-            assert!(
-                update.degraded,
-                "epoch {} hid its degradation",
-                update.epoch
-            );
-        }
+        // A panicked repair wrote nothing: each degraded update takes
+        // the subscriber from exactly the set it held to the truth.
+        let (folded, degraded) = fold(baseline, &rx);
+        assert_eq!(folded, vio_set(svc.violations()));
+        assert_eq!(degraded, [true; 4], "an epoch hid its degradation");
     }
 
     #[test]
@@ -1067,6 +1023,8 @@ mod tests {
             ..ServiceConfig::default()
         };
         let (g0, mut svc) = service(12, cfg);
+        let rx = svc.subscribe();
+        let baseline = svc.violations();
         let mut rng = Rng::seed_from_u64(41);
         let mut shadow = g0.edit(|_| {});
         for _ in 0..4 {
@@ -1074,13 +1032,17 @@ mod tests {
             shadow = next;
             svc.ingest(&batch).unwrap();
         }
-        // Drift perturbs detector state every epoch; the paired oracle
-        // must catch it every time, and the degraded recompute must
-        // heal the service back to the scratch truth.
+        // Drift makes every epoch's diff wrong; the paired oracle must
+        // catch it every time, the rollback must leave the set the
+        // subscriber holds, and the degraded recompute must heal the
+        // service back to the scratch truth.
         assert_eq!(svc.violations(), scratch(svc.sigma(), &shadow));
         assert_eq!(svc.stats().oracle_checks, 4);
         assert_eq!(svc.stats().divergences_detected, 4);
         assert_eq!(svc.stats().degraded_epochs, 4);
+        let (folded, degraded) = fold(baseline, &rx);
+        assert_eq!(folded, vio_set(svc.violations()));
+        assert_eq!(degraded, [true; 4], "an epoch hid its degradation");
     }
 
     #[test]
