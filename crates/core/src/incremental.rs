@@ -181,14 +181,18 @@ impl IncrementalDetector {
     }
 
     /// What a holder of `before`'s violation set must add and retract
-    /// to hold this detector's.
+    /// to hold this detector's. Clones only the rows that differ.
     pub fn changes_since(&self, before: &IncrementalDetector) -> VioDiff {
-        let new = |v: &Violation| !before.violations[v.rule].contains(&v.mapping);
-        let gone = |v: &Violation| !self.violations[v.rule].contains(&v.mapping);
-        VioDiff {
-            added: self.violations().into_iter().filter(new).collect(),
-            retracted: before.violations().into_iter().filter(gone).collect(),
+        let mut diff = VioDiff::default();
+        for (rule, (now, then)) in self.violations.iter().zip(&before.violations).enumerate() {
+            let row = |m: &Match| Violation {
+                rule,
+                mapping: m.clone(),
+            };
+            diff.added.extend(now.difference(then).map(row));
+            diff.retracted.extend(then.difference(now).map(row));
         }
+        diff
     }
 
     /// The incremental validation answer: does the current snapshot
@@ -298,16 +302,9 @@ impl IncrementalDetector {
     /// can be exercised deterministically in soak tests.
     #[doc(hidden)]
     pub fn inject_drift(&self, rule: usize, diff: &mut VioDiff) {
-        let retracted = |m: &Match| {
-            diff.retracted
-                .iter()
-                .any(|v| v.rule == rule && v.mapping == *m)
-        };
-        match self.violations[rule]
-            .iter()
-            .find(|m| !retracted(m))
-            .cloned()
-        {
+        let retracted = &diff.retracted;
+        let kept = |m: &&Match| !retracted.iter().any(|v| v.rule == rule && v.mapping == **m);
+        match self.violations[rule].iter().find(kept).cloned() {
             Some(mapping) => diff.retracted.push(Violation { rule, mapping }),
             None => {
                 let arity = self.sigma.get(rule).pattern.node_count();

@@ -1,9 +1,10 @@
-//! What the graph suites share: one random graph generator, which also
-//! returns the raw edge list it drew (the adjacency oracle's input), a
-//! page-wide variant of it with a hub whose in-run is out of line, one
-//! random edit op that toggles a small slot pool, so recorded deltas
-//! carry every field and consecutive steps often oppose each other, and
-//! one page-boundary script step built on that op.
+//! What the graph suites share: one random graph generator at three
+//! widths — a base graph, a small graph with the raw edge list its
+//! adjacency oracle needs, and a page-wide graph with a hub whose
+//! in-run is out of line — one random edit step that toggles a small
+//! slot pool, so recorded deltas carry every field and consecutive
+//! steps often oppose each other, one uniform random mutation, and
+//! one page-boundary script step built on that mutation.
 
 #![allow(dead_code)]
 
@@ -20,18 +21,26 @@ pub const PAGE: usize = 64;
 /// included.
 pub type RawEdges = Vec<(u32, u32, String)>;
 
-/// Adds `n` nodes labeled `l0`–`l2` to `b`, up to `2n` random edges
-/// labeled `e0`/`e1`, and on some nodes a `val` of every value kind
-/// (integer, boolean, string); returns the edges drawn.
-fn fill(rng: &mut Rng, b: &mut GraphBuilder, n: usize) -> RawEdges {
+/// Adds `n` nodes labeled `l0`.. over `labels` node labels to `b`,
+/// fewer than `edges` random edges over `elabels` edge labels `e0`..,
+/// and on some nodes a `val` of every value kind (integer, boolean,
+/// string); returns the edges drawn.
+fn fill(
+    rng: &mut Rng,
+    b: &mut GraphBuilder,
+    n: usize,
+    labels: usize,
+    elabels: usize,
+    edges: usize,
+) -> RawEdges {
     let ids: Vec<NodeId> = (0..n)
-        .map(|i| b.add_node_labeled(&format!("l{}", i % 3)))
+        .map(|i| b.add_node_labeled(&format!("l{}", i % labels)))
         .collect();
     let mut raw = Vec::new();
-    for _ in 0..rng.gen_range(0..2 * n) {
+    for _ in 0..rng.gen_range(0..edges) {
         let s = ids[rng.gen_range(0..n)];
         let d = ids[rng.gen_range(0..n)];
-        let e = format!("e{}", rng.gen_range(0..2));
+        let e = format!("e{}", rng.gen_range(0..elabels));
         b.add_edge_labeled(s, d, &e);
         raw.push((s.0, d.0, e));
     }
@@ -47,29 +56,40 @@ fn fill(rng: &mut Rng, b: &mut GraphBuilder, n: usize) -> RawEdges {
     raw
 }
 
-/// A random base graph: small, or one case in three wider than three
-/// pages, so the toggled slots of [`random_op`] straddle a page
-/// boundary. Returns the edges it drew beside it.
-pub fn base_graph(rng: &mut Rng) -> (Graph, RawEdges) {
+/// A random base graph over labels `l0`–`l2` and `e0`/`e1`: small, or
+/// one case in three wider than three pages, so the toggled slots of
+/// [`random_step`] straddle a page boundary.
+pub fn base_graph(rng: &mut Rng) -> Graph {
     let n = match rng.gen_range(0..3) {
         0 => 3 * PAGE + rng.gen_range(0..PAGE),
         _ => rng.gen_range(3..10),
     };
     let mut b = GraphBuilder::with_fresh_vocab();
-    let raw = fill(rng, &mut b, n);
+    fill(rng, &mut b, n, 3, 2, 2 * n);
+    b.freeze()
+}
+
+/// A random graph of 1 to `max_nodes` nodes over labels `l0`–`l3` and
+/// `e0`–`e2`, with up to `3n` edges, so one- and two-node graphs are
+/// all self-loops and parallel labels. Returns the edges it drew
+/// beside it.
+pub fn random_graph(rng: &mut Rng, max_nodes: usize) -> (Graph, RawEdges) {
+    let n = rng.gen_range(1..max_nodes + 1);
+    let mut b = GraphBuilder::with_fresh_vocab();
+    let raw = fill(rng, &mut b, n, 4, 3, 3 * n + 1);
     (b.freeze(), raw)
 }
 
-/// A base graph wider than three pages with one hub whose in-run is
-/// longer than a page, so out of line — or, one case in four, the empty
-/// graph and no hub.
+/// A base graph wider than three pages over labels `l0`–`l3` and
+/// `e0`–`e2`, with one hub whose in-run is longer than a page, so out
+/// of line — or, one case in four, the empty graph and no hub.
 pub fn hub_graph(rng: &mut Rng) -> (Graph, Option<NodeId>) {
     let mut b = GraphBuilder::with_fresh_vocab();
     if rng.gen_range(0..4) == 0 {
         return (b.freeze(), None);
     }
     let n = 3 * PAGE + rng.gen_range(0..PAGE);
-    fill(rng, &mut b, n);
+    fill(rng, &mut b, n, 4, 3, 2 * n + 1);
     let hub = NodeId(rng.gen_range(0..n) as u32);
     for src in 0..PAGE as u32 + 8 {
         b.add_edge_labeled(NodeId(src), hub, &format!("e{}", src % 2));
@@ -77,47 +97,41 @@ pub fn hub_graph(rng: &mut Rng) -> (Graph, Option<NodeId>) {
     (b.freeze(), Some(hub))
 }
 
-/// One random edit op on a non-empty session, biased toward *toggling*
-/// a small pool of edge/attr slots so consecutive ops frequently oppose
-/// each other (the compaction-relevant shape). Returns what it did, for
-/// failure messages.
-pub fn random_op(rng: &mut Rng, b: &mut GraphBuilder) -> String {
-    let n = b.node_count();
-    // A deliberately tiny coordinate pool: repeated ops hit the same
+/// One random edit step on the current snapshot, biased toward
+/// *toggling* a small pool of edge/attr slots so consecutive steps
+/// frequently oppose each other (the compaction-relevant shape).
+pub fn random_step(rng: &mut Rng, g: &Graph) -> (Graph, GraphDelta) {
+    let n = g.node_count();
+    // A deliberately tiny coordinate pool: repeated steps hit the same
     // (src, dst, label) and (node, attr) slots, producing add/remove
     // and set/unset chains for merge to cancel. On a wide graph the
     // pool is the two slots either side of the first page boundary.
     let lo = if n > PAGE + 2 { PAGE - 2 } else { 0 };
     let s = NodeId((lo + rng.gen_range(0..n.min(4))) as u32);
     let d = NodeId((lo + rng.gen_range(0..n.min(4))) as u32);
-    match rng.gen_range(0..7) {
+    let kind = rng.gen_range(0..7);
+    g.edit_with_delta(|b| match kind {
         0 => {
-            let ok = b.add_edge_labeled(s, d, "e0");
-            format!("add_edge {s:?}->{d:?} e0 ({ok})")
+            b.add_edge_labeled(s, d, "e0");
         }
         1 => {
-            let ok = b.remove_edge_labeled(s, d, "e0");
-            format!("remove_edge {s:?}->{d:?} e0 ({ok})")
+            b.remove_edge_labeled(s, d, "e0");
         }
         2 => {
             let a = b.vocab().intern("val");
             b.set_attr(s, a, Value::Int(rng.gen_range(0..3) as i64));
-            format!("set_attr {s:?}")
         }
         3 => {
             let a = b.vocab().intern("val");
-            let had = b.remove_attr(s, a).is_some();
-            format!("remove_attr {s:?} ({had})")
+            b.remove_attr(s, a);
         }
         4 => {
             let l = b.vocab().intern(&format!("l{}", rng.gen_range(0..3)));
             b.set_label(s, l);
-            format!("set_label {s:?}")
         }
         5 => {
             let v = b.add_node_labeled("l1");
             b.add_edge_labeled(v, d, "e1");
-            format!("add_node {v:?} -> {d:?}")
         }
         _ => {
             // Toggle within one session: add + remove (or the reverse)
@@ -129,16 +143,55 @@ pub fn random_op(rng: &mut Rng, b: &mut GraphBuilder) -> String {
                 b.remove_edge_labeled(s, d, "e1");
                 b.add_edge_labeled(s, d, "e1");
             }
-            format!("toggle {s:?}->{d:?} e1 in one session")
         }
-    }
+    })
 }
 
-/// One [`random_op`] on the current snapshot, as a recorded step.
-pub fn random_step(rng: &mut Rng, g: &Graph) -> (Graph, GraphDelta) {
-    g.edit_with_delta(|b| {
-        random_op(rng, b);
-    })
+/// One random mutation of a non-empty builder at uniformly chosen
+/// nodes: a node labeled `l0`–`l3`, an edge `e0`–`e2` added or
+/// removed, a relabel, or an attribute `a0`/`a1` set or removed, so a
+/// node of [`fill`] ends up with several attribute keys. Returns what
+/// it did, for failure messages.
+pub fn random_mutation(rng: &mut Rng, b: &mut GraphBuilder) -> String {
+    let n = b.node_count();
+    let pick = |rng: &mut Rng, n: usize| NodeId(rng.gen_range(0..n) as u32);
+    match rng.gen_range(0..6) {
+        0 => {
+            let l = format!("l{}", rng.gen_range(0..4));
+            let id = b.add_node_labeled(&l);
+            format!("add_node {id:?} {l}")
+        }
+        1 => {
+            let (s, d) = (pick(rng, n), pick(rng, n));
+            let e = format!("e{}", rng.gen_range(0..3));
+            let ok = b.add_edge_labeled(s, d, &e);
+            format!("add_edge {s:?}->{d:?} {e} ({ok})")
+        }
+        2 => {
+            let (s, d) = (pick(rng, n), pick(rng, n));
+            let e = format!("e{}", rng.gen_range(0..3));
+            let ok = b.remove_edge_labeled(s, d, &e);
+            format!("remove_edge {s:?}->{d:?} {e} ({ok})")
+        }
+        3 => {
+            let u = pick(rng, n);
+            let l = b.vocab().intern(&format!("l{}", rng.gen_range(0..4)));
+            b.set_label(u, l);
+            format!("set_label {u:?}")
+        }
+        4 => {
+            let u = pick(rng, n);
+            let a = b.vocab().intern(&format!("a{}", rng.gen_range(0..2)));
+            b.set_attr(u, a, Value::Int(rng.gen_range(0..5) as i64));
+            format!("set_attr {u:?}")
+        }
+        _ => {
+            let u = pick(rng, n);
+            let a = b.vocab().intern(&format!("a{}", rng.gen_range(0..2)));
+            let had = b.remove_attr(u, a).is_some();
+            format!("remove_attr {u:?} ({had})")
+        }
+    }
 }
 
 /// A node next to a page boundary (last slot of a page, first and
@@ -251,11 +304,11 @@ pub fn boundary_step(
             format!("toggle {s:?}->{d:?} {e}")
         }
         7 => {
-            let a = b.vocab().intern("val");
+            let a = b.vocab().intern("a0");
             b.set_attr(s, a, Value::Int(rng.gen_range(0..5) as i64));
             b.remove_attr(d, a);
             format!("attr writes {s:?} {d:?}")
         }
-        _ => random_op(rng, b),
+        _ => random_mutation(rng, b),
     }
 }

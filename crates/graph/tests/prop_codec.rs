@@ -32,7 +32,7 @@ fn delta_codec_round_trip_over_edit_scripts() {
         "delta encode → decode ≡ identity",
         cases(80, 16),
         |rng| {
-            let (base, _) = base_graph(rng);
+            let base = base_graph(rng);
             let mut g = base.edit(|_| {});
             let mut compacted: Option<GraphDelta> = None;
             for _ in 0..rng.gen_range(1..20) {
@@ -82,7 +82,7 @@ fn snapshot_codec_round_trip() {
         "GraphData encode → decode ≡ identity",
         cases(60, 12),
         |rng| {
-            let (mut g, _) = base_graph(rng);
+            let mut g = base_graph(rng);
             // A few edits so the snapshot isn't always freeze-fresh.
             for _ in 0..rng.gen_range(0..5) {
                 g = random_step(rng, &g).0;
@@ -128,7 +128,7 @@ fn builder_decode_never_panics_and_agrees_with_graphdata() {
         "hostile snapshot bytes: builder decode ≡ GraphData decode",
         cases(100, 20),
         |rng| {
-            let data = GraphData::from_graph(&base_graph(rng).0);
+            let data = GraphData::from_graph(&base_graph(rng));
             let mut bytes = Vec::new();
             data.encode_into(&mut bytes);
             mutate(rng, &mut bytes);
@@ -198,7 +198,7 @@ fn decode_never_panics_on_mutated_streams() {
         "hostile delta bytes: Err or invariant-clean Ok",
         cases(150, 30),
         |rng| {
-            let (base, _) = base_graph(rng);
+            let base = base_graph(rng);
             let mut g = base.edit(|_| {});
             let mut delta = GraphDelta::new(base.node_count());
             for _ in 0..rng.gen_range(1..8) {
@@ -231,7 +231,7 @@ fn snapshot_decode_never_panics_on_mutated_streams() {
         "hostile snapshot bytes: Err or well-formed Ok",
         cases(100, 20),
         |rng| {
-            let data = GraphData::from_graph(&base_graph(rng).0);
+            let data = GraphData::from_graph(&base_graph(rng));
             let mut bytes = Vec::new();
             data.encode_into(&mut bytes);
             mutate(rng, &mut bytes);
@@ -262,7 +262,7 @@ fn snapshot_decode_never_panics_on_mutated_streams() {
 #[test]
 fn every_prefix_of_an_encoding_is_rejected() {
     check("strict prefixes never decode", cases(40, 8), |rng| {
-        let (base, _) = base_graph(rng);
+        let base = base_graph(rng);
         let (g, delta) = random_step(rng, &base);
         let sym_limit = g.vocab().len() as u32;
         let mut bytes = Vec::new();

@@ -27,7 +27,7 @@ fn compacted_batch_equals_raw_sequence() {
         "merge-compacted batch ≡ raw step sequence",
         cases(60, 12),
         |rng| {
-            let (base, _) = base_graph(rng);
+            let base = base_graph(rng);
             // Snapshots are Arc-shared, not Clone; a no-op edit forks
             // an identical successor to walk the raw sequence on.
             let mut raw = base.edit(|_| {});
@@ -139,7 +139,7 @@ fn merge_is_associative_over_splits() {
     // Folding a batch left-to-right must not depend on where the batch
     // is split: merge(merge(a, b), c) ≡ merge(a, merge(b, c)).
     check("merge associativity", cases(40, 8), |rng| {
-        let (base, _) = base_graph(rng);
+        let base = base_graph(rng);
         let mut g = base.edit(|_| {});
         let mut deltas = Vec::new();
         for _ in 0..12 {
@@ -166,7 +166,7 @@ fn merge_is_associative_over_splits() {
 #[test]
 fn check_against_rejects_malformed_deltas() {
     check("check_against catches corruption", cases(60, 12), |rng| {
-        let (base, _) = base_graph(rng);
+        let base = base_graph(rng);
         let limit = base.node_count() as u32;
         let sym_e0 = base.vocab().lookup("e0");
         // The one check reads a snapshot and a replay builder alike:

@@ -12,7 +12,7 @@ mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use common::{base_graph, boundary_step, hub_graph, random_op};
+use common::{boundary_step, hub_graph, random_graph, random_mutation};
 use gfd_graph::{
     graph::same_snapshot, neighborhood::khop_nodes, Fragmentation, Graph, NodeId,
     PartitionStrategy, Sym,
@@ -60,7 +60,7 @@ impl Oracle {
 #[test]
 fn csr_has_edge_equals_oracle() {
     check("has_edge ≡ oracle membership", 120, |rng| {
-        let (g, raw) = base_graph(rng);
+        let (g, raw) = random_graph(rng, 24);
         let oracle = Oracle::build(&g, &raw);
         let all_labels: Vec<Sym> = (0..3).map(|e| g.vocab().intern(&format!("e{e}"))).collect();
         for s in g.nodes() {
@@ -92,7 +92,7 @@ fn csr_has_edge_equals_oracle() {
 #[test]
 fn csr_neighbor_sets_equal_oracle() {
     check("out/in slices ≡ oracle adjacency", 120, |rng| {
-        let (g, raw) = base_graph(rng);
+        let (g, raw) = random_graph(rng, 24);
         let oracle = Oracle::build(&g, &raw);
         for u in g.nodes() {
             let got_out: BTreeSet<(Sym, u32)> =
@@ -125,7 +125,7 @@ fn csr_neighbor_sets_equal_oracle() {
 #[test]
 fn csr_extents_equal_oracle() {
     check("label extents ≡ oracle label map", 120, |rng| {
-        let (g, raw) = base_graph(rng);
+        let (g, raw) = random_graph(rng, 24);
         let oracle = Oracle::build(&g, &raw);
         for (label, nodes) in &oracle.extents {
             prop_assert!(
@@ -145,7 +145,7 @@ fn csr_extents_equal_oracle() {
 #[test]
 fn csr_edge_iteration_equals_oracle() {
     check("edges() ≡ oracle edge set", 120, |rng| {
-        let (g, raw) = base_graph(rng);
+        let (g, raw) = random_graph(rng, 24);
         let oracle = Oracle::build(&g, &raw);
         let got: BTreeSet<(u32, u32, Sym)> =
             g.edges().map(|e| (e.src.0, e.dst.0, e.label)).collect();
@@ -166,7 +166,7 @@ fn csr_edge_iteration_equals_oracle() {
 #[test]
 fn thaw_freeze_round_trip_is_identity() {
     check("thaw ∘ freeze preserves all observables", 80, |rng| {
-        let (g, _) = base_graph(rng);
+        let (g, _) = random_graph(rng, 20);
         let g2 = g.thaw().freeze();
         prop_assert!(g2.node_count() == g.node_count());
         prop_assert!(g2.edge_count() == g.edge_count());
@@ -201,11 +201,11 @@ fn edit_delta_round_trip_equals_freeze() {
     // (what `edit` does now) must equal the full `freeze` rebuild, and
     // node ids, attrs, and (src,dst,label) dedup must survive.
     check("apply_delta ∘ record ≡ freeze", 120, |rng| {
-        let (g, _) = base_graph(rng);
+        let (g, _) = random_graph(rng, 16);
         let mut b = g.thaw();
         let mut script = Vec::new();
         for _ in 0..rng.gen_range(1..20) {
-            script.push(random_op(rng, &mut b));
+            script.push(random_mutation(rng, &mut b));
         }
         let delta = b.take_delta().expect("thaw records");
         let patched = g.apply_delta(&delta);
@@ -331,7 +331,7 @@ fn builder_replay_equals_the_snapshot_chain() {
 #[test]
 fn empty_delta_patch_is_identity() {
     check("apply_delta(∅) ≡ id", 40, |rng| {
-        let (g, _) = base_graph(rng);
+        let (g, _) = random_graph(rng, 16);
         let (g2, delta) = g.edit_with_delta(|_| {});
         prop_assert!(delta.is_empty(), "empty session recorded {delta:?}");
         same_snapshot(&g, &g2)
@@ -344,7 +344,7 @@ fn khop_monotone() {
         "k-hop neighborhoods grow with k and contain seeds",
         60,
         |rng| {
-            let (g, _) = base_graph(rng);
+            let (g, _) = random_graph(rng, 20);
             let k = rng.gen_range(0..4);
             for u in g.nodes() {
                 let small = khop_nodes(&g, &[u], k);
@@ -362,7 +362,7 @@ fn khop_monotone() {
 #[test]
 fn fragmentation_covers() {
     check("fragmentations own every node once", 60, |rng| {
-        let (g, _) = base_graph(rng);
+        let (g, _) = random_graph(rng, 30);
         let n = rng.gen_range(1..6);
         for strategy in [
             PartitionStrategy::Hash,
