@@ -18,7 +18,8 @@
 //! [`IncrementalSpace`] repair in proportion to the
 //! runs the delta moved — nothing at all when no set moves — and log
 //! recovery in proportion to the frames it replays, not one snapshot
-//! per epoch. And
+//! per epoch; its floor streams through one chunk buffer, and a string
+//! the floor repeats decodes once. And
 //! what stays allocated is gated too: an [`IncrementalSpace`] retains
 //! its candidates, not arrays sized by the graph, so the bytes a
 //! [`ClassRegistry`] accounts are the bytes it holds — and building one
@@ -33,7 +34,11 @@ use gfd_datagen::{
     mine_gfds, reallife_graph, synthetic_graph, RealLifeConfig, RealLifeKind, RuleGenConfig,
     SynthConfig,
 };
-use gfd_graph::{AttrOp, Edge, Graph, GraphDelta, LabelChange, NodeId, Sym, Value, Vocab};
+use gfd_graph::graph::same_snapshot;
+use gfd_graph::{
+    encode_snapshot, AttrOp, DecodedSnapshot, Edge, Graph, GraphBuilder, GraphDelta, LabelChange,
+    NodeId, Sym, Value, Vocab, SNAPSHOT_CHUNK,
+};
 use gfd_match::types::Flow;
 use gfd_match::{
     count_matches_with, dual_simulation, for_each_match_in, simulation_sets, ClassRegistry,
@@ -854,6 +859,85 @@ fn recovery_requests_by_the_log_not_the_epochs() {
     assert!(
         create_bytes <= 256 * 1024,
         "WalWriter::create requested {create_bytes} B to write {snapshot_len} B"
+    );
+}
+
+/// Writes a log of `g` with no frame behind its floor to `path`.
+fn frameless_log(g: &Graph, path: &std::path::Path) {
+    WalWriter::create(path, 0, g, SyncPolicy::OnDemand).unwrap();
+}
+
+/// The floor gate: recovery reads its floor through one chunk buffer.
+/// Over a floor of at least 1 MiB with no frame behind it, `recover_in`
+/// requests at most two chunks and 4 KiB more than decoding the same
+/// payload from memory and freezing it — the chunk buffer, the path
+/// and the writer. A recovery that reads the file whole requests the
+/// whole file more.
+#[test]
+fn the_floor_is_read_through_one_chunk() {
+    let g = synthetic_graph(&SynthConfig::sized(40_000, 7));
+    let dir = TempDir::new("gfd-alloc-floor").unwrap();
+    let path = dir.file("floor.wal");
+    frameless_log(&g, &path);
+    let mut payload = Vec::new();
+    encode_snapshot(&g, &g.vocab().snapshot(), &mut payload);
+    assert!(
+        payload.len() >= 1 << 20,
+        "premise: a {} B floor",
+        payload.len()
+    );
+
+    let (decoded, in_memory) = bytes_requested(|| {
+        let decoded = DecodedSnapshot::decode(&payload, g.vocab()).unwrap();
+        decoded.intern().unwrap().freeze()
+    });
+    let ((recovered, _, report), streamed) =
+        bytes_requested(|| wal::recover_in(&path, SyncPolicy::OnDemand, g.vocab()).unwrap());
+    assert_eq!(report.replayed_epochs, 0);
+    same_snapshot(&recovered, &decoded).unwrap();
+    let over = streamed.saturating_sub(in_memory);
+    eprintln!(
+        "floor: recover_in {streamed} B, in-memory decode {in_memory} B, {over} B over, \
+         for a {} B payload",
+        payload.len()
+    );
+    assert!(
+        over <= 2 * SNAPSHOT_CHUNK as u64 + 4096,
+        "recover_in requested {over} B more than decoding its {} B floor from memory",
+        payload.len()
+    );
+}
+
+/// The string gate: a floor requests per distinct string, not per
+/// value. Two floors of one shape, 100 000 string values of equal
+/// length each: with 100 contents, recovery requests at least 2 MB less
+/// than with 100 000, since a repeated string decodes once. Decoding
+/// each value on its own requests the same for both.
+#[test]
+fn a_floor_requests_per_distinct_string() {
+    let dir = TempDir::new("gfd-alloc-strings").unwrap();
+    let recover = |contents: usize| {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let attrs: Vec<Sym> = (0..5).map(|i| b.vocab().intern(&format!("a{i}"))).collect();
+        for i in 0..20_000 {
+            let u = b.add_node_labeled("item");
+            for (j, &a) in attrs.iter().enumerate() {
+                b.set_attr(u, a, Value::str(&format!("{:08}", (5 * i + j) % contents)));
+            }
+        }
+        let g = b.freeze();
+        let path = dir.file(&format!("{contents}.wal"));
+        frameless_log(&g, &path);
+        let ((recovered, _, _), bytes) =
+            bytes_requested(|| wal::recover_in(&path, SyncPolicy::OnDemand, g.vocab()).unwrap());
+        same_snapshot(&recovered, &g).unwrap();
+        bytes
+    };
+    let (few, many) = (recover(100), recover(100_000));
+    eprintln!("floor strings: {few} B for 100 contents, {many} B for 100 000");
+    assert!(
+        many >= few + 2_000_000,
+        "100 contents requested {few} B, 100 000 contents {many} B"
     );
 }
 

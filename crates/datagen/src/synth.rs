@@ -101,14 +101,17 @@ pub fn synthetic_graph(cfg: &SynthConfig) -> Graph {
         .map(|i| vocab.intern(&format!("A{i}")))
         .collect();
 
+    // The domain's values, made once: an attribute shares one.
+    let domain: Vec<Value> = (0..cfg.domain)
+        .map(|v| Value::Str(format!("v{v}").into()))
+        .collect();
     // Zipf label frequencies: label 0 is the most common.
     let label_sampler = ZipfSampler::new(cfg.labels, 1.0);
     for _ in 0..cfg.nodes {
         let l = labels[label_sampler.sample(&mut rng)];
         let n = g.add_node(l);
         for &a in &attrs {
-            let v = rng.gen_range(0..cfg.domain);
-            g.set_attr(n, a, Value::Str(format!("v{v}").into()));
+            g.set_attr(n, a, domain[rng.gen_range(0..cfg.domain)].clone());
         }
     }
 

@@ -660,11 +660,11 @@ impl GraphDelta {
     ///
     /// [`decode`]: GraphDelta::decode
     /// [`decode_with_symbols`]: GraphDelta::decode_with_symbols
-    fn decode_body(r: &mut wire::Reader, sym_limit: u32) -> Result<GraphDelta, DeltaError> {
+    fn decode_body(r: &mut wire::Reader<&[u8]>, sym_limit: u32) -> Result<GraphDelta, DeltaError> {
         let base_nodes = r.varint_usize("base_nodes")?;
         let mut delta = GraphDelta::new(base_nodes);
 
-        let sym = |r: &mut wire::Reader| -> Result<Sym, DeltaError> {
+        let sym = |r: &mut wire::Reader<&[u8]>| -> Result<Sym, DeltaError> {
             let s = r.varint_u32("symbol")?;
             if s >= sym_limit {
                 return Err(DeltaError::SymOutOfRange {
@@ -674,7 +674,7 @@ impl GraphDelta {
             }
             Ok(Sym(s))
         };
-        let node = |r: &mut wire::Reader| -> Result<NodeId, DeltaError> {
+        let node = |r: &mut wire::Reader<&[u8]>| -> Result<NodeId, DeltaError> {
             Ok(NodeId(r.varint_u32("node id")?))
         };
 
@@ -814,51 +814,117 @@ pub(crate) mod wire {
         }
     }
 
-    /// A bounds-checked cursor over untrusted bytes.
-    pub(crate) struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
+    /// Where a [`Reader`]'s bytes come from: a window onto the input,
+    /// which is the whole input when it is in memory, or the part of a
+    /// chunked input read so far and not yet consumed.
+    pub(crate) trait Input {
+        /// The bytes held.
+        fn window(&self) -> &[u8];
+        /// Drops the window's first `consumed` bytes and reads on until
+        /// it holds at least `need` bytes. Called only when the input
+        /// has that many bytes left; `false` if they cannot be read,
+        /// the window then holding what was.
+        fn refill(&mut self, consumed: usize, need: usize) -> bool;
     }
 
-    impl<'a> Reader<'a> {
+    /// An input held whole: there is nothing to read on from.
+    impl Input for &[u8] {
+        fn window(&self) -> &[u8] {
+            self
+        }
+        fn refill(&mut self, consumed: usize, _: usize) -> bool {
+            *self = &self[consumed..];
+            false
+        }
+    }
+
+    /// A bounds-checked cursor over untrusted bytes. Offsets, and so
+    /// error offsets, count from the input's start, whichever window
+    /// holds them.
+    pub(crate) struct Reader<I> {
+        input: I,
+        /// Position in the window.
+        pos: usize,
+        /// Input offset of the window's first byte.
+        start: usize,
+        /// Input length.
+        len: usize,
+    }
+
+    impl<'a> Reader<&'a [u8]> {
+        /// A reader over an input held whole: one window, one chunk.
         pub(crate) fn new(bytes: &'a [u8]) -> Self {
-            Reader { bytes, pos: 0 }
+            Reader::over(bytes, bytes.len())
+        }
+    }
+
+    impl<I: Input> Reader<I> {
+        /// A reader over the `len` bytes `input` holds or reads.
+        pub(crate) fn over(input: I, len: usize) -> Self {
+            Reader {
+                input,
+                pos: 0,
+                start: 0,
+                len,
+            }
         }
 
         /// Current byte offset (for error reporting).
         pub(crate) fn offset(&self) -> usize {
-            self.pos
+            self.start + self.pos
         }
 
         fn remaining(&self) -> usize {
-            self.bytes.len() - self.pos
+            self.len - self.offset()
+        }
+
+        /// Brings the next `n` bytes into the window.
+        #[inline]
+        fn want(&mut self, n: usize) -> Result<(), DeltaError> {
+            if self.input.window().len() - self.pos >= n {
+                return Ok(());
+            }
+            self.refill(n)
+        }
+
+        /// [`want`](Reader::want) past the window: an element cut by a
+        /// chunk boundary is completed from the next chunk. Past the
+        /// input's end, or where it cannot be read, the input is
+        /// truncated — so a claimed length is never read or buffered
+        /// beyond the bytes the input holds.
+        #[cold]
+        fn refill(&mut self, n: usize) -> Result<(), DeltaError> {
+            if n > self.remaining() {
+                return Err(DeltaError::Truncated { offset: self.len });
+            }
+            let refilled = self.input.refill(self.pos, n);
+            self.start += self.pos;
+            self.pos = 0;
+            if !refilled {
+                let offset = self.start + self.input.window().len();
+                return Err(DeltaError::Truncated { offset });
+            }
+            Ok(())
         }
 
         pub(crate) fn byte(&mut self) -> Result<u8, DeltaError> {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or(DeltaError::Truncated { offset: self.pos })?;
+            self.want(1)?;
+            let b = self.input.window()[self.pos];
             self.pos += 1;
             Ok(b)
         }
 
-        pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DeltaError> {
-            if self.remaining() < n {
-                return Err(DeltaError::Truncated {
-                    offset: self.bytes.len(),
-                });
-            }
-            let s = &self.bytes[self.pos..self.pos + n];
+        pub(crate) fn take(&mut self, n: usize) -> Result<&[u8], DeltaError> {
+            self.want(n)?;
             self.pos += n;
-            Ok(s)
+            Ok(&self.input.window()[self.pos - n..self.pos])
         }
 
         /// LEB128 u64; overlong encodings (more than 10 bytes, or a
         /// final byte overflowing 64 bits) are corrupt, so every value
         /// has exactly one encoding.
         pub(crate) fn varint(&mut self) -> Result<u64, DeltaError> {
-            let start = self.pos;
+            let start = self.offset();
             let mut v: u64 = 0;
             for shift in (0..64).step_by(7) {
                 let byte = self.byte()?;
@@ -888,7 +954,7 @@ pub(crate) mod wire {
 
         /// A varint that must fit `u32` (node ids, symbols).
         pub(crate) fn varint_u32(&mut self, what: &'static str) -> Result<u32, DeltaError> {
-            let offset = self.pos;
+            let offset = self.offset();
             u32::try_from(self.varint()?).map_err(|_| DeltaError::Corrupt {
                 offset,
                 what: wide32(what),
@@ -897,7 +963,7 @@ pub(crate) mod wire {
 
         /// A varint that must fit `usize`.
         pub(crate) fn varint_usize(&mut self, what: &'static str) -> Result<usize, DeltaError> {
-            let offset = self.pos;
+            let offset = self.offset();
             usize::try_from(self.varint()?).map_err(|_| DeltaError::Corrupt {
                 offset,
                 what: wide32(what),
@@ -909,7 +975,7 @@ pub(crate) mod wire {
         /// — this caps attacker-controlled pre-allocation at the size
         /// of the input itself.
         pub(crate) fn element_count(&mut self, what: &'static str) -> Result<usize, DeltaError> {
-            let offset = self.pos;
+            let offset = self.offset();
             let n = self.varint_usize(what)?;
             if n > self.remaining() {
                 return Err(DeltaError::Corrupt {
@@ -920,15 +986,10 @@ pub(crate) mod wire {
             Ok(n)
         }
 
-        /// Length-prefixed UTF-8.
-        pub(crate) fn str(&mut self) -> Result<&'a str, DeltaError> {
+        /// Length-prefixed UTF-8, borrowed from the window.
+        pub(crate) fn str(&mut self) -> Result<&str, DeltaError> {
             let len = self.varint_usize("string length")?;
-            if len > self.remaining() {
-                return Err(DeltaError::Truncated {
-                    offset: self.bytes.len(),
-                });
-            }
-            let offset = self.pos;
+            let offset = self.offset();
             std::str::from_utf8(self.take(len)?).map_err(|_| DeltaError::Corrupt {
                 offset,
                 what: "string is not UTF-8",
@@ -937,10 +998,18 @@ pub(crate) mod wire {
 
         /// Tagged value; unknown tags and non-0/1 booleans are corrupt.
         pub(crate) fn value(&mut self) -> Result<Option<Value>, DeltaError> {
-            let offset = self.pos;
+            self.value_with(|s| Arc::from(s))
+        }
+
+        /// [`value`](Reader::value), its string made by `string`.
+        pub(crate) fn value_with(
+            &mut self,
+            string: impl FnOnce(&str) -> Arc<str>,
+        ) -> Result<Option<Value>, DeltaError> {
+            let offset = self.offset();
             match self.byte()? {
                 TAG_NONE => Ok(None),
-                TAG_STR => Ok(Some(Value::Str(Arc::from(self.str()?)))),
+                TAG_STR => Ok(Some(Value::Str(string(self.str()?)))),
                 TAG_INT => {
                     let raw = self.take(8)?;
                     Ok(Some(Value::Int(i64::from_le_bytes(
@@ -964,9 +1033,9 @@ pub(crate) mod wire {
 
         /// Asserts the input was consumed exactly.
         pub(crate) fn finish(self) -> Result<(), DeltaError> {
-            if self.pos != self.bytes.len() {
+            if self.offset() != self.len {
                 return Err(DeltaError::Corrupt {
-                    offset: self.pos,
+                    offset: self.offset(),
                     what: "trailing bytes after encoding",
                 });
             }

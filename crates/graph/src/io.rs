@@ -6,11 +6,26 @@
 //! frozen [`Graph`], no `GraphData` in between) and
 //! [`encode_snapshot_chunked`] (the same, handed off in chunks through
 //! one caller-owned buffer, so a log can stream a floor of any size)
-//! write the same bytes; [`GraphData::decode`] and
-//! [`DecodedSnapshot::decode`] (straight into a [`GraphBuilder`]) read
-//! them under the same checks.
+//! write the same bytes. The parser is fed whole or in chunks:
+//! [`GraphData::decode`] and [`DecodedSnapshot::decode`] (straight into
+//! a [`GraphBuilder`]) hand it the record held in memory as one chunk,
+//! and [`DecodedSnapshot::decode_chunked`] reads the record on demand
+//! through one buffer of [`SNAPSHOT_CHUNK`] bytes, so a log recovers a
+//! floor of any size without holding its bytes. Every input gets the
+//! same checks.
+//!
+//! A repeated string value decodes once. The parser passes each string
+//! value through a table of the [`Arc<str>`]s it decoded last, one per
+//! slot of a fixed, power-of-two table indexed by a hash of the bytes:
+//! a hit clones the `Arc` in the slot, a miss allocates and replaces
+//! it. The table is bounded, not a map of every distinct value, so it
+//! costs a constant whatever the record holds — a floor drawn from a
+//! small domain shares one allocation per value, and one of distinct
+//! values pays only the table. Equal strings are equal [`Value`]s
+//! whichever allocation holds them; only `Arc` identity changes.
 
 use std::convert::Infallible;
+use std::io;
 use std::sync::Arc;
 
 use crate::attrs::AttrMap;
@@ -49,12 +64,6 @@ impl GraphData {
             nodes,
             edges,
         }
-    }
-
-    /// Reconstructs a frozen graph (with a fresh vocabulary).
-    pub fn into_graph(self) -> Graph {
-        self.into_graph_in(&Vocab::shared())
-            .expect("a fresh vocabulary always reproduces the snapshot's numbering")
     }
 
     /// Reconstructs a frozen graph sharing an **existing** vocabulary
@@ -112,8 +121,7 @@ impl GraphData {
             nodes: Vec::new(),
             edges: Vec::new(),
         };
-        let symbols = parse_snapshot(bytes, &mut data)?;
-        data.symbols = symbols.iter().map(|s| s.to_string()).collect();
+        data.symbols = parse_snapshot(wire::Reader::new(bytes), &mut data)?;
         Ok(data)
     }
 }
@@ -260,24 +268,108 @@ impl SnapshotSink for GraphBuilder {
     }
 }
 
-/// The one snapshot parser. Never panics on hostile bytes: lengths are
-/// bounded by the remaining input, every symbol index must fall inside
-/// the record's own symbol table (a symbol reaches `sink` as `Sym(i)`,
-/// the record's index), every edge endpoint inside its node table, and
-/// trailing bytes are rejected. Returns the symbol table, borrowed from
-/// `bytes`.
-fn parse_snapshot<'a>(
-    bytes: &'a [u8],
+/// Slots of the string table a snapshot's values decode through: a
+/// power of two, 64 KiB of slots on a 64-bit target.
+const STRING_SLOTS: usize = 4096;
+
+/// The string values one parse decoded last, one per slot: a value
+/// whose bytes match its slot's shares that allocation. The slots are
+/// allocated when the first string value arrives.
+#[derive(Default)]
+struct Strings {
+    slots: Vec<Option<Arc<str>>>,
+}
+
+impl Strings {
+    /// `s` as an `Arc`: the slot's, if it holds these bytes, else a new
+    /// one that replaces it.
+    fn get(&mut self, s: &str) -> Arc<str> {
+        if self.slots.is_empty() {
+            self.slots = vec![None; STRING_SLOTS];
+        }
+        let slot = &mut self.slots[slot_of(s.as_bytes())];
+        match slot {
+            Some(held) if **held == *s => Arc::clone(held),
+            _ => Arc::clone(slot.insert(Arc::from(s))),
+        }
+    }
+}
+
+/// The table slot of `bytes`: a multiplicative hash over 8-byte lanes,
+/// its top bits.
+fn slot_of(bytes: &[u8]) -> usize {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = bytes.len() as u64;
+    for lane in bytes.chunks(8) {
+        let mut word = [0; 8];
+        word[..lane.len()].copy_from_slice(lane);
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    }
+    (h >> (64 - STRING_SLOTS.trailing_zeros())) as usize
+}
+
+/// A record read on demand through one buffer: the parser's input when
+/// the record is not held whole. `read` fills a prefix of the slice it
+/// is handed and returns its length, as [`io::Read::read`] does.
+struct Chunks<F> {
+    buf: Vec<u8>,
+    /// Bytes of the record not yet read.
+    unread: usize,
+    read: F,
+    /// The error `read` failed with, if it did.
+    failed: Option<io::Error>,
+}
+
+/// Borrowed, so the caller keeps the source's error.
+impl<F: FnMut(&mut [u8]) -> io::Result<usize>> wire::Input for &mut Chunks<F> {
+    fn window(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Reads on to a chunk, or to the one element longer than a chunk,
+    /// never past the record's end — so `read` is never handed a slice
+    /// that reaches past the record.
+    fn refill(&mut self, consumed: usize, need: usize) -> bool {
+        self.buf.drain(..consumed);
+        let want = need.max(SNAPSHOT_CHUNK).min(self.buf.len() + self.unread);
+        self.buf.reserve_exact(want - self.buf.len());
+        while self.buf.len() < need {
+            let at = self.buf.len();
+            self.buf.resize(want, 0);
+            let got = match (self.read)(&mut self.buf[at..]) {
+                Ok(n) if n > 0 => n.min(want - at),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+                ended => {
+                    self.buf.truncate(at);
+                    self.failed = ended.err();
+                    return false;
+                }
+            };
+            self.buf.truncate(at + got);
+            self.unread -= got;
+        }
+        true
+    }
+}
+
+/// The one snapshot parser, over a record held whole or read in chunks.
+/// Never panics on hostile bytes: lengths are bounded by the remaining
+/// input, every symbol index must fall inside the record's own symbol
+/// table (a symbol reaches `sink` as `Sym(i)`, the record's index),
+/// every edge endpoint inside its node table, and trailing bytes are
+/// rejected. String values pass through one [`Strings`] table. Returns
+/// the symbol table.
+fn parse_snapshot<I: wire::Input>(
+    mut r: wire::Reader<I>,
     sink: &mut impl SnapshotSink,
-) -> Result<Vec<&'a str>, DeltaError> {
-    let mut r = wire::Reader::new(bytes);
+) -> Result<Vec<String>, DeltaError> {
     let n_syms = r.element_count("symbols")?;
     let mut symbols = Vec::with_capacity(n_syms);
     for _ in 0..n_syms {
-        symbols.push(r.str()?);
+        symbols.push(r.str()?.to_owned());
     }
     let sym_limit = symbols.len() as u32;
-    let sym = |r: &mut wire::Reader| -> Result<Sym, DeltaError> {
+    let sym = |r: &mut wire::Reader<I>| -> Result<Sym, DeltaError> {
         let s = r.varint_u32("symbol")?;
         if s >= sym_limit {
             return Err(DeltaError::SymOutOfRange {
@@ -295,6 +387,7 @@ fn parse_snapshot<'a>(
         what: "node count overflows u32",
     })?;
     sink.nodes(n_nodes);
+    let mut strings = Strings::default();
     for _ in 0..n_nodes {
         let label = sym(&mut r)?;
         let n_attrs = r.element_count("attrs")?;
@@ -302,10 +395,12 @@ fn parse_snapshot<'a>(
         for _ in 0..n_attrs {
             let a = sym(&mut r)?;
             let offset = r.offset();
-            let v = r.value()?.ok_or(DeltaError::Corrupt {
-                offset,
-                what: "snapshot attribute has no value",
-            })?;
+            let v = r
+                .value_with(|s| strings.get(s))?
+                .ok_or(DeltaError::Corrupt {
+                    offset,
+                    what: "snapshot attribute has no value",
+                })?;
             attrs.push((a, v));
         }
         sink.node(label, attrs);
@@ -351,24 +446,52 @@ fn intern_in_order<'s>(
 /// A snapshot encoding decoded in one pass straight into a
 /// [`GraphBuilder`] — no [`GraphData`] in between — whose symbols are
 /// still the record's own indices: entry `i` of the record's symbol
-/// table is `Sym(i)`. Nothing is interned until
+/// table, which it owns, is `Sym(i)`. Nothing is interned until
 /// [`intern`](DecodedSnapshot::intern), so a record that fails to
 /// decode leaves the caller's vocabulary untouched.
-pub struct DecodedSnapshot<'a> {
-    symbols: Vec<&'a str>,
+pub struct DecodedSnapshot {
+    symbols: Vec<String>,
     builder: GraphBuilder,
 }
 
-impl<'a> DecodedSnapshot<'a> {
+impl DecodedSnapshot {
     /// Decodes (possibly hostile) snapshot bytes — what
     /// [`GraphData::encode_into`] and [`encode_snapshot`] write — into a
     /// builder over `vocab`, under the checks of [`GraphData::decode`]:
     /// an error, never a panic, and every byte validated before
     /// [`intern`](DecodedSnapshot::intern) can touch `vocab`.
-    pub fn decode(bytes: &'a [u8], vocab: &Arc<Vocab>) -> Result<Self, DeltaError> {
+    pub fn decode(bytes: &[u8], vocab: &Arc<Vocab>) -> Result<Self, DeltaError> {
         let mut builder = GraphBuilder::new(Arc::clone(vocab));
-        let symbols = parse_snapshot(bytes, &mut builder)?;
+        let symbols = parse_snapshot(wire::Reader::new(bytes), &mut builder)?;
         Ok(DecodedSnapshot { symbols, builder })
+    }
+
+    /// [`decode`](DecodedSnapshot::decode) of a `len`-byte record read
+    /// in pieces: `read` fills a prefix of the slice it is handed with
+    /// the record's next bytes and returns its length, as
+    /// [`io::Read::read`] does. The record passes through one buffer of
+    /// [`SNAPSHOT_CHUNK`] bytes, grown only to hold one element longer
+    /// than that, and `read` is never handed a slice reaching past the
+    /// record's `len` bytes. The result is `decode`'s however `read`
+    /// splits the record; a record that ends early (`read` returns 0)
+    /// is truncated, and an error from `read` is returned as such.
+    pub fn decode_chunked(
+        len: usize,
+        vocab: &Arc<Vocab>,
+        read: impl FnMut(&mut [u8]) -> io::Result<usize>,
+    ) -> io::Result<Result<Self, DeltaError>> {
+        let mut chunks = Chunks {
+            buf: Vec::new(),
+            unread: len,
+            read,
+            failed: None,
+        };
+        let mut builder = GraphBuilder::new(Arc::clone(vocab));
+        let parsed = parse_snapshot(wire::Reader::over(&mut chunks, len), &mut builder);
+        match chunks.failed {
+            Some(e) => Err(e),
+            None => Ok(parsed.map(|symbols| DecodedSnapshot { symbols, builder })),
+        }
     }
 
     /// Size of the record's symbol table.
@@ -382,7 +505,10 @@ impl<'a> DecodedSnapshot<'a> {
     /// [`GraphData::into_graph_in`], if a name does not land on its own
     /// index.
     pub fn intern(self) -> Result<GraphBuilder, DeltaError> {
-        intern_in_order(self.builder.vocab(), self.symbols.into_iter())?;
+        intern_in_order(
+            self.builder.vocab(),
+            self.symbols.iter().map(String::as_str),
+        )?;
         Ok(self.builder)
     }
 }
@@ -406,7 +532,7 @@ mod tests {
     fn graphdata_round_trip() {
         let g = sample();
         let data = GraphData::from_graph(&g);
-        let g2 = data.into_graph();
+        let g2 = data.into_graph_in(&Vocab::shared()).unwrap();
         assert_eq!(g2.node_count(), g.node_count());
         assert_eq!(g2.edge_count(), g.edge_count());
         let val = g2.vocab().lookup("val").unwrap();
@@ -446,6 +572,93 @@ mod tests {
         assert!(matches!(
             GraphData::decode(&bytes),
             Err(DeltaError::Corrupt { .. })
+        ));
+    }
+
+    /// The string values a decode made, in record order.
+    fn decoded_strings(bytes: &[u8]) -> Vec<Arc<str>> {
+        let data = GraphData::decode(bytes).unwrap();
+        let values = data.nodes.into_iter().flat_map(|(_, attrs)| attrs);
+        values
+            .filter_map(|(_, v)| match v {
+                Value::Str(s) => Some(s),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A slot holds the string it decoded last: a repeat shares that
+    /// allocation, and two strings that share a slot, alternating, each
+    /// decode to their own bytes, a new allocation each time the slot
+    /// turns over.
+    #[test]
+    fn a_slot_holds_the_string_it_decoded_last() {
+        let first = "v0".to_string();
+        let rival = (1..)
+            .map(|i| format!("v{i}"))
+            .find(|s| slot_of(s.as_bytes()) == slot_of(first.as_bytes()))
+            .unwrap();
+        let order = [&first, &first, &rival, &rival, &first];
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let val = b.vocab().intern("val");
+        for s in order {
+            let u = b.add_node_labeled("item");
+            b.set_attr(u, val, Value::str(s));
+        }
+        let g = b.freeze();
+        let mut bytes = Vec::new();
+        encode_snapshot(&g, &g.vocab().snapshot(), &mut bytes);
+
+        let strings = decoded_strings(&bytes);
+        assert!(strings.iter().map(|s| &**s).eq(order.map(String::as_str)));
+        assert!(Arc::ptr_eq(&strings[0], &strings[1]));
+        assert!(Arc::ptr_eq(&strings[2], &strings[3]));
+        assert!(!Arc::ptr_eq(&strings[1], &strings[4]));
+    }
+
+    /// A source that fails ends a chunked decode with its error, one
+    /// that is interrupted is asked again, and one that ends early
+    /// truncates the record where it ended.
+    #[test]
+    fn a_chunked_decode_reports_its_source() {
+        let g = sample();
+        let mut bytes = Vec::new();
+        encode_snapshot(&g, &g.vocab().snapshot(), &mut bytes);
+        let vocab = Vocab::shared();
+        let len = bytes.len();
+
+        let failed =
+            DecodedSnapshot::decode_chunked(len, &vocab, |_| Err(io::Error::other("disk gone")));
+        assert_eq!(
+            failed.err().map(|e| e.to_string()).as_deref(),
+            Some("disk gone")
+        );
+
+        let (mut fed, mut interrupted) = (0, false);
+        let decoded = DecodedSnapshot::decode_chunked(len, &vocab, |buf| {
+            if !interrupted {
+                interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let piece = &bytes[fed..(fed + 3).min(len)];
+            buf[..piece.len()].copy_from_slice(piece);
+            fed += piece.len();
+            Ok(piece.len())
+        });
+        let back = decoded.unwrap().unwrap().intern().unwrap().freeze();
+        crate::graph::same_snapshot(&back, &g).unwrap();
+
+        let mut ended = false;
+        let short = DecodedSnapshot::decode_chunked(len, &Vocab::shared(), |buf| {
+            if std::mem::replace(&mut ended, true) {
+                return Ok(0);
+            }
+            buf[..5].copy_from_slice(&bytes[..5]);
+            Ok(5)
+        });
+        assert!(matches!(
+            short.unwrap(),
+            Err(DeltaError::Truncated { offset: 5 })
         ));
     }
 

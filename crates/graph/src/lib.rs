@@ -42,8 +42,8 @@
 //!   hostile input — it is the record payload of the durable
 //!   write-ahead log in `gfd-parallel`, which streams snapshots
 //!   straight from a graph in fixed-size chunks
-//!   ([`encode_snapshot_chunked`]) and reads them straight into a
-//!   builder ([`DecodedSnapshot`]).
+//!   ([`encode_snapshot_chunked`]) and reads them back the same way,
+//!   straight into a builder ([`DecodedSnapshot`]).
 //!
 //! The crate is fully self-contained (no external dependencies);
 //! everything the paper's algorithms touch is implemented here from

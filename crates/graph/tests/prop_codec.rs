@@ -9,22 +9,27 @@
 //!   batches) and over `GraphData` snapshots of random graphs; the
 //!   log's direct paths (`encode_snapshot` from a graph,
 //!   `DecodedSnapshot` into a builder) write the same bytes and rebuild
-//!   the same graph;
+//!   the same graph, and the snapshot parser fed in chunks
+//!   (`DecodedSnapshot::decode_chunked`) rebuilds what it rebuilds fed
+//!   whole, however the record is split;
 //! * **hostility** — decoding arbitrary mutations of valid byte
 //!   streams (bit flips, truncations, splices of random garbage)
 //!   never panics: it returns a `DeltaError`, or an `Ok` delta that
-//!   still satisfies the `check_ids` structural invariants, and both
-//!   snapshot decoders reach the same verdict.
+//!   still satisfies the `check_ids` structural invariants, and every
+//!   snapshot decoder, whole or chunked, reaches the same verdict.
 
 mod common;
 
-use common::{base_graph, random_step};
+use std::io;
+use std::sync::Arc;
+
+use common::{base_graph, hub_graph, random_step};
 use gfd_graph::{
-    encode_snapshot, graph::same_snapshot, DecodedSnapshot, DeltaError, GraphData, GraphDelta,
-    Vocab,
+    encode_snapshot, graph::same_snapshot, DecodedSnapshot, DeltaError, Graph, GraphData,
+    GraphDelta, Value, Vocab, SNAPSHOT_CHUNK,
 };
 use gfd_util::prop::{cases, check};
-use gfd_util::{prop_assert, Rng};
+use gfd_util::{checksum64, prop_assert, Checksum64, Rng};
 
 #[test]
 fn delta_codec_round_trip_over_edit_scripts() {
@@ -101,7 +106,9 @@ fn snapshot_codec_round_trip() {
 
             // Rebuilding the graph from the decoded snapshot preserves the
             // observable structure (the recovery floor the WAL replays on).
-            let g2 = back.into_graph();
+            let g2 = back
+                .into_graph_in(&Vocab::shared())
+                .map_err(|e| format!("rebuild failed: {e}"))?;
             prop_assert!(g2.node_count() == g.node_count(), "node counts differ");
             prop_assert!(g2.edge_count() == g.edge_count(), "edge counts differ");
 
@@ -155,6 +162,138 @@ fn builder_decode_never_panics_and_agrees_with_graphdata() {
                     ))
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+/// A kit graph — a base graph, one case in three wider than three
+/// pages, or a hub graph — and, one case in two, 6 000 more nodes whose
+/// string values are drawn from a pool of 5 000, more than the
+/// parser's string table has slots: some pool values share a slot, and
+/// the record spans more than one chunk.
+fn codec_graph(rng: &mut Rng) -> Graph {
+    let g = match rng.gen_range(0..2) {
+        0 => base_graph(rng),
+        _ => hub_graph(rng).0,
+    };
+    if rng.gen_range(0..2) == 0 {
+        return g;
+    }
+    g.edit(|b| {
+        let pooled = b.vocab().intern("pooled");
+        for _ in 0..6_000 {
+            let u = b.add_node_labeled("pooled");
+            let v = rng.gen_range(0..5_000);
+            b.set_attr(u, pooled, Value::str(&format!("pool-{v:05}")));
+        }
+    })
+}
+
+/// Where a source ends the pieces it hands over, as sorted offsets in
+/// `1..len`: every byte, for a short record — so a piece ends inside
+/// every varint, string and checksum lane — or pieces drawn from one
+/// byte up to past [`SNAPSHOT_CHUNK`].
+fn random_cuts(rng: &mut Rng, len: usize) -> Vec<usize> {
+    if len <= 4_096 && rng.gen_range(0..3) == 0 {
+        return (1..len).collect();
+    }
+    let mut cuts = Vec::new();
+    let mut at = 0;
+    loop {
+        at += match rng.gen_range(0..4) {
+            0 => 1,
+            1 => rng.gen_range(2..10),
+            2 => rng.gen_range(10..4_096),
+            _ => rng.gen_range(SNAPSHOT_CHUNK / 2..2 * SNAPSHOT_CHUNK + 2),
+        };
+        if at >= len {
+            return cuts;
+        }
+        cuts.push(at);
+    }
+}
+
+/// What a chunked decode of a `len`-byte record makes of a source that
+/// holds `bytes` and hands them over in the pieces `cuts` ends, fed to
+/// a [`Checksum64`] as they arrive, the way the log feeds its floor's.
+/// Also whether the decode ever asked the source for a byte past `len`.
+fn decode_in_pieces(
+    bytes: &[u8],
+    len: usize,
+    cuts: &[usize],
+    vocab: &Arc<Vocab>,
+) -> (Result<DecodedSnapshot, DeltaError>, Checksum64, bool) {
+    let mut cksum = Checksum64::new(len as u64);
+    let (mut fed, mut overreach) = (0, false);
+    let mut ends = cuts.iter().copied().chain([bytes.len()]);
+    let mut end = ends.next().unwrap_or(bytes.len());
+    let decoded = DecodedSnapshot::decode_chunked(len, vocab, |buf| {
+        overreach |= fed + buf.len() > len;
+        while end <= fed && end < bytes.len() {
+            end = ends.next().unwrap_or(bytes.len());
+        }
+        let piece = &bytes[fed..end.min(fed + buf.len())];
+        buf[..piece.len()].copy_from_slice(piece);
+        cksum.update(piece);
+        fed += piece.len();
+        Ok::<_, io::Error>(piece.len())
+    })
+    .expect("an in-memory source never fails");
+    (decoded, cksum, overreach)
+}
+
+/// The graph `decoded` rebuilds once interned into a fresh vocabulary.
+fn rebuild(decoded: Result<DecodedSnapshot, DeltaError>) -> Result<Graph, String> {
+    let decoded = decoded.map_err(|e| format!("decode failed: {e}"))?;
+    Ok(decoded
+        .intern()
+        .map_err(|e| format!("interning failed: {e}"))?
+        .freeze())
+}
+
+#[test]
+fn streamed_decode_equals_one_shot_decode() {
+    check(
+        "chunked snapshot decode ≡ one-shot decode, however the record is split",
+        cases(60, 12),
+        |rng| {
+            let g = codec_graph(rng);
+            let mut bytes = Vec::new();
+            encode_snapshot(&g, &g.vocab().snapshot(), &mut bytes);
+            let whole = rebuild(DecodedSnapshot::decode(&bytes, &Vocab::shared()))?;
+
+            let cuts = random_cuts(rng, bytes.len());
+            let vocab = Vocab::shared();
+            let (decoded, cksum, overreach) = decode_in_pieces(&bytes, bytes.len(), &cuts, &vocab);
+            prop_assert!(!overreach, "the source was asked for bytes past the record");
+            let streamed = rebuild(decoded)?;
+            prop_assert!(
+                cksum.finish() == checksum64(&bytes),
+                "the pieces' checksum differs from the record's"
+            );
+            prop_assert!(
+                vocab.snapshot() == g.vocab().snapshot(),
+                "the streamed symbol table differs"
+            );
+            same_snapshot(&streamed, &whole).map_err(|e| format!("vs one-shot: {e}"))?;
+            same_snapshot(&streamed, &g).map_err(|e| format!("vs source: {e}"))?;
+            // A repeated string shares the allocation of its last
+            // decode, and one that shares a slot with another still
+            // decodes to its own bytes (the equality above).
+            let strings: Vec<&Arc<str>> = streamed
+                .nodes()
+                .flat_map(|u| streamed.attrs(u).iter())
+                .filter_map(|(_, v)| match v {
+                    Value::Str(s) => Some(s),
+                    _ => None,
+                })
+                .collect();
+            let shared = strings
+                .windows(2)
+                .filter(|w| w[0] == w[1] && !Arc::ptr_eq(w[0], w[1]))
+                .count();
+            prop_assert!(shared == 0, "{shared} adjacent repeats decoded apart");
             Ok(())
         },
     );
@@ -235,6 +374,16 @@ fn snapshot_decode_never_panics_on_mutated_streams() {
             let mut bytes = Vec::new();
             data.encode_into(&mut bytes);
             mutate(rng, &mut bytes);
+            // Fed in pieces, the parser reaches the verdict it reaches
+            // fed whole.
+            let cuts = random_cuts(rng, bytes.len());
+            let (streamed, _, overreach) =
+                decode_in_pieces(&bytes, bytes.len(), &cuts, &Vocab::shared());
+            prop_assert!(!overreach, "the source was asked for bytes past the record");
+            prop_assert!(
+                streamed.is_ok() == GraphData::decode(&bytes).is_ok(),
+                "the chunked decode's verdict differs"
+            );
             if let Ok(d) = GraphData::decode(&bytes) {
                 // Every reference decoded in-range, so rebuilding cannot
                 // index out of bounds.
@@ -272,6 +421,34 @@ fn every_prefix_of_an_encoding_is_rejected() {
                 Err(DeltaError::Truncated { .. }) | Err(DeltaError::Corrupt { .. }) => {}
                 Err(e) => return Err(format!("prefix {cut}: unexpected error {e}")),
                 Ok(_) => return Err(format!("prefix {cut} decoded successfully")),
+            }
+        }
+        // The snapshot parser fed in pieces: a strict prefix is rejected
+        // as a record of its own, and as the whole record's source cut
+        // short, which is truncated where it ends. Every prefix of a
+        // short record; of a wide one, 200 at a random stride.
+        bytes.clear();
+        encode_snapshot(&g, &g.vocab().snapshot(), &mut bytes);
+        let cuts = random_cuts(rng, bytes.len());
+        let stride = bytes.len().div_ceil(200);
+        for cut in (rng.gen_range(0..stride)..bytes.len()).step_by(stride) {
+            let prefix = &bytes[..cut];
+            let cuts = &cuts[..cuts.partition_point(|&c| c < cut)];
+            let (own, _, _) = decode_in_pieces(prefix, cut, cuts, &Vocab::shared());
+            match own {
+                Err(DeltaError::Truncated { .. }) | Err(DeltaError::Corrupt { .. }) => {}
+                Err(e) => return Err(format!("snapshot prefix {cut}: unexpected error {e}")),
+                Ok(_) => return Err(format!("snapshot prefix {cut} decoded successfully")),
+            }
+            let (short, _, _) = decode_in_pieces(prefix, bytes.len(), cuts, &Vocab::shared());
+            match short {
+                Err(DeltaError::Truncated { offset }) if offset == cut => {}
+                other => {
+                    return Err(format!(
+                        "source cut at {cut}: {:?}, want truncated there",
+                        other.err()
+                    ))
+                }
             }
         }
         Ok(())

@@ -45,11 +45,15 @@
 //!
 //! ## Replay
 //!
-//! Recovery builds one graph, not one per epoch. The snapshot payload
-//! is decoded in one pass straight into a [`GraphBuilder`]
-//! ([`DecodedSnapshot`]), and its symbol table is interned into the
-//! caller's vocabulary only after every byte of it validated. Each
-//! intact delta frame is then checked against that builder and applied
+//! Recovery builds one graph, not one per epoch, and never holds the
+//! floor's bytes whole. The snapshot payload streams from the file in
+//! [`SNAPSHOT_CHUNK`] pieces through one buffer, under a streaming
+//! [`Checksum64`], and is decoded in one pass straight into a
+//! [`GraphBuilder`] ([`DecodedSnapshot::decode_chunked`]); its symbol
+//! table is interned into the caller's vocabulary only after every byte
+//! of it parsed and the checksum matched. The frames behind the floor
+//! are read once, at their length, and each intact delta frame is
+//! checked against that builder and applied
 //! to it in place ([`GraphBuilder::apply_delta`]), and the builder is
 //! frozen once after the last frame. Nobody pins the intermediate
 //! epochs of a replay, so none is ever built as a snapshot.
@@ -69,7 +73,7 @@
 
 use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -453,6 +457,54 @@ fn frame_into(
     Ok(())
 }
 
+/// The fixed fields of a frame header.
+struct Header {
+    kind: u8,
+    epoch: u64,
+    sym_count: u32,
+    payload_len: usize,
+}
+
+impl Header {
+    /// The header at the start of `rest`, the `rest.len()` bytes left
+    /// of the file.
+    fn read(rest: &[u8]) -> Result<Header, String> {
+        let h = rest
+            .first_chunk::<HEADER_LEN>()
+            .ok_or_else(|| format!("torn header: {} of {HEADER_LEN} bytes", rest.len()))?;
+        let field = |at: usize| -> [u8; 4] { h[at..at + 4].try_into().expect("4 header bytes") };
+        Ok(Header {
+            kind: h[0],
+            epoch: u64::from_le_bytes(h[1..9].try_into().expect("8 header bytes")),
+            sym_count: u32::from_le_bytes(field(9)),
+            payload_len: u32::from_le_bytes(field(13)) as usize,
+        })
+    }
+
+    /// The frame's length — header, payload and checksum — if the
+    /// `left` bytes from its start hold it whole.
+    fn frame_len(&self, left: u64) -> Result<usize, String> {
+        let total = HEADER_LEN + self.payload_len + CKSUM_LEN;
+        if left < total as u64 {
+            return Err(format!(
+                "torn frame: {left} of {total} bytes (payload_len {})",
+                self.payload_len
+            ));
+        }
+        Ok(total)
+    }
+}
+
+/// A stored frame checksum checked against the one computed.
+fn verify(stored: u64, actual: u64) -> Result<(), String> {
+    if stored != actual {
+        return Err(format!(
+            "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+        ));
+    }
+    Ok(())
+}
+
 /// A frame parsed from raw bytes (payload still encoded).
 struct RawFrame<'a> {
     kind: u8,
@@ -467,36 +519,16 @@ struct RawFrame<'a> {
 /// human-readable fault description (the caller attaches offsets).
 fn parse_frame(bytes: &[u8], pos: usize) -> Result<RawFrame<'_>, String> {
     let rest = &bytes[pos..];
-    if rest.len() < HEADER_LEN {
-        return Err(format!("torn header: {} of {HEADER_LEN} bytes", rest.len()));
-    }
-    let kind = rest[0];
-    let epoch = u64::from_le_bytes(rest[1..9].try_into().expect("8 header bytes"));
-    let sym_count = u32::from_le_bytes(rest[9..13].try_into().expect("4 header bytes"));
-    let payload_len = u32::from_le_bytes(rest[13..17].try_into().expect("4 header bytes")) as usize;
-    let total = HEADER_LEN + payload_len + CKSUM_LEN;
-    if rest.len() < total {
-        return Err(format!(
-            "torn frame: {} of {total} bytes (payload_len {payload_len})",
-            rest.len()
-        ));
-    }
-    let stored = u64::from_le_bytes(
-        rest[HEADER_LEN + payload_len..total]
-            .try_into()
-            .expect("8 checksum bytes"),
-    );
-    let actual = checksum64(&rest[..HEADER_LEN + payload_len]);
-    if stored != actual {
-        return Err(format!(
-            "checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-        ));
-    }
+    let header = Header::read(rest)?;
+    let total = header.frame_len(rest.len() as u64)?;
+    let body = HEADER_LEN + header.payload_len;
+    let stored = u64::from_le_bytes(rest[body..total].try_into().expect("8 checksum bytes"));
+    verify(stored, checksum64(&rest[..body]))?;
     Ok(RawFrame {
-        kind,
-        epoch,
-        sym_count,
-        payload: &rest[HEADER_LEN..HEADER_LEN + payload_len],
+        kind: header.kind,
+        epoch: header.epoch,
+        sym_count: header.sym_count,
+        payload: &rest[HEADER_LEN..body],
         len: total,
     })
 }
@@ -545,16 +577,10 @@ fn count_dropped_frames(bytes: &[u8], mut pos: usize) -> u64 {
     while pos < bytes.len() {
         dropped += 1;
         let rest = &bytes[pos..];
-        if rest.len() < HEADER_LEN {
-            break;
+        match Header::read(rest).and_then(|h| h.frame_len(rest.len() as u64)) {
+            Ok(total) => pos += total,
+            Err(_) => break,
         }
-        let payload_len =
-            u32::from_le_bytes(rest[13..17].try_into().expect("4 header bytes")) as usize;
-        let total = HEADER_LEN + payload_len + CKSUM_LEN;
-        if rest.len() < total {
-            break;
-        }
-        pos += total;
     }
     dropped
 }
@@ -579,41 +605,68 @@ pub fn recover(
 /// diverged from the log's is unrecoverable-with-this-vocabulary (a
 /// caller error, not file damage), reported as [`WalError::Corrupt`]
 /// **without** truncating the file.
+///
+/// The floor streams: its header's payload length is checked against
+/// the file's, and the payload is read in [`SNAPSHOT_CHUNK`] pieces
+/// through one buffer, parsed as it arrives
+/// ([`DecodedSnapshot::decode_chunked`]) and fed to the frame's
+/// [`Checksum64`] on the way. The checksum is checked once the whole
+/// payload has parsed, before any symbol is interned. The frame tail
+/// behind the floor is then read once, at its length, and replayed.
 pub fn recover_in(
     path: &Path,
     policy: SyncPolicy,
     vocab: &Arc<Vocab>,
 ) -> Result<(Graph, WalWriter, RecoveryReport), WalError> {
-    let bytes = std::fs::read(path)?;
-    check_magic(&bytes)?;
+    let mut log = File::open(path)?;
+    let file_len = log.metadata()?.len();
+    let mut magic = [0; MAGIC.len()];
+    if file_len >= MAGIC.len() as u64 {
+        log.read_exact(&mut magic)?;
+    }
+    check_magic(&magic)?;
 
     // Frame zero: the snapshot floor. Damage here is unrecoverable.
-    let base = parse_frame(&bytes, MAGIC.len()).map_err(|what| WalError::Corrupt {
+    let floor_fault = |what: String| WalError::Corrupt {
         offset: MAGIC.len() as u64,
         what: format!("base snapshot frame: {what}"),
-    })?;
+    };
+    let left = file_len - MAGIC.len() as u64;
+    let mut header = [0; HEADER_LEN];
+    let header = &mut header[..left.min(HEADER_LEN as u64) as usize];
+    log.read_exact(header)?;
+    let base = Header::read(header).map_err(floor_fault)?;
+    let base_frame = base.frame_len(left).map_err(floor_fault)?;
     if base.kind != KIND_SNAPSHOT {
-        return Err(WalError::Corrupt {
-            offset: MAGIC.len() as u64,
-            what: format!("first frame has kind {} (want snapshot)", base.kind),
-        });
+        return Err(floor_fault(format!(
+            "first frame has kind {} (want snapshot)",
+            base.kind
+        )));
     }
-    // Decode validates the whole payload before anything is interned,
-    // so a corrupt floor leaves the caller's vocabulary as it was.
+    // The parse validates the whole payload before anything is
+    // interned, so a corrupt floor leaves the caller's vocabulary as it
+    // was. A payload that parses has fed the checksum all of its bytes.
     let payload_fault = |e| WalError::Corrupt {
         offset: MAGIC.len() as u64,
         what: format!("base snapshot payload: {e}"),
     };
-    let snapshot = DecodedSnapshot::decode(base.payload, vocab).map_err(payload_fault)?;
+    let mut cksum = Checksum64::new((HEADER_LEN + base.payload_len) as u64);
+    cksum.update(header);
+    let snapshot = DecodedSnapshot::decode_chunked(base.payload_len, vocab, |chunk| {
+        let n = log.read(chunk)?;
+        cksum.update(&chunk[..n]);
+        Ok(n)
+    })?
+    .map_err(payload_fault)?;
+    let mut stored = [0; CKSUM_LEN];
+    log.read_exact(&mut stored)?;
+    verify(u64::from_le_bytes(stored), cksum.finish()).map_err(floor_fault)?;
     if snapshot.symbol_count() as u64 != base.sym_count as u64 {
-        return Err(WalError::Corrupt {
-            offset: MAGIC.len() as u64,
-            what: format!(
-                "snapshot sym_count {} disagrees with payload ({} symbols)",
-                base.sym_count,
-                snapshot.symbol_count()
-            ),
-        });
+        return Err(floor_fault(format!(
+            "snapshot sym_count {} disagrees with payload ({} symbols)",
+            base.sym_count,
+            snapshot.symbol_count()
+        )));
     }
     let mut replay = snapshot.intern().map_err(payload_fault)?;
 
@@ -621,14 +674,19 @@ pub fn recover_in(
         recovered_epoch: base.epoch,
         ..RecoveryReport::default()
     };
-    let base_len = (MAGIC.len() + base.len) as u64;
-    let mut pos = base_len as usize;
+    let base_len = (MAGIC.len() + base_frame) as u64;
+    // The frames behind the floor, read once at their length; `pos`
+    // counts from the floor's end.
+    let mut bytes = vec![0; (file_len - base_len) as usize];
+    log.read_exact(&mut bytes)?;
+    let mut pos = 0;
     let mut head = base.epoch;
     let mut syms = base.sym_count;
     let mut frames = 1u64;
 
     let mut fault: Option<FrameFault> = None;
     while pos < bytes.len() {
+        let at = base_len + pos as u64;
         // Any fault from here on truncates; closures keep the
         // fault-description plumbing in one place.
         let outcome = parse_frame(&bytes, pos).and_then(|f| {
@@ -654,7 +712,7 @@ pub fn recover_in(
             Ok(v) => v,
             Err(what) => {
                 fault = Some(FrameFault {
-                    offset: pos as u64,
+                    offset: at,
                     epoch: parse_epoch_if_readable(&bytes, pos),
                     what,
                 });
@@ -667,7 +725,7 @@ pub fn recover_in(
         // The whole frame is checked before any of it is applied.
         if let Err(e) = delta.check_against(&replay) {
             fault = Some(FrameFault {
-                offset: pos as u64,
+                offset: at,
                 epoch: Some(f.epoch),
                 what: format!("delta does not apply: {e}"),
             });
@@ -681,7 +739,7 @@ pub fn recover_in(
             let sym = vocab.intern(name);
             if sym.0 as usize != syms as usize + j {
                 return Err(WalError::Corrupt {
-                    offset: pos as u64,
+                    offset: at,
                     what: format!(
                         "symbol {name:?} interned at index {} where the log expects {}",
                         sym.0,
@@ -707,9 +765,10 @@ pub fn recover_in(
 
     // Cut the file back to the valid prefix so the writer appends onto
     // known-good frames, and force the cut down before trusting it.
+    let len = base_len + pos as u64;
     let file = OpenOptions::new().append(true).open(path)?;
-    if (pos as u64) < bytes.len() as u64 {
-        file.set_len(pos as u64)?;
+    if len < file_len {
+        file.set_len(len)?;
     }
     file.sync_all()?;
 
@@ -720,8 +779,8 @@ pub fn recover_in(
         head,
         syms_written: syms as usize,
         unsynced: 0,
-        len: pos as u64,
-        synced_len: pos as u64,
+        len,
+        synced_len: len,
         synced_epoch: head,
         base_len,
         buf: Vec::new(),
@@ -1052,6 +1111,52 @@ mod tests {
                 "{name}: {result:?}"
             );
             assert_eq!(vocab.len(), 1, "{name}: the vocabulary grew");
+        }
+    }
+
+    /// The floor is checked whole before anything is interned: a
+    /// header that claims more payload than the file holds is a torn
+    /// floor, found before a byte of it is read, and a payload that
+    /// parses under a checksum that does not match — a flipped bit in
+    /// the checksum lane, or in a symbol name — is no floor. Each
+    /// errors out with the caller's vocabulary as it was.
+    #[test]
+    fn a_floor_that_parses_is_still_checked_before_it_is_interned() {
+        let dir = TempDir::new("gfd-wal-floor-checks").unwrap();
+        let path = dir.file("floor.wal");
+        let (_, _, w) = build_log(&path, SyncPolicy::OnDemand);
+        let base_end = w.base_bytes() as usize;
+        drop(w);
+        let log = std::fs::read(&path).unwrap();
+
+        let mut overlong = log[..base_end].to_vec();
+        let len_field = MAGIC.len() + 13..MAGIC.len() + HEADER_LEN;
+        let claimed = u32::from_le_bytes(overlong[len_field.clone()].try_into().unwrap());
+        overlong[len_field].copy_from_slice(&(claimed + (1 << 20)).to_le_bytes());
+        let mut lane = log.clone();
+        lane[base_end - 1] ^= 0x20;
+        // The first symbol's first byte: behind the symbol count and
+        // the name's length, one byte each.
+        let mut name = log.clone();
+        name[MAGIC.len() + HEADER_LEN + 2] ^= 0x01;
+
+        let cases = [
+            ("overlong", overlong, "torn frame"),
+            ("checksum lane", lane, "checksum mismatch"),
+            ("symbol name", name, "checksum mismatch"),
+        ];
+        for (case, bytes, want) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            let vocab = Vocab::shared();
+            vocab.intern("rule-side name");
+            match recover_in(&path, SyncPolicy::OnDemand, &vocab) {
+                Err(WalError::Corrupt { offset, what }) => {
+                    assert_eq!(offset, MAGIC.len() as u64, "{case}");
+                    assert!(what.contains(want), "{case}: {what}");
+                }
+                other => panic!("{case}: {other:?}"),
+            }
+            assert_eq!(vocab.len(), 1, "{case}: the vocabulary grew");
         }
     }
 
