@@ -800,6 +800,16 @@ fn main() {
         assert!(count_cycles() > 0, "premise: the rules have matches");
         bench("match/cycle_rules(space)", &mut samples, count_cycles);
 
+        // The same eight rules simulated from cold: a fresh registry
+        // registers them and simulates each class once, all in the
+        // registry's one workspace — what a service start or a cold
+        // `detVio` pays for Σ's class spaces.
+        bench("sim/registry_fill(cycle rules)", &mut samples, || {
+            let reg = ClassRegistry::new();
+            let fill = |q: &Pattern| reg.space(reg.register(q), &gp).space.total_size();
+            cycles.iter().map(fill).sum::<usize>()
+        });
+
         // One standing-path epoch on the same graph and rule shapes,
         // per op kind: the `pk_rel0` edge above added or removed, or an
         // attribute no rule reads written. Σ carries the lifecycle

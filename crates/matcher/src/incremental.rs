@@ -100,7 +100,8 @@ use gfd_pattern::{PatLabel, Pattern, VarId};
 use gfd_util::FxHashMap;
 
 use crate::simulation::{
-    admitted, dual_simulation, surviving_targets, CandidateSpace, Direction, EdgeCandidates,
+    admitted, dual_simulation_with, surviving_targets, CandidateSpace, Direction, EdgeCandidates,
+    SimScratch,
 };
 
 /// What one [`IncrementalSpace::apply_normalized`] changed in the relation.
@@ -382,14 +383,27 @@ fn edge_gone(g: &Graph, e: &Edge, label: PatLabel) -> bool {
 }
 
 impl IncrementalSpace {
-    /// Runs the from-scratch fixpoint once ([`dual_simulation`]) and
-    /// keeps its result repairable. `scope` (block-/fragment-local
-    /// simulation) is fixed for the lifetime of the space.
+    /// Runs the from-scratch fixpoint once
+    /// ([`dual_simulation`](crate::dual_simulation)) and keeps its
+    /// result repairable. `scope` (block-/fragment-local simulation) is
+    /// fixed for the lifetime of the space.
     pub fn new(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Self {
+        Self::new_with(q, g, scope, &mut SimScratch::default())
+    }
+
+    /// [`new`](Self::new) with the fixpoint run in the reused workspace
+    /// `ws` — how a [`ClassRegistry`](crate::ClassRegistry) simulates
+    /// its classes. The space keeps nothing of `ws`.
+    pub(crate) fn new_with(
+        q: &Pattern,
+        g: &Graph,
+        scope: Option<&NodeSet>,
+        ws: &mut SimScratch,
+    ) -> Self {
         IncrementalSpace {
             q: q.clone(),
             scope: scope.cloned(),
-            space: Arc::new(dual_simulation(q, g, scope)),
+            space: Arc::new(dual_simulation_with(q, g, scope, ws)),
             scratch: RepairScratch::default(),
         }
     }

@@ -60,6 +60,8 @@ pub use incremental::{IncrementalSpace, RepairReport};
 pub use registry::{
     CacheStats, ClassRegistry, ClassView, SpaceHandle, DEFAULT_REGISTRY_BUDGET_BYTES,
 };
-pub use simulation::{dual_simulation, simulation_sets, CandidateSpace};
+pub use simulation::{
+    dual_simulation, dual_simulation_with, simulation_sets, CandidateSpace, SimScratch,
+};
 pub use table::MatchTable;
 pub use types::{Match, MatchOptions, Pin, SearchBudget};

@@ -75,10 +75,24 @@
 //! reclaimable once unpinned; a later query re-simulates against the
 //! then-current snapshot.
 //!
-//! Lock discipline: simulation runs under the registry lock (that is what guarantees "one simulation per class"
-//! even under concurrent first queries);
-//! enumeration never does — consumers enumerate through the `Arc`s a
-//! [`ClassView`] hands out, with no lock held.
+//! The registry also owns one simulation workspace
+//! ([`SimScratch`]): every class it simulates — a first query, or a
+//! re-query after an eviction or [`ClassRegistry::invalidate_all`] —
+//! runs its fixpoint there, so a class allocates the space it keeps
+//! and no flags, counters or page buffer of its own. Each buffer of
+//! the workspace keeps the room the largest simulation so far needed
+//! of it: a flag byte per seed entry, a four-byte counter per seed
+//! entry per incident pattern edge end, four bytes per removal of the
+//! deepest cascade and per cell of the longest edge direction's runs —
+//! by the seeds, never by the graph. It sits outside the byte
+//! budget (it is no class's and never evicted) and is dropped with the
+//! registry.
+//!
+//! Lock discipline: simulation runs under the registry lock (that is
+//! what guarantees "one simulation per class" even under concurrent
+//! first queries, and what makes one workspace enough); enumeration
+//! never does — consumers enumerate through the `Arc`s a [`ClassView`]
+//! hands out, with no lock held.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -87,7 +101,7 @@ use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_pattern::{canonical_form, CanonicalForm, IsoWitness, Pattern, VarId};
 
 use crate::incremental::IncrementalSpace;
-use crate::simulation::CandidateSpace;
+use crate::simulation::{CandidateSpace, SimScratch};
 
 /// Handle to a pattern registered in a [`ClassRegistry`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -230,6 +244,9 @@ struct RegistryInner {
     tick: u64,
     /// Repair epoch — bumped once per non-empty applied delta.
     version: u64,
+    /// The one workspace every class simulation runs in, under the
+    /// lock; outside the budget (see the module docs).
+    sim: SimScratch,
 }
 
 /// The shared, bounded, per-Σ cache of candidate spaces, keyed by
@@ -440,7 +457,8 @@ impl RegistryInner {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
-            let inc = IncrementalSpace::new(&self.classes[class].rep, g, None);
+            let rep = &self.classes[class].rep;
+            let inc = IncrementalSpace::new_with(rep, g, None, &mut self.sim);
             let b = inc.space().approx_bytes();
             let cls = &mut self.classes[class];
             cls.inc = Some(inc);

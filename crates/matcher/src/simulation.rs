@@ -27,10 +27,15 @@
 //! through a stack — so the stack holds one cascade, never the seed.
 //! Each removal only touches the removed node's own adjacency —
 //! `O(affected)` per removal, `O(Σ_e Σ_{u∈cand} deg_l(u))` in total
-//! rather than `rounds × vars × |V|`. The flags, counters and stack
-//! (`SimCore`) are the from-scratch driver's working state and nothing
-//! more: sized by the seeds and the cascade, built, harvested into the
-//! [`CandidateSpace`] and dropped. Every array is indexed by a node's
+//! rather than `rounds × vars × |V|`. The flags, counters and stack,
+//! and the harvest's page buffer, are the from-scratch fixpoint's
+//! working state and nothing more. They live in a [`SimScratch`]
+//! workspace that a call clears and refills, sized by its seeds, the
+//! cascade and the longest edge direction's runs — never by the
+//! graph — and keeps for the next call: a
+//! [`ClassRegistry`](crate::ClassRegistry) runs every class it
+//! simulates through one, so a class allocates the space it keeps and
+//! not a fixpoint of its own. Every array is indexed by a node's
 //! rank in its variable's seed, found in O(1) without a search in the
 //! two unscoped cases — [`Graph::extent_rank`] for a labelled variable
 //! (once the neighbor's label matches), the node id for a wildcard —
@@ -529,7 +534,7 @@ enum RankBy {
 }
 
 /// Where a seed entry stands in the fixpoint — one byte per entry.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Flag {
     /// Still simulates the variable.
     Alive,
@@ -542,14 +547,15 @@ enum Flag {
 }
 
 /// One variable's seed — its candidates, ascending, and how it ranks a
-/// node — with a [`Flag`] per entry.
+/// node — and where its [`Flag`]s sit in the [`SimScratch`].
 struct Seed<'g> {
     /// The candidates, listed — except under [`RankBy::Id`], where the
-    /// seed is the id range `0..member.len()` and this is empty.
+    /// seed is the id range `0..len` and this is empty.
     listed: Cow<'g, [NodeId]>,
     rank_by: RankBy,
-    /// `member[r]` — where the entry of rank `r` stands.
-    member: Vec<Flag>,
+    /// The entry of rank `r` stands at `SimScratch::flags[at + r]`.
+    at: usize,
+    len: usize,
 }
 
 impl Seed<'_> {
@@ -566,10 +572,16 @@ impl Seed<'_> {
     /// them empty, so neither pays a dispatch per node.
     fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         let ids = match self.rank_by {
-            RankBy::Id => 0..self.member.len() as u32,
+            RankBy::Id => 0..self.len as u32,
             _ => 0..0,
         };
         ids.map(NodeId).chain(self.listed.iter().copied())
+    }
+
+    /// Where the seed's flags sit in the workspace.
+    #[inline]
+    fn flags(&self) -> Range<usize> {
+        self.at..self.at + self.len
     }
 
     /// The rank of `w` in the seed, if `w` is there.
@@ -592,24 +604,78 @@ impl Seed<'_> {
         }
     }
 
-    /// The nodes still simulating the variable, ascending.
-    fn survivors(&self) -> Vec<NodeId> {
-        let flagged = self.nodes().zip(&self.member);
-        flagged
-            .filter(|(_, &m)| m == Flag::Alive)
-            .map(|(u, _)| u)
-            .collect()
+    /// The nodes still simulating the variable, ascending, given the
+    /// seed's flags. The set is allocated once, at the capacity a
+    /// push-by-push collect ends at (doubling from four): that spare
+    /// room is what the first repairs of the set grow into.
+    fn survivors(&self, member: &[Flag]) -> Vec<NodeId> {
+        let alive = member.iter().filter(|&&m| m == Flag::Alive).count();
+        let capacity = match alive {
+            0 => 0,
+            n => n.next_power_of_two().max(4),
+        };
+        let mut set = Vec::with_capacity(capacity);
+        let flagged = self.nodes().zip(member);
+        set.extend(flagged.filter(|(_, &m)| m == Flag::Alive).map(|(u, _)| u));
+        set
     }
 }
 
-/// Per-variable seeds with their flags, plus per-edge support
-/// counters, all indexed by **rank in the seed**, and the stack of
-/// removals still to propagate — the from-scratch simulation's working
-/// state, sized by the seeds (a variable's label extent, or the scope)
-/// and the deepest cascade rather than the graph, and **transient**:
-/// built by `simulate_core`, read once by `harvest_space`, dropped.
-/// Nothing keeps one across calls; a repair ([`crate::incremental`])
-/// reads membership and support off the [`CandidateSpace`] itself.
+/// The from-scratch simulation's working state, kept between calls:
+/// every seed's flags and every edge end's support counters, indexed by
+/// **rank in the seed**, the stack of removals still to propagate and
+/// the harvest's page buffer. Each call clears and refills these
+/// buffers and returns none of them, so the [`CandidateSpace`] it
+/// builds is the same as from a fresh workspace; a workspace grows only
+/// when a call needs more room than any earlier one. What a call fills
+/// is sized by its seeds (a variable's label extent, or the scope), the
+/// deepest cascade and the longest edge direction's runs — never by the
+/// graph.
+///
+/// Opaque: [`dual_simulation`], [`simulation_sets`] and
+/// [`IncrementalSpace::new`] take a fresh one per call, and a
+/// [`ClassRegistry`] keeps one for every class it simulates.
+///
+/// [`IncrementalSpace::new`]: crate::IncrementalSpace::new
+/// [`ClassRegistry`]: crate::ClassRegistry
+#[derive(Debug, Default)]
+pub struct SimScratch {
+    /// Every variable's seed flags, back to back in variable order:
+    /// `flags[seed(v).at + r]` is where `seed(v)[r]` stands.
+    flags: Vec<Flag>,
+    /// Every edge end's support counters, back to back: per pattern
+    /// edge `e`, first `fwd(e)[r]` — admitted out-edges of
+    /// `seed(src(e))[r]` into `sim(dst(e))`, maintained while it
+    /// simulates `src(e)` — then `bwd(e)[r]`, admitted in-edges of
+    /// `seed(dst(e))[r]` from `sim(src(e))`, maintained while it
+    /// simulates `dst(e)`.
+    counts: Vec<u32>,
+    /// `counts[ends[k]..ends[k + 1]]` is edge end `k`: `fwd(e)` at
+    /// `k = 2e`, `bwd(e)` at `k = 2e + 1`.
+    ends: Vec<usize>,
+    /// The flag positions of entries a propagation removed, awaiting
+    /// their own propagation.
+    stack: Vec<u32>,
+    /// One edge direction's pages at a time, before they are copied
+    /// into the direction's slab.
+    cells: Vec<NodeId>,
+}
+
+impl SimScratch {
+    /// Where in `counts` the support of pattern edge `ei`'s near end
+    /// sits, read in direction `dir`: `fwd` for `Out`, `bwd` for `In`.
+    #[inline]
+    fn support(&self, ei: usize, dir: Direction) -> Range<usize> {
+        let k = 2 * ei + usize::from(matches!(dir, Direction::In));
+        self.ends[k]..self.ends[k + 1]
+    }
+}
+
+/// One from-scratch simulation: the per-variable seeds over a borrowed
+/// [`SimScratch`], which holds their flags and counters (see there).
+/// Built by `seeded`, run to fixpoint by `drain`, read once by
+/// `harvest_space`; a repair ([`crate::incremental`]) reads membership
+/// and support off the [`CandidateSpace`] instead.
 ///
 /// A neighbor `w` is ranked in `seed(v)` one of three ways ([`RankBy`]):
 /// for an unscoped labelled `v`, `w` must carry the label and sits at
@@ -620,15 +686,7 @@ struct SimCore<'g> {
     g: &'g Graph,
     /// `seeds[v]`, indexed by variable id.
     seeds: Vec<Seed<'g>>,
-    /// `fwd[e][r]` — admitted out-edges of `seed(src(e))[r]` into
-    /// `sim(dst(e))`, maintained while it simulates `src(e)`.
-    fwd: Vec<Vec<u32>>,
-    /// `bwd[e][r]` — admitted in-edges of `seed(dst(e))[r]` from
-    /// `sim(src(e))`, maintained while it simulates `dst(e)`.
-    bwd: Vec<Vec<u32>>,
-    /// `(variable, rank)` pairs a propagation removed, awaiting their
-    /// own.
-    stack: Vec<(VarId, u32)>,
+    ws: &'g mut SimScratch,
 }
 
 impl SimCore<'_> {
@@ -640,15 +698,17 @@ impl SimCore<'_> {
     /// runs one copy per rank case and its body carries no dispatch.
     fn withdraw(&mut self, u: NodeId, ei: usize, dir: Direction) {
         let (g, e) = (self.g, self.q.edges()[ei]);
-        let (far, support) = match dir {
-            Direction::Out => (e.dst, &mut self.bwd[ei]),
-            Direction::In => (e.src, &mut self.fwd[ei]),
+        let far = match dir {
+            Direction::Out => e.dst,
+            Direction::In => e.src,
         };
-        let seed = &mut self.seeds[far.index()];
-        let (listed, member) = (&seed.listed, &mut seed.member[..]);
+        let seed = &self.seeds[far.index()];
+        let ws = &mut *self.ws;
+        let support = ws.support(ei, dir.flip());
+        let (member, support) = (&mut ws.flags[seed.flags()], &mut ws.counts[support]);
         let adj = admitted(g, u, e.label, dir);
-        let stack = &mut self.stack;
-        let removed = |r: usize| stack.push((far, r as u32));
+        let (stack, at) = (&mut ws.stack, seed.at);
+        let removed = |r: usize| stack.push((at + r) as u32);
         match seed.rank_by {
             RankBy::Extent(s) => {
                 let rank = |w| (g.label(w) == s).then(|| g.extent_rank(w));
@@ -656,7 +716,7 @@ impl SimCore<'_> {
             }
             RankBy::Id => withdraw_ranked(adj, |w| Some(w.index()), member, support, removed),
             RankBy::Search => {
-                let rank = |w| listed.binary_search(&w).ok();
+                let rank = |w| seed.listed.binary_search(&w).ok();
                 withdraw_ranked(adj, rank, member, support, removed)
             }
         }
@@ -667,13 +727,17 @@ impl SimCore<'_> {
     /// one drains the stack of the cascade it set off.
     fn drain(&mut self) {
         for v in self.q.vars() {
-            for r in 0..self.seeds[v.index()].member.len() {
-                let m = &mut self.seeds[v.index()].member[r];
+            let at = self.seeds[v.index()].at;
+            for i in self.seeds[v.index()].flags() {
+                let m = &mut self.ws.flags[i];
                 if *m == Flag::Pending {
                     *m = Flag::Gone;
-                    self.propagate(v, r);
-                    while let Some((v, r)) = self.stack.pop() {
-                        self.propagate(v, r as usize);
+                    self.propagate(v, i - at);
+                    while let Some(i) = self.ws.stack.pop() {
+                        // The seed whose flags hold position `i`.
+                        let i = i as usize;
+                        let w = self.seeds.partition_point(|s| s.at <= i) - 1;
+                        self.propagate(VarId(w as u32), i - self.seeds[w].at);
                     }
                 }
             }
@@ -698,6 +762,12 @@ impl SimCore<'_> {
                 self.withdraw(u, ei, Direction::In);
             }
         }
+    }
+
+    /// Every variable's final candidate set, ascending.
+    fn survivors(&self) -> Vec<Vec<NodeId>> {
+        let member = |s: &Seed| s.survivors(&self.ws.flags[s.flags()]);
+        self.seeds.iter().map(member).collect()
     }
 }
 
@@ -757,8 +827,14 @@ pub(crate) fn admitted(g: &Graph, u: NodeId, label: PatLabel, dir: Direction) ->
 /// The seed of one variable: its label extent narrowed by the optional
 /// scope (ascending — extents and scopes both are), borrowed where it
 /// is an extent or a scope as is, and no list at all for an unscoped
-/// wildcard.
-fn seed<'g>(q: &Pattern, g: &'g Graph, scope: Option<&'g NodeSet>, v: VarId) -> Seed<'g> {
+/// wildcard. Its flags will sit at `at` in the workspace.
+fn seed<'g>(
+    q: &Pattern,
+    g: &'g Graph,
+    scope: Option<&'g NodeSet>,
+    v: VarId,
+    at: usize,
+) -> Seed<'g> {
     let (listed, rank_by) = match (q.label(v), scope) {
         (PatLabel::Sym(s), None) => (Cow::Borrowed(g.extent(s)), RankBy::Extent(s)),
         (PatLabel::Wildcard, None) => (Cow::Borrowed(&[][..]), RankBy::Id),
@@ -780,13 +856,20 @@ fn seed<'g>(q: &Pattern, g: &'g Graph, scope: Option<&'g NodeSet>, v: VarId) -> 
     Seed {
         listed,
         rank_by,
-        member: vec![Flag::Alive; len],
+        at,
+        len,
     }
 }
 
-/// Runs the fixpoint from the seeds, returning the final core state.
-fn simulate_core<'g>(q: &'g Pattern, g: &'g Graph, scope: Option<&'g NodeSet>) -> SimCore<'g> {
-    let mut core = seeded(q, g, scope);
+/// Runs the fixpoint from the seeds in `ws`, returning the final core
+/// state.
+fn simulate_core<'g>(
+    q: &'g Pattern,
+    g: &'g Graph,
+    scope: Option<&'g NodeSet>,
+    ws: &'g mut SimScratch,
+) -> SimCore<'g> {
+    let mut core = seeded(q, g, scope, ws);
     // Phase 2: propagate removals to fixpoint.
     core.drain();
     core
@@ -794,59 +877,77 @@ fn simulate_core<'g>(q: &'g Pattern, g: &'g Graph, scope: Option<&'g NodeSet>) -
 
 /// Phase 1 of the fixpoint: the seeds and their support counters, with
 /// every candidate the seeding leaves without support flagged pending.
-fn seeded<'g>(q: &'g Pattern, g: &'g Graph, scope: Option<&'g NodeSet>) -> SimCore<'g> {
-    let mut core = SimCore {
-        q,
-        g,
-        seeds: q.vars().map(|v| seed(q, g, scope, v)).collect(),
-        fwd: Vec::with_capacity(q.edge_count()),
-        bwd: Vec::with_capacity(q.edge_count()),
-        stack: Vec::new(),
-    };
+/// Clears and refills `ws`; nothing of an earlier call survives.
+fn seeded<'g>(
+    q: &'g Pattern,
+    g: &'g Graph,
+    scope: Option<&'g NodeSet>,
+    ws: &'g mut SimScratch,
+) -> SimCore<'g> {
+    let mut entries = 0;
+    let seeds: Vec<Seed<'g>> = q
+        .vars()
+        .map(|v| {
+            let s = seed(q, g, scope, v, entries);
+            entries += s.len;
+            s
+        })
+        .collect();
+    assert!(u32::try_from(entries).is_ok(), "flag positions are u32");
+    // Each buffer grows to exactly what this call needs, if it is short.
+    ws.flags.clear();
+    ws.flags.reserve_exact(entries);
+    ws.flags.resize(entries, Flag::Alive);
+    ws.stack.clear();
 
     // Counters against the full seeds. A candidate left at zero is
     // only flagged pending here, so every later decrement is exact.
-    let support = |core: &SimCore, near: VarId, far: VarId, label, dir| -> Vec<u32> {
-        let far = &core.seeds[far.index()];
-        let seed = core.seeds[near.index()].nodes();
-        seed.map(|u| {
-            let adj = admitted(g, u, label, dir).iter();
-            adj.filter(|a| far.contains(g, a.node)).count() as u32
-        })
-        .collect()
-    };
+    let counters: usize = (q.edges().iter())
+        .map(|e| seeds[e.src.index()].len + seeds[e.dst.index()].len)
+        .sum();
+    ws.counts.clear();
+    ws.counts.reserve_exact(counters);
+    ws.ends.clear();
+    ws.ends.push(0);
     for e in q.edges() {
-        let fwd = support(&core, e.src, e.dst, e.label, Direction::Out);
-        let bwd = support(&core, e.dst, e.src, e.label, Direction::In);
-        core.fwd.push(fwd);
-        core.bwd.push(bwd);
-    }
-    for (ei, e) in q.edges().iter().enumerate() {
-        for (v, support) in [(e.src, &core.fwd[ei]), (e.dst, &core.bwd[ei])] {
-            let member = &mut core.seeds[v.index()].member;
-            for (m, &c) in member.iter_mut().zip(support) {
+        for (near, far, dir) in [
+            (e.src, e.dst, Direction::Out),
+            (e.dst, e.src, Direction::In),
+        ] {
+            let (near, far) = (&seeds[near.index()], &seeds[far.index()]);
+            let start = ws.counts.len();
+            ws.counts.extend(near.nodes().map(|u| {
+                let adj = admitted(g, u, e.label, dir).iter();
+                adj.filter(|a| far.contains(g, a.node)).count() as u32
+            }));
+            let member = &mut ws.flags[near.flags()];
+            for (m, &c) in member.iter_mut().zip(&ws.counts[start..]) {
                 if c == 0 {
                     *m = Flag::Pending;
                 }
             }
+            ws.ends.push(ws.counts.len());
         }
     }
-    core
+    SimCore { q, g, seeds, ws }
 }
 
 /// Builds the per-edge candidate adjacency (both directions) over the
 /// final sets and packages the [`CandidateSpace`] — the from-scratch
 /// builder; a repair edits runs instead (see [`crate::incremental`]).
-fn harvest_space(core: &SimCore) -> CandidateSpace {
-    let sets: Vec<Vec<NodeId>> = core.seeds.iter().map(Seed::survivors).collect();
+fn harvest_space(core: &mut SimCore) -> CandidateSpace {
+    let sets = core.survivors();
     let nedges = core.q.edge_count();
     let mut forward = Vec::with_capacity(nedges);
     let mut reverse = Vec::with_capacity(nedges);
-    let mut cells = Vec::new();
+    // The page buffer leaves the workspace while the builder reads the
+    // rest of it.
+    let mut cells = std::mem::take(&mut core.ws.cells);
     for ei in 0..nedges {
         forward.push(edge_adjacency(core, &sets, ei, Direction::Out, &mut cells));
         reverse.push(edge_adjacency(core, &sets, ei, Direction::In, &mut cells));
     }
+    core.ws.cells = cells;
     CandidateSpace {
         sets,
         forward,
@@ -856,17 +957,29 @@ fn harvest_space(core: &SimCore) -> CandidateSpace {
 
 /// Computes the maximal dual simulation of `q` in `g`, optionally
 /// restricted to a node set (fragment-/block-local simulation), and
-/// packages it as a [`CandidateSpace`].
+/// packages it as a [`CandidateSpace`] — [`dual_simulation_with`] in a
+/// workspace of its own.
 pub fn dual_simulation(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> CandidateSpace {
-    harvest_space(&simulate_core(q, g, scope))
+    dual_simulation_with(q, g, scope, &mut SimScratch::default())
+}
+
+/// [`dual_simulation`] in the reused workspace `ws`: the same space,
+/// with only the space itself allocated once `ws` has held a call at
+/// least as large.
+pub fn dual_simulation_with(
+    q: &Pattern,
+    g: &Graph,
+    scope: Option<&NodeSet>,
+    ws: &mut SimScratch,
+) -> CandidateSpace {
+    harvest_space(&mut simulate_core(q, g, scope, ws))
 }
 
 /// The candidate sets of [`dual_simulation`] without the candidate
 /// adjacency — the fixpoint half alone, for callers that only size or
 /// intersect the sets (partial-match estimates, pivot feasibility).
 pub fn simulation_sets(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Vec<Vec<NodeId>> {
-    let core = simulate_core(q, g, scope);
-    core.seeds.iter().map(Seed::survivors).collect()
+    simulate_core(q, g, scope, &mut SimScratch::default()).survivors()
 }
 
 /// Appends to `out` the admitted neighbors of `u` that `survives`
@@ -892,11 +1005,12 @@ pub(crate) fn surviving_targets(
 /// Builds the run pages of pattern edge `ei` read in direction `dir`:
 /// one run of admitted, surviving neighbors per candidate in the near
 /// end's final set (`sets`, indexed by variable). The pages are
-/// assembled back to back in the reused buffer `cells` — reserved up
-/// front from the fixpoint's support counters on this edge (a
+/// assembled back to back in the workspace's buffer `cells` — reserved
+/// up front from the fixpoint's support counters on this edge (a
 /// candidate's run length, an upper bound where a wildcard run drops
 /// parallel edges) — and then share one allocation of exactly their
-/// size.
+/// size; `cells` itself is kept for the next direction and the next
+/// call.
 fn edge_adjacency(
     core: &SimCore,
     sets: &[Vec<NodeId>],
@@ -905,10 +1019,11 @@ fn edge_adjacency(
     cells: &mut Vec<NodeId>,
 ) -> EdgeCandidates {
     let (g, e) = (core.g, core.q.edges()[ei]);
-    let (near, far, support) = match dir {
-        Direction::Out => (e.src, e.dst, &core.fwd[ei]),
-        Direction::In => (e.dst, e.src, &core.bwd[ei]),
+    let (near, far) = match dir {
+        Direction::Out => (e.src, e.dst),
+        Direction::In => (e.dst, e.src),
     };
+    let support = &core.ws.counts[core.ws.support(ei, dir)];
     let (sources, near, far) = (
         &sets[near.index()],
         &core.seeds[near.index()],
@@ -928,7 +1043,7 @@ fn edge_adjacency(
     cells.reserve_exact(sources.len() + targets);
     // One copy of the page loop per rank case of the far end, so the
     // survival test of a neighbor carries no dispatch.
-    let (label, member) = (e.label, &far.member);
+    let (label, member) = (e.label, &core.ws.flags[far.flags()]);
     let alive = |r: usize| member[r] == Flag::Alive;
     match far.rank_by {
         RankBy::Extent(s) => fill_pages(&mut adj, cells, g, sources, label, dir, |w| {
@@ -1129,10 +1244,12 @@ mod tests {
         const N: usize = 2000;
         for wildcard in [false, true] {
             let (g, q) = path_and_two_cycle(N, wildcard);
-            let mut core = seeded(&q, &g, None);
+            let mut ws = SimScratch::default();
+            let mut core = seeded(&q, &g, None, &mut ws);
             let pending = |core: &SimCore| -> Vec<(usize, NodeId)> {
                 let flagged = core.seeds.iter().enumerate().flat_map(|(v, seed)| {
-                    seed.nodes().zip(&seed.member).map(move |(u, &m)| (v, u, m))
+                    let member = &core.ws.flags[seed.flags()];
+                    seed.nodes().zip(member).map(move |(u, &m)| (v, u, m))
                 });
                 flagged
                     .filter(|&(_, _, m)| m == Flag::Pending)
@@ -1143,11 +1260,12 @@ mod tests {
             let want: Vec<_> = (0..2).flat_map(|v| ends.map(|u| (v, u))).collect();
             assert_eq!(pending(&core), want, "wildcard: {wildcard}");
             core.drain();
-            assert!(core.stack.is_empty());
+            assert!(core.ws.stack.is_empty());
             for seed in &core.seeds {
-                assert_eq!(seed.member.len(), N);
-                assert!(seed.member.iter().all(|&m| m == Flag::Gone));
+                assert_eq!(seed.len, N);
             }
+            assert_eq!(core.ws.flags.len(), 2 * N);
+            assert!(core.ws.flags.iter().all(|&m| m == Flag::Gone));
         }
     }
 

@@ -14,7 +14,9 @@
 //!   must compute exactly the same relation and the same candidate
 //!   adjacency in both directions: unscoped, within a random scope,
 //!   on snapshots whose extents `apply_delta` rebuilt, and on a long
-//!   path that a cascade of removals empties end to end.
+//!   path that a cascade of removals empties end to end; and one
+//!   reused simulation workspace must compute exactly the space a
+//!   fresh one does, whatever ran in it before.
 //!
 //! On top of them sits the **locality lemma** of §5.2 as a property:
 //! a component's matches pinned at its pivot lie inside the pivot
@@ -32,7 +34,7 @@ use common::{
 };
 use gfd_graph::neighborhood::khop_nodes;
 use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
-use gfd_match::simulation::dual_simulation;
+use gfd_match::simulation::{dual_simulation, dual_simulation_with, SimScratch};
 use gfd_match::types::Flow;
 use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, Pin};
 use gfd_pattern::analysis::pivot_vector;
@@ -305,6 +307,68 @@ fn a_deep_cascade_empties_a_path_like_the_oracle() {
         let q = b.build();
         assert_eq!(dual_simulation(&q, &g, None).total_size(), 0);
         simulation_matches_oracle(&q, &g, None).unwrap();
+    }
+}
+
+/// One [`SimScratch`] runs eight simulations in a row, over graphs
+/// that alternate between 20–40 nodes and 1–6, so the seeds grow and
+/// shrink from one call to the next; a third of the calls are scoped
+/// to a random subset and a sixth to the empty scope. Every space must
+/// equal a fresh [`dual_simulation`]'s. Across the cases, each way a
+/// seed ranks — labelled, wildcard, scoped — and an empty seed must
+/// have come up.
+#[test]
+fn a_reused_workspace_simulates_like_a_fresh_one() {
+    let (mut labelled, mut wildcard, mut scoped, mut empty) = (0, 0, 0, 0);
+    check("reused SimScratch ≡ fresh dual_simulation", 60, |rng| {
+        let mut ws = SimScratch::default();
+        for step in 0..8 {
+            let nodes = if step % 2 == 0 { 20..=40 } else { 1..=6 };
+            let g = random_graph(rng, nodes, 0..=3);
+            let q = random_pattern(rng, &g);
+            let scope = match rng.gen_range(0..6) {
+                0 | 1 => {
+                    let picked = g.nodes().filter(|_| rng.gen_range(0..3) > 0).collect();
+                    Some(NodeSet::from_vec(picked))
+                }
+                2 => Some(NodeSet::from_vec(Vec::new())),
+                _ => None,
+            };
+            let labels = q.vars().map(|v| q.label(v));
+            match &scope {
+                Some(r) if r.is_empty() => empty += 1,
+                Some(_) => scoped += 1,
+                None => {
+                    for label in labels {
+                        match label {
+                            PatLabel::Sym(s) => {
+                                labelled += 1;
+                                empty += usize::from(g.extent(s).is_empty());
+                            }
+                            PatLabel::Wildcard => wildcard += 1,
+                        }
+                    }
+                }
+            }
+            let got = dual_simulation_with(&q, &g, scope.as_ref(), &mut ws);
+            let want = dual_simulation(&q, &g, scope.as_ref());
+            prop_assert!(
+                got == want,
+                "step {step}: the reused workspace diverged for {q:?} in {scope:?}: \
+                 {:?} vs {:?}",
+                got.sets,
+                want.sets
+            );
+        }
+        Ok(())
+    });
+    for (kind, seen) in [
+        ("labelled", labelled),
+        ("wildcard", wildcard),
+        ("scoped", scoped),
+        ("empty", empty),
+    ] {
+        assert!(seen > 0, "premise: a {kind} seed came up");
     }
 }
 

@@ -9,7 +9,10 @@
 //! `IncrementalSpace`. The `paged` script repeats the set and run
 //! comparison on graphs of ≥ 200 nodes (see `common`), with a reader
 //! holding the previous view across every repair — once over ordinary
-//! edits, once over steps that rewire a member's only support.
+//! edits, once over steps that rewire a member's only support. And the
+//! one simulation workspace a registry keeps must not carry anything
+//! from one class into the next: after `invalidate_all`, every class
+//! re-simulated in another order equals scratch again.
 
 mod common;
 
@@ -162,6 +165,43 @@ fn transported_spaces_equal_scratch_simulation() {
                     reg.simulations(),
                     members.len()
                 ));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Up to five random classes over one graph, queried in order, then
+/// dropped by `invalidate_all` and re-queried in reverse: every
+/// simulation runs in the registry's one workspace after the others,
+/// and every view must equal a fresh simulation of its pattern.
+#[test]
+fn classes_resimulated_in_another_order_equal_scratch() {
+    check(
+        "ClassRegistry re-simulation in one workspace ≡ scratch",
+        cases(40, 5),
+        |rng| {
+            let g = random_graph(rng, 2..=30, 0..=3);
+            let patterns: Vec<Pattern> = (0..rng.gen_range(2..6))
+                .map(|_| random_pattern(rng, &g))
+                .collect();
+            let reg = ClassRegistry::new();
+            let handles: Vec<_> = patterns.iter().map(|q| reg.register(q)).collect();
+            for round in 0..2 {
+                let order: Vec<usize> = match round {
+                    0 => (0..patterns.len()).collect(),
+                    _ => (0..patterns.len()).rev().collect(),
+                };
+                for i in order {
+                    let view = reg.space(handles[i], &g);
+                    view_equals_scratch(&view, &patterns[i], &g, &format!("round {round}"))
+                        .map_err(|e| format!("{e}; pattern {i} {:?}", patterns[i]))?;
+                }
+                reg.invalidate_all();
+            }
+            let want = 2 * reg.class_count();
+            if reg.simulations() != want {
+                return Err(format!("{} simulations, want {want}", reg.simulations()));
             }
             Ok(())
         },
