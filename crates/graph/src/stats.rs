@@ -1,28 +1,23 @@
-//! Graph statistics: label frequencies `|C(µ(z))|` — the candidates of
-//! a pivot variable `z` (§6.1) — degree statistics, and the `d`-hop
-//! skew ratio of Fig. 8.
-
-use std::collections::HashMap;
+//! Graph statistics: degree statistics and the `d`-hop skew ratio of
+//! Fig. 8. Label frequencies `|C(µ(z))|` — the candidates of a pivot
+//! variable `z` (§6.1) — are the lengths of the snapshot's label
+//! extents ([`Graph::extent`]), so none are kept here.
 
 use crate::graph::{Graph, NodeId};
-use crate::vocab::Sym;
 
 /// Precomputed summary statistics of a graph.
 #[derive(Clone, Debug, Default)]
 pub struct GraphStats {
-    label_freq: HashMap<Sym, usize>,
     max_degree: usize,
     avg_degree: f64,
 }
 
 impl GraphStats {
-    /// Scans `g` once and records label frequencies and degree stats.
+    /// Scans `g` once and records degree stats.
     pub fn compute(g: &Graph) -> Self {
-        let mut label_freq = HashMap::new();
         let mut max_degree = 0usize;
         let mut total_degree = 0usize;
         for u in g.nodes() {
-            *label_freq.entry(g.label(u)).or_insert(0) += 1;
             let d = g.degree(u);
             max_degree = max_degree.max(d);
             total_degree += d;
@@ -33,15 +28,9 @@ impl GraphStats {
             total_degree as f64 / g.node_count() as f64
         };
         GraphStats {
-            label_freq,
             max_degree,
             avg_degree,
         }
-    }
-
-    /// Number of nodes labeled `label` — `|C(µ(z))|`.
-    pub fn label_frequency(&self, label: Sym) -> usize {
-        self.label_freq.get(&label).copied().unwrap_or(0)
     }
 
     /// Largest total degree in the graph.
@@ -83,6 +72,7 @@ mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
 
+    /// A label's frequency is the length of its extent.
     #[test]
     fn label_frequencies() {
         let mut b = GraphBuilder::with_fresh_vocab();
@@ -91,12 +81,11 @@ mod tests {
         }
         b.add_node_labeled("city");
         let g = b.freeze();
-        let stats = GraphStats::compute(&g);
         let flight = g.vocab().lookup("flight").unwrap();
         let city = g.vocab().lookup("city").unwrap();
-        assert_eq!(stats.label_frequency(flight), 3);
-        assert_eq!(stats.label_frequency(city), 1);
-        assert_eq!(stats.label_frequency(g.vocab().intern("nope")), 0);
+        assert_eq!(g.extent(flight).len(), 3);
+        assert_eq!(g.extent(city).len(), 1);
+        assert_eq!(g.extent(g.vocab().intern("nope")).len(), 0);
     }
 
     #[test]

@@ -76,12 +76,16 @@
 //!
 //! Each run edit writes the one page it touches — in place when the
 //! page's cells have no other holder, in a private copy of that page
-//! otherwise — and the working storage lives in a scratch struct the
-//! space keeps between calls, so a repair costs the runs the delta
-//! moved (nothing from the allocator once the touched pages have
-//! grown), and a reader holding the pre-repair `Arc<CandidateSpace>`
+//! otherwise — so a reader holding the pre-repair `Arc<CandidateSpace>`
 //! forces a copy of the sets, the page directories and the edited
 //! pages, not of the space.
+//!
+//! A repair's working storage (queues, closures, support counters) is
+//! a scratch struct kept between calls. The standalone
+//! [`IncrementalSpace`] keeps its own, so a warm repair costs the runs
+//! the delta moved (nothing from the allocator once the touched pages
+//! have grown); a [`ClassRegistry`](crate::ClassRegistry) repairs every
+//! class's bare space in one of its own.
 //!
 //! The repaired space is *identical* to `dual_simulation` on the
 //! edited graph (the oracle property tests in
@@ -100,8 +104,7 @@ use gfd_pattern::{PatLabel, Pattern, VarId};
 use gfd_util::FxHashMap;
 
 use crate::simulation::{
-    admitted, dual_simulation_with, surviving_targets, CandidateSpace, Direction, EdgeCandidates,
-    SimScratch,
+    admitted, dual_simulation, surviving_targets, CandidateSpace, Direction, EdgeCandidates,
 };
 
 /// What one [`IncrementalSpace::apply_normalized`] changed in the relation.
@@ -121,16 +124,6 @@ impl RepairReport {
     /// True if the repair left every candidate set unchanged.
     pub fn is_unchanged(&self) -> bool {
         self.added == 0 && self.removed == 0
-    }
-
-    /// True when some run of the per-pattern-edge candidate adjacency
-    /// was edited — runs can move even when no pair entered or left
-    /// the relation (e.g. a new graph edge between two surviving
-    /// candidates). Consumers that derive from the *full* space must
-    /// refresh on this; consumers that only read candidate sets (pivot
-    /// feasibility) can key off [`is_unchanged`](Self::is_unchanged).
-    pub fn adjacency_changed(&self) -> bool {
-        self.cells_added + self.cells_removed > 0
     }
 
     /// How far the repair moved the space's
@@ -177,20 +170,17 @@ impl RepairReport {
 pub struct IncrementalSpace {
     q: Pattern,
     scope: Option<NodeSet>,
-    /// The space behind an `Arc`, so registry consumers can hold the
-    /// current snapshot across later repairs: a repair goes through
-    /// [`Arc::make_mut`], which repairs in place when nobody else
-    /// holds the `Arc`; when someone does it copies the candidate sets
-    /// and the page directories, and then only the run pages it edits
-    /// — a held snapshot never mutates under its reader.
+    /// The space behind an `Arc`, so a reader can hold the current
+    /// snapshot across later repairs ([`space_arc`](Self::space_arc)).
     space: Arc<CandidateSpace>,
     scratch: RepairScratch,
 }
 
-/// The working storage of one repair, kept across calls (cleared, not
-/// reallocated): a warm repair that moves no set requests no memory.
+/// The working storage of one repair, kept across calls and patterns
+/// (cleared, not reallocated): a warm repair that moves no set requests
+/// no memory.
 #[derive(Default)]
-struct RepairScratch {
+pub(crate) struct RepairScratch {
     /// Members queued to leave, and the pairs that did.
     leaving: Vec<(VarId, NodeId)>,
     left: Vec<(VarId, NodeId)>,
@@ -216,7 +206,8 @@ struct RepairScratch {
 }
 
 impl RepairScratch {
-    /// Empties every buffer and lays out the support counters for `q`.
+    /// Empties every buffer and lays out the support counters for `q`;
+    /// a smaller pattern after a larger one frees no per-variable list.
     fn reset(&mut self, q: &Pattern) {
         let nvars = q.node_count();
         self.stride = 0;
@@ -236,7 +227,7 @@ impl RepairScratch {
         self.support.clear();
         self.dead.clear();
         for by_var in [&mut self.added_by_var, &mut self.lost_by_var] {
-            by_var.resize_with(nvars, Vec::new);
+            by_var.resize_with(nvars.max(by_var.len()), Vec::new);
             by_var.iter_mut().for_each(Vec::clear);
         }
     }
@@ -383,27 +374,14 @@ fn edge_gone(g: &Graph, e: &Edge, label: PatLabel) -> bool {
 }
 
 impl IncrementalSpace {
-    /// Runs the from-scratch fixpoint once
-    /// ([`dual_simulation`](crate::dual_simulation)) and keeps its
-    /// result repairable. `scope` (block-/fragment-local simulation) is
-    /// fixed for the lifetime of the space.
+    /// Runs the from-scratch fixpoint once ([`dual_simulation`]) and
+    /// keeps its result repairable. `scope` (block-/fragment-local
+    /// simulation) is fixed for the lifetime of the space.
     pub fn new(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Self {
-        Self::new_with(q, g, scope, &mut SimScratch::default())
-    }
-
-    /// [`new`](Self::new) with the fixpoint run in the reused workspace
-    /// `ws` — how a [`ClassRegistry`](crate::ClassRegistry) simulates
-    /// its classes. The space keeps nothing of `ws`.
-    pub(crate) fn new_with(
-        q: &Pattern,
-        g: &Graph,
-        scope: Option<&NodeSet>,
-        ws: &mut SimScratch,
-    ) -> Self {
         IncrementalSpace {
             q: q.clone(),
             scope: scope.cloned(),
-            space: Arc::new(dual_simulation_with(q, g, scope, ws)),
+            space: Arc::new(dual_simulation(q, g, scope)),
             scratch: RepairScratch::default(),
         }
     }
@@ -426,12 +404,6 @@ impl IncrementalSpace {
         Arc::clone(&self.space)
     }
 
-    /// The shared space handle by reference, for refcount probes (the
-    /// registry's pin-aware eviction).
-    pub(crate) fn space_arc_ref(&self) -> &Arc<CandidateSpace> {
-        &self.space
-    }
-
     /// True if `u` currently simulates `v`.
     pub fn contains(&self, v: VarId, u: NodeId) -> bool {
         self.space.sets[v.index()].binary_search(&u).is_ok()
@@ -448,214 +420,230 @@ impl IncrementalSpace {
     /// here corrupts the relation. Returns how many pairs entered and
     /// left the relation, and how many run cells moved.
     pub fn apply_normalized(&mut self, g: &Graph, d: &GraphDelta) -> RepairReport {
-        let (q, scope, sc) = (&self.q, self.scope.as_ref(), &mut self.scratch);
-        // In-place repair when nobody shares the space; copy-on-write
-        // (sets, directories, then only the edited pages) when a
-        // consumer still holds the pre-repair snapshot.
-        let space = Arc::make_mut(&mut self.space);
-        sc.reset(q);
-        // Node ids are stable across refreeze; nodes added at the end
-        // of the id space get directory room.
-        for adj in space.forward.iter_mut().chain(space.reverse.iter_mut()) {
-            adj.grow(g.node_count());
-        }
-        let mut report = RepairReport::default();
+        let sc = &mut self.scratch;
+        repair(&self.q, self.scope.as_ref(), g, d, &mut self.space, sc)
+    }
+}
 
-        // Stage 1 — edge ops between current members are run edits.
-        // Additions go first, so a member whose only support is
-        // rewired to another member never sees its run empty.
-        for e in &d.added_edges {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
-                if pe.label.admits(e.label) && rev.has_run(e.dst) && fwd.insert_target(e.src, e.dst)
-                {
-                    rev.insert_target(e.dst, e.src);
-                    report.cells_added += 2;
-                }
-            }
-        }
-        for e in &d.removed_edges {
-            for (ei, pe) in q.edges().iter().enumerate() {
-                let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
-                if pe.label.admits(e.label)
-                    && edge_gone(g, e, pe.label)
-                    && fwd.remove_target(e.src, e.dst)
-                {
-                    rev.remove_target(e.dst, e.src);
-                    report.cells_removed += 2;
-                    if fwd.run(e.src).is_empty() {
-                        sc.leaving.push((pe.src, e.src));
-                    }
-                    if rev.run(e.dst).is_empty() {
-                        sc.leaving.push((pe.dst, e.dst));
-                    }
-                }
-            }
-        }
-        for c in &d.label_changes {
-            for v in q.vars() {
-                if !q.label(v).admits(c.new) && is_member(q, space, v, c.node) {
-                    sc.leaving.push((v, c.node));
-                }
-            }
-        }
+/// Repairs `space`, the simulation of `q` within `scope`, against the
+/// normalized `d` that produced `g` (see
+/// [`IncrementalSpace::apply_normalized`]), with `sc` as its working
+/// storage — the standalone form's own, or the one a
+/// [`ClassRegistry`](crate::ClassRegistry) repairs all its classes in.
+pub(crate) fn repair(
+    q: &Pattern,
+    scope: Option<&NodeSet>,
+    g: &Graph,
+    d: &GraphDelta,
+    space: &mut Arc<CandidateSpace>,
+    sc: &mut RepairScratch,
+) -> RepairReport {
+    // In-place repair when nobody shares the space; copy-on-write
+    // (sets, directories, then only the edited pages) when a
+    // consumer still holds the pre-repair snapshot, so a held
+    // snapshot never mutates under its reader.
+    let space = Arc::make_mut(space);
+    sc.reset(q);
+    // Node ids are stable across refreeze; nodes added at the end
+    // of the id space get directory room.
+    for adj in space.forward.iter_mut().chain(space.reverse.iter_mut()) {
+        adj.grow(g.node_count());
+    }
+    let mut report = RepairReport::default();
 
-        // Stage 2 — the deletion cascade. A pair can be queued more
-        // than once (two of its runs emptied); it leaves once.
-        while let Some((v, u)) = sc.leaving.pop() {
-            if !is_member(q, space, v, u) {
-                continue;
+    // Stage 1 — edge ops between current members are run edits.
+    // Additions go first, so a member whose only support is
+    // rewired to another member never sees its run empty.
+    for e in &d.added_edges {
+        for (ei, pe) in q.edges().iter().enumerate() {
+            let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
+            if pe.label.admits(e.label) && rev.has_run(e.dst) && fwd.insert_target(e.src, e.dst) {
+                rev.insert_target(e.dst, e.src);
+                report.cells_added += 2;
             }
-            sc.left.push((v, u));
+        }
+    }
+    for e in &d.removed_edges {
+        for (ei, pe) in q.edges().iter().enumerate() {
+            let (fwd, rev) = (&mut space.forward[ei], &mut space.reverse[ei]);
+            if pe.label.admits(e.label)
+                && edge_gone(g, e, pe.label)
+                && fwd.remove_target(e.src, e.dst)
+            {
+                rev.remove_target(e.dst, e.src);
+                report.cells_removed += 2;
+                if fwd.run(e.src).is_empty() {
+                    sc.leaving.push((pe.src, e.src));
+                }
+                if rev.run(e.dst).is_empty() {
+                    sc.leaving.push((pe.dst, e.dst));
+                }
+            }
+        }
+    }
+    for c in &d.label_changes {
+        for v in q.vars() {
+            if !q.label(v).admits(c.new) && is_member(q, space, v, c.node) {
+                sc.leaving.push((v, c.node));
+            }
+        }
+    }
+
+    // Stage 2 — the deletion cascade. A pair can be queued more
+    // than once (two of its runs emptied); it leaves once.
+    while let Some((v, u)) = sc.leaving.pop() {
+        if !is_member(q, space, v, u) {
+            continue;
+        }
+        sc.left.push((v, u));
+        for end in ends(q, v) {
+            let (own, mirror) = space.sides_mut(end.edge, end.dir);
+            report.cells_removed += drop_run(own, mirror, u, end.far, &mut sc.leaving);
+        }
+    }
+
+    // Stages 3–5 run in rounds, each a suffix of `sc.closure`
+    // starting at `round`, until a round admits nothing. `consider`
+    // gives a pair its place in the closure if it is a
+    // seed-admissible non-member that no closure has held, and
+    // returns the place it has, if any. The first round's triggers
+    // are the insertion sites.
+    let consider = |sc: &mut RepairScratch, space: &CandidateSpace, v: VarId, u: NodeId| {
+        if let Some(&i) = sc.position.get(&(v, u)) {
+            return Some(i as usize);
+        }
+        let admissible = q.label(v).admits(g.label(u)) && scope.is_none_or(|r| r.contains(u));
+        (admissible && !is_member(q, space, v, u)).then(|| {
+            sc.position.insert((v, u), sc.closure.len() as u32);
+            sc.closure.push((v, u));
+            sc.closure.len() - 1
+        })
+    };
+    let relabeled = d.label_changes.iter().map(|c| c.node);
+    for u in d.added_nodes.iter().map(|&(u, _)| u).chain(relabeled) {
+        for v in q.vars() {
+            consider(sc, space, v, u);
+        }
+    }
+    for e in &d.added_edges {
+        for pe in q.edges() {
+            if pe.label.admits(e.label) {
+                consider(sc, space, pe.src, e.src);
+                consider(sc, space, pe.dst, e.dst);
+            }
+        }
+    }
+    let mut round = 0;
+    while round < sc.closure.len() {
+        // Stage 3 — close the triggers under demand: an end with a
+        // member neighbour is satisfied, an unsatisfied end brings
+        // in every seed-admissible non-member neighbour and counts
+        // those of the round as its support — pairs already found
+        // dead included: their deaths are still queued, so every
+        // later decrement is exact. A satisfied end is set to
+        // `SATISFIED`, not counted: members never leave here, so it
+        // cannot lose its support.
+        let mut i = round;
+        while let Some(&(v, u)) = sc.closure.get(i) {
+            if sc.live.len() == i {
+                // Room for every pair the closure holds so far.
+                sc.live.resize(sc.closure.len(), true);
+                sc.support.resize(sc.closure.len() * sc.stride, 0);
+            }
             for end in ends(q, v) {
-                let (own, mirror) = space.sides_mut(end.edge, end.dir);
-                report.cells_removed += drop_run(own, mirror, u, end.far, &mut sc.leaving);
+                let neighbors = admitted(g, u, end.label, end.dir);
+                let slot = sc.slot(i, end.edge, end.dir);
+                if neighbors
+                    .iter()
+                    .any(|a| is_member(q, space, end.far, a.node))
+                {
+                    sc.support[slot] = SATISFIED;
+                    continue;
+                }
+                for a in neighbors {
+                    let j = consider(sc, space, end.far, a.node);
+                    sc.support[slot] += u32::from(j.is_some_and(|j| j >= round));
+                }
+                if sc.support[slot] == 0 {
+                    sc.kill(i);
+                }
             }
+            i += 1;
         }
 
-        // Stages 3–5 run in rounds, each a suffix of `sc.closure`
-        // starting at `round`, until a round admits nothing. `consider`
-        // gives a pair its place in the closure if it is a
-        // seed-admissible non-member that no closure has held, and
-        // returns the place it has, if any. The first round's triggers
-        // are the insertion sites.
-        let consider = |sc: &mut RepairScratch, space: &CandidateSpace, v: VarId, u: NodeId| {
-            if let Some(&i) = sc.position.get(&(v, u)) {
-                return Some(i as usize);
-            }
-            let admissible = q.label(v).admits(g.label(u)) && scope.is_none_or(|r| r.contains(u));
-            (admissible && !is_member(q, space, v, u)).then(|| {
-                sc.position.insert((v, u), sc.closure.len() as u32);
-                sc.closure.push((v, u));
-                sc.closure.len() - 1
-            })
-        };
-        let relabeled = d.label_changes.iter().map(|c| c.node);
-        for u in d.added_nodes.iter().map(|&(u, _)| u).chain(relabeled) {
-            for v in q.vars() {
-                consider(sc, space, v, u);
-            }
-        }
-        for e in &d.added_edges {
-            for pe in q.edges() {
-                if pe.label.admits(e.label) {
-                    consider(sc, space, pe.src, e.src);
-                    consider(sc, space, pe.dst, e.dst);
-                }
-            }
-        }
-        let mut round = 0;
-        while round < sc.closure.len() {
-            // Stage 3 — close the triggers under demand: an end with a
-            // member neighbour is satisfied, an unsatisfied end brings
-            // in every seed-admissible non-member neighbour and counts
-            // those of the round as its support — pairs already found
-            // dead included: their deaths are still queued, so every
-            // later decrement is exact. A satisfied end is set to
-            // `SATISFIED`, not counted: members never leave here, so it
-            // cannot lose its support.
-            let mut i = round;
-            while let Some(&(v, u)) = sc.closure.get(i) {
-                if sc.live.len() == i {
-                    // Room for every pair the closure holds so far.
-                    sc.live.resize(sc.closure.len(), true);
-                    sc.support.resize(sc.closure.len() * sc.stride, 0);
-                }
-                for end in ends(q, v) {
-                    let neighbors = admitted(g, u, end.label, end.dir);
-                    let slot = sc.slot(i, end.edge, end.dir);
-                    if neighbors
-                        .iter()
-                        .any(|a| is_member(q, space, end.far, a.node))
-                    {
-                        sc.support[slot] = SATISFIED;
+        // Stage 4 — prune the round's closure to its greatest
+        // fixpoint, in scratch: a death takes one off the counter of
+        // every unsatisfied end it supported.
+        let n = sc.closure.len();
+        while let Some(i) = sc.dead.pop() {
+            let (v, u) = sc.closure[i as usize];
+            for end in ends(q, v) {
+                for a in admitted(g, u, end.label, end.dir) {
+                    let Some(&j) = sc.position.get(&(end.far, a.node)) else {
                         continue;
-                    }
-                    for a in neighbors {
-                        let j = consider(sc, space, end.far, a.node);
-                        sc.support[slot] += u32::from(j.is_some_and(|j| j >= round));
-                    }
-                    if sc.support[slot] == 0 {
-                        sc.kill(i);
-                    }
-                }
-                i += 1;
-            }
-
-            // Stage 4 — prune the round's closure to its greatest
-            // fixpoint, in scratch: a death takes one off the counter of
-            // every unsatisfied end it supported.
-            let n = sc.closure.len();
-            while let Some(i) = sc.dead.pop() {
-                let (v, u) = sc.closure[i as usize];
-                for end in ends(q, v) {
-                    for a in admitted(g, u, end.label, end.dir) {
-                        let Some(&j) = sc.position.get(&(end.far, a.node)) else {
-                            continue;
-                        };
-                        let j = j as usize;
-                        let slot = sc.slot(j, end.edge, end.dir.flip());
-                        if j >= round && sc.live[j] {
-                            sc.support[slot] -= 1;
-                            if sc.support[slot] == 0 {
-                                sc.kill(j);
-                            }
+                    };
+                    let j = j as usize;
+                    let slot = sc.slot(j, end.edge, end.dir.flip());
+                    if j >= round && sc.live[j] {
+                        sc.support[slot] -= 1;
+                        if sc.support[slot] == 0 {
+                            sc.kill(j);
                         }
                     }
                 }
             }
-
-            // Stage 5 — write the survivors, which makes them members.
-            // A run lists exactly the neighbors whose mirrored run lists
-            // its owner; a survivor written later finds the earlier
-            // one's node already in its run, so the writes commute.
-            for i in round..n {
-                let (v, u) = sc.closure[i];
-                if !sc.live[i] {
-                    continue;
-                }
-                for end in ends(q, v) {
-                    let mut run = std::mem::take(&mut sc.run);
-                    run.clear();
-                    // A neighbour is a target if it is a member or a
-                    // survivor; a non-member no closure has held becomes
-                    // a trigger of the next round.
-                    let survives = |w| {
-                        is_member(q, space, end.far, w)
-                            || consider(sc, space, end.far, w)
-                                .is_some_and(|j| sc.live.get(j) == Some(&true))
-                    };
-                    surviving_targets(g, u, survives, end.label, end.dir, &mut run);
-                    let (own, mirror) = space.sides_mut(end.edge, end.dir);
-                    report.cells_added += add_run(own, mirror, u, &run);
-                    sc.run = run;
-                }
-                // A pair the cascade dropped and a closure brought back
-                // is still in its (not yet merged) set: it never moved.
-                if space.sets[v.index()].binary_search(&u).is_err() {
-                    sc.added_by_var[v.index()].push(u);
-                    report.added += 1;
-                }
-            }
-            round = n;
         }
 
-        for &(v, u) in &sc.left {
-            if !sc.is_live(v, u) {
-                sc.lost_by_var[v.index()].push(u);
-                report.removed += 1;
+        // Stage 5 — write the survivors, which makes them members.
+        // A run lists exactly the neighbors whose mirrored run lists
+        // its owner; a survivor written later finds the earlier
+        // one's node already in its run, so the writes commute.
+        for i in round..n {
+            let (v, u) = sc.closure[i];
+            if !sc.live[i] {
+                continue;
+            }
+            for end in ends(q, v) {
+                let mut run = std::mem::take(&mut sc.run);
+                run.clear();
+                // A neighbour is a target if it is a member or a
+                // survivor; a non-member no closure has held becomes
+                // a trigger of the next round.
+                let survives = |w| {
+                    is_member(q, space, end.far, w)
+                        || consider(sc, space, end.far, w)
+                            .is_some_and(|j| sc.live.get(j) == Some(&true))
+                };
+                surviving_targets(g, u, survives, end.label, end.dir, &mut run);
+                let (own, mirror) = space.sides_mut(end.edge, end.dir);
+                report.cells_added += add_run(own, mirror, u, &run);
+                sc.run = run;
+            }
+            // A pair the cascade dropped and a closure brought back
+            // is still in its (not yet merged) set: it never moved.
+            if space.sets[v.index()].binary_search(&u).is_err() {
+                sc.added_by_var[v.index()].push(u);
+                report.added += 1;
             }
         }
-        for (v, set) in space.sets.iter_mut().enumerate() {
-            let (adds, drops) = (&mut sc.added_by_var[v], &mut sc.lost_by_var[v]);
-            if !adds.is_empty() || !drops.is_empty() {
-                adds.sort_unstable();
-                drops.sort_unstable();
-                merge_set(set, adds, drops);
-            }
-        }
-        report
+        round = n;
     }
+
+    for &(v, u) in &sc.left {
+        if !sc.is_live(v, u) {
+            sc.lost_by_var[v.index()].push(u);
+            report.removed += 1;
+        }
+    }
+    for (v, set) in space.sets.iter_mut().enumerate() {
+        let (adds, drops) = (&mut sc.added_by_var[v], &mut sc.lost_by_var[v]);
+        if !adds.is_empty() || !drops.is_empty() {
+            adds.sort_unstable();
+            drops.sort_unstable();
+            merge_set(set, adds, drops);
+        }
+    }
+    report
 }
 
 #[cfg(test)]
@@ -849,5 +837,26 @@ mod tests {
         );
         let scratch = dual_simulation(&q, &g2, Some(&scope));
         assert_eq!(inc.space().sets, scratch.sets);
+    }
+
+    /// One scratch serves patterns of any arity in turn: resetting it
+    /// for a smaller pattern keeps the larger one's per-variable lists
+    /// and their room, so the next larger repair grows nothing.
+    #[test]
+    fn a_smaller_pattern_keeps_the_larger_ones_lists() {
+        let (g, _) = chain();
+        let chain = chain_pattern(&g);
+        let mut b = PatternBuilder::new(g.vocab().clone());
+        b.node("solo", "a");
+        let solo = b.build();
+        let mut sc = RepairScratch::default();
+        sc.reset(&chain);
+        sc.added_by_var[2].push(NodeId(2));
+        sc.lost_by_var[2].push(NodeId(2));
+        sc.reset(&solo);
+        sc.reset(&chain);
+        for by_var in [&sc.added_by_var, &sc.lost_by_var] {
+            assert!(by_var[2].is_empty() && by_var[2].capacity() > 0);
+        }
     }
 }

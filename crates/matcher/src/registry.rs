@@ -14,7 +14,9 @@
 //! * the first registered member of a class becomes the
 //!   *representative*; its space is computed by the worklist fixpoint
 //!   (lazily — classes that are never queried cost nothing beyond the
-//!   canonical form) and kept repairable as an [`IncrementalSpace`];
+//!   canonical form) and kept as the bare [`CandidateSpace`], which a
+//!   repair edits in place — a class is its representative and its
+//!   space;
 //! * a member is a **permutation** and nothing else: its class plus
 //!   the [`IsoWitness`] onto the representative as `perm` (member var
 //!   `j` ↦ rep var `perm[j]`, `None` = identity), immutable from
@@ -49,16 +51,16 @@
 //! The registry is **byte-budgeted**
 //! ([`ClassRegistry::with_budget_bytes`]; default
 //! [`DEFAULT_REGISTRY_BUDGET_BYTES`]). The one evictable kind is a
-//! class's incremental space ([`CandidateSpace::approx_bytes`]). A
-//! space is accounted by what it retains: an [`IncrementalSpace`]
-//! keeps the candidate sets and run pages and nothing sized by the
-//! graph, so
+//! class's space ([`CandidateSpace::approx_bytes`]). A class retains
+//! exactly what that figure accounts — the candidate sets and run
+//! pages, nothing sized by the graph — plus its representative, so
 //! the figure misses only page headers, directories and spare
 //! capacity (`alloc_probe` holds held ÷ accounted bytes under a small
 //! constant). The figure is counted once, when the space is simulated,
 //! and then moved by each repair's net
 //! ([`RepairReport::byte_delta`](crate::RepairReport::byte_delta)).
-//! Canonical forms and member permutations are tiny and exempt.
+//! Representatives, canonical forms and member permutations are tiny
+//! and exempt.
 //!
 //! When the budget is exceeded, entries are evicted **least recently
 //! used first** (every hit touches its entry), with one hard rule: *an
@@ -71,28 +73,33 @@
 //! [`CacheStats::eviction_deferred_pinned`] and surface as the
 //! [`ClassRegistry::deferred_pending`] gauge; once the pins drop, the
 //! next insertion — or an explicit [`ClassRegistry::sweep`] — drains
-//! them and the gauge returns to zero. A class's incremental space is
+//! them and the gauge returns to zero. A class's space is
 //! reclaimable once unpinned; a later query re-simulates against the
 //! then-current snapshot.
 //!
-//! The registry also owns one simulation workspace
-//! ([`SimScratch`]): every class it simulates — a first query, or a
-//! re-query after an eviction or [`ClassRegistry::invalidate_all`] —
-//! runs its fixpoint there, so a class allocates the space it keeps
-//! and no flags, counters or page buffer of its own. Each buffer of
-//! the workspace keeps the room the largest simulation so far needed
-//! of it: a flag byte per seed entry, a four-byte counter per seed
-//! entry per incident pattern edge end, four bytes per removal of the
-//! deepest cascade and per cell of the longest edge direction's runs —
-//! by the seeds, never by the graph. It sits outside the byte
-//! budget (it is no class's and never evicted) and is dropped with the
-//! registry.
+//! # One workspace per registry
 //!
-//! Lock discipline: simulation runs under the registry lock (that is
-//! what guarantees "one simulation per class" even under concurrent
-//! first queries, and what makes one workspace enough); enumeration
-//! never does — consumers enumerate through the `Arc`s a [`ClassView`]
-//! hands out, with no lock held.
+//! The registry owns the working storage of simulation and repair, and
+//! no class owns any: every class it simulates — a first query, or a
+//! re-query after an eviction or [`ClassRegistry::invalidate_all`] —
+//! runs its fixpoint in the registry's [`SimScratch`], and every class
+//! [`ClassRegistry::advance`] repairs runs in its one repair scratch
+//! (see [`crate::incremental`]). A class so allocates the space it
+//! keeps, and an eviction drops nothing a re-simulated class must grow
+//! again. Each buffer keeps the room the largest call so far needed,
+//! across classes of any arity: for a simulation, a flag byte per seed
+//! entry, a four-byte counter per seed entry per incident pattern edge
+//! end, four bytes per removal of the deepest cascade and per cell of
+//! the longest edge direction's runs — by the seeds, never by the
+//! graph; for a repair, by the pairs the largest delta moved. Both sit
+//! outside the byte budget (no class's, never evicted) and are dropped
+//! with the registry.
+//!
+//! Lock discipline: simulation and repair run under the registry lock
+//! (that is what guarantees "one simulation per class" even under
+//! concurrent first queries, and what makes one workspace enough);
+//! enumeration never does — consumers enumerate through the `Arc`s a
+//! [`ClassView`] hands out, with no lock held.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -100,8 +107,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use gfd_graph::{Graph, GraphDelta, NodeId};
 use gfd_pattern::{canonical_form, CanonicalForm, IsoWitness, Pattern, VarId};
 
-use crate::incremental::IncrementalSpace;
-use crate::simulation::{CandidateSpace, SimScratch};
+use crate::incremental::{repair, RepairScratch};
+use crate::simulation::{dual_simulation_with, CandidateSpace, SimScratch};
 
 /// Handle to a pattern registered in a [`ClassRegistry`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -156,17 +163,17 @@ impl std::ops::Sub for CacheStats {
     }
 }
 
-/// One isomorphism class: the representative pattern and every cached
-/// artifact that hangs off it.
+/// One isomorphism class: its representative and its space.
 struct ClassState {
     rep: Arc<Pattern>,
     form: CanonicalForm,
     /// `None` until some member's space is first queried, and again
-    /// after the class is evicted; repaired in place by
-    /// [`ClassRegistry::advance`] while present.
-    inc: Option<IncrementalSpace>,
-    /// Accounted bytes of `inc` (the space estimate).
-    inc_bytes: usize,
+    /// after the class is evicted; repaired by
+    /// [`ClassRegistry::advance`] while present (in place unless a
+    /// [`ClassView`] still holds it).
+    space: Option<Arc<CandidateSpace>>,
+    /// Accounted bytes of `space` ([`CandidateSpace::approx_bytes`]).
+    bytes: usize,
     last_used: u64,
 }
 
@@ -244,9 +251,10 @@ struct RegistryInner {
     tick: u64,
     /// Repair epoch — bumped once per non-empty applied delta.
     version: u64,
-    /// The one workspace every class simulation runs in, under the
-    /// lock; outside the budget (see the module docs).
+    /// The workspaces every class simulation and repair run in, under
+    /// the lock and outside the budget (see the module docs).
     sim: SimScratch,
+    repair: RepairScratch,
 }
 
 /// The shared, bounded, per-Σ cache of candidate spaces, keyed by
@@ -303,8 +311,8 @@ impl ClassRegistry {
                 inner.classes.push(ClassState {
                     rep: Arc::new(q.clone()),
                     form,
-                    inc: None,
-                    inc_bytes: 0,
+                    space: None,
+                    bytes: 0,
                     last_used: 0,
                 });
                 (c, witness)
@@ -341,7 +349,7 @@ impl ClassRegistry {
         let cls = &inner.classes[class];
         let view = ClassView {
             rep: Arc::clone(&cls.rep),
-            space: cls.inc.as_ref().expect("simulated above").space_arc(),
+            space: Arc::clone(cls.space.as_ref().expect("simulated above")),
             perm: inner.members[h.0].perm.clone(),
         };
         inner.enforce_budget();
@@ -352,18 +360,17 @@ impl ClassRegistry {
     /// reach epoch `target` (`target == version() + 1`) applies the
     /// delta; a tenant arriving later at an epoch the registry already
     /// passed finds the work done and returns at once. Applying means
-    /// **one** [`IncrementalSpace`] repair per simulated class (classes
-    /// never queried are skipped — a later first query simulates
-    /// against the then-current snapshot).
+    /// **one** repair per simulated class, each in the registry's one
+    /// repair workspace (classes never queried are skipped — a later
+    /// first query simulates against the then-current snapshot).
     ///
     /// The registry's one repair entry point. `d` is taken as it is:
-    /// its producer made it normalized (see
-    /// [`IncrementalSpace::apply_normalized`]). Tenants must ingest the
-    /// same delta stream and bump their cursor once per *non-empty*
-    /// delta — normalization is deterministic, so every tenant skips
-    /// exactly the same empties (an empty delta is a no-op here and
-    /// does **not** advance the repair epoch). A single tenant passes
-    /// `version() + 1`.
+    /// its producer made it normalized (see [`GraphDelta`]). Tenants
+    /// must ingest the same delta stream and bump their cursor once per
+    /// *non-empty* delta — normalization is deterministic, so every
+    /// tenant skips exactly the same empties (an empty delta is a no-op
+    /// here and does **not** advance the repair epoch). A single tenant
+    /// passes `version() + 1`.
     pub fn advance(&self, g: &Graph, d: &GraphDelta, target: u64) {
         self.lock().advance(g, d, target);
     }
@@ -383,9 +390,8 @@ impl ClassRegistry {
         let mut inner = self.lock();
         let inner = &mut *inner;
         for cls in &mut inner.classes {
-            if cls.inc.take().is_some() {
-                inner.bytes -= cls.inc_bytes;
-                cls.inc_bytes = 0;
+            if cls.space.take().is_some() {
+                inner.bytes -= std::mem::take(&mut cls.bytes);
             }
         }
         inner.deferred_pending = 0;
@@ -410,11 +416,6 @@ impl ClassRegistry {
     /// Number of distinct isomorphism classes registered.
     pub fn class_count(&self) -> usize {
         self.lock().classes.len()
-    }
-
-    /// Structurally distinct registered patterns.
-    pub fn member_count(&self) -> usize {
-        self.lock().members.len()
     }
 
     /// From-scratch worklist simulations run so far — the probe that
@@ -453,17 +454,15 @@ impl RegistryInner {
     /// Serves the class's space, simulating it if absent — the one
     /// place [`CacheStats::hits`] and [`CacheStats::misses`] count.
     fn ensure_space(&mut self, class: usize, g: &Graph) {
-        if self.classes[class].inc.is_some() {
+        let cls = &mut self.classes[class];
+        if cls.space.is_some() {
             self.stats.hits += 1;
         } else {
             self.stats.misses += 1;
-            let rep = &self.classes[class].rep;
-            let inc = IncrementalSpace::new_with(rep, g, None, &mut self.sim);
-            let b = inc.space().approx_bytes();
-            let cls = &mut self.classes[class];
-            cls.inc = Some(inc);
-            cls.inc_bytes = b;
-            self.bytes += b;
+            let space = dual_simulation_with(&cls.rep, g, None, &mut self.sim);
+            cls.bytes = space.approx_bytes();
+            cls.space = Some(Arc::new(space));
+            self.bytes += cls.bytes;
         }
     }
 
@@ -479,19 +478,18 @@ impl RegistryInner {
             self.version + 1,
             "tenant cursors must advance the shared registry in lockstep"
         );
-        let RegistryInner { classes, bytes, .. } = self;
-        for cls in classes.iter_mut() {
-            let Some(inc) = cls.inc.as_mut() else {
+        for cls in &mut self.classes {
+            let Some(space) = cls.space.as_mut() else {
                 continue;
             };
             // The repair counts the run cells and set entries it wrote
             // and dropped, so the class's bytes move by their net
             // without a walk over the space's pages.
-            let delta = inc.apply_normalized(g, d).byte_delta();
-            let nb = (cls.inc_bytes.checked_add_signed(delta))
+            let delta = repair(&cls.rep, None, g, d, space, &mut self.repair).byte_delta();
+            let nb = (cls.bytes.checked_add_signed(delta))
                 .expect("a repair drops no more bytes than the space held");
-            *bytes = *bytes + nb - cls.inc_bytes;
-            cls.inc_bytes = nb;
+            self.bytes = self.bytes + nb - cls.bytes;
+            cls.bytes = nb;
         }
         self.version = target;
         self.enforce_budget();
@@ -511,10 +509,10 @@ impl RegistryInner {
             for (c, cls) in self.classes.iter().enumerate() {
                 // Never evict what was touched at the current tick —
                 // that is what the caller just asked for.
-                let Some(inc) = cls.inc.as_ref().filter(|_| cls.last_used != self.tick) else {
+                let Some(space) = cls.space.as_ref().filter(|_| cls.last_used != self.tick) else {
                     continue;
                 };
-                if Arc::strong_count(inc.space_arc_ref()) > 1 {
+                if Arc::strong_count(space) > 1 {
                     pinned += 1;
                 } else if victim.is_none_or(|(t, _)| cls.last_used < t) {
                     victim = Some((cls.last_used, c));
@@ -522,9 +520,8 @@ impl RegistryInner {
             }
             match victim {
                 Some((_, c)) => {
-                    self.classes[c].inc = None;
-                    self.bytes -= self.classes[c].inc_bytes;
-                    self.classes[c].inc_bytes = 0;
+                    self.classes[c].space = None;
+                    self.bytes -= std::mem::take(&mut self.classes[c].bytes);
                     self.stats.evicted_cold += 1;
                 }
                 None => {
@@ -548,6 +545,12 @@ mod tests {
     use gfd_graph::GraphBuilder;
     use gfd_pattern::PatternBuilder;
     use gfd_util::Rng;
+
+    /// True if no two of `handles` are the same registered pattern.
+    fn distinct(handles: &[SpaceHandle]) -> bool {
+        let set: std::collections::HashSet<_> = handles.iter().collect();
+        set.len() == handles.len()
+    }
 
     fn chain_graph() -> Graph {
         let mut b = GraphBuilder::with_fresh_vocab();
@@ -610,7 +613,10 @@ mod tests {
         let reg = ClassRegistry::new();
         let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
         assert_eq!(reg.class_count(), 1);
-        assert_eq!(reg.member_count(), 3);
+        assert!(
+            distinct(&handles),
+            "three declaration orders, three members"
+        );
         assert_eq!(reg.simulations(), 0, "registration alone never simulates");
         for (q, &h) in members.iter().zip(&handles) {
             assert_matches_scratch(&reg, h, q, &g);
@@ -633,7 +639,7 @@ mod tests {
         let h2 = reg.register(&b.build());
         assert_ne!(reg.class_of(h1), reg.class_of(h2));
         assert_eq!(reg.class_count(), 2);
-        assert_eq!(reg.member_count(), 2);
+        assert_ne!(h1, h2);
     }
 
     #[test]
@@ -685,14 +691,14 @@ mod tests {
         // A different declaration order is a different member…
         let h3 = reg.register(&chain_pattern(&g, [2, 0, 1]));
         assert_ne!(h3, h1);
-        assert_eq!(reg.member_count(), 2);
         assert_eq!(reg.class_of(h3), reg.class_of(h1));
-        // …and ten rounds of re-registration grow nothing.
+        // …and ten rounds of re-registration hand back the same two
+        // handles (a new member would get a new one).
         for _ in 0..10 {
-            reg.register(&q);
-            reg.register(&chain_pattern(&g, [2, 0, 1]));
+            assert_eq!(reg.register(&q), h1);
+            assert_eq!(reg.register(&chain_pattern(&g, [2, 0, 1])), h3);
         }
-        assert_eq!(reg.member_count(), 2);
+        assert_eq!(reg.class_count(), 1);
         assert_eq!(reg.simulations(), 0);
     }
 
@@ -883,7 +889,8 @@ mod tests {
         ];
         let reg = ClassRegistry::new();
         let handles: Vec<SpaceHandle> = members.iter().map(|q| reg.register(q)).collect();
-        assert_eq!((reg.class_count(), reg.member_count()), (1, 4));
+        assert_eq!(reg.class_count(), 1);
+        assert!(distinct(&handles), "four declaration orders, four members");
         let first = reg.space(handles[0], &g);
         let after_one = reg.bytes();
         assert!(after_one > 0);

@@ -632,11 +632,10 @@ impl Seed<'_> {
 /// deepest cascade and the longest edge direction's runs — never by the
 /// graph.
 ///
-/// Opaque: [`dual_simulation`], [`simulation_sets`] and
-/// [`IncrementalSpace::new`] take a fresh one per call, and a
-/// [`ClassRegistry`] keeps one for every class it simulates.
+/// Opaque: [`dual_simulation`] and [`simulation_sets`] take a fresh
+/// one per call, and a [`ClassRegistry`] keeps one for every class it
+/// simulates.
 ///
-/// [`IncrementalSpace::new`]: crate::IncrementalSpace::new
 /// [`ClassRegistry`]: crate::ClassRegistry
 #[derive(Debug, Default)]
 pub struct SimScratch {

@@ -5,8 +5,9 @@
 //! adjacency against `dual_simulation` of the member, and enumeration
 //! through the view (plain, and pinned at a member variable) against
 //! brute force on the member — including after random 50-step edit
-//! scripts repaired through the class representative's
-//! `IncrementalSpace`. The `paged` script repeats the set and run
+//! scripts repaired through the class representative's space, with a
+//! class of another shape repaired beside it in the registry's one
+//! repair workspace. The `paged` script repeats the set and run
 //! comparison on graphs of ≥ 200 nodes (see `common`), with a reader
 //! holding the previous view across every repair — once over ordinary
 //! edits, once over steps that rewire a member's only support. And the
@@ -216,9 +217,13 @@ fn repaired_representative_retransports_over_edit_scripts() {
         |rng| {
             let mut g = random_graph(rng, 2..=10, 0..=3);
             let base = random_pattern(rng, &g);
-            let members: Vec<Pattern> = std::iter::once(base.clone())
+            // An independent pattern beside the twins: each epoch then
+            // repairs classes of different arity and edge count, one
+            // after another, in the registry's one repair workspace.
+            let mut members: Vec<Pattern> = std::iter::once(base.clone())
                 .chain((0..2).map(|t| declaration_twin(rng, &base, t)))
                 .collect();
+            members.push(random_pattern(rng, &g));
             let reg = ClassRegistry::new();
             let handles: Vec<_> = members.iter().map(|q| reg.register(q)).collect();
             for &h in &handles {
@@ -239,10 +244,11 @@ fn repaired_representative_retransports_over_edit_scripts() {
                 }
                 g = g2;
             }
-            if reg.simulations() != 1 {
+            if reg.simulations() != reg.class_count() {
                 return Err(format!(
-                    "repairs re-simulated: {} fixpoints",
-                    reg.simulations()
+                    "repairs re-simulated: {} fixpoints for {} classes",
+                    reg.simulations(),
+                    reg.class_count()
                 ));
             }
             Ok(())

@@ -60,11 +60,6 @@ impl TreeDecomposition {
     pub fn width(&self) -> usize {
         self.width
     }
-
-    /// Number of bags.
-    pub fn bag_count(&self) -> usize {
-        self.bags.len()
-    }
 }
 
 /// Undirected adjacency bitmasks of the pattern (self-loops dropped —
@@ -367,7 +362,7 @@ mod tests {
         let td = tree_decomposition(&q);
         verify(&td, &q);
         assert_eq!(td.width(), 2);
-        assert_eq!(td.bag_count(), 1);
+        assert_eq!(td.bags.len(), 1);
         assert_eq!(td.bags[0].vars, vec![VarId(0), VarId(1), VarId(2)]);
         assert_eq!(td.bags[0].parent, None);
     }
@@ -378,7 +373,7 @@ mod tests {
         let td = tree_decomposition(&q);
         verify(&td, &q);
         assert_eq!(td.width(), 2);
-        assert_eq!(td.bag_count(), 2);
+        assert_eq!(td.bags.len(), 2);
         // The two bags share exactly the chord pair.
         let shared: Vec<VarId> = td.bags[0]
             .vars
@@ -421,10 +416,10 @@ mod tests {
         let td = tree_decomposition(&q);
         verify(&td, &q);
         assert_eq!(td.width(), 0);
-        assert_eq!(td.bag_count(), 1);
+        assert_eq!(td.bags.len(), 1);
 
         let empty = PatternBuilder::new(Vocab::shared()).build();
-        assert_eq!(tree_decomposition(&empty).bag_count(), 0);
+        assert_eq!(tree_decomposition(&empty).bags.len(), 0);
         assert_eq!(tree_decomposition(&empty).width(), 0);
     }
 
@@ -441,7 +436,7 @@ mod tests {
         let td = tree_decomposition(&q);
         verify(&td, &q);
         assert_eq!(td.width(), 3);
-        assert_eq!(td.bag_count(), 1);
+        assert_eq!(td.bags.len(), 1);
     }
 
     /// The 3×3 grid graph has treewidth 3 — the exact search must not
@@ -482,7 +477,7 @@ mod tests {
         let td = tree_decomposition(&q);
         verify(&td, &q);
         assert_eq!(td.width(), 2);
-        assert_eq!(td.bag_count(), 2);
+        assert_eq!(td.bags.len(), 2);
     }
 
     #[test]
