@@ -1100,7 +1100,7 @@ fn warm_space_repair_allocates_by_the_delta() {
     });
     let without = g.apply_delta(&cut);
     let (report, move_bytes) = bytes_requested(|| inc.apply_normalized(&without, &cut));
-    assert!(report.removed > 0 && !inc.contains(v[1], leaf));
+    assert!(report.removed > 0 && inc.space().of(v[1]).binary_search(&leaf).is_err());
     assert!(
         move_bytes * 20 < build_bytes,
         "a set-moving repair requested {move_bytes} B, the from-scratch build {build_bytes} B"
@@ -1138,16 +1138,18 @@ fn an_added_edge_requests_by_its_demand_not_its_reach() {
     let (mut inc, build_bytes) = bytes_requested(|| IncrementalSpace::new(&cyc4, &g, None));
 
     let label = g.vocab().intern("pk_rel0");
-    let hub = (g.nodes().filter(|&u| !inc.contains(v[1], u)))
-        .max_by_key(|&u| g.in_degree(u))
-        .expect("a node outside c1's candidates");
+    let hub = (g
+        .nodes()
+        .filter(|&u| inc.space().of(v[1]).binary_search(&u).is_err()))
+    .max_by_key(|&u| g.in_degree(u))
+    .expect("a node outside c1's candidates");
     assert!(
         g.in_degree(hub) >= 1000,
         "premise: a hub, {} in-edges",
         g.in_degree(hub)
     );
     let src = ((0..g.node_count() as u32).rev().map(NodeId))
-        .find(|&u| inc.contains(v[0], u) && !g.has_edge(u, hub, label))
+        .find(|&u| inc.space().of(v[0]).binary_search(&u).is_ok() && !g.has_edge(u, hub, label))
         .expect("a candidate of c0 without a pk_rel0 edge to the hub");
     let mut add = GraphDelta::new(g.node_count());
     add.added_edges.push(Edge {

@@ -61,7 +61,7 @@ use gfd_util::fxhash::FxHasher;
 
 use crate::gfd::GfdSet;
 use crate::group::{for_each_group_violation, GroupScratch, RuleGroup, RuleGroups};
-use crate::validate::{detect_violations, match_satisfies, Violation};
+use crate::validate::{match_satisfies, Violation};
 
 /// The change `apply_diff` made to `Vio(Σ, G)` in one edit step: what
 /// a standing-violation service pushes to subscribers instead of the
@@ -95,9 +95,9 @@ type Rows = HashSet<Match, BuildHasherDefault<FxHasher>>;
 /// The maintained set is the one store of `Vio(Σ, G)` — a service
 /// serves it as it is — written only by [`commit`](Self::commit) and
 /// the constructors. After each commit it is identical to what
-/// [`detect_violations`] computes from scratch on the current snapshot
-/// (asserted by the oracle test below and the end-to-end
-/// inject→detect→fix loop in `gfd-datagen`).
+/// [`detect_violations`](crate::validate::detect_violations) computes
+/// from scratch on the current snapshot (asserted by the oracle test
+/// below and the end-to-end inject→detect→fix loop in `gfd-datagen`).
 pub struct IncrementalDetector {
     sigma: GfdSet,
     /// Candidate spaces for all rules, keyed by isomorphism class —
@@ -549,23 +549,23 @@ fn still_violates(gfd: &crate::gfd::Gfd, g: &Graph, m: &Match) -> bool {
     !match_satisfies(&gfd.dep, g, images)
 }
 
-/// Convenience oracle used by tests and callers that want to
-/// cross-check: the from-scratch violation set as a comparable form.
-pub fn violation_set(sigma: &GfdSet, g: &Graph) -> HashSet<(usize, Match)> {
-    detect_violations(sigma, g)
-        .into_iter()
-        .map(|v| (v.rule, v.mapping))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gfd::Gfd;
     use crate::literal::{Dependency, Literal};
+    use crate::validate::detect_violations;
     use gfd_graph::{GraphBuilder, Value};
     use gfd_pattern::PatternBuilder;
     use gfd_util::{prop::check, Rng};
+
+    /// The from-scratch violation set, in [`detector_set`]'s form.
+    fn scratch_set(sigma: &GfdSet, g: &Graph) -> HashSet<(usize, Match)> {
+        detect_violations(sigma, g)
+            .into_iter()
+            .map(|v| (v.rule, v.mapping))
+            .collect()
+    }
 
     fn detector_set(det: &IncrementalDetector) -> HashSet<(usize, Match)> {
         det.violations()
@@ -627,7 +627,7 @@ mod tests {
         check("IncrementalDetector::new ≡ detVio", 40, |rng| {
             let (g, sigma) = random_world(rng);
             let det = IncrementalDetector::new(&sigma, &g);
-            let scratch = violation_set(&sigma, &g);
+            let scratch = scratch_set(&sigma, &g);
             if detector_set(&det) != scratch {
                 return Err(format!(
                     "initial sets diverge: {} vs {}",
@@ -687,7 +687,7 @@ mod tests {
                         return Err(format!("step {step}: re-added live violation"));
                     }
                 }
-                if folded != violation_set(&sigma, &g2) {
+                if folded != scratch_set(&sigma, &g2) {
                     return Err(format!("step {step}: folded diff diverges from scratch"));
                 }
                 if detector_set(&det) != folded {
@@ -727,7 +727,7 @@ mod tests {
             let scratch = detect_violations(&sigma, &g);
             let registry = Arc::new(ClassRegistry::new());
             let mut det = IncrementalDetector::from_violations_in(&sigma, &scratch, registry);
-            if detector_set(&det) != violation_set(&sigma, &g) {
+            if detector_set(&det) != scratch_set(&sigma, &g) {
                 return Err("seeded state diverges from scratch".into());
             }
             // And it must keep maintaining correctly from there.
@@ -737,7 +737,7 @@ mod tests {
                 b.set_attr(NodeId(r1 as u32), a, Value::Int(1));
             });
             det.apply_diff(&g2, &delta);
-            if detector_set(&det) != violation_set(&sigma, &g2) {
+            if detector_set(&det) != scratch_set(&sigma, &g2) {
                 return Err("post-handoff repair diverges".into());
             }
             Ok(())
@@ -860,7 +860,7 @@ mod tests {
                         }
                     });
                     let diff = det.apply_diff(&g2, &delta);
-                    let scratch = violation_set(&sigma, &g2);
+                    let scratch = scratch_set(&sigma, &g2);
                     if detector_set(&det) != scratch {
                         return Err(format!(
                             "step {step} ({}): {} maintained vs {} scratch",
@@ -915,7 +915,7 @@ mod tests {
                         }
                     });
                     det.apply_diff(&g2, &delta);
-                    let scratch = violation_set(&sigma, &g2);
+                    let scratch = scratch_set(&sigma, &g2);
                     if detector_set(&det) != scratch {
                         return Err(format!(
                             "step {step} (kind {kind}): {} maintained vs {} scratch",

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use gfd_graph::{Graph, GraphBuilder, GraphDelta, NodeId, Sym, Value};
+use gfd_graph::{GraphBuilder, NodeId, Sym, Value};
 use gfd_util::Rng;
 
 /// Noise-injection parameters.
@@ -55,14 +55,6 @@ pub struct NoiseReport {
 }
 
 impl NoiseReport {
-    /// The dirty-entity set `Vio` as a sorted node list.
-    pub fn dirty_nodes(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.corrupted.iter().map(|&(n, _)| n).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Number of injected errors.
     pub fn len(&self) -> usize {
         self.corrupted.len()
@@ -160,26 +152,27 @@ pub fn inject_noise(g: &mut GraphBuilder, cfg: &NoiseConfig) -> NoiseReport {
     report
 }
 
-/// Injects noise into a frozen snapshot through a recorded edit
-/// session, returning the corrupted snapshot, the ground truth, *and*
-/// the [`GraphDelta`] describing exactly what changed — the triple the
-/// incremental repair loop (inject → detect → fix) consumes: the
-/// delta, normalized by [`GraphBuilder::take_delta`], feeds
-/// `IncrementalDetector::apply_diff`/`IncrementalSpace::apply_normalized`
-/// as it is, so detection after each injection touches only the
-/// corrupted neighborhood.
-pub fn inject_noise_with_delta(g: &Graph, cfg: &NoiseConfig) -> (Graph, NoiseReport, GraphDelta) {
-    let mut b = g.thaw();
-    let report = inject_noise(&mut b, cfg);
-    let delta = b.take_delta().expect("thawed builders record deltas");
-    (g.apply_delta(&delta), report, delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reallife::{reallife_graph, RealLifeConfig, RealLifeKind};
     use gfd_graph::graph::same_snapshot;
+    use gfd_graph::{Graph, GraphDelta};
+
+    /// Noise through a recorded edit session: the corrupted snapshot,
+    /// the ground truth and the normalized delta between them — what
+    /// the incremental repair loop (inject → detect → fix) consumes.
+    fn noise_with_delta(g: &Graph, cfg: &NoiseConfig) -> (Graph, NoiseReport, GraphDelta) {
+        let mut b = g.thaw();
+        let report = inject_noise(&mut b, cfg);
+        let delta = b.take_delta().expect("thawed builders record deltas");
+        (g.apply_delta(&delta), report, delta)
+    }
+
+    /// The corrupted nodes, once each and sorted.
+    fn corrupted_nodes(report: &NoiseReport) -> impl Iterator<Item = NodeId> + '_ {
+        report.corrupted.iter().map(|&(n, _)| n)
+    }
 
     fn graph() -> Graph {
         reallife_graph(&RealLifeConfig {
@@ -227,13 +220,15 @@ mod tests {
         assert!(same_snapshot(&b.freeze(), &g).is_err());
     }
 
+    /// Noise visits each node once, in id order, so the corrupted
+    /// nodes are reported once each and sorted.
     #[test]
     fn dirty_nodes_deduplicated_and_sorted() {
         let mut b = graph().thaw();
         let report = inject_noise(&mut b, &NoiseConfig { rate: 0.2, seed: 3 });
-        let dirty = report.dirty_nodes();
-        for w in dirty.windows(2) {
-            assert!(w[0] < w[1]);
+        assert!(!report.is_empty());
+        for w in report.corrupted.windows(2) {
+            assert!(w[0].0 < w[1].0);
         }
     }
 
@@ -281,7 +276,7 @@ mod tests {
             rate: 0.08,
             seed: 11,
         };
-        let (noisy, report, delta) = inject_noise_with_delta(&g, &cfg);
+        let (noisy, report, delta) = noise_with_delta(&g, &cfg);
         assert!(!report.is_empty());
         assert!(!delta.is_empty());
         // Same seed through the plain builder path must give the same
@@ -293,7 +288,7 @@ mod tests {
         // Every corrupted node is visible in the delta's neighborhood.
         let mut touched = Vec::new();
         delta.touched_nodes(&mut touched);
-        for n in report.dirty_nodes() {
+        for n in corrupted_nodes(&report) {
             assert!(touched.binary_search(&n).is_ok(), "{n:?} not in delta");
         }
     }
@@ -306,7 +301,9 @@ mod tests {
     /// violation set.
     #[test]
     fn inject_detect_fix_loop_is_incremental() {
-        use gfd_core::incremental::{violation_set, IncrementalDetector};
+        use gfd_core::validate::detect_violations;
+        use gfd_core::IncrementalDetector;
+        use std::collections::HashSet;
 
         let g0 = graph();
         let sigma = crate::rules::mine_gfds(
@@ -318,18 +315,24 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut det = IncrementalDetector::new(&sigma, &g0);
-        let baseline = violation_set(&sigma, &g0);
-        assert_eq!(
+        let scratch = |g: &Graph| -> HashSet<_> {
+            detect_violations(&sigma, g)
+                .into_iter()
+                .map(|v| (v.rule, v.mapping))
+                .collect()
+        };
+        let held = |det: &IncrementalDetector| -> HashSet<_> {
             det.violations()
                 .into_iter()
                 .map(|v| (v.rule, v.mapping))
-                .collect::<std::collections::HashSet<_>>(),
-            baseline
-        );
+                .collect()
+        };
+        let mut det = IncrementalDetector::new(&sigma, &g0);
+        let baseline = scratch(&g0);
+        assert_eq!(held(&det), baseline);
 
         // Inject: the detector repairs itself from the noise delta.
-        let (noisy, report, delta) = inject_noise_with_delta(
+        let (noisy, report, delta) = noise_with_delta(
             &g0,
             &NoiseConfig {
                 rate: 0.05,
@@ -339,17 +342,14 @@ mod tests {
         assert!(!report.is_empty(), "need actual corruption to exercise");
         det.apply_diff(&noisy, &delta);
         assert_eq!(
-            det.violations()
-                .into_iter()
-                .map(|v| (v.rule, v.mapping))
-                .collect::<std::collections::HashSet<_>>(),
-            violation_set(&sigma, &noisy),
+            held(&det),
+            scratch(&noisy),
             "incremental detection diverged after injection"
         );
 
         // Fix: restore every corrupted node from the clean snapshot.
         let (fixed, fix_delta) = noisy.edit_with_delta(|b| {
-            for n in report.dirty_nodes() {
+            for n in corrupted_nodes(&report) {
                 b.set_label(n, g0.label(n));
                 let dirty_attrs: Vec<_> = b.attrs(n).iter().map(|(a, _)| a).collect();
                 for a in dirty_attrs {
@@ -363,14 +363,10 @@ mod tests {
             }
         });
         det.apply_diff(&fixed, &fix_delta);
-        let after_fix = det
-            .violations()
-            .into_iter()
-            .map(|v| (v.rule, v.mapping))
-            .collect::<std::collections::HashSet<_>>();
+        let after_fix = held(&det);
         assert_eq!(
             after_fix,
-            violation_set(&sigma, &fixed),
+            scratch(&fixed),
             "incremental detection diverged after repair"
         );
         assert_eq!(after_fix, baseline, "repair must restore the baseline");

@@ -386,11 +386,6 @@ impl IncrementalSpace {
         }
     }
 
-    /// The pattern this space simulates.
-    pub fn pattern(&self) -> &Pattern {
-        &self.q
-    }
-
     /// The current (repaired) candidate space.
     pub fn space(&self) -> &CandidateSpace {
         &self.space
@@ -402,11 +397,6 @@ impl IncrementalSpace {
     /// held snapshot.
     pub fn space_arc(&self) -> Arc<CandidateSpace> {
         Arc::clone(&self.space)
-    }
-
-    /// True if `u` currently simulates `v`.
-    pub fn contains(&self, v: VarId, u: NodeId) -> bool {
-        self.space.sets[v.index()].binary_search(&u).is_ok()
     }
 
     /// Repairs the relation against `d`, where `g` is the edited
@@ -678,10 +668,10 @@ mod tests {
         b.build()
     }
 
-    fn assert_matches_scratch(inc: &IncrementalSpace, g: &Graph) {
-        let scratch = dual_simulation(inc.pattern(), g, None);
+    fn assert_matches_scratch(q: &Pattern, inc: &IncrementalSpace, g: &Graph) {
+        let scratch = dual_simulation(q, g, None);
         assert_eq!(inc.space().sets, scratch.sets, "candidate sets diverged");
-        for ei in 0..inc.pattern().edge_count() {
+        for ei in 0..q.edge_count() {
             assert_eq!(
                 inc.space().forward[ei],
                 scratch.forward[ei],
@@ -708,7 +698,7 @@ mod tests {
         // Killing the b1→c1 edge empties the whole relation.
         assert_eq!((report.added, report.removed), (0, 3));
         assert!(inc.space().is_empty_anywhere());
-        assert_matches_scratch(&inc, &g2);
+        assert_matches_scratch(&q, &inc, &g2);
     }
 
     #[test]
@@ -722,10 +712,10 @@ mod tests {
         });
         let report = inc.apply_normalized(&g2, &delta);
         assert_eq!((report.added, report.removed), (3, 0));
-        assert!(inc.contains(VarId(0), a2));
-        assert!(inc.contains(VarId(1), b2));
-        assert!(inc.contains(VarId(2), c2));
-        assert_matches_scratch(&inc, &g2);
+        assert!(inc.space().of(VarId(0)).contains(&a2));
+        assert!(inc.space().of(VarId(1)).contains(&b2));
+        assert!(inc.space().of(VarId(2)).contains(&c2));
+        assert_matches_scratch(&q, &inc, &g2);
     }
 
     #[test]
@@ -742,7 +732,7 @@ mod tests {
         });
         let report = inc.apply_normalized(&g2, &delta);
         assert!(!report.is_unchanged());
-        assert_matches_scratch(&inc, &g2);
+        assert_matches_scratch(&q, &inc, &g2);
     }
 
     /// Regression (found by an external API drive): one delta that
@@ -765,15 +755,21 @@ mod tests {
             b.add_edge_labeled(b3, c2, "e");
         });
         let report = inc.apply_normalized(&g2, &delta);
-        assert!(inc.contains(VarId(0), a1), "a1 must keep its support");
-        assert!(inc.contains(VarId(1), b1), "b1 was rewired, not orphaned");
-        assert!(inc.contains(VarId(2), c2));
-        assert!(!inc.contains(VarId(2), NodeId(2)));
+        assert!(
+            inc.space().of(VarId(0)).contains(&a1),
+            "a1 must keep its support"
+        );
+        assert!(
+            inc.space().of(VarId(1)).contains(&b1),
+            "b1 was rewired, not orphaned"
+        );
+        assert!(inc.space().of(VarId(2)).contains(&c2));
+        assert!(!inc.space().of(VarId(2)).contains(&NodeId(2)));
         // Netted: a1 and b1 left with the deletion and re-entered with
         // a closure, so only what really moved is counted: c1 left, the
         // fresh b node and c2 entered.
         assert_eq!((report.added, report.removed), (2, 1));
-        assert_matches_scratch(&inc, &g2);
+        assert_matches_scratch(&q, &inc, &g2);
     }
 
     /// Two rounds, and a closure that follows demand only. Adding
@@ -805,9 +801,9 @@ mod tests {
         assert!(first.contains(&(y, b2)) && first.contains(&(y, b6)));
         assert_eq!(second, [(x, a2)]);
         assert_eq!((report.added, report.removed), (2, 0));
-        assert!(inc.contains(y, b2) && inc.contains(x, a2));
-        assert!(!inc.contains(y, b6));
-        assert_matches_scratch(&inc, &g2);
+        assert!(inc.space().of(y).contains(&b2) && inc.space().of(x).contains(&a2));
+        assert!(!inc.space().of(y).contains(&b6));
+        assert_matches_scratch(&q, &inc, &g2);
     }
 
     #[test]
@@ -818,7 +814,7 @@ mod tests {
         let (g2, delta) = g.edit_with_delta(|_| {});
         let report = inc.apply_normalized(&g2, &delta);
         assert!(report.is_unchanged());
-        assert_matches_scratch(&inc, &g2);
+        assert_matches_scratch(&q, &inc, &g2);
     }
 
     #[test]

@@ -37,6 +37,13 @@
 //! malformed-batch family, the *decision* is pure seed arithmetic here
 //! and the *damage* is performed by the kill-and-recover soak driver
 //! on a copy of the log file; `wal::recover` must absorb all of it.
+//!
+//! A fifth, **short writes** ([`FaultPlan::short_write`]), is what a
+//! full disk does to the log while the service runs: an epoch's append
+//! writes a seed-chosen prefix of its frame and fails. The service
+//! performs it, counts it in `ServiceStats::log_write_errors`, drops to
+//! in-memory operation and keeps committing; recovering the file lands
+//! on the last whole frame.
 
 use std::time::Duration;
 
@@ -70,6 +77,9 @@ pub struct FaultPlan {
     /// epoch (the soak driver kills it and damages the on-disk log per
     /// [`FaultPlan::crashes`]).
     pub crash_p: f64,
+    /// Probability the durable-log append of an epoch fails partway, as
+    /// on a full disk ([`FaultPlan::short_write`]).
+    pub short_write_p: f64,
 }
 
 /// How a simulated crash damages the on-disk write-ahead log. The
@@ -103,6 +113,8 @@ const DOM_CRASH: u64 = 0x7007;
 const DOM_CRASH_KIND: u64 = 0x7008;
 const DOM_CRASH_CUT: u64 = 0x7009;
 const DOM_CRASH_FLIP: u64 = 0x700A;
+const DOM_SHORT_WRITE: u64 = 0x700B;
+const DOM_SHORT_WRITE_CUT: u64 = 0x700C;
 
 impl FaultPlan {
     /// One uniform draw for `(domain, a, b)` — stateless and
@@ -187,6 +199,15 @@ impl FaultPlan {
     pub fn crash_flip_bit(&self, epoch: u64) -> u32 {
         (self.roll(DOM_CRASH_FLIP, epoch, 0) * 8.0) as u32 & 7
     }
+
+    /// Whether the durable-log append of `epoch` fails partway, and if
+    /// so a draw `f` in `[0, 1)` for how much of its frame reaches the
+    /// file: `1 + ⌊f · (len − 1)⌋` of its `len` bytes, at least one and
+    /// never all.
+    pub fn short_write(&self, epoch: u64) -> Option<f64> {
+        (self.short_write_p > 0.0 && self.roll(DOM_SHORT_WRITE, epoch, 0) < self.short_write_p)
+            .then(|| self.roll(DOM_SHORT_WRITE_CUT, epoch, 0))
+    }
 }
 
 /// Silences the default panic-hook output for the many *injected*
@@ -222,6 +243,7 @@ mod tests {
             assert!(!p.drifts(epoch));
             assert!(!p.corrupts_batch(epoch));
             assert_eq!(p.crashes(epoch), None);
+            assert_eq!(p.short_write(epoch), None);
             for unit in 0..50 {
                 assert_eq!(p.panic_attempts(epoch, unit), 0);
                 assert!(p.straggle_for(epoch, unit).is_none());
@@ -241,6 +263,7 @@ mod tests {
             drift_p: 0.5,
             malformed_batch_p: 0.5,
             crash_p: 0.5,
+            short_write_p: 0.5,
         };
         let (a, b, c) = (mk(1), mk(1), mk(2));
         let fingerprint = |p: &FaultPlan| {
@@ -250,6 +273,7 @@ mod tests {
                         .map(|u| p.panic_attempts(e, u).min(2) as u64)
                         .sum::<u64>()
                         + p.repair_panics(e) as u64
+                        + 8 * p.short_write(e).is_some() as u64
                         + match p.crashes(e) {
                             None => 0,
                             Some(k) => 16 + k as u64,
@@ -278,6 +302,7 @@ mod tests {
         let p = FaultPlan {
             seed: 0xC0FFEE,
             crash_p: 1.0,
+            short_write_p: 1.0,
             ..Default::default()
         };
         let mut seen = std::collections::HashSet::new();
@@ -287,6 +312,13 @@ mod tests {
             let cut = p.crash_cut_point(epoch);
             assert!((0.0..1.0).contains(&cut), "cut point out of range: {cut}");
             assert!(p.crash_flip_bit(epoch) < 8);
+            let short = p
+                .short_write(epoch)
+                .expect("short_write_p = 1.0 always cuts");
+            assert!(
+                (0.0..1.0).contains(&short),
+                "short write out of range: {short}"
+            );
         }
         assert_eq!(seen.len(), 4, "200 epochs must hit every crash kind");
     }

@@ -523,7 +523,8 @@ impl ViolationService {
         self.stats.epochs = next_epoch;
         self.stats.edits_ingested += batch.len() as u64;
         if let Some(w) = self.wal.as_mut() {
-            match w.append(next_epoch, &compacted, self.current.vocab()) {
+            let cut = faults.as_ref().and_then(|f| f.short_write(next_epoch));
+            match w.append_cut(next_epoch, &compacted, self.current.vocab(), cut) {
                 Ok(()) => {
                     self.stats.log_frames = w.frames();
                     self.stats.log_fsyncs = w.fsyncs();

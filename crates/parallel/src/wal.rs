@@ -3,15 +3,23 @@
 //!
 //! ## On-disk format
 //!
-//! A log file is the 8-byte magic `GFDWAL01` followed by checksummed
-//! frames, each a plain-bytes record (no serde):
+//! A log file is the 8-byte magic `GFDWAL02` followed by checksummed
+//! frames, each a plain-bytes record (no serde). Both frame kinds share
+//! one variable-length envelope: a kind byte, three LEB128 varints and
+//! the payload, then a fixed-width checksum:
 //!
 //! ```text
-//! ┌──────┬───────────┬───────────────┬─────────────────┬─────────┬────────────┐
-//! │ kind │ epoch u64 │ sym_count u32 │ payload_len u32 │ payload │ cksum u64  │
-//! │  u8  │    LE     │      LE       │       LE        │  bytes  │     LE     │
-//! └──────┴───────────┴───────────────┴─────────────────┴─────────┴────────────┘
+//! ┌──────┬─────────────┬────────────────┬──────────────────┬─────────┬───────────┐
+//! │ kind │ epoch       │ sym_count      │ payload_len      │ payload │ cksum u64 │
+//! │  u8  │ varint ≤ 10 │ varint ≤ 5     │ varint ≤ 5       │  bytes  │    LE     │
+//! └──────┴─────────────┴────────────────┴──────────────────┴─────────┴───────────┘
 //! ```
+//!
+//! A varint holds seven bits a byte, low group first, the high bit set
+//! on every byte but the last. It is minimal and fits its field
+//! (`epoch` a `u64`, the other two a `u32`), so the header is 4 to 21
+//! bytes and each header has one encoding: a longer, padded or
+//! overflowing varint is a fault like a bad checksum.
 //!
 //! The checksum ([`gfd_util::checksum64`]) covers header **and**
 //! payload, so a torn write anywhere in the frame is detected. Frame
@@ -64,16 +72,22 @@
 //! [`SNAPSHOT_CHUNK`] bytes, under a streaming [`Checksum64`]: a first
 //! pass of the same writer only counts, since the header holds the
 //! payload length and the checksum is seeded with the frame's. Each
-//! delta frame is assembled in that buffer, straight behind its header.
+//! delta frame is assembled in that buffer: the payload is encoded
+//! behind room for the longest header, and once its length is known the
+//! header is written in front of it and the gap closed, in place.
 //! A payload too long for the header's `u32` length field is an error,
 //! never a wrapped length.
+//!
+//! Recovery reads at most the longest header of the floor, then seeks
+//! back to where the header ended, so the payload streams from its first
+//! byte.
 //!
 //! [`GraphBuilder`]: gfd_graph::GraphBuilder
 //! [`GraphBuilder::apply_delta`]: gfd_graph::GraphBuilder::apply_delta
 
 use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -84,14 +98,16 @@ use gfd_util::{checksum64, Checksum64};
 
 /// File magic: identifies the format and its version. Bumping the
 /// codec (or [`checksum64`]) bumps the trailing version digits.
-pub const MAGIC: [u8; 8] = *b"GFDWAL01";
+pub const MAGIC: [u8; 8] = *b"GFDWAL02";
 /// Frame kind: base snapshot (a [`GraphData`](gfd_graph::GraphData)
 /// encoding).
 pub const KIND_SNAPSHOT: u8 = 1;
 /// Frame kind: one epoch's compacted delta (+ new vocabulary names).
 pub const KIND_DELTA: u8 = 2;
-/// Fixed frame header size: kind, epoch, sym_count, payload_len.
-pub const HEADER_LEN: usize = 1 + 8 + 4 + 4;
+/// Longest frame header: the kind byte, then `epoch` (a `u64`),
+/// `sym_count` and `payload_len` (`u32`s) as varints of at most 10, 5
+/// and 5 bytes.
+const MAX_HEADER_LEN: usize = 1 + 10 + 5 + 5;
 /// Trailing checksum size.
 const CKSUM_LEN: usize = 8;
 
@@ -195,6 +211,8 @@ pub struct FrameInfo {
     pub offset: u64,
     /// Total frame length (header + payload + checksum).
     pub len: u64,
+    /// Length of the frame's header (kind byte and three varints).
+    pub header_len: u64,
     /// The frame's epoch.
     pub epoch: u64,
     /// [`KIND_SNAPSHOT`] or [`KIND_DELTA`].
@@ -268,7 +286,7 @@ impl WalWriter {
             .open(path)?;
         file.write_all(&MAGIC)?;
         file.write_all(&header)?;
-        let mut cksum = Checksum64::new((HEADER_LEN + payload_len) as u64);
+        let mut cksum = Checksum64::new((header.len() + payload_len) as u64);
         cksum.update(&header);
         let mut streamed = 0;
         encode_snapshot_chunked(g, &symbols, &mut buf, |chunk| {
@@ -284,7 +302,7 @@ impl WalWriter {
         file.sync_all()?;
         sync_parent_dir(path)?;
 
-        let len = (MAGIC.len() + HEADER_LEN + payload_len + CKSUM_LEN) as u64;
+        let len = (MAGIC.len() + header.len() + payload_len + CKSUM_LEN) as u64;
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
@@ -312,6 +330,25 @@ impl WalWriter {
         delta: &GraphDelta,
         vocab: &Vocab,
     ) -> Result<(), WalError> {
+        self.append_cut(epoch, delta, vocab, None)
+    }
+
+    /// [`append`](Self::append), or with `cut = Some(f)` the write a full
+    /// disk makes of it: the frame's first `1 + ⌊f · (len − 1)⌋` bytes
+    /// (`0 ≤ f < 1`, so at least one byte and never the whole frame)
+    /// reach the file, and the append fails with
+    /// [`ErrorKind::StorageFull`](std::io::ErrorKind::StorageFull). The
+    /// service draws `cut` from its [`FaultPlan`](crate::FaultPlan)
+    /// ([`short_write`](crate::FaultPlan::short_write)). Like any failed
+    /// append it leaves the writer unfit for another: the service drops
+    /// it.
+    pub(crate) fn append_cut(
+        &mut self,
+        epoch: u64,
+        delta: &GraphDelta,
+        vocab: &Vocab,
+        cut: Option<f64>,
+    ) -> Result<(), WalError> {
         if epoch != self.head + 1 {
             return Err(WalError::Corrupt {
                 offset: self.len,
@@ -334,6 +371,14 @@ impl WalWriter {
             sym_count as u32,
             |out| delta.encode_with_symbols(new_syms, out),
         )?;
+        if let Some(f) = cut {
+            let written = 1 + (f * (self.buf.len() - 1) as f64) as usize;
+            self.file.write_all(&self.buf[..written])?;
+            return Err(WalError::Io(std::io::Error::new(
+                std::io::ErrorKind::StorageFull,
+                format!("short write: {written} of {} frame bytes", self.buf.len()),
+            )));
+        }
         self.file.write_all(&self.buf)?;
 
         self.len += self.buf.len() as u64;
@@ -412,32 +457,59 @@ impl WalWriter {
     }
 }
 
-/// The header of the frame at file offset `at`. A payload longer than
-/// the `u32` length field holds is refused: a wrapped length would make
-/// recovery drop the frame as torn — for the floor, the whole log.
+/// A frame header as written: the first `len` of its `bytes`.
+struct HeaderBytes {
+    bytes: [u8; MAX_HEADER_LEN],
+    len: usize,
+}
+
+impl std::ops::Deref for HeaderBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+/// The header of the frame at file offset `at`: the kind byte, then
+/// `epoch`, `sym_count` and `payload_len` as minimal varints. A payload
+/// longer than the `u32` length field holds is refused: a wrapped length
+/// would make recovery drop the frame as torn — for the floor, the
+/// whole log.
 fn frame_header(
     at: u64,
     kind: u8,
     epoch: u64,
     sym_count: u32,
     payload_len: usize,
-) -> Result<[u8; HEADER_LEN], WalError> {
+) -> Result<HeaderBytes, WalError> {
     let len = u32::try_from(payload_len).map_err(|_| WalError::Corrupt {
         offset: at,
         what: format!("a {payload_len}-byte payload overflows the u32 frame length"),
     })?;
-    let mut header = [0; HEADER_LEN];
-    header[0] = kind;
-    header[1..9].copy_from_slice(&epoch.to_le_bytes());
-    header[9..13].copy_from_slice(&sym_count.to_le_bytes());
-    header[13..].copy_from_slice(&len.to_le_bytes());
+    let mut header = HeaderBytes {
+        bytes: [0; MAX_HEADER_LEN],
+        len: 1,
+    };
+    header.bytes[0] = kind;
+    for mut value in [epoch, u64::from(sym_count), u64::from(len)] {
+        while value >= 0x80 {
+            header.bytes[header.len] = value as u8 | 0x80;
+            header.len += 1;
+            value >>= 7;
+        }
+        header.bytes[header.len] = value as u8;
+        header.len += 1;
+    }
     Ok(header)
 }
 
 /// Assembles the frame at file offset `at` in `out`: the payload
-/// `encode` writes behind room for the header, the header filled in
-/// once the payload's length is known, and the trailing checksum over
-/// both.
+/// `encode` writes behind room for the longest header, the header
+/// written in front of the payload once its length is known and the gap
+/// before it closed, and the trailing checksum over both. The gap
+/// closes in place, so the frame takes `out` no capacity past what the
+/// longest header, the payload and the checksum need.
 fn frame_into(
     out: &mut Vec<u8>,
     at: u64,
@@ -447,51 +519,78 @@ fn frame_into(
     encode: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), WalError> {
     let start = out.len();
-    out.resize(start + HEADER_LEN, 0);
+    out.resize(start + MAX_HEADER_LEN, 0);
     encode(out);
-    let payload_len = out.len() - start - HEADER_LEN;
+    let payload_len = out.len() - start - MAX_HEADER_LEN;
     let header = frame_header(at, kind, epoch, sym_count, payload_len)?;
-    out[start..start + HEADER_LEN].copy_from_slice(&header);
+    let gap = MAX_HEADER_LEN - header.len();
+    out[start + gap..start + MAX_HEADER_LEN].copy_from_slice(&header);
+    out.drain(start..start + gap);
     let cksum = checksum64(&out[start..]);
     out.extend_from_slice(&cksum.to_le_bytes());
     Ok(())
 }
 
-/// The fixed fields of a frame header.
+/// The fields of a frame header, and its length.
 struct Header {
     kind: u8,
     epoch: u64,
     sym_count: u32,
     payload_len: usize,
+    len: usize,
 }
 
 impl Header {
     /// The header at the start of `rest`, the `rest.len()` bytes left
-    /// of the file.
+    /// of the file. Bytes that end inside it are a torn header; a varint
+    /// longer than its field's longest, padded with a zero group, or
+    /// past its field's range is malformed.
     fn read(rest: &[u8]) -> Result<Header, String> {
-        let h = rest
-            .first_chunk::<HEADER_LEN>()
-            .ok_or_else(|| format!("torn header: {} of {HEADER_LEN} bytes", rest.len()))?;
-        let field = |at: usize| -> [u8; 4] { h[at..at + 4].try_into().expect("4 header bytes") };
+        let torn = || format!("torn header: {} bytes", rest.len());
+        let kind = *rest.first().ok_or_else(torn)?;
+        let mut len = 1;
+        let mut field = |name: &str, max: u64| -> Result<u64, String> {
+            let mut value = 0;
+            let mut shift = 0;
+            loop {
+                let byte = *rest.get(len).ok_or_else(torn)?;
+                len += 1;
+                // A group past the field's range (its continuation bit
+                // counts) or a zero group closing a longer varint. The
+                // range check ends every varint by its longest length.
+                if u64::from(byte) > max >> shift || (byte == 0 && shift > 0) {
+                    return Err(format!("malformed {name} varint"));
+                }
+                value |= u64::from(byte & 0x7F) << shift;
+                if byte < 0x80 {
+                    return Ok(value);
+                }
+                shift += 7;
+            }
+        };
+        let epoch = field("epoch", u64::MAX)?;
+        let sym_count = field("sym_count", u32::MAX.into())? as u32;
+        let payload_len = field("payload_len", u32::MAX.into())? as usize;
         Ok(Header {
-            kind: h[0],
-            epoch: u64::from_le_bytes(h[1..9].try_into().expect("8 header bytes")),
-            sym_count: u32::from_le_bytes(field(9)),
-            payload_len: u32::from_le_bytes(field(13)) as usize,
+            kind,
+            epoch,
+            sym_count,
+            payload_len,
+            len,
         })
     }
 
     /// The frame's length — header, payload and checksum — if the
     /// `left` bytes from its start hold it whole.
     fn frame_len(&self, left: u64) -> Result<usize, String> {
-        let total = HEADER_LEN + self.payload_len + CKSUM_LEN;
-        if left < total as u64 {
+        let total = (self.len + CKSUM_LEN) as u64 + self.payload_len as u64;
+        if left < total {
             return Err(format!(
                 "torn frame: {left} of {total} bytes (payload_len {})",
                 self.payload_len
             ));
         }
-        Ok(total)
+        Ok(total as usize)
     }
 }
 
@@ -511,8 +610,9 @@ struct RawFrame<'a> {
     epoch: u64,
     sym_count: u32,
     payload: &'a [u8],
-    /// Total on-disk size of the frame.
+    /// Total on-disk size of the frame, and of its header.
     len: usize,
+    header_len: usize,
 }
 
 /// Parses and checksum-verifies the frame at `pos`. `Err` is a
@@ -521,15 +621,16 @@ fn parse_frame(bytes: &[u8], pos: usize) -> Result<RawFrame<'_>, String> {
     let rest = &bytes[pos..];
     let header = Header::read(rest)?;
     let total = header.frame_len(rest.len() as u64)?;
-    let body = HEADER_LEN + header.payload_len;
+    let body = header.len + header.payload_len;
     let stored = u64::from_le_bytes(rest[body..total].try_into().expect("8 checksum bytes"));
     verify(stored, checksum64(&rest[..body]))?;
     Ok(RawFrame {
         kind: header.kind,
         epoch: header.epoch,
         sym_count: header.sym_count,
-        payload: &rest[HEADER_LEN..body],
+        payload: &rest[header.len..body],
         len: total,
+        header_len: header.len,
     })
 }
 
@@ -548,6 +649,7 @@ pub fn frame_bounds(path: &Path) -> Result<Vec<FrameInfo>, WalError> {
                 frames.push(FrameInfo {
                     offset: pos as u64,
                     len: f.len as u64,
+                    header_len: f.header_len as u64,
                     epoch: f.epoch,
                     kind: f.kind,
                 });
@@ -606,8 +708,9 @@ pub fn recover(
 /// caller error, not file damage), reported as [`WalError::Corrupt`]
 /// **without** truncating the file.
 ///
-/// The floor streams: its header's payload length is checked against
-/// the file's, and the payload is read in [`SNAPSHOT_CHUNK`] pieces
+/// The floor streams: at most the longest header is read, its payload
+/// length is checked against the file's, and the payload is read from
+/// the header's end in [`SNAPSHOT_CHUNK`] pieces
 /// through one buffer, parsed as it arrives
 /// ([`DecodedSnapshot::decode_chunked`]) and fed to the frame's
 /// [`Checksum64`] on the way. The checksum is checked once the whole
@@ -632,10 +735,10 @@ pub fn recover_in(
         what: format!("base snapshot frame: {what}"),
     };
     let left = file_len - MAGIC.len() as u64;
-    let mut header = [0; HEADER_LEN];
-    let header = &mut header[..left.min(HEADER_LEN as u64) as usize];
-    log.read_exact(header)?;
-    let base = Header::read(header).map_err(floor_fault)?;
+    let mut head = [0; MAX_HEADER_LEN];
+    let head = &mut head[..left.min(MAX_HEADER_LEN as u64) as usize];
+    log.read_exact(head)?;
+    let base = Header::read(head).map_err(floor_fault)?;
     let base_frame = base.frame_len(left).map_err(floor_fault)?;
     if base.kind != KIND_SNAPSHOT {
         return Err(floor_fault(format!(
@@ -650,8 +753,11 @@ pub fn recover_in(
         offset: MAGIC.len() as u64,
         what: format!("base snapshot payload: {e}"),
     };
-    let mut cksum = Checksum64::new((HEADER_LEN + base.payload_len) as u64);
-    cksum.update(header);
+    // The read may have run past the header into the payload: the
+    // payload streams from the header's end.
+    log.seek(SeekFrom::Start((MAGIC.len() + base.len) as u64))?;
+    let mut cksum = Checksum64::new((base.len + base.payload_len) as u64);
+    cksum.update(&head[..base.len]);
     let snapshot = DecodedSnapshot::decode_chunked(base.payload_len, vocab, |chunk| {
         let n = log.read(chunk)?;
         cksum.update(&chunk[..n]);
@@ -713,7 +819,7 @@ pub fn recover_in(
             Err(what) => {
                 fault = Some(FrameFault {
                     offset: at,
-                    epoch: parse_epoch_if_readable(&bytes, pos),
+                    epoch: Header::read(&bytes[pos..]).ok().map(|h| h.epoch),
                     what,
                 });
                 break;
@@ -788,18 +894,6 @@ pub fn recover_in(
         fsyncs: 1,
     };
     Ok((replay.freeze(), writer, report))
-}
-
-/// The epoch field of the frame at `pos`, if that many header bytes
-/// survive (fault reporting only — the value is unverified).
-fn parse_epoch_if_readable(bytes: &[u8], pos: usize) -> Option<u64> {
-    let rest = &bytes[pos..];
-    if rest.len() < 9 {
-        return None;
-    }
-    Some(u64::from_le_bytes(
-        rest[1..9].try_into().expect("8 header bytes"),
-    ))
 }
 
 #[cfg(test)]
@@ -1129,19 +1223,21 @@ mod tests {
         drop(w);
         let log = std::fs::read(&path).unwrap();
 
-        let mut overlong = log[..base_end].to_vec();
-        let len_field = MAGIC.len() + 13..MAGIC.len() + HEADER_LEN;
-        let claimed = u32::from_le_bytes(overlong[len_field.clone()].try_into().unwrap());
-        overlong[len_field].copy_from_slice(&(claimed + (1 << 20)).to_le_bytes());
+        // The floor's header re-encoded with a `payload_len` varint that
+        // claims 1 MiB more than the file holds.
+        let floor = &log[MAGIC.len()..base_end];
+        let h = Header::read(floor).unwrap();
+        let claimed = frame_header(0, h.kind, h.epoch, h.sym_count, h.payload_len + (1 << 20));
+        let overclaimed = [&MAGIC[..], &claimed.unwrap(), &floor[h.len..]].concat();
         let mut lane = log.clone();
         lane[base_end - 1] ^= 0x20;
         // The first symbol's first byte: behind the symbol count and
         // the name's length, one byte each.
         let mut name = log.clone();
-        name[MAGIC.len() + HEADER_LEN + 2] ^= 0x01;
+        name[MAGIC.len() + h.len + 2] ^= 0x01;
 
         let cases = [
-            ("overlong", overlong, "torn frame"),
+            ("claimed length", overclaimed, "torn frame"),
             ("checksum lane", lane, "checksum mismatch"),
             ("symbol name", name, "checksum mismatch"),
         ];
@@ -1237,13 +1333,164 @@ mod tests {
                 assert_eq!(offset, 40);
                 assert!(what.contains(&too_long.to_string()), "{what}");
             }
-            other => panic!("{other:?}"),
+            other => panic!("{:?}", other.map(|h| h.to_vec())),
         }
         let header = frame_header(40, KIND_DELTA, 3, 9, u32::MAX as usize).unwrap();
-        assert_eq!(header[0], KIND_DELTA);
-        assert_eq!(header[1..9], 3u64.to_le_bytes());
-        assert_eq!(header[9..13], 9u32.to_le_bytes());
-        assert_eq!(header[13..], u32::MAX.to_le_bytes());
+        assert_eq!(*header, [KIND_DELTA, 3, 9, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+    }
+
+    /// Every header round-trips at the varint boundaries — a field of
+    /// 7k bits takes k bytes — and every strict prefix of it is torn.
+    #[test]
+    fn headers_round_trip_at_the_varint_boundaries() {
+        let epochs = [(0, 1), (127, 1), (128, 2), (1 << 14, 3), (u64::MAX, 10)];
+        let lengths = [(0, 1), (127, 1), (128, 2), (u32::MAX as usize, 5)];
+        let sym_counts = [(0, 1), (300, 2), (u32::MAX, 5)];
+        for (epoch, epoch_bytes) in epochs {
+            for (payload_len, len_bytes) in lengths {
+                for (sym_count, sym_bytes) in sym_counts {
+                    let header =
+                        frame_header(8, KIND_DELTA, epoch, sym_count, payload_len).unwrap();
+                    assert_eq!(header.len(), 1 + epoch_bytes + sym_bytes + len_bytes);
+                    let back = Header::read(&header).unwrap();
+                    assert_eq!(
+                        (
+                            back.kind,
+                            back.epoch,
+                            back.sym_count,
+                            back.payload_len,
+                            back.len
+                        ),
+                        (KIND_DELTA, epoch, sym_count, payload_len, header.len())
+                    );
+                    // Bytes behind the header are not read.
+                    let padded = [&header[..], &[0xFF; 4]].concat();
+                    assert_eq!(Header::read(&padded).unwrap().len, header.len());
+                    for cut in 0..header.len() {
+                        let torn = Header::read(&header[..cut]).err();
+                        assert!(torn.is_some_and(|e| e.contains("torn header")), "{cut}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A varint longer than its field, padded with a zero group, or past
+    /// its field's range is malformed — in a header read on its own and
+    /// in a checksummed frame recovery meets, which it cuts like a torn
+    /// one.
+    #[test]
+    fn an_overlong_varint_is_a_fault() {
+        let kind = [KIND_DELTA];
+        let one = [1u8];
+        let cases: [(&str, Vec<u8>); 6] = [
+            (
+                "11-byte epoch",
+                [&kind[..], &[0x80; 10], &[0], &one, &one].concat(),
+            ),
+            (
+                "6-byte length",
+                [&kind[..], &one, &one, &[0x80; 5], &[0]].concat(),
+            ),
+            (
+                "padded epoch",
+                [&kind[..], &[0x85, 0x00], &one, &one].concat(),
+            ),
+            (
+                "epoch past u64",
+                [&kind[..], &[0xFF; 9], &[0x02], &one, &one].concat(),
+            ),
+            (
+                "sym_count past u32",
+                [&kind[..], &one, &[0xFF; 4], &[0x10], &one].concat(),
+            ),
+            (
+                "length past u32",
+                [&kind[..], &one, &one, &[0xFF; 4], &[0x1F]].concat(),
+            ),
+        ];
+        let dir = TempDir::new("gfd-wal-overlong").unwrap();
+        let path = dir.file("edits.wal");
+        let (_, snapshots, w) = build_log(&path, SyncPolicy::OnDemand);
+        let end = w.bytes();
+        drop(w);
+        let log = std::fs::read(&path).unwrap();
+        for (case, header) in cases {
+            let what = Header::read(&header).err();
+            assert!(what.is_some_and(|e| e.contains("malformed")), "{case}");
+            // Give it a payload byte and a valid checksum: only the
+            // header is wrong.
+            let mut frame = [&header[..], &[0]].concat();
+            frame.extend_from_slice(&checksum64(&frame).to_le_bytes());
+            std::fs::write(&path, [&log[..], &frame].concat()).unwrap();
+            let (g, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
+            assert_eq!(report.recovered_epoch, 5, "{case}");
+            assert!(same_snapshot(&g, &snapshots[5]).is_ok(), "{case}");
+            let fault = report.corruption.expect("the frame is reported");
+            assert_eq!((fault.offset, fault.epoch), (end, None), "{case}");
+            assert!(fault.what.contains("malformed"), "{case}: {fault:?}");
+            assert_eq!(report.truncated_frames, 1, "{case}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), end, "{case}");
+        }
+    }
+
+    /// Every strict prefix of a delta frame is a torn frame, cut back to
+    /// the frame before it; every strict prefix of the floor's header
+    /// is no floor. Neither panics.
+    #[test]
+    fn every_strict_prefix_of_a_frame_or_the_floor_header_is_torn() {
+        let dir = TempDir::new("gfd-wal-prefix").unwrap();
+        let path = dir.file("edits.wal");
+        let (_, snapshots, w) = build_log(&path, SyncPolicy::OnDemand);
+        drop(w);
+        let log = std::fs::read(&path).unwrap();
+        let frames = frame_bounds(&path).unwrap();
+        let prefix = dir.file("prefix.wal");
+        for f in &frames[1..] {
+            let start = f.offset as usize;
+            for cut in 1..f.len as usize {
+                std::fs::write(&prefix, &log[..start + cut]).unwrap();
+                let (g, _, report) = recover(&prefix, SyncPolicy::OnDemand).unwrap();
+                let at = format!("epoch {} cut {cut}", f.epoch);
+                assert_eq!(report.recovered_epoch, f.epoch - 1, "{at}");
+                assert!(same_snapshot(&g, &snapshots[f.epoch as usize - 1]).is_ok());
+                let fault = report.corruption.expect("a torn frame is reported");
+                assert!(fault.what.starts_with("torn"), "{at}: {fault:?}");
+                assert_eq!(fault.offset, f.offset, "{at}");
+                assert_eq!(report.truncated_frames, 1, "{at}");
+                assert_eq!(report.truncated_bytes, cut as u64, "{at}");
+            }
+        }
+        let floor = frames[0];
+        assert_eq!(floor.offset, MAGIC.len() as u64);
+        for cut in 0..floor.header_len as usize {
+            std::fs::write(&prefix, &log[..MAGIC.len() + cut]).unwrap();
+            match recover(&prefix, SyncPolicy::OnDemand) {
+                Err(WalError::Corrupt { offset, what }) => {
+                    assert_eq!(offset, MAGIC.len() as u64);
+                    assert!(what.contains("torn header"), "cut {cut}: {what}");
+                }
+                other => panic!("cut {cut}: {:?}", other.map(|r| r.2)),
+            }
+        }
+    }
+
+    /// The fixed-width format's files are refused at the magic: there is
+    /// one format and no reader of the old one.
+    #[test]
+    fn a_version_one_log_is_refused_as_bad_magic() {
+        let dir = TempDir::new("gfd-wal-v1").unwrap();
+        let path = dir.file("edits.wal");
+        let (_, _, w) = build_log(&path, SyncPolicy::OnDemand);
+        drop(w);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..MAGIC.len()].copy_from_slice(b"GFDWAL01");
+        std::fs::write(&path, &bytes).unwrap();
+        match recover(&path, SyncPolicy::OnDemand) {
+            Err(WalError::Corrupt { offset: 0, what }) => assert!(what.contains("magic"), "{what}"),
+            other => panic!("{:?}", other.map(|r| r.2)),
+        }
+        assert!(frame_bounds(&path).is_err());
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! absorb all of it: zero panics on hostile bytes, every truncated
 //! frame and replayed epoch visible in the [`RecoveryReport`].
 //!
+//! A second soak runs the short-write family ([`FaultPlan::short_write`]):
+//! the disk fills mid-append, the service keeps committing without its
+//! log, and recovering what the log holds lands on its last whole frame.
+//!
 //! Under `BENCH_SMOKE` the run shrinks to ~20 target epochs for CI.
 
 mod common;
@@ -26,7 +30,7 @@ use common::{random_batch, rules, social, vio_set};
 use gfd_core::validate::detect_violations;
 use gfd_graph::graph::same_snapshot;
 use gfd_graph::Graph;
-use gfd_parallel::wal::{frame_bounds, HEADER_LEN};
+use gfd_parallel::wal::frame_bounds;
 use gfd_parallel::{CrashKind, FaultPlan, ServiceConfig, SyncPolicy, ViolationService};
 use gfd_util::prop::cases;
 use gfd_util::{Rng, TempDir};
@@ -56,15 +60,15 @@ fn mangle(
             // The final frame made it partially to disk: header
             // readable, payload/checksum cut short.
             let last = *frame_bounds(path).unwrap().last().unwrap();
-            let body = last.len - HEADER_LEN as u64 - 1;
-            let at = last.offset + HEADER_LEN as u64 + (cut * body as f64) as u64;
+            let body = last.len - last.header_len - 1;
+            let at = last.offset + last.header_len + (cut * body as f64) as u64;
             std::fs::write(path, &bytes[..at as usize]).unwrap();
         }
         CrashKind::ShortRead => {
-            // Cut inside the final frame's header — shorter than any
-            // parseable record.
+            // Cut strictly inside the final frame's header — shorter
+            // than any parseable record.
             let last = *frame_bounds(path).unwrap().last().unwrap();
-            let at = last.offset + 1 + (cut * (HEADER_LEN as f64 - 2.0)) as u64;
+            let at = last.offset + 1 + (cut * (last.header_len - 1) as f64) as u64;
             std::fs::write(path, &bytes[..at as usize]).unwrap();
         }
         CrashKind::BitFlip => {
@@ -220,4 +224,100 @@ fn kill_and_recover_soak_lands_on_oracle_identical_epochs() {
         vio_set(svc.violations()),
         vio_set(detect_violations(&sigma, shadow))
     );
+}
+
+/// The short-write family: an epoch's append writes a seed-chosen prefix
+/// of its frame and fails, as on a full disk. The failure is counted in
+/// `log_write_errors`, the service drops its log and keeps committing
+/// and publishing every later epoch; recovering the file lands on the
+/// last whole frame — the graph and violation set of the shadow there —
+/// with the partial frame reported as truncated. The recovered service
+/// meets the same fault at the same epoch again: the plan replays.
+#[test]
+fn a_short_write_keeps_serving_and_recovers_to_the_last_whole_frame() {
+    let dir = TempDir::new("gfd-short-write").unwrap();
+    let path = dir.file("edits.wal");
+    let g0 = Arc::new(social(12));
+    let sigma = rules(g0.vocab().clone());
+    let policy = SyncPolicy::EveryN(4);
+    let mut cuts = HashSet::new();
+
+    for trial in 0..cases(8, 3) {
+        let plan = FaultPlan {
+            seed: 0x5_0F7 + trial,
+            short_write_p: 0.15,
+            ..FaultPlan::default()
+        };
+        let cfg = ServiceConfig {
+            threads: 2,
+            oracle_sample_p: 0.0,
+            seed: 11,
+            faults: Some(plan.clone()),
+        };
+        let failed = (1..).find(|&e| plan.short_write(e).is_some()).unwrap();
+        let mut svc = ViolationService::with_durable_log(
+            sigma.clone(),
+            Arc::clone(&g0),
+            cfg.clone(),
+            &path,
+            policy,
+        )
+        .unwrap();
+        let updates = svc.subscribe();
+        let mut shadows: Vec<Graph> = vec![g0.edit(|_| {})];
+        let mut rng = Rng::seed_from_u64(trial);
+        for epoch in 1..=failed + 3 {
+            let len = 1 + rng.gen_range(0..5);
+            let (next, batch) = random_batch(&mut rng, shadows.last().unwrap(), len);
+            assert_eq!(svc.ingest(&batch).unwrap(), epoch, "trial {trial}");
+            shadows.push(next);
+            let update = updates.recv().unwrap();
+            assert_eq!(
+                update.epoch, epoch,
+                "trial {trial}: epoch {epoch} unpublished"
+            );
+            let lost = epoch >= failed;
+            assert_eq!(svc.stats().log_write_errors, lost as u64, "trial {trial}");
+            assert_eq!(svc.durable_log().is_none(), lost, "trial {trial}");
+        }
+        assert_eq!(
+            vio_set(svc.violations()),
+            vio_set(detect_violations(&sigma, shadows.last().unwrap())),
+            "trial {trial}: the service without its log diverged"
+        );
+        drop(svc);
+
+        // The file holds every frame before the failed epoch whole, and
+        // a strict prefix of the failed one.
+        let intact = frame_bounds(&path).unwrap();
+        assert_eq!(intact.len() as u64, failed, "trial {trial}");
+        let intact_end = intact.last().map(|f| f.offset + f.len).unwrap();
+        let damaged_len = std::fs::metadata(&path).unwrap().len();
+        assert!(damaged_len > intact_end, "trial {trial}: nothing written");
+        cuts.insert(damaged_len - intact_end);
+
+        let (mut svc, report) =
+            ViolationService::recover(sigma.clone(), &path, cfg.clone(), policy).unwrap();
+        assert_eq!(report.recovered_epoch, failed - 1, "trial {trial}");
+        assert_eq!(report.replayed_epochs, failed - 1, "trial {trial}");
+        assert_eq!(report.truncated_frames, 1, "trial {trial}");
+        assert_eq!(report.truncated_bytes, damaged_len - intact_end);
+        let fault = report.corruption.expect("the partial frame is reported");
+        assert!(fault.what.starts_with("torn"), "trial {trial}: {fault:?}");
+        assert_eq!(fault.offset, intact_end, "trial {trial}");
+        let shadow = &shadows[failed as usize - 1];
+        if let Err(msg) = same_snapshot(svc.snapshot().graph.as_ref(), shadow) {
+            panic!("trial {trial}: recovered graph diverges from the shadow: {msg}");
+        }
+        assert_eq!(
+            vio_set(svc.violations()),
+            vio_set(detect_violations(&sigma, shadow)),
+            "trial {trial}: recovered violations diverge from scratch"
+        );
+
+        let (_, batch) = random_batch(&mut rng, shadow, 1);
+        assert_eq!(svc.ingest(&batch).unwrap(), failed);
+        assert_eq!(svc.stats().log_write_errors, 1, "trial {trial}: no replay");
+    }
+    assert!(cuts.len() > 1, "every trial cut at {cuts:?}; retune");
 }

@@ -44,6 +44,7 @@ fn soak_10k_edit_stream_survives_every_fault_family() {
         drift_p: 0.01,
         malformed_batch_p: 0.01,
         crash_p: 0.0,
+        short_write_p: 0.0,
     };
     let cfg = ServiceConfig {
         threads: 3,
