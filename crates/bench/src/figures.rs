@@ -8,7 +8,8 @@ use gfd_core::implication::minimize;
 use gfd_core::validate::{detect_violations, detect_violations_budgeted};
 use gfd_core::{Dependency, Gfd, GfdSet, Literal};
 use gfd_datagen::{mine_gfds, synthetic_graph, RuleGenConfig, SynthConfig};
-use gfd_graph::{Fragmentation, Graph, GraphBuilder, GraphStats, PartitionStrategy, Value, Vocab};
+use gfd_graph::neighborhood::skew_ratio;
+use gfd_graph::{Fragmentation, Graph, GraphBuilder, PartitionStrategy, Value, Vocab};
 use gfd_match::SearchBudget;
 use gfd_parallel::workload::{estimate_workload, WorkloadOptions};
 use gfd_parallel::{dis_val, rep_val, DisValConfig, ParallelReport, RepValConfig};
@@ -330,7 +331,7 @@ pub fn fig8_skew(_: &mut Cells) {
             skew,
             ..Default::default()
         }));
-        let ratio = GraphStats::skew_ratio(&g, 2, 500);
+        let ratio = skew_ratio(&g, 2, 500);
         xs.push(format!("{ratio:.2e}"));
         let sigma = synthetic_rules(&g);
         // θ from the observed workload: replicate only the heavy tail.

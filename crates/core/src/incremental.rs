@@ -195,12 +195,6 @@ impl IncrementalDetector {
         diff
     }
 
-    /// The incremental validation answer: does the current snapshot
-    /// satisfy `Σ`?
-    pub fn satisfied(&self) -> bool {
-        self.violations.iter().all(Rows::is_empty)
-    }
-
     /// Total number of current violations.
     pub fn violation_count(&self) -> usize {
         self.violations.iter().map(Rows::len).sum()
@@ -635,8 +629,8 @@ mod tests {
                     scratch.len()
                 ));
             }
-            if det.satisfied() != scratch.is_empty() {
-                return Err("satisfied() disagrees".into());
+            if (det.violation_count() == 0) != scratch.is_empty() {
+                return Err("violation_count() == 0 disagrees".into());
             }
             Ok(())
         });

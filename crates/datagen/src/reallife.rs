@@ -298,7 +298,6 @@ fn fxhash(s: &str, salt: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfd_graph::GraphStats;
 
     #[test]
     fn shapes_have_expected_ratios() {
@@ -358,7 +357,8 @@ mod tests {
                 scale: 0.2,
                 ..RealLifeConfig::new(kind)
             });
-            GraphStats::compute(&g).avg_degree()
+            let total: usize = g.nodes().map(|u| g.degree(u)).sum();
+            total as f64 / g.node_count() as f64
         };
         let pokec = mk(RealLifeKind::Pokec);
         let dbp = mk(RealLifeKind::DBpedia);

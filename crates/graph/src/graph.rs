@@ -894,6 +894,13 @@ impl Graph {
         &self.vocab
     }
 
+    /// This snapshot over `vocab`, every page kept: the caller has
+    /// checked that `vocab` numbers the names as its symbols mean them.
+    pub(crate) fn with_vocab(mut self, vocab: &Arc<Vocab>) -> Graph {
+        self.vocab = Arc::clone(vocab);
+        self
+    }
+
     /// Number of nodes `|V|`.
     pub fn node_count(&self) -> usize {
         self.labels.len()
@@ -1384,6 +1391,23 @@ mod tests {
         assert!(g.extent(missing).is_empty());
         let total: usize = g.label_extents().map(|(_, e)| e.len()).sum();
         assert_eq!(total, g.node_count());
+    }
+
+    /// A label's frequency `|C(µ(z))|` — the candidates of a pivot
+    /// variable `z` (§6.1) — is the length of its extent.
+    #[test]
+    fn label_frequencies() {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        for _ in 0..3 {
+            b.add_node_labeled("flight");
+        }
+        b.add_node_labeled("city");
+        let g = b.freeze();
+        let flight = g.vocab().lookup("flight").unwrap();
+        let city = g.vocab().lookup("city").unwrap();
+        assert_eq!(g.extent(flight).len(), 3);
+        assert_eq!(g.extent(city).len(), 1);
+        assert_eq!(g.extent(g.vocab().intern("nope")).len(), 0);
     }
 
     #[test]

@@ -27,23 +27,23 @@
 //!   ([`DeltaBase`]), and the delta feeds the incremental maintenance
 //!   subsystems in `gfd-match`/`gfd-core`/`gfd-parallel`;
 //! * `k`-hop neighborhoods, the node side of the paper's data blocks
-//!   `G_z̄`, and [`NodeSet`], the node set that scopes a simulation
-//!   (module [`neighborhood`]);
+//!   `G_z̄`, the skew ratio of Fig. 8 over them, and [`NodeSet`], the
+//!   node set that scopes a simulation (module [`neighborhood`]); a
+//!   label's frequency is the length of its extent ([`Graph::extent`]);
 //! * sorted-slice intersection kernels (merge + galloping) used by the
 //!   matcher's candidate-pool refinement (module [`intersect`]);
 //! * fragmentations `(F_1, …, F_n)`, as node → fragment owner maps, for
 //!   the distributed setting of §6.2 (module [`fragment`]);
-//! * graph statistics: label frequencies, degrees and the skew ratio
-//!   of Fig. 8 (module [`stats`]);
-//! * a self-contained snapshot form ([`GraphData`], module [`io`]);
-//!   both [`GraphDelta`] and
-//!   [`GraphData`] also carry a plain-bytes binary codec
-//!   (`encode_into`/`decode`) whose decoder is hardened against
-//!   hostile input — it is the record payload of the durable
-//!   write-ahead log in `gfd-parallel`, which streams snapshots
-//!   straight from a graph in fixed-size chunks
-//!   ([`encode_snapshot_chunked`]) and reads them back the same way,
-//!   straight into a builder ([`DecodedSnapshot`]).
+//! * plain-bytes binary codecs whose decoders are hardened against
+//!   hostile input: [`GraphDelta`]'s (`encode_into`/`decode`), and the
+//!   snapshot's, with one writer that reads a frozen [`Graph`]
+//!   ([`encode_snapshot`]) and one parser that writes a
+//!   [`GraphBuilder`] ([`DecodedSnapshot`], module [`io`]). They are
+//!   the record payloads of the durable write-ahead log in
+//!   `gfd-parallel`, which streams a snapshot in fixed-size chunks
+//!   ([`encode_snapshot_chunked`]) and reads it back the same way.
+//!   [`GraphData`] is a graph beside the names its symbols index, for
+//!   shipping one between vocabularies.
 //!
 //! The crate is fully self-contained (no external dependencies);
 //! everything the paper's algorithms touch is implemented here from
@@ -56,7 +56,6 @@ pub mod graph;
 pub mod intersect;
 pub mod io;
 pub mod neighborhood;
-pub mod stats;
 pub mod value;
 pub mod vocab;
 
@@ -68,6 +67,5 @@ pub use io::{
     encode_snapshot, encode_snapshot_chunked, DecodedSnapshot, GraphData, SNAPSHOT_CHUNK,
 };
 pub use neighborhood::NodeSet;
-pub use stats::GraphStats;
 pub use value::Value;
 pub use vocab::{Sym, Vocab};

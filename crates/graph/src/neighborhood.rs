@@ -12,8 +12,7 @@
 //! so the matcher never consults one, and work units are priced — and
 //! `disVal`'s shipments sized — from their pivots' class candidate
 //! space instead. [`khop_nodes`] serves the skew statistic of Fig. 8
-//! ([`GraphStats::skew_ratio`](crate::GraphStats::skew_ratio)) and
-//! tests.
+//! ([`skew_ratio`]) and tests.
 
 use crate::graph::{Graph, NodeId};
 
@@ -100,6 +99,30 @@ pub fn khop_nodes(g: &Graph, seeds: &[NodeId], k: usize) -> NodeSet {
     NodeSet::from_vec(reached)
 }
 
+/// Skew ratio as defined for Fig. 8: average size of the 10% smallest
+/// `d`-hop neighborhoods over the 10% largest (smaller ⇒ more skewed),
+/// over about `sample` nodes evenly spaced by id.
+pub fn skew_ratio(g: &Graph, d: usize, sample: usize) -> f64 {
+    let n = g.node_count();
+    if n == 0 {
+        return 1.0;
+    }
+    let step = (n / sample.max(1)).max(1);
+    let mut sizes: Vec<usize> = (0..n)
+        .step_by(step)
+        .map(|i| khop_nodes(g, &[NodeId(i as u32)], d).len())
+        .collect();
+    sizes.sort_unstable();
+    let decile = (sizes.len() / 10).max(1);
+    let small: usize = sizes[..decile].iter().sum();
+    let large: usize = sizes[sizes.len() - decile..].iter().sum();
+    if large == 0 {
+        1.0
+    } else {
+        small as f64 / large as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +168,20 @@ mod tests {
             prev = set.len();
         }
         assert_eq!(khop_nodes(&g, &[ns[0]], 4).len(), 5);
+    }
+
+    #[test]
+    fn skew_ratio_of_uniform_graph_near_one() {
+        let mut b = GraphBuilder::with_fresh_vocab();
+        let ns: Vec<_> = (0..40).map(|_| b.add_node_labeled("v")).collect();
+        for i in 0..40 {
+            b.add_edge_labeled(ns[i], ns[(i + 1) % 40], "e");
+        }
+        let g = b.freeze();
+        let ratio = skew_ratio(&g, 2, 40);
+        assert!(
+            ratio > 0.9,
+            "uniform ring should have ratio ≈ 1, got {ratio}"
+        );
     }
 }

@@ -6,10 +6,10 @@
 //!
 //! * **round trip** — `encode → decode` is the identity over deltas
 //!   recorded from random edit scripts (including merge-compacted
-//!   batches) and over `GraphData` snapshots of random graphs; the
-//!   log's direct paths (`encode_snapshot` from a graph,
-//!   `DecodedSnapshot` into a builder) write the same bytes and rebuild
-//!   the same graph, and the snapshot parser fed in chunks
+//!   batches), and over snapshots of random graphs re-encoding a
+//!   decoded `GraphData` writes `encode_snapshot`'s bytes and rebuilds
+//!   the same graph — as does `DecodedSnapshot`, the log's decoder,
+//!   straight into a builder — and the snapshot parser fed in chunks
 //!   (`DecodedSnapshot::decode_chunked`) rebuilds what it rebuilds fed
 //!   whole, however the record is split;
 //! * **hostility** — decoding arbitrary mutations of valid byte
@@ -84,7 +84,7 @@ fn delta_codec_round_trip_over_edit_scripts() {
 #[test]
 fn snapshot_codec_round_trip() {
     check(
-        "GraphData encode → decode ≡ identity",
+        "GraphData encode → decode → encode ≡ encode_snapshot",
         cases(60, 12),
         |rng| {
             let mut g = base_graph(rng);
@@ -92,25 +92,25 @@ fn snapshot_codec_round_trip() {
             for _ in 0..rng.gen_range(0..5) {
                 g = random_step(rng, &g).0;
             }
-            let data = GraphData::from_graph(&g);
             let mut bytes = Vec::new();
-            data.encode_into(&mut bytes);
+            GraphData::from_graph(&g).encode_into(&mut bytes);
             let back = GraphData::decode(&bytes).map_err(|e| format!("decode failed: {e}"))?;
-            prop_assert!(back == data, "snapshot decode diverged");
+            let mut again = Vec::new();
+            back.encode_into(&mut again);
+            prop_assert!(again == bytes, "re-encoding a decoded snapshot diverged");
 
             // The log writer encodes straight from the snapshot: the
-            // same bytes, no `GraphData` in between.
+            // same bytes, so the benchmark's fingerprint is the log's.
             let mut direct = Vec::new();
             encode_snapshot(&g, &g.vocab().snapshot(), &mut direct);
             prop_assert!(direct == bytes, "encode_snapshot diverges from GraphData");
 
-            // Rebuilding the graph from the decoded snapshot preserves the
-            // observable structure (the recovery floor the WAL replays on).
+            // Rebuilding the graph from the decoded snapshot preserves
+            // every observable (the recovery floor the WAL replays on).
             let g2 = back
                 .into_graph_in(&Vocab::shared())
                 .map_err(|e| format!("rebuild failed: {e}"))?;
-            prop_assert!(g2.node_count() == g.node_count(), "node counts differ");
-            prop_assert!(g2.edge_count() == g.edge_count(), "edge counts differ");
+            same_snapshot(&g2, &g).map_err(|e| format!("rebuilt: {e}"))?;
 
             // Decoded straight into a builder over a vocabulary that
             // already holds the names, in order: the same graph.
@@ -120,7 +120,7 @@ fn snapshot_codec_round_trip() {
             }
             let decoded = DecodedSnapshot::decode(&bytes, &vocab)
                 .map_err(|e| format!("builder decode failed: {e}"))?;
-            prop_assert!(decoded.symbol_count() == data.symbols.len());
+            prop_assert!(decoded.symbol_count() == g.vocab().len());
             let builder = decoded
                 .intern()
                 .map_err(|e| format!("interning failed: {e}"))?;
@@ -135,9 +135,8 @@ fn builder_decode_never_panics_and_agrees_with_graphdata() {
         "hostile snapshot bytes: builder decode ≡ GraphData decode",
         cases(100, 20),
         |rng| {
-            let data = GraphData::from_graph(&base_graph(rng));
             let mut bytes = Vec::new();
-            data.encode_into(&mut bytes);
+            GraphData::from_graph(&base_graph(rng)).encode_into(&mut bytes);
             mutate(rng, &mut bytes);
             // One parser behind both decoders: the same verdict on every
             // input, and a decode that fails leaves the vocabulary alone.
@@ -148,10 +147,16 @@ fn builder_decode_never_panics_and_agrees_with_graphdata() {
                 DecodedSnapshot::decode(&bytes, &vocab),
             ) {
                 (Ok(d), Ok(s)) => {
-                    prop_assert!(s.symbol_count() == d.symbols.len(), "symbol tables differ");
                     prop_assert!(vocab.len() == 1, "decode interned before it was asked");
+                    let symbols = s.symbol_count();
                     // Interning may fail (the held name collides), never panic.
                     let _ = s.intern();
+                    // Into a fresh vocabulary, GraphData interns the
+                    // builder's symbol table — or refuses a repeated name.
+                    let fresh = Vocab::shared();
+                    if d.into_graph_in(&fresh).is_ok() {
+                        prop_assert!(fresh.len() == symbols, "symbol tables differ");
+                    }
                 }
                 (Err(_), Err(_)) => prop_assert!(vocab.len() == 1, "a failed decode interned"),
                 (d, s) => {
@@ -370,9 +375,8 @@ fn snapshot_decode_never_panics_on_mutated_streams() {
         "hostile snapshot bytes: Err or well-formed Ok",
         cases(100, 20),
         |rng| {
-            let data = GraphData::from_graph(&base_graph(rng));
             let mut bytes = Vec::new();
-            data.encode_into(&mut bytes);
+            GraphData::from_graph(&base_graph(rng)).encode_into(&mut bytes);
             mutate(rng, &mut bytes);
             // Fed in pieces, the parser reaches the verdict it reaches
             // fed whole.
@@ -384,22 +388,23 @@ fn snapshot_decode_never_panics_on_mutated_streams() {
                 streamed.is_ok() == GraphData::decode(&bytes).is_ok(),
                 "the chunked decode's verdict differs"
             );
-            if let Ok(d) = GraphData::decode(&bytes) {
-                // Every reference decoded in-range, so rebuilding cannot
-                // index out of bounds.
-                let syms = d.symbols.len() as u32;
-                let nodes = d.nodes.len() as u32;
-                for (label, attrs) in &d.nodes {
-                    prop_assert!(*label < syms, "label out of range survived decode");
+            // Every reference decoded in range: the rebuilt graph's
+            // labels and attribute names are among its names, and its
+            // edges join its nodes. (Interning refuses a record that
+            // names one string twice: no graph to check.)
+            let vocab = Vocab::shared();
+            if let Ok(Ok(g)) = GraphData::decode(&bytes).map(|d| d.into_graph_in(&vocab)) {
+                let (syms, nodes) = (vocab.len() as u32, g.node_count() as u32);
+                for u in g.nodes() {
+                    prop_assert!(g.label(u).0 < syms, "label out of range survived decode");
                     prop_assert!(
-                        attrs.iter().all(|(a, _)| *a < syms),
+                        g.attrs(u).iter().all(|(a, _)| a.0 < syms),
                         "attr sym out of range survived decode"
                     );
                 }
                 prop_assert!(
-                    d.edges
-                        .iter()
-                        .all(|(s, t, l)| *s < nodes && *t < nodes && *l < syms),
+                    g.edges()
+                        .all(|e| e.src.0 < nodes && e.dst.0 < nodes && e.label.0 < syms),
                     "edge reference out of range survived decode"
                 );
             }

@@ -324,6 +324,8 @@ impl ViolationService {
             Some(v) => wal::recover_in(path, policy, v)?,
             None => wal::recover(path, policy)?,
         };
+        // Not `detect_violations_shared` on `registry`: the spaces it
+        // keeps cost more RSS than the simulation it saves (ROADMAP ledger 6).
         let violations = detect_violations(&sigma, &g);
         let detector =
             IncrementalDetector::from_violations_in(&sigma, &violations, Arc::clone(&registry));

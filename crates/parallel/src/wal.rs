@@ -23,9 +23,9 @@
 //!
 //! The checksum ([`gfd_util::checksum64`]) covers header **and**
 //! payload, so a torn write anywhere in the frame is detected. Frame
-//! zero is always a **base snapshot** (`kind = 1`): a
-//! [`GraphData`](gfd_graph::GraphData) encoding of the graph at the
-//! log's base epoch — the floor recovery replays from. Every later
+//! zero is always a **base snapshot** (`kind = 1`): the
+//! [`encode_snapshot`](gfd_graph::encode_snapshot) record of the graph
+//! at the log's base epoch — the floor recovery replays from. Every later
 //! frame is a **delta** (`kind = 2`) holding one compacted
 //! [`GraphDelta`] for one epoch, prefixed by the vocabulary names
 //! interned since the previous frame; `sym_count` is the total
@@ -99,8 +99,8 @@ use gfd_util::{checksum64, Checksum64};
 /// File magic: identifies the format and its version. Bumping the
 /// codec (or [`checksum64`]) bumps the trailing version digits.
 pub const MAGIC: [u8; 8] = *b"GFDWAL02";
-/// Frame kind: base snapshot (a [`GraphData`](gfd_graph::GraphData)
-/// encoding).
+/// Frame kind: base snapshot (an
+/// [`encode_snapshot`](gfd_graph::encode_snapshot) record).
 pub const KIND_SNAPSHOT: u8 = 1;
 /// Frame kind: one epoch's compacted delta (+ new vocabulary names).
 pub const KIND_DELTA: u8 = 2;

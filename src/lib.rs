@@ -10,7 +10,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`graph`] | `gfd-graph` | property graphs as a mutable `GraphBuilder` + frozen CSR `Graph` snapshot, neighborhoods, fragments, stats |
+//! | [`graph`] | `gfd-graph` | property graphs as a mutable `GraphBuilder` + frozen CSR `Graph` snapshot, its binary codec, neighborhoods and Fig. 8's skew ratio, fragments |
 //! | [`pattern`] | `gfd-pattern` | graph patterns `Q[x̄]`, pivots, canonical forms, tree decompositions |
 //! | [`matcher`] | `gfd-match` | subgraph isomorphism, pivoted matching, simulation |
 //! | [`core`] | `gfd-core` | GFDs, satisfiability, implication, validation |
