@@ -28,7 +28,7 @@ use gfd_match::{
     ComponentSearch, IncrementalSpace, MatchOptions, MatchScratch, Pin, SearchScratch,
 };
 use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
-use gfd_parallel::workload::{estimate_workload, feasible_pivots, plan_rules, WorkloadOptions};
+use gfd_parallel::workload::{estimate_workload, plan_rules, WorkloadOptions};
 use gfd_parallel::{rep_val, wal, RepValConfig, ServiceConfig, SyncPolicy, ViolationService};
 use gfd_pattern::{Pattern, PatternBuilder, VarId};
 use gfd_util::alloc::{allocation_count, CountingAlloc};
@@ -540,20 +540,6 @@ fn main() {
         estimate_workload(&sigma16, &g2, &WorkloadOptions::default())
     });
     bench("detect/plan_rules", &mut samples, || plan_rules(&sigma_det));
-    // The simulation-based pivot filter in isolation (one dual
-    // simulation per component instead of a backtracking probe per
-    // pivot candidate).
-    let det_plan = plan_rules(&sigma_det);
-    bench("detect/pivot_feasibility", &mut samples, || {
-        det_plan
-            .iter()
-            .flat_map(|(group, gp)| (0..group.parts.len()).map(move |i| (group, gp, i)))
-            .map(|(group, gp, i)| {
-                let (part, pivot) = (&group.parts[i].0, gp.local_pivot(group, i));
-                feasible_pivots(&g2, part, pivot).0.len()
-            })
-            .sum::<usize>()
-    });
     bench("detect/repVal_n4", &mut samples, || {
         rep_val(&sigma_det, &g2, &RepValConfig::val(4))
     });

@@ -44,8 +44,8 @@ use gfd_graph::{
 };
 use gfd_match::types::Flow;
 use gfd_match::{
-    count_matches_with, dual_simulation, for_each_match_in, simulation_sets, ClassRegistry,
-    IncrementalSpace, MatchOptions, MatchScratch,
+    count_matches_with, dual_simulation, for_each_match_in, ClassRegistry, IncrementalSpace,
+    MatchOptions, MatchScratch,
 };
 use gfd_parallel::unitexec::{UnitExecutor, UnitScratch};
 use gfd_parallel::wal::{self, SyncPolicy, WalWriter};
@@ -1408,9 +1408,9 @@ fn a_class_retains_its_candidates_not_the_graph() {
 /// The build-side twin of the retention gate: what a from-scratch
 /// simulation *requests* follows its seeds, not the graph. The same
 /// 300-node matching core padded with N and with 16·N inert nodes must
-/// cost [`dual_simulation`] and [`simulation_sets`] the same bytes, up
-/// to the candidate space's page directories (one 16-byte word per
-/// 4 096 node ids per edge direction). Worklist flags or counters sized
+/// cost [`dual_simulation`] the same bytes, up to the candidate space's
+/// page directories (one 16-byte word per 4 096 node ids per edge
+/// direction). Worklist flags or counters sized
 /// by |V| — a byte per variable and four per pattern edge and direction
 /// for each of the 15·N extra nodes — overshoot that by megabytes.
 #[test]
@@ -1419,25 +1419,17 @@ fn a_simulation_requests_by_its_seeds_not_the_graph() {
     let requested = |padding: usize| {
         let (g, q) = padded_chains(padding);
         let (space, space_bytes) = bytes_requested(|| dual_simulation(&q, &g, None));
-        let (sets, sets_bytes) = bytes_requested(|| simulation_sets(&q, &g, None));
         assert_eq!(space.total_size(), 300, "premise: every chain matches");
-        assert_eq!(space.sets, sets);
         let words = g.node_count().div_ceil(4096) as u64;
-        (space_bytes, sets_bytes, words, q.edge_count() as u64)
+        (space_bytes, words, q.edge_count() as u64)
     };
-    let (small_space, small_sets, small_words, nedges) = requested(N);
-    let (large_space, large_sets, large_words, _) = requested(16 * N);
+    let (small_space, small_words, nedges) = requested(N);
+    let (large_space, large_words, _) = requested(16 * N);
     let directories = 2 * nedges * (large_words - small_words) * 16;
     assert!(
         large_space <= small_space + directories,
         "dual_simulation requests {small_space} B over {N} padding nodes, {large_space} B over {} \
          (page directories account for {directories} B of the difference)",
-        16 * N
-    );
-    assert_eq!(
-        large_sets,
-        small_sets,
-        "simulation_sets requests {small_sets} B over {N} padding nodes, {large_sets} B over {}",
         16 * N
     );
 }
@@ -1473,20 +1465,13 @@ fn a_simulation_requests_no_slot_per_removal() {
     let q = pb.build();
 
     let (space, space_bytes) = bytes_requested(|| dual_simulation(&q, &g, None));
-    let (sets, sets_bytes) = bytes_requested(|| simulation_sets(&q, &g, None));
     assert_eq!(space.total_size(), 2 * B, "premise: 64 a-b pairs simulate");
-    assert_eq!(space.sets, sets);
     let entries = (A + B) as u64;
     let bound = entries + 4 * entries + 2 * space.approx_bytes() as u64 + (4 << 10);
-    for (call, bytes) in [
-        ("dual_simulation", space_bytes),
-        ("simulation_sets", sets_bytes),
-    ] {
-        assert!(
-            bytes <= bound,
-            "{call} requests {bytes} B over {entries} seed entries, more than {bound} B"
-        );
-    }
+    assert!(
+        space_bytes <= bound,
+        "dual_simulation requests {space_bytes} B over {entries} seed entries, more than {bound} B"
+    );
 }
 
 /// The accounting gate: the bytes a [`ClassRegistry`] says it holds

@@ -547,16 +547,6 @@ impl<'a> ComponentSearch<'a> {
         }
     }
 
-    /// Collects all matches (component-local variable indexing).
-    pub fn collect_all(&mut self) -> Vec<Vec<NodeId>> {
-        let mut out = Vec::new();
-        self.for_each(&mut |m| {
-            out.push(m.to_vec());
-            Flow::Continue
-        });
-        out
-    }
-
     /// Streams every match into a flat [`MatchTable`] row — the
     /// allocation-free bulk-collection fast path (one arena instead of
     /// one `Vec` per match). The table's stride must equal the
@@ -585,6 +575,14 @@ mod tests {
     use crate::simulation::dual_simulation;
     use gfd_pattern::PatternBuilder;
 
+    /// Every match of `search`, one `Vec` per row, read off the table
+    /// [`ComponentSearch::collect_into`] fills.
+    fn rows(search: &mut ComponentSearch<'_>) -> Vec<Vec<NodeId>> {
+        let mut table = MatchTable::new(search.q.node_count());
+        search.collect_into(&mut table);
+        table.iter().map(<[NodeId]>::to_vec).collect()
+    }
+
     /// G2 of Fig. 1 (the fake-accounts graph), reduced: acct1 posts p5,
     /// acct2 posts p6, both like p1 p2.
     fn social() -> (Graph, Vec<NodeId>) {
@@ -612,7 +610,7 @@ mod tests {
         let y = b.node("y", "blog");
         b.edge(x, y, "post");
         let q = b.build();
-        let matches = ComponentSearch::new(&q, &g).collect_all();
+        let matches = rows(&mut ComponentSearch::new(&q, &g));
         assert_eq!(matches.len(), 2);
         assert!(matches.contains(&vec![ns[0], ns[4]]));
         assert!(matches.contains(&vec![ns[1], ns[5]]));
@@ -626,14 +624,10 @@ mod tests {
         let y = b.node("y", "blog");
         b.edge(x, y, "post");
         let q = b.build();
-        let matches = ComponentSearch::new(&q, &g)
-            .pins(&[Pin::at(x, ns[1])])
-            .collect_all();
+        let matches = rows(&mut ComponentSearch::new(&q, &g).pins(&[Pin::at(x, ns[1])]));
         assert_eq!(matches, vec![vec![ns[1], ns[5]]]);
         // Pin to a non-account node: no matches.
-        let matches = ComponentSearch::new(&q, &g)
-            .pins(&[Pin::at(x, ns[2])])
-            .collect_all();
+        let matches = rows(&mut ComponentSearch::new(&q, &g).pins(&[Pin::at(x, ns[2])]));
         assert!(matches.is_empty());
     }
 
@@ -648,7 +642,7 @@ mod tests {
         b.edge(x, y1, "like");
         b.edge(x, y2, "like");
         let q = b.build();
-        let matches = ComponentSearch::new(&q, &g).collect_all();
+        let matches = rows(&mut ComponentSearch::new(&q, &g));
         // Per account: ordered pairs (p1,p2) and (p2,p1) → 2 each.
         assert_eq!(matches.len(), 4);
         for m in &matches {
@@ -666,14 +660,12 @@ mod tests {
         let y = b.node("y", "blog");
         b.edge(x, y, "post");
         let q = b.build();
-        let matches = ComponentSearch::new(&q, &g)
-            .pins(&[Pin::at(x, ns[0]), Pin::at(y, ns[4])])
-            .collect_all();
+        let matches =
+            rows(&mut ComponentSearch::new(&q, &g).pins(&[Pin::at(x, ns[0]), Pin::at(y, ns[4])]));
         assert_eq!(matches, vec![vec![ns[0], ns[4]]]);
         // acct1 did not post p6.
-        let matches = ComponentSearch::new(&q, &g)
-            .pins(&[Pin::at(x, ns[0]), Pin::at(y, ns[5])])
-            .collect_all();
+        let matches =
+            rows(&mut ComponentSearch::new(&q, &g).pins(&[Pin::at(x, ns[0]), Pin::at(y, ns[5])]));
         assert!(matches.is_empty());
     }
 
@@ -688,7 +680,7 @@ mod tests {
         b.wildcard_edge(x, y);
         let q = b.build();
         let pins = [Pin::at(x, ns[0]), Pin::at(y, ns[4])];
-        let matches = ComponentSearch::new(&q, &g).pins(&pins).collect_all();
+        let matches = rows(&mut ComponentSearch::new(&q, &g).pins(&pins));
         assert_eq!(matches, vec![vec![ns[0], ns[4]]]);
     }
 
@@ -700,7 +692,7 @@ mod tests {
         let y = b.wildcard_node("y");
         b.wildcard_edge(x, y);
         let q = b.build();
-        let matches = ComponentSearch::new(&q, &g).collect_all();
+        let matches = rows(&mut ComponentSearch::new(&q, &g));
         assert_eq!(matches.len(), g.edge_count());
     }
 
@@ -749,11 +741,9 @@ mod tests {
         b.edge(x, y1, "like");
         b.edge(x, y2, "post");
         let q = b.build();
-        let plain = ComponentSearch::new(&q, &g).collect_all();
+        let plain = rows(&mut ComponentSearch::new(&q, &g));
         let cs = dual_simulation(&q, &g, None);
-        let mut filtered = ComponentSearch::new(&q, &g)
-            .candidate_space(&cs)
-            .collect_all();
+        let mut filtered = rows(&mut ComponentSearch::new(&q, &g).candidate_space(&cs));
         let mut plain = plain;
         plain.sort();
         filtered.sort();
@@ -815,15 +805,15 @@ mod tests {
         b.edge(x, y, "post");
         let post = b.build();
 
-        let baseline_a = ComponentSearch::new(&two_likes, &g).collect_all();
-        let baseline_b = ComponentSearch::new(&post, &g).collect_all();
+        let baseline_a = rows(&mut ComponentSearch::new(&two_likes, &g));
+        let baseline_b = rows(&mut ComponentSearch::new(&post, &g));
 
         let mut scratch = SearchScratch::default();
         for _ in 0..3 {
             let mut s = ComponentSearch::new(&two_likes, &g).with_scratch(scratch);
-            assert_eq!(s.collect_all(), baseline_a);
+            assert_eq!(rows(&mut s), baseline_a);
             let mut t = ComponentSearch::new(&post, &g).with_scratch(s.into_scratch());
-            assert_eq!(t.collect_all(), baseline_b);
+            assert_eq!(rows(&mut t), baseline_b);
             scratch = t.into_scratch();
         }
     }
@@ -876,7 +866,7 @@ mod tests {
 
     /// The enumerator in raw mode, sorted.
     fn run_oracle(q: &Pattern, g: &Graph, pins: &[Pin]) -> Vec<Vec<NodeId>> {
-        let mut out = ComponentSearch::new(q, g).pins(pins).collect_all();
+        let mut out = rows(&mut ComponentSearch::new(q, g).pins(pins));
         out.sort();
         out
     }
@@ -914,10 +904,11 @@ mod tests {
         let full = run_space(&q, &g, &[]);
         // Pin every variable at the nodes of the first match only.
         let pins: Vec<Pin> = q.vars().map(|v| Pin::at(v, full[0][v.index()])).collect();
-        let out = ComponentSearch::new(&q, &g)
-            .candidate_space(&cs)
-            .pins(&pins)
-            .collect_all();
+        let out = rows(
+            &mut ComponentSearch::new(&q, &g)
+                .candidate_space(&cs)
+                .pins(&pins),
+        );
         assert_eq!(out, vec![full[0].clone()]);
     }
 
@@ -984,7 +975,7 @@ mod tests {
             let mut search = ComponentSearch::new(q, &g)
                 .with_scratch(scratch)
                 .candidate_space(&cs);
-            let mut out = search.collect_all();
+            let mut out = rows(&mut search);
             scratch = search.into_scratch();
             out.sort();
             assert_eq!(out, run_oracle(q, &g, &[]));
@@ -1001,10 +992,11 @@ mod tests {
         let q = b.build();
         let cs = dual_simulation(&q, &g, None);
         // ns[2] is a blog that nobody posts: not in sim(x).
-        let matches = ComponentSearch::new(&q, &g)
-            .candidate_space(&cs)
-            .pins(&[Pin::at(x, ns[2])])
-            .collect_all();
+        let matches = rows(
+            &mut ComponentSearch::new(&q, &g)
+                .candidate_space(&cs)
+                .pins(&[Pin::at(x, ns[2])]),
+        );
         assert!(matches.is_empty());
     }
 }

@@ -60,8 +60,6 @@ pub use incremental::{IncrementalSpace, RepairReport};
 pub use registry::{
     CacheStats, ClassRegistry, ClassView, SpaceHandle, DEFAULT_REGISTRY_BUDGET_BYTES,
 };
-pub use simulation::{
-    dual_simulation, dual_simulation_with, simulation_sets, CandidateSpace, SimScratch,
-};
+pub use simulation::{dual_simulation, dual_simulation_with, CandidateSpace, SimScratch};
 pub use table::MatchTable;
 pub use types::{Match, MatchOptions, Pin, SearchBudget};

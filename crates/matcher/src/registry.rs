@@ -764,7 +764,13 @@ mod tests {
                     got.push(m.to_vec());
                     Flow::Continue
                 });
-                let mut want = ComponentSearch::new(q, &g).pins(&opts.pins).collect_all();
+                let mut want = Vec::new();
+                ComponentSearch::new(q, &g)
+                    .pins(&opts.pins)
+                    .for_each(&mut |m| {
+                        want.push(m.to_vec());
+                        Flow::Continue
+                    });
                 got.sort();
                 want.sort();
                 assert_eq!(got, want, "view enumeration must equal raw mode");

@@ -632,9 +632,8 @@ impl Seed<'_> {
 /// deepest cascade and the longest edge direction's runs — never by the
 /// graph.
 ///
-/// Opaque: [`dual_simulation`] and [`simulation_sets`] take a fresh
-/// one per call, and a [`ClassRegistry`] keeps one for every class it
-/// simulates.
+/// Opaque: [`dual_simulation`] takes a fresh one per call, and a
+/// [`ClassRegistry`] keeps one for every class it simulates.
 ///
 /// [`ClassRegistry`]: crate::ClassRegistry
 #[derive(Debug, Default)]
@@ -972,13 +971,6 @@ pub fn dual_simulation_with(
     ws: &mut SimScratch,
 ) -> CandidateSpace {
     harvest_space(&mut simulate_core(q, g, scope, ws))
-}
-
-/// The candidate sets of [`dual_simulation`] without the candidate
-/// adjacency — the fixpoint half alone, for callers that only size or
-/// intersect the sets (partial-match estimates, pivot feasibility).
-pub fn simulation_sets(q: &Pattern, g: &Graph, scope: Option<&NodeSet>) -> Vec<Vec<NodeId>> {
-    simulate_core(q, g, scope, &mut SimScratch::default()).survivors()
 }
 
 /// Appends to `out` the admitted neighbors of `u` that `survives`

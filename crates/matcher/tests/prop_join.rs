@@ -101,13 +101,11 @@ fn random_component(rng: &mut Rng, vocab: &Arc<Vocab>) -> Pattern {
 /// Enumerates one component's matches (optionally pinned), returning
 /// the nested-`Vec` oracle form AND the flat table.
 fn enumerate_both(q: &Pattern, g: &Graph, pin: Option<Pin>) -> (Vec<Vec<NodeId>>, MatchTable) {
-    let nested = ComponentSearch::new(q, g)
+    let mut table = MatchTable::new(q.node_count());
+    ComponentSearch::new(q, g)
         .pins(pin.as_slice())
-        .collect_all();
-    let mut table = MatchTable::with_capacity(q.node_count(), nested.len());
-    for row in &nested {
-        table.push_row(row);
-    }
+        .collect_into(&mut table);
+    let nested = table.iter().map(<[NodeId]>::to_vec).collect();
     (nested, table)
 }
 

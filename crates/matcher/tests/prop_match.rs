@@ -36,7 +36,9 @@ use gfd_graph::neighborhood::khop_nodes;
 use gfd_graph::{Graph, GraphBuilder, NodeId, NodeSet};
 use gfd_match::simulation::{dual_simulation, dual_simulation_with, SimScratch};
 use gfd_match::types::Flow;
-use gfd_match::{for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, Pin};
+use gfd_match::{
+    for_each_match_with, ComponentSearch, MatchOptions, MatchScratch, MatchTable, Pin,
+};
 use gfd_pattern::analysis::pivot_vector;
 use gfd_pattern::{PatLabel, Pattern, PatternBuilder, VarId};
 use gfd_util::{prop::check, prop_assert, Rng};
@@ -482,17 +484,23 @@ fn pivot_pinned_matches_stay_within_the_pivot_radius() {
                 .expect("the pivot is in its component");
             let all = oracle_matches(&cq, &g, &[]);
             let cs = dual_simulation(&cq, &g, None);
+            let sorted_rows = |search: &mut ComponentSearch| {
+                let mut table = MatchTable::new(cq.node_count());
+                search.collect_into(&mut table);
+                let mut rows: Vec<Vec<NodeId>> = table.iter().map(<[NodeId]>::to_vec).collect();
+                rows.sort();
+                rows
+            };
             for v in g.nodes() {
                 let pins = [Pin::at(VarId(z as u32), v)];
                 let expected: Vec<Vec<NodeId>> =
                     all.iter().filter(|m| m[z] == v).cloned().collect();
-                let mut raw = ComponentSearch::new(&cq, &g).pins(&pins).collect_all();
-                raw.sort();
-                let mut space = ComponentSearch::new(&cq, &g)
-                    .candidate_space(&cs)
-                    .pins(&pins)
-                    .collect_all();
-                space.sort();
+                let raw = sorted_rows(&mut ComponentSearch::new(&cq, &g).pins(&pins));
+                let space = sorted_rows(
+                    &mut ComponentSearch::new(&cq, &g)
+                        .candidate_space(&cs)
+                        .pins(&pins),
+                );
                 prop_assert!(raw == expected, "raw mode pinned at {v:?} for {cq:?}");
                 prop_assert!(space == expected, "space mode pinned at {v:?} for {cq:?}");
                 let block = khop_nodes(&g, &[v], c.radius);

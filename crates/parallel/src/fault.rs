@@ -14,8 +14,8 @@
 //!   transient ones succeed on retry, *sticky* ones panic on every
 //!   attempt and must end in quarantine, not an abort and not a
 //!   silent drop ([`FaultPlan::panic_attempts`]);
-//! * **stragglers** — a unit sleeps before executing, so requeue and
-//!   work-stealing paths run against genuinely slow workers
+//! * **stragglers** — a unit sleeps before each attempt, so the unit
+//!   loop's cursor and retries run against genuinely slow workers
 //!   ([`FaultPlan::straggle_for`]);
 //! * **repair faults** — the incremental repair path panics or
 //!   silently drifts at chosen epochs, exercising the

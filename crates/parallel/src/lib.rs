@@ -23,8 +23,8 @@
 //! The paper evaluates on 20 EC2 instances. This reproduction runs on
 //! a single machine, so the "cluster" is a **simulator with virtual
 //! clocks** (module [`cluster`]) over one real executor. The threaded
-//! unit loop (module [`threaded`], std scoped threads over a
-//! retry-aware work queue) is the only code that runs a work unit: it
+//! unit loop (module [`threaded`], std scoped threads claiming units
+//! off one atomic cursor) is the only code that runs a work unit: it
 //! measures each unit's time, and the simulator executes every unit
 //! there once and *replays* the measured times on the virtual worker
 //! each unit is assigned to, while message traffic is charged to a
@@ -38,9 +38,10 @@
 //! read one [`gfd_match::ClassRegistry`] serving tier for candidate
 //! spaces, so a simulation paid by any
 //! worker (or co-tenant service) serves every other. Workers are
-//! **panic-isolated**: a unit that panics is caught, retried on a
-//! healthy worker with bounded backoff, and quarantined-and-reported
-//! if the fault is sticky — never silently dropped.
+//! **panic-isolated**: a unit that panics is caught, retried in place
+//! by the worker that claimed it (on a rebuilt scratch, with bounded
+//! backoff), and quarantined-and-reported if the fault is sticky —
+//! never silently dropped.
 //!
 //! ## The standing-violation service
 //!

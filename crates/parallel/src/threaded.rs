@@ -1,8 +1,8 @@
 //! The unit loop: real-thread execution of work units, isolated
 //! against panics — the one place a work unit runs.
 //!
-//! This module runs units across OS threads (std scoped threads over a
-//! shared retry-aware work queue — no external thread-pool
+//! This module runs units across OS threads (std scoped threads that
+//! claim unit indices off one atomic cursor — no external thread-pool
 //! dependency), sharing one [`ClassRegistry`] serving tier across all
 //! workers (and any other tenants of the same registry), and records
 //! each unit's measured run time and violation count. The simulated
@@ -11,7 +11,10 @@
 //!
 //! Every worker shares the *same* frozen CSR snapshot through one
 //! `Arc<Graph>` — the whole point of the builder/snapshot split: no
-//! per-worker graph clone, no synchronization on the read path.
+//! per-worker graph clone, no synchronization on the read path. A
+//! worker owns the unit it claims and keeps its own rows and failure
+//! ledger, merged into one [`ThreadedReport`] after the join: workers
+//! share only the cursor, the executor and the registry.
 //!
 //! ## Panic isolation
 //!
@@ -21,21 +24,20 @@
 //! have torn mid-update) is rebuilt — the shared registry needs no
 //! rebuild (its lock is never held across enumeration, a poisoned
 //! lock is absorbed, and its counters live inside it, out of a dying
-//! worker's reach) — and the unit is
-//! **requeued** — any healthy worker picks it up after a bounded
-//! backoff. After [`MAX_UNIT_ATTEMPTS`] failed attempts the unit is
-//! **quarantined and reported** in the [`ThreadedReport`]; it is never
-//! silently dropped, and sibling workers' results always survive.
+//! worker's reach) — and the same worker **retries** the unit in place
+//! after a bounded backoff. After [`MAX_UNIT_ATTEMPTS`] failed attempts
+//! the unit is **quarantined and reported** in the [`ThreadedReport`];
+//! it is never silently dropped, and sibling workers' results always
+//! survive.
 //!
 //! The optional [`FaultPlan`] injects deterministic panics and
-//! stragglers at chosen `(epoch, unit)` coordinates — the soak
+//! stragglers at chosen `(epoch, unit, attempt)` coordinates — the soak
 //! harness drives this path; production callers pass `None` and pay
 //! only the `catch_unwind` frame.
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gfd_core::{GfdSet, Violation};
@@ -51,8 +53,8 @@ use gfd_match::ClassRegistry;
 pub const MAX_UNIT_ATTEMPTS: u32 = 3;
 
 /// Base backoff before re-running a previously panicked unit; attempt
-/// `k` waits `k × RETRY_BACKOFF`, so repeated failures of one unit
-/// yield the queue to healthy work instead of hot-looping.
+/// `k` waits `k × RETRY_BACKOFF`, so a worker whose unit keeps failing
+/// sleeps between attempts instead of hot-looping.
 const RETRY_BACKOFF: Duration = Duration::from_micros(200);
 
 /// Everything a fault-isolated threaded run reports: the violations
@@ -92,9 +94,9 @@ pub struct UnitRun {
 
 /// Executes all units (descriptors over the `slots` arena, cut from
 /// `plan`) across `threads` OS threads sharing one `Arc<Graph>`, every
-/// unit isolated against panics: a panicked unit is requeued to a
-/// healthy worker with bounded retries and backoff, and an exhausted
-/// one is quarantined and reported — a caller that cannot recover it
+/// unit isolated against panics: the worker that claimed a panicked unit
+/// rebuilds its scratch and retries it in place with bounded retries and
+/// backoff, and an exhausted one is quarantined and reported — a caller that cannot recover it
 /// must treat a non-empty [`ThreadedReport::quarantined`] as an
 /// incomplete result. `faults` (with its `epoch` coordinate) injects
 /// deterministic panics/stragglers for the soak harness; pass `None` in
@@ -127,6 +129,17 @@ pub fn run_units_threaded_report(
     run_units(&exec, units, threads, faults, epoch)
 }
 
+/// What one worker gathered from the units it claimed; merged into the
+/// [`ThreadedReport`] after the join.
+#[derive(Default)]
+struct WorkerReport {
+    violations: Vec<Violation>,
+    runs: Vec<(usize, UnitRun)>,
+    unit_panics: u64,
+    units_retried: u64,
+    quarantined: Vec<usize>,
+}
+
 /// The unit loop behind [`run_units_threaded_report`], over a prebuilt
 /// executor — so whether units enumerate through the registry's class
 /// spaces stays the caller's choice.
@@ -138,103 +151,10 @@ pub(crate) fn run_units(
     epoch: u64,
 ) -> ThreadedReport {
     let cache_before = exec.registry.stats();
-    // (unit index, attempt) queue; requeued entries go to the back so
-    // healthy units drain first. Lock holders never panic (pop/push
-    // only), so the mutex cannot poison.
-    let queue: Mutex<VecDeque<(usize, u32)>> =
-        Mutex::new((0..units.len()).map(|i| (i, 0)).collect());
-    let outstanding = AtomicUsize::new(units.len());
-    let unit_panics = AtomicU64::new(0);
-    let units_retried = AtomicU64::new(0);
-    let quarantined: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-    let per_worker: Vec<_> = std::thread::scope(|scope| {
+    let cursor = AtomicUsize::new(0);
+    let per_worker: Vec<WorkerReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads.max(1))
-            .map(|_| {
-                let (queue, outstanding) = (&queue, &outstanding);
-                let (unit_panics, units_retried, quarantined) =
-                    (&unit_panics, &units_retried, &quarantined);
-                scope.spawn(move || {
-                    let mut scratch = UnitScratch::new();
-                    let mut out: Vec<Violation> = Vec::new();
-                    let mut runs: Vec<(usize, UnitRun)> = Vec::new();
-                    loop {
-                        // Invariant behind every "never poisoned" here:
-                        // the locks are held only across pop/push (which
-                        // do not panic) and unit execution runs under
-                        // catch_unwind with no lock held, so no worker
-                        // can die while holding a guard.
-                        let item = queue.lock().expect("never poisoned").pop_front();
-                        let Some((i, attempt)) = item else {
-                            // Empty queue but units still in flight on
-                            // other workers: one of them may requeue a
-                            // panicked unit, so spin-yield until the
-                            // outstanding count hits zero.
-                            if outstanding.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                            continue;
-                        };
-                        if attempt > 0 {
-                            // Bounded backoff: a retried unit waits
-                            // before re-running, so repeated failures
-                            // don't starve healthy units of workers.
-                            std::thread::sleep(RETRY_BACKOFF * attempt);
-                        }
-                        if let Some(f) = faults {
-                            if let Some(d) = f.straggle_for(epoch, i) {
-                                std::thread::sleep(d);
-                            }
-                        }
-                        let unit = &units[i];
-                        let checkpoint = out.len();
-                        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(f) = faults {
-                                if attempt < f.panic_attempts(epoch, i) {
-                                    panic!("injected worker fault (unit {i}, attempt {attempt})");
-                                }
-                            }
-                            let start = Instant::now();
-                            exec.run(unit, &mut scratch, &mut out);
-                            let seconds = start.elapsed().as_secs_f64();
-                            let violations = (out.len() - checkpoint) as u64;
-                            UnitRun {
-                                seconds,
-                                violations,
-                            }
-                        }));
-                        match result {
-                            Ok(run) => {
-                                runs.push((i, run));
-                                if attempt > 0 {
-                                    units_retried.fetch_add(1, Ordering::Relaxed);
-                                }
-                                outstanding.fetch_sub(1, Ordering::Release);
-                            }
-                            Err(_) => {
-                                unit_panics.fetch_add(1, Ordering::Relaxed);
-                                // The unwind may have left the unit's
-                                // partial output and the scratch
-                                // mid-update: drop the partial rows and
-                                // rebuild the scratch.
-                                out.truncate(checkpoint);
-                                scratch = UnitScratch::new();
-                                if attempt + 1 < MAX_UNIT_ATTEMPTS {
-                                    queue
-                                        .lock()
-                                        .expect("never poisoned")
-                                        .push_back((i, attempt + 1));
-                                } else {
-                                    quarantined.lock().expect("never poisoned").push(i);
-                                    outstanding.fetch_sub(1, Ordering::Release);
-                                }
-                            }
-                        }
-                    }
-                    (out, runs)
-                })
-            })
+            .map(|_| scope.spawn(|| run_worker(exec, units, &cursor, faults, epoch)))
             .collect();
         handles
             .into_iter()
@@ -250,25 +170,84 @@ pub(crate) fn run_units(
 
     // Merge with an exact capacity reservation, then establish the
     // canonical order in one unstable sort over the concatenation.
-    let total = per_worker.iter().map(|(out, _)| out.len()).sum();
-    let mut violations = Vec::with_capacity(total);
-    let mut unit_runs = vec![UnitRun::default(); units.len()];
-    for (mut out, runs) in per_worker {
-        violations.append(&mut out);
-        for (i, run) in runs {
-            unit_runs[i] = run;
+    let total = per_worker.iter().map(|w| w.violations.len()).sum();
+    let mut report = ThreadedReport {
+        violations: Vec::with_capacity(total),
+        unit_runs: vec![UnitRun::default(); units.len()],
+        ..ThreadedReport::default()
+    };
+    for mut w in per_worker {
+        report.violations.append(&mut w.violations);
+        report.unit_panics += w.unit_panics;
+        report.units_retried += w.units_retried;
+        report.quarantined.append(&mut w.quarantined);
+        for (i, run) in w.runs {
+            report.unit_runs[i] = run;
         }
     }
-    sort_violations(&mut violations);
-    let mut quarantined = quarantined.into_inner().expect("never poisoned");
-    quarantined.sort_unstable();
-    ThreadedReport {
-        violations,
-        unit_panics: unit_panics.into_inner(),
-        units_retried: units_retried.into_inner(),
-        quarantined,
-        cache: exec.registry.stats() - cache_before,
-        unit_runs,
+    sort_violations(&mut report.violations);
+    report.quarantined.sort_unstable();
+    report.cache = exec.registry.stats() - cache_before;
+    report
+}
+
+/// One worker: claims the next unit index off `cursor` and runs that
+/// unit to success or quarantine before it claims another, until the
+/// cursor passes the last unit.
+fn run_worker(
+    exec: &UnitExecutor,
+    units: &[WorkUnit],
+    cursor: &AtomicUsize,
+    faults: Option<&FaultPlan>,
+    epoch: u64,
+) -> WorkerReport {
+    let mut w = WorkerReport::default();
+    let mut scratch = UnitScratch::new();
+    loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(unit) = units.get(i) else {
+            return w;
+        };
+        for attempt in 0..MAX_UNIT_ATTEMPTS {
+            if attempt > 0 {
+                std::thread::sleep(RETRY_BACKOFF * attempt);
+            }
+            if let Some(d) = faults.and_then(|f| f.straggle_for(epoch, i)) {
+                std::thread::sleep(d);
+            }
+            let checkpoint = w.violations.len();
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                if let Some(f) = faults {
+                    if attempt < f.panic_attempts(epoch, i) {
+                        panic!("injected worker fault (unit {i}, attempt {attempt})");
+                    }
+                }
+                let start = Instant::now();
+                exec.run(unit, &mut scratch, &mut w.violations);
+                UnitRun {
+                    seconds: start.elapsed().as_secs_f64(),
+                    violations: (w.violations.len() - checkpoint) as u64,
+                }
+            }));
+            match result {
+                Ok(run) => {
+                    w.runs.push((i, run));
+                    w.units_retried += u64::from(attempt > 0);
+                    break;
+                }
+                Err(_) => {
+                    w.unit_panics += 1;
+                    // The unwind may have left the unit's partial
+                    // output and the scratch mid-update: drop the
+                    // partial rows and rebuild the scratch.
+                    w.violations.truncate(checkpoint);
+                    scratch = UnitScratch::new();
+                    if attempt + 1 == MAX_UNIT_ATTEMPTS {
+                        w.quarantined.push(i);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -42,7 +42,6 @@ use std::sync::Arc;
 use gfd_core::group::RuleGroup;
 use gfd_core::{GfdSet, RuleGroups};
 use gfd_graph::{Graph, NodeId};
-use gfd_match::simulation::simulation_sets;
 use gfd_match::{ClassRegistry, ClassView};
 use gfd_pattern::{
     analysis::pivot_vector, iso_witness, tree_decomposition, PatLabel, Pattern, VarId,
@@ -291,25 +290,6 @@ fn pivots_from_sets<'s>(
     }
     let cands = &sets[pivot.index()];
     (cands, universe - cands.len())
-}
-
-/// Pivot candidates of `part` at its variable `pivot`, pruned by one
-/// dual simulation of the part over the whole graph. Returns the sorted
-/// candidate list and how many raw candidates were pruned.
-///
-/// Replaces the per-candidate backtracking probe: a pivot candidate
-/// outside `sim(z)` cannot anchor any match (the simulation contains
-/// every match) — the unscoped check is exactly the whole-graph,
-/// pivot-pinned search the unit will run.
-///
-/// This is the standalone (one part, own simulation) reference;
-/// [`estimate_workload`] draws the same information from a
-/// [`ClassRegistry`] shared across the whole Σ instead, so isomorphic
-/// parts pay for one simulation — and share one list — together.
-pub fn feasible_pivots(g: &Graph, part: &Pattern, pivot: VarId) -> (Vec<NodeId>, usize) {
-    let sets = simulation_sets(part, g, None);
-    let (cands, pruned) = pivots_from_sets(g, part.label(pivot), &sets, pivot);
-    (cands.to_vec(), pruned)
 }
 
 /// Upper bound on the units of one rule group: each of its `k`

@@ -719,10 +719,20 @@ fn permuted_twin_components_agree_with_detvio_on_every_unit_path() {
 #[test]
 fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
     use gfd::core::{Dependency, Gfd, GfdSet, Literal};
-    use gfd::graph::{GraphBuilder, NodeId, Value};
-    use gfd::parallel::workload::feasible_pivots;
-    use gfd::pattern::PatternBuilder;
+    use gfd::graph::{Graph, GraphBuilder, NodeId, Value};
+    use gfd::matcher::dual_simulation;
+    use gfd::pattern::{Pattern, PatternBuilder, VarId};
     use gfd_util::prop::{cases, check};
+
+    /// The pivots of `part` at `pivot` that can anchor a match: its
+    /// simulation set, or none when any variable's set is empty.
+    fn feasible(g: &Graph, part: &Pattern, pivot: VarId) -> Vec<NodeId> {
+        let sets = dual_simulation(part, g, None).sets;
+        if sets.iter().any(Vec::is_empty) {
+            return Vec::new();
+        }
+        sets[pivot.index()].clone()
+    }
 
     /// Every tuple drawing one pivot from each list, in list order.
     fn product(lists: &[&[NodeId]]) -> Vec<Vec<NodeId>> {
@@ -802,7 +812,7 @@ fn range_units_cover_every_pivot_tuple_once_and_agree_on_every_path() {
         for (group, gp) in wl.plan.iter() {
             let r = group.rep;
             let lists: Vec<Vec<NodeId>> = (0..group.parts.len())
-                .map(|i| feasible_pivots(&g, &group.parts[i].0, gp.local_pivot(group, i)).0)
+                .map(|i| feasible(&g, &group.parts[i].0, gp.local_pivot(group, i)))
                 .collect();
             let units: Vec<_> = wl.units.iter().filter(|u| u.rule() == r).collect();
             if units.len() > 64 {
