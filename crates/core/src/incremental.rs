@@ -165,6 +165,11 @@ impl IncrementalDetector {
         det
     }
 
+    /// The rule set this detector maintains.
+    pub fn sigma(&self) -> &GfdSet {
+        &self.sigma
+    }
+
     /// The current violation set, in rule order (match order within a
     /// rule is unspecified).
     pub fn violations(&self) -> Vec<Violation> {

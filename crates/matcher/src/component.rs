@@ -48,28 +48,20 @@ pub(crate) fn edge_ok(g: &Graph, u: NodeId, v: NodeId, label: PatLabel) -> bool 
     }
 }
 
-/// Connectivity-aware static variable order: pinned variables first,
-/// then always the unvisited variable with the most visited neighbors
-/// (ties: smallest candidate count, then higher degree, then lower
-/// id). `cand_counts` comes from the simulation when available; pass
-/// `usize::MAX` entries to fall back to pure degree ordering.
+/// Connectivity-aware static variable order, written into
+/// caller-owned buffers (`visited` and `order` are cleared first, and
+/// the search hot path reuses them via [`SearchScratch`]): pinned
+/// variables first, then always the unvisited variable with the most
+/// visited neighbors (ties: smallest candidate count, then higher
+/// degree, then lower id). `cand_counts` comes from the simulation when
+/// available; pass `usize::MAX` entries to fall back to pure degree
+/// ordering.
 ///
 /// The order is **fully deterministic**: every tie chain ends in the
 /// stable secondary key `Reverse(v.0)` (variable ids are unique), so
 /// two calls over the same inputs — across processes, thread
 /// schedules, or repeated detection passes — always produce the same
 /// order. Regression baselines rely on this.
-#[cfg(test)]
-pub(crate) fn search_order(q: &Pattern, pinned: &[VarId], cand_counts: &[usize]) -> Vec<VarId> {
-    let mut visited = Vec::new();
-    let mut order = Vec::new();
-    search_order_into(q, pinned, cand_counts, &mut visited, &mut order);
-    order
-}
-
-/// [`search_order`] writing into caller-owned buffers (`visited` and
-/// `order` are cleared first) — the allocation-free form the search
-/// hot path uses via [`SearchScratch`].
 pub(crate) fn search_order_into(
     q: &Pattern,
     pinned: &[VarId],
@@ -749,6 +741,14 @@ mod tests {
         filtered.sort();
         assert_eq!(plain, filtered);
         assert!(!plain.is_empty());
+    }
+
+    /// [`search_order_into`] into fresh buffers.
+    fn search_order(q: &Pattern, pinned: &[VarId], cand_counts: &[usize]) -> Vec<VarId> {
+        let mut visited = Vec::new();
+        let mut order = Vec::new();
+        search_order_into(q, pinned, cand_counts, &mut visited, &mut order);
+        order
     }
 
     /// Satellite regression: `search_order` must be fully

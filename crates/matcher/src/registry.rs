@@ -139,15 +139,6 @@ pub struct CacheStats {
     pub eviction_deferred_pinned: u64,
 }
 
-impl std::ops::AddAssign for CacheStats {
-    fn add_assign(&mut self, o: CacheStats) {
-        self.hits += o.hits;
-        self.misses += o.misses;
-        self.evicted_cold += o.evicted_cold;
-        self.eviction_deferred_pinned += o.eviction_deferred_pinned;
-    }
-}
-
 impl std::ops::Sub for CacheStats {
     type Output = CacheStats;
     /// The counters accrued since an `earlier` reading of the same

@@ -56,18 +56,19 @@ pub fn makespan(costs: &[u64], assignment: &[usize], n: usize) -> u64 {
     load.into_iter().max().unwrap_or(0)
 }
 
-/// A lower bound on the optimal makespan:
-/// `max(total/n rounded up, max single cost)`.
-pub fn makespan_lower_bound(costs: &[u64], n: usize) -> u64 {
-    assert!(n > 0, "makespan_lower_bound: zero workers have no makespan");
-    let total: u64 = costs.iter().sum();
-    let avg = total.div_ceil(n as u64);
-    avg.max(costs.iter().copied().max().unwrap_or(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A lower bound on the optimal makespan:
+    /// `max(total/n rounded up, max single cost)` — Prop. 12's
+    /// 2-approximation is checked against it.
+    fn makespan_lower_bound(costs: &[u64], n: usize) -> u64 {
+        assert!(n > 0, "makespan_lower_bound: zero workers have no makespan");
+        let total: u64 = costs.iter().sum();
+        let avg = total.div_ceil(n as u64);
+        avg.max(costs.iter().copied().max().unwrap_or(0))
+    }
 
     #[test]
     fn example12_balanced_partition() {

@@ -30,7 +30,8 @@
 //!   ([`crate::wal`]) as a checksummed frame, fsynced per
 //!   [`crate::wal::SyncPolicy`]; [`ViolationService::recover`]
 //!   restarts a crashed service from that file, truncating torn or
-//!   corrupt tails and replaying every surviving epoch.
+//!   corrupt tails and replaying every surviving epoch. The log counts
+//!   its own frames and fsyncs ([`ViolationService::durable_log`]).
 //! * **Ingest validation** — a malformed batch (out-of-range node
 //!   ids, phantom edge removals, stale labels …) is rejected with an
 //!   [`IngestError`] *before* anything is touched: no epoch, no log
@@ -61,10 +62,8 @@ use gfd_core::group::{for_each_group_violation, GroupScratch};
 use gfd_core::validate::detect_violations;
 use gfd_core::{GfdSet, IncrementalDetector, VioDiff, Violation};
 use gfd_graph::{DeltaError, Graph, GraphDelta};
-use gfd_match::Match;
+use gfd_match::{ClassRegistry, Match};
 use gfd_util::Rng;
-
-use gfd_match::{CacheStats, ClassRegistry};
 
 use crate::fault::FaultPlan;
 use crate::threaded::run_units_threaded_report;
@@ -167,11 +166,12 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Operational counters: every failure the service absorbed is
-/// visible here — nothing is swallowed silently.
+/// Operational counters of what the service decides: every failure
+/// it absorbed is visible here. The durable log counts its own frames
+/// and fsyncs ([`ViolationService::durable_log`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Epochs committed (current epoch number).
+    /// Epochs committed: the service's one epoch number.
     pub epochs: u64,
     /// Individual edit deltas accepted (before compaction).
     pub edits_ingested: u64,
@@ -194,29 +194,19 @@ pub struct ServiceStats {
     /// Always 0: the service keeps no per-epoch log in memory; the
     /// write-ahead log holds the epochs.
     pub retained_epochs: u64,
-    /// Frames written to the durable log (snapshot frame included);
-    /// zero for an in-memory-only service.
-    pub log_frames: u64,
-    /// fsyncs issued by the durable log.
-    pub log_fsyncs: u64,
     /// Durable-log append/sync failures absorbed. A failed append
     /// drops the service to in-memory-only operation (it keeps
     /// serving; durability is gone until re-created) — this counter
     /// is how that degradation stays visible.
     pub log_write_errors: u64,
-    /// The shared [`ClassRegistry`]'s counters across this tenant's
-    /// degraded recomputes (a co-tenant racing one of them is counted
-    /// in; [`ClassRegistry::stats`] totals everything).
-    pub cache: CacheStats,
 }
 
 /// The long-lived standing-violation engine; see the module docs.
-/// Its violation set is its detector's, and every update it publishes
-/// is a diff the detector committed.
+/// Its violation set and Σ are its detector's, its epoch is
+/// [`ServiceStats::epochs`], and every update it publishes is a diff
+/// the detector committed.
 pub struct ViolationService {
-    sigma: GfdSet,
     current: Arc<Graph>,
-    epoch: u64,
     /// The serving-tier cache this service's detector and degraded
     /// recomputes read through — possibly shared with other tenants.
     registry: Arc<ClassRegistry>,
@@ -254,9 +244,7 @@ impl ViolationService {
     ) -> Self {
         let detector = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
         ViolationService {
-            sigma,
             current: g,
-            epoch: 0,
             registry,
             detector,
             wal: None,
@@ -271,7 +259,8 @@ impl ViolationService {
     /// `path` (truncating any previous file there): the epoch-0
     /// snapshot is written and fsynced immediately, and every
     /// committed epoch is appended as a checksummed frame, forced to
-    /// stable storage per `policy`. After a crash,
+    /// stable storage per `policy` and counted by the log itself
+    /// ([`durable_log`](Self::durable_log)). After a crash,
     /// [`recover`](Self::recover) rebuilds the service from this file.
     pub fn with_durable_log(
         sigma: GfdSet,
@@ -281,10 +270,7 @@ impl ViolationService {
         policy: SyncPolicy,
     ) -> Result<Self, WalError> {
         let mut svc = Self::new(sigma, g, cfg);
-        let writer = WalWriter::create(path, 0, &svc.current, policy)?;
-        svc.stats.log_frames = writer.frames();
-        svc.stats.log_fsyncs = writer.fsyncs();
-        svc.wal = Some(writer);
+        svc.wal = Some(WalWriter::create(path, 0, &svc.current, policy)?);
         Ok(svc)
     }
 
@@ -329,17 +315,12 @@ impl ViolationService {
         let violations = detect_violations(&sigma, &g);
         let detector =
             IncrementalDetector::from_violations_in(&sigma, &violations, Arc::clone(&registry));
-        let epoch = report.recovered_epoch;
         let svc = ViolationService {
-            sigma,
             current: Arc::new(g),
-            epoch,
             registry,
             detector,
             stats: ServiceStats {
-                epochs: epoch,
-                log_frames: writer.frames(),
-                log_fsyncs: writer.fsyncs(),
+                epochs: report.recovered_epoch,
                 ..ServiceStats::default()
             },
             wal: Some(writer),
@@ -354,7 +335,7 @@ impl ViolationService {
     /// immutable while later batches commit.
     pub fn snapshot(&self) -> PinnedEpoch {
         PinnedEpoch {
-            epoch: self.epoch,
+            epoch: self.stats.epochs,
             graph: Arc::clone(&self.current),
         }
     }
@@ -383,7 +364,8 @@ impl ViolationService {
         &self.stats
     }
 
-    /// The durable write-ahead log, if this service has one.
+    /// The durable write-ahead log, if this service has one; it counts
+    /// its own frames and fsyncs.
     pub fn durable_log(&self) -> Option<&WalWriter> {
         self.wal.as_ref()
     }
@@ -391,26 +373,23 @@ impl ViolationService {
     /// Forces every committed epoch onto stable storage now —
     /// subscriber-demand durability for [`SyncPolicy::EveryN`] /
     /// [`SyncPolicy::OnDemand`] services. A no-op without a durable
-    /// log; an fsync failure drops the service to in-memory operation
-    /// (counted in [`ServiceStats::log_write_errors`]) and is
-    /// returned.
+    /// log (which counts the fsync itself); an fsync failure drops the
+    /// service to in-memory operation (counted in
+    /// [`ServiceStats::log_write_errors`]) and is returned.
     pub fn flush_log(&mut self) -> Result<(), WalError> {
         if let Some(w) = self.wal.as_mut() {
-            match w.sync() {
-                Ok(()) => self.stats.log_fsyncs = w.fsyncs(),
-                Err(e) => {
-                    self.stats.log_write_errors += 1;
-                    self.wal = None;
-                    return Err(e);
-                }
+            if let Err(e) = w.sync() {
+                self.stats.log_write_errors += 1;
+                self.wal = None;
+                return Err(e);
             }
         }
         Ok(())
     }
 
-    /// The rule set the service maintains.
+    /// The rule set the service maintains: its detector's.
     pub fn sigma(&self) -> &GfdSet {
-        &self.sigma
+        self.detector.sigma()
     }
 
     /// Ingests one batch of edit deltas (delta `i+1` based on the
@@ -448,7 +427,7 @@ impl ViolationService {
         //    then `make_mut` patches a shallow copy that shares every
         //    page the net delta does not touch, so the pinned snapshot
         //    never changes.
-        let next_epoch = self.epoch + 1;
+        let next_epoch = self.stats.epochs + 1;
         if !compacted.is_empty() {
             Arc::make_mut(&mut self.current).apply_delta_in_place(&compacted);
         }
@@ -457,6 +436,7 @@ impl ViolationService {
         //    real) must not take the service down: `diff` writes
         //    nothing, and the epoch degrades.
         let faults = self.cfg.faults.clone();
+        let rules = self.detector.sigma().len();
         let injected_repair_panic = faults.as_ref().is_some_and(|f| f.repair_panics(next_epoch));
         let repair = {
             let detector = &mut self.detector;
@@ -476,8 +456,8 @@ impl ViolationService {
                 // is caught, rolled back and healed (an UNdetected one
                 // is what the sampling trade-off accepts).
                 let drifted = match &faults {
-                    Some(f) if !self.sigma.is_empty() && f.drifts(next_epoch) => {
-                        let rule = self.rng.gen_range(0..self.sigma.len());
+                    Some(f) if rules > 0 && f.drifts(next_epoch) => {
+                        let rule = self.rng.gen_range(0..rules);
                         self.detector.inject_drift(rule, &mut diff);
                         Some(rule)
                     }
@@ -485,8 +465,8 @@ impl ViolationService {
                 };
                 self.detector.commit(&diff);
                 let check_rule = drifted.or_else(|| {
-                    (!self.sigma.is_empty() && self.rng.next_f64() < self.cfg.oracle_sample_p)
-                        .then(|| self.rng.gen_range(0..self.sigma.len()))
+                    (rules > 0 && self.rng.next_f64() < self.cfg.oracle_sample_p)
+                        .then(|| self.rng.gen_range(0..rules))
                 });
                 let diverged = match check_rule {
                     Some(rule) => {
@@ -521,24 +501,19 @@ impl ViolationService {
         //    log, then — and only then — publish. Subscribers can never
         //    observe a half-applied epoch because nothing is published
         //    until every service structure agrees on `next_epoch`.
-        self.epoch = next_epoch;
         self.stats.epochs = next_epoch;
         self.stats.edits_ingested += batch.len() as u64;
         if let Some(w) = self.wal.as_mut() {
             let cut = faults.as_ref().and_then(|f| f.short_write(next_epoch));
-            match w.append_cut(next_epoch, &compacted, self.current.vocab(), cut) {
-                Ok(()) => {
-                    self.stats.log_frames = w.frames();
-                    self.stats.log_fsyncs = w.fsyncs();
-                }
-                Err(_) => {
-                    // Serving beats durability: a failed append (disk
-                    // full, I/O error) drops the service to in-memory
-                    // operation — visibly, via the stats counter — and
-                    // the epoch still commits.
-                    self.stats.log_write_errors += 1;
-                    self.wal = None;
-                }
+            if w.append_cut(next_epoch, &compacted, self.current.vocab(), cut)
+                .is_err()
+            {
+                // Serving beats durability: a failed append (disk
+                // full, I/O error) drops the service to in-memory
+                // operation — visibly, via the stats counter — and
+                // the epoch still commits.
+                self.stats.log_write_errors += 1;
+                self.wal = None;
             }
         }
         let mut update = Some(VioUpdate {
@@ -579,15 +554,11 @@ impl ViolationService {
         // from the recovered snapshot. Sound for co-tenants too (the
         // caches are pure derivations; they re-simulate lazily).
         self.registry.invalidate_all();
-        let wl = estimate_workload_in(
-            &self.sigma,
-            &next,
-            &WorkloadOptions::default(),
-            &self.registry,
-        );
+        let sigma = self.detector.sigma();
+        let wl = estimate_workload_in(sigma, &next, &WorkloadOptions::default(), &self.registry);
         let report = run_units_threaded_report(
             &next,
-            &self.sigma,
+            sigma,
             &wl.plan,
             &wl.units,
             &wl.slots,
@@ -599,7 +570,6 @@ impl ViolationService {
         self.stats.unit_panics += report.unit_panics;
         self.stats.units_retried += report.units_retried;
         self.stats.units_quarantined += report.quarantined.len() as u64;
-        self.stats.cache += report.cache;
 
         let mut violations = report.violations;
         if !report.quarantined.is_empty() {
@@ -633,7 +603,7 @@ impl ViolationService {
         }
 
         let registry = Arc::clone(&self.registry);
-        let truth = IncrementalDetector::from_violations_in(&self.sigma, &violations, registry);
+        let truth = IncrementalDetector::from_violations_in(sigma, &violations, registry);
         let diff = truth.changes_since(&self.detector);
         self.detector = truth;
         diff
@@ -1109,8 +1079,11 @@ mod tests {
             svc.ingest(&batch).unwrap();
         }
         let live_violations = svc.violations();
-        assert_eq!(svc.stats().log_frames, 6, "snapshot + 5 delta frames");
-        assert!(svc.durable_log().is_some());
+        assert_eq!(
+            svc.durable_log().unwrap().frames(),
+            6,
+            "snapshot + 5 delta frames"
+        );
         // "Crash": drop without any shutdown courtesy.
         drop(svc);
 
@@ -1125,6 +1098,7 @@ mod tests {
         assert_eq!(report.replayed_epochs, 5);
         assert!(report.corruption.is_none());
         assert_eq!(svc2.snapshot().epoch, 5);
+        assert_eq!(svc2.stats().epochs, report.recovered_epoch);
         assert_eq!(svc2.violations(), live_violations);
         assert_eq!(svc2.violations(), scratch(svc2.sigma(), &shadow));
 

@@ -88,7 +88,7 @@
 use std::convert::Infallible;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use gfd_graph::{
@@ -222,11 +222,12 @@ pub struct FrameInfo {
 /// Append side of the log. Writes are buffered by the OS; durability
 /// is governed by the [`SyncPolicy`] — the writer deliberately does
 /// **not** fsync on drop, so a crash (or a simulated one in the soak)
-/// loses exactly the epochs the policy has not yet forced down.
+/// loses exactly the epochs the policy has not yet forced down. It is
+/// the one count of its frames and fsyncs: a service reports its log's
+/// counters from here.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
-    path: PathBuf,
     policy: SyncPolicy,
     /// Last epoch appended (the snapshot's epoch right after create).
     head: u64,
@@ -305,7 +306,6 @@ impl WalWriter {
         let len = (MAGIC.len() + header.len() + payload_len + CKSUM_LEN) as u64;
         Ok(WalWriter {
             file,
-            path: path.to_path_buf(),
             policy,
             head: base_epoch,
             syms_written: sym_count as usize,
@@ -435,11 +435,6 @@ impl WalWriter {
         self.base_len
     }
 
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Frames written over the writer's lifetime (snapshot included).
     pub fn frames(&self) -> u64 {
         self.frames
@@ -449,11 +444,6 @@ impl WalWriter {
     /// directory fsync of [`create`](WalWriter::create) is not counted).
     pub fn fsyncs(&self) -> u64 {
         self.fsyncs
-    }
-
-    /// The writer's sync policy.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
     }
 }
 
@@ -880,7 +870,6 @@ pub fn recover_in(
 
     let writer = WalWriter {
         file,
-        path: path.to_path_buf(),
         policy,
         head,
         syms_written: syms as usize,

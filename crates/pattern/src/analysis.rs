@@ -31,18 +31,6 @@ pub struct PivotVector {
     pub components: Vec<ComponentInfo>,
 }
 
-impl PivotVector {
-    /// The arity `‖z̄‖` (number of connected components).
-    pub fn arity(&self) -> usize {
-        self.components.len()
-    }
-
-    /// The pivot variables `z̄`.
-    pub fn pivots(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.components.iter().map(|c| c.pivot)
-    }
-}
-
 /// Undirected connected components of `q`, each sorted ascending;
 /// components ordered by their smallest variable.
 pub fn connected_components(q: &Pattern) -> Vec<Vec<VarId>> {
@@ -168,7 +156,7 @@ mod tests {
         // Example 9: PV(ϕ1) = ((x, 1), (y, 1)).
         let q = q1();
         let pv = pivot_vector(&q);
-        assert_eq!(pv.arity(), 2);
+        assert_eq!(pv.components.len(), 2);
         let x = q.var_by_name("x").unwrap();
         let y = q.var_by_name("y").unwrap();
         assert_eq!(pv.components[0].pivot, x);
@@ -186,7 +174,7 @@ mod tests {
         b.node("y", "R");
         let q = b.build();
         let pv = pivot_vector(&q);
-        assert_eq!(pv.arity(), 2);
+        assert_eq!(pv.components.len(), 2);
         assert!(pv.components.iter().all(|c| c.radius == 0));
     }
 

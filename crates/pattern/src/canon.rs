@@ -123,12 +123,6 @@ impl CanonicalForm {
         &self.code
     }
 
-    /// The canonical variable order (`order[p]` = variable at
-    /// canonical position `p`).
-    pub fn order(&self) -> &[VarId] {
-        &self.order
-    }
-
     /// Composes the two canonical orders into a witness from this
     /// form's pattern onto `other`'s pattern: the variables at equal
     /// canonical positions correspond.
