@@ -8,7 +8,6 @@
 //! human-readable table it writes `BENCH_graph.json` into the current
 //! directory so successive PRs accumulate a perf trajectory.
 
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -225,7 +224,7 @@ fn bench_graph_primitives(g: &Graph, samples: &mut Vec<Sample>) {
 /// The write side of the snapshot: what a successor costs when the
 /// delta is small and the graph is not, and what the paged layout
 /// costs to build from scratch.
-fn bench_graph_writes(samples: &mut Vec<Sample>) {
+fn bench_graph_writes(samples: &mut Vec<Sample>, frames: &mut Vec<(&'static str, u64)>) {
     let g = synthetic_graph(&SynthConfig::sized(100_000, 0x9A6E));
     let n = g.node_count();
     let label = g.edges().next().expect("the graph has edges").label;
@@ -256,6 +255,10 @@ fn bench_graph_writes(samples: &mut Vec<Sample>) {
     beside_hub
         .added_edges
         .push(gfd_bench::edge_beside_hub(&pokec).1);
+    frames.push((
+        "wal/frame_bytes(1 edge, pokec)",
+        frame_bytes(&pokec, &beside_hub),
+    ));
     bench(
         "graph/apply_delta(1 edge beside a hub, pokec)",
         samples,
@@ -315,21 +318,35 @@ fn bench_graph_writes(samples: &mut Vec<Sample>) {
     });
 }
 
-/// `ns_per_iter` of every sample in a previously written
-/// `BENCH_graph.json` (one sample per line, as [`main`] writes them).
-fn previous_ns(json: &str) -> std::collections::HashMap<&str, &str> {
+/// The bytes one [`wal::WalWriter::append`] of `delta` adds to a log
+/// of `g`: exact, so a row of them needs no timing loop.
+fn frame_bytes(g: &Graph, delta: &GraphDelta) -> u64 {
+    let dir = TempDir::new("gfd-bench-frame").unwrap();
+    let mut w = wal::WalWriter::create(&dir.file("frame.wal"), 0, g, SyncPolicy::OnDemand).unwrap();
+    let before = w.bytes();
+    w.append(1, delta, g.vocab()).unwrap();
+    w.bytes() - before
+}
+
+/// `field` of every row in a previously written `BENCH_graph.json`
+/// (one row per line, as [`main`] writes them), by row name.
+fn previous<'a>(json: &'a str, field: &str) -> std::collections::HashMap<&'a str, &'a str> {
+    let key = format!("\"{field}\": ");
     json.lines()
         .filter_map(|line| {
             let (_, rest) = line.split_once("\"name\": \"")?;
-            let (name, rest) = rest.split_once("\", \"ns_per_iter\": ")?;
-            let (ns, _) = rest.split_once(',')?;
-            Some((name, ns))
+            let (name, rest) = rest.split_once('"')?;
+            let (_, rest) = rest.split_once(key.as_str())?;
+            let (value, _) = rest.split_once([',', '}'])?;
+            Some((name, value))
         })
         .collect()
 }
 
 fn main() {
     let mut samples = Vec::new();
+    // Exact bytes of one appended log frame, by row name.
+    let mut frames = Vec::new();
     println!("== gfd microbenches (best of 3, adaptive iters) ==");
 
     // Storage layer: the Yago2 stand-in at bench scale.
@@ -339,7 +356,7 @@ fn main() {
     });
     println!("# graph: |V|={} |E|={}", g.node_count(), g.edge_count());
     bench_graph_primitives(&g, &mut samples);
-    bench_graph_writes(&mut samples);
+    bench_graph_writes(&mut samples, &mut frames);
 
     // Matching.
     let sigma = mine_gfds(
@@ -1187,6 +1204,8 @@ fn main() {
                 r.recovered_epoch
             });
         }
+        let flip = GraphDelta::compact(&flip16).expect("the batch is not empty");
+        frames.push(("wal/frame_bytes(16 attr writes)", frame_bytes(&gs, &flip)));
     }
 
     // Emit the perf-trajectory artifact (hand-rolled JSON: the
@@ -1200,27 +1219,38 @@ fn main() {
             std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into())
         )
     });
-    // The file being replaced is the previous PR's run: keep its
-    // timing beside the new one.
+    // The file being replaced is the previous run: keep its timing,
+    // and its frame bytes, beside the new ones.
     let replaced = std::fs::read_to_string(&path).unwrap_or_default();
-    let previous = previous_ns(&replaced);
-    let mut json = String::from("{\n  \"bench\": \"reasoning_micro\",\n  \"samples\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let prev = match previous.get(s.name) {
+    let (previous_ns, previous_bytes) = (
+        previous(&replaced, "ns_per_iter"),
+        previous(&replaced, "frame_bytes"),
+    );
+    let mut rows = Vec::new();
+    for s in &samples {
+        let prev = match previous_ns.get(s.name) {
             Some(ns) => format!("\"prev_ns_per_iter\": {ns}, "),
             None => String::new(),
         };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, {prev}\"iters\": {}, \"allocs_per_iter\": {:.2}}}{}",
-            s.name,
-            s.ns_per_iter,
-            s.iters,
-            s.allocs_per_iter,
-            if i + 1 < samples.len() { "," } else { "" }
-        );
+        rows.push(format!(
+            "    {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, {prev}\"iters\": {}, \"allocs_per_iter\": {:.2}}}",
+            s.name, s.ns_per_iter, s.iters, s.allocs_per_iter,
+        ));
     }
-    json.push_str("  ]\n}\n");
+    for &(name, bytes) in &frames {
+        println!("{name:<44} {bytes:>14} B/frame");
+        let prev = match previous_bytes.get(name) {
+            Some(b) => format!(", \"prev_frame_bytes\": {b}"),
+            None => String::new(),
+        };
+        rows.push(format!(
+            "    {{\"name\": \"{name}\", \"frame_bytes\": {bytes}{prev}}}"
+        ));
+    }
+    let json = format!(
+        "{{\n  \"bench\": \"reasoning_micro\",\n  \"samples\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    );
     match std::fs::write(&path, &json) {
         Ok(()) => println!("# wrote {path}"),
         Err(e) => eprintln!("# could not write {path}: {e}"),

@@ -10,7 +10,8 @@
 //! nothing, for one rule or for eight isomorphic twins.
 //!
 //! The write side has its own gates: a warm [`WalWriter::append`] that
-//! interns no new name allocates nothing, [`Graph::apply_delta`] must
+//! interns no new name allocates nothing, one that interns a name
+//! copies that name alone, not the vocabulary, [`Graph::apply_delta`] must
 //! request allocator bytes in proportion to the delta's pages, not to
 //! the graph, a warm [`Graph::apply_delta_in_place`] on a snapshot
 //! nothing else holds must allocate nothing — and neither must the
@@ -302,8 +303,8 @@ const EPOCH_ALLOCATIONS: u64 = 0;
 
 /// The log-append gate: a warm [`WalWriter::append`] of a frame that
 /// interns no new name makes zero allocations — the frame is encoded
-/// into the writer's reused buffer, and the vocabulary is copied only
-/// when names were interned since the last frame. A copy of the
+/// into the writer's reused buffer, and of the vocabulary only the
+/// names interned since the last frame are copied. A copy of the
 /// vocabulary per frame costs one allocation here, and bytes in
 /// proportion to the vocabulary on every frame of a real log.
 #[test]
@@ -330,6 +331,44 @@ fn warm_wal_append_allocates_nothing() {
     assert_eq!(
         allocations, 0,
         "a warm append that interns no name made {allocations} allocations"
+    );
+}
+
+/// The new-name gate: a frame that carries one name interned since
+/// the last frame copies that name's list and nothing else of the
+/// vocabulary. Into a 10 000-name vocabulary, the append makes one
+/// allocation of one `Arc<str>`; a copy of the whole vocabulary
+/// requests 160 000 bytes.
+#[test]
+fn appending_a_new_name_copies_only_that_name() {
+    let g = clean_flights(40);
+    for i in 0..10_000 {
+        g.vocab().intern(&format!("padding-{i}"));
+    }
+    let dir = TempDir::new("gfd-alloc-new-name").unwrap();
+    let path = dir.file("append.wal");
+    let mut w = WalWriter::create(&path, 0, &g, SyncPolicy::OnDemand).unwrap();
+    let mut delta = GraphDelta::new(g.node_count());
+    delta.attr_ops.push(AttrOp {
+        node: NodeId(0),
+        attr: g.vocab().intern("padding-0"),
+        value: Some(Value::Int(0)),
+    });
+    // Warm-up: sizes the frame buffer.
+    w.append(1, &delta, g.vocab()).unwrap();
+    delta.attr_ops[0].attr = g.vocab().intern("stamp");
+    let before = w.bytes();
+    let (((), allocations), bytes) =
+        bytes_requested(|| allocations(|| w.append(2, &delta, g.vocab()).unwrap()));
+    assert!(
+        w.bytes() - before > 5,
+        "premise: the frame carries the name"
+    );
+    let list = std::mem::size_of::<Arc<str>>() as u64;
+    assert!(
+        allocations <= 1 && bytes <= list,
+        "an append that interns one name made {allocations} allocations of {bytes} B \
+         (that name's list is {list} B)"
     );
 }
 

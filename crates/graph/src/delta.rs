@@ -39,6 +39,15 @@
 //! end). [`GraphDelta::check_against`] validates against either,
 //! through [`DeltaBase`].
 //!
+//! A delta has one plain-bytes record
+//! ([`GraphDelta::encode_with_symbols`], [`GraphDelta::encode_into`]
+//! without new names): the write-ahead log's frame payload. It holds
+//! nothing its reader already has — no base node count (the decoders
+//! take it from the caller), no added-node id, no empty list — and the
+//! node id leading each entry as a gap from the entry before. One delta
+//! has one record, and a record that decodes re-encodes to its own
+//! bytes.
+//!
 //! [`Graph::apply_delta_in_place`]: crate::Graph::apply_delta_in_place
 //! [`GraphBuilder::apply_delta`]: crate::GraphBuilder::apply_delta
 
@@ -555,90 +564,131 @@ impl GraphDelta {
         Ok(())
     }
 
-    /// Appends the plain-bytes encoding of this delta to `out` (no
-    /// serde: varint-framed fields, values tagged by kind — see the
-    /// `wire` module). The encoding is self-delimiting; a write-ahead
-    /// log frames it with an epoch header and a trailing checksum.
+    /// Appends the plain-bytes encoding of this delta to `out`: the
+    /// record [`encode_with_symbols`] writes with no new names. A
+    /// write-ahead log frames it with a length and a trailing checksum.
     ///
-    /// Added-node ids are **not** written: [`check_ids`] guarantees
-    /// they are dense from `base_nodes`, so [`decode`] reconstructs
-    /// them — a hostile stream cannot even express a non-dense id.
-    ///
-    /// [`check_ids`]: GraphDelta::check_ids
-    /// [`decode`]: GraphDelta::decode
+    /// [`encode_with_symbols`]: GraphDelta::encode_with_symbols
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        wire::put_varint(out, self.base_nodes as u64);
-        wire::put_varint(out, self.added_nodes.len() as u64);
-        for &(_, label) in &self.added_nodes {
-            wire::put_varint(out, label.0 as u64);
-        }
-        for edges in [&self.added_edges, &self.removed_edges] {
-            wire::put_varint(out, edges.len() as u64);
-            for e in edges.iter() {
-                wire::put_varint(out, e.src.0 as u64);
-                wire::put_varint(out, e.dst.0 as u64);
-                wire::put_varint(out, e.label.0 as u64);
-            }
-        }
-        wire::put_varint(out, self.label_changes.len() as u64);
-        for c in &self.label_changes {
-            wire::put_varint(out, c.node.0 as u64);
-            wire::put_varint(out, c.old.0 as u64);
-            wire::put_varint(out, c.new.0 as u64);
-        }
-        wire::put_varint(out, self.attr_ops.len() as u64);
-        for op in &self.attr_ops {
-            wire::put_varint(out, op.node.0 as u64);
-            wire::put_varint(out, op.attr.0 as u64);
-            wire::put_value(out, op.value.as_ref());
-        }
+        self.encode_with_symbols(&[], out);
     }
 
-    /// Decodes a delta from (possibly hostile) bytes. Never panics:
-    /// every length is bounds-checked against the remaining input,
-    /// every symbol is checked against `sym_limit` (the vocabulary
-    /// size the record claims to be encoded against), and the decoded
-    /// delta is passed through the [`check_ids`] machinery before it
-    /// is returned — so a successfully decoded delta upholds every
-    /// structural invariant [`normalize`]/[`merge`] assume. Trailing
-    /// bytes after the encoding are rejected.
+    /// Decodes a delta over a base of `base_nodes` nodes from (possibly
+    /// hostile) bytes written by [`encode_into`]: a record that carries
+    /// new names is corrupt here. Never panics: every length is
+    /// bounds-checked against the remaining input, every symbol is
+    /// checked against `sym_limit` (the vocabulary size the record
+    /// claims to be encoded against), and the decoded delta is passed
+    /// through the [`check_ids`] machinery before it is returned — so a
+    /// successfully decoded delta upholds every structural invariant
+    /// [`normalize`]/[`merge`] assume. Trailing bytes after the
+    /// encoding are rejected.
     ///
+    /// [`encode_into`]: GraphDelta::encode_into
     /// [`check_ids`]: GraphDelta::check_ids
     /// [`normalize`]: GraphDelta::normalize
     /// [`merge`]: GraphDelta::merge
-    pub fn decode(bytes: &[u8], sym_limit: u32) -> Result<GraphDelta, DeltaError> {
-        let mut r = wire::Reader::new(bytes);
-        let delta = GraphDelta::decode_body(&mut r, sym_limit)?;
-        r.finish()?;
-        Ok(delta)
+    pub fn decode(
+        bytes: &[u8],
+        base_nodes: usize,
+        sym_limit: u32,
+    ) -> Result<GraphDelta, DeltaError> {
+        match GraphDelta::decode_with_symbols(bytes, base_nodes, sym_limit)? {
+            (names, delta) if names.is_empty() => Ok(delta),
+            _ => Err(DeltaError::Corrupt {
+                offset: 0,
+                what: "a bare delta carries new names",
+            }),
+        }
     }
 
     /// Encodes the write-ahead log's per-epoch record payload: the
     /// names interned since the previous frame (so replay can rebuild
-    /// the vocabulary incrementally) followed by [`encode_into`].
-    ///
-    /// [`encode_into`]: GraphDelta::encode_into
-    pub fn encode_with_symbols(&self, new_symbols: &[std::sync::Arc<str>], out: &mut Vec<u8>) {
-        wire::put_varint(out, new_symbols.len() as u64);
-        for s in new_symbols {
-            wire::put_str(out, s);
+    /// the vocabulary incrementally) and the delta, holding nothing the
+    /// reader already has. `base_nodes` is not written (the reader
+    /// passes its graph's node count), nor are added-node ids (dense
+    /// from the base). A presence byte marks which of the six lists —
+    /// new names, added nodes, added edges, removed edges, label
+    /// changes, attribute ops — are non-empty, and only those follow,
+    /// in that order, each its count and its entries. The node id that
+    /// leads an entry (an edge's source, a relabeled or written node)
+    /// is a zigzag varint gap from the previous entry's, the first one
+    /// plain: a sorted list costs a byte or two an id whatever the
+    /// graph's size, and an unsorted one still encodes.
+    pub fn encode_with_symbols(&self, new_symbols: &[Arc<str>], out: &mut Vec<u8>) {
+        let lens = [
+            new_symbols.len(),
+            self.added_nodes.len(),
+            self.added_edges.len(),
+            self.removed_edges.len(),
+            self.label_changes.len(),
+            self.attr_ops.len(),
+        ];
+        let presence = (0..LISTS).fold(0, |p, i| p | u8::from(lens[i] > 0) << i);
+        out.push(presence);
+        put_list(out, new_symbols, |out, _, s| wire::put_str(out, s));
+        put_list(out, &self.added_nodes, |out, _, &(_, label)| {
+            wire::put_varint(out, label.0 as u64)
+        });
+        for edges in [&self.added_edges, &self.removed_edges] {
+            put_list(out, edges, |out, src, e| {
+                src.put(out, e.src);
+                wire::put_varint(out, e.dst.0 as u64);
+                wire::put_varint(out, e.label.0 as u64);
+            });
         }
-        self.encode_into(out);
+        put_list(out, &self.label_changes, |out, node, c| {
+            node.put(out, c.node);
+            wire::put_varint(out, c.old.0 as u64);
+            wire::put_varint(out, c.new.0 as u64);
+        });
+        put_list(out, &self.attr_ops, |out, node, op| {
+            node.put(out, op.node);
+            wire::put_varint(out, op.attr.0 as u64);
+            wire::put_value(out, op.value.as_ref());
+        });
     }
 
-    /// Decodes a record payload written by [`encode_with_symbols`]:
-    /// returns the newly interned names and the delta, whose symbols
-    /// were validated against `base_syms + new names`. Same hostility
-    /// contract as [`decode`] — errors, never panics.
+    /// Decodes a record payload written by [`encode_with_symbols`] over
+    /// a base of `base_nodes` nodes: returns the newly interned names
+    /// and the delta, whose symbols were validated against `base_syms +
+    /// new names`. Same hostility contract as [`decode`] — errors, never
+    /// panics. The bytes are canonical: an undefined presence bit, a
+    /// present list with no entries or a node id gap that leaves `u32`
+    /// is corrupt, so a record that decodes re-encodes to its own bytes.
     ///
     /// [`encode_with_symbols`]: GraphDelta::encode_with_symbols
     /// [`decode`]: GraphDelta::decode
     pub fn decode_with_symbols(
         bytes: &[u8],
+        base_nodes: usize,
         base_syms: u32,
     ) -> Result<(Vec<String>, GraphDelta), DeltaError> {
         let mut r = wire::Reader::new(bytes);
-        let n = r.element_count("new symbols")?;
+        let presence = r.byte()?;
+        if presence >> LISTS != 0 {
+            return Err(DeltaError::Corrupt {
+                offset: 0,
+                what: "undefined presence bit",
+            });
+        }
+        // The entry count of list `i`: none if its bit is clear, at
+        // least one if it is set.
+        let count = |r: &mut wire::Reader<&[u8]>, i: usize| -> Result<usize, DeltaError> {
+            if presence & 1 << i == 0 {
+                return Ok(0);
+            }
+            let offset = r.offset();
+            match r.element_count("list entries")? {
+                0 => Err(DeltaError::Corrupt {
+                    offset,
+                    what: "a present list has no entries",
+                }),
+                n => Ok(n),
+            }
+        };
+
+        let n = count(&mut r, 0)?;
         let mut names = Vec::with_capacity(n);
         for _ in 0..n {
             names.push(r.str()?.to_string());
@@ -650,20 +700,6 @@ impl GraphDelta {
                 offset: r.offset(),
                 what: "symbol count overflows u32",
             })?;
-        let delta = GraphDelta::decode_body(&mut r, sym_limit)?;
-        r.finish()?;
-        Ok((names, delta))
-    }
-
-    /// The shared decoder body behind [`decode`] and
-    /// [`decode_with_symbols`]; the caller owns end-of-input handling.
-    ///
-    /// [`decode`]: GraphDelta::decode
-    /// [`decode_with_symbols`]: GraphDelta::decode_with_symbols
-    fn decode_body(r: &mut wire::Reader<&[u8]>, sym_limit: u32) -> Result<GraphDelta, DeltaError> {
-        let base_nodes = r.varint_usize("base_nodes")?;
-        let mut delta = GraphDelta::new(base_nodes);
-
         let sym = |r: &mut wire::Reader<&[u8]>| -> Result<Sym, DeltaError> {
             let s = r.varint_u32("symbol")?;
             if s >= sym_limit {
@@ -674,11 +710,10 @@ impl GraphDelta {
             }
             Ok(Sym(s))
         };
-        let node = |r: &mut wire::Reader<&[u8]>| -> Result<NodeId, DeltaError> {
-            Ok(NodeId(r.varint_u32("node id")?))
-        };
 
-        let added = r.element_count("added_nodes")?;
+        let mut delta = GraphDelta::new(base_nodes);
+        let added = count(&mut r, 1)?;
+        delta.added_nodes.reserve_exact(added);
         for i in 0..added {
             let id = base_nodes
                 .checked_add(i)
@@ -687,39 +722,105 @@ impl GraphDelta {
                     offset: r.offset(),
                     what: "added-node id overflows u32",
                 })?;
-            let label = sym(&mut *r)?;
+            let label = sym(&mut r)?;
             delta.added_nodes.push((NodeId(id as u32), label));
         }
-        for list in [&mut delta.added_edges, &mut delta.removed_edges] {
-            let count = r.element_count("edges")?;
-            for _ in 0..count {
-                let (src, dst) = (node(&mut *r)?, node(&mut *r)?);
-                let label = sym(&mut *r)?;
+        for (i, list) in [(2, &mut delta.added_edges), (3, &mut delta.removed_edges)] {
+            let n = count(&mut r, i)?;
+            list.reserve_exact(n);
+            let mut src = IdGaps::default();
+            for _ in 0..n {
+                let src = src.read(&mut r)?;
+                let dst = NodeId(r.varint_u32("node id")?);
+                let label = sym(&mut r)?;
                 list.push(Edge { src, dst, label });
             }
         }
-        let labels = r.element_count("label_changes")?;
-        for _ in 0..labels {
-            let n = node(&mut *r)?;
-            let (old, new) = (sym(&mut *r)?, sym(&mut *r)?);
-            delta.label_changes.push(LabelChange { node: n, old, new });
+        let n = count(&mut r, 4)?;
+        delta.label_changes.reserve_exact(n);
+        let mut node = IdGaps::default();
+        for _ in 0..n {
+            let node = node.read(&mut r)?;
+            let (old, new) = (sym(&mut r)?, sym(&mut r)?);
+            delta.label_changes.push(LabelChange { node, old, new });
         }
-        let attrs = r.element_count("attr_ops")?;
-        for _ in 0..attrs {
-            let n = node(&mut *r)?;
-            let attr = sym(&mut *r)?;
+        let n = count(&mut r, 5)?;
+        delta.attr_ops.reserve_exact(n);
+        let mut node = IdGaps::default();
+        for _ in 0..n {
+            let node = node.read(&mut r)?;
+            let attr = sym(&mut r)?;
             let value = r.value()?;
-            delta.attr_ops.push(AttrOp {
-                node: n,
-                attr,
-                value,
-            });
+            delta.attr_ops.push(AttrOp { node, attr, value });
         }
+        r.finish()?;
         // The id machinery the in-memory ingest path runs on wire
         // deltas: dense added-node ids (true by construction here) and
         // every mentioned id inside `base + added`.
         delta.check_ids(base_nodes)?;
-        Ok(delta)
+        Ok((names, delta))
+    }
+}
+
+/// The lists of a delta record, each a bit of its presence byte: new
+/// names, added nodes, added edges, removed edges, label changes,
+/// attribute ops.
+const LISTS: usize = 6;
+
+/// Writes a list of a delta record if it has entries: its count, then
+/// each entry through `put`, which writes the entry's leading node id
+/// through the list's [`IdGaps`].
+fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &mut IdGaps, &T)) {
+    if items.is_empty() {
+        return;
+    }
+    wire::put_varint(out, items.len() as u64);
+    let mut ids = IdGaps::default();
+    for item in items {
+        put(out, &mut ids, item);
+    }
+}
+
+/// The node ids that lead the entries of one list: the first written
+/// plain, each later one as the zigzag varint of its gap from the one
+/// before.
+#[derive(Default)]
+struct IdGaps {
+    prev: Option<u32>,
+}
+
+impl IdGaps {
+    fn put(&mut self, out: &mut Vec<u8>, id: NodeId) {
+        let v = match self.prev {
+            None => u64::from(id.0),
+            Some(prev) => {
+                let gap = i64::from(id.0) - i64::from(prev);
+                ((gap << 1) ^ (gap >> 63)) as u64
+            }
+        };
+        wire::put_varint(out, v);
+        self.prev = Some(id.0);
+    }
+
+    /// The next id; a gap that leaves `u32` is corrupt.
+    fn read(&mut self, r: &mut wire::Reader<&[u8]>) -> Result<NodeId, DeltaError> {
+        let offset = r.offset();
+        let id = match self.prev {
+            None => r.varint_u32("node id")?,
+            Some(prev) => {
+                let v = r.varint()?;
+                let gap = (v >> 1) as i64 ^ -((v & 1) as i64);
+                i64::from(prev)
+                    .checked_add(gap)
+                    .and_then(|id| u32::try_from(id).ok())
+                    .ok_or(DeltaError::Corrupt {
+                        offset,
+                        what: "node id gap leaves u32",
+                    })?
+            }
+        };
+        self.prev = Some(id);
+        Ok(NodeId(id))
     }
 }
 
@@ -1103,13 +1204,15 @@ mod tests {
         let d = rich_delta();
         let mut bytes = Vec::new();
         d.encode_into(&mut bytes);
-        let back = GraphDelta::decode(&bytes, 9).unwrap();
+        let back = GraphDelta::decode(&bytes, 3, 9).unwrap();
         assert_eq!(back, d);
 
+        // An empty delta is its presence byte alone.
         let empty = GraphDelta::new(17);
         bytes.clear();
         empty.encode_into(&mut bytes);
-        let back = GraphDelta::decode(&bytes, 0).unwrap();
+        assert_eq!(bytes, [0]);
+        let back = GraphDelta::decode(&bytes, 17, 0).unwrap();
         assert_eq!(back, empty);
     }
 
@@ -1120,34 +1223,41 @@ mod tests {
         d.encode_into(&mut bytes);
         // Every strict prefix must fail cleanly (torn-tail shape).
         for cut in 0..bytes.len() {
-            assert!(GraphDelta::decode(&bytes[..cut], 9).is_err());
+            assert!(GraphDelta::decode(&bytes[..cut], 3, 9).is_err());
         }
         // Trailing garbage is corrupt, not silently ignored.
         bytes.push(0);
         assert!(matches!(
-            GraphDelta::decode(&bytes, 9),
+            GraphDelta::decode(&bytes, 3, 9),
             Err(DeltaError::Corrupt { .. })
         ));
         bytes.pop();
         // A symbol past the claimed vocabulary is rejected even though
         // the bytes are otherwise perfectly formed.
         assert!(matches!(
-            GraphDelta::decode(&bytes, 8),
+            GraphDelta::decode(&bytes, 3, 8),
             Err(DeltaError::SymOutOfRange { limit: 8, .. })
+        ));
+        // So is an id past the base the caller gives: the record holds
+        // no base of its own.
+        assert!(matches!(
+            GraphDelta::decode(&bytes, 2, 9),
+            Err(DeltaError::NodeOutOfRange { .. })
         ));
     }
 
     #[test]
     fn codec_rejects_overlong_varints_and_absurd_counts() {
-        // 0x80 0x00 is an overlong encoding of zero.
+        // Added nodes present, their count 0x80 0x00: an overlong
+        // encoding of zero.
         assert!(matches!(
-            GraphDelta::decode(&[0x80, 0x00], 1),
+            GraphDelta::decode(&[0b10, 0x80, 0x00], 0, 1),
             Err(DeltaError::Corrupt { .. })
         ));
-        // base_nodes = 0, then an added-node count far beyond the
-        // remaining bytes: must be rejected before any allocation.
+        // An added-node count far beyond the remaining bytes: must be
+        // rejected before any allocation.
         assert!(matches!(
-            GraphDelta::decode(&[0x00, 0xFF, 0xFF, 0xFF, 0x7F], 1),
+            GraphDelta::decode(&[0b10, 0xFF, 0xFF, 0xFF, 0x7F], 0, 1),
             Err(DeltaError::Corrupt { .. })
         ));
     }

@@ -132,6 +132,17 @@ impl Vocab {
             .names
             .clone()
     }
+
+    /// The names interned at index `k` and after, in symbol order: what
+    /// a log frame carries of a vocabulary that grew since the last
+    /// one, without a copy of the names before it.
+    pub fn names_from(&self, k: usize) -> Vec<Arc<str>> {
+        let inner = self
+            .inner
+            .read()
+            .expect("vocab lock poisoned: a holder panicked");
+        inner.names.get(k..).unwrap_or_default().to_vec()
+    }
 }
 
 impl fmt::Debug for Vocab {

@@ -6,7 +6,9 @@
 //!
 //! * **round trip** — `encode → decode` is the identity over deltas
 //!   recorded from random edit scripts (including merge-compacted
-//!   batches), and over snapshots of random graphs re-encoding a
+//!   batches and their lists shuffled out of normal form, with and
+//!   without new names), and `decode → encode` over the bytes: one
+//!   delta has one encoding. Over snapshots of random graphs re-encoding a
 //!   decoded `GraphData` writes `encode_snapshot`'s bytes and rebuilds
 //!   the same graph — as does `DecodedSnapshot`, the log's decoder,
 //!   straight into a builder — and the snapshot parser fed in chunks
@@ -15,8 +17,11 @@
 //! * **hostility** — decoding arbitrary mutations of valid byte
 //!   streams (bit flips, truncations, splices of random garbage)
 //!   never panics: it returns a `DeltaError`, or an `Ok` delta that
-//!   still satisfies the `check_ids` structural invariants, and every
-//!   snapshot decoder, whole or chunked, reaches the same verdict.
+//!   still satisfies the `check_ids` structural invariants and
+//!   re-encodes to the bytes it came from, and every snapshot decoder,
+//!   whole or chunked, reaches the same verdict. A record that is not
+//!   canonical — an undefined presence bit, a present list with no
+//!   entries, a node id gap that leaves `u32` — is an error.
 
 mod common;
 
@@ -46,13 +51,7 @@ fn delta_codec_round_trip_over_edit_scripts() {
 
                 // Per-step deltas round-trip…
                 let sym_limit = g.vocab().len() as u32;
-                let mut bytes = Vec::new();
-                delta.encode_into(&mut bytes);
-                match GraphDelta::decode(&bytes, sym_limit) {
-                    Ok(back) if back == delta => {}
-                    Ok(back) => return Err(format!("step decode diverged: {back:?} vs {delta:?}")),
-                    Err(e) => return Err(format!("step decode failed: {e}")),
-                }
+                round_trip(&delta, &[], sym_limit).map_err(|e| format!("step: {e}"))?;
 
                 compacted = Some(match compacted.take() {
                     None => delta,
@@ -64,11 +63,16 @@ fn delta_codec_round_trip_over_edit_scripts() {
             // actually persists: one compacted delta per epoch).
             let compacted = compacted.expect("at least one step");
             let sym_limit = g.vocab().len() as u32;
-            let mut bytes = Vec::new();
-            compacted.encode_into(&mut bytes);
-            let back = GraphDelta::decode(&bytes, sym_limit)
-                .map_err(|e| format!("compacted decode failed: {e}"))?;
-            prop_assert!(back == compacted, "compacted decode diverged");
+            let back =
+                round_trip(&compacted, &[], sym_limit).map_err(|e| format!("compacted: {e}"))?;
+
+            // …and so does a raw one, its lists out of order (their
+            // leading ids step down as well as up), carrying new names.
+            let raw = shuffled(rng, &compacted);
+            let names: Vec<Arc<str>> = (0..rng.gen_range(0..3))
+                .map(|i| Arc::from(format!("late{i}")))
+                .collect();
+            round_trip(&raw, &names, sym_limit).map_err(|e| format!("raw: {e}"))?;
 
             // The decoded delta is ingest-grade: it validates against the
             // base exactly when the original does.
@@ -79,6 +83,91 @@ fn delta_codec_round_trip_over_edit_scripts() {
             Ok(())
         },
     );
+}
+
+/// `delta` with `names` encoded and decoded back over its own base:
+/// the same names and delta, and re-encoded, the same bytes. Returns
+/// the decoded delta.
+fn round_trip(
+    delta: &GraphDelta,
+    names: &[Arc<str>],
+    base_syms: u32,
+) -> Result<GraphDelta, String> {
+    let mut bytes = Vec::new();
+    delta.encode_with_symbols(names, &mut bytes);
+    let (back_names, back) = GraphDelta::decode_with_symbols(&bytes, delta.base_nodes, base_syms)
+        .map_err(|e| format!("decode failed: {e}"))?;
+    let same_names =
+        back_names.len() == names.len() && back_names.iter().zip(names).all(|(a, b)| **a == **b);
+    prop_assert!(same_names, "names diverged: {back_names:?} vs {names:?}");
+    prop_assert!(back == *delta, "decode diverged: {back:?} vs {delta:?}");
+    let mut again = Vec::new();
+    back.encode_with_symbols(names, &mut again);
+    prop_assert!(again == bytes, "re-encoding diverged");
+    if names.is_empty() {
+        let bare = GraphDelta::decode(&bytes, delta.base_nodes, base_syms)
+            .map_err(|e| format!("bare decode failed: {e}"))?;
+        prop_assert!(bare == *delta, "bare decode diverged");
+    } else {
+        prop_assert!(
+            GraphDelta::decode(&bytes, delta.base_nodes, base_syms).is_err(),
+            "a bare decode accepted new names"
+        );
+    }
+    Ok(back)
+}
+
+/// `d` with every list but the dense added nodes in a random order:
+/// the raw, unnormalized shape a delta has before `normalize`.
+fn shuffled(rng: &mut Rng, d: &GraphDelta) -> GraphDelta {
+    fn shuffle<T>(rng: &mut Rng, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..i + 1));
+        }
+    }
+    let mut raw = d.clone();
+    shuffle(rng, &mut raw.added_edges);
+    shuffle(rng, &mut raw.removed_edges);
+    shuffle(rng, &mut raw.label_changes);
+    shuffle(rng, &mut raw.attr_ops);
+    raw
+}
+
+/// A record that is not canonical is corrupt, never a panic and never
+/// a second encoding of a delta: an undefined presence bit, a present
+/// list with no entries, and in each list led by a node id a gap that
+/// takes the id below 0 or past `u32`.
+#[test]
+fn noncanonical_delta_records_are_errors() {
+    let corrupt = |bytes: &[u8]| {
+        let verdict = GraphDelta::decode_with_symbols(bytes, 2, 1);
+        assert!(
+            matches!(verdict, Err(DeltaError::Corrupt { .. })),
+            "{bytes:02x?}: {verdict:?}"
+        );
+    };
+    for bit in 6..8 {
+        corrupt(&[1 << bit]);
+    }
+    for list in 0..6 {
+        corrupt(&[1 << list, 0]);
+    }
+    // Edges, label changes and attribute ops: two entries, each a node
+    // id and two zero bytes (a node and a symbol, two symbols, or a
+    // symbol and an attribute removal). The second id's gap is a
+    // zigzag varint.
+    let u32_max = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+    let u64_max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+    for list in 2..6 {
+        let record =
+            |first: &[u8], gap: &[u8]| [&[1 << list, 2][..], first, &[0, 0], gap, &[0, 0]].concat();
+        // Premise: ids 0 then 1 (gap +1, zigzag 2) decode.
+        let (_, d) = GraphDelta::decode_with_symbols(&record(&[0], &[2]), 2, 1).unwrap();
+        assert!(!d.is_empty(), "list {list}");
+        corrupt(&record(&[0], &[1]));
+        corrupt(&record(&u32_max, &[2]));
+        corrupt(&record(&[0], &u64_max));
+    }
 }
 
 #[test]
@@ -357,12 +446,16 @@ fn decode_never_panics_on_mutated_streams() {
 
             // The contract under hostile bytes: no panic (the harness
             // would abort), and any Ok is structurally sound — its ids
-            // re-validate under the same machinery ingest uses.
-            if let Ok(d) = GraphDelta::decode(&bytes, sym_limit) {
+            // re-validate under the same machinery ingest uses — and
+            // canonical: it re-encodes to the bytes it came from.
+            if let Ok(d) = GraphDelta::decode(&bytes, delta.base_nodes, sym_limit) {
                 prop_assert!(
                     d.check_ids(d.base_nodes).is_ok(),
                     "decode accepted a structurally invalid delta"
                 );
+                let mut again = Vec::new();
+                d.encode_into(&mut again);
+                prop_assert!(again == bytes, "decode accepted a second encoding");
             }
             Ok(())
         },
@@ -422,7 +515,7 @@ fn every_prefix_of_an_encoding_is_rejected() {
         let mut bytes = Vec::new();
         delta.encode_into(&mut bytes);
         for cut in 0..bytes.len() {
-            match GraphDelta::decode(&bytes[..cut], sym_limit) {
+            match GraphDelta::decode(&bytes[..cut], delta.base_nodes, sym_limit) {
                 Err(DeltaError::Truncated { .. }) | Err(DeltaError::Corrupt { .. }) => {}
                 Err(e) => return Err(format!("prefix {cut}: unexpected error {e}")),
                 Ok(_) => return Err(format!("prefix {cut} decoded successfully")),

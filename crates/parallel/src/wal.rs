@@ -3,34 +3,48 @@
 //!
 //! ## On-disk format
 //!
-//! A log file is the 8-byte magic `GFDWAL02` followed by checksummed
-//! frames, each a plain-bytes record (no serde). Both frame kinds share
-//! one variable-length envelope: a kind byte, three LEB128 varints and
-//! the payload, then a fixed-width checksum:
+//! A log file is the 8-byte magic `GFDWAL03` followed by checksummed
+//! frames, each a plain-bytes record (no serde) that holds only what
+//! replay cannot infer. Both frame kinds share one variable-length
+//! envelope: a kind byte and LEB128 varints, the payload, then a
+//! fixed-width checksum. The floor's header holds its epoch; a delta's
+//! does not:
 //!
 //! ```text
-//! ┌──────┬─────────────┬────────────────┬──────────────────┬─────────┬───────────┐
-//! │ kind │ epoch       │ sym_count      │ payload_len      │ payload │ cksum u64 │
-//! │  u8  │ varint ≤ 10 │ varint ≤ 5     │ varint ≤ 5       │  bytes  │    LE     │
-//! └──────┴─────────────┴────────────────┴──────────────────┴─────────┴───────────┘
+//!         ┌──────┬─────────────┬─────────────┬─────────┬───────────┐
+//! floor:  │ kind │ epoch       │ payload_len │ payload │ cksum u64 │
+//!         │  u8  │ varint ≤ 10 │ varint ≤ 5  │  bytes  │    LE     │
+//!         └──────┴─────────────┴─────────────┴─────────┴───────────┘
+//!         ┌──────┬─────────────┬─────────┬───────────┐
+//! delta:  │ kind │ payload_len │ payload │ cksum u64 │
+//!         │  u8  │ varint ≤ 5  │  bytes  │    LE     │
+//!         └──────┴─────────────┴─────────┴───────────┘
 //! ```
 //!
 //! A varint holds seven bits a byte, low group first, the high bit set
 //! on every byte but the last. It is minimal and fits its field
-//! (`epoch` a `u64`, the other two a `u32`), so the header is 4 to 21
-//! bytes and each header has one encoding: a longer, padded or
-//! overflowing varint is a fault like a bad checksum.
+//! (`epoch` a `u64`, `payload_len` a `u32`), so the floor's header is 3
+//! to 16 bytes, a delta's 2 to 6, and each header has one encoding: a
+//! longer, padded or overflowing varint is a fault like a bad checksum.
 //!
-//! The checksum ([`gfd_util::checksum64`]) covers header **and**
-//! payload, so a torn write anywhere in the frame is detected. Frame
-//! zero is always a **base snapshot** (`kind = 1`): the
+//! A delta's epoch is its position: the floor's epoch plus the frame's
+//! index behind it. Every frame's checksum ([`gfd_util::checksum64`])
+//! runs over its epoch as 8 little-endian bytes, then the header, then
+//! the payload, so a torn write anywhere in the frame is detected, and
+//! so is a whole frame moved, dropped or replayed out of place: its
+//! position implies another epoch than the one it was written under.
+//!
+//! Frame zero is always a **base snapshot** (`kind = 1`): the
 //! [`encode_snapshot`](gfd_graph::encode_snapshot) record of the graph
 //! at the log's base epoch — the floor recovery replays from. Every later
 //! frame is a **delta** (`kind = 2`) holding one compacted
-//! [`GraphDelta`] for one epoch, prefixed by the vocabulary names
-//! interned since the previous frame; `sym_count` is the total
-//! vocabulary size after the frame, so replay validates every symbol
-//! against exactly the vocabulary the writer had.
+//! [`GraphDelta`] for one epoch, with the vocabulary names interned
+//! since the previous frame
+//! ([`GraphDelta::encode_with_symbols`]). Replay counts the vocabulary —
+//! the floor record's symbol table, then each frame's new names — so it
+//! validates every symbol against exactly the vocabulary the writer
+//! had, and it passes each delta the replayed graph's node count as its
+//! base.
 //!
 //! ## Durability contract
 //!
@@ -42,9 +56,10 @@
 //! * [`SyncPolicy::OnDemand`] only fsyncs when the service is asked to
 //!   (subscriber demand, shutdown).
 //!
-//! [`recover`] never trusts a byte: length and checksum mismatches,
-//! epoch gaps, unknown kinds, undecodable payloads and deltas that do
-//! not apply all **truncate the log at the first faulty frame** — the
+//! [`recover`] never trusts a byte: length and checksum mismatches
+//! (frames out of place among them), unknown kinds, undecodable
+//! payloads and deltas that do not apply all **truncate the log at the
+//! first faulty frame** — the
 //! surviving prefix is replayed onto the base snapshot, the file is cut
 //! back to the valid prefix on disk, and the damage is reported (never
 //! panicked) through [`RecoveryReport`]. A log whose snapshot frame
@@ -94,20 +109,21 @@ use std::sync::Arc;
 use gfd_graph::{
     encode_snapshot_chunked, DecodedSnapshot, Graph, GraphDelta, Vocab, SNAPSHOT_CHUNK,
 };
-use gfd_util::{checksum64, Checksum64};
+use gfd_util::Checksum64;
 
 /// File magic: identifies the format and its version. Bumping the
-/// codec (or [`checksum64`]) bumps the trailing version digits.
-pub const MAGIC: [u8; 8] = *b"GFDWAL02";
+/// codec (or [`checksum64`](gfd_util::checksum64)) bumps the trailing
+/// version digits.
+pub const MAGIC: [u8; 8] = *b"GFDWAL03";
 /// Frame kind: base snapshot (an
 /// [`encode_snapshot`](gfd_graph::encode_snapshot) record).
 pub const KIND_SNAPSHOT: u8 = 1;
 /// Frame kind: one epoch's compacted delta (+ new vocabulary names).
 pub const KIND_DELTA: u8 = 2;
-/// Longest frame header: the kind byte, then `epoch` (a `u64`),
-/// `sym_count` and `payload_len` (`u32`s) as varints of at most 10, 5
-/// and 5 bytes.
-const MAX_HEADER_LEN: usize = 1 + 10 + 5 + 5;
+/// Longest frame header, the floor's: the kind byte, then `epoch` (a
+/// `u64`) and `payload_len` (a `u32`) as varints of at most 10 and 5
+/// bytes.
+const MAX_HEADER_LEN: usize = 1 + 10 + 5;
 /// Trailing checksum size.
 const CKSUM_LEN: usize = 8;
 
@@ -179,7 +195,8 @@ impl From<std::io::Error> for WalError {
 pub struct FrameFault {
     /// Byte offset of the frame the fault was detected in.
     pub offset: u64,
-    /// The epoch the frame claimed (if its header was readable).
+    /// The epoch the frame's position implies, if its header was
+    /// readable.
     pub epoch: Option<u64>,
     /// Human-readable description of the fault.
     pub what: String,
@@ -211,9 +228,11 @@ pub struct FrameInfo {
     pub offset: u64,
     /// Total frame length (header + payload + checksum).
     pub len: u64,
-    /// Length of the frame's header (kind byte and three varints).
+    /// Length of the frame's header: the kind byte and its varints, 3
+    /// to 16 bytes for the floor and 2 to 6 for a delta.
     pub header_len: u64,
-    /// The frame's epoch.
+    /// The frame's epoch: the floor's as its header holds it, a
+    /// delta's as its position implies it (the floor's plus its index).
     pub epoch: u64,
     /// [`KIND_SNAPSHOT`] or [`KIND_DELTA`].
     pub kind: u8,
@@ -267,7 +286,6 @@ impl WalWriter {
         policy: SyncPolicy,
     ) -> Result<WalWriter, WalError> {
         let symbols = g.vocab().snapshot();
-        let sym_count = symbols.len() as u32;
         // A chunk plus the one item that carried it past the threshold.
         let mut buf = Vec::with_capacity(2 * SNAPSHOT_CHUNK);
         // The header holds the payload length and the checksum is
@@ -278,7 +296,7 @@ impl WalWriter {
             Ok::<(), Infallible>(())
         });
         let at = MAGIC.len() as u64;
-        let header = frame_header(at, KIND_SNAPSHOT, base_epoch, sym_count, payload_len)?;
+        let header = frame_header(at, KIND_SNAPSHOT, base_epoch, payload_len)?;
 
         let mut file = OpenOptions::new()
             .write(true)
@@ -287,7 +305,7 @@ impl WalWriter {
             .open(path)?;
         file.write_all(&MAGIC)?;
         file.write_all(&header)?;
-        let mut cksum = Checksum64::new((header.len() + payload_len) as u64);
+        let mut cksum = keyed_cksum(base_epoch, header.len() + payload_len);
         cksum.update(&header);
         let mut streamed = 0;
         encode_snapshot_chunked(g, &symbols, &mut buf, |chunk| {
@@ -308,7 +326,7 @@ impl WalWriter {
             file,
             policy,
             head: base_epoch,
-            syms_written: sym_count as usize,
+            syms_written: symbols.len(),
             unsynced: 0,
             len,
             synced_len: len,
@@ -355,22 +373,14 @@ impl WalWriter {
                 what: format!("append of epoch {epoch} onto head {}", self.head),
             });
         }
-        // The vocabulary is copied only when it grew since the last frame.
-        let grown = (vocab.len() > self.syms_written).then(|| vocab.snapshot());
-        let new_syms = grown
-            .as_deref()
-            .map_or(&[][..], |names| &names[self.syms_written..]);
-        let sym_count = self.syms_written + new_syms.len();
+        // Only the names interned since the last frame are copied, and
+        // when there are none nothing is allocated.
+        let new_syms = vocab.names_from(self.syms_written);
 
         self.buf.clear();
-        frame_into(
-            &mut self.buf,
-            self.len,
-            KIND_DELTA,
-            epoch,
-            sym_count as u32,
-            |out| delta.encode_with_symbols(new_syms, out),
-        )?;
+        frame_into(&mut self.buf, self.len, KIND_DELTA, epoch, |out| {
+            delta.encode_with_symbols(&new_syms, out)
+        })?;
         if let Some(f) = cut {
             let written = 1 + (f * (self.buf.len() - 1) as f64) as usize;
             self.file.write_all(&self.buf[..written])?;
@@ -383,7 +393,7 @@ impl WalWriter {
 
         self.len += self.buf.len() as u64;
         self.head = epoch;
-        self.syms_written = sym_count;
+        self.syms_written += new_syms.len();
         self.frames += 1;
         self.unsynced += 1;
         match self.policy {
@@ -461,16 +471,15 @@ impl std::ops::Deref for HeaderBytes {
     }
 }
 
-/// The header of the frame at file offset `at`: the kind byte, then
-/// `epoch`, `sym_count` and `payload_len` as minimal varints. A payload
-/// longer than the `u32` length field holds is refused: a wrapped length
-/// would make recovery drop the frame as torn — for the floor, the
-/// whole log.
+/// The header of the frame at file offset `at`: the kind byte, the
+/// floor's `epoch` (a delta's is implied by its position) and
+/// `payload_len`, as minimal varints. A payload longer than the `u32`
+/// length field holds is refused: a wrapped length would make recovery
+/// drop the frame as torn — for the floor, the whole log.
 fn frame_header(
     at: u64,
     kind: u8,
     epoch: u64,
-    sym_count: u32,
     payload_len: usize,
 ) -> Result<HeaderBytes, WalError> {
     let len = u32::try_from(payload_len).map_err(|_| WalError::Corrupt {
@@ -482,7 +491,8 @@ fn frame_header(
         len: 1,
     };
     header.bytes[0] = kind;
-    for mut value in [epoch, u64::from(sym_count), u64::from(len)] {
+    let epoch = (kind == KIND_SNAPSHOT).then_some(epoch);
+    for mut value in epoch.into_iter().chain([u64::from(len)]) {
         while value >= 0x80 {
             header.bytes[header.len] = value as u8 | 0x80;
             header.len += 1;
@@ -494,10 +504,20 @@ fn frame_header(
     Ok(header)
 }
 
-/// Assembles the frame at file offset `at` in `out`: the payload
-/// `encode` writes behind room for the longest header, the header
-/// written in front of the payload once its length is known and the gap
-/// before it closed, and the trailing checksum over both. The gap
+/// The checksum of a frame of `epoch` whose header and payload are
+/// `body_len` bytes, keyed: it runs over the epoch as 8 little-endian
+/// bytes before the frame, so a frame read where its position implies
+/// another epoch fails it.
+fn keyed_cksum(epoch: u64, body_len: usize) -> Checksum64 {
+    let mut cksum = Checksum64::new((std::mem::size_of::<u64>() + body_len) as u64);
+    cksum.update(&epoch.to_le_bytes());
+    cksum
+}
+
+/// Assembles the frame of `epoch` at file offset `at` in `out`: the
+/// payload `encode` writes behind room for the longest header, the
+/// header written in front of the payload once its length is known and
+/// the gap before it closed, and the trailing keyed checksum. The gap
 /// closes in place, so the frame takes `out` no capacity past what the
 /// longest header, the payload and the checksum need.
 fn frame_into(
@@ -505,36 +525,38 @@ fn frame_into(
     at: u64,
     kind: u8,
     epoch: u64,
-    sym_count: u32,
     encode: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), WalError> {
     let start = out.len();
     out.resize(start + MAX_HEADER_LEN, 0);
     encode(out);
     let payload_len = out.len() - start - MAX_HEADER_LEN;
-    let header = frame_header(at, kind, epoch, sym_count, payload_len)?;
+    let header = frame_header(at, kind, epoch, payload_len)?;
     let gap = MAX_HEADER_LEN - header.len();
     out[start + gap..start + MAX_HEADER_LEN].copy_from_slice(&header);
     out.drain(start..start + gap);
-    let cksum = checksum64(&out[start..]);
-    out.extend_from_slice(&cksum.to_le_bytes());
+    let mut cksum = keyed_cksum(epoch, out.len() - start);
+    cksum.update(&out[start..]);
+    out.extend_from_slice(&cksum.finish().to_le_bytes());
     Ok(())
 }
 
 /// The fields of a frame header, and its length.
 struct Header {
     kind: u8,
-    epoch: u64,
-    sym_count: u32,
+    /// The floor's epoch; `None` for any other kind, whose epoch is its
+    /// position's.
+    epoch: Option<u64>,
     payload_len: usize,
     len: usize,
 }
 
 impl Header {
     /// The header at the start of `rest`, the `rest.len()` bytes left
-    /// of the file. Bytes that end inside it are a torn header; a varint
-    /// longer than its field's longest, padded with a zero group, or
-    /// past its field's range is malformed.
+    /// of the file: the kind byte, an `epoch` varint if the kind is the
+    /// floor's, and the `payload_len` varint. Bytes that end inside it
+    /// are a torn header; a varint longer than its field's longest,
+    /// padded with a zero group, or past its field's range is malformed.
     fn read(rest: &[u8]) -> Result<Header, String> {
         let torn = || format!("torn header: {} bytes", rest.len());
         let kind = *rest.first().ok_or_else(torn)?;
@@ -558,13 +580,14 @@ impl Header {
                 shift += 7;
             }
         };
-        let epoch = field("epoch", u64::MAX)?;
-        let sym_count = field("sym_count", u32::MAX.into())? as u32;
+        let epoch = match kind {
+            KIND_SNAPSHOT => Some(field("epoch", u64::MAX)?),
+            _ => None,
+        };
         let payload_len = field("payload_len", u32::MAX.into())? as usize;
         Ok(Header {
             kind,
             epoch,
-            sym_count,
             payload_len,
             len,
         })
@@ -597,27 +620,31 @@ fn verify(stored: u64, actual: u64) -> Result<(), String> {
 /// A frame parsed from raw bytes (payload still encoded).
 struct RawFrame<'a> {
     kind: u8,
+    /// The epoch its checksum was verified under.
     epoch: u64,
-    sym_count: u32,
     payload: &'a [u8],
     /// Total on-disk size of the frame, and of its header.
     len: usize,
     header_len: usize,
 }
 
-/// Parses and checksum-verifies the frame at `pos`. `Err` is a
-/// human-readable fault description (the caller attaches offsets).
-fn parse_frame(bytes: &[u8], pos: usize) -> Result<RawFrame<'_>, String> {
+/// Parses and checksum-verifies the frame at `pos`, whose position
+/// implies epoch `implied` (a floor header's own epoch overrides it).
+/// `Err` is a human-readable fault description (the caller attaches
+/// offsets).
+fn parse_frame(bytes: &[u8], pos: usize, implied: u64) -> Result<RawFrame<'_>, String> {
     let rest = &bytes[pos..];
     let header = Header::read(rest)?;
     let total = header.frame_len(rest.len() as u64)?;
     let body = header.len + header.payload_len;
+    let epoch = header.epoch.unwrap_or(implied);
     let stored = u64::from_le_bytes(rest[body..total].try_into().expect("8 checksum bytes"));
-    verify(stored, checksum64(&rest[..body]))?;
+    let mut cksum = keyed_cksum(epoch, body);
+    cksum.update(&rest[..body]);
+    verify(stored, cksum.finish())?;
     Ok(RawFrame {
         kind: header.kind,
-        epoch: header.epoch,
-        sym_count: header.sym_count,
+        epoch,
         payload: &rest[header.len..body],
         len: total,
         header_len: header.len,
@@ -626,15 +653,18 @@ fn parse_frame(bytes: &[u8], pos: usize) -> Result<RawFrame<'_>, String> {
 
 /// Walks the intact frames of the log at `path` (checksum-verified,
 /// payloads not decoded) — the crash soak uses this to predict where
-/// recovery must land after a simulated crash. Stops at the first
-/// fault; errors only if the file cannot be read or lacks the magic.
+/// recovery must land after a simulated crash. Each frame after the
+/// floor is verified under the epoch after its predecessor's. Stops at
+/// the first fault; errors only if the file cannot be read or lacks the
+/// magic.
 pub fn frame_bounds(path: &Path) -> Result<Vec<FrameInfo>, WalError> {
     let bytes = std::fs::read(path)?;
     check_magic(&bytes)?;
     let mut frames = Vec::new();
     let mut pos = MAGIC.len();
+    let mut next = 0;
     while pos < bytes.len() {
-        match parse_frame(&bytes, pos) {
+        match parse_frame(&bytes, pos, next) {
             Ok(f) => {
                 frames.push(FrameInfo {
                     offset: pos as u64,
@@ -644,6 +674,7 @@ pub fn frame_bounds(path: &Path) -> Result<Vec<FrameInfo>, WalError> {
                     kind: f.kind,
                 });
                 pos += f.len;
+                next = f.epoch.wrapping_add(1);
             }
             Err(_) => break,
         }
@@ -730,12 +761,12 @@ pub fn recover_in(
     log.read_exact(head)?;
     let base = Header::read(head).map_err(floor_fault)?;
     let base_frame = base.frame_len(left).map_err(floor_fault)?;
-    if base.kind != KIND_SNAPSHOT {
+    let (KIND_SNAPSHOT, Some(base_epoch)) = (base.kind, base.epoch) else {
         return Err(floor_fault(format!(
             "first frame has kind {} (want snapshot)",
             base.kind
         )));
-    }
+    };
     // The parse validates the whole payload before anything is
     // interned, so a corrupt floor leaves the caller's vocabulary as it
     // was. A payload that parses has fed the checksum all of its bytes.
@@ -746,7 +777,7 @@ pub fn recover_in(
     // The read may have run past the header into the payload: the
     // payload streams from the header's end.
     log.seek(SeekFrom::Start((MAGIC.len() + base.len) as u64))?;
-    let mut cksum = Checksum64::new((base.len + base.payload_len) as u64);
+    let mut cksum = keyed_cksum(base_epoch, base.len + base.payload_len);
     cksum.update(&head[..base.len]);
     let snapshot = DecodedSnapshot::decode_chunked(base.payload_len, vocab, |chunk| {
         let n = log.read(chunk)?;
@@ -757,17 +788,13 @@ pub fn recover_in(
     let mut stored = [0; CKSUM_LEN];
     log.read_exact(&mut stored)?;
     verify(u64::from_le_bytes(stored), cksum.finish()).map_err(floor_fault)?;
-    if snapshot.symbol_count() as u64 != base.sym_count as u64 {
-        return Err(floor_fault(format!(
-            "snapshot sym_count {} disagrees with payload ({} symbols)",
-            base.sym_count,
-            snapshot.symbol_count()
-        )));
-    }
+    // The vocabulary the frames count on from: the floor's own table.
+    let mut syms = u32::try_from(snapshot.symbol_count())
+        .map_err(|_| floor_fault("symbol table overflows u32".into()))?;
     let mut replay = snapshot.intern().map_err(payload_fault)?;
 
     let mut report = RecoveryReport {
-        recovered_epoch: base.epoch,
+        recovered_epoch: base_epoch,
         ..RecoveryReport::default()
     };
     let base_len = (MAGIC.len() + base_frame) as u64;
@@ -776,8 +803,7 @@ pub fn recover_in(
     let mut bytes = vec![0; (file_len - base_len) as usize];
     log.read_exact(&mut bytes)?;
     let mut pos = 0;
-    let mut head = base.epoch;
-    let mut syms = base.sym_count;
+    let mut head = base_epoch;
     let mut frames = 1u64;
 
     let mut fault: Option<FrameFault> = None;
@@ -785,23 +811,16 @@ pub fn recover_in(
         let at = base_len + pos as u64;
         // Any fault from here on truncates; closures keep the
         // fault-description plumbing in one place.
-        let outcome = parse_frame(&bytes, pos).and_then(|f| {
+        // The frame's position implies its epoch: its checksum holds
+        // only under that one.
+        let epoch = head.wrapping_add(1);
+        let outcome = parse_frame(&bytes, pos, epoch).and_then(|f| {
             if f.kind != KIND_DELTA {
                 return Err(format!("unexpected frame kind {}", f.kind));
             }
-            if f.epoch != head + 1 {
-                return Err(format!("epoch gap: frame {} after head {head}", f.epoch));
-            }
-            let (names, delta) = GraphDelta::decode_with_symbols(f.payload, syms)
-                .map_err(|e| format!("payload: {e}"))?;
-            if syms as u64 + names.len() as u64 != f.sym_count as u64 {
-                return Err(format!(
-                    "sym_count {} disagrees with {} + {} new names",
-                    f.sym_count,
-                    syms,
-                    names.len()
-                ));
-            }
+            let (names, delta) =
+                GraphDelta::decode_with_symbols(f.payload, replay.node_count(), syms)
+                    .map_err(|e| format!("payload: {e}"))?;
             Ok((f, names, delta))
         });
         let (f, names, delta) = match outcome {
@@ -809,7 +828,7 @@ pub fn recover_in(
             Err(what) => {
                 fault = Some(FrameFault {
                     offset: at,
-                    epoch: Header::read(&bytes[pos..]).ok().map(|h| h.epoch),
+                    epoch: Header::read(&bytes[pos..]).ok().map(|_| epoch),
                     what,
                 });
                 break;
@@ -822,7 +841,7 @@ pub fn recover_in(
         if let Err(e) = delta.check_against(&replay) {
             fault = Some(FrameFault {
                 offset: at,
-                epoch: Some(f.epoch),
+                epoch: Some(epoch),
                 what: format!("delta does not apply: {e}"),
             });
             break;
@@ -845,8 +864,8 @@ pub fn recover_in(
             }
         }
         replay.apply_delta(&delta);
-        head = f.epoch;
-        syms = f.sym_count;
+        head = epoch;
+        syms += names.len() as u32;
         frames += 1;
         pos += f.len;
         report.replayed_epochs += 1;
@@ -1156,8 +1175,8 @@ mod tests {
     }
 
     /// A snapshot frame with a valid checksum over a payload that does
-    /// not decode, or whose header miscounts its symbols, is no floor:
-    /// recovery errors out and has interned nothing into the caller's
+    /// not decode — a byte too many or too few — is no floor: recovery
+    /// errors out and has interned nothing into the caller's
     /// vocabulary.
     #[test]
     fn a_corrupt_floor_leaves_the_vocabulary_untouched() {
@@ -1169,18 +1188,15 @@ mod tests {
         let symbols = g.vocab().snapshot();
         let mut payload = Vec::new();
         encode_snapshot(&g, &symbols, &mut payload);
-        let sym_count = symbols.len() as u32;
 
         let trailing = [payload.as_slice(), &[0]].concat();
-        let cases = [
-            ("trailing byte", trailing, sym_count),
-            ("sym_count", payload, sym_count + 1),
-        ];
-        for (name, payload, sym_count) in cases {
+        let cut = payload[..payload.len() - 1].to_vec();
+        let cases = [("trailing byte", trailing), ("cut payload", cut)];
+        for (name, payload) in cases {
             let path = dir.file("floor.wal");
             let mut bytes = MAGIC.to_vec();
             let at = MAGIC.len() as u64;
-            frame_into(&mut bytes, at, KIND_SNAPSHOT, 0, sym_count, |out| {
+            frame_into(&mut bytes, at, KIND_SNAPSHOT, 0, |out| {
                 out.extend_from_slice(&payload)
             })
             .unwrap();
@@ -1216,7 +1232,8 @@ mod tests {
         // claims 1 MiB more than the file holds.
         let floor = &log[MAGIC.len()..base_end];
         let h = Header::read(floor).unwrap();
-        let claimed = frame_header(0, h.kind, h.epoch, h.sym_count, h.payload_len + (1 << 20));
+        let epoch = h.epoch.expect("the floor's header holds its epoch");
+        let claimed = frame_header(0, h.kind, epoch, h.payload_len + (1 << 20));
         let overclaimed = [&MAGIC[..], &claimed.unwrap(), &floor[h.len..]].concat();
         let mut lane = log.clone();
         lane[base_end - 1] ^= 0x20;
@@ -1285,14 +1302,9 @@ mod tests {
             }
             let mut expected = MAGIC.to_vec();
             let at = MAGIC.len() as u64;
-            frame_into(
-                &mut expected,
-                at,
-                KIND_SNAPSHOT,
-                7,
-                symbols.len() as u32,
-                |out| out.extend_from_slice(&payload),
-            )
+            frame_into(&mut expected, at, KIND_SNAPSHOT, 7, |out| {
+                out.extend_from_slice(&payload)
+            })
             .unwrap();
 
             let path = dir.file(&format!("{what}.wal"));
@@ -1312,53 +1324,55 @@ mod tests {
     }
 
     /// A payload past the `u32` length field is an error, not a
-    /// wrapped length; the largest that fits is written as is.
+    /// wrapped length; the largest that fits is written as is, behind
+    /// the epoch in the floor's header and alone in a delta's.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn frame_header_refuses_a_payload_past_u32() {
         let too_long = u32::MAX as usize + 1;
-        match frame_header(40, KIND_DELTA, 3, 9, too_long) {
-            Err(WalError::Corrupt { offset, what }) => {
-                assert_eq!(offset, 40);
-                assert!(what.contains(&too_long.to_string()), "{what}");
+        for kind in [KIND_SNAPSHOT, KIND_DELTA] {
+            match frame_header(40, kind, 3, too_long) {
+                Err(WalError::Corrupt { offset, what }) => {
+                    assert_eq!(offset, 40);
+                    assert!(what.contains(&too_long.to_string()), "{what}");
+                }
+                other => panic!("{:?}", other.map(|h| h.to_vec())),
             }
-            other => panic!("{:?}", other.map(|h| h.to_vec())),
         }
-        let header = frame_header(40, KIND_DELTA, 3, 9, u32::MAX as usize).unwrap();
-        assert_eq!(*header, [KIND_DELTA, 3, 9, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]);
+        let longest = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+        let floor = frame_header(40, KIND_SNAPSHOT, 3, u32::MAX as usize).unwrap();
+        assert_eq!(*floor, [&[KIND_SNAPSHOT, 3][..], &longest].concat());
+        let delta = frame_header(40, KIND_DELTA, 3, u32::MAX as usize).unwrap();
+        assert_eq!(*delta, [&[KIND_DELTA][..], &longest].concat());
     }
 
     /// Every header round-trips at the varint boundaries — a field of
-    /// 7k bits takes k bytes — and every strict prefix of it is torn.
+    /// 7k bits takes k bytes, and only the floor's header holds its
+    /// epoch — and every strict prefix of it is torn.
     #[test]
     fn headers_round_trip_at_the_varint_boundaries() {
         let epochs = [(0, 1), (127, 1), (128, 2), (1 << 14, 3), (u64::MAX, 10)];
         let lengths = [(0, 1), (127, 1), (128, 2), (u32::MAX as usize, 5)];
-        let sym_counts = [(0, 1), (300, 2), (u32::MAX, 5)];
-        for (epoch, epoch_bytes) in epochs {
+        for (kind, (epoch, epoch_bytes)) in epochs
+            .iter()
+            .map(|&e| (KIND_SNAPSHOT, e))
+            .chain(epochs.iter().map(|&(e, _)| (KIND_DELTA, (e, 0))))
+        {
             for (payload_len, len_bytes) in lengths {
-                for (sym_count, sym_bytes) in sym_counts {
-                    let header =
-                        frame_header(8, KIND_DELTA, epoch, sym_count, payload_len).unwrap();
-                    assert_eq!(header.len(), 1 + epoch_bytes + sym_bytes + len_bytes);
-                    let back = Header::read(&header).unwrap();
-                    assert_eq!(
-                        (
-                            back.kind,
-                            back.epoch,
-                            back.sym_count,
-                            back.payload_len,
-                            back.len
-                        ),
-                        (KIND_DELTA, epoch, sym_count, payload_len, header.len())
-                    );
-                    // Bytes behind the header are not read.
-                    let padded = [&header[..], &[0xFF; 4]].concat();
-                    assert_eq!(Header::read(&padded).unwrap().len, header.len());
-                    for cut in 0..header.len() {
-                        let torn = Header::read(&header[..cut]).err();
-                        assert!(torn.is_some_and(|e| e.contains("torn header")), "{cut}");
-                    }
+                let header = frame_header(8, kind, epoch, payload_len).unwrap();
+                assert_eq!(header.len(), 1 + epoch_bytes + len_bytes);
+                let back = Header::read(&header).unwrap();
+                let held = (kind == KIND_SNAPSHOT).then_some(epoch);
+                assert_eq!(
+                    (back.kind, back.epoch, back.payload_len, back.len),
+                    (kind, held, payload_len, header.len())
+                );
+                // Bytes behind the header are not read.
+                let padded = [&header[..], &[0xFF; 4]].concat();
+                assert_eq!(Header::read(&padded).unwrap().len, header.len());
+                for cut in 0..header.len() {
+                    let torn = Header::read(&header[..cut]).err();
+                    assert!(torn.is_some_and(|e| e.contains("torn header")), "{cut}");
                 }
             }
         }
@@ -1370,32 +1384,23 @@ mod tests {
     /// one.
     #[test]
     fn an_overlong_varint_is_a_fault() {
-        let kind = [KIND_DELTA];
+        let (floor, delta) = ([KIND_SNAPSHOT], [KIND_DELTA]);
         let one = [1u8];
         let cases: [(&str, Vec<u8>); 6] = [
             (
                 "11-byte epoch",
-                [&kind[..], &[0x80; 10], &[0], &one, &one].concat(),
+                [&floor[..], &[0x80; 10], &[0], &one].concat(),
             ),
-            (
-                "6-byte length",
-                [&kind[..], &one, &one, &[0x80; 5], &[0]].concat(),
-            ),
-            (
-                "padded epoch",
-                [&kind[..], &[0x85, 0x00], &one, &one].concat(),
-            ),
+            ("6-byte length", [&delta[..], &[0x80; 5], &[0]].concat()),
+            ("padded epoch", [&floor[..], &[0x85, 0x00], &one].concat()),
+            ("padded length", [&delta[..], &[0x81, 0x00]].concat()),
             (
                 "epoch past u64",
-                [&kind[..], &[0xFF; 9], &[0x02], &one, &one].concat(),
-            ),
-            (
-                "sym_count past u32",
-                [&kind[..], &one, &[0xFF; 4], &[0x10], &one].concat(),
+                [&floor[..], &[0xFF; 9], &[0x02], &one].concat(),
             ),
             (
                 "length past u32",
-                [&kind[..], &one, &one, &[0xFF; 4], &[0x1F]].concat(),
+                [&delta[..], &[0xFF; 4], &[0x1F]].concat(),
             ),
         ];
         let dir = TempDir::new("gfd-wal-overlong").unwrap();
@@ -1407,10 +1412,12 @@ mod tests {
         for (case, header) in cases {
             let what = Header::read(&header).err();
             assert!(what.is_some_and(|e| e.contains("malformed")), "{case}");
-            // Give it a payload byte and a valid checksum: only the
-            // header is wrong.
+            // Give it a payload byte and the checksum its position keys:
+            // only the header is wrong.
             let mut frame = [&header[..], &[0]].concat();
-            frame.extend_from_slice(&checksum64(&frame).to_le_bytes());
+            let mut cksum = keyed_cksum(6, frame.len());
+            cksum.update(&frame);
+            frame.extend_from_slice(&cksum.finish().to_le_bytes());
             std::fs::write(&path, [&log[..], &frame].concat()).unwrap();
             let (g, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
             assert_eq!(report.recovered_epoch, 5, "{case}");
@@ -1464,22 +1471,102 @@ mod tests {
         }
     }
 
-    /// The fixed-width format's files are refused at the magic: there is
-    /// one format and no reader of the old one.
+    /// Every earlier format's files — the fixed-width one and the
+    /// envelope that stored each delta's epoch and symbol count — are
+    /// refused at the magic: there is one format and no reader of an
+    /// old one.
     #[test]
     fn a_version_one_log_is_refused_as_bad_magic() {
         let dir = TempDir::new("gfd-wal-v1").unwrap();
         let path = dir.file("edits.wal");
         let (_, _, w) = build_log(&path, SyncPolicy::OnDemand);
         drop(w);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[..MAGIC.len()].copy_from_slice(b"GFDWAL01");
-        std::fs::write(&path, &bytes).unwrap();
-        match recover(&path, SyncPolicy::OnDemand) {
-            Err(WalError::Corrupt { offset: 0, what }) => assert!(what.contains("magic"), "{what}"),
-            other => panic!("{:?}", other.map(|r| r.2)),
+        let log = std::fs::read(&path).unwrap();
+        let version = MAGIC.len() - 1;
+        for older in b'1'..MAGIC[version] {
+            let mut bytes = log.clone();
+            bytes[version] = older;
+            std::fs::write(&path, &bytes).unwrap();
+            match recover(&path, SyncPolicy::OnDemand) {
+                Err(WalError::Corrupt { offset: 0, what }) => {
+                    assert!(what.contains("magic"), "{what}")
+                }
+                other => panic!("{:?}", other.map(|r| r.2)),
+            }
+            assert!(frame_bounds(&path).is_err());
         }
-        assert!(frame_bounds(&path).is_err());
+    }
+
+    /// A delta frame's epoch is its position, keyed into its checksum:
+    /// two frames swapped, a frame dropped or one written twice put a
+    /// frame where its position implies another epoch, and recovery cuts
+    /// the log at the first such frame with a checksum mismatch.
+    #[test]
+    fn frames_out_of_place_truncate_at_the_first_of_them() {
+        let dir = TempDir::new("gfd-wal-place").unwrap();
+        let path = dir.file("edits.wal");
+        let (_, snapshots, w) = build_log(&path, SyncPolicy::OnDemand);
+        drop(w);
+        let log = std::fs::read(&path).unwrap();
+        let f = frame_bounds(&path).unwrap();
+        let frame = |i: usize| &log[f[i].offset as usize..(f[i].offset + f[i].len) as usize];
+        let head = &log[..f[2].offset as usize];
+        let tail = |from: usize| &log[f[from].offset as usize..];
+        // Each case keeps epochs 0 and 1 in place; what follows them
+        // is out of place from its first frame on.
+        let cases = [
+            ("swapped", [head, frame(3), frame(2), tail(4)].concat(), 4),
+            ("dropped", [head, tail(3)].concat(), 3),
+            ("repeated", [head, frame(1), tail(2)].concat(), 5),
+        ];
+        for (case, bytes, dropped) in cases {
+            std::fs::write(&path, &bytes).unwrap();
+            assert_eq!(frame_bounds(&path).unwrap().len(), 2, "{case}");
+            let (g, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
+            assert_eq!(report.recovered_epoch, 1, "{case}");
+            assert!(same_snapshot(&g, &snapshots[1]).is_ok(), "{case}");
+            let fault = report.corruption.expect("the frame is reported");
+            assert_eq!(
+                (fault.offset, fault.epoch),
+                (f[2].offset, Some(2)),
+                "{case}"
+            );
+            assert!(
+                fault.what.contains("checksum mismatch"),
+                "{case}: {fault:?}"
+            );
+            assert_eq!(report.truncated_frames, dropped, "{case}");
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                f[2].offset,
+                "{case}"
+            );
+        }
+    }
+
+    /// The shortest frame is an empty delta's: its kind byte, its
+    /// one-byte length, the payload's presence byte with no list behind
+    /// it, and the checksum — 11 bytes. The lifecycle benchmark's crash
+    /// keeps a 9-byte torn tail of the first unsynced frame
+    /// (`TORN_TAIL_BYTES` in `benchmark/src/layers.rs`), which must never
+    /// hold a whole frame.
+    #[test]
+    fn the_shortest_frame_is_eleven_bytes() {
+        let dir = TempDir::new("gfd-wal-shortest").unwrap();
+        let path = dir.file("edits.wal");
+        let (_, snapshots, mut w) = build_log(&path, SyncPolicy::OnDemand);
+        let before = w.bytes();
+        let empty = GraphDelta::new(snapshots[5].node_count());
+        w.append(6, &empty, snapshots[5].vocab()).unwrap();
+        assert_eq!(w.bytes() - before, 11);
+        drop(w);
+        let last = *frame_bounds(&path).unwrap().last().unwrap();
+        assert_eq!((last.epoch, last.len, last.header_len), (6, 11, 2));
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[before as usize..][..3], [KIND_DELTA, 1, 0]);
+        let (g, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
+        assert_eq!(report.recovered_epoch, 6);
+        assert!(same_snapshot(&g, &snapshots[5]).is_ok());
     }
 
     #[test]

@@ -66,7 +66,10 @@ fn mangle(
         }
         CrashKind::ShortRead => {
             // Cut strictly inside the final frame's header — shorter
-            // than any parseable record.
+            // than any parseable record. A delta's header is 2 to 6
+            // bytes (the kind byte and the `payload_len` varint), so
+            // the cut keeps its kind byte and at most all but its last
+            // byte.
             let last = *frame_bounds(path).unwrap().last().unwrap();
             let at = last.offset + 1 + (cut * (last.header_len - 1) as f64) as u64;
             std::fs::write(path, &bytes[..at as usize]).unwrap();
