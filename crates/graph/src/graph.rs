@@ -526,8 +526,10 @@ impl fmt::Debug for GraphBuilder {
 // Graph (frozen paged CSR snapshot)
 
 /// Nodes per page, a power of two: node `u` lives in page
-/// `u >> PAGE_SHIFT` at slot `u & PAGE_MASK`.
-const PAGE_SHIFT: u32 = 6;
+/// `u >> PAGE_SHIFT` at slot `u & PAGE_MASK`. Public for structures
+/// paged beside the graph (the matcher's run pages), which share its
+/// page boundaries.
+pub const PAGE_SHIFT: u32 = 6;
 const PAGE_NODES: usize = 1 << PAGE_SHIFT;
 const PAGE_MASK: usize = PAGE_NODES - 1;
 

@@ -30,9 +30,10 @@ use std::io;
 use std::sync::Arc;
 
 use crate::attrs::AttrMap;
-use crate::delta::{wire, DeltaError};
+use crate::delta::DeltaError;
 use crate::graph::{Graph, GraphBuilder, NodeId};
 use crate::vocab::{Sym, Vocab};
+use crate::wire;
 
 /// A frozen graph and the names its symbols index — entry `i` is the
 /// name of `Sym(i)` — for shipping a graph between vocabularies. One
@@ -75,12 +76,12 @@ impl GraphData {
 
     /// Decodes a snapshot from (possibly hostile) bytes through the one
     /// parser into a builder, frozen once. Like
-    /// [`GraphDelta::decode`], this never panics: lengths are bounded
-    /// by the remaining input, every symbol index must fall inside the
-    /// record's own symbol table, and every edge endpoint inside its
-    /// node table.
+    /// [`GraphDelta::decode_with_symbols`], this never panics: lengths
+    /// are bounded by the remaining input, every symbol index must fall
+    /// inside the record's own symbol table, and every edge endpoint
+    /// inside its node table.
     ///
-    /// [`GraphDelta::decode`]: crate::delta::GraphDelta::decode
+    /// [`GraphDelta::decode_with_symbols`]: crate::delta::GraphDelta::decode_with_symbols
     pub fn decode(bytes: &[u8]) -> Result<GraphData, DeltaError> {
         let DecodedSnapshot { symbols, builder } =
             DecodedSnapshot::decode(bytes, &Vocab::shared())?;

@@ -35,13 +35,15 @@
 //! * fragmentations `(F_1, …, F_n)`, as node → fragment owner maps, for
 //!   the distributed setting of §6.2 (module [`fragment`]);
 //! * plain-bytes binary codecs whose decoders are hardened against
-//!   hostile input: [`GraphDelta`]'s (`encode_into`/`decode`), and the
-//!   snapshot's, with one writer that reads a frozen [`Graph`]
-//!   ([`encode_snapshot`]) and one parser that writes a
-//!   [`GraphBuilder`] ([`DecodedSnapshot`], module [`io`]). They are
-//!   the record payloads of the durable write-ahead log in
-//!   `gfd-parallel`, which streams a snapshot in fixed-size chunks
-//!   ([`encode_snapshot_chunked`]) and reads it back the same way.
+//!   hostile input: [`GraphDelta`]'s
+//!   (`encode_with_symbols`/`decode_with_symbols`), and the snapshot's,
+//!   with one writer that reads a frozen [`Graph`] ([`encode_snapshot`])
+//!   and one parser that writes a [`GraphBuilder`] ([`DecodedSnapshot`],
+//!   module [`io`]), both over one varint codec (module [`wire`]). They
+//!   are the record payloads of the durable write-ahead log in
+//!   `gfd-parallel`, whose frame envelope reads and writes its varints
+//!   through [`wire`] too, and which streams a snapshot in fixed-size
+//!   chunks ([`encode_snapshot_chunked`]) and reads it back the same way.
 //!   [`GraphData`] is a graph beside the names its symbols index, for
 //!   shipping one between vocabularies.
 //!
@@ -58,6 +60,7 @@ pub mod io;
 pub mod neighborhood;
 pub mod value;
 pub mod vocab;
+pub mod wire;
 
 pub use attrs::AttrMap;
 pub use delta::{AttrOp, DeltaBase, DeltaError, GraphDelta, LabelChange};

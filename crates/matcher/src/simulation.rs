@@ -63,12 +63,13 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
+use gfd_graph::graph::PAGE_SHIFT;
 use gfd_graph::{Adj, Graph, NodeId, NodeSet, Sym};
 use gfd_pattern::{PatLabel, Pattern, VarId};
 
-/// Run pages cover the same 64 consecutive node ids as the graph's own
-/// pages, so an edit local to one graph page is local to one run page.
-const PAGE_SHIFT: u32 = 6;
+/// Run pages cover the same consecutive node ids as the graph's own
+/// pages ([`PAGE_SHIFT`]), so an edit local to one graph page is local
+/// to one run page.
 const PAGE_MASK: usize = (1 << PAGE_SHIFT) - 1;
 
 /// The single-bit mask of position `i` within its 64-bit word.

@@ -21,8 +21,9 @@
 //!         └──────┴─────────────┴─────────┴───────────┘
 //! ```
 //!
-//! A varint holds seven bits a byte, low group first, the high bit set
-//! on every byte but the last. It is minimal and fits its field
+//! The varints are [`gfd_graph::wire`]'s, the one codec the payload
+//! records use too: seven bits a byte, low group first, the high bit set
+//! on every byte but the last. Each is minimal and fits its field
 //! (`epoch` a `u64`, `payload_len` a `u32`), so the floor's header is 3
 //! to 16 bytes, a delta's 2 to 6, and each header has one encoding: a
 //! longer, padded or overflowing varint is a fault like a bad checksum.
@@ -86,12 +87,12 @@
 //! ([`encode_snapshot_chunked`]) through one buffer of about
 //! [`SNAPSHOT_CHUNK`] bytes, under a streaming [`Checksum64`]: a first
 //! pass of the same writer only counts, since the header holds the
-//! payload length and the checksum is seeded with the frame's. Each
+//! payload length and the checksum is seeded with the frame's; the
+//! header is written into the same buffer between the two passes. Each
 //! delta frame is assembled in that buffer: the payload is encoded
-//! behind room for the longest header, and once its length is known the
-//! header is written in front of it and the gap closed, in place.
-//! A payload too long for the header's `u32` length field is an error,
-//! never a wrapped length.
+//! first, then its header is appended behind it and rotated in front of
+//! it, in place. A payload too long for the header's `u32` length field
+//! is an error, never a wrapped length.
 //!
 //! Recovery reads at most the longest header of the floor, then seeks
 //! back to where the header ended, so the payload streams from its first
@@ -107,7 +108,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use gfd_graph::{
-    encode_snapshot_chunked, DecodedSnapshot, Graph, GraphDelta, Vocab, SNAPSHOT_CHUNK,
+    encode_snapshot_chunked, wire, DecodedSnapshot, DeltaError, Graph, GraphDelta, Vocab,
+    SNAPSHOT_CHUNK,
 };
 use gfd_util::Checksum64;
 
@@ -122,7 +124,7 @@ pub const KIND_SNAPSHOT: u8 = 1;
 pub const KIND_DELTA: u8 = 2;
 /// Longest frame header, the floor's: the kind byte, then `epoch` (a
 /// `u64`) and `payload_len` (a `u32`) as varints of at most 10 and 5
-/// bytes.
+/// bytes. Recovery reads at most this much to find the floor's header.
 const MAX_HEADER_LEN: usize = 1 + 10 + 5;
 /// Trailing checksum size.
 const CKSUM_LEN: usize = 8;
@@ -295,8 +297,10 @@ impl WalWriter {
             payload_len += chunk.len();
             Ok::<(), Infallible>(())
         });
+        // The header waits in the emptied chunk buffer for the magic.
         let at = MAGIC.len() as u64;
-        let header = frame_header(at, KIND_SNAPSHOT, base_epoch, payload_len)?;
+        frame_header(&mut buf, at, KIND_SNAPSHOT, base_epoch, payload_len)?;
+        let header_len = buf.len();
 
         let mut file = OpenOptions::new()
             .write(true)
@@ -304,9 +308,9 @@ impl WalWriter {
             .truncate(true)
             .open(path)?;
         file.write_all(&MAGIC)?;
-        file.write_all(&header)?;
-        let mut cksum = keyed_cksum(base_epoch, header.len() + payload_len);
-        cksum.update(&header);
+        file.write_all(&buf)?;
+        let mut cksum = keyed_cksum(base_epoch, header_len + payload_len);
+        cksum.update(&buf);
         let mut streamed = 0;
         encode_snapshot_chunked(g, &symbols, &mut buf, |chunk| {
             streamed += chunk.len();
@@ -321,7 +325,7 @@ impl WalWriter {
         file.sync_all()?;
         sync_parent_dir(path)?;
 
-        let len = (MAGIC.len() + header.len() + payload_len + CKSUM_LEN) as u64;
+        let len = (MAGIC.len() + header_len + payload_len + CKSUM_LEN) as u64;
         Ok(WalWriter {
             file,
             policy,
@@ -457,51 +461,28 @@ impl WalWriter {
     }
 }
 
-/// A frame header as written: the first `len` of its `bytes`.
-struct HeaderBytes {
-    bytes: [u8; MAX_HEADER_LEN],
-    len: usize,
-}
-
-impl std::ops::Deref for HeaderBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.bytes[..self.len]
-    }
-}
-
-/// The header of the frame at file offset `at`: the kind byte, the
-/// floor's `epoch` (a delta's is implied by its position) and
-/// `payload_len`, as minimal varints. A payload longer than the `u32`
-/// length field holds is refused: a wrapped length would make recovery
-/// drop the frame as torn — for the floor, the whole log.
+/// Appends to `out` the header of the frame at file offset `at`: the
+/// kind byte, the floor's `epoch` (a delta's is implied by its
+/// position) and `payload_len`, as [`wire`] varints. A payload longer
+/// than the `u32` length field holds is refused: a wrapped length would
+/// make recovery drop the frame as torn — for the floor, the whole log.
 fn frame_header(
+    out: &mut Vec<u8>,
     at: u64,
     kind: u8,
     epoch: u64,
     payload_len: usize,
-) -> Result<HeaderBytes, WalError> {
+) -> Result<(), WalError> {
     let len = u32::try_from(payload_len).map_err(|_| WalError::Corrupt {
         offset: at,
         what: format!("a {payload_len}-byte payload overflows the u32 frame length"),
     })?;
-    let mut header = HeaderBytes {
-        bytes: [0; MAX_HEADER_LEN],
-        len: 1,
-    };
-    header.bytes[0] = kind;
-    let epoch = (kind == KIND_SNAPSHOT).then_some(epoch);
-    for mut value in epoch.into_iter().chain([u64::from(len)]) {
-        while value >= 0x80 {
-            header.bytes[header.len] = value as u8 | 0x80;
-            header.len += 1;
-            value >>= 7;
-        }
-        header.bytes[header.len] = value as u8;
-        header.len += 1;
+    out.push(kind);
+    if kind == KIND_SNAPSHOT {
+        wire::put_varint(out, epoch);
     }
-    Ok(header)
+    wire::put_varint(out, len.into());
+    Ok(())
 }
 
 /// The checksum of a frame of `epoch` whose header and payload are
@@ -515,11 +496,10 @@ fn keyed_cksum(epoch: u64, body_len: usize) -> Checksum64 {
 }
 
 /// Assembles the frame of `epoch` at file offset `at` in `out`: the
-/// payload `encode` writes behind room for the longest header, the
-/// header written in front of the payload once its length is known and
-/// the gap before it closed, and the trailing keyed checksum. The gap
-/// closes in place, so the frame takes `out` no capacity past what the
-/// longest header, the payload and the checksum need.
+/// payload `encode` writes, the header appended once the payload's
+/// length is known and rotated in front of it, and the trailing keyed
+/// checksum. The rotation is in place, so the frame takes `out` no
+/// capacity past what the header, the payload and the checksum need.
 fn frame_into(
     out: &mut Vec<u8>,
     at: u64,
@@ -528,13 +508,11 @@ fn frame_into(
     encode: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), WalError> {
     let start = out.len();
-    out.resize(start + MAX_HEADER_LEN, 0);
     encode(out);
-    let payload_len = out.len() - start - MAX_HEADER_LEN;
-    let header = frame_header(at, kind, epoch, payload_len)?;
-    let gap = MAX_HEADER_LEN - header.len();
-    out[start + gap..start + MAX_HEADER_LEN].copy_from_slice(&header);
-    out.drain(start..start + gap);
+    let payload_len = out.len() - start;
+    frame_header(out, at, kind, epoch, payload_len)?;
+    let header_len = out.len() - start - payload_len;
+    out[start..].rotate_right(header_len);
     let mut cksum = keyed_cksum(epoch, out.len() - start);
     cksum.update(&out[start..]);
     out.extend_from_slice(&cksum.finish().to_le_bytes());
@@ -555,41 +533,26 @@ impl Header {
     /// The header at the start of `rest`, the `rest.len()` bytes left
     /// of the file: the kind byte, an `epoch` varint if the kind is the
     /// floor's, and the `payload_len` varint. Bytes that end inside it
-    /// are a torn header; a varint longer than its field's longest,
-    /// padded with a zero group, or past its field's range is malformed.
+    /// are a torn header; a varint [`wire`] refuses (longer than 10
+    /// bytes, padded with a zero group, past `u64`) or a length past
+    /// `u32` is malformed.
     fn read(rest: &[u8]) -> Result<Header, String> {
-        let torn = || format!("torn header: {} bytes", rest.len());
-        let kind = *rest.first().ok_or_else(torn)?;
-        let mut len = 1;
-        let mut field = |name: &str, max: u64| -> Result<u64, String> {
-            let mut value = 0;
-            let mut shift = 0;
-            loop {
-                let byte = *rest.get(len).ok_or_else(torn)?;
-                len += 1;
-                // A group past the field's range (its continuation bit
-                // counts) or a zero group closing a longer varint. The
-                // range check ends every varint by its longest length.
-                if u64::from(byte) > max >> shift || (byte == 0 && shift > 0) {
-                    return Err(format!("malformed {name} varint"));
-                }
-                value |= u64::from(byte & 0x7F) << shift;
-                if byte < 0x80 {
-                    return Ok(value);
-                }
-                shift += 7;
-            }
+        let fault = |e| match e {
+            DeltaError::Truncated { .. } => format!("torn header: {} bytes", rest.len()),
+            e => format!("malformed header: {e}"),
         };
+        let mut r = wire::Reader::new(rest);
+        let kind = r.byte().map_err(fault)?;
         let epoch = match kind {
-            KIND_SNAPSHOT => Some(field("epoch", u64::MAX)?),
+            KIND_SNAPSHOT => Some(r.varint().map_err(fault)?),
             _ => None,
         };
-        let payload_len = field("payload_len", u32::MAX.into())? as usize;
+        let payload_len = r.varint_u32("payload_len").map_err(fault)? as usize;
         Ok(Header {
             kind,
             epoch,
             payload_len,
-            len,
+            len: r.offset(),
         })
     }
 
@@ -910,6 +873,17 @@ mod tests {
     use gfd_graph::graph::same_snapshot;
     use gfd_graph::{encode_snapshot, Edge, GraphBuilder, NodeId, Value};
     use gfd_util::TempDir;
+
+    /// [`frame_header`] appended to a fresh buffer.
+    fn encoded_header(
+        at: u64,
+        kind: u8,
+        epoch: u64,
+        payload_len: usize,
+    ) -> Result<Vec<u8>, WalError> {
+        let mut header = Vec::new();
+        frame_header(&mut header, at, kind, epoch, payload_len).map(|()| header)
+    }
 
     /// A tiny graph plus a few recorded epochs, including one that
     /// interns a brand-new attribute name after the snapshot.
@@ -1233,7 +1207,7 @@ mod tests {
         let floor = &log[MAGIC.len()..base_end];
         let h = Header::read(floor).unwrap();
         let epoch = h.epoch.expect("the floor's header holds its epoch");
-        let claimed = frame_header(0, h.kind, epoch, h.payload_len + (1 << 20));
+        let claimed = encoded_header(0, h.kind, epoch, h.payload_len + (1 << 20));
         let overclaimed = [&MAGIC[..], &claimed.unwrap(), &floor[h.len..]].concat();
         let mut lane = log.clone();
         lane[base_end - 1] ^= 0x20;
@@ -1331,7 +1305,7 @@ mod tests {
     fn frame_header_refuses_a_payload_past_u32() {
         let too_long = u32::MAX as usize + 1;
         for kind in [KIND_SNAPSHOT, KIND_DELTA] {
-            match frame_header(40, kind, 3, too_long) {
+            match encoded_header(40, kind, 3, too_long) {
                 Err(WalError::Corrupt { offset, what }) => {
                     assert_eq!(offset, 40);
                     assert!(what.contains(&too_long.to_string()), "{what}");
@@ -1340,9 +1314,9 @@ mod tests {
             }
         }
         let longest = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
-        let floor = frame_header(40, KIND_SNAPSHOT, 3, u32::MAX as usize).unwrap();
+        let floor = encoded_header(40, KIND_SNAPSHOT, 3, u32::MAX as usize).unwrap();
         assert_eq!(*floor, [&[KIND_SNAPSHOT, 3][..], &longest].concat());
-        let delta = frame_header(40, KIND_DELTA, 3, u32::MAX as usize).unwrap();
+        let delta = encoded_header(40, KIND_DELTA, 3, u32::MAX as usize).unwrap();
         assert_eq!(*delta, [&[KIND_DELTA][..], &longest].concat());
     }
 
@@ -1359,7 +1333,7 @@ mod tests {
             .chain(epochs.iter().map(|&(e, _)| (KIND_DELTA, (e, 0))))
         {
             for (payload_len, len_bytes) in lengths {
-                let header = frame_header(8, kind, epoch, payload_len).unwrap();
+                let header = encoded_header(8, kind, epoch, payload_len).unwrap();
                 assert_eq!(header.len(), 1 + epoch_bytes + len_bytes);
                 let back = Header::read(&header).unwrap();
                 let held = (kind == KIND_SNAPSHOT).then_some(epoch);
@@ -1428,6 +1402,33 @@ mod tests {
             assert_eq!(report.truncated_frames, 1, "{case}");
             assert_eq!(std::fs::metadata(&path).unwrap().len(), end, "{case}");
         }
+    }
+
+    /// A header varint that runs past its field's range and is then cut
+    /// off by the end of the file is torn, not malformed: the codec reads
+    /// a varint to its last group before it checks the range. Recovery
+    /// cuts it back to the frame before it like any torn tail.
+    #[test]
+    fn a_header_cut_inside_an_overwide_varint_is_torn() {
+        let dir = TempDir::new("gfd-wal-overwide").unwrap();
+        let path = dir.file("edits.wal");
+        let (_, snapshots, w) = build_log(&path, SyncPolicy::OnDemand);
+        let end = w.bytes();
+        drop(w);
+        let header = [&[KIND_DELTA][..], &[0xFF; 5]].concat();
+        let what = Header::read(&header).err();
+        assert!(what.is_some_and(|e| e.contains("torn header")));
+        let log = std::fs::read(&path).unwrap();
+        std::fs::write(&path, [&log[..], &header].concat()).unwrap();
+        let (g, _, report) = recover(&path, SyncPolicy::OnDemand).unwrap();
+        assert_eq!(report.recovered_epoch, 5);
+        assert!(same_snapshot(&g, &snapshots[5]).is_ok());
+        let fault = report.corruption.expect("the torn header is reported");
+        assert_eq!((fault.offset, fault.epoch), (end, None));
+        assert!(fault.what.contains("torn header"), "{fault:?}");
+        assert_eq!(report.truncated_frames, 1);
+        assert_eq!(report.truncated_bytes, header.len() as u64);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), end);
     }
 
     /// Every strict prefix of a delta frame is a torn frame, cut back to
