@@ -12,6 +12,7 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use gfd_core::implication::minimize;
 use gfd_core::sat::check_satisfiability;
 use gfd_core::validate::{detect_violations, detect_violations_with, DetScratch};
 use gfd_core::{implies, Dependency, Gfd, GfdSet, IncrementalDetector, Literal};
@@ -509,6 +510,29 @@ fn main() {
     );
     bench("reason/implication(example8)", &mut samples, || {
         implies(&sigma8, &phi11)
+    });
+    // `minimize` on the lifecycle benchmark's wide-sigma Σ (200 rules
+    // mined from the Yago2 stand-in at scale 0.5): one satisfiability
+    // check, then one `implies` per rule, each grounding the rest of Σ
+    // in that rule's canonical graph.
+    let yago_half = reallife_graph(&RealLifeConfig {
+        kind: RealLifeKind::Yago2,
+        scale: 0.5,
+        seed: 0xBEEF,
+    });
+    let sigma200 = mine_gfds(
+        &yago_half,
+        &RuleGenConfig {
+            count: 200,
+            pattern_nodes: 4,
+            two_component_fraction: 0.3,
+            max_pivot_extent: 150,
+            seed: 0xACE,
+        },
+    );
+    drop(yago_half);
+    bench("reason/minimize(mined 200)", &mut samples, || {
+        minimize(&sigma200).len()
     });
 
     // Detection end-to-end.

@@ -15,10 +15,18 @@
 //!
 //! Either way the literal form here is "ground": owners are plain
 //! `u32` indices.
+//!
+//! Grounding enumerates rule by rule, not once per isomorphism class
+//! as detection does ([`crate::group`]). A reasoning call grounds Σ in
+//! a canonical graph of a handful of nodes, where most rules are
+//! skipped by their label counts before any search; grouping Σ first
+//! (a canonical form per rule) would cost several times what the
+//! grounding itself does, on every `implies` call.
 
 use gfd_graph::{Graph, Sym, Value};
 use gfd_match::api::EnumOutcome;
-use gfd_match::{for_each_match, types::Flow, MatchOptions, SearchBudget};
+use gfd_match::{for_each_match_with, types::Flow, MatchOptions, MatchScratch, SearchBudget};
+use gfd_pattern::{PatLabel, Pattern};
 
 use crate::eqrel::EqRel;
 use crate::gfd::GfdSet;
@@ -115,24 +123,44 @@ pub fn ground_dep(dep: &Dependency, owner_of: &dyn Fn(gfd_pattern::VarId) -> u32
 
 /// Grounds every rule of `Σ` on each of its matches in `graph`: one
 /// [`GroundDep`] per (rule, match) pair, owners are node indices.
-/// Returns `None` if a rule's enumeration ran out of `budget`.
+/// Returns `None` if a rule's enumeration ran out of `budget`, which
+/// caps each rule's enumeration on its own. Every enumeration runs
+/// through one scratch, and a rule with more variables of some label
+/// than `graph` has nodes of it is skipped unsearched: matches are
+/// injective, so it has none.
 pub fn ground_deps_of_matches(
     sigma: &GfdSet,
     graph: &Graph,
     budget: SearchBudget,
 ) -> Option<Vec<GroundDep>> {
     let opts = MatchOptions::unrestricted().with_budget(budget);
+    let mut scratch = MatchScratch::default();
     let mut deps = Vec::new();
-    for gfd in sigma {
-        let outcome = for_each_match(&gfd.pattern, graph, &opts, &mut |m| {
-            deps.push(ground_dep(&gfd.dep, &|v| m[v.index()].0));
-            Flow::Continue
-        });
+    for gfd in sigma
+        .iter()
+        .filter(|gfd| !outnumbers_extents(&gfd.pattern, graph))
+    {
+        let outcome =
+            for_each_match_with(&gfd.pattern, graph, &opts, None, &mut scratch, &mut |m| {
+                deps.push(ground_dep(&gfd.dep, &|v| m[v.index()].0));
+                Flow::Continue
+            });
         if outcome != EnumOutcome::Complete {
             return None;
         }
     }
     Some(deps)
+}
+
+/// Does `q` have more variables of some label than `g` has nodes of it?
+fn outnumbers_extents(q: &Pattern, g: &Graph) -> bool {
+    q.vars().any(|v| match q.label(v) {
+        PatLabel::Sym(s) => {
+            let same = q.vars().filter(|&w| q.label(w) == PatLabel::Sym(s));
+            same.count() > g.extent(s).len()
+        }
+        PatLabel::Wildcard => false,
+    })
 }
 
 /// Runs the equality chase: asserts `base`, then fires every

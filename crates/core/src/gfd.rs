@@ -53,12 +53,6 @@ impl Gfd {
         self.dep.literals().all(Literal::is_variable)
     }
 
-    /// True if `X = ∅` (the `(Q, ∅ → Y)` form central to
-    /// satisfiability, Corollary 4).
-    pub fn has_empty_lhs(&self) -> bool {
-        self.dep.x.is_empty()
-    }
-
     /// Normal form (§4.2): one GFD per consequent literal, dropping
     /// tautologies `x.A = x.A`… except that under GFD semantics a
     /// tautology in `Y` asserts attribute existence, so tautologies are
@@ -185,7 +179,6 @@ mod tests {
             "v",
         )]));
         assert!(c.is_constant() && !c.is_variable());
-        assert!(c.has_empty_lhs());
 
         let v = single_node_gfd(Dependency::always(vec![Literal::var_eq(
             VarId(0),
@@ -200,7 +193,6 @@ mod tests {
             vec![Literal::var_eq(VarId(0), a, VarId(0), a)],
         ));
         assert!(!mixed.is_constant() && !mixed.is_variable());
-        assert!(!mixed.has_empty_lhs());
     }
 
     #[test]

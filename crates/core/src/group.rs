@@ -27,10 +27,13 @@
 //! one. A member checks only its own key's rows.
 
 use gfd_graph::{Graph, NodeId, Sym};
-use gfd_match::component::{ComponentSearch, SearchScratch};
+use gfd_match::api::EnumOutcome;
+use gfd_match::component::{ComponentSearch, SearchScratch, StopReason};
 use gfd_match::join::{join_tables, JoinKey, JoinScratch};
 use gfd_match::types::Flow;
-use gfd_match::{for_each_match_in, ClassView, MatchOptions, MatchScratch, MatchTable, Pin};
+use gfd_match::{
+    for_each_match_in, ClassView, MatchOptions, MatchScratch, MatchTable, Pin, SearchBudget,
+};
 use gfd_pattern::canon::group_isomorphic_with_witnesses;
 use gfd_pattern::signature::decompose;
 use gfd_pattern::{Pattern, VarId};
@@ -208,13 +211,15 @@ pub struct GroupScratch {
     join: JoinScratch,
 }
 
-/// The component searches' buffers, and how many ran.
+/// The component searches' buffers and step budget, how many ran, and
+/// how many the budget cut off.
 #[derive(Default)]
 struct Searches {
     opts: MatchOptions,
     matching: MatchScratch,
     raw: SearchScratch,
     enumerations: u64,
+    cut_off: u64,
 }
 
 /// Rows an enumeration buffers before the checked members read them,
@@ -226,10 +231,26 @@ struct Searches {
 const CHUNK_ROWS: usize = 1024;
 
 impl GroupScratch {
+    /// Scratch whose every component search stops after `budget`'s
+    /// backtracking steps. The budget is per component search, not per
+    /// call: each part of each enumeration gets the whole of it.
+    pub fn with_budget(budget: SearchBudget) -> Self {
+        let mut scratch = Self::default();
+        scratch.search.opts.budget = budget;
+        scratch
+    }
+
     /// Component searches run so far: one per component of each
     /// enumeration, pinned or not.
     pub fn enumerations(&self) -> u64 {
         self.search.enumerations
+    }
+
+    /// Component searches the step budget cut off so far: the
+    /// violations reported since a reading are complete when it has
+    /// not moved.
+    pub fn cut_off(&self) -> u64 {
+        self.search.cut_off
     }
 }
 
@@ -238,7 +259,10 @@ impl GroupScratch {
 /// variables) — part `i` in `views[i]`'s class space, or on the raw CSR
 /// where that is `None` — and checks every [checked](GroupMember::checked)
 /// member on each row of its key's join: `sink(rule, mapping)` receives
-/// each violation, the mapping in the rule's own order.
+/// each violation, the mapping in the rule's own order. Each component
+/// search stops at the scratch's step budget
+/// ([`GroupScratch::with_budget`]); [`GroupScratch::cut_off`] counts
+/// the searches it stopped.
 pub fn for_each_group_violation(
     group: &RuleGroup,
     g: &Graph,
@@ -323,9 +347,9 @@ pub fn for_each_group_violation(
 }
 
 impl Searches {
-    /// Streams component `i`'s matches under the pins on its variables,
-    /// rows in the component's own variable order: in `views[i]`'s class
-    /// space, or on the raw CSR.
+    /// Streams component `i`'s matches under the pins on its variables
+    /// and the step budget, rows in the component's own variable order:
+    /// in `views[i]`'s class space, or on the raw CSR.
     fn component(
         &mut self,
         g: &Graph,
@@ -338,18 +362,22 @@ impl Searches {
         let (cq, vars) = &group.parts[i];
         self.enumerations += 1;
         Pin::restrict(pins, vars, &mut self.opts.pins);
-        match &views[i] {
+        let cut = match &views[i] {
             Some(view) => {
-                for_each_match_in(view, g, &self.opts, &mut self.matching, f);
+                let outcome = for_each_match_in(view, g, &self.opts, &mut self.matching, f);
+                outcome == EnumOutcome::Stopped(StopReason::BudgetExhausted)
             }
             None => {
                 let raw = std::mem::take(&mut self.raw);
                 let mut s = ComponentSearch::new(cq, g)
                     .with_scratch(raw)
-                    .pins(&self.opts.pins);
-                s.for_each(f);
+                    .pins(&self.opts.pins)
+                    .max_steps(self.opts.budget.max_steps.unwrap_or(u64::MAX));
+                let reason = s.for_each(f);
                 self.raw = s.into_scratch();
+                reason == StopReason::BudgetExhausted
             }
-        }
+        };
+        self.cut_off += u64::from(cut);
     }
 }

@@ -13,7 +13,8 @@
 //! wildcard gets a fresh label of its own), so `Σ` is grounded by
 //! [`ground_deps_of_matches`] — the enumerator and the budget
 //! satisfiability uses — and the exponential stays confined to
-//! matching.
+//! matching. Grounding stays per rule, not per isomorphism class as in
+//! detection; [`crate::closure`] says why.
 //!
 //! Conventions following §4.2:
 //! * `Y = ∅` or a tautology `x.A = x.A` ⟹ trivially implied;

@@ -22,14 +22,12 @@
 //! chase materializes attribute values (class constants, fresh values
 //! for unconstrained classes) and yields an explicit model, which the
 //! checker returns and which `G₀ ⊨ Σ` tests can verify independently.
-//!
-//! The chase decides every case. [`tractable_case`] only classifies `Σ`
-//! into the tractable cases of Corollary 4 (variable-only `Σ`, no
-//! `∅ → Y` rules, tree patterns); no checker consults it.
+//! The chase decides every case, the tractable ones of Corollary 4
+//! (variable-only `Σ`, no `∅ → Y` rules, tree patterns) included.
 
 use gfd_graph::{Graph, GraphBuilder, NodeId, Value};
 use gfd_match::SearchBudget;
-use gfd_pattern::{analysis, PatLabel, Pattern};
+use gfd_pattern::{PatLabel, Pattern};
 
 use crate::closure::{chase, ground_deps_of_matches};
 use crate::gfd::GfdSet;
@@ -58,31 +56,6 @@ impl SatOutcome {
     pub fn is_satisfiable(&self) -> bool {
         matches!(self, SatOutcome::Satisfiable(_))
     }
-}
-
-/// Which tractable sub-case (Corollary 4) a rule set falls into.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TractableCase {
-    /// All GFDs are variable GFDs — always satisfiable.
-    AllVariable,
-    /// No GFD has the form `(Q, ∅ → Y)` — always satisfiable.
-    NoEmptyLhs,
-    /// All patterns are trees — satisfiability decidable in PTIME.
-    AllTreePatterns,
-}
-
-/// Classifies `Σ` into a tractable case of Corollary 4, if any.
-pub fn tractable_case(sigma: &GfdSet) -> Option<TractableCase> {
-    if sigma.iter().all(|g| g.is_variable()) {
-        return Some(TractableCase::AllVariable);
-    }
-    if sigma.iter().all(|g| !g.has_empty_lhs()) {
-        return Some(TractableCase::NoEmptyLhs);
-    }
-    if sigma.iter().all(|g| analysis::is_tree(&g.pattern)) {
-        return Some(TractableCase::AllTreePatterns);
-    }
-    None
 }
 
 /// Builds the canonical graph of `patterns`: one copy of each, in
@@ -306,7 +279,6 @@ mod tests {
             Dependency::always(vec![Literal::var_eq(VarId(0), a, VarId(1), a)]),
         );
         let sigma = GfdSet::new(vec![phi]);
-        assert_eq!(tractable_case(&sigma), Some(TractableCase::AllVariable));
         assert!(is_satisfiable(&sigma));
     }
 
@@ -333,7 +305,6 @@ mod tests {
             ),
         );
         let sigma = GfdSet::new(vec![g1, g2]);
-        assert_eq!(tractable_case(&sigma), Some(TractableCase::NoEmptyLhs));
         assert!(is_satisfiable(&sigma));
     }
 

@@ -19,17 +19,16 @@
 //! which is why the parallel crate exists. Each part of a group
 //! enumerates in its registry class space when the one size gate
 //! ([`gfd_match::auto_simulate`]) fires for it, and on the raw CSR
-//! otherwise. [`for_each_violation`] is the per-rule reference path,
-//! independent of the grouping; a budgeted variant is provided so
-//! callers can bound the effort.
+//! otherwise.
+//!
+//! That one loop, [`detect_violations_with`], is all of detection here:
+//! the budgeted variant runs it with a step budget in its scratch, and
+//! the validation problem `G ⊨ Σ` asks whether its result is empty.
 
 use gfd_graph::{Graph, NodeId};
-use gfd_match::{
-    auto_simulate, for_each_match, types::Flow, ClassRegistry, ClassView, Match, MatchOptions,
-    SearchBudget,
-};
+use gfd_match::{auto_simulate, ClassRegistry, ClassView, Match, SearchBudget};
 
-use crate::gfd::{Gfd, GfdSet};
+use crate::gfd::GfdSet;
 use crate::group::{for_each_group_violation, GroupScratch, RuleGroups};
 use crate::literal::{Dependency, Literal};
 
@@ -62,28 +61,6 @@ pub fn match_satisfies(dep: &Dependency, g: &Graph, m: &[NodeId]) -> bool {
         return true;
     }
     dep.y.iter().all(|l| literal_holds(l, g, m))
-}
-
-/// Enumerates the violations of a single GFD, streaming them to `f`;
-/// returns `true` if the enumeration was complete.
-pub fn for_each_violation(
-    gfd: &Gfd,
-    g: &Graph,
-    opts: &MatchOptions,
-    f: &mut dyn FnMut(&[NodeId]) -> Flow,
-) -> bool {
-    if gfd.dep.y.is_empty() {
-        // `X → ∅` holds for every match — skip the enumeration.
-        return true;
-    }
-    let outcome = for_each_match(&gfd.pattern, g, opts, &mut |m| {
-        if match_satisfies(&gfd.dep, g, m) {
-            Flow::Continue
-        } else {
-            f(m)
-        }
-    });
-    matches!(outcome, gfd_match::api::EnumOutcome::Complete)
 }
 
 /// The sequential algorithm `detVio` (§5.1): computes `Vio(Σ, G)` with
@@ -157,43 +134,27 @@ pub fn detect_violations_with(
     out
 }
 
-/// Budgeted `detVio`; the boolean is `true` when the enumeration was
-/// exhaustive (no budget cut-off).
+/// Budgeted `detVio`: [`detect_violations_with`] under `budget`, which
+/// caps the backtracking steps of each component search — not of the
+/// call: every part of every group's enumeration gets the whole budget.
+/// The boolean is `true` when no search was cut off, so the violations
+/// are all of `Vio(Σ, G)`.
 pub fn detect_violations_budgeted(
     sigma: &GfdSet,
     g: &Graph,
     budget: SearchBudget,
 ) -> (Vec<Violation>, bool) {
-    let mut out = Vec::new();
-    let mut complete = true;
-    for (i, gfd) in sigma.iter().enumerate() {
-        let opts = MatchOptions::unrestricted().with_budget(budget);
-        let c = for_each_violation(gfd, g, &opts, &mut |m| {
-            out.push(Violation {
-                rule: i,
-                mapping: Match(m.to_vec()),
-            });
-            Flow::Continue
-        });
-        complete &= c;
-    }
-    (out, complete)
+    let mut scratch = DetScratch {
+        group: GroupScratch::with_budget(budget),
+        views: Vec::new(),
+    };
+    let vio = detect_violations_with(sigma, g, &ClassRegistry::new(), &mut scratch);
+    (vio, scratch.group.cut_off() == 0)
 }
 
-/// The validation problem: does `G ⊨ Σ`? Early-exits on the first
-/// violation.
+/// The validation problem: does `G ⊨ Σ`, i.e. is `Vio(Σ, G)` empty?
 pub fn graph_satisfies(sigma: &GfdSet, g: &Graph) -> bool {
-    for gfd in sigma {
-        let mut violated = false;
-        for_each_violation(gfd, g, &MatchOptions::unrestricted(), &mut |_| {
-            violated = true;
-            Flow::Break
-        });
-        if violated {
-            return false;
-        }
-    }
-    true
+    detect_violations(sigma, g).is_empty()
 }
 
 #[cfg(test)]
@@ -201,8 +162,27 @@ mod tests {
     use super::*;
     use crate::gfd::Gfd;
     use gfd_graph::{Value, Vocab};
+    use gfd_match::{for_each_match, types::Flow, MatchOptions};
     use gfd_pattern::{PatternBuilder, VarId};
     use std::sync::Arc;
+
+    /// The per-rule oracle, independent of the grouping: each rule's
+    /// own enumeration, every match checked against its `X → Y`.
+    fn per_rule_violations(sigma: &GfdSet, g: &Graph) -> Vec<Violation> {
+        let mut out = Vec::new();
+        for (rule, gfd) in sigma.iter().enumerate() {
+            for_each_match(&gfd.pattern, g, &MatchOptions::unrestricted(), &mut |m| {
+                if !match_satisfies(&gfd.dep, g, m) {
+                    out.push(Violation {
+                        rule,
+                        mapping: Match(m.to_vec()),
+                    });
+                }
+                Flow::Continue
+            });
+        }
+        out
+    }
 
     /// Builds G1 of Fig. 1 plus ϕ1 of Example 5 (flights with same id
     /// must share destination).
@@ -490,16 +470,7 @@ mod tests {
                 assert_eq!(keys[2], None);
 
                 // Oracle: each rule's own unbudgeted pair enumeration.
-                let mut want = Vec::new();
-                for (rule, gfd) in sigma.iter().enumerate() {
-                    for_each_violation(gfd, &g, &MatchOptions::unrestricted(), &mut |m| {
-                        want.push(Violation {
-                            rule,
-                            mapping: Match(m.to_vec()),
-                        });
-                        Flow::Continue
-                    });
-                }
+                let mut want = per_rule_violations(&sigma, &g);
                 let key = |v: &Violation| (v.rule, v.mapping.nodes().to_vec());
                 want.sort_by_key(key);
                 let det =
@@ -575,16 +546,7 @@ mod tests {
         ]);
 
         // Baseline: the per-rule reference path.
-        let mut want = Vec::new();
-        for (rule, gfd) in sigma.iter().enumerate() {
-            for_each_violation(gfd, &g, &MatchOptions::unrestricted(), &mut |m| {
-                want.push(Violation {
-                    rule,
-                    mapping: Match(m.to_vec()),
-                });
-                Flow::Continue
-            });
-        }
+        let mut want = per_rule_violations(&sigma, &g);
         // Every triangle rotation violates, for both rules.
         assert_eq!(want.len(), 12);
 
@@ -700,16 +662,7 @@ mod tests {
         ]);
         assert_eq!(RuleGroups::new(&sigma).len(), 1, "one two-member group");
 
-        let mut want = Vec::new();
-        for (rule, gfd) in sigma.iter().enumerate() {
-            for_each_violation(gfd, &g, &MatchOptions::unrestricted(), &mut |m| {
-                want.push(Violation {
-                    rule,
-                    mapping: Match(m.to_vec()),
-                });
-                Flow::Continue
-            });
-        }
+        let mut want = per_rule_violations(&sigma, &g);
         assert!(!want.is_empty());
         let reg = ClassRegistry::new();
         let mut got = detect_violations_shared(&sigma, &g, &reg);
@@ -726,6 +679,7 @@ mod tests {
         let (g, sigma) = flights_fixture();
         let (all, complete) = detect_violations_budgeted(&sigma, &g, SearchBudget::UNLIMITED);
         assert!(complete && !all.is_empty());
+        assert_eq!(all, detect_violations(&sigma, &g), "unlimited is detVio");
         let one_step = SearchBudget { max_steps: Some(1) };
         let (vio, complete) = detect_violations_budgeted(&sigma, &g, one_step);
         assert!(vio.len() < all.len());

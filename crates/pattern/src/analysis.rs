@@ -99,12 +99,6 @@ pub fn pivot_vector(q: &Pattern) -> PivotVector {
     PivotVector { components }
 }
 
-/// True if the whole pattern is a tree: connected and `|E| = |V| - 1`
-/// (the tractable cases of Corollaries 4 and 8).
-pub fn is_tree(q: &Pattern) -> bool {
-    q.node_count() > 0 && connected_components(q).len() == 1 && q.edge_count() == q.node_count() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,14 +108,6 @@ mod tests {
     /// The largest component radius.
     fn max_radius(pv: &PivotVector) -> usize {
         pv.components.iter().map(|c| c.radius).max().unwrap_or(0)
-    }
-
-    /// True if every component is a tree (acyclic pattern forest).
-    fn is_forest(q: &Pattern) -> bool {
-        connected_components(q).iter().all(|c| {
-            let internal = q.edges().iter().filter(|e| c.binary_search(&e.src).is_ok());
-            internal.count() + 1 == c.len()
-        })
     }
 
     /// Q1 of Fig. 2: two star-shaped flight entities (disconnected).
@@ -190,36 +176,6 @@ mod tests {
         let pv = pivot_vector(&q);
         assert_eq!(pv.components[0].pivot, m);
         assert_eq!(pv.components[0].radius, 1);
-    }
-
-    #[test]
-    fn tree_and_forest_checks() {
-        let q = q1();
-        assert!(!is_tree(&q), "Q1 is disconnected");
-        assert!(is_forest(&q), "Q1's components are stars");
-
-        // A triangle is neither.
-        let mut b = PatternBuilder::new(Vocab::shared());
-        let x = b.node("x", "t");
-        let y = b.node("y", "t");
-        let z = b.node("z", "t");
-        b.edge(x, y, "l");
-        b.edge(y, z, "l");
-        b.edge(z, x, "l");
-        let tri = b.build();
-        assert!(!is_tree(&tri));
-        assert!(!is_forest(&tri));
-
-        // A star is a tree.
-        let mut b = PatternBuilder::new(Vocab::shared());
-        let hub = b.node("hub", "t");
-        for i in 0..3 {
-            let v = b.node(&format!("v{i}"), "t");
-            b.edge(hub, v, "l");
-        }
-        let star = b.build();
-        assert!(is_tree(&star));
-        assert!(is_forest(&star));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!   in a randomized sample satisfies `Σ` but violates `ϕ`;
 //! * completeness of implication: `Σ ⊭ ϕ` exactly when a brute-force
 //!   search over small models finds a counterexample;
+//! * completeness of satisfiability: the chase says "unsatisfiable"
+//!   exactly when a brute-force search of `Σ`'s canonical structure
+//!   finds no model;
 //! * `minimize` on a real mined Σ: every violation of a rule it drops
 //!   is a counterexample the kept set must also catch — in the
 //!   subgraph induced by the violating match;
@@ -38,6 +41,8 @@ use std::sync::Arc;
 /// What the random rules draw from.
 #[derive(Clone, Copy)]
 struct Shape {
+    /// Variables a pattern has at most.
+    vars: u32,
     /// Attributes `A0..` literals use.
     attrs: usize,
     /// Wildcard nodes and edges, self-loops, parallel edges, missing
@@ -48,6 +53,7 @@ struct Shape {
 
 /// The shape the soundness and equivalence properties draw from.
 const PLAIN: Shape = Shape {
+    vars: 3,
     attrs: 3,
     rich: false,
 };
@@ -62,7 +68,7 @@ fn random_pattern(
     elabels: u32,
     shape: Shape,
 ) -> Pattern {
-    let n = rng.gen_range(1..4) as u32;
+    let n = rng.gen_range(1..shape.vars as usize + 1) as u32;
     let mut b = PatternBuilder::new(vocab.clone());
     let mut vars = Vec::new();
     for i in 0..n {
@@ -200,9 +206,10 @@ fn implication_is_sound() {
     });
 }
 
-/// The shape the completeness oracle draws from: at most three
+/// The shape the implication oracle draws from: at most three
 /// variables per pattern (as always) and two attributes.
 const RICH: Shape = Shape {
+    vars: 3,
     attrs: 2,
     rich: true,
 };
@@ -322,20 +329,18 @@ fn for_each_assignment(terms: usize, consts: u32, f: &mut dyn FnMut(&[u32]) -> b
     go(&mut Vec::with_capacity(terms), terms, consts, 0, f);
 }
 
-/// Brute-force small-model oracle for `Σ ⊭ ϕ`. Patterns are positive,
-/// so a counterexample's match image of `ϕ`'s pattern is itself one:
-/// `Σ ⊭ ϕ` iff some graph shaped like `ϕ`'s pattern satisfies `Σ` and
-/// violates `ϕ`. The search labels every wildcard node and edge of
-/// `ϕ`'s pattern with one of `Σ`'s labels or one fresh label (no rule
-/// tells other labels apart), and gives every node every attribute
-/// `Σ ∪ {ϕ}` mentions — total, so `x.A = x.A` stays a tautology, as
-/// §4.2 assumes — over the mentioned constants and values private to
-/// a block of equal terms. Literals are evaluated on the matches of
-/// each rule; every counterexample, and every 64th assignment, is
-/// cross-checked with `graph_satisfies`.
-fn counterexample(sigma: &GfdSet, phi: &Gfd) -> Result<Option<Graph>, String> {
-    let q = &phi.pattern;
-    let vocab = q.vocab().clone();
+/// Every labeling of the disjoint union of `patterns` — pattern `k`'s
+/// variable `i` at node `i` plus the node counts of the patterns before
+/// it — in which every wildcard node and edge takes one of `Σ`'s labels
+/// or one fresh label (no rule tells other labels apart). `f` searches
+/// each structure; the first `Some` it returns, or error, ends the
+/// search.
+fn search_labelings(
+    sigma: &GfdSet,
+    patterns: &[&Pattern],
+    f: &mut dyn FnMut(Graph) -> Result<Option<Graph>, String>,
+) -> Result<Option<Graph>, String> {
+    let vocab = patterns[0].vocab().clone();
     let fresh = vocab.intern("oracle_fresh");
     let add = |labels: &mut Vec<Sym>, l: PatLabel| {
         if let PatLabel::Sym(s) = l {
@@ -352,53 +357,82 @@ fn counterexample(sigma: &GfdSet, phi: &Gfd) -> Result<Option<Graph>, String> {
             .iter()
             .for_each(|e| add(&mut edge_labels, e.label));
     }
-    let u = Universe::of(sigma.iter().chain([phi]));
-    let wild_nodes: Vec<VarId> = q
-        .vars()
-        .filter(|&v| q.label(v) == PatLabel::Wildcard)
-        .collect();
-    let wild_edges: Vec<usize> = (0..q.edges().len())
-        .filter(|&i| q.edges()[i].label == PatLabel::Wildcard)
-        .collect();
-    let radix: Vec<usize> = wild_nodes
+    // One digit per wildcard: each pattern's nodes, then its edges.
+    let wild = |l: PatLabel| l == PatLabel::Wildcard;
+    let radix: Vec<usize> = patterns
         .iter()
-        .map(|_| node_labels.len())
-        .chain(wild_edges.iter().map(|_| edge_labels.len()))
+        .flat_map(|q| {
+            let nodes = q.vars().filter(|&v| wild(q.label(v)));
+            let edges = q.edges().iter().filter(|e| wild(e.label));
+            let nodes = nodes.map(|_| node_labels.len());
+            nodes
+                .chain(edges.map(|_| edge_labels.len()))
+                .collect::<Vec<_>>()
+        })
         .collect();
-    let phi_alone = GfdSet::new(vec![phi.clone()]);
-    let all = |g: &Graph, p: &Pattern| -> Vec<Vec<NodeId>> {
-        let mut out = Vec::new();
-        for_each_match(p, g, &MatchOptions::unrestricted(), &mut |m| {
-            out.push(m.to_vec());
-            Flow::Continue
-        });
-        out
-    };
     let mut pick = vec![0usize; radix.len()];
     loop {
         let mut b = GraphBuilder::new(vocab.clone());
-        for v in q.vars() {
-            let label = match q.label(v) {
-                PatLabel::Sym(s) => s,
-                PatLabel::Wildcard => {
-                    node_labels[pick[wild_nodes.iter().position(|&w| w == v).unwrap()]]
-                }
-            };
-            b.add_node(label);
+        let mut digits = pick.iter();
+        for q in patterns {
+            let base = b.node_count() as u32;
+            for v in q.vars() {
+                let label = match q.label(v) {
+                    PatLabel::Sym(s) => s,
+                    PatLabel::Wildcard => node_labels[*digits.next().unwrap()],
+                };
+                b.add_node(label);
+            }
+            for e in q.edges() {
+                let label = match e.label {
+                    PatLabel::Sym(s) => s,
+                    PatLabel::Wildcard => edge_labels[*digits.next().unwrap()],
+                };
+                b.add_edge(NodeId(base + e.src.0), NodeId(base + e.dst.0), label);
+            }
         }
-        for (i, e) in q.edges().iter().enumerate() {
-            let label = match e.label {
-                PatLabel::Sym(s) => s,
-                PatLabel::Wildcard => {
-                    let k = wild_edges.iter().position(|&w| w == i).unwrap();
-                    edge_labels[pick[wild_nodes.len() + k]]
-                }
-            };
-            b.add_edge(NodeId(e.src.0), NodeId(e.dst.0), label);
+        if let Some(found) = f(b.freeze())? {
+            return Ok(Some(found));
         }
-        let structure = b.freeze();
-        let rule_matches: Vec<_> = sigma.iter().map(|g| all(&structure, &g.pattern)).collect();
-        let phi_matches = all(&structure, q);
+        // Next labeling (mixed-radix increment); done after the last.
+        let Some(i) = (0..pick.len()).find(|&i| pick[i] + 1 < radix[i]) else {
+            return Ok(None);
+        };
+        pick[i] += 1;
+        pick[..i].fill(0);
+    }
+}
+
+/// Every match of `p` in `g`.
+fn all_matches(g: &Graph, p: &Pattern) -> Vec<Vec<NodeId>> {
+    let mut out = Vec::new();
+    for_each_match(p, g, &MatchOptions::unrestricted(), &mut |m| {
+        out.push(m.to_vec());
+        Flow::Continue
+    });
+    out
+}
+
+/// Brute-force small-model oracle for `Σ ⊭ ϕ`. Patterns are positive,
+/// so a counterexample's match image of `ϕ`'s pattern is itself one:
+/// `Σ ⊭ ϕ` iff some graph shaped like `ϕ`'s pattern satisfies `Σ` and
+/// violates `ϕ`. The search runs over the labelings of `ϕ`'s pattern
+/// ([`search_labelings`]), and gives every node every attribute
+/// `Σ ∪ {ϕ}` mentions — total, so `x.A = x.A` stays a tautology, as
+/// §4.2 assumes — over the mentioned constants and values private to
+/// a block of equal terms. Literals are evaluated on the matches of
+/// each rule; every counterexample, and every 64th assignment, is
+/// cross-checked with `graph_satisfies`.
+fn counterexample(sigma: &GfdSet, phi: &Gfd) -> Result<Option<Graph>, String> {
+    let q = &phi.pattern;
+    let u = Universe::of(sigma.iter().chain([phi]));
+    let phi_alone = GfdSet::new(vec![phi.clone()]);
+    search_labelings(sigma, &[q], &mut |structure| {
+        let rule_matches: Vec<_> = sigma
+            .iter()
+            .map(|g| all_matches(&structure, &g.pattern))
+            .collect();
+        let phi_matches = all_matches(&structure, q);
 
         let mut found = None;
         let mut error = None;
@@ -431,19 +465,51 @@ fn counterexample(sigma: &GfdSet, phi: &Gfd) -> Result<Option<Graph>, String> {
                 counter
             },
         );
-        if let Some(e) = error {
-            return Err(e);
+        match error {
+            Some(e) => Err(e),
+            None => Ok(found),
         }
-        if found.is_some() {
-            return Ok(found);
+    })
+}
+
+/// Brute-force model search for `Σ`: a model must contain a match of
+/// every pattern, and patterns are positive, so `Σ` is satisfiable iff
+/// some labeling of `Σ`'s canonical structure ([`search_labelings`])
+/// with total attributes over `Σ`'s constants and private values
+/// satisfies every rule. The chase's own model is one of them — its
+/// wildcards' private labels admit the same matches as the one fresh
+/// label — once its unset terms get private values. Every model found
+/// is checked with `graph_satisfies`.
+fn model(sigma: &GfdSet) -> Result<Option<Graph>, String> {
+    let patterns: Vec<&Pattern> = sigma.iter().map(|g| &g.pattern).collect();
+    let u = Universe::of(sigma);
+    search_labelings(sigma, &patterns, &mut |structure| {
+        let rule_matches: Vec<_> = patterns
+            .iter()
+            .map(|p| all_matches(&structure, p))
+            .collect();
+        let mut found = None;
+        for_each_assignment(
+            structure.node_count() * u.attrs.len(),
+            u.consts.len() as u32,
+            &mut |val| {
+                let models_sigma = sigma
+                    .iter()
+                    .zip(&rule_matches)
+                    .all(|(g, ms)| u.satisfied(&g.dep, ms, val));
+                if models_sigma {
+                    found = Some(u.materialize(&structure, val));
+                }
+                models_sigma
+            },
+        );
+        match found {
+            Some(g) if !graph_satisfies(sigma, &g) => {
+                Err("literal evaluation finds a model graph_satisfies rejects".into())
+            }
+            found => Ok(found),
         }
-        // Next labeling (mixed-radix increment); done after the last.
-        let Some(i) = (0..pick.len()).find(|&i| pick[i] + 1 < radix[i]) else {
-            return Ok(None);
-        };
-        pick[i] += 1;
-        pick[..i].fill(0);
-    }
+    })
 }
 
 /// A near-copy of a rule of `sigma`, so that about half the draws are
@@ -540,6 +606,56 @@ fn implication_is_complete() {
     assert!(
         implied > 0 && not_implied > 0,
         "the oracle must see both answers ({implied} implied, {not_implied} not)"
+    );
+}
+
+/// The shape the satisfiability oracle draws from: at most two
+/// variables per pattern and two attributes.
+const TINY: Shape = Shape {
+    vars: 2,
+    attrs: 2,
+    rich: true,
+};
+
+/// The chase says "unsatisfiable" exactly when the brute-force model
+/// search of `Σ`'s canonical structure finds no model, on one or two
+/// rules with wildcard nodes and edges, self-loops, parallel edges and
+/// disconnected patterns, each with a non-empty `Y` — at most four
+/// nodes and eight attribute terms. `BENCH_SMOKE` runs fewer cases; a
+/// failure names its seed.
+#[test]
+fn satisfiability_is_complete() {
+    let (mut satisfiable, mut unsatisfiable) = (0, 0);
+    check("satisfiability completeness", cases(2000, 200), |rng| {
+        let vocab = Vocab::shared();
+        let rules = (0..rng.gen_range(1..3))
+            .map(|i| {
+                let p = random_pattern(rng, &vocab, 2, 2, TINY);
+                let d = random_dep(rng, &vocab, p.node_count() as u32, TINY, 0..2, 1..3);
+                Gfd::new(format!("r{i}"), p, d)
+            })
+            .collect();
+        let sigma = GfdSet::new(rules);
+        let found = model(&sigma)?;
+        match check_satisfiability(&sigma) {
+            SatOutcome::Satisfiable(_) => {
+                prop_assert!(found.is_some(), "chase: satisfiable, oracle: no model")
+            }
+            SatOutcome::Unsatisfiable { .. } => {
+                prop_assert!(found.is_none(), "chase: unsatisfiable, oracle: a model")
+            }
+            SatOutcome::Unknown => return Err("Unknown on a tiny case".into()),
+        }
+        if found.is_some() {
+            satisfiable += 1;
+        } else {
+            unsatisfiable += 1;
+        }
+        Ok(())
+    });
+    assert!(
+        satisfiable > 0 && unsatisfiable > 0,
+        "the oracle must see both answers ({satisfiable} satisfiable, {unsatisfiable} not)"
     );
 }
 
