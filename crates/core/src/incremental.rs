@@ -170,6 +170,12 @@ impl IncrementalDetector {
         &self.sigma
     }
 
+    /// The candidate-space registry this detector reads through —
+    /// possibly shared with other detectors and executors.
+    pub fn registry(&self) -> &Arc<ClassRegistry> {
+        &self.registry
+    }
+
     /// The current violation set, in rule order (match order within a
     /// rule is unspecified).
     pub fn violations(&self) -> Vec<Violation> {

@@ -48,7 +48,7 @@ pub use group::RuleGroups;
 pub use implication::implies;
 pub use incremental::{IncrementalDetector, VioDiff};
 pub use literal::{Dependency, Literal};
-pub use sat::{check_satisfiability, is_satisfiable, SatOutcome};
+pub use sat::{check_satisfiability, SatOutcome};
 pub use validate::{
     detect_violations, detect_violations_shared, detect_violations_with, graph_satisfies,
     DetScratch, Violation,

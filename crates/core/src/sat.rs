@@ -24,6 +24,9 @@
 //! checker returns and which `G₀ ⊨ Σ` tests can verify independently.
 //! The chase decides every case, the tractable ones of Corollary 4
 //! (variable-only `Σ`, no `∅ → Y` rules, tree patterns) included.
+//! Callers read the verdict off [`SatOutcome`]; it has no boolean
+//! form, which would have to fold a budgeted run's `Unknown` into one
+//! of the other two answers.
 
 use gfd_graph::{Graph, GraphBuilder, NodeId, Value};
 use gfd_match::SearchBudget;
@@ -49,13 +52,6 @@ pub enum SatOutcome {
     /// The match-enumeration budget ran out before an answer was found
     /// (only with [`check_satisfiability_budgeted`]).
     Unknown,
-}
-
-impl SatOutcome {
-    /// True for the satisfiable outcome.
-    pub fn is_satisfiable(&self) -> bool {
-        matches!(self, SatOutcome::Satisfiable(_))
-    }
 }
 
 /// Builds the canonical graph of `patterns`: one copy of each, in
@@ -142,16 +138,6 @@ pub fn check_satisfiability(sigma: &GfdSet) -> SatOutcome {
     check_satisfiability_budgeted(sigma, DEFAULT_REASONING_BUDGET)
 }
 
-/// Convenience boolean form; treats budget exhaustion as "satisfiable
-/// not disproven" = `true` is *not* assumed — it returns `false` only
-/// on a definite conflict.
-pub fn is_satisfiable(sigma: &GfdSet) -> bool {
-    !matches!(
-        check_satisfiability(sigma),
-        SatOutcome::Unsatisfiable { .. }
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +147,11 @@ mod tests {
     use gfd_graph::Vocab;
     use gfd_pattern::{Pattern, PatternBuilder, VarId};
     use std::sync::Arc;
+
+    /// The chase's verdict as a boolean: a model was found.
+    fn satisfiable(sigma: &GfdSet) -> bool {
+        matches!(check_satisfiability(sigma), SatOutcome::Satisfiable(_))
+    }
 
     fn q7(vocab: Arc<Vocab>) -> Pattern {
         let mut b = PatternBuilder::new(vocab);
@@ -209,10 +200,10 @@ mod tests {
             Dependency::always(vec![Literal::const_eq(VarId(0), a, "d")]),
         );
         let sigma = GfdSet::new(vec![phi7.clone(), phi7p]);
-        assert!(!is_satisfiable(&sigma));
+        assert!(!satisfiable(&sigma));
 
         // Each alone is satisfiable.
-        assert!(is_satisfiable(&GfdSet::new(vec![phi7])));
+        assert!(satisfiable(&GfdSet::new(vec![phi7])));
     }
 
     #[test]
@@ -231,9 +222,9 @@ mod tests {
             q9(vocab.clone()),
             Dependency::always(vec![Literal::const_eq(VarId(0), a, "d")]),
         );
-        assert!(is_satisfiable(&GfdSet::new(vec![phi8.clone()])));
-        assert!(is_satisfiable(&GfdSet::new(vec![phi9.clone()])));
-        assert!(!is_satisfiable(&GfdSet::new(vec![phi8, phi9])));
+        assert!(satisfiable(&GfdSet::new(vec![phi8.clone()])));
+        assert!(satisfiable(&GfdSet::new(vec![phi9.clone()])));
+        assert!(!satisfiable(&GfdSet::new(vec![phi8, phi9])));
     }
 
     #[test]
@@ -279,7 +270,7 @@ mod tests {
             Dependency::always(vec![Literal::var_eq(VarId(0), a, VarId(1), a)]),
         );
         let sigma = GfdSet::new(vec![phi]);
-        assert!(is_satisfiable(&sigma));
+        assert!(satisfiable(&sigma));
     }
 
     #[test]
@@ -305,7 +296,7 @@ mod tests {
             ),
         );
         let sigma = GfdSet::new(vec![g1, g2]);
-        assert!(is_satisfiable(&sigma));
+        assert!(satisfiable(&sigma));
     }
 
     #[test]
@@ -345,7 +336,7 @@ mod tests {
 
     #[test]
     fn empty_sigma_is_satisfiable() {
-        assert!(is_satisfiable(&GfdSet::default()));
+        assert!(satisfiable(&GfdSet::default()));
     }
 
     #[test]
@@ -372,7 +363,7 @@ mod tests {
             Dependency::always(vec![Literal::const_eq(VarId(0), a, "c")]),
         );
         let sigma = GfdSet::new(vec![phi_a.clone(), phi_b.clone()]);
-        assert!(is_satisfiable(&sigma));
+        assert!(satisfiable(&sigma));
 
         // Now add a second constant rule with d ≠ c on the same τ
         // label; the pair rule forces all τ nodes' A equal, and the two
@@ -383,7 +374,7 @@ mod tests {
             Dependency::always(vec![Literal::const_eq(VarId(0), a, "d")]),
         );
         let sigma2 = GfdSet::new(vec![phi_a, phi_b, phi_d]);
-        assert!(!is_satisfiable(&sigma2));
+        assert!(!satisfiable(&sigma2));
     }
 
     #[test]

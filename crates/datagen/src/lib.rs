@@ -26,6 +26,6 @@ pub mod rules;
 pub mod synth;
 
 pub use noise::{inject_noise, NoiseConfig, NoiseReport};
-pub use reallife::{reallife_graph, twin_rules, RealLifeConfig, RealLifeKind};
+pub use reallife::{reallife_graph, RealLifeConfig, RealLifeKind};
 pub use rules::{isomorphic_twin, mine_gfds, RuleGenConfig};
 pub use synth::{synthetic_graph, SynthConfig};

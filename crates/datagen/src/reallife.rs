@@ -16,7 +16,9 @@
 //! small per-type domains so equality antecedents actually fire, and
 //! a configurable fraction of *twin entities* share their first leaf
 //! value while agreeing on the rest — the "same id ⇒ same fields"
-//! regularity that FD-style rules rely on.
+//! regularity that FD-style rules rely on. No rule set is built here:
+//! the rule miner (module [`crate::rules`]) and the Fig. 9 accuracy
+//! experiment derive theirs from the graph.
 
 use gfd_graph::{Graph, GraphBuilder, NodeId, Value};
 use gfd_util::Rng;
@@ -201,87 +203,6 @@ pub fn reallife_graph(cfg: &RealLifeConfig) -> Graph {
         }
     }
     g.freeze()
-}
-
-/// Builds the *twin-consistency* rule set for a stand-in graph: for
-/// every `(entity type, leaf₀ type, leaf₁ type)` schema combination
-/// found in the graph, the GFD "entities agreeing on leaf₀'s value
-/// agree on leaf₁'s value" — the `ϕ1` (flight) shape. Clean stand-in
-/// graphs satisfy all of these by construction (leaf₁ is a function of
-/// leaf₀), so any violation pinpoints injected noise; this is the rule
-/// set the Fig. 9 accuracy experiment validates with.
-pub fn twin_rules(g: &Graph, kind: RealLifeKind) -> gfd_core::GfdSet {
-    use gfd_core::{Dependency, Gfd, Literal};
-    use gfd_pattern::PatternBuilder;
-
-    let prefix = match kind {
-        RealLifeKind::DBpedia => "db",
-        RealLifeKind::Yago2 => "yg",
-        RealLifeKind::Pokec => "pk",
-    };
-    let vocab = g.vocab().clone();
-    let Some(has0) = vocab.lookup(&format!("{prefix}_has0")) else {
-        return gfd_core::GfdSet::default();
-    };
-    let has1 = vocab.lookup(&format!("{prefix}_has1"));
-    let val = vocab.intern("val");
-
-    // Discover (hub label, leaf0 label, leaf1 label) schema combos.
-    let mut combos: Vec<(gfd_graph::Sym, gfd_graph::Sym, Option<gfd_graph::Sym>)> = Vec::new();
-    for e in g.edges() {
-        if e.label != has0 {
-            continue;
-        }
-        let hub = e.src;
-        let l0 = g.label(e.dst);
-        let l1 = has1.and_then(|h1| {
-            g.neighbors_labeled(hub, h1)
-                .first()
-                .map(|a| g.label(a.node))
-        });
-        let combo = (g.label(hub), l0, l1);
-        if !combos.contains(&combo) {
-            combos.push(combo);
-        }
-    }
-    combos.sort_by_key(|&(a, b, c)| (a, b, c.map(|s| s.0 + 1).unwrap_or(0)));
-
-    let mut rules = Vec::new();
-    for (i, (hub_l, l0, l1)) in combos.into_iter().enumerate() {
-        let mut b = PatternBuilder::new(vocab.clone());
-        let hub_name = vocab.resolve(hub_l);
-        let l0_name = vocab.resolve(l0);
-        let x = b.node("x", &hub_name);
-        let xi = b.node("xi", &l0_name);
-        b.edge(x, xi, &format!("{prefix}_has0"));
-        let y = b.node("y", &hub_name);
-        let yi = b.node("yi", &l0_name);
-        b.edge(y, yi, &format!("{prefix}_has0"));
-        let dep = match l1 {
-            Some(l1) => {
-                let l1_name = vocab.resolve(l1);
-                let xj = b.node("xj", &l1_name);
-                b.edge(x, xj, &format!("{prefix}_has1"));
-                let yj = b.node("yj", &l1_name);
-                b.edge(y, yj, &format!("{prefix}_has1"));
-                Dependency::new(
-                    vec![Literal::var_eq(xi, val, yi, val)],
-                    vec![Literal::var_eq(xj, val, yj, val)],
-                )
-            }
-            // Single-leaf entities (Pokec): same id ⇒ same name.
-            None => {
-                let name = vocab.intern("name");
-                let _ = name;
-                Dependency::new(
-                    vec![Literal::var_eq(xi, val, yi, val)],
-                    vec![Literal::var_eq(xi, val, xi, val)],
-                )
-            }
-        };
-        rules.push(Gfd::new(format!("twin-consistency-{i}"), b.build(), dep));
-    }
-    gfd_core::GfdSet::new(rules)
 }
 
 /// Tiny deterministic string hash (derived leaf values must be a pure

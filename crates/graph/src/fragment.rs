@@ -52,9 +52,15 @@ impl Fragmentation {
     /// Partitions `g` into `n` fragments with the given strategy.
     ///
     /// # Panics
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` or `n > u16::MAX` (a [`FragmentId`] is a
+    /// `u16`, and BFS clustering keeps `u16::MAX` as its "unassigned"
+    /// mark).
     pub fn partition(g: &Graph, n: usize, strategy: PartitionStrategy) -> Self {
         assert!(n > 0, "cannot partition into zero fragments");
+        assert!(
+            n <= u16::MAX as usize,
+            "more fragments than a FragmentId holds"
+        );
         let owner = match strategy {
             PartitionStrategy::Hash => g
                 .nodes()
@@ -75,8 +81,12 @@ impl Fragmentation {
     ///
     /// # Panics
     /// Panics unless `owner` names a fragment below `n` for each node
-    /// of `g`.
+    /// of `g`, and unless `n <= u16::MAX`.
     pub fn from_owner(g: &Graph, n: usize, owner: Vec<FragmentId>) -> Self {
+        assert!(
+            n <= u16::MAX as usize,
+            "more fragments than a FragmentId holds"
+        );
         assert_eq!(owner.len(), g.node_count());
         assert!(owner.iter().all(|f| f.index() < n), "a fragment id past n");
         Fragmentation { owner, n }
@@ -160,6 +170,23 @@ mod tests {
             assert_eq!(frag.owner.len(), 20, "{strategy:?}");
             assert!(g.nodes().all(|u| frag.owner(u).index() < 4), "{strategy:?}");
         }
+    }
+
+    /// Past `u16::MAX` fragments, `Hash` would truncate an id into
+    /// the wrong fragment and BFS clustering would hand out its own
+    /// "unassigned" mark; the bound is checked before any work.
+    #[test]
+    #[should_panic(expected = "more fragments than a FragmentId holds")]
+    fn partition_rejects_more_fragments_than_an_id_holds() {
+        let g = ring(4);
+        Fragmentation::partition(&g, u16::MAX as usize + 1, PartitionStrategy::Hash);
+    }
+
+    #[test]
+    #[should_panic(expected = "more fragments than a FragmentId holds")]
+    fn from_owner_rejects_more_fragments_than_an_id_holds() {
+        let g = ring(2);
+        Fragmentation::from_owner(&g, u16::MAX as usize + 1, vec![FragmentId(0); 2]);
     }
 
     #[test]

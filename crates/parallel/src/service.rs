@@ -202,14 +202,15 @@ pub struct ServiceStats {
 }
 
 /// The long-lived standing-violation engine; see the module docs.
-/// Its violation set and Σ are its detector's, its epoch is
+/// Its violation set, Σ and registry are its detector's, its epoch is
 /// [`ServiceStats::epochs`], and every update it publishes is a diff
 /// the detector committed.
 pub struct ViolationService {
     current: Arc<Graph>,
-    /// The serving-tier cache this service's detector and degraded
-    /// recomputes read through — possibly shared with other tenants.
-    registry: Arc<ClassRegistry>,
+    /// Holds Σ, `Vio(Σ, G)` and the serving-tier cache that degraded
+    /// recomputes read through too
+    /// ([`registry`](IncrementalDetector::registry)) — possibly shared
+    /// with other tenants.
     detector: IncrementalDetector,
     /// The durable write-ahead log, if the service was constructed
     /// with one ([`with_durable_log`](Self::with_durable_log) /
@@ -242,10 +243,9 @@ impl ViolationService {
         cfg: ServiceConfig,
         registry: Arc<ClassRegistry>,
     ) -> Self {
-        let detector = IncrementalDetector::with_registry(&sigma, &g, Arc::clone(&registry));
+        let detector = IncrementalDetector::with_registry(&sigma, &g, registry);
         ViolationService {
             current: g,
-            registry,
             detector,
             wal: None,
             subscribers: Vec::new(),
@@ -313,11 +313,9 @@ impl ViolationService {
         // Not `detect_violations_shared` on `registry`: the spaces it
         // keeps cost more RSS than the simulation it saves (ROADMAP ledger 6).
         let violations = detect_violations(&sigma, &g);
-        let detector =
-            IncrementalDetector::from_violations_in(&sigma, &violations, Arc::clone(&registry));
+        let detector = IncrementalDetector::from_violations_in(&sigma, &violations, registry);
         let svc = ViolationService {
             current: Arc::new(g),
-            registry,
             detector,
             stats: ServiceStats {
                 epochs: report.recovered_epoch,
@@ -553,16 +551,17 @@ impl ViolationService {
         // artifact so the recompute — and every later query — derives
         // from the recovered snapshot. Sound for co-tenants too (the
         // caches are pure derivations; they re-simulate lazily).
-        self.registry.invalidate_all();
+        let registry = self.detector.registry();
+        registry.invalidate_all();
         let sigma = self.detector.sigma();
-        let wl = estimate_workload_in(sigma, &next, &WorkloadOptions::default(), &self.registry);
+        let wl = estimate_workload_in(sigma, &next, &WorkloadOptions::default(), registry);
         let report = run_units_threaded_report(
             &next,
             sigma,
             &wl.plan,
             &wl.units,
             &wl.slots,
-            &self.registry,
+            registry,
             self.cfg.threads,
             self.cfg.faults.as_ref(),
             next_epoch,
@@ -602,8 +601,8 @@ impl ViolationService {
             }
         }
 
-        let registry = Arc::clone(&self.registry);
-        let truth = IncrementalDetector::from_violations_in(sigma, &violations, registry);
+        let truth =
+            IncrementalDetector::from_violations_in(sigma, &violations, Arc::clone(registry));
         let diff = truth.changes_since(&self.detector);
         self.detector = truth;
         diff
@@ -615,10 +614,9 @@ mod tests {
     use super::*;
     use crate::fault::silence_injected_panics;
     use gfd_core::validate::detect_violations;
-    use gfd_core::{Dependency, Gfd, Literal};
+    use gfd_core::Gfd;
     use gfd_graph::graph::same_snapshot;
-    use gfd_graph::{GraphBuilder, NodeId, Value, Vocab};
-    use gfd_pattern::PatternBuilder;
+    use gfd_graph::{NodeId, Value, Vocab};
     use std::collections::HashSet;
     use std::sync::Barrier;
 
@@ -630,57 +628,23 @@ mod tests {
         send_sync::<ViolationService>();
     };
 
-    fn social(n: usize) -> Graph {
-        let mut g = GraphBuilder::with_fresh_vocab();
-        let blogs: Vec<_> = (0..n)
-            .map(|i| {
-                let b = g.add_node_labeled("blog");
-                g.set_attr_named(
-                    b,
-                    "keyword",
-                    Value::str(if i % 3 == 0 { "spam" } else { "ok" }),
-                );
-                b
-            })
-            .collect();
-        for i in 0..n {
-            let a = g.add_node_labeled("account");
-            g.set_attr_named(a, "is_fake", Value::Bool(i % 4 == 0));
-            g.add_edge_labeled(a, blogs[i], "post");
-            g.add_edge_labeled(a, blogs[(i + 1) % n], "like");
-        }
-        g.freeze()
+    /// The service suites' social graph and rules, read from their
+    /// kit file.
+    #[allow(dead_code)]
+    mod common {
+        include!("../tests/common/mod.rs");
     }
+    use common::{social, vio_set};
 
+    /// The kit's first rule: a spam blog's poster must be fake.
     fn spam_rule(vocab: Arc<Vocab>) -> Gfd {
-        let mut b = PatternBuilder::new(vocab.clone());
-        let x = b.node("x", "account");
-        let y = b.node("y", "blog");
-        b.edge(x, y, "post");
-        let q = b.build();
-        let keyword = vocab.intern("keyword");
-        let is_fake = vocab.intern("is_fake");
-        Gfd::new(
-            "spam-poster-is-fake",
-            q,
-            Dependency::new(
-                vec![Literal::const_eq(y, keyword, "spam")],
-                vec![Literal::const_eq(x, is_fake, true)],
-            ),
-        )
+        common::rules(vocab).get(0).clone()
     }
 
     fn scratch(sigma: &GfdSet, g: &Graph) -> Vec<Violation> {
         let mut v = detect_violations(sigma, g);
         sort_violations(&mut v);
         v
-    }
-
-    fn vio_set(violations: Vec<Violation>) -> HashSet<(usize, Match)> {
-        violations
-            .into_iter()
-            .map(|v| (v.rule, v.mapping))
-            .collect()
     }
 
     /// Folds every update `rx` has received over `baseline`, the set

@@ -256,49 +256,21 @@ mod tests {
     use super::*;
     use crate::workload::{estimate_workload, plan_rules, WorkloadOptions};
     use gfd_core::validate::detect_violations;
-    use gfd_core::{Dependency, Gfd, Literal};
-    use gfd_graph::{GraphBuilder, Value, Vocab};
-    use gfd_pattern::PatternBuilder;
+    use gfd_core::Gfd;
+    use gfd_graph::Vocab;
     use std::sync::Arc;
 
-    fn social(n: usize) -> Graph {
-        let mut g = GraphBuilder::with_fresh_vocab();
-        let blogs: Vec<_> = (0..n)
-            .map(|i| {
-                let b = g.add_node_labeled("blog");
-                g.set_attr_named(
-                    b,
-                    "keyword",
-                    Value::str(if i % 3 == 0 { "spam" } else { "ok" }),
-                );
-                b
-            })
-            .collect();
-        for i in 0..n {
-            let a = g.add_node_labeled("account");
-            g.set_attr_named(a, "is_fake", Value::Bool(i % 4 == 0));
-            g.add_edge_labeled(a, blogs[i], "post");
-            g.add_edge_labeled(a, blogs[(i + 1) % n], "like");
-        }
-        g.freeze()
+    /// The service suites' social graph and rules, read from their
+    /// kit file.
+    #[allow(dead_code)]
+    mod common {
+        include!("../tests/common/mod.rs");
     }
+    use common::social;
 
+    /// The kit's first rule: a spam blog's poster must be fake.
     fn spam_rule(vocab: Arc<Vocab>) -> Gfd {
-        let mut b = PatternBuilder::new(vocab.clone());
-        let x = b.node("x", "account");
-        let y = b.node("y", "blog");
-        b.edge(x, y, "post");
-        let q = b.build();
-        let keyword = vocab.intern("keyword");
-        let is_fake = vocab.intern("is_fake");
-        Gfd::new(
-            "spam-poster-is-fake",
-            q,
-            Dependency::new(
-                vec![Literal::const_eq(y, keyword, "spam")],
-                vec![Literal::const_eq(x, is_fake, true)],
-            ),
-        )
+        common::rules(vocab).get(0).clone()
     }
 
     use crate::fault::silence_injected_panics;

@@ -1,8 +1,10 @@
-//! What the service suites share: the social graph and the two rules
-//! that read it, the edit model — chained deltas over a small slot pool of
-//! rule-relevant edge and attribute flips, so one batch carries
-//! opposing ops for compaction to cancel — and the violation set they
-//! compare.
+// What the service suites share: the social graph and the two rules
+// that read it, the edit model — chained deltas over a small slot pool of
+// rule-relevant edge and attribute flips, so one batch carries
+// opposing ops for compaction to cancel — and the violation set they
+// compare. The unit tests of service.rs and threaded.rs `include!` this
+// file too, which is why its header is a plain comment: an included
+// file cannot open with inner doc comments.
 
 use std::collections::HashSet;
 

@@ -34,5 +34,5 @@ pub mod signature;
 
 pub use analysis::{ComponentInfo, PivotVector};
 pub use canon::{canonical_form, iso_witness, CanonicalForm, IsoWitness};
-pub use decomp::{tree_decomposition, Bag, TreeDecomposition};
+pub use decomp::{tree_decomposition, TreeDecomposition};
 pub use pattern::{distinct_neighbors, PatLabel, Pattern, PatternBuilder, PatternEdge, VarId};

@@ -6,8 +6,8 @@ use gfd::baselines::RelationalValidator;
 use gfd::core::validate::detect_violations;
 use gfd::core::Violation;
 use gfd::datagen::{
-    inject_noise, mine_gfds, reallife_graph, synthetic_graph, NoiseConfig, RealLifeConfig,
-    RealLifeKind, RuleGenConfig, SynthConfig,
+    mine_gfds, reallife_graph, synthetic_graph, RealLifeConfig, RealLifeKind, RuleGenConfig,
+    SynthConfig,
 };
 use gfd::graph::{Fragmentation, PartitionStrategy};
 use gfd::parallel::unitexec::sort_violations;
@@ -147,37 +147,6 @@ fn scheme_choice_ships_no_more_than_prefetching_alone() {
             );
         }
     }
-}
-
-#[test]
-fn twin_rules_catch_injected_noise() {
-    let g = reallife_graph(&RealLifeConfig {
-        scale: 0.15,
-        ..RealLifeConfig::new(RealLifeKind::Yago2)
-    });
-    let sigma = gfd::datagen::twin_rules(&g, RealLifeKind::Yago2);
-    assert!(!sigma.is_empty());
-    // The clean stand-in satisfies all twin-consistency rules.
-    assert!(
-        detect_violations(&sigma, &g).is_empty(),
-        "clean stand-in must satisfy its own twin rules"
-    );
-    // Noise is a builder-level mutation: thaw, corrupt, re-freeze.
-    let mut b = g.thaw();
-    let report = inject_noise(
-        &mut b,
-        &NoiseConfig {
-            rate: 0.08,
-            seed: 17,
-        },
-    );
-    assert!(!report.is_empty());
-    let g = b.freeze();
-    let dirty = detect_violations(&sigma, &g);
-    assert!(
-        !dirty.is_empty(),
-        "attribute noise on twin leaves must violate twin rules"
-    );
 }
 
 #[test]
