@@ -148,9 +148,17 @@ mod tests {
     use gfd_pattern::{Pattern, PatternBuilder, VarId};
     use std::sync::Arc;
 
-    /// The chase's verdict as a boolean: a model was found.
+    /// The chase found a model.
     fn satisfiable(sigma: &GfdSet) -> bool {
         matches!(check_satisfiability(sigma), SatOutcome::Satisfiable(_))
+    }
+
+    /// The chase found a conflict — `Unknown` is neither verdict.
+    fn unsatisfiable(sigma: &GfdSet) -> bool {
+        matches!(
+            check_satisfiability(sigma),
+            SatOutcome::Unsatisfiable { .. }
+        )
     }
 
     fn q7(vocab: Arc<Vocab>) -> Pattern {
@@ -200,7 +208,7 @@ mod tests {
             Dependency::always(vec![Literal::const_eq(VarId(0), a, "d")]),
         );
         let sigma = GfdSet::new(vec![phi7.clone(), phi7p]);
-        assert!(!satisfiable(&sigma));
+        assert!(unsatisfiable(&sigma));
 
         // Each alone is satisfiable.
         assert!(satisfiable(&GfdSet::new(vec![phi7])));
@@ -224,7 +232,7 @@ mod tests {
         );
         assert!(satisfiable(&GfdSet::new(vec![phi8.clone()])));
         assert!(satisfiable(&GfdSet::new(vec![phi9.clone()])));
-        assert!(!satisfiable(&GfdSet::new(vec![phi8, phi9])));
+        assert!(unsatisfiable(&GfdSet::new(vec![phi8, phi9])));
     }
 
     #[test]
@@ -374,7 +382,7 @@ mod tests {
             Dependency::always(vec![Literal::const_eq(VarId(0), a, "d")]),
         );
         let sigma2 = GfdSet::new(vec![phi_a, phi_b, phi_d]);
-        assert!(!satisfiable(&sigma2));
+        assert!(unsatisfiable(&sigma2));
     }
 
     #[test]

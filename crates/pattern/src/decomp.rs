@@ -43,8 +43,9 @@ const MAX_VARS: usize = 128;
 /// raises the width, and the width is all a work unit's price reads.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeDecomposition {
-    /// The elimination order: every variable once.
-    pub order: Vec<VarId>,
+    /// The elimination order: every variable once; the tests derive
+    /// its bags to check the width against.
+    order: Vec<VarId>,
     width: usize,
 }
 
